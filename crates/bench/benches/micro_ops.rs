@@ -139,22 +139,69 @@ fn bench_matmul() {
     report("matmul_256", || a.matmul(&b));
 }
 
-/// One measured cell of the single-thread GEMM series.
+/// One measured GEMM cell: entry point `op` (`nn` forward, `nt` / `tn`
+/// the two backward products) at forward shape `m x k x n`.
 struct GemmCell {
+    op: &'static str,
     m: usize,
     k: usize,
     n: usize,
     kernel: &'static str,
+    threads: usize,
     secs: f64,
     gflops: f64,
 }
 
-/// One measured cell of the GEMM thread scaling series (512^3).
-struct GemmThreadCell {
-    kernel: &'static str,
-    threads: usize,
-    secs: f64,
-    gflops: f64,
+impl GemmCell {
+    fn new(
+        op: &'static str,
+        (m, k, n): (usize, usize, usize),
+        kernel: &'static str,
+        threads: usize,
+        secs: f64,
+    ) -> GemmCell {
+        let gflops = 2.0 * (m * k * n) as f64 / secs / 1e9;
+        println!(
+            "  gemm_{op}_{:<18} {kernel:<5} t={threads:<2} {:>12.1} us/iter  {gflops:>7.2} GFLOP/s",
+            format!("{m}x{k}x{n}"),
+            secs * 1e6
+        );
+        GemmCell { op, m, k, n, kernel, threads, secs, gflops }
+    }
+
+    fn json(&self, extra: &str) -> String {
+        format!(
+            "{{\"op\": {:?}, \"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": {:?}, \"threads\": {}, \"secs\": {:.6e}, \"gflops\": {:.3}{extra}}}",
+            self.op, self.m, self.k, self.n, self.kernel, self.threads, self.secs, self.gflops
+        )
+    }
+}
+
+/// The two matmul shapes that dominate a TGAT epoch's op profile; the
+/// `nt` / `tn` rows are measured here.
+const BWD_SHAPES: [(usize, usize, usize); 2] = [(512, 32, 32), (4608, 80, 32)];
+
+/// Mean seconds of one backward sweep through `a.matmul(&b)` in which
+/// only one operand needs a gradient, so exactly one transposed GEMM
+/// runs: `nt` is `dA = dC·Bᵀ`, `tn` is `dB = Aᵀ·dC`. The forward and
+/// the seed copy sit outside the timed region.
+fn time_backward_gemm(op: &str, (m, k, n): (usize, usize, usize), budget_s: f64) -> f64 {
+    let mut rng = StdRng::seed_from_u64(5);
+    let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng).requires_grad(op == "nt");
+    let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng).requires_grad(op == "tn");
+    let seed = Tensor::rand_uniform([m, n], -1.0, 1.0, &mut rng).to_vec();
+    let once = || {
+        let y = a.matmul(&b);
+        let go = seed.clone();
+        let t0 = Instant::now();
+        y.backward_with(go);
+        let secs = t0.elapsed().as_secs_f64();
+        a.zero_grad();
+        b.zero_grad();
+        secs
+    };
+    let iters = ((budget_s / once().max(1e-9)) as usize).clamp(1, 10_000);
+    (0..iters).map(|_| once()).sum::<f64>() / iters as f64
 }
 
 /// Times the cache-blocked GEMM over a size series that spans the
@@ -190,19 +237,14 @@ fn bench_gemm_series(counts: &[usize]) {
             let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
             let secs = time_it(|| a.matmul(&b), 0.4);
-            let gflops = 2.0 * (m * k * n) as f64 / secs / 1e9;
-            println!(
-                "  gemm_{m}x{k}x{n:<24} {:>12.1} us/iter  {gflops:>7.2} GFLOP/s",
-                secs * 1e6
-            );
-            cells.push(GemmCell { m, k, n, kernel: mode.label(), secs, gflops });
+            cells.push(GemmCell::new("nn", (m, k, n), mode.label(), 1, secs));
         }
     }
 
-    // Thread scaling of the MC-panel parallel GEMM at 512^3.
+    // Thread scaling of the row-panel parallel GEMM at 512^3.
     let mut tcells = Vec::new();
     println!();
-    println!("== GEMM thread scaling (512^3, MC row panels) ==");
+    println!("== GEMM thread scaling (512^3, one row panel per thread) ==");
     for mode in MODES {
         tgl_tensor::kernel::set_mode(mode);
         let mut rng = StdRng::seed_from_u64(3);
@@ -211,13 +253,32 @@ fn bench_gemm_series(counts: &[usize]) {
         for &t in counts {
             set_threads(t);
             let secs = time_it(|| a.matmul(&b), 0.4);
-            let gflops = 2.0 * (512usize * 512 * 512) as f64 / secs / 1e9;
-            println!(
-                "  gemm_512 {:<5} t={t:<2} {:>12.1} us/iter  {gflops:>7.2} GFLOP/s",
-                mode.label(),
-                secs * 1e6
-            );
-            tcells.push(GemmThreadCell { kernel: mode.label(), threads: t, secs, gflops });
+            tcells.push(GemmCell::new("nn", (512, 512, 512), mode.label(), t, secs));
+        }
+    }
+
+    // The transposed entry points autograd uses, beside `nn` at the
+    // same shapes, at every swept thread count. Appended after the
+    // older series so `scripts/bench_trend` keeps matching those by
+    // position.
+    println!();
+    println!("== backward GEMMs (nt: dA = dC.Bt, tn: dB = At.dC) vs forward nn ==");
+    for mode in MODES {
+        tgl_tensor::kernel::set_mode(mode);
+        for shape in BWD_SHAPES {
+            let mut rng = StdRng::seed_from_u64(3);
+            let a = Tensor::rand_uniform([shape.0, shape.1], -1.0, 1.0, &mut rng);
+            let b = Tensor::rand_uniform([shape.1, shape.2], -1.0, 1.0, &mut rng);
+            for &t in counts {
+                set_threads(t);
+                let nn = time_it(|| a.matmul(&b), 0.3);
+                let series = if t == 1 { &mut cells } else { &mut tcells };
+                series.push(GemmCell::new("nn", shape, mode.label(), t, nn));
+                for op in ["nt", "tn"] {
+                    let secs = time_backward_gemm(op, shape, 0.3);
+                    series.push(GemmCell::new(op, shape, mode.label(), t, secs));
+                }
+            }
         }
     }
     tgl_tensor::kernel::set_mode(ambient_mode);
@@ -228,37 +289,28 @@ fn bench_gemm_series(counts: &[usize]) {
     s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     s.push_str(&format!("  \"simd\": {:?},\n", tgl_tensor::kernel::simd_label()));
     s.push_str("  \"threads\": 1,\n  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": {:?}, \"secs\": {:.6e}, \"gflops\": {:.3}}}{}\n",
-            c.m,
-            c.k,
-            c.n,
-            c.kernel,
-            c.secs,
-            c.gflops,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n  \"multi_thread\": [\n");
-    let base = |kernel: &str| {
-        tcells
-            .iter()
-            .find(|c| c.kernel == kernel && c.threads == 1)
-            .map_or(f64::NAN, |c| c.secs)
-    };
-    for (i, c) in tcells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"m\": 512, \"k\": 512, \"n\": 512, \"kernel\": {:?}, \"threads\": {}, \"secs\": {:.6e}, \"gflops\": {:.3}, \"speedup_vs_1t\": {:.3}}}{}\n",
-            c.kernel,
-            c.threads,
-            c.secs,
-            c.gflops,
-            base(c.kernel) / c.secs,
-            if i + 1 == tcells.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    let rows: Vec<String> = cells.iter().map(|c| format!("    {}", c.json(""))).collect();
+    s.push_str(&rows.join(",\n"));
+    s.push_str("\n  ],\n  \"multi_thread\": [\n");
+    // Speedup against the one-thread cell of the same op, shape and
+    // kernel mode (the 512^3 sweep carries its own; the backward shapes
+    // find theirs in the single-thread series).
+    let rows: Vec<String> = tcells
+        .iter()
+        .map(|c| {
+            let base = tcells
+                .iter()
+                .chain(&cells)
+                .find(|b| {
+                    b.threads == 1
+                        && (b.op, b.m, b.k, b.n, b.kernel) == (c.op, c.m, c.k, c.n, c.kernel)
+                })
+                .map_or(f64::NAN, |b| b.secs);
+            format!("    {}", c.json(&format!(", \"speedup_vs_1t\": {:.3}", base / c.secs)))
+        })
+        .collect();
+    s.push_str(&rows.join(",\n"));
+    s.push_str("\n  ]\n}\n");
     let path =
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_micro_gemm.json");
     match std::fs::write(&path, &s) {

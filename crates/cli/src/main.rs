@@ -207,6 +207,18 @@ fn framework(args: &Args) -> Framework {
     }
 }
 
+/// A count option that must be at least 1 (`default` when absent);
+/// anything else is a usage error naming the flag.
+fn positive_or(args: &Args, key: &str, default: usize) -> usize {
+    match args.get(key) {
+        None => default,
+        Some(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+            eprintln!("--{key}: expected a positive integer, got {v:?}");
+            std::process::exit(2);
+        }),
+    }
+}
+
 fn train(args: &Args, eval_only: bool) {
     // Any panic from here on — kernel bug, assert, health trip —
     // leaves a flight-recorder post-mortem on disk.
@@ -285,13 +297,10 @@ fn train(args: &Args, eval_only: bool) {
         tgl_obs::insight::enable(true);
         tgl_obs::timeseries::enable(true);
     }
-    if let Some(n) = args.get("threads") {
-        let n: usize = n.parse().unwrap_or_else(|_| {
-            eprintln!("--threads: cannot parse {n:?}");
-            std::process::exit(2);
-        });
-        tgl_runtime::set_threads(n);
+    if args.get("threads").is_some() {
+        tgl_runtime::set_threads(positive_or(args, "threads", 1));
     }
+    let batch_size = positive_or(args, "batch", 200);
     if let Some(mode) = args.get("kernel") {
         match tgl_tensor::kernel::parse(mode) {
             Some(m) => tgl_tensor::kernel::set_mode(m),
@@ -352,7 +361,7 @@ fn train(args: &Args, eval_only: bool) {
     };
     let mut model = build_model(fw, mk, &ctx, model_cfg, args.get_or("seed", 42));
     let train_cfg = TrainConfig {
-        batch_size: args.get_or("batch", 200),
+        batch_size,
         epochs: if eval_only { 0 } else { args.get_or("epochs", 3) },
         lr: args.get_or("lr", 1e-3),
         seed: args.get_or("seed", 42) ^ 0x5eed,

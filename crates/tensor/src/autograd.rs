@@ -13,12 +13,17 @@ use std::collections::BTreeMap;
 
 use crate::tensor::Tensor;
 
+/// Maps an op's output gradient to one optional gradient per input.
+pub(crate) type BackwardFn = Box<dyn Fn(&[f32]) -> Vec<Option<Vec<f32>>> + Send + Sync>;
+
 /// A backward-graph node: the op's inputs plus a closure mapping the
 /// output gradient to per-input gradients.
 pub(crate) struct Node {
     pub(crate) inputs: Vec<Tensor>,
-    #[allow(clippy::type_complexity)]
-    pub(crate) backward: Box<dyn Fn(&[f32]) -> Vec<Option<Vec<f32>>> + Send + Sync>,
+    /// `None` marks an identity node (the reshape family): one input
+    /// with the output's element count, whose gradient *is* the output
+    /// gradient — the sweep hands the owned buffer through uncopied.
+    pub(crate) backward: Option<BackwardFn>,
     /// Forward op that created this node (`"op"` when the profiler was
     /// off at build time) plus the analytic cost of the backward pass,
     /// both captured from the profiler frame via
@@ -109,57 +114,54 @@ impl Tensor {
         pending.insert(self.id(), (self.clone(), seed));
 
         while let Some((_, (tensor, grad))) = pending.pop_last() {
-            match &tensor.inner.grad_fn {
-                Some(node) => {
-                    let input_grads = {
-                        let _prof = tgl_obs::profile::op_backward(
-                            node.op,
-                            node.bwd_flops,
-                            node.bwd_read,
-                            node.bwd_write,
-                        );
-                        (node.backward)(&grad)
-                    };
-                    assert_eq!(
-                        input_grads.len(),
-                        node.inputs.len(),
-                        "backward closure returned wrong number of gradients"
-                    );
-                    for (input, g) in node.inputs.iter().zip(input_grads) {
-                        let Some(g) = g else { continue };
-                        if !input.inner.requires_grad {
-                            crate::pool::give(g, input.device());
-                            continue;
-                        }
-                        assert_eq!(
-                            g.len(),
-                            input.numel(),
-                            "gradient shape mismatch for input {}",
-                            input.shape()
-                        );
-                        match pending.entry(input.id()) {
-                            Entry::Occupied(mut e) => {
-                                for (a, b) in e.get_mut().1.iter_mut().zip(&g) {
-                                    *a += b;
-                                }
-                                crate::pool::give(g, input.device());
-                            }
-                            Entry::Vacant(e) => {
-                                e.insert((input.clone(), g));
-                            }
-                        }
-                    }
-                    // The output gradient this node consumed is dead now.
+            let Some(node) = &tensor.inner.grad_fn else {
+                if tensor.inner.requires_grad {
+                    tensor.accumulate_grad_owned(grad);
+                } else {
                     crate::pool::give(grad, tensor.device());
                 }
-                None => {
-                    if tensor.inner.requires_grad {
-                        tensor.accumulate_grad_owned(grad);
-                    } else {
-                        crate::pool::give(grad, tensor.device());
-                    }
+                continue;
+            };
+            let prof =
+                tgl_obs::profile::op_backward(node.op, node.bwd_flops, node.bwd_read, node.bwd_write);
+            let Some(backward) = &node.backward else {
+                add_pending(&mut pending, &node.inputs[0], grad);
+                continue;
+            };
+            let input_grads = backward(&grad);
+            drop(prof);
+            assert_eq!(
+                input_grads.len(),
+                node.inputs.len(),
+                "backward closure returned wrong number of gradients"
+            );
+            for (input, g) in node.inputs.iter().zip(input_grads) {
+                if let Some(g) = g {
+                    add_pending(&mut pending, input, g);
                 }
             }
+            // The output gradient this node consumed is dead now.
+            crate::pool::give(grad, tensor.device());
+        }
+    }
+}
+
+/// Adds the owned gradient `g` to `input`'s pending gradient (recycling
+/// `g` once summed in, or at once when `input` takes no gradient).
+fn add_pending(pending: &mut BTreeMap<u64, (Tensor, Vec<f32>)>, input: &Tensor, g: Vec<f32>) {
+    if !input.inner.requires_grad {
+        return crate::pool::give(g, input.device());
+    }
+    assert_eq!(g.len(), input.numel(), "gradient shape mismatch for input {}", input.shape());
+    match pending.entry(input.id()) {
+        Entry::Occupied(mut e) => {
+            for (a, b) in e.get_mut().1.iter_mut().zip(&g) {
+                *a += b;
+            }
+            crate::pool::give(g, input.device());
+        }
+        Entry::Vacant(e) => {
+            e.insert((input.clone(), g));
         }
     }
 }

@@ -41,6 +41,14 @@ fn bce_impl(logits: &Tensor, targets: &Tensor, mean: bool) -> Tensor {
     );
     let x = logits.to_vec();
     let y = targets.to_vec();
+    let len = x.len() as u64;
+    // ~8 flops per element each way (exp, log1p / sigmoid and friends).
+    let _prof = tgl_obs::profile::op("bce")
+        .flops(8 * len)
+        .io(8 * len, 4)
+        .shape(&[logits.dims()])
+        .backward_cost(8 * len, 8 * len, 4 * len);
+    let device = logits.device();
     let n = x.len() as f32;
     let scale = if mean { 1.0 / n } else { 1.0 };
     let total: f32 = x
@@ -53,18 +61,15 @@ fn bce_impl(logits: &Tensor, targets: &Tensor, mean: bool) -> Tensor {
     Tensor::make_result(
         vec![total],
         crate::Shape::scalar(),
-        logits.device(),
+        device,
         &[logits.clone(), targets.clone()],
         move |go| {
             let g = go[0] * scale;
-            let dx = x_c
-                .iter()
-                .zip(&y_c)
-                .map(|(&x, &y)| {
-                    let sig = 1.0 / (1.0 + (-x).exp());
-                    g * (sig - y)
-                })
-                .collect();
+            let mut dx = crate::pool::take_uninit(x_c.len(), device);
+            for ((d, &x), &y) in dx.iter_mut().zip(&x_c).zip(&y_c) {
+                let sig = 1.0 / (1.0 + (-x).exp());
+                *d = g * (sig - y);
+            }
             vec![Some(dx), None]
         },
     )

@@ -133,41 +133,56 @@ fn binary_elementwise(
     let same = a.shape() == b.shape();
     let (a_dims, b_dims) = (a.dims().to_vec(), b.dims().to_vec());
     let (a_n, b_n) = (a.numel(), b.numel());
+    let (need_a, need_b) = (a.requires_grad_flag(), b.requires_grad_flag());
     Tensor::make_result(out, out_shape, device, &[a.clone(), b.clone()], move |go| {
         let a_data = a_c.inner.storage.read();
         let b_data = b_c.inner.storage.read();
-        // Same-shape gradients are fully overwritten; broadcast
-        // gradients accumulate with `+=` and must start zeroed.
-        let (mut ga, mut gb) = if same {
-            (pool::take_uninit(a_n, device), pool::take_uninit(b_n, device))
-        } else {
-            (pool::take_zeroed(a_n, device), pool::take_zeroed(b_n, device))
+        // Only operands on the autograd graph get a buffer. Same-shape
+        // gradients are fully overwritten; broadcast gradients
+        // accumulate with `+=` and must start zeroed.
+        let take = |need: bool, n: usize| {
+            need.then(|| if same { pool::take_uninit(n, device) } else { pool::take_zeroed(n, device) })
         };
+        let (mut ga, mut gb) = (take(need_a, a_n), take(need_b, b_n));
+        // An absent gradient is an empty slice below: `get_mut` then
+        // skips the store for the price of the bounds check an index
+        // would pay anyway, so the loops stay branch-for-branch what
+        // they were when both buffers always existed.
+        let ga_s: &mut [f32] = ga.as_deref_mut().unwrap_or_default();
+        let gb_s: &mut [f32] = gb.as_deref_mut().unwrap_or_default();
         if same {
-            let ga_sl = UnsafeSlice::new(&mut ga);
-            let gb_sl = UnsafeSlice::new(&mut gb);
+            let (ga_sl, gb_sl) = (UnsafeSlice::new(ga_s), UnsafeSlice::new(gb_s));
             let (a_data, b_data, bwd) = (&a_data, &b_data, &bwd);
             parallel_for(a_n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-                // SAFETY: chunks partition the element space.
-                let (gar, gbr) = unsafe {
-                    (ga_sl.slice_mut(r.start, r.len()), gb_sl.slice_mut(r.start, r.len()))
-                };
+                let chunk = |need: bool| if need { (r.start, r.len()) } else { (0, 0) };
+                let ((sa, la), (sb, lb)) = (chunk(need_a), chunk(need_b));
+                // SAFETY: chunks partition the element space (and an
+                // absent gradient contributes the empty chunk).
+                let (gar, gbr) = unsafe { (ga_sl.slice_mut(sa, la), gb_sl.slice_mut(sb, lb)) };
                 for (k, i) in r.enumerate() {
                     let (da, db) = bwd(a_data[i], b_data[i], go[i]);
-                    gar[k] = da;
-                    gbr[k] = db;
+                    if let Some(g) = gar.get_mut(k) {
+                        *g = da;
+                    }
+                    if let Some(g) = gbr.get_mut(k) {
+                        *g = db;
+                    }
                 }
             });
         } else {
             let mut oi = 0;
             broadcast_apply(&a_dims, &b_dims, |ai, bi| {
                 let (da, db) = bwd(a_data[ai], b_data[bi], go[oi]);
-                ga[ai] += da;
-                gb[bi] += db;
+                if let Some(g) = ga_s.get_mut(ai) {
+                    *g += da;
+                }
+                if let Some(g) = gb_s.get_mut(bi) {
+                    *g += db;
+                }
                 oi += 1;
             });
         }
-        vec![Some(ga), Some(gb)]
+        vec![ga, gb]
     })
 }
 

@@ -197,6 +197,13 @@ unsafe fn addcmul_fwd_avx2<const FMA: bool>(
     }
 }
 
+/// A pooled copy of `src` (a gradient that passes through unchanged).
+fn pooled_copy(src: &[f32], device: tgl_device::Device) -> Vec<f32> {
+    let mut g = pool::take_uninit(src.len(), device);
+    g.copy_from_slice(src);
+    g
+}
+
 impl Tensor {
     /// Fused `relu(self + bias)`.
     ///
@@ -255,6 +262,7 @@ impl Tensor {
             c.copy_from_slice(&y);
             PooledBuf::new(c, device)
         };
+        let (need_a, need_b) = (self.requires_grad_flag(), bias.requires_grad_flag());
         Tensor::make_result(
             y,
             self.shape().clone(),
@@ -262,21 +270,25 @@ impl Tensor {
             &[self.clone(), bias.clone()],
             move |go| {
                 let n = y_copy.len();
-                let mut ga = pool::take_uninit(n, device);
-                {
-                    let ga_sl = UnsafeSlice::new(&mut ga);
+                // The masked gradient, one buffer per full-shape
+                // operand that needs it.
+                let masked = || {
+                    let mut g = pool::take_uninit(n, device);
+                    let g_sl = UnsafeSlice::new(&mut g);
                     let y = &y_copy;
                     parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
                         // SAFETY: chunks partition the element space.
-                        let out = unsafe { ga_sl.slice_mut(r.start, r.len()) };
+                        let out = unsafe { g_sl.slice_mut(r.start, r.len()) };
                         relu_mask_bwd(out, &go[r.start..r.end], &y[r.start..r.end]);
                     });
-                }
-                let gb = if same {
-                    let mut gb = pool::take_uninit(n, device);
-                    gb.copy_from_slice(&ga);
-                    gb
-                } else {
+                    g
+                };
+                let ga = need_a.then(masked);
+                let gb = need_b.then(|| {
+                    if same {
+                        // The same masked gradient: copy it if `ga` has it.
+                        return ga.as_deref().map_or_else(masked, |g| pooled_copy(g, device));
+                    }
                     // Column-wise row sum: each column is one output
                     // element, summed over rows in ascending order.
                     let mut gb = pool::take_uninit(d, device);
@@ -298,8 +310,8 @@ impl Tensor {
                         }
                     });
                     gb
-                };
-                vec![Some(ga), Some(gb)]
+                });
+                vec![ga, gb]
             },
         )
     }
@@ -340,19 +352,21 @@ impl Tensor {
                 scale_add_fwd(out, &a[r.start..r.end], &b[r.start..r.end], s, fma);
             });
         }
+        let (need_a, need_b) = (self.requires_grad_flag(), other.requires_grad_flag());
         Tensor::make_result(
             y,
             self.shape().clone(),
             device,
             &[self.clone(), other.clone()],
             move |go| {
-                let mut ga = pool::take_uninit(go.len(), device);
-                let mut gb = pool::take_uninit(go.len(), device);
-                for i in 0..go.len() {
-                    ga[i] = go[i] * s;
-                }
-                gb.copy_from_slice(go);
-                vec![Some(ga), Some(gb)]
+                let ga = need_a.then(|| {
+                    let mut ga = pool::take_uninit(go.len(), device);
+                    for (g, &v) in ga.iter_mut().zip(go) {
+                        *g = v * s;
+                    }
+                    ga
+                });
+                vec![ga, need_b.then(|| pooled_copy(go, device))]
             },
         )
     }
@@ -401,23 +415,27 @@ impl Tensor {
             });
         }
         let (a_c, b_c) = (a.clone(), b.clone());
+        let needs = [self, a, b].map(Tensor::requires_grad_flag);
         Tensor::make_result(
             y,
             self.shape().clone(),
             device,
             &[self.clone(), a.clone(), b.clone()],
             move |go| {
-                let ad = a_c.inner.storage.read();
-                let bd = b_c.inner.storage.read();
-                let mut gbase = pool::take_uninit(go.len(), device);
-                let mut ga = pool::take_uninit(go.len(), device);
-                let mut gb = pool::take_uninit(go.len(), device);
-                gbase.copy_from_slice(go);
-                for i in 0..go.len() {
-                    ga[i] = go[i] * scale * bd[i];
-                    gb[i] = go[i] * scale * ad[i];
-                }
-                vec![Some(gbase), Some(ga), Some(gb)]
+                // d/da = go * scale * b and d/db = go * scale * a.
+                let scaled_by = |other: &Tensor| {
+                    let od = other.inner.storage.read();
+                    let mut g = pool::take_uninit(go.len(), device);
+                    for ((g, &v), &o) in g.iter_mut().zip(go).zip(od.iter()) {
+                        *g = v * scale * o;
+                    }
+                    g
+                };
+                vec![
+                    needs[0].then(|| pooled_copy(go, device)),
+                    needs[1].then(|| scaled_by(&b_c)),
+                    needs[2].then(|| scaled_by(&a_c)),
+                ]
             },
         )
     }

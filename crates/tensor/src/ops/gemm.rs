@@ -1,40 +1,43 @@
-//! Cache-blocked GEMM micro-kernels with AVX2/FMA register tiles.
+//! Cache-blocked GEMM: one packed `MR×NR` register-tile core behind
+//! `mm_nn`, `mm_nt` and `mm_tn`.
 //!
-//! The three 2-D kernels (`nn`, `nt`, `tn`) keep the contract from the
-//! naive kernels they replace: output rows are partitioned across the
-//! `tgl-runtime` pool in *fixed* [`MC`]-row panels (boundaries a
-//! function of the problem shape only), and in `exact` kernel mode
-//! **every output element accumulates its products in ascending
-//! reduction-index order with the same IEEE roundings as the scalar
-//! reference**, so results are bitwise identical to the unblocked
-//! kernels on every host and invariant across thread counts. The AVX2
-//! tile kernel honors that in exact mode by using lane-wise
-//! `mul`+`add` (one rounding each, per element, in k order — the same
-//! arithmetic the scalar loop performs); in `fast` mode it contracts to
-//! FMA and `mm_nt` switches to an 8-lane reduction fan, trading bitwise
-//! reproducibility vs the scalar reference for throughput (see
-//! `DESIGN.md` "Kernel contract").
+//! [`gemm`] is the only dense kernel. It computes `C += A'·B'` where
+//! each operand is read as stored or transposed, so the three entry
+//! points differ only in how the core reaches their operands:
 //!
-//! What blocking changes is the *memory* schedule:
+//! * **B packer** — every variant walks the reduction in [`KC`]-deep
+//!   blocks and packs the block of `B'` into [`NR`]-wide column panels
+//!   (zero-padded past the last column). `mm_nt` (`dA = dC·Bᵀ`) fills
+//!   the same panels through a transposed reader.
+//! * **A reader** — the tile kernel takes a row of `A'` as a start
+//!   plus the stride between consecutive reduction indices: 1 for
+//!   `mm_nn` / `mm_nt`, whose rows are contiguous, and the row length
+//!   of `a` for `mm_tn` (`dB = Aᵀ·dC`), whose four tile rows are then
+//!   four adjacent floats of one row of `a` — no copy of A at all.
 //!
-//! * `mm_nn` walks K in [`KC`]-deep blocks and packs the corresponding
-//!   B rows into [`NR`]-wide column panels (one pooled scratch buffer
-//!   per row chunk). A panel tile (`KC × NR × 4 B` = 8 KiB) stays
-//!   L1-resident while a [`MR`]`×`[`NR`] register tile of C accumulates
-//!   across it ([`NR`] = one `__m256` per row on AVX2 hosts), and the
-//!   packed block is reused by every output row of the chunk instead of
-//!   streaming all of B once per row.
-//! * `mm_nt` needs no packing (both operands are traversed row-major);
-//!   it blocks [`MR`] output rows so each B row load is shared by four
-//!   concurrent dot products.
-//! * `mm_tn` walks M in [`MC`]-row blocks, packing the A block
-//!   transposed (one pooled buffer per chunk) so its strided
-//!   column reads happen once per block, and keeping the B block
-//!   (`MC × n`) cache-resident across all output rows of the chunk.
+//! A panel tile (`KC × NR × 4 B` = 8 KiB) stays L1-resident while a
+//! [`MR`]`×`[`NR`] register tile accumulates across it in place on C
+//! ([`NR`] = one `__m256` per row on AVX2 hosts); partial tiles at the
+//! right and bottom edges run the same kernel on a zero-padded copy.
+//! The only scratch is the packed block, `KC · n` floats (rounded up
+//! to `NR`) per worker from the tensor pool — never operand-sized,
+//! whatever the reduction depth.
 //!
-//! Operands that are mostly zero (one-hot features) take the original
-//! zero-skipping row loops instead — branchy but proportional to the
-//! nonzero count.
+//! Contract (see `DESIGN.md` "Kernel contract"): **every output element
+//! accumulates its products in ascending reduction-index order** — `KC`
+//! blocks ascending, index ascending within a block — in all three
+//! variants, whichever tile it falls in. Output rows are split into one
+//! panel per pool thread, and since no element's order depends on
+//! where a panel starts, results are invariant across thread counts.
+//! In `exact` mode the AVX2 tile uses lane-wise `mul`+`add` (one
+//! rounding each, the arithmetic of the scalar tile), so results are
+//! also bitwise equal to the naive triple loop on every host; `fast`
+//! mode contracts to FMA.
+//!
+//! Operands that are mostly zero (ReLU'd activations, zero-initialised
+//! node memory, one-hot features) take zero-skipping row loops instead
+//! — branchy but proportional to the nonzero count, and bitwise equal
+//! to the dense path in exact mode (`x + 0.0 == x`).
 
 use tgl_device::Device;
 use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
@@ -48,10 +51,8 @@ pub(crate) const MR: usize = 4;
 /// accumulators fit the 16-register AVX ymm file with room for the A
 /// broadcast and B panel load).
 pub(crate) const NR: usize = 8;
-/// K-depth of a packed B block.
+/// Reduction depth of a packed block.
 pub(crate) const KC: usize = 256;
-/// M-depth of a parallel row panel (`nn`) / packed A block (`tn`).
-pub(crate) const MC: usize = 64;
 
 /// Multiply-add count below which a matmul runs inline on the caller;
 /// pool dispatch costs more than the arithmetic.
@@ -91,7 +92,9 @@ pub(crate) fn mostly_zero(x: &[f32]) -> bool {
 // Register-tile kernels
 // ---------------------------------------------------------------------
 
-/// AVX2 `MR×NR` tile update: `acc[r] += sum_kk ar[r][kk] * pan[kk]`.
+/// AVX2 `MR×NR` tile update: row `r` of the tile lives at
+/// `c[r * ldc..][..NR]` and gains `sum_kk ar[r][kk * ps] * pan[kk]` —
+/// or, with `first`, is overwritten by that sum started from zero.
 ///
 /// With `FMA = false` each lane performs mul-then-add — the identical
 /// two IEEE roundings, per element, in the same k order as the scalar
@@ -101,27 +104,30 @@ pub(crate) fn mostly_zero(x: &[f32]) -> bool {
 /// # Safety
 ///
 /// Requires AVX2+FMA (checked by `kernel::avx2()`); `pan` must hold at
-/// least `kc * NR` elements and each `ar[r]` at least `kc`.
+/// least `kc * NR` elements, each `ar[r]` at least `kc`, and `c` at
+/// least `(MR - 1) * ldc + NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn tile_avx2<const FMA: bool>(
     ar: &[&[f32]; MR],
+    ps: usize,
     pan: &[f32],
     kc: usize,
-    acc: &mut [[f32; NR]; MR],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(pan.len() >= kc * NR);
-    let mut v = [
-        _mm256_loadu_ps(acc[0].as_ptr()),
-        _mm256_loadu_ps(acc[1].as_ptr()),
-        _mm256_loadu_ps(acc[2].as_ptr()),
-        _mm256_loadu_ps(acc[3].as_ptr()),
-    ];
+    let mut v = [_mm256_setzero_ps(); MR];
+    if !first {
+        for (r, vr) in v.iter_mut().enumerate() {
+            *vr = _mm256_loadu_ps(c.as_ptr().add(r * ldc));
+        }
+    }
     for kk in 0..kc {
         let pb = _mm256_loadu_ps(pan.as_ptr().add(kk * NR));
         for (vr, a_row) in v.iter_mut().zip(ar) {
-            let av = _mm256_set1_ps(*a_row.get_unchecked(kk));
+            let av = _mm256_set1_ps(*a_row.get_unchecked(kk * ps));
             *vr = if FMA {
                 _mm256_fmadd_ps(av, pb, *vr)
             } else {
@@ -129,200 +135,183 @@ unsafe fn tile_avx2<const FMA: bool>(
             };
         }
     }
-    for (row, vr) in acc.iter_mut().zip(v) {
-        _mm256_storeu_ps(row.as_mut_ptr(), vr);
+    for (r, vr) in v.into_iter().enumerate() {
+        _mm256_storeu_ps(c.as_mut_ptr().add(r * ldc), vr);
     }
 }
 
-/// AVX2 single-row tile update for partial (`ih < MR`) row blocks.
-///
-/// # Safety
-///
-/// Requires AVX2+FMA; `pan` must hold at least `arow.len() * NR`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn row_avx2<const FMA: bool>(arow: &[f32], pan: &[f32], acc: &mut [f32; NR]) {
-    use std::arch::x86_64::*;
-    debug_assert!(pan.len() >= arow.len() * NR);
-    let mut v = _mm256_loadu_ps(acc.as_ptr());
-    for (kk, &av) in arow.iter().enumerate() {
-        let pb = _mm256_loadu_ps(pan.as_ptr().add(kk * NR));
-        let a = _mm256_set1_ps(av);
-        v = if FMA {
-            _mm256_fmadd_ps(a, pb, v)
-        } else {
-            _mm256_add_ps(v, _mm256_mul_ps(a, pb))
-        };
-    }
-    _mm256_storeu_ps(acc.as_mut_ptr(), v);
-}
-
-/// Full-tile update with SIMD dispatch and the scalar reference as the
-/// fallback (and the exact-mode ground truth).
+/// Tile update in place on C (layout as in [`tile_avx2`]) with SIMD
+/// dispatch and the scalar reference as the fallback (and the
+/// exact-mode ground truth).
+#[allow(clippy::too_many_arguments)]
 fn tile_update(
     ar: &[&[f32]; MR],
+    ps: usize,
     pan: &[f32],
     kc: usize,
-    acc: &mut [[f32; NR]; MR],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
     simd: bool,
     fma: bool,
 ) {
+    assert!(c.len() >= (MR - 1) * ldc + NR && pan.len() >= kc * NR);
+    assert!(kc == 0 || ar.iter().all(|a_row| a_row.len() > (kc - 1) * ps));
     #[cfg(target_arch = "x86_64")]
     if simd {
-        // SAFETY: `simd` comes from `kernel::avx2()`; panel/segment
-        // lengths are established by the packing loop.
+        // SAFETY: `simd` comes from `kernel::avx2()`; the lengths were
+        // asserted just above.
         unsafe {
             if fma {
-                tile_avx2::<true>(ar, pan, kc, acc);
+                tile_avx2::<true>(ar, ps, pan, kc, c, ldc, first);
             } else {
-                tile_avx2::<false>(ar, pan, kc, acc);
+                tile_avx2::<false>(ar, ps, pan, kc, c, ldc, first);
             }
         }
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (simd, fma);
+    let mut acc = [[0.0f32; NR]; MR];
+    if !first {
+        for (r, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&c[r * ldc..][..NR]);
+        }
+    }
     for kk in 0..kc {
         let pb = &pan[kk * NR..(kk + 1) * NR];
         for (row, a_row) in acc.iter_mut().zip(ar) {
-            let av = a_row[kk];
+            let av = a_row[kk * ps];
             for (o, &bv) in row.iter_mut().zip(pb) {
                 *o += av * bv;
             }
         }
     }
-}
-
-/// Single-row update used for the `ih < MR` remainder rows.
-fn row_update(arow: &[f32], pan: &[f32], acc: &mut [f32; NR], simd: bool, fma: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` comes from `kernel::avx2()`.
-        unsafe {
-            if fma {
-                row_avx2::<true>(arow, pan, acc);
-            } else {
-                row_avx2::<false>(arow, pan, acc);
-            }
-        }
-        return;
+    for (r, row) in acc.iter().enumerate() {
+        c[r * ldc..][..NR].copy_from_slice(row);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (simd, fma);
-    for (kk, &av) in arow.iter().enumerate() {
-        let pb = &pan[kk * NR..(kk + 1) * NR];
-        for (o, &bv) in acc.iter_mut().zip(pb) {
-            *o += av * bv;
-        }
-    }
-}
-
-/// One dot product under the kernel contract: exact mode keeps the
-/// scalar 4-lane partial-sum reduction; fast mode on AVX2 hosts uses
-/// the 8-lane FMA fan.
-fn dot_update(a_row: &[f32], b_row: &[f32], fast_simd: bool) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if fast_simd {
-        // SAFETY: `fast_simd` implies `kernel::avx2()`.
-        return unsafe { kernel::x86::dot_fast(a_row, b_row) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = fast_simd;
-    let n = a_row.len();
-    // 4-way partial sums so the reduction can vectorize.
-    let mut acc = [0.0f32; 4];
-    let chunks = n / 4;
-    for q in 0..chunks {
-        let p = q * 4;
-        acc[0] += a_row[p] * b_row[p];
-        acc[1] += a_row[p + 1] * b_row[p + 1];
-        acc[2] += a_row[p + 2] * b_row[p + 2];
-        acc[3] += a_row[p + 3] * b_row[p + 3];
-    }
-    let mut tail = 0.0f32;
-    for p in chunks * 4..n {
-        tail += a_row[p] * b_row[p];
-    }
-    acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
 // ---------------------------------------------------------------------
-// Blocked kernels
+// The blocked core and its three entry points
 // ---------------------------------------------------------------------
 
-/// C[m,n] += A[m,k] * B[k,n]
-pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
-    if mostly_zero(a) {
-        return mm_nn_sparse(a, b, c, m, k, n);
+/// `C[m,n] = A'[m,k] · B'[k,n]`, overwriting whatever `c` held (the
+/// first reduction block starts every accumulator from zero, so `c`
+/// needs no zero pass). `A'` is `a` as stored (`[m,k]`
+/// row-major) or, with `ta`, the transpose of `a` stored `[k,m]`;
+/// `B'` is `b` stored `[k,n]` or, with `tb`, the transpose of `b`
+/// stored `[n,k]`.
+#[allow(clippy::too_many_arguments)]
+fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, c: &mut [f32], m: usize, k: usize, n: usize) {
+    if k == 0 {
+        return c.fill(0.0);
     }
     let n_tiles = n.div_ceil(NR);
     let simd = kernel::avx2();
     let fma = kernel::fast();
     let c = UnsafeSlice::new(c);
-    // Fixed MC-row panels parallelize M: the boundaries are a function
-    // of the shape only, so the work decomposition (and therefore every
-    // element's accumulation order) is thread-count invariant. Small-k
+    // One MR-aligned row panel per pool thread: each panel packs its
+    // own copy of B', so fewer panels means less packing. No element's
+    // accumulation order depends on where the boundaries fall. Small
     // problems widen the panel so pool dispatch stays amortized.
-    let panel_rows = MC.max(seq_rows(k * n));
+    let panel_rows = m
+        .div_ceil(tgl_runtime::current_threads())
+        .next_multiple_of(MR)
+        .max(seq_rows(k * n));
+    // Element kk of a row of A' sits `kk * ps` past the row's start.
+    let ps = if ta { m } else { 1 };
     parallel_for_chunks(m, panel_rows, |_, rows: std::ops::Range<usize>| {
         // SAFETY: panels partition the row space, so these row ranges
         // are disjoint.
         let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
         let (r0, rows_n) = (rows.start, rows.len());
-        let mut panel = pool::take_uninit(KC.min(k.max(1)) * n_tiles * NR, Device::Host);
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            // Pack B[k0..k0+kc, :] into NR-wide panels: panel `jt`
+        let mut panel = pool::take_uninit(KC.min(k) * n_tiles * NR, Device::Host);
+        for k0 in (0..k).step_by(KC) {
+            let (kc, first) = (KC.min(k - k0), k0 == 0);
+            // Pack B'[k0..k0+kc, :] into NR-wide panels: panel `jt`
             // holds rows kk-major, zero-padded past column n.
             for jt in 0..n_tiles {
-                let jw = NR.min(n - jt * NR);
+                let (j0, jw) = (jt * NR, NR.min(n - jt * NR));
                 let dst = &mut panel[jt * kc * NR..(jt + 1) * kc * NR];
                 for kk in 0..kc {
                     let d = &mut dst[kk * NR..(kk + 1) * NR];
-                    d[..jw].copy_from_slice(&b[(k0 + kk) * n + jt * NR..][..jw]);
+                    if !tb {
+                        d[..jw].copy_from_slice(&b[(k0 + kk) * n + j0..][..jw]);
+                    }
                     d[jw..].fill(0.0);
                 }
-            }
-            let mut i = 0;
-            while i < rows_n {
-                let ih = MR.min(rows_n - i);
-                // A row segments for this tile, contiguous over kk.
-                let a_seg = |r: usize| &a[(r0 + i + r) * k + k0..][..kc];
-                for jt in 0..n_tiles {
-                    let jw = NR.min(n - jt * NR);
-                    let pan = &panel[jt * kc * NR..(jt + 1) * kc * NR];
-                    if ih == MR {
-                        let ar = [a_seg(0), a_seg(1), a_seg(2), a_seg(3)];
-                        let mut acc = [[0.0f32; NR]; MR];
-                        for (r, row) in acc.iter_mut().enumerate() {
-                            row[..jw].copy_from_slice(&c_rows[(i + r) * n + jt * NR..][..jw]);
-                        }
-                        tile_update(&ar, pan, kc, &mut acc, simd, fma);
-                        for (r, row) in acc.iter().enumerate() {
-                            c_rows[(i + r) * n + jt * NR..][..jw].copy_from_slice(&row[..jw]);
-                        }
-                    } else {
-                        for r in 0..ih {
-                            let mut acc = [0.0f32; NR];
-                            acc[..jw].copy_from_slice(&c_rows[(i + r) * n + jt * NR..][..jw]);
-                            row_update(a_seg(r), pan, &mut acc, simd, fma);
-                            c_rows[(i + r) * n + jt * NR..][..jw].copy_from_slice(&acc[..jw]);
+                if tb {
+                    // The transposed reader: column `j` of B' is a
+                    // contiguous row of `b`.
+                    for jj in 0..jw {
+                        for (kk, &v) in b[(j0 + jj) * k + k0..][..kc].iter().enumerate() {
+                            dst[kk * NR + jj] = v;
                         }
                     }
                 }
-                i += ih;
             }
-            k0 += kc;
+            let a_row = |r: usize| if ta { &a[k0 * m + r0 + r..] } else { &a[(r0 + r) * k + k0..] };
+            for i in (0..rows_n).step_by(MR) {
+                let ih = MR.min(rows_n - i);
+                // Past the last row the tile re-reads row `ih - 1`; those
+                // lanes are computed and dropped.
+                let ar: [&[f32]; MR] = std::array::from_fn(|r| a_row(i + r.min(ih - 1)));
+                for jt in 0..n_tiles {
+                    let (j0, jw) = (jt * NR, NR.min(n - jt * NR));
+                    let pan = &panel[jt * kc * NR..(jt + 1) * kc * NR];
+                    if ih == MR && jw == NR {
+                        let c_tile = &mut c_rows[i * n + j0..];
+                        tile_update(&ar, ps, pan, kc, c_tile, n, first, simd, fma);
+                        continue;
+                    }
+                    // Edge tile: the same kernel on a zero-padded copy.
+                    let mut edge = [0.0f32; MR * NR];
+                    if !first {
+                        for r in 0..ih {
+                            let c_row = &c_rows[(i + r) * n + j0..][..jw];
+                            edge[r * NR..][..jw].copy_from_slice(c_row);
+                        }
+                    }
+                    tile_update(&ar, ps, pan, kc, &mut edge, NR, first, simd, fma);
+                    for r in 0..ih {
+                        c_rows[(i + r) * n + j0..][..jw].copy_from_slice(&edge[r * NR..][..jw]);
+                    }
+                }
+            }
         }
         pool::give(panel, Device::Host);
     });
 }
 
+/// C[m,n] = A[m,k] * B[k,n]
+pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    if mostly_zero(a) {
+        return mm_nn_sparse(a, b, c, m, k, n);
+    }
+    gemm(a, false, b, false, c, m, k, n);
+}
+
+/// C[m,k] = A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
+pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    gemm(a, false, b, true, c, m, n, k);
+}
+
+/// C[k,n] = A[m,k]^T * B[m,n]  (i.e. Aᵀ · B)
+pub(crate) fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    if mostly_zero(a) {
+        return mm_tn_sparse(a, b, c, m, k, n);
+    }
+    gemm(a, true, b, false, c, k, m, n);
+}
+
 /// Zero-skipping reference loop for mostly-zero A (identical
 /// floating-point order in exact mode: k ascending per output element).
 fn mm_nn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    c.fill(0.0);
     let fma = kernel::fast();
     let c = UnsafeSlice::new(c);
     parallel_for(m, seq_rows(k * n), |rows: std::ops::Range<usize>| {
@@ -341,76 +330,10 @@ fn mm_nn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
     });
 }
 
-/// C[m,k] += A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
-pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
-    let fast_simd = kernel::fast() && kernel::avx2();
-    let c = UnsafeSlice::new(c);
-    parallel_for(m, seq_rows(n * k), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * k, rows.len() * k) };
-        let (r0, rows_n) = (rows.start, rows.len());
-        let mut i = 0;
-        while i < rows_n {
-            let ih = MR.min(rows_n - i);
-            for j in 0..k {
-                let b_row = &b[j * n..(j + 1) * n];
-                // Each loaded B row feeds `ih` dot products.
-                for r in 0..ih {
-                    let a_row = &a[(r0 + i + r) * n..][..n];
-                    c_rows[(i + r) * k + j] += dot_update(a_row, b_row, fast_simd);
-                }
-            }
-            i += ih;
-        }
-    });
-}
-
-/// C[k,n] += A[m,k]^T * B[m,n]  (i.e. Aᵀ · B)
-///
-/// Parallelized over output rows (columns of A): each `kk` accumulates
-/// over `i` in ascending order (`MC`-blocked, blocks ascending),
-/// matching the sequential kernel's floating-point order exactly.
-pub(crate) fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
-    if mostly_zero(a) {
-        return mm_tn_sparse(a, b, c, m, k, n);
-    }
-    let fma = kernel::fast();
-    let c = UnsafeSlice::new(c);
-    parallel_for(k, seq_rows(m * n), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
-        let kw = rows.len();
-        let mut ap = pool::take_uninit(MC.min(m.max(1)) * kw, Device::Host);
-        let mut i0 = 0;
-        while i0 < m {
-            let mc = MC.min(m - i0);
-            // Pack A[i0..i0+mc, rows] transposed so the strided column
-            // reads happen once per block.
-            for (kl, kk) in rows.clone().enumerate() {
-                for ii in 0..mc {
-                    ap[kl * mc + ii] = a[(i0 + ii) * k + kk];
-                }
-            }
-            // The B block rows i0..i0+mc stay cache-resident across
-            // every output row of this chunk.
-            for kl in 0..kw {
-                let a_col = &ap[kl * mc..(kl + 1) * mc];
-                let c_row = &mut c_rows[kl * n..(kl + 1) * n];
-                for (ii, &av) in a_col.iter().enumerate() {
-                    kernel::axpy_dispatch(c_row, &b[(i0 + ii) * n..][..n], av, fma);
-                }
-            }
-            i0 += mc;
-        }
-        pool::give(ap, Device::Host);
-    });
-}
-
 /// Zero-skipping reference loop for mostly-zero A (identical
 /// floating-point order in exact mode: i ascending per output element).
 fn mm_tn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    c.fill(0.0);
     let fma = kernel::fast();
     let c = UnsafeSlice::new(c);
     parallel_for(k, seq_rows(m * n), |rows: std::ops::Range<usize>| {
@@ -447,6 +370,9 @@ mod tests {
         (0..len).map(|i| ((i * 37 + salt * 11) % 101) as f32 * 0.02 - 1.0).collect()
     }
 
+    /// The exact-mode ground truth for every variant: the triple loop
+    /// over the *logical* product `A'[m,k] · B'[k,n]`, reduction index
+    /// ascending per output element.
     fn naive_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
@@ -459,8 +385,26 @@ mod tests {
         c
     }
 
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..x.len()).map(|i| x[(i % rows) * cols + i / rows]).collect()
+    }
+
+    /// Runs one entry point on the logical product `A'[m,k] · B'[k,n]`,
+    /// storing the transposed operand the way that variant expects it.
+    fn run(variant: &str, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        // Stale contents must not leak into the product.
+        let mut c = vec![f32::NAN; m * n];
+        match variant {
+            "nn" => mm_nn(a, b, &mut c, m, k, n),
+            "nt" => mm_nt(a, &transposed(b, k, n), &mut c, m, k, n),
+            "tn" => mm_tn(&transposed(a, m, k), b, &mut c, k, m, n),
+            _ => unreachable!(),
+        }
+        c
+    }
+
     /// Sizes straddling every tile boundary: below MR/NR, exact
-    /// multiples, one over, and spanning multiple KC/MC blocks.
+    /// multiples, one over, and spanning multiple KC blocks.
     const SIZES: [(usize, usize, usize); 8] = [
         (1, 1, 1),
         (3, 5, 7),
@@ -472,111 +416,96 @@ mod tests {
         (7, 513, 31),
     ];
 
-    #[test]
-    fn blocked_nn_matches_naive_bitwise() {
+    /// Same k-ascending order and per-element roundings as the naive
+    /// loop (exact mode, SIMD or scalar) => bitwise equal.
+    fn assert_matches_naive(variant: &str) {
         let _guard = exact_guard();
         for (m, k, n) in SIZES {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
             let want = naive_nn(&a, &b, m, k, n);
-            let mut got = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut got, m, k, n);
-            // Same k-ascending order and per-element roundings (exact
-            // mode, SIMD or scalar) => bitwise equal.
-            assert_eq!(got, want, "mm_nn {m}x{k}x{n}");
+            assert_eq!(run(variant, &a, &b, m, k, n), want, "mm_{variant} {m}x{k}x{n}");
         }
     }
 
-    #[test]
-    fn blocked_nn_simd_matches_scalar_bitwise() {
+    fn assert_simd_matches_scalar(variant: &str) {
         let _guard = exact_guard();
         for (m, k, n) in SIZES {
             let a = fill(m * k, 7);
             let b = fill(k * n, 9);
             crate::kernel::set_simd(false);
-            let mut scalar = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut scalar, m, k, n);
+            let scalar = run(variant, &a, &b, m, k, n);
             crate::kernel::set_simd(true);
-            let mut simd = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut simd, m, k, n);
-            assert_eq!(simd, scalar, "mm_nn simd parity {m}x{k}x{n}");
+            let simd = run(variant, &a, &b, m, k, n);
+            assert_eq!(simd, scalar, "mm_{variant} simd parity {m}x{k}x{n}");
         }
+    }
+
+    /// 1 vs 4 threads, bitwise, in both kernel modes. The shapes span
+    /// several row panels with a reduction crossing a KC boundary, plus
+    /// one whose reduction and width sit below NR.
+    fn assert_thread_count_invariant(variant: &str) {
+        let _guard = exact_guard();
+        let before = tgl_runtime::current_threads();
+        for mode in [KernelMode::Exact, KernelMode::Fast] {
+            crate::kernel::set_mode(mode);
+            for (m, k, n) in [(300, 257, 33), (9000, 3, 5)] {
+                let a = fill(m * k, 11);
+                let b = fill(k * n, 12);
+                tgl_runtime::set_threads(1);
+                let one = run(variant, &a, &b, m, k, n);
+                tgl_runtime::set_threads(4);
+                let four = run(variant, &a, &b, m, k, n);
+                assert_eq!(one, four, "mm_{variant} {m}x{k}x{n} {mode:?} 1 vs 4 threads");
+            }
+        }
+        tgl_runtime::set_threads(before);
+        crate::kernel::set_mode(KernelMode::Exact);
+    }
+
+    #[test]
+    fn blocked_nn_matches_naive_bitwise() {
+        assert_matches_naive("nn");
     }
 
     #[test]
     fn blocked_nt_matches_reference() {
-        let _guard = exact_guard();
-        for (m, n, k) in SIZES {
-            let a = fill(m * n, 3);
-            let b = fill(k * n, 4);
-            // Reference: A[m,n] · B[k,n]^T via naive loops with the
-            // same 4-lane reduction order.
-            let mut want = vec![0.0f32; m * k];
-            for i in 0..m {
-                for j in 0..k {
-                    let (ar, br) = (&a[i * n..(i + 1) * n], &b[j * n..(j + 1) * n]);
-                    let mut acc = [0.0f32; 4];
-                    let chunks = n / 4;
-                    for q in 0..chunks {
-                        let p = q * 4;
-                        for l in 0..4 {
-                            acc[l] += ar[p + l] * br[p + l];
-                        }
-                    }
-                    let mut tail = 0.0f32;
-                    for p in chunks * 4..n {
-                        tail += ar[p] * br[p];
-                    }
-                    want[i * k + j] = acc[0] + acc[1] + acc[2] + acc[3] + tail;
-                }
-            }
-            let mut got = vec![0.0f32; m * k];
-            mm_nt(&a, &b, &mut got, m, n, k);
-            assert_eq!(got, want, "mm_nt {m}x{n}x{k}");
-        }
+        assert_matches_naive("nt");
     }
 
     #[test]
     fn blocked_tn_matches_naive_bitwise() {
-        let _guard = exact_guard();
-        for (m, k, n) in SIZES {
-            let a = fill(m * k, 5);
-            let b = fill(m * n, 6);
-            // want[kk,j] = sum_i (i ascending) a[i,kk] * b[i,j]
-            let mut want = vec![0.0f32; k * n];
-            for kk in 0..k {
-                for i in 0..m {
-                    let aik = a[i * k + kk];
-                    for j in 0..n {
-                        want[kk * n + j] += aik * b[i * n + j];
-                    }
-                }
-            }
-            let mut got = vec![0.0f32; k * n];
-            mm_tn(&a, &b, &mut got, m, k, n);
-            assert_eq!(got, want, "mm_tn {m}x{k}x{n}");
-        }
+        assert_matches_naive("tn");
+    }
+
+    #[test]
+    fn blocked_nn_simd_matches_scalar_bitwise() {
+        assert_simd_matches_scalar("nn");
+    }
+
+    #[test]
+    fn blocked_nt_simd_matches_scalar_bitwise() {
+        assert_simd_matches_scalar("nt");
+    }
+
+    #[test]
+    fn blocked_tn_simd_matches_scalar_bitwise() {
+        assert_simd_matches_scalar("tn");
     }
 
     #[test]
     fn mc_panel_parallel_nn_thread_count_invariant() {
-        let _guard = exact_guard();
-        // m spans several MC panels so the parallel decomposition is
-        // exercised; k crosses a KC boundary.
-        let (m, k, n) = (300, 257, 33);
-        let a = fill(m * k, 11);
-        let b = fill(k * n, 12);
-        let before = tgl_runtime::current_threads();
-        let run = |threads: usize| {
-            tgl_runtime::set_threads(threads);
-            let mut c = vec![0.0f32; m * n];
-            mm_nn(&a, &b, &mut c, m, k, n);
-            c
-        };
-        let one = run(1);
-        let four = run(4);
-        tgl_runtime::set_threads(before);
-        assert_eq!(one, four, "mm_nn must be bitwise thread-count invariant");
+        assert_thread_count_invariant("nn");
+    }
+
+    #[test]
+    fn mc_panel_parallel_nt_thread_count_invariant() {
+        assert_thread_count_invariant("nt");
+    }
+
+    #[test]
+    fn mc_panel_parallel_tn_thread_count_invariant() {
+        assert_thread_count_invariant("tn");
     }
 
     #[test]
@@ -590,7 +519,7 @@ mod tests {
         assert!(mostly_zero(&a));
         let b = fill(k * n, 8);
         let want = naive_nn(&a, &b, m, k, n);
-        let mut got = vec![0.0f32; m * n];
+        let mut got = vec![f32::NAN; m * n];
         mm_nn(&a, &b, &mut got, m, k, n);
         // Zero-skip changes which terms are added (skipping exact
         // zeros), which cannot change the result bitwise: x + 0.0 == x
@@ -623,6 +552,6 @@ mod tests {
         mm_tn(&[], &[], &mut c, 0, 0, 0);
         let mut c2 = vec![5.0f32; 6];
         mm_nn(&[], &[], &mut c2, 2, 0, 3);
-        assert_eq!(c2, vec![5.0; 6], "k=0 leaves C untouched");
+        assert_eq!(c2, vec![0.0; 6], "an empty reduction is a zero product");
     }
 }

@@ -1,5 +1,6 @@
 //! Row indexing, gathering, scattering, slicing, and concatenation.
 
+use crate::pool;
 use crate::shape::Shape;
 use crate::Tensor;
 
@@ -22,19 +23,22 @@ impl Tensor {
             .io(moved, moved)
             .shape(&[self.dims(), &[idx.len()]])
             .backward_cost((idx.len() * row_len) as u64, moved, 4 * self.numel() as u64);
-        let data = self.inner.storage.read();
-        let mut out = Vec::with_capacity(idx.len() * row_len);
-        for &i in idx {
-            assert!(i < rows, "index {i} out of bounds for {rows} rows");
-            out.extend_from_slice(&data[i * row_len..(i + 1) * row_len]);
+        let device = self.device();
+        let mut out = pool::take_uninit(idx.len() * row_len, device);
+        {
+            let data = self.inner.storage.read();
+            for (k, &i) in idx.iter().enumerate() {
+                assert!(i < rows, "index {i} out of bounds for {rows} rows");
+                out[k * row_len..(k + 1) * row_len]
+                    .copy_from_slice(&data[i * row_len..(i + 1) * row_len]);
+            }
         }
-        drop(data);
         let mut out_dims = self.dims().to_vec();
         out_dims[0] = idx.len();
         let idx_owned = idx.to_vec();
         let n = self.numel();
-        Tensor::make_result(out, out_dims, self.device(), std::slice::from_ref(self), move |go| {
-            let mut g = vec![0.0f32; n];
+        Tensor::make_result(out, out_dims, device, std::slice::from_ref(self), move |go| {
+            let mut g = pool::take_zeroed(n, device);
             for (k, &i) in idx_owned.iter().enumerate() {
                 for j in 0..row_len {
                     g[i * row_len + j] += go[k * row_len + j];
@@ -44,10 +48,35 @@ impl Tensor {
         })
     }
 
-    /// Copies rows `[start, start+len)` along dimension 0.
+    /// Copies rows `[start, start+len)` along dimension 0: one
+    /// contiguous range each way (the gradient is zero outside it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the last row or the tensor is
+    /// rank-0.
     pub fn narrow_rows(&self, start: usize, len: usize) -> Tensor {
-        let idx: Vec<usize> = (start..start + len).collect();
-        self.index_select(&idx)
+        assert!(self.rank() >= 1, "narrow_rows needs rank >= 1");
+        let rows = self.dim(0);
+        assert!(start + len <= rows, "rows {start}..{} out of bounds for {rows} rows", start + len);
+        let row_len: usize = self.dims()[1..].iter().product();
+        let (lo, hi) = (start * row_len, (start + len) * row_len);
+        let moved = 4 * (hi - lo) as u64;
+        let _prof = tgl_obs::profile::op("narrow_rows")
+            .io(moved, moved)
+            .shape(&[self.dims(), &[len]])
+            .backward_cost(0, moved, 4 * self.numel() as u64);
+        let device = self.device();
+        let mut out = pool::take_uninit(hi - lo, device);
+        out.copy_from_slice(&self.inner.storage.read()[lo..hi]);
+        let mut out_dims = self.dims().to_vec();
+        out_dims[0] = len;
+        let n = self.numel();
+        Tensor::make_result(out, out_dims, device, std::slice::from_ref(self), move |go| {
+            let mut g = pool::take_zeroed(n, device);
+            g[lo..hi].copy_from_slice(go);
+            vec![Some(g)]
+        })
     }
 
     /// Returns a new tensor equal to `self` but with `rows[i]` replaced
@@ -124,16 +153,23 @@ pub fn cat(tensors: &[Tensor], dim: usize) -> Tensor {
     let cat_sizes: Vec<usize> = tensors.iter().map(|t| t.dim(dim)).collect();
     let total_cat: usize = cat_sizes.iter().sum();
 
+    // Only inputs on the autograd graph get their slice of the gradient
+    // split back out (raw feature tensors concatenated in do not).
+    let needs: Vec<bool> = tensors.iter().map(Tensor::requires_grad_flag).collect();
     let moved = 4 * (outer * total_cat * inner) as u64;
+    let moved_back: u64 =
+        tensors.iter().zip(&needs).map(|(t, &need)| if need { 4 * t.numel() as u64 } else { 0 }).sum();
     let _prof = tgl_obs::profile::op("cat")
         .io(moved, moved)
         .shape(&[first.dims(), &[tensors.len()]])
-        .backward_cost(0, moved, moved);
+        .backward_cost(0, moved_back, moved_back);
 
     let mut out_dims = first.dims().to_vec();
     out_dims[dim] = total_cat;
     let out_shape = Shape::new(out_dims);
-    let mut out = vec![0.0f32; out_shape.numel()];
+    let device = first.device();
+    // The inputs tile the output exactly, so every element is written.
+    let mut out = pool::take_uninit(out_shape.numel(), device);
 
     // For each input, copy its contiguous (mid*inner) chunks into place.
     let mut offset = 0;
@@ -147,22 +183,25 @@ pub fn cat(tensors: &[Tensor], dim: usize) -> Tensor {
         offset += sz;
     }
 
-    let sizes = cat_sizes.clone();
-    let numels: Vec<usize> = tensors.iter().map(Tensor::numel).collect();
-    Tensor::make_result(out, out_shape, first.device(), tensors, move |go| {
-        let mut grads: Vec<Option<Vec<f32>>> =
-            numels.iter().map(|&n| Some(vec![0.0f32; n])).collect();
+    Tensor::make_result(out, out_shape, device, tensors, move |go| {
         let mut offset = 0;
-        for (gi, &sz) in sizes.iter().enumerate() {
-            let g = grads[gi].as_mut().expect("grad buffer exists");
-            let chunk = sz * inner;
-            for o in 0..outer {
-                let src = o * total_cat * inner + offset * inner;
-                g[o * chunk..(o + 1) * chunk].copy_from_slice(&go[src..src + chunk]);
-            }
-            offset += sz;
-        }
-        grads
+        cat_sizes
+            .iter()
+            .zip(&needs)
+            .map(|(&sz, &need)| {
+                let start = offset * inner;
+                offset += sz;
+                need.then(|| {
+                    let chunk = sz * inner;
+                    let mut g = pool::take_uninit(outer * chunk, device);
+                    for o in 0..outer {
+                        let src = o * total_cat * inner + start;
+                        g[o * chunk..(o + 1) * chunk].copy_from_slice(&go[src..src + chunk]);
+                    }
+                    g
+                })
+            })
+            .collect()
     })
 }
 

@@ -4,7 +4,8 @@
 //! output-row-partitioned, and bitwise invariant across thread counts.
 //! `bmm` partitions batches instead (nested kernel calls run inline on
 //! pool workers). Output and gradient buffers are drawn from the
-//! tensor pool (`take_zeroed`: the kernels accumulate with `+=`).
+//! tensor pool (`take_uninit`: the kernels overwrite their output), and
+//! backward runs only the products whose operand needs a gradient.
 
 use tgl_runtime::{parallel_for, UnsafeSlice};
 
@@ -28,17 +29,20 @@ impl Tensor {
         let (k2, n) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul inner dims differ: {} vs {}", self.shape(), other.shape());
 
+        // Backward runs one GEMM per operand that needs a gradient
+        // (dA = dC·Bᵀ reads B, dB = Aᵀ·dC reads A, both read dC).
+        let (need_a, need_b) = (self.requires_grad_flag(), other.requires_grad_flag());
+        let (wa, wb) = (need_a as usize, need_b as usize);
         let _prof = tgl_obs::profile::op("matmul")
             .flops(2 * (m * k * n) as u64)
             .io(4 * (m * k + k * n) as u64, 4 * (m * n) as u64)
             .shape(&[&[m, k], &[k, n]])
-            // Backward runs two GEMMs (dC·Bᵀ and Aᵀ·dC).
             .backward_cost(
-                4 * (m * k * n) as u64,
-                4 * (m * n + m * k + k * n) as u64,
-                4 * (m * k + k * n) as u64,
+                2 * ((wa + wb) * m * k * n) as u64,
+                4 * (m * n + wa * k * n + wb * m * k) as u64,
+                4 * (wa * m * k + wb * k * n) as u64,
             );
-        let mut c = pool::take_zeroed(m * n, device);
+        let mut c = pool::take_uninit(m * n, device);
         {
             let a = self.inner.storage.read();
             let b = other.inner.storage.read();
@@ -47,14 +51,18 @@ impl Tensor {
 
         let (a_t, b_t) = (self.clone(), other.clone());
         Tensor::make_result(c, [m, n], device, &[self.clone(), other.clone()], move |go| {
-            let a = a_t.inner.storage.read();
-            let b = b_t.inner.storage.read();
             // dA = dC · Bᵀ ; dB = Aᵀ · dC
-            let mut ga = pool::take_zeroed(m * k, a_t.device());
-            mm_nt(go, &b, &mut ga, m, n, k);
-            let mut gb = pool::take_zeroed(k * n, b_t.device());
-            mm_tn(&a, go, &mut gb, m, k, n);
-            vec![Some(ga), Some(gb)]
+            let ga = need_a.then(|| {
+                let mut ga = pool::take_uninit(m * k, a_t.device());
+                mm_nt(go, &b_t.inner.storage.read(), &mut ga, m, n, k);
+                ga
+            });
+            let gb = need_b.then(|| {
+                let mut gb = pool::take_uninit(k * n, b_t.device());
+                mm_tn(&a_t.inner.storage.read(), go, &mut gb, m, k, n);
+                gb
+            });
+            vec![ga, gb]
         })
     }
 
@@ -73,16 +81,18 @@ impl Tensor {
         assert_eq!(bs, bs2, "bmm batch dims differ");
         assert_eq!(k, k2, "bmm inner dims differ");
 
+        let (need_a, need_b) = (self.requires_grad_flag(), other.requires_grad_flag());
+        let (wa, wb) = (need_a as usize, need_b as usize);
         let _prof = tgl_obs::profile::op("bmm")
             .flops(2 * (bs * m * k * n) as u64)
             .io(4 * (bs * (m * k + k * n)) as u64, 4 * (bs * m * n) as u64)
             .shape(&[&[bs, m, k], &[bs, k, n]])
             .backward_cost(
-                4 * (bs * m * k * n) as u64,
-                4 * (bs * (m * n + m * k + k * n)) as u64,
-                4 * (bs * (m * k + k * n)) as u64,
+                2 * ((wa + wb) * bs * m * k * n) as u64,
+                4 * (bs * (m * n + wa * k * n + wb * m * k)) as u64,
+                4 * (bs * (wa * m * k + wb * k * n)) as u64,
             );
-        let mut c = pool::take_zeroed(bs * m * n, device);
+        let mut c = pool::take_uninit(bs * m * n, device);
         {
             let a = self.inner.storage.read();
             let b = other.inner.storage.read();
@@ -112,40 +122,28 @@ impl Tensor {
             move |go| {
                 let a = a_t.inner.storage.read();
                 let b = b_t.inner.storage.read();
-                let mut ga = pool::take_zeroed(bs * m * k, a_t.device());
-                let mut gb = pool::take_zeroed(bs * k * n, b_t.device());
+                let mut ga = need_a.then(|| pool::take_uninit(bs * m * k, a_t.device()));
+                let mut gb = need_b.then(|| pool::take_uninit(bs * k * n, b_t.device()));
                 {
-                    let ga_sl = UnsafeSlice::new(&mut ga);
-                    let gb_sl = UnsafeSlice::new(&mut gb);
+                    let ga_sl = ga.as_mut().map(|g| UnsafeSlice::new(g));
+                    let gb_sl = gb.as_mut().map(|g| UnsafeSlice::new(g));
                     parallel_for(bs, seq_rows(m * k * n), |batches: std::ops::Range<usize>| {
                         for i in batches {
-                            // SAFETY: each batch owns its own gradient slices.
-                            let (gai, gbi) = unsafe {
-                                (
-                                    ga_sl.slice_mut(i * m * k, m * k),
-                                    gb_sl.slice_mut(i * k * n, k * n),
-                                )
-                            };
-                            mm_nt(
-                                &go[i * m * n..(i + 1) * m * n],
-                                &b[i * k * n..(i + 1) * k * n],
-                                gai,
-                                m,
-                                n,
-                                k,
-                            );
-                            mm_tn(
-                                &a[i * m * k..(i + 1) * m * k],
-                                &go[i * m * n..(i + 1) * m * n],
-                                gbi,
-                                m,
-                                k,
-                                n,
-                            );
+                            let goi = &go[i * m * n..(i + 1) * m * n];
+                            // SAFETY (both): each batch owns its own
+                            // gradient slices.
+                            if let Some(ga_sl) = &ga_sl {
+                                let gai = unsafe { ga_sl.slice_mut(i * m * k, m * k) };
+                                mm_nt(goi, &b[i * k * n..(i + 1) * k * n], gai, m, n, k);
+                            }
+                            if let Some(gb_sl) = &gb_sl {
+                                let gbi = unsafe { gb_sl.slice_mut(i * k * n, k * n) };
+                                mm_tn(&a[i * m * k..(i + 1) * m * k], goi, gbi, m, k, n);
+                            }
                         }
                     });
                 }
-                vec![Some(ga), Some(gb)]
+                vec![ga, gb]
             },
         )
     }

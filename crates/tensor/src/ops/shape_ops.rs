@@ -2,17 +2,15 @@
 
 use std::sync::Arc;
 
+use crate::pool;
 use crate::shape::Shape;
-use crate::tensor::TensorInner;
 use crate::Tensor;
-
-use tgl_runtime::sync::Mutex;
 
 impl Tensor {
     /// Reinterprets the tensor with a new shape of equal element count.
     ///
-    /// Zero-copy: the result shares storage. Differentiable (gradient is
-    /// reshaped back).
+    /// Zero-copy in both directions: the result shares storage, and the
+    /// backward sweep hands the gradient buffer through unchanged.
     ///
     /// # Panics
     ///
@@ -25,23 +23,9 @@ impl Tensor {
             "reshape from {} to {shape} changes element count",
             self.shape()
         );
-        // Fast path: share storage; attach a pass-through backward node.
-        if !self.requires_grad_flag() {
-            return Tensor {
-                inner: Arc::new(TensorInner {
-                    id: crate::tensor::next_id(),
-                    storage: Arc::clone(&self.inner.storage),
-                    shape,
-                    requires_grad: false,
-                    grad: Mutex::new(None),
-                    grad_fn: None,
-                }),
-            };
-        }
-        let data = self.to_vec();
-        Tensor::make_result(data, shape, self.device(), std::slice::from_ref(self), |go| {
-            vec![Some(go.to_vec())]
-        })
+        let _prof = tgl_obs::profile::op("reshape").shape(&[self.dims()]);
+        let storage = Arc::clone(&self.inner.storage);
+        Tensor::tracked(storage, shape, std::slice::from_ref(self), || None)
     }
 
     /// Inserts a size-1 dimension at `dim`.
@@ -77,15 +61,20 @@ impl Tensor {
             .io(4 * (m * n) as u64, 4 * (m * n) as u64)
             .shape(&[self.dims()])
             .backward_cost(0, 4 * (m * n) as u64, 4 * (m * n) as u64);
-        let data = self.to_vec();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = data[i * n + j];
+        let device = self.device();
+        // Every element is written, so recycled pool memory needs no
+        // zero pass (forward and backward alike).
+        let mut out = pool::take_uninit(m * n, device);
+        {
+            let data = self.inner.storage.read();
+            for i in 0..m {
+                for j in 0..n {
+                    out[j * m + i] = data[i * n + j];
+                }
             }
         }
-        Tensor::make_result(out, [n, m], self.device(), std::slice::from_ref(self), move |go| {
-            let mut g = vec![0.0f32; m * n];
+        Tensor::make_result(out, [n, m], device, std::slice::from_ref(self), move |go| {
+            let mut g = pool::take_uninit(m * n, device);
             for j in 0..n {
                 for i in 0..m {
                     g[i * n + j] = go[j * m + i];
@@ -172,6 +161,31 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).requires_grad(true);
         t.reshape([4]).mul_scalar(3.0).sum_all().backward();
         assert_eq!(t.grad().unwrap(), vec![3.0; 4]);
+    }
+
+    #[test]
+    fn reshape_under_autograd_shares_storage() {
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).requires_grad(true);
+        let r = t.reshape([4]);
+        assert!(r.requires_grad_flag());
+        t.copy_from_slice(&[9.0, 8.0, 7.0, 6.0]);
+        assert_eq!(r.to_vec(), vec![9.0, 8.0, 7.0, 6.0], "tracked reshape should share storage");
+    }
+
+    #[test]
+    fn unsqueeze_squeeze_detour_leaves_gradients_bitwise_unchanged() {
+        let vals: Vec<f32> = (0..12).map(|i| (i as f32 * 0.37).sin()).collect();
+        let w: Vec<f32> = (0..12).map(|i| (i as f32 * 0.91).cos()).collect();
+        let seed: Vec<f32> = (0..12).map(|i| 0.1 + i as f32 / 7.0).collect();
+        let direct = Tensor::from_vec(vals.clone(), [3, 4]).requires_grad(true);
+        direct.mul(&Tensor::from_vec(w.clone(), [3, 4])).backward_with(seed.clone());
+        // The same product taken through unsqueeze -> op -> squeeze, with
+        // the input used twice so the identity nodes also accumulate.
+        let detour = Tensor::from_vec(vals, [3, 4]).requires_grad(true);
+        let y = detour.unsqueeze(1).mul(&Tensor::from_vec(w, [3, 1, 4])).squeeze(1);
+        y.add(&detour.reshape([12]).reshape([3, 4]).mul_scalar(0.0)).backward_with(seed);
+        let bits = |g: Vec<f32>| g.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(detour.grad().unwrap()), bits(direct.grad().unwrap()));
     }
 
     #[test]

@@ -13,16 +13,23 @@
 //!
 //! # Bucket policy
 //!
-//! Free buffers are kept per device tier in power-of-two size classes:
-//! a buffer of length `len` lives in class `floor(log2(len))`, so class
-//! `c` holds lengths in `[2^c, 2^(c+1))`. A request for `len` scans its
-//! own class for the first buffer with `len` or more elements, then
-//! falls back to class `c + 1` (where every buffer is large enough).
-//! Oversized buffers are truncated to the requested length — `truncate`
-//! never exposes uninitialized memory, so recycling is sound without
-//! any `unsafe`. Repeated same-shape requests (the training-loop
-//! pattern) therefore hit exactly-fitting buffers. Each class holds a
-//! bounded number of buffers; surplus buffers are simply freed.
+//! Free buffers are kept per device tier in power-of-two size classes
+//! keyed by *capacity*: a buffer with room for `cap` elements lives in
+//! class `floor(log2(cap))`, so class `c` holds capacities in
+//! `[2^c, 2^(c+1))`. A request for `len` scans its own class for the
+//! first buffer with room for `len` elements, then falls back to class
+//! `c + 1` (where every buffer is large enough). The buffer's length is
+//! set to the request with `resize` — shrinking keeps the contents,
+//! growing zero-fills the new tail, so recycling never exposes
+//! uninitialized memory and needs no `unsafe`. Because a buffer is
+//! filed under its capacity, not its last length, it returns to the
+//! class it came from however short the request it served: a request
+//! is never handed more than 4x what it asked for, and large buffers
+//! cannot drift down into the small classes (where they would pin
+//! their memory while the large requests they were made for miss).
+//! Repeated same-shape requests (the training-loop pattern) hit
+//! exactly-fitting buffers. Each class holds a bounded number of
+//! buffers; surplus buffers are simply freed.
 //!
 //! # Zero-fill rules
 //!
@@ -78,7 +85,7 @@ struct Shelf {
 
 impl Shelf {
     /// First-fit take: scan the request's own class for a buffer with
-    /// at least `len` elements, then class `len_class + 1` where any
+    /// room for `len` elements, then class `len_class + 1` where any
     /// buffer fits. The scan runs newest-first (`give` pushes at the
     /// back) so the steady-state pattern reuses the most recently freed
     /// — cache-hot — buffer, like an allocator's thread cache.
@@ -86,7 +93,7 @@ impl Shelf {
         let class = size_class(len);
         for c in [class, class + 1] {
             if let Some(bufs) = self.classes.get_mut(c) {
-                if let Some(pos) = bufs.iter().rposition(|b| b.len() >= len) {
+                if let Some(pos) = bufs.iter().rposition(|b| b.capacity() >= len) {
                     return Some(bufs.swap_remove(pos));
                 }
             }
@@ -95,7 +102,7 @@ impl Shelf {
     }
 
     fn give(&mut self, buf: Vec<f32>) {
-        let class = size_class(buf.len());
+        let class = size_class(buf.capacity());
         if self.classes.len() <= class {
             self.classes.resize_with(class + 1, Vec::new);
         }
@@ -174,9 +181,12 @@ fn take(len: usize, device: Device, zeroed: bool) -> Vec<f32> {
             tgl_obs::counter!("tensor.pool.hit").incr();
             tgl_obs::counter!("tensor.pool.recycled_bytes").add(bytes);
             tgl_obs::profile::note_pool(true, bytes);
-            buf.truncate(len);
+            // Shrinking keeps the stale prefix, growing zero-fills the
+            // new tail; only the prefix is left to clear.
+            let stale = buf.len().min(len);
+            buf.resize(len, 0.0);
             if zeroed {
-                buf.fill(0.0);
+                buf[..stale].fill(0.0);
             }
             return buf;
         }
@@ -215,7 +225,7 @@ pub fn held(device: Device) -> (usize, u64) {
         count += class.len();
         bytes += class
             .iter()
-            .map(|b| (b.len() * std::mem::size_of::<f32>()) as u64)
+            .map(|b| (b.capacity() * std::mem::size_of::<f32>()) as u64)
             .sum::<u64>();
     }
     (count, bytes)
@@ -301,6 +311,22 @@ mod tests {
         let up = take_uninit(3600, Device::Accel);
         assert_eq!(up.len(), 3600);
         assert_eq!(up[0], 2.0, "served from the class above");
+    }
+
+    #[test]
+    fn recycled_buffer_keeps_its_capacity_class() {
+        let _g = serial();
+        set_enabled(true);
+        // A class-12 buffer serves a class-11 request and comes back:
+        // it must still be there for the next class-12 request, not
+        // filed away under the shorter length it was last used at.
+        give(vec![3.0; 7001], Device::Accel);
+        let short = take_uninit(3601, Device::Accel);
+        assert_eq!((short.len(), short[0]), (3601, 3.0));
+        give(short, Device::Accel);
+        let long = take_uninit(6999, Device::Accel);
+        assert_eq!(long[0], 3.0, "the same buffer, back at nearly full length");
+        assert!(long[3601..].iter().all(|&v| v == 0.0), "regrown tail is zero-filled");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use tgl_runtime::sync::Mutex;
 use tgl_runtime::rng::Rng;
 use tgl_device::{Device, DeviceError, PinnedPool, TransferKind};
 
-use crate::autograd::{grad_enabled, Node};
+use crate::autograd::{grad_enabled, BackwardFn, Node};
 use crate::shape::Shape;
 use crate::storage::Storage;
 
@@ -165,6 +165,20 @@ impl Tensor {
     {
         let shape = shape.into();
         assert_eq!(data.len(), shape.numel(), "op produced wrong element count");
+        let storage = Arc::new(Storage::new(data, device));
+        Tensor::tracked(storage, shape, inputs, || Some(Box::new(backward) as BackwardFn))
+    }
+
+    /// Wraps `storage` as an op result over `inputs`, attaching a node
+    /// with `backward()` when gradient tracking is active and any input
+    /// requires grad. A `None` closure makes an identity node: `storage`
+    /// is then the single input's own (see [`Node::backward`]).
+    pub(crate) fn tracked(
+        storage: Arc<Storage>,
+        shape: Shape,
+        inputs: &[Tensor],
+        backward: impl FnOnce() -> Option<BackwardFn>,
+    ) -> Tensor {
         let track = grad_enabled() && inputs.iter().any(|t| t.inner.requires_grad);
         let grad_fn = track.then(|| {
             // The profiler's innermost frame (if any) names the op that
@@ -174,7 +188,7 @@ impl Tensor {
             let (op, bwd_flops, bwd_read, bwd_write) = tgl_obs::profile::node_info();
             Arc::new(Node {
                 inputs: inputs.to_vec(),
-                backward: Box::new(backward),
+                backward: backward(),
                 op,
                 bwd_flops,
                 bwd_read,
@@ -184,7 +198,7 @@ impl Tensor {
         Tensor {
             inner: Arc::new(TensorInner {
                 id: next_id(),
-                storage: Arc::new(Storage::new(data, device)),
+                storage,
                 shape,
                 requires_grad: track,
                 grad: Mutex::new(None),

@@ -16,6 +16,14 @@ TGL_KERNEL=exact cargo test -q --offline --workspace
 echo "==> cargo test -q --offline (TGL_KERNEL=fast)"
 TGL_KERNEL=fast cargo test -q --offline --workspace
 
+# The end-to-end benchmark is its own package (own lockfile and target
+# dir). Its smoke run trains every workload at 1/8 size and exits
+# non-zero on any failed check, so a kernel change that breaks the
+# tgat_train == tgat_train_1t loss bit-equality fails here.
+echo "==> benchmark package: unit tests + smoke run"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- smoke
+
 echo "==> quickstart with tracing + metrics"
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
@@ -243,6 +251,11 @@ cargo bench --offline -q -p tgl-bench --bench micro_ops
 for mode in exact fast; do
     grep -q "\"kernel\": \"$mode\"" BENCH_micro_gemm.json \
         || { echo "BENCH_micro_gemm.json missing $mode-mode series"; exit 1; }
+done
+# The two backward products ride the trend guard beside the forward one.
+for op in nn nt tn; do
+    grep -q "\"op\": \"$op\"" BENCH_micro_gemm.json \
+        || { echo "BENCH_micro_gemm.json missing $op rows"; exit 1; }
 done
 
 echo "==> bench trajectory vs committed baselines"

@@ -39,8 +39,8 @@ fn rand2(rng: &mut StdRng, dims: [usize; 2]) -> Tensor {
     Tensor::rand_uniform(dims, -1.0, 1.0, rng)
 }
 
-/// GEMM shapes crossing every tile boundary (MR=4 / NR=8 / KC=256 /
-/// MC=64) plus the attention-shaped skinny cases from the bench sweep.
+/// GEMM shapes crossing every tile boundary (MR=4 / NR=8 / KC=256)
+/// plus the attention-shaped skinny cases from the bench sweep.
 const GEMM_SIZES: [(usize, usize, usize); 6] = [
     (3, 5, 7),
     (5, 257, 9),
@@ -215,29 +215,122 @@ fn fast_mode_gradients_pass_finite_difference_check() {
     }
 }
 
+/// `C = A·B` forward, then backward from the upstream gradient `dC`:
+/// returns `(C, dA, dB)` — the `nn`, `nt` and `tn` kernels in turn.
+fn gemm_triple(a: &Tensor, b: &Tensor, dc: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (a, b) = (a.requires_grad(true), b.requires_grad(true));
+    let c = a.matmul(&b);
+    c.backward_with(dc.to_vec());
+    (c.to_vec(), a.grad().unwrap(), b.grad().unwrap())
+}
+
+#[test]
+fn transposed_gemms_match_naive_reduction_order_in_exact_mode() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    kernel::set_mode(KernelMode::Exact);
+    set_threads(1);
+    let mut rng = StdRng::seed_from_u64(0x7A1);
+    // Includes reductions crossing KC=256 for both products (dA reduces
+    // over n, dB over m) and shapes with k and n below NR=8.
+    for (m, k, n) in [(3, 5, 7), (5, 257, 9), (9, 5, 257), (300, 7, 33), (65, 300, 33)] {
+        let (a, b) = (rand2(&mut rng, [m, k]), rand2(&mut rng, [k, n]));
+        let dc = rand2(&mut rng, [m, n]).to_vec();
+        let (_, da, db) = gemm_triple(&a, &b, &dc);
+        let (av, bv) = (a.to_vec(), b.to_vec());
+        // dA[i,p] = sum_j dC[i,j]·B[p,j] and dB[p,j] = sum_i A[i,p]·dC[i,j],
+        // each accumulated in ascending reduction index.
+        let mut want_da = vec![0.0f32; m * k];
+        let mut want_db = vec![0.0f32; k * n];
+        for i in 0..m {
+            for p in 0..k {
+                for j in 0..n {
+                    want_da[i * k + p] += dc[i * n + j] * bv[p * n + j];
+                }
+            }
+        }
+        for p in 0..k {
+            for i in 0..m {
+                for j in 0..n {
+                    want_db[p * n + j] += av[i * k + p] * dc[i * n + j];
+                }
+            }
+        }
+        assert_eq!(bits(&da), bits(&want_da), "dA = dC·Bt at {m}x{k}x{n}");
+        assert_eq!(bits(&db), bits(&want_db), "dB = At·dC at {m}x{k}x{n}");
+    }
+}
+
 #[test]
 fn mc_panel_gemm_thread_invariant_in_both_modes() {
     let _g = serial();
     let _restore = RestoreKernel;
-    // 300 rows = several MC=64 panels plus a remainder; k=257 crosses a
-    // KC boundary. The MC-panel parallel GEMM must be bitwise
-    // invariant between 1 and 4 threads in *both* kernel modes — fast
-    // mode changes which arithmetic runs, never how work is split.
+    // Enough rows for several row panels in every product, with a
+    // reduction crossing a KC boundary in each (k for C, n for dA, m
+    // for dB) and one shape whose k and n sit below NR. All three
+    // kernels must be bitwise invariant between 1 and 4 threads in
+    // *both* kernel modes — fast mode changes which arithmetic runs,
+    // never the order it runs in.
     for mode in [KernelMode::Exact, KernelMode::Fast] {
         kernel::set_mode(mode);
-        let run = |threads: usize| {
-            set_threads(threads);
-            let mut rng = StdRng::seed_from_u64(0x6CA);
-            let a = rand2(&mut rng, [300, 257]).requires_grad(true);
-            let b = rand2(&mut rng, [257, 33]).requires_grad(true);
-            let c = a.matmul(&b);
-            c.sum_all().backward();
-            (bits(&c.to_vec()), bits(&a.grad().unwrap()), bits(&b.grad().unwrap()))
-        };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one, four, "{mode:?}: GEMM differs between 1 and 4 threads");
+        for (m, k, n) in [(300, 257, 33), (300, 33, 257), (9000, 3, 5)] {
+            let run = |threads: usize| {
+                set_threads(threads);
+                let mut rng = StdRng::seed_from_u64(0x6CA);
+                let (a, b) = (rand2(&mut rng, [m, k]), rand2(&mut rng, [k, n]));
+                let dc = rand2(&mut rng, [m, n]).to_vec();
+                let (c, da, db) = gemm_triple(&a, &b, &dc);
+                (bits(&c), bits(&da), bits(&db))
+            };
+            assert_eq!(run(1), run(4), "{mode:?} {m}x{k}x{n}: GEMM differs between 1 and 4 threads");
+        }
     }
+}
+
+/// Pool buffer requests made while `f` runs.
+fn pool_requests(f: impl FnOnce()) -> u64 {
+    let before = tglite::obs::metrics::get("tensor.pool.request");
+    f();
+    tglite::obs::metrics::get("tensor.pool.request") - before
+}
+
+#[test]
+fn backward_requests_no_buffer_for_inputs_off_the_graph() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    set_threads(1);
+    let mut rng = StdRng::seed_from_u64(0xB0FF);
+    let (a0, b0) = (rand2(&mut rng, [40, 24]), rand2(&mut rng, [24, 16]));
+    let dc = rand2(&mut rng, [40, 16]).to_vec();
+    // matmul: backward with gradients wanted for (a, b), a only, b only.
+    let run = |ga: bool, gb: bool| {
+        let (a, b) = (a0.requires_grad(ga), b0.requires_grad(gb));
+        let c = a.matmul(&b);
+        let requests = pool_requests(|| c.backward_with(dc.clone()));
+        (requests, a.grad(), b.grad())
+    };
+    let (both, da, db) = run(true, true);
+    let (a_only, da_alone, none_b) = run(true, false);
+    let (b_only, none_a, db_alone) = run(false, true);
+    assert!(none_a.is_none() && none_b.is_none());
+    // Each side's product pays for its own buffers and nothing else.
+    assert!(a_only < both && b_only < both, "{a_only} / {b_only} of {both} requests");
+    assert_eq!(a_only + b_only, both);
+    assert_eq!(bits(&da.unwrap()), bits(&da_alone.unwrap()));
+    assert_eq!(bits(&db.unwrap()), bits(&db_alone.unwrap()));
+
+    // cat: a tracked activation beside a raw feature tensor.
+    let (x0, feat) = (rand2(&mut rng, [30, 8]), rand2(&mut rng, [30, 20]));
+    let dcat = rand2(&mut rng, [30, 28]).to_vec();
+    let run = |feat_grad: bool| {
+        let (x, f) = (x0.requires_grad(true), feat.requires_grad(feat_grad));
+        let y = tgl_tensor::ops::cat(&[x.clone(), f], 1);
+        (pool_requests(|| y.backward_with(dcat.clone())), x.grad().unwrap())
+    };
+    let (with_feat, dx_with) = run(true);
+    let (without, dx_without) = run(false);
+    assert_eq!((with_feat, without), (2, 1), "one gradient buffer per tracked cat input");
+    assert_eq!(bits(&dx_with), bits(&dx_without));
 }
 
 #[test]

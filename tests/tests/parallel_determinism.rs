@@ -236,7 +236,7 @@ fn training_counters_invariant_across_thread_counts() {
 fn blocked_gemm_invariant_at_tile_boundaries() {
     let _g = serial();
     // The blocked GEMM packs B into panels and tiles over
-    // MR=4 / NR=8 / MC=64 / KC=256; sizes one off either side of those
+    // MR=4 / NR=8 / KC=256; sizes one off either side of those
     // boundaries exercise every partial-tile edge path. Forward and
     // backward (which routes through the nt/tn kernels) must stay
     // bitwise thread-invariant at all of them.
@@ -244,11 +244,11 @@ fn blocked_gemm_invariant_at_tile_boundaries() {
         (3, 255, 7),    // below every tile in all dims
         (4, 256, 8),    // exact MR / KC / NR multiples
         (5, 257, 9),    // one past MR / KC / NR
-        (63, 511, 7),   // just under MC, straddling 2 KC panels
-        (65, 513, 17),  // just over MC, one element into a 3rd KC panel
+        (63, 511, 7),   // odd row count, straddling 2 KC panels
+        (65, 513, 17),  // one element into a 3rd KC panel
         (128, 256, 40),
-        (200, 129, 24), // three full MC row panels + remainder: the
-                        // MC-panel parallel split must stay invariant
+        (200, 129, 24), // enough work to fan out: the per-thread row
+                        // panel split must stay invariant
     ];
     for (m, k, n) in SIZES {
         assert_invariant(&format!("blocked gemm {m}x{k}x{n}"), || {

@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_harness::{RunReporter, TrainConfig, Trainer};
-use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat};
+use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::profile::{self, OpStat};
 use tglite::tensor::Tensor;
@@ -51,13 +51,22 @@ fn gemm_flop_counts_match_analytic_2mnk() {
     );
     assert_eq!(mm.bytes_written, 4 * (m * n) as u64);
 
-    // The backward node re-runs two GEMMs' worth of work; its declared
-    // cost flows through the autograd node into a `.bwd` row.
+    // Backward runs one GEMM per operand on the graph — here only `a`,
+    // so dA = dC·Bᵀ alone; the declared cost flows through the autograd
+    // node into a `.bwd` row.
     let bwd = stats
         .iter()
         .find(|s| s.op == "matmul.bwd")
         .expect("backward sweep must attribute matmul's declared cost");
     assert_eq!(bwd.calls, 1);
+    assert_eq!(bwd.flops, 2 * (m * k * n) as u64);
+
+    // With both operands on the graph it is two GEMMs' worth.
+    profile::enable(true);
+    a.matmul(&b.requires_grad(true)).sum_all().backward();
+    let stats = profile::take();
+    profile::enable(false);
+    let bwd = stats.iter().find(|s| s.op == "matmul.bwd").expect("matmul.bwd row");
     assert_eq!(bwd.flops, 4 * (m * k * n) as u64);
 }
 
@@ -160,6 +169,40 @@ fn training_phase_op_self_times_stay_within_tracer_spans() {
             ops_s <= span_s * 1.10 + 2e-3,
             "phase {phase:?}: op self time {ops_s:.4}s exceeds span {span_s:.4}s"
         );
+    }
+}
+
+#[test]
+fn training_epoch_profile_has_no_anonymous_rows() {
+    let _g = serial();
+    // Every autograd node is built inside a named op frame, so neither
+    // the forward table nor the backward sweep may fall back to the
+    // placeholder names (`op` / `op.bwd`) on a TGAT or a TGN epoch.
+    let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(10);
+    let (g, _) = generate(&spec);
+    let split = Split::standard(&g);
+    let trainer = Trainer::new(
+        TrainConfig { batch_size: 100, epochs: 1, lr: 1e-3, seed: 0 },
+        spec.n_src as u32,
+        spec.num_nodes() as u32,
+    );
+    let epoch_ops = |model: &mut dyn TemporalModel, ctx: &tglite::TContext| {
+        let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), 1e-3);
+        profile::enable(true);
+        profile::take();
+        trainer.train_epoch(model, ctx, &split, &mut opt, 0);
+        let stats = profile::take();
+        profile::enable(false);
+        stats.iter().map(|s| s.op).collect::<Vec<_>>()
+    };
+    let ctx = tglite::TContext::new(g.clone());
+    let tgat = epoch_ops(&mut Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 42), &ctx);
+    let ctx = tglite::TContext::new(g.clone());
+    let tgn = epoch_ops(&mut Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 42), &ctx);
+    for (model, ops) in [("tgat", &tgat), ("tgn", &tgn)] {
+        assert!(ops.contains(&"matmul.bwd"), "{model}: backward sweep not profiled: {ops:?}");
+        assert!(ops.contains(&"bce.bwd") && ops.contains(&"reshape.bwd"), "{model}: {ops:?}");
+        assert!(!ops.iter().any(|op| *op == "op" || *op == "op.bwd"), "{model}: {ops:?}");
     }
 }
 
