@@ -178,7 +178,7 @@ fn dataset_kind(args: &Args) -> DatasetKind {
 }
 
 fn spec(args: &Args) -> DatasetSpec {
-    DatasetSpec::of(dataset_kind(args)).scaled_down(args.get_or("scale", 2))
+    DatasetSpec::of(dataset_kind(args)).scaled_down(positive_or(args, "scale", 2))
 }
 
 fn model_kind(args: &Args) -> ModelKind {

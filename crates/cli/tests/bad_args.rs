@@ -33,3 +33,13 @@ fn zero_threads_is_a_usage_error() {
     assert!(stderr.contains("--threads"), "error must name the flag: {stderr}");
     assert!(!stdout.contains("loss"), "must not train: {stdout}");
 }
+
+#[test]
+fn zero_scale_is_a_usage_error() {
+    // `--scale` appears twice: the later, offending value wins.
+    let (code, stdout, stderr) = tgl_train(&["--scale", "0"]);
+    assert_eq!(code, Some(2), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error: {stderr}");
+    assert!(stderr.contains("--scale"), "error must name the flag: {stderr}");
+    assert!(!stdout.contains("loss"), "must not train: {stdout}");
+}

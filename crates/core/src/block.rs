@@ -423,8 +423,8 @@ impl TBlock {
         moved
     }
 
-    /// Installs pre-transferred feature tensors (used by
-    /// [`crate::op::preload`]).
+    /// Installs feature tensors already on the compute device (used by
+    /// [`crate::op::Staged::fill`]).
     pub(crate) fn install_feat_cache(
         &self,
         dst: Option<Tensor>,
@@ -444,8 +444,7 @@ impl TBlock {
     }
 
     /// Snapshot of the installed `(dst, src, edge)` feature caches.
-    /// Plan staging ([`crate::plan::build_plan`]) harvests these after
-    /// running `op::preload` on a prefetch-local chain.
+    #[cfg(test)]
     pub(crate) fn feat_caches(&self) -> (Option<Tensor>, Option<Tensor>, Option<Tensor>) {
         let inner = self.inner.borrow();
         (

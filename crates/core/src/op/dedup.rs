@@ -25,10 +25,14 @@ pub fn dedup(blk: &TBlock) -> TBlock {
     blk.clone()
 }
 
-/// Like [`dedup`], but also returns the `(nodes, times, inverse)`
-/// replacement when one actually happened, so a prefetch plan can
-/// replay it later with [`dedup_apply`]. Counters fire here (once).
-pub(crate) fn dedup_planned(blk: &TBlock) -> Option<(Vec<NodeId>, Vec<Time>, Vec<usize>)> {
+/// A dedup replacement: the unique `(nodes, times)` destination list
+/// plus the `inverse` row mapping back to the original layout.
+pub(crate) type Replacement = (Vec<NodeId>, Vec<Time>, Vec<usize>);
+
+/// Like [`dedup`], but also returns the replacement when one actually
+/// happened, so a prefetch plan can replay it later with
+/// [`dedup_apply`]. Counters fire here (once).
+pub(crate) fn dedup_planned(blk: &TBlock) -> Option<Replacement> {
     assert!(
         !blk.has_nbrs(),
         "dedup must be applied before sampling the neighborhood"
@@ -57,7 +61,7 @@ pub(crate) fn dedup_apply(blk: &TBlock, nodes: Vec<NodeId>, times: Vec<Time>, in
 
 /// The pure dedup computation: unique `(node, time)` pairs in
 /// first-appearance order plus the inverse row mapping.
-fn compute(nodes: &[NodeId], times: &[Time]) -> (Vec<NodeId>, Vec<Time>, Vec<usize>) {
+fn compute(nodes: &[NodeId], times: &[Time]) -> Replacement {
     let mut seen: HashMap<(NodeId, u64), usize> = HashMap::with_capacity(nodes.len());
     let mut uniq_nodes: Vec<NodeId> = Vec::new();
     let mut uniq_times: Vec<Time> = Vec::new();

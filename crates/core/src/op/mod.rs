@@ -19,7 +19,8 @@ pub use agg::{aggregate, propagate};
 pub use cache::cache;
 pub use coalesce::{coalesce, CoalesceBy};
 pub use dedup::dedup;
-pub(crate) use dedup::{dedup_apply, dedup_planned};
+pub(crate) use dedup::{dedup_apply, dedup_planned, Replacement};
 pub use preload::preload;
+pub(crate) use preload::{stage, Staged};
 pub use segment::{edge_reduce, edge_softmax, src_scatter, ReduceOp};
 pub use time::{precomputed_times, precomputed_zeros};

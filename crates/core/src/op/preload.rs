@@ -1,88 +1,221 @@
 //! The `preload` data-movement optimization operator.
 
-use tgl_device::Device;
+use std::ops::Range;
+
+use tgl_tensor::Tensor;
 
 use crate::{TBlock, TContext};
 
-/// Loads feature data for *all* blocks in the chain onto the compute
-/// device ahead of computation, staging host-resident tensors through
-/// the context's pre-allocated pinned-memory pool when `use_pin` is
-/// set (paper §3.3: "preload() ... focuses on optimizing data
-/// movements ... one technique is to use pinned memory to minimize
-/// data transfer costs").
-///
-/// With `use_pin = false` the pageable (slow) path is used, which is
-/// what an unoptimized implementation does implicitly on first feature
-/// access. In the all-on-GPU configuration (features already on the
-/// compute device) this is a no-op — matching the paper's observation
-/// that "the preload() operator in TGLite has no effect in this
-/// scenario".
-pub fn preload(ctx: &TContext, head: &TBlock, use_pin: bool) {
-    tgl_obs::counter!("preload.calls").incr();
-    let device = ctx.device();
-    let mut cur = Some(head.clone());
-    while let Some(blk) = cur {
-        preload_block(ctx, &blk, device, use_pin);
-        cur = blk.next();
+/// One feature table as the compute device sees it, plus the row in it
+/// of every feature slot of the chain (block by block, `dst` then
+/// `src` slots for the node table, edge slots for the edge table).
+#[derive(Debug)]
+struct StagedTable {
+    rows: Tensor,
+    slots: Vec<usize>,
+}
+
+impl StagedTable {
+    /// Stages the rows `ids` name. A table that already lives on the
+    /// compute device is used as it is (slot = id, the direct gather);
+    /// one on another tier has its *distinct* rows gathered there and
+    /// moved in a single transfer, so a row crosses the link once per
+    /// batch however many slots read it.
+    fn new(ctx: &TContext, feats: &Tensor, ids: Vec<usize>, use_pin: bool) -> StagedTable {
+        let device = ctx.device();
+        if feats.device() == device {
+            return StagedTable {
+                rows: feats.clone(),
+                slots: ids,
+            };
+        }
+        let mut distinct = ids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let slots = ids
+            .iter()
+            .map(|id| {
+                distinct
+                    .binary_search(id)
+                    .expect("slot id is in the distinct list")
+            })
+            .collect();
+        let gathered = feats.index_select(&distinct);
+        tgl_obs::counter!("preload.tensors_moved").incr();
+        let rows = if use_pin {
+            gathered.to_pinned(device, ctx.pinned_pool())
+        } else {
+            gathered.to(device)
+        };
+        StagedTable { rows, slots }
+    }
+
+    /// The feature rows of a run of slots, gathered on the compute device.
+    fn expand(&self, slots: Range<usize>) -> Tensor {
+        self.rows.index_select(&self.slots[slots])
     }
 }
 
-fn preload_block(ctx: &TContext, blk: &TBlock, device: Device, use_pin: bool) {
-    let g = blk.graph();
-    let move_to = |t: tgl_tensor::Tensor| -> tgl_tensor::Tensor {
-        if t.device() == device {
-            t
-        } else {
-            tgl_obs::counter!("preload.tensors_moved").incr();
-            if use_pin {
-                t.to_pinned(device, ctx.pinned_pool())
-            } else {
-                t.to(device)
-            }
-        }
-    };
-    let dst = (g.node_feat_dim() > 0).then(|| {
-        let gathered = blk.with_dst(|nodes, _| g.node_feat_rows(nodes));
-        move_to(gathered)
-    });
-    let (src, edge) = if blk.has_nbrs() {
-        let src = (g.node_feat_dim() > 0).then(|| {
-            let gathered = blk.with_nbrs(|n| g.node_feat_rows(&n.src_nodes));
-            move_to(gathered)
+/// Where one block's slots start in the tables, and how many it has.
+#[derive(Debug)]
+struct BlockSlots {
+    node_at: usize,
+    edge_at: usize,
+    n_dst: usize,
+    /// `None` for a block whose neighborhood is not sampled yet.
+    n_nbrs: Option<usize>,
+}
+
+/// The feature rows of a whole block chain, staged on the compute
+/// device by [`stage`]: per table the rows the chain reads, plus the
+/// slot layout that [`Staged::fill`] expands into each block's
+/// `(dst, src, edge)` feature cache. A prefetch plan carries this in
+/// place of expanded tensors, so queued plans keep only distinct rows
+/// resident on the device tier.
+#[derive(Debug)]
+pub(crate) struct Staged {
+    node: Option<StagedTable>,
+    edge: Option<StagedTable>,
+    blocks: Vec<BlockSlots>,
+}
+
+/// Stages the feature rows of *all* blocks in the chain on the compute
+/// device: at most one transfer per feature table (see
+/// [`StagedTable::new`] for the placement rule, which is read from the
+/// table's device). Fires `preload.calls` once and
+/// `preload.tensors_moved` once per table that crossed a tier.
+pub(crate) fn stage(ctx: &TContext, head: &TBlock, use_pin: bool) -> Staged {
+    tgl_obs::counter!("preload.calls").incr();
+    let g = head.graph();
+    let (mut node_ids, mut edge_ids) = (Vec::new(), Vec::new());
+    let mut blocks = Vec::new();
+    for blk in chain_blocks(head) {
+        let (node_at, edge_at) = (node_ids.len(), edge_ids.len());
+        blk.with_dst(|nodes, _| node_ids.extend(nodes.iter().map(|&n| n as usize)));
+        let n_nbrs = blk.has_nbrs().then(|| {
+            blk.with_nbrs(|n| {
+                node_ids.extend(n.src_nodes.iter().map(|&s| s as usize));
+                edge_ids.extend(n.eids.iter().map(|&e| e as usize));
+                n.len()
+            })
         });
-        let edge = (g.edge_feat_dim() > 0).then(|| {
-            let gathered = blk.with_nbrs(|n| g.edge_feat_rows(&n.eids));
-            move_to(gathered)
+        blocks.push(BlockSlots {
+            node_at,
+            edge_at,
+            n_dst: blk.num_dst(),
+            n_nbrs,
         });
-        (src, edge)
-    } else {
-        (None, None)
+    }
+    let table = |feats: Option<Tensor>, ids| {
+        feats
+            .filter(|f| f.dim(1) > 0)
+            .map(|f| StagedTable::new(ctx, &f, ids, use_pin))
     };
-    blk.install_feat_cache(dst, src, edge);
+    Staged {
+        node: table(g.node_feats(), node_ids),
+        edge: table(g.edge_feats(), edge_ids),
+        blocks,
+    }
+}
+
+impl Staged {
+    /// Expands block `i`'s rows out of the staged tables into `blk`'s
+    /// feature cache. Fires no counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blk` is not shaped like the `i`-th block of the chain
+    /// this was staged from.
+    pub(crate) fn fill(&self, i: usize, blk: &TBlock) {
+        let s = &self.blocks[i];
+        assert_eq!(
+            (blk.num_dst(), blk.has_nbrs().then(|| blk.num_edges())),
+            (s.n_dst, s.n_nbrs),
+            "block {i} does not match the chain its features were staged from"
+        );
+        let src_at = s.node_at + s.n_dst;
+        let dst = self.node.as_ref().map(|t| t.expand(s.node_at..src_at));
+        let (src, edge) = s.n_nbrs.map_or((None, None), |k| {
+            (
+                self.node.as_ref().map(|t| t.expand(src_at..src_at + k)),
+                self.edge
+                    .as_ref()
+                    .map(|t| t.expand(s.edge_at..s.edge_at + k)),
+            )
+        });
+        blk.install_feat_cache(dst, src, edge);
+    }
+}
+
+/// Loads feature data for *all* blocks in the chain onto the compute
+/// device ahead of computation (paper §3.3: "preload() ... focuses on
+/// optimizing data movements ... one technique is to use pinned memory
+/// to minimize data transfer costs"). Each feature table that lives on
+/// another tier has the chain's *distinct* rows gathered there and
+/// moved in one transfer — through the context's pre-allocated
+/// pinned-memory pool when `use_pin` is set, over the pageable (slow)
+/// path otherwise — and every block's feature cache is then filled by
+/// a gather on the compute device.
+///
+/// In the all-on-GPU configuration (features already on the compute
+/// device) nothing is moved and the fill is the plain gather — matching
+/// the paper's observation that "the preload() operator in TGLite has
+/// no effect in this scenario". Which case applies is read from each
+/// table's device.
+pub fn preload(ctx: &TContext, head: &TBlock, use_pin: bool) {
+    let staged = stage(ctx, head, use_pin);
+    for (i, blk) in chain_blocks(head).enumerate() {
+        staged.fill(i, &blk);
+    }
+}
+
+/// The blocks of a chain, head first.
+fn chain_blocks(head: &TBlock) -> impl Iterator<Item = TBlock> {
+    std::iter::successors(Some(head.clone()), TBlock::next)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{TBlock, TContext, TSampler};
-    use std::sync::Arc;
+    use std::collections::BTreeSet;
+    use std::sync::{Arc, Mutex, MutexGuard};
+    use tgl_device::Device;
     use tgl_graph::TemporalGraph;
     use tgl_sampler::SamplingStrategy;
     use tgl_tensor::Tensor;
 
+    /// Held by every test of this crate that crosses the link (they are
+    /// all in this module), so a transfer-counter delta read under it
+    /// is the test's own.
+    fn link() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn setup(feat_device: Device, compute: Device) -> (Arc<TemporalGraph>, TContext) {
-        let g = Arc::new(TemporalGraph::from_edges(
-            3,
-            vec![(0, 1, 1.0), (1, 2, 2.0)],
-        ));
-        g.set_node_feats(Tensor::from_vec((0..6).map(|v| v as f32).collect(), [3, 2]).to(feat_device));
+        let g = Arc::new(TemporalGraph::from_edges(3, vec![(0, 1, 1.0), (1, 2, 2.0)]));
+        g.set_node_feats(
+            Tensor::from_vec((0..6).map(|v| v as f32).collect(), [3, 2]).to(feat_device),
+        );
         g.set_edge_feats(Tensor::from_vec(vec![1.0, 2.0], [2, 1]).to(feat_device));
         let ctx = TContext::with_device(Arc::clone(&g), compute);
         (g, ctx)
     }
 
+    /// A sampled two-block chain whose slots repeat nodes and edges.
+    fn two_block_chain(ctx: &TContext) -> TBlock {
+        let sampler = TSampler::new(2, SamplingStrategy::Recent);
+        let head = TBlock::new(ctx, 0, vec![2, 1, 2], vec![9.0, 9.0, 9.0]);
+        sampler.sample(&head);
+        sampler.sample(&head.next_block());
+        head
+    }
+
     #[test]
     fn preload_moves_features_to_compute_device() {
+        let _l = link();
         let (_g, ctx) = setup(Device::Host, Device::Accel);
         let head = TBlock::new(&ctx, 0, vec![2], vec![9.0]);
         TSampler::new(2, SamplingStrategy::Recent).sample(&head);
@@ -90,40 +223,130 @@ mod tests {
         assert_eq!(head.dstfeat().device(), Device::Accel);
         assert_eq!(head.srcfeat().device(), Device::Accel);
         assert_eq!(head.efeat().device(), Device::Accel);
-        // Pool was exercised.
-        let (acquired, _) = ctx.pinned_pool().stats();
-        assert!(acquired >= 2);
+        // One pinned staging buffer per table.
+        assert_eq!(ctx.pinned_pool().stats().0, 2);
     }
 
     #[test]
     fn preload_walks_whole_chain() {
+        let _l = link();
         let (_g, ctx) = setup(Device::Host, Device::Accel);
-        let sampler = TSampler::new(2, SamplingStrategy::Recent);
-        let head = TBlock::new(&ctx, 0, vec![2], vec![9.0]);
-        sampler.sample(&head);
-        let tail = head.next_block();
-        sampler.sample(&tail);
+        let head = two_block_chain(&ctx);
         preload(&ctx, &head, true);
+        let tail = head.tail();
         assert_eq!(tail.dstfeat().device(), Device::Accel);
         assert_eq!(tail.srcfeat().device(), Device::Accel);
     }
 
     #[test]
     fn preload_noop_when_already_on_device() {
-        let (_g, ctx) = setup(Device::Host, Device::Host);
-        let head = TBlock::new(&ctx, 0, vec![1], vec![9.0]);
-        let before = tgl_device::stats().transfer_count;
+        let (g, ctx) = setup(Device::Host, Device::Host);
+        let head = two_block_chain(&ctx);
         preload(&ctx, &head, true);
-        assert_eq!(tgl_device::stats().transfer_count, before);
+        for blk in chain_blocks(&head) {
+            let (dst, src, edge) = blk.feat_caches();
+            let (dst, src, edge) = (dst.unwrap(), src.unwrap(), edge.unwrap());
+            assert_eq!(dst.device(), Device::Host);
+            assert_eq!(dst.to_vec(), g.node_feat_rows(&blk.dst_nodes()).to_vec());
+            assert_eq!(src.to_vec(), g.node_feat_rows(&blk.src_nodes()).to_vec());
+            assert_eq!(edge.to_vec(), g.edge_feat_rows(&blk.eids()).to_vec());
+        }
+        assert_eq!(
+            ctx.pinned_pool().stats().0,
+            0,
+            "nothing to stage: the tables are on the compute device"
+        );
+    }
+
+    #[test]
+    fn each_distinct_row_crosses_the_link_once() {
+        let _l = link();
+        for use_pin in [true, false] {
+            let (g, ctx) = setup(Device::Host, Device::Accel);
+            let head = two_block_chain(&ctx);
+            let (mut nodes, mut eids) = (BTreeSet::new(), BTreeSet::new());
+            for blk in chain_blocks(&head) {
+                nodes.extend(blk.dst_nodes());
+                nodes.extend(blk.src_nodes());
+                eids.extend(blk.eids());
+            }
+            assert!(
+                head.tail().num_edges() > eids.len(),
+                "chain repeats no edge"
+            );
+            let before = tgl_device::stats();
+            preload(&ctx, &head, use_pin);
+            let after = tgl_device::stats();
+            let floats = nodes.len() * g.node_feat_dim() + eids.len() * g.edge_feat_dim();
+            assert_eq!(after.h2d_bytes - before.h2d_bytes, 4 * floats as u64);
+            assert_eq!(after.transfer_count - before.transfer_count, 2);
+
+            // Bitwise what the lazy loads of an unstaged chain return.
+            let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
+            for (staged, lazy) in chain_blocks(&head).zip(chain_blocks(&two_block_chain(&ctx))) {
+                assert_eq!(staged.dstfeat().device(), Device::Accel);
+                assert_eq!(bits(staged.dstfeat()), bits(lazy.dstfeat()));
+                assert_eq!(bits(staged.srcfeat()), bits(lazy.srcfeat()));
+                assert_eq!(bits(staged.efeat()), bits(lazy.efeat()));
+            }
+        }
+    }
+
+    #[test]
+    fn staged_chain_keeps_only_distinct_rows_on_the_device() {
+        // What a queued prefetch plan holds on the device tier.
+        let _l = link();
+        let (g, ctx) = setup(Device::Host, Device::Accel);
+        let head = two_block_chain(&ctx);
+        let used = tgl_device::stats().accel_used_bytes;
+        let staged = stage(&ctx, &head, true);
+        let resident = tgl_device::stats().accel_used_bytes - used;
+        // All 3 nodes and both edges are reachable from node 2 at t=9.
+        assert_eq!(
+            resident,
+            4 * (3 * g.node_feat_dim() + 2 * g.edge_feat_dim()) as u64
+        );
+        drop(staged);
+        assert_eq!(tgl_device::stats().accel_used_bytes, used);
     }
 
     #[test]
     fn pinned_transfers_use_pinned_kind() {
-        let (_g, ctx) = setup(Device::Host, Device::Accel);
-        let head = TBlock::new(&ctx, 0, vec![0, 1, 2], vec![9.0, 9.0, 9.0]);
-        let before = tgl_device::stats();
+        let _l = link();
+        let kinds = || {
+            (
+                tgl_obs::metrics::get("transfer.pinned_count"),
+                tgl_obs::metrics::get("transfer.pageable_count"),
+            )
+        };
+        for (use_pin, expect) in [(true, (2, 0)), (false, (0, 2))] {
+            let (_g, ctx) = setup(Device::Host, Device::Accel);
+            let head = TBlock::new(&ctx, 0, vec![0, 1, 2], vec![9.0, 9.0, 9.0]);
+            TSampler::new(2, SamplingStrategy::Recent).sample(&head);
+            let before = kinds();
+            preload(&ctx, &head, use_pin);
+            let after = kinds();
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                expect,
+                "use_pin={use_pin}"
+            );
+        }
+    }
+
+    #[test]
+    fn unsampled_tail_gets_destination_features_only() {
+        let _l = link();
+        let (g, ctx) = setup(Device::Host, Device::Accel);
+        let head = TBlock::new(&ctx, 0, vec![2], vec![9.0]);
+        TSampler::new(2, SamplingStrategy::Recent).sample(&head);
+        let tail = head.next_block();
         preload(&ctx, &head, true);
-        let after = tgl_device::stats();
-        assert!(after.h2d_bytes > before.h2d_bytes);
+        let (dst, src, edge) = tail.feat_caches();
+        assert_eq!(
+            dst.unwrap().to_vec(),
+            g.node_feat_rows(&tail.dst_nodes()).to_vec()
+        );
+        assert!(src.is_none() && edge.is_none());
     }
 }

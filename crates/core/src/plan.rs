@@ -1,38 +1,41 @@
-//! Prefetch plans: a `Send` description of a batch's sampling work.
+//! Chain construction and prefetch plans.
 //!
-//! The pipelined trainer computes batch N+1's expensive, parameter-
-//! independent work — negative draws, per-layer dedup, temporal
-//! neighbor sampling, and host-to-device feature staging — on a
-//! sampler stage while batch N runs forward/backward on the compute
-//! stage. [`TBlock`]s are `Rc`-based and cannot cross threads, so the
-//! sampler stage ships a [`BatchPlan`] instead: plain vectors plus
-//! staged [`Tensor`]s (which are `Send + Sync`). The compute stage
-//! rebuilds its block chain and replays the plan with
-//! [`BatchPlan::apply_layer`].
+//! [`build_chain`] is the one place a batch's block chain is built:
+//! `block` → `dedup` → `[cache]` → `sample` per layer, then `preload`.
+//! Models call it from `forward`. Without `cache` (an inference-only
+//! operator) everything it does is a function of the batch and the
+//! model's [`SamplingSpec`], never of parameters or node memory, so
+//! the same work can run ahead of the optimizer.
+//!
+//! The pipelined trainer does exactly that: it computes batch N+1's
+//! negative draws, per-layer dedup, temporal neighbor sampling and
+//! host-to-device feature staging on a sampler stage while batch N
+//! runs forward/backward on the compute stage. [`TBlock`]s are
+//! `Rc`-based and cannot cross threads, so the sampler stage ships a
+//! [`BatchPlan`] instead: plain vectors plus the staged feature
+//! *tables* (distinct rows on the compute device and the slot layout,
+//! not one expanded tensor per block). On the compute stage
+//! [`build_chain`] rebuilds the chain by replaying the plan.
 //!
 //! # Determinism and counter contract
 //!
-//! [`build_plan`] replicates exactly the chain construction a
-//! training-mode forward pass performs (`block` → `dedup` → `sample`
-//! per layer, then `preload`): dedup is a pure function of the
-//! destination list, and temporal sampling seeds one RNG stream per
-//! destination from the sampler seed, so the plan built on another
-//! thread is bitwise identical to what the sequential path would have
-//! computed. Every observability counter for this work
-//! (`dedup.*`, `sampler.*`, `preload.*`, `transfer.*`) fires exactly
-//! once — at build time, on the sampler stage — and
-//! [`BatchPlan::apply_layer`] is counter-silent, so pipelined counter
+//! [`build_plan`] runs the same loop as an inline [`build_chain`]:
+//! dedup is a pure function of the destination list, and temporal
+//! sampling seeds one RNG stream per destination from the sampler
+//! seed, so the plan built on another thread is bitwise identical to
+//! what the sequential path would have computed. Every observability
+//! counter for this work (`dedup.*`, `sampler.*`, `preload.*`,
+//! `transfer.*`) fires exactly once — at build time, on the sampler
+//! stage — and the replay is counter-silent, so pipelined counter
 //! totals match the sequential trainer's.
 
-use tgl_graph::{NodeId, Time};
 use tgl_sampler::{NeighborSample, TemporalSampler};
-use tgl_tensor::Tensor;
 
 use crate::{op, TBatch, TBlock, TContext};
 
-/// The training-mode sampling/staging recipe of a model — everything
-/// [`build_plan`] needs to replay the model's chain construction off
-/// the compute thread.
+/// The sampling/staging recipe of a model — everything chain
+/// construction needs besides the batch, so [`build_plan`] can run it
+/// off the compute thread.
 #[derive(Debug, Clone)]
 pub struct SamplingSpec {
     /// Blocks in the chain (message-passing layers).
@@ -48,105 +51,140 @@ pub struct SamplingSpec {
     pub sampler: TemporalSampler,
 }
 
-/// A layer's precomputed dedup replacement.
-#[derive(Debug)]
-struct DedupPlan {
-    nodes: Vec<NodeId>,
-    times: Vec<Time>,
-    inverse: Vec<usize>,
-}
-
 /// One block's worth of prefetched work.
 #[derive(Debug)]
 struct LayerPlan {
     /// `Some` only when dedup actually shrank the destination list.
-    dedup: Option<DedupPlan>,
+    dedup: Option<op::Replacement>,
     nbrs: NeighborSample,
-    /// Staged `(dst, src, edge)` feature tensors (preload only).
-    feats: (Option<Tensor>, Option<Tensor>, Option<Tensor>),
 }
 
-/// The full prefetched work for one batch, layer by layer.
+/// The full prefetched work for one batch: per-layer dedup and
+/// neighborhoods, plus the chain's staged feature tables.
 #[derive(Debug)]
 pub struct BatchPlan {
     layers: Vec<LayerPlan>,
+    /// `Some` when the spec preloads.
+    staged: Option<op::Staged>,
 }
 
 impl BatchPlan {
-    /// Number of planned layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Replays layer `i`'s prefetched work onto a freshly built block:
     /// dedup replacement + inversion hook, sampled neighborhood, and
-    /// staged feature tensors. Fires no counters — they already fired
-    /// at build time.
+    /// the block's feature rows expanded out of the staged tables (on
+    /// the calling thread, so a queued plan holds tables only). Fires
+    /// no counters — they already fired at build time.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range or the block's destination list
     /// does not match what the plan was built from (a determinism
     /// violation).
-    pub fn apply_layer(&self, i: usize, blk: &TBlock) {
+    fn apply_layer(&self, i: usize, blk: &TBlock) {
         let layer = &self.layers[i];
-        if let Some(d) = &layer.dedup {
-            op::dedup_apply(blk, d.nodes.clone(), d.times.clone(), d.inverse.clone());
+        if let Some((nodes, times, inverse)) = &layer.dedup {
+            op::dedup_apply(blk, nodes.clone(), times.clone(), inverse.clone());
         }
         blk.set_neighborhood(layer.nbrs.clone());
-        let (dst, src, edge) = layer.feats.clone();
-        blk.install_feat_cache(dst, src, edge);
+        if let Some(staged) = &self.staged {
+            staged.fill(i, blk);
+        }
     }
 }
 
-/// Builds the prefetch plan for `batch` by replaying the model's
-/// training-mode chain construction on the calling thread (the
-/// pipelined trainer calls this from its sampler stage). The local
-/// block chain is thrown away; only `Send` data survives in the plan.
-pub fn build_plan(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> BatchPlan {
-    let prep = crate::prof::scope("prep_batch");
-    let head = batch.block(ctx);
-    drop(prep);
+/// The chain-construction loop: one `fill` per layer on that layer's
+/// still-unsampled block, starting at `head`. `fill` must leave the
+/// block sampled so the next block can be derived from it.
+fn chain(head: &TBlock, n_layers: usize, mut fill: impl FnMut(usize, &TBlock)) {
     let mut tail = head.clone();
-    let mut layers = Vec::with_capacity(spec.n_layers);
-    for i in 0..spec.n_layers {
+    for i in 0..n_layers {
         if i > 0 {
             tail = tail.next_block();
         }
-        let dedup = if spec.dedup {
-            op::dedup_planned(&tail)
-                .map(|(nodes, times, inverse)| DedupPlan { nodes, times, inverse })
-        } else {
-            None
-        };
-        let nbrs = {
-            let _s = crate::prof::scope("sample");
-            let csr = tail.graph().tcsr();
-            tail.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times))
-        };
-        tail.set_neighborhood(nbrs.clone());
-        layers.push(LayerPlan {
-            dedup,
-            nbrs,
-            feats: (None, None, None),
-        });
+        fill(i, &tail);
     }
+}
+
+/// The batch's head block, built under the `prep_batch` phase.
+fn head_block(ctx: &TContext, batch: &TBatch) -> TBlock {
+    let _prep = crate::prof::scope("prep_batch");
+    batch.block(ctx)
+}
+
+/// One layer built from scratch: `dedup` → `[cache]` → `sample`.
+/// Returns the dedup replacement for a plan to record.
+fn sample_layer(
+    ctx: &TContext,
+    blk: &TBlock,
+    spec: &SamplingSpec,
+    cache: bool,
+) -> Option<op::Replacement> {
+    let dedup = if spec.dedup {
+        op::dedup_planned(blk)
+    } else {
+        None
+    };
+    if cache {
+        op::cache(ctx, blk);
+    }
+    let _s = crate::prof::scope("sample");
+    let csr = blk.graph().tcsr();
+    let nbrs = blk.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times));
+    blk.set_neighborhood(nbrs);
+    dedup
+}
+
+/// Builds the block chain of `batch` and returns its head: per layer
+/// `block` → `dedup` → `[cache]` → `sample`, then `preload`, as `spec`
+/// says (paper Listing 2). `cache` applies `op::cache` to every block
+/// (inference only: it filters destinations by what the embedding
+/// cache holds, which depends on the parameters).
+///
+/// When the batch carries a prefetch plan and `cache` is off, chain
+/// construction is a pure function of the batch, so the plan is
+/// replayed instead — dedup, sampling and feature staging already
+/// happened, and were counted, where the plan was built. The replay is
+/// bitwise identical to the inline construction.
+pub fn build_chain(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TBlock {
+    if let (Some(plan), false) = (batch.plan(), cache) {
+        // The prep_batch phase fired where the plan was built; the
+        // cheap rebuild here stays unscoped so the phase breakdown
+        // counts that work once.
+        let head = batch.block(ctx);
+        chain(&head, spec.n_layers, |i, blk| plan.apply_layer(i, blk));
+        return head;
+    }
+    let head = head_block(ctx, batch);
+    chain(&head, spec.n_layers, |_, blk| {
+        sample_layer(ctx, blk, spec, cache);
+    });
     if spec.preload_pinned {
         let _p = crate::prof::scope("preload");
         op::preload(ctx, &head, true);
-        // Harvest the staged tensors preload installed into the local
-        // chain; apply_layer re-installs them on the compute stage.
-        let mut cur = Some(head);
-        let mut i = 0;
-        while let Some(blk) = cur {
-            if i < layers.len() {
-                layers[i].feats = blk.feat_caches();
-            }
-            cur = blk.next();
-            i += 1;
-        }
     }
-    BatchPlan { layers }
+    head
+}
+
+/// Builds the prefetch plan for `batch` by running the model's chain
+/// construction on the calling thread (the pipelined trainer calls
+/// this from its sampler stage). The local block chain is thrown away
+/// without ever expanding its features; only `Send` data survives in
+/// the plan.
+pub fn build_plan(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> BatchPlan {
+    let head = head_block(ctx, batch);
+    let mut layers = Vec::with_capacity(spec.n_layers);
+    chain(&head, spec.n_layers, |_, blk| {
+        let dedup = sample_layer(ctx, blk, spec, false);
+        layers.push(LayerPlan {
+            dedup,
+            nbrs: blk.with_nbrs(Clone::clone),
+        });
+    });
+    let staged = spec.preload_pinned.then(|| {
+        let _p = crate::prof::scope("preload");
+        op::stage(ctx, &head, true)
+    });
+    BatchPlan { layers, staged }
 }
 
 #[cfg(test)]
@@ -185,40 +223,17 @@ mod tests {
         }
     }
 
-    /// Sequential-style chain construction, as `Tgat::embeddings` does
-    /// it in training mode.
+    /// Inline construction: what a model's `forward` does at depth 0.
     fn build_sequential(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> TBlock {
-        let head = batch.block(ctx);
-        let mut tail = head.clone();
-        for i in 0..spec.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            if spec.dedup {
-                op::dedup(&tail);
-            }
-            let csr = tail.graph().tcsr();
-            let nbrs = tail.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times));
-            tail.set_neighborhood(nbrs);
-        }
-        if spec.preload_pinned {
-            op::preload(ctx, &head, true);
-        }
-        head
+        assert!(batch.plan().is_none());
+        build_chain(ctx, batch, spec, false)
     }
 
-    /// Plan-style: build on one "thread", apply to a fresh chain.
+    /// Plan-style: build on one "thread", replay onto a fresh chain.
     fn build_via_plan(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> TBlock {
-        let plan = build_plan(ctx, batch, spec);
-        let head = batch.block(ctx);
-        let mut tail = head.clone();
-        for i in 0..spec.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            plan.apply_layer(i, &tail);
-        }
-        head
+        let mut planned = batch.clone();
+        planned.set_plan(Arc::new(build_plan(ctx, batch, spec)));
+        build_chain(ctx, &planned, spec, false)
     }
 
     fn assert_chains_identical(a: &TBlock, b: &TBlock) {
@@ -278,20 +293,13 @@ mod tests {
         let mut batch = TBatch::new(Arc::clone(&g), 0..4);
         batch.set_negatives(vec![4, 5, 4, 5]);
         let s = spec(true, false);
-        let plan = build_plan(&ctx, &batch, &s);
+        batch.set_plan(Arc::new(build_plan(&ctx, &batch, &s)));
         // The counters are process-global and sibling tests bump them
         // concurrently, so one quiet replay is the proof: if
         // `apply_layer` itself counted, no attempt could come out clean.
         let moved = |_| {
             let before = tgl_obs::metrics::snapshot();
-            let head = batch.block(&ctx);
-            let mut tail = head.clone();
-            for i in 0..s.n_layers {
-                if i > 0 {
-                    tail = tail.next_block();
-                }
-                plan.apply_layer(i, &tail);
-            }
+            build_chain(&ctx, &batch, &s, false);
             let after = tgl_obs::metrics::snapshot();
             before
                 .iter()

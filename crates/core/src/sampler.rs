@@ -31,13 +31,6 @@ impl TSampler {
         self.inner.num_neighbors()
     }
 
-    /// The underlying sampling engine (models expose a clone of this in
-    /// their [`crate::plan::SamplingSpec`] so a prefetch stage can
-    /// replay sampling deterministically).
-    pub fn engine(&self) -> &TemporalSampler {
-        &self.inner
-    }
-
     /// Samples the block's neighborhood in place and returns the same
     /// block for chaining.
     ///

@@ -366,12 +366,39 @@ mod tests {
         assert_eq!(m.end_epoch(0, &[p], f64::NAN), None);
     }
 
+    /// The fail policy dumps the flight recorder before panicking.
+    /// This points `TGL_FLIGHT_DIR` at a directory of the test's own
+    /// and removes both when dropped, which the policy's panic does on
+    /// its way out, so the test leaves no file behind. The variable is
+    /// process-global: holders take turns.
+    struct FlightDir {
+        dir: std::path::PathBuf,
+        _turn: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl FlightDir {
+        fn new(test: &str) -> FlightDir {
+            static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            let turn = TURN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let dir = std::env::temp_dir()
+                .join(format!("tgl-health-{test}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("create flight dir");
+            std::env::set_var("TGL_FLIGHT_DIR", &dir);
+            FlightDir { dir, _turn: turn }
+        }
+    }
+
+    impl Drop for FlightDir {
+        fn drop(&mut self) {
+            std::env::remove_var("TGL_FLIGHT_DIR");
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "non-finite loss")]
     fn fail_policy_panics_on_nonfinite_loss() {
-        // The fail policy dumps the flight recorder before panicking;
-        // point it at a temp dir so the test leaves no file behind.
-        std::env::set_var("TGL_FLIGHT_DIR", std::env::temp_dir());
+        let _dir = FlightDir::new("nonfinite-loss");
         HealthMonitor::new(HealthPolicy::Fail).check_loss(1, 2, f32::NAN);
     }
 
@@ -405,7 +432,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "alert loss-divergence fired")]
     fn fail_policy_panics_on_fail_severity_firing() {
-        std::env::set_var("TGL_FLIGHT_DIR", std::env::temp_dir());
+        let _dir = FlightDir::new("fail-firing");
         let firing = tgl_obs::alert::Firing {
             rule: "loss-divergence".into(),
             metric: "train.loss".into(),

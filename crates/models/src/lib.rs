@@ -133,6 +133,19 @@ impl ModelConfig {
     }
 }
 
+/// The chain-construction recipe TGAT and TGN share: `n_layers` blocks
+/// of up to `n_neighbors` most-recent neighbors each, sampled with an
+/// engine seeded like the parameters.
+fn sampling_spec(cfg: &ModelConfig, opts: &OptFlags, seed: u64) -> tglite::plan::SamplingSpec {
+    use tgl_sampler::{SamplingStrategy, TemporalSampler};
+    tglite::plan::SamplingSpec {
+        n_layers: cfg.n_layers,
+        dedup: opts.dedup,
+        preload_pinned: opts.preload_pinned,
+        sampler: TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent).with_seed(seed),
+    }
+}
+
 /// A trainable temporal-graph model for link prediction.
 pub trait TemporalModel {
     /// Model name as used in the paper's tables.
@@ -158,13 +171,14 @@ pub trait TemporalModel {
     /// node state as a side effect (raw-message mailbox discipline).
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor);
 
-    /// The training-mode sampling/staging recipe, if this model's
-    /// chain construction is a pure function of the batch (no
-    /// parameter- or state-dependent sampling). The pipelined trainer
-    /// uses it to prefetch batch N+1 on a sampler stage; `None` (the
-    /// default) limits prefetching to negative draws — memory-based
-    /// models read mutable node state during chain construction, so
-    /// their sampling cannot safely run ahead of the optimizer.
+    /// The sampling/staging recipe, if this model builds its block
+    /// chain with [`tglite::plan::build_chain`]: chain construction is
+    /// then a pure function of the batch (no parameter- or
+    /// state-dependent sampling), and the pipelined trainer uses the
+    /// spec to prefetch batch N+1's chain on a sampler stage. A memory
+    /// model qualifies as long as its memory/mailbox reads happen in
+    /// `forward`, after the chain is built (TGN). `None` (the default)
+    /// limits prefetching to negative draws.
     fn sampling_spec(&self) -> Option<tglite::plan::SamplingSpec> {
         None
     }

@@ -2,10 +2,10 @@
 
 use tgl_runtime::rng::StdRng;
 use tgl_runtime::rng::SeedableRng;
-use tgl_sampler::SamplingStrategy;
 use tgl_tensor::nn::Module;
 use tgl_tensor::Tensor;
-use tglite::{op, TBatch, TContext, TSampler};
+use tglite::plan::{self, SamplingSpec};
+use tglite::{op, TBatch, TContext};
 
 use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalAttnLayer, TemporalModel};
 
@@ -13,12 +13,12 @@ use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalAttn
 /// sampled neighborhoods, with learnable time encoding.
 ///
 /// This mirrors the paper's Listing 2: build the block chain
-/// iteratively (`block` → `dedup` → `cache` → `sample` per layer),
-/// `preload` features, seed the tail with raw features, then
-/// `aggregate` the attention layers over the chain.
+/// iteratively (`block` → `dedup` → `cache` → `sample` per layer) and
+/// `preload` features ([`plan::build_chain`]), seed the tail with raw
+/// features, then `aggregate` the attention layers over the chain.
 pub struct Tgat {
     layers: Vec<TemporalAttnLayer>,
-    sampler: TSampler,
+    spec: SamplingSpec,
     predictor: EdgePredictor,
     opts: OptFlags,
     cfg: ModelConfig,
@@ -45,10 +45,7 @@ impl Tgat {
             .collect();
         Tgat {
             layers,
-            sampler: TSampler::from_engine(
-                tgl_sampler::TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent)
-                    .with_seed(seed),
-            ),
+            spec: crate::sampling_spec(&cfg, &opts, seed),
             predictor: EdgePredictor::new(cfg.emb_dim, &mut rng).to_device(device),
             opts,
             cfg,
@@ -61,38 +58,10 @@ impl Tgat {
     /// When the batch carries a prefetch plan (pipelined training),
     /// the chain is rebuilt by replaying the plan — dedup, sampling,
     /// and feature staging already happened on the sampler stage —
-    /// instead of recomputing them here. The replay is bitwise
-    /// identical to the inline construction (see `tglite::plan`).
+    /// instead of recomputing them here (see [`plan::build_chain`]).
     pub fn embeddings(&self, ctx: &TContext, batch: &TBatch) -> Tensor {
-        let plan = if self.training { batch.plan() } else { None };
-        // The prep_batch phase fired on the sampler stage when a plan
-        // was built there; the cheap rebuild here stays unscoped so
-        // the phase breakdown counts that work once.
-        let prep = plan.is_none().then(|| tglite::prof::scope("prep_batch"));
-        let head = batch.block(ctx);
-        drop(prep);
-        let mut tail = head.clone();
-        for i in 0..self.cfg.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            if let Some(plan) = plan {
-                plan.apply_layer(i, &tail);
-                continue;
-            }
-            if self.opts.dedup {
-                op::dedup(&tail);
-            }
-            if self.opts.cache && !self.training {
-                op::cache(ctx, &tail);
-            }
-            let _s = tglite::prof::scope("sample");
-            self.sampler.sample(&tail);
-        }
-        if self.opts.preload_pinned && plan.is_none() {
-            let _p = tglite::prof::scope("preload");
-            op::preload(ctx, &head, true);
-        }
+        let head = plan::build_chain(ctx, batch, &self.spec, self.opts.cache && !self.training);
+        let tail = head.tail();
         let _f = tglite::prof::scope("feature_load");
         tail.set_dstdata("h", tail.dstfeat());
         tail.set_srcdata("h", tail.srcfeat());
@@ -140,13 +109,8 @@ impl TemporalModel for Tgat {
         score_embeddings(&self.predictor, &embs, batch.len())
     }
 
-    fn sampling_spec(&self) -> Option<tglite::plan::SamplingSpec> {
-        Some(tglite::plan::SamplingSpec {
-            n_layers: self.cfg.n_layers,
-            dedup: self.opts.dedup,
-            preload_pinned: self.opts.preload_pinned,
-            sampler: self.sampler.engine().clone(),
-        })
+    fn sampling_spec(&self) -> Option<SamplingSpec> {
+        Some(self.spec.clone())
     }
 }
 

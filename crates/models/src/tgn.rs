@@ -4,12 +4,12 @@
 use tgl_runtime::rng::StdRng;
 use tgl_runtime::rng::SeedableRng;
 use tgl_graph::NodeId;
-use tgl_sampler::SamplingStrategy;
 use tgl_tensor::nn::{GruCell, Linear, Module};
 use tgl_tensor::ops::cat;
 use tgl_tensor::{no_grad, Tensor};
 use tglite::nn::TimeEncode;
-use tglite::{op, TBatch, TBlock, TContext, TSampler};
+use tglite::plan::{self, SamplingSpec};
+use tglite::{op, TBatch, TBlock, TContext};
 
 use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalAttnLayer, TemporalModel};
 
@@ -26,7 +26,7 @@ pub struct Tgn {
     memory_updater: GruCell,
     mem_time_encoder: TimeEncode,
     feat_linear: Linear,
-    sampler: TSampler,
+    spec: SamplingSpec,
     predictor: EdgePredictor,
     opts: OptFlags,
     cfg: ModelConfig,
@@ -61,10 +61,7 @@ impl Tgn {
                 .to_device(device),
             mem_time_encoder: TimeEncode::new(cfg.time_dim, &mut rng).to_device(device),
             feat_linear: Linear::new(d_node, mem_dim, &mut rng).to_device(device),
-            sampler: TSampler::from_engine(
-                tgl_sampler::TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent)
-                    .with_seed(seed),
-            ),
+            spec: crate::sampling_spec(&cfg, &opts, seed),
             predictor: EdgePredictor::new(cfg.emb_dim, &mut rng).to_device(device),
             opts,
             cfg,
@@ -158,33 +155,24 @@ impl TemporalModel for Tgn {
     }
 
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
-        // Build the block chain (dedup only: the paper skips cache()
-        // for TGN since memory updates invalidate cached embeddings).
-        let head = batch.block(ctx);
-        let mut tail = head.clone();
-        for i in 0..self.cfg.n_layers {
-            if i > 0 {
-                tail = tail.next_block();
-            }
-            if self.opts.dedup {
-                op::dedup(&tail);
-            }
-            self.sampler.sample(&tail);
-        }
-        if self.opts.preload_pinned {
-            op::preload(ctx, &head, true);
-        }
+        // Build the block chain, or replay the batch's prefetch plan
+        // (dedup only: the paper skips cache() for TGN since memory
+        // updates invalidate cached embeddings). Nothing up to here
+        // reads node memory, which is why the chain can be planned
+        // ahead; everything below does, on this thread, in batch order.
+        let head = plan::build_chain(ctx, batch, &self.spec, false);
+        let tail = head.tail();
 
         // Deepest inputs: updated memory ⊕ projected raw features for
         // the tail's destinations and sources (paper Listing 4 lines
-        // 4-7).
+        // 4-7). The features are the ones the chain already staged.
         let mut nodes = tail.dst_nodes();
         let n_dst = nodes.len();
         nodes.extend(tail.src_nodes());
         let mem = self.update_memory(ctx, &nodes);
         let nfeat = self
             .feat_linear
-            .forward(&ctx.graph().node_feat_rows(&nodes).to(ctx.device()));
+            .forward(&cat(&[tail.dstfeat(), tail.srcfeat()], 0));
         let h = nfeat.add(&mem);
         tail.set_dstdata("h", h.narrow_rows(0, n_dst));
         tail.set_srcdata("h", h.narrow_rows(n_dst, nodes.len() - n_dst));
@@ -201,6 +189,10 @@ impl TemporalModel for Tgn {
         self.save_state(ctx, batch);
 
         score_embeddings(&self.predictor, &embs, batch.len())
+    }
+
+    fn sampling_spec(&self) -> Option<SamplingSpec> {
+        Some(self.spec.clone())
     }
 }
 
@@ -236,6 +228,46 @@ mod tests {
         let (mail, times) = g.mailbox().latest(&[src0]);
         assert!(times[0] > 0.0, "mail delivery time not set");
         assert!(mail.to_vec().iter().any(|&v| v != 0.0) || times[0] > 0.0);
+    }
+
+    #[test]
+    fn plan_driven_forward_is_bitwise_identical() {
+        // Replaying a prefetch plan (pipelined training) must produce
+        // the exact logits the inline chain construction produces, and
+        // leave the same memory and mailbox behind: the plan holds no
+        // node state, so two steps in a row see each other's writes.
+        let bits = |t: &Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
+        for opts in [OptFlags::none(), OptFlags::all()] {
+            let run = |planned: bool| {
+                let g = small_graph(15);
+                let ctx = ctx_for(&g);
+                let mut model = Tgn::new(&ctx, ModelConfig::tiny(), opts, 11);
+                let mut out = Vec::new();
+                for (range, neg_seed) in [(0..30, 2), (30..60, 3)] {
+                    let mut batch = batch_with_negs(&g, range, neg_seed);
+                    if planned {
+                        let spec = model.sampling_spec().expect("TGN is plan-aware");
+                        let plan = plan::build_plan(&ctx, &batch, &spec);
+                        batch.set_plan(std::sync::Arc::new(plan));
+                    }
+                    let (pos, neg) = model.forward(&ctx, &batch);
+                    out.push((bits(&pos), bits(&neg)));
+                }
+                let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
+                let (mem, mb) = (g.memory(), g.mailbox());
+                let (mail, mail_ts) = mb.latest(&all);
+                (
+                    out,
+                    bits(&mem.rows(&all)),
+                    mem.times(&all),
+                    bits(&mail),
+                    mail_ts,
+                )
+            };
+            let (inline, planned) = (run(false), run(true));
+            assert!(inline.3.iter().any(|&b| b != 0), "no mail was stored");
+            assert_eq!(inline, planned, "plan replay drifted (opts {opts:?})");
+        }
     }
 
     #[test]

@@ -100,6 +100,25 @@ grep -q "pipeline: sampler stage prefetching up to 2 batches" "$PIPE_LOG" \
 awk '$1=="sample" {s=$4+0} $1=="transfer" {t=$4+0} END {exit !(s>0 || t>0)}' "$PIPE_LOG" \
     || { echo "pipelined run shows no overlapped sample/transfer time"; cat "$PIPE_LOG"; exit 1; }
 
+echo "==> host-resident TGN (--move --pipeline 2): each feature row crosses the link once"
+MOVE_REPORT="$OBS_DIR/tgn-move.json"
+MOVE_LOG="$OBS_DIR/tgn-move.log"
+TGL_THREADS=2 ./target/release/tgl train --model tgn --move --pipeline 2 --scale 8 --epochs 1 \
+    --metrics-out "$MOVE_REPORT" >"$MOVE_LOG" 2>&1 \
+    || { cat "$MOVE_LOG"; exit 1; }
+./target/release/tgl jsoncheck "$MOVE_REPORT"
+# Staging one row per feature slot moves at least 4 * (d_v + d_e) bytes
+# per sampled neighbor; staging distinct rows moves about an eighth of
+# that at any scale. Fail at a quarter.
+move_counter() { grep -o "\"$1\": *[0-9]*" "$MOVE_REPORT" | tail -1 | grep -o '[0-9]*$'; }
+H2D_BYTES="$(move_counter 'transfer\.h2d_bytes')"
+NEIGHBORS="$(move_counter 'sampler\.neighbors')"
+read -r D_V D_E < <(./target/release/tgl stats --dataset wiki --scale 8 \
+    | sed -n 's/.*d_v = \([0-9]*\) *d_e = \([0-9]*\).*/\1 \2/p')
+PER_SLOT_BYTES=$((4 * (D_V + D_E) * NEIGHBORS))
+[ "$PER_SLOT_BYTES" -gt 0 ] && [ $((4 * H2D_BYTES)) -le "$PER_SLOT_BYTES" ] \
+    || { echo "host-resident TGN moved $H2D_BYTES B over the link; per-slot staging would move $PER_SLOT_BYTES B, the limit is a quarter of that"; exit 1; }
+
 echo "==> live /metrics exposition + scrape check (with SLO rules + dashboard)"
 QS_LOG="$OBS_DIR/serve.log"
 TGL_THREADS=2 ./target/release/quickstart \

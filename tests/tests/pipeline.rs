@@ -13,8 +13,10 @@
 use std::sync::{Mutex, MutexGuard};
 
 use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
+use tgl_device::TransferModel;
+use tgl_harness::runner::{prepare_context, Placement};
 use tgl_harness::{HealthPolicy, TrainConfig, Trainer};
-use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat};
+use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::metrics;
 use tglite::TContext;
@@ -46,15 +48,19 @@ fn counters() -> Vec<u64> {
 /// Per-epoch `(loss, val_ap)` bits plus tracked counter deltas.
 type RunResult = (Vec<(u32, u64)>, Vec<u64>);
 
-/// Trains 2 epochs of TGAT (all operators on) at the given pipeline
-/// depth, returning per-epoch `(loss, val_ap)` bits and the tracked
-/// counter deltas.
-fn run(depth: usize) -> RunResult {
-    let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(20);
-    let (g, _) = generate(&spec);
-    let split = Split::standard(&g);
-    let ctx = TContext::new(g.clone());
-    let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
+fn tiny_wiki() -> DatasetSpec {
+    DatasetSpec::of(DatasetKind::Wiki).scaled_down(20)
+}
+
+/// Trains 2 epochs of `model` at the given pipeline depth, returning
+/// per-epoch `(loss, val_ap)` bits and the tracked counter deltas.
+fn train(
+    model: &mut dyn TemporalModel,
+    ctx: &TContext,
+    spec: &DatasetSpec,
+    depth: usize,
+) -> RunResult {
+    let split = Split::standard(ctx.graph());
     let trainer = Trainer::new(
         TrainConfig {
             batch_size: 60,
@@ -70,13 +76,35 @@ fn run(depth: usize) -> RunResult {
     let before = counters();
     let stats = (0..2)
         .map(|e| {
-            let s = trainer.train_epoch(&mut model, &ctx, &split, &mut opt, e);
+            let s = trainer.train_epoch(model, ctx, &split, &mut opt, e);
             (s.loss.to_bits(), s.val_ap.to_bits())
         })
         .collect();
     let after = counters();
     let deltas = before.iter().zip(&after).map(|(b, a)| a - b).collect();
     (stats, deltas)
+}
+
+/// TGAT (all operators on) with everything on the host tier.
+fn run(depth: usize) -> RunResult {
+    let spec = tiny_wiki();
+    let (g, _) = generate(&spec);
+    let ctx = TContext::new(g);
+    let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
+    train(&mut model, &ctx, &spec, depth)
+}
+
+/// TGN (all operators on) computing on the accelerator tier with
+/// host-resident features behind an enabled link model. Also returns
+/// the run's accelerator-tier high-water mark.
+fn run_tgn_host_resident(depth: usize) -> (RunResult, u64) {
+    let spec = tiny_wiki();
+    let (ctx, _) = prepare_context(&spec, Placement::HostResident, TransferModel::pcie_v100());
+    tgl_device::reset_stats();
+    let mut model = Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
+    let result = train(&mut model, &ctx, &spec, depth);
+    tgl_device::set_transfer_model(TransferModel::disabled());
+    (result, tgl_device::stats().accel_peak_bytes)
 }
 
 /// The tentpole contract: at queue depths 1, 2, and 4 and pool widths
@@ -114,6 +142,54 @@ fn pipelined_matches_sequential_bitwise_across_depths_and_threads() {
                 sequential.1, piped.1,
                 "counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
             );
+        }
+    }
+    set_threads(1);
+}
+
+/// The same contract for a memory model whose features cross the link:
+/// TGN's chain (dedup, sampling, distinct-row staging) is planned on
+/// the sampler stage while its memory and mailbox reads stay on the
+/// compute thread, so every depth and pool width reproduces the
+/// sequential losses, APs and counter deltas bitwise. Queued plans
+/// hold staged tables, not expanded tensors, so a deep queue must not
+/// raise the accelerator-tier peak.
+#[test]
+fn tgn_host_resident_matches_sequential_and_keeps_device_peak() {
+    let _g = serial();
+    let mut baseline: Option<RunResult> = None;
+    for threads in [1usize, 4] {
+        set_threads(threads);
+        let (sequential, peak0) = run_tgn_host_resident(0);
+        let moved = &sequential.1[5..];
+        assert!(
+            moved.iter().all(|&d| d > 0),
+            "reference run staged nothing over the link: {TRACKED:?} = {:?}",
+            sequential.1
+        );
+        match &baseline {
+            None => baseline = Some(sequential.clone()),
+            Some(b) => assert_eq!(
+                b, &sequential,
+                "sequential reference not invariant across thread counts"
+            ),
+        }
+        for depth in [1usize, 2, 4] {
+            let (piped, peak) = run_tgn_host_resident(depth);
+            assert_eq!(
+                sequential.0, piped.0,
+                "TGN losses/val-AP diverged at depth {depth}, {threads} threads"
+            );
+            assert_eq!(
+                sequential.1, piped.1,
+                "TGN counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
+            );
+            if depth == 4 {
+                assert!(
+                    peak as f64 <= peak0 as f64 * 1.03,
+                    "accel peak grew with the queue: {peak0} B at depth 0, {peak} B at depth 4"
+                );
+            }
         }
     }
     set_threads(1);
