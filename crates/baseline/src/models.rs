@@ -12,7 +12,9 @@ use tgl_graph::NodeId;
 use tgl_models::{EdgePredictor, ModelConfig, TemporalModel};
 use tgl_sampler::{SamplingStrategy, TemporalSampler};
 use tgl_tensor::nn::{GruCell, Linear, Mlp, Module, RnnCell};
-use tgl_tensor::ops::{cat, segment_mean, segment_softmax, segment_sum};
+use tgl_tensor::ops::{
+    cat, segment_dot, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
+};
 use tgl_tensor::{no_grad, Tensor};
 use tglite::nn::TimeEncode;
 use tglite::{TBatch, TContext};
@@ -73,8 +75,12 @@ impl AttnParams {
         let _t0 = tglite::prof::scope("time_zero");
         let tfeats = self.te.forward(&vec![0.0; n_dst]);
         drop(_t0);
-        let q = self.w_q.forward(&cat(&[h_dst.clone(), tfeats], 1));
+        let q = {
+            let _ta = tglite::prof::scope("attention");
+            self.w_q.forward(&cat(&[h_dst.clone(), tfeats], 1))
+        };
         if n_edges == 0 {
+            let _ta = tglite::prof::scope("attention");
             let r = Tensor::zeros_on([n_dst, hd], h_dst.device());
             return self.ffn.forward(&cat(&[r, h_dst.clone()], 1));
         }
@@ -85,19 +91,10 @@ impl AttnParams {
         let z = cat(&[h_src.clone(), mfg.edge_feat().clone(), nbr_t], 1);
         let k = self.w_k.forward(&z);
         let v = self.w_v.forward(&z);
-        let q_edge = q.index_select(mfg.dst_index());
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let logits = q_edge
-            .mul(&k)
-            .reshape([n_edges, self.heads, self.head_dim])
-            .sum_dim(2)
-            .mul_scalar(scale);
+        let logits = segment_dot(&q, &k, mfg.dst_index(), self.heads, scale);
         let attn = segment_softmax(&logits, mfg.dst_index(), n_dst);
-        let weighted = v
-            .reshape([n_edges, self.heads, self.head_dim])
-            .mul(&attn.reshape([n_edges, self.heads, 1]))
-            .reshape([n_edges, hd]);
-        let r = segment_sum(&weighted, mfg.dst_index(), n_dst);
+        let r = segment_weighted_sum(&v, &attn, mfg.dst_index(), n_dst);
         self.ffn.forward(&cat(&[r, h_dst.clone()], 1))
     }
 }

@@ -21,7 +21,7 @@ use tgl_runtime::set_threads;
 use tgl_data::{generate, DatasetKind, DatasetSpec};
 use tgl_device::{Device, PinnedPool};
 use tgl_sampler::{SamplingStrategy, TemporalSampler};
-use tgl_tensor::ops::{segment_softmax, segment_sum};
+use tgl_tensor::ops::{segment_dot, segment_softmax, segment_sum, segment_weighted_sum};
 use tgl_tensor::Tensor;
 use tglite::nn::TimeEncode;
 use tglite::{op, TBlock, TContext, TSampler};
@@ -39,6 +39,14 @@ fn time_it<R>(mut f: impl FnMut() -> R, budget_s: f64) -> f64 {
         std::hint::black_box(f());
     }
     t0.elapsed().as_secs_f64() / iters as f64
+}
+
+/// Like [`time_it`] for a step that times itself (so set-up inside
+/// `once` stays outside the measurement): mean of the seconds `once`
+/// returns over roughly `budget_s` of them.
+fn mean_of(mut once: impl FnMut() -> f64, budget_s: f64) -> f64 {
+    let iters = ((budget_s / once().max(1e-9)) as usize).clamp(1, 10_000);
+    (0..iters).map(|_| once()).sum::<f64>() / iters as f64
 }
 
 fn report<R>(name: &str, f: impl FnMut() -> R) {
@@ -106,8 +114,27 @@ fn bench_time_encode() {
     // Quantized deltas: few distinct values (the precompute win case).
     let deltas: Vec<f32> = (0..2048).map(|i| (i % 40) as f32 * 900.0).collect();
     report("time_encode_direct_2048", || enc.forward(&deltas));
-    op::precomputed_times(&ctx, &enc, &deltas); // warm the table
     report("time_encode_precomputed_2048", || op::precomputed_times(&ctx, &enc, &deltas));
+    // What sampled-neighbor deltas look like on `tgat_infer` (where a
+    // memo of Φ rows lost to recomputing them): 6 000 per call, ~98%
+    // distinct within the call, ~57% of them seen in the call before.
+    let calls: Vec<Vec<f32>> = (0..8usize)
+        .map(|c| {
+            (0..6000usize)
+                .map(|i| {
+                    let fresh = i % 100 >= 57;
+                    let id = if fresh { c * 6000 + i } else { (c + 7) % 8 * 6000 + i + 57 };
+                    (id % 47_000 - i % 50 / 49) as f32 * 3.5
+                })
+                .collect()
+        })
+        .collect();
+    let mut turn = 0;
+    report("time_encode_precomputed_6000_mixed", || {
+        turn = (turn + 1) % calls.len();
+        op::precomputed_times(&ctx, &enc, &calls[turn])
+    });
+    report("time_zeros_precomputed_600", || op::precomputed_zeros(&ctx, &enc, 600));
 }
 
 fn bench_transfers() {
@@ -140,7 +167,8 @@ fn bench_matmul() {
 }
 
 /// One measured GEMM cell: entry point `op` (`nn` forward, `nt` / `tn`
-/// the two backward products) at forward shape `m x k x n`.
+/// the two backward products, `linear` / `linear.bwd` the fused layer
+/// and its two-product backward) at forward shape `m x k x n`.
 struct GemmCell {
     op: &'static str,
     m: usize,
@@ -160,7 +188,8 @@ impl GemmCell {
         threads: usize,
         secs: f64,
     ) -> GemmCell {
-        let gflops = 2.0 * (m * k * n) as f64 / secs / 1e9;
+        let products = if op == "linear.bwd" { 2.0 } else { 1.0 };
+        let gflops = products * 2.0 * (m * k * n) as f64 / secs / 1e9;
         println!(
             "  gemm_{op}_{:<18} {kernel:<5} t={threads:<2} {:>12.1} us/iter  {gflops:>7.2} GFLOP/s",
             format!("{m}x{k}x{n}"),
@@ -200,8 +229,32 @@ fn time_backward_gemm(op: &str, (m, k, n): (usize, usize, usize), budget_s: f64)
         b.zero_grad();
         secs
     };
-    let iters = ((budget_s / once().max(1e-9)) as usize).clamp(1, 10_000);
-    (0..iters).map(|_| once()).sum::<f64>() / iters as f64
+    mean_of(once, budget_s)
+}
+
+/// Mean seconds of `x.linear(w, b, relu = false)` forward (`bwd` false)
+/// or of the backward sweep through it with all three inputs on the
+/// graph (`dX = dY·W`, `dW = dYᵀ·X`, `db`), at forward shape
+/// `[m, k] x [n, k]`.
+fn time_linear(bwd: bool, (m, k, n): (usize, usize, usize), budget_s: f64) -> f64 {
+    let mut rng = StdRng::seed_from_u64(5);
+    let x = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng).requires_grad(bwd);
+    let w = Tensor::rand_uniform([n, k], -1.0, 1.0, &mut rng).requires_grad(bwd);
+    let b = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng).requires_grad(bwd);
+    if !bwd {
+        return time_it(|| x.linear(&w, Some(&b), false), budget_s);
+    }
+    let seed = Tensor::rand_uniform([m, n], -1.0, 1.0, &mut rng).to_vec();
+    let once = || {
+        let y = x.linear(&w, Some(&b), false);
+        let go = seed.clone();
+        let t0 = Instant::now();
+        y.backward_with(go);
+        let secs = t0.elapsed().as_secs_f64();
+        [&x, &w, &b].into_iter().for_each(Tensor::zero_grad);
+        secs
+    };
+    mean_of(once, budget_s)
 }
 
 /// Times the cache-blocked GEMM over a size series that spans the
@@ -281,6 +334,23 @@ fn bench_gemm_series(counts: &[usize]) {
             }
         }
     }
+    // The fused `Linear` op (GEMM on the stored weight + bias epilogue,
+    // one backward node) at the same two shapes, after everything older.
+    println!();
+    println!("== fused linear (x.Wt + b) forward and backward ==");
+    for mode in MODES {
+        tgl_tensor::kernel::set_mode(mode);
+        for shape in BWD_SHAPES {
+            for &t in counts.iter().filter(|&&t| t <= 2) {
+                set_threads(t);
+                let series = if t == 1 { &mut cells } else { &mut tcells };
+                for (op, bwd) in [("linear", false), ("linear.bwd", true)] {
+                    let secs = time_linear(bwd, shape, 0.3);
+                    series.push(GemmCell::new(op, shape, mode.label(), t, secs));
+                }
+            }
+        }
+    }
     tgl_tensor::kernel::set_mode(ambient_mode);
     set_threads(1);
 
@@ -321,9 +391,54 @@ fn bench_gemm_series(counts: &[usize]) {
 
 /// One measured cell of the thread sweep.
 struct SweepCell {
-    bench: &'static str,
+    bench: String,
     threads: usize,
     secs: f64,
+}
+
+/// The two attention segment kernels at one TGAT batch's shape
+/// (6 000 sampled edges over 600 destinations, 2 heads of 16), forward
+/// and backward, at 1 and 2 threads in both kernel modes.
+fn attention_kernel_sweep(counts: &[usize]) -> Vec<SweepCell> {
+    let (e, s, h, d) = (6000usize, 600usize, 2usize, 16usize);
+    let mut rng = StdRng::seed_from_u64(11);
+    let seg: Vec<usize> = (0..e).map(|i| i / 10).collect();
+    let q = Tensor::rand_uniform([s, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
+    let k = Tensor::rand_uniform([e, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
+    let a = Tensor::rand_uniform([e, h], 0.0, 1.0, &mut rng).requires_grad(true);
+    let backward = |y: Tensor| {
+        let go = vec![1.0; y.numel()];
+        let t0 = Instant::now();
+        y.backward_with(go);
+        let secs = t0.elapsed().as_secs_f64();
+        [&q, &k, &a].into_iter().for_each(Tensor::zero_grad);
+        secs
+    };
+    let ambient = tgl_tensor::kernel::mode();
+    let mut cells = Vec::new();
+    for mode in [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast] {
+        tgl_tensor::kernel::set_mode(mode);
+        for &t in counts.iter().filter(|&&t| t <= 2) {
+            set_threads(t);
+            let scale = 1.0 / (d as f32).sqrt();
+            let timed = [
+                ("segment_dot", time_it(|| segment_dot(&q, &k, &seg, h, scale), 0.3)),
+                ("segment_dot_bwd", mean_of(|| backward(segment_dot(&q, &k, &seg, h, scale)), 0.3)),
+                ("segment_weighted_sum", time_it(|| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
+                (
+                    "segment_weighted_sum_bwd",
+                    mean_of(|| backward(segment_weighted_sum(&k, &a, &seg, s)), 0.3),
+                ),
+            ];
+            cells.extend(timed.map(|(kernel, secs)| SweepCell {
+                bench: format!("{kernel}_{e}x{h}x{d}_{}", mode.label()),
+                threads: t,
+                secs,
+            }));
+        }
+    }
+    tgl_tensor::kernel::set_mode(ambient);
+    cells
 }
 
 /// Sweeps the three hottest parallel kernels over the given thread
@@ -350,17 +465,17 @@ fn thread_sweep(counts: &[usize]) -> Vec<SweepCell> {
         set_threads(t);
         let uniform = TemporalSampler::new(10, SamplingStrategy::Uniform).with_threads(t);
         cells.push(SweepCell {
-            bench: "matmul_512",
+            bench: "matmul_512".into(),
             threads: t,
             secs: time_it(|| a.matmul(&b), 0.5),
         });
         cells.push(SweepCell {
-            bench: "segment_softmax_32768x16",
+            bench: "segment_softmax_32768x16".into(),
             threads: t,
             secs: time_it(|| segment_softmax(&vals, &seg, nseg), 0.5),
         });
         cells.push(SweepCell {
-            bench: "sampling_uniform_1024x10",
+            bench: "sampling_uniform_1024x10".into(),
             threads: t,
             secs: time_it(|| uniform.sample(&csr, &nodes, &times), 0.5),
         });
@@ -385,7 +500,7 @@ fn sweep_json(cells: &[SweepCell], counts: &[usize], host_cpus: usize) -> String
     ));
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let speedup = base(c.bench) / c.secs;
+        let speedup = base(&c.bench) / c.secs;
         s.push_str(&format!(
             "    {{\"bench\": {:?}, \"threads\": {}, \"secs\": {:.6e}, \"speedup_vs_1t\": {:.3}}}{}\n",
             c.bench,
@@ -417,7 +532,10 @@ fn main() {
     bench_gemm_series(&counts);
     println!();
     println!("== thread sweep ({host_cpus} host cpus) ==");
-    let cells = thread_sweep(&counts);
+    // Appended after the sweep so `scripts/bench_trend` keeps matching
+    // the older rows by position.
+    let mut cells = thread_sweep(&counts);
+    cells.extend(attention_kernel_sweep(&counts));
     for c in &cells {
         let base = cells
             .iter()

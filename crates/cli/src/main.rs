@@ -384,7 +384,10 @@ fn train(args: &Args, eval_only: bool) {
 
     if eval_only {
         if let Some(path) = args.get("ckpt") {
-            model.load(std::path::Path::new(path)).expect("load checkpoint");
+            if let Err(e) = model.load(std::path::Path::new(path)) {
+                eprintln!("--ckpt {path}: {e}");
+                std::process::exit(2);
+            }
             println!("loaded checkpoint {path}");
         }
     }

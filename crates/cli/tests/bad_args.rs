@@ -43,3 +43,43 @@ fn zero_scale_is_a_usage_error() {
     assert!(stderr.contains("--scale"), "error must name the flag: {stderr}");
     assert!(!stdout.contains("loss"), "must not train: {stdout}");
 }
+
+fn tgl_eval_ckpt(path: &std::path::Path) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
+        .args(["eval", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--ckpt"])
+        .arg(path)
+        .output()
+        .expect("run tgl");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn missing_checkpoint_is_a_one_line_error() {
+    let path = std::env::temp_dir().join(format!("tgl-no-such-ckpt-{}.tglt", std::process::id()));
+    let (code, stdout, stderr) = tgl_eval_ckpt(&path);
+    assert_eq!(code, Some(2), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error, no backtrace: {stderr}");
+    assert!(stderr.contains("--ckpt") && stderr.contains(path.to_str().unwrap()), "{stderr}");
+    assert!(!stdout.contains("test AP"), "must not evaluate: {stdout}");
+}
+
+#[test]
+fn garbage_checkpoint_is_a_one_line_error() {
+    let path = std::env::temp_dir().join(format!("tgl-garbage-ckpt-{}.tglt", std::process::id()));
+    // A valid header for zero tensors, then noise; and plain noise.
+    let truncated = [&b"TGLT"[..], &1u32.to_le_bytes(), &0u32.to_le_bytes(), b"junk"].concat();
+    for (bytes, reason) in [(truncated, "tensors"), (b"not a checkpoint at all".to_vec(), "TGLT")] {
+        std::fs::write(&path, bytes).expect("write fixture");
+        let (code, stdout, stderr) = tgl_eval_ckpt(&path);
+        assert_eq!(code, Some(2), "stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one-line error, no backtrace: {stderr}");
+        assert!(stderr.contains(path.to_str().unwrap()), "error must name the file: {stderr}");
+        assert!(stderr.contains(reason), "error must give the reason: {stderr}");
+        assert!(!stdout.contains("test AP"), "must not evaluate: {stdout}");
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -8,7 +8,8 @@ use tgl_tensor::Tensor;
 ///
 /// Maps a batch of scalar time deltas to `dim`-dimensional vectors by
 /// broadcasting the delta against learnable frequency (`ω`) and phase
-/// (`φ`) vectors. TGAT/TGN inject these vectors into message passing by
+/// (`φ`) vectors, in one kernel (`tgl_tensor::ops::time_encode`).
+/// TGAT/TGN inject these vectors into message passing by
 /// concatenation with node/edge features.
 ///
 /// # Examples
@@ -63,16 +64,13 @@ impl TimeEncode {
         }
     }
 
-    /// Encodes a slice of deltas into `[n, dim]` time vectors.
+    /// Encodes a slice of deltas into `[n, dim]` time vectors
+    /// (differentiable in `ω` and `φ`).
     pub fn forward(&self, deltas: &[f32]) -> Tensor {
-        let n = deltas.len();
-        let dt = Tensor::from_vec(deltas.to_vec(), [n, 1]).to(self.weight.device());
-        self.forward_tensor(&dt)
-    }
-
-    /// Encodes a `[n, 1]` delta tensor (differentiable path).
-    pub fn forward_tensor(&self, deltas: &Tensor) -> Tensor {
-        deltas.mul(&self.weight).add(&self.bias).cos()
+        let mut dt = tgl_tensor::pool::take_uninit(deltas.len(), tgl_device::Device::Host);
+        dt.copy_from_slice(deltas);
+        let dt = Tensor::from_vec(dt, [deltas.len()]).to(self.weight.device());
+        tgl_tensor::ops::time_encode(&dt, &self.weight, &self.bias)
     }
 }
 
@@ -129,8 +127,7 @@ mod tests {
         let e = enc(4);
         let params = e.parameters();
         assert_eq!(params.len(), 2);
-        let dt = Tensor::from_vec(vec![2.0], [1, 1]);
-        e.forward_tensor(&dt).sum_all().backward();
+        e.forward(&[2.0]).sum_all().backward();
         assert!(params[0].grad().is_some(), "weight grad missing");
         assert!(params[1].grad().is_some(), "bias grad missing");
     }

@@ -1,12 +1,8 @@
 //! The memoization (embedding cache) optimization operator.
 
-use std::sync::Arc;
-
-use tgl_tensor::ops::cat;
 use tgl_tensor::Tensor;
 
 use crate::block::BlockHook;
-use crate::ctx::EmbedCache;
 use crate::{TBlock, TContext};
 
 /// Memoizes computed embeddings per `(layer, node, time)` key
@@ -19,6 +15,11 @@ use crate::{TBlock, TContext};
 /// cached and computed rows back into the original layout — "thus
 /// avoiding repeated computations for cached embeddings and retaining
 /// expected output semantics" (§3.3).
+///
+/// The lookup copies every cached row straight to its place in the
+/// merged output and the hook fills in the computed rows around them
+/// and stores them from the layer output; the cache's lock is taken
+/// once for the lookup and once for the store.
 ///
 /// Intended for inference: memoization across parameter updates would
 /// serve stale embeddings, so call [`TContext::clear_caches`] after
@@ -33,94 +34,64 @@ pub fn cache(ctx: &TContext, blk: &TBlock) -> TBlock {
         !blk.has_nbrs(),
         "cache must be applied before sampling the neighborhood"
     );
+    let _phase = crate::prof::scope("cache");
     let layer = blk.layer();
-    let store: &EmbedCache = ctx.embed_cache();
     let (nodes, times) = (blk.dst_nodes(), blk.dst_times());
     let n = nodes.len();
 
-    let mut hit_rows: Vec<(usize, Vec<f32>)> = Vec::new();
-    let mut miss_positions: Vec<usize> = Vec::new();
-    for (i, (&node, &t)) in nodes.iter().zip(&times).enumerate() {
-        match store.get(layer, node, t) {
-            Some(row) => hit_rows.push((i, row)),
-            None => miss_positions.push(i),
-        }
-    }
-    tgl_obs::counter!("cache.hits").add(hit_rows.len() as u64);
+    let device = blk.device();
+    let (hit, mut merged) = {
+        let _prof = tgl_obs::profile::op("cache_lookup").shape(&[&[n]]);
+        ctx.embed_cache().lookup(layer, &nodes, &times, device)
+    };
+    let mut miss_positions: Vec<usize> = (0..n).filter(|&i| !hit[i]).collect();
+    tgl_obs::counter!("cache.hits").add((n - miss_positions.len()) as u64);
     tgl_obs::counter!("cache.misses").add(miss_positions.len() as u64);
 
-    // Capture what the hook needs to populate the cache with fresh rows.
     let miss_nodes: Vec<_> = miss_positions.iter().map(|&i| nodes[i]).collect();
     let miss_times: Vec<_> = miss_positions.iter().map(|&i| times[i]).collect();
-    let cache_handle = CacheHandle {
-        cache: ctx.embed_cache_arc(),
-    };
-
-    if hit_rows.is_empty() {
-        // Nothing cached yet: keep dst as-is, only register the
-        // store-after-compute hook.
-        blk.register_hook(BlockHook::new("cache-store", move |out: Tensor| {
-            cache_handle.store(layer, &miss_nodes, &miss_times, &out);
-            out
-        }));
-        return blk.clone();
+    if miss_positions.len() < n {
+        blk.replace_dst(miss_nodes.clone(), miss_times.clone());
     }
 
-    let device = blk.device();
-    blk.replace_dst(
-        miss_positions.iter().map(|&i| nodes[i]).collect(),
-        miss_positions.iter().map(|&i| times[i]).collect(),
-    );
-
-    // Permutation: original row i comes from computed row (for misses)
-    // or from the cached block appended after the computed rows.
-    let mut perm = vec![0usize; n];
-    for (k, &i) in miss_positions.iter().enumerate() {
-        perm[i] = k;
-    }
-    for (k, (i, _)) in hit_rows.iter().enumerate() {
-        perm[*i] = miss_positions.len() + k;
-    }
-    let cached_flat: Vec<f32> = hit_rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
-    let num_hits = hit_rows.len();
-
+    let store = ctx.embed_cache_arc();
     blk.register_hook(BlockHook::new("cache-merge", move |out: Tensor| {
-        cache_handle.store(layer, &miss_nodes, &miss_times, &out);
-        let width = if out.rank() >= 2 {
-            out.dim(1)
-        } else {
-            cached_flat.len().checked_div(num_hits).unwrap_or(0)
-        };
-        debug_assert_eq!(
-            cached_flat.len(),
-            num_hits * width,
-            "cached row width changed between runs"
-        );
-        let cached = Tensor::from_vec_on(cached_flat.clone(), [num_hits, width], device);
-        let stacked = cat(&[out, cached], 0);
-        stacked.index_select(&perm)
-    }));
-    blk.clone()
-}
-
-struct CacheHandle {
-    cache: Arc<EmbedCache>,
-}
-
-impl CacheHandle {
-    fn store(&self, layer: usize, nodes: &[tgl_graph::NodeId], times: &[tgl_graph::Time], out: &Tensor) {
-        if nodes.is_empty() {
-            return;
-        }
-        debug_assert_eq!(out.dim(0), nodes.len(), "cache store row count mismatch");
+        let _phase = crate::prof::scope("cache");
         let width: usize = out.dims()[1..].iter().product();
-        out.with_data(|data| {
-            for (k, (&node, &t)) in nodes.iter().zip(times).enumerate() {
-                self.cache
-                    .put(layer, node, t, data[k * width..(k + 1) * width].to_vec());
+        {
+            let _prof = tgl_obs::profile::op("cache_store")
+                .io(4 * out.numel() as u64, 4 * out.numel() as u64)
+                .shape(&[out.dims()]);
+            out.with_data(|rows| store.store(layer, &miss_nodes, &miss_times, rows, width));
+        }
+        if miss_positions.len() == n {
+            return out; // nothing was cached: the layout is already the original
+        }
+        let _prof = tgl_obs::profile::op("cache_merge")
+            .io(4 * out.numel() as u64, 4 * out.numel() as u64)
+            .shape(&[out.dims(), &[n]])
+            .backward_cost(0, 4 * out.numel() as u64, 4 * out.numel() as u64);
+        let mut merged = std::mem::take(&mut merged);
+        assert_eq!(merged.len(), n * width, "cached row width changed between runs");
+        out.with_data(|rows| {
+            for (row, &i) in rows.chunks_exact(width.max(1)).zip(&miss_positions) {
+                merged[i * width..][..width].copy_from_slice(row);
             }
         });
-    }
+        let mut dims = out.dims().to_vec();
+        dims[0] = n;
+        // The computed rows pass their gradient straight through; the
+        // cached rows are constants.
+        let (positions, out_len) = (std::mem::take(&mut miss_positions), out.numel());
+        Tensor::custom_op(&[out], merged, dims, move |g| {
+            let mut back = tgl_tensor::pool::take_uninit(out_len, device);
+            for (row, &i) in back.chunks_exact_mut(width.max(1)).zip(&positions) {
+                row.copy_from_slice(&g[i * width..][..width]);
+            }
+            vec![Some(back)]
+        })
+    }));
+    blk.clone()
 }
 
 #[cfg(test)]
@@ -163,7 +134,7 @@ mod tests {
     #[test]
     fn all_hits_yields_empty_dst() {
         let ctx = ctx();
-        ctx.embed_cache().put(0, 4, 9.0, vec![7.0]);
+        ctx.embed_cache().put(0, 4, 9.0, &[7.0]);
         let blk = TBlock::new(&ctx, 0, vec![4], vec![9.0]);
         cache(&ctx, &blk);
         assert_eq!(blk.num_dst(), 0);
@@ -174,10 +145,37 @@ mod tests {
     #[test]
     fn layer_keys_are_distinct() {
         let ctx = ctx();
-        ctx.embed_cache().put(0, 1, 5.0, vec![1.0]);
+        ctx.embed_cache().put(0, 1, 5.0, &[1.0]);
         let blk = TBlock::new(&ctx, 1, vec![1], vec![5.0]);
         cache(&ctx, &blk);
         assert_eq!(blk.num_dst(), 1, "layer-1 lookup must miss layer-0 entry");
+    }
+
+    #[test]
+    fn layers_may_differ_in_output_width() {
+        // A model whose layers emit different widths shares the
+        // context's one cache: each layer merges at its own width.
+        let ctx = ctx();
+        for pass in 0..2 {
+            for (layer, width) in [(0usize, 2usize), (1, 3)] {
+                let blk = TBlock::new(&ctx, layer, vec![1, 2 + pass], vec![5.0, 5.0]);
+                cache(&ctx, &blk);
+                let k = blk.num_dst();
+                assert_eq!(k, 2 - pass as usize, "node 1 is cached on the second pass");
+                let fresh: Vec<f32> = blk
+                    .dst_nodes()
+                    .iter()
+                    .flat_map(|&n| vec![(10 * layer + n as usize) as f32; width])
+                    .collect();
+                let out = blk.run_hooks(Tensor::from_vec(fresh, [k, width]));
+                let want: Vec<f32> = [1, 2 + pass]
+                    .iter()
+                    .flat_map(|&n| vec![(10 * layer + n as usize) as f32; width])
+                    .collect();
+                assert_eq!(out.dims(), &[2, width]);
+                assert_eq!(out.to_vec(), want);
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub(crate) fn dedup_planned(blk: &TBlock) -> Option<Replacement> {
 pub(crate) fn dedup_apply(blk: &TBlock, nodes: Vec<NodeId>, times: Vec<Time>, inverse: Vec<usize>) {
     blk.replace_dst(nodes, times);
     blk.register_hook(BlockHook::new("dedup-invert", move |out| {
+        let _phase = crate::prof::scope("dedup");
         out.index_select(&inverse)
     }));
 }

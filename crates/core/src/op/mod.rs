@@ -1,7 +1,8 @@
 //! TBlock-based operators (paper Table 1).
 //!
-//! Single-block computation operators: [`edge_softmax`],
-//! [`edge_reduce`], [`src_scatter`], [`coalesce`].
+//! Single-block computation operators: [`edge_dot`], [`edge_softmax`],
+//! [`edge_weighted_sum`], [`edge_reduce`], [`src_scatter`],
+//! [`coalesce`].
 //! Multi-block operators: [`aggregate`] (pull-style message passing)
 //! and [`propagate`] (push-style).
 //! Optimization operators (semantic-preserving): [`dedup`], [`cache`],
@@ -22,5 +23,7 @@ pub use dedup::dedup;
 pub(crate) use dedup::{dedup_apply, dedup_planned, Replacement};
 pub use preload::preload;
 pub(crate) use preload::{stage, Staged};
-pub use segment::{edge_reduce, edge_softmax, src_scatter, ReduceOp};
+pub use segment::{
+    edge_dot, edge_reduce, edge_softmax, edge_weighted_sum, src_scatter, ReduceOp,
+};
 pub use time::{precomputed_times, precomputed_zeros};

@@ -1,77 +1,38 @@
 //! Time-precomputation optimization operators (after TGOpt).
 //!
 //! "The time-encoder often produces the same time vectors, so those
-//! can be precomputed ahead-of-time and reused" (paper §2). Duplicate
-//! time deltas are extremely common in CTDG batches (e.g. Δt = 0 for
-//! every target node, repeated deltas from recent sampling), so
-//! memoizing `Φ(Δt)` rows by exact delta value skips both the cosine
-//! computation and the autograd bookkeeping.
+//! can be precomputed ahead-of-time and reused" (paper §2). What pays
+//! on this substrate is skipping the autograd bookkeeping and, for the
+//! all-zero deltas of target nodes (Eq. 4), encoding `Φ(0)` once per
+//! call instead of once per row. A table of `Φ(Δt)` rows across calls
+//! does not: sampled-neighbor deltas are ~98% distinct within a batch
+//! and a hash probe per row costs what the fused
+//! [`TimeEncode::forward`] kernel costs to recompute it (measured in
+//! EXPERIMENTS.md), so [`precomputed_times`] encodes every call's
+//! deltas afresh and nothing here can go stale.
 //!
 //! These operators produce *detached* tensors (no gradient to the
 //! encoder parameters), so — like the paper — models enable them only
-//! for inference. Clear the tables with
-//! [`crate::TContext::clear_caches`] whenever encoder parameters
-//! change.
+//! for inference.
 
 use tgl_tensor::{no_grad, Tensor};
 
 use crate::nn::TimeEncode;
 use crate::TContext;
 
-/// Precomputed time vectors for all-zero deltas: returns `[n, dim]`
-/// rows of `Φ(0)` (paper §3.4: "specialized to the case when a user
-/// knows that they have time deltas of zeros" — the self-time-encoding
-/// of target nodes, Eq. 4).
-pub fn precomputed_zeros(ctx: &TContext, encoder: &TimeEncode, n: usize) -> Tensor {
-    let row = {
-        let mut zeros = ctx.time_zeros().lock();
-        match zeros.as_ref() {
-            Some(r) => r.clone(),
-            None => {
-                let _g = no_grad();
-                let r = encoder.forward(&[0.0]).to_vec();
-                *zeros = Some(r.clone());
-                r
-            }
-        }
-    };
-    let dim = row.len();
-    let mut data = Vec::with_capacity(n * dim);
-    for _ in 0..n {
-        data.extend_from_slice(&row);
-    }
-    Tensor::from_vec_on(data, [n, dim], ctx.device())
+/// Time vectors for all-zero deltas: `[n, dim]` rows of `Φ(0)`,
+/// encoded once and repeated (paper §3.4: "specialized to the case
+/// when a user knows that they have time deltas of zeros" — the
+/// self-time-encoding of target nodes, Eq. 4).
+pub fn precomputed_zeros(_ctx: &TContext, encoder: &TimeEncode, n: usize) -> Tensor {
+    let _g = no_grad();
+    encoder.forward(&[0.0]).index_select(&vec![0; n])
 }
 
-/// Precomputed time vectors for arbitrary deltas: memoizes `Φ(Δt)`
-/// per distinct delta value, computing only previously unseen deltas
-/// (in one batched encoder call) and reusing rows for the rest.
-pub fn precomputed_times(ctx: &TContext, encoder: &TimeEncode, deltas: &[f32]) -> Tensor {
-    let dim = encoder.dim();
-    let mut table = ctx.time_table().lock();
-    // Find unseen deltas.
-    let mut missing: Vec<f32> = Vec::new();
-    for &d in deltas {
-        let key = d.to_bits() as u64;
-        if !table.contains_key(&key) && !missing.iter().any(|&m| m.to_bits() == d.to_bits()) {
-            missing.push(d);
-        }
-    }
-    if !missing.is_empty() {
-        let _g = no_grad();
-        let fresh = encoder.forward(&missing);
-        fresh.with_data(|rows| {
-            for (k, &d) in missing.iter().enumerate() {
-                table.insert(d.to_bits() as u64, rows[k * dim..(k + 1) * dim].to_vec());
-            }
-        });
-    }
-    let mut data = Vec::with_capacity(deltas.len() * dim);
-    for &d in deltas {
-        data.extend_from_slice(&table[&(d.to_bits() as u64)]);
-    }
-    drop(table);
-    Tensor::from_vec_on(data, [deltas.len(), dim], ctx.device())
+/// Detached time vectors for arbitrary deltas, one `[dim]` row each.
+pub fn precomputed_times(_ctx: &TContext, encoder: &TimeEncode, deltas: &[f32]) -> Tensor {
+    let _g = no_grad();
+    encoder.forward(deltas)
 }
 
 #[cfg(test)]
@@ -108,31 +69,12 @@ mod tests {
     }
 
     #[test]
-    fn table_is_reused_across_calls() {
-        let (ctx, enc) = setup();
-        precomputed_times(&ctx, &enc, &[2.0, 3.0]);
-        assert_eq!(ctx.time_table().lock().len(), 2);
-        precomputed_times(&ctx, &enc, &[3.0, 2.0, 2.0]);
-        assert_eq!(ctx.time_table().lock().len(), 2, "no new entries expected");
-    }
-
-    #[test]
     fn results_are_detached() {
         let (ctx, enc) = setup();
         let pre = precomputed_times(&ctx, &enc, &[1.0]);
         assert!(!pre.requires_grad_flag());
         let prez = precomputed_zeros(&ctx, &enc, 1);
         assert!(!prez.requires_grad_flag());
-    }
-
-    #[test]
-    fn clear_caches_invalidates_tables() {
-        let (ctx, enc) = setup();
-        precomputed_times(&ctx, &enc, &[2.0]);
-        precomputed_zeros(&ctx, &enc, 1);
-        ctx.clear_caches();
-        assert!(ctx.time_table().lock().is_empty());
-        assert!(ctx.time_zeros().lock().is_none());
     }
 
     #[test]

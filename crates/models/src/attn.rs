@@ -105,10 +105,14 @@ impl TemporalAttnLayer {
             self.time_encoder.forward(&vec![0.0; n_dst])
         };
         drop(_t0);
-        let q = self.w_q.forward(&cat(&[h_dst.clone(), tfeats], 1));
+        let q = {
+            let _ta = tglite::prof::scope("attention");
+            self.w_q.forward(&cat(&[h_dst.clone(), tfeats], 1))
+        };
 
         if n_edges == 0 {
             // No sampled neighbors anywhere: attention output is zero.
+            let _ta = tglite::prof::scope("attention");
             let r = Tensor::zeros_on([n_dst, hd], blk.device());
             return self.ffn.forward(&cat(&[r, h_dst], 1));
         }
@@ -128,23 +132,14 @@ impl TemporalAttnLayer {
         let k = self.w_k.forward(&z);
         let v = self.w_v.forward(&z);
 
-        // Per-edge attention logits: Σ over head_dim of Q⊙K (Eq. 6,
-        // edge-wise instead of padded bmm — paper Listing 2 line 33).
-        let q_edge = q.index_select(&blk.dst_index());
+        // Per-edge attention logits Σ_d Q⊙K / √d_h, normalized per
+        // destination (Eq. 6, edge-wise instead of padded bmm — paper
+        // Listing 2 lines 33-34), then the attention-weighted values
+        // summed per destination.
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let logits = q_edge
-            .mul(&k)
-            .reshape([n_edges, self.heads, self.head_dim])
-            .sum_dim(2)
-            .mul_scalar(scale);
+        let logits = op::edge_dot(blk, &q, &k, self.heads, scale);
         let attn = op::edge_softmax(blk, &logits); // [E, heads]
-
-        // Weighted values, segmented-summed per destination.
-        let weighted = v
-            .reshape([n_edges, self.heads, self.head_dim])
-            .mul(&attn.reshape([n_edges, self.heads, 1]))
-            .reshape([n_edges, hd]);
-        let r = op::edge_reduce(blk, &weighted, op::ReduceOp::Sum);
+        let r = op::edge_weighted_sum(blk, &v, &attn);
 
         // Output FFN over [r ‖ h_dst] (Eq. 7).
         self.ffn.forward(&cat(&[r, h_dst], 1))

@@ -37,6 +37,7 @@ impl EdgePredictor {
 
     /// Logits for each row pair: `[n, emb] × [n, emb] → [n]`.
     pub fn forward(&self, src: &Tensor, dst: &Tensor) -> Tensor {
+        let _phase = tglite::prof::scope("predictor");
         let _scope = tgl_obs::insight::act_scope("predictor");
         // Fused add+ReLU: one kernel, one output buffer, and no
         // intermediate sum captured by autograd.

@@ -42,8 +42,8 @@ impl GruCell {
     pub fn forward(&self, x: &Tensor, h: &Tensor) -> Tensor {
         let n_rows = x.dim(0);
         assert_eq!(h.dims(), &[n_rows, self.hidden], "hidden state shape mismatch");
-        let gi = x.matmul(&self.w_ih.transpose()).add(&self.b_ih); // [N, 3H]
-        let gh = h.matmul(&self.w_hh.transpose()).add(&self.b_hh); // [N, 3H]
+        let gi = x.linear(&self.w_ih, Some(&self.b_ih), false); // [N, 3H]
+        let gh = h.linear(&self.w_hh, Some(&self.b_hh), false); // [N, 3H]
         let hsz = self.hidden;
         let split = |t: &Tensor, k: usize| -> Tensor {
             // Column slice [N, 3H] -> [N, H] for gate k: viewing each

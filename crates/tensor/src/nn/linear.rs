@@ -36,22 +36,13 @@ impl Linear {
     ///
     /// Panics if `x` is not rank-2 with `in` columns.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let y = x.matmul(&self.weight.transpose());
-        match &self.bias {
-            Some(b) => y.add(b),
-            None => y,
-        }
+        x.linear(&self.weight, self.bias.as_ref(), false)
     }
 
-    /// Applies the layer followed by ReLU in one fused kernel
-    /// (`relu(x·Wᵀ + b)`), saving the intermediate sum tensor that
-    /// `forward(x).relu()` would allocate and capture for backward.
+    /// Applies the layer followed by ReLU (`relu(x·Wᵀ + b)`) as the
+    /// same single op, the activation folded into its epilogue.
     pub fn forward_relu(&self, x: &Tensor) -> Tensor {
-        let y = x.matmul(&self.weight.transpose());
-        let out = match &self.bias {
-            Some(b) => y.add_relu(b),
-            None => y.relu(),
-        };
+        let out = x.linear(&self.weight, self.bias.as_ref(), true);
         crate::nn::observe_relu_zeros(&out);
         out
     }

@@ -32,9 +32,8 @@ impl RnnCell {
     /// Computes the next hidden state: `x: [N, in]`, `h: [N, hidden]`.
     pub fn forward(&self, x: &Tensor, h: &Tensor) -> Tensor {
         assert_eq!(h.dim(1), self.hidden, "hidden state width mismatch");
-        x.matmul(&self.w_ih.transpose())
-            .add(&self.b_ih)
-            .add(&h.matmul(&self.w_hh.transpose()).add(&self.b_hh))
+        x.linear(&self.w_ih, Some(&self.b_ih), false)
+            .add(&h.linear(&self.w_hh, Some(&self.b_hh), false))
             .tanh()
     }
 

@@ -53,9 +53,57 @@ unsafe fn add_relu_fwd_avx2(out: &mut [f32], a: &[f32], b: &[f32]) {
     }
 }
 
+/// The `Linear` epilogue, in place over whole `n`-wide rows:
+/// `row += bias` when a bias is given, then `max(row, 0)` under
+/// `relu` — exact-safe (a lane-wise add, then the `maxps` of
+/// [`add_relu_fwd`]).
+pub(crate) fn bias_act_rows(rows: &mut [f32], n: usize, bias: Option<&[f32]>, relu: bool) {
+    if n == 0 || (bias.is_none() && !relu) {
+        return;
+    }
+    debug_assert!(rows.len().is_multiple_of(n) && bias.is_none_or(|b| b.len() == n));
+    #[cfg(target_arch = "x86_64")]
+    if kernel::avx2() {
+        // SAFETY: avx2() verified CPU support; the bias is `n` long.
+        unsafe { bias_act_rows_avx2(rows, n, bias, relu) };
+        return;
+    }
+    for row in rows.chunks_exact_mut(n) {
+        for (j, v) in row.iter_mut().enumerate() {
+            let sum = bias.map_or(*v, |b| *v + b[j]);
+            *v = if relu { sum.max(0.0) } else { sum };
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn bias_act_rows_avx2(rows: &mut [f32], n: usize, bias: Option<&[f32]>, relu: bool) {
+    use std::arch::x86_64::*;
+    let zero = _mm256_setzero_ps();
+    let lanes = n / 8 * 8;
+    for row in rows.chunks_exact_mut(n) {
+        for j in (0..lanes).step_by(8) {
+            let mut v = _mm256_loadu_ps(row.as_ptr().add(j));
+            if let Some(b) = bias {
+                v = _mm256_add_ps(v, _mm256_loadu_ps(b.as_ptr().add(j)));
+            }
+            if relu {
+                v = _mm256_max_ps(v, zero);
+            }
+            _mm256_storeu_ps(row.as_mut_ptr().add(j), v);
+        }
+        for j in lanes..n {
+            let v = row.get_unchecked_mut(j);
+            let sum = bias.map_or(*v, |b| *v + b.get_unchecked(j));
+            *v = if relu { sum.max(0.0) } else { sum };
+        }
+    }
+}
+
 /// `out[i] = if y[i] > 0 { go[i] } else { 0.0 }` — exact-safe: the
 /// compare mask passes `go`'s bits through unchanged.
-fn relu_mask_bwd(out: &mut [f32], go: &[f32], y: &[f32]) {
+pub(crate) fn relu_mask_bwd(out: &mut [f32], go: &[f32], y: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     if kernel::avx2() {
         // SAFETY: avx2() verified CPU support.
@@ -441,6 +489,94 @@ impl Tensor {
     }
 }
 
+/// The learnable time encoding `out[i, j] = cos(deltas[i] · freq[j] +
+/// phase[j])` for `deltas` of `n` elements and `freq`, `phase` of
+/// `dim`, giving `[n, dim]`.
+///
+/// One kernel and one backward node (`dfreq[j] = Σ_i g[i,j] ·
+/// deltas[i]`, `dphase[j] = Σ_i g[i,j]` with `g = -dout · sin(..)`,
+/// rows ascending per column) instead of the broadcast `mul`, `add`,
+/// `cos` chain. The argument is one multiply then one add in both
+/// kernel modes and backward recomputes it, so values and gradients
+/// carry the roundings of
+/// `deltas.reshape([n, 1]).mul(freq).add(phase).cos()`. `deltas` takes
+/// no gradient. Forward owns rows and backward owns columns, so both
+/// are invariant across thread counts.
+///
+/// # Panics
+///
+/// Panics unless `freq` and `phase` are rank-1 of equal length and all
+/// three tensors share a device.
+pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
+    let device = same_device(deltas, freq);
+    same_device(freq, phase);
+    let (n, dim) = (deltas.numel(), freq.numel());
+    assert!(
+        freq.rank() == 1 && freq.dims() == phase.dims(),
+        "time_encode frequency {} and phase {} must be equal rank-1 shapes",
+        freq.shape(),
+        phase.shape()
+    );
+    let (need_f, need_p) = (freq.requires_grad_flag(), phase.requires_grad_flag());
+    let cells = (n * dim) as u64;
+    let _prof = tgl_obs::profile::op("time_encode")
+        .flops(10 * cells)
+        .io(4 * (n + 2 * dim) as u64, 4 * cells)
+        .shape(&[&[n], &[dim]])
+        .backward_cost(
+            (12 + need_f as u64 * 2 + need_p as u64) * cells,
+            4 * (cells + (n + 2 * dim) as u64),
+            4 * ((need_f as usize + need_p as usize) * dim) as u64,
+        );
+    let mut y = pool::take_uninit(n * dim, device);
+    {
+        let dt = deltas.inner.storage.read();
+        let w = freq.inner.storage.read();
+        let b = phase.inner.storage.read();
+        let y_sl = UnsafeSlice::new(&mut y);
+        parallel_for(n, rows_threshold(8 * dim), |rows: std::ops::Range<usize>| {
+            // SAFETY: disjoint row ranges per chunk.
+            let out = unsafe { y_sl.slice_mut(rows.start * dim, rows.len() * dim) };
+            for (o_row, &t) in out.chunks_exact_mut(dim.max(1)).zip(&dt[rows]) {
+                for ((o, &wj), &bj) in o_row.iter_mut().zip(w.iter()).zip(b.iter()) {
+                    *o = (t * wj + bj).cos();
+                }
+            }
+        });
+    }
+    let (dt_t, w_t, b_t) = (deltas.clone(), freq.clone(), phase.clone());
+    let inputs = [deltas.clone(), freq.clone(), phase.clone()];
+    Tensor::make_result(y, [n, dim], device, &inputs, move |go| {
+        let dt = dt_t.inner.storage.read();
+        let w = w_t.inner.storage.read();
+        let b = b_t.inner.storage.read();
+        let mut gf = need_f.then(|| pool::take_uninit(dim, device));
+        let mut gp = need_p.then(|| pool::take_uninit(dim, device));
+        {
+            let gf_sl = gf.as_mut().map(|g| UnsafeSlice::new(g));
+            let gp_sl = gp.as_mut().map(|g| UnsafeSlice::new(g));
+            parallel_for(dim, rows_threshold(8 * n), |cols: std::ops::Range<usize>| {
+                for j in cols {
+                    let (mut acc_f, mut acc_p) = (0.0f32, 0.0f32);
+                    for (i, &t) in dt.iter().enumerate() {
+                        let g = -go[i * dim + j] * (t * w[j] + b[j]).sin();
+                        acc_p += g;
+                        acc_f += g * t;
+                    }
+                    // SAFETY (both): column `j` belongs to one chunk.
+                    if let Some(gf_sl) = &gf_sl {
+                        unsafe { *gf_sl.get_mut(j) = acc_f };
+                    }
+                    if let Some(gp_sl) = &gp_sl {
+                        unsafe { *gp_sl.get_mut(j) = acc_p };
+                    }
+                }
+            });
+        }
+        vec![None, gf, gp]
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use crate::testing::{assert_close, check_gradient};
@@ -545,6 +681,26 @@ mod tests {
         let fused = n.addcmul(&z, &h.sub(&n), 1.0);
         let unfused = z.neg().add_scalar(1.0).mul(&n).add(&z.mul(&h));
         assert_close(&fused.to_vec(), &unfused.to_vec(), 1e-6);
+    }
+
+    #[test]
+    fn time_encode_values_and_gradients() {
+        use crate::ops::time_encode;
+        let dt = Tensor::from_vec(vec![0.0, 2.0], [2]);
+        let w = Tensor::from_vec(vec![1.0, 0.5], [2]).requires_grad(true);
+        let b = Tensor::from_vec(vec![0.0, 0.25], [2]).requires_grad(true);
+        let y = time_encode(&dt, &w, &b);
+        assert_eq!(y.dims(), &[2, 2]);
+        assert_eq!(y.to_vec(), vec![1.0, 0.25f32.cos(), 2.0f32.cos(), 1.25f32.cos()]);
+        y.sum_all().backward();
+        // d/dω_j = Σ_i -sin(arg_ij)·Δt_i ; d/dφ_j = Σ_i -sin(arg_ij)
+        assert_close(&w.grad().unwrap(), &[-2.0 * 2.0f32.sin(), -2.0 * 1.25f32.sin()], 1e-6);
+        assert_close(
+            &b.grad().unwrap(),
+            &[-2.0f32.sin(), -(0.25f32.sin() + 1.25f32.sin())],
+            1e-6,
+        );
+        assert_eq!(time_encode(&Tensor::zeros([0]), &w, &b).dims(), &[0, 2]);
     }
 
     #[test]

@@ -45,6 +45,12 @@ use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
 use crate::kernel;
 use crate::pool;
 
+/// A pass over finished whole rows of `C` (bias add, activation).
+pub(crate) type Epilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
+
+/// The epilogue of a plain product.
+const NO_EPILOGUE: &Epilogue<'static> = &|_| {};
+
 /// Rows of A per register tile.
 pub(crate) const MR: usize = 4;
 /// Columns of B per packed panel (one `__m256` of `f32`s; `MR × NR`
@@ -201,11 +207,24 @@ fn tile_update(
 /// needs no zero pass). `A'` is `a` as stored (`[m,k]`
 /// row-major) or, with `ta`, the transpose of `a` stored `[k,m]`;
 /// `B'` is `b` stored `[k,n]` or, with `tb`, the transpose of `b`
-/// stored `[n,k]`.
+/// stored `[n,k]`. `epilogue` then runs once over each finished row
+/// panel (whole rows of `c`, still cache-warm) on the worker that
+/// computed it.
 #[allow(clippy::too_many_arguments)]
-fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, c: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm(
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    epilogue: &Epilogue<'_>,
+) {
     if k == 0 {
-        return c.fill(0.0);
+        c.fill(0.0);
+        return epilogue(c);
     }
     let n_tiles = n.div_ceil(NR);
     let simd = kernel::avx2();
@@ -281,6 +300,7 @@ fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, c: &mut [f32], m: usize, k: us
             }
         }
         pool::give(panel, Device::Host);
+        epilogue(c_rows);
     });
 }
 
@@ -288,15 +308,46 @@ fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, c: &mut [f32], m: usize, k: us
 pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
     if mostly_zero(a) {
-        return mm_nn_sparse(a, b, c, m, k, n);
+        return mm_nn_sparse(a, b, c, m, k, n, NO_EPILOGUE);
     }
-    gemm(a, false, b, false, c, m, k, n);
+    gemm(a, false, b, false, c, m, k, n, NO_EPILOGUE);
+}
+
+/// [`mm_nn`] without the sparsity probe, for a left operand that is a
+/// gradient: a ReLU mask leaves it about half zeros, where skipping
+/// them costs more than the packed tiles do.
+pub(crate) fn mm_nn_dense(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    gemm(a, false, b, false, c, m, k, n, NO_EPILOGUE);
 }
 
 /// C[m,k] = A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
 pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
-    gemm(a, false, b, true, c, m, n, k);
+    gemm(a, false, b, true, c, m, n, k, NO_EPILOGUE);
+}
+
+/// `C[m,n] = X[m,k] · W[n,k]ᵀ`, then `epilogue` over the finished rows:
+/// the `Linear` forward on the weight as stored. A mostly-zero `x`
+/// takes the zero-skipping loop, over a transposed copy of the weight
+/// (`k·n` floats against the `m·k·n` product).
+pub(crate) fn mm_nt_then(
+    x: &[f32],
+    w: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    epilogue: &Epilogue<'_>,
+) {
+    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    if mostly_zero(x) {
+        let mut wt = pool::take_uninit(k * n, Device::Host);
+        crate::ops::transpose_into(w, n, k, &mut wt);
+        mm_nn_sparse(x, &wt, c, m, k, n, epilogue);
+        return pool::give(wt, Device::Host);
+    }
+    gemm(x, false, w, true, c, m, k, n, epilogue);
 }
 
 /// C[k,n] = A[m,k]^T * B[m,n]  (i.e. Aᵀ · B)
@@ -305,12 +356,20 @@ pub(crate) fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     if mostly_zero(a) {
         return mm_tn_sparse(a, b, c, m, k, n);
     }
-    gemm(a, true, b, false, c, k, m, n);
+    gemm(a, true, b, false, c, k, m, n, NO_EPILOGUE);
 }
 
 /// Zero-skipping reference loop for mostly-zero A (identical
 /// floating-point order in exact mode: k ascending per output element).
-fn mm_nn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+fn mm_nn_sparse(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    epilogue: &Epilogue<'_>,
+) {
     c.fill(0.0);
     let fma = kernel::fast();
     let c = UnsafeSlice::new(c);
@@ -327,6 +386,7 @@ fn mm_nn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
                 kernel::axpy_dispatch(c_row, &b[kk * n..(kk + 1) * n], aik, fma);
             }
         }
+        epilogue(c_rows);
     });
 }
 

@@ -171,17 +171,18 @@ pub fn cat(tensors: &[Tensor], dim: usize) -> Tensor {
     // The inputs tile the output exactly, so every element is written.
     let mut out = pool::take_uninit(out_shape.numel(), device);
 
-    // For each input, copy its contiguous (mid*inner) chunks into place.
-    let mut offset = 0;
-    for (t, &sz) in tensors.iter().zip(&cat_sizes) {
-        let data = t.inner.storage.read();
-        let chunk = sz * inner;
-        for o in 0..outer {
-            let dst = o * total_cat * inner + offset * inner;
-            out[dst..dst + chunk].copy_from_slice(&data[o * chunk..(o + 1) * chunk]);
+    // Row by row, each input's contiguous (mid*inner) chunk in turn:
+    // the output is written front to back exactly once.
+    let data: Vec<_> = tensors.iter().map(|t| t.inner.storage.read()).collect();
+    let mut dst = 0;
+    for o in 0..outer {
+        for (d, &sz) in data.iter().zip(&cat_sizes) {
+            let chunk = sz * inner;
+            out[dst..dst + chunk].copy_from_slice(&d[o * chunk..(o + 1) * chunk]);
+            dst += chunk;
         }
-        offset += sz;
     }
+    drop(data);
 
     Tensor::make_result(out, out_shape, device, tensors, move |go| {
         let mut offset = 0;

@@ -9,9 +9,11 @@
 
 use tgl_runtime::{parallel_for, UnsafeSlice};
 
-use crate::ops::gemm::{mm_nn, mm_nt, mm_tn, seq_rows};
-use crate::ops::same_device;
-use crate::pool;
+use crate::kernel;
+use crate::ops::fused::{bias_act_rows, relu_mask_bwd};
+use crate::ops::gemm::{mm_nn, mm_nn_dense, mm_nt, mm_nt_then, mm_tn, seq_rows};
+use crate::ops::{same_device, transpose_into};
+use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
 impl Tensor {
@@ -63,6 +65,117 @@ impl Tensor {
                 gb
             });
             vec![ga, gb]
+        })
+    }
+
+    /// The affine layer as one op: `self[m,k] · weight[n,k]ᵀ + bias[n]`,
+    /// then ReLU when `relu` is set.
+    ///
+    /// One GEMM straight on the `[out, in]` weight as stored, with the
+    /// bias and ReLU applied to each finished row panel, and one
+    /// backward node: `dX = dY·W`, `dW = dYᵀ·X`, `db` = column sums of
+    /// `dY` (rows ascending), where `dY` is first masked by `y > 0`
+    /// under ReLU. Every output and gradient element is computed with
+    /// the roundings, in the order, of
+    /// `self.matmul(&weight.transpose()).add(bias)` (`.add_relu(bias)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self` and `weight` are rank-2 with equal inner
+    /// dimensions, `bias` (if any) is rank-1 of `weight.dim(0)`
+    /// elements, and all live on one device.
+    pub fn linear(&self, weight: &Tensor, bias: Option<&Tensor>, relu: bool) -> Tensor {
+        let device = same_device(self, weight);
+        assert_eq!(self.rank(), 2, "linear input must be rank-2, got {}", self.shape());
+        assert_eq!(weight.rank(), 2, "linear weight must be rank-2, got {}", weight.shape());
+        let (m, k) = (self.dim(0), self.dim(1));
+        let n = weight.dim(0);
+        assert_eq!(
+            k,
+            weight.dim(1),
+            "linear inner dims differ: {} vs {}",
+            self.shape(),
+            weight.shape()
+        );
+        if let Some(b) = bias {
+            assert_eq!(b.dims(), &[n], "linear bias must be [{n}], got {}", b.shape());
+            same_device(self, b);
+        }
+
+        let need_x = self.requires_grad_flag();
+        let need_w = weight.requires_grad_flag();
+        let need_b = bias.is_some_and(Tensor::requires_grad_flag);
+        let (wx, ww, wb) = (need_x as usize, need_w as usize, need_b as usize);
+        let epilogue_elems = (bias.is_some() as usize + relu as usize) * m * n;
+        let _prof = tgl_obs::profile::op("linear")
+            .flops((2 * m * k * n + epilogue_elems) as u64)
+            .io(
+                4 * (m * k + n * k + bias.map_or(0, Tensor::numel)) as u64,
+                4 * (m * n * (1 + relu as usize)) as u64,
+            )
+            .shape(&[&[m, k], &[n, k]])
+            .backward_cost(
+                (2 * (wx + ww) * m * k * n + (wb + relu as usize) * m * n) as u64,
+                4 * (m * n * (1 + relu as usize) + wx * n * k + ww * m * k) as u64,
+                4 * (wx * m * k + ww * n * k + wb * n) as u64,
+            );
+        let mut y = pool::take_uninit(m * n, device);
+        {
+            let x = self.inner.storage.read();
+            let w = weight.inner.storage.read();
+            let b = bias.map(|b| b.inner.storage.read());
+            let b = b.as_deref().map(Vec::as_slice);
+            mm_nt_then(&x, &w, &mut y, m, k, n, &|rows: &mut [f32]| bias_act_rows(rows, n, b, relu));
+        }
+
+        // The ReLU mask is recoverable from the output alone; only a
+        // backward node needs the copy.
+        let tracked = crate::autograd::grad_enabled() && (need_x || need_w || need_b);
+        let y_copy = (relu && tracked).then(|| {
+            let mut c = pool::take_uninit(m * n, device);
+            c.copy_from_slice(&y);
+            PooledBuf::new(c, device)
+        });
+        let (x_t, w_t) = (self.clone(), weight.clone());
+        let mut inputs = vec![self.clone(), weight.clone()];
+        inputs.extend(bias.cloned());
+        let has_bias = bias.is_some();
+        Tensor::make_result(y, [m, n], device, &inputs, move |go| {
+            let masked = y_copy.as_ref().map(|y| {
+                let mut g = pool::take_uninit(m * n, device);
+                relu_mask_bwd(&mut g, go, y);
+                PooledBuf::new(g, device)
+            });
+            let dy: &[f32] = masked.as_deref().unwrap_or(go);
+            let gx = need_x.then(|| {
+                let mut gx = pool::take_uninit(m * k, device);
+                mm_nn_dense(dy, &w_t.inner.storage.read(), &mut gx, m, n, k);
+                gx
+            });
+            let gw = need_w.then(|| {
+                // dW = dYᵀ·X, computed as (Xᵀ·dY)ᵀ: the product with
+                // the narrower packed operand (`n <= k` columns of dY
+                // per worker instead of all of X), then a transpose of
+                // the small `[k, n]` result. Same products, same
+                // row-ascending order per element.
+                let mut gwt = pool::take_uninit(k * n, device);
+                mm_tn(&x_t.inner.storage.read(), dy, &mut gwt, m, k, n);
+                let mut gw = pool::take_uninit(n * k, device);
+                transpose_into(&gwt, k, n, &mut gw);
+                pool::give(gwt, device);
+                gw
+            });
+            let mut grads = vec![gx, gw];
+            if has_bias {
+                grads.push(need_b.then(|| {
+                    let mut gb = pool::take_zeroed(n, device);
+                    for row in dy.chunks_exact(n.max(1)) {
+                        kernel::add_assign_dispatch(&mut gb, row);
+                    }
+                    gb
+                }));
+            }
+            grads
         })
     }
 
@@ -212,6 +325,36 @@ mod tests {
         let a = Tensor::from_vec(fill(2 * k, 3), [2, k]);
         let b = Tensor::from_vec(fill(k * 2, 11), [k, 2]).requires_grad(true);
         check_gradient(&b, |t| a.matmul(t).sum_all(), 1e-2);
+    }
+
+    #[test]
+    fn linear_known_values_bias_and_relu() {
+        // x = [[1, 2], [-1, 0]], W = [[1, 1], [2, -1]] (two outputs), b = [0.5, -4]
+        let x = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.0], [2, 2]);
+        let w = Tensor::from_vec(vec![1.0, 1.0, 2.0, -1.0], [2, 2]);
+        let b = Tensor::from_vec(vec![0.5, -4.0], [2]);
+        assert_eq!(x.linear(&w, None, false).to_vec(), vec![3.0, 0.0, -1.0, -2.0]);
+        assert_eq!(x.linear(&w, Some(&b), false).to_vec(), vec![3.5, -4.0, -0.5, -6.0]);
+        assert_eq!(x.linear(&w, Some(&b), true).to_vec(), vec![3.5, 0.0, 0.0, 0.0]);
+        assert_eq!(Tensor::zeros([0, 2]).linear(&w, Some(&b), true).dims(), &[0, 2]);
+    }
+
+    #[test]
+    fn linear_relu_masks_every_gradient() {
+        let x = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.0], [2, 2]).requires_grad(true);
+        let w = Tensor::from_vec(vec![1.0, 1.0, 2.0, -1.0], [2, 2]).requires_grad(true);
+        let b = Tensor::from_vec(vec![0.5, -4.0], [2]).requires_grad(true);
+        // Only y[0,0] = 3.5 is positive: gradients see that one cell.
+        x.linear(&w, Some(&b), true).sum_all().backward();
+        assert_eq!(x.grad().unwrap(), vec![1.0, 1.0, 0.0, 0.0]);
+        assert_eq!(w.grad().unwrap(), vec![1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(b.grad().unwrap(), vec![1.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "linear bias must be")]
+    fn linear_bias_shape_mismatch_panics() {
+        Tensor::zeros([2, 3]).linear(&Tensor::zeros([4, 3]), Some(&Tensor::zeros([3])), false);
     }
 
     #[test]

@@ -17,9 +17,12 @@ mod shape_ops;
 mod softmax;
 mod unary;
 
+pub use fused::time_encode;
 pub use index::{cat, stack};
 pub use inplace::AdamStep;
-pub use segment::{segment_max, segment_mean, segment_softmax, segment_sum};
+pub use segment::{
+    segment_dot, segment_max, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
+};
 
 use crate::Tensor;
 use tgl_device::Device;
@@ -32,6 +35,17 @@ pub(crate) const ELEMWISE_SEQ: usize = 16 * 1024;
 /// of `row_elems` elements each (feeds `parallel_for`'s threshold).
 pub(crate) fn rows_threshold(row_elems: usize) -> usize {
     (ELEMWISE_SEQ / row_elems.max(1)).max(1)
+}
+
+/// Writes the transpose of row-major `src[rows, cols]` into
+/// `dst[cols, rows]` (every element of `dst` is written).
+pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert!(src.len() == rows * cols && dst.len() == rows * cols, "transpose size mismatch");
+    for (i, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
+        }
+    }
 }
 
 /// Asserts that two op operands live on the same device and returns it.

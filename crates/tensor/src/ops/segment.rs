@@ -446,6 +446,237 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
     )
 }
 
+/// Checks that `wide` is `[rows, heads · dim]` with `dim > 0` and
+/// returns `(heads, dim)`.
+fn check_heads(wide: &Tensor, heads: usize) -> (usize, usize) {
+    assert_eq!(wide.rank(), 2, "expected [rows, heads*dim], got {}", wide.shape());
+    assert!(
+        heads > 0 && wide.dim(1) > 0 && wide.dim(1).is_multiple_of(heads),
+        "{} columns do not split into {heads} heads",
+        wide.dim(1)
+    );
+    (heads, wide.dim(1) / heads)
+}
+
+/// Per-head dot product of every row of `k` with the row of `q` its
+/// segment selects, scaled:
+/// `out[e, h] = (Σ_d q[segments[e], h, d] · k[e, h, d]) · scale`
+/// for `q: [S, H·D]`, `k: [E, H·D]`, giving `[E, H]`.
+///
+/// This is the attention-logit step of an edge-wise block (`q` holds
+/// one query per destination, `k` one key per sampled edge); the query
+/// row is read through `segments` inside the kernel instead of being
+/// gathered into an `[E, H·D]` copy first. Each dot accumulates
+/// mul-then-add from zero in ascending `d`, then takes one multiply by
+/// `scale`: the roundings of
+/// `q.index_select(segments).mul(k).reshape([E, H, D]).sum_dim(2).mul_scalar(scale)`.
+/// Backward writes `dk` per row and `dq` per segment (rows ascending),
+/// so both are invariant across thread counts.
+///
+/// # Panics
+///
+/// Panics on a shape mismatch or a segment id past `q`'s rows.
+pub fn segment_dot(q: &Tensor, k: &Tensor, segments: &[usize], heads: usize, scale: f32) -> Tensor {
+    let device = crate::ops::same_device(q, k);
+    let (h, d) = check_heads(k, heads);
+    let (n, hd, num_segments) = (k.dim(0), h * d, q.dim(0));
+    assert_eq!(q.dims(), &[num_segments, hd], "segment_dot query shape {}", q.shape());
+    check_segments(k, segments, num_segments);
+    let (need_q, need_k) = (q.requires_grad_flag(), k.requires_grad_flag());
+    let (wq, wk) = (need_q as usize, need_k as usize);
+    let _prof = tgl_obs::profile::op("segment_dot")
+        .flops((2 * n * hd + n * h) as u64)
+        .io(8 * (n * hd) as u64, 4 * (n * h) as u64)
+        .shape(&[q.dims(), k.dims()])
+        .backward_cost(
+            (n * h + 2 * (wq + wk) * n * hd) as u64,
+            4 * (n * h + (wq + wk) * n * hd) as u64,
+            4 * (wk * n * hd + wq * num_segments * hd) as u64,
+        );
+    let mut out = pool::take_uninit(n * h, device);
+    {
+        let qd = q.inner.storage.read();
+        let kd = k.inner.storage.read();
+        let out_sl = UnsafeSlice::new(&mut out);
+        parallel_for(n, crate::ops::rows_threshold(hd), |rows: std::ops::Range<usize>| {
+            // SAFETY: disjoint row ranges per chunk.
+            let o = unsafe { out_sl.slice_mut(rows.start * h, rows.len() * h) };
+            for (oe, e) in o.chunks_exact_mut(h).zip(rows) {
+                let (q_row, k_row) = (&qd[segments[e] * hd..][..hd], &kd[e * hd..][..hd]);
+                for (hh, oh) in oe.iter_mut().enumerate() {
+                    let mut acc = 0.0f32;
+                    for (&a, &b) in q_row[hh * d..][..d].iter().zip(&k_row[hh * d..][..d]) {
+                        acc += a * b;
+                    }
+                    *oh = acc * scale;
+                }
+            }
+        });
+    }
+    let (q_t, k_t) = (q.clone(), k.clone());
+    let seg = segments.to_vec();
+    Tensor::make_result(out, [n, h], device, &[q.clone(), k.clone()], move |go| {
+        let fma = kernel::fast();
+        let qd = q_t.inner.storage.read();
+        let kd = k_t.inner.storage.read();
+        // dk[e,h,:] = (go[e,h]·scale) · q[seg[e],h,:], one row per edge.
+        let gk = need_k.then(|| {
+            let mut gk = pool::take_uninit(n * hd, device);
+            let gk_sl = UnsafeSlice::new(&mut gk);
+            parallel_for(n, crate::ops::rows_threshold(hd), |rows: std::ops::Range<usize>| {
+                // SAFETY: disjoint row ranges per chunk.
+                let g_rows = unsafe { gk_sl.slice_mut(rows.start * hd, rows.len() * hd) };
+                for (g_row, e) in g_rows.chunks_exact_mut(hd).zip(rows) {
+                    let q_row = &qd[seg[e] * hd..][..hd];
+                    for hh in 0..h {
+                        let g = go[e * h + hh] * scale;
+                        for (o, &v) in g_row[hh * d..][..d].iter_mut().zip(&q_row[hh * d..][..d]) {
+                            *o = g * v;
+                        }
+                    }
+                }
+            });
+            gk
+        });
+        // dq[s,h,:] = Σ_{e in s, ascending} (go[e,h]·scale) · k[e,h,:],
+        // one row per segment (empty segments stay zero).
+        let gq = need_q.then(|| {
+            let mut gq = pool::take_zeroed(num_segments * hd, device);
+            let gq_sl = UnsafeSlice::new(&mut gq);
+            let idx = SegmentIndex::build(&seg, num_segments);
+            parallel_for(
+                num_segments,
+                seg_seq_threshold(n * hd, num_segments),
+                |segs: std::ops::Range<usize>| {
+                    // SAFETY: each segment owns its own output row.
+                    let g_rows = unsafe { gq_sl.slice_mut(segs.start * hd, segs.len() * hd) };
+                    for (g_row, s) in g_rows.chunks_exact_mut(hd).zip(segs) {
+                        for &e in idx.rows_of(s) {
+                            let k_row = &kd[e * hd..][..hd];
+                            for hh in 0..h {
+                                let g = go[e * h + hh] * scale;
+                                let (o, x) = (&mut g_row[hh * d..][..d], &k_row[hh * d..][..d]);
+                                kernel::axpy_dispatch(o, x, g, fma);
+                            }
+                        }
+                    }
+                },
+            );
+            gq
+        });
+        vec![gq, gk]
+    })
+}
+
+/// Per-head weighted sum of the rows of `v` into segments:
+/// `out[s, h, :] = Σ_{e: segments[e]==s} v[e, h, :] · a[e, h]`
+/// for `v: [E, H·D]`, `a: [E, H]`, giving `[num_segments, H·D]`.
+///
+/// This is the attention-output step of an edge-wise block (`a` holds
+/// the normalized attention of each edge, `v` its value row). Rows are
+/// accumulated in ascending order, each product rounded before it is
+/// added: the roundings of
+/// `segment_sum(v.reshape([E, H, D]).mul(a.reshape([E, H, 1])).reshape([E, H·D]), ..)`
+/// without the `[E, H·D]` intermediate. Empty segments yield zero
+/// rows. Segments own their output rows and backward writes one row
+/// per edge, so results are invariant across thread counts.
+///
+/// # Panics
+///
+/// Panics on a shape mismatch or a segment id out of range.
+pub fn segment_weighted_sum(
+    v: &Tensor,
+    a: &Tensor,
+    segments: &[usize],
+    num_segments: usize,
+) -> Tensor {
+    let device = crate::ops::same_device(v, a);
+    assert_eq!(a.rank(), 2, "segment_weighted_sum weights must be [E, H], got {}", a.shape());
+    let (h, d) = check_heads(v, a.dim(1));
+    let (n, hd) = (v.dim(0), h * d);
+    assert_eq!(a.dim(0), n, "segment_weighted_sum needs one weight row per value row");
+    check_segments(v, segments, num_segments);
+    let (need_v, need_a) = (v.requires_grad_flag(), a.requires_grad_flag());
+    let (wv, wa) = (need_v as usize, need_a as usize);
+    let _prof = tgl_obs::profile::op("segment_weighted_sum")
+        .flops(2 * (n * hd) as u64)
+        .io(4 * (n * hd + n * h) as u64, 4 * (num_segments * hd) as u64)
+        .shape(&[v.dims(), a.dims(), &[num_segments]])
+        .backward_cost(
+            ((wv + 2 * wa) * n * hd) as u64,
+            4 * (n * hd + wa * n * hd + wv * n * h) as u64,
+            4 * (wv * n * hd + wa * n * h) as u64,
+        );
+    let fma = kernel::fast();
+    let idx = SegmentIndex::build(segments, num_segments);
+    // Accumulates with `+=` (and empty segments stay zero).
+    let mut out = pool::take_zeroed(num_segments * hd, device);
+    {
+        let vd = v.inner.storage.read();
+        let ad = a.inner.storage.read();
+        let out_sl = UnsafeSlice::new(&mut out);
+        parallel_for(
+            num_segments,
+            seg_seq_threshold(n * hd, num_segments),
+            |segs: std::ops::Range<usize>| {
+                // SAFETY: each segment owns its own output row.
+                let o_rows = unsafe { out_sl.slice_mut(segs.start * hd, segs.len() * hd) };
+                for (o_row, s) in o_rows.chunks_exact_mut(hd).zip(segs) {
+                    for &e in idx.rows_of(s) {
+                        let v_row = &vd[e * hd..][..hd];
+                        for hh in 0..h {
+                            let (o, x) = (&mut o_row[hh * d..][..d], &v_row[hh * d..][..d]);
+                            kernel::axpy_dispatch(o, x, ad[e * h + hh], fma);
+                        }
+                    }
+                }
+            },
+        );
+    }
+    let (v_t, a_t) = (v.clone(), a.clone());
+    let seg = segments.to_vec();
+    Tensor::make_result(out, [num_segments, hd], device, &[v.clone(), a.clone()], move |go| {
+        let vd = v_t.inner.storage.read();
+        let ad = a_t.inner.storage.read();
+        let mut gv = need_v.then(|| pool::take_uninit(n * hd, device));
+        let mut ga = need_a.then(|| pool::take_uninit(n * h, device));
+        {
+            let gv_sl = gv.as_mut().map(|g| UnsafeSlice::new(g));
+            let ga_sl = ga.as_mut().map(|g| UnsafeSlice::new(g));
+            parallel_for(n, crate::ops::rows_threshold(hd), |rows: std::ops::Range<usize>| {
+                for e in rows {
+                    let go_row = &go[seg[e] * hd..][..hd];
+                    // dv[e,h,:] = go[s,h,:] · a[e,h]
+                    if let Some(gv_sl) = &gv_sl {
+                        // SAFETY: row `e` belongs to exactly one chunk.
+                        let g_row = unsafe { gv_sl.slice_mut(e * hd, hd) };
+                        for hh in 0..h {
+                            let w = ad[e * h + hh];
+                            for (o, &g) in g_row[hh * d..][..d].iter_mut().zip(&go_row[hh * d..][..d]) {
+                                *o = g * w;
+                            }
+                        }
+                    }
+                    // da[e,h] = Σ_d go[s,h,d] · v[e,h,d], d ascending.
+                    if let Some(ga_sl) = &ga_sl {
+                        // SAFETY: row `e` belongs to exactly one chunk.
+                        let g_row = unsafe { ga_sl.slice_mut(e * h, h) };
+                        let v_row = &vd[e * hd..][..hd];
+                        for (hh, o) in g_row.iter_mut().enumerate() {
+                            let mut acc = 0.0f32;
+                            for (&g, &x) in go_row[hh * d..][..d].iter().zip(&v_row[hh * d..][..d]) {
+                                acc += g * x;
+                            }
+                            *o = acc;
+                        }
+                    }
+                }
+            });
+        }
+        vec![gv, ga]
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,6 +770,57 @@ mod tests {
             |x| segment_softmax(x, &[0, 0, 1, 1], 2).mul(&w).sum_all(),
             1e-2,
         );
+    }
+
+    #[test]
+    fn segment_dot_known_values() {
+        // Two heads of width 2; edges 0 and 2 belong to destination 1.
+        let q = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 1.0, -1.0], [2, 4]);
+        let k = Tensor::from_vec(
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 0.5, 0.5, 0.5, 0.5],
+            [3, 4],
+        );
+        let out = segment_dot(&q, &k, &[1, 0, 1], 2, 0.5);
+        assert_eq!(out.dims(), &[3, 2]);
+        // e0 -> q[1]: (2+4)/2, (3-4)/2; e1 -> q[0]: 5/2, 8/2; e2 -> q[1]: 2/2, 0/2
+        assert_eq!(out.to_vec(), vec![3.0, -0.5, 2.5, 4.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn segment_weighted_sum_known_values_and_empty_segment() {
+        let v = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0], [2, 4]);
+        let a = Tensor::from_vec(vec![0.5, 2.0, 1.0, 0.1], [2, 2]);
+        let out = segment_weighted_sum(&v, &a, &[2, 2], 3);
+        assert_eq!(out.dims(), &[3, 4]);
+        let mut want = vec![0.0; 8];
+        want.extend([0.5 + 10.0, 1.0 + 20.0, 6.0 + 3.0, 8.0 + 4.0]);
+        assert_eq!(out.to_vec(), want);
+        // No edges at all: every segment is empty.
+        let none = segment_weighted_sum(&Tensor::zeros([0, 4]), &Tensor::zeros([0, 2]), &[], 2);
+        assert_eq!(none.to_vec(), vec![0.0; 8]);
+    }
+
+    #[test]
+    fn attention_kernels_gradcheck() {
+        let seg = [1usize, 0, 1, 1];
+        let q = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.1, 0.3, 0.7, -0.4, 1.5], [2, 4]).requires_grad(true);
+        let k = Tensor::from_vec((0..16).map(|i| (i as f32 * 0.37).sin()).collect(), [4, 4]);
+        let w = Tensor::from_vec((0..8).map(|i| 0.5 - i as f32 * 0.2).collect(), [4, 2]);
+        check_gradient(&q, |t| segment_dot(t, &k, &seg, 2, 0.7).mul(&w).sum_all(), 1e-2);
+        let kg = k.requires_grad(true);
+        let q0 = q.detach();
+        check_gradient(&kg, |t| segment_dot(&q0, t, &seg, 2, 0.7).mul(&w).sum_all(), 1e-2);
+        let a = Tensor::from_vec((0..8).map(|i| 0.1 + i as f32 * 0.1).collect(), [4, 2]).requires_grad(true);
+        let wr = Tensor::from_vec((0..8).map(|i| (i as f32 * 0.9).cos()).collect(), [2, 4]);
+        check_gradient(&a, |t| segment_weighted_sum(&k, t, &seg, 2).mul(&wr).sum_all(), 1e-2);
+        let a0 = a.detach();
+        check_gradient(&kg, |t| segment_weighted_sum(t, &a0, &seg, 2).mul(&wr).sum_all(), 1e-2);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not split into")]
+    fn segment_dot_rejects_indivisible_heads() {
+        segment_dot(&Tensor::zeros([1, 5]), &Tensor::zeros([2, 5]), &[0, 0], 2, 1.0);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use crate::ops::transpose_into;
 use crate::pool;
 use crate::shape::Shape;
 use crate::Tensor;
@@ -65,21 +66,10 @@ impl Tensor {
         // Every element is written, so recycled pool memory needs no
         // zero pass (forward and backward alike).
         let mut out = pool::take_uninit(m * n, device);
-        {
-            let data = self.inner.storage.read();
-            for i in 0..m {
-                for j in 0..n {
-                    out[j * m + i] = data[i * n + j];
-                }
-            }
-        }
+        transpose_into(&self.inner.storage.read(), m, n, &mut out);
         Tensor::make_result(out, [n, m], device, std::slice::from_ref(self), move |go| {
             let mut g = pool::take_uninit(m * n, device);
-            for j in 0..n {
-                for i in 0..m {
-                    g[i * n + j] = go[j * m + i];
-                }
-            }
+            transpose_into(go, n, m, &mut g);
             vec![Some(g)]
         })
     }

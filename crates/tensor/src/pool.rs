@@ -29,7 +29,8 @@
 //! their memory while the large requests they were made for miss).
 //! Repeated same-shape requests (the training-loop pattern) hit
 //! exactly-fitting buffers. Each class holds a bounded number of
-//! buffers; surplus buffers are simply freed.
+//! buffers; a full class keeps the roomiest ones it is given and
+//! frees the rest.
 //!
 //! # Zero-fill rules
 //!
@@ -109,9 +110,18 @@ impl Shelf {
         let cap = if class >= LARGE_CLASS { CLASS_CAP_LARGE } else { CLASS_CAP_SMALL };
         let bufs = &mut self.classes[class];
         if bufs.len() < cap {
-            bufs.push(buf);
+            return bufs.push(buf);
         }
-        // else: drop — the class is full and the allocator reclaims it.
+        // The class is full: keep the roomier buffer and let the
+        // allocator reclaim the other. A class then converges on the
+        // largest capacities it has seen, which serve every request in
+        // it — dropping the newcomer instead re-allocates the largest
+        // shape of an epoch every epoch.
+        if let Some(smallest) = bufs.iter_mut().min_by_key(|b| b.capacity()) {
+            if smallest.capacity() < buf.capacity() {
+                *smallest = buf;
+            }
+        }
     }
 }
 
@@ -362,6 +372,28 @@ mod tests {
             give(vec![0.0; 777], Device::Accel);
         }
         assert!(held(Device::Accel).0 <= before + CLASS_CAP_SMALL);
+    }
+
+    #[test]
+    fn full_class_keeps_the_roomiest_buffers() {
+        let _g = serial();
+        set_enabled(true);
+        // Fill class 17 (131072..262143 elements; unused by op tests on
+        // this shelf) with small-capacity buffers, then hand back one
+        // near the top of the class, as the largest batch of an epoch
+        // does: it must still be there for that batch's next visit.
+        for _ in 0..CLASS_CAP_SMALL {
+            give(vec![1.0; 131_101], Device::Accel);
+        }
+        give(vec![2.0; 260_003], Device::Accel);
+        let big = take_uninit(260_003, Device::Accel);
+        assert_eq!(big[0], 2.0, "a full class must not drop its roomiest buffer");
+        // A buffer smaller than everything held is the one freed.
+        give(big, Device::Accel);
+        let held_before = held(Device::Accel);
+        give(vec![3.0; 131_073], Device::Accel);
+        assert_eq!(held(Device::Accel), held_before);
+        while take_uninit(131_073, Device::Accel)[0] != 0.0 {} // drain the class
     }
 
     #[test]

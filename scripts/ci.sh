@@ -47,7 +47,7 @@ TGL_THREADS=2 ./target/release/quickstart \
 grep -q '"schema": "tgl-profile/v1"' "$OBS_DIR/profile.json" \
     || { echo "profile artifact missing tgl-profile/v1 schema"; exit 1; }
 # The top-k table must attribute real GEMM work with a roofline verdict.
-grep -q "matmul" "$PROF_LOG" \
+grep -Eq "^(linear|matmul) " "$PROF_LOG" \
     || { echo "profile table names no GEMM op"; cat "$PROF_LOG"; exit 1; }
 grep -Eq "compute-bound|bandwidth-bound" "$PROF_LOG" \
     || { echo "profile table carries no roofline verdict"; cat "$PROF_LOG"; exit 1; }
@@ -63,6 +63,24 @@ grep -q "kernel exact" "$PROF_LOG" \
 if grep -q ">peak!" "$PROF_LOG"; then
     echo "profile reports an op above the calibrated GEMM peak"; cat "$PROF_LOG"; exit 1
 fi
+
+echo "==> inference op profile: every phase above 5% of the wall is at least half covered by op frames"
+EVAL_LOG="$OBS_DIR/eval-profile.log"
+TGL_THREADS=2 ./target/release/tgl eval --model tgat --dataset reddit --scale 4 --profile >"$EVAL_LOG" 2>&1 \
+    || { cat "$EVAL_LOG"; exit 1; }
+# Coverage lines read "  <phase>  <ops>s of <span>s  ( <pct>%)"; the
+# wall is the sum of the phase spans.
+awk '/^phase coverage/ {on=1; next}
+     on && $3=="of" {name[n]=$1; span[n]=$4+0; pct[n]=$5+0; wall+=span[n]; n++}
+     END {
+         if (n == 0) { print "no phase coverage lines"; exit 1 }
+         for (i = 0; i < n; i++)
+             if (span[i] > 0.05 * wall && pct[i] < 50) {
+                 printf "phase %s: %.4fs of a %.4fs wall, %.1f%% covered by ops\n", name[i], span[i], wall, pct[i]; bad=1
+             }
+         exit bad
+     }' <(sed 's/[()%]/ /g' "$EVAL_LOG") \
+    || { echo "tgl eval --profile leaves a heavy phase unattributed"; cat "$EVAL_LOG"; exit 1; }
 
 echo "==> critical-path analysis + flight recorder smoke"
 CP_LOG="$OBS_DIR/critpath.log"
@@ -271,10 +289,15 @@ for mode in exact fast; do
     grep -q "\"kernel\": \"$mode\"" BENCH_micro_gemm.json \
         || { echo "BENCH_micro_gemm.json missing $mode-mode series"; exit 1; }
 done
-# The two backward products ride the trend guard beside the forward one.
-for op in nn nt tn; do
-    grep -q "\"op\": \"$op\"" BENCH_micro_gemm.json \
+# The two backward products and the fused Linear op (forward and
+# backward) ride the trend guard beside the forward product.
+for op in nn nt tn linear linear.bwd; do
+    grep -Fq "\"op\": \"$op\"" BENCH_micro_gemm.json \
         || { echo "BENCH_micro_gemm.json missing $op rows"; exit 1; }
+done
+for bench in segment_dot segment_weighted_sum; do
+    grep -q "\"bench\": \"${bench}_6000x2x16_exact\"" BENCH_parallel.json \
+        || { echo "BENCH_parallel.json missing $bench rows"; exit 1; }
 done
 
 echo "==> bench trajectory vs committed baselines"

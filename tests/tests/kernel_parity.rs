@@ -14,7 +14,10 @@ use std::sync::{Mutex, MutexGuard};
 use tgl_runtime::rng::{SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 use tgl_tensor::kernel::{self, KernelMode};
-use tgl_tensor::ops::{segment_mean, segment_softmax, segment_sum, AdamStep};
+use tgl_tensor::ops::{
+    cat, segment_dot, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
+    time_encode, AdamStep,
+};
 use tgl_tensor::Tensor;
 
 /// Serializes tests: kernel mode, SIMD gate, and the thread pool are
@@ -365,4 +368,285 @@ fn mode_parsing_accepts_exact_and_fast_only() {
     assert_eq!(kernel::parse(" Exact "), Some(KernelMode::Exact));
     assert_eq!(kernel::parse("quick"), None);
     assert_eq!(kernel::parse(""), None);
+}
+
+// ---------------------------------------------------------------------
+// Fused forward-path kernels against the op chains they replaced
+// ---------------------------------------------------------------------
+
+type Op = Box<dyn Fn(&[Tensor]) -> Tensor>;
+
+/// A fused kernel, the op chain it replaced (kept here only, as the
+/// reference), and input values for both.
+struct Fusion {
+    name: String,
+    inputs: Vec<Tensor>,
+    fused: Op,
+    chain: Op,
+}
+
+/// Element `i` of the fixed upstream gradient [`eval`] backpropagates.
+fn upstream(i: usize) -> f32 {
+    ((i * 37 + 11) % 101) as f32 / 50.0 - 1.0
+}
+
+/// Output and every input's gradient (empty where an input takes
+/// none) of `f` over fresh leaves of `inputs`, from a fixed upstream
+/// gradient.
+fn eval(f: &Op, inputs: &[Tensor]) -> Vec<Vec<f32>> {
+    let leaves: Vec<Tensor> = inputs.iter().map(|t| t.requires_grad(true)).collect();
+    let y = f(&leaves);
+    y.backward_with((0..y.numel()).map(upstream).collect());
+    let mut all = vec![y.to_vec()];
+    all.extend(leaves.iter().map(|t| t.grad().unwrap_or_default()));
+    all
+}
+
+fn linear_case(m: usize, k: usize, n: usize, bias: bool, relu: bool, rng: &mut StdRng) -> Fusion {
+    let mut inputs = vec![rand2(rng, [m, k]), rand2(rng, [n, k])];
+    if bias {
+        inputs.push(Tensor::rand_uniform([n], -1.0, 1.0, rng));
+    }
+    Fusion {
+        name: format!("linear {m}x{k}x{n} bias={bias} relu={relu}"),
+        inputs,
+        fused: Box::new(move |t| t[0].linear(&t[1], t.get(2), relu)),
+        chain: Box::new(move |t| {
+            let y = t[0].matmul(&t[1].transpose());
+            match (t.get(2), relu) {
+                (Some(b), true) => y.add_relu(b),
+                (Some(b), false) => y.add(b),
+                (None, true) => y.relu(),
+                (None, false) => y,
+            }
+        }),
+    }
+}
+
+/// `e` edges over `s` segments; with `gaps`, every third segment stays
+/// empty.
+fn segments_for(e: usize, s: usize, gaps: bool) -> Vec<usize> {
+    (0..e)
+        .map(|i| {
+            let seg = (i * 7 + i / 3) % s;
+            if gaps && seg.is_multiple_of(3) { (seg + 1) % s } else { seg }
+        })
+        .collect()
+}
+
+fn dot_case(e: usize, s: usize, h: usize, d: usize, gaps: bool, rng: &mut StdRng) -> Fusion {
+    let seg = segments_for(e, s, gaps);
+    let seg2 = seg.clone();
+    let scale = 1.0 / (d as f32).sqrt();
+    Fusion {
+        name: format!("segment_dot E={e} S={s} H={h} D={d} gaps={gaps}"),
+        inputs: vec![rand2(rng, [s, h * d]), rand2(rng, [e, h * d])],
+        fused: Box::new(move |t| segment_dot(&t[0], &t[1], &seg, h, scale)),
+        chain: Box::new(move |t| {
+            t[0].index_select(&seg2).mul(&t[1]).reshape([e, h, d]).sum_dim(2).mul_scalar(scale)
+        }),
+    }
+}
+
+fn weighted_sum_case(e: usize, s: usize, h: usize, d: usize, gaps: bool, rng: &mut StdRng) -> Fusion {
+    let seg = segments_for(e, s, gaps);
+    let seg2 = seg.clone();
+    Fusion {
+        name: format!("segment_weighted_sum E={e} S={s} H={h} D={d} gaps={gaps}"),
+        inputs: vec![rand2(rng, [e, h * d]), rand2(rng, [e, h])],
+        fused: Box::new(move |t| segment_weighted_sum(&t[0], &t[1], &seg, s)),
+        chain: Box::new(move |t| {
+            let weighted = t[0].reshape([e, h, d]).mul(&t[1].reshape([e, h, 1])).reshape([e, h * d]);
+            segment_sum(&weighted, &seg2, s)
+        }),
+    }
+}
+
+/// Deltas `0..=6` times a power of ten up to `10^max_decade`.
+fn time_encode_case(n: usize, dim: usize, max_decade: i32, rng: &mut StdRng) -> Fusion {
+    let deltas: Vec<f32> =
+        (0..n).map(|i| (i % 7) as f32 * 10f32.powi((i as i32 % 5 - 4 + max_decade).min(max_decade))).collect();
+    Fusion {
+        name: format!("time_encode n={n} dim={dim}"),
+        inputs: vec![
+            Tensor::from_vec(deltas, [n]),
+            Tensor::rand_uniform([dim], 0.0, 1.0, rng),
+            Tensor::rand_uniform([dim], -1.0, 1.0, rng),
+        ],
+        fused: Box::new(|t| time_encode(&t[0].detach(), &t[1], &t[2])),
+        chain: Box::new(move |t| t[0].detach().reshape([n, 1]).mul(&t[1]).add(&t[2]).cos()),
+    }
+}
+
+/// Every fused kernel at shapes that cross its edges: `k` straddling
+/// the GEMM's `KC = 256` panel, `n` below `NR = 8`, a mostly-zero
+/// input (the zero-skipping path), head widths that are and are not a
+/// lane multiple, empty segments, and no edges at all.
+fn fusions() -> Vec<Fusion> {
+    let mut rng = StdRng::seed_from_u64(0xF05E);
+    let mut all = Vec::new();
+    for (bias, relu) in [(true, false), (true, true), (false, false), (false, true)] {
+        for (m, k, n) in [(70, 257, 5), (300, 80, 32), (9, 3, 1)] {
+            all.push(linear_case(m, k, n, bias, relu, &mut rng));
+        }
+    }
+    let mut sparse = linear_case(64, 40, 12, true, true, &mut rng);
+    sparse.inputs[0] = sparse.inputs[0].relu().mul(&sparse.inputs[0].add_scalar(-0.5).relu());
+    sparse.name.push_str(" mostly-zero x");
+    all.push(sparse);
+    for (e, s, h, d, gaps) in [(600, 70, 2, 16, false), (130, 40, 3, 5, true), (0, 4, 2, 8, true)] {
+        all.push(dot_case(e, s, h, d, gaps, &mut rng));
+        all.push(weighted_sum_case(e, s, h, d, gaps, &mut rng));
+    }
+    // Deltas span the decades the frequency ladder does.
+    all.push(time_encode_case(500, 16, 3, &mut rng));
+    all.push(time_encode_case(33, 5, 3, &mut rng));
+    all
+}
+
+#[test]
+fn fused_kernels_match_their_chains_bitwise_in_exact_mode() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    kernel::set_mode(KernelMode::Exact);
+    for threads in [1, 4] {
+        set_threads(threads);
+        for case in fusions() {
+            let (fused, chain) = (eval(&case.fused, &case.inputs), eval(&case.chain, &case.inputs));
+            for (i, (f, c)) in fused.iter().zip(&chain).enumerate() {
+                // `==` on values: the chains' zeroed accumulators turn a
+                // `-0.0` gradient into `+0.0`, which no result can tell.
+                assert_eq!(f, c, "{} at {threads} threads: output/grad {i} differs", case.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_kernels_stay_within_tolerance_in_fast_mode() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    set_threads(1);
+    for case in fusions() {
+        kernel::set_mode(KernelMode::Exact);
+        let want = eval(&case.chain, &case.inputs);
+        kernel::set_mode(KernelMode::Fast);
+        let got = eval(&case.fused, &case.inputs);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            // Against the largest magnitude of the tensor: a sum that
+            // cancels to ~0 keeps the absolute error of its terms.
+            let size = w.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            let err = g.iter().zip(w).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max) / size;
+            assert!(err <= 1e-4, "{}: output/grad {i} off by {err} under fast", case.name);
+        }
+    }
+}
+
+#[test]
+fn fused_kernels_are_thread_count_invariant_in_both_modes() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    for mode in [KernelMode::Exact, KernelMode::Fast] {
+        kernel::set_mode(mode);
+        for case in fusions() {
+            set_threads(1);
+            let one: Vec<Vec<u32>> = eval(&case.fused, &case.inputs).iter().map(|v| bits(v)).collect();
+            set_threads(4);
+            let four: Vec<Vec<u32>> = eval(&case.fused, &case.inputs).iter().map(|v| bits(v)).collect();
+            assert_eq!(one, four, "{} {mode:?}: 1 vs 4 threads", case.name);
+        }
+    }
+}
+
+#[test]
+fn fused_kernels_pass_finite_difference_gradcheck() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    set_threads(1);
+    let mut rng = StdRng::seed_from_u64(0x6D);
+    // Small shapes (central differences cost two forwards per element)
+    // and no ReLU: a finite difference straddling its kink says nothing.
+    let cases = vec![
+        linear_case(5, 7, 3, true, false, &mut rng),
+        dot_case(9, 4, 2, 3, true, &mut rng),
+        weighted_sum_case(9, 4, 2, 3, true, &mut rng),
+        // Arguments of a few radians: a step of 1e-2 in a frequency
+        // must not skip periods.
+        time_encode_case(6, 3, -1, &mut rng),
+    ];
+    for case in cases {
+        let analytic = eval(&case.fused, &case.inputs);
+        // The loss `eval` differentiates: the output dotted with its
+        // fixed upstream gradient.
+        let loss = |inputs: &[Tensor]| -> f32 {
+            let y = (case.fused)(inputs).to_vec();
+            y.iter().enumerate().map(|(i, v)| v * upstream(i)).sum()
+        };
+        for (slot, grad) in analytic[1..].iter().enumerate() {
+            let base = case.inputs[slot].to_vec();
+            for (i, &g) in grad.iter().enumerate() {
+                let at = |delta: f32| {
+                    let mut vals = base.clone();
+                    vals[i] += delta;
+                    let mut inputs = case.inputs.clone();
+                    inputs[slot] = Tensor::from_vec(vals, case.inputs[slot].dims().to_vec());
+                    loss(&inputs)
+                };
+                let eps = 1e-2f32;
+                let numeric = (at(eps) - at(-eps)) / (2.0 * eps);
+                let denom = numeric.abs().max(g.abs()).max(0.1);
+                assert!(
+                    (numeric - g).abs() / denom <= 3e-2,
+                    "{}: input {slot}[{i}] analytic {g} vs numeric {numeric}",
+                    case.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn attention_step_is_the_same_bits_fused_and_unfused() {
+    // The whole TGAT attention step of `TemporalAttnLayer::forward`
+    // (q/k/v projections, logits, softmax, weighted sum) through the
+    // fused kernels and through the seven-op chain, losses included:
+    // gradients of shared inputs accumulate in the same order.
+    let _g = serial();
+    let _restore = RestoreKernel;
+    kernel::set_mode(KernelMode::Exact);
+    set_threads(1);
+    let (e, s, h, d) = (220, 30, 2, 8);
+    let seg = segments_for(e, s, true);
+    let scale = 1.0 / (d as f32).sqrt();
+    let run = |fused: bool| {
+        let mut rng = StdRng::seed_from_u64(0xA77);
+        let mut leaf = |dims: [usize; 2]| rand2(&mut rng, dims).requires_grad(true);
+        let (h_dst, z) = (leaf([s, 12]), leaf([e, 20]));
+        let (wq, wk, wv) = (leaf([h * d, 12]), leaf([h * d, 20]), leaf([h * d, 20]));
+        let bq = Tensor::rand_uniform([h * d], -1.0, 1.0, &mut rng).requires_grad(true);
+        let project = |x: &Tensor, w: &Tensor, b: Option<&Tensor>| {
+            if fused {
+                return x.linear(w, b, false);
+            }
+            let y = x.matmul(&w.transpose());
+            b.map_or(y.clone(), |b| y.add(b))
+        };
+        let (q, k, v) = (project(&h_dst, &wq, Some(&bq)), project(&z, &wk, None), project(&z, &wv, None));
+        let r = if fused {
+            let attn = segment_softmax(&segment_dot(&q, &k, &seg, h, scale), &seg, s);
+            segment_weighted_sum(&v, &attn, &seg, s)
+        } else {
+            let logits =
+                q.index_select(&seg).mul(&k).reshape([e, h, d]).sum_dim(2).mul_scalar(scale);
+            let attn = segment_softmax(&logits, &seg, s);
+            let weighted = v.reshape([e, h, d]).mul(&attn.reshape([e, h, 1])).reshape([e, h * d]);
+            segment_sum(&weighted, &seg, s)
+        };
+        let out = cat(&[r, h_dst.clone()], 1);
+        out.mul(&out).sum_all().backward();
+        let mut all = vec![out.to_vec()];
+        all.extend([&h_dst, &z, &wq, &wk, &wv, &bq].map(|t| t.grad().expect("on the graph")));
+        all
+    };
+    assert_eq!(run(true), run(false));
 }

@@ -4,7 +4,9 @@
 
 use tgl_integration::{assert_logits_close, batch, ctx, tiny_wiki};
 use tgl_models::{Apan, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
-use tglite::tensor::no_grad;
+use tglite::tensor::optim::Adam;
+use tglite::tensor::{bce_with_logits, no_grad, ops::cat, Tensor};
+use tglite::TContext;
 
 #[test]
 fn tgat_all_optimizations_preserve_inference() {
@@ -105,4 +107,50 @@ fn preload_pinned_matches_pageable_results() {
     let plain = run(OptFlags::none());
     let pinned = run(OptFlags::preload_only());
     assert_logits_close(&plain, &pinned, 1e-5, "preload path");
+}
+
+/// Trains `model` for six steps (training forwards never use the
+/// redundancy operators, so every `opts` sees the same parameters),
+/// then returns the bits of one inference batch's logits.
+fn logits_after_training(model: &mut dyn TemporalModel, c: &TContext) -> Vec<u32> {
+    let (g, spec) = tiny_wiki();
+    let mut opt = Adam::new(model.parameters(), 1e-2);
+    for i in 0..6 {
+        let b = batch(&g, &spec, i * 50..(i + 1) * 50, i as u64);
+        opt.zero_grad();
+        let (pos, neg) = model.forward(c, &b);
+        let mut targets = vec![1.0f32; pos.dim(0)];
+        targets.extend(vec![0.0; neg.dim(0)]);
+        let n = targets.len();
+        bce_with_logits(&cat(&[pos, neg], 0), &Tensor::from_vec(targets, [n])).backward();
+        opt.step();
+        c.clear_caches();
+    }
+    model.set_training(false);
+    let _guard = no_grad();
+    let b = batch(&g, &spec, 300..380, 9);
+    let (pos, neg) = model.forward(c, &b);
+    pos.to_vec().iter().chain(&neg.to_vec()).map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn time_precompute_is_bitwise_neutral_after_training() {
+    // Every attention layer (and TGN's memory updater) owns a trainable
+    // time encoder. Once training has pulled them apart, a Φ(Δt) row
+    // may only ever be served to the encoder that computed it: the
+    // operator must not change one bit of the logits. (Untrained
+    // encoders are identical, which hides any sharing between them.)
+    let (g, _) = tiny_wiki();
+    let without = OptFlags { time_precompute: false, ..OptFlags::all() };
+    for model in ["tgat", "tgn"] {
+        let run = |opts: OptFlags| {
+            let c = ctx(&g);
+            let mut m: Box<dyn TemporalModel> = match model {
+                "tgat" => Box::new(Tgat::new(&c, ModelConfig::tiny(), opts, 5)),
+                _ => Box::new(Tgn::new(&c, ModelConfig::tiny(), opts, 5)),
+            };
+            logits_after_training(m.as_mut(), &c)
+        };
+        assert_eq!(run(OptFlags::all()), run(without), "{model}: time_precompute moved the logits");
+    }
 }

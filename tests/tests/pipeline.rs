@@ -185,8 +185,14 @@ fn tgn_host_resident_matches_sequential_and_keeps_device_peak() {
                 "TGN counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
             );
             if depth == 4 {
+                // One plan's staged tables stay alive during its own
+                // step (~63 KB here); expanded per-block tensors in
+                // four queued plans would be several times that. The
+                // allowance is absolute so it does not move with the
+                // depth-0 peak: it is the 3% of 2 635 092 B this bound
+                // granted when it was written.
                 assert!(
-                    peak as f64 <= peak0 as f64 * 1.03,
+                    peak <= peak0 + 79_052,
                     "accel peak grew with the queue: {peak0} B at depth 0, {peak} B at depth 4"
                 );
             }

@@ -70,6 +70,29 @@ fn gemm_flop_counts_match_analytic_2mnk() {
     assert_eq!(bwd.flops, 4 * (m * k * n) as u64);
 }
 
+#[test]
+fn linear_frame_counts_its_gemms_and_epilogue() {
+    let _g = serial();
+    profile::enable(true);
+    profile::take();
+    let (m, k, n) = (8usize, 16usize, 12usize);
+    let x = Tensor::ones([m, k]).requires_grad(true);
+    let w = Tensor::ones([n, k]).requires_grad(true);
+    let b = Tensor::ones([n]).requires_grad(true);
+    x.linear(&w, Some(&b), true).sum_all().backward();
+    let stats = profile::take();
+    profile::enable(false);
+    let row = |op: &str| stats.iter().find(|s| s.op == op).unwrap_or_else(|| panic!("no {op} row"));
+    // Forward: one GEMM plus a bias add and a ReLU per output element.
+    let fwd = row("linear");
+    assert_eq!((fwd.calls, fwd.shape), (1, "8x16,12x16"));
+    assert_eq!(fwd.flops, (2 * m * k * n + 2 * m * n) as u64);
+    assert_eq!(fwd.bytes_read, 4 * (m * k + n * k + n) as u64);
+    // Backward: dX and dW GEMMs, the ReLU mask and the bias column sums.
+    assert_eq!(row("linear.bwd").flops, (4 * m * k * n + 2 * m * n) as u64);
+    assert!(stats.iter().all(|s| !s.op.starts_with("matmul") && !s.op.starts_with("transpose")));
+}
+
 /// A deterministic mixed workload under two phase scopes.
 fn invariance_workload() {
     let a = Tensor::ones([64, 32]);
@@ -200,7 +223,11 @@ fn training_epoch_profile_has_no_anonymous_rows() {
     let ctx = tglite::TContext::new(g.clone());
     let tgn = epoch_ops(&mut Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 42), &ctx);
     for (model, ops) in [("tgat", &tgat), ("tgn", &tgn)] {
-        assert!(ops.contains(&"matmul.bwd"), "{model}: backward sweep not profiled: {ops:?}");
+        assert!(ops.contains(&"linear.bwd"), "{model}: backward sweep not profiled: {ops:?}");
+        for fused in ["segment_dot", "segment_weighted_sum", "time_encode"] {
+            assert!(ops.contains(&fused), "{model}: no {fused} frame: {ops:?}");
+            assert!(ops.iter().any(|op| op.strip_suffix(".bwd") == Some(fused)), "{model}: {fused}.bwd");
+        }
         assert!(ops.contains(&"bce.bwd") && ops.contains(&"reshape.bwd"), "{model}: {ops:?}");
         assert!(!ops.iter().any(|op| *op == "op" || *op == "op.bwd"), "{model}: {ops:?}");
     }
