@@ -47,7 +47,7 @@ impl Mfg {
         dst_nodes: Vec<NodeId>,
         dst_times: Vec<Time>,
     ) -> Mfg {
-        let _s = tglite::prof::scope("sample");
+        let _s = tglite::prof::scope("sample").stage(tglite::obs::Stage::Sample);
         let nbrs = sampler.sample(&g.tcsr(), &dst_nodes, &dst_times);
         drop(_s);
         let deltas: Vec<f32> = nbrs
@@ -58,7 +58,7 @@ impl Mfg {
             .collect();
         // Eager materialization: dst features, src features, and edge
         // features all shipped to the device now and retained.
-        let _f = tglite::prof::scope("feature_load");
+        let _f = tglite::prof::scope("feature_load").stage(tglite::obs::Stage::Transfer);
         let dst_feat = g.node_feat_rows(&dst_nodes).to(device);
         let src_feat = g.node_feat_rows(&nbrs.src_nodes).to(device);
         let edge_feat = g.edge_feat_rows(&nbrs.eids).to(device);

@@ -1,8 +1,9 @@
 //! Overhead guard for the observability layer.
 //!
-//! The ISSUE's acceptance bar: observability must cost ≤ 2% when
-//! disabled. A disabled counter site is a relaxed atomic load + branch
-//! and a disabled span is one relaxed load, so the real budget is
+//! The acceptance bar: observability must cost ≤ 2% when disabled. A
+//! disabled counter site is a relaxed atomic load + branch and a
+//! disabled span / region / op / timer site is one relaxed load (all
+//! four are the same guard over one switch word), so the real budget is
 //! noise — this bench measures a representative instrumented workload
 //! (batch temporal sampling + dedup, the hottest counter paths) with
 //! every observability feature disabled vs. enabled-but-draining, and
@@ -41,6 +42,11 @@ fn median(mut v: Vec<f64>) -> f64 {
 
 fn main() {
     println!("== observability overhead guard ==");
+    // One pool thread: the guard compares per-site costs, and on a
+    // multi-core host whether a parked helper is warm swings the
+    // sampler's parallel regions by 2x between rounds (disabled 61 us
+    // vs 120 us re-measured, on the parent commit too).
+    tgl_runtime::set_threads(1);
     let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(4);
     let (g, _) = generate(&spec);
     let ctx = TContext::new(Arc::clone(&g));
@@ -52,18 +58,20 @@ fn main() {
     let blk_sampler = TSampler::new(10, SamplingStrategy::Recent);
 
     // The measured workload walks the hottest instrumented paths:
-    // sampler counters, dedup counters, a latency histogram timer, a
-    // gauge store, and a profiled scope per iter — every kind of site
-    // the telemetry layer plants in the training loop.
+    // sampler counters, dedup counters, a region, a phase, an op and a
+    // timer, a value histogram and a gauge store per iter — every kind
+    // of site the telemetry layer plants in the training loop.
     let workload = || {
+        let _r = tgl_obs::region("obs-overhead-step");
         let _s = prof::scope("obs-overhead-workload");
-        let _lat = tgl_obs::histogram!("bench.workload_ns").timer();
+        let _lat = tgl_obs::timer("bench.workload");
+        tgl_obs::histogram!("bench.workload_len").record(n as u64);
         // The per-batch insight bag the trainer installs: disabled,
         // begin/flush are one relaxed load each and the observation
         // sites inside sampler/dedup short-circuit the same way.
         tgl_obs::insight::begin_batch();
-        // A per-op profiler site, the kind every tensor kernel now
-        // carries: disabled it must be one relaxed load.
+        // A per-op site, the kind every tensor kernel carries:
+        // disabled it must be one relaxed load.
         let _op = tgl_obs::profile::op("bench.workload_op")
             .flops(64)
             .io(256, 256);
@@ -86,37 +94,36 @@ fn main() {
     let mut on = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
         obs::metrics::set_enabled(false);
-        prof::enable(false);
+        obs::collect(false);
         obs::trace::enable(false);
-        obs::profile::enable(false);
         obs::flight::enable(false);
         obs::timeseries::enable(false);
         obs::insight::enable(false);
         off.push(time_it(workload, 0.15));
 
         obs::metrics::set_enabled(true);
-        prof::enable(true);
+        obs::collect(true);
         obs::trace::enable(true);
-        obs::profile::enable(true);
         obs::flight::enable(true);
         obs::timeseries::enable(true);
         obs::insight::enable(true);
         on.push(time_it(workload, 0.15));
-        // Drain so the trace/profile sinks cannot grow across rounds.
-        // (The time-series ring is retention-bounded and needs none.)
+        // Drain so the event log cannot grow across rounds. (The
+        // aggregate is bounded by its keys and the time-series ring by
+        // its retention; draining them just keeps rounds alike.)
         obs::trace::take();
         prof::take();
-        obs::profile::take();
     }
     obs::metrics::set_enabled(true);
-    prof::enable(false);
+    obs::collect(false);
     obs::trace::enable(false);
-    obs::profile::enable(false);
     obs::flight::enable(false);
     obs::timeseries::enable(false);
     obs::insight::enable(false);
     obs::insight::reset();
 
+    let fastest = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let off_min = fastest(&off);
     let off_med = median(off);
     let on_med = median(on);
     println!("  disabled: {:>10.1} us/iter", off_med * 1e6);
@@ -128,25 +135,31 @@ fn main() {
 
     // The ≤2% acceptance criterion applies to *disabled* observability.
     // Sites stay compiled in either way, so "disabled" here means all
-    // seven enable gates (metrics, phases, trace, op profiler, flight
+    // six enable gates (metrics, span collection, event log, flight
     // recorder, time-series store, insight) off; the budget is 2% relative plus 5us
     // absolute slack for single-core scheduler noise on a workload of
     // hundreds of microseconds.
-    let budget = off_med * 1.02 + 5e-6;
     // Guard against systematic regression: compare the disabled path
     // against itself re-measured, which catches a future change that
     // makes "disabled" sites expensive (the failure the bar exists for).
+    // The re-measurement is not interleaved with the baseline, and a
+    // shared host drifts by tens of percent between the two windows —
+    // always towards slower — so the guard compares the fastest round
+    // of each; the medians are what gets printed and recorded.
+    let budget = off_min * 1.02 + 5e-6;
     obs::metrics::set_enabled(false);
-    let recheck = median((0..ROUNDS).map(|_| time_it(workload, 0.15)).collect());
+    let rechecks: Vec<f64> = (0..ROUNDS).map(|_| time_it(workload, 0.15)).collect();
     obs::metrics::set_enabled(true);
+    let recheck_min = fastest(&rechecks);
+    let recheck = median(rechecks);
     println!("  recheck:  {:>10.1} us/iter", recheck * 1e6);
     assert!(
-        recheck <= budget,
-        "disabled-observability workload regressed: {:.1}us > {:.1}us budget \
-         (2% + 5us over the {:.1}us baseline)",
-        recheck * 1e6,
+        recheck_min <= budget,
+        "disabled-observability workload regressed: fastest round {:.1}us > {:.1}us budget \
+         (2% + 5us over the {:.1}us fastest baseline round)",
+        recheck_min * 1e6,
         budget * 1e6,
-        off_med * 1e6
+        off_min * 1e6
     );
     // The enabled path is allowed to cost more (it does real work), but
     // flag pathological slowdowns loudly.
@@ -223,44 +236,44 @@ fn main() {
         }
         SITES
     };
+    let site_ns = |f: &dyn Fn() -> usize| {
+        median((0..5).map(|_| time_it(f, 0.1)).collect()) / SITES as f64 * 1e9
+    };
     let hist_off_ns = per_site(false, &mut { hist_path });
     let hist_on_ns = per_site(true, &mut { hist_path });
     let gauge_off_ns = per_site(false, &mut { gauge_path });
     let gauge_on_ns = per_site(true, &mut { gauge_path });
-    // The op-profiler gate is its own flag, not obs::metrics.
-    obs::profile::enable(false);
-    let prof_off_ns = {
-        let med = median((0..5).map(|_| time_it(prof_op_path, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
-    obs::profile::enable(true);
-    let prof_on_ns = {
-        let med = median((0..5).map(|_| time_it(prof_op_path, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
-    obs::profile::enable(false);
-    obs::profile::take();
-    // The span site with only the flight recorder live: one ring
-    // write per span end. This is the cost every traced scope pays
-    // in the always-on default configuration.
+    // The four span sites over the one switch word. Ops and timers are
+    // live only while collecting (flight-on alone leaves them one
+    // relaxed load); phases and regions are live whenever any sink is,
+    // so flight-only is the cost every scope pays by default.
     let span_path = || {
         for _ in 0..SITES {
             let _g = obs::span("bench.micro_span");
         }
         SITES
     };
+    let region_path = || {
+        for _ in 0..SITES {
+            let _g = obs::region("bench.micro_region");
+        }
+        SITES
+    };
     obs::metrics::set_enabled(false);
     obs::flight::enable(false);
-    let span_off_ns = {
-        let med = median((0..5).map(|_| time_it(span_path, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
+    let prof_off_ns = site_ns(&prof_op_path);
+    let span_off_ns = site_ns(&span_path);
+    let region_off_ns = site_ns(&region_path);
     obs::flight::enable(true);
-    let span_flight_ns = {
-        let med = median((0..5).map(|_| time_it(span_path, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
+    let span_flight_ns = site_ns(&span_path);
+    let region_flight_ns = site_ns(&region_path);
+    let prof_flight_ns = site_ns(&prof_op_path);
     obs::flight::enable(false);
+    obs::collect(true);
+    let prof_on_ns = site_ns(&prof_op_path);
+    let span_collect_ns = site_ns(&span_path);
+    obs::collect(false);
+    obs::profile::take();
     obs::metrics::set_enabled(true);
     // The time-series record path the trainer plants per step, and the
     // sampler/alert evaluation the telemetry hook runs each step.
@@ -372,10 +385,13 @@ fn main() {
         "  gauge.set:    {gauge_off_ns:>6.2} ns/site disabled, {gauge_on_ns:>6.2} ns/site enabled"
     );
     println!(
-        "  profile.op:   {prof_off_ns:>6.2} ns/site disabled, {prof_on_ns:>6.2} ns/site enabled"
+        "  profile.op:   {prof_off_ns:>6.2} ns/site disabled, {prof_flight_ns:>6.2} ns/site flight-only, {prof_on_ns:>6.2} ns/site collecting"
     );
     println!(
-        "  span:         {span_off_ns:>6.2} ns/site all-off, {span_flight_ns:>6.2} ns/site flight-on"
+        "  span:         {span_off_ns:>6.2} ns/site all-off, {span_flight_ns:>6.2} ns/site flight-only, {span_collect_ns:>6.2} ns/site collecting"
+    );
+    println!(
+        "  region:       {region_off_ns:>6.2} ns/site all-off, {region_flight_ns:>6.2} ns/site flight-only"
     );
     println!(
         "  ts.record:    {ts_off_ns:>6.2} ns/site disabled, {ts_on_ns:>6.2} ns/site enabled"
@@ -396,8 +412,10 @@ fn main() {
          \"flight_overhead_pct\": {:.3}\n  }},\n  \"per_site_ns\": {{\n    \
          \"hist_record_disabled\": {:.2},\n    \"hist_record_enabled\": {:.2},\n    \
          \"gauge_set_disabled\": {:.2},\n    \"gauge_set_enabled\": {:.2},\n    \
-         \"profile_op_disabled\": {:.2},\n    \"profile_op_enabled\": {:.2},\n    \
-         \"span_all_off\": {:.2},\n    \"span_flight_on\": {:.2},\n    \
+         \"profile_op_disabled\": {:.2},\n    \"profile_op_flight_only\": {:.2},\n    \
+         \"profile_op_enabled\": {:.2},\n    \
+         \"span_all_off\": {:.2},\n    \"span_flight_on\": {:.2},\n    \"span_collecting\": {:.2},\n    \
+         \"region_all_off\": {:.2},\n    \"region_flight_on\": {:.2},\n    \
          \"ts_record_disabled\": {:.2},\n    \"ts_record_enabled\": {:.2},\n    \
          \"ts_sample_tick\": {:.1},\n    \"alert_evaluate\": {:.1},\n    \
          \"alert_evaluate_uninstalled\": {:.2},\n    \
@@ -415,9 +433,13 @@ fn main() {
         gauge_off_ns,
         gauge_on_ns,
         prof_off_ns,
+        prof_flight_ns,
         prof_on_ns,
         span_off_ns,
         span_flight_ns,
+        span_collect_ns,
+        region_off_ns,
+        region_flight_ns,
         ts_off_ns,
         ts_on_ns,
         tick_ns,

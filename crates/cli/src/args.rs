@@ -1,74 +1,8 @@
-//! Minimal dependency-free flag parsing (`--key value` / `--flag`).
+//! The flag parser is `tgl_harness::Args`, shared with the quickstart
+//! example; the CLI's parsing contract is tested here, next to the
+//! flags it defines.
 
-use std::collections::HashMap;
-
-/// Parsed command line: a subcommand plus `--key value` options and
-/// bare `--flag` switches.
-#[derive(Debug, Clone, Default)]
-pub struct Args {
-    subcommand: Option<String>,
-    values: HashMap<String, String>,
-    flags: Vec<String>,
-}
-
-impl Args {
-    /// Parses an argument list (excluding the program name).
-    ///
-    /// The first non-flag token becomes the subcommand. A token
-    /// `--key` followed by a non-`--` token is a valued option;
-    /// otherwise it is a boolean flag.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Args {
-        let mut out = Args::default();
-        let mut iter = argv.into_iter().peekable();
-        while let Some(tok) = iter.next() {
-            if let Some(key) = tok.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        let val = iter.next().expect("peeked");
-                        out.values.insert(key.to_string(), val);
-                    }
-                    _ => out.flags.push(key.to_string()),
-                }
-            } else if out.subcommand.is_none() {
-                out.subcommand = Some(tok);
-            } else {
-                // Positional after the subcommand: treat as error fodder
-                // for the caller; store under a reserved key.
-                out.values.entry("_extra".into()).or_default().push_str(&tok);
-            }
-        }
-        out
-    }
-
-    /// The subcommand, if any.
-    pub fn subcommand(&self) -> Option<&str> {
-        self.subcommand.as_deref()
-    }
-
-    /// String option value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    /// Parsed option with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a clear message) if the value does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("--{key}: cannot parse {v:?}")),
-        }
-    }
-
-    /// Whether a boolean `--flag` was given.
-    pub fn has_flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-}
+pub use tgl_harness::Args;
 
 #[cfg(test)]
 mod tests {

@@ -15,15 +15,11 @@ mod promcheck;
 mod schema;
 mod trend;
 
-use std::sync::Arc;
-
+use tgl_data::{generate, save_csv, temporal_stats, DatasetKind, DatasetSpec};
+use tgl_device::TransferModel;
 use args::Args;
-use tgl_data::{generate, save_csv, temporal_stats, DatasetKind, DatasetSpec, Split};
-use tgl_device::{Device, TransferModel};
-use tgl_harness::runner::build_model;
-use tgl_harness::{Framework, MetricLog, ModelKind, TrainConfig, Trainer};
+use tgl_harness::{ExperimentConfig, Framework, ModelKind, ObsOptions, Placement, TrainConfig};
 use tgl_models::ModelConfig;
-use tglite::TContext;
 
 const HELP: &str = "\
 tgl — TGLite reproduction command line
@@ -37,9 +33,10 @@ SUBCOMMANDS:
     generate   write a synthetic dataset's edge list as CSV
     stats      print a dataset's structural statistics
     jsoncheck  parse a JSON file and exit nonzero if malformed; known
-               schemas (tgl-timeseries/v1, tgl-alerts/v1,
-               tgl-insight/v1) also get shape-validated against their
-               contract;
+               schemas (tgl-timeseries/v1, tgl-alerts/v1, and the
+               profile / critpath / insight sections of
+               tgl-run-report/v3) also get shape-validated against
+               their contract;
                with --trend --old <PATH> [--budget <PCT>] also compare
                wall-time series against an older copy and fail on
                regressions beyond the budget (default 25%)
@@ -54,23 +51,23 @@ SUBCOMMANDS:
 
 OBSERVABILITY OPTIONS (train/eval):
     --prof               print the per-phase epoch breakdown (Fig. 7)
+                         and, after the run, the per-stage seconds as
+                         the phase table, the op profile and (with
+                         --critpath) the critical path see them
     --profile            per-operator profile: top-k table of self
                          time, calls, achieved GFLOP/s, arithmetic
                          intensity, and a roofline verdict (compute-
                          vs bandwidth-bound vs data movement), plus
-                         per-phase attribution coverage
-    --profile-out <PATH> write the op profile as a tgl-profile/v1
-                         JSON artifact (implies --profile collection)
+                         per-phase attribution coverage and the
+                         per-stage table
     --profile-top <N>    rows in the --profile table (default 15)
     --trace-out <PATH>   write a Chrome trace-event JSON of all spans
                          (open in chrome://tracing or ui.perfetto.dev)
-    --critpath           enable span tracing and print a critical-path
+    --critpath           log every span and print a critical-path
                          table after the run: per-stage serial vs
                          exclusive vs overlapped time, the critical
                          path itself, overlap efficiency, and pool
                          busy/wait attribution
-    --critpath-out <PATH>  write the analysis as a tgl-critpath/v1
-                         JSON artifact (implies --critpath)
     --insight            model & data introspection: per-parameter-group
                          gradient/weight norms and update ratios,
                          dead-activation fractions, memory staleness,
@@ -79,24 +76,19 @@ OBSERVABILITY OPTIONS (train/eval):
                          depth — printed as a per-layer table at end of
                          run; series land in the time-series store
                          (insight.*) so --slo rules can target them,
-                         and /insight.json serves them live (also via
-                         TGL_INSIGHT=1)
-    --insight-out <PATH> write the summaries as a tgl-insight/v1 JSON
-                         artifact (implies --insight)
-    --insight-top <N>    parameter-group rows in the --insight table
-                         (default 8)
+                         and the run report carries the summaries
     --flight <on|off>    flight recorder: always-on ring of recent
                          spans/health events dumped on panic or
                          health-fail (default on; also TGL_FLIGHT=off;
                          dumps land in TGL_FLIGHT_DIR or the cwd)
     --flight-out <PATH>  write a flight dump at end of run
-    --metrics-out <PATH> write a structured JSON run report (per-epoch
+    --metrics-out <PATH> write the tgl-run-report/v3 JSON: per-epoch
                          phases, counters, latency histograms, health,
-                         critpath section when tracing is on)
+                         and the profile (every span-aggregate row),
+                         insight and (with --critpath / --trace-out)
+                         critpath sections
     --serve-metrics <ADDR>  serve /metrics, /healthz, /report.json,
-                         /profile.json, /critpath.json, /flight.json,
-                         /timeseries.json, /alerts.json, /insight.json,
-                         /dashboard
+                         /timeseries.json, /alerts.json, /dashboard
                          and /quit over HTTP while the run executes
                          (e.g. 127.0.0.1:0; also via TGL_METRICS_ADDR);
                          enables time-series retention and a background
@@ -113,13 +105,13 @@ OBSERVABILITY OPTIONS (train/eval):
     --health <off|warn|fail>  non-finite loss/gradient policy: warn
                          records a health event and skips the batch
                          (default), fail aborts, off disables checks
-                         (also via TGL_HEALTH)
+                         (default from TGL_HEALTH)
     --threads <N>        set the worker pool width (overrides TGL_THREADS)
     --pipeline <N>       pipelined training: a sampler stage prefetches
                          up to N batches (negatives, neighbor sampling,
                          transfer staging) ahead of the compute stage
                          over a bounded channel; 0 = sequential
-                         reference (default; also via TGL_PIPELINE).
+                         reference (default; default from TGL_PIPELINE).
                          Losses are bitwise identical at any depth
     --kernel <exact|fast>  tensor kernel contract (overrides TGL_KERNEL):
                          exact = bitwise identical to the scalar
@@ -207,330 +199,61 @@ fn framework(args: &Args) -> Framework {
     }
 }
 
+/// Prints a usage / run error as one line and exits 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 /// A count option that must be at least 1 (`default` when absent);
 /// anything else is a usage error naming the flag.
 fn positive_or(args: &Args, key: &str, default: usize) -> usize {
-    match args.get(key) {
-        None => default,
-        Some(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("--{key}: expected a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-    }
+    args.positive(key).unwrap_or_else(|e| usage_error(e)).unwrap_or(default)
 }
 
+/// `tgl train` / `tgl eval`: the experiment cell from the common
+/// options, everything else through the shared run path.
 fn train(args: &Args, eval_only: bool) {
     // Any panic from here on — kernel bug, assert, health trip —
     // leaves a flight-recorder post-mortem on disk.
     tgl_harness::install_flight_hook();
-    if let Some(v) = args.get("flight") {
-        match v {
-            "off" | "0" => tgl_obs::flight::enable(false),
-            "on" | "1" => tgl_obs::flight::enable(true),
-            other => {
-                eprintln!("--flight: unknown value {other:?} (try on/off)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let spec = spec(args);
-    let fw = framework(args);
-    let mk = model_kind(args);
+    let opts = ObsOptions::from_args(args, eval_only).unwrap_or_else(|e| usage_error(e));
+    let seed = args.get_or("seed", 42u64);
     let host_resident = args.has_flag("move");
-    if let Some(policy) = args.get("health") {
-        if tgl_harness::HealthPolicy::parse(policy).is_none() {
-            eprintln!("--health: unknown policy {policy:?} (try off/warn/fail)");
-            std::process::exit(2);
-        }
-        // Through the environment so the trainer and the run reporter
-        // agree on the active policy.
-        std::env::set_var("TGL_HEALTH", policy);
-    }
-    let serving = if let Some(addr) = args.get("serve-metrics") {
-        match tgl_obs::expo::start(addr) {
-            Ok(bound) => {
-                println!("metrics server listening on http://{bound}/metrics");
-                Some(bound)
-            }
-            Err(e) => {
-                eprintln!("--serve-metrics {addr}: bind failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        tgl_obs::expo::start_from_env().inspect(|bound| {
-            println!("metrics server listening on http://{bound}/metrics");
-        })
+    let cfg = ExperimentConfig {
+        framework: framework(args),
+        model: model_kind(args),
+        dataset: spec(args),
+        placement: if host_resident { Placement::HostResident } else { Placement::AllOnDevice },
+        model_cfg: ModelConfig {
+            emb_dim: args.get_or("emb-dim", 32),
+            time_dim: args.get_or("time-dim", 16),
+            heads: args.get_or("heads", 2),
+            n_layers: args.get_or("layers", 2),
+            n_neighbors: args.get_or("neighbors", 10),
+            mailbox_slots: args.get_or("mailbox", 10),
+        },
+        train_cfg: TrainConfig {
+            batch_size: positive_or(args, "batch", 200),
+            epochs: if eval_only { 0 } else { args.get_or("epochs", 3) },
+            lr: args.get_or("lr", 1e-3),
+            seed: seed ^ 0x5eed,
+        },
+        seed,
+        transfer: TransferModel::scaled(TransferModel::pcie_v100(), 400.0),
     };
-    // SLO alert rules: install before the run so the first step already
-    // evaluates them; installing implies the time-series store.
-    let slo_path = args
-        .get("slo")
-        .map(String::from)
-        .or_else(|| std::env::var("TGL_SLO").ok().filter(|p| !p.is_empty()));
-    if let Some(path) = &slo_path {
-        match tgl_obs::alert::RuleSet::from_file(std::path::Path::new(path)) {
-            Ok(rules) => {
-                let n = rules.rules.len();
-                tgl_obs::alert::install(rules);
-                tgl_obs::timeseries::enable(true);
-                println!("slo: loaded {n} alert rule(s) from {path}");
-            }
-            Err(e) => {
-                eprintln!("--slo {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if serving.is_some() {
-        // A live /dashboard needs retained series even without --slo,
-        // and a background sampler so gauges and latency quantiles keep
-        // advancing between scrapes once the training loop is done.
-        tgl_obs::timeseries::enable(true);
-        tgl_obs::timeseries::start_sampler(500);
-    }
-    let insight_out = args.get("insight-out").map(std::path::PathBuf::from);
-    let insight = args.has_flag("insight") || insight_out.is_some();
-    if insight {
-        // Insight series flow through the time-series store, so the
-        // flag implies retention (same as --slo).
-        tgl_obs::insight::enable(true);
-        tgl_obs::timeseries::enable(true);
-    }
-    if args.get("threads").is_some() {
-        tgl_runtime::set_threads(positive_or(args, "threads", 1));
-    }
-    let batch_size = positive_or(args, "batch", 200);
-    if let Some(mode) = args.get("kernel") {
-        match tgl_tensor::kernel::parse(mode) {
-            Some(m) => tgl_tensor::kernel::set_mode(m),
-            None => {
-                eprintln!("--kernel: unknown mode {mode:?} (try exact/fast)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let show_prof = args.has_flag("prof");
-    let trace_out = args.get("trace-out").map(std::path::PathBuf::from);
-    let metrics_out = args.get("metrics-out").map(std::path::PathBuf::from);
-    let profile_out = args.get("profile-out").map(std::path::PathBuf::from);
-    let profiling = args.has_flag("profile") || profile_out.is_some();
-    let critpath_out = args.get("critpath-out").map(std::path::PathBuf::from);
-    let critpath = args.has_flag("critpath") || critpath_out.is_some();
-    if trace_out.is_some() || critpath {
-        // Critical-path analysis consumes tracer spans, so --critpath
-        // implies tracing for the run.
-        tglite::obs::trace::enable(true);
-    }
-    if profiling {
-        tgl_obs::profile::enable(true);
-    }
     println!(
         "{} {} on {} ({} nodes, {} edges), {}",
         if eval_only { "evaluating" } else { "training" },
-        mk.label(),
-        spec.kind.name(),
-        spec.num_nodes(),
-        spec.n_edges,
-        if host_resident { "CPU-to-GPU" } else { "all-on-GPU" }
+        cfg.model.label(),
+        cfg.dataset.kind.name(),
+        cfg.dataset.num_nodes(),
+        cfg.dataset.n_edges,
+        cfg.placement.label()
     );
-
-    let (g, _) = generate(&spec);
-    if !host_resident {
-        if let Some(f) = g.node_feats() {
-            g.set_node_feats(f.to(Device::Accel));
-        }
-        if let Some(f) = g.edge_feats() {
-            g.set_edge_feats(f.to(Device::Accel));
-        }
+    if let Err(e) = tgl_harness::run(&cfg, &opts) {
+        usage_error(e);
     }
-    tgl_device::set_transfer_model(if host_resident {
-        TransferModel::scaled(TransferModel::pcie_v100(), 400.0)
-    } else {
-        TransferModel::disabled()
-    });
-    let ctx = TContext::with_device(Arc::clone(&g), Device::Accel);
-    let split = Split::standard(&g);
-    let model_cfg = ModelConfig {
-        emb_dim: args.get_or("emb-dim", 32),
-        time_dim: args.get_or("time-dim", 16),
-        heads: args.get_or("heads", 2),
-        n_layers: args.get_or("layers", 2),
-        n_neighbors: args.get_or("neighbors", 10),
-        mailbox_slots: args.get_or("mailbox", 10),
-    };
-    let mut model = build_model(fw, mk, &ctx, model_cfg, args.get_or("seed", 42));
-    let train_cfg = TrainConfig {
-        batch_size,
-        epochs: if eval_only { 0 } else { args.get_or("epochs", 3) },
-        lr: args.get_or("lr", 1e-3),
-        seed: args.get_or("seed", 42) ^ 0x5eed,
-    };
-    let (neg_lo, neg_hi) = if spec.bipartite() {
-        (spec.n_src as u32, spec.num_nodes() as u32)
-    } else {
-        (0, spec.num_nodes() as u32)
-    };
-    let mut trainer = Trainer::new(train_cfg, neg_lo, neg_hi);
-    if let Some(depth) = args.get("pipeline") {
-        match depth.parse::<usize>() {
-            Ok(d) => trainer = trainer.with_pipeline(d),
-            Err(_) => {
-                eprintln!("--pipeline: expected a queue depth, got {depth:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if eval_only {
-        if let Some(path) = args.get("ckpt") {
-            if let Err(e) = model.load(std::path::Path::new(path)) {
-                eprintln!("--ckpt {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("loaded checkpoint {path}");
-        }
-    }
-
-    // A live metrics server implies reporting: /report.json serves the
-    // reporter's in-progress publications.
-    let mut reporter = (show_prof || profiling || metrics_out.is_some() || serving.is_some()).then(|| {
-        let mut rep = tgl_harness::RunReporter::start();
-        rep.set_meta("model", mk.label());
-        rep.set_meta("dataset", spec.kind.name());
-        rep.set_meta("framework", fw.label());
-        rep.set_meta(
-            "placement",
-            if host_resident { "cpu-to-gpu" } else { "all-on-gpu" },
-        );
-        rep.set_meta_num("seed", args.get_or("seed", 42u64) as f64);
-        rep.set_meta_num("scale", args.get_or("scale", 2u64) as f64);
-        rep.set_meta_num("batch", train_cfg.batch_size as f64);
-        rep.set_meta_num("threads", tgl_runtime::current_threads() as f64);
-        rep.set_meta("kernel", tgl_tensor::kernel::mode().label());
-        rep
-    });
-
-    let mut log = MetricLog::for_training();
-    let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), train_cfg.lr);
-    let mut best_val = 0.0f64;
-    for e in 0..train_cfg.epochs {
-        let s = trainer.train_epoch(model.as_mut(), &ctx, &split, &mut opt, e);
-        best_val = best_val.max(s.val_ap);
-        log.record_epoch(e, &s);
-        println!(
-            "epoch {:>2}: loss {:.4}  val AP {:5.2}%  ({:.2}s cpu)",
-            e + 1,
-            s.loss,
-            s.val_ap * 100.0,
-            s.train_time_s
-        );
-        if let Some(rep) = reporter.as_mut() {
-            rep.record_epoch(e, &s);
-            if show_prof {
-                if let Some(epoch_report) = rep.epochs_so_far().last() {
-                    for (phase, secs) in &epoch_report.phases_s {
-                        println!("    {phase:<14} {secs:8.3}s");
-                    }
-                }
-            }
-        }
-    }
-    let (test_ap, test_s) = trainer.evaluate(model.as_mut(), &ctx, split.test.clone());
-    println!("test AP {:.2}% ({test_s:.2}s cpu)", test_ap * 100.0);
-    if train_cfg.epochs > 0 {
-        println!("best val AP {:.2}%", best_val * 100.0);
-    }
-
-    if let Some(rep) = reporter {
-        let report = rep.finish(test_ap, test_s);
-        if let Some(path) = &metrics_out {
-            report.save(path).expect("write run report");
-            println!("run report written to {}", path.display());
-        }
-        if profiling {
-            tgl_obs::profile::enable(false);
-            let roof = tgl_harness::profrep::Roofline::detect();
-            let rows = tgl_harness::profrep::analyze(&report.profile, &roof);
-            print!(
-                "{}",
-                tgl_harness::profrep::render_table(&rows, &roof, args.get_or("profile-top", 15))
-            );
-            let coverage =
-                tgl_harness::profrep::phase_coverage(&report.profile, &report.phases_total_s);
-            print!("{}", tgl_harness::profrep::render_coverage(&coverage));
-            if let Some(path) = &profile_out {
-                std::fs::write(path, tgl_obs::profile::to_json(&report.profile))
-                    .expect("write op profile");
-                println!("op profile written to {}", path.display());
-            }
-        }
-    }
-    if trace_out.is_some() || critpath {
-        // Drain once; both consumers read the same span set (the run
-        // report's critpath section already took its own snapshot).
-        let spans = tglite::obs::trace::take();
-        tglite::obs::trace::enable(false);
-        if let Some(path) = &trace_out {
-            std::fs::write(path, tglite::obs::trace::to_chrome_json(&spans)).expect("write trace");
-            println!(
-                "chrome trace with {} spans written to {}",
-                spans.len(),
-                path.display()
-            );
-        }
-        if critpath {
-            let analysis = tgl_obs::critpath::analyze(&spans);
-            print!("{}", tgl_obs::critpath::render_table(&analysis));
-            if let Some(path) = &critpath_out {
-                std::fs::write(path, tgl_obs::critpath::to_json(&analysis))
-                    .expect("write critpath artifact");
-                println!("critpath artifact written to {}", path.display());
-            }
-        }
-    }
-    if let Some(path) = args.get("flight-out") {
-        std::fs::write(path, tgl_obs::flight::to_json("request")).expect("write flight dump");
-        println!("flight dump written to {path}");
-    }
-    if insight {
-        print!(
-            "{}",
-            tgl_obs::insight::render_table(args.get_or("insight-top", 8))
-        );
-        if let Some(path) = &insight_out {
-            std::fs::write(path, tgl_obs::insight::to_json()).expect("write insight artifact");
-            println!("insight artifact written to {}", path.display());
-        }
-    }
-
-    if let Some(path) = args.get("csv") {
-        log.save(std::path::Path::new(path)).expect("write csv");
-        println!("metrics written to {path}");
-    }
-    if let Some(path) = args.get("ckpt") {
-        if !eval_only {
-            model.save(std::path::Path::new(path)).expect("write checkpoint");
-            println!("checkpoint written to {path}");
-        }
-    }
-    tgl_device::set_transfer_model(TransferModel::disabled());
-    if tgl_obs::alert::installed() {
-        for st in tgl_obs::alert::status() {
-            println!(
-                "alert {}: fired {}x on {} ({})",
-                st.rule.name,
-                st.fired_total,
-                st.rule.metric,
-                if st.firing { "firing" } else { "ok" }
-            );
-        }
-    }
-    if serving.is_some() && args.has_flag("serve-hold") {
-        println!("holding for scrape: GET /quit to release (10 min timeout)");
-        tgl_obs::expo::wait_for_quit(std::time::Duration::from_secs(600));
-    }
-    tgl_obs::timeseries::stop_sampler();
 }
 
 fn get_cmd(args: &Args) {

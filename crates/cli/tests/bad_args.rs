@@ -83,3 +83,27 @@ fn garbage_checkpoint_is_a_one_line_error() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn unwritable_output_paths_fail_before_training_naming_the_flag() {
+    // Every artifact the run path writes: a bad path must cost nothing,
+    // not a whole run followed by a panic in `.expect("write ...")`.
+    for flag in ["--ckpt", "--csv", "--metrics-out", "--trace-out", "--flight-out"] {
+        let (code, stdout, stderr) = tgl_train(&[flag, "/nonexistent-tgl-dir/sub/out.bin"]);
+        assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error, no backtrace: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains("/nonexistent-tgl-dir/sub/out.bin"), "{flag}: {stderr}");
+        assert!(!stdout.contains("epoch"), "{flag}: must not train: {stdout}");
+    }
+}
+
+#[test]
+fn bad_observability_values_are_usage_errors() {
+    for (flag, value) in [("--health", "maybe"), ("--flight", "sideways"), ("--kernel", "turbo"), ("--pipeline", "deep")] {
+        let (code, stdout, stderr) = tgl_train(&[flag, value]);
+        assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains(value), "{flag}: {stderr}");
+        assert!(!stdout.contains("epoch"), "{flag}: must not train: {stdout}");
+    }
+}

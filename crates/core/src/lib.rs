@@ -90,9 +90,9 @@ pub mod tensor {
 }
 
 /// Observability substrate (re-export of `tgl-obs`): counters, the
-/// cross-thread span tracer, and phase aggregation. [`prof`] is a thin
-/// facade over `obs::phase`; use this module directly for counters and
-/// Chrome-trace export.
+/// span primitive and its aggregate, and the event log. [`prof`] is the
+/// framework-side name for `obs::span`; use this module directly for
+/// counters and Chrome-trace export.
 pub mod obs {
     pub use tgl_obs::*;
 }

@@ -2,16 +2,15 @@
 //!
 //! The paper's Fig. 7 breaks a TGAT training epoch into major
 //! operations (sample, batch prep, time encoding, attention, backward,
-//! …). This module keeps the original `scope()/take()` API but is now a
-//! facade over the [`tgl_obs`](crate::obs) observability substrate: a
-//! scope is an obs span, so phase time aggregates into one *global*
-//! accumulator no matter which thread records it — including
-//! `tgl-runtime` pool workers, whose time the old thread-local
-//! implementation silently dropped — and, when tracing is enabled, the
-//! same scope also emits a Chrome trace event.
+//! …). This module is the framework-side name for the
+//! [`tgl_obs`](crate::obs) span primitive: a [`scope`] *is* an obs
+//! phase span, so its time lands in the one process-global aggregate no
+//! matter which thread records it — including `tgl-runtime` pool
+//! workers — and the same guard feeds the event log and the flight
+//! recorder when those are on.
 //!
-//! Profiling is process-global and disabled (near-zero cost) unless a
-//! harness calls [`enable`].
+//! Collection is process-global and off (one relaxed load per scope)
+//! unless a harness calls [`enable`].
 //!
 //! # Examples
 //!
@@ -28,47 +27,16 @@
 //! prof::enable(false);
 //! ```
 
-use std::time::Duration;
-
-pub use tgl_obs::SpanGuard as ScopeGuard;
-
-/// Enables or disables phase accumulation (process-global).
-pub fn enable(on: bool) {
-    tgl_obs::phase::enable(on);
-}
-
-/// Whether profiling is currently enabled.
-pub fn enabled() -> bool {
-    tgl_obs::phase::enabled()
-}
-
-/// Starts timing the named phase (no-op when profiling is disabled —
-/// unless tracing is on, in which case the guard still records a trace
-/// event). Time accumulates into the global report regardless of the
-/// recording thread.
-pub fn scope(name: &'static str) -> ScopeGuard {
-    tgl_obs::span(name)
-}
-
-/// Adds an externally measured duration to a phase.
-pub fn add(name: &'static str, d: Duration) {
-    if enabled() {
-        tgl_obs::phase::add(name, d);
-    }
-}
-
-/// Drains and returns the accumulated `(phase, duration)` pairs from
-/// every thread, sorted by descending duration.
-pub fn take() -> Vec<(&'static str, Duration)> {
-    tgl_obs::phase::take()
-}
+pub use tgl_obs::phase::take;
+pub use tgl_obs::{collect as enable, collecting as enabled, span as scope};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex;
+    use std::time::Duration;
 
-    /// The accumulator is process-global and cargo runs tests
+    /// The aggregate is process-global and cargo runs tests
     /// concurrently, so tests serialize and look for their own unique
     /// phase names rather than asserting the report is empty.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -84,7 +52,6 @@ mod tests {
         {
             let _s = scope("prof-test-disabled");
         }
-        add("prof-test-disabled", Duration::from_millis(1));
         enable(true);
         let report = take();
         enable(was);
@@ -102,19 +69,17 @@ mod tests {
         {
             let _s = scope("prof-test-alpha");
         }
-        add("prof-test-beta", Duration::from_millis(1));
         let report = take();
         enable(false);
         let alpha = report.iter().find(|(n, _)| *n == "prof-test-alpha").unwrap();
         assert!(alpha.1 >= Duration::from_millis(2));
-        assert!(report.iter().any(|(n, _)| *n == "prof-test-beta"));
     }
 
     #[test]
     fn take_drains() {
         let _g = serial();
         enable(true);
-        add("prof-test-drain", Duration::from_millis(1));
+        drop(scope("prof-test-drain"));
         assert!(take().iter().any(|(n, _)| *n == "prof-test-drain"));
         assert!(!take().iter().any(|(n, _)| *n == "prof-test-drain"));
         enable(false);

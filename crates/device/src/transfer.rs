@@ -172,9 +172,9 @@ pub fn transfer(bytes: u64, kind: TransferKind) -> u64 {
     let ns = model.cost_ns(bytes, kind);
     SIMULATED_NS.fetch_add(ns, Ordering::Relaxed);
     tgl_obs::counter!("transfer.sim_ns").add(ns);
-    // Latency distribution of individual transfers (simulated ns — the
-    // modeled device-link cost, 0 when the model is disabled).
-    tgl_obs::histogram!("transfer.latency_ns").record(ns);
+    // Latency distribution of individual transfers: the wall time of
+    // the modeled wait (about 0 when the model is disabled).
+    let _lat = tgl_obs::timer("transfer");
     if ns > 0 {
         let wait = Duration::from_nanos((ns as f64 / model.time_compression.max(1.0)) as u64);
         spin_wait(wait);

@@ -7,21 +7,24 @@
 //! * [`Trainer`] — epoch loop with chronological batching, negative
 //!   sampling, BCE loss, Adam, and per-epoch timing;
 //! * [`runner`] — experiment configuration (framework × model ×
-//!   dataset × data placement) and a single entry point that returns
-//!   the timing/accuracy numbers each table/figure needs;
+//!   dataset × data placement) and [`run`], the one run path behind
+//!   `tgl train|eval`, the quickstart and [`run_experiment`]: it
+//!   returns the timing/accuracy numbers each table/figure needs and
+//!   writes the artifacts [`ObsOptions`] asks for;
 //! * [`table`] — fixed-width text rendering for paper-style tables;
 //! * [`health`] — training-health monitor: NaN/Inf sentinels with a
 //!   configurable policy (`TGL_HEALTH=off|warn|fail`) and per-epoch
 //!   gradient-norm / update-ratio / loss-trend gauges;
-//! * [`profrep`] — roofline-annotated rendering of the op-level
-//!   profiler (`tgl_obs::profile`): top-k table with achieved GFLOP/s
-//!   and compute- vs bandwidth-bound verdicts, plus per-phase
-//!   attribution coverage;
+//! * [`profrep`] — roofline-annotated rendering of the span
+//!   aggregate's op rows (`tgl_obs::profile`): top-k table with
+//!   achieved GFLOP/s and compute- vs bandwidth-bound verdicts,
+//!   per-phase attribution coverage, and the per-stage table;
 //! * [`flightdump`] — flight-recorder dump policy: a std panic hook
 //!   ([`install_flight_hook`]) plus explicit dumps on health-fail
 //!   trips, writing `flight-<ts>.json` post-mortems to
 //!   `TGL_FLIGHT_DIR`.
 
+pub mod args;
 pub mod flightdump;
 pub mod health;
 pub mod logging;
@@ -32,7 +35,11 @@ pub mod runner;
 pub mod table;
 mod trainer;
 
-pub use runner::{run_experiment, run_experiment_with_capacity, ExperimentConfig, ExperimentResult, Framework, ModelKind, Placement};
+pub use args::Args;
+pub use runner::{
+    run, run_experiment, run_experiment_with_capacity, ExperimentConfig, ExperimentResult, Framework,
+    ModelKind, ObsOptions, Placement, RunError,
+};
 pub use flightdump::install_flight_hook;
 pub use health::{grad_norm, EpochHealth, HealthMonitor, HealthPolicy};
 pub use logging::MetricLog;

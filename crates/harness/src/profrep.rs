@@ -1,20 +1,23 @@
 //! Roofline-annotated op-profile reporting.
 //!
-//! Turns the raw per-operator totals collected by
-//! [`tgl_obs::profile`] into the `--profile` top-k table: each op's
-//! time share, achieved GFLOP/s, and arithmetic intensity are compared
-//! against a machine [`Roofline`] (GEMM peak from
-//! `BENCH_micro_gemm.json` plus a measured memory-bandwidth probe) to
-//! classify it as compute-bound, bandwidth-bound, or pure data
-//! movement. Also renders the per-phase coverage lines that check op
-//! self-times against the tracer's phase spans.
+//! Turns the op rows of the span aggregate ([`tgl_obs::profile`]) into
+//! the `--profile` top-k table: each op's time share, achieved
+//! GFLOP/s, and arithmetic intensity are compared against a machine
+//! [`Roofline`] (GEMM peak from `BENCH_micro_gemm.json` plus a measured
+//! memory-bandwidth probe) to classify it as compute-bound,
+//! bandwidth-bound, or pure data movement. Also renders the per-phase
+//! coverage lines (op self time against the phase rows) and the
+//! per-stage table that puts the phase view, the op view and the
+//! critical path side by side.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use tgl_data::Json;
-use tgl_obs::profile::OpStat;
+use tgl_obs::critpath::Analysis;
+use tgl_obs::profile::{stage_seconds, Row};
+use tgl_obs::{Kind, Stage};
 
 use crate::table::TextTable;
 
@@ -107,12 +110,6 @@ fn max_gflops(arr: &Json, label: &str, extra: impl Fn(&Json) -> bool) -> Option<
         .filter(|r| kernel_matches(r, label) && extra(r))
         .filter_map(|r| r.get("gflops")?.as_num())
         .fold(None, |best: Option<f64>, g| Some(best.map_or(g, |b| b.max(g))))
-}
-
-/// Best measured single-thread GEMM rate for the active kernel mode.
-/// Kept as the stable entry point; delegates to [`gemm_peak_gflops_at`].
-pub fn gemm_peak_gflops() -> (f64, &'static str) {
-    gemm_peak_gflops_at(1)
 }
 
 /// Best measured GEMM rate from `BENCH_micro_gemm.json` for the active
@@ -218,8 +215,8 @@ fn probe_bandwidth_gbs() -> f64 {
 /// One op with its roofline-derived metrics, ready for the table.
 #[derive(Debug, Clone)]
 pub struct OpRow {
-    /// The raw profiler totals.
-    pub stat: OpStat,
+    /// The aggregate's totals for the op.
+    pub stat: Row,
     /// Fraction of total self time across all ops (0..=1).
     pub share: f64,
     /// Achieved GFLOP/s over self time.
@@ -231,24 +228,24 @@ pub struct OpRow {
     pub verdict: &'static str,
 }
 
-/// Derives roofline metrics for every op, preserving the profiler's
-/// self-time-descending order.
-pub fn analyze(stats: &[OpStat], roof: &Roofline) -> Vec<OpRow> {
-    let total_self: u64 = stats.iter().map(|s| s.self_ns).sum();
-    stats
-        .iter()
+/// Derives roofline metrics for every op row, preserving the
+/// aggregate's self-time-descending order.
+pub fn analyze(rows: &[Row], roof: &Roofline) -> Vec<OpRow> {
+    let ops = || rows.iter().filter(|s| s.kind == Kind::Op);
+    let total_self: u64 = ops().map(|s| s.self_ns).sum();
+    ops()
         .map(|s| {
             let secs = s.self_ns as f64 / 1e9;
-            let bytes = s.bytes_read + s.bytes_written;
+            let (flops, bytes) = (s.cost.flops, s.cost.bytes_read + s.cost.bytes_written);
             OpRow {
                 share: if total_self == 0 {
                     0.0
                 } else {
                     s.self_ns as f64 / total_self as f64
                 },
-                gflops: if secs > 0.0 { s.flops as f64 / secs / 1e9 } else { 0.0 },
-                ai: if bytes > 0 { s.flops as f64 / bytes as f64 } else { 0.0 },
-                verdict: roof.verdict(s.flops, bytes),
+                gflops: if secs > 0.0 { flops as f64 / secs / 1e9 } else { 0.0 },
+                ai: if bytes > 0 { flops as f64 / bytes as f64 } else { 0.0 },
+                verdict: roof.verdict(flops, bytes),
                 stat: s.clone(),
             }
         })
@@ -276,15 +273,15 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
         // build); flag it rather than report >100% of peak silently.
         let over_peak = row.gflops > roof.peak_gflops * 1.01;
         table.row(&[
-            row.stat.op.to_string(),
+            row.stat.name.to_string(),
             row.stat.phase.to_string(),
-            row.stat.calls.to_string(),
+            row.stat.dur.count.to_string(),
             format!("{:.4}", row.stat.self_ns as f64 / 1e9),
             format!("{:.1}%", row.share * 100.0),
             format!("{:.2}{}", row.gflops, if over_peak { " >peak!" } else { "" }),
             format!("{:.3}", row.ai),
             row.verdict.to_string(),
-            row.stat.shape.to_string(),
+            row.stat.cost.shape.to_string(),
         ]);
     }
     out.push_str(&table.render());
@@ -295,13 +292,13 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
     out
 }
 
-/// One phase's attribution coverage: how much of the tracer's phase
-/// span is accounted for by op self time inside that phase.
+/// One phase's attribution coverage: how much of the phase's time is
+/// accounted for by op self time inside that phase.
 #[derive(Debug, Clone)]
 pub struct PhaseCoverage {
     /// Phase name as pushed via `tgl_obs::span`.
     pub phase: String,
-    /// Tracer phase-accumulator seconds.
+    /// Phase-table seconds.
     pub phase_s: f64,
     /// Sum of op self times attributed to this phase, in seconds.
     pub ops_s: f64,
@@ -318,9 +315,9 @@ impl PhaseCoverage {
     }
 }
 
-/// Joins op self times against tracer phase seconds, one row per phase
-/// that appears in either source, ordered by descending phase seconds.
-pub fn phase_coverage(stats: &[OpStat], phases_s: &[(String, f64)]) -> Vec<PhaseCoverage> {
+/// Joins op self times against phase-table seconds, one row per
+/// phase, ordered by descending phase seconds.
+pub fn phase_coverage(stats: &[Row], phases_s: &[(String, f64)]) -> Vec<PhaseCoverage> {
     let mut rows: Vec<PhaseCoverage> = phases_s
         .iter()
         .map(|(name, secs)| PhaseCoverage {
@@ -330,7 +327,7 @@ pub fn phase_coverage(stats: &[OpStat], phases_s: &[(String, f64)]) -> Vec<Phase
             // renders as "-0.0000" for op-free phases.
             ops_s: stats
                 .iter()
-                .filter(|s| s.phase == name)
+                .filter(|s| s.kind == Kind::Op && s.phase == name)
                 .fold(0.0, |acc, s| acc + s.self_ns as f64 / 1e9),
         })
         .collect();
@@ -340,7 +337,7 @@ pub fn phase_coverage(stats: &[OpStat], phases_s: &[(String, f64)]) -> Vec<Phase
 
 /// Renders the per-phase coverage lines printed under the op table.
 pub fn render_coverage(rows: &[PhaseCoverage]) -> String {
-    let mut out = String::from("phase coverage (op self time / tracer phase span):\n");
+    let mut out = String::from("phase coverage (op self time / phase time):\n");
     for r in rows {
         out.push_str(&format!(
             "  {:<16} {:>9.4}s of {:>9.4}s  ({:>5.1}%)\n",
@@ -353,25 +350,38 @@ pub fn render_coverage(rows: &[PhaseCoverage]) -> String {
     out
 }
 
+/// Renders the per-stage table: the same seconds as the phase table
+/// sees them (`phase`), as the op profile sees them (`ops` self time
+/// plus the stage's non-op `rest`), and, when the event log ran, as the
+/// critical-path analysis computed them from the log (`critpath`
+/// serial). On one thread the three agree; `scripts/ci.sh` checks it.
+pub fn render_stages(rows: &[Row], critpath: Option<&Analysis>) -> String {
+    let secs = stage_seconds(rows);
+    let mut table = TextTable::new(&["stage", "phase_s", "ops_s", "rest_s", "ops+rest_s", "critpath_s"]);
+    for (i, stage) in Stage::ALL.into_iter().enumerate() {
+        let s = secs[i];
+        table.row(&[
+            stage.label().to_string(),
+            format!("{:.4}", s.phase_s),
+            format!("{:.4}", s.op_s),
+            format!("{:.4}", s.rest_s),
+            format!("{:.4}", s.op_s + s.rest_s),
+            critpath.map_or("-".to_string(), |a| format!("{:.4}", a.stages[i].serial_s)),
+        ]);
+    }
+    format!("stage seconds (phase table / op profile / critical path):\n{}\n", table.render())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgl_obs::profile::Cost;
 
-    fn stat(op: &'static str, phase: &'static str, self_ns: u64, flops: u64, bytes: u64) -> OpStat {
-        OpStat {
-            op,
-            phase,
-            calls: 1,
-            self_ns,
-            total_ns: self_ns,
-            flops,
-            bytes_read: bytes / 2,
-            bytes_written: bytes - bytes / 2,
-            pool_hits: 0,
-            pool_misses: 0,
-            transfer_bytes: 0,
-            shape: "",
-        }
+    fn stat(op: &'static str, phase: &'static str, self_ns: u64, flops: u64, bytes: u64) -> Row {
+        let cost = Cost { flops, bytes_read: bytes / 2, bytes_written: bytes - bytes / 2, ..Cost::default() };
+        let mut row = Row { name: op, phase, stage: Stage::Forward, kind: Kind::Op, self_ns, span_ns: self_ns, cost, ..Row::default() };
+        row.dur.record(self_ns);
+        row
     }
 
     fn roof() -> Roofline {
@@ -413,7 +423,7 @@ mod tests {
     fn gemm_peak_reads_bench_artifact() {
         // The workspace root holds BENCH_micro_gemm.json; tests run
         // from the crate dir, so the upward search must find it.
-        let (peak, source) = gemm_peak_gflops();
+        let (peak, source) = gemm_peak_gflops_at(1);
         assert_eq!(source, "BENCH_micro_gemm.json");
         assert!(peak > 0.5 && peak < 10_000.0, "implausible peak {peak}");
     }
@@ -472,6 +482,16 @@ mod tests {
         assert!(text.contains("ridge"));
         assert!(text.contains("1 more ops"));
         assert!(!text.contains("\nadd"), "beyond top-k must be elided");
+    }
+
+    #[test]
+    fn stage_table_puts_the_views_side_by_side() {
+        let phase = Row { kind: Kind::Phase, self_ns: 100_000_000, span_ns: 1_000_000_000, ..stat("attention", "(no-phase)", 0, 0, 0) };
+        let rows = vec![stat("linear", "attention", 900_000_000, 1, 1), phase];
+        let text = render_stages(&rows, None);
+        let fwd = text.lines().find(|l| l.starts_with("forward")).expect("forward row");
+        let cols: Vec<&str> = fwd.split_whitespace().collect();
+        assert_eq!(cols, ["forward", "1.0000", "0.9000", "0.1000", "1.0000", "-"]);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Machine-readable run reports.
 //!
-//! A [`RunReporter`] rides along a training run: per epoch it drains
-//! the global phase accumulator (`tglite::prof`), diffs the global
-//! counter registry and the latency histograms (`tgl_obs`), producing
-//! one [`RunReport`] JSON document with the Fig. 7 phase breakdown and
-//! the Table 6 redundancy counters for every epoch — the structured
-//! counterpart to the [`MetricLog`](crate::MetricLog) CSV.
+//! A [`RunReporter`] rides along a training run: per epoch it diffs the
+//! span aggregate's phase rows, the global counter registry and the
+//! histograms (`tgl_obs`), producing one [`RunReport`] JSON document
+//! with the Fig. 7 phase breakdown and the Table 6 redundancy counters
+//! for every epoch — the structured counterpart to the
+//! [`MetricLog`](crate::MetricLog) CSV. The report is the one artifact
+//! envelope: the op profile, the critical path and the introspection
+//! summaries are its `profile`, `critpath` and `insight` sections, not
+//! documents of their own.
 //!
 //! Schema (`"schema": "tgl-run-report/v3"`; v1 lacked `hists`,
 //! `histograms`, `gauges`, and `health`; v2 lacked `insight`):
@@ -35,7 +38,8 @@
 //!      "mean": 0.21, "std": 0.05, "min": 0.1, "max": 0.4,
 //!      "last": 0.2}, ...]},
 //!   "phases_total_s": {"sample": 1.21, "attention": 1.88, ...},
-//!   "profile": [{"op": "matmul", "phase": "attention", "calls": 96,
+//!   "profile": [{"name": "linear", "phase": "attention",
+//!                "stage": "forward", "kind": "op", "calls": 96,
 //!                "self_ns": 1.2e9, "flops": 8.1e9, ...}, ...],
 //!   "critpath": {"wall_s": 2.1, "critical_s": 1.9, "wait_s": 0.2,
 //!                "overlap_efficiency": 1.4,
@@ -45,17 +49,14 @@
 //! }
 //! ```
 //!
-//! `critpath` is `null` unless span tracing was enabled for the run
-//! (an additive v2 key; see `tgl_obs::critpath`). `insight` (v3) is
-//! `null` unless the introspection layer recorded at least one step
-//! (see `tgl_obs::insight`); its `series` rows are the same summaries
-//! the standalone `tgl-insight/v1` artifact carries.
+//! `critpath` is `null` unless the event log was on for the run (see
+//! `tgl_obs::critpath`). `insight` is `null` unless the introspection
+//! layer recorded at least one step (see `tgl_obs::insight`).
 //!
-//! `phases_total_s` sums every epoch's phase drain plus the leftover
-//! captured at finish; `profile` holds the run's per-operator totals
-//! from [`tgl_obs::profile`] (empty when the op-level profiler was
-//! off) in the same row shape as the standalone `tgl-profile/v1`
-//! artifact.
+//! `profile` holds every row of the span aggregate
+//! ([`tgl_obs::profile`]) for the run: ops, phases, regions and timers,
+//! told apart by `kind`. `phases_total_s` is the phase rows by name —
+//! the whole-run Fig. 7 table, read from the same rows.
 //!
 //! Per-epoch `counters`/`hists` are deltas over that epoch;
 //! `counters_total`/`histograms` hold the absolute values at finish.
@@ -69,8 +70,8 @@ use std::time::Duration;
 
 use tgl_data::Json;
 use tgl_obs::hist::HistSnapshot;
-use tgl_obs::profile::OpStat;
-use tglite::{obs, prof};
+use tgl_obs::profile::{self, Row};
+use tglite::obs;
 
 use crate::{EpochStats, HealthPolicy};
 
@@ -120,6 +121,9 @@ pub struct RunReport {
     pub meta: Vec<(String, Json)>,
     /// Per-epoch measurements in order.
     pub epochs: Vec<EpochReport>,
+    /// Published while the run was still live (no test numbers, no
+    /// critical path yet).
+    pub in_progress: bool,
     /// Test AP after training.
     pub test_ap: f64,
     /// Test inference seconds.
@@ -138,68 +142,80 @@ pub struct RunReport {
     pub insight: Vec<tgl_obs::insight::InsightStat>,
     /// Steps the insight layer flushed during the run.
     pub insight_steps: u64,
-    /// Whole-run phase seconds: every epoch's drain plus the leftover
-    /// captured at finish (test inference etc.), sorted by name.
+    /// Whole-run phase seconds (training epochs plus test inference),
+    /// sorted by name.
     pub phases_total_s: Vec<(String, f64)>,
-    /// Per-operator profiler totals for the run (empty unless
-    /// `tgl_obs::profile` was enabled), in self-time-descending order.
-    pub profile: Vec<OpStat>,
-    /// Critical-path analysis over the run's tracer spans (`None`
-    /// unless tracing was enabled).
+    /// Every span-aggregate row of the run, in self-time-descending
+    /// order.
+    pub profile: Vec<Row>,
+    /// Critical-path analysis over the run's event log (`None` unless
+    /// the log was on).
     pub critpath: Option<tgl_obs::critpath::Analysis>,
 }
 
-/// The critical-path analysis as report JSON — the same shape as the
-/// standalone `tgl-critpath/v1` artifact, minus the schema tag.
-fn critpath_json(a: &tgl_obs::critpath::Analysis) -> Json {
-    let stages = a
-        .stages
-        .iter()
-        .map(|row| {
-            Json::obj(vec![
-                ("stage".into(), Json::Str(row.stage.label().into())),
-                ("serial_s".into(), Json::Num(row.serial_s)),
-                ("exclusive_s".into(), Json::Num(row.exclusive_s)),
-                ("overlapped_s".into(), Json::Num(row.overlapped_s)),
-                ("critical_s".into(), Json::Num(row.critical_s)),
-                ("segments".into(), Json::Num(row.segments as f64)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("wall_s".into(), Json::Num(a.wall_s)),
-        ("busy_s".into(), Json::Num(a.busy_s)),
-        ("serial_s".into(), Json::Num(a.serial_s)),
-        ("critical_s".into(), Json::Num(a.critical_s)),
-        ("wait_s".into(), Json::Num(a.wait_s)),
-        ("overlap_efficiency".into(), Json::Num(a.overlap_efficiency)),
-        ("threads".into(), Json::Num(a.threads as f64)),
-        ("steps".into(), Json::Num(a.steps as f64)),
-        ("spans".into(), Json::Num(a.spans as f64)),
-        ("segments".into(), Json::Num(a.segments as f64)),
-        ("pool_busy_ns".into(), Json::Num(a.pool_busy_ns as f64)),
-        ("pool_wait_ns".into(), Json::Num(a.pool_wait_ns as f64)),
-        ("stages".into(), Json::Arr(stages)),
-    ])
+/// `(key, number)` pairs as JSON object fields.
+fn nums<const N: usize>(pairs: [(&str, f64); N]) -> Vec<(String, Json)> {
+    pairs.iter().map(|&(k, v)| (k.to_string(), Json::Num(v))).collect()
 }
 
-/// One profiled op as report JSON — the same row shape as the
-/// standalone `tgl-profile/v1` artifact.
-fn op_json(s: &OpStat) -> Json {
-    Json::obj(vec![
-        ("op".into(), Json::Str(s.op.into())),
+/// A name-keyed numeric map (`phases_s`, `counters`, `gauges`, ...).
+fn num_map<T: Copy>(pairs: &[(String, T)], to_f64: impl Fn(T) -> f64) -> Json {
+    Json::Obj(pairs.iter().map(|(n, v)| (n.clone(), Json::Num(to_f64(*v)))).collect())
+}
+
+/// The critical-path analysis as the report's `critpath` section.
+fn critpath_json(a: &tgl_obs::critpath::Analysis) -> Json {
+    let stage = |row: &tgl_obs::critpath::StageRow| {
+        let mut fields = vec![("stage".to_string(), Json::Str(row.stage.label().into()))];
+        fields.extend(nums([
+            ("serial_s", row.serial_s),
+            ("exclusive_s", row.exclusive_s),
+            ("overlapped_s", row.overlapped_s),
+            ("critical_s", row.critical_s),
+            ("segments", row.segments as f64),
+        ]));
+        Json::obj(fields)
+    };
+    let mut fields = nums([
+        ("wall_s", a.wall_s),
+        ("busy_s", a.busy_s),
+        ("serial_s", a.serial_s),
+        ("critical_s", a.critical_s),
+        ("wait_s", a.wait_s),
+        ("overlap_efficiency", a.overlap_efficiency),
+        ("threads", a.threads as f64),
+        ("steps", a.steps as f64),
+        ("spans", a.spans as f64),
+        ("segments", a.segments as f64),
+        ("pool_busy_ns", a.pool_busy_ns as f64),
+        ("pool_wait_ns", a.pool_wait_ns as f64),
+    ]);
+    fields.push(("stages".into(), Json::Arr(a.stages.iter().map(stage).collect())));
+    Json::obj(fields)
+}
+
+/// One aggregate row as an entry of the report's `profile` section.
+fn row_json(s: &Row) -> Json {
+    let mut fields = vec![
+        ("name".to_string(), Json::Str(s.name.into())),
         ("phase".into(), Json::Str(s.phase.into())),
-        ("calls".into(), Json::Num(s.calls as f64)),
-        ("self_ns".into(), Json::Num(s.self_ns as f64)),
-        ("total_ns".into(), Json::Num(s.total_ns as f64)),
-        ("flops".into(), Json::Num(s.flops as f64)),
-        ("bytes_read".into(), Json::Num(s.bytes_read as f64)),
-        ("bytes_written".into(), Json::Num(s.bytes_written as f64)),
-        ("pool_hits".into(), Json::Num(s.pool_hits as f64)),
-        ("pool_misses".into(), Json::Num(s.pool_misses as f64)),
-        ("transfer_bytes".into(), Json::Num(s.transfer_bytes as f64)),
-        ("shape".into(), Json::Str(s.shape.into())),
-    ])
+        ("stage".into(), Json::Str(s.stage.label().into())),
+        ("kind".into(), Json::Str(s.kind.label().into())),
+        ("shape".into(), Json::Str(s.cost.shape.into())),
+    ];
+    fields.extend(nums([
+        ("calls", s.dur.count as f64),
+        ("self_ns", s.self_ns as f64),
+        ("span_ns", s.span_ns as f64),
+        ("total_ns", s.dur.sum as f64),
+        ("flops", s.cost.flops as f64),
+        ("bytes_read", s.cost.bytes_read as f64),
+        ("bytes_written", s.cost.bytes_written as f64),
+        ("pool_hits", s.cost.pool_hits as f64),
+        ("pool_misses", s.cost.pool_misses as f64),
+        ("transfer_bytes", s.cost.transfer_bytes as f64),
+    ]));
+    Json::obj(fields)
 }
 
 /// One histogram as report JSON: counts plus interpolated quantiles.
@@ -220,31 +236,16 @@ fn hists_json(hists: &[(String, HistSnapshot)]) -> Json {
 }
 
 fn epoch_json(e: &EpochReport) -> Json {
-    Json::obj(vec![
-        ("epoch".into(), Json::Num(e.epoch as f64)),
-        ("loss".into(), Json::Num(e.loss as f64)),
-        ("train_s".into(), Json::Num(e.train_s)),
-        ("val_ap".into(), Json::Num(e.val_ap)),
-        (
-            "phases_s".into(),
-            Json::Obj(
-                e.phases_s
-                    .iter()
-                    .map(|(n, s)| (n.clone(), Json::Num(*s)))
-                    .collect(),
-            ),
-        ),
-        (
-            "counters".into(),
-            Json::Obj(
-                e.counters
-                    .iter()
-                    .map(|(n, v)| (n.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        ("hists".into(), hists_json(&e.hists)),
-    ])
+    let mut fields = nums([
+        ("epoch", e.epoch as f64),
+        ("loss", e.loss as f64),
+        ("train_s", e.train_s),
+        ("val_ap", e.val_ap),
+    ]);
+    fields.push(("phases_s".into(), num_map(&e.phases_s, |s| s)));
+    fields.push(("counters".into(), num_map(&e.counters, |v| v as f64)));
+    fields.push(("hists".into(), hists_json(&e.hists)));
+    Json::obj(fields)
 }
 
 /// Finite numbers render as numbers; NaN/inf (a diverged layer's stats)
@@ -306,64 +307,27 @@ fn health_json(h: &HealthSection) -> Json {
 }
 
 impl RunReport {
-    /// Renders the report as a JSON document.
+    /// Renders the report as a JSON document. A report published while
+    /// the run is live carries `"in_progress": true` and no `test`.
     pub fn to_json(&self) -> String {
-        let epochs = self.epochs.iter().map(epoch_json).collect();
+        let test = if self.in_progress {
+            ("in_progress".to_string(), Json::Bool(true))
+        } else {
+            ("test".to_string(), Json::obj(nums([("ap", self.test_ap), ("secs", self.test_s)])))
+        };
         Json::obj(vec![
             ("schema".into(), Json::Str("tgl-run-report/v3".into())),
             ("meta".into(), Json::Obj(self.meta.clone())),
-            ("epochs".into(), Json::Arr(epochs)),
-            (
-                "test".into(),
-                Json::obj(vec![
-                    ("ap".into(), Json::Num(self.test_ap)),
-                    ("secs".into(), Json::Num(self.test_s)),
-                ]),
-            ),
-            (
-                "counters_total".into(),
-                Json::Obj(
-                    self.counters_total
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
-            ),
+            ("epochs".into(), Json::Arr(self.epochs.iter().map(epoch_json).collect())),
+            test,
+            ("counters_total".into(), num_map(&self.counters_total, |v| v as f64)),
             ("histograms".into(), hists_json(&self.histograms)),
-            (
-                "gauges".into(),
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
+            ("gauges".into(), num_map(&self.gauges, |v| v)),
             ("health".into(), health_json(&self.health)),
-            (
-                "insight".into(),
-                insight_json(&self.insight, self.insight_steps),
-            ),
-            (
-                "phases_total_s".into(),
-                Json::Obj(
-                    self.phases_total_s
-                        .iter()
-                        .map(|(n, v)| (n.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "profile".into(),
-                Json::Arr(self.profile.iter().map(op_json).collect()),
-            ),
-            (
-                "critpath".into(),
-                match &self.critpath {
-                    Some(a) => critpath_json(a),
-                    None => Json::Null,
-                },
-            ),
+            ("insight".into(), insight_json(&self.insight, self.insight_steps)),
+            ("phases_total_s".into(), num_map(&self.phases_total_s, |v| v)),
+            ("profile".into(), Json::Arr(self.profile.iter().map(row_json).collect())),
+            ("critpath".into(), self.critpath.as_ref().map_or(Json::Null, critpath_json)),
         ])
         .render()
     }
@@ -380,7 +344,7 @@ impl RunReport {
 
 /// Collects per-epoch phase and counter snapshots during a run.
 ///
-/// [`RunReporter::start`] enables the profiler and baselines the
+/// [`RunReporter::start`] turns span collection on and baselines the
 /// counter registry; call [`record_epoch`](RunReporter::record_epoch)
 /// after each training epoch and [`finish`](RunReporter::finish) after
 /// test inference.
@@ -390,29 +354,42 @@ pub struct RunReporter {
     epochs: Vec<EpochReport>,
     last_counters: HashMap<String, u64>,
     last_hists: HashMap<String, HistSnapshot>,
+    /// Cumulative nanoseconds per phase at the last epoch boundary.
+    last_phases: HashMap<&'static str, Duration>,
     /// Number of health events that existed before the run: only later
     /// events belong to this report.
     health_events0: usize,
-    prof_was_enabled: bool,
+    /// The trainer's policy, named in the health section.
+    policy: HealthPolicy,
+    was_collecting: bool,
 }
 
 impl RunReporter {
-    /// Starts reporting: enables phase profiling (restored by
-    /// [`finish`](RunReporter::finish)), drains any stale phases, and
+    /// Starts reporting: turns span collection on (restored by
+    /// [`finish`](RunReporter::finish)), drains any stale rows, and
     /// baselines counters, histograms, and health events so epoch
     /// deltas start from here.
     pub fn start() -> RunReporter {
-        let prof_was_enabled = prof::enabled();
-        prof::enable(true);
-        prof::take();
+        let was_collecting = obs::collecting();
+        obs::collect(true);
+        profile::take();
         RunReporter {
             meta: Vec::new(),
             epochs: Vec::new(),
             last_counters: snapshot_map(),
             last_hists: hist_map(),
+            last_phases: HashMap::new(),
             health_events0: obs::health::events().len(),
-            prof_was_enabled,
+            policy: HealthPolicy::default(),
+            was_collecting,
         }
+    }
+
+    /// Names the trainer's health policy in the report (default
+    /// `warn`, the trainer's own default).
+    pub fn with_health(mut self, policy: HealthPolicy) -> RunReporter {
+        self.policy = policy;
+        self
     }
 
     /// Attaches a metadata string (model name, dataset, ...).
@@ -430,13 +407,17 @@ impl RunReporter {
         &self.epochs
     }
 
-    /// Records one finished epoch: drains accumulated phases and diffs
-    /// counters against the previous snapshot.
+    /// Records one finished epoch: diffs phases and counters against
+    /// the previous epoch boundary.
     pub fn record_epoch(&mut self, epoch: usize, stats: &EpochStats) {
-        let phases_s = prof::take()
-            .into_iter()
-            .map(|(n, d)| (n.to_string(), d.as_secs_f64()))
+        let now_phases = obs::phase::table(&profile::snapshot());
+        let mut phases_s: Vec<(String, f64)> = now_phases
+            .iter()
+            .map(|&(n, d)| (n.to_string(), (d - self.last_phases.get(n).copied().unwrap_or_default()).as_secs_f64()))
+            .filter(|(_, s)| *s > 0.0)
             .collect();
+        phases_s.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        self.last_phases = now_phases.into_iter().collect();
         let now = snapshot_map();
         let mut counters: Vec<(String, u64)> = now
             .iter()
@@ -468,26 +449,7 @@ impl RunReporter {
         });
         // Make the report-so-far scrapeable mid-run: /report.json on
         // the exposition endpoint always serves the latest publish.
-        obs::expo::publish_report(self.in_progress_json());
-    }
-
-    /// The report-so-far as JSON (`"in_progress": true`, no `test`
-    /// section yet).
-    fn in_progress_json(&self) -> String {
-        let mut meta = self.meta.clone();
-        meta.sort_by(|a, b| a.0.cmp(&b.0));
-        Json::obj(vec![
-            ("schema".into(), Json::Str("tgl-run-report/v3".into())),
-            ("in_progress".into(), Json::Bool(true)),
-            ("meta".into(), Json::Obj(meta)),
-            ("epochs".into(), Json::Arr(self.epochs.iter().map(epoch_json).collect())),
-            ("health".into(), health_json(&self.collect_health())),
-            (
-                "insight".into(),
-                insight_json(&tgl_obs::insight::stats(), tgl_obs::insight::steps()),
-            ),
-        ])
-        .render()
+        obs::expo::publish_report(self.report(None).to_json());
     }
 
     /// Builds the health section from events recorded since
@@ -510,7 +472,7 @@ impl RunReporter {
             }
         };
         HealthSection {
-            policy: HealthPolicy::from_env().label().to_string(),
+            policy: self.policy.label().to_string(),
             status,
             loss_trend,
             events,
@@ -518,63 +480,53 @@ impl RunReporter {
         }
     }
 
-    /// Finishes the run: restores the profiler's previous enable
-    /// state, publishes the final report to the exposition endpoint,
-    /// and returns it with final absolute counter/histogram values.
-    pub fn finish(mut self, test_ap: f64, test_s: f64) -> RunReport {
-        // Phases accumulated since the last epoch drain (test
-        // inference, teardown) still belong to this run.
-        let leftover: Vec<(&'static str, Duration)> = prof::take();
-        prof::enable(self.prof_was_enabled);
-        let mut phase_totals: HashMap<String, f64> = HashMap::new();
-        for e in &self.epochs {
-            for (n, s) in &e.phases_s {
-                *phase_totals.entry(n.clone()).or_default() += s;
-            }
-        }
-        for (n, d) in leftover {
-            *phase_totals.entry(n.to_string()).or_default() += d.as_secs_f64();
-        }
-        let mut phases_total_s: Vec<(String, f64)> = phase_totals.into_iter().collect();
+    /// The report as of now: everything the registries and the
+    /// aggregate hold, read without draining. `test` is `None` while
+    /// the run is live; the critical path is analyzed only at the end.
+    fn report(&self, test: Option<(f64, f64)>) -> RunReport {
+        let profile = profile::snapshot();
+        let mut phases_total_s: Vec<(String, f64)> = obs::phase::table(&profile)
+            .into_iter()
+            .map(|(n, d)| (n.to_string(), d.as_secs_f64()))
+            .collect();
         phases_total_s.sort_by(|a, b| a.0.cmp(&b.0));
-        // Drain the op profiler's run-scoped totals (empty when the
-        // op-level profiler was never enabled).
-        let profile = tgl_obs::profile::take();
-        let mut counters_total: Vec<(String, u64)> = obs::metrics::snapshot()
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect();
+        let mut counters_total: Vec<(String, u64)> = snapshot_map().into_iter().collect();
         counters_total.sort();
-        let mut histograms: Vec<(String, HistSnapshot)> = hist_map()
-            .into_iter()
-            .filter(|(_, s)| !s.is_empty())
-            .collect();
+        let mut histograms: Vec<(String, HistSnapshot)> =
+            hist_map().into_iter().filter(|(_, s)| !s.is_empty()).collect();
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        let health = self.collect_health();
-        // Critical-path section when tracing ran: analyze a
-        // non-draining snapshot so the caller can still export the
-        // Chrome trace afterwards.
-        let critpath = tgl_obs::trace::enabled()
+        let mut meta = self.meta.clone();
+        meta.sort_by(|a, b| a.0.cmp(&b.0));
+        // Analyze a non-draining snapshot of the event log so the
+        // caller can still export the Chrome trace afterwards.
+        let critpath = (test.is_some() && tgl_obs::trace::enabled())
             .then(|| tgl_obs::critpath::analyze(&tgl_obs::trace::snapshot()));
-        self.meta.sort_by(|a, b| a.0.cmp(&b.0));
-        let report = RunReport {
-            meta: std::mem::take(&mut self.meta),
-            epochs: std::mem::take(&mut self.epochs),
-            test_ap,
-            test_s,
+        RunReport {
+            meta,
+            epochs: self.epochs.clone(),
+            in_progress: test.is_none(),
+            test_ap: test.map_or(0.0, |t| t.0),
+            test_s: test.map_or(0.0, |t| t.1),
             counters_total,
             histograms,
-            gauges: obs::hist::gauge_snapshot()
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-            health,
+            gauges: obs::hist::gauge_snapshot().into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
+            health: self.collect_health(),
             insight: tgl_obs::insight::stats(),
             insight_steps: tgl_obs::insight::steps(),
             phases_total_s,
             profile,
             critpath,
-        };
+        }
+    }
+
+    /// Finishes the run: publishes the final report to the exposition
+    /// endpoint, restores the previous collection state, and returns
+    /// the report. The aggregate is read, not drained, so a held
+    /// `/metrics` keeps its duration families; the next
+    /// [`start`](RunReporter::start) drains.
+    pub fn finish(self, test_ap: f64, test_s: f64) -> RunReport {
+        let report = self.report(Some((test_ap, test_s)));
+        obs::collect(self.was_collecting);
         obs::expo::publish_report(report.to_json());
         report
     }
@@ -598,7 +550,6 @@ fn hist_map() -> HashMap<String, HistSnapshot> {
 mod tests {
     use super::*;
     use std::sync::Mutex;
-    use std::time::Duration;
 
     /// Profiler and counters are process-global; serialize tests that
     /// exercise them.
@@ -621,7 +572,10 @@ mod tests {
         let mut rep = RunReporter::start();
         rep.set_meta("model", "tgat");
         rep.set_meta_num("seed", 42.0);
-        prof::add("report-test-phase", Duration::from_millis(3));
+        {
+            let _phase = obs::span("report-test-phase");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         obs::counter!("report.test.events").add(7);
         rep.record_epoch(0, &stats());
         obs::counter!("report.test.events").add(2);
@@ -653,7 +607,10 @@ mod tests {
         let _g = serial();
         let mut rep = RunReporter::start();
         rep.set_meta("dataset", "wiki \"scaled\"");
-        prof::add("report-test-json", Duration::from_millis(1));
+        {
+            let _phase = obs::span("report-test-json");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         rep.record_epoch(0, &stats());
         let report = rep.finish(0.9, 0.1);
         let v = Json::parse(&report.to_json()).expect("report must be valid JSON");
@@ -755,10 +712,11 @@ mod tests {
     #[test]
     fn finish_restores_profiler_state() {
         let _g = serial();
-        prof::enable(false);
-        let rep = RunReporter::start();
-        assert!(prof::enabled());
-        rep.finish(0.0, 0.0);
-        assert!(!prof::enabled());
+        obs::collect(false);
+        let rep = RunReporter::start().with_health(HealthPolicy::Fail);
+        assert!(obs::collecting());
+        let report = rep.finish(0.0, 0.0);
+        assert!(!obs::collecting());
+        assert_eq!(report.health.policy, "fail", "policy is passed by value, not via TGL_HEALTH");
     }
 }

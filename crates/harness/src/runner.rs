@@ -1,17 +1,20 @@
 //! Experiment configuration and execution.
 //!
 //! One experiment = framework × model × dataset × data placement,
-//! mirroring the grid of the paper's §5. [`run_experiment`] builds the
-//! dataset, places data on the simulated memory tiers, trains, and
-//! returns the numbers each table/figure reports.
+//! mirroring the grid of the paper's §5. [`run`] builds the dataset,
+//! places data on the simulated memory tiers, trains, writes whatever
+//! [`ObsOptions`] asks for, and returns the numbers each table/figure
+//! reports; [`run_experiment`] is `run` with nothing asked for.
+
+use std::path::{Path, PathBuf};
 
 use tgl_baseline::{BaselineApan, BaselineJodie, BaselineTgat, BaselineTgn};
 use tgl_data::{generate, DatasetKind, DatasetSpec, Split};
 use tgl_device::{Device, TransferModel};
 use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
-use tglite::TContext;
+use tglite::{obs, TContext};
 
-use crate::{EpochStats, TrainConfig, Trainer};
+use crate::{profrep, Args, EpochStats, HealthPolicy, MetricLog, RunReporter, TrainConfig, Trainer};
 
 /// Which framework implementation runs (the paper's three bar groups).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -257,26 +260,350 @@ pub fn run_experiment_with_capacity(
     }
 }
 
-/// Runs one experiment end-to-end and returns its measurements.
+/// Runs one experiment end-to-end, silently and with no artifacts, and
+/// returns its measurements.
 pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    let transfer = cfg.transfer;
-    let (ctx, split) = prepare_context(&cfg.dataset, cfg.placement, transfer);
+    run(cfg, &ObsOptions::default()).expect("a run with no outputs has nothing to fail on")
+}
+
+/// What a run shows and writes besides its measurements: the one
+/// options struct behind `tgl train|eval` and the quickstart example.
+/// The default asks for nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ObsOptions {
+    /// Print progress lines and the requested tables to stdout.
+    pub progress: bool,
+    /// `--prof`: per-epoch Fig. 7 phase breakdown.
+    pub prof: bool,
+    /// `--profile`: op / roofline table and phase coverage.
+    pub profile: bool,
+    /// `--profile-top`: rows in the op table.
+    pub profile_top: usize,
+    /// `--critpath`: critical-path table (turns the event log on).
+    pub critpath: bool,
+    /// `--insight`: model & data introspection table.
+    pub insight: bool,
+    /// `--trace-out`: Chrome trace of every span.
+    pub trace_out: Option<PathBuf>,
+    /// `--metrics-out`: the `tgl-run-report/v3` document.
+    pub metrics_out: Option<PathBuf>,
+    /// `--flight-out`: a flight-recorder dump at end of run.
+    pub flight_out: Option<PathBuf>,
+    /// `--csv`: per-epoch metrics.
+    pub csv: Option<PathBuf>,
+    /// `--ckpt` on `train`: final parameters.
+    pub ckpt_save: Option<PathBuf>,
+    /// `--ckpt` on `eval`: parameters to load before inference.
+    pub ckpt_load: Option<PathBuf>,
+    /// `--serve-metrics` address (or `TGL_METRICS_ADDR`).
+    pub serve: Option<String>,
+    /// `--serve-hold`: keep serving until `GET /quit`.
+    pub serve_hold: bool,
+    /// `--slo` rules file (or `TGL_SLO`).
+    pub slo: Option<PathBuf>,
+    /// `--health` policy; `None` keeps the trainer's (`TGL_HEALTH`).
+    pub health: Option<HealthPolicy>,
+    /// `--pipeline` depth; `None` keeps the trainer's (`TGL_PIPELINE`).
+    pub pipeline: Option<usize>,
+    /// `--flight on|off`; `None` keeps `TGL_FLIGHT`.
+    pub flight: Option<bool>,
+    /// `--threads`; `None` keeps `TGL_THREADS`.
+    pub threads: Option<usize>,
+    /// `--kernel`; `None` keeps `TGL_KERNEL`.
+    pub kernel: Option<tgl_tensor::kernel::KernelMode>,
+}
+
+/// A run that could not start or could not write an output: one line
+/// naming the flag at fault and why.
+#[derive(Debug)]
+pub struct RunError(pub String);
+
+impl RunError {
+    fn new(flag: &str, detail: impl std::fmt::Display) -> RunError {
+        RunError(format!("--{flag} {detail}"))
+    }
+
+    fn io<'a>(flag: &'a str, path: &'a Path) -> impl FnOnce(std::io::Error) -> RunError + 'a {
+        move |e| RunError::new(flag, format!("{}: {e}", path.display()))
+    }
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl ObsOptions {
+    /// Reads every observability / artifact flag of `tgl train|eval`
+    /// and the quickstart. `TGL_SLO` and `TGL_METRICS_ADDR` are read
+    /// here, once, as defaults for their flags (`TGL_HEALTH` and
+    /// `TGL_PIPELINE` are the trainer's own defaults); nothing is
+    /// written back to the environment. `--ckpt` loads when
+    /// `eval_only`, saves otherwise.
+    ///
+    /// # Errors
+    ///
+    /// A flag with an unusable value, named in the error.
+    pub fn from_args(args: &Args, eval_only: bool) -> Result<ObsOptions, RunError> {
+        let path = |key: &str| args.get(key).map(PathBuf::from);
+        let env = |key: &str| std::env::var(key).ok().filter(|v| !v.is_empty());
+        let on_off = |v: &str| match v {
+            "on" | "1" => Some(true),
+            "off" | "0" => Some(false),
+            _ => None,
+        };
+        let (ckpt_save, ckpt_load) = if eval_only { (None, path("ckpt")) } else { (path("ckpt"), None) };
+        Ok(ObsOptions {
+            progress: true,
+            prof: args.has_flag("prof"),
+            profile: args.has_flag("profile"),
+            profile_top: args.get_or("profile-top", 15),
+            critpath: args.has_flag("critpath"),
+            insight: args.has_flag("insight"),
+            trace_out: path("trace-out"),
+            metrics_out: path("metrics-out"),
+            flight_out: path("flight-out"),
+            csv: path("csv"),
+            ckpt_save,
+            ckpt_load,
+            serve: args.get("serve-metrics").map(String::from).or_else(|| env("TGL_METRICS_ADDR")),
+            serve_hold: args.has_flag("serve-hold"),
+            slo: path("slo").or_else(|| env("TGL_SLO").map(PathBuf::from)),
+            health: parsed(args, "health", "off/warn/fail", HealthPolicy::parse)?,
+            pipeline: parsed(args, "pipeline", "a queue depth", |v| v.parse().ok())?,
+            flight: parsed(args, "flight", "on/off", on_off)?,
+            threads: args.positive("threads").map_err(RunError)?,
+            kernel: parsed(args, "kernel", "exact/fast", tgl_tensor::kernel::parse)?,
+        })
+    }
+}
+
+/// An optional `--flag <value>` run through `parse`; a value it rejects
+/// is an error naming the flag and what it accepts.
+fn parsed<T>(
+    args: &Args,
+    flag: &str,
+    accepts: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, RunError> {
+    let bad = |v| RunError::new(flag, format!("unknown value {v:?} (try {accepts})"));
+    args.get(flag).map(|v| parse(v).ok_or_else(|| bad(v))).transpose()
+}
+
+/// Fails unless `path`'s parent directory exists and accepts new files,
+/// so a bad output path costs nothing instead of a whole run.
+fn check_writable(flag: &'static str, path: &Path) -> Result<(), RunError> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let meta = std::fs::metadata(dir).map_err(RunError::io(flag, path))?;
+    if !meta.is_dir() || meta.permissions().readonly() {
+        return Err(RunError::new(flag, format!("{}: {} is not a writable directory", path.display(), dir.display())));
+    }
+    Ok(())
+}
+
+/// The one run path: places the data, builds the model and trainer,
+/// trains and evaluates, and writes every artifact `opts` asks for.
+/// `tgl train|eval`, the quickstart and [`run_experiment`] all end
+/// here.
+///
+/// # Errors
+///
+/// An output that cannot be written (checked before training starts),
+/// a checkpoint or rules file that cannot be read, or a metrics address
+/// that cannot be bound — each naming its flag.
+pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult, RunError> {
+    macro_rules! say {
+        ($($arg:tt)*) => { if opts.progress { println!($($arg)*); } };
+    }
+    let outputs = [
+        ("ckpt", &opts.ckpt_save),
+        ("csv", &opts.csv),
+        ("metrics-out", &opts.metrics_out),
+        ("trace-out", &opts.trace_out),
+        ("flight-out", &opts.flight_out),
+    ];
+    for (flag, path) in outputs {
+        if let Some(path) = path {
+            check_writable(flag, path)?;
+        }
+    }
+    if let Some(on) = opts.flight {
+        obs::flight::enable(on);
+    }
+    if let Some(n) = opts.threads {
+        tgl_runtime::set_threads(n);
+    }
+    if let Some(mode) = opts.kernel {
+        tgl_tensor::kernel::set_mode(mode);
+    }
+    let serving = match &opts.serve {
+        None => None,
+        Some(addr) => {
+            let bound = obs::expo::start(addr)
+                .map_err(|e| RunError::new("serve-metrics", format!("{addr}: bind failed: {e}")))?;
+            say!("metrics server listening on http://{bound}/metrics");
+            // A live /dashboard needs retained series, and a background
+            // sampler so gauges and latency quantiles keep advancing
+            // between scrapes once the training loop is done.
+            obs::timeseries::enable(true);
+            obs::timeseries::start_sampler(500);
+            Some(bound)
+        }
+    };
+    if let Some(path) = &opts.slo {
+        // Installed before the run so the first step already evaluates
+        // the rules; they read the time-series store.
+        let rules = obs::alert::RuleSet::from_file(path)
+            .map_err(|e| RunError::new("slo", format!("{}: {e}", path.display())))?;
+        say!("slo: loaded {} alert rule(s) from {}", rules.rules.len(), path.display());
+        obs::alert::install(rules);
+        obs::timeseries::enable(true);
+    }
+    if opts.insight {
+        // Insight series flow through the time-series store.
+        obs::insight::enable(true);
+        obs::timeseries::enable(true);
+    }
+    let logging = opts.trace_out.is_some() || opts.critpath;
+    if logging {
+        obs::trace::enable(true);
+    }
+
+    let (ctx, split) = prepare_context(&cfg.dataset, cfg.placement, cfg.transfer);
     // Reset watermarks/counters only: capacity caps installed by the
     // caller (run_experiment_with_capacity) must survive.
     tgl_device::reset_stats();
     let mut model = build_model(cfg.framework, cfg.model, &ctx, cfg.model_cfg, cfg.seed);
+    if let Some(path) = &opts.ckpt_load {
+        model.load(path).map_err(RunError::io("ckpt", path))?;
+        say!("loaded checkpoint {}", path.display());
+    }
     let (neg_lo, neg_hi) = if cfg.dataset.bipartite() {
         (cfg.dataset.n_src as u32, cfg.dataset.num_nodes() as u32)
     } else {
         (0, cfg.dataset.num_nodes() as u32)
     };
-    let trainer = Trainer::new(cfg.train_cfg, neg_lo, neg_hi);
-    let (epochs, best_val_ap, test_ap, test_s) = trainer.run(model.as_mut(), &ctx, &split);
-    let train_s_per_epoch =
-        epochs.iter().map(|e| e.train_time_s).sum::<f64>() / epochs.len().max(1) as f64;
+    let mut trainer = Trainer::new(cfg.train_cfg, neg_lo, neg_hi);
+    if let Some(policy) = opts.health {
+        trainer = trainer.with_health(policy);
+    }
+    if let Some(depth) = opts.pipeline {
+        trainer = trainer.with_pipeline(depth);
+    }
+    if trainer.pipeline_depth() > 0 {
+        say!("pipeline: sampler stage prefetching up to {} batches", trainer.pipeline_depth());
+    }
+
+    // A live metrics server implies reporting: /report.json serves the
+    // reporter's in-progress publications.
+    let reporting = opts.prof || opts.profile || opts.critpath || opts.metrics_out.is_some() || serving.is_some();
+    let mut reporter = reporting.then(|| {
+        let mut rep = RunReporter::start().with_health(trainer.health_policy());
+        rep.set_meta("model", cfg.model.label());
+        rep.set_meta("dataset", cfg.dataset.kind.name());
+        rep.set_meta("framework", cfg.framework.label());
+        rep.set_meta("placement", cfg.placement.label());
+        rep.set_meta_num("seed", cfg.seed as f64);
+        rep.set_meta_num("batch", cfg.train_cfg.batch_size as f64);
+        rep.set_meta_num("threads", tgl_runtime::current_threads() as f64);
+        rep.set_meta("kernel", tgl_tensor::kernel::mode().label());
+        rep
+    });
+    let mut log = MetricLog::for_training();
+    let (epochs, best_val_ap, test_ap, test_s) =
+        trainer.run_with(model.as_mut(), &ctx, &split, |e, s| {
+            log.record_epoch(e, s);
+            say!(
+                "epoch {:>2}: loss {:.4}  val AP {:5.2}%  ({:.2}s cpu)",
+                e + 1,
+                s.loss,
+                s.val_ap * 100.0,
+                s.train_time_s
+            );
+            if let Some(rep) = reporter.as_mut() {
+                rep.record_epoch(e, s);
+                if let (true, Some(epoch)) = (opts.prof, rep.epochs_so_far().last()) {
+                    for (phase, secs) in &epoch.phases_s {
+                        say!("    {phase:<14} {secs:8.3}s");
+                    }
+                }
+            }
+        });
+    say!("test AP {:.2}% ({test_s:.2}s cpu)", test_ap * 100.0);
+    if !epochs.is_empty() {
+        say!("best val AP {:.2}%", best_val_ap * 100.0);
+    }
     let peak = tgl_device::stats().accel_peak_bytes;
     tgl_device::set_transfer_model(TransferModel::disabled());
-    ExperimentResult {
+
+    if let Some(rep) = reporter {
+        let report = rep.finish(test_ap, test_s);
+        if let Some(path) = &opts.metrics_out {
+            report.save(path).map_err(RunError::io("metrics-out", path))?;
+            say!("run report written to {}", path.display());
+        }
+        if opts.profile {
+            let roof = profrep::Roofline::detect();
+            let rows = profrep::analyze(&report.profile, &roof);
+            say!("{}", profrep::render_table(&rows, &roof, opts.profile_top).trim_end());
+            let coverage = profrep::phase_coverage(&report.profile, &report.phases_total_s);
+            say!("{}", profrep::render_coverage(&coverage).trim_end());
+        }
+        if opts.prof || opts.profile {
+            say!("{}", profrep::render_stages(&report.profile, report.critpath.as_ref()).trim_end());
+        }
+        if let (true, Some(analysis)) = (opts.critpath, &report.critpath) {
+            say!("{}", obs::critpath::render_table(analysis).trim_end());
+        }
+    }
+    if logging {
+        let spans = obs::trace::take();
+        obs::trace::enable(false);
+        if let Some(path) = &opts.trace_out {
+            std::fs::write(path, obs::trace::to_chrome_json(&spans)).map_err(RunError::io("trace-out", path))?;
+            say!("chrome trace with {} spans written to {}", spans.len(), path.display());
+        }
+    }
+    if let Some(path) = &opts.flight_out {
+        std::fs::write(path, obs::flight::to_json("request")).map_err(RunError::io("flight-out", path))?;
+        say!("flight dump written to {}", path.display());
+    }
+    if opts.insight {
+        say!("{}", obs::insight::render_table(8).trim_end());
+    }
+    if let Some(path) = &opts.csv {
+        log.save(path).map_err(RunError::io("csv", path))?;
+        say!("metrics written to {}", path.display());
+    }
+    if let Some(path) = &opts.ckpt_save {
+        model.save(path).map_err(RunError::io("ckpt", path))?;
+        say!("checkpoint written to {}", path.display());
+    }
+    for st in obs::alert::status() {
+        say!(
+            "alert {}: fired {}x on {} ({})",
+            st.rule.name,
+            st.fired_total,
+            st.rule.metric,
+            if st.firing { "firing" } else { "ok" }
+        );
+    }
+    if serving.is_some() {
+        if opts.serve_hold {
+            say!("holding for scrape: GET /quit to release (10 min timeout)");
+            obs::expo::wait_for_quit(std::time::Duration::from_secs(600));
+        }
+        obs::timeseries::stop_sampler();
+    }
+    let train_s_per_epoch =
+        epochs.iter().map(|e| e.train_time_s).sum::<f64>() / epochs.len().max(1) as f64;
+    Ok(ExperimentResult {
         epochs,
         train_s_per_epoch,
         best_val_ap,
@@ -284,7 +611,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
         test_s,
         peak_device_bytes: peak,
         threads: tgl_runtime::current_threads(),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -147,6 +147,11 @@ impl Trainer {
         self.pipeline
     }
 
+    /// The active health policy.
+    pub fn health_policy(&self) -> HealthPolicy {
+        self.health.lock().unwrap_or_else(|e| e.into_inner()).policy()
+    }
+
     /// The configured batch size.
     pub fn batch_size(&self) -> usize {
         self.cfg.batch_size
@@ -186,9 +191,9 @@ impl Trainer {
         health.begin_epoch(&params);
         tgl_obs::gauge!("pipeline.depth").set(self.pipeline as f64);
         let start = CpuTimer::start();
-        // Container region (traced + flight recorder only, no phase
-        // accumulation): gives the critical-path analyzer the
-        // epoch/step structure without perturbing the Fig-7 breakdown.
+        // Container regions (not phases): the epoch/step structure the
+        // critical path and the `step` latency family read, without
+        // perturbing the Fig-7 breakdown.
         let _epoch_region = tgl_obs::region("epoch");
         let mut total_loss = 0.0f64;
         let mut batches = 0usize;
@@ -196,7 +201,6 @@ impl Trainer {
         if self.pipeline == 0 {
             for range in Split::batches(&split.train, self.cfg.batch_size) {
                 {
-                    let _step = tgl_obs::histogram!("step.latency_ns").timer();
                     let _step_region = tgl_obs::region("step");
                     tgl_obs::insight::begin_batch();
                     let mut batch = TBatch::new(g.clone(), range);
@@ -223,10 +227,14 @@ impl Trainer {
                 // blocked on the full queue before the scope joins it.
                 let rx = rx;
                 let g_sampler = g.clone();
+                let epoch_span = tgl_obs::current();
                 scope.spawn(move || {
+                    // The sampler stage continues the epoch's span on
+                    // its own thread.
+                    let _epoch = tgl_obs::adopt(epoch_span);
                     let mut negs = negs;
                     for range in ranges {
-                        let prefetch = tgl_obs::region("prefetch");
+                        let prefetch = tgl_obs::region("prefetch").stage(tgl_obs::Stage::Sample);
                         // Insight observations made while building this
                         // batch (negative draw, plan dedup/sampling)
                         // collect into a bag that travels with the
@@ -260,7 +268,6 @@ impl Trainer {
                         }
                     };
                     {
-                        let _step = tgl_obs::histogram!("step.latency_ns").timer();
                         let _step_region = tgl_obs::region("step");
                         tgl_obs::insight::install_batch(batch.take_insight());
                         if let Some(loss) =
@@ -333,7 +340,7 @@ impl Trainer {
     ) -> Option<f64> {
         opt.zero_grad();
         let loss = {
-            let _fwd = tgl_obs::region("forward");
+            let _fwd = tgl_obs::region("forward").stage(tgl_obs::Stage::Forward);
             let (pos, neg) = model.forward(ctx, batch);
             link_loss(&pos, &neg)
         };
@@ -352,7 +359,7 @@ impl Trainer {
             return None;
         }
         {
-            let _b = tglite::prof::scope("backward");
+            let _b = tgl_obs::span("backward").stage(tgl_obs::Stage::Backward);
             loss.backward();
         }
         // Per-parameter-group introspection: gradient norms are read
@@ -376,7 +383,7 @@ impl Trainer {
             None
         };
         {
-            let _o = tglite::prof::scope("opt_step");
+            let _o = tgl_obs::span("opt_step").stage(tgl_obs::Stage::Opt);
             opt.step();
         }
         if let Some(groups) = insight_pre {
@@ -432,6 +439,7 @@ impl Trainer {
             for r in Split::batches(&range, self.cfg.batch_size) {
                 let mut batch = TBatch::new(g.clone(), r);
                 batch.set_negatives(negs.draw(batch.len()));
+                let _fwd = tgl_obs::region("forward").stage(tgl_obs::Stage::Forward);
                 let (pos, neg) = model.forward(ctx, &batch);
                 all_pos.extend(pos.to_vec());
                 all_neg.extend(neg.to_vec());
@@ -511,12 +519,25 @@ impl Trainer {
         ctx: &TContext,
         split: &Split,
     ) -> (Vec<EpochStats>, f64, f64, f64) {
+        self.run_with(model, ctx, split, |_, _| {})
+    }
+
+    /// [`run`](Trainer::run), calling `on_epoch(index, stats)` after
+    /// every training epoch (progress lines, run reporters).
+    pub fn run_with<M: TemporalModel + ?Sized>(
+        &self,
+        model: &mut M,
+        ctx: &TContext,
+        split: &Split,
+        mut on_epoch: impl FnMut(usize, &EpochStats),
+    ) -> (Vec<EpochStats>, f64, f64, f64) {
         let mut opt = Adam::new(model.parameters(), self.cfg.lr);
         let mut stats = Vec::with_capacity(self.cfg.epochs);
         let mut best_val = 0.0f64;
         for e in 0..self.cfg.epochs {
             let s = self.train_epoch(model, ctx, split, &mut opt, e);
             best_val = best_val.max(s.val_ap);
+            on_epoch(e, &s);
             stats.push(s);
         }
         let (test_ap, test_s) = self.evaluate(model, ctx, split.test.clone());

@@ -239,9 +239,11 @@ impl TemporalModel for Apan {
         // 2. Memory update for the positive endpoints (first 2n rows of
         //    the summary tensor).
         let n = batch.len();
+        let memory_phase = tglite::prof::scope("memory");
         self.persist_memory(ctx, batch, &summaries.narrow_rows(0, 2 * n));
         // 3. Mail creation + asynchronous propagation to neighbors.
         self.propagate_mails(ctx, batch);
+        drop(memory_phase);
         let _ = self.cfg;
         score_embeddings(&self.predictor, &embs, batch.len())
     }

@@ -139,6 +139,7 @@ impl Jodie {
     /// `[counterpart memory ‖ edge features]` (paper Listing 5
     /// `save_raw_msgs`).
     fn save_state(&self, ctx: &TContext, batch: &TBatch) {
+        let _phase = tglite::prof::scope("memory");
         let _guard = no_grad();
         let g = ctx.graph();
         let blk = batch.block_adj(ctx);
@@ -177,7 +178,9 @@ impl TemporalModel for Jodie {
         let head = batch.block(ctx);
         let nodes = head.dst_nodes();
         let times = head.dst_times();
+        let memory_phase = tglite::prof::scope("memory");
         let (mem_new, _) = self.update_memory(ctx, &nodes);
+        drop(memory_phase);
         let embs = self.project(ctx, &mem_new, &nodes, &times);
         self.save_state(ctx, batch);
         score_embeddings(&self.predictor, &embs, batch.len())

@@ -103,6 +103,7 @@ impl Tgn {
     /// (paper Listing 4 `save_raw_msgs`, using `block_adj` +
     /// `coalesce(latest)`).
     fn save_state(&self, ctx: &TContext, batch: &TBatch) {
+        let _phase = tglite::prof::scope("memory");
         let _guard = no_grad();
         let g = ctx.graph();
         let blk: TBlock = batch.block_adj(ctx);
@@ -166,6 +167,7 @@ impl TemporalModel for Tgn {
         // Deepest inputs: updated memory ⊕ projected raw features for
         // the tail's destinations and sources (paper Listing 4 lines
         // 4-7). The features are the ones the chain already staged.
+        let memory_phase = tglite::prof::scope("memory");
         let mut nodes = tail.dst_nodes();
         let n_dst = nodes.len();
         nodes.extend(tail.src_nodes());
@@ -176,6 +178,7 @@ impl TemporalModel for Tgn {
         let h = nfeat.add(&mem);
         tail.set_dstdata("h", h.narrow_rows(0, n_dst));
         tail.set_srcdata("h", h.narrow_rows(n_dst, nodes.len() - n_dst));
+        drop(memory_phase);
 
         let use_pre = self.opts.time_precompute && !self.training;
         let embs = op::aggregate(&head, "h", |blk| {

@@ -1,12 +1,13 @@
 //! Critical-path analysis over tracer spans.
 //!
 //! The profiler says where CPU time goes; this module says what the
-//! *wall clock* was waiting on. It consumes the spans recorded by
+//! *wall clock* was waiting on. It consumes the spans logged by
 //! [`crate::trace`] (thread ids + parent hints included), reduces them
 //! to non-overlapping per-thread *leaf segments* (the innermost active
 //! span owns each instant, so container spans like `step` contribute
-//! only their self time), classifies every segment into a pipeline
-//! stage (sample / transfer / forward / backward / opt / other), and
+//! only their self time), files every segment under the pipeline stage
+//! its span recorded (sample / transfer / forward / backward / opt /
+//! other — inherited from the stage roots, see [`crate::span`]), and
 //! computes:
 //!
 //! - per-stage **serial** time (sum of segment durations), split into
@@ -24,72 +25,10 @@
 //! segments moving from `exclusive` to `overlapped` and the critical
 //! path shrinking toward the forward/backward chain.
 
-use crate::trace::Span;
+use crate::span::Span;
 use std::fmt::Write as _;
 
-/// Schema tag of the JSON artifact rendered by [`to_json`].
-pub const SCHEMA: &str = "tgl-critpath/v1";
-
-/// Pipeline stage a span belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Stage {
-    /// Temporal neighbor sampling + dedup.
-    Sample,
-    /// Feature/device transfers and staging.
-    Transfer,
-    /// Forward compute (attention, GEMM, embeddings, ...).
-    Forward,
-    /// Backward pass.
-    Backward,
-    /// Optimizer step.
-    Opt,
-    /// Container self-time, pool bookkeeping, everything else.
-    Other,
-}
-
-impl Stage {
-    /// All stages in display order.
-    pub const ALL: [Stage; 6] = [
-        Stage::Sample,
-        Stage::Transfer,
-        Stage::Forward,
-        Stage::Backward,
-        Stage::Opt,
-        Stage::Other,
-    ];
-
-    /// Lowercase label used in tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Sample => "sample",
-            Stage::Transfer => "transfer",
-            Stage::Forward => "forward",
-            Stage::Backward => "backward",
-            Stage::Opt => "opt",
-            Stage::Other => "other",
-        }
-    }
-}
-
-/// Maps a span name to its pipeline stage. Profiler op spans carry a
-/// shape suffix (`matmul[64x100,100x100]`) which is stripped first.
-pub fn classify(name: &str) -> Stage {
-    let base = name.split('[').next().unwrap_or(name);
-    if base.ends_with(".bwd") || base == "backward" {
-        return Stage::Backward;
-    }
-    match base {
-        // "prefetch" is the pipelined trainer's sampler-stage
-        // container; its self time is plan assembly + negative draws.
-        "sample" | "dedup" | "time_zero" | "time_nbrs" | "prefetch" => Stage::Sample,
-        "feature_load" | "preload" | "prep_batch" => Stage::Transfer,
-        "opt_step" => Stage::Opt,
-        "step" | "epoch" | "eval" | "forward" => Stage::Other,
-        _ if base.starts_with("transfer") => Stage::Transfer,
-        _ if base.starts_with("pool.") => Stage::Other,
-        _ => Stage::Forward,
-    }
-}
+pub use crate::span::Stage;
 
 /// One leaf segment: a half-open interval `[start_ns, end_ns)` on one
 /// thread during which `name` was the innermost active span.
@@ -138,12 +77,12 @@ pub fn leaf_segments(spans: &[Span]) -> Vec<Segment> {
             if to > from {
                 segs.push(Segment {
                     name: span.name,
-                    stage: classify(span.name),
+                    stage: span.stage,
                     tid,
                     start_ns: from,
                     end_ns: to,
                     id: span.id,
-                    parent: span.parent(),
+                    parent: span.parent,
                 });
             }
         };
@@ -186,7 +125,7 @@ pub fn leaf_segments(spans: &[Span]) -> Vec<Segment> {
 }
 
 /// Per-stage timing row in an [`Analysis`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StageRow {
     /// The stage.
     pub stage: Stage,
@@ -204,7 +143,7 @@ pub struct StageRow {
 }
 
 /// Result of [`analyze`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Analysis {
     /// Traced wall time: `max(end) - min(start)` over all spans, s.
     pub wall_s: f64,
@@ -235,7 +174,7 @@ pub struct Analysis {
 }
 
 fn stage_index(stage: Stage) -> usize {
-    Stage::ALL.iter().position(|&s| s == stage).unwrap()
+    stage as usize
 }
 
 /// Analyzes a set of tracer spans (from [`crate::trace::take`] or
@@ -243,38 +182,15 @@ fn stage_index(stage: Stage) -> usize {
 /// trace is empty.
 pub fn analyze(spans: &[Span]) -> Analysis {
     let ns = 1e-9;
-    let mut rows: Vec<StageRow> = Stage::ALL
-        .iter()
-        .map(|&stage| StageRow {
-            stage,
-            serial_s: 0.0,
-            exclusive_s: 0.0,
-            overlapped_s: 0.0,
-            critical_s: 0.0,
-            segments: 0,
-        })
-        .collect();
+    let mut rows: Vec<StageRow> =
+        Stage::ALL.iter().map(|&stage| StageRow { stage, ..StageRow::default() }).collect();
     let pool_busy_ns = pool_busy_total();
-    let pool_wait_ns = crate::hist::hist_snapshot()
+    let pool_wait_ns = crate::profile::latency_snapshot()
         .iter()
         .find(|(n, _)| *n == "pool.wait_ns")
         .map_or(0, |(_, s)| s.sum);
     if spans.is_empty() {
-        return Analysis {
-            wall_s: 0.0,
-            busy_s: 0.0,
-            serial_s: 0.0,
-            critical_s: 0.0,
-            wait_s: 0.0,
-            overlap_efficiency: 0.0,
-            threads: 0,
-            steps: 0,
-            spans: 0,
-            segments: 0,
-            stages: rows,
-            pool_busy_ns,
-            pool_wait_ns,
-        };
+        return Analysis { stages: rows, pool_busy_ns, pool_wait_ns, ..Analysis::default() };
     }
 
     let segs = leaf_segments(spans);
@@ -402,44 +318,6 @@ fn pool_busy_total() -> u64 {
         .sum()
 }
 
-/// Renders the analysis as a `tgl-critpath/v1` JSON artifact.
-pub fn to_json(a: &Analysis) -> String {
-    let mut out = String::with_capacity(2048);
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"wall_s\": {:.9},\n  \"busy_s\": {:.9},\n  \"serial_s\": {:.9},\n  \"critical_s\": {:.9},\n  \"wait_s\": {:.9},\n  \"overlap_efficiency\": {:.6},\n  \"threads\": {},\n  \"steps\": {},\n  \"spans\": {},\n  \"segments\": {},\n  \"pool_busy_ns\": {},\n  \"pool_wait_ns\": {},\n  \"stages\": [",
-        a.wall_s,
-        a.busy_s,
-        a.serial_s,
-        a.critical_s,
-        a.wait_s,
-        a.overlap_efficiency,
-        a.threads,
-        a.steps,
-        a.spans,
-        a.segments,
-        a.pool_busy_ns,
-        a.pool_wait_ns
-    );
-    for (i, row) in a.stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"stage\": \"{}\", \"serial_s\": {:.9}, \"exclusive_s\": {:.9}, \"overlapped_s\": {:.9}, \"critical_s\": {:.9}, \"segments\": {}}}",
-            row.stage.label(),
-            row.serial_s,
-            row.exclusive_s,
-            row.overlapped_s,
-            row.critical_s,
-            row.segments
-        );
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 /// Renders the human-readable `--critpath` table.
 pub fn render_table(a: &Analysis) -> String {
     let mut out = String::new();
@@ -494,38 +372,26 @@ mod tests {
         (a - b).abs() < 1e-15
     }
 
+    /// A logged span whose stage is what its stage root would have set.
     fn sp(name: &'static str, tid: u32, start: u64, dur: u64, id: u64, parent: u64) -> Span {
-        Span {
-            name,
-            tid,
-            start_ns: start,
-            dur_ns: dur,
-            id,
-            args: if parent != 0 {
-                Some(crate::trace::SpanArgs {
-                    parent,
-                    ..Default::default()
-                })
-            } else {
-                None
-            },
-        }
+        let stage = match name {
+            "sample" => Stage::Sample,
+            "feature_load" => Stage::Transfer,
+            "attention" => Stage::Forward,
+            "backward" => Stage::Backward,
+            _ => Stage::Other,
+        };
+        Span { name, stage, tid, start_ns: start, dur_ns: dur, id, parent, ..Span::default() }
     }
 
     #[test]
-    fn classifies_known_span_names() {
-        assert_eq!(classify("sample"), Stage::Sample);
-        assert_eq!(classify("dedup"), Stage::Sample);
-        assert_eq!(classify("prefetch"), Stage::Sample);
-        assert_eq!(classify("feature_load"), Stage::Transfer);
-        assert_eq!(classify("transfer_to[accel]"), Stage::Transfer);
-        assert_eq!(classify("attention"), Stage::Forward);
-        assert_eq!(classify("matmul[64x100,100x100]"), Stage::Forward);
-        assert_eq!(classify("matmul.bwd"), Stage::Backward);
-        assert_eq!(classify("backward"), Stage::Backward);
-        assert_eq!(classify("opt_step"), Stage::Opt);
-        assert_eq!(classify("step"), Stage::Other);
-        assert_eq!(classify("pool.job"), Stage::Other);
+    fn segments_take_their_stage_from_the_record_not_the_name() {
+        // A worker's `pool.job` under a backward op is backward time,
+        // whatever it is called.
+        let job = Span { stage: Stage::Backward, ..sp("pool.job", 1, 0, 50, 2, 1) };
+        let a = analyze(&[job]);
+        assert!(close(a.stages[stage_index(Stage::Backward)].serial_s, 50e-9));
+        assert_eq!(a.stages[stage_index(Stage::Other)].serial_s, 0.0);
     }
 
     #[test]
@@ -639,8 +505,6 @@ mod tests {
         assert_eq!(a.wall_s, 0.0);
         assert_eq!(a.spans, 0);
         assert_eq!(a.stages.len(), 6);
-        let json = to_json(&a);
-        assert!(json.contains("\"schema\": \"tgl-critpath/v1\""));
     }
 
     #[test]
@@ -650,10 +514,6 @@ mod tests {
             sp("attention", 0, 40, 60, 2, 0),
         ];
         let a = analyze(&spans);
-        let json = to_json(&a);
-        assert!(json.contains("\"schema\": \"tgl-critpath/v1\""));
-        assert!(json.contains("\"stage\": \"sample\""));
-        assert!(json.contains("\"stage\": \"forward\""));
         let table = render_table(&a);
         assert!(table.contains("critical path:"));
         assert!(table.contains("overlap efficiency"));

@@ -8,7 +8,8 @@
 //! `step.latency_ns.p99`, `pipeline.queue.occupancy` — plus whatever
 //! else the store holds, an alert banner listing firing rules, a
 //! health badge, and — when the introspection layer is on — a
-//! per-layer panel built from `/insight.json` (parameter groups with
+//! per-layer panel built from the `insight` section of `/report.json`
+//! (parameter groups with
 //! their latest gradient norm, weight norm, and update ratio;
 //! non-finite groups sort to the top and are highlighted). Works from `file://` saves too: everything it needs
 //! ships in this one response, which is what "std-only dashboard"
@@ -148,7 +149,7 @@ function renderInsight(doc) {
   var root = document.getElementById("insight");
   root.textContent = "";
   var groups = {};
-  (doc.stats || []).forEach(function (s) {
+  (doc.series || []).forEach(function (s) {
     var m = /^insight\.layer\.(.+)\.(grad_norm|weight_norm|update_ratio)$/.exec(s.name);
     if (!m) return;
     if (!groups[m[1]]) groups[m[1]] = {};
@@ -200,7 +201,7 @@ function renderHealth(status) {
 function tick() {
   fetchJson("/timeseries.json").then(renderCharts).catch(function () {});
   fetchJson("/alerts.json").then(renderAlerts).catch(function () {});
-  fetchJson("/insight.json").then(renderInsight).catch(function () {});
+  fetchJson("/report.json").then(function (r) { renderInsight(r.insight || {}); }).catch(function () {});
   fetch("/healthz", {cache: "no-store"})
     .then(function (r) { renderHealth(r.status === 200 ? "ok" : "fail"); })
     .catch(function () { renderHealth("down"); });
@@ -224,7 +225,7 @@ mod tests {
         assert!(page.contains("</html>"));
         assert!(page.contains("/timeseries.json"));
         assert!(page.contains("/alerts.json"));
-        assert!(page.contains("/insight.json"));
+        assert!(page.contains("/report.json"));
         assert!(page.contains("update_ratio"));
         assert!(page.contains("svg"));
         // Zero external assets: nothing fetched from elsewhere. The

@@ -10,23 +10,13 @@
 //! * `GET /healthz` — `200 {"status":"ok"|"degraded"}` while no `fail`
 //!   health event is recorded, `503 {"status":"failing", ...}` after.
 //! * `GET /report.json` — the most recently [`publish_report`]ed run
-//!   report (the in-progress document while a run is live), `404`
-//!   before the first publish.
-//! * `GET /profile.json` — a live `tgl-profile/v1` snapshot of the
-//!   per-operator profiler (non-draining; empty `ops` array until
-//!   profiling is enabled and ops have run).
-//! * `GET /critpath.json` — a live `tgl-critpath/v1` critical-path
-//!   analysis over the tracer's current spans (non-draining; zeroed
-//!   while tracing is off).
-//! * `GET /flight.json` — a `tgl-flight/v1` dump of the flight
-//!   recorder's recent-event rings, on demand.
+//!   report (the in-progress document while a run is live, with its
+//!   `profile` and `insight` sections; the finished one adds
+//!   `critpath`), `404` before the first publish.
 //! * `GET /timeseries.json` — the retained telemetry store as a
 //!   `tgl-timeseries/v1` artifact (see [`crate::timeseries`]).
 //! * `GET /alerts.json` — installed SLO rules, their firing state, and
 //!   the transition history as `tgl-alerts/v1` (see [`crate::alert`]).
-//! * `GET /insight.json` — the introspection layer's cumulative
-//!   per-layer and data-quality summaries as `tgl-insight/v1` (see
-//!   [`crate::insight`]; empty `stats` until insight is enabled).
 //! * `GET /dashboard` — a self-contained live HTML dashboard (inline
 //!   JS + SVG sparklines, zero external assets; see
 //!   [`crate::dashboard`]).
@@ -217,21 +207,7 @@ fn handle(mut stream: TcpStream) {
             let status = if ok { "200 OK" } else { "503 Service Unavailable" };
             respond(&mut stream, status, "application/json", &body);
         }
-        "/profile.json" | "/profile" => {
-            let body = crate::profile::to_json(&crate::profile::snapshot());
-            respond(&mut stream, "200 OK", "application/json", &body);
-        }
-        "/critpath.json" | "/critpath" => {
-            // Non-draining: analyzes a snapshot of whatever the tracer
-            // currently holds (empty analysis when tracing is off).
-            let body = crate::critpath::to_json(&crate::critpath::analyze(&crate::trace::snapshot()));
-            respond(&mut stream, "200 OK", "application/json", &body);
-        }
-        "/flight.json" | "/flight" => {
-            let body = crate::flight::to_json("request");
-            respond(&mut stream, "200 OK", "application/json", &body);
-        }
-        "/report.json" | "/report" => match latest_report() {
+        "/report.json" => match latest_report() {
             Some(json) => respond(&mut stream, "200 OK", "application/json", &json),
             None => respond(
                 &mut stream,
@@ -240,16 +216,12 @@ fn handle(mut stream: TcpStream) {
                 "{\"error\":\"no report published yet\"}\n",
             ),
         },
-        "/timeseries.json" | "/timeseries" => {
+        "/timeseries.json" => {
             let body = crate::timeseries::to_json();
             respond(&mut stream, "200 OK", "application/json", &body);
         }
-        "/alerts.json" | "/alerts" => {
+        "/alerts.json" => {
             let body = crate::alert::to_json();
-            respond(&mut stream, "200 OK", "application/json", &body);
-        }
-        "/insight.json" | "/insight" => {
-            let body = crate::insight::to_json();
             respond(&mut stream, "200 OK", "application/json", &body);
         }
         "/dashboard" => {
@@ -268,12 +240,6 @@ fn handle(mut stream: TcpStream) {
             respond(&mut stream, "200 OK", "text/plain", "bye\n");
             signal_quit();
         }
-        "/" => respond(
-            &mut stream,
-            "200 OK",
-            "text/plain",
-            "tgl metrics server: /metrics /healthz /report.json /profile.json /critpath.json /flight.json /timeseries.json /alerts.json /insight.json /dashboard /quit\n",
-        ),
         _ => respond(&mut stream, "404 Not Found", "text/plain", "not found\n"),
     }
 }
@@ -346,20 +312,6 @@ pub fn start(addr: &str) -> std::io::Result<SocketAddr> {
         })
         .expect("spawn metrics server thread");
     Ok(bound)
-}
-
-/// Starts the server when `TGL_METRICS_ADDR` is set; returns the bound
-/// address when it did. Bind failures are reported on stderr, not
-/// fatal: metrics exposition must never take a training run down.
-pub fn start_from_env() -> Option<SocketAddr> {
-    let addr = std::env::var("TGL_METRICS_ADDR").ok()?;
-    match start(&addr) {
-        Ok(bound) => Some(bound),
-        Err(e) => {
-            eprintln!("TGL_METRICS_ADDR={addr}: bind failed: {e}");
-            None
-        }
-    }
 }
 
 /// Minimal scrape client for the server above (used by `tgl promcheck`
@@ -473,18 +425,10 @@ mod tests {
         let (code, _) = http_get(&addr, "/nope").expect("scrape 404");
         assert_eq!(code, 404);
 
-        let (code, body) = http_get(&addr, "/profile.json").expect("scrape profile");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"schema\": \"tgl-profile/v1\""));
-
-        let (code, body) = http_get(&addr, "/critpath.json").expect("scrape critpath");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"schema\": \"tgl-critpath/v1\""));
-
-        let (code, body) = http_get(&addr, "/flight.json").expect("scrape flight");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"schema\": \"tgl-flight/v1\""));
-        assert!(body.contains("\"reason\": \"request\""));
+        // Retired endpoints: their documents are sections of the report.
+        for gone in ["/profile.json", "/critpath.json", "/insight.json", "/flight.json"] {
+            assert_eq!(http_get(&addr, gone).expect("scrape retired").0, 404, "{gone}");
+        }
 
         publish_report("{\"schema\":\"tgl-run-report/v2\"}".into());
         let (code, body) = http_get(&addr, "/report.json").expect("scrape report");
@@ -498,10 +442,6 @@ mod tests {
         let (code, body) = http_get(&addr, "/alerts.json").expect("scrape alerts");
         assert_eq!(code, 200);
         assert!(body.contains("\"schema\": \"tgl-alerts/v1\""));
-
-        let (code, body) = http_get(&addr, "/insight.json").expect("scrape insight");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"schema\": \"tgl-insight/v1\""));
 
         let (code, body) = http_get(&addr, "/dashboard").expect("scrape dashboard");
         assert_eq!(code, 200);

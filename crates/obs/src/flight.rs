@@ -22,9 +22,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Slots per thread ring. 256 events cover several training steps of
 /// span traffic — enough context for a post-mortem without measurable
@@ -35,35 +35,16 @@ const KIND_NONE: u64 = 0;
 const KIND_SPAN: u64 = 1;
 const KIND_HEALTH: u64 = 2;
 
-/// 0 = uninitialized (consult `TGL_FLIGHT`), 1 = on, 2 = off.
-static STATE: AtomicU32 = AtomicU32::new(0);
-
-#[cold]
-fn init_state() -> u32 {
-    let on = !matches!(
-        std::env::var("TGL_FLIGHT").as_deref(),
-        Ok("off") | Ok("0") | Ok("OFF")
-    );
-    let s = if on { 1 } else { 2 };
-    // Racing initializers agree (env is stable), so a plain store is fine.
-    STATE.store(s, Ordering::Relaxed);
-    s
-}
-
-/// Whether the flight recorder is on. First call reads `TGL_FLIGHT`;
-/// after that it is a single relaxed atomic load.
+/// Whether the flight recorder is on. The first span-state read
+/// consults `TGL_FLIGHT`; after that it is a single relaxed load.
 #[inline]
 pub fn enabled() -> bool {
-    let s = STATE.load(Ordering::Relaxed);
-    if s == 0 {
-        return init_state() == 1;
-    }
-    s == 1
+    crate::span::is(crate::span::FLIGHT)
 }
 
 /// Force the recorder on or off, overriding `TGL_FLIGHT`.
 pub fn enable(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    crate::span::set(crate::span::FLIGHT, on);
 }
 
 struct Slot {
@@ -177,12 +158,12 @@ fn name_for(id: u64) -> &'static str {
     tbl.list.get(id as usize - 1).copied().unwrap_or("?")
 }
 
-/// Records one completed span into the calling thread's ring. Callers
-/// must check [`enabled`] first (the `tgl_obs::span` guard does).
-pub fn record_span(name: &'static str, start: Instant, dur: Duration) {
+/// Records one completed span (start offset from the trace epoch and
+/// duration, nanoseconds) into the calling thread's ring. Called from
+/// the span emit while the recorder is on.
+pub(crate) fn record_span(name: &'static str, start_ns: u64, dur_ns: u64) {
     let id = name_id(name);
-    let t = crate::trace::offset_ns(start);
-    RING.with(|r| r.write(KIND_SPAN, id, t, dur.as_nanos() as u64, 0));
+    RING.with(|r| r.write(KIND_SPAN, id, start_ns, dur_ns, 0));
 }
 
 /// Records a health event (called from `health::record`; checks

@@ -1,8 +1,10 @@
 //! Log2-bucketed latency histograms and gauges.
 //!
-//! Counters answer "how many"; these answer "how long" and "how much
-//! right now". A [`Histogram`] records `u64` samples (nanoseconds by
-//! convention — names end in `_ns`) into 64 power-of-two buckets:
+//! Counters answer "how many"; these answer "how is it distributed" and
+//! "how much right now". A [`Histogram`] records `u64` samples (queue
+//! occupancy, channel waits in nanoseconds — names then end in `_ns`;
+//! span durations are bucketed by the aggregate in [`crate::profile`]
+//! and only *read* through [`hist_snapshot`]) into 64 power-of-two buckets:
 //! bucket `i` holds values in `[2^i, 2^(i+1))`, with 0 folded into
 //! bucket 0. Everything is a relaxed atomic, so recording from pool
 //! workers is wait-free and a [`HistSnapshot`] taken after a parallel
@@ -179,6 +181,14 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
+    /// Adds one sample (the span aggregate buckets durations in place).
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+        self.buckets[bucket_index(v)] += 1;
+    }
+
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -328,11 +338,15 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
     reg.get_or_insert(name, Gauge::new)
 }
 
-/// Snapshot of every registered histogram as `(name, snapshot)`,
-/// sorted by name for stable report output.
+/// Snapshot of every histogram as `(name, snapshot)`, sorted by name
+/// for stable report output: the registered value histograms plus the
+/// duration families, which are a view of the span aggregate
+/// ([`crate::profile::latency_snapshot`]).
 pub fn hist_snapshot() -> Vec<(&'static str, HistSnapshot)> {
     let reg = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
     let mut v: Vec<_> = reg.in_order.iter().map(|h| (h.name, h.snapshot())).collect();
+    drop(reg);
+    v.extend(crate::profile::latency_snapshot());
     v.sort_unstable_by_key(|&(n, _)| n);
     v
 }
@@ -344,14 +358,6 @@ pub fn gauge_snapshot() -> Vec<(&'static str, f64)> {
     let mut v: Vec<_> = reg.in_order.iter().map(|g| (g.name, g.get())).collect();
     v.sort_unstable_by_key(|&(n, _)| n);
     v
-}
-
-/// Zeroes every registered histogram (registrations persist).
-pub fn reset_histograms() {
-    let reg = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-    for h in reg.in_order.iter() {
-        h.reset();
-    }
 }
 
 /// Interns a histogram at the call site, mirroring `counter!`.

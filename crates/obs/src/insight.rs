@@ -34,8 +34,8 @@
 //! machinery), as cross-group prom gauges (`insight.grad_norm_max`,
 //! ...), and in a cumulative registry of streaming sketches
 //! (count/mean/M2/min/max via Welford + the log2-bucket histogram for
-//! p99) rendered as the `tgl-insight/v1` artifact and the `--insight`
-//! table.
+//! p99) rendered as the run report's `insight` section and the
+//! `--insight` table.
 //!
 //! Disabled (the default), every site costs one relaxed atomic load —
 //! inside the repo's 2% disabled observability budget (`obs_overhead`
@@ -47,7 +47,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::hist::{self, HistSnapshot, NUM_BUCKETS};
 
@@ -531,42 +530,6 @@ pub fn reset() {
     BAG.with(|b| *b.borrow_mut() = None);
 }
 
-/// Renders the registry as a `tgl-insight/v1` artifact (the
-/// `/insight.json` endpoint body).
-pub fn to_json() -> String {
-    let unix_ms = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let all = stats();
-    let mut out = String::with_capacity(4 * 1024);
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"tgl-insight/v1\",\n  \"unix_ms\": {unix_ms},\n  \"steps\": {},\n  \"stats\": [",
-        steps()
-    );
-    for (i, s) in all.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"name\": \"");
-        crate::flight::esc(&s.name, &mut out);
-        let _ = write!(out, "\", \"count\": {}, \"mean\": ", s.count);
-        crate::timeseries::json_num(s.mean, &mut out);
-        out.push_str(", \"std\": ");
-        crate::timeseries::json_num(s.std, &mut out);
-        out.push_str(", \"min\": ");
-        crate::timeseries::json_num(s.min, &mut out);
-        out.push_str(", \"max\": ");
-        crate::timeseries::json_num(s.max, &mut out);
-        out.push_str(", \"last\": ");
-        crate::timeseries::json_num(s.last, &mut out);
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 fn fmt_val(v: f64) -> String {
     if !v.is_finite() {
         format!("{v}")
@@ -770,12 +733,10 @@ mod tests {
         record_group("predictor", 0.5, 1.0, 1e-4);
         observe_mem_staleness(&[1.0, 2.0, 100.0]);
         flush_step();
-        let json = to_json();
-        assert!(json.contains("\"schema\": \"tgl-insight/v1\""));
-        assert!(json.contains("\"steps\": 1"));
-        assert!(json.contains("insight.layer.predictor.grad_norm"));
-        assert!(json.contains("null"), "NaN last must render as null");
-        assert!(!json.contains("NaN"));
+        assert_eq!(steps(), 1);
+        let all = stats();
+        assert!(all.iter().any(|s| s.name == "insight.layer.predictor.grad_norm"));
+        assert!(all.iter().any(|s| s.last.is_nan()), "the NaN group stays visible");
         let table = render_table(10);
         // The non-finite group sorts first — it is the one being hunted.
         let nan_pos = table.find("layer0.w_q").unwrap();

@@ -2,7 +2,7 @@
 //!
 //! Std-only (no dependencies, not even on other workspace crates — it
 //! sits *below* `tgl-runtime` so even the thread pool can report into
-//! it). Three cooperating pieces:
+//! it):
 //!
 //! * [`metrics`] — a global registry of named atomic [`metrics::Counter`]s.
 //!   Instrumentation sites use the [`counter!`] macro, which resolves the
@@ -12,28 +12,29 @@
 //!   computation, so the workspace's bitwise thread-count-invariance
 //!   contract is unaffected.
 //!
-//! * [`trace`] — a cross-thread span tracer. [`span`] returns an RAII
-//!   guard; on drop it records `(name, thread id, start, duration)` into
-//!   a sharded global sink. [`trace::take`] drains the sink and
+//! * [`mod@span`] — the one timing primitive. [`span()`] (a Fig. 7 phase),
+//!   [`region`] (a container such as `step`), [`profile::op`] (a tensor
+//!   operator with analytic FLOPs / bytes) and [`timer`] (a latency
+//!   probe) return the same RAII guard over one thread-local frame
+//!   stack; on drop it writes one [`Span`] record — name, kind, stage,
+//!   thread, start, duration, id, parent, cost — to every sink that is
+//!   on. The stage is set at a few stage roots and inherited down the
+//!   parent chain, across pool workers and the pipeline channel.
+//!
+//! * [`profile`] — the one timing store: a bounded aggregate keyed
+//!   `(name, phase, stage)` fed while [`collect`] is on. The phase
+//!   table ([`phase`]), the op / roofline profile and the duration
+//!   histograms are readers of its rows.
+//!
+//! * [`trace`] — the opt-in event log of every [`Span`];
 //!   [`trace::to_chrome_json`] renders Chrome trace-event JSON loadable
 //!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
-//! * [`phase`] — a global named-phase duration accumulator (the Fig. 7
-//!   per-operation breakdown). Unlike the old thread-local profiler in
-//!   `tglite::prof`, phases recorded on *any* thread — including pool
-//!   workers — aggregate into the one report the caller drains.
-//!
-//! * [`hist`] — log2-bucketed atomic [`hist::Histogram`]s (latency
-//!   distributions: p50/p90/p99/max via the [`histogram!`] macro) and
-//!   last-write-wins [`hist::Gauge`]s ([`gauge!`]), sharing the
-//!   counter enable gate.
-//!
-//! * [`profile`] — a per-operator profiler keyed by `(op, phase)`:
-//!   tensor-op dispatch sites open [`profile::op`] guards that record
-//!   self time, call counts, analytic FLOPs and bytes, input shapes,
-//!   and attributed pool/transfer activity, with span names (via
-//!   [`span`]) providing the phase scope. [`intern`] backs the
-//!   dynamically-composed names (e.g. `matmul[128x64,64x256]`).
+//! * [`hist`] — log2-bucketed atomic [`hist::Histogram`]s (value
+//!   distributions via the [`histogram!`] macro; the duration families
+//!   are a view of [`profile`]) and last-write-wins [`hist::Gauge`]s
+//!   ([`gauge!`]), sharing the counter enable gate. [`intern`] backs
+//!   dynamically composed names (`linear.bwd`, shape signatures).
 //!
 //! * [`health`] — a bounded sink of structured [`health::HealthEvent`]s
 //!   (NaN sentinels, divergence warnings) that subsystems record
@@ -41,16 +42,15 @@
 //!
 //! * [`expo`] — a std-only (`std::net::TcpListener`) HTTP server
 //!   exposing `/metrics` (Prometheus text format), `/healthz`,
-//!   `/report.json`, `/critpath.json`, `/flight.json`,
-//!   `/timeseries.json`, `/alerts.json`, and the live [`dashboard`]
-//!   page for scraping a running process; requests are handled by a
+//!   `/report.json`, `/timeseries.json`, `/alerts.json`, and the live
+//!   [`dashboard`] page for scraping a running process; requests are handled by a
 //!   small worker pool so a slow render never blocks `/healthz`.
 //!
 //! * [`flight`] — an always-on flight recorder: fixed-size per-thread
 //!   rings of the most recent spans and health events, dumped as a
 //!   `tgl-flight/v1` artifact on panic / health-fail / request.
 //!
-//! * [`critpath`] — critical-path analysis over tracer spans: per-stage
+//! * [`critpath`] — critical-path analysis over the event log: per-stage
 //!   serial vs overlapped time, the critical path itself, and overlap
 //!   efficiency (the acceptance instrument for pipelined training).
 //!
@@ -74,24 +74,19 @@
 //!   temporal-data quality (memory staleness, neighbor time-deltas,
 //!   negative-sampling collisions, dedup effectiveness, mailbox depth)
 //!   collected into a per-batch bag and flushed as deterministic
-//!   `insight.*` series plus a `tgl-insight/v1` artifact.
-//!
-//! A single [`span`] guard feeds all sinks: phase aggregation when
-//! profiling is enabled, span events when tracing is enabled, and the
-//! flight recorder's ring (on by default; `TGL_FLIGHT=off` disables).
-//! When everything is off a guard does a few relaxed atomic loads.
+//!   `insight.*` series and the run report's `insight` section.
 //!
 //! # Examples
 //!
 //! ```
-//! tgl_obs::phase::enable(true);
+//! tgl_obs::collect(true);
 //! {
 //!     let _g = tgl_obs::span("attention");
 //!     // ... work, possibly fanned out to worker threads ...
 //! }
 //! let report = tgl_obs::phase::take();
 //! assert!(report.iter().any(|(name, _)| *name == "attention"));
-//! tgl_obs::phase::enable(false);
+//! tgl_obs::collect(false);
 //!
 //! tgl_obs::counter!("demo.hits").add(3);
 //! assert!(tgl_obs::metrics::get("demo.hits") >= 3);
@@ -109,84 +104,49 @@ pub mod intern;
 pub mod metrics;
 pub mod phase;
 pub mod profile;
+pub mod span;
 pub mod timeseries;
 pub mod trace;
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
 
-/// Starts a span named `name`: an RAII guard that, on drop, adds its
-/// wall time to the [`phase`] accumulator (when profiling is enabled),
-/// records a trace event (when tracing is enabled), and appends to the
-/// flight recorder's ring (on by default). Near-zero cost when all
-/// three are disabled.
+pub use span::{adopt, current, record_timer, Kind, Span, SpanCtx, SpanGuard, Stage};
+
+/// Starts a phase span named `name`: a row of the Fig. 7 phase table
+/// and the phase key of every op under it. One relaxed load when the
+/// flight ring, collection and the event log are all off.
+#[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    let traced = trace::enabled();
-    let active = phase::enabled() || traced || flight::enabled();
-    // While op profiling is on, spans double as the profiler's phase
-    // scope: ops record under the innermost enclosing span name.
-    let scoped = profile::enabled();
-    if scoped {
-        profile::push_phase(name);
-    }
-    SpanGuard {
-        name,
-        start: active.then(Instant::now),
-        scoped,
-        phase: true,
-        trace_id: if traced { trace::begin_span() } else { 0 },
-    }
+    span::open(name, Kind::Phase)
 }
 
 /// Starts a *container region* (`step`, `forward`, `epoch`, ...): like
-/// [`span`] it records into the tracer and flight recorder, but it does
-/// NOT feed the [`phase`] accumulator or scope the op profiler — the
-/// Fig. 7 phase breakdown and `(op, phase)` keys stay exactly as the
-/// fine-grained phase spans define them, while the critical-path
-/// analyzer gets the step/epoch structure it needs.
+/// [`span()`] it is traced and carries a stage, but it is not a phase —
+/// the Fig. 7 breakdown and the ops' phase keys stay exactly as the
+/// fine-grained phase spans define them.
+#[inline]
 pub fn region(name: &'static str) -> SpanGuard {
-    let traced = trace::enabled();
-    let active = traced || flight::enabled();
-    SpanGuard {
-        name,
-        start: active.then(Instant::now),
-        scoped: false,
-        phase: false,
-        trace_id: if traced { trace::begin_span() } else { 0 },
-    }
+    span::open(name, Kind::Region)
 }
 
-/// RAII guard produced by [`span`] and [`region`].
-#[derive(Debug)]
-pub struct SpanGuard {
-    name: &'static str,
-    start: Option<Instant>,
-    scoped: bool,
-    phase: bool,
-    trace_id: u64,
+/// Starts a latency probe inside an op (`gemm`, `pool.wait`): counted
+/// and bucketed for the duration histograms, while its time stays in
+/// the enclosing span's self time. Live only while collecting.
+#[inline]
+pub fn timer(name: &'static str) -> SpanGuard {
+    span::open(name, Kind::Timer)
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.scoped {
-            profile::pop_phase();
-        }
-        if let Some(start) = self.start {
-            let dur = start.elapsed();
-            if self.phase && phase::enabled() {
-                phase::add(self.name, dur);
-            }
-            // finish_span must run whenever an id was allocated so the
-            // thread-local open-span stack stays balanced, even if
-            // tracing was switched off mid-span.
-            if self.trace_id != 0 || trace::enabled() {
-                trace::finish_span(self.trace_id, self.name, start, dur);
-            }
-            if flight::enabled() {
-                flight::record_span(self.name, start, dur);
-            }
-        }
-    }
+/// Turns collection into the aggregate ([`profile`]) on or off. Ops
+/// and timers are live only while it is on.
+pub fn collect(on: bool) {
+    span::set(span::COLLECT, on);
+}
+
+/// Whether the aggregate is collecting.
+#[inline]
+pub fn collecting() -> bool {
+    span::is(span::COLLECT)
 }
 
 static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
@@ -224,21 +184,21 @@ mod tests {
     #[test]
     fn disabled_span_records_nothing() {
         let _g = serial();
-        phase::enable(false);
+        collect(false);
         trace::enable(false);
-        phase::take();
+        profile::take();
         {
             let _s = span("obs-disabled-probe");
         }
-        assert!(!phase::take().iter().any(|(n, _)| *n == "obs-disabled-probe"));
+        assert!(!profile::take().iter().any(|r| r.name == "obs-disabled-probe"));
     }
 
     #[test]
     fn region_traces_but_skips_phase_accumulator() {
         let _g = serial();
-        phase::enable(true);
+        collect(true);
         trace::enable(true);
-        phase::take();
+        profile::take();
         trace::take();
         {
             let _r = region("obs-region-probe");
@@ -246,7 +206,7 @@ mod tests {
         }
         let phases = phase::take();
         let spans = trace::take();
-        phase::enable(false);
+        collect(false);
         trace::enable(false);
         assert!(
             !phases.iter().any(|(n, _)| *n == "obs-region-probe"),
@@ -255,24 +215,24 @@ mod tests {
         assert!(phases.iter().any(|(n, _)| *n == "obs-inner-probe"));
         let outer = spans.iter().find(|s| s.name == "obs-region-probe").unwrap();
         let inner = spans.iter().find(|s| s.name == "obs-inner-probe").unwrap();
-        assert_eq!(inner.parent(), outer.id);
+        assert_eq!(inner.parent, outer.id);
     }
 
     #[test]
     fn span_feeds_both_sinks() {
         let _g = serial();
-        phase::enable(true);
+        collect(true);
         trace::enable(true);
-        phase::take();
+        profile::take();
         trace::take();
         {
             let _s = span("obs-both-probe");
         }
-        let phases = phase::take();
+        let rows = profile::take();
         let spans = trace::take();
-        phase::enable(false);
+        collect(false);
         trace::enable(false);
-        assert!(phases.iter().any(|(n, _)| *n == "obs-both-probe"));
+        assert!(rows.iter().any(|r| r.name == "obs-both-probe" && r.kind == Kind::Phase));
         assert!(spans.iter().any(|s| s.name == "obs-both-probe"));
     }
 }

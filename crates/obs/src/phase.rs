@@ -1,70 +1,60 @@
-//! Global named-phase duration accumulator.
+//! The Fig. 7 phase table: a view of the span aggregate.
 //!
-//! This is the aggregation behind `tglite::prof` and the Fig. 7
-//! per-operation breakdown: each `(name, duration)` pair recorded on
-//! *any* thread accumulates into one process-global map keyed by phase
-//! name, which the measuring caller drains with [`take`]. The map is
-//! bounded by the number of distinct phase names (a dozen or so), so it
-//! never grows with run length the way the trace sink can.
+//! Every [`crate::span`] is a phase; its time lands in the one
+//! aggregate ([`crate::profile`]) whichever thread records it. This
+//! module only *reads*: [`table`] folds the phase rows by name, and
+//! [`take`] drains the aggregate and returns that table — the
+//! `tglite::prof::take` the harness and benches have always called.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+use crate::profile::{self, Row};
+use crate::Kind;
 
-static PHASES: Mutex<Option<HashMap<&'static str, Duration>>> = Mutex::new(None);
-
-/// Turns phase accumulation on or off. Off by default; a disabled
-/// span does one relaxed atomic load here.
-pub fn enable(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether phase accumulation is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Adds `dur` to the running total for `name`, regardless of which
-/// thread calls it. Callers normally go through `tgl_obs::span` or
-/// `tglite::prof::scope`, which check [`enabled`] first; calling this
-/// directly records unconditionally.
-pub fn add(name: &'static str, dur: Duration) {
-    let mut map = PHASES.lock().unwrap_or_else(|e| e.into_inner());
-    *map.get_or_insert_with(HashMap::new).entry(name).or_default() += dur;
-}
-
-/// Drains all accumulated phases, sorted by descending total duration
-/// (ties broken by name for stable output).
-pub fn take() -> Vec<(&'static str, Duration)> {
-    let mut map = PHASES.lock().unwrap_or_else(|e| e.into_inner());
-    let mut v: Vec<_> = map.take().unwrap_or_default().into_iter().collect();
+/// Total time of every phase by name, longest first (ties by name).
+pub fn table(rows: &[Row]) -> Vec<(&'static str, Duration)> {
+    let mut by_name: HashMap<&'static str, u64> = HashMap::new();
+    for r in rows.iter().filter(|r| r.kind == Kind::Phase) {
+        *by_name.entry(r.name).or_default() += r.dur.sum;
+    }
+    let mut v: Vec<_> = by_name.into_iter().map(|(n, ns)| (n, Duration::from_nanos(ns))).collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     v
+}
+
+/// Drains the aggregate and returns its phase table.
+pub fn take() -> Vec<(&'static str, Duration)> {
+    table(&profile::take())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::serial;
+    use crate::{collect, span};
 
     #[test]
     fn phases_accumulate_across_threads() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
-        add("phase-test-main", Duration::from_millis(2));
-        std::thread::spawn(|| add("phase-test-worker", Duration::from_millis(5)))
-            .join()
-            .unwrap();
-        add("phase-test-main", Duration::from_millis(1));
-        let report = take();
-        enable(false);
+        drop(span("phase-test-main"));
+        std::thread::spawn(|| {
+            let _s = span("phase-test-worker");
+            std::thread::sleep(Duration::from_millis(2));
+        })
+        .join()
+        .unwrap();
+        drop(span("phase-test-main"));
+        let rows = profile::take();
+        collect(false);
+        let main = rows.iter().find(|r| r.name == "phase-test-main").unwrap();
+        assert_eq!(main.dur.count, 2);
+        let report = table(&rows);
         let get = |n: &str| report.iter().find(|(p, _)| *p == n).map(|(_, d)| *d);
-        assert_eq!(get("phase-test-main"), Some(Duration::from_millis(3)));
-        assert_eq!(get("phase-test-worker"), Some(Duration::from_millis(5)));
+        assert_eq!(get("phase-test-main"), Some(Duration::from_nanos(main.dur.sum)));
+        assert!(get("phase-test-worker") >= Some(Duration::from_millis(2)));
         // Sorted by descending duration.
         let worker_pos = report.iter().position(|(p, _)| *p == "phase-test-worker");
         let main_pos = report.iter().position(|(p, _)| *p == "phase-test-main");
@@ -74,7 +64,9 @@ mod tests {
     #[test]
     fn take_drains() {
         let _g = serial();
-        add("phase-test-drain", Duration::from_millis(1));
+        collect(true);
+        drop(span("phase-test-drain"));
+        collect(false);
         assert!(take().iter().any(|(n, _)| *n == "phase-test-drain"));
         assert!(!take().iter().any(|(n, _)| *n == "phase-test-drain"));
     }

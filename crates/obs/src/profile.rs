@@ -1,117 +1,100 @@
-//! Per-operator profiler: time / FLOP / byte attribution below phase
-//! granularity.
+//! The one timing store and its views.
 //!
-//! Every tensor-op dispatch opens an [`op`] guard; on drop the guard
-//! records self time (wall time minus enclosed child ops), call count,
-//! analytic FLOPs, bytes read/written, the input-shape signature, and
-//! any pool hits/misses or device-transfer bytes that occurred while
-//! the op was the innermost active frame. Records are keyed by
-//! `(op name, phase scope)` — the innermost enclosing [`crate::span`]
-//! name — so the Fig-7 phase breakdown decomposes into operators.
+//! Every finished span (see [`crate::span`]) lands in one bounded
+//! aggregate keyed `(name, phase, stage)`, where `phase` is the
+//! innermost enclosing [`crate::span`] name: calls, total / self time,
+//! analytic FLOPs and bytes, pool and transfer attribution, and log2
+//! duration buckets. The aggregate is bounded by the distinct keys a
+//! run produces, never by its length, and is fed only while
+//! [`crate::collect`] is on.
 //!
-//! Two invariants shape the design:
+//! Everything that answers "where did the time go" reads these rows:
 //!
-//! * **Thread-count invariance.** Ops are dispatched on the caller
-//!   thread (only kernels fan out via `parallel_for`), so call counts,
-//!   FLOPs, and byte totals are identical at 1 and N threads. The
-//!   sink is sharded by thread id purely to avoid lock contention;
-//!   [`take`] merges shards into one canonical view.
+//! * the Fig. 7 phase table — [`crate::phase::table`] (phase rows by name);
+//! * the op / roofline profile — the [`Kind::Op`] rows;
+//! * per-stage seconds for both — [`stage_seconds`];
+//! * the latency histograms on `/metrics` and in the run report —
+//!   [`latency_snapshot`] (`step`, `gemm`, `sampler`, `transfer`,
+//!   `pool.wait` as `*.latency_ns` / `pool.wait_ns`).
 //!
-//! * **Near-zero disabled cost.** Profiling is off by default; a
-//!   disabled [`op`] site is a single relaxed atomic load returning an
-//!   inert guard — no `Instant::now`, no thread-local access. The
-//!   obs_overhead bench guards this stays within the ≤2% budget.
-//!
-//! Attribution frames live in a thread-local stack, so nested ops
-//! (e.g. `mean_all` calling `sum_all`) each account their own self
-//! time and a parent never double-counts a child.
+//! Two invariants carry over from the per-operator profiler this
+//! replaces. **Thread-count invariance:** ops are dispatched on the
+//! caller thread (only kernels fan out), so op rows' calls, FLOPs and
+//! bytes are identical at 1 and N threads; sharding by thread id only
+//! avoids lock contention. **Self time never double counts:** a span's
+//! self time excludes every nested span except timers, so self times
+//! over all rows of a thread sum to that thread's covered wall.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use crate::{intern, trace};
+use crate::hist::HistSnapshot;
+pub use crate::span::Cost;
+use crate::span::{self, Frame, Kind, SpanGuard, Stage};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-const SHARDS: usize = 16;
-
-/// One shard of totals keyed by `(op, phase)`, lazily allocated.
-type Shard = Mutex<Option<HashMap<(&'static str, &'static str), OpTotals>>>;
-
-/// Sharded accumulator; sharding mirrors the trace sink so concurrent
-/// recorders rarely contend.
-static SINK: [Shard; SHARDS] = [const { Mutex::new(None) }; SHARDS];
-
-/// Phase key used when an op runs outside any [`crate::span`] scope.
+/// Phase key of a span opened outside any [`crate::span`] scope.
 pub const NO_PHASE: &str = "(no-phase)";
 
-/// Turns op profiling on or off.
-pub fn enable(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+type Key = (&'static str, &'static str, Stage);
+
+/// The aggregate. One lock: ops are recorded by the dispatching thread
+/// and only while collection is on, so it is all but uncontended.
+static ROWS: Mutex<Option<HashMap<Key, Row>>> = Mutex::new(None);
+
+/// One aggregate row: totals for a `(name, phase, stage)` key.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Row {
+    /// Span name: an operator (`linear`, `linear.bwd`), a phase, a
+    /// region or a timer.
+    pub name: &'static str,
+    /// Innermost enclosing phase name, or [`NO_PHASE`].
+    pub phase: &'static str,
+    /// Stage the spans ran in.
+    pub stage: Stage,
+    /// What the spans were for.
+    pub kind: Kind,
+    /// Span durations in nanoseconds: `count` calls, `sum` total time
+    /// including everything nested, exact `max`, log2 buckets.
+    pub dur: HistSnapshot,
+    /// Wall nanoseconds excluding nested spans (0 for timers, whose
+    /// time belongs to the enclosing span).
+    pub self_ns: u64,
+    /// Wall nanoseconds excluding nested phases and regions but
+    /// including ops: what a phase table that cannot see ops measures.
+    pub span_ns: u64,
+    /// Summed analytic cost and pool / transfer attribution.
+    pub cost: Cost,
 }
 
-/// Whether op profiling is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-#[derive(Debug)]
-struct Frame {
-    op: &'static str,
-    phase: &'static str,
-    start: Instant,
-    /// Nanoseconds spent in ops nested inside this one.
-    child_ns: u64,
-    flops: u64,
-    bytes_read: u64,
-    bytes_written: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    transfer_bytes: u64,
-    /// Shape signature, e.g. `2x3,3x4` (empty when not reported).
-    shape: &'static str,
-    /// Enriched trace-span name, e.g. `matmul[2x3,3x4]`.
-    trace_name: &'static str,
-    /// Analytic cost of this op's *backward* pass, harvested by
-    /// [`node_info`] when an autograd node is attached.
-    bwd_flops: u64,
-    bwd_read: u64,
-    bwd_write: u64,
-}
-
-thread_local! {
-    /// Stack of in-flight op frames on this thread (innermost last).
-    static FRAMES: std::cell::RefCell<Vec<Frame>> = const { std::cell::RefCell::new(Vec::new()) };
-    /// Stack of enclosing span names (innermost last), maintained by
-    /// [`crate::SpanGuard`] while profiling is enabled.
-    static PHASES: std::cell::RefCell<Vec<&'static str>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Pushes a phase-scope name. Called by [`crate::span`]; pair with
-/// [`pop_phase`].
-pub fn push_phase(name: &'static str) {
-    PHASES.with(|p| p.borrow_mut().push(name));
-}
-
-/// Pops the innermost phase-scope name.
-pub fn pop_phase() {
-    PHASES.with(|p| {
-        p.borrow_mut().pop();
+/// Folds one finished frame into the aggregate (called from the span
+/// emit while collection is on).
+pub(crate) fn record(f: &Frame, dur_ns: u64) {
+    let mut rows = ROWS.lock().unwrap_or_else(|e| e.into_inner());
+    let row = rows.get_or_insert_with(HashMap::new).entry((f.name, f.phase, f.stage)).or_insert_with(|| {
+        Row { name: f.name, phase: f.phase, stage: f.stage, kind: f.kind, ..Row::default() }
     });
+    row.dur.record(dur_ns);
+    if f.kind != Kind::Timer {
+        row.self_ns += dur_ns.saturating_sub(f.child_ns);
+        row.span_ns += dur_ns.saturating_sub(f.nested_ns);
+    }
+    let (c, add) = (&mut row.cost, &f.cost);
+    c.flops += add.flops;
+    c.bytes_read += add.bytes_read;
+    c.bytes_written += add.bytes_written;
+    c.pool_hits += add.pool_hits;
+    c.pool_misses += add.pool_misses;
+    c.transfer_bytes += add.transfer_bytes;
+    if !add.shape.is_empty() {
+        c.shape = add.shape;
+    }
 }
 
-fn current_phase() -> &'static str {
-    PHASES.with(|p| p.borrow().last().copied().unwrap_or(NO_PHASE))
-}
-
-/// Opens a profiling frame for op `name`. Report analytic costs with
-/// the builder methods, then let the guard drop at the end of the op:
+/// Opens an op span named `name`. Report analytic costs with the
+/// builder methods, then let the guard drop at the end of the op:
 ///
 /// ```
-/// tgl_obs::profile::enable(true);
+/// tgl_obs::collect(true);
 /// {
 ///     let _g = tgl_obs::profile::op("matmul")
 ///         .flops(2 * 2 * 3 * 4)
@@ -119,483 +102,247 @@ fn current_phase() -> &'static str {
 ///         .shape(&[&[2, 3], &[3, 4]]);
 ///     // ... kernel work ...
 /// }
-/// let stats = tgl_obs::profile::take();
-/// tgl_obs::profile::enable(false);
-/// assert_eq!(stats.iter().find(|s| s.op == "matmul").unwrap().flops, 48);
+/// let rows = tgl_obs::profile::take();
+/// tgl_obs::collect(false);
+/// assert_eq!(rows.iter().find(|r| r.name == "matmul").unwrap().cost.flops, 48);
 /// ```
 #[inline]
-pub fn op(name: &'static str) -> OpGuard {
-    if !enabled() {
-        return OpGuard { active: false };
-    }
-    open(name, name, 0, 0, 0)
+pub fn op(name: &'static str) -> SpanGuard {
+    span::open(name, Kind::Op)
 }
 
-/// Opens a profiling frame for the backward pass of `fwd_op`, named
+/// Opens an op span for the backward pass of `fwd_op`, named
 /// `{fwd_op}.bwd`, pre-charged with the analytic costs the forward op
-/// declared via [`OpGuard::backward_cost`].
+/// declared via [`SpanGuard::backward_cost`].
 #[inline]
-pub fn op_backward(fwd_op: &'static str, flops: u64, read: u64, write: u64) -> OpGuard {
-    if !enabled() {
-        return OpGuard { active: false };
-    }
-    let name = intern::intern(&format!("{fwd_op}.bwd"));
-    open(name, name, flops, read, write)
+pub fn op_backward(fwd_op: &'static str, flops: u64, read: u64, write: u64) -> SpanGuard {
+    let name = if crate::collecting() { crate::intern::intern(&format!("{fwd_op}.bwd")) } else { "" };
+    op(name).flops(flops).io(read, write)
 }
 
-fn open(
-    op: &'static str,
-    trace_name: &'static str,
-    flops: u64,
-    bytes_read: u64,
-    bytes_written: u64,
-) -> OpGuard {
-    let frame = Frame {
-        op,
-        phase: current_phase(),
-        start: Instant::now(),
-        child_ns: 0,
-        flops,
-        bytes_read,
-        bytes_written,
-        pool_hits: 0,
-        pool_misses: 0,
-        transfer_bytes: 0,
-        shape: "",
-        trace_name,
-        bwd_flops: 0,
-        bwd_read: 0,
-        bwd_write: 0,
-    };
-    FRAMES.with(|f| f.borrow_mut().push(frame));
-    OpGuard { active: true }
-}
-
-/// RAII guard produced by [`op`] / [`op_backward`]; records the frame
-/// into the sharded sink on drop.
-#[derive(Debug)]
-pub struct OpGuard {
-    active: bool,
-}
-
-impl OpGuard {
-    fn with_top(&self, f: impl FnOnce(&mut Frame)) {
-        if self.active {
-            FRAMES.with(|frames| {
-                if let Some(top) = frames.borrow_mut().last_mut() {
-                    f(top);
-                }
-            });
-        }
-    }
-
-    /// Adds analytic floating-point operations for this call.
-    #[must_use]
-    pub fn flops(self, n: u64) -> Self {
-        self.with_top(|t| t.flops += n);
-        self
-    }
-
-    /// Adds analytic bytes read / written for this call.
-    #[must_use]
-    pub fn io(self, read: u64, written: u64) -> Self {
-        self.with_top(|t| {
-            t.bytes_read += read;
-            t.bytes_written += written;
-        });
-        self
-    }
-
-    /// Records the input-shape signature (e.g. `&[&[2,3], &[3,4]]` →
-    /// `2x3,3x4`) and derives the enriched trace-span name
-    /// `op[shapes]`. Formatting and interning only happen while the
-    /// profiler is enabled.
-    #[must_use]
-    pub fn shape(self, shapes: &[&[usize]]) -> Self {
-        if self.active {
-            let mut sig = String::new();
-            for (i, s) in shapes.iter().enumerate() {
-                if i > 0 {
-                    sig.push(',');
-                }
-                for (j, d) in s.iter().enumerate() {
-                    if j > 0 {
-                        sig.push('x');
-                    }
-                    let _ = write!(sig, "{d}");
-                }
-            }
-            let shape = intern::intern(&sig);
-            self.with_top(|t| {
-                t.shape = shape;
-                t.trace_name = intern::intern(&format!("{}[{}]", t.op, shape));
-            });
-        }
-        self
-    }
-
-    /// Declares the analytic cost of this op's backward pass, for
-    /// [`node_info`] to stash on the autograd node it is building.
-    #[must_use]
-    pub fn backward_cost(self, flops: u64, read: u64, written: u64) -> Self {
-        self.with_top(|t| {
-            t.bwd_flops = flops;
-            t.bwd_read = read;
-            t.bwd_write = written;
-        });
-        self
-    }
-}
-
-impl Drop for OpGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let Some(frame) = FRAMES.with(|f| f.borrow_mut().pop()) else {
-            return;
-        };
-        let elapsed_ns = frame.start.elapsed().as_nanos() as u64;
-        let self_ns = elapsed_ns.saturating_sub(frame.child_ns);
-        // A parent op must not re-count time spent inside this one.
-        FRAMES.with(|f| {
-            if let Some(parent) = f.borrow_mut().last_mut() {
-                parent.child_ns += elapsed_ns;
-            }
-        });
-        if trace::enabled() {
-            trace::record_with(
-                frame.trace_name,
-                frame.start,
-                frame.start.elapsed(),
-                Some(trace::SpanArgs {
-                    flops: frame.flops,
-                    bytes: frame.bytes_read + frame.bytes_written,
-                    shape: frame.shape,
-                    ..Default::default()
-                }),
-            );
-        }
-        let shard = crate::thread_id() as usize % SHARDS;
-        let mut sink = SINK[shard].lock().unwrap_or_else(|e| e.into_inner());
-        let totals = sink
-            .get_or_insert_with(HashMap::new)
-            .entry((frame.op, frame.phase))
-            .or_default();
-        totals.calls += 1;
-        totals.self_ns += self_ns;
-        totals.total_ns += elapsed_ns;
-        totals.flops += frame.flops;
-        totals.bytes_read += frame.bytes_read;
-        totals.bytes_written += frame.bytes_written;
-        totals.pool_hits += frame.pool_hits;
-        totals.pool_misses += frame.pool_misses;
-        totals.transfer_bytes += frame.transfer_bytes;
-        if !frame.shape.is_empty() {
-            totals.shape = frame.shape;
-        }
-    }
-}
-
-/// Reports the op name and declared backward cost of the innermost
-/// active frame, for attaching to an autograd node — and *consumes*
-/// the backward cost so a second node built inside the same frame
-/// cannot double-charge it. Returns `("op", 0, 0, 0)` when profiling
-/// is disabled or no op frame is active.
+/// Reports the name and declared backward cost of the innermost open
+/// op, for attaching to an autograd node — and *consumes* the cost so
+/// a second node built inside the same op cannot double-charge it.
+/// Returns `("op", 0, 0, 0)` when collection is off or no op is open.
 pub fn node_info() -> (&'static str, u64, u64, u64) {
-    if !enabled() {
+    if !crate::collecting() {
         return ("op", 0, 0, 0);
     }
-    FRAMES.with(|f| {
-        let mut frames = f.borrow_mut();
-        match frames.last_mut() {
-            Some(top) => {
-                let info = (top.op, top.bwd_flops, top.bwd_read, top.bwd_write);
-                top.bwd_flops = 0;
-                top.bwd_read = 0;
-                top.bwd_write = 0;
-                info
-            }
-            None => ("op", 0, 0, 0),
-        }
+    span::with_innermost_op(|f| {
+        let (flops, read, write) = std::mem::take(&mut f.bwd);
+        (f.name, flops, read, write)
     })
+    .unwrap_or(("op", 0, 0, 0))
 }
 
-/// Attributes one pool request (hit or miss, `bytes` requested) to the
-/// innermost active op frame, if any.
+/// Attributes one pool request (hit or miss) to the innermost open op.
 #[inline]
-pub fn note_pool(hit: bool, bytes: u64) {
-    if !enabled() {
+pub fn note_pool(hit: bool) {
+    if !crate::collecting() {
         return;
     }
-    let _ = bytes;
-    FRAMES.with(|f| {
-        if let Some(top) = f.borrow_mut().last_mut() {
-            if hit {
-                top.pool_hits += 1;
-            } else {
-                top.pool_misses += 1;
-            }
+    let noted = span::with_innermost_op(|f| {
+        if hit {
+            f.cost.pool_hits += 1;
         } else {
-            // Attribution arrived outside any op frame (e.g. a pool
-            // request from harness bookkeeping). Count the drop so
-            // `/metrics` shows how much activity escapes the profiler.
-            crate::counter!("profile.dropped").incr();
+            f.cost.pool_misses += 1;
         }
     });
+    if noted.is_none() {
+        // Outside any op (harness bookkeeping): count the drop so
+        // `/metrics` shows how much activity escapes attribution.
+        crate::counter!("profile.dropped").incr();
+    }
 }
 
-/// Attributes `bytes` of device-transfer traffic to the innermost
-/// active op frame, if any.
+/// Attributes `bytes` of device-transfer traffic to the innermost open
+/// op.
 #[inline]
 pub fn note_transfer(bytes: u64) {
-    if !enabled() {
+    if !crate::collecting() {
         return;
     }
-    FRAMES.with(|f| {
-        if let Some(top) = f.borrow_mut().last_mut() {
-            top.transfer_bytes += bytes;
-        } else {
-            crate::counter!("profile.dropped").incr();
-        }
-    });
-}
-
-/// Per-`(op, phase)` accumulated totals.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct OpTotals {
-    calls: u64,
-    self_ns: u64,
-    total_ns: u64,
-    flops: u64,
-    bytes_read: u64,
-    bytes_written: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    transfer_bytes: u64,
-    shape: &'static str,
-}
-
-/// One row of the profiler report: totals for an `(op, phase)` pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpStat {
-    /// Operator name, e.g. `matmul` or `matmul.bwd`.
-    pub op: &'static str,
-    /// Innermost enclosing span name, or [`NO_PHASE`].
-    pub phase: &'static str,
-    /// Number of completed calls.
-    pub calls: u64,
-    /// Wall nanoseconds excluding nested ops.
-    pub self_ns: u64,
-    /// Wall nanoseconds including nested ops.
-    pub total_ns: u64,
-    /// Analytic floating-point operations.
-    pub flops: u64,
-    /// Analytic bytes read.
-    pub bytes_read: u64,
-    /// Analytic bytes written.
-    pub bytes_written: u64,
-    /// Pool requests served from the free list while this op was the
-    /// innermost frame.
-    pub pool_hits: u64,
-    /// Pool requests that fell through to the allocator.
-    pub pool_misses: u64,
-    /// Metered device-transfer bytes attributed to this op.
-    pub transfer_bytes: u64,
-    /// Most recent input-shape signature (empty if never reported).
-    pub shape: &'static str,
-}
-
-fn collect(drain: bool) -> Vec<OpStat> {
-    let mut merged: HashMap<(&'static str, &'static str), OpTotals> = HashMap::new();
-    for shard in &SINK {
-        let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-        let iter: Vec<((&'static str, &'static str), OpTotals)> = if drain {
-            guard.take().map(HashMap::into_iter).map(Iterator::collect).unwrap_or_default()
-        } else {
-            guard
-                .as_ref()
-                .map(|m| m.iter().map(|(k, v)| (*k, v.clone())).collect())
-                .unwrap_or_default()
-        };
-        for (key, t) in iter {
-            let e = merged.entry(key).or_default();
-            e.calls += t.calls;
-            e.self_ns += t.self_ns;
-            e.total_ns += t.total_ns;
-            e.flops += t.flops;
-            e.bytes_read += t.bytes_read;
-            e.bytes_written += t.bytes_written;
-            e.pool_hits += t.pool_hits;
-            e.pool_misses += t.pool_misses;
-            e.transfer_bytes += t.transfer_bytes;
-            if !t.shape.is_empty() {
-                e.shape = t.shape;
-            }
-        }
+    if span::with_innermost_op(|f| f.cost.transfer_bytes += bytes).is_none() {
+        crate::counter!("profile.dropped").incr();
     }
-    let mut out: Vec<OpStat> = merged
-        .into_iter()
-        .map(|((op, phase), t)| OpStat {
-            op,
-            phase,
-            calls: t.calls,
-            self_ns: t.self_ns,
-            total_ns: t.total_ns,
-            flops: t.flops,
-            bytes_read: t.bytes_read,
-            bytes_written: t.bytes_written,
-            pool_hits: t.pool_hits,
-            pool_misses: t.pool_misses,
-            transfer_bytes: t.transfer_bytes,
-            shape: t.shape,
-        })
-        .collect();
-    // Heaviest self-time first; (op, phase) tiebreak keeps output
-    // deterministic when times collide (e.g. all-zero in tests).
-    out.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.op.cmp(b.op)).then(a.phase.cmp(b.phase)));
+}
+
+fn collect(drain: bool) -> Vec<Row> {
+    let mut rows = ROWS.lock().unwrap_or_else(|e| e.into_inner());
+    let map = if drain { rows.take() } else { rows.clone() };
+    drop(rows);
+    let mut out: Vec<Row> = map.map(|m| m.into_values().collect()).unwrap_or_default();
+    // Heaviest self time first; the key tiebreak keeps output
+    // deterministic when times collide (all-zero in tests).
+    out.sort_by(|a, b| {
+        b.self_ns.cmp(&a.self_ns).then((a.name, a.phase, a.stage).cmp(&(b.name, b.phase, b.stage)))
+    });
     out
 }
 
-/// Drains every shard, returning merged per-`(op, phase)` stats sorted
-/// by self time (heaviest first).
-pub fn take() -> Vec<OpStat> {
+/// Drains the aggregate: every row, heaviest self time first.
+pub fn take() -> Vec<Row> {
     collect(true)
 }
 
-/// Returns the same merged view as [`take`] without draining — for
-/// live scraping (`/profile.json`) while a run is in flight.
-pub fn snapshot() -> Vec<OpStat> {
+/// The same view as [`take`] without draining.
+pub fn snapshot() -> Vec<Row> {
     collect(false)
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// One stage's seconds as two views of the same rows see them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageSeconds {
+    /// Phase-table view: phases and regions, nested phases excluded,
+    /// ops included.
+    pub phase_s: f64,
+    /// Op-profile view: op self time.
+    pub op_s: f64,
+    /// The stage's non-op remainder: phase and region self time.
+    pub rest_s: f64,
 }
 
-/// Renders stats as a `tgl-profile/v1` JSON document.
-pub fn to_json(stats: &[OpStat]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"tgl-profile/v1\",\n  \"ops\": [");
-    for (i, s) in stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Per-stage seconds in [`Stage::ALL`] order. On one thread
+/// `phase_s == op_s + rest_s` for every stage whose ops enclose no
+/// foreign stage root; the critical path's `serial_s` is the third,
+/// independently computed, reading of the same quantity.
+pub fn stage_seconds(rows: &[Row]) -> [StageSeconds; 6] {
+    let mut out = [StageSeconds::default(); 6];
+    for r in rows {
+        let s = &mut out[r.stage as usize];
+        match r.kind {
+            Kind::Phase | Kind::Region => {
+                s.phase_s += r.span_ns as f64 * 1e-9;
+                s.rest_s += r.self_ns as f64 * 1e-9;
+            }
+            Kind::Op => s.op_s += r.self_ns as f64 * 1e-9,
+            Kind::Timer => {}
         }
-        out.push_str("\n    {\"op\": \"");
-        escape_into(&mut out, s.op);
-        out.push_str("\", \"phase\": \"");
-        escape_into(&mut out, s.phase);
-        let _ = write!(
-            out,
-            "\", \"calls\": {}, \"self_ns\": {}, \"total_ns\": {}, \"flops\": {}, \
-             \"bytes_read\": {}, \"bytes_written\": {}, \"pool_hits\": {}, \
-             \"pool_misses\": {}, \"transfer_bytes\": {}, \"shape\": \"",
-            s.calls,
-            s.self_ns,
-            s.total_ns,
-            s.flops,
-            s.bytes_read,
-            s.bytes_written,
-            s.pool_hits,
-            s.pool_misses,
-            s.transfer_bytes,
-        );
-        escape_into(&mut out, s.shape);
-        out.push_str("\"}");
     }
-    out.push_str("\n  ]\n}\n");
     out
+}
+
+/// Span name behind each duration-histogram family.
+const LATENCY_FAMILIES: [(&str, &str); 5] = [
+    ("gemm.latency_ns", "gemm"),
+    ("pool.wait_ns", "pool.wait"),
+    ("sampler.latency_ns", "sampler"),
+    ("step.latency_ns", "step"),
+    ("transfer.latency_ns", "transfer"),
+];
+
+/// The duration histograms as a view of the aggregate: one snapshot
+/// per family (empty until collection has seen the span), sorted by
+/// family name.
+pub fn latency_snapshot() -> Vec<(&'static str, HistSnapshot)> {
+    let rows = ROWS.lock().unwrap_or_else(|e| e.into_inner());
+    let family = |name: &str| {
+        rows.iter()
+            .flat_map(HashMap::values)
+            .filter(|r| r.name == name)
+            .fold(HistSnapshot::default(), |h, r| h.merge(&r.dur))
+    };
+    LATENCY_FAMILIES.iter().map(|&(fam, name)| (fam, family(name))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::serial;
+    use crate::{collect, span};
+
+    fn find<'a>(rows: &'a [Row], name: &str) -> &'a Row {
+        rows.iter().find(|r| r.name == name).unwrap_or_else(|| panic!("no {name} row"))
+    }
 
     #[test]
     fn disabled_op_records_nothing() {
         let _g = serial();
-        enable(false);
+        collect(false);
         take();
         {
             let _op = op("profile-test-disabled").flops(100);
         }
-        assert!(!take().iter().any(|s| s.op == "profile-test-disabled"));
+        assert!(!take().iter().any(|s| s.name == "profile-test-disabled"));
     }
 
     #[test]
     fn op_accumulates_flops_bytes_and_calls() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
         for _ in 0..3 {
             let _op = op("profile-test-acc").flops(10).io(64, 32).shape(&[&[2, 8]]);
         }
         let stats = take();
-        enable(false);
-        let s = stats.iter().find(|s| s.op == "profile-test-acc").unwrap();
-        assert_eq!(s.calls, 3);
-        assert_eq!(s.flops, 30);
-        assert_eq!(s.bytes_read, 192);
-        assert_eq!(s.bytes_written, 96);
-        assert_eq!(s.shape, "2x8");
+        collect(false);
+        let s = find(&stats, "profile-test-acc");
+        assert_eq!(s.dur.count, 3);
+        assert_eq!(s.cost.flops, 30);
+        assert_eq!(s.cost.bytes_read, 192);
+        assert_eq!(s.cost.bytes_written, 96);
+        assert_eq!(s.cost.shape, "2x8");
         assert_eq!(s.phase, NO_PHASE);
+        assert_eq!(s.dur.buckets.iter().sum::<u64>(), 3);
     }
 
     #[test]
     fn nested_ops_split_self_time() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
         {
             let _outer = op("profile-test-outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
                 let _inner = op("profile-test-inner");
+                let _probe = crate::timer("profile-test-probe");
                 std::thread::sleep(std::time::Duration::from_millis(4));
             }
         }
         let stats = take();
-        enable(false);
-        let outer = stats.iter().find(|s| s.op == "profile-test-outer").unwrap();
-        let inner = stats.iter().find(|s| s.op == "profile-test-inner").unwrap();
-        assert!(outer.total_ns >= inner.total_ns);
+        collect(false);
+        let outer = find(&stats, "profile-test-outer");
+        let inner = find(&stats, "profile-test-inner");
+        assert!(outer.dur.sum >= inner.dur.sum);
         assert!(
             outer.self_ns < inner.self_ns,
             "outer self time ({}) must exclude the longer inner op ({})",
             outer.self_ns,
             inner.self_ns
         );
-        assert!(outer.self_ns + inner.total_ns <= outer.total_ns + 1_000_000);
+        assert!(outer.self_ns + inner.dur.sum <= outer.dur.sum + 1_000_000);
+        // A timer is counted and bucketed but leaves the enclosing
+        // op's self time alone.
+        let probe = find(&stats, "profile-test-probe");
+        assert_eq!((probe.dur.count, probe.self_ns), (1, 0));
+        assert_eq!(inner.self_ns, inner.dur.sum);
     }
 
     #[test]
     fn ops_are_keyed_by_enclosing_span_phase() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
         {
-            let _p = crate::span("profile-test-phase");
+            let _p = span("profile-test-phase");
+            let _r = crate::region("profile-test-region");
             let _op = op("profile-test-scoped");
         }
         let stats = take();
-        enable(false);
-        let s = stats.iter().find(|s| s.op == "profile-test-scoped").unwrap();
-        assert_eq!(s.phase, "profile-test-phase");
+        collect(false);
+        assert_eq!(find(&stats, "profile-test-scoped").phase, "profile-test-phase");
+        // Phase-table seconds exclude the nested region but not the op.
+        let phase = find(&stats, "profile-test-phase");
+        let region = find(&stats, "profile-test-region");
+        assert_eq!(phase.span_ns, phase.dur.sum - region.dur.sum);
+        assert_eq!(region.span_ns, region.dur.sum);
     }
 
     #[test]
     fn node_info_consumes_backward_cost() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
         {
             let _op = op("profile-test-bwd").backward_cost(42, 7, 3);
@@ -603,7 +350,7 @@ mod tests {
             // Consumed: a second node inside the same frame gets zeros.
             assert_eq!(node_info(), ("profile-test-bwd", 0, 0, 0));
         }
-        enable(false);
+        collect(false);
         take();
         assert_eq!(node_info(), ("op", 0, 0, 0));
     }
@@ -611,78 +358,95 @@ mod tests {
     #[test]
     fn pool_and_transfer_attribute_to_innermost_frame() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
         {
             let _op = op("profile-test-attr");
-            note_pool(true, 1024);
-            note_pool(false, 2048);
+            // A kernel's own timer does not hide the op from its
+            // scratch-buffer requests.
+            let _t = crate::timer("profile-test-kernel");
+            note_pool(true);
+            note_pool(false);
             note_transfer(4096);
         }
         // Outside any frame: dropped from op attribution, but counted
         // so `/metrics` can expose the escape rate.
         let dropped0 = crate::metrics::get("profile.dropped");
-        note_pool(true, 8);
+        note_pool(true);
         note_transfer(8);
         let stats = take();
-        enable(false);
+        collect(false);
         assert_eq!(crate::metrics::get("profile.dropped"), dropped0 + 2);
-        let s = stats.iter().find(|s| s.op == "profile-test-attr").unwrap();
-        assert_eq!(s.pool_hits, 1);
-        assert_eq!(s.pool_misses, 1);
-        assert_eq!(s.transfer_bytes, 4096);
+        let s = find(&stats, "profile-test-attr");
+        assert_eq!(s.cost.pool_hits, 1);
+        assert_eq!(s.cost.pool_misses, 1);
+        assert_eq!(s.cost.transfer_bytes, 4096);
     }
 
     #[test]
     fn backward_guard_uses_interned_bwd_name() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
         {
             let _op = op_backward("profile-test-fwd", 12, 8, 4);
         }
         let stats = take();
-        enable(false);
-        let s = stats.iter().find(|s| s.op == "profile-test-fwd.bwd").unwrap();
-        assert_eq!(s.flops, 12);
-        assert_eq!(s.bytes_read, 8);
-        assert_eq!(s.bytes_written, 4);
+        collect(false);
+        let s = find(&stats, "profile-test-fwd.bwd");
+        assert_eq!((s.cost.flops, s.cost.bytes_read, s.cost.bytes_written), (12, 8, 4));
     }
 
     #[test]
     fn snapshot_does_not_drain() {
         let _g = serial();
-        enable(true);
+        collect(true);
         take();
         {
             let _op = op("profile-test-snap");
         }
-        assert!(snapshot().iter().any(|s| s.op == "profile-test-snap"));
-        assert!(take().iter().any(|s| s.op == "profile-test-snap"));
-        enable(false);
+        assert!(snapshot().iter().any(|s| s.name == "profile-test-snap"));
+        assert!(take().iter().any(|s| s.name == "profile-test-snap"));
+        collect(false);
     }
 
     #[test]
-    fn json_has_schema_and_rows() {
-        let stats = vec![OpStat {
-            op: "matmul",
-            phase: "attention",
-            calls: 2,
-            self_ns: 1000,
-            total_ns: 1200,
-            flops: 48,
-            bytes_read: 96,
-            bytes_written: 32,
-            pool_hits: 1,
-            pool_misses: 0,
-            transfer_bytes: 0,
-            shape: "2x3,3x4",
-        }];
-        let json = to_json(&stats);
-        assert!(json.contains("\"schema\": \"tgl-profile/v1\""));
-        assert!(json.contains("\"op\": \"matmul\""));
-        assert!(json.contains("\"phase\": \"attention\""));
-        assert!(json.contains("\"flops\": 48"));
-        assert!(json.contains("\"shape\": \"2x3,3x4\""));
+    fn latency_families_read_the_aggregate() {
+        let _g = serial();
+        collect(true);
+        take();
+        {
+            let _step = crate::region("step");
+            let _k = crate::timer("gemm");
+        }
+        let lat = latency_snapshot();
+        collect(false);
+        take();
+        assert_eq!(lat.len(), 5);
+        assert!(lat.windows(2).all(|w| w[0].0 < w[1].0), "sorted by family");
+        for family in ["step.latency_ns", "gemm.latency_ns"] {
+            let (_, h) = lat.iter().find(|(n, _)| *n == family).unwrap();
+            assert_eq!(h.count, 1);
+            assert_eq!(h.buckets.iter().sum::<u64>(), 1);
+        }
+        assert!(lat.iter().find(|(n, _)| *n == "pool.wait_ns").unwrap().1.is_empty());
+    }
+
+    #[test]
+    fn stage_views_agree_on_one_thread() {
+        let _g = serial();
+        collect(true);
+        take();
+        {
+            let _fwd = crate::region("profile-test-fwd").stage(Stage::Forward);
+            let _p = span("profile-test-attn");
+            let _o = op("profile-test-mm");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let rows: Vec<Row> = take().into_iter().filter(|r| r.name.starts_with("profile-test-")).collect();
+        collect(false);
+        let fwd = stage_seconds(&rows)[Stage::Forward as usize];
+        assert!(fwd.op_s > 0.0 && fwd.phase_s > 0.0);
+        assert!((fwd.phase_s - (fwd.op_s + fwd.rest_s)).abs() < 1e-9);
     }
 }

@@ -1,298 +1,109 @@
-//! Cross-thread span tracer with Chrome trace-event export.
+//! The opt-in event log: every finished [`Span`], with Chrome
+//! trace-event export.
 //!
-//! Spans record into a sharded global sink (one mutex-protected vector
-//! per shard, sharded by thread id) so concurrent workers rarely
-//! contend on the same lock. [`take`] drains every shard;
-//! [`to_chrome_json`] renders the drained spans as Chrome trace-event
-//! JSON — open the file in `chrome://tracing` or
-//! <https://ui.perfetto.dev> to see the per-thread timeline.
+//! While [`enable`]d, the span emit (see [`crate::span`]) appends each
+//! record to one global sink. [`take`] drains it;
+//! [`to_chrome_json`] renders the spans as
+//! Chrome trace-event JSON — open the file in `chrome://tracing` or
+//! <https://ui.perfetto.dev> to see the per-thread timeline. The
+//! critical-path analyzer ([`crate::critpath`]) reads the same log,
+//! using each span's `stage`, `id` and cross-thread `parent`.
 //!
-//! Every recorded span carries a process-unique `id`, and, through its
-//! [`SpanArgs`], an optional `parent` hint: the id of the innermost
-//! span that was open on the recording thread (maintained by a
-//! thread-local stack, see [`begin_span`] / [`finish_span`]). Pool
-//! workers inherit the dispatching thread's parent via
-//! [`adopt_parent`], so cross-thread edges survive into the trace —
-//! the critical-path analyzer ([`crate::critpath`]) uses these hints
-//! to disambiguate predecessors.
-//!
-//! Tracing is **off by default**: unlike the phase accumulator (bounded
-//! by the number of phase names) the sink grows with every span, so it
-//! should only run when a `--trace-out` style flag asks for it.
+//! The log is **off by default**: unlike the aggregate (bounded by the
+//! distinct span keys) it grows with every span, so it should only run
+//! when a `--trace-out` / `--critpath` style flag asks for it.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const SHARDS: usize = 16;
+pub use crate::span::Span;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-static SINK: [Mutex<Vec<Span>>; SHARDS] = [const { Mutex::new(Vec::new()) }; SHARDS];
+/// The log. One lock: every emit is a single push.
+static SINK: Mutex<Vec<Span>> = Mutex::new(Vec::new());
 
 /// Process-wide time origin; all span timestamps are offsets from it
 /// so they stay monotonic and shard-order independent.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-fn epoch() -> Instant {
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds elapsed since the process trace epoch — the time base
-/// shared by the tracer and the flight recorder.
-pub(crate) fn now_ns() -> u64 {
-    Instant::now().saturating_duration_since(epoch()).as_nanos() as u64
-}
-
-/// Offset of `at` from the process trace epoch, in nanoseconds.
+/// Offset of `at` from the process trace epoch, in nanoseconds — the
+/// time base shared by the log and the flight recorder.
 pub(crate) fn offset_ns(at: Instant) -> u64 {
-    at.saturating_duration_since(epoch()).as_nanos() as u64
+    at.saturating_duration_since(*EPOCH.get_or_init(Instant::now)).as_nanos() as u64
 }
 
-/// Next span id; 0 is reserved for "no span / no parent".
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Ids of spans currently open on this thread, innermost last.
-    static OPEN: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+/// Nanoseconds elapsed since the process trace epoch.
+pub(crate) fn now_ns() -> u64 {
+    offset_ns(Instant::now())
 }
 
-/// One completed span: a named interval on a specific thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// Phase / operation name.
-    pub name: &'static str,
-    /// Dense thread id from [`crate::thread_id`].
-    pub tid: u32,
-    /// Start offset from the process trace epoch, in nanoseconds.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Process-unique span id (0 when recorded by legacy paths that
-    /// never allocated one).
-    pub id: u64,
-    /// Optional op-profiler enrichment and parent hint rendered into
-    /// the trace event's `args` object.
-    pub args: Option<SpanArgs>,
-}
-
-impl Span {
-    /// The parent hint carried in [`SpanArgs`] (0 = none).
-    pub fn parent(&self) -> u64 {
-        self.args.map_or(0, |a| a.parent)
-    }
-
-    /// End offset (`start_ns + dur_ns`) from the trace epoch.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns + self.dur_ns
-    }
-}
-
-/// Profiler enrichment attached to op spans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanArgs {
-    /// Analytic floating-point operations of the op call.
-    pub flops: u64,
-    /// Analytic bytes moved (read + written).
-    pub bytes: u64,
-    /// Input-shape signature, e.g. `2x3,3x4` (may be empty).
-    pub shape: &'static str,
-    /// Id of the innermost span open on the recording thread when this
-    /// span ended (0 = none): the dependency-edge hint the critical-path
-    /// analyzer consumes.
-    pub parent: u64,
-}
-
-/// Turns span recording on or off. Enabling pins the trace epoch so
-/// the first span doesn't start at a huge offset.
+/// Turns span logging on or off. Enabling pins the trace epoch so the
+/// first span doesn't start at a huge offset.
 pub fn enable(on: bool) {
     if on {
-        epoch();
+        now_ns();
     }
-    ENABLED.store(on, Ordering::Relaxed);
+    crate::span::set(crate::span::LOG, on);
 }
 
-/// Whether span recording is currently enabled.
+/// Whether span logging is currently enabled.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::span::is(crate::span::LOG)
 }
 
-/// Allocates an id for a span that just started and pushes it on the
-/// calling thread's open-span stack. Pair with [`finish_span`].
-pub fn begin_span() -> u64 {
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    OPEN.with(|o| o.borrow_mut().push(id));
-    id
+pub(crate) fn push(span: Span) {
+    SINK.lock().unwrap_or_else(|e| e.into_inner()).push(span);
 }
 
-/// The id of the innermost open span on this thread (0 = none).
-pub fn current_parent() -> u64 {
-    OPEN.with(|o| o.borrow().last().copied().unwrap_or(0))
+fn sorted(mut spans: Vec<Span>) -> Vec<Span> {
+    spans.sort_by_key(|s| (s.start_ns, s.tid));
+    spans
 }
 
-/// Pushes a foreign span id (captured on another thread with
-/// [`current_parent`]) onto this thread's open-span stack for the
-/// guard's lifetime, so work executed on a pool worker records the
-/// dispatching span as its parent. A zero id is a no-op.
-pub fn adopt_parent(id: u64) -> AdoptGuard {
-    if id != 0 {
-        OPEN.with(|o| o.borrow_mut().push(id));
-    }
-    AdoptGuard { id }
-}
-
-/// RAII guard produced by [`adopt_parent`].
-#[derive(Debug)]
-pub struct AdoptGuard {
-    id: u64,
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        if self.id != 0 {
-            let id = self.id;
-            OPEN.with(|o| {
-                let mut v = o.borrow_mut();
-                if let Some(pos) = v.iter().rposition(|&x| x == id) {
-                    v.remove(pos);
-                }
-            });
-        }
-    }
-}
-
-/// Closes a span opened with [`begin_span`]: pops `id` from the open
-/// stack, then (when tracing is enabled) records the span with the
-/// remaining innermost open span as its parent hint. Must be called
-/// even when tracing was disabled mid-span, so the stack stays
-/// balanced; pass `id == 0` when [`begin_span`] was never called.
-pub fn finish_span(id: u64, name: &'static str, start: Instant, dur: Duration) {
-    let parent = OPEN.with(|o| {
-        let mut v = o.borrow_mut();
-        if id != 0 {
-            if let Some(pos) = v.iter().rposition(|&x| x == id) {
-                v.remove(pos);
-            }
-        }
-        v.last().copied().unwrap_or(0)
-    });
-    if !enabled() {
-        return;
-    }
-    push_span(name, start, dur, if id == 0 { NEXT_ID.fetch_add(1, Ordering::Relaxed) } else { id }, parent, None);
-}
-
-/// Records one completed span for the calling thread. Callers normally
-/// go through `tgl_obs::span`, which checks [`enabled`] first; calling
-/// this directly records unconditionally.
-pub fn record(name: &'static str, start: Instant, dur: Duration) {
-    record_with(name, start, dur, None);
-}
-
-/// [`record`] with optional profiler enrichment. Dynamic names must be
-/// interned first (see [`crate::intern::intern`]). The innermost open
-/// span on this thread becomes the parent hint (unless `args` already
-/// carries one).
-pub fn record_with(name: &'static str, start: Instant, dur: Duration, args: Option<SpanArgs>) {
-    let parent = current_parent();
-    let args = match args {
-        Some(mut a) => {
-            if a.parent == 0 {
-                a.parent = parent;
-            }
-            Some(a)
-        }
-        None if parent != 0 => Some(SpanArgs {
-            parent,
-            ..SpanArgs::default()
-        }),
-        None => None,
-    };
-    push_span(name, start, dur, NEXT_ID.fetch_add(1, Ordering::Relaxed), parent, args);
-}
-
-fn push_span(
-    name: &'static str,
-    start: Instant,
-    dur: Duration,
-    id: u64,
-    parent: u64,
-    args: Option<SpanArgs>,
-) {
-    let tid = crate::thread_id();
-    let args = match args {
-        some @ Some(_) => some,
-        None if parent != 0 => Some(SpanArgs {
-            parent,
-            ..SpanArgs::default()
-        }),
-        None => None,
-    };
-    let span = Span {
-        name,
-        tid,
-        start_ns: offset_ns(start),
-        dur_ns: dur.as_nanos() as u64,
-        id,
-        args,
-    };
-    let shard = tid as usize % SHARDS;
-    SINK[shard]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(span);
-}
-
-/// Drains every shard, returning all recorded spans sorted by start
-/// time (then thread id) for stable output.
+/// Drains the log, returning all spans sorted by start time (then
+/// thread id) for stable output.
 pub fn take() -> Vec<Span> {
-    let mut all = Vec::new();
-    for shard in &SINK {
-        all.append(&mut shard.lock().unwrap_or_else(|e| e.into_inner()));
-    }
-    all.sort_by_key(|s| (s.start_ns, s.tid));
-    all
+    sorted(std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner())))
 }
 
-/// The same sorted view as [`take`] without draining — for live
-/// consumers (`/critpath.json`, the run report's critpath section)
-/// while the owning process still intends to export the trace.
+/// The same sorted view as [`take`] without draining — for the run
+/// report's critical-path section while the owning process still
+/// intends to export the trace.
 pub fn snapshot() -> Vec<Span> {
-    let mut all = Vec::new();
-    for shard in &SINK {
-        all.extend(shard.lock().unwrap_or_else(|e| e.into_inner()).iter().cloned());
-    }
-    all.sort_by_key(|s| (s.start_ns, s.tid));
-    all
+    sorted(SINK.lock().unwrap_or_else(|e| e.into_inner()).clone())
 }
 
 /// Renders spans as Chrome trace-event JSON (complete `"ph":"X"`
-/// events, microsecond timestamps as the format requires).
+/// events, microsecond timestamps as the format requires). An op's
+/// event is named `op[shape]`; the category is the span's stage.
 pub fn to_chrome_json(spans: &[Span]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, s) in spans.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        // Span names are identifiers plus shape signatures like
-        // `matmul[2x3,3x4]` — no quotes or backslashes — so plain
+        // Span names are identifiers and shape signatures are digits,
+        // `x` and `,` — no quotes or backslashes — so plain
         // interpolation is JSON-safe here.
+        let _ = write!(out, "{{\"name\":\"{}", s.name);
+        if !s.shape.is_empty() {
+            let _ = write!(out, "[{}]", s.shape);
+        }
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"tgl\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{}",
-            s.name,
+            "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{}",
+            s.stage.label(),
             s.start_ns / 1_000,
             s.start_ns % 1_000,
             s.dur_ns / 1_000,
             s.dur_ns % 1_000,
             s.tid
         );
-        if let Some(a) = &s.args {
+        if s.id != 0 || s.parent != 0 || s.flops != 0 || s.bytes != 0 {
             let _ = write!(
                 out,
                 ",\"args\":{{\"flops\":{},\"bytes\":{},\"shape\":\"{}\",\"id\":{},\"parent\":{}}}",
-                a.flops, a.bytes, a.shape, s.id, a.parent
+                s.flops, s.bytes, s.shape, s.id, s.parent
             );
         }
         out.push('}');
@@ -301,17 +112,16 @@ pub fn to_chrome_json(spans: &[Span]) -> String {
     out
 }
 
-/// Drains the sink and writes a Chrome trace-event JSON file at `path`.
-pub fn save_chrome_trace(path: &std::path::Path) -> std::io::Result<usize> {
-    let spans = take();
-    std::fs::write(path, to_chrome_json(&spans))?;
-    Ok(spans.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{Kind, Stage};
     use crate::tests::serial;
+    use std::time::Duration;
+
+    fn sp(name: &'static str, tid: u32, start_ns: u64, dur_ns: u64) -> Span {
+        Span { name, tid, start_ns, dur_ns, ..Span::default() }
+    }
 
     #[test]
     fn spans_record_across_threads_with_distinct_tids() {
@@ -351,8 +161,8 @@ mod tests {
         enable(false);
         let outer = spans.iter().find(|s| s.name == "trace-test-parent").unwrap();
         let inner = spans.iter().find(|s| s.name == "trace-test-child").unwrap();
-        assert_eq!(inner.parent(), outer.id, "child must point at its parent");
-        assert_eq!(outer.parent(), 0, "outermost span has no parent");
+        assert_eq!(inner.parent, outer.id, "child must point at its parent");
+        assert_eq!(outer.parent, 0, "outermost span has no parent");
     }
 
     #[test]
@@ -363,10 +173,11 @@ mod tests {
         let parent_id;
         {
             let _outer = crate::span("trace-test-dispatch");
-            parent_id = current_parent();
+            let ctx = crate::current();
+            parent_id = ctx.expect("a span is open").id;
             assert_ne!(parent_id, 0);
             std::thread::spawn(move || {
-                let _adopt = adopt_parent(parent_id);
+                let _adopt = crate::adopt(ctx);
                 let _s = crate::span("trace-test-adopted");
             })
             .join()
@@ -375,7 +186,7 @@ mod tests {
         let spans = take();
         enable(false);
         let adopted = spans.iter().find(|s| s.name == "trace-test-adopted").unwrap();
-        assert_eq!(adopted.parent(), parent_id);
+        assert_eq!(adopted.parent, parent_id);
     }
 
     #[test]
@@ -394,10 +205,7 @@ mod tests {
 
     #[test]
     fn chrome_json_shape() {
-        let spans = vec![
-            Span { name: "alpha", tid: 0, start_ns: 1_500, dur_ns: 2_000_123, id: 0, args: None },
-            Span { name: "beta", tid: 3, start_ns: 10_000, dur_ns: 500, id: 0, args: None },
-        ];
+        let spans = vec![sp("alpha", 0, 1_500, 2_000_123), sp("beta", 3, 10_000, 500)];
         let json = to_chrome_json(&spans);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"alpha\""));
@@ -412,15 +220,17 @@ mod tests {
     #[test]
     fn chrome_json_renders_op_args() {
         let spans = vec![Span {
-            name: "matmul[2x3,3x4]",
-            tid: 1,
-            start_ns: 1_000,
-            dur_ns: 2_000,
+            kind: Kind::Op,
+            stage: Stage::Forward,
             id: 9,
-            args: Some(SpanArgs { flops: 48, bytes: 128, shape: "2x3,3x4", parent: 7 }),
+            parent: 7,
+            flops: 48,
+            bytes: 128,
+            shape: "2x3,3x4",
+            ..sp("matmul", 1, 1_000, 2_000)
         }];
         let json = to_chrome_json(&spans);
-        assert!(json.contains("\"name\":\"matmul[2x3,3x4]\""));
+        assert!(json.contains("\"name\":\"matmul[2x3,3x4]\",\"cat\":\"forward\""));
         assert!(json.contains(
             "\"args\":{\"flops\":48,\"bytes\":128,\"shape\":\"2x3,3x4\",\"id\":9,\"parent\":7}"
         ));

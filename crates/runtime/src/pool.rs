@@ -90,10 +90,10 @@ struct JobCore {
     done_cv: Condvar,
     /// First panic payload raised by any chunk, rethrown by the caller.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Dispatching thread's innermost open span id (0 when tracing is
-    /// off): workers adopt it so their `pool.job` spans carry a
-    /// cross-thread parent hint for critical-path analysis.
-    parent_span: u64,
+    /// Dispatching thread's innermost open span (`None` when nothing
+    /// observes): workers adopt it, so their `pool.job` spans run in
+    /// the dispatcher's stage and carry a cross-thread parent edge.
+    parent_span: Option<tgl_obs::SpanCtx>,
 }
 
 unsafe impl Send for JobCore {}
@@ -112,11 +112,9 @@ thread_local! {
 
 /// Claims and executes chunks until the job's counter is exhausted.
 fn drain_job(job: &JobCore) {
-    let observing = tgl_obs::metrics::enabled()
-        || tgl_obs::trace::enabled()
-        || tgl_obs::flight::enabled();
+    let observing = tgl_obs::metrics::enabled() || job.parent_span.is_some();
     let started = observing.then(std::time::Instant::now);
-    let _adopt = tgl_obs::trace::adopt_parent(job.parent_span);
+    let _adopt = tgl_obs::adopt(job.parent_span);
     let mut executed: u64 = 0;
     loop {
         let i = job.next.fetch_add(1, Ordering::Relaxed);
@@ -146,12 +144,7 @@ fn drain_job(job: &JobCore) {
         let busy = started.elapsed();
         tgl_obs::counter!("pool.chunks").add(executed);
         BUSY_NS.with(|c| c.add(busy.as_nanos() as u64));
-        if tgl_obs::trace::enabled() {
-            tgl_obs::trace::record("pool.job", started, busy);
-        }
-        if tgl_obs::flight::enabled() {
-            tgl_obs::flight::record_span("pool.job", started, busy);
-        }
+        tgl_obs::record_timer("pool.job", started, busy);
     }
 }
 
@@ -242,11 +235,7 @@ fn run_region<F: Fn(Range<usize>) + Sync>(total: usize, chunk: usize, par: usize
         done_lock: Mutex::new(()),
         done_cv: Condvar::new(),
         panic: Mutex::new(None),
-        parent_span: if tgl_obs::trace::enabled() {
-            tgl_obs::trace::current_parent()
-        } else {
-            0
-        },
+        parent_span: tgl_obs::current(),
     });
     {
         let pool = pool();
@@ -264,9 +253,9 @@ fn run_region<F: Fn(Range<usize>) + Sync>(total: usize, chunk: usize, par: usize
     // Wait for helpers still finishing their claimed chunks. The time
     // the caller spends blocked here is the pool's tail latency — the
     // cost of a straggler helper — distinct from `pool.busy_ns.*`
-    // (work executed) and metered as its own histogram family.
+    // (work executed) and metered as its own latency family.
     {
-        let wait_timer = tgl_obs::histogram!("pool.wait_ns").timer();
+        let wait_timer = tgl_obs::timer("pool.wait");
         let mut guard = job.done_lock.lock().unwrap_or_else(|e| e.into_inner());
         while job.pending.load(Ordering::Acquire) != 0 {
             guard = job
@@ -307,11 +296,6 @@ pub fn parallel_for<F: Fn(Range<usize>) + Sync>(total: usize, seq_threshold: usi
     if total == 0 {
         return;
     }
-    // Touch the wait-latency family so it is registered (and visible on
-    // /metrics as an empty histogram) even on narrow hosts where every
-    // region takes the sequential fast path and never blocks on
-    // helpers. Cached per call site: one relaxed load in steady state.
-    let _ = tgl_obs::histogram!("pool.wait_ns");
     let par = current_threads();
     if par <= 1 || total <= seq_threshold.max(1) || IN_POOL.with(|flag| flag.get()) {
         tgl_obs::counter!("pool.seq_fast_path").incr();

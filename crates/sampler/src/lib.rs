@@ -150,7 +150,7 @@ impl TemporalSampler {
         if n == 0 {
             return NeighborSample::default();
         }
-        let _lat = tgl_obs::histogram!("sampler.latency_ns").timer();
+        let prof = tgl_obs::profile::op("sampler").shape(&[&[n]]);
 
         // Pass 1: how many edges each destination contributes, so each
         // destination's rows land at an exact offset in pass 2.
@@ -171,6 +171,9 @@ impl TemporalSampler {
             offsets[i + 1] = offsets[i] + counts[i];
         }
         let total = offsets[n];
+        // One (node, time) pair read per query; a (node, time, edge,
+        // destination slot) row written per sampled neighbor.
+        let _prof = prof.io(12 * n as u64, 24 * total as u64);
         tgl_obs::counter!("sampler.queries").add(n as u64);
         tgl_obs::counter!("sampler.neighbors").add(total as u64);
 

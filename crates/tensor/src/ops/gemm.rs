@@ -306,7 +306,7 @@ fn gemm(
 
 /// C[m,n] = A[m,k] * B[k,n]
 pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    let _t = tgl_obs::timer("gemm");
     if mostly_zero(a) {
         return mm_nn_sparse(a, b, c, m, k, n, NO_EPILOGUE);
     }
@@ -317,13 +317,13 @@ pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
 /// gradient: a ReLU mask leaves it about half zeros, where skipping
 /// them costs more than the packed tiles do.
 pub(crate) fn mm_nn_dense(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    let _t = tgl_obs::timer("gemm");
     gemm(a, false, b, false, c, m, k, n, NO_EPILOGUE);
 }
 
 /// C[m,k] = A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
 pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    let _t = tgl_obs::timer("gemm");
     gemm(a, false, b, true, c, m, n, k, NO_EPILOGUE);
 }
 
@@ -340,7 +340,7 @@ pub(crate) fn mm_nt_then(
     n: usize,
     epilogue: &Epilogue<'_>,
 ) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    let _t = tgl_obs::timer("gemm");
     if mostly_zero(x) {
         let mut wt = pool::take_uninit(k * n, Device::Host);
         crate::ops::transpose_into(w, n, k, &mut wt);
@@ -352,7 +352,7 @@ pub(crate) fn mm_nt_then(
 
 /// C[k,n] = A[m,k]^T * B[m,n]  (i.e. Aᵀ · B)
 pub(crate) fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _t = tgl_obs::histogram!("gemm.latency_ns").timer();
+    let _t = tgl_obs::timer("gemm");
     if mostly_zero(a) {
         return mm_tn_sparse(a, b, c, m, k, n);
     }

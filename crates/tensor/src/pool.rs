@@ -190,7 +190,7 @@ fn take(len: usize, device: Device, zeroed: bool) -> Vec<f32> {
         if let Some(mut buf) = shelf(device).lock().take(len) {
             tgl_obs::counter!("tensor.pool.hit").incr();
             tgl_obs::counter!("tensor.pool.recycled_bytes").add(bytes);
-            tgl_obs::profile::note_pool(true, bytes);
+            tgl_obs::profile::note_pool(true);
             // Shrinking keeps the stale prefix, growing zero-fills the
             // new tail; only the prefix is left to clear.
             let stale = buf.len().min(len);
@@ -203,7 +203,7 @@ fn take(len: usize, device: Device, zeroed: bool) -> Vec<f32> {
     }
     tgl_obs::counter!("tensor.pool.miss").incr();
     tgl_obs::counter!("tensor.pool.alloc_bytes").add(bytes);
-    tgl_obs::profile::note_pool(false, bytes);
+    tgl_obs::profile::note_pool(false);
     // Fresh path is zero-filled either way: the zeroed allocator is as
     // cheap as an uninitialized one plus it satisfies `take_zeroed`.
     vec![0.0; len]

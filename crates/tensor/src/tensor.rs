@@ -461,6 +461,7 @@ impl Tensor {
         // byte once; the metered device transfer itself lands on this
         // frame via `note_transfer` from tgl-device.
         let _prof = tgl_obs::profile::op(op_name)
+            .stage(tgl_obs::Stage::Transfer)
             .io(bytes, bytes)
             .shape(&[self.dims()]);
         let data = if let (Some(pool), true) = (pool, pinned) {

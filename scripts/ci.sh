@@ -8,7 +8,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --offline"
-cargo build --release --offline --workspace --benches
+# --bins too: the steps below run ./target/release/{tgl,quickstart},
+# which --benches alone does not build in a fresh checkout.
+cargo build --release --offline --workspace --bins --benches
 
 echo "==> cargo test -q --offline (TGL_KERNEL=exact, the default)"
 TGL_KERNEL=exact cargo test -q --offline --workspace
@@ -37,15 +39,18 @@ TGL_THREADS=2 cargo run --release --offline -q -p tgl-examples --bin quickstart 
 grep -Eq '"tensor\.pool\.hit": *[1-9]' "$OBS_DIR/report.json" \
     || { echo "run report shows no tensor pool hits"; exit 1; }
 
-echo "==> quickstart with op-level profiling (roofline table + artifact)"
+echo "==> quickstart with op-level profiling (roofline table + the report's profile section)"
 PROF_LOG="$OBS_DIR/profile.log"
 TGL_THREADS=2 ./target/release/quickstart \
     --scale 8 --epochs 1 \
-    --profile --profile-out "$OBS_DIR/profile.json" >"$PROF_LOG" 2>&1 \
+    --profile --metrics-out "$OBS_DIR/profile-report.json" >"$PROF_LOG" 2>&1 \
     || { cat "$PROF_LOG"; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/profile.json"
-grep -q '"schema": "tgl-profile/v1"' "$OBS_DIR/profile.json" \
-    || { echo "profile artifact missing tgl-profile/v1 schema"; exit 1; }
+# jsoncheck shape-validates the report's profile / critpath / insight
+# sections, so a drifting row writer fails here.
+./target/release/tgl jsoncheck "$OBS_DIR/profile-report.json" | grep -q "schema tgl-run-report/v3 ok" \
+    || { echo "run report failed its schema check"; exit 1; }
+grep -Eq '"name": *"linear", *"phase": *"attention", *"stage": *"forward", *"kind": *"op"' "$OBS_DIR/profile-report.json" \
+    || { echo "report profile section has no attention-phase linear op row"; exit 1; }
 # The top-k table must attribute real GEMM work with a roofline verdict.
 grep -Eq "^(linear|matmul) " "$PROF_LOG" \
     || { echo "profile table names no GEMM op"; cat "$PROF_LOG"; exit 1; }
@@ -64,35 +69,69 @@ if grep -q ">peak!" "$PROF_LOG"; then
     echo "profile reports an op above the calibrated GEMM peak"; cat "$PROF_LOG"; exit 1
 fi
 
-echo "==> inference op profile: every phase above 5% of the wall is at least half covered by op frames"
+echo "==> op profile coverage: every phase above 5% of the wall is at least half covered by op frames (TGAT inference, TGN training)"
+# Coverage lines read "  <phase>  <ops>s of <span>s  ( <pct>%)"; the
+# wall is the sum of the phase spans.
+phase_coverage() {
+    awk '/^phase coverage/ {on=1; next}
+         on && $3=="of" {name[n]=$1; span[n]=$4+0; pct[n]=$5+0; wall+=span[n]; n++}
+         on && $3!="of" {on=0}
+         END {
+             if (n == 0) { print "no phase coverage lines"; exit 1 }
+             for (i = 0; i < n; i++)
+                 if (span[i] > 0.05 * wall && pct[i] < 50) {
+                     printf "phase %s: %.4fs of a %.4fs wall, %.1f%% covered by ops\n", name[i], span[i], wall, pct[i]; bad=1
+                 }
+             exit bad
+         }' <(sed 's/[()%]/ /g' "$1")
+}
 EVAL_LOG="$OBS_DIR/eval-profile.log"
 TGL_THREADS=2 ./target/release/tgl eval --model tgat --dataset reddit --scale 4 --profile >"$EVAL_LOG" 2>&1 \
     || { cat "$EVAL_LOG"; exit 1; }
-# Coverage lines read "  <phase>  <ops>s of <span>s  ( <pct>%)"; the
-# wall is the sum of the phase spans.
-awk '/^phase coverage/ {on=1; next}
-     on && $3=="of" {name[n]=$1; span[n]=$4+0; pct[n]=$5+0; wall+=span[n]; n++}
-     END {
-         if (n == 0) { print "no phase coverage lines"; exit 1 }
-         for (i = 0; i < n; i++)
-             if (span[i] > 0.05 * wall && pct[i] < 50) {
-                 printf "phase %s: %.4fs of a %.4fs wall, %.1f%% covered by ops\n", name[i], span[i], wall, pct[i]; bad=1
-             }
-         exit bad
-     }' <(sed 's/[()%]/ /g' "$EVAL_LOG") \
+phase_coverage "$EVAL_LOG" \
     || { echo "tgl eval --profile leaves a heavy phase unattributed"; cat "$EVAL_LOG"; exit 1; }
+
+echo "==> one span stream, three views: phase table, op profile and critical path agree per stage (TGN training, 1 thread)"
+VIEWS_LOG="$OBS_DIR/views.log"
+TGL_THREADS=1 ./target/release/tgl train --model tgn --scale 8 --epochs 1 \
+    --prof --profile --profile-top 200 --critpath >"$VIEWS_LOG" 2>&1 \
+    || { cat "$VIEWS_LOG"; exit 1; }
+phase_coverage "$VIEWS_LOG" \
+    || { echo "tgl train --model tgn --profile leaves a heavy phase unattributed"; cat "$VIEWS_LOG"; exit 1; }
+# Stage rows read "<stage> <phase_s> <ops_s> <rest_s> <ops+rest_s>
+# <critpath_s>". Every stage above 5% of the wall must read the same
+# (within 5%) in all three views, `other` must stay below 5% of the
+# critical path, the sample phase must be covered by an op, and no
+# (no-phase) op row may hold more than 1% of op time.
+awk '/^stage seconds/ {on=1; next}
+     on && NF==6 && $2+0==$2 {ph[$1]=$2; ops[$1]=$5; cp[$1]=$6; wall+=$6; n++}
+     on && /^critical path:/ {on=0; crit=$3+0}
+     $2=="(no-phase)" && $5+0 > 1.0 {printf "(no-phase) row %s holds %s of op time\n", $1, $5; bad=1}
+     /^ +sample +[0-9.]+s of/ {sample=$2+0}
+     function off(a, b) { d = a > b ? a - b : b - a; m = a > b ? a : b; return d > 0.05 * m }
+     END {
+         if (n != 6) { print "no stage table"; exit 1 }
+         for (s in cp) if (cp[s] > 0.05 * wall && (off(ph[s], cp[s]) || off(ops[s], cp[s]))) {
+             printf "stage %s: phase table %ss, op profile %ss, critical path %ss\n", s, ph[s], ops[s], cp[s]; bad=1
+         }
+         if (cp["other"] > 0.05 * crit) { printf "other holds %ss of a %ss critical path\n", cp["other"], crit; bad=1 }
+         if (sample <= 0) { print "no op covers the sample phase"; bad=1 }
+         exit bad
+     }' <(sed 's/%//g' "$VIEWS_LOG") \
+    || { echo "the timing views disagree"; cat "$VIEWS_LOG"; exit 1; }
 
 echo "==> critical-path analysis + flight recorder smoke"
 CP_LOG="$OBS_DIR/critpath.log"
 TGL_THREADS=2 ./target/release/quickstart \
     --scale 8 --epochs 1 \
-    --critpath --critpath-out "$OBS_DIR/critpath.json" \
+    --critpath --metrics-out "$OBS_DIR/critpath-report.json" \
     --flight-out "$OBS_DIR/flight.json" >"$CP_LOG" 2>&1 \
     || { cat "$CP_LOG"; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/critpath.json"
+./target/release/tgl jsoncheck "$OBS_DIR/critpath-report.json" | grep -q "schema tgl-run-report/v3 ok" \
+    || { echo "run report failed its schema check"; exit 1; }
 ./target/release/tgl jsoncheck "$OBS_DIR/flight.json"
-grep -q '"schema": "tgl-critpath/v1"' "$OBS_DIR/critpath.json" \
-    || { echo "critpath artifact missing tgl-critpath/v1 schema"; exit 1; }
+grep -Eq '"critpath": *\{"wall_s"' "$OBS_DIR/critpath-report.json" \
+    || { echo "run report of a --critpath run has no critpath section"; exit 1; }
 grep -q '"schema": "tgl-flight/v1"' "$OBS_DIR/flight.json" \
     || { echo "flight dump missing tgl-flight/v1 schema"; exit 1; }
 # The table must lead with the critical-path headline and break the
@@ -196,15 +235,17 @@ grep -q '"schema": "tgl-alerts/v1"' "$OBS_DIR/alerts.json" \
     || { echo "alerts export missing its schema tag"; exit 1; }
 grep -q '"installed": true' "$OBS_DIR/alerts.json" \
     || { echo "alerts export shows no installed rules"; exit 1; }
-# The live /insight.json endpoint must serve the introspection summary
-# with its schema tag while the run holds.
-./target/release/tgl get "$ADDR" /insight.json >"$OBS_DIR/insight-live.json" \
+# The live /report.json must serve the run report, whose insight
+# section (what the dashboard's per-layer panel reads) carries the
+# introspection summary while the run holds.
+./target/release/tgl get "$ADDR" /report.json >"$OBS_DIR/report-live.json" \
     || { cat "$QS_LOG"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/insight-live.json"
-grep -q '"schema": "tgl-insight/v1"' "$OBS_DIR/insight-live.json" \
-    || { echo "/insight.json missing its schema tag"; exit 1; }
-grep -q '"name": "insight.layer.' "$OBS_DIR/insight-live.json" \
-    || { echo "/insight.json carries no per-layer series"; exit 1; }
+./target/release/tgl jsoncheck "$OBS_DIR/report-live.json" | grep -q "schema tgl-run-report/v3 ok" \
+    || { echo "/report.json failed its schema check"; exit 1; }
+grep -Eq '"insight": *\{"steps": *[1-9]' "$OBS_DIR/report-live.json" \
+    || { echo "/report.json has no insight section"; exit 1; }
+grep -Eq '"name": *"insight\.layer\.' "$OBS_DIR/report-live.json" \
+    || { echo "/report.json insight section carries no per-layer series"; exit 1; }
 # The pipelined run must expose its depth gauge, queue telemetry, the
 # alert engine's metric families, and the introspection gauges.
 ./target/release/tgl promcheck "$ADDR" --min-hist 5 \
@@ -244,19 +285,18 @@ grep -q '"reason": "alert-fail"' "$ALERT_DUMP" \
 grep -q '"timeseries"' "$ALERT_DUMP" \
     || { echo "flight dump carries no time-series trajectory"; exit 1; }
 
-echo "==> model & data introspection (--insight table + tgl-insight/v1 artifact)"
+echo "==> model & data introspection (--insight table + the report's insight section)"
 INS_LOG="$OBS_DIR/insight.log"
 TGL_THREADS=2 ./target/release/quickstart \
-    --scale 8 --epochs 1 --insight --insight-out "$OBS_DIR/insight.json" >"$INS_LOG" 2>&1 \
+    --scale 8 --epochs 1 --insight --metrics-out "$OBS_DIR/insight-report.json" >"$INS_LOG" 2>&1 \
     || { cat "$INS_LOG"; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/insight.json"
-grep -q '"schema": "tgl-insight/v1"' "$OBS_DIR/insight.json" \
-    || { echo "insight artifact missing tgl-insight/v1 schema"; exit 1; }
-# The artifact must carry per-parameter-group and data-quality series.
-grep -q '"name": "insight.layer.layer0.w_q.grad_norm"' "$OBS_DIR/insight.json" \
-    || { echo "insight artifact missing layer0.w_q grad norm"; exit 1; }
-grep -q '"name": "insight.data.nbr_dt.mean"' "$OBS_DIR/insight.json" \
-    || { echo "insight artifact missing neighbor time-delta series"; exit 1; }
+./target/release/tgl jsoncheck "$OBS_DIR/insight-report.json" | grep -q "schema tgl-run-report/v3 ok" \
+    || { echo "run report failed its schema check"; exit 1; }
+# The section must carry per-parameter-group and data-quality series.
+grep -Eq '"name": *"insight\.layer\.layer0\.w_q\.grad_norm"' "$OBS_DIR/insight-report.json" \
+    || { echo "insight section missing layer0.w_q grad norm"; exit 1; }
+grep -Eq '"name": *"insight\.data\.nbr_dt\.mean"' "$OBS_DIR/insight-report.json" \
+    || { echo "insight section missing neighbor time-delta series"; exit 1; }
 # The console table must name per-layer parameter groups.
 grep -q "model introspection" "$INS_LOG" \
     || { echo "--insight printed no model table"; cat "$INS_LOG"; exit 1; }
@@ -269,7 +309,7 @@ echo "==> allocation churn smoke (pool on vs off, bitwise loss guard)"
 cargo bench --offline -q -p tgl-bench --bench alloc_churn
 ./target/release/tgl jsoncheck BENCH_alloc.json
 
-echo "==> observability overhead guard (counters, histograms, gauges, profiler, time-series, alert sites)"
+echo "==> observability overhead guard (counters, histograms, gauges, span / region / op sites, time-series, alert sites)"
 cargo bench --offline -q -p tgl-bench --bench obs_overhead
 ./target/release/tgl jsoncheck BENCH_obs.json
 

@@ -1,7 +1,7 @@
 //! Acceptance suite for critical-path analysis and the flight
 //! recorder: on a real traced TGAT run the analyzer's critical path
 //! must land within 10% of the traced wall regardless of thread
-//! count (1 vs 4), the `tgl-critpath/v1` artifact must parse with
+//! count (1 vs 4), the run report's `critpath` section must parse with
 //! the in-tree JSON parser, and an injected panic must leave a
 //! parseable `flight-<ts>.json` post-mortem behind.
 //!
@@ -12,7 +12,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use tgl_data::{DatasetKind, Json};
-use tgl_harness::{run_experiment, ExperimentConfig, Framework, ModelKind, Placement};
+use tgl_harness::{run_experiment, ExperimentConfig, Framework, ModelKind, ObsOptions, Placement};
 use tgl_runtime::set_threads;
 use tglite::obs::{critpath, flight, trace};
 
@@ -122,18 +122,22 @@ fn critical_path_tracks_wall_at_one_and_four_threads() {
     );
 }
 
-/// The artifact contract: `to_json` renders `tgl-critpath/v1` that
-/// the in-tree parser accepts, with per-stage rows whose serial
-/// times sum to the headline serial total.
+/// The artifact contract: a `--critpath --metrics-out` run writes one
+/// report the in-tree parser accepts, whose `critpath` section has
+/// per-stage rows whose serial times sum to the headline serial total.
 #[test]
 fn critpath_artifact_parses_and_is_self_consistent() {
     let _g = serial();
-    let a = traced_run(2);
-    let doc = Json::parse(&critpath::to_json(&a)).expect("critpath artifact must be valid JSON");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("tgl-critpath/v1")
-    );
+    set_threads(2);
+    let path = std::env::temp_dir().join(format!("tgl-critpath-report-{}.json", std::process::id()));
+    let opts = ObsOptions { critpath: true, metrics_out: Some(path.clone()), ..ObsOptions::default() };
+    tgl_harness::run(&obs_cfg(), &opts).expect("run with a writable report path");
+    set_threads(1);
+    let report = Json::parse(&std::fs::read_to_string(&path).expect("report written"))
+        .expect("run report must be valid JSON");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(report.get("schema").and_then(Json::as_str), Some("tgl-run-report/v3"));
+    let doc = report.get("critpath").expect("critpath section");
     for key in [
         "wall_s",
         "busy_s",
@@ -148,15 +152,15 @@ fn critpath_artifact_parses_and_is_self_consistent() {
         );
     }
     let stages = doc.get("stages").and_then(Json::as_arr).expect("stages");
-    assert_eq!(stages.len(), a.stages.len());
+    assert_eq!(stages.len(), critpath::Stage::ALL.len());
     let stage_sum: f64 = stages
         .iter()
         .filter_map(|s| s.get("serial_s").and_then(Json::as_num))
         .sum();
+    let serial_s = doc.get("serial_s").and_then(Json::as_num).unwrap();
     assert!(
-        (stage_sum - a.serial_s).abs() <= a.serial_s * 1e-6 + 1e-9,
-        "stage serial times sum to {stage_sum:.6}, headline serial is {:.6}",
-        a.serial_s
+        serial_s > 0.0 && (stage_sum - serial_s).abs() <= serial_s * 1e-6 + 1e-9,
+        "stage serial times sum to {stage_sum:.6}, headline serial is {serial_s:.6}"
     );
 }
 

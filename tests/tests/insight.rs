@@ -181,7 +181,7 @@ fn insight_series_bitwise_identical_at_pipeline_0_and_2() {
 /// moves every weight by ~1e18) must be attributable to a specific
 /// named parameter group: the cumulative stats carry an absurd update
 /// ratio for `layer0.w_q`, the rendered table names the group, and the
-/// `tgl-insight/v1` artifact round-trips with the same numbers.
+/// run report's `insight` section round-trips with the same numbers.
 #[test]
 fn diverged_run_is_attributable_to_a_named_parameter_group() {
     let _g = serial();
@@ -191,7 +191,7 @@ fn diverged_run_is_attributable_to_a_named_parameter_group() {
     // Wide enough to hold every parameter group: the top-k cut is by
     // gradient norm, and the pathology here lives in the update ratio.
     let table = insight::render_table(16);
-    let artifact = insight::to_json();
+    let artifact = tgl_harness::RunReporter::start().finish(0.0, 0.0).to_json();
     teardown();
 
     assert!(steps > 0);
@@ -216,18 +216,20 @@ fn diverged_run_is_attributable_to_a_named_parameter_group() {
     assert!(table.contains("layer0.w_q"), "table should name layer0.w_q:\n{table}");
     assert!(table.contains("update_ratio") || table.contains("update"), "table header:\n{table}");
 
-    // The artifact is the machine surface: declared schema, step
-    // count, and per-series summaries that match the registry.
-    let doc = tgl_data::Json::parse(&artifact).expect("insight artifact parses");
+    // The run report is the machine surface: its insight section
+    // carries the step count and per-series summaries that match the
+    // registry.
+    let report = tgl_data::Json::parse(&artifact).expect("run report parses");
     assert_eq!(
-        doc.get("schema").and_then(tgl_data::Json::as_str),
-        Some("tgl-insight/v1")
+        report.get("schema").and_then(tgl_data::Json::as_str),
+        Some("tgl-run-report/v3")
     );
+    let doc = report.get("insight").expect("insight section");
     assert_eq!(
         doc.get("steps").and_then(tgl_data::Json::as_num),
         Some(steps as f64)
     );
-    let arr = doc.get("stats").and_then(tgl_data::Json::as_arr).expect("stats array");
+    let arr = doc.get("series").and_then(tgl_data::Json::as_arr).expect("series array");
     assert_eq!(arr.len(), stats.len());
     assert!(arr.iter().any(|s| {
         s.get("name").and_then(tgl_data::Json::as_str)

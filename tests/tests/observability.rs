@@ -308,3 +308,101 @@ fn training_run_advances_cache_and_transfer_counters() {
         "dedup saved no rows on a repeat-heavy Wiki stream"
     );
 }
+
+/// One reported, logged training epoch (plus its validation pass) of
+/// `model` at `threads` pool threads, pipeline 0.
+fn reported_epoch(model: ModelKind, threads: usize) -> tgl_harness::RunReport {
+    use tgl_harness::runner::{build_model, prepare_context};
+    use tgl_harness::Trainer;
+    let mut cfg = obs_cfg();
+    cfg.model = model;
+    set_threads(threads);
+    let (ctx, split) = prepare_context(&cfg.dataset, cfg.placement, cfg.transfer);
+    let mut model = build_model(cfg.framework, cfg.model, &ctx, cfg.model_cfg, cfg.seed);
+    let trainer =
+        Trainer::new(cfg.train_cfg, cfg.dataset.n_src as u32, cfg.dataset.num_nodes() as u32)
+            .with_pipeline(0);
+    let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), cfg.train_cfg.lr);
+    trace::enable(true);
+    trace::take();
+    let mut rep = RunReporter::start();
+    let stats = trainer.train_epoch(model.as_mut(), &ctx, &split, &mut opt, 0);
+    rep.record_epoch(0, &stats);
+    let report = rep.finish(0.0, 0.0);
+    trace::take();
+    trace::enable(false);
+    set_threads(1);
+    report
+}
+
+/// The phase table, the op profile and the critical path are three
+/// readers of one span stream, so on one thread they must put the same
+/// seconds in the same stage: for every stage above 5% of the wall the
+/// three agree within 5%. Nothing heavy may hide from them either —
+/// `other` stays below 5% of the critical path, the `sample` phase is
+/// covered by an op, and on TGN no `(no-phase)` op holds more than 1%.
+/// At two threads the backward stage of the critical path tracks the
+/// `backward` phase's wall.
+#[test]
+fn timing_views_agree_per_stage_on_real_tgat_and_tgn_epochs() {
+    use tglite::obs::profile::{stage_seconds, NO_PHASE};
+    use tglite::obs::{Kind, Stage};
+    let _g = serial();
+    let within = |a: f64, b: f64| (a - b).abs() <= 0.05 * a.max(b);
+    for model in [ModelKind::Tgat, ModelKind::Tgn] {
+        let report = reported_epoch(model, 1);
+        let cp = report.critpath.as_ref().expect("the event log was on");
+        let views = stage_seconds(&report.profile);
+        let mut heavy = 0;
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            let (phase_s, ops_s, serial_s) =
+                (views[i].phase_s, views[i].op_s + views[i].rest_s, cp.stages[i].serial_s);
+            if serial_s <= 0.05 * cp.wall_s {
+                continue;
+            }
+            heavy += 1;
+            assert!(
+                within(phase_s, serial_s) && within(ops_s, serial_s),
+                "{model:?} {}: phase table {phase_s:.4}s, op profile {ops_s:.4}s, critpath {serial_s:.4}s",
+                stage.label()
+            );
+        }
+        assert!(heavy >= 2, "{model:?}: forward and backward must both be above 5% of the wall");
+        let other = &cp.stages[Stage::Other as usize];
+        assert!(
+            other.critical_s < 0.05 * cp.critical_s,
+            "{model:?}: {:.4}s of the {:.4}s critical path is in `other`",
+            other.critical_s,
+            cp.critical_s
+        );
+        let ops = || report.profile.iter().filter(|r| r.kind == Kind::Op);
+        assert!(
+            ops().any(|r| r.phase == "sample" && r.self_ns > 0),
+            "{model:?}: no op covers the sample phase"
+        );
+        if model == ModelKind::Tgn {
+            let total: u64 = ops().map(|r| r.self_ns).sum();
+            for r in ops().filter(|r| r.phase == NO_PHASE) {
+                assert!(
+                    r.self_ns * 100 <= total,
+                    "TGN: {} in {NO_PHASE} holds {:.1}% of op self time",
+                    r.name,
+                    100.0 * r.self_ns as f64 / total as f64
+                );
+            }
+        }
+
+        let report = reported_epoch(model, 2);
+        let cp = report.critpath.as_ref().expect("the event log was on");
+        let backward_wall = report
+            .phases_total_s
+            .iter()
+            .find(|(n, _)| n == "backward")
+            .map_or(0.0, |&(_, s)| s);
+        let critical = cp.stages[Stage::Backward as usize].critical_s;
+        assert!(
+            within(critical, backward_wall),
+            "{model:?} at 2 threads: critpath backward {critical:.4}s vs backward phase {backward_wall:.4}s"
+        );
+    }
+}

@@ -1,13 +1,13 @@
-//! Acceptance suite for the op-level profiler (`tgl_obs::profile`):
-//! analytic GEMM FLOP counts must match 2·M·N·K exactly, the recorded
-//! call/FLOP/byte totals must be invariant to the worker-pool width
-//! (dispatch happens on the caller thread; only kernels fan out), a
-//! real training epoch's per-phase op self-times must stay within the
-//! tracer's phase spans, and the `tgl-profile/v1` artifact must parse
-//! and carry the expected rows.
+//! Acceptance suite for the op view of the span aggregate
+//! (`tgl_obs::profile`): analytic GEMM FLOP counts must match 2·M·N·K
+//! exactly, the recorded call/FLOP/byte totals must be invariant to the
+//! worker-pool width (dispatch happens on the caller thread; only
+//! kernels fan out), a real training epoch's per-phase op self-times
+//! must stay within the phase rows, and the run report's `profile`
+//! section must parse and carry the expected rows.
 //!
-//! The profiler sink, phase stack, and thread pool are process-global,
-//! so every test holds the `serial()` lock and restores defaults.
+//! The aggregate, span stack, and thread pool are process-global, so
+//! every test holds the `serial()` lock and restores defaults.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -15,10 +15,17 @@ use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_harness::{RunReporter, TrainConfig, Trainer};
 use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
-use tglite::obs::profile::{self, OpStat};
+use tglite::obs::profile::{self, Row};
+use tglite::obs::{collect, Kind};
 use tglite::tensor::Tensor;
 
-/// Serializes tests: the profiler sink and pool width are global.
+/// The op rows of a drained aggregate (timers such as `gemm` and
+/// `pool.job` depend on the pool width; ops do not).
+fn take_ops() -> Vec<Row> {
+    profile::take().into_iter().filter(|r| r.kind == Kind::Op).collect()
+}
+
+/// Serializes tests: the aggregate and pool width are global.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -27,70 +34,70 @@ fn serial() -> MutexGuard<'static, ()> {
 #[test]
 fn gemm_flop_counts_match_analytic_2mnk() {
     let _g = serial();
-    profile::enable(true);
+    collect(true);
     profile::take();
     let (m, k, n) = (8usize, 16usize, 12usize);
     let a = Tensor::ones([m, k]).requires_grad(true);
     let b = Tensor::ones([k, n]);
     let c = a.matmul(&b);
     c.sum_all().backward();
-    let stats = profile::take();
-    profile::enable(false);
+    let stats = take_ops();
+    collect(false);
 
     let mm = stats
         .iter()
-        .find(|s| s.op == "matmul")
+        .find(|s| s.name == "matmul")
         .expect("matmul row recorded");
-    assert_eq!(mm.calls, 1);
-    assert_eq!(mm.flops, 2 * (m * k * n) as u64, "GEMM FLOPs must be 2MNK");
-    assert_eq!(mm.shape, "8x16,16x12");
+    assert_eq!(mm.dur.count, 1);
+    assert_eq!(mm.cost.flops, 2 * (m * k * n) as u64, "GEMM FLOPs must be 2MNK");
+    assert_eq!(mm.cost.shape, "8x16,16x12");
     assert_eq!(
-        mm.bytes_read,
+        mm.cost.bytes_read,
         4 * (m * k + k * n) as u64,
         "GEMM reads both operands once"
     );
-    assert_eq!(mm.bytes_written, 4 * (m * n) as u64);
+    assert_eq!(mm.cost.bytes_written, 4 * (m * n) as u64);
 
     // Backward runs one GEMM per operand on the graph — here only `a`,
     // so dA = dC·Bᵀ alone; the declared cost flows through the autograd
     // node into a `.bwd` row.
     let bwd = stats
         .iter()
-        .find(|s| s.op == "matmul.bwd")
+        .find(|s| s.name == "matmul.bwd")
         .expect("backward sweep must attribute matmul's declared cost");
-    assert_eq!(bwd.calls, 1);
-    assert_eq!(bwd.flops, 2 * (m * k * n) as u64);
+    assert_eq!(bwd.dur.count, 1);
+    assert_eq!(bwd.cost.flops, 2 * (m * k * n) as u64);
 
     // With both operands on the graph it is two GEMMs' worth.
-    profile::enable(true);
+    collect(true);
     a.matmul(&b.requires_grad(true)).sum_all().backward();
-    let stats = profile::take();
-    profile::enable(false);
-    let bwd = stats.iter().find(|s| s.op == "matmul.bwd").expect("matmul.bwd row");
-    assert_eq!(bwd.flops, 4 * (m * k * n) as u64);
+    let stats = take_ops();
+    collect(false);
+    let bwd = stats.iter().find(|s| s.name == "matmul.bwd").expect("matmul.bwd row");
+    assert_eq!(bwd.cost.flops, 4 * (m * k * n) as u64);
 }
 
 #[test]
 fn linear_frame_counts_its_gemms_and_epilogue() {
     let _g = serial();
-    profile::enable(true);
+    collect(true);
     profile::take();
     let (m, k, n) = (8usize, 16usize, 12usize);
     let x = Tensor::ones([m, k]).requires_grad(true);
     let w = Tensor::ones([n, k]).requires_grad(true);
     let b = Tensor::ones([n]).requires_grad(true);
     x.linear(&w, Some(&b), true).sum_all().backward();
-    let stats = profile::take();
-    profile::enable(false);
-    let row = |op: &str| stats.iter().find(|s| s.op == op).unwrap_or_else(|| panic!("no {op} row"));
+    let stats = take_ops();
+    collect(false);
+    let row = |op: &str| stats.iter().find(|s| s.name == op).unwrap_or_else(|| panic!("no {op} row"));
     // Forward: one GEMM plus a bias add and a ReLU per output element.
     let fwd = row("linear");
-    assert_eq!((fwd.calls, fwd.shape), (1, "8x16,12x16"));
-    assert_eq!(fwd.flops, (2 * m * k * n + 2 * m * n) as u64);
-    assert_eq!(fwd.bytes_read, 4 * (m * k + n * k + n) as u64);
+    assert_eq!((fwd.dur.count, fwd.cost.shape), (1, "8x16,12x16"));
+    assert_eq!(fwd.cost.flops, (2 * m * k * n + 2 * m * n) as u64);
+    assert_eq!(fwd.cost.bytes_read, 4 * (m * k + n * k + n) as u64);
     // Backward: dX and dW GEMMs, the ReLU mask and the bias column sums.
-    assert_eq!(row("linear.bwd").flops, (4 * m * k * n + 2 * m * n) as u64);
-    assert!(stats.iter().all(|s| !s.op.starts_with("matmul") && !s.op.starts_with("transpose")));
+    assert_eq!(row("linear.bwd").cost.flops, (4 * m * k * n + 2 * m * n) as u64);
+    assert!(stats.iter().all(|s| !s.name.starts_with("matmul") && !s.name.starts_with("transpose")));
 }
 
 /// A deterministic mixed workload under two phase scopes.
@@ -116,14 +123,14 @@ fn call_and_flop_totals_are_thread_count_invariant() {
     // Work attribution (not timing) must be identical at any width.
     let run_at = |threads: usize| -> Vec<(&'static str, &'static str, u64, u64, u64, u64)> {
         set_threads(threads);
-        profile::enable(true);
+        collect(true);
         profile::take();
         invariance_workload();
-        let stats = profile::take();
-        profile::enable(false);
+        let stats = take_ops();
+        collect(false);
         let mut keys: Vec<_> = stats
             .iter()
-            .map(|s| (s.op, s.phase, s.calls, s.flops, s.bytes_read, s.bytes_written))
+            .map(|s| (s.name, s.phase, s.dur.count, s.cost.flops, s.cost.bytes_read, s.cost.bytes_written))
             .collect();
         keys.sort();
         keys
@@ -144,7 +151,7 @@ fn call_and_flop_totals_are_thread_count_invariant() {
 #[test]
 fn training_phase_op_self_times_stay_within_tracer_spans() {
     let _g = serial();
-    profile::enable(true);
+    collect(true);
     profile::take();
     let mut rep = RunReporter::start();
 
@@ -163,7 +170,7 @@ fn training_phase_op_self_times_stay_within_tracer_spans() {
     rep.record_epoch(0, &stats);
     let (test_ap, test_s) = trainer.evaluate(&mut model, &ctx, split.test.clone());
     let report = rep.finish(test_ap, test_s);
-    profile::enable(false);
+    collect(false);
 
     assert!(!report.profile.is_empty(), "profiled run recorded no ops");
     // Ops attribute to the paper's Fig. 7 phases, and heavy tensor
@@ -172,7 +179,7 @@ fn training_phase_op_self_times_stay_within_tracer_spans() {
         report
             .profile
             .iter()
-            .filter(|s| s.phase == phase)
+            .filter(|s| s.kind == Kind::Op && s.phase == phase)
             .map(|s| s.self_ns as f64 / 1e9)
             .sum()
     };
@@ -183,8 +190,8 @@ fn training_phase_op_self_times_stay_within_tracer_spans() {
     );
     assert!(phase_ops("backward") > 0.0, "backward sweep must attribute ops");
 
-    // Self-time accounting never exceeds the tracer's phase spans: for
-    // every phase, op self time <= span time within 10% (plus a small
+    // Self-time accounting never exceeds the phase rows: for every
+    // phase, op self time <= phase time within 10% (plus a small
     // absolute tolerance for sub-millisecond phases).
     for (phase, span_s) in &report.phases_total_s {
         let ops_s = phase_ops(phase);
@@ -211,12 +218,12 @@ fn training_epoch_profile_has_no_anonymous_rows() {
     );
     let epoch_ops = |model: &mut dyn TemporalModel, ctx: &tglite::TContext| {
         let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), 1e-3);
-        profile::enable(true);
+        collect(true);
         profile::take();
         trainer.train_epoch(model, ctx, &split, &mut opt, 0);
-        let stats = profile::take();
-        profile::enable(false);
-        stats.iter().map(|s| s.op).collect::<Vec<_>>()
+        let stats = take_ops();
+        collect(false);
+        stats.iter().map(|s| s.name).collect::<Vec<_>>()
     };
     let ctx = tglite::TContext::new(g.clone());
     let tgat = epoch_ops(&mut Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 42), &ctx);
@@ -233,37 +240,35 @@ fn training_epoch_profile_has_no_anonymous_rows() {
     }
 }
 
+/// The machine surface of the profile is the run report's `profile`
+/// section (what `--metrics-out` writes and `/report.json` serves).
 #[test]
-fn profile_artifact_is_valid_v1_json() {
+fn profile_section_of_the_run_report_is_valid_json() {
     let _g = serial();
-    profile::enable(true);
-    profile::take();
+    let rep = RunReporter::start();
     {
         let _s = tglite::prof::scope("prof-json-phase");
         let a = Tensor::ones([16, 16]);
         let _ = a.matmul(&a);
     }
-    let stats: Vec<OpStat> = profile::take();
-    profile::enable(false);
+    let text = rep.finish(0.0, 0.0).to_json();
+    collect(false);
+    profile::take();
 
-    let text = profile::to_json(&stats);
-    let doc = Json::parse(&text).expect("tgl-profile artifact must parse");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-profile/v1"));
-    let ops = doc.get("ops").and_then(Json::as_arr).expect("ops array");
-    let mm = ops
-        .iter()
-        .find(|o| {
-            o.get("op").and_then(Json::as_str) == Some("matmul")
-                && o.get("phase").and_then(Json::as_str) == Some("prof-json-phase")
-        })
-        .expect("matmul row keyed by enclosing phase");
-    assert_eq!(
-        mm.get("flops").and_then(Json::as_num),
-        Some(2.0 * 16.0 * 16.0 * 16.0)
-    );
+    let doc = Json::parse(&text).expect("run report must parse");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-run-report/v3"));
+    let rows = doc.get("profile").and_then(Json::as_arr).expect("profile section");
+    let find = |name: &str| {
+        rows.iter().find(|o| o.get("name").and_then(Json::as_str) == Some(name)).unwrap_or_else(|| panic!("no {name} row"))
+    };
+    let mm = find("matmul");
+    assert_eq!(mm.get("phase").and_then(Json::as_str), Some("prof-json-phase"), "keyed by enclosing phase");
+    assert_eq!(mm.get("kind").and_then(Json::as_str), Some("op"));
+    assert_eq!(mm.get("flops").and_then(Json::as_num), Some(2.0 * 16.0 * 16.0 * 16.0));
     for field in [
         "calls",
         "self_ns",
+        "span_ns",
         "total_ns",
         "bytes_read",
         "bytes_written",
@@ -273,29 +278,37 @@ fn profile_artifact_is_valid_v1_json() {
     ] {
         assert!(mm.get(field).and_then(Json::as_num).is_some(), "missing {field}");
     }
+    // The phase itself is a row of the same section, and of the
+    // whole-run Fig. 7 table read from it.
+    assert_eq!(find("prof-json-phase").get("kind").and_then(Json::as_str), Some("phase"));
+    assert!(doc.get("phases_total_s").and_then(|p| p.get("prof-json-phase")).is_some());
 }
 
 #[test]
 fn live_endpoint_serves_profile_json() {
     let _g = serial();
-    profile::enable(true);
-    profile::take();
     let addr = tglite::obs::expo::start("127.0.0.1:0").expect("bind exposition server");
+    let mut rep = RunReporter::start();
     {
         let _s = tglite::prof::scope("prof-live-phase");
         let a = Tensor::ones([8, 8]);
         let _ = a.matmul(&a);
     }
+    // The reporter publishes the report-so-far at every epoch
+    // boundary; its profile section is the live snapshot.
+    rep.record_epoch(0, &tgl_harness::EpochStats { loss: 0.5, train_time_s: 0.1, val_ap: 0.5 });
     let (code, body) =
-        tglite::obs::expo::http_get(&addr.to_string(), "/profile.json").expect("scrape");
+        tglite::obs::expo::http_get(&addr.to_string(), "/report.json").expect("scrape");
     tglite::obs::expo::http_get(&addr.to_string(), "/quit").ok();
+    rep.finish(0.0, 0.0);
+    collect(false);
     profile::take();
-    profile::enable(false);
     assert_eq!(code, 200);
-    let doc = Json::parse(&body).expect("/profile.json must serve valid JSON");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-profile/v1"));
+    let doc = Json::parse(&body).expect("/report.json must serve valid JSON");
+    assert_eq!(doc.get("in_progress"), Some(&Json::Bool(true)));
+    let rows = doc.get("profile").and_then(Json::as_arr).expect("live profile section");
     assert!(
-        body.contains("\"matmul\""),
-        "snapshot endpoint must include the live matmul row"
+        rows.iter().any(|r| r.get("name").and_then(Json::as_str) == Some("matmul")),
+        "the in-progress report must include the live matmul row"
     );
 }
