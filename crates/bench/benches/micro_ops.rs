@@ -114,7 +114,8 @@ fn bench_time_encode() {
     // Quantized deltas: few distinct values (the precompute win case).
     let deltas: Vec<f32> = (0..2048).map(|i| (i % 40) as f32 * 900.0).collect();
     report("time_encode_direct_2048", || enc.forward(&deltas));
-    report("time_encode_precomputed_2048", || op::precomputed_times(&ctx, &enc, &deltas));
+    let tensor = |d: &[f32]| Tensor::from_vec(d.to_vec(), [d.len()]);
+    report("time_encode_precomputed_2048", || op::precomputed_times(&ctx, &enc, &tensor(&deltas)));
     // What sampled-neighbor deltas look like on `tgat_infer` (where a
     // memo of Φ rows lost to recomputing them): 6 000 per call, ~98%
     // distinct within the call, ~57% of them seen in the call before.
@@ -132,7 +133,7 @@ fn bench_time_encode() {
     let mut turn = 0;
     report("time_encode_precomputed_6000_mixed", || {
         turn = (turn + 1) % calls.len();
-        op::precomputed_times(&ctx, &enc, &calls[turn])
+        op::precomputed_times(&ctx, &enc, &tensor(&calls[turn]))
     });
     report("time_zeros_precomputed_600", || op::precomputed_zeros(&ctx, &enc, 600));
 }
@@ -441,6 +442,73 @@ fn attention_kernel_sweep(counts: &[usize]) -> Vec<SweepCell> {
     cells
 }
 
+/// TGN's memory cell (`in = 112`: mail 96 + time 16, `H = 32`) at one
+/// batch's distinct nodes (512) and at a tail block's rows (4608),
+/// forward and backward: the two `linear`s followed by the fused
+/// `gru_gates` kernel (what `GruCell::forward` runs) against the gate
+/// chain it replaced (six strided gathers, nine elementwise nodes),
+/// at 1 and 2 threads in both kernel modes.
+fn gru_cell_sweep(counts: &[usize]) -> Vec<SweepCell> {
+    let (input, hid) = (112usize, 32usize);
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut param = |dims: &[usize]| {
+        Tensor::rand_uniform(dims.to_vec(), -0.2, 0.2, &mut rng).requires_grad(true)
+    };
+    let (w_ih, w_hh) = (param(&[3 * hid, input]), param(&[3 * hid, hid]));
+    let (b_ih, b_hh) = (param(&[3 * hid]), param(&[3 * hid]));
+    let params = [&w_ih, &w_hh, &b_ih, &b_hh];
+    let cell = |x: &Tensor, h: &Tensor, fused: bool| {
+        let gi = x.linear(&w_ih, Some(&b_ih), false);
+        let gh = h.linear(&w_hh, Some(&b_hh), false);
+        if fused {
+            return tgl_tensor::ops::gru_gates(&gi, &gh, h);
+        }
+        let n = x.dim(0);
+        let split = |g: &Tensor, k: usize| {
+            let rows: Vec<usize> = (0..n).map(|r| r * 3 + k).collect();
+            g.reshape([n * 3, hid]).index_select(&rows).reshape([n, hid])
+        };
+        let r = split(&gi, 0).add(&split(&gh, 0)).sigmoid();
+        let z = split(&gi, 1).add(&split(&gh, 1)).sigmoid();
+        let c = split(&gi, 2).add(&r.mul(&split(&gh, 2))).tanh();
+        c.addcmul(&z, &h.sub(&c), 1.0)
+    };
+    let backward = |y: Tensor| {
+        let go = vec![1.0; y.numel()];
+        let t0 = Instant::now();
+        y.backward_with(go);
+        let secs = t0.elapsed().as_secs_f64();
+        params.into_iter().for_each(Tensor::zero_grad);
+        secs
+    };
+    let ambient = tgl_tensor::kernel::mode();
+    let mut cells = Vec::new();
+    for mode in [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast] {
+        tgl_tensor::kernel::set_mode(mode);
+        for n in [512usize, 4608] {
+            let mut rng = StdRng::seed_from_u64(17);
+            let x = Tensor::rand_uniform([n, input], -1.0, 1.0, &mut rng);
+            let h = Tensor::rand_uniform([n, hid], -1.0, 1.0, &mut rng);
+            for &t in counts.iter().filter(|&&t| t <= 2) {
+                set_threads(t);
+                let timed = [
+                    ("gru_cell", time_it(|| cell(&x, &h, true), 0.3)),
+                    ("gru_cell_bwd", mean_of(|| backward(cell(&x, &h, true)), 0.3)),
+                    ("gru_cell_chain", time_it(|| cell(&x, &h, false), 0.3)),
+                    ("gru_cell_chain_bwd", mean_of(|| backward(cell(&x, &h, false)), 0.3)),
+                ];
+                cells.extend(timed.map(|(kernel, secs)| SweepCell {
+                    bench: format!("{kernel}_{n}x{input}x{hid}_{}", mode.label()),
+                    threads: t,
+                    secs,
+                }));
+            }
+        }
+    }
+    tgl_tensor::kernel::set_mode(ambient);
+    cells
+}
+
 /// Sweeps the three hottest parallel kernels over the given thread
 /// counts and returns per-cell timings.
 fn thread_sweep(counts: &[usize]) -> Vec<SweepCell> {
@@ -536,6 +604,7 @@ fn main() {
     // the older rows by position.
     let mut cells = thread_sweep(&counts);
     cells.extend(attention_kernel_sweep(&counts));
+    cells.extend(gru_cell_sweep(&counts));
     for c in &cells {
         let base = cells
             .iter()

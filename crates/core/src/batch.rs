@@ -163,25 +163,16 @@ impl TBatch {
     /// [`crate::op::coalesce`] to keep only the latest message per
     /// node.
     pub fn block_adj(&self, ctx: &TContext) -> TBlock {
-        let mut uniq: Vec<NodeId> = Vec::new();
-        let mut pos = std::collections::HashMap::new();
-        let mut entries: Vec<Vec<(NodeId, Time, tgl_graph::EdgeId)>> = Vec::new();
-        for (i, ((&s, &d), &t)) in self
-            .srcs()
-            .iter()
-            .zip(self.dsts())
-            .zip(self.times())
-            .enumerate()
-        {
-            let eid = (self.range.start + i) as tgl_graph::EdgeId;
-            for (a, b) in [(s, d), (d, s)] {
-                let p = *pos.entry(a).or_insert_with(|| {
-                    uniq.push(a);
-                    entries.push(Vec::new());
-                    uniq.len() - 1
-                });
-                entries[p].push((b, t, eid));
-            }
+        // Endpoints interleaved `s0, d0, s1, d1, ..`: entry `i ^ 1` is
+        // the counterparty of entry `i`.
+        let ends: Vec<NodeId> =
+            self.srcs().iter().zip(self.dsts()).flat_map(|(&s, &d)| [s, d]).collect();
+        let idx = crate::op::node_index(self.graph.num_nodes(), &ends);
+        let uniq = idx.nodes;
+        let mut entries: Vec<Vec<(NodeId, Time, tgl_graph::EdgeId)>> = vec![Vec::new(); uniq.len()];
+        for (i, &p) in idx.inverse.iter().enumerate() {
+            let eid = (self.range.start + i / 2) as tgl_graph::EdgeId;
+            entries[p].push((ends[i ^ 1], self.times()[i / 2], eid));
         }
         // Batch-time destinations: each unique node queried at the max
         // batch time (all of its in-batch interactions are "earlier or

@@ -74,6 +74,7 @@ pub(crate) struct BlockInner {
     dst_feat_cache: Option<Tensor>,
     src_feat_cache: Option<Tensor>,
     edge_feat_cache: Option<Tensor>,
+    delta_cache: Option<Tensor>,
 }
 
 /// A temporal block. Cheap to clone (shared handle).
@@ -112,6 +113,7 @@ impl TBlock {
                 dst_feat_cache: None,
                 src_feat_cache: None,
                 edge_feat_cache: None,
+                delta_cache: None,
             })),
         }
     }
@@ -191,6 +193,7 @@ impl TBlock {
         inner.nbrs = Some(nbrs);
         inner.src_feat_cache = None;
         inner.edge_feat_cache = None;
+        inner.delta_cache = None;
     }
 
     /// Number of sampled edges (0 before sampling).
@@ -263,6 +266,20 @@ impl TBlock {
         }
     }
 
+    /// [`TBlock::delta_times`] as an `[E]` tensor on the compute
+    /// device: the slice [`crate::op::preload`] staged when it ran over
+    /// this chain, else moved over the pageable path on first use.
+    /// Cached like the feature rows.
+    pub fn deltas(&self) -> Tensor {
+        if let Some(t) = self.inner.borrow().delta_cache.clone() {
+            return t;
+        }
+        let deltas = self.delta_times();
+        let moved = Tensor::from_vec(deltas, [self.num_edges()]).to(self.device());
+        self.inner.borrow_mut().delta_cache = Some(moved.clone());
+        moved
+    }
+
     /// Unique sampled source nodes (first-appearance order) plus the
     /// per-edge index into that unique list.
     pub fn uniq_src(&self) -> (Vec<NodeId>, Vec<usize>) {
@@ -270,17 +287,8 @@ impl TBlock {
         let Some(n) = &inner.nbrs else {
             return (Vec::new(), Vec::new());
         };
-        let mut uniq = Vec::new();
-        let mut pos: HashMap<NodeId, usize> = HashMap::new();
-        let mut index = Vec::with_capacity(n.src_nodes.len());
-        for &s in &n.src_nodes {
-            let p = *pos.entry(s).or_insert_with(|| {
-                uniq.push(s);
-                uniq.len() - 1
-            });
-            index.push(p);
-        }
-        (uniq, index)
+        let idx = crate::op::node_index(inner.graph.num_nodes(), &n.src_nodes);
+        (idx.nodes, idx.inverse)
     }
 
     // ---------------------------------------------------------------
@@ -337,6 +345,7 @@ impl TBlock {
                 dst_feat_cache: None,
                 src_feat_cache: None,
                 edge_feat_cache: None,
+                delta_cache: None,
             })),
         };
         self.inner.borrow_mut().next = Some(next.clone());
@@ -443,6 +452,12 @@ impl TBlock {
         }
     }
 
+    /// Installs this block's time deltas, already on the compute device
+    /// (used by [`crate::op::Staged::fill`]).
+    pub(crate) fn install_deltas(&self, deltas: Tensor) {
+        self.inner.borrow_mut().delta_cache = Some(deltas);
+    }
+
     /// Snapshot of the installed `(dst, src, edge)` feature caches.
     #[cfg(test)]
     pub(crate) fn feat_caches(&self) -> (Option<Tensor>, Option<Tensor>, Option<Tensor>) {
@@ -461,6 +476,7 @@ impl TBlock {
         inner.dst_feat_cache = None;
         inner.src_feat_cache = None;
         inner.edge_feat_cache = None;
+        inner.delta_cache = None;
     }
 
     /// Memory rows for the destination nodes, on the compute device.

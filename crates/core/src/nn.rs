@@ -64,13 +64,26 @@ impl TimeEncode {
         }
     }
 
-    /// Encodes a slice of deltas into `[n, dim]` time vectors
-    /// (differentiable in `ω` and `φ`).
+    /// Encodes a host slice of deltas into `[n, dim]` time vectors
+    /// (differentiable in `ω` and `φ`), moving it to the encoder's
+    /// device first.
     pub fn forward(&self, deltas: &[f32]) -> Tensor {
         let mut dt = tgl_tensor::pool::take_uninit(deltas.len(), tgl_device::Device::Host);
         dt.copy_from_slice(deltas);
-        let dt = Tensor::from_vec(dt, [deltas.len()]).to(self.weight.device());
-        tgl_tensor::ops::time_encode(&dt, &self.weight, &self.bias)
+        self.encode(&Tensor::from_vec(dt, [deltas.len()]).to(self.weight.device()))
+    }
+
+    /// Encodes deltas already on the encoder's device (any shape of
+    /// `n` elements) into `[n, dim]` time vectors.
+    pub fn encode(&self, deltas: &Tensor) -> Tensor {
+        tgl_tensor::ops::time_encode(deltas, &self.weight, &self.bias)
+    }
+
+    /// `n` rows of `Φ(0)`, differentiable like [`TimeEncode::forward`]
+    /// over `n` zeros (same kernel, same bits) but with the constant
+    /// input built on the encoder's device instead of shipped to it.
+    pub fn encode_zeros(&self, n: usize) -> Tensor {
+        self.encode(&Tensor::zeros_on([n], self.weight.device()))
     }
 }
 

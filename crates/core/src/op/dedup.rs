@@ -64,19 +64,78 @@ pub(crate) fn dedup_apply(blk: &TBlock, nodes: Vec<NodeId>, times: Vec<Time>, in
 /// first-appearance order plus the inverse row mapping.
 fn compute(nodes: &[NodeId], times: &[Time]) -> Replacement {
     let mut seen: HashMap<(NodeId, u64), usize> = HashMap::with_capacity(nodes.len());
-    let mut uniq_nodes: Vec<NodeId> = Vec::new();
-    let mut uniq_times: Vec<Time> = Vec::new();
-    let mut inverse = Vec::with_capacity(nodes.len());
-    for (&n, &t) in nodes.iter().zip(times) {
-        let key = (n, t.to_bits());
-        let pos = *seen.entry(key).or_insert_with(|| {
-            uniq_nodes.push(n);
-            uniq_times.push(t);
-            uniq_nodes.len() - 1
-        });
-        inverse.push(pos);
-    }
+    let keys = nodes.iter().zip(times).map(|(&n, &t)| (n, t.to_bits()));
+    let (first, inverse) = first_unique(keys, |key, next| *seen.entry(key).or_insert(next));
+    let uniq_nodes = first.iter().map(|&i| nodes[i]).collect();
+    let uniq_times = first.iter().map(|&i| times[i]).collect();
     (uniq_nodes, uniq_times, inverse)
+}
+
+/// First-appearance unique over any key type: the position of the
+/// first item carrying each distinct key (ascending, so in
+/// first-appearance order) and every item's slot in that list.
+/// `slot_or_insert(key, next)` is the key → slot map: it returns the
+/// slot recorded for `key`, after recording `next` if there was none.
+fn first_unique<K>(
+    keys: impl IntoIterator<Item = K>,
+    mut slot_or_insert: impl FnMut(K, usize) -> usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let keys = keys.into_iter();
+    let (mut first, mut inverse) = (Vec::new(), Vec::with_capacity(keys.size_hint().0));
+    for (i, key) in keys.enumerate() {
+        let slot = slot_or_insert(key, first.len());
+        if slot == first.len() {
+            first.push(i);
+        }
+        inverse.push(slot);
+    }
+    (first, inverse)
+}
+
+/// The distinct nodes of a row list, built by [`node_index`].
+#[derive(Debug)]
+pub struct NodeIndex {
+    /// Distinct nodes in first-appearance order.
+    pub nodes: Vec<NodeId>,
+    /// The first row naming each distinct node (ascending).
+    pub first: Vec<usize>,
+    /// Every row's slot in `nodes`.
+    pub inverse: Vec<usize>,
+    /// Dense node → slot table; `u32::MAX` marks a node no row names.
+    slot_of: Vec<u32>,
+}
+
+impl NodeIndex {
+    /// The slot of `node` in `nodes`, if any row named it.
+    pub fn slot(&self, node: NodeId) -> Option<usize> {
+        self.slot_of.get(node as usize).filter(|&&s| s != u32::MAX).map(|&s| s as usize)
+    }
+}
+
+/// The node-keyed sibling of [`dedup`]: the distinct *nodes* of `rows`,
+/// whatever their times. Node memory, mail and raw features are keyed
+/// on the node, so anything computed from them alone is the same for
+/// every row naming the node: evaluate it on `nodes` (inputs taken from
+/// the rows in `first`) and expand with `index_select(&inverse)`.
+///
+/// # Panics
+///
+/// Panics if a row names a node at or above `num_nodes`.
+pub fn node_index(num_nodes: usize, rows: &[NodeId]) -> NodeIndex {
+    let mut slot_of = vec![u32::MAX; num_nodes];
+    let (first, inverse) = first_unique(rows.iter().copied(), |node, next| {
+        let slot = &mut slot_of[node as usize];
+        if *slot == u32::MAX {
+            *slot = next as u32;
+        }
+        *slot as usize
+    });
+    NodeIndex {
+        nodes: first.iter().map(|&i| rows[i]).collect(),
+        first,
+        inverse,
+        slot_of,
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +192,21 @@ mod tests {
         let blk = TBlock::new(&ctx, 0, vec![1, 1], vec![5.0, 5.0]);
         TSampler::new(2, SamplingStrategy::Recent).sample(&blk);
         dedup(&blk);
+    }
+
+    #[test]
+    fn node_index_ignores_times_and_inverts() {
+        let rows = [4, 1, 4, 0, 1, 4];
+        let idx = node_index(5, &rows);
+        assert_eq!(idx.nodes, vec![4, 1, 0]);
+        assert_eq!(idx.first, vec![0, 1, 3]);
+        assert_eq!(idx.inverse, vec![0, 1, 0, 2, 1, 0]);
+        for (row, &slot) in rows.iter().zip(&idx.inverse) {
+            assert_eq!(idx.nodes[slot], *row);
+            assert_eq!(idx.slot(*row), Some(slot));
+        }
+        assert_eq!((idx.slot(2), idx.slot(3), idx.slot(99)), (None, None, None));
+        assert!(node_index(5, &[]).nodes.is_empty());
     }
 
     #[test]

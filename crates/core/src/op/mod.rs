@@ -6,7 +6,9 @@
 //! Multi-block operators: [`aggregate`] (pull-style message passing)
 //! and [`propagate`] (push-style).
 //! Optimization operators (semantic-preserving): [`dedup`], [`cache`],
-//! [`preload`], [`precomputed_zeros`], [`precomputed_times`].
+//! [`preload`], [`precomputed_zeros`], [`precomputed_times`]; and the
+//! node-keyed [`node_index`] for state that does not depend on a row's
+//! time.
 
 mod agg;
 mod cache;
@@ -19,7 +21,7 @@ mod time;
 pub use agg::{aggregate, propagate};
 pub use cache::cache;
 pub use coalesce::{coalesce, CoalesceBy};
-pub use dedup::dedup;
+pub use dedup::{dedup, node_index, NodeIndex};
 pub(crate) use dedup::{dedup_apply, dedup_planned, Replacement};
 pub use preload::preload;
 pub(crate) use preload::{stage, Staged};

@@ -71,19 +71,25 @@ struct BlockSlots {
 /// slot layout that [`Staged::fill`] expands into each block's
 /// `(dst, src, edge)` feature cache. A prefetch plan carries this in
 /// place of expanded tensors, so queued plans keep only distinct rows
-/// resident on the device tier.
+/// resident on the device tier. The chain's per-edge time deltas ride
+/// along: like the features they are a function of the chain alone.
 #[derive(Debug)]
 pub(crate) struct Staged {
     node: Option<StagedTable>,
     edge: Option<StagedTable>,
+    /// Every sampled block's `delta_times()`, end to end in edge-slot
+    /// order (block `i`'s start at its `edge_at`).
+    deltas: Tensor,
     blocks: Vec<BlockSlots>,
 }
 
 /// Stages the feature rows of *all* blocks in the chain on the compute
 /// device: at most one transfer per feature table (see
 /// [`StagedTable::new`] for the placement rule, which is read from the
-/// table's device). Fires `preload.calls` once and
-/// `preload.tensors_moved` once per table that crossed a tier.
+/// table's device), plus one for the chain's time deltas when the
+/// compute device is not the host that computed them. Fires
+/// `preload.calls` once and `preload.tensors_moved` once per table
+/// that crossed a tier.
 pub(crate) fn stage(ctx: &TContext, head: &TBlock, use_pin: bool) -> Staged {
     tgl_obs::counter!("preload.calls").incr();
     let g = head.graph();
@@ -111,16 +117,31 @@ pub(crate) fn stage(ctx: &TContext, head: &TBlock, use_pin: bool) -> Staged {
             .filter(|f| f.dim(1) > 0)
             .map(|f| StagedTable::new(ctx, &f, ids, use_pin))
     };
+    // One delta per edge slot, in a pooled host buffer like every other
+    // staging copy.
+    let mut deltas = tgl_tensor::pool::take_uninit(edge_ids.len(), tgl_device::Device::Host);
+    for (blk, s) in chain_blocks(head).zip(&blocks) {
+        if let Some(k) = s.n_nbrs {
+            deltas[s.edge_at..s.edge_at + k].copy_from_slice(&blk.delta_times());
+        }
+    }
+    let deltas = Tensor::from_vec(deltas, [edge_ids.len()]);
     Staged {
         node: table(g.node_feats(), node_ids),
         edge: table(g.edge_feats(), edge_ids),
+        deltas: if use_pin {
+            deltas.to_pinned(ctx.device(), ctx.pinned_pool())
+        } else {
+            deltas.to(ctx.device())
+        },
         blocks,
     }
 }
 
 impl Staged {
     /// Expands block `i`'s rows out of the staged tables into `blk`'s
-    /// feature cache. Fires no counters.
+    /// feature cache and installs its slice of the staged deltas. Fires
+    /// no counters.
     ///
     /// # Panics
     ///
@@ -144,6 +165,9 @@ impl Staged {
             )
         });
         blk.install_feat_cache(dst, src, edge);
+        if let Some(k) = s.n_nbrs {
+            blk.install_deltas(self.deltas.narrow_rows(s.edge_at, k));
+        }
     }
 }
 
@@ -223,8 +247,8 @@ mod tests {
         assert_eq!(head.dstfeat().device(), Device::Accel);
         assert_eq!(head.srcfeat().device(), Device::Accel);
         assert_eq!(head.efeat().device(), Device::Accel);
-        // One pinned staging buffer per table.
-        assert_eq!(ctx.pinned_pool().stats().0, 2);
+        // One pinned staging buffer per table, one for the deltas.
+        assert_eq!(ctx.pinned_pool().stats().0, 3);
     }
 
     #[test]
@@ -277,9 +301,12 @@ mod tests {
             let before = tgl_device::stats();
             preload(&ctx, &head, use_pin);
             let after = tgl_device::stats();
-            let floats = nodes.len() * g.node_feat_dim() + eids.len() * g.edge_feat_dim();
+            // Plus one time delta per sampled edge, in a third transfer.
+            let n_edges: usize = chain_blocks(&head).map(|b| b.num_edges()).sum();
+            let floats =
+                nodes.len() * g.node_feat_dim() + eids.len() * g.edge_feat_dim() + n_edges;
             assert_eq!(after.h2d_bytes - before.h2d_bytes, 4 * floats as u64);
-            assert_eq!(after.transfer_count - before.transfer_count, 2);
+            assert_eq!(after.transfer_count - before.transfer_count, 3);
 
             // Bitwise what the lazy loads of an unstaged chain return.
             let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
@@ -288,6 +315,12 @@ mod tests {
                 assert_eq!(bits(staged.dstfeat()), bits(lazy.dstfeat()));
                 assert_eq!(bits(staged.srcfeat()), bits(lazy.srcfeat()));
                 assert_eq!(bits(staged.efeat()), bits(lazy.efeat()));
+                // The staged deltas too: nothing crosses on this read.
+                let crossed = tgl_device::stats().transfer_count;
+                assert_eq!(staged.deltas().device(), Device::Accel);
+                assert_eq!(tgl_device::stats().transfer_count, crossed);
+                assert_eq!(staged.deltas().to_vec(), staged.delta_times());
+                assert_eq!(bits(staged.deltas()), bits(lazy.deltas()));
             }
         }
     }
@@ -301,10 +334,12 @@ mod tests {
         let used = tgl_device::stats().accel_used_bytes;
         let staged = stage(&ctx, &head, true);
         let resident = tgl_device::stats().accel_used_bytes - used;
-        // All 3 nodes and both edges are reachable from node 2 at t=9.
+        // All 3 nodes and both edges are reachable from node 2 at t=9;
+        // every sampled edge adds its time delta.
+        let n_edges: usize = chain_blocks(&head).map(|b| b.num_edges()).sum();
         assert_eq!(
             resident,
-            4 * (3 * g.node_feat_dim() + 2 * g.edge_feat_dim()) as u64
+            4 * (3 * g.node_feat_dim() + 2 * g.edge_feat_dim() + n_edges) as u64
         );
         drop(staged);
         assert_eq!(tgl_device::stats().accel_used_bytes, used);
@@ -319,7 +354,8 @@ mod tests {
                 tgl_obs::metrics::get("transfer.pageable_count"),
             )
         };
-        for (use_pin, expect) in [(true, (2, 0)), (false, (0, 2))] {
+        // Two tables and the deltas.
+        for (use_pin, expect) in [(true, (3, 0)), (false, (0, 3))] {
             let (_g, ctx) = setup(Device::Host, Device::Accel);
             let head = TBlock::new(&ctx, 0, vec![0, 1, 2], vec![9.0, 9.0, 9.0]);
             TSampler::new(2, SamplingStrategy::Recent).sample(&head);
@@ -332,6 +368,23 @@ mod tests {
                 "use_pin={use_pin}"
             );
         }
+    }
+
+    #[test]
+    fn phi_zero_input_is_built_on_the_device_not_shipped() {
+        use tgl_tensor::nn::Module;
+        let _l = link();
+        let mut rng = <tgl_runtime::rng::StdRng as tgl_runtime::rng::SeedableRng>::seed_from_u64(0);
+        let enc = crate::nn::TimeEncode::new(4, &mut rng).to_device(Device::Accel);
+        let shipped = enc.forward(&[0.0; 3]);
+        let before = tgl_device::stats().transfer_count;
+        let built = enc.encode_zeros(3);
+        assert_eq!(tgl_device::stats().transfer_count, before, "a constant crossed the link");
+        assert_eq!(built.device(), Device::Accel);
+        assert_eq!(built.dims(), shipped.dims());
+        assert_eq!(built.to_vec(), shipped.to_vec());
+        built.sum_all().backward();
+        assert!(enc.parameters().iter().all(|p| p.grad().is_some()));
     }
 
     #[test]

@@ -29,10 +29,11 @@ pub fn precomputed_zeros(_ctx: &TContext, encoder: &TimeEncode, n: usize) -> Ten
     encoder.forward(&[0.0]).index_select(&vec![0; n])
 }
 
-/// Detached time vectors for arbitrary deltas, one `[dim]` row each.
-pub fn precomputed_times(_ctx: &TContext, encoder: &TimeEncode, deltas: &[f32]) -> Tensor {
+/// Detached time vectors for arbitrary deltas already on the encoder's
+/// device (a block's [`crate::TBlock::deltas`]), one `[dim]` row each.
+pub fn precomputed_times(_ctx: &TContext, encoder: &TimeEncode, deltas: &Tensor) -> Tensor {
     let _g = no_grad();
-    encoder.forward(deltas)
+    encoder.encode(deltas)
 }
 
 #[cfg(test)]
@@ -63,7 +64,7 @@ mod tests {
     fn times_match_direct_encoding() {
         let (ctx, enc) = setup();
         let deltas = [1.5f32, 0.0, 1.5, 7.25];
-        let pre = precomputed_times(&ctx, &enc, &deltas);
+        let pre = precomputed_times(&ctx, &enc, &Tensor::from_vec(deltas.to_vec(), [4]));
         let direct = enc.forward(&deltas);
         assert_eq!(pre.to_vec(), direct.to_vec());
     }
@@ -71,7 +72,7 @@ mod tests {
     #[test]
     fn results_are_detached() {
         let (ctx, enc) = setup();
-        let pre = precomputed_times(&ctx, &enc, &[1.0]);
+        let pre = precomputed_times(&ctx, &enc, &Tensor::ones([1]));
         assert!(!pre.requires_grad_flag());
         let prez = precomputed_zeros(&ctx, &enc, 1);
         assert!(!prez.requires_grad_flag());
@@ -80,7 +81,7 @@ mod tests {
     #[test]
     fn empty_deltas_empty_tensor() {
         let (ctx, enc) = setup();
-        let pre = precomputed_times(&ctx, &enc, &[]);
+        let pre = precomputed_times(&ctx, &enc, &Tensor::zeros([0]));
         assert_eq!(pre.dims(), &[0, 4]);
     }
 }

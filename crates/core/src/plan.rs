@@ -281,6 +281,23 @@ mod tests {
     }
 
     #[test]
+    fn staged_deltas_are_delta_times_inline_and_replayed() {
+        let (g, ctx) = setup();
+        let mut batch = TBatch::new(Arc::clone(&g), 2..6);
+        batch.set_negatives(vec![4, 5, 4, 5]);
+        let s = spec(true, true);
+        let bits = |v: Vec<f32>| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for head in [build_sequential(&ctx, &batch, &s), build_via_plan(&ctx, &batch, &s)] {
+            let blocks: Vec<TBlock> = std::iter::successors(Some(head), TBlock::next).collect();
+            assert_eq!(blocks.len(), 2);
+            for blk in blocks {
+                assert!(blk.num_edges() > 0, "block {} sampled nothing", blk.layer());
+                assert_eq!(bits(blk.deltas().to_vec()), bits(blk.delta_times()));
+            }
+        }
+    }
+
+    #[test]
     fn plan_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<BatchPlan>();

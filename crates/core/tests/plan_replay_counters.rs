@@ -1,5 +1,6 @@
-//! Replaying a prefetch plan must not count the dedup and sampling it
-//! skips: they were counted where the plan was built. The counters are
+//! Replaying a prefetch plan must not count the dedup, sampling and
+//! staging (feature rows and time deltas over the link) it skips: they
+//! were counted where the plan was built. The counters are
 //! process-global, so this check owns its test binary — nothing else
 //! can move them between the two snapshots, and one exact comparison
 //! is the proof.
@@ -20,11 +21,12 @@ fn apply_is_counter_silent() {
     ));
     g.set_node_feats(Tensor::from_vec((0..12).map(|v| v as f32).collect(), [6, 2]));
     g.set_edge_feats(Tensor::from_vec((0..6).map(|v| v as f32).collect(), [6, 1]));
-    let ctx = TContext::new(Arc::clone(&g));
+    // Host-resident features, accelerator compute: staging crosses the link.
+    let ctx = TContext::with_device(Arc::clone(&g), tgl_device::Device::Accel);
     let spec = SamplingSpec {
         n_layers: 2,
         dedup: true,
-        preload_pinned: false,
+        preload_pinned: true,
         sampler: TemporalSampler::new(3, SamplingStrategy::Recent).with_seed(7),
     };
     let mut batch = TBatch::new(Arc::clone(&g), 0..4);
@@ -34,11 +36,22 @@ fn apply_is_counter_silent() {
     let metered = || -> Vec<(&'static str, u64)> {
         tgl_obs::metrics::snapshot()
             .into_iter()
-            .filter(|(name, _)| name.starts_with("dedup.") || name.starts_with("sampler."))
+            .filter(|(name, _)| {
+                ["dedup.", "sampler.", "preload.", "transfer."].iter().any(|p| name.starts_with(p))
+            })
             .collect()
     };
     let before = metered();
     assert!(before.iter().any(|&(_, v)| v > 0), "building the plan counted: {before:?}");
-    build_chain(&ctx, &batch, &spec, false);
-    assert_eq!(metered(), before, "the replay moved a dedup/sampler counter");
+    assert!(
+        before.iter().any(|&(name, v)| name == "transfer.pinned_count" && v == 3),
+        "two tables and the deltas cross pinned: {before:?}"
+    );
+    let head = build_chain(&ctx, &batch, &spec, false);
+    // Reading what the replay installed crosses nothing either.
+    for blk in std::iter::successors(Some(head), tglite::TBlock::next) {
+        assert_eq!(blk.deltas().to_vec(), blk.delta_times());
+        blk.srcfeat();
+    }
+    assert_eq!(metered(), before, "the replay moved a dedup/sampler/preload/transfer counter");
 }

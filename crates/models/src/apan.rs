@@ -86,16 +86,17 @@ impl Apan {
         // Mail age relative to the querying node's time = staleness of
         // the stored state this embedding is computed from.
         tgl_obs::insight::observe_mem_staleness(&deltas);
+        let deltas = Tensor::from_vec(deltas, [owners.len()]).to(device);
         let use_pre = self.opts.time_precompute && !self.training;
         let mail_t = if use_pre {
             op::precomputed_times(ctx, &self.time_encoder, &deltas)
         } else {
-            self.time_encoder.forward(&deltas)
+            self.time_encoder.encode(&deltas)
         };
         let zeros_t = if use_pre {
             op::precomputed_zeros(ctx, &self.time_encoder, n)
         } else {
-            self.time_encoder.forward(&vec![0.0; n])
+            self.time_encoder.encode_zeros(n)
         };
         let nfeat = g.node_feat_rows(nodes).to(device);
         let q = self.w_q.forward(&cat(&[nfeat.clone(), zeros_t], 1));

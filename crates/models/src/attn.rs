@@ -102,7 +102,7 @@ impl TemporalAttnLayer {
         let tfeats = if time_precompute {
             op::precomputed_zeros(ctx, &self.time_encoder, n_dst)
         } else {
-            self.time_encoder.forward(&vec![0.0; n_dst])
+            self.time_encoder.encode_zeros(n_dst)
         };
         drop(_t0);
         let q = {
@@ -119,11 +119,11 @@ impl TemporalAttnLayer {
 
         // Φ(Δt) for sampled edges (Eq. 5).
         let _tn = tglite::prof::scope("time_nbrs");
-        let deltas = blk.delta_times();
+        let deltas = blk.deltas();
         let nbr_t = if time_precompute {
             op::precomputed_times(ctx, &self.time_encoder, &deltas)
         } else {
-            self.time_encoder.forward(&deltas)
+            self.time_encoder.encode(&deltas)
         };
         drop(_tn);
         let _ta = tglite::prof::scope("attention");

@@ -89,10 +89,11 @@ impl Tgn {
         // The GRU deltas ARE the memory-staleness signal: how old each
         // node's stored state is relative to the mail consuming it.
         tgl_obs::insight::observe_mem_staleness(&deltas);
+        let deltas = Tensor::from_vec(deltas, [nodes.len()]).to(device);
         let tfeat = if self.opts.time_precompute && !self.training {
             op::precomputed_times(ctx, &self.mem_time_encoder, &deltas)
         } else {
-            self.mem_time_encoder.forward(&deltas)
+            self.mem_time_encoder.encode(&deltas)
         };
         self.memory_updater
             .forward(&cat(&[mail, tfeat], 1), &mem_rows)
@@ -101,8 +102,10 @@ impl Tgn {
     /// Persists updated memory for the batch's positive endpoints and
     /// stores this batch's raw messages in the mailbox
     /// (paper Listing 4 `save_raw_msgs`, using `block_adj` +
-    /// `coalesce(latest)`).
-    fn save_state(&self, ctx: &TContext, batch: &TBatch) {
+    /// `coalesce(latest)`). `mem` holds the updated memory of
+    /// `idx.nodes` that the embeddings were computed from: the rows
+    /// persisted are sliced out of it, not recomputed.
+    fn save_state(&self, ctx: &TContext, batch: &TBatch, idx: &op::NodeIndex, mem: &Tensor) {
         let _phase = tglite::prof::scope("memory");
         let _guard = no_grad();
         let g = ctx.graph();
@@ -110,15 +113,12 @@ impl Tgn {
         op::coalesce(&blk, op::CoalesceBy::Latest);
         let uniq = blk.dst_nodes();
         let times = blk.src_times(); // latest interaction time per node
-
-        // Persist memory: same GRU update the in-graph path applied.
-        let mem_new = self.update_memory(ctx, &uniq);
-        g.memory().store(&uniq, &mem_new, &times);
+        let slot = |&n: &NodeId| idx.slot(n).expect("batch endpoints are rows of the tail block");
+        let own = mem.index_select(&uniq.iter().map(slot).collect::<Vec<_>>());
+        g.memory().store(&uniq, &own, &times);
 
         // Raw messages: [own memory ‖ counterpart memory ‖ edge feats].
-        let mem = g.memory();
-        let own = mem.rows(&uniq).to(ctx.device());
-        let counterpart = mem.rows(&blk.src_nodes()).to(ctx.device());
+        let counterpart = g.memory().rows(&blk.src_nodes()).to(ctx.device());
         let mail = cat(&[own, counterpart, blk.efeat()], 1);
         debug_assert_eq!(mail.dim(1), self.mail_dim);
         g.mailbox().store(&uniq, &mail, &times);
@@ -166,18 +166,19 @@ impl TemporalModel for Tgn {
 
         // Deepest inputs: updated memory ⊕ projected raw features for
         // the tail's destinations and sources (paper Listing 4 lines
-        // 4-7). The features are the ones the chain already staged.
+        // 4-7). Both are keyed on the node alone, so they are computed
+        // once per distinct node (features read from the first staged
+        // row naming it) and expanded into the tail's rows.
         let memory_phase = tglite::prof::scope("memory");
-        let mut nodes = tail.dst_nodes();
-        let n_dst = nodes.len();
-        nodes.extend(tail.src_nodes());
-        let mem = self.update_memory(ctx, &nodes);
-        let nfeat = self
-            .feat_linear
-            .forward(&cat(&[tail.dstfeat(), tail.srcfeat()], 0));
-        let h = nfeat.add(&mem);
-        tail.set_dstdata("h", h.narrow_rows(0, n_dst));
-        tail.set_srcdata("h", h.narrow_rows(n_dst, nodes.len() - n_dst));
+        let mut rows = tail.dst_nodes();
+        let n_dst = rows.len();
+        rows.extend(tail.src_nodes());
+        let idx = op::node_index(ctx.graph().num_nodes(), &rows);
+        let mem = self.update_memory(ctx, &idx.nodes);
+        let feats = cat(&[tail.dstfeat(), tail.srcfeat()], 0).index_select(&idx.first);
+        let h = self.feat_linear.forward(&feats).add(&mem);
+        tail.set_dstdata("h", h.index_select(&idx.inverse[..n_dst]));
+        tail.set_srcdata("h", h.index_select(&idx.inverse[n_dst..]));
         drop(memory_phase);
 
         let use_pre = self.opts.time_precompute && !self.training;
@@ -189,7 +190,7 @@ impl TemporalModel for Tgn {
 
         // Delayed-update discipline: persist memory + save this
         // batch's raw messages after embedding computation.
-        self.save_state(ctx, batch);
+        self.save_state(ctx, batch, &idx, &mem);
 
         score_embeddings(&self.predictor, &embs, batch.len())
     }
@@ -203,6 +204,129 @@ impl TemporalModel for Tgn {
 mod tests {
     use super::*;
     use crate::testutil::{batch_with_negs, ctx_for, small_graph, train_steps};
+
+    /// The step as it was before node state was evaluated per distinct
+    /// node: the GRU and `feat_linear` on every row of the tail block,
+    /// and a second GRU pass (memory, mail and time encoder re-read) for
+    /// the rows `save_state` persists. The oracle of the tests below.
+    fn forward_expanded(model: &mut Tgn, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
+        let head = plan::build_chain(ctx, batch, &model.spec, false);
+        let tail = head.tail();
+        let mut nodes = tail.dst_nodes();
+        let n_dst = nodes.len();
+        nodes.extend(tail.src_nodes());
+        let mem = model.update_memory(ctx, &nodes);
+        let nfeat = model.feat_linear.forward(&cat(&[tail.dstfeat(), tail.srcfeat()], 0));
+        let h = nfeat.add(&mem);
+        tail.set_dstdata("h", h.narrow_rows(0, n_dst));
+        tail.set_srcdata("h", h.narrow_rows(n_dst, nodes.len() - n_dst));
+        let embs = op::aggregate(&head, "h", |blk| {
+            let li = blk.layer().min(model.cfg.n_layers - 1);
+            model.layers[li].forward(ctx, blk, false)
+        });
+        {
+            let _guard = no_grad();
+            let g = ctx.graph();
+            let blk = batch.block_adj(ctx);
+            op::coalesce(&blk, op::CoalesceBy::Latest);
+            let (uniq, times) = (blk.dst_nodes(), blk.src_times());
+            let mem_new = model.update_memory(ctx, &uniq);
+            g.memory().store(&uniq, &mem_new, &times);
+            let own = g.memory().rows(&uniq);
+            let counterpart = g.memory().rows(&blk.src_nodes());
+            g.mailbox().store(&uniq, &cat(&[own, counterpart, blk.efeat()], 1), &times);
+        }
+        score_embeddings(&model.predictor, &embs, batch.len())
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Memory and mailbox tables of every node, as bits and times.
+    fn node_state(g: &tglite::TGraph) -> (Vec<u32>, Vec<f64>, Vec<u32>, Vec<f64>) {
+        let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        let (mail, mail_ts) = g.mailbox().latest(&all);
+        (bits(&g.memory().rows(&all)), g.memory().times(&all), bits(&mail), mail_ts)
+    }
+
+    // `scripts/ci.sh` runs this suite under TGL_KERNEL=exact and =fast,
+    // so the three bitwise checks below hold in both kernel modes.
+
+    #[test]
+    fn distinct_node_memory_expands_to_the_per_row_update_bitwise() {
+        let g = small_graph(16);
+        let ctx = ctx_for(&g);
+        let mut model = Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 3);
+        train_steps(&mut model, &ctx, 6); // six Adam steps; leaves three batches of state
+        let batch = batch_with_negs(&g, 90..120, 9);
+        let tail = plan::build_chain(&ctx, &batch, &model.spec, false).tail();
+        let mut rows = tail.dst_nodes();
+        rows.extend(tail.src_nodes());
+        let idx = op::node_index(g.num_nodes(), &rows);
+        assert!(rows.len() > 3 * idx.nodes.len(), "{} rows, {} nodes", rows.len(), idx.nodes.len());
+        let per_row = model.update_memory(&ctx, &rows);
+        let expanded = model.update_memory(&ctx, &idx.nodes).index_select(&idx.inverse);
+        assert!(per_row.to_vec().iter().any(|&v| v != 0.0), "memory never moved");
+        assert_eq!(bits(&expanded), bits(&per_row));
+    }
+
+    #[test]
+    fn gradients_agree_with_the_expanded_route() {
+        let grads = |expanded: bool| {
+            let g = small_graph(17);
+            let ctx = ctx_for(&g);
+            let mut model = Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 4);
+            // One step of state first, so the GRU sees mail and memory.
+            model.forward(&ctx, &batch_with_negs(&g, 0..40, 1));
+            let batch = batch_with_negs(&g, 40..80, 2);
+            let (pos, neg) = if expanded {
+                forward_expanded(&mut model, &ctx, &batch)
+            } else {
+                model.forward(&ctx, &batch)
+            };
+            let logits = cat(&[pos, neg], 0);
+            let mut targets = vec![1.0; 40];
+            targets.extend(vec![0.0; 40]);
+            tglite::tensor::bce_with_logits(&logits, &Tensor::from_vec(targets, [80])).backward();
+            let grads: Vec<Vec<f32>> =
+                model.parameters().iter().map(|p| p.grad().unwrap_or_default()).collect();
+            (bits(&logits), grads)
+        };
+        let ((logits, distinct), (want_logits, expanded)) = (grads(false), grads(true));
+        assert_eq!(logits, want_logits, "the forward pass is the same bits on both routes");
+        assert!(distinct.iter().filter(|g| !g.is_empty()).count() > 20, "few parameters on the graph");
+        for (i, (a, b)) in distinct.iter().zip(&expanded).enumerate() {
+            assert_eq!(a.len(), b.len(), "parameter {i}");
+            let size = b.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            let err = a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max);
+            assert!(err <= 1e-5 * size, "parameter {i}: gradients differ by {err} of {size}");
+        }
+    }
+
+    #[test]
+    fn save_state_persists_what_a_recomputing_reference_does() {
+        let run = |expanded: bool| {
+            let g = small_graph(18);
+            let ctx = ctx_for(&g);
+            let mut model = Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 6);
+            let mut logits = Vec::new();
+            for (range, neg_seed) in [(0..40, 1), (40..80, 2), (80..120, 3)] {
+                let batch = batch_with_negs(&g, range, neg_seed);
+                let (pos, neg) = if expanded {
+                    forward_expanded(&mut model, &ctx, &batch)
+                } else {
+                    model.forward(&ctx, &batch)
+                };
+                logits.push((bits(&pos), bits(&neg)));
+            }
+            (logits, node_state(&g))
+        };
+        let (distinct, reference) = (run(false), run(true));
+        assert!(reference.1 .0.iter().any(|&b| b != 0), "no memory was stored");
+        assert!(reference.1 .2.iter().any(|&b| b != 0), "no mail was stored");
+        assert_eq!(distinct, reference);
+    }
 
     #[test]
     fn forward_shapes_and_state_updates() {
@@ -239,7 +363,6 @@ mod tests {
         // the exact logits the inline chain construction produces, and
         // leave the same memory and mailbox behind: the plan holds no
         // node state, so two steps in a row see each other's writes.
-        let bits = |t: &Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
         for opts in [OptFlags::none(), OptFlags::all()] {
             let run = |planned: bool| {
                 let g = small_graph(15);
@@ -256,19 +379,10 @@ mod tests {
                     let (pos, neg) = model.forward(&ctx, &batch);
                     out.push((bits(&pos), bits(&neg)));
                 }
-                let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
-                let (mem, mb) = (g.memory(), g.mailbox());
-                let (mail, mail_ts) = mb.latest(&all);
-                (
-                    out,
-                    bits(&mem.rows(&all)),
-                    mem.times(&all),
-                    bits(&mail),
-                    mail_ts,
-                )
+                (out, node_state(&g))
             };
             let (inline, planned) = (run(false), run(true));
-            assert!(inline.3.iter().any(|&b| b != 0), "no mail was stored");
+            assert!(inline.1 .2.iter().any(|&b| b != 0), "no mail was stored");
             assert_eq!(inline, planned, "plan replay drifted (opts {opts:?})");
         }
     }

@@ -256,7 +256,8 @@ fn with_bag(f: impl FnOnce(&mut InsightBag)) {
 // Observation sites
 
 /// Node-memory staleness at read time: `query_time − stored_time` per
-/// read row (the GRU delta the memory models already compute).
+/// read row (the GRU delta the memory models already compute; TGN
+/// reads one row per distinct node of a batch, so one delta each).
 pub fn observe_mem_staleness(deltas: &[f32]) {
     with_bag(|b| {
         for &d in deltas {

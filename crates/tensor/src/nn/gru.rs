@@ -4,7 +4,7 @@ use tgl_runtime::rng::Rng;
 
 use crate::init::{xavier_uniform, zeros_init};
 use crate::nn::Module;
-use crate::ops::cat;
+use crate::ops::{cat, gru_gates};
 use crate::Tensor;
 
 /// A GRU cell: `h' = GRUCell(x, h)`.
@@ -44,27 +44,7 @@ impl GruCell {
         assert_eq!(h.dims(), &[n_rows, self.hidden], "hidden state shape mismatch");
         let gi = x.linear(&self.w_ih, Some(&self.b_ih), false); // [N, 3H]
         let gh = h.linear(&self.w_hh, Some(&self.b_hh), false); // [N, 3H]
-        let hsz = self.hidden;
-        let split = |t: &Tensor, k: usize| -> Tensor {
-            // Column slice [N, 3H] -> [N, H] for gate k: viewing each
-            // 3H row as 3 consecutive H rows, gate k of row r is
-            // sub-row r*3 + k.
-            t.reshape([n_rows * 3, hsz])
-                .index_select(
-                    &(0..n_rows)
-                        .map(|r| r * 3 + k)
-                        .collect::<Vec<_>>(),
-                )
-                .reshape([n_rows, hsz])
-        };
-        let (i_r, i_z, i_n) = (split(&gi, 0), split(&gi, 1), split(&gi, 2));
-        let (h_r, h_z, h_n) = (split(&gh, 0), split(&gh, 1), split(&gh, 2));
-        let r = i_r.add(&h_r).sigmoid();
-        let z = i_z.add(&h_z).sigmoid();
-        let n = i_n.add(&r.mul(&h_n)).tanh();
-        // h' = (1 - z) * n + z * h, fused as n + z ⊙ (h − n): two ops
-        // and one output buffer instead of the five-op chain.
-        n.addcmul(&z, &h.sub(&n), 1.0)
+        gru_gates(&gi, &gh, h)
     }
 
     /// Hidden state size.

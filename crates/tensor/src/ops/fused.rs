@@ -14,6 +14,7 @@
 
 use tgl_runtime::{parallel_for, UnsafeSlice};
 
+use crate::autograd::grad_enabled;
 use crate::kernel;
 use crate::ops::{rows_threshold, same_device, ELEMWISE_SEQ};
 use crate::pool::{self, PooledBuf};
@@ -577,6 +578,149 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
     })
 }
 
+/// The logistic function as [`Tensor::sigmoid`] rounds it.
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// An optional output buffer, shared for row-partitioned writes.
+fn shared(buf: &mut Option<Vec<f32>>) -> Option<UnsafeSlice<'_, f32>> {
+    buf.as_mut().map(|b| UnsafeSlice::new(b))
+}
+
+/// Rows `rows` of an optional `[N, width]` output partitioned by rows.
+///
+/// # Safety
+///
+/// No other live region of `buf` may overlap these rows.
+#[allow(clippy::mut_from_ref)] // as `UnsafeSlice::slice_mut`, which this forwards to
+unsafe fn rows_of<'a>(
+    buf: &'a Option<UnsafeSlice<'_, f32>>,
+    rows: &std::ops::Range<usize>,
+    width: usize,
+) -> Option<&'a mut [f32]> {
+    buf.as_ref().map(|b| b.slice_mut(rows.start * width, rows.len() * width))
+}
+
+/// The GRU gate combination over the two affine maps
+/// `gi = x·W_ihᵀ + b_ih` and `gh = h·W_hhᵀ + b_hh` (both `[N, 3H]`,
+/// gates stacked `r | z | n`) and the state `h: [N, H]`:
+///
+/// `r = σ(gi_r + gh_r)`, `z = σ(gi_z + gh_z)`,
+/// `n = tanh(gi_n + r ⊙ gh_n)`, `h' = n + z ⊙ (h − n)`.
+///
+/// One kernel reading the gates in place and one backward node
+/// producing `dgi`, `dgh` and `dh`, instead of six strided gathers and
+/// nine elementwise nodes whose backward zero-fills six `[3N, H]`
+/// buffers. Every value is rounded as the chain
+/// `add, sigmoid, add, sigmoid, mul, add, tanh, sub, addcmul` rounds it
+/// in exact mode (each product and sum on its own; the kernel is bound
+/// by `exp`/`tanh`, so fast mode contracts nothing either), and so is
+/// every gradient: a gate's slice of `dgi` is what the chain's scatter
+/// into a zeroed buffer leaves there. Forward saves `r`, `z`, `n` for
+/// backward only when a node is built. Rows are independent, so
+/// results do not depend on the thread count.
+///
+/// # Panics
+///
+/// Panics unless `gi` and `gh` are `[N, 3H]` for `h: [N, H]` and all
+/// three share a device.
+pub fn gru_gates(gi: &Tensor, gh: &Tensor, h: &Tensor) -> Tensor {
+    let device = same_device(gi, gh);
+    same_device(gh, h);
+    assert_eq!(h.rank(), 2, "gru_gates state must be [N, H], got {}", h.shape());
+    let (n, hid) = (h.dim(0), h.dim(1));
+    assert!(
+        gi.dims() == [n, 3 * hid] && gh.dims() == [n, 3 * hid],
+        "gru_gates needs [N, 3H] gates for state {}: {} and {}",
+        h.shape(),
+        gi.shape(),
+        gh.shape()
+    );
+    let needs = [gi, gh, h].map(Tensor::requires_grad_flag);
+    let track = grad_enabled() && needs.contains(&true);
+    let cells = (n * hid) as u64;
+    let grad_cells = (3 * (needs[0] as u64 + needs[1] as u64) + needs[2] as u64) * cells;
+    let _prof = tgl_obs::profile::op("gru_gates")
+        .flops(38 * cells)
+        .io(28 * cells, 4 * cells * (1 + 3 * track as u64))
+        .shape(&[gi.dims(), gh.dims(), h.dims()])
+        .backward_cost(15 * cells, 24 * cells, 4 * grad_cells);
+    let row_seq = rows_threshold(16 * hid);
+    let mut y = pool::take_uninit(n * hid, device);
+    let mut gates = track.then(|| pool::take_uninit(3 * n * hid, device));
+    {
+        let gi = gi.inner.storage.read();
+        let gh = gh.inner.storage.read();
+        let hd = h.inner.storage.read();
+        let y_sl = UnsafeSlice::new(&mut y);
+        let gates_sl = shared(&mut gates);
+        parallel_for(n, row_seq, |rows: std::ops::Range<usize>| {
+            // SAFETY (both): disjoint row ranges per chunk.
+            let out = unsafe { y_sl.slice_mut(rows.start * hid, rows.len() * hid) };
+            let mut saved = unsafe { rows_of(&gates_sl, &rows, 3 * hid) };
+            for (k, i) in rows.enumerate() {
+                let (gi, gh) = (&gi[3 * i * hid..][..3 * hid], &gh[3 * i * hid..][..3 * hid]);
+                let (h, out) = (&hd[i * hid..][..hid], &mut out[k * hid..][..hid]);
+                for j in 0..hid {
+                    let r = sigmoid(gi[j] + gh[j]);
+                    let z = sigmoid(gi[hid + j] + gh[hid + j]);
+                    let c = (gi[2 * hid + j] + r * gh[2 * hid + j]).tanh();
+                    out[j] = c + z * (h[j] - c);
+                    if let Some(s) = saved.as_deref_mut() {
+                        let s = &mut s[3 * k * hid..][..3 * hid];
+                        (s[j], s[hid + j], s[2 * hid + j]) = (r, z, c);
+                    }
+                }
+            }
+        });
+    }
+    let gates = gates.map(|g| PooledBuf::new(g, device));
+    let (gh_t, h_t) = (gh.clone(), h.clone());
+    let inputs = [gi.clone(), gh.clone(), h.clone()];
+    Tensor::make_result(y, [n, hid], device, &inputs, move |go| {
+        let gates = gates.as_ref().expect("gru_gates saves its gates whenever it builds a node");
+        let gh = gh_t.inner.storage.read();
+        let hd = h_t.inner.storage.read();
+        let mut dgi = needs[0].then(|| pool::take_uninit(3 * n * hid, device));
+        let mut dgh = needs[1].then(|| pool::take_uninit(3 * n * hid, device));
+        let mut dh = needs[2].then(|| pool::take_uninit(n * hid, device));
+        {
+            let (dgi_sl, dgh_sl, dh_sl) = (shared(&mut dgi), shared(&mut dgh), shared(&mut dh));
+            parallel_for(n, row_seq, |rows: std::ops::Range<usize>| {
+                // SAFETY (all three): disjoint row ranges per chunk.
+                let mut dgi = unsafe { rows_of(&dgi_sl, &rows, 3 * hid) };
+                let mut dgh = unsafe { rows_of(&dgh_sl, &rows, 3 * hid) };
+                let mut dh = unsafe { rows_of(&dh_sl, &rows, hid) };
+                for (k, i) in rows.enumerate() {
+                    let saved = &gates[3 * i * hid..][..3 * hid];
+                    let (h, gh_n) = (&hd[i * hid..][..hid], &gh[(3 * i + 2) * hid..][..hid]);
+                    let go = &go[i * hid..][..hid];
+                    for j in 0..hid {
+                        let (r, z, c) = (saved[j], saved[hid + j], saved[2 * hid + j]);
+                        let d_h = go[j] * z;
+                        let d_z = go[j] * (h[j] - c);
+                        let d_n = (go[j] - d_h) * (1.0 - c * c);
+                        let d_ar = d_n * gh_n[j] * r * (1.0 - r);
+                        let d_az = d_z * z * (1.0 - z);
+                        let at = 3 * k * hid + j;
+                        if let Some(g) = dgi.as_deref_mut() {
+                            (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n);
+                        }
+                        if let Some(g) = dgh.as_deref_mut() {
+                            (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n * r);
+                        }
+                        if let Some(g) = dh.as_deref_mut() {
+                            g[k * hid + j] = d_h;
+                        }
+                    }
+                }
+            });
+        }
+        vec![dgi, dgh, dh]
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use crate::testing::{assert_close, check_gradient};
@@ -701,6 +845,41 @@ mod tests {
             1e-6,
         );
         assert_eq!(time_encode(&Tensor::zeros([0]), &w, &b).dims(), &[0, 2]);
+    }
+
+    #[test]
+    fn gru_gates_values_and_optional_gradients() {
+        use crate::ops::gru_gates;
+        let gi = Tensor::from_vec(vec![0.2, -0.4, 1.0, 0.3, -0.7, 0.1], [1, 6]).requires_grad(true);
+        let gh = Tensor::from_vec(vec![-0.1, 0.5, 0.2, -0.3, 0.6, 0.9], [1, 6]).requires_grad(true);
+        let h = Tensor::from_vec(vec![0.5, -0.25], [1, 2]);
+        let y = gru_gates(&gi, &gh, &h);
+        let sig = |x: f32| 1.0 / (1.0 + (-x).exp());
+        let want: Vec<f32> = (0..2)
+            .map(|j| {
+                let (a, b, hv) = (gi.to_vec(), gh.to_vec(), h.to_vec()[j]);
+                let (r, z) = (sig(a[j] + b[j]), sig(a[2 + j] + b[2 + j]));
+                let n = (a[4 + j] + r * b[4 + j]).tanh();
+                n + z * (hv - n)
+            })
+            .collect();
+        assert_eq!(y.to_vec(), want);
+        // `h` is off the graph: it takes no gradient, the gates do.
+        y.sum_all().backward();
+        assert!(gi.grad().is_some() && gh.grad().is_some() && h.grad().is_none());
+        check_gradient(&gi, |t| gru_gates(t, &gh, &h).sum_all(), 1e-2);
+        check_gradient(&gh, |t| gru_gates(&gi, t, &h).sum_all(), 1e-2);
+        let h = h.requires_grad(true);
+        check_gradient(&h, |t| gru_gates(&gi, &gh, t).sum_all(), 1e-2);
+        // Inference builds no node (and so saves no gates).
+        let _g = crate::no_grad();
+        assert!(!gru_gates(&gi, &gh, &h).requires_grad_flag());
+    }
+
+    #[test]
+    #[should_panic(expected = "gru_gates needs [N, 3H] gates")]
+    fn gru_gates_bad_gate_width_panics() {
+        crate::ops::gru_gates(&Tensor::zeros([2, 4]), &Tensor::zeros([2, 6]), &Tensor::zeros([2, 2]));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Row indexing, gathering, scattering, slicing, and concatenation.
 
+use crate::kernel;
 use crate::pool;
 use crate::shape::Shape;
 use crate::Tensor;
@@ -39,9 +40,11 @@ impl Tensor {
         let n = self.numel();
         Tensor::make_result(out, out_dims, device, std::slice::from_ref(self), move |go| {
             let mut g = pool::take_zeroed(n, device);
-            for (k, &i) in idx_owned.iter().enumerate() {
-                for j in 0..row_len {
-                    g[i * row_len + j] += go[k * row_len + j];
+            if row_len > 0 {
+                // Whole rows, `k` ascending: each element sums its
+                // contributions in the order the indexed loop did.
+                for (src, &i) in go.chunks_exact(row_len).zip(&idx_owned) {
+                    kernel::add_assign_dispatch(&mut g[i * row_len..][..row_len], src);
                 }
             }
             vec![Some(g)]

@@ -17,7 +17,7 @@ mod shape_ops;
 mod softmax;
 mod unary;
 
-pub use fused::time_encode;
+pub use fused::{gru_gates, time_encode};
 pub use index::{cat, stack};
 pub use inplace::AdamStep;
 pub use segment::{

@@ -102,11 +102,16 @@ phase_coverage "$VIEWS_LOG" \
 # <critpath_s>". Every stage above 5% of the wall must read the same
 # (within 5%) in all three views, `other` must stay below 5% of the
 # critical path, the sample phase must be covered by an op, and no
-# (no-phase) op row may hold more than 1% of op time.
+# (no-phase) op row may hold more than 1% of op time. The GRU gates
+# must be the one `gru_gates` kernel under the `memory` phase, and the
+# scatter-add backward of `index_select` (35% of this epoch while the
+# gates were six strided gathers) must stay below 5% of op time.
 awk '/^stage seconds/ {on=1; next}
      on && NF==6 && $2+0==$2 {ph[$1]=$2; ops[$1]=$5; cp[$1]=$6; wall+=$6; n++}
      on && /^critical path:/ {on=0; crit=$3+0}
      $2=="(no-phase)" && $5+0 > 1.0 {printf "(no-phase) row %s holds %s of op time\n", $1, $5; bad=1}
+     $1=="gru_gates" && $2=="memory" {gates=1}
+     $1=="index_select.bwd" {scatter+=$5}
      /^ +sample +[0-9.]+s of/ {sample=$2+0}
      function off(a, b) { d = a > b ? a - b : b - a; m = a > b ? a : b; return d > 0.05 * m }
      END {
@@ -116,6 +121,8 @@ awk '/^stage seconds/ {on=1; next}
          }
          if (cp["other"] > 0.05 * crit) { printf "other holds %ss of a %ss critical path\n", cp["other"], crit; bad=1 }
          if (sample <= 0) { print "no op covers the sample phase"; bad=1 }
+         if (!gates) { print "no gru_gates op row in phase memory"; bad=1 }
+         if (scatter >= 5.0) { printf "index_select.bwd holds %s%% of op time\n", scatter; bad=1 }
          exit bad
      }' <(sed 's/%//g' "$VIEWS_LOG") \
     || { echo "the timing views disagree"; cat "$VIEWS_LOG"; exit 1; }
@@ -335,8 +342,9 @@ for op in nn nt tn linear linear.bwd; do
     grep -Fq "\"op\": \"$op\"" BENCH_micro_gemm.json \
         || { echo "BENCH_micro_gemm.json missing $op rows"; exit 1; }
 done
-for bench in segment_dot segment_weighted_sum; do
-    grep -q "\"bench\": \"${bench}_6000x2x16_exact\"" BENCH_parallel.json \
+for bench in segment_dot_6000x2x16 segment_weighted_sum_6000x2x16 \
+    gru_cell_4608x112x32 gru_cell_chain_4608x112x32; do
+    grep -q "\"bench\": \"${bench}_exact\"" BENCH_parallel.json \
         || { echo "BENCH_parallel.json missing $bench rows"; exit 1; }
 done
 

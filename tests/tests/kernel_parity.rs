@@ -15,8 +15,8 @@ use tgl_runtime::rng::{SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 use tgl_tensor::kernel::{self, KernelMode};
 use tgl_tensor::ops::{
-    cat, segment_dot, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
-    time_encode, AdamStep,
+    cat, gru_gates, segment_dot, segment_mean, segment_softmax, segment_sum,
+    segment_weighted_sum, time_encode, AdamStep,
 };
 use tgl_tensor::Tensor;
 
@@ -478,10 +478,33 @@ fn time_encode_case(n: usize, dim: usize, max_decade: i32, rng: &mut StdRng) -> 
     }
 }
 
+/// The GRU gate combination over `gi`, `gh: [n, 3·hid]` and `h: [n,
+/// hid]` against the chain `GruCell::forward` ran after its two
+/// `linear`s: six strided gathers, then nine elementwise nodes.
+fn gru_gates_case(n: usize, hid: usize, rng: &mut StdRng) -> Fusion {
+    let split = move |g: &Tensor, k: usize| {
+        let rows: Vec<usize> = (0..n).map(|r| r * 3 + k).collect();
+        g.reshape([n * 3, hid]).index_select(&rows).reshape([n, hid])
+    };
+    Fusion {
+        name: format!("gru_gates N={n} H={hid}"),
+        inputs: vec![rand2(rng, [n, 3 * hid]), rand2(rng, [n, 3 * hid]), rand2(rng, [n, hid])],
+        fused: Box::new(|t| gru_gates(&t[0], &t[1], &t[2])),
+        chain: Box::new(move |t| {
+            let (gi, gh, h) = (&t[0], &t[1], &t[2]);
+            let r = split(gi, 0).add(&split(gh, 0)).sigmoid();
+            let z = split(gi, 1).add(&split(gh, 1)).sigmoid();
+            let c = split(gi, 2).add(&r.mul(&split(gh, 2))).tanh();
+            c.addcmul(&z, &h.sub(&c), 1.0)
+        }),
+    }
+}
+
 /// Every fused kernel at shapes that cross its edges: `k` straddling
 /// the GEMM's `KC = 256` panel, `n` below `NR = 8`, a mostly-zero
 /// input (the zero-skipping path), head widths that are and are not a
-/// lane multiple, empty segments, and no edges at all.
+/// lane multiple, empty segments, no edges at all, and GRU states of
+/// no rows, one row, and enough rows to split across threads.
 fn fusions() -> Vec<Fusion> {
     let mut rng = StdRng::seed_from_u64(0xF05E);
     let mut all = Vec::new();
@@ -501,6 +524,9 @@ fn fusions() -> Vec<Fusion> {
     // Deltas span the decades the frequency ladder does.
     all.push(time_encode_case(500, 16, 3, &mut rng));
     all.push(time_encode_case(33, 5, 3, &mut rng));
+    for (n, hid) in [(0, 8), (1, 5), (700, 32)] {
+        all.push(gru_gates_case(n, hid, &mut rng));
+    }
     all
 }
 
@@ -573,6 +599,7 @@ fn fused_kernels_pass_finite_difference_gradcheck() {
         // Arguments of a few radians: a step of 1e-2 in a frequency
         // must not skip periods.
         time_encode_case(6, 3, -1, &mut rng),
+        gru_gates_case(3, 2, &mut rng),
     ];
     for case in cases {
         let analytic = eval(&case.fused, &case.inputs);

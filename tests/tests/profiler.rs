@@ -223,13 +223,32 @@ fn training_epoch_profile_has_no_anonymous_rows() {
         trainer.train_epoch(model, ctx, &split, &mut opt, 0);
         let stats = take_ops();
         collect(false);
-        stats.iter().map(|s| s.name).collect::<Vec<_>>()
+        stats
     };
     let ctx = tglite::TContext::new(g.clone());
     let tgat = epoch_ops(&mut Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 42), &ctx);
     let ctx = tglite::TContext::new(g.clone());
-    let tgn = epoch_ops(&mut Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 42), &ctx);
-    for (model, ops) in [("tgat", &tgat), ("tgn", &tgn)] {
+    // The benchmark's dimensions and operators: shares of op time are
+    // read below, and at `tiny()` widths every op costs its dispatch.
+    let cfg = ModelConfig { emb_dim: 32, time_dim: 16, ..ModelConfig::default() };
+    let tgn = epoch_ops(&mut Tgn::new(&ctx, cfg, OptFlags::all(), 42), &ctx);
+
+    // TGN's GRU gates are one kernel under the `memory` phase with an
+    // analytic cost each way; what is left of the chain it replaced
+    // (libm gate ops, scatter-adds into zeroed buffers) is noise.
+    let gates = tgn.iter().find(|r| r.name == "gru_gates").expect("tgn: no gru_gates frame");
+    assert_eq!(gates.phase, "memory");
+    assert!(gates.cost.flops > 0 && gates.cost.bytes_read > 0 && gates.cost.bytes_written > 0);
+    let gates_bwd = tgn.iter().find(|r| r.name == "gru_gates.bwd").expect("tgn: no gru_gates.bwd");
+    assert!(gates_bwd.cost.flops > 0 && gates_bwd.cost.bytes_written > 0, "undeclared backward cost");
+    let op_ns: u64 = tgn.iter().map(|r| r.self_ns).sum();
+    for gone in ["sigmoid", "tanh", "index_select.bwd"] {
+        let ns: u64 = tgn.iter().filter(|r| r.name == gone).map(|r| r.self_ns).sum();
+        assert!(100 * ns <= op_ns, "tgn: {gone} holds {ns} of {op_ns} ns of op self time");
+    }
+
+    let names = |rows: &[Row]| rows.iter().map(|r| r.name).collect::<Vec<_>>();
+    for (model, ops) in [("tgat", &names(&tgat)), ("tgn", &names(&tgn))] {
         assert!(ops.contains(&"linear.bwd"), "{model}: backward sweep not profiled: {ops:?}");
         for fused in ["segment_dot", "segment_weighted_sum", "time_encode"] {
             assert!(ops.contains(&fused), "{model}: no {fused} frame: {ops:?}");
