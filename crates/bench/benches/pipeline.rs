@@ -1,15 +1,19 @@
 //! Sequential-vs-pipelined trainer epoch walls.
 //!
-//! Trains two configurations twice each — pipeline depth 0 (the
-//! sequential reference) and depth 2 (sampler stage prefetching over
-//! the bounded channel) — and records per-epoch *wall* time for both:
+//! Trains four configurations twice each — pipeline depth 0 (batches
+//! prepared inline) and depth 2 (sampler stage preparing them ahead
+//! over the bounded channel) — and records per-epoch *wall* time for
+//! both:
 //!
 //! * TGAT with everything on the compute tier: the sampler stage takes
 //!   dedup and neighbor sampling off the compute thread;
 //! * TGN with host-resident features behind the scaled PCIe model (the
 //!   CLI's `--move` link): the sampler stage also takes the staging
 //!   transfers, while memory and mailbox reads stay on the compute
-//!   thread in batch order.
+//!   thread in batch order;
+//! * APAN and JODIE, host-resident the same way: their chain is the
+//!   head block alone, so what moves to the sampler stage is the
+//!   negative draw and the head's node-feature staging.
 //!
 //! CPU time is the wrong metric here: the pipeline wins by overlapping
 //! the sampler stage with compute, which lowers wall clock while total
@@ -28,7 +32,7 @@ use tgl_data::{generate, DatasetKind, DatasetSpec, Split};
 use tgl_device::TransferModel;
 use tgl_harness::runner::{prepare_context, Placement};
 use tgl_harness::{TrainConfig, Trainer};
-use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
+use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tglite::TContext;
 
 const EPOCHS: usize = 3;
@@ -73,11 +77,12 @@ fn run_tgat(depth: usize) -> Series {
     train(&mut model, &ctx, depth)
 }
 
-fn run_tgn_host_resident(depth: usize) -> Series {
+/// Trains the model `build` makes with host-resident features behind
+/// the scaled link.
+fn run_host_resident(build: fn(&TContext) -> Box<dyn TemporalModel>, depth: usize) -> Series {
     let link = TransferModel::scaled(TransferModel::pcie_v100(), 400.0);
     let (ctx, _) = prepare_context(&spec(), Placement::HostResident, link);
-    let mut model = Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 42);
-    let series = train(&mut model, &ctx, depth);
+    let series = train(build(&ctx).as_mut(), &ctx, depth);
     tgl_device::set_transfer_model(TransferModel::disabled());
     series
 }
@@ -123,11 +128,25 @@ fn compare(label: &str, run: fn(usize) -> Series) -> String {
 fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!("== pipelined trainer: sequential vs depth-{DEPTH} epoch walls ({cpus} cpus) ==");
-    let tgat = compare("TGAT, all on the compute tier", run_tgat);
-    let tgn = compare(
-        "TGN, host-resident features behind the scaled link",
-        run_tgn_host_resident,
-    );
+    // JSON key, label, run. New rows go at the end: `scripts/bench_trend`
+    // matches series by position.
+    type Run = fn(usize) -> Series;
+    let rows: [(&str, &str, Run); 4] = [
+        ("tgat", "TGAT, all on the compute tier", run_tgat),
+        ("tgn_host_resident", "TGN, host-resident features behind the scaled link", |d| {
+            run_host_resident(|c| Box::new(Tgn::new(c, ModelConfig::tiny(), OptFlags::all(), 42)), d)
+        }),
+        ("apan_host_resident", "APAN, host-resident", |d| {
+            run_host_resident(|c| Box::new(Apan::new(c, ModelConfig::tiny(), OptFlags::all(), 42)), d)
+        }),
+        ("jodie_host_resident", "JODIE, host-resident", |d| {
+            run_host_resident(|c| Box::new(Jodie::new(c, ModelConfig::tiny(), OptFlags::all(), 42)), d)
+        }),
+    ];
+    let members: Vec<String> = rows
+        .iter()
+        .map(|(key, label, run)| format!("  \"{key}\": {{\n    {}\n  }}", compare(label, *run)))
+        .collect();
 
     let path =
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
@@ -140,8 +159,8 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"host_cpus\": {cpus},\n  \"pipeline_depth\": {DEPTH},\n  \
-         \"bitwise_identical\": true,\n  \"tgat\": {{\n    {tgat}\n  }},\n  \
-         \"tgn_host_resident\": {{\n    {tgn}\n  }}\n}}\n"
+         \"bitwise_identical\": true,\n{}\n}}\n",
+        members.join(",\n")
     );
     match std::fs::write(&path, &json) {
         Ok(()) => println!("  wrote {}", path.display()),

@@ -105,14 +105,13 @@ OBSERVABILITY OPTIONS (train/eval):
     --health <off|warn|fail>  non-finite loss/gradient policy: warn
                          records a health event and skips the batch
                          (default), fail aborts, off disables checks
-                         (default from TGL_HEALTH)
     --threads <N>        set the worker pool width (overrides TGL_THREADS)
-    --pipeline <N>       pipelined training: a sampler stage prefetches
-                         up to N batches (negatives, neighbor sampling,
-                         transfer staging) ahead of the compute stage
-                         over a bounded channel; 0 = sequential
-                         reference (default; default from TGL_PIPELINE).
-                         Losses are bitwise identical at any depth
+    --pipeline <N>       a sampler stage prepares up to N batches
+                         (negatives, the sampled block chain, transfer
+                         staging) ahead of the compute stage over a
+                         bounded channel, in training and evaluation;
+                         0 = prepared inline (default). Losses and APs
+                         are bitwise identical at any depth
     --kernel <exact|fast>  tensor kernel contract (overrides TGL_KERNEL):
                          exact = bitwise identical to the scalar
                          reference on every host (default), fast =

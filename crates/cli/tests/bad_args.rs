@@ -71,7 +71,7 @@ fn missing_checkpoint_is_a_one_line_error() {
 fn garbage_checkpoint_is_a_one_line_error() {
     let path = std::env::temp_dir().join(format!("tgl-garbage-ckpt-{}.tglt", std::process::id()));
     // A valid header for zero tensors, then noise; and plain noise.
-    let truncated = [&b"TGLT"[..], &1u32.to_le_bytes(), &0u32.to_le_bytes(), b"junk"].concat();
+    let truncated = [&b"TGLT"[..], &2u32.to_le_bytes(), &0u32.to_le_bytes(), b"junk"].concat();
     for (bytes, reason) in [(truncated, "tensors"), (b"not a checkpoint at all".to_vec(), "TGLT")] {
         std::fs::write(&path, bytes).expect("write fixture");
         let (code, stdout, stderr) = tgl_eval_ckpt(&path);
@@ -81,6 +81,28 @@ fn garbage_checkpoint_is_a_one_line_error() {
         assert!(stderr.contains(reason), "error must give the reason: {stderr}");
         assert!(!stdout.contains("test AP"), "must not evaluate: {stdout}");
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn bit_flipped_checkpoint_is_a_one_line_error() {
+    // A checkpoint `tgl train --ckpt` wrote, with two payload bytes
+    // XORed: it must not evaluate to a quietly different AP.
+    let path = std::env::temp_dir().join(format!("tgl-flipped-ckpt-{}.tglt", std::process::id()));
+    let (code, _, stderr) = tgl_train(&["--ckpt", path.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let (code, stdout, stderr) = tgl_eval_ckpt(&path);
+    assert!(code == Some(0) && stdout.contains("test AP"), "intact file: {stdout}\n{stderr}");
+    let mut bytes = std::fs::read(&path).expect("read checkpoint");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    bytes[mid + 1] ^= 0x01;
+    std::fs::write(&path, bytes).expect("write fixture");
+    let (code, stdout, stderr) = tgl_eval_ckpt(&path);
+    assert_eq!(code, Some(2), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error, no backtrace: {stderr}");
+    assert!(stderr.contains("--ckpt") && stderr.contains("checksum"), "{stderr}");
+    assert!(!stdout.contains("test AP"), "must not evaluate: {stdout}");
     std::fs::remove_file(&path).ok();
 }
 

@@ -19,8 +19,8 @@ pub struct TBatch {
     graph: Arc<TemporalGraph>,
     range: Range<usize>,
     negs: Vec<NodeId>,
-    /// Prefetched sampling/staging work attached by the pipelined
-    /// trainer's sampler stage (see [`crate::plan`]).
+    /// The chain built ahead of the step by the pipelined trainer's
+    /// sampler stage (see [`crate::plan`]).
     plan: Option<Arc<crate::plan::BatchPlan>>,
     /// Introspection observations collected while the batch was built
     /// (possibly on a sampler thread), carried to the compute thread so
@@ -109,14 +109,13 @@ impl TBatch {
         &self.negs
     }
 
-    /// Attaches a prefetch plan built by [`crate::plan::build_plan`].
-    /// Plan-aware models replay it instead of re-running dedup,
-    /// sampling, and feature staging on the compute thread.
+    /// Attaches the chain [`crate::plan::build_plan`] prepared;
+    /// [`crate::plan::build_chain`] takes it instead of building one.
     pub fn set_plan(&mut self, plan: Arc<crate::plan::BatchPlan>) {
         self.plan = Some(plan);
     }
 
-    /// The attached prefetch plan, if any.
+    /// The attached prepared chain, if any.
     pub fn plan(&self) -> Option<&Arc<crate::plan::BatchPlan>> {
         self.plan.as_ref()
     }

@@ -18,28 +18,31 @@
 //!    automatically after the block's computation, preserving output
 //!    semantics without user bookkeeping.
 
-use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
-use std::rc::{Rc, Weak};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use tgl_device::Device;
 use tgl_graph::{NodeId, TemporalGraph, Time};
+use tgl_runtime::sync::Mutex;
 use tgl_sampler::NeighborSample;
 use tgl_tensor::Tensor;
 
+use crate::op::Staged;
 use crate::TContext;
 
 /// A named post-processing hook: receives the block's computed output
 /// rows and returns the transformed rows.
 pub struct BlockHook {
     name: String,
-    func: Box<dyn FnMut(Tensor) -> Tensor>,
+    func: Box<dyn FnMut(Tensor) -> Tensor + Send>,
 }
 
 impl BlockHook {
     /// Creates a hook.
-    pub fn new(name: impl Into<String>, func: impl FnMut(Tensor) -> Tensor + 'static) -> BlockHook {
+    pub fn new(
+        name: impl Into<String>,
+        func: impl FnMut(Tensor) -> Tensor + Send + 'static,
+    ) -> BlockHook {
         BlockHook {
             name: name.into(),
             func: Box::new(func),
@@ -58,33 +61,76 @@ impl std::fmt::Debug for BlockHook {
     }
 }
 
-pub(crate) struct BlockInner {
-    pub(crate) graph: Arc<TemporalGraph>,
-    pub(crate) device: Device,
-    pub(crate) layer: usize,
-    pub(crate) dst_nodes: Vec<NodeId>,
-    pub(crate) dst_times: Vec<Time>,
-    pub(crate) nbrs: Option<NeighborSample>,
+/// The per-block tensors that live in the block's cached area: feature
+/// rows of the destinations, of the sampled neighbors and of the
+/// sampled edges, and the per-edge time deltas.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Part {
+    Dst,
+    Src,
+    Edge,
+    Delta,
+}
+
+struct BlockInner {
+    graph: Arc<TemporalGraph>,
+    device: Device,
+    layer: usize,
+    dst_nodes: Vec<NodeId>,
+    dst_times: Vec<Time>,
+    nbrs: Option<NeighborSample>,
     dstdata: HashMap<String, Tensor>,
     srcdata: HashMap<String, Tensor>,
     edata: HashMap<String, Tensor>,
     hooks: Vec<BlockHook>,
     next: Option<TBlock>,
-    prev: Weak<RefCell<BlockInner>>,
-    dst_feat_cache: Option<Tensor>,
-    src_feat_cache: Option<Tensor>,
-    edge_feat_cache: Option<Tensor>,
-    delta_cache: Option<Tensor>,
+    prev: Weak<Mutex<BlockInner>>,
+    /// What [`crate::op::preload`] staged for the chain this block is
+    /// in, and the block's position in that chain.
+    staged: Option<(Arc<Staged>, usize)>,
+    /// The cached area, indexed by [`Part`]: filled on first read.
+    cache: [Option<Tensor>; 4],
 }
 
-/// A temporal block. Cheap to clone (shared handle).
-///
-/// Blocks are single-threaded by design (model forward passes run on
-/// one thread); the parallel sampler works on plain arrays before
-/// attaching results to a block.
+impl BlockInner {
+    fn delta_times(&self) -> Vec<f32> {
+        self.nbrs.as_ref().map_or_else(Vec::new, |n| {
+            n.dst_index
+                .iter()
+                .zip(&n.src_times)
+                .map(|(&d, &st)| (self.dst_times[d] - st) as f32)
+                .collect()
+        })
+    }
+
+    /// The lazy load: `part` gathered on the graph's tier and moved to
+    /// the compute device over the pageable path.
+    fn load(&self, part: Part) -> Tensor {
+        let nbrs = self.nbrs.as_ref();
+        let gathered = match part {
+            Part::Dst => self.graph.node_feat_rows(&self.dst_nodes),
+            Part::Src => self.graph.node_feat_rows(nbrs.map_or(&[][..], |n| &n.src_nodes)),
+            Part::Edge => self.graph.edge_feat_rows(nbrs.map_or(&[][..], |n| &n.eids)),
+            Part::Delta => {
+                let deltas = self.delta_times();
+                let n = deltas.len();
+                Tensor::from_vec(deltas, [n])
+            }
+        };
+        gathered.to(self.device)
+    }
+}
+
+/// A temporal block. Cheap to clone (shared handle), and `Send + Sync`:
+/// a chain built on one thread can be handed to another (the pipelined
+/// trainer's sampler stage does). One lock per block guards its state;
+/// every accessor takes it for the duration of the call and none holds
+/// it while running caller code, except [`TBlock::with_dst`] and
+/// [`TBlock::with_nbrs`], whose closures therefore must not touch the
+/// same block.
 #[derive(Clone)]
 pub struct TBlock {
-    pub(crate) inner: Rc<RefCell<BlockInner>>,
+    inner: Arc<Mutex<BlockInner>>,
 }
 
 impl TBlock {
@@ -95,25 +141,34 @@ impl TBlock {
     ///
     /// Panics if `nodes` and `times` differ in length.
     pub fn new(ctx: &TContext, layer: usize, nodes: Vec<NodeId>, times: Vec<Time>) -> TBlock {
-        assert_eq!(nodes.len(), times.len(), "dst nodes/times length mismatch");
+        TBlock::linked(Arc::clone(ctx.graph()), ctx.device(), layer, nodes, times, Weak::new())
+    }
+
+    fn linked(
+        graph: Arc<TemporalGraph>,
+        device: Device,
+        layer: usize,
+        dst_nodes: Vec<NodeId>,
+        dst_times: Vec<Time>,
+        prev: Weak<Mutex<BlockInner>>,
+    ) -> TBlock {
+        assert_eq!(dst_nodes.len(), dst_times.len(), "dst nodes/times length mismatch");
         TBlock {
-            inner: Rc::new(RefCell::new(BlockInner {
-                graph: Arc::clone(ctx.graph()),
-                device: ctx.device(),
+            inner: Arc::new(Mutex::new(BlockInner {
+                graph,
+                device,
                 layer,
-                dst_nodes: nodes,
-                dst_times: times,
+                dst_nodes,
+                dst_times,
                 nbrs: None,
                 dstdata: HashMap::new(),
                 srcdata: HashMap::new(),
                 edata: HashMap::new(),
                 hooks: Vec::new(),
                 next: None,
-                prev: Weak::new(),
-                dst_feat_cache: None,
-                src_feat_cache: None,
-                edge_feat_cache: None,
-                delta_cache: None,
+                prev,
+                staged: None,
+                cache: [None, None, None, None],
             })),
         }
     }
@@ -124,27 +179,28 @@ impl TBlock {
 
     /// Number of destination pairs.
     pub fn num_dst(&self) -> usize {
-        self.inner.borrow().dst_nodes.len()
+        self.inner.lock().dst_nodes.len()
     }
 
     /// The layer index this block was created for (head = 0).
     pub fn layer(&self) -> usize {
-        self.inner.borrow().layer
+        self.inner.lock().layer
     }
 
     /// Destination node ids (cloned).
     pub fn dst_nodes(&self) -> Vec<NodeId> {
-        self.inner.borrow().dst_nodes.clone()
+        self.inner.lock().dst_nodes.clone()
     }
 
     /// Destination timestamps (cloned).
     pub fn dst_times(&self) -> Vec<Time> {
-        self.inner.borrow().dst_times.clone()
+        self.inner.lock().dst_times.clone()
     }
 
-    /// Runs `f` over the destination arrays without cloning.
+    /// Runs `f` over the destination arrays without cloning. The
+    /// block's lock is held while `f` runs.
     pub fn with_dst<R>(&self, f: impl FnOnce(&[NodeId], &[Time]) -> R) -> R {
-        let inner = self.inner.borrow();
+        let inner = self.inner.lock();
         f(&inner.dst_nodes, &inner.dst_times)
     }
 
@@ -157,7 +213,7 @@ impl TBlock {
     /// mismatch.
     pub fn replace_dst(&self, nodes: Vec<NodeId>, times: Vec<Time>) {
         assert_eq!(nodes.len(), times.len(), "dst nodes/times length mismatch");
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner.lock();
         assert!(
             inner.nbrs.is_none(),
             "cannot replace destinations after sampling; apply dst-filtering \
@@ -165,7 +221,8 @@ impl TBlock {
         );
         inner.dst_nodes = nodes;
         inner.dst_times = times;
-        inner.dst_feat_cache = None;
+        inner.staged = None;
+        inner.cache[Part::Dst as usize] = None;
     }
 
     // ---------------------------------------------------------------
@@ -174,7 +231,7 @@ impl TBlock {
 
     /// Whether the neighborhood has been sampled/attached.
     pub fn has_nbrs(&self) -> bool {
-        self.inner.borrow().nbrs.is_some()
+        self.inner.lock().nbrs.is_some()
     }
 
     /// Attaches a sampled neighborhood.
@@ -184,67 +241,58 @@ impl TBlock {
     /// Panics if any `dst_index` is out of range for this block's
     /// destinations.
     pub fn set_neighborhood(&self, nbrs: NeighborSample) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner.lock();
         let n = inner.dst_nodes.len();
         assert!(
             nbrs.dst_index.iter().all(|&d| d < n),
             "neighborhood dst_index out of range"
         );
         inner.nbrs = Some(nbrs);
-        inner.src_feat_cache = None;
-        inner.edge_feat_cache = None;
-        inner.delta_cache = None;
+        inner.staged = None;
+        for part in [Part::Src, Part::Edge, Part::Delta] {
+            inner.cache[part as usize] = None;
+        }
     }
 
     /// Number of sampled edges (0 before sampling).
     pub fn num_edges(&self) -> usize {
-        self.inner.borrow().nbrs.as_ref().map_or(0, |n| n.len())
+        self.inner.lock().nbrs.as_ref().map_or(0, |n| n.len())
+    }
+
+    /// One array of the neighborhood, cloned (empty before sampling).
+    fn nbr_array<T: Clone>(&self, pick: impl FnOnce(&NeighborSample) -> &Vec<T>) -> Vec<T> {
+        self.inner.lock().nbrs.as_ref().map_or_else(Vec::new, |n| pick(n).clone())
     }
 
     /// Per-edge destination position — the segment ids for segmented
     /// operators.
     pub fn dst_index(&self) -> Vec<usize> {
-        self.inner
-            .borrow()
-            .nbrs
-            .as_ref()
-            .map_or_else(Vec::new, |n| n.dst_index.clone())
+        self.nbr_array(|n| &n.dst_index)
     }
 
     /// Sampled neighbor node per edge.
     pub fn src_nodes(&self) -> Vec<NodeId> {
-        self.inner
-            .borrow()
-            .nbrs
-            .as_ref()
-            .map_or_else(Vec::new, |n| n.src_nodes.clone())
+        self.nbr_array(|n| &n.src_nodes)
     }
 
     /// Timestamp of each sampled edge.
     pub fn src_times(&self) -> Vec<Time> {
-        self.inner
-            .borrow()
-            .nbrs
-            .as_ref()
-            .map_or_else(Vec::new, |n| n.src_times.clone())
+        self.nbr_array(|n| &n.src_times)
     }
 
     /// Edge id of each sampled edge.
     pub fn eids(&self) -> Vec<tgl_graph::EdgeId> {
-        self.inner
-            .borrow()
-            .nbrs
-            .as_ref()
-            .map_or_else(Vec::new, |n| n.eids.clone())
+        self.nbr_array(|n| &n.eids)
     }
 
-    /// Runs `f` over the attached neighborhood without cloning.
+    /// Runs `f` over the attached neighborhood without cloning. The
+    /// block's lock is held while `f` runs.
     ///
     /// # Panics
     ///
     /// Panics if no neighborhood is attached.
     pub fn with_nbrs<R>(&self, f: impl FnOnce(&NeighborSample) -> R) -> R {
-        let inner = self.inner.borrow();
+        let inner = self.inner.lock();
         f(inner
             .nbrs
             .as_ref()
@@ -254,36 +302,19 @@ impl TBlock {
     /// Per-edge time delta `t_dst − t_edge` as `f32` (the input to the
     /// time encoder for neighbor edges).
     pub fn delta_times(&self) -> Vec<f32> {
-        let inner = self.inner.borrow();
-        match &inner.nbrs {
-            Some(n) => n
-                .dst_index
-                .iter()
-                .zip(&n.src_times)
-                .map(|(&d, &st)| (inner.dst_times[d] - st) as f32)
-                .collect(),
-            None => Vec::new(),
-        }
+        self.inner.lock().delta_times()
     }
 
     /// [`TBlock::delta_times`] as an `[E]` tensor on the compute
-    /// device: the slice [`crate::op::preload`] staged when it ran over
-    /// this chain, else moved over the pageable path on first use.
-    /// Cached like the feature rows.
+    /// device. Cached like the feature rows.
     pub fn deltas(&self) -> Tensor {
-        if let Some(t) = self.inner.borrow().delta_cache.clone() {
-            return t;
-        }
-        let deltas = self.delta_times();
-        let moved = Tensor::from_vec(deltas, [self.num_edges()]).to(self.device());
-        self.inner.borrow_mut().delta_cache = Some(moved.clone());
-        moved
+        self.cached(Part::Delta)
     }
 
     /// Unique sampled source nodes (first-appearance order) plus the
     /// per-edge index into that unique list.
     pub fn uniq_src(&self) -> (Vec<NodeId>, Vec<usize>) {
-        let inner = self.inner.borrow();
+        let inner = self.inner.lock();
         let Some(n) = &inner.nbrs else {
             return (Vec::new(), Vec::new());
         };
@@ -307,80 +338,52 @@ impl TBlock {
     ///
     /// Panics if this block has no sampled neighborhood yet.
     pub fn next_block(&self) -> TBlock {
-        if let Some(next) = self.inner.borrow().next.clone() {
-            return next;
+        let mut inner = self.inner.lock();
+        if let Some(next) = &inner.next {
+            return next.clone();
         }
-        let (graph, device, layer, nodes, times) = {
-            let inner = self.inner.borrow();
-            let n = inner
-                .nbrs
-                .as_ref()
-                .expect("sample this block before creating its successor");
-            let mut nodes = inner.dst_nodes.clone();
-            nodes.extend_from_slice(&n.src_nodes);
-            let mut times = inner.dst_times.clone();
-            times.extend_from_slice(&n.src_times);
-            (
-                Arc::clone(&inner.graph),
-                inner.device,
-                inner.layer + 1,
-                nodes,
-                times,
-            )
-        };
-        let next = TBlock {
-            inner: Rc::new(RefCell::new(BlockInner {
-                graph,
-                device,
-                layer,
-                dst_nodes: nodes,
-                dst_times: times,
-                nbrs: None,
-                dstdata: HashMap::new(),
-                srcdata: HashMap::new(),
-                edata: HashMap::new(),
-                hooks: Vec::new(),
-                next: None,
-                prev: Rc::downgrade(&self.inner),
-                dst_feat_cache: None,
-                src_feat_cache: None,
-                edge_feat_cache: None,
-                delta_cache: None,
-            })),
-        };
-        self.inner.borrow_mut().next = Some(next.clone());
+        let n = inner
+            .nbrs
+            .as_ref()
+            .expect("sample this block before creating its successor");
+        let nodes = [&inner.dst_nodes[..], &n.src_nodes[..]].concat();
+        let times = [&inner.dst_times[..], &n.src_times[..]].concat();
+        let next = TBlock::linked(
+            Arc::clone(&inner.graph),
+            inner.device,
+            inner.layer + 1,
+            nodes,
+            times,
+            Arc::downgrade(&self.inner),
+        );
+        inner.next = Some(next.clone());
         next
     }
 
     /// The successor block, if one was created.
     pub fn next(&self) -> Option<TBlock> {
-        self.inner.borrow().next.clone()
+        self.inner.lock().next.clone()
     }
 
     /// The predecessor block, if this block was created via
     /// [`TBlock::next_block`] and the predecessor is still alive.
     pub fn prev(&self) -> Option<TBlock> {
-        self.inner.borrow().prev.upgrade().map(|inner| TBlock { inner })
+        self.inner.lock().prev.upgrade().map(|inner| TBlock { inner })
+    }
+
+    /// The blocks of the chain from this one to the tail, in order.
+    pub fn chain(&self) -> impl Iterator<Item = TBlock> {
+        std::iter::successors(Some(self.clone()), TBlock::next)
     }
 
     /// Walks `next` links to the deepest block in the chain.
     pub fn tail(&self) -> TBlock {
-        let mut cur = self.clone();
-        while let Some(next) = cur.next() {
-            cur = next;
-        }
-        cur
+        self.chain().last().expect("a chain has at least its head")
     }
 
     /// Number of blocks from this one to the tail (inclusive).
     pub fn chain_len(&self) -> usize {
-        let mut n = 1;
-        let mut cur = self.clone();
-        while let Some(next) = cur.next() {
-            n += 1;
-            cur = next;
-        }
-        n
+        self.chain().count()
     }
 
     // ---------------------------------------------------------------
@@ -388,95 +391,57 @@ impl TBlock {
     // area so we avoid fetching them a second time")
     // ---------------------------------------------------------------
 
+    /// `part` of the cached area, on the compute device. The first
+    /// read fills it: expanded out of the rows [`crate::op::preload`]
+    /// staged for this chain when there are any (an on-device gather,
+    /// nothing crosses), else loaded over the pageable path.
+    fn cached(&self, part: Part) -> Tensor {
+        let mut inner = self.inner.lock();
+        if let Some(t) = &inner.cache[part as usize] {
+            return t.clone();
+        }
+        let staged = inner.staged.as_ref().and_then(|(s, i)| s.expand(*i, part));
+        let t = staged.unwrap_or_else(|| inner.load(part));
+        inner.cache[part as usize] = Some(t.clone());
+        t
+    }
+
     /// Node features of the destination pairs, on the compute device.
     pub fn dstfeat(&self) -> Tensor {
-        if let Some(t) = self.inner.borrow().dst_feat_cache.clone() {
-            return t;
-        }
-        let (gathered, device) = {
-            let inner = self.inner.borrow();
-            (inner.graph.node_feat_rows(&inner.dst_nodes), inner.device)
-        };
-        let moved = gathered.to(device);
-        self.inner.borrow_mut().dst_feat_cache = Some(moved.clone());
-        moved
+        self.cached(Part::Dst)
     }
 
     /// Node features of the sampled neighbors, on the compute device.
     pub fn srcfeat(&self) -> Tensor {
-        if let Some(t) = self.inner.borrow().src_feat_cache.clone() {
-            return t;
-        }
-        let (gathered, device) = {
-            let inner = self.inner.borrow();
-            let nodes = inner.nbrs.as_ref().map_or(&[][..], |n| &n.src_nodes);
-            (inner.graph.node_feat_rows(nodes), inner.device)
-        };
-        let moved = gathered.to(device);
-        self.inner.borrow_mut().src_feat_cache = Some(moved.clone());
-        moved
+        self.cached(Part::Src)
     }
 
     /// Edge features of the sampled edges, on the compute device.
     pub fn efeat(&self) -> Tensor {
-        if let Some(t) = self.inner.borrow().edge_feat_cache.clone() {
-            return t;
-        }
-        let (gathered, device) = {
-            let inner = self.inner.borrow();
-            let eids = inner.nbrs.as_ref().map_or(&[][..], |n| &n.eids);
-            (inner.graph.edge_feat_rows(eids), inner.device)
-        };
-        let moved = gathered.to(device);
-        self.inner.borrow_mut().edge_feat_cache = Some(moved.clone());
-        moved
+        self.cached(Part::Edge)
     }
 
-    /// Installs feature tensors already on the compute device (used by
-    /// [`crate::op::Staged::fill`]).
-    pub(crate) fn install_feat_cache(
-        &self,
-        dst: Option<Tensor>,
-        src: Option<Tensor>,
-        edge: Option<Tensor>,
-    ) {
-        let mut inner = self.inner.borrow_mut();
-        if dst.is_some() {
-            inner.dst_feat_cache = dst;
-        }
-        if src.is_some() {
-            inner.src_feat_cache = src;
-        }
-        if edge.is_some() {
-            inner.edge_feat_cache = edge;
-        }
+    /// Attaches the rows staged for the chain this block is the `i`-th
+    /// block of (used by [`crate::op::preload`]). They stay until the
+    /// block changes shape (`replace_dst`, `set_neighborhood`) or
+    /// `flush_cache` drops them.
+    pub(crate) fn attach_staged(&self, staged: Arc<Staged>, i: usize) {
+        self.inner.lock().staged = Some((staged, i));
     }
 
-    /// Installs this block's time deltas, already on the compute device
-    /// (used by [`crate::op::Staged::fill`]).
-    pub(crate) fn install_deltas(&self, deltas: Tensor) {
-        self.inner.borrow_mut().delta_cache = Some(deltas);
-    }
-
-    /// Snapshot of the installed `(dst, src, edge)` feature caches.
+    /// Snapshot of the expanded `(dst, src, edge)` feature tensors.
     #[cfg(test)]
     pub(crate) fn feat_caches(&self) -> (Option<Tensor>, Option<Tensor>, Option<Tensor>) {
-        let inner = self.inner.borrow();
-        (
-            inner.dst_feat_cache.clone(),
-            inner.src_feat_cache.clone(),
-            inner.edge_feat_cache.clone(),
-        )
+        let [dst, src, edge, _] = self.inner.lock().cache.clone();
+        (dst, src, edge)
     }
 
-    /// Drops cached feature tensors; they reload gracefully on next
-    /// access.
+    /// Drops the cached area, staged rows included; the tensors reload
+    /// gracefully (over the pageable path) on next access.
     pub fn flush_cache(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.dst_feat_cache = None;
-        inner.src_feat_cache = None;
-        inner.edge_feat_cache = None;
-        inner.delta_cache = None;
+        let mut inner = self.inner.lock();
+        inner.staged = None;
+        inner.cache = [None, None, None, None];
     }
 
     /// Memory rows for the destination nodes, on the compute device.
@@ -485,7 +450,7 @@ impl TBlock {
     ///
     /// Panics if the graph has no attached memory.
     pub fn mem_data(&self) -> Tensor {
-        let inner = self.inner.borrow();
+        let inner = self.inner.lock();
         let mem = inner.graph.memory();
         mem.rows(&inner.dst_nodes).to(inner.device)
     }
@@ -496,7 +461,7 @@ impl TBlock {
     ///
     /// Panics if the graph has no attached mailbox.
     pub fn mail(&self) -> (Tensor, Vec<Time>) {
-        let inner = self.inner.borrow();
+        let inner = self.inner.lock();
         let mb = inner.graph.mailbox();
         let (mail, times) = mb.latest(&inner.dst_nodes);
         (mail.to(inner.device), times)
@@ -504,12 +469,12 @@ impl TBlock {
 
     /// The graph this block was created from.
     pub fn graph(&self) -> Arc<TemporalGraph> {
-        Arc::clone(&self.inner.borrow().graph)
+        Arc::clone(&self.inner.lock().graph)
     }
 
     /// The compute device of this block.
     pub fn device(&self) -> Device {
-        self.inner.borrow().device
+        self.inner.lock().device
     }
 
     // ---------------------------------------------------------------
@@ -518,7 +483,7 @@ impl TBlock {
 
     /// Attaches a named tensor to the destination side.
     pub fn set_dstdata(&self, key: &str, t: Tensor) {
-        self.inner.borrow_mut().dstdata.insert(key.to_string(), t);
+        self.inner.lock().dstdata.insert(key.to_string(), t);
     }
 
     /// Retrieves named destination data.
@@ -528,7 +493,7 @@ impl TBlock {
     /// Panics if the key is absent.
     pub fn dstdata(&self, key: &str) -> Tensor {
         self.inner
-            .borrow()
+            .lock()
             .dstdata
             .get(key)
             .unwrap_or_else(|| panic!("no dstdata[{key:?}] on this block"))
@@ -537,12 +502,12 @@ impl TBlock {
 
     /// Whether destination data exists for `key`.
     pub fn has_dstdata(&self, key: &str) -> bool {
-        self.inner.borrow().dstdata.contains_key(key)
+        self.inner.lock().dstdata.contains_key(key)
     }
 
     /// Attaches a named tensor to the source (neighbor-edge) side.
     pub fn set_srcdata(&self, key: &str, t: Tensor) {
-        self.inner.borrow_mut().srcdata.insert(key.to_string(), t);
+        self.inner.lock().srcdata.insert(key.to_string(), t);
     }
 
     /// Retrieves named source data.
@@ -552,7 +517,7 @@ impl TBlock {
     /// Panics if the key is absent.
     pub fn srcdata(&self, key: &str) -> Tensor {
         self.inner
-            .borrow()
+            .lock()
             .srcdata
             .get(key)
             .unwrap_or_else(|| panic!("no srcdata[{key:?}] on this block"))
@@ -561,12 +526,12 @@ impl TBlock {
 
     /// Whether source data exists for `key`.
     pub fn has_srcdata(&self, key: &str) -> bool {
-        self.inner.borrow().srcdata.contains_key(key)
+        self.inner.lock().srcdata.contains_key(key)
     }
 
     /// Attaches a named per-edge tensor.
     pub fn set_edata(&self, key: &str, t: Tensor) {
-        self.inner.borrow_mut().edata.insert(key.to_string(), t);
+        self.inner.lock().edata.insert(key.to_string(), t);
     }
 
     /// Retrieves named per-edge data.
@@ -576,7 +541,7 @@ impl TBlock {
     /// Panics if the key is absent.
     pub fn edata(&self, key: &str) -> Tensor {
         self.inner
-            .borrow()
+            .lock()
             .edata
             .get(key)
             .unwrap_or_else(|| panic!("no edata[{key:?}] on this block"))
@@ -594,37 +559,29 @@ impl TBlock {
     /// the operator applied last filtered the destinations last, so its
     /// inversion must run first to restore the intermediate layout.
     pub fn register_hook(&self, hook: BlockHook) {
-        self.inner.borrow_mut().hooks.push(hook);
+        self.inner.lock().hooks.push(hook);
     }
 
     /// Number of pending hooks.
     pub fn num_hooks(&self) -> usize {
-        self.inner.borrow().hooks.len()
+        self.inner.lock().hooks.len()
     }
 
     /// Consumes and runs all registered hooks on `output` (reverse
     /// registration order), returning the transformed tensor.
     pub fn run_hooks(&self, output: Tensor) -> Tensor {
-        let mut hooks: Vec<BlockHook> = {
-            let mut inner = self.inner.borrow_mut();
-            std::mem::take(&mut inner.hooks)
-        };
+        let mut hooks = std::mem::take(&mut self.inner.lock().hooks);
         let mut out = output;
         for hook in hooks.iter_mut().rev() {
             out = (hook.func)(out);
         }
         out
     }
-
-    /// Immutable access to the destination node array (no clone).
-    pub fn dst_nodes_ref(&self) -> Ref<'_, [NodeId]> {
-        Ref::map(self.inner.borrow(), |i| i.dst_nodes.as_slice())
-    }
 }
 
 impl std::fmt::Debug for TBlock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.inner.lock();
         write!(
             f,
             "TBlock(layer={}, dst={}, edges={}, hooks={}, linked={})",
@@ -710,7 +667,7 @@ mod tests {
         assert!(blk.next().is_some());
         // Second call returns the same block.
         let again = blk.next_block();
-        assert!(Rc::ptr_eq(&again.inner, &next.inner));
+        assert!(Arc::ptr_eq(&again.inner, &next.inner));
     }
 
     #[test]
@@ -722,7 +679,7 @@ mod tests {
         sample(&mid);
         let tail = mid.next_block();
         assert_eq!(head.chain_len(), 3);
-        assert!(Rc::ptr_eq(&head.tail().inner, &tail.inner));
+        assert!(Arc::ptr_eq(&head.tail().inner, &tail.inner));
     }
 
     #[test]

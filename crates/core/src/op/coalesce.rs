@@ -30,8 +30,8 @@ pub enum CoalesceBy {
 ///
 /// Panics if the block has no sampled neighborhood.
 pub fn coalesce(blk: &TBlock, by: CoalesceBy) -> TBlock {
+    let num_dst = blk.num_dst();
     let reduced = blk.with_nbrs(|n| {
-        let num_dst = blk.num_dst();
         let mut keep: Vec<Option<usize>> = vec![None; num_dst];
         for (e, &d) in n.dst_index.iter().enumerate() {
             keep[d] = Some(match keep[d] {

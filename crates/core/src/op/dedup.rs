@@ -21,48 +21,28 @@ use crate::TBlock;
 ///
 /// Panics if the block already has a sampled neighborhood.
 pub fn dedup(blk: &TBlock) -> TBlock {
-    dedup_planned(blk);
-    blk.clone()
-}
-
-/// A dedup replacement: the unique `(nodes, times)` destination list
-/// plus the `inverse` row mapping back to the original layout.
-pub(crate) type Replacement = (Vec<NodeId>, Vec<Time>, Vec<usize>);
-
-/// Like [`dedup`], but also returns the replacement when one actually
-/// happened, so a prefetch plan can replay it later with
-/// [`dedup_apply`]. Counters fire here (once).
-pub(crate) fn dedup_planned(blk: &TBlock) -> Option<Replacement> {
     assert!(
         !blk.has_nbrs(),
         "dedup must be applied before sampling the neighborhood"
     );
     let (uniq_nodes, uniq_times, inverse) = blk.with_dst(compute);
+    let saved = (inverse.len() - uniq_nodes.len()) as u64;
     tgl_obs::counter!("dedup.rows_in").add(inverse.len() as u64);
-    tgl_obs::counter!("dedup.rows_saved").add((inverse.len() - uniq_nodes.len()) as u64);
-    tgl_obs::insight::observe_dedup(inverse.len() as u64, (inverse.len() - uniq_nodes.len()) as u64);
-    if uniq_nodes.len() == inverse.len() {
-        return None; // already unique — nothing to do
+    tgl_obs::counter!("dedup.rows_saved").add(saved);
+    tgl_obs::insight::observe_dedup(inverse.len() as u64, saved);
+    if saved > 0 {
+        blk.replace_dst(uniq_nodes, uniq_times);
+        blk.register_hook(BlockHook::new("dedup-invert", move |out| {
+            let _phase = crate::prof::scope("dedup");
+            out.index_select(&inverse)
+        }));
     }
-    dedup_apply(blk, uniq_nodes.clone(), uniq_times.clone(), inverse.clone());
-    Some((uniq_nodes, uniq_times, inverse))
-}
-
-/// Applies a precomputed dedup replacement: swaps in the unique
-/// destination list and registers the inversion hook. Fires no
-/// counters — the plan-apply path, where [`dedup_planned`] already
-/// counted this work on the sampler stage.
-pub(crate) fn dedup_apply(blk: &TBlock, nodes: Vec<NodeId>, times: Vec<Time>, inverse: Vec<usize>) {
-    blk.replace_dst(nodes, times);
-    blk.register_hook(BlockHook::new("dedup-invert", move |out| {
-        let _phase = crate::prof::scope("dedup");
-        out.index_select(&inverse)
-    }));
+    blk.clone()
 }
 
 /// The pure dedup computation: unique `(node, time)` pairs in
 /// first-appearance order plus the inverse row mapping.
-fn compute(nodes: &[NodeId], times: &[Time]) -> Replacement {
+fn compute(nodes: &[NodeId], times: &[Time]) -> (Vec<NodeId>, Vec<Time>, Vec<usize>) {
     let mut seen: HashMap<(NodeId, u64), usize> = HashMap::with_capacity(nodes.len());
     let keys = nodes.iter().zip(times).map(|(&n, &t)| (n, t.to_bits()));
     let (first, inverse) = first_unique(keys, |key, next| *seen.entry(key).or_insert(next));

@@ -22,9 +22,8 @@ pub use agg::{aggregate, propagate};
 pub use cache::cache;
 pub use coalesce::{coalesce, CoalesceBy};
 pub use dedup::{dedup, node_index, NodeIndex};
-pub(crate) use dedup::{dedup_apply, dedup_planned, Replacement};
 pub use preload::preload;
-pub(crate) use preload::{stage, Staged};
+pub(crate) use preload::Staged;
 pub use segment::{
     edge_dot, edge_reduce, edge_softmax, edge_weighted_sum, src_scatter, ReduceOp,
 };

@@ -1,9 +1,11 @@
 //! The `preload` data-movement optimization operator.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use tgl_tensor::Tensor;
 
+use crate::block::Part;
 use crate::{TBlock, TContext};
 
 /// One feature table as the compute device sees it, plus the row in it
@@ -42,17 +44,25 @@ impl StagedTable {
             .collect();
         let gathered = feats.index_select(&distinct);
         tgl_obs::counter!("preload.tensors_moved").incr();
-        let rows = if use_pin {
-            gathered.to_pinned(device, ctx.pinned_pool())
-        } else {
-            gathered.to(device)
-        };
-        StagedTable { rows, slots }
+        StagedTable {
+            rows: cross(ctx, gathered, use_pin),
+            slots,
+        }
     }
 
     /// The feature rows of a run of slots, gathered on the compute device.
     fn expand(&self, slots: Range<usize>) -> Tensor {
         self.rows.index_select(&self.slots[slots])
+    }
+}
+
+/// Moves a host-built tensor to the compute device: through the
+/// context's pinned pool, or over the pageable path.
+fn cross(ctx: &TContext, t: Tensor, use_pin: bool) -> Tensor {
+    if use_pin {
+        t.to_pinned(ctx.device(), ctx.pinned_pool())
+    } else {
+        t.to(ctx.device())
     }
 }
 
@@ -66,36 +76,70 @@ struct BlockSlots {
     n_nbrs: Option<usize>,
 }
 
-/// The feature rows of a whole block chain, staged on the compute
-/// device by [`stage`]: per table the rows the chain reads, plus the
-/// slot layout that [`Staged::fill`] expands into each block's
-/// `(dst, src, edge)` feature cache. A prefetch plan carries this in
-/// place of expanded tensors, so queued plans keep only distinct rows
-/// resident on the device tier. The chain's per-edge time deltas ride
-/// along: like the features they are a function of the chain alone.
+/// What [`preload`] put on the compute device for a whole block chain:
+/// per feature table the rows the chain reads, the slot layout, and
+/// the chain's per-edge time deltas (like the features, a function of
+/// the chain alone). Every block of the chain shares one of these and
+/// expands its own part out of it on first read ([`Staged::expand`]),
+/// so a chain nobody has read yet keeps only distinct rows resident on
+/// the device tier.
 #[derive(Debug)]
 pub(crate) struct Staged {
     node: Option<StagedTable>,
     edge: Option<StagedTable>,
     /// Every sampled block's `delta_times()`, end to end in edge-slot
-    /// order (block `i`'s start at its `edge_at`).
-    deltas: Tensor,
+    /// order (block `i`'s start at its `edge_at`). Like `edge`, `None`
+    /// for a chain with no sampled block.
+    deltas: Option<Tensor>,
     blocks: Vec<BlockSlots>,
 }
 
-/// Stages the feature rows of *all* blocks in the chain on the compute
-/// device: at most one transfer per feature table (see
-/// [`StagedTable::new`] for the placement rule, which is read from the
-/// table's device), plus one for the chain's time deltas when the
-/// compute device is not the host that computed them. Fires
-/// `preload.calls` once and `preload.tensors_moved` once per table
-/// that crossed a tier.
-pub(crate) fn stage(ctx: &TContext, head: &TBlock, use_pin: bool) -> Staged {
+impl Staged {
+    /// Block `i`'s `part`, gathered out of the staged rows on the
+    /// compute device; `None` when nothing was staged for it (no such
+    /// table, or the block was not sampled yet). Fires no counters.
+    pub(crate) fn expand(&self, i: usize, part: Part) -> Option<Tensor> {
+        let s = &self.blocks[i];
+        let src_at = s.node_at + s.n_dst;
+        let (table, slots) = match part {
+            Part::Dst => (&self.node, Some(s.node_at..src_at)),
+            Part::Src => (&self.node, s.n_nbrs.map(|k| src_at..src_at + k)),
+            Part::Edge => (&self.edge, s.n_nbrs.map(|k| s.edge_at..s.edge_at + k)),
+            Part::Delta => {
+                let deltas = self.deltas.as_ref().zip(s.n_nbrs);
+                return deltas.map(|(d, k)| d.narrow_rows(s.edge_at, k));
+            }
+        };
+        table.as_ref().zip(slots).map(|(t, slots)| t.expand(slots))
+    }
+}
+
+/// Loads feature data for *all* blocks in the chain onto the compute
+/// device ahead of computation (paper §3.3: "preload() ... focuses on
+/// optimizing data movements ... one technique is to use pinned memory
+/// to minimize data transfer costs"). Each feature table that lives on
+/// another tier has the chain's *distinct* rows gathered there and
+/// moved in one transfer — through the context's pre-allocated
+/// pinned-memory pool when `use_pin` is set, over the pageable (slow)
+/// path otherwise — plus one for the sampled blocks' time deltas when
+/// the compute device is not the host that computed them. Every block
+/// then reads its `dstfeat` / `srcfeat` / `efeat` / `deltas` out of
+/// those rows with a gather on the compute device, on first use.
+///
+/// In the all-on-GPU configuration (features already on the compute
+/// device) nothing is moved and the read is the plain gather — matching
+/// the paper's observation that "the preload() operator in TGLite has
+/// no effect in this scenario". Which case applies is read from each
+/// table's device.
+///
+/// Fires `preload.calls` once and `preload.tensors_moved` once per
+/// table that crossed a tier.
+pub fn preload(ctx: &TContext, head: &TBlock, use_pin: bool) {
     tgl_obs::counter!("preload.calls").incr();
     let g = head.graph();
     let (mut node_ids, mut edge_ids) = (Vec::new(), Vec::new());
     let mut blocks = Vec::new();
-    for blk in chain_blocks(head) {
+    for blk in head.chain() {
         let (node_at, edge_at) = (node_ids.len(), edge_ids.len());
         blk.with_dst(|nodes, _| node_ids.extend(nodes.iter().map(|&n| n as usize)));
         let n_nbrs = blk.has_nbrs().then(|| {
@@ -112,90 +156,34 @@ pub(crate) fn stage(ctx: &TContext, head: &TBlock, use_pin: bool) -> Staged {
             n_nbrs,
         });
     }
+    // Edge rows and time deltas exist only once a block is sampled: a
+    // chain that is just its head stages the node table alone.
+    let sampled = blocks.iter().any(|s| s.n_nbrs.is_some());
+    let host_deltas = sampled.then(|| {
+        // One delta per edge slot, in a pooled host buffer like every
+        // other staging copy.
+        let mut deltas = tgl_tensor::pool::take_uninit(edge_ids.len(), tgl_device::Device::Host);
+        for (blk, s) in head.chain().zip(&blocks) {
+            if let Some(k) = s.n_nbrs {
+                deltas[s.edge_at..s.edge_at + k].copy_from_slice(&blk.delta_times());
+            }
+        }
+        Tensor::from_vec(deltas, [edge_ids.len()])
+    });
     let table = |feats: Option<Tensor>, ids| {
         feats
             .filter(|f| f.dim(1) > 0)
             .map(|f| StagedTable::new(ctx, &f, ids, use_pin))
     };
-    // One delta per edge slot, in a pooled host buffer like every other
-    // staging copy.
-    let mut deltas = tgl_tensor::pool::take_uninit(edge_ids.len(), tgl_device::Device::Host);
-    for (blk, s) in chain_blocks(head).zip(&blocks) {
-        if let Some(k) = s.n_nbrs {
-            deltas[s.edge_at..s.edge_at + k].copy_from_slice(&blk.delta_times());
-        }
-    }
-    let deltas = Tensor::from_vec(deltas, [edge_ids.len()]);
-    Staged {
+    let staged = Arc::new(Staged {
         node: table(g.node_feats(), node_ids),
-        edge: table(g.edge_feats(), edge_ids),
-        deltas: if use_pin {
-            deltas.to_pinned(ctx.device(), ctx.pinned_pool())
-        } else {
-            deltas.to(ctx.device())
-        },
+        edge: table(g.edge_feats().filter(|_| sampled), edge_ids),
+        deltas: host_deltas.map(|d| cross(ctx, d, use_pin)),
         blocks,
+    });
+    for (i, blk) in head.chain().enumerate() {
+        blk.attach_staged(Arc::clone(&staged), i);
     }
-}
-
-impl Staged {
-    /// Expands block `i`'s rows out of the staged tables into `blk`'s
-    /// feature cache and installs its slice of the staged deltas. Fires
-    /// no counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blk` is not shaped like the `i`-th block of the chain
-    /// this was staged from.
-    pub(crate) fn fill(&self, i: usize, blk: &TBlock) {
-        let s = &self.blocks[i];
-        assert_eq!(
-            (blk.num_dst(), blk.has_nbrs().then(|| blk.num_edges())),
-            (s.n_dst, s.n_nbrs),
-            "block {i} does not match the chain its features were staged from"
-        );
-        let src_at = s.node_at + s.n_dst;
-        let dst = self.node.as_ref().map(|t| t.expand(s.node_at..src_at));
-        let (src, edge) = s.n_nbrs.map_or((None, None), |k| {
-            (
-                self.node.as_ref().map(|t| t.expand(src_at..src_at + k)),
-                self.edge
-                    .as_ref()
-                    .map(|t| t.expand(s.edge_at..s.edge_at + k)),
-            )
-        });
-        blk.install_feat_cache(dst, src, edge);
-        if let Some(k) = s.n_nbrs {
-            blk.install_deltas(self.deltas.narrow_rows(s.edge_at, k));
-        }
-    }
-}
-
-/// Loads feature data for *all* blocks in the chain onto the compute
-/// device ahead of computation (paper §3.3: "preload() ... focuses on
-/// optimizing data movements ... one technique is to use pinned memory
-/// to minimize data transfer costs"). Each feature table that lives on
-/// another tier has the chain's *distinct* rows gathered there and
-/// moved in one transfer — through the context's pre-allocated
-/// pinned-memory pool when `use_pin` is set, over the pageable (slow)
-/// path otherwise — and every block's feature cache is then filled by
-/// a gather on the compute device.
-///
-/// In the all-on-GPU configuration (features already on the compute
-/// device) nothing is moved and the fill is the plain gather — matching
-/// the paper's observation that "the preload() operator in TGLite has
-/// no effect in this scenario". Which case applies is read from each
-/// table's device.
-pub fn preload(ctx: &TContext, head: &TBlock, use_pin: bool) {
-    let staged = stage(ctx, head, use_pin);
-    for (i, blk) in chain_blocks(head).enumerate() {
-        staged.fill(i, &blk);
-    }
-}
-
-/// The blocks of a chain, head first.
-fn chain_blocks(head: &TBlock) -> impl Iterator<Item = TBlock> {
-    std::iter::successors(Some(head.clone()), TBlock::next)
 }
 
 #[cfg(test)]
@@ -267,9 +255,8 @@ mod tests {
         let (g, ctx) = setup(Device::Host, Device::Host);
         let head = two_block_chain(&ctx);
         preload(&ctx, &head, true);
-        for blk in chain_blocks(&head) {
-            let (dst, src, edge) = blk.feat_caches();
-            let (dst, src, edge) = (dst.unwrap(), src.unwrap(), edge.unwrap());
+        for blk in head.chain() {
+            let (dst, src, edge) = (blk.dstfeat(), blk.srcfeat(), blk.efeat());
             assert_eq!(dst.device(), Device::Host);
             assert_eq!(dst.to_vec(), g.node_feat_rows(&blk.dst_nodes()).to_vec());
             assert_eq!(src.to_vec(), g.node_feat_rows(&blk.src_nodes()).to_vec());
@@ -289,7 +276,7 @@ mod tests {
             let (g, ctx) = setup(Device::Host, Device::Accel);
             let head = two_block_chain(&ctx);
             let (mut nodes, mut eids) = (BTreeSet::new(), BTreeSet::new());
-            for blk in chain_blocks(&head) {
+            for blk in head.chain() {
                 nodes.extend(blk.dst_nodes());
                 nodes.extend(blk.src_nodes());
                 eids.extend(blk.eids());
@@ -302,7 +289,7 @@ mod tests {
             preload(&ctx, &head, use_pin);
             let after = tgl_device::stats();
             // Plus one time delta per sampled edge, in a third transfer.
-            let n_edges: usize = chain_blocks(&head).map(|b| b.num_edges()).sum();
+            let n_edges: usize = head.chain().map(|b| b.num_edges()).sum();
             let floats =
                 nodes.len() * g.node_feat_dim() + eids.len() * g.edge_feat_dim() + n_edges;
             assert_eq!(after.h2d_bytes - before.h2d_bytes, 4 * floats as u64);
@@ -310,7 +297,7 @@ mod tests {
 
             // Bitwise what the lazy loads of an unstaged chain return.
             let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
-            for (staged, lazy) in chain_blocks(&head).zip(chain_blocks(&two_block_chain(&ctx))) {
+            for (staged, lazy) in head.chain().zip(two_block_chain(&ctx).chain()) {
                 assert_eq!(staged.dstfeat().device(), Device::Accel);
                 assert_eq!(bits(staged.dstfeat()), bits(lazy.dstfeat()));
                 assert_eq!(bits(staged.srcfeat()), bits(lazy.srcfeat()));
@@ -327,22 +314,41 @@ mod tests {
 
     #[test]
     fn staged_chain_keeps_only_distinct_rows_on_the_device() {
-        // What a queued prefetch plan holds on the device tier.
+        // What a chain queued by the sampler stage holds on the device tier.
         let _l = link();
         let (g, ctx) = setup(Device::Host, Device::Accel);
         let head = two_block_chain(&ctx);
         let used = tgl_device::stats().accel_used_bytes;
-        let staged = stage(&ctx, &head, true);
+        preload(&ctx, &head, true);
         let resident = tgl_device::stats().accel_used_bytes - used;
         // All 3 nodes and both edges are reachable from node 2 at t=9;
         // every sampled edge adds its time delta.
-        let n_edges: usize = chain_blocks(&head).map(|b| b.num_edges()).sum();
+        let n_edges: usize = head.chain().map(|b| b.num_edges()).sum();
         assert_eq!(
             resident,
             4 * (3 * g.node_feat_dim() + 2 * g.edge_feat_dim() + n_edges) as u64
         );
-        drop(staged);
+        drop(head);
         assert_eq!(tgl_device::stats().accel_used_bytes, used);
+    }
+
+    #[test]
+    fn expansion_waits_for_the_first_read() {
+        let _l = link();
+        let (_g, ctx) = setup(Device::Host, Device::Accel);
+        let head = two_block_chain(&ctx);
+        preload(&ctx, &head, true);
+        // The head is not the tail: no model reads its node rows, so
+        // they are never gathered.
+        assert!(matches!(head.feat_caches(), (None, None, None)));
+        let crossed = tgl_device::stats().transfer_count;
+        let dst = head.dstfeat();
+        assert_eq!(tgl_device::stats().transfer_count, crossed, "the read crossed the link");
+        let (expanded, src, edge) = head.feat_caches();
+        assert_eq!(expanded.expect("dstfeat() fills the cached area").id(), dst.id());
+        assert!(src.is_none() && edge.is_none());
+        let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(dst), bits(two_block_chain(&ctx).dstfeat()));
     }
 
     #[test]
@@ -395,11 +401,14 @@ mod tests {
         TSampler::new(2, SamplingStrategy::Recent).sample(&head);
         let tail = head.next_block();
         preload(&ctx, &head, true);
-        let (dst, src, edge) = tail.feat_caches();
+        let crossed = tgl_device::stats().transfer_count;
         assert_eq!(
-            dst.unwrap().to_vec(),
+            tail.dstfeat().to_vec(),
             g.node_feat_rows(&tail.dst_nodes()).to_vec()
         );
-        assert!(src.is_none() && edge.is_none());
+        assert_eq!(tgl_device::stats().transfer_count, crossed, "staged rows crossed again");
+        // Nothing was staged for a neighborhood that does not exist:
+        // these are the (empty) lazy loads.
+        assert_eq!((tail.srcfeat().dim(0), tail.efeat().dim(0)), (0, 0));
     }
 }

@@ -1,35 +1,33 @@
-//! Chain construction and prefetch plans.
+//! Chain construction, inline or ahead of the step.
 //!
-//! [`build_chain`] is the one place a batch's block chain is built:
-//! `block` → `dedup` → `[cache]` → `sample` per layer, then `preload`.
-//! Models call it from `forward`. Without `cache` (an inference-only
-//! operator) everything it does is a function of the batch and the
-//! model's [`SamplingSpec`], never of parameters or node memory, so
-//! the same work can run ahead of the optimizer.
+//! One private builder makes a batch's block chain: `block` → `dedup` →
+//! `[cache]` → `sample` per layer, then `preload`. Models call
+//! [`build_chain`] first thing in `forward`. Without `cache` (an
+//! inference-only operator that reads the embedding cache, hence the
+//! parameters) everything the builder does is a function of the batch
+//! and the model's [`SamplingSpec`], never of parameters or node
+//! memory, so the same call can run ahead of the optimizer.
 //!
-//! The pipelined trainer does exactly that: it computes batch N+1's
-//! negative draws, per-layer dedup, temporal neighbor sampling and
-//! host-to-device feature staging on a sampler stage while batch N
-//! runs forward/backward on the compute stage. [`TBlock`]s are
-//! `Rc`-based and cannot cross threads, so the sampler stage ships a
-//! [`BatchPlan`] instead: plain vectors plus the staged feature
-//! *tables* (distinct rows on the compute device and the slot layout,
-//! not one expanded tensor per block). On the compute stage
-//! [`build_chain`] rebuilds the chain by replaying the plan.
+//! The pipelined trainer does exactly that: its sampler stage draws
+//! batch N+1's negatives and calls [`build_plan`], which runs the
+//! builder there and wraps the finished chain as a [`BatchPlan`]
+//! ([`TBlock`] is `Send`), while batch N runs forward/backward on the
+//! compute stage. `build_chain` then finds the chain on the batch and
+//! takes it instead of building one.
 //!
 //! # Determinism and counter contract
 //!
-//! [`build_plan`] runs the same loop as an inline [`build_chain`]:
-//! dedup is a pure function of the destination list, and temporal
+//! Dedup is a pure function of the destination list, and temporal
 //! sampling seeds one RNG stream per destination from the sampler
-//! seed, so the plan built on another thread is bitwise identical to
-//! what the sequential path would have computed. Every observability
-//! counter for this work (`dedup.*`, `sampler.*`, `preload.*`,
-//! `transfer.*`) fires exactly once — at build time, on the sampler
-//! stage — and the replay is counter-silent, so pipelined counter
-//! totals match the sequential trainer's.
+//! seed, so a chain built on another thread is bitwise the chain the
+//! compute thread would have built. Every observability counter and
+//! phase of this work (`dedup.*`, `sampler.*`, `preload.*`,
+//! `transfer.*`; `prep_batch`, `sample`, `preload`) fires exactly once,
+//! where the chain is built; taking a prepared chain fires nothing, so
+//! pipelined counter totals match the sequential trainer's.
 
-use tgl_sampler::{NeighborSample, TemporalSampler};
+use tgl_runtime::sync::Mutex;
+use tgl_sampler::TemporalSampler;
 
 use crate::{op, TBatch, TBlock, TContext};
 
@@ -38,7 +36,8 @@ use crate::{op, TBatch, TBlock, TContext};
 /// off the compute thread.
 #[derive(Debug, Clone)]
 pub struct SamplingSpec {
-    /// Blocks in the chain (message-passing layers).
+    /// Sampled blocks in the chain (message-passing layers); 0 leaves
+    /// the unsampled head block only.
     pub n_layers: usize,
     /// Apply `op::dedup` to each block before sampling.
     pub dedup: bool,
@@ -51,113 +50,39 @@ pub struct SamplingSpec {
     pub sampler: TemporalSampler,
 }
 
-/// One block's worth of prefetched work.
-#[derive(Debug)]
-struct LayerPlan {
-    /// `Some` only when dedup actually shrank the destination list.
-    dedup: Option<op::Replacement>,
-    nbrs: NeighborSample,
-}
-
-/// The full prefetched work for one batch: per-layer dedup and
-/// neighborhoods, plus the chain's staged feature tables.
+/// A built chain in transit from the thread that prepared it to the
+/// `forward` that consumes it. What it keeps on the device tier is what
+/// `op::preload` staged (distinct rows and time deltas): blocks expand
+/// their tensors on first read, on the consuming thread.
 #[derive(Debug)]
 pub struct BatchPlan {
-    layers: Vec<LayerPlan>,
-    /// `Some` when the spec preloads.
-    staged: Option<op::Staged>,
+    /// Taken by the first [`build_chain`]: hooks and named data make a
+    /// chain single-use.
+    head: Mutex<Option<TBlock>>,
 }
 
-impl BatchPlan {
-    /// Replays layer `i`'s prefetched work onto a freshly built block:
-    /// dedup replacement + inversion hook, sampled neighborhood, and
-    /// the block's feature rows expanded out of the staged tables (on
-    /// the calling thread, so a queued plan holds tables only). Fires
-    /// no counters — they already fired at build time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or the block's destination list
-    /// does not match what the plan was built from (a determinism
-    /// violation).
-    fn apply_layer(&self, i: usize, blk: &TBlock) {
-        let layer = &self.layers[i];
-        if let Some((nodes, times, inverse)) = &layer.dedup {
-            op::dedup_apply(blk, nodes.clone(), times.clone(), inverse.clone());
-        }
-        blk.set_neighborhood(layer.nbrs.clone());
-        if let Some(staged) = &self.staged {
-            staged.fill(i, blk);
-        }
-    }
-}
-
-/// The chain-construction loop: one `fill` per layer on that layer's
-/// still-unsampled block, starting at `head`. `fill` must leave the
-/// block sampled so the next block can be derived from it.
-fn chain(head: &TBlock, n_layers: usize, mut fill: impl FnMut(usize, &TBlock)) {
+/// The one chain-construction loop.
+fn build(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TBlock {
+    let head = {
+        let _prep = crate::prof::scope("prep_batch");
+        batch.block(ctx)
+    };
     let mut tail = head.clone();
-    for i in 0..n_layers {
+    for i in 0..spec.n_layers {
         if i > 0 {
             tail = tail.next_block();
         }
-        fill(i, &tail);
+        if spec.dedup {
+            op::dedup(&tail);
+        }
+        if cache {
+            op::cache(ctx, &tail);
+        }
+        let _s = crate::prof::scope("sample").stage(tgl_obs::Stage::Sample);
+        let csr = tail.graph().tcsr();
+        let nbrs = tail.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times));
+        tail.set_neighborhood(nbrs);
     }
-}
-
-/// The batch's head block, built under the `prep_batch` phase.
-fn head_block(ctx: &TContext, batch: &TBatch) -> TBlock {
-    let _prep = crate::prof::scope("prep_batch");
-    batch.block(ctx)
-}
-
-/// One layer built from scratch: `dedup` → `[cache]` → `sample`.
-/// Returns the dedup replacement for a plan to record.
-fn sample_layer(
-    ctx: &TContext,
-    blk: &TBlock,
-    spec: &SamplingSpec,
-    cache: bool,
-) -> Option<op::Replacement> {
-    let dedup = if spec.dedup {
-        op::dedup_planned(blk)
-    } else {
-        None
-    };
-    if cache {
-        op::cache(ctx, blk);
-    }
-    let _s = crate::prof::scope("sample").stage(tgl_obs::Stage::Sample);
-    let csr = blk.graph().tcsr();
-    let nbrs = blk.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times));
-    blk.set_neighborhood(nbrs);
-    dedup
-}
-
-/// Builds the block chain of `batch` and returns its head: per layer
-/// `block` → `dedup` → `[cache]` → `sample`, then `preload`, as `spec`
-/// says (paper Listing 2). `cache` applies `op::cache` to every block
-/// (inference only: it filters destinations by what the embedding
-/// cache holds, which depends on the parameters).
-///
-/// When the batch carries a prefetch plan and `cache` is off, chain
-/// construction is a pure function of the batch, so the plan is
-/// replayed instead — dedup, sampling and feature staging already
-/// happened, and were counted, where the plan was built. The replay is
-/// bitwise identical to the inline construction.
-pub fn build_chain(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TBlock {
-    if let (Some(plan), false) = (batch.plan(), cache) {
-        // The prep_batch phase fired where the plan was built; the
-        // cheap rebuild here stays unscoped so the phase breakdown
-        // counts that work once.
-        let head = batch.block(ctx);
-        chain(&head, spec.n_layers, |i, blk| plan.apply_layer(i, blk));
-        return head;
-    }
-    let head = head_block(ctx, batch);
-    chain(&head, spec.n_layers, |_, blk| {
-        sample_layer(ctx, blk, spec, cache);
-    });
     if spec.preload_pinned {
         let _p = crate::prof::scope("preload").stage(tgl_obs::Stage::Transfer);
         op::preload(ctx, &head, true);
@@ -165,26 +90,32 @@ pub fn build_chain(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: b
     head
 }
 
-/// Builds the prefetch plan for `batch` by running the model's chain
-/// construction on the calling thread (the pipelined trainer calls
-/// this from its sampler stage). The local block chain is thrown away
-/// without ever expanding its features; only `Send` data survives in
-/// the plan.
+/// The block chain of `batch`, head first: per layer `block` → `dedup`
+/// → `[cache]` → `sample`, then `preload`, as `spec` says (paper
+/// Listing 2). `cache` applies `op::cache` to every block (inference
+/// only: it filters destinations by what the embedding cache holds,
+/// which depends on the parameters).
+///
+/// When the batch carries a prepared chain ([`build_plan`]) and `cache`
+/// is off, that chain is taken: it is bitwise the one this call would
+/// build, and its work was counted where it was built. A chain is
+/// consumed by its first use; a later call on the same batch builds
+/// inline.
+pub fn build_chain(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TBlock {
+    let prepared = if cache {
+        None
+    } else {
+        batch.plan().and_then(|plan| plan.head.lock().take())
+    };
+    prepared.unwrap_or_else(|| build(ctx, batch, spec, cache))
+}
+
+/// Builds `batch`'s chain now, on the calling thread (the pipelined
+/// trainer's sampler stage), for a later [`build_chain`] to take.
 pub fn build_plan(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> BatchPlan {
-    let head = head_block(ctx, batch);
-    let mut layers = Vec::with_capacity(spec.n_layers);
-    chain(&head, spec.n_layers, |_, blk| {
-        let dedup = sample_layer(ctx, blk, spec, false);
-        layers.push(LayerPlan {
-            dedup,
-            nbrs: blk.with_nbrs(Clone::clone),
-        });
-    });
-    let staged = spec.preload_pinned.then(|| {
-        let _p = crate::prof::scope("preload").stage(tgl_obs::Stage::Transfer);
-        op::stage(ctx, &head, true)
-    });
-    BatchPlan { layers, staged }
+    BatchPlan {
+        head: Mutex::new(Some(build(ctx, batch, spec, false))),
+    }
 }
 
 #[cfg(test)]
@@ -229,10 +160,13 @@ mod tests {
         build_chain(ctx, batch, spec, false)
     }
 
-    /// Plan-style: build on one "thread", replay onto a fresh chain.
+    /// Pipeline-style: prepare the chain on another thread, take it here.
     fn build_via_plan(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec) -> TBlock {
         let mut planned = batch.clone();
-        planned.set_plan(Arc::new(build_plan(ctx, batch, spec)));
+        let plan = std::thread::scope(|s| {
+            s.spawn(|| build_plan(ctx, batch, spec)).join().expect("sampler stage")
+        });
+        planned.set_plan(Arc::new(plan));
         build_chain(ctx, &planned, spec, false)
     }
 
@@ -288,7 +222,7 @@ mod tests {
         let s = spec(true, true);
         let bits = |v: Vec<f32>| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         for head in [build_sequential(&ctx, &batch, &s), build_via_plan(&ctx, &batch, &s)] {
-            let blocks: Vec<TBlock> = std::iter::successors(Some(head), TBlock::next).collect();
+            let blocks: Vec<TBlock> = head.chain().collect();
             assert_eq!(blocks.len(), 2);
             for blk in blocks {
                 assert!(blk.num_edges() > 0, "block {} sampled nothing", blk.layer());
@@ -298,9 +232,26 @@ mod tests {
     }
 
     #[test]
+    fn a_prepared_chain_is_taken_once_then_built_inline() {
+        let (g, ctx) = setup();
+        let mut batch = TBatch::new(Arc::clone(&g), 2..6);
+        batch.set_negatives(vec![4, 5, 4, 5]);
+        let s = spec(true, true);
+        batch.set_plan(Arc::new(build_plan(&ctx, &batch, &s)));
+        let first = build_chain(&ctx, &batch, &s, false);
+        let second = build_chain(&ctx, &batch, &s, false);
+        assert_chains_identical(&first, &second);
+        // Two chains, not one handed out twice: a used chain has run
+        // its hooks and carries the first pass's named data.
+        first.set_dstdata("h", first.dstfeat());
+        assert!(!second.has_dstdata("h"));
+    }
+
+    #[test]
     fn plan_is_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<BatchPlan>();
-        assert_send::<SamplingSpec>();
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TBlock>();
+        assert_send_sync::<BatchPlan>();
+        assert_send_sync::<SamplingSpec>();
     }
 }

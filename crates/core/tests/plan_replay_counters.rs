@@ -1,9 +1,9 @@
-//! Replaying a prefetch plan must not count the dedup, sampling and
-//! staging (feature rows and time deltas over the link) it skips: they
-//! were counted where the plan was built. The counters are
-//! process-global, so this check owns its test binary — nothing else
-//! can move them between the two snapshots, and one exact comparison
-//! is the proof.
+//! Taking a prepared chain, and reading what was staged for it, must
+//! not count the dedup, sampling and staging (feature rows and time
+//! deltas over the link) again: they were counted where the chain was
+//! built. The counters are process-global, so this check owns its test
+//! binary — nothing else can move them between the two snapshots, and
+//! one exact comparison is the proof.
 
 use std::sync::Arc;
 
@@ -42,16 +42,16 @@ fn apply_is_counter_silent() {
             .collect()
     };
     let before = metered();
-    assert!(before.iter().any(|&(_, v)| v > 0), "building the plan counted: {before:?}");
+    assert!(before.iter().any(|&(_, v)| v > 0), "building the chain counted: {before:?}");
     assert!(
         before.iter().any(|&(name, v)| name == "transfer.pinned_count" && v == 3),
         "two tables and the deltas cross pinned: {before:?}"
     );
     let head = build_chain(&ctx, &batch, &spec, false);
-    // Reading what the replay installed crosses nothing either.
-    for blk in std::iter::successors(Some(head), tglite::TBlock::next) {
+    // Expanding what was staged crosses nothing either.
+    for blk in head.chain() {
         assert_eq!(blk.deltas().to_vec(), blk.delta_times());
         blk.srcfeat();
     }
-    assert_eq!(metered(), before, "the replay moved a dedup/sampler/preload/transfer counter");
+    assert_eq!(metered(), before, "taking the chain moved a dedup/sampler/preload/transfer counter");
 }

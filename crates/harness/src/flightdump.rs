@@ -2,7 +2,7 @@
 //!
 //! The recorder itself lives in `tgl_obs::flight`; this module decides
 //! *when* a dump hits disk: on panic (via a std panic hook installed
-//! once by [`install_flight_hook`]), on a `TGL_HEALTH=fail` trip (the
+//! once by [`install_flight_hook`]), on a `--health fail` trip (the
 //! health monitor calls [`dump`] just before panicking), or wherever a
 //! driver wants one. Dumps land in `TGL_FLIGHT_DIR` (default: the
 //! current directory) as `flight-<unix_ms>.json`.

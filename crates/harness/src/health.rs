@@ -48,15 +48,6 @@ impl HealthPolicy {
         }
     }
 
-    /// Policy from `TGL_HEALTH` (default [`HealthPolicy::Warn`];
-    /// unrecognized values also fall back to `Warn`).
-    pub fn from_env() -> HealthPolicy {
-        std::env::var("TGL_HEALTH")
-            .ok()
-            .and_then(|v| HealthPolicy::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Lowercase label used in reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -158,7 +149,7 @@ impl HealthMonitor {
             // Post-mortem before the policy panic; the panic hook's
             // recently-dumped check avoids writing a second dump.
             crate::flightdump::dump("health-fail");
-            panic!("health: {msg} (TGL_HEALTH=fail)");
+            panic!("health: {msg} (--health fail)");
         }
         false
     }
@@ -186,7 +177,7 @@ impl HealthMonitor {
             // Post-mortem before the policy panic; the panic hook's
             // recently-dumped check avoids writing a second dump.
             crate::flightdump::dump("health-fail");
-            panic!("health: {msg} (TGL_HEALTH=fail)");
+            panic!("health: {msg} (--health fail)");
         }
         false
     }
@@ -211,7 +202,7 @@ impl HealthMonitor {
             if self.policy == HealthPolicy::Fail && t.severity == Level::Fail {
                 crate::flightdump::dump("alert-fail");
                 panic!(
-                    "health: alert {} fired on {} (value {} at idx {}) (TGL_HEALTH=fail)",
+                    "health: alert {} fired on {} (value {} at idx {}) (--health fail)",
                     t.rule, t.metric, t.value, t.idx
                 );
             }
@@ -294,7 +285,7 @@ impl HealthMonitor {
             health::record(self.policy.event_level(), "trainer.grad", msg.clone());
             if self.policy == HealthPolicy::Fail {
                 crate::flightdump::dump("health-fail");
-                panic!("health: {msg} (TGL_HEALTH=fail)");
+                panic!("health: {msg} (--health fail)");
             }
         }
         if !finite {
@@ -302,7 +293,7 @@ impl HealthMonitor {
             health::record(self.policy.event_level(), "trainer.params", msg.clone());
             if self.policy == HealthPolicy::Fail {
                 crate::flightdump::dump("health-fail");
-                panic!("health: {msg} (TGL_HEALTH=fail)");
+                panic!("health: {msg} (--health fail)");
             }
         }
         self.start_params.clear();

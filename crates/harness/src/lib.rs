@@ -13,7 +13,7 @@
 //!   writes the artifacts [`ObsOptions`] asks for;
 //! * [`table`] — fixed-width text rendering for paper-style tables;
 //! * [`health`] — training-health monitor: NaN/Inf sentinels with a
-//!   configurable policy (`TGL_HEALTH=off|warn|fail`) and per-epoch
+//!   configurable policy (`--health off|warn|fail`) and per-epoch
 //!   gradient-norm / update-ratio / loss-trend gauges;
 //! * [`profrep`] — roofline-annotated rendering of the span
 //!   aggregate's op rows (`tgl_obs::profile`): top-k table with

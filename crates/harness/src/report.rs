@@ -717,6 +717,6 @@ mod tests {
         assert!(obs::collecting());
         let report = rep.finish(0.0, 0.0);
         assert!(!obs::collecting());
-        assert_eq!(report.health.policy, "fail", "policy is passed by value, not via TGL_HEALTH");
+        assert_eq!(report.health.policy, "fail", "policy is passed by value");
     }
 }

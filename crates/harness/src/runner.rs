@@ -301,9 +301,9 @@ pub struct ObsOptions {
     pub serve_hold: bool,
     /// `--slo` rules file (or `TGL_SLO`).
     pub slo: Option<PathBuf>,
-    /// `--health` policy; `None` keeps the trainer's (`TGL_HEALTH`).
+    /// `--health` policy; `None` keeps the trainer's (`Warn`).
     pub health: Option<HealthPolicy>,
-    /// `--pipeline` depth; `None` keeps the trainer's (`TGL_PIPELINE`).
+    /// `--pipeline` depth; `None` keeps the trainer's (0).
     pub pipeline: Option<usize>,
     /// `--flight on|off`; `None` keeps `TGL_FLIGHT`.
     pub flight: Option<bool>,
@@ -339,9 +339,8 @@ impl std::error::Error for RunError {}
 impl ObsOptions {
     /// Reads every observability / artifact flag of `tgl train|eval`
     /// and the quickstart. `TGL_SLO` and `TGL_METRICS_ADDR` are read
-    /// here, once, as defaults for their flags (`TGL_HEALTH` and
-    /// `TGL_PIPELINE` are the trainer's own defaults); nothing is
-    /// written back to the environment. `--ckpt` loads when
+    /// here, once, as defaults for their flags; nothing is written
+    /// back to the environment. `--ckpt` loads when
     /// `eval_only`, saves otherwise.
     ///
     /// # Errors

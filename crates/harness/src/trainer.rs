@@ -1,9 +1,12 @@
 //! Epoch-based training and inference driver.
 
+use std::sync::Arc;
+
 use tgl_data::{NegativeSampler, Split};
 use tgl_models::TemporalModel;
 use tgl_tensor::optim::Adam;
 use tgl_tensor::{bce_with_logits, no_grad, ops::cat, Tensor};
+use tglite::plan::SamplingSpec;
 use tglite::{TBatch, TContext};
 
 use crate::health::{HealthMonitor, HealthPolicy};
@@ -99,9 +102,9 @@ pub struct Trainer {
     cfg: TrainConfig,
     neg_lo: u32,
     neg_hi: u32,
-    /// Pipeline depth: 0 runs the sequential reference loop; `d >= 1`
-    /// runs a sampler stage prefetching up to `d` batches ahead of the
-    /// compute stage over a bounded channel.
+    /// Pipeline depth: 0 prepares each batch inline; `d >= 1` runs a
+    /// sampler stage preparing up to `d` batches ahead of the compute
+    /// stage over a bounded channel.
     pipeline: usize,
     /// Health monitor state, kept across epochs (loss trend). Behind a
     /// mutex only because `train_epoch` takes `&self`.
@@ -110,22 +113,16 @@ pub struct Trainer {
 
 impl Trainer {
     /// Creates a trainer drawing negatives from node ids
-    /// `[neg_lo, neg_hi)`. The health policy comes from `TGL_HEALTH`
-    /// (default warn); override with
-    /// [`with_health`](Trainer::with_health). The pipeline depth comes
-    /// from `TGL_PIPELINE` (default 0 = sequential); override with
-    /// [`with_pipeline`](Trainer::with_pipeline).
+    /// `[neg_lo, neg_hi)`, with the `Warn` health policy
+    /// ([`with_health`](Trainer::with_health) replaces it) and pipeline
+    /// depth 0 ([`with_pipeline`](Trainer::with_pipeline) sets it).
     pub fn new(cfg: TrainConfig, neg_lo: u32, neg_hi: u32) -> Trainer {
-        let pipeline = std::env::var("TGL_PIPELINE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         Trainer {
             cfg,
             neg_lo,
             neg_hi,
-            pipeline,
-            health: std::sync::Mutex::new(HealthMonitor::new(HealthPolicy::from_env())),
+            pipeline: 0,
+            health: std::sync::Mutex::new(HealthMonitor::new(HealthPolicy::Warn)),
         }
     }
 
@@ -135,8 +132,8 @@ impl Trainer {
         self
     }
 
-    /// Sets the pipeline depth: 0 = sequential (the bitwise
-    /// reference), `d >= 1` = prefetch up to `d` batches ahead.
+    /// Sets the pipeline depth: 0 = batches prepared inline (the
+    /// bitwise reference), `d >= 1` = up to `d` batches prepared ahead.
     pub fn with_pipeline(mut self, depth: usize) -> Trainer {
         self.pipeline = depth;
         self
@@ -157,19 +154,95 @@ impl Trainer {
         self.cfg.batch_size
     }
 
+    /// Runs `step` on every batch of `range`, in order: the one batch
+    /// loop under [`train_epoch`](Trainer::train_epoch) and
+    /// [`evaluate`](Trainer::evaluate).
+    ///
+    /// A batch is prepared in one place, the closure below: negatives
+    /// drawn from `negs`, then, when there is a sampler stage and the
+    /// model publishes a `spec`, its block chain
+    /// ([`tglite::plan::build_plan`]), and with `collect_insight` the
+    /// insight observations made on the way. At depth 0 that runs
+    /// inline and `forward` builds the chain. At depth `d >= 1` it runs
+    /// on a sampler thread, up to `d` batches ahead over a bounded
+    /// channel, while this thread runs `step`. Everything prepared is
+    /// independent of parameters and node state, and all mutation
+    /// stays in `step` on this thread in batch order, so results are
+    /// bitwise identical at any depth and thread count.
+    fn for_each_batch(
+        &self,
+        ctx: &TContext,
+        range: &std::ops::Range<usize>,
+        mut negs: NegativeSampler,
+        spec: Option<SamplingSpec>,
+        collect_insight: bool,
+        mut step: impl FnMut(TBatch),
+    ) {
+        // Without a sampler stage `forward` builds the chain itself.
+        let spec = if self.pipeline > 0 { spec } else { None };
+        let mut prepare = move |range| {
+            // Observations made while the batch is built collect into
+            // a bag that travels with it, so flush order (and every
+            // derived series) is batch order at any pipeline depth.
+            if collect_insight {
+                tgl_obs::insight::begin_batch();
+            }
+            let mut batch = TBatch::new(ctx.graph().clone(), range);
+            batch.set_negatives(negs.draw(batch.len()));
+            if let Some(spec) = &spec {
+                batch.set_plan(Arc::new(tglite::plan::build_plan(ctx, &batch, spec)));
+            }
+            if collect_insight {
+                batch.set_insight(tgl_obs::insight::take_batch());
+            }
+            batch
+        };
+        let ranges = Split::batches(range, self.cfg.batch_size);
+        if self.pipeline == 0 {
+            ranges.for_each(|r| step(prepare(r)));
+            return;
+        }
+        let (tx, rx) = tgl_runtime::channel::bounded::<TBatch>(self.pipeline);
+        std::thread::scope(|scope| {
+            // Moved into this closure so a compute-stage panic drops
+            // the receiver during unwind, waking a sampler blocked on
+            // the full queue before the scope joins it.
+            let rx = rx;
+            let parent_span = tgl_obs::current();
+            scope.spawn(move || {
+                // The sampler stage continues the caller's span on its
+                // own thread.
+                let _parent = tgl_obs::adopt(parent_span);
+                for r in ranges {
+                    let batch = {
+                        let _prefetch = tgl_obs::region("prefetch").stage(tgl_obs::Stage::Sample);
+                        prepare(r)
+                    };
+                    tgl_obs::histogram!("pipeline.queue.occupancy").record(tx.len() as u64);
+                    let _wait = tgl_obs::histogram!("pipeline.queue.send_wait_ns").timer();
+                    if tx.send(batch).is_err() {
+                        // The compute stage died (panic); stop
+                        // preparing so its unwind can proceed.
+                        break;
+                    }
+                }
+            });
+            let recv = || {
+                let _wait = tgl_obs::histogram!("pipeline.queue.recv_wait_ns").timer();
+                rx.recv()
+            };
+            // `Err` = closed and drained.
+            while let Ok(batch) = recv() {
+                step(batch);
+            }
+        });
+    }
+
     /// Runs one training epoch over `split.train`, then evaluates AP on
     /// `split.val`. Memory state is reset at the epoch start and flows
-    /// chronologically train → val.
-    ///
-    /// With a pipeline depth of `d >= 1` (see
-    /// [`with_pipeline`](Trainer::with_pipeline)), a sampler stage on
-    /// its own thread prefetches up to `d` batches ahead — negative
-    /// draws, neighbor sampling/dedup, and pinned transfer staging via
-    /// [`tglite::plan`] — over a bounded channel while this thread
-    /// runs forward/backward/opt. All parameter and cache mutation
-    /// stays on this thread in batch order, and the prefetched work is
-    /// parameter-independent, so losses are bitwise identical to the
-    /// sequential path at any depth and thread count.
+    /// chronologically train → val. See
+    /// [`with_pipeline`](Trainer::with_pipeline) for where batches are
+    /// prepared; losses do not depend on it.
     pub fn train_epoch<M: TemporalModel + ?Sized>(
         &self,
         model: &mut M,
@@ -180,12 +253,11 @@ impl Trainer {
     ) -> EpochStats {
         model.reset_state(ctx);
         model.set_training(true);
-        let mut negs = NegativeSampler::new(
+        let negs = NegativeSampler::new(
             self.neg_lo,
             self.neg_hi,
             self.cfg.seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9),
         );
-        let g = ctx.graph().clone();
         let params = model.parameters();
         let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
         health.begin_epoch(&params);
@@ -198,91 +270,21 @@ impl Trainer {
         let mut total_loss = 0.0f64;
         let mut batches = 0usize;
         let mut seen = 0usize;
-        if self.pipeline == 0 {
-            for range in Split::batches(&split.train, self.cfg.batch_size) {
+        self.for_each_batch(ctx, &split.train, negs, model.sampling_spec(), true, |mut batch| {
+            {
+                let _step_region = tgl_obs::region("step");
+                tgl_obs::insight::install_batch(batch.take_insight());
+                if let Some(loss) =
+                    Self::train_step(model, ctx, opt, &mut health, epoch, seen, &batch)
                 {
-                    let _step_region = tgl_obs::region("step");
-                    tgl_obs::insight::begin_batch();
-                    let mut batch = TBatch::new(g.clone(), range);
-                    batch.set_negatives(negs.draw(batch.len()));
-                    if let Some(loss) =
-                        Self::train_step(model, ctx, opt, &mut health, epoch, seen, &batch)
-                    {
-                        total_loss += loss;
-                        batches += 1;
-                    }
-                    seen += 1;
+                    total_loss += loss;
+                    batches += 1;
                 }
-                tgl_obs::insight::flush_step();
-                Self::step_telemetry(&mut health);
+                seen += 1;
             }
-        } else {
-            let spec = model.sampling_spec();
-            let ranges: Vec<std::ops::Range<usize>> =
-                Split::batches(&split.train, self.cfg.batch_size).collect();
-            let (tx, rx) = tgl_runtime::channel::bounded::<TBatch>(self.pipeline);
-            std::thread::scope(|scope| {
-                // Moved into this closure so a compute-stage panic
-                // drops the receiver during unwind, waking a sampler
-                // blocked on the full queue before the scope joins it.
-                let rx = rx;
-                let g_sampler = g.clone();
-                let epoch_span = tgl_obs::current();
-                scope.spawn(move || {
-                    // The sampler stage continues the epoch's span on
-                    // its own thread.
-                    let _epoch = tgl_obs::adopt(epoch_span);
-                    let mut negs = negs;
-                    for range in ranges {
-                        let prefetch = tgl_obs::region("prefetch").stage(tgl_obs::Stage::Sample);
-                        // Insight observations made while building this
-                        // batch (negative draw, plan dedup/sampling)
-                        // collect into a bag that travels with the
-                        // batch to the compute thread, so flush order —
-                        // and every derived series — is batch order at
-                        // any pipeline depth.
-                        tgl_obs::insight::begin_batch();
-                        let mut batch = TBatch::new(g_sampler.clone(), range);
-                        batch.set_negatives(negs.draw(batch.len()));
-                        if let Some(spec) = &spec {
-                            let plan = tglite::plan::build_plan(ctx, &batch, spec);
-                            batch.set_plan(std::sync::Arc::new(plan));
-                        }
-                        batch.set_insight(tgl_obs::insight::take_batch());
-                        drop(prefetch);
-                        tgl_obs::histogram!("pipeline.queue.occupancy").record(tx.len() as u64);
-                        let _wait = tgl_obs::histogram!("pipeline.queue.send_wait_ns").timer();
-                        if tx.send(batch).is_err() {
-                            // The compute stage died (panic); stop
-                            // prefetching so its unwind can proceed.
-                            break;
-                        }
-                    }
-                });
-                loop {
-                    let mut batch = {
-                        let _wait = tgl_obs::histogram!("pipeline.queue.recv_wait_ns").timer();
-                        match rx.recv() {
-                            Ok(b) => b,
-                            Err(_) => break, // closed + drained
-                        }
-                    };
-                    {
-                        let _step_region = tgl_obs::region("step");
-                        tgl_obs::insight::install_batch(batch.take_insight());
-                        if let Some(loss) =
-                            Self::train_step(model, ctx, opt, &mut health, epoch, seen, &batch)
-                        {
-                            total_loss += loss;
-                            batches += 1;
-                        }
-                        seen += 1;
-                    }
-                    tgl_obs::insight::flush_step();
-                    Self::step_telemetry(&mut health);
-                }
-            });
-        }
+            tgl_obs::insight::flush_step();
+            Self::step_telemetry(&mut health);
+        });
         let train_time_s = start.elapsed_s();
         let mean_loss = total_loss / batches.max(1) as f64;
         health.end_epoch(epoch, &params, mean_loss);
@@ -305,8 +307,8 @@ impl Trainer {
 
     /// Per-step telemetry hook: one time-series sampling pass plus an
     /// alert-rule evaluation, with transitions routed through the
-    /// health policy. Runs on the compute thread after every step in
-    /// both trainer paths, so the sampling cadence — and therefore the
+    /// health policy. Runs on the compute thread after every step, so
+    /// the sampling cadence — and therefore the
     /// alert firing sequence — is a pure function of step count,
     /// independent of thread count and pipeline depth. One relaxed
     /// load when the time-series store is disabled (the default).
@@ -322,10 +324,9 @@ impl Trainer {
     }
 
     /// One compute-stage step: forward, loss, health check, backward,
-    /// optimizer update, cache invalidation. Shared verbatim by the
-    /// sequential and pipelined paths so both run the identical
-    /// floating-point sequence; all parameter and cache mutation
-    /// happens here, on the calling (compute) thread, in batch order.
+    /// optimizer update, cache invalidation. All parameter and cache
+    /// mutation happens here, on the calling (compute) thread, in
+    /// batch order.
     ///
     /// Returns the loss when the step applied, or `None` when the
     /// health monitor skipped a poisoned batch.
@@ -352,8 +353,8 @@ impl Trainer {
         if !health.check_loss(epoch, step_idx, loss_v) {
             // Poisoned batch: backpropagating a non-finite loss would
             // corrupt the parameters. Skip it (the event is already
-            // recorded) but still drop stale caches. Queued prefetched
-            // batches stay valid — their plans never depend on the
+            // recorded) but still drop stale caches. Batches already
+            // prepared stay valid — their chains never depend on the
             // parameters this skip protects.
             ctx.clear_caches();
             return None;
@@ -416,10 +417,10 @@ impl Trainer {
 
     /// Runs inference over an edge range, returning `(AP, seconds)`.
     /// Memory-based models keep advancing their state (the standard
-    /// chronological evaluation protocol). The pipelined trainer
-    /// shares this path unchanged: evaluation mutates the context's
-    /// embedding caches, so it always runs sequentially on the compute
-    /// thread.
+    /// chronological evaluation protocol). Batches come from the same
+    /// loop as training's; a model whose inference chain depends on
+    /// what earlier batches left behind (TGAT with `cache`) publishes
+    /// no spec in this mode and builds its chains inline.
     pub fn evaluate<M: TemporalModel + ?Sized>(
         &self,
         model: &mut M,
@@ -427,8 +428,7 @@ impl Trainer {
         range: std::ops::Range<usize>,
     ) -> (f64, f64) {
         model.set_training(false);
-        let mut negs = NegativeSampler::new(self.neg_lo, self.neg_hi, self.cfg.seed ^ 0xE7A1_5EED);
-        let g = ctx.graph().clone();
+        let negs = NegativeSampler::new(self.neg_lo, self.neg_hi, self.cfg.seed ^ 0xE7A1_5EED);
         let start = CpuTimer::start();
         // One positive and one negative score per edge in the range.
         let mut all_pos: Vec<f32> = Vec::with_capacity(range.len());
@@ -436,14 +436,12 @@ impl Trainer {
         {
             let _eval_region = tgl_obs::region("eval");
             let _guard = no_grad();
-            for r in Split::batches(&range, self.cfg.batch_size) {
-                let mut batch = TBatch::new(g.clone(), r);
-                batch.set_negatives(negs.draw(batch.len()));
+            self.for_each_batch(ctx, &range, negs, model.sampling_spec(), false, |batch| {
                 let _fwd = tgl_obs::region("forward").stage(tgl_obs::Stage::Forward);
                 let (pos, neg) = model.forward(ctx, &batch);
                 all_pos.extend(pos.to_vec());
                 all_neg.extend(neg.to_vec());
-            }
+            });
         }
         let secs = start.elapsed_s();
         model.set_training(true);
@@ -558,7 +556,6 @@ fn link_loss(pos: &Tensor, neg: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use tgl_data::{generate, DatasetKind, DatasetSpec};
     use tgl_models::{ModelConfig, OptFlags, Tgat};
 

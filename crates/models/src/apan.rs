@@ -3,11 +3,11 @@
 use tgl_runtime::rng::StdRng;
 use tgl_runtime::rng::SeedableRng;
 use tgl_graph::NodeId;
-use tgl_sampler::SamplingStrategy;
 use tgl_tensor::nn::{GruCell, Linear, Mlp, Module};
 use tgl_tensor::ops::{cat, segment_softmax, segment_sum};
 use tgl_tensor::{no_grad, Tensor};
 use tglite::nn::TimeEncode;
+use tglite::plan::{self, SamplingSpec};
 use tglite::{op, TBatch, TBlock, TContext, TSampler};
 
 use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalModel};
@@ -29,10 +29,13 @@ pub struct Apan {
     ffn: Mlp,
     time_encoder: TimeEncode,
     memory_updater: GruCell,
+    /// Head block only: the embedding path samples nothing.
+    spec: SamplingSpec,
+    /// Mail delivery's 1-hop sampler (runs inline, after the memory
+    /// update, in `propagate_mails`).
     sampler: TSampler,
     predictor: EdgePredictor,
     opts: OptFlags,
-    cfg: ModelConfig,
     training: bool,
     mail_dim: usize,
 }
@@ -51,6 +54,7 @@ impl Apan {
         g.attach_memory(mem_dim, device);
         g.attach_mailbox(cfg.mailbox_slots, mail_dim, device);
         let hd = cfg.emb_dim;
+        let spec = crate::sampling_spec(&ModelConfig { n_layers: 0, ..cfg }, &opts, seed);
         Apan {
             w_q: Linear::new(d_node + cfg.time_dim, hd, &mut rng).to_device(device),
             w_k: Linear::new(mail_dim + cfg.time_dim, hd, &mut rng).to_device(device),
@@ -58,25 +62,24 @@ impl Apan {
             ffn: Mlp::new(hd + d_node, cfg.emb_dim, cfg.emb_dim, &mut rng).to_device(device),
             time_encoder: TimeEncode::new(cfg.time_dim, &mut rng).to_device(device),
             memory_updater: GruCell::new(hd, mem_dim, &mut rng).to_device(device),
-            sampler: TSampler::from_engine(
-                tgl_sampler::TemporalSampler::new(cfg.n_neighbors, SamplingStrategy::Recent)
-                    .with_seed(seed),
-            ),
+            sampler: TSampler::from_engine(spec.sampler.clone()),
+            spec,
             predictor: EdgePredictor::new(cfg.emb_dim, &mut rng).to_device(device),
             opts,
-            cfg,
             training: true,
             mail_dim,
         }
     }
 
-    /// Attention over mailbox slots: one embedding row per query node,
-    /// plus the attended mail summary used for the memory update.
-    fn attention(&self, ctx: &TContext, nodes: &[NodeId], times: &[f64]) -> (Tensor, Tensor) {
+    /// Attention over mailbox slots: one embedding row per destination
+    /// of `head`, plus the attended mail summary used for the memory
+    /// update.
+    fn attention(&self, ctx: &TContext, head: &TBlock) -> (Tensor, Tensor) {
         let g = ctx.graph();
         let device = ctx.device();
+        let (nodes, times) = (head.dst_nodes(), head.dst_times());
         let n = nodes.len();
-        let (mails, mail_ts, owners) = g.mailbox().all_slots(nodes);
+        let (mails, mail_ts, owners) = g.mailbox().all_slots(&nodes);
         let mails = mails.to(device);
         let deltas: Vec<f32> = owners
             .iter()
@@ -98,7 +101,7 @@ impl Apan {
         } else {
             self.time_encoder.encode_zeros(n)
         };
-        let nfeat = g.node_feat_rows(nodes).to(device);
+        let nfeat = head.dstfeat();
         let q = self.w_q.forward(&cat(&[nfeat.clone(), zeros_t], 1));
         let kv_in = cat(&[mails, mail_t], 1);
         let k = self.w_k.forward(&kv_in);
@@ -171,7 +174,6 @@ impl Apan {
     fn persist_memory(&self, ctx: &TContext, batch: &TBatch, summaries: &Tensor) {
         let _guard = no_grad();
         let g = ctx.graph();
-        let n = batch.len();
         // Unique endpoints, keeping the *latest* occurrence per node.
         let mut latest: std::collections::HashMap<NodeId, (usize, f64)> =
             std::collections::HashMap::new();
@@ -190,7 +192,6 @@ impl Apan {
         let (nodes, rows_times): (Vec<NodeId>, Vec<(usize, f64)>) = latest.into_iter().unzip();
         let rows: Vec<usize> = rows_times.iter().map(|&(r, _)| r).collect();
         let times: Vec<f64> = rows_times.iter().map(|&(_, t)| t).collect();
-        let _ = n;
         let summary_rows = summaries.index_select(&rows);
         let mem_rows = g.memory().rows(&nodes).to(ctx.device());
         let updated = self.memory_updater.forward(&summary_rows, &mem_rows);
@@ -231,12 +232,14 @@ impl TemporalModel for Apan {
         self.training = training;
     }
 
+    fn sampling_spec(&self) -> Option<SamplingSpec> {
+        Some(self.spec.clone())
+    }
+
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
-        let head = batch.block(ctx);
-        let nodes = head.dst_nodes();
-        let times = head.dst_times();
+        let head = plan::build_chain(ctx, batch, &self.spec, false);
         // 1. Embedding generation from stored messages.
-        let (embs, summaries) = self.attention(ctx, &nodes, &times);
+        let (embs, summaries) = self.attention(ctx, &head);
         // 2. Memory update for the positive endpoints (first 2n rows of
         //    the summary tensor).
         let n = batch.len();
@@ -245,7 +248,6 @@ impl TemporalModel for Apan {
         // 3. Mail creation + asynchronous propagation to neighbors.
         self.propagate_mails(ctx, batch);
         drop(memory_phase);
-        let _ = self.cfg;
         score_embeddings(&self.predictor, &embs, batch.len())
     }
 }

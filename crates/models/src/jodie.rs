@@ -7,7 +7,8 @@ use tgl_tensor::nn::{Linear, Module, RnnCell};
 use tgl_tensor::ops::cat;
 use tgl_tensor::{no_grad, Tensor};
 use tglite::nn::TimeEncode;
-use tglite::{op, TBatch, TContext};
+use tglite::plan::{self, SamplingSpec};
+use tglite::{op, TBatch, TBlock, TContext};
 
 use crate::{score_embeddings, EdgePredictor, ModelConfig, OptFlags, TemporalModel};
 
@@ -22,8 +23,8 @@ pub struct Jodie {
     feat_linear: Linear,
     projector: Tensor, // learnable w for (1 + Δt·w)
     predictor: EdgePredictor,
-    #[allow(dead_code)]
-    opts: OptFlags,
+    /// Head block only: JODIE samples nothing.
+    spec: SamplingSpec,
     training: bool,
     mail_dim: usize,
 }
@@ -33,8 +34,8 @@ impl Jodie {
     /// context's graph.
     ///
     /// Note: "no further optimization operators are applied for the
-    /// JODIE model due to its simplicity" (paper §5.2), so `opts` only
-    /// retains the preload flag for interface uniformity.
+    /// JODIE model due to its simplicity" (paper §5.2): of `opts` only
+    /// `preload_pinned` applies, to the head block's node features.
     pub fn new(ctx: &TContext, cfg: ModelConfig, opts: OptFlags, seed: u64) -> Jodie {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = ctx.graph();
@@ -53,7 +54,7 @@ impl Jodie {
                 .to(device)
                 .requires_grad(true),
             predictor: EdgePredictor::new(cfg.emb_dim, &mut rng).to_device(device),
-            opts,
+            spec: crate::sampling_spec(&ModelConfig { n_layers: 0, ..cfg }, &opts, seed),
             training: true,
             mail_dim,
         }
@@ -81,11 +82,13 @@ impl Jodie {
         (updated, mail_ts)
     }
 
-    /// JODIE's embedding projection: `(1 + Δt·w) ⊙ mem ⊕ W_f x`, with
-    /// Δt the gap between the query time and the node's last update.
-    fn project(&self, ctx: &TContext, mem: &Tensor, nodes: &[NodeId], times: &[f64]) -> Tensor {
+    /// JODIE's embedding projection of `blk`'s destinations: `(1 + Δt·w)
+    /// ⊙ mem ⊕ W_f x`, with Δt the gap between the query time and the
+    /// node's last update.
+    fn project(&self, ctx: &TContext, mem: &Tensor, blk: &TBlock) -> Tensor {
         let g = ctx.graph();
-        let mem_ts = g.memory().times(nodes);
+        let (nodes, times) = (blk.dst_nodes(), blk.dst_times());
+        let mem_ts = g.memory().times(&nodes);
         // JODIE normalizes the projection delta by the stream's time
         // scale so (1 + Δt·w) stays well-conditioned across datasets.
         let norm = (g.max_time() as f32).max(1.0);
@@ -97,9 +100,7 @@ impl Jodie {
         let n = nodes.len();
         let dt = Tensor::from_vec(deltas, [n, 1]).to(ctx.device());
         let scale = dt.mul(&self.projector).add_scalar(1.0); // [n, mem_dim]
-        let nfeat = self
-            .feat_linear
-            .forward(&g.node_feat_rows(nodes).to(ctx.device()));
+        let nfeat = self.feat_linear.forward(&blk.dstfeat());
         // (1 + Δt·w) ⊙ mem + W_f x fused into one kernel.
         nfeat.addcmul(mem, &scale, 1.0)
     }
@@ -128,7 +129,7 @@ impl Jodie {
         ts.extend_from_slice(times);
         ts.extend_from_slice(times);
         let (mem_new, _) = self.update_memory(ctx, &nodes);
-        let embs = self.project(ctx, &mem_new, &nodes, &ts);
+        let embs = self.project(ctx, &mem_new, &TBlock::new(ctx, 0, nodes, ts));
         let n = srcs.len();
         let s = embs.narrow_rows(0, n);
         let d = embs.narrow_rows(n, n);
@@ -173,15 +174,17 @@ impl TemporalModel for Jodie {
         self.training = training;
     }
 
+    fn sampling_spec(&self) -> Option<SamplingSpec> {
+        Some(self.spec.clone())
+    }
+
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
         // Nodes: [srcs | dsts | negs] at their edge times.
-        let head = batch.block(ctx);
-        let nodes = head.dst_nodes();
-        let times = head.dst_times();
+        let head = plan::build_chain(ctx, batch, &self.spec, false);
         let memory_phase = tglite::prof::scope("memory");
-        let (mem_new, _) = self.update_memory(ctx, &nodes);
+        let (mem_new, _) = self.update_memory(ctx, &head.dst_nodes());
         drop(memory_phase);
-        let embs = self.project(ctx, &mem_new, &nodes, &times);
+        let embs = self.project(ctx, &mem_new, &head);
         self.save_state(ctx, batch);
         score_embeddings(&self.predictor, &embs, batch.len())
     }

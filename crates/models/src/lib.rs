@@ -133,9 +133,10 @@ impl ModelConfig {
     }
 }
 
-/// The chain-construction recipe TGAT and TGN share: `n_layers` blocks
-/// of up to `n_neighbors` most-recent neighbors each, sampled with an
-/// engine seeded like the parameters.
+/// The chain-construction recipe the models share: `n_layers` sampled
+/// blocks (APAN and JODIE pass 0: the head block alone) of up to
+/// `n_neighbors` most-recent neighbors each, sampled with an engine
+/// seeded like the parameters.
 fn sampling_spec(cfg: &ModelConfig, opts: &OptFlags, seed: u64) -> tglite::plan::SamplingSpec {
     use tgl_sampler::{SamplingStrategy, TemporalSampler};
     tglite::plan::SamplingSpec {
@@ -171,14 +172,15 @@ pub trait TemporalModel {
     /// node state as a side effect (raw-message mailbox discipline).
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor);
 
-    /// The sampling/staging recipe, if this model builds its block
-    /// chain with [`tglite::plan::build_chain`]: chain construction is
-    /// then a pure function of the batch (no parameter- or
-    /// state-dependent sampling), and the pipelined trainer uses the
-    /// spec to prefetch batch N+1's chain on a sampler stage. A memory
-    /// model qualifies as long as its memory/mailbox reads happen in
-    /// `forward`, after the chain is built (TGN). `None` (the default)
-    /// limits prefetching to negative draws.
+    /// The sampling/staging recipe this model hands
+    /// [`tglite::plan::build_chain`] at the top of `forward`, published
+    /// only while chain construction is a pure function of the batch
+    /// (no parameter- or state-dependent step): the pipelined trainer
+    /// then builds batch N+1's chain from it on a sampler stage. A
+    /// memory model qualifies as long as its memory/mailbox reads
+    /// happen in `forward`, after the chain is built. `None` (the
+    /// default; TGAT in inference with `cache` on) limits the sampler
+    /// stage to negative draws.
     fn sampling_spec(&self) -> Option<tglite::plan::SamplingSpec> {
         None
     }

@@ -53,14 +53,16 @@ impl Tgat {
         }
     }
 
-    /// Computes time-aware embeddings for the batch's head block.
-    ///
-    /// When the batch carries a prefetch plan (pipelined training),
-    /// the chain is rebuilt by replaying the plan — dedup, sampling,
-    /// and feature staging already happened on the sampler stage —
-    /// instead of recomputing them here (see [`plan::build_chain`]).
+    /// Whether chain construction runs `op::cache` (inference only).
+    fn caching(&self) -> bool {
+        self.opts.cache && !self.training
+    }
+
+    /// Computes time-aware embeddings for the batch's head block. The
+    /// chain is the one the batch carries when the sampler stage
+    /// prepared it, else built here (see [`plan::build_chain`]).
     pub fn embeddings(&self, ctx: &TContext, batch: &TBatch) -> Tensor {
-        let head = plan::build_chain(ctx, batch, &self.spec, self.opts.cache && !self.training);
+        let head = plan::build_chain(ctx, batch, &self.spec, self.caching());
         let tail = head.tail();
         let _f = tglite::prof::scope("feature_load").stage(tgl_obs::Stage::Transfer);
         tail.set_dstdata("h", tail.dstfeat());
@@ -110,7 +112,9 @@ impl TemporalModel for Tgat {
     }
 
     fn sampling_spec(&self) -> Option<SamplingSpec> {
-        Some(self.spec.clone())
+        // `op::cache` reads the embedding cache, which earlier batches
+        // of the same pass fill: such a chain cannot be built ahead.
+        (!self.caching()).then(|| self.spec.clone())
     }
 }
 
@@ -163,8 +167,10 @@ mod tests {
 
     #[test]
     fn plan_driven_forward_is_bitwise_identical() {
-        // Replaying a prefetch plan (pipelined training) must produce
-        // the exact logits the inline chain construction produces.
+        // A chain prepared ahead (pipelined training) must produce the
+        // exact logits the inline chain construction produces, and so
+        // must a second pass over the same batch, which finds the
+        // prepared chain gone and builds inline.
         let g = small_graph(5);
         for opts in [OptFlags::none(), OptFlags::all()] {
             let ctx_a = ctx_for(&g);
@@ -183,6 +189,8 @@ mod tests {
             };
             assert_eq!(bits(&p1), bits(&p2), "pos logits drift (opts {opts:?})");
             assert_eq!(bits(&n1), bits(&n2), "neg logits drift (opts {opts:?})");
+            let (p3, n3) = planned.forward(&ctx_b, &staged);
+            assert_eq!((bits(&p2), bits(&n2)), (bits(&p3), bits(&n3)), "second forward drifts");
         }
     }
 

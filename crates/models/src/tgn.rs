@@ -156,11 +156,11 @@ impl TemporalModel for Tgn {
     }
 
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
-        // Build the block chain, or replay the batch's prefetch plan
-        // (dedup only: the paper skips cache() for TGN since memory
-        // updates invalidate cached embeddings). Nothing up to here
-        // reads node memory, which is why the chain can be planned
-        // ahead; everything below does, on this thread, in batch order.
+        // The block chain, built here or taken from the batch (dedup
+        // only: the paper skips cache() for TGN since memory updates
+        // invalidate cached embeddings). Nothing up to here reads node
+        // memory, which is why the chain can be built ahead;
+        // everything below does, on this thread, in batch order.
         let head = plan::build_chain(ctx, batch, &self.spec, false);
         let tail = head.tail();
 
@@ -359,9 +359,9 @@ mod tests {
 
     #[test]
     fn plan_driven_forward_is_bitwise_identical() {
-        // Replaying a prefetch plan (pipelined training) must produce
-        // the exact logits the inline chain construction produces, and
-        // leave the same memory and mailbox behind: the plan holds no
+        // A chain prepared ahead (pipelined training) must produce the
+        // exact logits the inline chain construction produces, and
+        // leave the same memory and mailbox behind: the chain holds no
         // node state, so two steps in a row see each other's writes.
         for opts in [OptFlags::none(), OptFlags::all()] {
             let run = |planned: bool| {
@@ -383,7 +383,7 @@ mod tests {
             };
             let (inline, planned) = (run(false), run(true));
             assert!(inline.1 .2.iter().any(|&b| b != 0), "no mail was stored");
-            assert_eq!(inline, planned, "plan replay drifted (opts {opts:?})");
+            assert_eq!(inline, planned, "prepared chain drifted (opts {opts:?})");
         }
     }
 

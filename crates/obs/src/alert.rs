@@ -39,7 +39,7 @@
 //! rings), increments `alerts.fired` / sets the `alerts.firing` gauge
 //! for `/metrics`, and is retained for the `tgl-alerts/v1` artifact
 //! served at `/alerts.json`. The harness routes fail-severity firings
-//! through the `TGL_HEALTH` policy (warn → log and continue, fail →
+//! through the `--health` policy (warn → log and continue, fail →
 //! flight dump + abort).
 
 use std::fmt::Write as _;

@@ -1,7 +1,7 @@
 //! Always-on flight recorder: a fixed-size, lock-free, per-thread ring
 //! buffer of the most recent spans and health events.
 //!
-//! Post-mortems of a panic or a `TGL_HEALTH=fail` trip normally carry
+//! Post-mortems of a panic or a `--health fail` trip normally carry
 //! nothing about the last moments of execution — the tracer is off by
 //! default (it grows without bound) and the profiler only aggregates.
 //! The flight recorder fills that gap: every span end and health event

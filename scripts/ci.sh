@@ -12,11 +12,17 @@ echo "==> cargo build --release --offline"
 # which --benches alone does not build in a fresh checkout.
 cargo build --release --offline --workspace --bins --benches
 
+# Both passes run under `timeout`: block chains cross threads behind
+# one lock per block, and a lock cycle would otherwise hang the job
+# instead of failing it. A full pass takes about two minutes here once
+# the test binaries are built.
+TEST_TIMEOUT=1800
+
 echo "==> cargo test -q --offline (TGL_KERNEL=exact, the default)"
-TGL_KERNEL=exact cargo test -q --offline --workspace
+TGL_KERNEL=exact timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
 
 echo "==> cargo test -q --offline (TGL_KERNEL=fast)"
-TGL_KERNEL=fast cargo test -q --offline --workspace
+TGL_KERNEL=fast timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
 
 # The end-to-end benchmark is its own package (own lockfile and target
 # dir). Its smoke run trains every workload at 1/8 size and exits
@@ -182,6 +188,21 @@ read -r D_V D_E < <(./target/release/tgl stats --dataset wiki --scale 8 \
 PER_SLOT_BYTES=$((4 * (D_V + D_E) * NEIGHBORS))
 [ "$PER_SLOT_BYTES" -gt 0 ] && [ $((4 * H2D_BYTES)) -le "$PER_SLOT_BYTES" ] \
     || { echo "host-resident TGN moved $H2D_BYTES B over the link; per-slot staging would move $PER_SLOT_BYTES B, the limit is a quarter of that"; exit 1; }
+
+echo "==> host-resident APAN / JODIE (--move): --pipeline 0 and 2 print the same epoch line"
+# Both models start at build_chain like TGAT and TGN; the sampler stage
+# building their head block ahead must not move a bit of loss or AP.
+epoch_line() { sed -n 's/^\(epoch  *1: loss [0-9.]*  val AP [0-9.]*%\).*/\1/p' "$1"; }
+for model in apan jodie; do
+    for depth in 0 2; do
+        TGL_THREADS=2 ./target/release/tgl train --model "$model" --move --pipeline "$depth" --scale 8 --epochs 1 \
+            >"$OBS_DIR/$model-$depth.log" 2>&1 \
+            || { cat "$OBS_DIR/$model-$depth.log"; exit 1; }
+    done
+    [ -n "$(epoch_line "$OBS_DIR/$model-0.log")" ] \
+        && [ "$(epoch_line "$OBS_DIR/$model-0.log")" = "$(epoch_line "$OBS_DIR/$model-2.log")" ] \
+        || { echo "$model --move: epoch line differs between --pipeline 0 and 2"; cat "$OBS_DIR/$model-0.log" "$OBS_DIR/$model-2.log"; exit 1; }
+done
 
 echo "==> live /metrics exposition + scrape check (with SLO rules + dashboard)"
 QS_LOG="$OBS_DIR/serve.log"

@@ -1,10 +1,11 @@
 //! Acceptance suite for the pipelined dataflow trainer: a sampler
-//! stage prefetching batches over a bounded channel must be
-//! *observationally invisible* next to the sequential reference —
-//! bitwise-identical epoch losses and validation AP at every queue
-//! depth and worker-pool width, identical deltas on the work counters
-//! the prefetched stages own (sampling, dedup, preload, transfers),
-//! and unchanged health semantics (a poisoned batch is skipped, not
+//! stage preparing batches (negatives and the block chain) ahead over
+//! a bounded channel must be *observationally invisible* next to
+//! depth 0, in training and in evaluation, for all four models —
+//! bitwise-identical epoch losses and APs at every queue depth and
+//! worker-pool width, identical deltas on the work counters the
+//! sampler stage owns (sampling, dedup, preload, transfers), and
+//! unchanged health semantics (a poisoned batch is skipped, not
 //! crashed, and the flight recorder still yields a parseable dump).
 //!
 //! The counters and the thread pool are process-global, so every test
@@ -16,7 +17,7 @@ use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_device::TransferModel;
 use tgl_harness::runner::{prepare_context, Placement};
 use tgl_harness::{HealthPolicy, TrainConfig, Trainer};
-use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
+use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::metrics;
 use tglite::TContext;
@@ -41,8 +42,12 @@ const TRACKED: [&str; 8] = [
     "transfer.h2d_bytes",
 ];
 
-fn counters() -> Vec<u64> {
-    TRACKED.iter().map(|n| metrics::get(n)).collect()
+/// Runs `f`, returning its result and the tracked counter deltas.
+fn metered<T>(f: impl FnOnce() -> T) -> (T, Vec<u64>) {
+    let counters = || TRACKED.map(metrics::get);
+    let before = counters();
+    let out = f();
+    (out, before.iter().zip(counters()).map(|(b, a)| a - b).collect())
 }
 
 /// Per-epoch `(loss, val_ap)` bits plus tracked counter deltas.
@@ -50,6 +55,20 @@ type RunResult = (Vec<(u32, u64)>, Vec<u64>);
 
 fn tiny_wiki() -> DatasetSpec {
     DatasetSpec::of(DatasetKind::Wiki).scaled_down(20)
+}
+
+fn trainer(spec: &DatasetSpec, depth: usize) -> Trainer {
+    Trainer::new(
+        TrainConfig {
+            batch_size: 60,
+            epochs: 2,
+            lr: 1e-3,
+            seed: 9,
+        },
+        spec.n_src as u32,
+        spec.num_nodes() as u32,
+    )
+    .with_pipeline(depth)
 }
 
 /// Trains 2 epochs of `model` at the given pipeline depth, returning
@@ -61,148 +80,183 @@ fn train(
     depth: usize,
 ) -> RunResult {
     let split = Split::standard(ctx.graph());
-    let trainer = Trainer::new(
-        TrainConfig {
-            batch_size: 60,
-            epochs: 2,
-            lr: 1e-3,
-            seed: 9,
-        },
-        spec.n_src as u32,
-        spec.num_nodes() as u32,
-    )
-    .with_pipeline(depth);
+    let trainer = trainer(spec, depth);
     let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), 1e-3);
-    let before = counters();
-    let stats = (0..2)
-        .map(|e| {
-            let s = trainer.train_epoch(model, ctx, &split, &mut opt, e);
-            (s.loss.to_bits(), s.val_ap.to_bits())
-        })
-        .collect();
-    let after = counters();
-    let deltas = before.iter().zip(&after).map(|(b, a)| a - b).collect();
-    (stats, deltas)
+    metered(|| {
+        (0..2)
+            .map(|e| {
+                let s = trainer.train_epoch(model, ctx, &split, &mut opt, e);
+                (s.loss.to_bits(), s.val_ap.to_bits())
+            })
+            .collect()
+    })
 }
 
-/// TGAT (all operators on) with everything on the host tier.
-fn run(depth: usize) -> RunResult {
+/// `Trainer::evaluate` alone, over every edge, on the untrained
+/// `model`: `(0, AP)` bits and the tracked counter deltas.
+fn evaluate(
+    model: &mut dyn TemporalModel,
+    ctx: &TContext,
+    spec: &DatasetSpec,
+    depth: usize,
+) -> RunResult {
+    model.reset_state(ctx);
+    metered(|| {
+        let (ap, _) = trainer(spec, depth).evaluate(model, ctx, 0..ctx.graph().num_edges());
+        vec![(0, ap.to_bits())]
+    })
+}
+
+type Build = fn(&TContext) -> Box<dyn TemporalModel>;
+type Drive = fn(&mut dyn TemporalModel, &TContext, &DatasetSpec, usize) -> RunResult;
+
+const TGAT: Build = |ctx| Box::new(Tgat::new(ctx, ModelConfig::tiny(), OptFlags::all(), 5));
+const TGN: Build = |ctx| Box::new(Tgn::new(ctx, ModelConfig::tiny(), OptFlags::all(), 5));
+const APAN: Build = |ctx| Box::new(Apan::new(ctx, ModelConfig::tiny(), OptFlags::all(), 5));
+const JODIE: Build = |ctx| Box::new(Jodie::new(ctx, ModelConfig::tiny(), OptFlags::all(), 5));
+
+/// `drive`s a fresh model with everything on the host tier.
+fn run(build: Build, drive: Drive, depth: usize) -> RunResult {
     let spec = tiny_wiki();
     let (g, _) = generate(&spec);
     let ctx = TContext::new(g);
-    let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
-    train(&mut model, &ctx, &spec, depth)
+    drive(build(&ctx).as_mut(), &ctx, &spec, depth)
 }
 
-/// TGN (all operators on) computing on the accelerator tier with
+/// `drive`s a fresh model computing on the accelerator tier with
 /// host-resident features behind an enabled link model. Also returns
 /// the run's accelerator-tier high-water mark.
-fn run_tgn_host_resident(depth: usize) -> (RunResult, u64) {
+fn run_host_resident(build: Build, drive: Drive, depth: usize) -> (RunResult, u64) {
     let spec = tiny_wiki();
     let (ctx, _) = prepare_context(&spec, Placement::HostResident, TransferModel::pcie_v100());
     tgl_device::reset_stats();
-    let mut model = Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
-    let result = train(&mut model, &ctx, &spec, depth);
+    let result = drive(build(&ctx).as_mut(), &ctx, &spec, depth);
     tgl_device::set_transfer_model(TransferModel::disabled());
     (result, tgl_device::stats().accel_peak_bytes)
 }
 
-/// The tentpole contract: at queue depths 1, 2, and 4 and pool widths
-/// 1 and 4, the pipelined trainer reproduces the sequential epoch
-/// losses and validation AP *bitwise*, and fires each stage counter
-/// exactly as often — sampling/dedup/staging moved threads, but not
-/// semantics. The sequential reference itself must also be invariant
-/// across pool widths (the runtime's determinism contract).
-#[test]
-fn pipelined_matches_sequential_bitwise_across_depths_and_threads() {
-    let _g = serial();
+/// The contract: `run` at queue depths 1, 2 and 4 and pool widths 1 and
+/// 4 reproduces depth 0's losses and APs *bitwise* and fires each stage
+/// counter exactly as often — the work moved threads, not semantics —
+/// and depth 0 itself is invariant across pool widths (the runtime's
+/// determinism contract). Returns the depth-0 result.
+fn assert_depth_invisible(what: &str, run: impl Fn(usize) -> RunResult) -> RunResult {
     let mut baseline: Option<RunResult> = None;
     for threads in [1usize, 4] {
         set_threads(threads);
         let sequential = run(0);
-        assert!(
-            sequential.1[0] > 0 && sequential.1[2] > 0,
-            "reference run exercised no sampling/dedup work: {:?}",
-            sequential.1
-        );
-        match &baseline {
-            None => baseline = Some(sequential.clone()),
-            Some(b) => assert_eq!(
-                b, &sequential,
-                "sequential reference not invariant across thread counts"
-            ),
-        }
+        let b = baseline.get_or_insert_with(|| sequential.clone());
+        assert_eq!(b, &sequential, "{what}: depth 0 not invariant across thread counts");
         for depth in [1usize, 2, 4] {
             let piped = run(depth);
             assert_eq!(
                 sequential.0, piped.0,
-                "losses/val-AP diverged at depth {depth}, {threads} threads"
+                "{what}: losses/APs diverged at depth {depth}, {threads} threads"
             );
             assert_eq!(
                 sequential.1, piped.1,
-                "counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
+                "{what}: counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
             );
         }
     }
     set_threads(1);
+    baseline.expect("ran")
+}
+
+/// The tentpole contract on TGAT (all operators on, everything on the
+/// host tier).
+#[test]
+fn pipelined_matches_sequential_bitwise_across_depths_and_threads() {
+    let _g = serial();
+    let sequential = assert_depth_invisible("TGAT", |depth| run(TGAT, train, depth));
+    assert!(
+        sequential.1[0] > 0 && sequential.1[2] > 0,
+        "reference run exercised no sampling/dedup work: {:?}",
+        sequential.1
+    );
+}
+
+/// The same contract for the two models whose chain is the head block
+/// alone, with features crossing the link: the sampler stage stages
+/// the head's distinct node rows; APAN's mail-delivery sample and all
+/// memory and mailbox traffic stay on the compute thread.
+#[test]
+fn apan_and_jodie_host_resident_match_sequential() {
+    let _g = serial();
+    for (what, build) in [("APAN", APAN), ("JODIE", JODIE)] {
+        let sequential =
+            assert_depth_invisible(what, |depth| run_host_resident(build, train, depth).0);
+        assert!(
+            sequential.1[4..].iter().all(|&d| d > 0),
+            "{what} staged nothing over the link: {TRACKED:?} = {:?}",
+            sequential.1
+        );
+    }
+}
+
+/// `Trainer::evaluate` alone runs the same batch loop: a model that
+/// publishes its spec in inference mode has its chains built on the
+/// sampler stage (TGN, APAN, JODIE; TGAT without `cache`), TGAT with
+/// `cache` on keeps building inline, and neither shows in the AP bits
+/// or the counters.
+#[test]
+fn evaluate_alone_matches_depth_zero() {
+    let _g = serial();
+    const TGAT_UNCACHED: Build =
+        |ctx| Box::new(Tgat::new(ctx, ModelConfig::tiny(), OptFlags::preload_only(), 5));
+    for (what, build) in [("TGAT", TGAT), ("TGAT without cache", TGAT_UNCACHED)] {
+        let sequential = assert_depth_invisible(what, |depth| run(build, evaluate, depth));
+        assert!(sequential.1[0] > 0, "{what}: evaluation sampled nothing: {:?}", sequential.1);
+    }
+    for (what, build) in [("TGN", TGN), ("APAN", APAN), ("JODIE", JODIE)] {
+        let sequential =
+            assert_depth_invisible(what, |depth| run_host_resident(build, evaluate, depth).0);
+        assert!(
+            sequential.1[4..].iter().all(|&d| d > 0),
+            "{what}: evaluation staged nothing over the link: {:?}",
+            sequential.1
+        );
+    }
 }
 
 /// The same contract for a memory model whose features cross the link:
-/// TGN's chain (dedup, sampling, distinct-row staging) is planned on
-/// the sampler stage while its memory and mailbox reads stay on the
-/// compute thread, so every depth and pool width reproduces the
-/// sequential losses, APs and counter deltas bitwise. Queued plans
-/// hold staged tables and time deltas, not expanded tensors, so a deep
-/// queue must not raise the accelerator-tier peak.
+/// TGN's chain (dedup, sampling, distinct-row staging) is built on the
+/// sampler stage while its memory and mailbox reads stay on the compute
+/// thread. Queued chains hold staged tables and time deltas, not
+/// expanded tensors, so a deep queue must not raise the
+/// accelerator-tier peak.
 #[test]
 fn tgn_host_resident_matches_sequential_and_keeps_device_peak() {
     let _g = serial();
-    let mut baseline: Option<RunResult> = None;
-    for threads in [1usize, 4] {
-        set_threads(threads);
-        let (sequential, peak0) = run_tgn_host_resident(0);
-        let moved = &sequential.1[5..];
+    // The accelerator-tier peak of every run, in run order: depths 0,
+    // 1, 2, 4 at each pool width.
+    let peaks = std::cell::RefCell::new(Vec::new());
+    let sequential = assert_depth_invisible("TGN", |depth| {
+        let (result, peak) = run_host_resident(TGN, train, depth);
+        peaks.borrow_mut().push(peak);
+        result
+    });
+    assert!(
+        sequential.1[5..].iter().all(|&d| d > 0),
+        "reference run staged nothing over the link: {TRACKED:?} = {:?}",
+        sequential.1
+    );
+    for by_depth in peaks.borrow().chunks(4) {
+        let (peak0, peak4) = (by_depth[0], by_depth[3]);
+        // Measured: 881 376 B at depth 0 and 49 340 B more at depths
+        // 1, 2 and 4 alike: the staged tables and time deltas of a
+        // chain waiting in the queue while the step before it peaks.
+        // Expanded per-block tensors in four queued chains would be
+        // several times that. The allowance stays the absolute
+        // 79 052 B it was when the depth-0 peak was 2.6 MB.
         assert!(
-            moved.iter().all(|&d| d > 0),
-            "reference run staged nothing over the link: {TRACKED:?} = {:?}",
-            sequential.1
+            peak4 <= peak0 + 79_052,
+            "accel peak grew with the queue: {peak0} B at depth 0, {peak4} B at depth 4"
         );
-        match &baseline {
-            None => baseline = Some(sequential.clone()),
-            Some(b) => assert_eq!(
-                b, &sequential,
-                "sequential reference not invariant across thread counts"
-            ),
-        }
-        for depth in [1usize, 2, 4] {
-            let (piped, peak) = run_tgn_host_resident(depth);
-            assert_eq!(
-                sequential.0, piped.0,
-                "TGN losses/val-AP diverged at depth {depth}, {threads} threads"
-            );
-            assert_eq!(
-                sequential.1, piped.1,
-                "TGN counter deltas {TRACKED:?} diverged at depth {depth}, {threads} threads"
-            );
-            if depth == 4 {
-                // Measured: 940 400 B at depth 0, 75 692 B more at depth
-                // 4. That is one plan alive during its own step, as
-                // before (63 744 B of staged tables) plus its time
-                // deltas (11 948 B); expanded per-block tensors in four
-                // queued plans would be several times that. The
-                // allowance stays the absolute 79 052 B it was when the
-                // depth-0 peak was 2.6 MB.
-                assert!(
-                    peak <= peak0 + 79_052,
-                    "accel peak grew with the queue: {peak0} B at depth 0, {peak} B at depth 4"
-                );
-            }
-        }
         // Node state per distinct node: the step peaked at 2 101 328 B
         // when the GRU ran on every row of the tail block.
         assert!(peak0 < 2_101_328 / 2, "depth-0 accel peak is back to {peak0} B");
     }
-    set_threads(1);
 }
 
 /// Health semantics survive pipelining: with poisoned parameters every
