@@ -77,25 +77,25 @@ impl AttnParams {
         drop(_t0);
         let q = {
             let _ta = tglite::prof::scope("attention");
-            self.w_q.forward(&cat(&[h_dst.clone(), tfeats], 1))
+            self.w_q.forward_parts(&[h_dst, &tfeats])
         };
         if n_edges == 0 {
             let _ta = tglite::prof::scope("attention");
             let r = Tensor::zeros_on([n_dst, hd], h_dst.device());
-            return self.ffn.forward(&cat(&[r, h_dst.clone()], 1));
+            return self.ffn.forward_parts(&[&r, h_dst]);
         }
         let _tn = tglite::prof::scope("time_nbrs");
         let nbr_t = self.te.forward(mfg.deltas());
         drop(_tn);
         let _ta = tglite::prof::scope("attention");
-        let z = cat(&[h_src.clone(), mfg.edge_feat().clone(), nbr_t], 1);
-        let k = self.w_k.forward(&z);
-        let v = self.w_v.forward(&z);
+        let z = [h_src, mfg.edge_feat(), &nbr_t];
+        let k = self.w_k.forward_parts(&z);
+        let v = self.w_v.forward_parts(&z);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let logits = segment_dot(&q, &k, mfg.dst_index(), self.heads, scale);
         let attn = segment_softmax(&logits, mfg.dst_index(), n_dst);
         let r = segment_weighted_sum(&v, &attn, mfg.dst_index(), n_dst);
-        self.ffn.forward(&cat(&[r, h_dst.clone()], 1))
+        self.ffn.forward_parts(&[&r, h_dst])
     }
 }
 
@@ -267,7 +267,7 @@ impl BaselineTgn {
             .map(|(&a, &b)| (a - b) as f32)
             .collect();
         let tfeat = self.mem_te.forward(&deltas);
-        self.memory_updater.forward(&cat(&[mail, tfeat], 1), &mem_rows)
+        self.memory_updater.forward(&[&mail, &tfeat], &mem_rows)
     }
 
     /// The "complex code sequence ... to find the unique nodes and to
@@ -416,7 +416,7 @@ impl BaselineJodie {
             .map(|(&a, &b)| (a - b) as f32)
             .collect();
         let tfeat = self.te.forward(&deltas);
-        self.rnn.forward(&cat(&[mail, tfeat], 1), &mem_rows)
+        self.rnn.forward(&[&mail, &tfeat], &mem_rows)
     }
 }
 
@@ -573,10 +573,10 @@ impl TemporalModel for BaselineApan {
         let mail_t = self.te.forward(&deltas);
         let zeros_t = self.te.forward(&vec![0.0; nodes.len()]);
         let nfeat = g.node_feat_rows(&nodes).to(device);
-        let q = self.w_q.forward(&cat(&[nfeat.clone(), zeros_t], 1));
-        let kv_in = cat(&[mails, mail_t], 1);
-        let k = self.w_k.forward(&kv_in);
-        let v = self.w_v.forward(&kv_in);
+        let q = self.w_q.forward_parts(&[&nfeat, &zeros_t]);
+        let kv_in = [&mails, &mail_t];
+        let k = self.w_k.forward_parts(&kv_in);
+        let v = self.w_v.forward_parts(&kv_in);
         let hd = q.dim(1);
         let q_slot = q.index_select(&owners);
         let logits = q_slot
@@ -586,7 +586,7 @@ impl TemporalModel for BaselineApan {
             .reshape([owners.len(), 1]);
         let attn = segment_softmax(&logits, &owners, nodes.len());
         let summary = segment_sum(&v.mul(&attn), &owners, nodes.len());
-        let embs = self.ffn.forward(&cat(&[summary.clone(), nfeat], 1));
+        let embs = self.ffn.forward_parts(&[&summary, &nfeat]);
 
         // Memory update + mail propagation (manual).
         {
@@ -599,7 +599,7 @@ impl TemporalModel for BaselineApan {
             let mem_rows = g.memory().rows(&uniq).to(device);
             let updated = self
                 .memory_updater
-                .forward(&summary.index_select(&rows), &mem_rows);
+                .forward(&[&summary.index_select(&rows)], &mem_rows);
             g.memory().store(&uniq, &updated, &t_latest);
 
             // Mails to endpoints and to sampled neighbors.

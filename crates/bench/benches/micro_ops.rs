@@ -21,7 +21,9 @@ use tgl_runtime::set_threads;
 use tgl_data::{generate, DatasetKind, DatasetSpec};
 use tgl_device::{Device, PinnedPool};
 use tgl_sampler::{SamplingStrategy, TemporalSampler};
-use tgl_tensor::ops::{segment_dot, segment_softmax, segment_sum, segment_weighted_sum};
+use tgl_tensor::ops::{
+    cat, linear_cat, segment_dot, segment_softmax, segment_sum, segment_weighted_sum, time_encode,
+};
 use tgl_tensor::Tensor;
 use tglite::nn::TimeEncode;
 use tglite::{op, TBlock, TContext, TSampler};
@@ -509,6 +511,65 @@ fn gru_cell_sweep(counts: &[usize]) -> Vec<SweepCell> {
     cells
 }
 
+/// The two kernels of a TGAT step that are not GEMMs on one operand,
+/// at one tail block's rows (4612 sampled edges), forward and training
+/// step (forward + backward), at 1 and 2 threads:
+///
+/// * `time_encode_4612x16_trained`: Φ(Δt) with the arguments a training
+///   epoch produces, not the fresh encoder's. Twenty Adam steps at lr
+///   1e-3 move the small frequencies of the geometric ladder to |ω| of
+///   2-6e-3, and Wiki's Δt reaches 1.07e6 (median 1.3e5), so every
+///   column's argument is in the thousands of radians. The fresh-init
+///   row `time_encode_direct_2048` keeps most columns under a radian
+///   and understated libm's cost three times over (6.7 ns against 21
+///   ns per element) while `cos` was libm's.
+/// * `linear_4612x(32+32+16)x32`: `W_k [h_src ‖ e ‖ Φ]` through
+///   `linear_cat` on the parts (`parts`) and through `cat` + `linear`
+///   (`cat`), with the raw edge features off the graph as in the
+///   model.
+fn non_gemm_third_sweep(counts: &[usize]) -> Vec<SweepCell> {
+    let e = 4612usize;
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut uniform = |dims: &[usize], lo: f32, hi: f32| Tensor::rand_uniform(dims.to_vec(), lo, hi, &mut rng);
+    let deltas = Tensor::from_vec(uniform(&[e], 0.0, 1.0).to_vec().iter().map(|u| 1.07e6 * u * u * u).collect(), [e]);
+    let drift = uniform(&[16], -1.0, 1.0).to_vec();
+    let freq: Vec<f32> = (0..16)
+        .map(|j| 10f32.powf(-(j as f32) * 9.0 / 16.0) + drift[j].signum() * (2e-3 + 4e-3 * drift[j].abs()))
+        .collect();
+    let freq = Tensor::from_vec(freq, [16]).requires_grad(true);
+    let phase = uniform(&[16], -0.02, 0.02).requires_grad(true);
+
+    let (h_src, efeat, phi) = (uniform(&[e, 32], -1.0, 1.0), uniform(&[e, 32], -1.0, 1.0), uniform(&[e, 16], -1.0, 1.0));
+    let (h_src, phi) = (h_src.requires_grad(true), phi.requires_grad(true));
+    let w = uniform(&[32, 80], -0.2, 0.2).requires_grad(true);
+    let b = uniform(&[32], -0.2, 0.2).requires_grad(true);
+    let project = |parts: bool| {
+        if parts {
+            linear_cat(&[&h_src, &efeat, &phi], &w, Some(&b), false)
+        } else {
+            cat(&[h_src.clone(), efeat.clone(), phi.clone()], 1).linear(&w, Some(&b), false)
+        }
+    };
+    let step = |y: Tensor| {
+        y.backward_with(vec![1.0; y.numel()]);
+        [&freq, &phase, &h_src, &phi, &w, &b].into_iter().for_each(Tensor::zero_grad);
+    };
+    let mut cells = Vec::new();
+    for &t in counts.iter().filter(|&&t| t <= 2) {
+        set_threads(t);
+        let timed = [
+            ("time_encode_4612x16_trained", time_it(|| time_encode(&deltas, &freq, &phase), 0.3)),
+            ("time_encode_4612x16_trained_step", time_it(|| step(time_encode(&deltas, &freq, &phase)), 0.3)),
+            ("linear_4612x(32+32+16)x32_parts", time_it(|| project(true), 0.3)),
+            ("linear_4612x(32+32+16)x32_parts_step", time_it(|| step(project(true)), 0.3)),
+            ("linear_4612x(32+32+16)x32_cat", time_it(|| project(false), 0.3)),
+            ("linear_4612x(32+32+16)x32_cat_step", time_it(|| step(project(false)), 0.3)),
+        ];
+        cells.extend(timed.map(|(bench, secs)| SweepCell { bench: bench.into(), threads: t, secs }));
+    }
+    cells
+}
+
 /// Sweeps the three hottest parallel kernels over the given thread
 /// counts and returns per-cell timings.
 fn thread_sweep(counts: &[usize]) -> Vec<SweepCell> {
@@ -605,6 +666,7 @@ fn main() {
     let mut cells = thread_sweep(&counts);
     cells.extend(attention_kernel_sweep(&counts));
     cells.extend(gru_cell_sweep(&counts));
+    cells.extend(non_gemm_third_sweep(&counts));
     for c in &cells {
         let base = cells
             .iter()

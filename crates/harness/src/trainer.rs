@@ -13,26 +13,32 @@ use crate::health::{HealthMonitor, HealthPolicy};
 use crate::metrics::average_precision;
 
 /// Seconds of CPU time this process has consumed (user + system,
-/// all threads). Used instead of wall time for the paper-reproduction
-/// measurements: shared-host CPU steal makes wall clocks noisy by
-/// 2-4x across minutes, while CPU time only counts cycles actually
-/// executed (including the transfer model's simulated-PCIe spins).
-/// Falls back to a monotonic wall clock on non-Linux targets.
+/// all threads), at the kernel's nanosecond resolution. Used instead
+/// of wall time for the paper-reproduction measurements: shared-host
+/// CPU steal makes wall clocks noisy by 2-4x across minutes, while CPU
+/// time only counts cycles actually executed (including the transfer
+/// model's simulated-PCIe spins). `/proc/self/stat` carries the same
+/// quantity in 10 ms ticks, coarser than a JODIE epoch or a test pass.
+/// Falls back to the wall clock on other targets.
 pub fn process_cpu_seconds() -> f64 {
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     {
-        if let Ok(stat) = std::fs::read_to_string("/proc/self/stat") {
-            // Fields 14 and 15 (1-indexed) after the comm field, which
-            // may contain spaces — skip past the closing paren.
-            if let Some(pos) = stat.rfind(')') {
-                let fields: Vec<&str> = stat[pos + 2..].split_whitespace().collect();
-                if fields.len() > 13 {
-                    let utime: f64 = fields[11].parse().unwrap_or(0.0);
-                    let stime: f64 = fields[12].parse().unwrap_or(0.0);
-                    let hz = 100.0; // Linux USER_HZ
-                    return (utime + stime) / hz;
-                }
-            }
+        /// `struct timespec` where `time_t` and `long` are 64 bits.
+        #[repr(C)]
+        struct Timespec {
+            sec: i64,
+            nsec: i64,
+        }
+        extern "C" {
+            // libc's, which std already links.
+            fn clock_gettime(clock: i32, out: *mut Timespec) -> i32;
+        }
+        const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+        let mut t = Timespec { sec: 0, nsec: 0 };
+        // SAFETY: `t` is a live, writable `timespec` of this target's
+        // layout; the call writes nothing else.
+        if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut t) } == 0 {
+            return t.sec as f64 + t.nsec as f64 * 1e-9;
         }
     }
     use std::time::SystemTime;
@@ -564,6 +570,25 @@ mod tests {
         let (g, _) = generate(&spec);
         let split = Split::standard(&g);
         (TContext::new(Arc::clone(&g)), split, spec)
+    }
+
+    #[test]
+    fn cpu_clock_resolves_a_millisecond_of_work() {
+        let spin_1ms = || {
+            let before = process_cpu_seconds();
+            let spin = std::time::Instant::now();
+            while spin.elapsed().as_secs_f64() < 1e-3 {
+                std::hint::spin_loop();
+            }
+            process_cpu_seconds() - before
+        };
+        // A 10 ms tick reads 0 here nine times in ten and 10 ms
+        // otherwise. Sibling tests burn CPU on the same process clock
+        // and the host may take the core away mid-spin, so the upper
+        // end is loose and three readings of five decide.
+        let used: Vec<f64> = (0..5).map(|_| spin_1ms()).collect();
+        let sane = used.iter().filter(|u| (0.5e-3..50e-3).contains(*u)).count();
+        assert!(sane >= 3, "1 ms of spinning read as {used:?} s of CPU");
     }
 
     #[test]

@@ -102,10 +102,10 @@ impl Apan {
             self.time_encoder.encode_zeros(n)
         };
         let nfeat = head.dstfeat();
-        let q = self.w_q.forward(&cat(&[nfeat.clone(), zeros_t], 1));
-        let kv_in = cat(&[mails, mail_t], 1);
-        let k = self.w_k.forward(&kv_in);
-        let v = self.w_v.forward(&kv_in);
+        let q = self.w_q.forward_parts(&[&nfeat, &zeros_t]);
+        let kv_in = [&mails, &mail_t];
+        let k = self.w_k.forward_parts(&kv_in);
+        let v = self.w_v.forward_parts(&kv_in);
         let hd = q.dim(1);
         let q_slot = q.index_select(&owners);
         let logits = q_slot
@@ -115,7 +115,7 @@ impl Apan {
             .reshape([owners.len(), 1]);
         let attn = segment_softmax(&logits, &owners, n);
         let summary = segment_sum(&v.mul(&attn), &owners, n); // [n, hd]
-        let emb = self.ffn.forward(&cat(&[summary.clone(), nfeat], 1));
+        let emb = self.ffn.forward_parts(&[&summary, &nfeat]);
         (emb, summary)
     }
 
@@ -194,7 +194,7 @@ impl Apan {
         let times: Vec<f64> = rows_times.iter().map(|&(_, t)| t).collect();
         let summary_rows = summaries.index_select(&rows);
         let mem_rows = g.memory().rows(&nodes).to(ctx.device());
-        let updated = self.memory_updater.forward(&summary_rows, &mem_rows);
+        let updated = self.memory_updater.forward(&[&summary_rows], &mem_rows);
         g.memory().store(&nodes, &updated, &times);
     }
 }

@@ -4,7 +4,6 @@
 use tgl_runtime::rng::Rng;
 use tgl_device::Device;
 use tgl_tensor::nn::{Linear, Mlp, Module};
-use tgl_tensor::ops::cat;
 use tgl_tensor::Tensor;
 use tglite::nn::TimeEncode;
 use tglite::{op, TBlock, TContext};
@@ -107,14 +106,14 @@ impl TemporalAttnLayer {
         drop(_t0);
         let q = {
             let _ta = tglite::prof::scope("attention");
-            self.w_q.forward(&cat(&[h_dst.clone(), tfeats], 1))
+            self.w_q.forward_parts(&[&h_dst, &tfeats])
         };
 
         if n_edges == 0 {
             // No sampled neighbors anywhere: attention output is zero.
             let _ta = tglite::prof::scope("attention");
             let r = Tensor::zeros_on([n_dst, hd], blk.device());
-            return self.ffn.forward(&cat(&[r, h_dst], 1));
+            return self.ffn.forward_parts(&[&r, &h_dst]);
         }
 
         // Φ(Δt) for sampled edges (Eq. 5).
@@ -128,9 +127,9 @@ impl TemporalAttnLayer {
         drop(_tn);
         let _ta = tglite::prof::scope("attention");
         let h_src = blk.srcdata("h");
-        let z = cat(&[h_src, blk.efeat(), nbr_t], 1);
-        let k = self.w_k.forward(&z);
-        let v = self.w_v.forward(&z);
+        let z = [&h_src, &blk.efeat(), &nbr_t];
+        let k = self.w_k.forward_parts(&z);
+        let v = self.w_v.forward_parts(&z);
 
         // Per-edge attention logits Σ_d Q⊙K / √d_h, normalized per
         // destination (Eq. 6, edge-wise instead of padded bmm — paper
@@ -142,7 +141,7 @@ impl TemporalAttnLayer {
         let r = op::edge_weighted_sum(blk, &v, &attn);
 
         // Output FFN over [r ‖ h_dst] (Eq. 7).
-        self.ffn.forward(&cat(&[r, h_dst], 1))
+        self.ffn.forward_parts(&[&r, &h_dst])
     }
 }
 

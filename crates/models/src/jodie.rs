@@ -78,7 +78,7 @@ impl Jodie {
             .map(|(&a, &b)| (a - b) as f32)
             .collect();
         let tfeat = self.time_encoder.forward(&deltas);
-        let updated = self.rnn.forward(&cat(&[mail, tfeat], 1), &mem_rows);
+        let updated = self.rnn.forward(&[&mail, &tfeat], &mem_rows);
         (updated, mail_ts)
     }
 

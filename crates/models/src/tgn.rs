@@ -95,8 +95,7 @@ impl Tgn {
         } else {
             self.mem_time_encoder.encode(&deltas)
         };
-        self.memory_updater
-            .forward(&cat(&[mail, tfeat], 1), &mem_rows)
+        self.memory_updater.forward(&[&mail, &tfeat], &mem_rows)
     }
 
     /// Persists updated memory for the batch's positive endpoints and

@@ -18,6 +18,15 @@
 //!   documented in `DESIGN.md` ("Kernel contract") and enforced by the
 //!   parity suite.
 //!
+//! Two kinds of transcendental sit under that contract. `cos` and
+//! `sin` are in-tree: [`sincos`] is a fixed sequence of IEEE `f64`
+//! operations (no libm, no FMA) whose AVX2 form does the same
+//! operations lane-wise, so it is exact-safe SIMD, runs in both modes
+//! and gives the same bits on every host. `exp`, `tanh` and `ln` still
+//! come from the host's libm in `exact` mode (and `exp` from a
+//! polynomial in `fast`), which is the one place where `exact` depends
+//! on the host's C library.
+//!
 //! Both modes remain **thread-count invariant**: reduction orders are a
 //! function of the problem shape only, never of which thread ran a
 //! chunk. What `fast` gives up is bitwise equality with the scalar
@@ -243,6 +252,192 @@ pub(crate) fn addcmul_dispatch(y: &mut [f32], a: &[f32], b: &[f32], s: f32, fma:
     for i in 0..y.len() {
         y[i] += s * a[i] * b[i];
     }
+}
+
+// ---------------------------------------------------------------------
+// Trigonometry
+// ---------------------------------------------------------------------
+
+/// Which function [`sincos`] evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trig {
+    /// `cos(x)`
+    Cos,
+    /// `sin(x)`
+    Sin,
+}
+
+impl Trig {
+    /// The other function: the derivative of each is the other one,
+    /// up to sign.
+    pub fn other(self) -> Trig {
+        match self {
+            Trig::Cos => Trig::Sin,
+            Trig::Sin => Trig::Cos,
+        }
+    }
+
+    /// Quadrants to turn before evaluating as a cosine:
+    /// `sin(x) = cos(x - π/2)`, and -1 is 3 modulo 4.
+    fn quadrant_shift(self) -> u64 {
+        match self {
+            Trig::Cos => 0,
+            Trig::Sin => 3,
+        }
+    }
+}
+
+/// Constants of [`sincos`], given as bit patterns so that no decimal
+/// parser stands between the source and the value.
+mod trig {
+    /// `2/π` rounded to nearest.
+    pub const TWO_OVER_PI: f64 = f64::from_bits(0x3fe4_5f30_6dc9_c883);
+    /// `1.5 · 2⁵²`: adding it rounds a `|t| < 2⁵¹` to the nearest
+    /// integer (ties to even) in the sum's low mantissa bits.
+    pub const ROUND: f64 = f64::from_bits(0x4338_0000_0000_0000);
+    /// `π/2` in three parts: its first 27 bits, the next 27 and a full
+    /// `f64` of the rest (`|π/2 - P1 - P2 - P3| < 2⁻¹¹⁴`). `q · P1` and
+    /// `q · P2` are exact for `|q| < 2²⁶`.
+    pub const PIO2_1: f64 = f64::from_bits(0x3ff9_21fb_5400_0000);
+    pub const PIO2_2: f64 = f64::from_bits(0x3e11_0b46_1000_0000);
+    pub const PIO2_3: f64 = f64::from_bits(0x3c5a_6263_3145_c06e);
+    /// `cos r ≈ 1 + C0 r² + C1 r⁴ + C2 r⁶ + C3 r⁸` and
+    /// `sin r ≈ r + S1 r³ + S2 r⁵ + S3 r⁷ + S4 r⁹` on `[-π/4, π/4]`:
+    /// the minimax coefficients of FreeBSD msun's `k_cosf.c` /
+    /// `k_sinf.c` (relative error below 2⁻³³·⁶ and 2⁻³⁷·⁴).
+    pub const C0: f64 = f64::from_bits(0xbfdf_ffff_fd0c_5e81);
+    pub const C1: f64 = f64::from_bits(0x3fa5_5553_e105_3a42);
+    pub const C2: f64 = f64::from_bits(0xbf56_c087_e80f_1e27);
+    pub const C3: f64 = f64::from_bits(0x3ef9_9342_e0ee_5069);
+    pub const S1: f64 = f64::from_bits(0xbfc5_5555_54cb_ac77);
+    pub const S2: f64 = f64::from_bits(0x3f81_1110_896e_fbb2);
+    pub const S3: f64 = f64::from_bits(0xbf2a_00f9_e2ca_e774);
+    pub const S4: f64 = f64::from_bits(0x3ec6_cd87_8c3b_46a7);
+}
+
+/// The scalar reference of [`sincos`]: one element, every operation an
+/// IEEE `f64` `mul` / `add` / `sub` in the order written (the compiler
+/// neither reassociates nor contracts them), then one rounding to
+/// `f32`.
+///
+/// `x = q·π/2 + r` with `q` the nearest integer to `x·2/π` and `r`
+/// reduced against a three-part `π/2`; the quadrant `q mod 4` selects
+/// the cosine or the sine polynomial in `r` and the sign. Within 1 ulp
+/// of the correctly rounded result for `|x| < 2²⁶·π/2` (the products
+/// `q·P1`, `q·P2` are exact there) and within `2.5e-7` absolute up to
+/// `2³¹`. Beyond that neighbouring `f32`s are more than `2π` apart and
+/// the argument carries no phase: the result is some deterministic
+/// value in `[-1, 1]`. `±∞` and NaN give NaN.
+pub fn sincos_scalar(x: f32, f: Trig) -> f32 {
+    use trig::*;
+    let x = f64::from(x);
+    let t = x * TWO_OVER_PI;
+    let tm = t + ROUND;
+    let q = tm - ROUND;
+    // `q mod 4` sits in the low bits of `tm` (two's complement).
+    let m = tm.to_bits().wrapping_add(f.quadrant_shift());
+    let r = ((x - q * PIO2_1) - q * PIO2_2) - q * PIO2_3;
+    let z = r * r;
+    let w = z * z;
+    let y = if m & 1 == 0 {
+        ((1.0 + z * C0) + w * C1) + (w * z) * (C2 + z * C3)
+    } else {
+        let s = z * r;
+        (r + s * (S1 + z * S2)) + (s * w) * (S3 + z * S4)
+    };
+    // Quadrants 1 and 2 of the cosine are negative.
+    let y = f64::from_bits(y.to_bits() ^ ((m.wrapping_add(1) & 2) << 62));
+    // Written as the `minpd` / `maxpd` selections (a NaN passes).
+    let y = if 1.0 < y { 1.0 } else { y };
+    let y = if -1.0 > y { -1.0 } else { y };
+    y as f32
+}
+
+/// Replaces every element of `buf` by `f` of it and, given `other`,
+/// writes the other function of the same arguments there (a forward
+/// pass that saves what its backward multiplies by).
+///
+/// Exact-safe SIMD: the AVX2 kernel performs the operations of
+/// [`sincos_scalar`] on four `f64` lanes (both polynomials, then a
+/// per-lane select for each output), so SIMD and scalar hosts, both
+/// kernel modes and every way of splitting `buf` across threads give
+/// the same bits.
+///
+/// # Panics
+///
+/// Panics if `other` is given with another length than `buf`.
+pub fn sincos(buf: &mut [f32], f: Trig, other: Option<&mut [f32]>) {
+    assert!(other.as_ref().is_none_or(|o| o.len() == buf.len()), "sincos outputs differ in length");
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: avx2() verified the CPU supports AVX2; the outputs
+        // were measured against each other just above.
+        unsafe { sincos_avx2(buf, f, other) };
+        return;
+    }
+    sincos_from(0, buf, f, other);
+}
+
+/// [`sincos`] of the elements from `at` on, one at a time through the
+/// scalar reference.
+fn sincos_from(at: usize, buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
+    for (i, v) in buf.iter_mut().enumerate().skip(at) {
+        if let Some(other) = other.as_deref_mut() {
+            other[i] = sincos_scalar(*v, f.other());
+        }
+        *v = sincos_scalar(*v, f);
+    }
+}
+
+/// # Safety
+///
+/// Requires AVX2; `other`, if given, must be as long as `buf`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sincos_avx2(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
+    use std::arch::x86_64::*;
+    use trig::*;
+    let k = |c: f64| _mm256_set1_pd(c);
+    let whole = buf.len() / 4 * 4;
+    for at in (0..whole).step_by(4) {
+        let x = _mm256_cvtps_pd(_mm_loadu_ps(buf.as_ptr().add(at)));
+        let t = _mm256_mul_pd(x, k(TWO_OVER_PI));
+        let tm = _mm256_add_pd(t, k(ROUND));
+        let q = _mm256_sub_pd(tm, k(ROUND));
+        let r = _mm256_sub_pd(x, _mm256_mul_pd(q, k(PIO2_1)));
+        let r = _mm256_sub_pd(r, _mm256_mul_pd(q, k(PIO2_2)));
+        let r = _mm256_sub_pd(r, _mm256_mul_pd(q, k(PIO2_3)));
+        let z = _mm256_mul_pd(r, r);
+        let w = _mm256_mul_pd(z, z);
+        let c = _mm256_add_pd(
+            _mm256_add_pd(
+                _mm256_add_pd(k(1.0), _mm256_mul_pd(z, k(C0))),
+                _mm256_mul_pd(w, k(C1)),
+            ),
+            _mm256_mul_pd(_mm256_mul_pd(w, z), _mm256_add_pd(k(C2), _mm256_mul_pd(z, k(C3)))),
+        );
+        let s = _mm256_mul_pd(z, r);
+        let sn = _mm256_add_pd(
+            _mm256_add_pd(r, _mm256_mul_pd(s, _mm256_add_pd(k(S1), _mm256_mul_pd(z, k(S2))))),
+            _mm256_mul_pd(_mm256_mul_pd(s, w), _mm256_add_pd(k(S3), _mm256_mul_pd(z, k(S4)))),
+        );
+        // One function of the four arguments from the two polynomials.
+        let pick = |f: Trig| {
+            let m = _mm256_add_epi64(_mm256_castpd_si256(tm), _mm256_set1_epi64x(f.quadrant_shift() as i64));
+            // `blendv` selects on a lane's top bit: the quadrant's parity.
+            let odd = _mm256_castsi256_pd(_mm256_slli_epi64(m, 63));
+            let y = _mm256_blendv_pd(c, sn, odd);
+            let negative =
+                _mm256_and_si256(_mm256_add_epi64(m, _mm256_set1_epi64x(1)), _mm256_set1_epi64x(2));
+            let y = _mm256_xor_pd(y, _mm256_castsi256_pd(_mm256_slli_epi64(negative, 62)));
+            _mm256_cvtpd_ps(_mm256_max_pd(k(-1.0), _mm256_min_pd(k(1.0), y)))
+        };
+        _mm_storeu_ps(buf.as_mut_ptr().add(at), pick(f));
+        if let Some(other) = other.as_deref_mut() {
+            _mm_storeu_ps(other.as_mut_ptr().add(at), pick(f.other()));
+        }
+    }
+    sincos_from(whole, buf, f, other);
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -4,7 +4,7 @@ use tgl_runtime::rng::Rng;
 
 use crate::init::{xavier_uniform, zeros_init};
 use crate::nn::Module;
-use crate::ops::{cat, gru_gates};
+use crate::ops::{gru_gates, linear_cat};
 use crate::Tensor;
 
 /// A GRU cell: `h' = GRUCell(x, h)`.
@@ -37,12 +37,13 @@ impl GruCell {
         }
     }
 
-    /// Computes the next hidden state for a batch:
-    /// `x: [N, input]`, `h: [N, hidden]` → `[N, hidden]`.
-    pub fn forward(&self, x: &Tensor, h: &Tensor) -> Tensor {
-        let n_rows = x.dim(0);
-        assert_eq!(h.dims(), &[n_rows, self.hidden], "hidden state shape mismatch");
-        let gi = x.linear(&self.w_ih, Some(&self.b_ih), false); // [N, 3H]
+    /// Computes the next hidden state for a batch: the input is the
+    /// column-wise concatenation of `x` (`[N, in_p]` each, `Σ in_p =
+    /// input`; the paper's TGN feeds `[mail ‖ Φ(Δt)]`), which is never
+    /// built; `h: [N, hidden]` → `[N, hidden]`.
+    pub fn forward(&self, x: &[&Tensor], h: &Tensor) -> Tensor {
+        let gi = linear_cat(x, &self.w_ih, Some(&self.b_ih), false); // [N, 3H]
+        assert_eq!(h.dims(), &[gi.dim(0), self.hidden], "hidden state shape mismatch");
         let gh = h.linear(&self.w_hh, Some(&self.b_hh), false); // [N, 3H]
         gru_gates(&gi, &gh, h)
     }
@@ -75,12 +76,6 @@ impl Module for GruCell {
     }
 }
 
-/// Convenience: concatenates inputs then applies the cell (the paper's
-/// TGN concatenates mail and time features before its GRU).
-pub fn gru_forward_cat(cell: &GruCell, parts: &[Tensor], h: &Tensor) -> Tensor {
-    cell.forward(&cat(parts, 1), h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +88,7 @@ mod tests {
         let cell = GruCell::new(3, 4, &mut rng);
         let x = Tensor::randn([5, 3], &mut rng);
         let h = Tensor::zeros([5, 4]);
-        let h2 = cell.forward(&x, &h);
+        let h2 = cell.forward(&[&x], &h);
         assert_eq!(h2.dims(), &[5, 4]);
         // GRU output is a convex combination of tanh(...) and h, so
         // bounded by (-1, 1) when h is zero.
@@ -104,7 +99,7 @@ mod tests {
     fn zero_input_zero_state_stays_bounded() {
         let mut rng = StdRng::seed_from_u64(1);
         let cell = GruCell::new(2, 2, &mut rng);
-        let h = cell.forward(&Tensor::zeros([1, 2]), &Tensor::zeros([1, 2]));
+        let h = cell.forward(&[&Tensor::zeros([1, 2])], &Tensor::zeros([1, 2]));
         assert!(h.to_vec().iter().all(|v| v.abs() < 1.0));
     }
 
@@ -114,7 +109,7 @@ mod tests {
         let cell = GruCell::new(2, 3, &mut rng);
         let x = Tensor::randn([4, 2], &mut rng);
         let h = Tensor::randn([4, 3], &mut rng);
-        cell.forward(&x, &h).sum_all().backward();
+        cell.forward(&[&x], &h).sum_all().backward();
         for p in cell.parameters() {
             assert!(p.grad().is_some(), "missing grad");
         }
@@ -126,20 +121,32 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let cell = GruCell::new(2, 2, &mut rng);
         let x = Tensor::ones([1, 2]);
-        let a = cell.forward(&x, &Tensor::zeros([1, 2])).to_vec();
-        let b = cell.forward(&x, &Tensor::ones([1, 2])).to_vec();
+        let a = cell.forward(&[&x], &Tensor::zeros([1, 2])).to_vec();
+        let b = cell.forward(&[&x], &Tensor::ones([1, 2])).to_vec();
         assert_ne!(a, b);
     }
 
     #[test]
-    fn gru_forward_cat_matches_manual_cat() {
+    fn parts_match_their_concatenation() {
         let mut rng = StdRng::seed_from_u64(4);
         let cell = GruCell::new(4, 2, &mut rng);
-        let a = Tensor::randn([2, 3], &mut rng);
-        let b = Tensor::randn([2, 1], &mut rng);
+        let leaf = |t: Tensor| t.requires_grad(true);
+        let a = leaf(Tensor::randn([2, 3], &mut rng));
+        let b = leaf(Tensor::randn([2, 1], &mut rng));
         let h = Tensor::zeros([2, 2]);
-        let via_helper = gru_forward_cat(&cell, &[a.clone(), b.clone()], &h);
-        let manual = cell.forward(&cat(&[a, b], 1), &h);
-        assert_eq!(via_helper.to_vec(), manual.to_vec());
+        let over_parts = cell.forward(&[&a, &b], &h);
+        over_parts.sum_all().backward();
+        let grads = |ts: &[&Tensor]| -> Vec<Vec<f32>> { ts.iter().map(|t| t.grad().unwrap()).collect() };
+        let params = cell.parameters();
+        let mut seen = grads(&[&a, &b]);
+        seen.extend(grads(&params.iter().collect::<Vec<_>>()));
+        params.iter().for_each(Tensor::zero_grad);
+        let (a2, b2) = (leaf(a.detach()), leaf(b.detach()));
+        let over_cat = cell.forward(&[&crate::ops::cat(&[a2.clone(), b2.clone()], 1)], &h);
+        over_cat.sum_all().backward();
+        assert_eq!(over_parts.to_vec(), over_cat.to_vec());
+        let mut want = grads(&[&a2, &b2]);
+        want.extend(grads(&params.iter().collect::<Vec<_>>()));
+        assert_eq!(seen, want);
     }
 }

@@ -4,6 +4,7 @@ use tgl_runtime::rng::Rng;
 
 use crate::init::{xavier_uniform, zeros_init};
 use crate::nn::Module;
+use crate::ops::linear_cat;
 use crate::Tensor;
 
 /// `y = x · Wᵀ + b` with `W: [out, in]`, `b: [out]`.
@@ -36,13 +37,25 @@ impl Linear {
     ///
     /// Panics if `x` is not rank-2 with `in` columns.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        x.linear(&self.weight, self.bias.as_ref(), false)
+        self.forward_parts(&[x])
+    }
+
+    /// Applies the layer to the column-wise concatenation of `parts`
+    /// (`[N, in_p]` each, `Σ in_p = in`) without building it.
+    pub fn forward_parts(&self, parts: &[&Tensor]) -> Tensor {
+        linear_cat(parts, &self.weight, self.bias.as_ref(), false)
     }
 
     /// Applies the layer followed by ReLU (`relu(x·Wᵀ + b)`) as the
     /// same single op, the activation folded into its epilogue.
     pub fn forward_relu(&self, x: &Tensor) -> Tensor {
-        let out = x.linear(&self.weight, self.bias.as_ref(), true);
+        self.forward_relu_parts(&[x])
+    }
+
+    /// [`forward_relu`](Linear::forward_relu) over the concatenation
+    /// of `parts`.
+    pub fn forward_relu_parts(&self, parts: &[&Tensor]) -> Tensor {
+        let out = linear_cat(parts, &self.weight, self.bias.as_ref(), true);
         crate::nn::observe_relu_zeros(&out);
         out
     }

@@ -24,7 +24,13 @@ impl Mlp {
     /// Applies the network to `x: [N, in]` (hidden layer uses the fused
     /// add+ReLU kernel).
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.fc2.forward(&self.fc1.forward_relu(x))
+        self.forward_parts(&[x])
+    }
+
+    /// Applies the network to the column-wise concatenation of `parts`
+    /// without building it.
+    pub fn forward_parts(&self, parts: &[&Tensor]) -> Tensor {
+        self.fc2.forward(&self.fc1.forward_relu_parts(parts))
     }
 
     /// Output feature count.

@@ -13,7 +13,7 @@ mod norm;
 mod rnn;
 
 pub use dropout::Dropout;
-pub use gru::{gru_forward_cat, GruCell};
+pub use gru::GruCell;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNorm;

@@ -4,6 +4,7 @@ use tgl_runtime::rng::Rng;
 
 use crate::init::{xavier_uniform, zeros_init};
 use crate::nn::Module;
+use crate::ops::linear_cat;
 use crate::Tensor;
 
 /// `h' = tanh(W_ih x + b_ih + W_hh h + b_hh)`.
@@ -29,10 +30,12 @@ impl RnnCell {
         }
     }
 
-    /// Computes the next hidden state: `x: [N, in]`, `h: [N, hidden]`.
-    pub fn forward(&self, x: &Tensor, h: &Tensor) -> Tensor {
+    /// Computes the next hidden state from the column-wise
+    /// concatenation of `x` (`[N, in_p]` each, `Σ in_p = in`; never
+    /// built) and `h: [N, hidden]`.
+    pub fn forward(&self, x: &[&Tensor], h: &Tensor) -> Tensor {
         assert_eq!(h.dim(1), self.hidden, "hidden state width mismatch");
-        x.linear(&self.w_ih, Some(&self.b_ih), false)
+        linear_cat(x, &self.w_ih, Some(&self.b_ih), false)
             .add(&h.linear(&self.w_hh, Some(&self.b_hh), false))
             .tanh()
     }
@@ -77,7 +80,7 @@ mod tests {
         let cell = RnnCell::new(3, 2, &mut rng);
         let x = Tensor::randn([4, 3], &mut rng).mul_scalar(10.0);
         let h = Tensor::zeros([4, 2]);
-        let out = cell.forward(&x, &h);
+        let out = cell.forward(&[&x], &h);
         assert_eq!(out.dims(), &[4, 2]);
         assert!(out.to_vec().iter().all(|v| v.abs() <= 1.0));
     }
@@ -88,7 +91,7 @@ mod tests {
         let cell = RnnCell::new(2, 2, &mut rng);
         let x = Tensor::randn([3, 2], &mut rng);
         let h = Tensor::randn([3, 2], &mut rng);
-        cell.forward(&x, &h).sum_all().backward();
+        cell.forward(&[&x], &h).sum_all().backward();
         assert_eq!(cell.parameters().len(), 4);
         for p in cell.parameters() {
             assert!(p.grad().is_some());

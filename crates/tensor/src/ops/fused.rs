@@ -12,10 +12,10 @@
 //! reduction in [`Tensor::add_relu`] parallelizes over *columns*, each
 //! summing its rows in ascending order regardless of thread count.
 
-use tgl_runtime::{parallel_for, UnsafeSlice};
+use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
 
 use crate::autograd::grad_enabled;
-use crate::kernel;
+use crate::kernel::{self, Trig};
 use crate::ops::{rows_threshold, same_device, ELEMWISE_SEQ};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -498,17 +498,22 @@ impl Tensor {
 /// deltas[i]`, `dphase[j] = Σ_i g[i,j]` with `g = -dout · sin(..)`,
 /// rows ascending per column) instead of the broadcast `mul`, `add`,
 /// `cos` chain. The argument is one multiply then one add in both
-/// kernel modes and backward recomputes it, so values and gradients
-/// carry the roundings of
+/// kernel modes, `cos` is [`kernel::sincos`] as in [`Tensor::cos`], and
+/// a forward that builds a node takes the `sin` of the same arguments
+/// from the same kernel pass and keeps it for backward, so values and
+/// gradients carry the roundings of
 /// `deltas.reshape([n, 1]).mul(freq).add(phase).cos()`. `deltas` takes
-/// no gradient. Forward owns rows and backward owns columns, so both
-/// are invariant across thread counts.
+/// no gradient. Forward owns rows; backward owns columns and walks
+/// them row-major (lanes are columns), so both are invariant across
+/// thread counts.
 ///
 /// # Panics
 ///
 /// Panics unless `freq` and `phase` are rank-1 of equal length and all
 /// three tensors share a device.
 pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
+    /// Columns of the gradient sums one pass over the rows carries.
+    const STRIP: usize = 64;
     let device = same_device(deltas, freq);
     same_device(freq, phase);
     let (n, dim) = (deltas.numel(), freq.numel());
@@ -519,58 +524,66 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
         phase.shape()
     );
     let (need_f, need_p) = (freq.requires_grad_flag(), phase.requires_grad_flag());
+    let track = grad_enabled() && (need_f || need_p);
     let cells = (n * dim) as u64;
     let _prof = tgl_obs::profile::op("time_encode")
         .flops(10 * cells)
-        .io(4 * (n + 2 * dim) as u64, 4 * cells)
+        .io(4 * (n + 2 * dim) as u64, 4 * cells * (1 + track as u64))
         .shape(&[&[n], &[dim]])
         .backward_cost(
-            (12 + need_f as u64 * 2 + need_p as u64) * cells,
-            4 * (cells + (n + 2 * dim) as u64),
+            (2 + need_f as u64 * 2 + need_p as u64) * cells,
+            4 * (2 * cells + n as u64),
             4 * ((need_f as usize + need_p as usize) * dim) as u64,
         );
     let mut y = pool::take_uninit(n * dim, device);
+    let mut sin = track.then(|| pool::take_uninit(n * dim, device));
     {
         let dt = deltas.inner.storage.read();
         let w = freq.inner.storage.read();
         let b = phase.inner.storage.read();
-        let y_sl = UnsafeSlice::new(&mut y);
+        let (y_sl, sin_sl) = (UnsafeSlice::new(&mut y), shared(&mut sin));
         parallel_for(n, rows_threshold(8 * dim), |rows: std::ops::Range<usize>| {
-            // SAFETY: disjoint row ranges per chunk.
+            // SAFETY (both): disjoint row ranges per chunk.
             let out = unsafe { y_sl.slice_mut(rows.start * dim, rows.len() * dim) };
+            let sin = unsafe { rows_of(&sin_sl, &rows, dim) };
             for (o_row, &t) in out.chunks_exact_mut(dim.max(1)).zip(&dt[rows]) {
                 for ((o, &wj), &bj) in o_row.iter_mut().zip(w.iter()).zip(b.iter()) {
-                    *o = (t * wj + bj).cos();
+                    *o = t * wj + bj;
                 }
             }
+            kernel::sincos(out, Trig::Cos, sin);
         });
     }
-    let (dt_t, w_t, b_t) = (deltas.clone(), freq.clone(), phase.clone());
+    let sin = sin.map(|s| PooledBuf::new(s, device));
+    let dt_t = deltas.clone();
     let inputs = [deltas.clone(), freq.clone(), phase.clone()];
     Tensor::make_result(y, [n, dim], device, &inputs, move |go| {
+        let sin = sin.as_ref().expect("time_encode saves its sines whenever it builds a node");
         let dt = dt_t.inner.storage.read();
-        let w = w_t.inner.storage.read();
-        let b = b_t.inner.storage.read();
         let mut gf = need_f.then(|| pool::take_uninit(dim, device));
         let mut gp = need_p.then(|| pool::take_uninit(dim, device));
         {
-            let gf_sl = gf.as_mut().map(|g| UnsafeSlice::new(g));
-            let gp_sl = gp.as_mut().map(|g| UnsafeSlice::new(g));
-            parallel_for(dim, rows_threshold(8 * n), |cols: std::ops::Range<usize>| {
-                for j in cols {
-                    let (mut acc_f, mut acc_p) = (0.0f32, 0.0f32);
-                    for (i, &t) in dt.iter().enumerate() {
-                        let g = -go[i * dim + j] * (t * w[j] + b[j]).sin();
-                        acc_p += g;
-                        acc_f += g * t;
+            let (gf_sl, gp_sl) = (shared(&mut gf), shared(&mut gp));
+            // One strip of columns per chunk: a worker reads every row
+            // whatever its share of the columns, so narrower strips
+            // only re-read the same cache lines.
+            parallel_for_chunks(dim, STRIP, |_, strip: std::ops::Range<usize>| {
+                let (mut acc_f, mut acc_p) = ([0.0f32; STRIP], [0.0f32; STRIP]);
+                let rows = go.chunks_exact(dim).zip(sin.chunks_exact(dim)).zip(dt.iter());
+                for ((go_row, sin_row), &t) in rows {
+                    let cells = go_row[strip.clone()].iter().zip(&sin_row[strip.clone()]);
+                    for (j, (&g, &s)) in cells.enumerate() {
+                        let g = -g * s;
+                        acc_p[j] += g;
+                        acc_f[j] += g * t;
                     }
-                    // SAFETY (both): column `j` belongs to one chunk.
-                    if let Some(gf_sl) = &gf_sl {
-                        unsafe { *gf_sl.get_mut(j) = acc_f };
-                    }
-                    if let Some(gp_sl) = &gp_sl {
-                        unsafe { *gp_sl.get_mut(j) = acc_p };
-                    }
+                }
+                // SAFETY (both): the strip's columns belong to one chunk.
+                if let Some(gf_sl) = &gf_sl {
+                    unsafe { gf_sl.slice_mut(strip.start, strip.len()) }.copy_from_slice(&acc_f[..strip.len()]);
+                }
+                if let Some(gp_sl) = &gp_sl {
+                    unsafe { gp_sl.slice_mut(strip.start, strip.len()) }.copy_from_slice(&acc_p[..strip.len()]);
                 }
             });
         }
@@ -835,7 +848,13 @@ mod tests {
         let b = Tensor::from_vec(vec![0.0, 0.25], [2]).requires_grad(true);
         let y = time_encode(&dt, &w, &b);
         assert_eq!(y.dims(), &[2, 2]);
-        assert_eq!(y.to_vec(), vec![1.0, 0.25f32.cos(), 2.0f32.cos(), 1.25f32.cos()]);
+        // The in-tree kernel is faithfully rounded: within one ulp of
+        // libm's correctly rounded value, and exact at cos 0.
+        let want = [1.0, 0.25f32.cos(), 2.0f32.cos(), 1.25f32.cos()];
+        for (got, want) in y.to_vec().iter().zip(want) {
+            assert!(got.to_bits().abs_diff(want.to_bits()) <= 1, "{got} vs libm {want}");
+        }
+        assert_eq!(y.to_vec()[0], 1.0);
         y.sum_all().backward();
         // d/dω_j = Σ_i -sin(arg_ij)·Δt_i ; d/dφ_j = Σ_i -sin(arg_ij)
         assert_close(&w.grad().unwrap(), &[-2.0 * 2.0f32.sin(), -2.0 * 1.25f32.sin()], 1e-6);

@@ -1,49 +1,49 @@
 //! Cache-blocked GEMM: one packed `MR×NR` register-tile core behind
 //! `mm_nn`, `mm_nt` and `mm_tn`.
 //!
-//! [`gemm`] is the only dense kernel. It computes `C += A'·B'` where
+//! [`gemm`] is the only dense kernel. It computes `C = A'·B'` where
 //! each operand is read as stored or transposed, so the three entry
 //! points differ only in how the core reaches their operands:
 //!
 //! * **B packer** — every variant walks the reduction in [`KC`]-deep
 //!   blocks and packs the block of `B'` into [`NR`]-wide column panels
 //!   (zero-padded past the last column). `mm_nt` (`dA = dC·Bᵀ`) fills
-//!   the same panels through a transposed reader.
-//! * **A reader** — the tile kernel takes a row of `A'` as a start
+//!   the same panels through a transposed reader. Rows of `b` are
+//!   `ldb` apart, so `B'` may be a block of columns of a wider matrix
+//!   (`dX_p = dY · W[:, part p]` on the weight as stored).
+//! * **A reader** — the tile kernel takes each row of `A'` as a start
 //!   plus the stride between consecutive reduction indices: 1 for
 //!   `mm_nn` / `mm_nt`, whose rows are contiguous, and the row length
 //!   of `a` for `mm_tn` (`dB = Aᵀ·dC`), whose four tile rows are then
 //!   four adjacent floats of one row of `a` — no copy of A at all.
+//!   `A'` may also be several matrices side by side ([`Lhs`]): the
+//!   reader walks the parts in turn, so an affine layer over
+//!   `[x₀ ‖ x₁ ‖ ..]` runs on the parts and the concatenation is never
+//!   built.
 //!
 //! A panel tile (`KC × NR × 4 B` = 8 KiB) stays L1-resident while a
 //! [`MR`]`×`[`NR`] register tile accumulates across it in place on C
 //! ([`NR`] = one `__m256` per row on AVX2 hosts); partial tiles at the
 //! right and bottom edges run the same kernel on a zero-padded copy.
 //! The only scratch is the packed block, `KC · n` floats (rounded up
-//! to `NR`) per worker from the tensor pool — never operand-sized,
-//! whatever the reduction depth.
+//! to `NR`) that each worker thread keeps from one product to the next
+//! — never operand-sized, whatever the reduction depth.
 //!
 //! Contract (see `DESIGN.md` "Kernel contract"): **every output element
 //! accumulates its products in ascending reduction-index order** — `KC`
-//! blocks ascending, index ascending within a block — in all three
-//! variants, whichever tile it falls in. Output rows are split into one
+//! blocks ascending, index ascending within a block, the parts of `A'`
+//! in the order given — in all three variants, whichever tile it falls
+//! in. Output rows are split into one
 //! panel per pool thread, and since no element's order depends on
 //! where a panel starts, results are invariant across thread counts.
 //! In `exact` mode the AVX2 tile uses lane-wise `mul`+`add` (one
 //! rounding each, the arithmetic of the scalar tile), so results are
 //! also bitwise equal to the naive triple loop on every host; `fast`
 //! mode contracts to FMA.
-//!
-//! Operands that are mostly zero (ReLU'd activations, zero-initialised
-//! node memory, one-hot features) take zero-skipping row loops instead
-//! — branchy but proportional to the nonzero count, and bitwise equal
-//! to the dense path in exact mode (`x + 0.0 == x`).
 
-use tgl_device::Device;
-use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
+use tgl_runtime::{parallel_for_chunks, UnsafeSlice};
 
 use crate::kernel;
-use crate::pool;
 
 /// A pass over finished whole rows of `C` (bias add, activation).
 pub(crate) type Epilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
@@ -60,6 +60,12 @@ pub(crate) const NR: usize = 8;
 /// Reduction depth of a packed block.
 pub(crate) const KC: usize = 256;
 
+thread_local! {
+    /// This thread's packed block of `B'` (`KC · n` floats for the
+    /// widest `n` it has seen).
+    static PANEL: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 /// Multiply-add count below which a matmul runs inline on the caller;
 /// pool dispatch costs more than the arithmetic.
 const MM_SEQ_FLOPS: usize = 32 * 1024;
@@ -70,28 +76,84 @@ pub(crate) fn seq_rows(row_flops: usize) -> usize {
     (MM_SEQ_FLOPS / row_flops.max(1)).max(1)
 }
 
-/// Cheap sparsity probe: samples up to 256 evenly spaced elements and
-/// reports whether more than half are exactly zero. The zero-skip
-/// branch in the `nn`/`tn` kernels only pays off on such operands; on
-/// dense data it costs a branch per inner-loop trip.
-pub(crate) fn mostly_zero(x: &[f32]) -> bool {
-    if x.is_empty() {
-        return false;
+/// One of the matrices a left operand is made of: row-major data and
+/// its row length.
+pub(crate) type Part<'a> = (&'a [f32], usize);
+
+/// The left operand `A'` of a product: row-major matrices of one row
+/// count read side by side, as `[x₀ ‖ x₁ ‖ ..]` or, with `t`, as the
+/// transpose of that concatenation.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    parts: &'a [Part<'a>],
+    t: bool,
+}
+
+/// A stretch of the reduction over which the rows of a register tile
+/// read one part of `A'`: row `r` is `rows[r][kk * ps]` for `kk` in
+/// `0..len`, all in bounds ([`Run::new`] is the only constructor).
+struct Run<'a> {
+    rows: [&'a [f32]; MR],
+    ps: usize,
+    len: usize,
+}
+
+impl<'a> Run<'a> {
+    fn new(rows: [&'a [f32]; MR], ps: usize, len: usize) -> Run<'a> {
+        assert!(len > 0 && rows.iter().all(|row| row.len() > (len - 1) * ps));
+        Run { rows, ps, len }
     }
-    // Round the stride *up* so the probe honors its 256-sample cap
-    // (`len / 256` rounded down could sample up to 511 elements).
-    let step = x.len().div_ceil(256);
-    let mut zeros = 0usize;
-    let mut total = 0usize;
-    let mut i = 0;
-    while i < x.len() {
-        total += 1;
-        if x[i] == 0.0 {
-            zeros += 1;
+}
+
+impl<'a> Lhs<'a> {
+    /// The part holding column `col` of the concatenation, and the
+    /// column's place in it.
+    fn part_of(&self, mut col: usize) -> (Part<'a>, usize) {
+        for &part in self.parts {
+            if col < part.1 {
+                return (part, col);
+            }
+            col -= part.1;
         }
-        i += step;
+        unreachable!("an index past the last part of A'")
     }
-    zeros * 2 > total
+
+    /// How many rows of `A'` from `r` on one register tile may hold:
+    /// rows of the transpose are columns, and a tile stays in one part
+    /// so that its rows share a stride.
+    fn tile_rows(&self, r: usize) -> usize {
+        if !self.t {
+            return MR;
+        }
+        let ((_, width), col) = self.part_of(r);
+        MR.min(width - col)
+    }
+
+    /// Reduction indices `k0..k0 + kc` of the `ih` rows of `A'` from
+    /// `r` on into `runs`, one per part they pass through.
+    fn runs(&self, r: usize, ih: usize, k0: usize, kc: usize, runs: &mut Vec<Run<'a>>) {
+        runs.clear();
+        if self.t {
+            let ((x, width), col) = self.part_of(r);
+            return runs.push(Run::new(tile(ih, |q| &x[k0 * width + col + q..]), width, kc));
+        }
+        // Every row passes from part to part at the same indices.
+        let mut col0 = 0;
+        for &(x, width) in self.parts {
+            let (lo, hi) = (k0.max(col0), (k0 + kc).min(col0 + width));
+            if lo < hi {
+                runs.push(Run::new(tile(ih, |q| &x[(r + q) * width + lo - col0..]), 1, hi - lo));
+            }
+            col0 += width;
+        }
+    }
+}
+
+/// The `MR` rows of a register tile that has `ih` of its own: `row(q)`
+/// for those, the last of them again for the rest (lanes computed and
+/// dropped).
+fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
+    std::array::from_fn(|q| row(q.min(ih - 1)))
 }
 
 // ---------------------------------------------------------------------
@@ -99,8 +161,10 @@ pub(crate) fn mostly_zero(x: &[f32]) -> bool {
 // ---------------------------------------------------------------------
 
 /// AVX2 `MR×NR` tile update: row `r` of the tile lives at
-/// `c[r * ldc..][..NR]` and gains `sum_kk ar[r][kk * ps] * pan[kk]` —
-/// or, with `first`, is overwritten by that sum started from zero.
+/// `c[r * ldc..][..NR]` and gains `sum_kk a[r][kk] * pan[kk]`, `kk`
+/// running through `runs` in order — or, with `first`, is overwritten
+/// by that sum started from zero. The accumulators stay in registers
+/// from the first run to the last.
 ///
 /// With `FMA = false` each lane performs mul-then-add — the identical
 /// two IEEE roundings, per element, in the same k order as the scalar
@@ -110,15 +174,13 @@ pub(crate) fn mostly_zero(x: &[f32]) -> bool {
 /// # Safety
 ///
 /// Requires AVX2+FMA (checked by `kernel::avx2()`); `pan` must hold at
-/// least `kc * NR` elements, each `ar[r]` at least `kc`, and `c` at
-/// least `(MR - 1) * ldc + NR`.
+/// least `NR` elements per reduction index of `runs` and `c` at least
+/// `(MR - 1) * ldc + NR` (a [`Run`] keeps its own rows in bounds).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn tile_avx2<const FMA: bool>(
-    ar: &[&[f32]; MR],
-    ps: usize,
+    runs: &[Run<'_>],
     pan: &[f32],
-    kc: usize,
     c: &mut [f32],
     ldc: usize,
     first: bool,
@@ -130,16 +192,20 @@ unsafe fn tile_avx2<const FMA: bool>(
             *vr = _mm256_loadu_ps(c.as_ptr().add(r * ldc));
         }
     }
-    for kk in 0..kc {
-        let pb = _mm256_loadu_ps(pan.as_ptr().add(kk * NR));
-        for (vr, a_row) in v.iter_mut().zip(ar) {
-            let av = _mm256_set1_ps(*a_row.get_unchecked(kk * ps));
-            *vr = if FMA {
-                _mm256_fmadd_ps(av, pb, *vr)
-            } else {
-                _mm256_add_ps(*vr, _mm256_mul_ps(av, pb))
-            };
+    let mut pan = pan.as_ptr();
+    for run in runs {
+        for kk in 0..run.len {
+            let pb = _mm256_loadu_ps(pan.add(kk * NR));
+            for (vr, a_row) in v.iter_mut().zip(&run.rows) {
+                let av = _mm256_set1_ps(*a_row.get_unchecked(kk * run.ps));
+                *vr = if FMA {
+                    _mm256_fmadd_ps(av, pb, *vr)
+                } else {
+                    _mm256_add_ps(*vr, _mm256_mul_ps(av, pb))
+                };
+            }
         }
+        pan = pan.add(run.len * NR);
     }
     for (r, vr) in v.into_iter().enumerate() {
         _mm256_storeu_ps(c.as_mut_ptr().add(r * ldc), vr);
@@ -149,29 +215,26 @@ unsafe fn tile_avx2<const FMA: bool>(
 /// Tile update in place on C (layout as in [`tile_avx2`]) with SIMD
 /// dispatch and the scalar reference as the fallback (and the
 /// exact-mode ground truth).
-#[allow(clippy::too_many_arguments)]
 fn tile_update(
-    ar: &[&[f32]; MR],
-    ps: usize,
+    runs: &[Run<'_>],
     pan: &[f32],
-    kc: usize,
     c: &mut [f32],
     ldc: usize,
     first: bool,
     simd: bool,
     fma: bool,
 ) {
+    let kc: usize = runs.iter().map(|run| run.len).sum();
     assert!(c.len() >= (MR - 1) * ldc + NR && pan.len() >= kc * NR);
-    assert!(kc == 0 || ar.iter().all(|a_row| a_row.len() > (kc - 1) * ps));
     #[cfg(target_arch = "x86_64")]
     if simd {
-        // SAFETY: `simd` comes from `kernel::avx2()`; the lengths were
-        // asserted just above.
+        // SAFETY: `simd` comes from `kernel::avx2()`; `c` and `pan` were
+        // measured just above and every `Run` when it was built.
         unsafe {
             if fma {
-                tile_avx2::<true>(ar, ps, pan, kc, c, ldc, first);
+                tile_avx2::<true>(runs, pan, c, ldc, first);
             } else {
-                tile_avx2::<false>(ar, ps, pan, kc, c, ldc, first);
+                tile_avx2::<false>(runs, pan, c, ldc, first);
             }
         }
         return;
@@ -184,12 +247,14 @@ fn tile_update(
             row.copy_from_slice(&c[r * ldc..][..NR]);
         }
     }
-    for kk in 0..kc {
-        let pb = &pan[kk * NR..(kk + 1) * NR];
-        for (row, a_row) in acc.iter_mut().zip(ar) {
-            let av = a_row[kk * ps];
-            for (o, &bv) in row.iter_mut().zip(pb) {
-                *o += av * bv;
+    let mut pan = pan.chunks_exact(NR);
+    for run in runs {
+        for (kk, pb) in pan.by_ref().take(run.len).enumerate() {
+            for (row, a_row) in acc.iter_mut().zip(&run.rows) {
+                let av = a_row[kk * run.ps];
+                for (o, &bv) in row.iter_mut().zip(pb) {
+                    *o += av * bv;
+                }
             }
         }
     }
@@ -199,23 +264,23 @@ fn tile_update(
 }
 
 // ---------------------------------------------------------------------
-// The blocked core and its three entry points
+// The blocked core and its entry points
 // ---------------------------------------------------------------------
 
 /// `C[m,n] = A'[m,k] · B'[k,n]`, overwriting whatever `c` held (the
 /// first reduction block starts every accumulator from zero, so `c`
-/// needs no zero pass). `A'` is `a` as stored (`[m,k]`
-/// row-major) or, with `ta`, the transpose of `a` stored `[k,m]`;
-/// `B'` is `b` stored `[k,n]` or, with `tb`, the transpose of `b`
-/// stored `[n,k]`. `epilogue` then runs once over each finished row
-/// panel (whole rows of `c`, still cache-warm) on the worker that
-/// computed it.
+/// needs no zero pass). `A'` is the parts of `a` side by side or the
+/// transpose of that ([`Lhs`]); `B'` is `b` stored `[k,n]` or, with
+/// `tb`, the transpose of `b` stored `[n,k]`, and in both cases
+/// consecutive rows of `b` start `ldb` floats apart. `epilogue` then
+/// runs once over each finished row panel (whole rows of `c`, still
+/// cache-warm) on the worker that computed it.
 #[allow(clippy::too_many_arguments)]
 fn gemm(
-    a: &[f32],
-    ta: bool,
+    a: Lhs<'_>,
     b: &[f32],
     tb: bool,
+    ldb: usize,
     c: &mut [f32],
     m: usize,
     k: usize,
@@ -238,16 +303,19 @@ fn gemm(
         .div_ceil(tgl_runtime::current_threads())
         .next_multiple_of(MR)
         .max(seq_rows(k * n));
-    // Element kk of a row of A' sits `kk * ps` past the row's start.
-    let ps = if ta { m } else { 1 };
     parallel_for_chunks(m, panel_rows, |_, rows: std::ops::Range<usize>| {
         // SAFETY: panels partition the row space, so these row ranges
         // are disjoint.
         let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
         let (r0, rows_n) = (rows.start, rows.len());
-        let mut panel = pool::take_uninit(KC.min(k) * n_tiles * NR, Device::Host);
+        // The packed block lives with the worker: grown to the largest
+        // block it has packed, never handed back, so it is L1-hot from
+        // one product to the next.
+        let mut panel = PANEL.take();
+        panel.resize(panel.len().max(KC.min(k) * n_tiles * NR), 0.0);
+        let mut runs = Vec::new();
         for k0 in (0..k).step_by(KC) {
-            let (kc, first) = (KC.min(k - k0), k0 == 0);
+            let kc = KC.min(k - k0);
             // Pack B'[k0..k0+kc, :] into NR-wide panels: panel `jt`
             // holds rows kk-major, zero-padded past column n.
             for jt in 0..n_tiles {
@@ -256,7 +324,7 @@ fn gemm(
                 for kk in 0..kc {
                     let d = &mut dst[kk * NR..(kk + 1) * NR];
                     if !tb {
-                        d[..jw].copy_from_slice(&b[(k0 + kk) * n + j0..][..jw]);
+                        d[..jw].copy_from_slice(&b[(k0 + kk) * ldb + j0..][..jw]);
                     }
                     d[jw..].fill(0.0);
                 }
@@ -264,24 +332,25 @@ fn gemm(
                     // The transposed reader: column `j` of B' is a
                     // contiguous row of `b`.
                     for jj in 0..jw {
-                        for (kk, &v) in b[(j0 + jj) * k + k0..][..kc].iter().enumerate() {
+                        for (kk, &v) in b[(j0 + jj) * ldb + k0..][..kc].iter().enumerate() {
                             dst[kk * NR + jj] = v;
                         }
                     }
                 }
             }
-            let a_row = |r: usize| if ta { &a[k0 * m + r0 + r..] } else { &a[(r0 + r) * k + k0..] };
-            for i in (0..rows_n).step_by(MR) {
-                let ih = MR.min(rows_n - i);
-                // Past the last row the tile re-reads row `ih - 1`; those
+            let first = k0 == 0;
+            let mut i = 0;
+            while i < rows_n {
+                // Past its last row a short tile re-reads that row; those
                 // lanes are computed and dropped.
-                let ar: [&[f32]; MR] = std::array::from_fn(|r| a_row(i + r.min(ih - 1)));
+                let ih = a.tile_rows(r0 + i).min(rows_n - i);
+                a.runs(r0 + i, ih, k0, kc, &mut runs);
                 for jt in 0..n_tiles {
                     let (j0, jw) = (jt * NR, NR.min(n - jt * NR));
                     let pan = &panel[jt * kc * NR..(jt + 1) * kc * NR];
                     if ih == MR && jw == NR {
                         let c_tile = &mut c_rows[i * n + j0..];
-                        tile_update(&ar, ps, pan, kc, c_tile, n, first, simd, fma);
+                        tile_update(&runs, pan, c_tile, n, first, simd, fma);
                         continue;
                     }
                     // Edge tile: the same kernel on a zero-padded copy.
@@ -292,124 +361,69 @@ fn gemm(
                             edge[r * NR..][..jw].copy_from_slice(c_row);
                         }
                     }
-                    tile_update(&ar, ps, pan, kc, &mut edge, NR, first, simd, fma);
+                    tile_update(&runs, pan, &mut edge, NR, first, simd, fma);
                     for r in 0..ih {
                         c_rows[(i + r) * n + j0..][..jw].copy_from_slice(&edge[r * NR..][..jw]);
                     }
                 }
+                i += ih;
             }
         }
-        pool::give(panel, Device::Host);
+        PANEL.set(panel);
         epilogue(c_rows);
     });
 }
 
 /// C[m,n] = A[m,k] * B[k,n]
 pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let _t = tgl_obs::timer("gemm");
-    if mostly_zero(a) {
-        return mm_nn_sparse(a, b, c, m, k, n, NO_EPILOGUE);
-    }
-    gemm(a, false, b, false, c, m, k, n, NO_EPILOGUE);
+    mm_nn_cols(a, b, n, c, m, k, n);
 }
 
-/// [`mm_nn`] without the sparsity probe, for a left operand that is a
-/// gradient: a ReLU mask leaves it about half zeros, where skipping
-/// them costs more than the packed tiles do.
-pub(crate) fn mm_nn_dense(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// [`mm_nn`] against `n` columns of a wider `B`: row `kk` of the block
+/// starts at `b[kk * ldb]` (`dX_p = dY · W[:, part p]` on the weight as
+/// stored).
+pub(crate) fn mm_nn_cols(
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let _t = tgl_obs::timer("gemm");
-    gemm(a, false, b, false, c, m, k, n, NO_EPILOGUE);
+    gemm(Lhs { parts: &[(a, k)], t: false }, b, false, ldb, c, m, k, n, NO_EPILOGUE);
 }
 
 /// C[m,k] = A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
 pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     let _t = tgl_obs::timer("gemm");
-    gemm(a, false, b, true, c, m, n, k, NO_EPILOGUE);
+    gemm(Lhs { parts: &[(a, n)], t: false }, b, true, n, c, m, n, k, NO_EPILOGUE);
 }
 
-/// `C[m,n] = X[m,k] · W[n,k]ᵀ`, then `epilogue` over the finished rows:
-/// the `Linear` forward on the weight as stored. A mostly-zero `x`
-/// takes the zero-skipping loop, over a transposed copy of the weight
-/// (`k·n` floats against the `m·k·n` product).
+/// `C[m,n] = [x₀ ‖ x₁ ‖ ..] · W[n,k]ᵀ` over the `m`-row parts `x`
+/// (`k` = the sum of their widths), then `epilogue` over the finished
+/// rows: the `Linear` forward on the weight as stored and on the
+/// parts of its input as they are.
 pub(crate) fn mm_nt_then(
-    x: &[f32],
+    x: &[Part<'_>],
     w: &[f32],
     c: &mut [f32],
     m: usize,
-    k: usize,
     n: usize,
     epilogue: &Epilogue<'_>,
 ) {
     let _t = tgl_obs::timer("gemm");
-    if mostly_zero(x) {
-        let mut wt = pool::take_uninit(k * n, Device::Host);
-        crate::ops::transpose_into(w, n, k, &mut wt);
-        mm_nn_sparse(x, &wt, c, m, k, n, epilogue);
-        return pool::give(wt, Device::Host);
-    }
-    gemm(x, false, w, true, c, m, k, n, epilogue);
+    let k = x.iter().map(|part| part.1).sum();
+    gemm(Lhs { parts: x, t: false }, w, true, k, c, m, k, n, epilogue);
 }
 
-/// C[k,n] = A[m,k]^T * B[m,n]  (i.e. Aᵀ · B)
-pub(crate) fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// `C[k,n] = [a₀ ‖ a₁ ‖ ..]ᵀ · B[m,n]` over the `m`-row parts `a` (`k`
+/// = the sum of their widths): `Aᵀ · B`.
+pub(crate) fn mm_tn(a: &[Part<'_>], b: &[f32], c: &mut [f32], m: usize, n: usize) {
     let _t = tgl_obs::timer("gemm");
-    if mostly_zero(a) {
-        return mm_tn_sparse(a, b, c, m, k, n);
-    }
-    gemm(a, true, b, false, c, k, m, n, NO_EPILOGUE);
-}
-
-/// Zero-skipping reference loop for mostly-zero A (identical
-/// floating-point order in exact mode: k ascending per output element).
-fn mm_nn_sparse(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    epilogue: &Epilogue<'_>,
-) {
-    c.fill(0.0);
-    let fma = kernel::fast();
-    let c = UnsafeSlice::new(c);
-    parallel_for(m, seq_rows(k * n), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
-        for (ri, i) in rows.enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c_rows[ri * n..(ri + 1) * n];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                kernel::axpy_dispatch(c_row, &b[kk * n..(kk + 1) * n], aik, fma);
-            }
-        }
-        epilogue(c_rows);
-    });
-}
-
-/// Zero-skipping reference loop for mostly-zero A (identical
-/// floating-point order in exact mode: i ascending per output element).
-fn mm_tn_sparse(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    c.fill(0.0);
-    let fma = kernel::fast();
-    let c = UnsafeSlice::new(c);
-    parallel_for(k, seq_rows(m * n), |rows: std::ops::Range<usize>| {
-        // SAFETY: disjoint row ranges per chunk.
-        let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
-        for (ri, kk) in rows.enumerate() {
-            let c_row = &mut c_rows[ri * n..(ri + 1) * n];
-            for i in 0..m {
-                let aik = a[i * k + kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                kernel::axpy_dispatch(c_row, &b[i * n..(i + 1) * n], aik, fma);
-            }
-        }
-    });
+    let k = a.iter().map(|part| part.1).sum();
+    gemm(Lhs { parts: a, t: true }, b, false, n, c, k, m, n, NO_EPILOGUE);
 }
 
 #[cfg(test)]
@@ -457,7 +471,7 @@ mod tests {
         match variant {
             "nn" => mm_nn(a, b, &mut c, m, k, n),
             "nt" => mm_nt(a, &transposed(b, k, n), &mut c, m, k, n),
-            "tn" => mm_tn(&transposed(a, m, k), b, &mut c, k, m, n),
+            "tn" => mm_tn(&[(&transposed(a, m, k), m)], b, &mut c, k, n),
             _ => unreachable!(),
         }
         c
@@ -568,40 +582,54 @@ mod tests {
         assert_thread_count_invariant("tn");
     }
 
+    /// `A'` in parts cut anywhere, a part of no columns among them, is
+    /// the one product bit for bit, as stored and transposed; so is a
+    /// column block of `B` read through `ldb`.
     #[test]
-    fn sparse_operand_takes_skip_path_and_matches() {
+    fn parts_and_column_blocks_match_the_whole_product() {
         let _guard = exact_guard();
-        let (m, k, n) = (33, 40, 21);
-        let mut a = vec![0.0f32; m * k];
-        for i in (0..m * k).step_by(7) {
-            a[i] = (i % 13) as f32 * 0.1;
-        }
-        assert!(mostly_zero(&a));
-        let b = fill(k * n, 8);
-        let want = naive_nn(&a, &b, m, k, n);
-        let mut got = vec![f32::NAN; m * n];
-        mm_nn(&a, &b, &mut got, m, k, n);
-        // Zero-skip changes which terms are added (skipping exact
-        // zeros), which cannot change the result bitwise: x + 0.0 == x
-        // for all finite x.
-        assert_eq!(got, want);
-    }
+        for mode in [KernelMode::Exact, KernelMode::Fast] {
+            crate::kernel::set_mode(mode);
+            for (m, k, n, cuts) in [
+                (5, 8, 3, vec![3]),
+                (33, 300, 21, vec![256]),
+                (9, 80, 32, vec![32, 64]),
+                (70, 300, 9, vec![200, 200, 299]),
+                (7, 12, 9, vec![0]),
+            ] {
+                let x = fill(m * k, 3);
+                let w = fill(n * k, 4);
+                let dy = fill(m * n, 5);
+                // Columns c0..c1 of every row of X.
+                let cols = |c0: usize, c1: usize| -> Vec<f32> {
+                    x.chunks_exact(k).flat_map(|row| row[c0..c1].to_vec()).collect()
+                };
+                let bounds: Vec<usize> = [0].into_iter().chain(cuts.clone()).chain([k]).collect();
+                let owned: Vec<(Vec<f32>, usize)> =
+                    bounds.windows(2).map(|b| (cols(b[0], b[1]), b[1] - b[0])).collect();
+                let parts: Vec<Part<'_>> = owned.iter().map(|(x, width)| (&x[..], *width)).collect();
 
-    #[test]
-    fn mostly_zero_probe_caps_samples() {
-        // Dense-but-tiny and exactly-300: the probe must sample at most
-        // 256 elements (stride rounds up).
-        assert_eq!(300usize.div_ceil(256), 2);
-        let mut x = vec![1.0f32; 300];
-        assert!(!mostly_zero(&x));
-        // With an upward-rounded stride of 2, only even indices are
-        // probed: zeroing them flips the verdict even though odd
-        // indices stay dense.
-        for i in (0..300).step_by(2) {
-            x[i] = 0.0;
+                let (mut whole, mut split) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+                mm_nt_then(&[(&x, k)], &w, &mut whole, m, n, NO_EPILOGUE);
+                mm_nt_then(&parts, &w, &mut split, m, n, NO_EPILOGUE);
+                assert_eq!(split, whole, "{mode:?} X·Wᵀ {m}x{k}x{n} cut at {cuts:?}");
+
+                let (mut whole, mut split) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
+                mm_tn(&[(&x, k)], &dy, &mut whole, m, n);
+                mm_tn(&parts, &dy, &mut split, m, n);
+                assert_eq!(split, whole, "{mode:?} Xᵀ·dY {m}x{k}x{n} cut at {cuts:?}");
+
+                // dX = dY · W, and its columns from the first cut on.
+                let cut = cuts[0];
+                let mut dx = vec![f32::NAN; m * k];
+                mm_nn(&dy, &w, &mut dx, m, n, k);
+                let mut block = vec![f32::NAN; m * (k - cut)];
+                mm_nn_cols(&dy, &w[cut..], k, &mut block, m, n, k - cut);
+                let want: Vec<f32> = dx.chunks_exact(k).flat_map(|row| row[cut..].to_vec()).collect();
+                assert_eq!(block, want, "{mode:?} dX columns {cut}.. of {m}x{n}x{k}");
+            }
         }
-        assert!(mostly_zero(&x));
-        assert!(!mostly_zero(&[]));
+        crate::kernel::set_mode(KernelMode::Exact);
     }
 
     #[test]
@@ -609,7 +637,7 @@ mod tests {
         let mut c = vec![0.0f32; 0];
         mm_nn(&[], &[], &mut c, 0, 0, 0);
         mm_nt(&[], &[], &mut c, 0, 0, 0);
-        mm_tn(&[], &[], &mut c, 0, 0, 0);
+        mm_tn(&[(&[], 0)], &[], &mut c, 0, 0);
         let mut c2 = vec![5.0f32; 6];
         mm_nn(&[], &[], &mut c2, 2, 0, 3);
         assert_eq!(c2, vec![0.0; 6], "an empty reduction is a zero product");

@@ -11,7 +11,7 @@ use tgl_runtime::{parallel_for, UnsafeSlice};
 
 use crate::kernel;
 use crate::ops::fused::{bias_act_rows, relu_mask_bwd};
-use crate::ops::gemm::{mm_nn, mm_nn_dense, mm_nt, mm_nt_then, mm_tn, seq_rows};
+use crate::ops::gemm::{mm_nn, mm_nn_cols, mm_nt, mm_nt_then, mm_tn, seq_rows, Part};
 use crate::ops::{same_device, transpose_into};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -61,7 +61,7 @@ impl Tensor {
             });
             let gb = need_b.then(|| {
                 let mut gb = pool::take_uninit(k * n, b_t.device());
-                mm_tn(&a_t.inner.storage.read(), go, &mut gb, m, k, n);
+                mm_tn(&[(&a_t.inner.storage.read(), k)], go, &mut gb, m, n);
                 gb
             });
             vec![ga, gb]
@@ -69,114 +69,13 @@ impl Tensor {
     }
 
     /// The affine layer as one op: `self[m,k] · weight[n,k]ᵀ + bias[n]`,
-    /// then ReLU when `relu` is set.
-    ///
-    /// One GEMM straight on the `[out, in]` weight as stored, with the
-    /// bias and ReLU applied to each finished row panel, and one
-    /// backward node: `dX = dY·W`, `dW = dYᵀ·X`, `db` = column sums of
-    /// `dY` (rows ascending), where `dY` is first masked by `y > 0`
-    /// under ReLU. Every output and gradient element is computed with
-    /// the roundings, in the order, of
-    /// `self.matmul(&weight.transpose()).add(bias)` (`.add_relu(bias)`).
+    /// then ReLU when `relu` is set: [`linear_cat`] over one part.
     ///
     /// # Panics
     ///
-    /// Panics unless `self` and `weight` are rank-2 with equal inner
-    /// dimensions, `bias` (if any) is rank-1 of `weight.dim(0)`
-    /// elements, and all live on one device.
+    /// As [`linear_cat`].
     pub fn linear(&self, weight: &Tensor, bias: Option<&Tensor>, relu: bool) -> Tensor {
-        let device = same_device(self, weight);
-        assert_eq!(self.rank(), 2, "linear input must be rank-2, got {}", self.shape());
-        assert_eq!(weight.rank(), 2, "linear weight must be rank-2, got {}", weight.shape());
-        let (m, k) = (self.dim(0), self.dim(1));
-        let n = weight.dim(0);
-        assert_eq!(
-            k,
-            weight.dim(1),
-            "linear inner dims differ: {} vs {}",
-            self.shape(),
-            weight.shape()
-        );
-        if let Some(b) = bias {
-            assert_eq!(b.dims(), &[n], "linear bias must be [{n}], got {}", b.shape());
-            same_device(self, b);
-        }
-
-        let need_x = self.requires_grad_flag();
-        let need_w = weight.requires_grad_flag();
-        let need_b = bias.is_some_and(Tensor::requires_grad_flag);
-        let (wx, ww, wb) = (need_x as usize, need_w as usize, need_b as usize);
-        let epilogue_elems = (bias.is_some() as usize + relu as usize) * m * n;
-        let _prof = tgl_obs::profile::op("linear")
-            .flops((2 * m * k * n + epilogue_elems) as u64)
-            .io(
-                4 * (m * k + n * k + bias.map_or(0, Tensor::numel)) as u64,
-                4 * (m * n * (1 + relu as usize)) as u64,
-            )
-            .shape(&[&[m, k], &[n, k]])
-            .backward_cost(
-                (2 * (wx + ww) * m * k * n + (wb + relu as usize) * m * n) as u64,
-                4 * (m * n * (1 + relu as usize) + wx * n * k + ww * m * k) as u64,
-                4 * (wx * m * k + ww * n * k + wb * n) as u64,
-            );
-        let mut y = pool::take_uninit(m * n, device);
-        {
-            let x = self.inner.storage.read();
-            let w = weight.inner.storage.read();
-            let b = bias.map(|b| b.inner.storage.read());
-            let b = b.as_deref().map(Vec::as_slice);
-            mm_nt_then(&x, &w, &mut y, m, k, n, &|rows: &mut [f32]| bias_act_rows(rows, n, b, relu));
-        }
-
-        // The ReLU mask is recoverable from the output alone; only a
-        // backward node needs the copy.
-        let tracked = crate::autograd::grad_enabled() && (need_x || need_w || need_b);
-        let y_copy = (relu && tracked).then(|| {
-            let mut c = pool::take_uninit(m * n, device);
-            c.copy_from_slice(&y);
-            PooledBuf::new(c, device)
-        });
-        let (x_t, w_t) = (self.clone(), weight.clone());
-        let mut inputs = vec![self.clone(), weight.clone()];
-        inputs.extend(bias.cloned());
-        let has_bias = bias.is_some();
-        Tensor::make_result(y, [m, n], device, &inputs, move |go| {
-            let masked = y_copy.as_ref().map(|y| {
-                let mut g = pool::take_uninit(m * n, device);
-                relu_mask_bwd(&mut g, go, y);
-                PooledBuf::new(g, device)
-            });
-            let dy: &[f32] = masked.as_deref().unwrap_or(go);
-            let gx = need_x.then(|| {
-                let mut gx = pool::take_uninit(m * k, device);
-                mm_nn_dense(dy, &w_t.inner.storage.read(), &mut gx, m, n, k);
-                gx
-            });
-            let gw = need_w.then(|| {
-                // dW = dYᵀ·X, computed as (Xᵀ·dY)ᵀ: the product with
-                // the narrower packed operand (`n <= k` columns of dY
-                // per worker instead of all of X), then a transpose of
-                // the small `[k, n]` result. Same products, same
-                // row-ascending order per element.
-                let mut gwt = pool::take_uninit(k * n, device);
-                mm_tn(&x_t.inner.storage.read(), dy, &mut gwt, m, k, n);
-                let mut gw = pool::take_uninit(n * k, device);
-                transpose_into(&gwt, k, n, &mut gw);
-                pool::give(gwt, device);
-                gw
-            });
-            let mut grads = vec![gx, gw];
-            if has_bias {
-                grads.push(need_b.then(|| {
-                    let mut gb = pool::take_zeroed(n, device);
-                    for row in dy.chunks_exact(n.max(1)) {
-                        kernel::add_assign_dispatch(&mut gb, row);
-                    }
-                    gb
-                }));
-            }
-            grads
-        })
+        linear_cat(&[self], weight, bias, relu)
     }
 
     /// Batched matrix product `self[b,m,k] @ other[b,k,n] -> [b,m,n]`.
@@ -251,7 +150,7 @@ impl Tensor {
                             }
                             if let Some(gb_sl) = &gb_sl {
                                 let gbi = unsafe { gb_sl.slice_mut(i * k * n, k * n) };
-                                mm_tn(&a[i * m * k..(i + 1) * m * k], goi, gbi, m, k, n);
+                                mm_tn(&[(&a[i * m * k..(i + 1) * m * k], k)], goi, gbi, m, n);
                             }
                         }
                     });
@@ -260,6 +159,149 @@ impl Tensor {
             },
         )
     }
+}
+
+/// Runs `f` on the data and row length of each of `xs`, as the GEMM's
+/// left operand takes them.
+fn with_parts<R>(xs: &[Tensor], f: impl FnOnce(&[Part<'_>]) -> R) -> R {
+    let data: Vec<_> = xs.iter().map(|x| x.inner.storage.read()).collect();
+    let parts: Vec<Part<'_>> = data.iter().zip(xs).map(|(d, x)| (&d[..], x.dim(1))).collect();
+    f(&parts)
+}
+
+/// The affine layer over the column-wise concatenation of `parts`
+/// (each `[m, k_p]`, `Σ k_p = k`), without building it:
+/// `[parts₀ ‖ parts₁ ‖ ..] · weight[n,k]ᵀ + bias[n]`, then ReLU when
+/// `relu` is set.
+///
+/// One GEMM straight on the `[out, in]` weight as stored, whose left
+/// operand is the parts read side by side, with the bias and ReLU
+/// applied to each finished row panel. One backward node: `dX_p = dY ·
+/// W[:, part p]` written into its own buffer (only for parts on the
+/// graph), `dW = dYᵀ·X` with each part supplying its rows of one
+/// `[in, out]` scratch, `db` = column sums of `dY` (rows ascending),
+/// where `dY` is first masked by `y > 0` under ReLU. Every output and
+/// gradient element is computed with the roundings, in the order, of
+/// `cat(parts, 1).matmul(&weight.transpose()).add(bias)`
+/// (`.add_relu(bias)`): an output element's products ascend through
+/// the concatenated reduction index whichever part they come from.
+///
+/// # Panics
+///
+/// Panics unless every part and `weight` are rank-2, the parts share
+/// their row count and their widths add up to `weight.dim(1)`, `bias`
+/// (if any) is rank-1 of `weight.dim(0)` elements, and all live on one
+/// device.
+pub fn linear_cat(parts: &[&Tensor], weight: &Tensor, bias: Option<&Tensor>, relu: bool) -> Tensor {
+    let first = *parts.first().expect("linear over zero parts");
+    let device = same_device(first, weight);
+    assert_eq!(weight.rank(), 2, "linear weight must be rank-2, got {}", weight.shape());
+    for x in parts {
+        assert_eq!(x.rank(), 2, "linear input must be rank-2, got {}", x.shape());
+        assert_eq!(x.dim(0), first.dim(0), "linear parts differ in rows: {} vs {}", x.shape(), first.shape());
+        same_device(x, weight);
+    }
+    let widths: Vec<usize> = parts.iter().map(|x| x.dim(1)).collect();
+    let (m, k, n) = (first.dim(0), widths.iter().sum::<usize>(), weight.dim(0));
+    assert_eq!(
+        k,
+        weight.dim(1),
+        "linear inner dims differ: parts of {widths:?} columns vs {}",
+        weight.shape()
+    );
+    if let Some(b) = bias {
+        assert_eq!(b.dims(), &[n], "linear bias must be [{n}], got {}", b.shape());
+        same_device(first, b);
+    }
+    // Part p is columns `cols[p]..cols[p] + widths[p]` of the input.
+    let cols: Vec<usize> =
+        widths.iter().scan(0, |col, &kp| Some(std::mem::replace(col, *col + kp))).collect();
+
+    let need_x: Vec<bool> = parts.iter().map(|x| x.requires_grad_flag()).collect();
+    let need_w = weight.requires_grad_flag();
+    let need_b = bias.is_some_and(Tensor::requires_grad_flag);
+    // Input columns whose gradient backward computes.
+    let kx: usize = widths.iter().zip(&need_x).map(|(&kp, &need)| kp * need as usize).sum();
+    let (ww, wb) = (need_w as usize, need_b as usize);
+    let epilogue_elems = (bias.is_some() as usize + relu as usize) * m * n;
+    let mut shapes: Vec<&[usize]> = parts.iter().map(|x| x.dims()).collect();
+    shapes.push(weight.dims());
+    let _prof = tgl_obs::profile::op("linear")
+        .flops((2 * m * k * n + epilogue_elems) as u64)
+        .io(
+            4 * (m * k + n * k + bias.map_or(0, Tensor::numel)) as u64,
+            4 * (m * n * (1 + relu as usize)) as u64,
+        )
+        .shape(&shapes)
+        .backward_cost(
+            (2 * m * (kx + ww * k) * n + (wb + relu as usize) * m * n) as u64,
+            4 * (m * n * (1 + relu as usize) + n * kx + ww * m * k) as u64,
+            4 * (m * kx + ww * n * k + wb * n) as u64,
+        );
+    let xs: Vec<Tensor> = parts.iter().map(|&x| x.clone()).collect();
+    let mut y = pool::take_uninit(m * n, device);
+    {
+        let w = weight.inner.storage.read();
+        let b = bias.map(|b| b.inner.storage.read());
+        let b = b.as_deref().map(Vec::as_slice);
+        let finish = |rows: &mut [f32]| bias_act_rows(rows, n, b, relu);
+        with_parts(&xs, |xs| mm_nt_then(xs, &w, &mut y, m, n, &finish));
+    }
+
+    // The ReLU mask is recoverable from the output alone; only a
+    // backward node needs the copy.
+    let tracked = crate::autograd::grad_enabled() && (kx > 0 || need_w || need_b);
+    let y_copy = (relu && tracked).then(|| {
+        let mut c = pool::take_uninit(m * n, device);
+        c.copy_from_slice(&y);
+        PooledBuf::new(c, device)
+    });
+    let w_t = weight.clone();
+    let mut inputs = xs.clone();
+    inputs.push(weight.clone());
+    inputs.extend(bias.cloned());
+    let has_bias = bias.is_some();
+    Tensor::make_result(y, [m, n], device, &inputs, move |go| {
+        let masked = y_copy.as_ref().map(|y| {
+            let mut g = pool::take_uninit(m * n, device);
+            relu_mask_bwd(&mut g, go, y);
+            PooledBuf::new(g, device)
+        });
+        let dy: &[f32] = masked.as_deref().unwrap_or(go);
+        let mut grads: Vec<Option<Vec<f32>>> = (0..xs.len())
+            .map(|p| {
+                need_x[p].then(|| {
+                    let mut gx = pool::take_uninit(m * widths[p], device);
+                    let w = w_t.inner.storage.read();
+                    mm_nn_cols(dy, &w[cols[p]..], k, &mut gx, m, n, widths[p]);
+                    gx
+                })
+            })
+            .collect();
+        grads.push(need_w.then(|| {
+            // dW = dYᵀ·X, computed as (Xᵀ·dY)ᵀ: the product with
+            // the narrower packed operand (`n <= k` columns of dY
+            // per worker instead of all of X), each part supplying its
+            // rows of the small `[k, n]` result, then one transpose.
+            // Same products, same row-ascending order per element.
+            let mut gwt = pool::take_uninit(k * n, device);
+            with_parts(&xs, |xs| mm_tn(xs, dy, &mut gwt, m, n));
+            let mut gw = pool::take_uninit(n * k, device);
+            transpose_into(&gwt, k, n, &mut gw);
+            pool::give(gwt, device);
+            gw
+        }));
+        if has_bias {
+            grads.push(need_b.then(|| {
+                let mut gb = pool::take_zeroed(n, device);
+                for row in dy.chunks_exact(n.max(1)) {
+                    kernel::add_assign_dispatch(&mut gb, row);
+                }
+                gb
+            }));
+        }
+        grads
+    })
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use tgl_runtime::{parallel_for, UnsafeSlice};
 
+use crate::kernel::{self, Trig};
 use crate::ops::ELEMWISE_SEQ;
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -74,6 +75,47 @@ fn unary_elementwise(
     )
 }
 
+/// `cos` or `sin` of every element through the in-tree kernel, whole
+/// chunks at a time. Backward evaluates the other function of the
+/// input the same way: `d cos = -g · sin x`, `d sin = g · cos x`.
+fn trig_elementwise(name: &'static str, input: &Tensor, f: Trig) -> Tensor {
+    /// `out = f(x)`, chunked across the pool.
+    fn apply(out: &mut [f32], x: &[f32], f: Trig) {
+        let out_sl = UnsafeSlice::new(out);
+        parallel_for(x.len(), ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
+            // SAFETY: chunks partition the element space.
+            let out = unsafe { out_sl.slice_mut(r.start, r.len()) };
+            out.copy_from_slice(&x[r]);
+            kernel::sincos(out, f, None);
+        });
+    }
+    let device = input.device();
+    let n = input.numel();
+    let _prof = tgl_obs::profile::op(name)
+        .flops(8 * n as u64)
+        .io(4 * n as u64, 4 * n as u64)
+        .shape(&[input.dims()])
+        .backward_cost(10 * n as u64, 8 * n as u64, 4 * n as u64);
+    let mut y = pool::take_uninit(n, device);
+    apply(&mut y, &input.inner.storage.read(), f);
+    let x_t = input.clone();
+    Tensor::make_result(
+        y,
+        input.shape().clone(),
+        device,
+        std::slice::from_ref(input),
+        move |go| {
+            let sign = if f == Trig::Cos { -1.0 } else { 1.0 };
+            let mut g = pool::take_uninit(go.len(), device);
+            apply(&mut g, &x_t.inner.storage.read(), f.other());
+            for (g, &go) in g.iter_mut().zip(go) {
+                *g *= sign * go;
+            }
+            vec![Some(g)]
+        },
+    )
+}
+
 impl Tensor {
     /// Elementwise negation.
     pub fn neg(&self) -> Tensor {
@@ -91,14 +133,14 @@ impl Tensor {
     }
 
     /// Elementwise cosine (the kernel of the paper's time-encoder
-    /// `Φ(Δt) = cos(ω·Δt + φ)`).
+    /// `Φ(Δt) = cos(ω·Δt + φ)`), by [`kernel::sincos`].
     pub fn cos(&self) -> Tensor {
-        unary_elementwise("cos", 8, self, f32::cos, |x, _, g| -g * x.sin())
+        trig_elementwise("cos", self, Trig::Cos)
     }
 
-    /// Elementwise sine.
+    /// Elementwise sine, by [`kernel::sincos`].
     pub fn sin(&self) -> Tensor {
-        unary_elementwise("sin", 8, self, f32::sin, |x, _, g| g * x.cos())
+        trig_elementwise("sin", self, Trig::Sin)
     }
 
     /// Elementwise square root.

@@ -71,12 +71,14 @@ use std::sync::OnceLock;
 use tgl_device::Device;
 use tgl_runtime::sync::Mutex;
 
-/// Free buffers per class per device. Small classes (a few KB) keep
-/// more buffers than large ones so pool-held memory stays bounded.
-const CLASS_CAP_SMALL: usize = 32;
-const CLASS_CAP_LARGE: usize = 4;
-/// Classes at or above this (2^20 elements = 4 MiB) use the large cap.
-const LARGE_CLASS: usize = 20;
+/// Free buffers per class per device: as many as hold [`CLASS_ELEMS`]
+/// at the class's smallest capacity, so pool-held memory is bounded
+/// per class whatever sizes a model asks for (32 buffers up to 512 KiB
+/// each, 16 up to 1 MiB, 8 up to 2 MiB, 4 from 4 MiB on).
+const CLASS_CAP_MAX: usize = 32;
+const CLASS_CAP_MIN: usize = 4;
+/// 2^22 elements = 16 MiB.
+const CLASS_ELEMS: usize = 1 << 22;
 
 /// One device tier's free lists, indexed by size class.
 #[derive(Default)]
@@ -107,7 +109,7 @@ impl Shelf {
         if self.classes.len() <= class {
             self.classes.resize_with(class + 1, Vec::new);
         }
-        let cap = if class >= LARGE_CLASS { CLASS_CAP_LARGE } else { CLASS_CAP_SMALL };
+        let cap = (CLASS_ELEMS >> class).clamp(CLASS_CAP_MIN, CLASS_CAP_MAX);
         let bufs = &mut self.classes[class];
         if bufs.len() < cap {
             return bufs.push(buf);
@@ -368,10 +370,21 @@ mod tests {
         let _g = serial();
         set_enabled(true);
         let before = held(Device::Accel).0;
-        for _ in 0..CLASS_CAP_SMALL + 10 {
+        for _ in 0..CLASS_CAP_MAX + 10 {
             give(vec![0.0; 777], Device::Accel);
         }
-        assert!(held(Device::Accel).0 <= before + CLASS_CAP_SMALL);
+        assert!(held(Device::Accel).0 <= before + CLASS_CAP_MAX);
+        // A class of 2-4 MiB buffers keeps 16 MiB worth, not 32 of them
+        // (TGAT's `[E, 32]` activations sit there: held memory was 86 MB
+        // in that class alone, for the same hit rate).
+        let before = held(Device::Accel);
+        for _ in 0..CLASS_CAP_MAX {
+            give(vec![0.0; (1 << 19) + 5], Device::Accel);
+        }
+        let grown = held(Device::Accel);
+        assert_eq!(grown.0 - before.0, 8);
+        assert!(grown.1 - before.1 <= 4 * CLASS_ELEMS as u64 + 8 * 4 * 5);
+        while shelf(Device::Accel).lock().take(1 << 19).is_some() {} // drain the class
     }
 
     #[test]
@@ -382,7 +395,7 @@ mod tests {
         // this shelf) with small-capacity buffers, then hand back one
         // near the top of the class, as the largest batch of an epoch
         // does: it must still be there for that batch's next visit.
-        for _ in 0..CLASS_CAP_SMALL {
+        for _ in 0..CLASS_CAP_MAX {
             give(vec![1.0; 131_101], Device::Accel);
         }
         give(vec![2.0; 260_003], Device::Accel);

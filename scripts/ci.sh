@@ -24,6 +24,12 @@ TGL_KERNEL=exact timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
 echo "==> cargo test -q --offline (TGL_KERNEL=fast)"
 TGL_KERNEL=fast timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
 
+# Tier-1 is the debug profile; the harness and the tensor crate are
+# where release-only behaviour lives (a CPU clock coarser than a test
+# pass went unseen for nine PRs, and `debug_assert!`s compile out).
+echo "==> cargo test --release -q --offline -p tgl-harness -p tgl-tensor"
+timeout "$TEST_TIMEOUT" cargo test --release -q --offline -p tgl-harness -p tgl-tensor
+
 # The end-to-end benchmark is its own package (own lockfile and target
 # dir). Its smoke run trains every workload at 1/8 size and exits
 # non-zero on any failed check, so a kernel change that breaks the
@@ -132,6 +138,40 @@ awk '/^stage seconds/ {on=1; next}
          exit bad
      }' <(sed 's/%//g' "$VIEWS_LOG") \
     || { echo "the timing views disagree"; cat "$VIEWS_LOG"; exit 1; }
+
+echo "==> the part of a TGAT step that is not a GEMM stays small (1 thread, --scale 1, 2 epochs)"
+# Shares of op self time from the run report's profile section: Φ(Δt)
+# and its backward were 23% of this epoch on libm `cos` / `sin` (5.4-5.7%
+# now, of an op total that fell by 37%), and `cat` + `cat.bwd` 6% before
+# the affine layers read their inputs' parts in place (0.01% now).
+SHARE_REPORT="$OBS_DIR/tgat-shares.json"
+TGL_THREADS=1 ./target/release/tgl train --model tgat --scale 1 --epochs 2 --profile \
+    --metrics-out "$SHARE_REPORT" >"$OBS_DIR/tgat-shares.log" 2>&1 \
+    || { cat "$OBS_DIR/tgat-shares.log"; exit 1; }
+grep -o '{"name":"[^"]*","phase":"[^"]*","stage":"[^"]*","kind":"op"[^}]*' "$SHARE_REPORT" \
+    | sed 's/{"name":"\([^"]*\)".*"self_ns":\([0-9]*\).*/\1 \2/' \
+    | awk '{total += $2}
+           $1 == "time_encode" || $1 == "time_encode.bwd" {trig += $2}
+           $1 == "cat" || $1 == "cat.bwd" {cat += $2}
+           END {
+               if (total == 0) { print "the report has no op rows"; exit 1 }
+               printf "time_encode + .bwd %.2f%%, cat + .bwd %.2f%% of %.3f s of op self time\n", 100 * trig / total, 100 * cat / total, total / 1e9
+               if (trig > 0.07 * total) { print "time_encode + time_encode.bwd exceed 7% of op self time"; bad = 1 }
+               if (cat > 0.015 * total) { print "cat + cat.bwd exceed 1.5% of op self time"; bad = 1 }
+               exit bad
+           }' \
+    || { echo "the non-GEMM share of a TGAT epoch grew back"; exit 1; }
+
+echo "==> TGL_SIMD=off and the default print the same epoch (the in-tree scalar reference is the contract on every host)"
+for simd in off auto; do
+    TGL_SIMD="$simd" TGL_THREADS=2 ./target/release/tgl train --model tgat --scale 8 --epochs 1 \
+        >"$OBS_DIR/simd-$simd.log" 2>&1 \
+        || { cat "$OBS_DIR/simd-$simd.log"; exit 1; }
+done
+result_lines() { sed -n 's/^\(epoch  *1: loss [0-9.]*  val AP [0-9.]*%\).*/\1/p; s/^\(test AP [0-9.]*%\).*/\1/p' "$1"; }
+[ "$(result_lines "$OBS_DIR/simd-off.log" | wc -l)" -eq 2 ] \
+    && [ "$(result_lines "$OBS_DIR/simd-off.log")" = "$(result_lines "$OBS_DIR/simd-auto.log")" ] \
+    || { echo "scalar and SIMD kernels disagree end to end"; cat "$OBS_DIR/simd-off.log" "$OBS_DIR/simd-auto.log"; exit 1; }
 
 echo "==> critical-path analysis + flight recorder smoke"
 CP_LOG="$OBS_DIR/critpath.log"
@@ -363,9 +403,10 @@ for op in nn nt tn linear linear.bwd; do
     grep -Fq "\"op\": \"$op\"" BENCH_micro_gemm.json \
         || { echo "BENCH_micro_gemm.json missing $op rows"; exit 1; }
 done
-for bench in segment_dot_6000x2x16 segment_weighted_sum_6000x2x16 \
-    gru_cell_4608x112x32 gru_cell_chain_4608x112x32; do
-    grep -q "\"bench\": \"${bench}_exact\"" BENCH_parallel.json \
+for bench in segment_dot_6000x2x16_exact segment_weighted_sum_6000x2x16_exact \
+    gru_cell_4608x112x32_exact gru_cell_chain_4608x112x32_exact \
+    time_encode_4612x16_trained_step 'linear_4612x(32+32+16)x32_parts_step'; do
+    grep -Fq "\"bench\": \"${bench}\"" BENCH_parallel.json \
         || { echo "BENCH_parallel.json missing $bench rows"; exit 1; }
 done
 

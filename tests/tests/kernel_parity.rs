@@ -11,11 +11,11 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use tgl_runtime::rng::{SeedableRng, StdRng};
+use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tgl_runtime::set_threads;
-use tgl_tensor::kernel::{self, KernelMode};
+use tgl_tensor::kernel::{self, KernelMode, Trig};
 use tgl_tensor::ops::{
-    cat, gru_gates, segment_dot, segment_mean, segment_softmax, segment_sum,
+    cat, gru_gates, linear_cat, segment_dot, segment_mean, segment_softmax, segment_sum,
     segment_weighted_sum, time_encode, AdamStep,
 };
 use tgl_tensor::Tensor;
@@ -371,6 +371,94 @@ fn mode_parsing_accepts_exact_and_fast_only() {
 }
 
 // ---------------------------------------------------------------------
+// The in-tree trigonometric kernel
+// ---------------------------------------------------------------------
+
+/// `n` seeded arguments: magnitudes log-uniform over `2^lo..2^hi`,
+/// either sign, a full random mantissa.
+fn trig_args(n: usize, lo: i32, hi: i32, rng: &mut StdRng) -> Vec<f32> {
+    (0..n)
+        .map(|_| {
+            let sign = if rng.gen_bool(0.5) { -1.0f32 } else { 1.0 };
+            sign * rng.gen_range(1.0f32..2.0) * 2f32.powi(rng.gen_range(lo..hi))
+        })
+        .collect()
+}
+
+/// Distance in units in the last place between two finite `f32`s.
+fn ulps(a: f32, b: f32) -> u32 {
+    let key = |v: f32| if v < 0.0 { -((v.to_bits() & 0x7fff_ffff) as i64) } else { v.to_bits() as i64 };
+    (key(a) - key(b)).unsigned_abs() as u32
+}
+
+#[test]
+fn sincos_simd_is_the_scalar_reference_bit_for_bit() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    let mut rng = StdRng::seed_from_u64(0x51C05);
+    // Every binade an `f32` has, then the range Δt·ω covers, densely.
+    let mut args = trig_args(500_000, -149, 128, &mut rng);
+    args.extend(trig_args(500_000, -10, 31, &mut rng));
+    args.extend([0.0, -0.0, f32::MIN_POSITIVE, 1e-45, -1e-45, f32::MAX, f32::MIN]);
+    args.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+    for f in [Trig::Cos, Trig::Sin] {
+        let want: Vec<f32> = args.iter().map(|&x| kernel::sincos_scalar(x, f)).collect();
+        // Whole buffer, then row widths that leave every lane tail.
+        for width in [args.len(), 1, 3, 5, 16] {
+            for simd in [true, false] {
+                kernel::set_simd(simd);
+                // Alone, and as the second output of the other function.
+                let (mut got, mut second) = (args.clone(), args.clone());
+                got.chunks_mut(width).for_each(|row| kernel::sincos(row, f, None));
+                let mut first = args.clone();
+                for (row, out) in first.chunks_mut(width).zip(second.chunks_mut(width)) {
+                    kernel::sincos(row, f.other(), Some(out));
+                }
+                for (((&x, g), s), w) in args.iter().zip(&got).zip(&second).zip(&want) {
+                    let same = |v: &f32| v.to_bits() == w.to_bits() || (v.is_nan() && w.is_nan());
+                    assert!(
+                        same(g) && same(s),
+                        "{f:?}({x:e}) simd={simd} width={width}: {g:e} / {s:e} vs scalar {w:e}"
+                    );
+                }
+            }
+        }
+        for (&x, w) in args.iter().zip(&want) {
+            assert_eq!(w.is_nan(), !x.is_finite(), "{f:?}({x:e}) = {w:e}");
+            assert!(w.is_nan() || (-1.0..=1.0).contains(w), "{f:?}({x:e}) = {w:e} out of range");
+        }
+    }
+}
+
+#[test]
+fn sincos_tracks_the_f64_functions() {
+    let mut rng = StdRng::seed_from_u64(0xACC);
+    let oracle = |x: f32, f: Trig| match f {
+        Trig::Cos => f64::from(x).cos(),
+        Trig::Sin => f64::from(x).sin(),
+    };
+    for f in [Trig::Cos, Trig::Sin] {
+        // Where the three-part reduction is exact: within 2 ulp of the
+        // correctly rounded value (measured: 1).
+        let mut worst = 0;
+        for x in trig_args(400_000, -30, 22, &mut rng) {
+            let (got, want) = (kernel::sincos_scalar(x, f), oracle(x, f) as f32);
+            worst = worst.max(ulps(got, want));
+            assert!(ulps(got, want) <= 2, "{f:?}({x:e}) = {got:e}, f64 says {want:e}");
+        }
+        assert!(worst >= 1, "a faithfully rounded kernel is off by one somewhere");
+        // Up to the largest Δt·ω a dataset produces (1.2e9 on WikiTalk)
+        // the phase survives to 1e-6.
+        for x in trig_args(400_000, 22, 31, &mut rng) {
+            let (got, want) = (kernel::sincos_scalar(x, f), oracle(x, f));
+            assert!((f64::from(got) - want).abs() <= 1e-6, "{f:?}({x:e}) = {got:e}, f64 says {want:e}");
+        }
+    }
+    assert_eq!(kernel::sincos_scalar(0.0, Trig::Cos), 1.0);
+    assert_eq!(kernel::sincos_scalar(0.0, Trig::Sin), 0.0);
+}
+
+// ---------------------------------------------------------------------
 // Fused forward-path kernels against the op chains they replaced
 // ---------------------------------------------------------------------
 
@@ -420,6 +508,25 @@ fn linear_case(m: usize, k: usize, n: usize, bias: bool, relu: bool, rng: &mut S
                 (None, false) => y,
             }
         }),
+    }
+}
+
+/// The affine layer over parts of `widths` columns against `cat` +
+/// `linear` on the concatenation; part `raw` (if any) is off the graph,
+/// as a block's edge features are.
+fn linear_cat_case(m: usize, widths: &[usize], n: usize, relu: bool, raw: Option<usize>, rng: &mut StdRng) -> Fusion {
+    let mut inputs: Vec<Tensor> = widths.iter().map(|&k| rand2(rng, [m, k])).collect();
+    inputs.push(rand2(rng, [n, widths.iter().sum()]));
+    inputs.push(Tensor::rand_uniform([n], -1.0, 1.0, rng));
+    let p = widths.len();
+    let parts = move |t: &[Tensor]| -> Vec<Tensor> {
+        (0..p).map(|i| if raw == Some(i) { t[i].detach() } else { t[i].clone() }).collect()
+    };
+    Fusion {
+        name: format!("linear_cat {m}x{widths:?}x{n} relu={relu} raw={raw:?}"),
+        inputs,
+        fused: Box::new(move |t| linear_cat(&parts(t).iter().collect::<Vec<_>>(), &t[p], Some(&t[p + 1]), relu)),
+        chain: Box::new(move |t| cat(&parts(t), 1).linear(&t[p], Some(&t[p + 1]), relu)),
     }
 }
 
@@ -502,9 +609,11 @@ fn gru_gates_case(n: usize, hid: usize, rng: &mut StdRng) -> Fusion {
 
 /// Every fused kernel at shapes that cross its edges: `k` straddling
 /// the GEMM's `KC = 256` panel, `n` below `NR = 8`, a mostly-zero
-/// input (the zero-skipping path), head widths that are and are not a
-/// lane multiple, empty segments, no edges at all, and GRU states of
-/// no rows, one row, and enough rows to split across threads.
+/// input, one to three input parts whose boundaries fall inside a
+/// register tile, on `NR` and past `KC`, head widths that are and are
+/// not a lane multiple, empty segments, no edges at all, and GRU
+/// states of no rows, one row, and enough rows to split across
+/// threads.
 fn fusions() -> Vec<Fusion> {
     let mut rng = StdRng::seed_from_u64(0xF05E);
     let mut all = Vec::new();
@@ -517,6 +626,14 @@ fn fusions() -> Vec<Fusion> {
     sparse.inputs[0] = sparse.inputs[0].relu().mul(&sparse.inputs[0].add_scalar(-0.5).relu());
     sparse.name.push_str(" mostly-zero x");
     all.push(sparse);
+    for relu in [false, true] {
+        all.push(linear_cat_case(9, &[6], 3, relu, None, &mut rng));
+        all.push(linear_cat_case(70, &[3, 5], 5, relu, None, &mut rng));
+        all.push(linear_cat_case(300, &[32, 32, 16], 32, relu, Some(1), &mut rng));
+        all.push(linear_cat_case(41, &[200, 100], 12, relu, Some(0), &mut rng));
+    }
+    all.push(linear_cat_case(5, &[4, 0, 3], 2, false, None, &mut rng));
+    all.push(linear_cat_case(0, &[4, 3], 2, true, None, &mut rng));
     for (e, s, h, d, gaps) in [(600, 70, 2, 16, false), (130, 40, 3, 5, true), (0, 4, 2, 8, true)] {
         all.push(dot_case(e, s, h, d, gaps, &mut rng));
         all.push(weighted_sum_case(e, s, h, d, gaps, &mut rng));
@@ -524,6 +641,8 @@ fn fusions() -> Vec<Fusion> {
     // Deltas span the decades the frequency ladder does.
     all.push(time_encode_case(500, 16, 3, &mut rng));
     all.push(time_encode_case(33, 5, 3, &mut rng));
+    // More columns than one backward strip carries.
+    all.push(time_encode_case(40, 70, 3, &mut rng));
     for (n, hid) in [(0, 8), (1, 5), (700, 32)] {
         all.push(gru_gates_case(n, hid, &mut rng));
     }
@@ -635,9 +754,11 @@ fn fused_kernels_pass_finite_difference_gradcheck() {
 #[test]
 fn attention_step_is_the_same_bits_fused_and_unfused() {
     // The whole TGAT attention step of `TemporalAttnLayer::forward`
-    // (q/k/v projections, logits, softmax, weighted sum) through the
-    // fused kernels and through the seven-op chain, losses included:
-    // gradients of shared inputs accumulate in the same order.
+    // (q/k/v projections over the parts of their inputs, logits,
+    // softmax, weighted sum, the first FFN layer over `[r ‖ h_dst]`)
+    // through the fused kernels and through `cat` and the seven-op
+    // chain, losses included: gradients of shared inputs accumulate in
+    // the same order.
     let _g = serial();
     let _restore = RestoreKernel;
     kernel::set_mode(KernelMode::Exact);
@@ -648,17 +769,24 @@ fn attention_step_is_the_same_bits_fused_and_unfused() {
     let run = |fused: bool| {
         let mut rng = StdRng::seed_from_u64(0xA77);
         let mut leaf = |dims: [usize; 2]| rand2(&mut rng, dims).requires_grad(true);
-        let (h_dst, z) = (leaf([s, 12]), leaf([e, 20]));
-        let (wq, wk, wv) = (leaf([h * d, 12]), leaf([h * d, 20]), leaf([h * d, 20]));
+        let (h_dst, phi_0) = (leaf([s, 12]), leaf([s, 4]));
+        let (h_src, phi) = (leaf([e, 12]), leaf([e, 4]));
+        let efeat = leaf([e, 4]).detach();
+        let (wq, wk, wv) = (leaf([h * d, 16]), leaf([h * d, 20]), leaf([h * d, 20]));
+        let w_ffn = leaf([10, h * d + 12]);
         let bq = Tensor::rand_uniform([h * d], -1.0, 1.0, &mut rng).requires_grad(true);
-        let project = |x: &Tensor, w: &Tensor, b: Option<&Tensor>| {
+        let project = |x: &[&Tensor], w: &Tensor, b: Option<&Tensor>, relu: bool| {
             if fused {
-                return x.linear(w, b, false);
+                return linear_cat(x, w, b, relu);
             }
+            let x = cat(&x.iter().map(|&t| t.clone()).collect::<Vec<_>>(), 1);
             let y = x.matmul(&w.transpose());
-            b.map_or(y.clone(), |b| y.add(b))
+            let y = b.map_or(y.clone(), |b| y.add(b));
+            if relu { y.relu() } else { y }
         };
-        let (q, k, v) = (project(&h_dst, &wq, Some(&bq)), project(&z, &wk, None), project(&z, &wv, None));
+        let z = [&h_src, &efeat, &phi];
+        let q = project(&[&h_dst, &phi_0], &wq, Some(&bq), false);
+        let (k, v) = (project(&z, &wk, None, false), project(&z, &wv, None, false));
         let r = if fused {
             let attn = segment_softmax(&segment_dot(&q, &k, &seg, h, scale), &seg, s);
             segment_weighted_sum(&v, &attn, &seg, s)
@@ -669,10 +797,11 @@ fn attention_step_is_the_same_bits_fused_and_unfused() {
             let weighted = v.reshape([e, h, d]).mul(&attn.reshape([e, h, 1])).reshape([e, h * d]);
             segment_sum(&weighted, &seg, s)
         };
-        let out = cat(&[r, h_dst.clone()], 1);
+        let out = project(&[&r, &h_dst], &w_ffn, None, true);
         out.mul(&out).sum_all().backward();
         let mut all = vec![out.to_vec()];
-        all.extend([&h_dst, &z, &wq, &wk, &wv, &bq].map(|t| t.grad().expect("on the graph")));
+        let leaves = [&h_dst, &phi_0, &h_src, &phi, &wq, &wk, &wv, &w_ffn, &bq];
+        all.extend(leaves.map(|t| t.grad().expect("on the graph")));
         all
     };
     assert_eq!(run(true), run(false));
