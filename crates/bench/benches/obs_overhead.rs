@@ -80,9 +80,6 @@ fn main() {
         op::dedup(&blk);
         blk_sampler.sample(&blk);
         tgl_obs::gauge!("bench.block_len").set(sample.len() as f64);
-        // The per-step time-series push the trainer plants on the loss
-        // path: disabled it must be one relaxed load + branch.
-        tgl_obs::timeseries::record("bench.workload_loss", sample.len() as f64);
         tgl_obs::insight::flush_step();
         sample.len()
     };
@@ -97,7 +94,6 @@ fn main() {
         obs::collect(false);
         obs::trace::enable(false);
         obs::flight::enable(false);
-        obs::timeseries::enable(false);
         obs::insight::enable(false);
         off.push(time_it(workload, 0.15));
 
@@ -105,12 +101,11 @@ fn main() {
         obs::collect(true);
         obs::trace::enable(true);
         obs::flight::enable(true);
-        obs::timeseries::enable(true);
         obs::insight::enable(true);
         on.push(time_it(workload, 0.15));
         // Drain so the event log cannot grow across rounds. (The
-        // aggregate is bounded by its keys and the time-series ring by
-        // its retention; draining them just keeps rounds alike.)
+        // aggregate is bounded by its keys; draining it just keeps
+        // rounds alike.)
         obs::trace::take();
         prof::take();
     }
@@ -118,7 +113,6 @@ fn main() {
     obs::collect(false);
     obs::trace::enable(false);
     obs::flight::enable(false);
-    obs::timeseries::enable(false);
     obs::insight::enable(false);
     obs::insight::reset();
 
@@ -135,8 +129,8 @@ fn main() {
 
     // The ≤2% acceptance criterion applies to *disabled* observability.
     // Sites stay compiled in either way, so "disabled" here means all
-    // six enable gates (metrics, span collection, event log, flight
-    // recorder, time-series store, insight) off; the budget is 2% relative plus 5us
+    // five enable gates (metrics, span collection, event log, flight
+    // recorder, insight) off; the budget is 2% relative plus 5us
     // absolute slack for single-core scheduler noise on a workload of
     // hundreds of microseconds.
     // Guard against systematic regression: compare the disabled path
@@ -275,72 +269,11 @@ fn main() {
     obs::collect(false);
     obs::profile::take();
     obs::metrics::set_enabled(true);
-    // The time-series record path the trainer plants per step, and the
-    // sampler/alert evaluation the telemetry hook runs each step.
-    // Disabled, a record site is one relaxed load + branch; enabled it
-    // is a mutex-guarded ring push. The tick/eval paths only ever run
-    // gated on the same flag, so they are measured enabled-only, at
-    // steady state (ring full, rules installed, no new transitions).
-    let ts_path = || {
-        for i in 0..SITES {
-            tgl_obs::timeseries::record("bench.micro_series", i as f64);
-        }
-        SITES
-    };
-    obs::timeseries::enable(false);
-    let ts_off_ns = {
-        let med = median((0..5).map(|_| time_it(ts_path, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
-    obs::timeseries::enable(true);
-    let ts_on_ns = {
-        let med = median((0..5).map(|_| time_it(ts_path, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
-    const TICKS: usize = 10_000;
-    let tick_path = || {
-        for _ in 0..TICKS {
-            tgl_obs::timeseries::sample_tick();
-        }
-        TICKS
-    };
-    let tick_ns = {
-        let med = median((0..5).map(|_| time_it(tick_path, 0.1)).collect());
-        med / TICKS as f64 * 1e9
-    };
-    tgl_obs::alert::install(
-        tgl_obs::alert::RuleSet::parse(
-            "[bench-divergence]\nmetric = bench.micro_series\nwindow = 8\nfor = 2\n\
-             severity = info\nabove = 1e12\n\
-             [bench-nonfinite]\nmetric = bench.micro_series\nnonfinite = true\nseverity = info",
-        )
-        .expect("bench rules parse"),
-    );
-    let eval_path = || {
-        for _ in 0..TICKS {
-            tgl_obs::alert::evaluate();
-        }
-        TICKS
-    };
-    let alert_eval_ns = {
-        let med = median((0..5).map(|_| time_it(eval_path, 0.1)).collect());
-        med / TICKS as f64 * 1e9
-    };
-    tgl_obs::alert::clear();
-    // With no rules installed the evaluate() call on the step path is
-    // one relaxed load — the cost every un-SLO'd run pays.
-    let alert_idle_ns = {
-        let med = median((0..5).map(|_| time_it(eval_path, 0.1)).collect());
-        med / TICKS as f64 * 1e9
-    };
-    let live_series = obs::timeseries::snapshot().len();
-    obs::timeseries::enable(false);
-    obs::timeseries::reset();
     // The insight observation sites the sampler/dedup/model paths now
     // carry: disabled, one relaxed load; with a bag installed, a TLS
     // borrow plus a few integer adds. The per-step flush (the one
-    // heavyweight moment — registry mutex + series pushes) is measured
-    // per step, since it runs once per batch, not per site.
+    // heavyweight moment — the registry mutex) is measured per step,
+    // since it runs once per batch, not per site.
     let insight_site = || {
         for i in 0..SITES {
             tgl_obs::insight::observe_dedup(256, i as u64 & 0x3F);
@@ -359,7 +292,7 @@ fn main() {
         med / SITES as f64 * 1e9
     };
     tgl_obs::insight::take_batch();
-    obs::timeseries::enable(true);
+    const TICKS: usize = 10_000;
     let flush_path = || {
         for i in 0..TICKS {
             tgl_obs::insight::begin_batch();
@@ -376,8 +309,6 @@ fn main() {
     };
     obs::insight::enable(false);
     obs::insight::reset();
-    obs::timeseries::enable(false);
-    obs::timeseries::reset();
     println!(
         "  hist.record:  {hist_off_ns:>6.2} ns/site disabled, {hist_on_ns:>6.2} ns/site enabled"
     );
@@ -392,13 +323,6 @@ fn main() {
     );
     println!(
         "  region:       {region_off_ns:>6.2} ns/site all-off, {region_flight_ns:>6.2} ns/site flight-only"
-    );
-    println!(
-        "  ts.record:    {ts_off_ns:>6.2} ns/site disabled, {ts_on_ns:>6.2} ns/site enabled"
-    );
-    println!("  ts.sample_tick: {tick_ns:>7.1} ns/tick enabled ({live_series} series live)");
-    println!(
-        "  alert.evaluate: {alert_eval_ns:>7.1} ns/eval (2 rules), {alert_idle_ns:>6.2} ns/eval uninstalled"
     );
     println!(
         "  insight.observe: {ins_off_ns:>5.2} ns/site disabled, {ins_on_ns:>6.2} ns/site bag installed"
@@ -416,9 +340,6 @@ fn main() {
          \"profile_op_enabled\": {:.2},\n    \
          \"span_all_off\": {:.2},\n    \"span_flight_on\": {:.2},\n    \"span_collecting\": {:.2},\n    \
          \"region_all_off\": {:.2},\n    \"region_flight_on\": {:.2},\n    \
-         \"ts_record_disabled\": {:.2},\n    \"ts_record_enabled\": {:.2},\n    \
-         \"ts_sample_tick\": {:.1},\n    \"alert_evaluate\": {:.1},\n    \
-         \"alert_evaluate_uninstalled\": {:.2},\n    \
          \"insight_observe_disabled\": {:.2},\n    \"insight_observe_active\": {:.2},\n    \
          \"insight_flush_step\": {:.1}\n  }}\n}}\n",
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
@@ -440,11 +361,6 @@ fn main() {
         span_collect_ns,
         region_off_ns,
         region_flight_ns,
-        ts_off_ns,
-        ts_on_ns,
-        tick_ns,
-        alert_eval_ns,
-        alert_idle_ns,
         ins_off_ns,
         ins_on_ns,
         ins_flush_ns,

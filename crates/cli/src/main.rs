@@ -11,7 +11,6 @@
 //! ```
 
 mod args;
-mod promcheck;
 mod schema;
 mod trend;
 
@@ -27,27 +26,20 @@ tgl — TGLite reproduction command line
 USAGE:
     tgl <SUBCOMMAND> [OPTIONS]
 
+    An option the subcommand does not read is a usage error (exit 2),
+    not a run with defaults.
+
 SUBCOMMANDS:
     train      train a model and report per-epoch loss/AP + test AP
     eval       inference-only run over the test split
     generate   write a synthetic dataset's edge list as CSV
     stats      print a dataset's structural statistics
-    jsoncheck  parse a JSON file and exit nonzero if malformed; known
-               schemas (tgl-timeseries/v1, tgl-alerts/v1, and the
-               profile / critpath / insight sections of
-               tgl-run-report/v3) also get shape-validated against
-               their contract;
+    jsoncheck  parse a JSON file and exit nonzero if malformed; a
+               tgl-run-report/v3 document also gets its profile /
+               critpath / insight sections shape-validated;
                with --trend --old <PATH> [--budget <PCT>] also compare
                wall-time series against an older copy and fail on
                regressions beyond the budget (default 25%)
-    promcheck  scrape a live /metrics endpoint (`tgl promcheck <ADDR>
-               [--min-hist <N>] [--require <NAME[,NAME...]>] [--quit]`)
-               and validate the Prometheus exposition; --require fails
-               unless every named family appears in the scrape
-    get        fetch one path from a live metrics server and print the
-               body (`tgl get <ADDR> <PATH>`, e.g. `tgl get
-               127.0.0.1:9184 /timeseries.json`); exits nonzero unless
-               the response is HTTP 200
 
 OBSERVABILITY OPTIONS (train/eval):
     --prof               print the per-phase epoch breakdown (Fig. 7)
@@ -74,9 +66,7 @@ OBSERVABILITY OPTIONS (train/eval):
                          neighbor time-delta spread, negative-sampling
                          collisions, dedup effectiveness, and mailbox
                          depth — printed as a per-layer table at end of
-                         run; series land in the time-series store
-                         (insight.*) so --slo rules can target them,
-                         and the run report carries the summaries
+                         run; the run report carries the summaries
     --flight <on|off>    flight recorder: always-on ring of recent
                          spans/health events dumped on panic or
                          health-fail (default on; also TGL_FLIGHT=off;
@@ -87,21 +77,6 @@ OBSERVABILITY OPTIONS (train/eval):
                          and the profile (every span-aggregate row),
                          insight and (with --critpath / --trace-out)
                          critpath sections
-    --serve-metrics <ADDR>  serve /metrics, /healthz, /report.json,
-                         /timeseries.json, /alerts.json, /dashboard
-                         and /quit over HTTP while the run executes
-                         (e.g. 127.0.0.1:0; also via TGL_METRICS_ADDR);
-                         enables time-series retention and a background
-                         sampler so /dashboard stays live between steps
-    --slo <PATH>         load SLO alert rules (INI sections with metric,
-                         window, for, severity, and above/below/trend/
-                         nonfinite/pegged conditions), enable the
-                         time-series store, and evaluate the rules each
-                         training step; firings route through --health
-                         and are summarized at end of run (also via
-                         TGL_SLO)
-    --serve-hold         after the run, keep serving until GET /quit
-                         (or a 10-minute timeout)
     --health <off|warn|fail>  non-finite loss/gradient policy: warn
                          records a health event and skips the batch
                          (default), fail aborts, off disables checks
@@ -123,7 +98,7 @@ COMMON OPTIONS:
     --scale <N>        divide dataset node/edge counts by N (default 2)
     --model <jodie|apan|tgat|tgn>                        (default tgat)
     --framework <tgl|tglite|tglite-opt>                  (default tglite-opt)
-    --epochs <N>       training epochs                   (default 3)
+    --epochs <N>       training epochs (eval runs none)  (default 3)
     --batch <N>        batch size                        (default 200)
     --lr <F>           Adam learning rate                (default 1e-3)
     --seed <N>         parameter seed                    (default 42)
@@ -147,8 +122,6 @@ fn main() {
         "generate" => generate_cmd(&args),
         "stats" => stats_cmd(&args),
         "jsoncheck" => jsoncheck_cmd(&args),
-        "promcheck" => promcheck_cmd(&args),
-        "get" => get_cmd(&args),
         other => {
             eprintln!("unknown subcommand {other:?}\n");
             print!("{HELP}");
@@ -184,10 +157,14 @@ fn model_kind(args: &Args) -> ModelKind {
 }
 
 fn framework(args: &Args) -> Framework {
+    let named = args.get("framework");
     if args.has_flag("opt-all") {
+        if let Some(other) = named.filter(|&f| f != "tglite-opt") {
+            usage_error(format!("--opt-all means --framework tglite-opt; it conflicts with --framework {other}"));
+        }
         return Framework::TgLiteOpt;
     }
-    match args.get("framework").unwrap_or("tglite-opt") {
+    match named.unwrap_or("tglite-opt") {
         "tgl" => Framework::Tgl,
         "tglite" => Framework::TgLite,
         "tglite-opt" => Framework::TgLiteOpt,
@@ -202,6 +179,12 @@ fn framework(args: &Args) -> Framework {
 fn usage_error(msg: impl std::fmt::Display) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// Every option a subcommand takes has been read by now: anything
+/// else on the command line is a usage error, not a run with defaults.
+fn reject_unread(args: &Args) {
+    args.reject_unread().unwrap_or_else(|e| usage_error(e));
 }
 
 /// A count option that must be at least 1 (`default` when absent);
@@ -219,6 +202,9 @@ fn train(args: &Args, eval_only: bool) {
     let opts = ObsOptions::from_args(args, eval_only).unwrap_or_else(|e| usage_error(e));
     let seed = args.get_or("seed", 42u64);
     let host_resident = args.has_flag("move");
+    // Read for `eval` too, which runs no training epoch: a command line
+    // shared with `train` stays valid.
+    let epochs = args.get_or("epochs", 3);
     let cfg = ExperimentConfig {
         framework: framework(args),
         model: model_kind(args),
@@ -234,13 +220,14 @@ fn train(args: &Args, eval_only: bool) {
         },
         train_cfg: TrainConfig {
             batch_size: positive_or(args, "batch", 200),
-            epochs: if eval_only { 0 } else { args.get_or("epochs", 3) },
+            epochs: if eval_only { 0 } else { epochs },
             lr: args.get_or("lr", 1e-3),
             seed: seed ^ 0x5eed,
         },
         seed,
         transfer: TransferModel::scaled(TransferModel::pcie_v100(), 400.0),
     };
+    reject_unread(args);
     println!(
         "{} {} on {} ({} nodes, {} edges), {}",
         if eval_only { "evaluating" } else { "training" },
@@ -255,102 +242,19 @@ fn train(args: &Args, eval_only: bool) {
     }
 }
 
-fn get_cmd(args: &Args) {
-    // Accept `--addr <ADDR> --path <PATH>` or the positional form
-    // `tgl get <ADDR> <PATH>` (positionals arrive concatenated, so the
-    // first '/' splits address from path).
-    let (addr, path) = match (args.get("addr"), args.get("path")) {
-        (Some(a), p) => (a.to_string(), p.unwrap_or("/").to_string()),
-        (None, _) => {
-            let extra = args.get("_extra").unwrap_or_else(|| {
-                eprintln!("usage: tgl get <ADDR> <PATH>  (e.g. tgl get 127.0.0.1:9184 /metrics)");
-                std::process::exit(2);
-            });
-            match extra.find('/') {
-                Some(i) => (extra[..i].to_string(), extra[i..].to_string()),
-                None => (extra.to_string(), "/".to_string()),
-            }
-        }
-    };
-    let (code, body) = tgl_obs::expo::http_get(&addr, &path).unwrap_or_else(|e| {
-        eprintln!("{addr}{path}: {e}");
-        std::process::exit(1);
-    });
-    print!("{body}");
-    if code != 200 {
-        eprintln!("{addr}{path}: HTTP {code}");
-        std::process::exit(1);
-    }
-}
-
-fn promcheck_cmd(args: &Args) {
-    let addr = args.get("addr").or_else(|| args.get("_extra")).unwrap_or_else(|| {
-        eprintln!("usage: tgl promcheck <ADDR> [--min-hist <N>] [--require <NAME[,NAME...]>] [--quit]");
-        std::process::exit(2);
-    });
-    let (code, body) = tgl_obs::expo::http_get(addr, "/metrics").unwrap_or_else(|e| {
-        eprintln!("{addr}/metrics: {e}");
-        std::process::exit(1);
-    });
-    if code != 200 {
-        eprintln!("{addr}/metrics: HTTP {code}");
-        std::process::exit(1);
-    }
-    let summary = promcheck::validate(&body).unwrap_or_else(|e| {
-        eprintln!("{addr}/metrics: malformed exposition: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "{addr}/metrics: {} samples ({} counters, {} gauges, {} histograms)",
-        summary.samples, summary.counters, summary.gauges, summary.histograms
-    );
-    for name in &summary.histogram_names {
-        println!("  histogram {name}");
-    }
-
-    let (hcode, hbody) = tgl_obs::expo::http_get(addr, "/healthz").unwrap_or_else(|e| {
-        eprintln!("{addr}/healthz: {e}");
-        std::process::exit(1);
-    });
-    if !(hcode == 200 || hcode == 503) || tgl_data::Json::parse(&hbody).is_err() {
-        eprintln!("{addr}/healthz: HTTP {hcode} with malformed body {hbody:?}");
-        std::process::exit(1);
-    }
-    println!("{addr}/healthz: HTTP {hcode} {}", hbody.trim());
-
-    let min_hist = args.get_or("min-hist", 0usize);
-    if summary.histograms < min_hist {
-        eprintln!(
-            "{addr}/metrics: {} histogram families, expected at least {min_hist}",
-            summary.histograms
-        );
-        std::process::exit(1);
-    }
-    if let Some(required) = args.get("require") {
-        let missing: Vec<&str> = required
-            .split(',')
-            .map(str::trim)
-            .filter(|n| !n.is_empty() && !summary.has_family(n))
-            .collect();
-        if !missing.is_empty() {
-            eprintln!(
-                "{addr}/metrics: missing required families: {}",
-                missing.join(", ")
-            );
-            std::process::exit(1);
-        }
-        println!("{addr}/metrics: all required families present ({required})");
-    }
-    if args.has_flag("quit") {
-        tgl_obs::expo::http_get(addr, "/quit").ok();
-    }
-}
-
 fn jsoncheck_cmd(args: &Args) {
     let path = args.get("file").or_else(|| args.get("_extra")).unwrap_or_else(|| {
         eprintln!("usage: tgl jsoncheck --file <PATH>");
         std::process::exit(2);
     });
+    let trend = args.has_flag("trend").then(|| {
+        let old = args.get("old").unwrap_or_else(|| {
+            eprintln!("usage: tgl jsoncheck --file <NEW> --trend --old <OLD> [--budget <PCT>]");
+            std::process::exit(2);
+        });
+        (old, args.get_or("budget", 25.0f64))
+    });
+    reject_unread(args);
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
@@ -387,13 +291,9 @@ fn jsoncheck_cmd(args: &Args) {
         }
     };
 
-    if !args.has_flag("trend") {
+    let Some((old_path, budget)) = trend else {
         return;
-    }
-    let old_path = args.get("old").unwrap_or_else(|| {
-        eprintln!("usage: tgl jsoncheck --file <NEW> --trend --old <OLD> [--budget <PCT>]");
-        std::process::exit(2);
-    });
+    };
     let old_text = std::fs::read_to_string(old_path).unwrap_or_else(|e| {
         eprintln!("{old_path}: {e}");
         std::process::exit(1);
@@ -413,7 +313,6 @@ fn jsoncheck_cmd(args: &Args) {
         return;
     }
     print!("{}", trend::render_table(&rows));
-    let budget = args.get_or("budget", 25.0f64);
     let worst = trend::worst_regression(&rows);
     if worst > budget {
         eprintln!("trend: worst regression {worst:+.1}% exceeds budget {budget:.0}%");
@@ -424,9 +323,10 @@ fn jsoncheck_cmd(args: &Args) {
 
 fn generate_cmd(args: &Args) {
     let spec = spec(args);
-    let (g, stats) = generate(&spec);
     let default = format!("{}.csv", spec.kind.name().to_lowercase());
     let out = args.get("out").unwrap_or(&default);
+    reject_unread(args);
+    let (g, stats) = generate(&spec);
     save_csv(&g, std::path::Path::new(out)).expect("write dataset");
     println!(
         "wrote {} ({} nodes, {} edges, {:.0}% repeat interactions)",
@@ -439,9 +339,11 @@ fn generate_cmd(args: &Args) {
 
 fn stats_cmd(args: &Args) {
     let spec = spec(args);
+    let scale = args.get_or("scale", 2usize);
+    reject_unread(args);
     let (g, ds) = generate(&spec);
     let ts = temporal_stats(&g);
-    println!("{} (scale {}):", spec.kind.name(), args.get_or("scale", 2usize));
+    println!("{} (scale {}):", spec.kind.name(), scale);
     println!("  |V| = {}   |E| = {}", ds.num_nodes, ds.num_edges);
     println!("  d_v = {}   d_e = {}   max(t) = {:.2e}", ds.d_node, ds.d_edge, ds.max_t);
     println!("  repeat edges:        {:.1}%", ts.repeat_edge_fraction * 100.0);

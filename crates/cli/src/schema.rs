@@ -1,10 +1,9 @@
 //! Known-schema validation for `tgl jsoncheck`.
 //!
 //! The observability artifacts carry a `"schema"` discriminator
-//! (`tgl-timeseries/v1`, `tgl-alerts/v1`, and `tgl-run-report/v3`,
-//! whose `profile` / `critpath` / `insight` sections are checked
-//! here). After the generic
-//! parse/round-trip check, `jsoncheck` looks the discriminator up here
+//! (`tgl-run-report/v3`, whose `profile` / `critpath` / `insight`
+//! sections are checked here). After the generic parse/round-trip
+//! check, `jsoncheck` looks the discriminator up here
 //! and — when it names a schema this module knows — validates the
 //! document's shape so CI catches a writer drifting from its contract,
 //! not just malformed text. Unknown or absent schemas pass untouched:
@@ -22,8 +21,6 @@ pub fn validate(v: &Json) -> Result<Option<&'static str>, String> {
         return Ok(None);
     };
     match schema {
-        "tgl-timeseries/v1" => timeseries(v).map(|()| Some("tgl-timeseries/v1")),
-        "tgl-alerts/v1" => alerts(v).map(|()| Some("tgl-alerts/v1")),
         "tgl-run-report/v3" => run_report(v).map(|()| Some("tgl-run-report/v3")),
         _ => Ok(None),
     }
@@ -47,13 +44,6 @@ fn arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
         .ok_or_else(|| format!("missing or non-array field {key:?}"))
 }
 
-fn boolean(v: &Json, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean field {key:?}")),
-    }
-}
-
 /// Number or `null` — how the writers render non-finite samples.
 fn num_or_null(v: &Json, key: &str) -> Result<(), String> {
     match v.get(key) {
@@ -62,80 +52,8 @@ fn num_or_null(v: &Json, key: &str) -> Result<(), String> {
     }
 }
 
-fn timeseries(v: &Json) -> Result<(), String> {
-    num(v, "unix_ms")?;
-    num(v, "retain")?;
-    num(v, "ticks")?;
-    for (i, s) in arr(v, "series")?.iter().enumerate() {
-        let name = string(s, "name").map_err(|e| format!("series[{i}]: {e}"))?;
-        let kind = string(s, "kind").map_err(|e| format!("series[{i}] {name:?}: {e}"))?;
-        if !matches!(kind, "push" | "counter-delta" | "gauge" | "quantile") {
-            return Err(format!("series[{i}] {name:?}: unknown kind {kind:?}"));
-        }
-        num(s, "total").map_err(|e| format!("series[{i}] {name:?}: {e}"))?;
-        let points = arr(s, "points").map_err(|e| format!("series[{i}] {name:?}: {e}"))?;
-        let mut prev_idx = None::<f64>;
-        for (j, p) in points.iter().enumerate() {
-            let pair = p
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| format!("series {name:?} point[{j}]: expected [idx, value]"))?;
-            let idx = pair[0]
-                .as_num()
-                .ok_or_else(|| format!("series {name:?} point[{j}]: non-numeric idx"))?;
-            if !matches!(pair[1], Json::Num(_) | Json::Null) {
-                return Err(format!(
-                    "series {name:?} point[{j}]: value must be a number or null"
-                ));
-            }
-            if prev_idx.is_some_and(|p| idx <= p) {
-                return Err(format!(
-                    "series {name:?} point[{j}]: idx {idx} not strictly increasing"
-                ));
-            }
-            prev_idx = Some(idx);
-        }
-    }
-    Ok(())
-}
-
-fn alerts(v: &Json) -> Result<(), String> {
-    num(v, "unix_ms")?;
-    boolean(v, "installed")?;
-    for (i, r) in arr(v, "rules")?.iter().enumerate() {
-        let name = string(r, "name").map_err(|e| format!("rules[{i}]: {e}"))?;
-        let ctx = |e| format!("rule {name:?}: {e}");
-        string(r, "metric").map_err(ctx)?;
-        string(r, "condition").map_err(ctx)?;
-        num(r, "window").map_err(ctx)?;
-        num(r, "for").map_err(ctx)?;
-        let sev = string(r, "severity").map_err(ctx)?;
-        if !matches!(sev, "info" | "warn" | "fail") {
-            return Err(format!("rule {name:?}: unknown severity {sev:?}"));
-        }
-        boolean(r, "firing").map_err(ctx)?;
-        num(r, "fired_total").map_err(ctx)?;
-        num(r, "last_idx").map_err(ctx)?;
-        num_or_null(r, "last_value").map_err(ctx)?;
-    }
-    for (i, t) in arr(v, "transitions")?.iter().enumerate() {
-        let ctx = |e| format!("transitions[{i}]: {e}");
-        string(t, "rule").map_err(ctx)?;
-        string(t, "metric").map_err(ctx)?;
-        let sev = string(t, "severity").map_err(ctx)?;
-        if !matches!(sev, "info" | "warn" | "fail") {
-            return Err(format!("transitions[{i}]: unknown severity {sev:?}"));
-        }
-        boolean(t, "firing").map_err(ctx)?;
-        num(t, "idx").map_err(ctx)?;
-        num_or_null(t, "value").map_err(ctx)?;
-    }
-    Ok(())
-}
-
 /// The sections of the run report that used to be documents of their
-/// own. Each may be `null` (layer off) or, in an in-progress report,
-/// absent.
+/// own. Each may be `null` (layer off) or absent.
 fn run_report(v: &Json) -> Result<(), String> {
     let section = |key: &str| v.get(key).filter(|s| **s != Json::Null);
     if let Some(ins) = section("insight") {
@@ -203,43 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn valid_timeseries_passes() {
-        let doc = parse(
-            "{\"schema\": \"tgl-timeseries/v1\", \"unix_ms\": 1, \"retain\": 512, \
-             \"ticks\": 3, \"series\": [{\"name\": \"train.loss\", \"kind\": \"push\", \
-             \"total\": 4, \"points\": [[0, 0.5], [1, null], [3, 0.25]]}]}",
-        );
-        assert_eq!(validate(&doc), Ok(Some("tgl-timeseries/v1")));
-    }
-
-    #[test]
-    fn timeseries_violations_are_named() {
-        let bad_kind = parse(
-            "{\"schema\": \"tgl-timeseries/v1\", \"unix_ms\": 1, \"retain\": 8, \
-             \"ticks\": 0, \"series\": [{\"name\": \"x\", \"kind\": \"meter\", \
-             \"total\": 0, \"points\": []}]}",
-        );
-        assert!(validate(&bad_kind).unwrap_err().contains("unknown kind"));
-
-        let bad_point = parse(
-            "{\"schema\": \"tgl-timeseries/v1\", \"unix_ms\": 1, \"retain\": 8, \
-             \"ticks\": 0, \"series\": [{\"name\": \"x\", \"kind\": \"push\", \
-             \"total\": 1, \"points\": [[0]]}]}",
-        );
-        assert!(validate(&bad_point).unwrap_err().contains("expected [idx, value]"));
-
-        let non_monotone = parse(
-            "{\"schema\": \"tgl-timeseries/v1\", \"unix_ms\": 1, \"retain\": 8, \
-             \"ticks\": 0, \"series\": [{\"name\": \"x\", \"kind\": \"push\", \
-             \"total\": 2, \"points\": [[1, 0.1], [1, 0.2]]}]}",
-        );
-        assert!(validate(&non_monotone).unwrap_err().contains("strictly increasing"));
-
-        let missing = parse("{\"schema\": \"tgl-timeseries/v1\", \"unix_ms\": 1}");
-        assert!(validate(&missing).unwrap_err().contains("retain"));
-    }
-
-    #[test]
     fn valid_insight_passes_and_violations_are_named() {
         let report = |sections: &str| parse(&format!("{{\"schema\": \"tgl-run-report/v3\", {sections}}}"));
         let doc = report(
@@ -273,36 +154,5 @@ mod tests {
         assert!(validate(&bad_stage).unwrap_err().contains("sideways"));
         let bad_cp = parse("{\"schema\": \"tgl-run-report/v3\", \"critpath\": {\"wall_s\": 1}}");
         assert!(validate(&bad_cp).unwrap_err().contains("busy_s"));
-    }
-
-    #[test]
-    fn valid_alerts_passes() {
-        let doc = parse(
-            "{\"schema\": \"tgl-alerts/v1\", \"unix_ms\": 1, \"installed\": true, \
-             \"rules\": [{\"name\": \"r\", \"metric\": \"train.loss\", \
-             \"condition\": \"above 1\", \"window\": 4, \"for\": 2, \
-             \"severity\": \"warn\", \"firing\": false, \"fired_total\": 0, \
-             \"last_idx\": 0, \"last_value\": null}], \
-             \"transitions\": [{\"rule\": \"r\", \"metric\": \"train.loss\", \
-             \"severity\": \"warn\", \"firing\": true, \"idx\": 7, \"value\": 2.5}]}",
-        );
-        assert_eq!(validate(&doc), Ok(Some("tgl-alerts/v1")));
-    }
-
-    #[test]
-    fn alert_violations_are_named() {
-        let bad_sev = parse(
-            "{\"schema\": \"tgl-alerts/v1\", \"unix_ms\": 1, \"installed\": true, \
-             \"rules\": [{\"name\": \"r\", \"metric\": \"m\", \"condition\": \"c\", \
-             \"window\": 1, \"for\": 1, \"severity\": \"panic\", \"firing\": false, \
-             \"fired_total\": 0, \"last_idx\": 0, \"last_value\": 0}], \
-             \"transitions\": []}",
-        );
-        assert!(validate(&bad_sev).unwrap_err().contains("unknown severity"));
-
-        let bad_installed =
-            parse("{\"schema\": \"tgl-alerts/v1\", \"unix_ms\": 1, \"installed\": 3, \
-                   \"rules\": [], \"transitions\": []}");
-        assert!(validate(&bad_installed).unwrap_err().contains("installed"));
     }
 }

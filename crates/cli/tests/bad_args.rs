@@ -129,3 +129,37 @@ fn bad_observability_values_are_usage_errors() {
         assert!(!stdout.contains("epoch"), "{flag}: must not train: {stdout}");
     }
 }
+
+#[test]
+fn flags_nobody_reads_are_usage_errors() {
+    // Two retired flags and a misspelt one: each used to train with
+    // defaults and exit 0.
+    for (flag, value) in [("--slo", "x"), ("--serve-metrics", "127.0.0.1:0"), ("--epoch", "3")] {
+        let (code, stdout, stderr) = tgl_train(&[flag, value]);
+        assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: error must name the flag: {stderr}");
+        assert!(stdout.is_empty(), "{flag}: must not start a run: {stdout}");
+    }
+}
+
+#[test]
+fn documented_flags_a_branch_skips_are_still_read() {
+    // `--opt-all` decides the framework before `--framework` is looked
+    // at: a contradiction names both, agreement is accepted.
+    let (code, stdout, stderr) = tgl_train(&["--opt-all", "--framework", "tglite"]);
+    assert_eq!(code, Some(2), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error: {stderr}");
+    assert!(stderr.contains("--opt-all") && stderr.contains("--framework tglite"), "{stderr}");
+    assert!(stdout.is_empty(), "must not start a run: {stdout}");
+    let (code, _, stderr) = tgl_train(&["--opt-all", "--framework", "tglite-opt"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    // `tgl eval` runs no training epoch, but `--epochs` is a common
+    // option, not an unrecognized one.
+    let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
+        .args(["eval", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--epochs", "3"])
+        .output()
+        .expect("run tgl");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("test AP"));
+}

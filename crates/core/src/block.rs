@@ -23,7 +23,7 @@ use std::sync::{Arc, Weak};
 
 use tgl_device::Device;
 use tgl_graph::{NodeId, TemporalGraph, Time};
-use tgl_runtime::sync::Mutex;
+use tgl_runtime::sync::{Mutex, MutexGuard};
 use tgl_sampler::NeighborSample;
 use tgl_tensor::Tensor;
 
@@ -127,10 +127,40 @@ impl BlockInner {
 /// every accessor takes it for the duration of the call and none holds
 /// it while running caller code, except [`TBlock::with_dst`] and
 /// [`TBlock::with_nbrs`], whose closures therefore must not touch the
-/// same block.
+/// same block: the lock is not re-entrant, so that would deadlock. A
+/// debug build panics instead, naming both accessors.
 #[derive(Clone)]
 pub struct TBlock {
     inner: Arc<Mutex<BlockInner>>,
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// The blocks (by address) whose `with_dst` / `with_nbrs` closure
+    /// is running on this thread, each with the accessor holding it.
+    static HELD: std::cell::RefCell<Vec<(usize, &'static str)>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Marks that this thread runs caller code under a block's lock, from
+/// creation until drop (a panic in the closure included).
+#[cfg(debug_assertions)]
+struct Held;
+
+#[cfg(debug_assertions)]
+impl Held {
+    fn new(blk: &TBlock, accessor: &'static str) -> Held {
+        HELD.with(|held| held.borrow_mut().push((blk.addr(), accessor)));
+        Held
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for Held {
+    fn drop(&mut self) {
+        HELD.with(|held| {
+            held.borrow_mut().pop();
+        });
+    }
 }
 
 impl TBlock {
@@ -173,34 +203,61 @@ impl TBlock {
         }
     }
 
+    #[cfg(debug_assertions)]
+    fn addr(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
+    }
+
+    /// Takes the block's lock on behalf of `accessor`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when this thread already holds the lock inside
+    /// a `with_dst` / `with_nbrs` closure: the call would never return.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn lock(&self, accessor: &'static str) -> MutexGuard<'_, BlockInner> {
+        #[cfg(debug_assertions)]
+        HELD.with(|held| {
+            if let Some((_, holder)) = held.borrow().iter().find(|(blk, _)| *blk == self.addr()) {
+                panic!(
+                    "TBlock::{accessor} called inside this block's own TBlock::{holder} closure: \
+                     the block's lock is not re-entrant"
+                );
+            }
+        });
+        self.inner.lock()
+    }
+
     // ---------------------------------------------------------------
     // Destination side
     // ---------------------------------------------------------------
 
     /// Number of destination pairs.
     pub fn num_dst(&self) -> usize {
-        self.inner.lock().dst_nodes.len()
+        self.lock("num_dst").dst_nodes.len()
     }
 
     /// The layer index this block was created for (head = 0).
     pub fn layer(&self) -> usize {
-        self.inner.lock().layer
+        self.lock("layer").layer
     }
 
     /// Destination node ids (cloned).
     pub fn dst_nodes(&self) -> Vec<NodeId> {
-        self.inner.lock().dst_nodes.clone()
+        self.lock("dst_nodes").dst_nodes.clone()
     }
 
     /// Destination timestamps (cloned).
     pub fn dst_times(&self) -> Vec<Time> {
-        self.inner.lock().dst_times.clone()
+        self.lock("dst_times").dst_times.clone()
     }
 
     /// Runs `f` over the destination arrays without cloning. The
     /// block's lock is held while `f` runs.
     pub fn with_dst<R>(&self, f: impl FnOnce(&[NodeId], &[Time]) -> R) -> R {
-        let inner = self.inner.lock();
+        let inner = self.lock("with_dst");
+        #[cfg(debug_assertions)]
+        let _held = Held::new(self, "with_dst");
         f(&inner.dst_nodes, &inner.dst_times)
     }
 
@@ -213,7 +270,7 @@ impl TBlock {
     /// mismatch.
     pub fn replace_dst(&self, nodes: Vec<NodeId>, times: Vec<Time>) {
         assert_eq!(nodes.len(), times.len(), "dst nodes/times length mismatch");
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock("replace_dst");
         assert!(
             inner.nbrs.is_none(),
             "cannot replace destinations after sampling; apply dst-filtering \
@@ -231,7 +288,7 @@ impl TBlock {
 
     /// Whether the neighborhood has been sampled/attached.
     pub fn has_nbrs(&self) -> bool {
-        self.inner.lock().nbrs.is_some()
+        self.lock("has_nbrs").nbrs.is_some()
     }
 
     /// Attaches a sampled neighborhood.
@@ -241,7 +298,7 @@ impl TBlock {
     /// Panics if any `dst_index` is out of range for this block's
     /// destinations.
     pub fn set_neighborhood(&self, nbrs: NeighborSample) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock("set_neighborhood");
         let n = inner.dst_nodes.len();
         assert!(
             nbrs.dst_index.iter().all(|&d| d < n),
@@ -256,33 +313,33 @@ impl TBlock {
 
     /// Number of sampled edges (0 before sampling).
     pub fn num_edges(&self) -> usize {
-        self.inner.lock().nbrs.as_ref().map_or(0, |n| n.len())
+        self.lock("num_edges").nbrs.as_ref().map_or(0, |n| n.len())
     }
 
     /// One array of the neighborhood, cloned (empty before sampling).
-    fn nbr_array<T: Clone>(&self, pick: impl FnOnce(&NeighborSample) -> &Vec<T>) -> Vec<T> {
-        self.inner.lock().nbrs.as_ref().map_or_else(Vec::new, |n| pick(n).clone())
+    fn nbr_array<T: Clone>(&self, accessor: &'static str, pick: impl FnOnce(&NeighborSample) -> &Vec<T>) -> Vec<T> {
+        self.lock(accessor).nbrs.as_ref().map_or_else(Vec::new, |n| pick(n).clone())
     }
 
     /// Per-edge destination position — the segment ids for segmented
     /// operators.
     pub fn dst_index(&self) -> Vec<usize> {
-        self.nbr_array(|n| &n.dst_index)
+        self.nbr_array("dst_index", |n| &n.dst_index)
     }
 
     /// Sampled neighbor node per edge.
     pub fn src_nodes(&self) -> Vec<NodeId> {
-        self.nbr_array(|n| &n.src_nodes)
+        self.nbr_array("src_nodes", |n| &n.src_nodes)
     }
 
     /// Timestamp of each sampled edge.
     pub fn src_times(&self) -> Vec<Time> {
-        self.nbr_array(|n| &n.src_times)
+        self.nbr_array("src_times", |n| &n.src_times)
     }
 
     /// Edge id of each sampled edge.
     pub fn eids(&self) -> Vec<tgl_graph::EdgeId> {
-        self.nbr_array(|n| &n.eids)
+        self.nbr_array("eids", |n| &n.eids)
     }
 
     /// Runs `f` over the attached neighborhood without cloning. The
@@ -292,7 +349,9 @@ impl TBlock {
     ///
     /// Panics if no neighborhood is attached.
     pub fn with_nbrs<R>(&self, f: impl FnOnce(&NeighborSample) -> R) -> R {
-        let inner = self.inner.lock();
+        let inner = self.lock("with_nbrs");
+        #[cfg(debug_assertions)]
+        let _held = Held::new(self, "with_nbrs");
         f(inner
             .nbrs
             .as_ref()
@@ -302,19 +361,19 @@ impl TBlock {
     /// Per-edge time delta `t_dst − t_edge` as `f32` (the input to the
     /// time encoder for neighbor edges).
     pub fn delta_times(&self) -> Vec<f32> {
-        self.inner.lock().delta_times()
+        self.lock("delta_times").delta_times()
     }
 
     /// [`TBlock::delta_times`] as an `[E]` tensor on the compute
     /// device. Cached like the feature rows.
     pub fn deltas(&self) -> Tensor {
-        self.cached(Part::Delta)
+        self.cached("deltas", Part::Delta)
     }
 
     /// Unique sampled source nodes (first-appearance order) plus the
     /// per-edge index into that unique list.
     pub fn uniq_src(&self) -> (Vec<NodeId>, Vec<usize>) {
-        let inner = self.inner.lock();
+        let inner = self.lock("uniq_src");
         let Some(n) = &inner.nbrs else {
             return (Vec::new(), Vec::new());
         };
@@ -338,7 +397,7 @@ impl TBlock {
     ///
     /// Panics if this block has no sampled neighborhood yet.
     pub fn next_block(&self) -> TBlock {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock("next_block");
         if let Some(next) = &inner.next {
             return next.clone();
         }
@@ -362,13 +421,13 @@ impl TBlock {
 
     /// The successor block, if one was created.
     pub fn next(&self) -> Option<TBlock> {
-        self.inner.lock().next.clone()
+        self.lock("next").next.clone()
     }
 
     /// The predecessor block, if this block was created via
     /// [`TBlock::next_block`] and the predecessor is still alive.
     pub fn prev(&self) -> Option<TBlock> {
-        self.inner.lock().prev.upgrade().map(|inner| TBlock { inner })
+        self.lock("prev").prev.upgrade().map(|inner| TBlock { inner })
     }
 
     /// The blocks of the chain from this one to the tail, in order.
@@ -395,8 +454,8 @@ impl TBlock {
     /// read fills it: expanded out of the rows [`crate::op::preload`]
     /// staged for this chain when there are any (an on-device gather,
     /// nothing crosses), else loaded over the pageable path.
-    fn cached(&self, part: Part) -> Tensor {
-        let mut inner = self.inner.lock();
+    fn cached(&self, accessor: &'static str, part: Part) -> Tensor {
+        let mut inner = self.lock(accessor);
         if let Some(t) = &inner.cache[part as usize] {
             return t.clone();
         }
@@ -408,17 +467,17 @@ impl TBlock {
 
     /// Node features of the destination pairs, on the compute device.
     pub fn dstfeat(&self) -> Tensor {
-        self.cached(Part::Dst)
+        self.cached("dstfeat", Part::Dst)
     }
 
     /// Node features of the sampled neighbors, on the compute device.
     pub fn srcfeat(&self) -> Tensor {
-        self.cached(Part::Src)
+        self.cached("srcfeat", Part::Src)
     }
 
     /// Edge features of the sampled edges, on the compute device.
     pub fn efeat(&self) -> Tensor {
-        self.cached(Part::Edge)
+        self.cached("efeat", Part::Edge)
     }
 
     /// Attaches the rows staged for the chain this block is the `i`-th
@@ -426,20 +485,20 @@ impl TBlock {
     /// block changes shape (`replace_dst`, `set_neighborhood`) or
     /// `flush_cache` drops them.
     pub(crate) fn attach_staged(&self, staged: Arc<Staged>, i: usize) {
-        self.inner.lock().staged = Some((staged, i));
+        self.lock("attach_staged").staged = Some((staged, i));
     }
 
     /// Snapshot of the expanded `(dst, src, edge)` feature tensors.
     #[cfg(test)]
     pub(crate) fn feat_caches(&self) -> (Option<Tensor>, Option<Tensor>, Option<Tensor>) {
-        let [dst, src, edge, _] = self.inner.lock().cache.clone();
+        let [dst, src, edge, _] = self.lock("feat_caches").cache.clone();
         (dst, src, edge)
     }
 
     /// Drops the cached area, staged rows included; the tensors reload
     /// gracefully (over the pageable path) on next access.
     pub fn flush_cache(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock("flush_cache");
         inner.staged = None;
         inner.cache = [None, None, None, None];
     }
@@ -450,7 +509,7 @@ impl TBlock {
     ///
     /// Panics if the graph has no attached memory.
     pub fn mem_data(&self) -> Tensor {
-        let inner = self.inner.lock();
+        let inner = self.lock("mem_data");
         let mem = inner.graph.memory();
         mem.rows(&inner.dst_nodes).to(inner.device)
     }
@@ -461,7 +520,7 @@ impl TBlock {
     ///
     /// Panics if the graph has no attached mailbox.
     pub fn mail(&self) -> (Tensor, Vec<Time>) {
-        let inner = self.inner.lock();
+        let inner = self.lock("mail");
         let mb = inner.graph.mailbox();
         let (mail, times) = mb.latest(&inner.dst_nodes);
         (mail.to(inner.device), times)
@@ -469,12 +528,12 @@ impl TBlock {
 
     /// The graph this block was created from.
     pub fn graph(&self) -> Arc<TemporalGraph> {
-        Arc::clone(&self.inner.lock().graph)
+        Arc::clone(&self.lock("graph").graph)
     }
 
     /// The compute device of this block.
     pub fn device(&self) -> Device {
-        self.inner.lock().device
+        self.lock("device").device
     }
 
     // ---------------------------------------------------------------
@@ -483,7 +542,7 @@ impl TBlock {
 
     /// Attaches a named tensor to the destination side.
     pub fn set_dstdata(&self, key: &str, t: Tensor) {
-        self.inner.lock().dstdata.insert(key.to_string(), t);
+        self.lock("set_dstdata").dstdata.insert(key.to_string(), t);
     }
 
     /// Retrieves named destination data.
@@ -492,8 +551,7 @@ impl TBlock {
     ///
     /// Panics if the key is absent.
     pub fn dstdata(&self, key: &str) -> Tensor {
-        self.inner
-            .lock()
+        self.lock("dstdata")
             .dstdata
             .get(key)
             .unwrap_or_else(|| panic!("no dstdata[{key:?}] on this block"))
@@ -502,12 +560,12 @@ impl TBlock {
 
     /// Whether destination data exists for `key`.
     pub fn has_dstdata(&self, key: &str) -> bool {
-        self.inner.lock().dstdata.contains_key(key)
+        self.lock("has_dstdata").dstdata.contains_key(key)
     }
 
     /// Attaches a named tensor to the source (neighbor-edge) side.
     pub fn set_srcdata(&self, key: &str, t: Tensor) {
-        self.inner.lock().srcdata.insert(key.to_string(), t);
+        self.lock("set_srcdata").srcdata.insert(key.to_string(), t);
     }
 
     /// Retrieves named source data.
@@ -516,8 +574,7 @@ impl TBlock {
     ///
     /// Panics if the key is absent.
     pub fn srcdata(&self, key: &str) -> Tensor {
-        self.inner
-            .lock()
+        self.lock("srcdata")
             .srcdata
             .get(key)
             .unwrap_or_else(|| panic!("no srcdata[{key:?}] on this block"))
@@ -526,12 +583,12 @@ impl TBlock {
 
     /// Whether source data exists for `key`.
     pub fn has_srcdata(&self, key: &str) -> bool {
-        self.inner.lock().srcdata.contains_key(key)
+        self.lock("has_srcdata").srcdata.contains_key(key)
     }
 
     /// Attaches a named per-edge tensor.
     pub fn set_edata(&self, key: &str, t: Tensor) {
-        self.inner.lock().edata.insert(key.to_string(), t);
+        self.lock("set_edata").edata.insert(key.to_string(), t);
     }
 
     /// Retrieves named per-edge data.
@@ -540,8 +597,7 @@ impl TBlock {
     ///
     /// Panics if the key is absent.
     pub fn edata(&self, key: &str) -> Tensor {
-        self.inner
-            .lock()
+        self.lock("edata")
             .edata
             .get(key)
             .unwrap_or_else(|| panic!("no edata[{key:?}] on this block"))
@@ -559,18 +615,18 @@ impl TBlock {
     /// the operator applied last filtered the destinations last, so its
     /// inversion must run first to restore the intermediate layout.
     pub fn register_hook(&self, hook: BlockHook) {
-        self.inner.lock().hooks.push(hook);
+        self.lock("register_hook").hooks.push(hook);
     }
 
     /// Number of pending hooks.
     pub fn num_hooks(&self) -> usize {
-        self.inner.lock().hooks.len()
+        self.lock("num_hooks").hooks.len()
     }
 
     /// Consumes and runs all registered hooks on `output` (reverse
     /// registration order), returning the transformed tensor.
     pub fn run_hooks(&self, output: Tensor) -> Tensor {
-        let mut hooks = std::mem::take(&mut self.inner.lock().hooks);
+        let mut hooks = std::mem::take(&mut self.lock("run_hooks").hooks);
         let mut out = output;
         for hook in hooks.iter_mut().rev() {
             out = (hook.func)(out);
@@ -581,7 +637,7 @@ impl TBlock {
 
 impl std::fmt::Debug for TBlock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.lock("fmt");
         write!(
             f,
             "TBlock(layer={}, dst={}, edges={}, hooks={}, linked={})",
@@ -618,6 +674,15 @@ mod tests {
             .with_threads(1)
             .sample(&blk.graph().tcsr(), &blk.dst_nodes(), &blk.dst_times());
         blk.set_neighborhood(nbrs);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "TBlock::num_dst called inside this block's own TBlock::with_dst closure")]
+    fn reentrant_closure_panics_instead_of_deadlocking() {
+        let (_g, ctx) = setup();
+        let blk = TBlock::new(&ctx, 0, vec![1, 2], vec![5.0, 5.0]);
+        blk.with_dst(|_, _| blk.num_dst());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Minimal dependency-free flag parsing (`--key value` / `--flag`).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line: a subcommand plus `--key value` options and
 /// bare `--flag` switches.
@@ -9,6 +10,9 @@ pub struct Args {
     subcommand: Option<String>,
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Keys a lookup has served, so [`reject_unread`](Args::reject_unread)
+    /// can name what nobody asked for.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -47,7 +51,9 @@ impl Args {
 
     /// String option value.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+        let value = self.values.get(key)?;
+        self.read.borrow_mut().insert(key.to_string());
+        Some(value)
     }
 
     /// Parsed option with a default.
@@ -82,7 +88,35 @@ impl Args {
 
     /// Whether a boolean `--flag` was given.
     pub fn has_flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        let given = self.flags.iter().any(|f| f == key);
+        if given {
+            self.read.borrow_mut().insert(key.to_string());
+        }
+        given
+    }
+
+    /// Fails when the command line carried anything no lookup has
+    /// served so far: a misspelt or retired flag, a value given to a
+    /// switch, a switch given where a value is read, a stray
+    /// positional. Call it once every option has been read and before
+    /// the work starts, so a typo never runs with defaults.
+    ///
+    /// # Errors
+    ///
+    /// Returns the one-line usage message naming every such argument.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        // A stray positional is named by its text, an option by its flag.
+        let name = |key: &String| match self.values.get(key) {
+            Some(text) if key == "_extra" => format!("{text:?}"),
+            _ => format!("--{key}"),
+        };
+        let unread: BTreeSet<String> =
+            self.values.keys().chain(&self.flags).filter(|key| !read.contains(*key)).map(name).collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        Err(format!("unrecognized or misplaced argument(s): {} (see --help)", Vec::from_iter(unread).join(", ")))
     }
 }
 
@@ -99,5 +133,21 @@ mod tests {
         assert_eq!(a.positive("epochs"), Ok(None));
         assert!(a.positive("batch").unwrap_err().contains("--batch"));
         assert!(a.positive("threads").unwrap_err().contains("--threads"));
+    }
+
+    #[test]
+    fn reject_unread_names_everything_no_lookup_served() {
+        let a = Args::parse("train --epoch 3 --slo rules --prof on --move --lr 0.1 stray".split_whitespace().map(String::from));
+        assert_eq!(a.get_or("lr", 0.0f32), 0.1);
+        assert!(a.has_flag("move"));
+        // `--prof on` parsed as a valued option: the switch lookup
+        // misses it, so it is reported rather than silently off.
+        assert!(!a.has_flag("prof"));
+        assert_eq!(a.get("epochs"), None);
+        let msg = a.reject_unread().unwrap_err();
+        for named in ["--epoch", "--slo", "--prof", "\"stray\""] {
+            assert!(msg.contains(named), "{named} missing from {msg:?}");
+        }
+        assert!(!msg.contains("--lr") && !msg.contains("--move") && !msg.contains('\n'), "{msg:?}");
     }
 }

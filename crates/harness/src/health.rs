@@ -19,8 +19,8 @@
 //! `health.update_ratio` (‖θ_end − θ_start‖ / ‖θ_start‖, the classic
 //! "is the learning rate sane" diagnostic: healthy runs sit around
 //! 1e-3), `health.loss` and `health.loss_trend` (relative change vs the
-//! previous epoch; negative = improving) — which the `/metrics`
-//! endpoint exposes live and the v2 run report records.
+//! previous epoch; negative = improving) — which the run report's
+//! `gauges` section records.
 
 use tgl_obs::health::{self, Level};
 use tgl_tensor::Tensor;
@@ -182,59 +182,6 @@ impl HealthMonitor {
         false
     }
 
-    /// Routes alert-engine transitions through the policy. The alert
-    /// engine already recorded each transition as a health event (and
-    /// mirrored it into the flight recorder); this decides whether the
-    /// run continues: under [`HealthPolicy::Fail`] a newly *fired*
-    /// fail-severity alert dumps the flight recorder and panics, same
-    /// as a tripped NaN sentinel. Resolves and lower severities never
-    /// stop a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`HealthPolicy::Fail`] when a fail-severity alert
-    /// fires.
-    pub fn route_alerts(&mut self, transitions: &[tgl_obs::alert::Firing]) {
-        if self.policy == HealthPolicy::Off {
-            return;
-        }
-        for t in transitions.iter().filter(|t| t.firing) {
-            if self.policy == HealthPolicy::Fail && t.severity == Level::Fail {
-                crate::flightdump::dump("alert-fail");
-                panic!(
-                    "health: alert {} fired on {} (value {} at idx {}) (--health fail)",
-                    t.rule, t.metric, t.value, t.idx
-                );
-            }
-        }
-    }
-
-    /// Refreshes the `health.grad_norm` and `health.update_ratio`
-    /// gauges after an optimizer step — the same quantities
-    /// [`end_epoch`](HealthMonitor::end_epoch) publishes once per
-    /// epoch, but kept current every step so the time-series sampler
-    /// records them as real per-step series that alert rules can
-    /// target. The update ratio is measured against the epoch-start
-    /// snapshot; it is skipped when no snapshot exists (policy
-    /// [`HealthPolicy::Off`]). Callers gate on
-    /// `tgl_obs::timeseries::enabled()` — this does O(params) work.
-    pub fn record_step_gauges(&self, params: &[Tensor]) {
-        tgl_obs::gauge!("health.grad_norm").set(grad_norm(params));
-        if self.start_params.is_empty() {
-            return;
-        }
-        let (mut start_sq, mut delta_sq) = (0.0f64, 0.0f64);
-        for (p, start) in params.iter().zip(&self.start_params) {
-            let now = p.to_vec();
-            for (&a, &b) in now.iter().zip(start.iter()) {
-                let (a, b) = (f64::from(a), f64::from(b));
-                start_sq += b * b;
-                delta_sq += (a - b) * (a - b);
-            }
-        }
-        tgl_obs::gauge!("health.update_ratio").set(delta_sq.sqrt() / start_sq.sqrt().max(1e-12));
-    }
-
     /// Closes the epoch: publishes `health.grad_norm`,
     /// `health.update_ratio`, `health.loss`, and `health.loss_trend`
     /// gauges and records events for non-finite gradients or
@@ -391,48 +338,6 @@ mod tests {
     fn fail_policy_panics_on_nonfinite_loss() {
         let _dir = FlightDir::new("nonfinite-loss");
         HealthMonitor::new(HealthPolicy::Fail).check_loss(1, 2, f32::NAN);
-    }
-
-    #[test]
-    fn alert_routing_respects_policy() {
-        let firing = tgl_obs::alert::Firing {
-            rule: "loss-divergence".into(),
-            metric: "train.loss".into(),
-            severity: Level::Fail,
-            firing: true,
-            idx: 7,
-            value: f64::NAN,
-        };
-        // Warn logs but keeps running; Off ignores entirely; a resolve
-        // never stops a run even under Fail.
-        HealthMonitor::new(HealthPolicy::Warn).route_alerts(std::slice::from_ref(&firing));
-        HealthMonitor::new(HealthPolicy::Off).route_alerts(std::slice::from_ref(&firing));
-        let resolved = tgl_obs::alert::Firing {
-            firing: false,
-            ..firing.clone()
-        };
-        HealthMonitor::new(HealthPolicy::Fail).route_alerts(&[resolved]);
-        // A warn-severity firing survives the Fail policy too.
-        let warn_sev = tgl_obs::alert::Firing {
-            severity: Level::Warn,
-            ..firing
-        };
-        HealthMonitor::new(HealthPolicy::Fail).route_alerts(&[warn_sev]);
-    }
-
-    #[test]
-    #[should_panic(expected = "alert loss-divergence fired")]
-    fn fail_policy_panics_on_fail_severity_firing() {
-        let _dir = FlightDir::new("fail-firing");
-        let firing = tgl_obs::alert::Firing {
-            rule: "loss-divergence".into(),
-            metric: "train.loss".into(),
-            severity: Level::Fail,
-            firing: true,
-            idx: 7,
-            value: f64::INFINITY,
-        };
-        HealthMonitor::new(HealthPolicy::Fail).route_alerts(&[firing]);
     }
 
     #[test]

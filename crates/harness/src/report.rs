@@ -60,9 +60,6 @@
 //!
 //! Per-epoch `counters`/`hists` are deltas over that epoch;
 //! `counters_total`/`histograms` hold the absolute values at finish.
-//! While a run is in flight the reporter also publishes the
-//! report-so-far (with `"in_progress": true` and no `test` section) to
-//! the live exposition endpoint, so `GET /report.json` works mid-run.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -121,9 +118,6 @@ pub struct RunReport {
     pub meta: Vec<(String, Json)>,
     /// Per-epoch measurements in order.
     pub epochs: Vec<EpochReport>,
-    /// Published while the run was still live (no test numbers, no
-    /// critical path yet).
-    pub in_progress: bool,
     /// Test AP after training.
     pub test_ap: f64,
     /// Test inference seconds.
@@ -307,19 +301,13 @@ fn health_json(h: &HealthSection) -> Json {
 }
 
 impl RunReport {
-    /// Renders the report as a JSON document. A report published while
-    /// the run is live carries `"in_progress": true` and no `test`.
+    /// Renders the report as a JSON document.
     pub fn to_json(&self) -> String {
-        let test = if self.in_progress {
-            ("in_progress".to_string(), Json::Bool(true))
-        } else {
-            ("test".to_string(), Json::obj(nums([("ap", self.test_ap), ("secs", self.test_s)])))
-        };
         Json::obj(vec![
             ("schema".into(), Json::Str("tgl-run-report/v3".into())),
             ("meta".into(), Json::Obj(self.meta.clone())),
             ("epochs".into(), Json::Arr(self.epochs.iter().map(epoch_json).collect())),
-            test,
+            ("test".into(), Json::obj(nums([("ap", self.test_ap), ("secs", self.test_s)]))),
             ("counters_total".into(), num_map(&self.counters_total, |v| v as f64)),
             ("histograms".into(), hists_json(&self.histograms)),
             ("gauges".into(), num_map(&self.gauges, |v| v)),
@@ -447,9 +435,6 @@ impl RunReporter {
             counters,
             hists,
         });
-        // Make the report-so-far scrapeable mid-run: /report.json on
-        // the exposition endpoint always serves the latest publish.
-        obs::expo::publish_report(self.report(None).to_json());
     }
 
     /// Builds the health section from events recorded since
@@ -480,10 +465,12 @@ impl RunReporter {
         }
     }
 
-    /// The report as of now: everything the registries and the
-    /// aggregate hold, read without draining. `test` is `None` while
-    /// the run is live; the critical path is analyzed only at the end.
-    fn report(&self, test: Option<(f64, f64)>) -> RunReport {
+    /// Finishes the run: reads everything the registries and the
+    /// aggregate hold (without draining; the next
+    /// [`start`](RunReporter::start) drains), restores the previous
+    /// collection state, and returns the report.
+    pub fn finish(self, test_ap: f64, test_s: f64) -> RunReport {
+        let health = self.collect_health();
         let profile = profile::snapshot();
         let mut phases_total_s: Vec<(String, f64)> = obs::phase::table(&profile)
             .into_iter()
@@ -495,40 +482,28 @@ impl RunReporter {
         let mut histograms: Vec<(String, HistSnapshot)> =
             hist_map().into_iter().filter(|(_, s)| !s.is_empty()).collect();
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut meta = self.meta.clone();
+        let mut meta = self.meta;
         meta.sort_by(|a, b| a.0.cmp(&b.0));
         // Analyze a non-draining snapshot of the event log so the
         // caller can still export the Chrome trace afterwards.
-        let critpath = (test.is_some() && tgl_obs::trace::enabled())
-            .then(|| tgl_obs::critpath::analyze(&tgl_obs::trace::snapshot()));
+        let critpath =
+            tgl_obs::trace::enabled().then(|| tgl_obs::critpath::analyze(&tgl_obs::trace::snapshot()));
+        obs::collect(self.was_collecting);
         RunReport {
             meta,
-            epochs: self.epochs.clone(),
-            in_progress: test.is_none(),
-            test_ap: test.map_or(0.0, |t| t.0),
-            test_s: test.map_or(0.0, |t| t.1),
+            epochs: self.epochs,
+            test_ap,
+            test_s,
             counters_total,
             histograms,
             gauges: obs::hist::gauge_snapshot().into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
-            health: self.collect_health(),
+            health,
             insight: tgl_obs::insight::stats(),
             insight_steps: tgl_obs::insight::steps(),
             phases_total_s,
             profile,
             critpath,
         }
-    }
-
-    /// Finishes the run: publishes the final report to the exposition
-    /// endpoint, restores the previous collection state, and returns
-    /// the report. The aggregate is read, not drained, so a held
-    /// `/metrics` keeps its duration families; the next
-    /// [`start`](RunReporter::start) drains.
-    pub fn finish(self, test_ap: f64, test_s: f64) -> RunReport {
-        let report = self.report(Some((test_ap, test_s)));
-        obs::collect(self.was_collecting);
-        obs::expo::publish_report(report.to_json());
-        report
     }
 }
 
@@ -688,10 +663,6 @@ mod tests {
             .iter()
             .any(|e| e.source == "report.test"));
         assert_ne!(report.health.status, "ok");
-        // In-progress publication made /report.json-able JSON.
-        let latest = obs::expo::latest_report().expect("report published");
-        let v = Json::parse(&latest).unwrap();
-        assert_eq!(v.get("schema").and_then(Json::as_str), Some("tgl-run-report/v3"));
     }
 
     #[test]

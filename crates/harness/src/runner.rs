@@ -295,12 +295,6 @@ pub struct ObsOptions {
     pub ckpt_save: Option<PathBuf>,
     /// `--ckpt` on `eval`: parameters to load before inference.
     pub ckpt_load: Option<PathBuf>,
-    /// `--serve-metrics` address (or `TGL_METRICS_ADDR`).
-    pub serve: Option<String>,
-    /// `--serve-hold`: keep serving until `GET /quit`.
-    pub serve_hold: bool,
-    /// `--slo` rules file (or `TGL_SLO`).
-    pub slo: Option<PathBuf>,
     /// `--health` policy; `None` keeps the trainer's (`Warn`).
     pub health: Option<HealthPolicy>,
     /// `--pipeline` depth; `None` keeps the trainer's (0).
@@ -338,17 +332,14 @@ impl std::error::Error for RunError {}
 
 impl ObsOptions {
     /// Reads every observability / artifact flag of `tgl train|eval`
-    /// and the quickstart. `TGL_SLO` and `TGL_METRICS_ADDR` are read
-    /// here, once, as defaults for their flags; nothing is written
-    /// back to the environment. `--ckpt` loads when
-    /// `eval_only`, saves otherwise.
+    /// and the quickstart. `--ckpt` loads when `eval_only`, saves
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// A flag with an unusable value, named in the error.
     pub fn from_args(args: &Args, eval_only: bool) -> Result<ObsOptions, RunError> {
         let path = |key: &str| args.get(key).map(PathBuf::from);
-        let env = |key: &str| std::env::var(key).ok().filter(|v| !v.is_empty());
         let on_off = |v: &str| match v {
             "on" | "1" => Some(true),
             "off" | "0" => Some(false),
@@ -368,9 +359,6 @@ impl ObsOptions {
             csv: path("csv"),
             ckpt_save,
             ckpt_load,
-            serve: args.get("serve-metrics").map(String::from).or_else(|| env("TGL_METRICS_ADDR")),
-            serve_hold: args.has_flag("serve-hold"),
-            slo: path("slo").or_else(|| env("TGL_SLO").map(PathBuf::from)),
             health: parsed(args, "health", "off/warn/fail", HealthPolicy::parse)?,
             pipeline: parsed(args, "pipeline", "a queue depth", |v| v.parse().ok())?,
             flight: parsed(args, "flight", "on/off", on_off)?,
@@ -414,8 +402,7 @@ fn check_writable(flag: &'static str, path: &Path) -> Result<(), RunError> {
 /// # Errors
 ///
 /// An output that cannot be written (checked before training starts),
-/// a checkpoint or rules file that cannot be read, or a metrics address
-/// that cannot be bound — each naming its flag.
+/// or a checkpoint that cannot be read — each naming its flag.
 pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult, RunError> {
     macro_rules! say {
         ($($arg:tt)*) => { if opts.progress { println!($($arg)*); } };
@@ -441,33 +428,8 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
     if let Some(mode) = opts.kernel {
         tgl_tensor::kernel::set_mode(mode);
     }
-    let serving = match &opts.serve {
-        None => None,
-        Some(addr) => {
-            let bound = obs::expo::start(addr)
-                .map_err(|e| RunError::new("serve-metrics", format!("{addr}: bind failed: {e}")))?;
-            say!("metrics server listening on http://{bound}/metrics");
-            // A live /dashboard needs retained series, and a background
-            // sampler so gauges and latency quantiles keep advancing
-            // between scrapes once the training loop is done.
-            obs::timeseries::enable(true);
-            obs::timeseries::start_sampler(500);
-            Some(bound)
-        }
-    };
-    if let Some(path) = &opts.slo {
-        // Installed before the run so the first step already evaluates
-        // the rules; they read the time-series store.
-        let rules = obs::alert::RuleSet::from_file(path)
-            .map_err(|e| RunError::new("slo", format!("{}: {e}", path.display())))?;
-        say!("slo: loaded {} alert rule(s) from {}", rules.rules.len(), path.display());
-        obs::alert::install(rules);
-        obs::timeseries::enable(true);
-    }
     if opts.insight {
-        // Insight series flow through the time-series store.
         obs::insight::enable(true);
-        obs::timeseries::enable(true);
     }
     let logging = opts.trace_out.is_some() || opts.critpath;
     if logging {
@@ -499,9 +461,7 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         say!("pipeline: sampler stage prefetching up to {} batches", trainer.pipeline_depth());
     }
 
-    // A live metrics server implies reporting: /report.json serves the
-    // reporter's in-progress publications.
-    let reporting = opts.prof || opts.profile || opts.critpath || opts.metrics_out.is_some() || serving.is_some();
+    let reporting = opts.prof || opts.profile || opts.critpath || opts.metrics_out.is_some();
     let mut reporter = reporting.then(|| {
         let mut rep = RunReporter::start().with_health(trainer.health_policy());
         rep.set_meta("model", cfg.model.label());
@@ -583,22 +543,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
     if let Some(path) = &opts.ckpt_save {
         model.save(path).map_err(RunError::io("ckpt", path))?;
         say!("checkpoint written to {}", path.display());
-    }
-    for st in obs::alert::status() {
-        say!(
-            "alert {}: fired {}x on {} ({})",
-            st.rule.name,
-            st.fired_total,
-            st.rule.metric,
-            if st.firing { "firing" } else { "ok" }
-        );
-    }
-    if serving.is_some() {
-        if opts.serve_hold {
-            say!("holding for scrape: GET /quit to release (10 min timeout)");
-            obs::expo::wait_for_quit(std::time::Duration::from_secs(600));
-        }
-        obs::timeseries::stop_sampler();
     }
     let train_s_per_epoch =
         epochs.iter().map(|e| e.train_time_s).sum::<f64>() / epochs.len().max(1) as f64;

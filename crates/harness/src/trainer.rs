@@ -289,43 +289,16 @@ impl Trainer {
                 seen += 1;
             }
             tgl_obs::insight::flush_step();
-            Self::step_telemetry(&mut health);
         });
         let train_time_s = start.elapsed_s();
         let mean_loss = total_loss / batches.max(1) as f64;
         health.end_epoch(epoch, &params, mean_loss);
         drop(health);
         let (val_ap, _) = self.evaluate(model, ctx, split.val.clone());
-        // Epoch-granularity series + one more sampling/alert pass so
-        // rules on `val.ap` (and end-of-epoch gauges) evaluate without
-        // waiting for the next epoch's first step.
-        if tgl_obs::timeseries::enabled() {
-            tgl_obs::timeseries::record("val.ap", val_ap);
-            let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-            Self::step_telemetry(&mut health);
-        }
         EpochStats {
             loss: mean_loss as f32,
             train_time_s,
             val_ap,
-        }
-    }
-
-    /// Per-step telemetry hook: one time-series sampling pass plus an
-    /// alert-rule evaluation, with transitions routed through the
-    /// health policy. Runs on the compute thread after every step, so
-    /// the sampling cadence — and therefore the
-    /// alert firing sequence — is a pure function of step count,
-    /// independent of thread count and pipeline depth. One relaxed
-    /// load when the time-series store is disabled (the default).
-    fn step_telemetry(health: &mut HealthMonitor) {
-        if !tgl_obs::timeseries::enabled() {
-            return;
-        }
-        tgl_obs::timeseries::sample_tick();
-        let fired = tgl_obs::alert::evaluate();
-        if !fired.is_empty() {
-            health.route_alerts(&fired);
         }
     }
 
@@ -352,10 +325,6 @@ impl Trainer {
             link_loss(&pos, &neg)
         };
         let loss_v = loss.item();
-        // The raw per-step loss — NaN included — lands in the
-        // time-series *before* the health check, so SLO rules see the
-        // poisoned point even when the batch below is skipped.
-        tgl_obs::timeseries::record("train.loss", f64::from(loss_v));
         if !health.check_loss(epoch, step_idx, loss_v) {
             // Poisoned batch: backpropagating a non-finite loss would
             // corrupt the parameters. Skip it (the event is already
@@ -412,9 +381,6 @@ impl Trainer {
                 let ur = delta_sq.sqrt() / pre_sq.sqrt().max(1e-12);
                 tgl_obs::insight::record_group(&name, gn, post_sq.sqrt(), ur);
             }
-        }
-        if tgl_obs::timeseries::enabled() {
-            health.record_step_gauges(&model.parameters());
         }
         // Parameter updates invalidate memoized embeddings.
         ctx.clear_caches();

@@ -307,35 +307,11 @@ pub fn to_json(reason: &str) -> String {
         out.push_str("\n    \"");
         esc(name, &mut out);
         out.push_str("\": ");
-        crate::timeseries::json_num(*value, &mut out);
-    }
-    // The trajectory into the failure: the last few points of every
-    // retained series, so a post-mortem shows how loss/latency/queue
-    // state was moving, not just where it ended.
-    out.push_str("\n  },\n  \"timeseries\": {");
-    let series = crate::timeseries::snapshot();
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        esc(s.name, &mut out);
-        out.push_str("\": [");
-        let tail = s.points.len().saturating_sub(TIMESERIES_TAIL);
-        for (j, &(idx, value)) in s.points[tail..].iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{idx}, ");
-            crate::timeseries::json_num(value, &mut out);
-            out.push(']');
-        }
-        out.push(']');
+        json_num(*value, &mut out);
     }
     // Introspection context: cumulative per-series summaries (steps,
-    // last, max), so a post-mortem still attributes a divergence to a
-    // parameter group even after the retained tail scrolled past the
-    // first bad step.
+    // last, max), so a post-mortem attributes a divergence to a
+    // parameter group.
     out.push_str("\n  },\n  \"insight\": {");
     let _ = write!(out, "\n    \"steps\": {},\n    \"stats\": {{", crate::insight::steps());
     for (i, s) in crate::insight::stats().iter().enumerate() {
@@ -345,9 +321,9 @@ pub fn to_json(reason: &str) -> String {
         out.push_str("\n      \"");
         esc(&s.name, &mut out);
         out.push_str("\": {\"last\": ");
-        crate::timeseries::json_num(s.last, &mut out);
+        json_num(s.last, &mut out);
         out.push_str(", \"max\": ");
-        crate::timeseries::json_num(s.max, &mut out);
+        json_num(s.max, &mut out);
         let _ = write!(out, ", \"count\": {}}}", s.count);
     }
     out.push_str("\n    }");
@@ -363,8 +339,19 @@ pub fn to_json(reason: &str) -> String {
     out
 }
 
-/// Points per series carried in a flight dump's `timeseries` section.
-const TIMESERIES_TAIL: usize = 32;
+/// Writes `v` as a JSON number, or `null` when non-finite (matching
+/// `tgl_data::Json::render` so the artifact always re-parses).
+fn json_num(v: f64, out: &mut String) {
+    if v.is_finite() {
+        if v == v.trunc() && v.abs() < 9.0e15 {
+            let _ = write!(out, "{}", v as i64);
+        } else {
+            let _ = write!(out, "{v}");
+        }
+    } else {
+        out.push_str("null");
+    }
+}
 
 /// Wall-clock ms of the most recent [`dump_to_dir`] (0 = never).
 static LAST_DUMP: AtomicU64 = AtomicU64::new(0);
@@ -461,21 +448,18 @@ mod tests {
     }
 
     #[test]
-    fn dump_carries_gauges_and_timeseries_trajectory() {
+    fn dump_carries_gauges_and_insight_section() {
         let _g = serial();
         enable(true);
         crate::metrics::set_enabled(true);
         crate::hist::gauge("flight.test.level").set(3.5);
-        crate::timeseries::enable(true);
-        crate::timeseries::record("flight.test.series", 0.25);
+        crate::hist::gauge("flight.test.nan").set(f64::NAN);
         let json = to_json("test");
         assert!(json.contains("\"gauges\": {"));
         assert!(json.contains("\"flight.test.level\": 3.5"));
-        assert!(json.contains("\"timeseries\": {"));
-        assert!(json.contains("\"flight.test.series\": ["));
+        assert!(json.contains("\"flight.test.nan\": null"));
         // The insight section is always present, empty when off.
         assert!(json.contains("\"insight\": {"));
-        crate::timeseries::enable(false);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Subsystems report conditions ("loss went NaN at epoch 2 batch 17",
 //! "loss trend diverging") as [`HealthEvent`]s instead of panicking:
-//! the event is recorded here, surfaced through `/healthz` and the
-//! run report's `health` section, and the *caller's* policy decides
+//! the event is recorded here, surfaced through the run report's
+//! `health` section and the flight dump, and the *caller's* policy decides
 //! whether the run continues. The sink is bounded ([`MAX_EVENTS`]) so a
 //! pathological run cannot grow it without limit; overflow is counted.
 
@@ -22,7 +22,7 @@ pub enum Level {
 }
 
 impl Level {
-    /// Lowercase label used in reports and the exposition endpoint.
+    /// Lowercase label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             Level::Info => "info",

@@ -156,7 +156,7 @@ impl Drop for HistTimer {
 }
 
 /// A point-in-time copy of one histogram: mergeable, diffable, and the
-/// unit run reports and the exposition endpoint consume.
+/// unit run reports consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Total samples recorded.

@@ -26,13 +26,9 @@
 //! [`flush_step`] on the compute thread in strict batch order. Because
 //! every observation site runs in a serial section and the flush order
 //! is the batch order, every emitted series is **bitwise identical at
-//! any thread count and pipeline depth** — the same contract as the
-//! rest of [`timeseries`](crate::timeseries).
+//! any thread count and pipeline depth**.
 //!
-//! Per-step values land three ways: as pushed `insight.*` series in the
-//! timeseries store (so `obs::alert` SLO rules target them with no new
-//! machinery), as cross-group prom gauges (`insight.grad_norm_max`,
-//! ...), and in a cumulative registry of streaming sketches
+//! Per-step values land in a cumulative registry of streaming sketches
 //! (count/mean/M2/min/max via Welford + the log2-bucket histogram for
 //! p99) rendered as the run report's `insight` section and the
 //! `--insight` table.
@@ -51,7 +47,7 @@ use std::sync::Mutex;
 use crate::hist::{self, HistSnapshot, NUM_BUCKETS};
 
 // ---------------------------------------------------------------------
-// Enable gate (same shape as timeseries / flight)
+// Enable gate
 
 /// 0 = uninitialized (consult `TGL_INSIGHT`), 1 = on, 2 = off.
 static STATE: AtomicU32 = AtomicU32::new(0);
@@ -102,9 +98,8 @@ pub struct Sketch {
 }
 
 impl Sketch {
-    /// Folds one value in. Non-finite values are ignored (they are
-    /// surfaced through the raw series, where `nonfinite` alert rules
-    /// look for them, not through the summary sketch).
+    /// Folds one value in. Non-finite values are ignored (the
+    /// registry's `last` carries them, not the summary sketch).
     pub fn observe(&mut self, v: f64) {
         if !v.is_finite() {
             return;
@@ -359,7 +354,7 @@ pub fn record_group(group: &str, grad_norm: f64, weight_norm: f64, update_ratio:
 }
 
 // ---------------------------------------------------------------------
-// Flush: per-step series + cumulative registry + prom gauges
+// Flush: cumulative registry
 
 /// Cumulative per-series aggregate backing the artifact and the table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -375,18 +370,16 @@ static REG: std::sync::LazyLock<Mutex<BTreeMap<String, Agg>>> =
 static STEPS: AtomicU64 = AtomicU64::new(0);
 
 fn emit(reg: &mut BTreeMap<String, Agg>, name: String, v: f64) {
-    crate::timeseries::record_owned(&name, v);
     let a = reg.entry(name).or_default();
     a.sketch.observe(v);
     a.last = v;
 }
 
-/// Flushes this thread's bag: pushes every per-step `insight.*` series
-/// point (in a fixed order, so series are bitwise reproducible),
-/// updates the cumulative registry, and sets the cross-group prom
-/// gauges. Called once per training step, on the compute thread, in
-/// batch order. A missing bag (insight disabled, or the batch was
-/// dropped) is a no-op.
+/// Flushes this thread's bag: folds every per-step `insight.*` value
+/// into the cumulative registry (in a fixed order, so the sketches are
+/// bitwise reproducible). Called once per training step, on the
+/// compute thread, in batch order. A missing bag (insight disabled, or
+/// the batch was dropped) is a no-op.
 pub fn flush_step() {
     if !enabled() {
         return;
@@ -426,7 +419,6 @@ pub fn flush_step() {
     if bag.neg_candidates > 0 {
         let rate = bag.neg_collisions as f64 / bag.neg_candidates as f64;
         emit(&mut reg, "insight.data.neg_collision_rate".into(), rate);
-        crate::gauge!("insight.neg_collision_rate").set(rate);
     }
     if bag.dedup_rows_in > 0 {
         emit(
@@ -435,20 +427,13 @@ pub fn flush_step() {
             bag.dedup_rows_saved as f64 / bag.dedup_rows_in as f64,
         );
     }
-    let mut dead_max = 0.0f64;
     for (scope, &(zeros, total)) in &bag.act {
         if total == 0 {
             continue;
         }
         let frac = zeros as f64 / total as f64;
         emit(&mut reg, format!("insight.act.{scope}.dead_frac"), frac);
-        dead_max = dead_max.max(frac);
     }
-    if !bag.act.is_empty() {
-        crate::gauge!("insight.dead_frac_max").set(dead_max);
-    }
-    let (mut gn_max, mut ur_max) = (0.0f64, 0.0f64);
-    let (mut gn_nonfinite, mut ur_nonfinite) = (false, false);
     for g in &bag.model {
         emit(
             &mut reg,
@@ -465,16 +450,6 @@ pub fn flush_step() {
             format!("insight.layer.{}.update_ratio", g.group),
             g.update_ratio,
         );
-        gn_max = gn_max.max(g.grad_norm);
-        ur_max = ur_max.max(g.update_ratio);
-        gn_nonfinite |= !g.grad_norm.is_finite();
-        ur_nonfinite |= !g.update_ratio.is_finite();
-    }
-    if !bag.model.is_empty() {
-        // A non-finite group poisons the max, so "any layer blew up" is
-        // visible from the single cross-group gauge too.
-        crate::gauge!("insight.grad_norm_max").set(if gn_nonfinite { f64::NAN } else { gn_max });
-        crate::gauge!("insight.update_ratio_max").set(if ur_nonfinite { f64::NAN } else { ur_max });
     }
     crate::counter!("insight.steps").incr();
 }
@@ -523,8 +498,7 @@ pub fn steps() -> u64 {
 }
 
 /// Clears the cumulative registry, the step counter, and this thread's
-/// bag (test hook; series in the timeseries store are cleared by
-/// [`timeseries::reset`](crate::timeseries::reset)).
+/// bag (test hook).
 pub fn reset() {
     REG.lock().unwrap_or_else(|e| e.into_inner()).clear();
     STEPS.store(0, Ordering::Relaxed);

@@ -40,12 +40,6 @@
 //!   (NaN sentinels, divergence warnings) that subsystems record
 //!   instead of panicking.
 //!
-//! * [`expo`] — a std-only (`std::net::TcpListener`) HTTP server
-//!   exposing `/metrics` (Prometheus text format), `/healthz`,
-//!   `/report.json`, `/timeseries.json`, `/alerts.json`, and the live
-//!   [`dashboard`] page for scraping a running process; requests are handled by a
-//!   small worker pool so a slow render never blocks `/healthz`.
-//!
 //! * [`flight`] — an always-on flight recorder: fixed-size per-thread
 //!   rings of the most recent spans and health events, dumped as a
 //!   `tgl-flight/v1` artifact on panic / health-fail / request.
@@ -54,27 +48,12 @@
 //!   serial vs overlapped time, the critical path itself, and overlap
 //!   efficiency (the acceptance instrument for pipelined training).
 //!
-//! * [`timeseries`] — a retained ring-buffer store over the metric
-//!   registries: per-step (or background-cadence) samples of every
-//!   counter (delta-encoded), gauge, and histogram p50/p99, plus pushed
-//!   series like `train.loss`, with thread-count-invariant snapshots
-//!   exported as `tgl-timeseries/v1`.
-//!
-//! * [`alert`] — declarative SLO rules (`above`/`below`/`trend`/
-//!   `nonfinite`/`pegged` with window + `for_n_samples` hysteresis)
-//!   evaluated on the store; firings route through [`health`], land in
-//!   flight dumps, and export as `tgl-alerts/v1`.
-//!
-//! * [`dashboard`] — the `/dashboard` HTML page: inline-JS SVG
-//!   sparklines over `/timeseries.json`, alert banner, health badge,
-//!   zero external assets.
-//!
 //! * [`insight`] — model & data introspection: per-parameter-group
 //!   gradient/weight/update stats, dead-ReLU fractions, and
 //!   temporal-data quality (memory staleness, neighbor time-deltas,
 //!   negative-sampling collisions, dedup effectiveness, mailbox depth)
-//!   collected into a per-batch bag and flushed as deterministic
-//!   `insight.*` series and the run report's `insight` section.
+//!   collected into a per-batch bag and flushed into the deterministic
+//!   `insight.*` summaries of the run report's `insight` section.
 //!
 //! # Examples
 //!
@@ -92,10 +71,7 @@
 //! assert!(tgl_obs::metrics::get("demo.hits") >= 3);
 //! ```
 
-pub mod alert;
 pub mod critpath;
-pub mod dashboard;
-pub mod expo;
 pub mod flight;
 pub mod health;
 pub mod hist;
@@ -105,7 +81,6 @@ pub mod metrics;
 pub mod phase;
 pub mod profile;
 pub mod span;
-pub mod timeseries;
 pub mod trace;
 
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -13,7 +13,7 @@
 //! * the Fig. 7 phase table — [`crate::phase::table`] (phase rows by name);
 //! * the op / roofline profile — the [`Kind::Op`] rows;
 //! * per-stage seconds for both — [`stage_seconds`];
-//! * the latency histograms on `/metrics` and in the run report —
+//! * the latency histograms in the run report —
 //!   [`latency_snapshot`] (`step`, `gemm`, `sampler`, `transfer`,
 //!   `pool.wait` as `*.latency_ns` / `pool.wait_ns`).
 //!
@@ -150,7 +150,7 @@ pub fn note_pool(hit: bool) {
     });
     if noted.is_none() {
         // Outside any op (harness bookkeeping): count the drop so
-        // `/metrics` shows how much activity escapes attribution.
+        // the report shows how much activity escapes attribution.
         crate::counter!("profile.dropped").incr();
     }
 }
@@ -370,7 +370,7 @@ mod tests {
             note_transfer(4096);
         }
         // Outside any frame: dropped from op attribution, but counted
-        // so `/metrics` can expose the escape rate.
+        // so the report shows the escape rate.
         let dropped0 = crate::metrics::get("profile.dropped");
         note_pool(true);
         note_transfer(8);

@@ -62,8 +62,8 @@ pub fn current_threads() -> usize {
 pub fn set_threads(n: usize) {
     let n = n.max(1);
     THREADS.store(n, Ordering::Relaxed);
-    // Published as a gauge so live scrapes and the time-series store
-    // can correlate latency shifts with parallelism changes.
+    // Published as a gauge so the run report carries the parallelism
+    // its latencies were measured at.
     tgl_obs::gauge!("pool.threads").set(n as f64);
 }
 

@@ -17,14 +17,13 @@
 //!
 //! Flags of its own: `--scale <N>` (divide the dataset, default 2),
 //! `--epochs <N>` (default 3), `--lr <F>` (Adam learning rate; try
-//! `1e18` to watch an SLO alert fire) and `--move` (keep features on
-//! the host and move them per batch over the simulated PCIe link). Every
-//! observability flag of `tgl train` works here too, through the one
-//! [`ObsOptions::from_args`]: `--prof`, `--profile`, `--critpath`,
+//! `1e18` to watch the health monitor skip batches) and `--move` (keep
+//! features on the host and move them per batch over the simulated PCIe
+//! link). Every observability flag of `tgl train` works here too,
+//! through the one [`ObsOptions::from_args`]: `--prof`, `--profile`, `--critpath`,
 //! `--insight`, `--trace-out`, `--metrics-out`, `--flight-out`,
-//! `--serve-metrics` / `--serve-hold`, `--slo`, `--health`,
-//! `--pipeline`, `--threads`, `--kernel`, `--flight`, `--csv`, `--ckpt`
-//! (see `tgl --help`).
+//! `--health`, `--pipeline`, `--threads`, `--kernel`, `--flight`,
+//! `--csv`, `--ckpt` (see `tgl --help`). Any other argument exits 2.
 
 use tgl_data::{DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;
@@ -66,6 +65,7 @@ fn main() {
         seed: 42,
         transfer: TransferModel::scaled(TransferModel::pcie_v100(), 400.0),
     };
+    args.reject_unread().unwrap_or_else(|e| usage(e));
     println!(
         "TGAT on {} ({} nodes, {} edges), {}, kernel {} (simd {})",
         cfg.dataset.kind.name(),

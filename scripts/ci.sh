@@ -244,114 +244,22 @@ for model in apan jodie; do
         || { echo "$model --move: epoch line differs between --pipeline 0 and 2"; cat "$OBS_DIR/$model-0.log" "$OBS_DIR/$model-2.log"; exit 1; }
 done
 
-echo "==> live /metrics exposition + scrape check (with SLO rules + dashboard)"
-QS_LOG="$OBS_DIR/serve.log"
-TGL_THREADS=2 ./target/release/quickstart \
-    --scale 16 --epochs 1 --move --pipeline 2 \
-    --slo examples/slo.rules --insight \
-    --serve-metrics 127.0.0.1:0 --serve-hold >"$QS_LOG" 2>&1 &
-QS_PID=$!
-# The dashboard must serve while training is still running, so grab
-# the bound address as soon as it is printed and scrape immediately.
-ADDR=""
-for _ in $(seq 1 600); do
-    ADDR="$(sed -n 's#^metrics server listening on http://\([^/]*\)/metrics$#\1#p' "$QS_LOG" 2>/dev/null | head -1)"
-    [ -n "$ADDR" ] && break
-    kill -0 "$QS_PID" 2>/dev/null || break
-    sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-    echo "quickstart never bound its metrics server"; cat "$QS_LOG"
-    kill "$QS_PID" 2>/dev/null || true
-    exit 1
+echo "==> health policy: --health warn skips poisoned batches and completes, --health fail aborts leaving a flight dump"
+HEALTH_LOG="$OBS_DIR/health.log"
+HEALTH_FLIGHT_DIR="$OBS_DIR/health-flight"
+mkdir -p "$HEALTH_FLIGHT_DIR"
+TGL_THREADS=2 ./target/release/quickstart --scale 4 --epochs 1 --lr 1e18 --health warn \
+    --metrics-out "$OBS_DIR/health-report.json" >"$HEALTH_LOG" 2>&1 \
+    && grep -Eq '"health\.nonfinite_loss": *[1-9]' "$OBS_DIR/health-report.json" \
+    || { echo "--health warn did not complete reporting its skipped batches"; cat "$HEALTH_LOG"; exit 1; }
+if TGL_FLIGHT_DIR="$HEALTH_FLIGHT_DIR" TGL_THREADS=2 ./target/release/quickstart \
+    --scale 4 --epochs 1 --lr 1e18 --health fail >"$HEALTH_LOG" 2>&1; then
+    echo "--health fail should have aborted on the non-finite loss"; cat "$HEALTH_LOG"; exit 1
 fi
-./target/release/tgl get "$ADDR" /dashboard >"$OBS_DIR/dashboard.html" \
-    || { echo "dashboard scrape during training failed"; cat "$QS_LOG"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-grep -q "<!DOCTYPE html>" "$OBS_DIR/dashboard.html" \
-    || { echo "dashboard is not an HTML document"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-grep -q "</html>" "$OBS_DIR/dashboard.html" \
-    || { echo "dashboard HTML is truncated"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-# Self-contained: no external scripts, stylesheets, or images.
-if grep -Eq "https://|<link|src=|@import" "$OBS_DIR/dashboard.html"; then
-    echo "dashboard references external assets"; kill "$QS_PID" 2>/dev/null || true; exit 1
-fi
-# Scrape the exposition only once training is done and the server is
-# in its hold phase, so every latency family has samples.
-for _ in $(seq 1 600); do
-    grep -q "holding for scrape" "$QS_LOG" 2>/dev/null && break
-    kill -0 "$QS_PID" 2>/dev/null || break
-    sleep 0.5
-done
-if ! grep -q "holding for scrape" "$QS_LOG"; then
-    echo "quickstart never reached its metrics hold phase"; cat "$QS_LOG"
-    kill "$QS_PID" 2>/dev/null || true
-    exit 1
-fi
-# The retained time-series and alert state must export as valid,
-# schema-conforming artifacts (jsoncheck shape-validates both).
-./target/release/tgl get "$ADDR" /timeseries.json >"$OBS_DIR/timeseries.json" \
-    || { cat "$QS_LOG"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-./target/release/tgl get "$ADDR" /alerts.json >"$OBS_DIR/alerts.json" \
-    || { cat "$QS_LOG"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/timeseries.json"
-./target/release/tgl jsoncheck "$OBS_DIR/alerts.json"
-grep -q '"schema": "tgl-timeseries/v1"' "$OBS_DIR/timeseries.json" \
-    || { echo "timeseries export missing its schema tag"; exit 1; }
-grep -q '"name": "train.loss"' "$OBS_DIR/timeseries.json" \
-    || { echo "timeseries export retained no train.loss series"; exit 1; }
-grep -q '"schema": "tgl-alerts/v1"' "$OBS_DIR/alerts.json" \
-    || { echo "alerts export missing its schema tag"; exit 1; }
-grep -q '"installed": true' "$OBS_DIR/alerts.json" \
-    || { echo "alerts export shows no installed rules"; exit 1; }
-# The live /report.json must serve the run report, whose insight
-# section (what the dashboard's per-layer panel reads) carries the
-# introspection summary while the run holds.
-./target/release/tgl get "$ADDR" /report.json >"$OBS_DIR/report-live.json" \
-    || { cat "$QS_LOG"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/report-live.json" | grep -q "schema tgl-run-report/v3 ok" \
-    || { echo "/report.json failed its schema check"; exit 1; }
-grep -Eq '"insight": *\{"steps": *[1-9]' "$OBS_DIR/report-live.json" \
-    || { echo "/report.json has no insight section"; exit 1; }
-grep -Eq '"name": *"insight\.layer\.' "$OBS_DIR/report-live.json" \
-    || { echo "/report.json insight section carries no per-layer series"; exit 1; }
-# The pipelined run must expose its depth gauge, queue telemetry, the
-# alert engine's metric families, and the introspection gauges.
-./target/release/tgl promcheck "$ADDR" --min-hist 5 \
-    --require tgl_pipeline_depth,tgl_pipeline_queue_occupancy,tgl_pipeline_queue_send_wait_ns,tgl_pipeline_queue_recv_wait_ns,tgl_alerts_evaluations_total,tgl_alerts_fired_total,tgl_alerts_firing,tgl_insight_steps_total,tgl_insight_grad_norm_max,tgl_insight_update_ratio_max,tgl_insight_neg_collision_rate,tgl_insight_dead_frac_max \
-    --quit \
-    || { cat "$QS_LOG"; kill "$QS_PID" 2>/dev/null || true; exit 1; }
-wait "$QS_PID"
-
-echo "==> SLO alert rules: injected regressions fire deterministically"
-SLO_LOG="$OBS_DIR/slo.log"
-# NaN injection under the warn policy: the run completes, and both the
-# loss-trend and non-finite canary rules report firings in the summary.
-TGL_THREADS=2 ./target/release/quickstart \
-    --scale 4 --epochs 1 --lr 1e18 --health warn --slo examples/slo.rules >"$SLO_LOG" 2>&1 \
-    || { cat "$SLO_LOG"; exit 1; }
-grep -Eq "alert loss-divergence: fired [1-9][0-9]*x on train.loss \(firing\)" "$SLO_LOG" \
-    || { echo "injected-NaN run did not fire the loss-trend alert"; cat "$SLO_LOG"; exit 1; }
-grep -Eq "alert loss-nonfinite: fired [1-9][0-9]*x on train.loss" "$SLO_LOG" \
-    || { echo "injected-NaN run did not fire the non-finite canary"; cat "$SLO_LOG"; exit 1; }
-# Finite divergence under the fail policy: the fail-severity trend rule
-# aborts the run through the health monitor and a flight dump lands
-# carrying the alert reason and the series trajectory.
-FAIL_LOG="$OBS_DIR/slo-fail.log"
-ALERT_FLIGHT_DIR="$OBS_DIR/alert-flight"
-mkdir -p "$ALERT_FLIGHT_DIR"
-if TGL_FLIGHT_DIR="$ALERT_FLIGHT_DIR" TGL_THREADS=2 ./target/release/quickstart \
-    --scale 4 --epochs 1 --lr 100 --health fail --slo examples/slo.rules >"$FAIL_LOG" 2>&1; then
-    echo "fail-policy diverged run should have aborted"; cat "$FAIL_LOG"; exit 1
-fi
-grep -q "alert loss-divergence fired" "$FAIL_LOG" \
-    || { echo "abort did not come from the loss-trend alert"; cat "$FAIL_LOG"; exit 1; }
-ALERT_DUMP="$(ls "$ALERT_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
-[ -n "$ALERT_DUMP" ] || { echo "alert abort left no flight dump"; cat "$FAIL_LOG"; exit 1; }
-./target/release/tgl jsoncheck "$ALERT_DUMP"
-grep -q '"reason": "alert-fail"' "$ALERT_DUMP" \
-    || { echo "flight dump reason is not alert-fail"; exit 1; }
-grep -q '"timeseries"' "$ALERT_DUMP" \
-    || { echo "flight dump carries no time-series trajectory"; exit 1; }
+HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
+[ -n "$HEALTH_DUMP" ] && ./target/release/tgl jsoncheck "$HEALTH_DUMP" \
+    && grep -q '"reason": "health-fail"' "$HEALTH_DUMP" \
+    || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }
 
 echo "==> model & data introspection (--insight table + the report's insight section)"
 INS_LOG="$OBS_DIR/insight.log"
@@ -377,7 +285,7 @@ echo "==> allocation churn smoke (pool on vs off, bitwise loss guard)"
 cargo bench --offline -q -p tgl-bench --bench alloc_churn
 ./target/release/tgl jsoncheck BENCH_alloc.json
 
-echo "==> observability overhead guard (counters, histograms, gauges, span / region / op sites, time-series, alert sites)"
+echo "==> observability overhead guard (counters, histograms, gauges, span / region / op and insight sites)"
 cargo bench --offline -q -p tgl-bench --bench obs_overhead
 ./target/release/tgl jsoncheck BENCH_obs.json
 

@@ -1,17 +1,15 @@
 //! Acceptance suite for the model & data introspection layer on real
-//! training runs: every `insight.*` series must be bitwise identical
+//! training runs: every `insight.*` summary must be bitwise identical
 //! at 1 and 4 pool threads and at pipeline depths 0 and 2 (the bag
 //! travels with its batch and is flushed in batch order, so schedule
-//! must not leak into the numbers); an injected per-layer pathology
+//! must not leak into the numbers); and an injected per-layer pathology
 //! (absurd learning rate) must be attributable to a specific named
 //! parameter group through the cumulative stats, the rendered table,
-//! and the `tgl-insight/v1` artifact; and an SLO rule targeting an
-//! insight series must abort a `fail`-policy run deterministically,
-//! leaving a flight dump that carries the insight tails.
+//! and the run report's `insight` section.
 //!
 //! Everything the introspection layer touches is process-global
-//! (insight registry, time-series store, rule engine, thread pool), so
-//! every test holds a serial lock and restores default state on exit.
+//! (insight registry, thread pool), so every test holds a serial lock
+//! and restores default state on exit.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -19,7 +17,7 @@ use tgl_data::{generate, DatasetKind, DatasetSpec, Split};
 use tgl_harness::{HealthPolicy, TrainConfig, Trainer};
 use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat};
 use tgl_runtime::set_threads;
-use tglite::obs::{alert, insight, timeseries};
+use tglite::obs::insight;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -28,25 +26,13 @@ fn serial() -> MutexGuard<'static, ()> {
 
 /// One epoch of TGAT on a scaled-down Wiki stream with introspection
 /// on, at a given thread count and pipeline depth. Returns the final
-/// loss; the insight registry and time-series store are left populated
-/// for the caller to inspect.
-fn insight_epoch(
-    threads: usize,
-    pipeline: usize,
-    lr: f32,
-    policy: HealthPolicy,
-    rules: Option<&str>,
-) -> f32 {
+/// loss; the insight registry is left populated for the caller to
+/// inspect.
+fn insight_epoch(threads: usize, pipeline: usize, lr: f32, policy: HealthPolicy) -> f32 {
     set_threads(threads);
-    timeseries::enable(true);
-    timeseries::reset();
     tglite::obs::health::reset();
     insight::enable(true);
     insight::reset();
-    match rules {
-        Some(r) => alert::install(alert::RuleSet::parse(r).expect("rules parse")),
-        None => alert::clear(),
-    }
 
     let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(8);
     let (g, _) = generate(&spec);
@@ -68,7 +54,6 @@ fn insight_epoch(
 fn teardown() {
     insight::enable(false);
     insight::reset();
-    alert::clear();
     set_threads(1);
 }
 
@@ -89,16 +74,6 @@ fn stat_bits(stats: &[insight::InsightStat]) -> Vec<(String, u64, [u64; 5])> {
                 ],
             )
         })
-        .collect()
-}
-
-/// Bitwise view of one retained series' points.
-fn series_bits(name: &str) -> Vec<(u64, u64)> {
-    timeseries::get(name)
-        .unwrap_or_else(|| panic!("series {name} not retained"))
-        .points
-        .iter()
-        .map(|&(i, v)| (i, v.to_bits()))
         .collect()
 }
 
@@ -124,30 +99,23 @@ fn assert_coverage(stats: &[insight::InsightStat]) {
 }
 
 /// The headline invariance: same run at 1 and 4 pool threads must
-/// leave a bitwise-identical insight registry and retained series.
+/// leave a bitwise-identical insight registry.
 #[test]
 fn insight_series_bitwise_identical_at_1_and_4_threads() {
     let _g = serial();
     let mut runs = Vec::new();
     for threads in [1usize, 4] {
-        let loss = insight_epoch(threads, 0, 1e-3, HealthPolicy::Off, None);
+        let loss = insight_epoch(threads, 0, 1e-3, HealthPolicy::Off);
         assert!(loss.is_finite());
         let stats = insight::stats();
         assert_coverage(&stats);
-        runs.push((
-            stat_bits(&stats),
-            insight::steps(),
-            series_bits("insight.layer.layer0.w_q.update_ratio"),
-            series_bits("insight.data.nbr_dt.mean"),
-        ));
+        runs.push((stat_bits(&stats), insight::steps()));
     }
     teardown();
 
     assert!(runs[0].1 > 0, "no steps flushed");
     assert_eq!(runs[0].1, runs[1].1, "step count differs across threads");
     assert_eq!(runs[0].0, runs[1].0, "insight registry differs between 1 and 4 threads");
-    assert_eq!(runs[0].2, runs[1].2, "update_ratio series differs between 1 and 4 threads");
-    assert_eq!(runs[0].3, runs[1].3, "nbr_dt series differs between 1 and 4 threads");
 }
 
 /// Pipeline-depth invariance: the insight bag travels with its batch
@@ -158,23 +126,16 @@ fn insight_series_bitwise_identical_at_pipeline_0_and_2() {
     let _g = serial();
     let mut runs = Vec::new();
     for depth in [0usize, 2] {
-        let loss = insight_epoch(2, depth, 1e-3, HealthPolicy::Off, None);
+        let loss = insight_epoch(2, depth, 1e-3, HealthPolicy::Off);
         assert!(loss.is_finite());
         let stats = insight::stats();
         assert_coverage(&stats);
-        runs.push((
-            stat_bits(&stats),
-            insight::steps(),
-            series_bits("insight.layer.layer0.w_q.update_ratio"),
-            series_bits("insight.data.neg_collision_rate"),
-        ));
+        runs.push((stat_bits(&stats), insight::steps()));
     }
     teardown();
 
     assert_eq!(runs[0].1, runs[1].1, "step count differs across pipeline depths");
     assert_eq!(runs[0].0, runs[1].0, "insight registry differs between pipeline 0 and 2");
-    assert_eq!(runs[0].2, runs[1].2, "update_ratio series differs between pipeline 0 and 2");
-    assert_eq!(runs[0].3, runs[1].3, "neg_collision series differs between pipeline 0 and 2");
 }
 
 /// An injected per-layer pathology (lr so large the first Adam step
@@ -185,7 +146,7 @@ fn insight_series_bitwise_identical_at_pipeline_0_and_2() {
 #[test]
 fn diverged_run_is_attributable_to_a_named_parameter_group() {
     let _g = serial();
-    insight_epoch(1, 0, 1e18, HealthPolicy::Warn, None);
+    insight_epoch(1, 0, 1e18, HealthPolicy::Warn);
     let stats = insight::stats();
     let steps = insight::steps();
     // Wide enough to hold every parameter group: the top-k cut is by
@@ -235,64 +196,4 @@ fn diverged_run_is_attributable_to_a_named_parameter_group() {
         s.get("name").and_then(tgl_data::Json::as_str)
             == Some("insight.layer.layer0.w_q.update_ratio")
     }));
-}
-
-/// An SLO rule targeting an insight series under `--health fail`: the
-/// first step's absurd update ratio breaches the threshold, the run
-/// aborts through the health monitor, and the post-mortem flight dump
-/// carries both the reason and the insight tails.
-#[test]
-fn slo_rule_on_insight_series_aborts_fail_run_and_leaves_flight_dump() {
-    let _g = serial();
-    let dir = std::env::temp_dir().join(format!("tgl-insight-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create flight dir");
-    std::env::set_var("TGL_FLIGHT_DIR", &dir);
-
-    // `above` rejects non-finite values by design, but with lr=1e18
-    // the very first step's ratio is huge yet finite (pre-step norms
-    // are small and the Adam step is ~lr), so the rule breaches on
-    // step 0 before anything goes NaN.
-    let rules = "
-[wq-update-ratio]
-metric = insight.layer.layer0.w_q.update_ratio
-above = 1e6
-window = 1
-for = 1
-severity = fail
-";
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        insight_epoch(1, 0, 1e18, HealthPolicy::Fail, Some(rules))
-    }));
-    teardown();
-    std::env::remove_var("TGL_FLIGHT_DIR");
-
-    let payload = result.expect_err("fail policy should abort on the insight rule");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("alert wq-update-ratio fired"),
-        "panic message should name the insight alert, got {msg:?}"
-    );
-
-    let dump = std::fs::read_dir(&dir)
-        .expect("read flight dir")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|e| e == "json"))
-        .expect("flight dump written on alert abort");
-    let text = std::fs::read_to_string(&dump).expect("read flight dump");
-    std::fs::remove_dir_all(&dir).ok();
-    let doc = tgl_data::Json::parse(&text).expect("flight dump is valid JSON");
-    assert_eq!(
-        doc.get("reason").and_then(tgl_data::Json::as_str),
-        Some("alert-fail")
-    );
-    let ins = doc.get("insight").expect("flight dump carries insight section");
-    assert!(
-        ins.get("stats").is_some(),
-        "flight dump insight section missing stats: {text}"
-    );
 }

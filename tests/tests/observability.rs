@@ -138,21 +138,18 @@ fn run_report_names_figure7_phases_and_roundtrips_as_json() {
     assert!(epochs[0].get("phases_s").is_some());
     assert!(epochs[0].get("hists").is_some());
     assert!(doc.get("counters_total").is_some());
-    let health = doc.get("health").expect("v2 report carries a health section");
+    let health = doc.get("health").expect("the report carries a health section");
     assert!(health.get("policy").and_then(Json::as_str).is_some());
     assert!(health.get("status").and_then(Json::as_str).is_some());
 }
 
 /// The acceptance bar for the telemetry layer: one reported epoch on
 /// the accelerator placement must populate all five latency histogram
-/// families, their quantiles must appear in the v2 run report, and the
-/// live endpoint must expose the same families in Prometheus text
-/// format alongside `/healthz` and the published `/report.json`.
+/// families, and their quantiles must appear in the run report.
 #[test]
-fn live_metrics_endpoint_and_v2_report_cover_latency_histograms() {
+fn run_report_covers_latency_histograms() {
     let _g = serial();
     set_threads(2);
-    let addr = tglite::obs::expo::start("127.0.0.1:0").expect("metrics server bind");
 
     let cfg = obs_cfg();
     let mut rep = RunReporter::start();
@@ -204,37 +201,6 @@ fn live_metrics_endpoint_and_v2_report_cover_latency_histograms() {
             );
         }
     }
-
-    let addr = addr.to_string();
-    let (code, body) = tglite::obs::expo::http_get(&addr, "/metrics").expect("scrape /metrics");
-    assert_eq!(code, 200, "metrics scrape failed: {body}");
-    for mangled in [
-        "tgl_step_latency_ns",
-        "tgl_sampler_latency_ns",
-        "tgl_transfer_latency_ns",
-        "tgl_gemm_latency_ns",
-        "tgl_pool_wait_ns",
-    ] {
-        assert!(
-            body.contains(&format!("# TYPE {mangled} histogram")),
-            "/metrics missing histogram family {mangled}"
-        );
-        assert!(
-            body.contains(&format!("{mangled}_bucket{{le=\"+Inf\"}}")),
-            "/metrics missing +Inf bucket for {mangled}"
-        );
-    }
-    let (code, health) = tglite::obs::expo::http_get(&addr, "/healthz").expect("scrape /healthz");
-    assert!(code == 200 || code == 503, "unexpected /healthz code {code}");
-    assert!(health.contains("\"status\""), "healthz body: {health}");
-    let (code, rjson) =
-        tglite::obs::expo::http_get(&addr, "/report.json").expect("scrape /report.json");
-    assert_eq!(code, 200, "no report published: {rjson}");
-    let pdoc = Json::parse(&rjson).expect("published report must be valid JSON");
-    assert_eq!(
-        pdoc.get("schema").and_then(Json::as_str),
-        Some("tgl-run-report/v3")
-    );
 }
 
 /// Poisoned parameters must surface as structured health events, not a

@@ -3,7 +3,7 @@
 //! transformations and does not affect model accuracy)" (paper §1).
 
 use tgl_integration::{assert_logits_close, batch, ctx, tiny_wiki};
-use tgl_models::{Apan, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
+use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tglite::tensor::optim::Adam;
 use tglite::tensor::{bce_with_logits, no_grad, ops::cat, Tensor};
 use tglite::TContext;
@@ -140,17 +140,24 @@ fn time_precompute_is_bitwise_neutral_after_training() {
     // may only ever be served to the encoder that computed it: the
     // operator must not change one bit of the logits. (Untrained
     // encoders are identical, which hides any sharing between them.)
+    //
+    // APAN and JODIE run on the head block alone, so for them every
+    // operator must be neutral: `tglite-opt` against `tglite`.
     let (g, _) = tiny_wiki();
     let without = OptFlags { time_precompute: false, ..OptFlags::all() };
-    for model in ["tgat", "tgn"] {
+    for (model, reference) in
+        [("tgat", without), ("tgn", without), ("apan", OptFlags::preload_only()), ("jodie", OptFlags::preload_only())]
+    {
         let run = |opts: OptFlags| {
             let c = ctx(&g);
             let mut m: Box<dyn TemporalModel> = match model {
                 "tgat" => Box::new(Tgat::new(&c, ModelConfig::tiny(), opts, 5)),
-                _ => Box::new(Tgn::new(&c, ModelConfig::tiny(), opts, 5)),
+                "tgn" => Box::new(Tgn::new(&c, ModelConfig::tiny(), opts, 5)),
+                "apan" => Box::new(Apan::new(&c, ModelConfig::tiny(), opts, 5)),
+                _ => Box::new(Jodie::new(&c, ModelConfig::tiny(), opts, 5)),
             };
             logits_after_training(m.as_mut(), &c)
         };
-        assert_eq!(run(OptFlags::all()), run(without), "{model}: time_precompute moved the logits");
+        assert_eq!(run(OptFlags::all()), run(reference), "{model}: an operator moved the logits");
     }
 }

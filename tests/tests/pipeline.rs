@@ -309,3 +309,28 @@ fn pipelined_nan_batches_are_skipped_not_crashed() {
         "unexpected flight dump schema"
     );
 }
+
+/// A pipelined run records its queue telemetry where a reader finds
+/// it: the run report of a depth-2 epoch carries the three
+/// `pipeline.queue.*` histograms, each with samples, and the
+/// configured depth as a gauge.
+#[test]
+fn pipelined_run_reports_its_queue_telemetry() {
+    let _g = serial();
+    let spec = tiny_wiki();
+    let (g, _) = generate(&spec);
+    let ctx = TContext::new(g);
+    let split = Split::standard(ctx.graph());
+    let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
+    let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), 1e-3);
+    let mut reporter = tgl_harness::RunReporter::start();
+    let stats = trainer(&spec, 2).train_epoch(&mut model, &ctx, &split, &mut opt, 0);
+    reporter.record_epoch(0, &stats);
+    let report = reporter.finish(0.0, 0.0);
+    for name in ["pipeline.queue.occupancy", "pipeline.queue.send_wait_ns", "pipeline.queue.recv_wait_ns"] {
+        let hist = report.histograms.iter().find(|(n, _)| n == name);
+        assert!(hist.is_some_and(|(_, h)| h.count > 0), "{name} missing or empty in the run report");
+    }
+    let depth = report.gauges.iter().find(|(n, _)| n == "pipeline.depth").map(|(_, v)| *v);
+    assert_eq!(depth, Some(2.0), "pipeline.depth gauge");
+}

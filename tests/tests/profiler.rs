@@ -260,7 +260,7 @@ fn training_epoch_profile_has_no_anonymous_rows() {
 }
 
 /// The machine surface of the profile is the run report's `profile`
-/// section (what `--metrics-out` writes and `/report.json` serves).
+/// section (what `--metrics-out` writes).
 #[test]
 fn profile_section_of_the_run_report_is_valid_json() {
     let _g = serial();
@@ -303,31 +303,23 @@ fn profile_section_of_the_run_report_is_valid_json() {
     assert!(doc.get("phases_total_s").and_then(|p| p.get("prof-json-phase")).is_some());
 }
 
+/// Epoch boundaries read the aggregate without draining it: a row
+/// recorded before `record_epoch` is still in the finished report.
 #[test]
-fn live_endpoint_serves_profile_json() {
+fn profile_rows_survive_epoch_boundaries() {
     let _g = serial();
-    let addr = tglite::obs::expo::start("127.0.0.1:0").expect("bind exposition server");
     let mut rep = RunReporter::start();
     {
-        let _s = tglite::prof::scope("prof-live-phase");
+        let _s = tglite::prof::scope("prof-epoch-phase");
         let a = Tensor::ones([8, 8]);
         let _ = a.matmul(&a);
     }
-    // The reporter publishes the report-so-far at every epoch
-    // boundary; its profile section is the live snapshot.
     rep.record_epoch(0, &tgl_harness::EpochStats { loss: 0.5, train_time_s: 0.1, val_ap: 0.5 });
-    let (code, body) =
-        tglite::obs::expo::http_get(&addr.to_string(), "/report.json").expect("scrape");
-    tglite::obs::expo::http_get(&addr.to_string(), "/quit").ok();
-    rep.finish(0.0, 0.0);
+    let report = rep.finish(0.0, 0.0);
     collect(false);
     profile::take();
-    assert_eq!(code, 200);
-    let doc = Json::parse(&body).expect("/report.json must serve valid JSON");
-    assert_eq!(doc.get("in_progress"), Some(&Json::Bool(true)));
-    let rows = doc.get("profile").and_then(Json::as_arr).expect("live profile section");
     assert!(
-        rows.iter().any(|r| r.get("name").and_then(Json::as_str) == Some("matmul")),
-        "the in-progress report must include the live matmul row"
+        report.profile.iter().any(|r| r.name == "matmul" && r.phase == "prof-epoch-phase"),
+        "the finished report must include the matmul row recorded in epoch 0"
     );
 }
