@@ -354,6 +354,22 @@ fn bench_gemm_series(counts: &[usize]) {
             }
         }
     }
+    // Outputs narrower than a register tile (the predictor's single
+    // column, a 16-wide time encoding): one vector of the tile, not a
+    // padded whole one. One thread, after everything older.
+    println!();
+    println!("== narrow outputs (one vector of the register tile) ==");
+    set_threads(1);
+    for mode in MODES {
+        tgl_tensor::kernel::set_mode(mode);
+        let mut rng = StdRng::seed_from_u64(3);
+        for (m, k, n) in [(4608, 80, 1), (4608, 32, 16)] {
+            let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
+            let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
+            let secs = time_it(|| a.matmul(&b), 0.3);
+            cells.push(GemmCell::new("nn", (m, k, n), mode.label(), 1, secs));
+        }
+    }
     tgl_tensor::kernel::set_mode(ambient_mode);
     set_threads(1);
 

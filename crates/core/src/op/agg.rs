@@ -49,6 +49,9 @@ pub fn aggregate(head: &TBlock, key: &str, mut f: impl FnMut(&TBlock) -> Tensor)
                     "aggregate: layer output rows ({}) != predecessor dst+edges ({nd}+{ne})",
                     out.dim(0)
                 );
+                // Two row copies per layer boundary, under a phase of
+                // their own rather than in a `(no-phase)` op row.
+                let _phase = crate::prof::scope("aggregate");
                 prev.set_dstdata(key, out.narrow_rows(0, nd));
                 prev.set_srcdata(key, out.narrow_rows(nd, ne));
             }

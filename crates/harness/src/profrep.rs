@@ -40,6 +40,11 @@ pub struct Roofline {
     pub threads: usize,
     /// Kernel mode label (`exact` / `fast`) the peak was filtered by.
     pub kernel: &'static str,
+    /// The SIMD level `BENCH_micro_gemm.json` was recorded at, when
+    /// that is not the level this process runs: the peak is then
+    /// another machine's ceiling, the header says so and no row is
+    /// flagged against it.
+    pub recorded_simd: Option<&'static str>,
 }
 
 impl Roofline {
@@ -50,13 +55,20 @@ impl Roofline {
     /// [`memory_bandwidth_gbs`].
     pub fn detect() -> Roofline {
         let threads = tgl_runtime::current_threads();
-        let (peak_gflops, peak_source) = gemm_peak_gflops_at(threads);
+        let artifact = bench_artifact();
+        let (peak_gflops, peak_source) = peak_of(artifact.as_ref(), threads);
+        let running = tgl_tensor::kernel::simd_label();
         Roofline {
             peak_gflops,
             bw_gbs: memory_bandwidth_gbs(),
             peak_source,
             threads,
             kernel: tgl_tensor::kernel::mode().label(),
+            recorded_simd: artifact
+                .as_ref()
+                .and_then(|v| v.get("simd")?.as_str())
+                .filter(|&recorded| recorded != running)
+                .map(tgl_obs::intern::intern),
         }
     }
 
@@ -125,10 +137,19 @@ fn max_gflops(arr: &Json, label: &str, extra: impl Fn(&Json) -> bool) -> Option<
 /// ceiling under the single-thread rate (which would make honest
 /// single-thread ops read as >100% of peak).
 pub fn gemm_peak_gflops_at(threads: usize) -> (f64, &'static str) {
+    peak_of(bench_artifact().as_ref(), threads)
+}
+
+/// `BENCH_micro_gemm.json`, found upward from the working directory.
+fn bench_artifact() -> Option<Json> {
+    let text = std::fs::read_to_string(find_upwards("BENCH_micro_gemm.json")?).ok()?;
+    Json::parse(&text).ok()
+}
+
+/// [`gemm_peak_gflops_at`] over an already parsed artifact.
+fn peak_of(artifact: Option<&Json>, threads: usize) -> (f64, &'static str) {
     let label = tgl_tensor::kernel::mode().label();
-    let parsed = find_upwards("BENCH_micro_gemm.json")
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|text| Json::parse(&text).ok())
+    let parsed = artifact
         .and_then(|v| {
             let base = max_gflops(v.get("results")?, label, |_| true)?;
             if threads <= 1 {
@@ -255,10 +276,19 @@ pub fn analyze(rows: &[Row], roof: &Roofline) -> Vec<OpRow> {
 /// Renders the `--profile` report: roofline header plus a top-`k` op
 /// table sorted by self time.
 pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
+    // A peak recorded at another SIMD level is not this machine's.
+    let source = match roof.recorded_simd {
+        Some(recorded) => format!(
+            "{} recorded at {recorded}, this run is {}: not its ceiling",
+            roof.peak_source,
+            tgl_tensor::kernel::simd_label()
+        ),
+        None => roof.peak_source.to_string(),
+    };
     let mut out = format!(
         "op profile — roofline: peak {:.2} GFLOP/s ({}, kernel {}, {}t), mem {:.1} GB/s, ridge {:.3} FLOP/B\n",
         roof.peak_gflops,
-        roof.peak_source,
+        source,
         roof.kernel,
         roof.threads,
         roof.bw_gbs,
@@ -271,7 +301,9 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
         // An achieved rate above the calibrated ceiling means the
         // roofline is stale (e.g. bench artifact from a pre-SIMD
         // build); flag it rather than report >100% of peak silently.
-        let over_peak = row.gflops > roof.peak_gflops * 1.01;
+        // A ceiling from another SIMD level is already named as such in
+        // the header.
+        let over_peak = roof.recorded_simd.is_none() && row.gflops > roof.peak_gflops * 1.01;
         table.row(&[
             row.stat.name.to_string(),
             row.stat.phase.to_string(),
@@ -391,6 +423,7 @@ mod tests {
             peak_source: "fallback",
             threads: 1,
             kernel: "exact",
+            recorded_simd: None,
         }
     }
 
@@ -458,6 +491,13 @@ mod tests {
         let calm = vec![stat("matmul", "attention", 1_000_000, 1_000_000, 1_000)];
         let text = render_table(&analyze(&calm, &r), &r, 5);
         assert!(!text.contains(">peak!"), "1 GFLOP/s under a 4.0 peak must not flag");
+        // A peak recorded at another SIMD level is said to be one, once,
+        // in the header; the rows above it are not flagged.
+        let elsewhere = Roofline { recorded_simd: Some("some-other-simd"), ..r };
+        let text = render_table(&analyze(&stats, &elsewhere), &elsewhere, 5);
+        assert!(!text.contains(">peak!"), "another machine's ceiling flags nothing:\n{text}");
+        let header = text.lines().next().unwrap();
+        assert!(header.contains("recorded at some-other-simd") && header.contains(tgl_tensor::kernel::simd_label()), "{header}");
     }
 
     #[test]

@@ -215,16 +215,20 @@ pub trait TemporalModel {
 }
 
 /// Splits a head-block output with rows `[srcs | dsts | negs]` into the
-/// three embedding groups and scores them.
+/// three embedding groups and scores them, the split included in the
+/// `predictor` phase (its three copies and their backward are the
+/// predictor's cost, not a `(no-phase)` row's).
 pub(crate) fn score_embeddings(
     predictor: &EdgePredictor,
     embs: &Tensor,
     batch_len: usize,
 ) -> (Tensor, Tensor) {
+    let _phase = tglite::prof::scope("predictor");
+    let _scope = tgl_obs::insight::act_scope("predictor");
     let src = embs.narrow_rows(0, batch_len);
     let dst = embs.narrow_rows(batch_len, batch_len);
     let neg = embs.narrow_rows(2 * batch_len, batch_len);
-    (predictor.forward(&src, &dst), predictor.forward(&src, &neg))
+    (predictor.logits(&src, &dst), predictor.logits(&src, &neg))
 }
 
 #[cfg(test)]

@@ -39,6 +39,12 @@ impl EdgePredictor {
     pub fn forward(&self, src: &Tensor, dst: &Tensor) -> Tensor {
         let _phase = tglite::prof::scope("predictor");
         let _scope = tgl_obs::insight::act_scope("predictor");
+        self.logits(src, dst)
+    }
+
+    /// [`EdgePredictor::forward`] for a caller that has opened the
+    /// `predictor` scopes itself.
+    pub(crate) fn logits(&self, src: &Tensor, dst: &Tensor) -> Tensor {
         // Fused add+ReLU: one kernel, one output buffer, and no
         // intermediate sum captured by autograd.
         let h = self.src_fc.forward(src).add_relu(&self.dst_fc.forward(dst));

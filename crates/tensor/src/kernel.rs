@@ -2,9 +2,9 @@
 //!
 //! Every tensor kernel in this crate has a scalar reference
 //! implementation whose floating-point order defines the *exact*
-//! contract: results are bitwise identical across thread counts and
-//! across hosts. SIMD paths (x86-64 AVX2/FMA, runtime-detected) come in
-//! two flavors:
+//! contract: results are bitwise identical across thread counts,
+//! across hosts and across SIMD levels. SIMD paths (x86-64 AVX2/FMA and,
+//! for the GEMM tile, AVX-512F; runtime-detected) come in two flavors:
 //!
 //! * **Exact-safe SIMD** performs the *same* IEEE operations per output
 //!   element in the same order as the scalar kernel — lane-wise
@@ -34,9 +34,11 @@
 //!
 //! The mode defaults to `exact`, is initialized from the `TGL_KERNEL`
 //! environment variable, and can be overridden at runtime with
-//! [`set_mode`] (the `--kernel` CLI flag). SIMD can be forced off with
-//! `TGL_SIMD=off` or [`set_simd`] — the parity suite uses this to
-//! compare scalar and SIMD outputs in-process.
+//! [`set_mode`] (the `--kernel` CLI flag). SIMD dispatch runs at one
+//! ordered level ([`Simd`]: scalar, AVX2, AVX-512F), the highest the
+//! host supports; it can be forced to scalar with `TGL_SIMD=off` and
+//! capped with [`set_simd`] — the parity suite uses this to compare
+//! every level's outputs in-process.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -112,51 +114,88 @@ pub fn fast() -> bool {
     mode() == KernelMode::Fast
 }
 
-/// 0 = uninitialized, 1 = scalar, 2 = avx2+fma.
+/// The instruction-set level kernels dispatch on, ordered: each level
+/// runs everything the one below it runs. Whichever is active, `exact`
+/// results are the same bits (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Simd {
+    /// The scalar reference kernels.
+    Scalar = 1,
+    /// x86-64 AVX2 + FMA: 8 `f32` lanes.
+    Avx2 = 2,
+    /// AVX-512F on top of AVX2 + FMA: 16 `f32` lanes in the GEMM tile;
+    /// every other kernel keeps its AVX2 body.
+    Avx512 = 3,
+}
+
+impl Simd {
+    /// Every level, ascending.
+    pub const ALL: [Simd; 3] = [Simd::Scalar, Simd::Avx2, Simd::Avx512];
+
+    /// Stable name for bench artifacts and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Simd::Scalar => "scalar",
+            Simd::Avx2 => "avx2-fma",
+            Simd::Avx512 => "avx512f",
+        }
+    }
+}
+
+/// 0 = uninitialized, otherwise a [`Simd`] discriminant.
 static SIMD: AtomicU8 = AtomicU8::new(0);
 
-fn detect_simd() -> u8 {
+/// The highest level this host runs (`Scalar` under `TGL_SIMD=off`).
+fn detect_simd() -> Simd {
     if matches!(
         std::env::var("TGL_SIMD").as_deref(),
         Ok("off") | Ok("0") | Ok("scalar")
     ) {
-        return 1;
+        return Simd::Scalar;
     }
     #[cfg(target_arch = "x86_64")]
     {
         if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-            return 2;
+            if std::is_x86_feature_detected!("avx512f") {
+                return Simd::Avx512;
+            }
+            return Simd::Avx2;
         }
     }
-    1
+    Simd::Scalar
 }
 
-/// Whether the AVX2/FMA kernel paths are active on this host.
-pub fn avx2() -> bool {
+/// The active SIMD level: detected once, then whatever [`set_simd`]
+/// left. A level above `Scalar` means the CPU was seen to support it.
+pub fn simd() -> Simd {
     match SIMD.load(Ordering::Relaxed) {
         0 => {
+            // Racing initializers detect the same host.
             let level = detect_simd();
-            SIMD.store(level, Ordering::Relaxed);
-            level == 2
+            SIMD.store(level as u8, Ordering::Relaxed);
+            level
         }
-        level => level == 2,
+        level => Simd::ALL[level as usize - 1],
     }
 }
 
-/// Forces SIMD dispatch off (`false`) or re-detects it (`true`). The
-/// scalar-vs-SIMD parity suite flips this to produce both outputs in
-/// one process; production code never needs it.
-pub fn set_simd(enabled: bool) {
-    SIMD.store(if enabled { detect_simd() } else { 1 }, Ordering::Relaxed);
+/// Caps SIMD dispatch at `cap`: the active level becomes the lower of
+/// `cap` and what the host runs, so `Simd::Avx512` re-detects. The
+/// parity suites walk [`simd_levels`] through this to produce every
+/// level's output in one process; production code never needs it.
+pub fn set_simd(cap: Simd) {
+    SIMD.store(detect_simd().min(cap) as u8, Ordering::Relaxed);
+}
+
+/// The levels [`set_simd`] can select on this host, ascending.
+pub fn simd_levels() -> impl Iterator<Item = Simd> {
+    let host = detect_simd();
+    Simd::ALL.into_iter().filter(move |&level| level <= host)
 }
 
 /// Human-readable SIMD level for bench artifacts and reports.
 pub fn simd_label() -> &'static str {
-    if avx2() {
-        "avx2-fma"
-    } else {
-        "scalar"
-    }
+    simd().label()
 }
 
 // ---------------------------------------------------------------------
@@ -164,7 +203,7 @@ pub fn simd_label() -> &'static str {
 // ---------------------------------------------------------------------
 //
 // The `*_avx2` functions are `#[target_feature]`-gated and unsafe to
-// call; the safe `*_dispatch` wrappers check [`avx2`] and fall back to
+// call; the safe `*_dispatch` wrappers check [`simd`] and fall back to
 // the scalar loop. Exact-safe primitives (`add_assign`, `add_div`, the
 // non-FMA `axpy`) perform identical lane-wise IEEE arithmetic to their
 // scalar fallbacks and may run in either mode; `FMA=true` instantiations
@@ -173,8 +212,8 @@ pub fn simd_label() -> &'static str {
 /// `y[i] += x[i]` — exact-safe in both modes.
 pub(crate) fn add_assign_dispatch(y: &mut [f32], x: &[f32]) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: avx2() verified the CPU supports AVX2+FMA.
+    if simd() >= Simd::Avx2 {
+        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
         unsafe { add_assign_avx2(y, x) };
         return;
     }
@@ -187,8 +226,8 @@ pub(crate) fn add_assign_dispatch(y: &mut [f32], x: &[f32]) {
 /// same two roundings as the scalar loop).
 pub(crate) fn add_div_dispatch(y: &mut [f32], x: &[f32], d: f32) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: avx2() verified the CPU supports AVX2+FMA.
+    if simd() >= Simd::Avx2 {
+        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
         unsafe { add_div_avx2(y, x, d) };
         return;
     }
@@ -202,8 +241,8 @@ pub(crate) fn add_div_dispatch(y: &mut [f32], x: &[f32], d: f32) {
 /// fast-only.
 pub(crate) fn axpy_dispatch(y: &mut [f32], x: &[f32], a: f32, fma: bool) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: avx2() verified the CPU supports AVX2+FMA.
+    if simd() >= Simd::Avx2 {
+        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
         unsafe {
             if fma {
                 axpy_avx2::<true>(y, x, a);
@@ -222,8 +261,8 @@ pub(crate) fn axpy_dispatch(y: &mut [f32], x: &[f32], a: f32, fma: bool) {
 /// `y[i] *= s` — exact-safe (one lane-wise IEEE multiply).
 pub(crate) fn scale_dispatch(y: &mut [f32], s: f32) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: avx2() verified the CPU supports AVX2+FMA.
+    if simd() >= Simd::Avx2 {
+        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
         unsafe { scale_avx2(y, s) };
         return;
     }
@@ -237,8 +276,8 @@ pub(crate) fn scale_dispatch(y: &mut [f32], s: f32) {
 /// multiply-add contracts (fast-only).
 pub(crate) fn addcmul_dispatch(y: &mut [f32], a: &[f32], b: &[f32], s: f32, fma: bool) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: avx2() verified the CPU supports AVX2+FMA.
+    if simd() >= Simd::Avx2 {
+        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
         unsafe {
             if fma {
                 addcmul_avx2::<true>(y, a, b, s);
@@ -369,8 +408,8 @@ pub fn sincos_scalar(x: f32, f: Trig) -> f32 {
 pub fn sincos(buf: &mut [f32], f: Trig, other: Option<&mut [f32]>) {
     assert!(other.as_ref().is_none_or(|o| o.len() == buf.len()), "sincos outputs differ in length");
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: avx2() verified the CPU supports AVX2; the outputs
+    if simd() >= Simd::Avx2 {
+        // SAFETY: the level says the CPU supports AVX2; the outputs
         // were measured against each other just above.
         unsafe { sincos_avx2(buf, f, other) };
         return;
@@ -449,7 +488,7 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 support (checked by [`super::avx2`]).
+    /// Requires AVX2 support (a [`super::simd`] level of `Avx2` or above).
     #[target_feature(enable = "avx2")]
     pub unsafe fn hsum(v: __m256) -> f32 {
         let lo = _mm256_castps256_ps128(v);
@@ -464,7 +503,7 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 support (checked by [`super::avx2`]).
+    /// Requires AVX2 support (a [`super::simd`] level of `Avx2` or above).
     #[target_feature(enable = "avx2")]
     pub unsafe fn hmax(v: __m256) -> f32 {
         let lo = _mm256_castps256_ps128(v);
@@ -481,7 +520,7 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2+FMA support (checked by [`super::avx2`]).
+    /// Requires AVX2+FMA support (a [`super::simd`] level of `Avx2` or above).
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn exp256(x: __m256) -> __m256 {
         // Clamp: below -87.3 the result underflows toward zero (we
@@ -521,7 +560,7 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2+FMA support (checked by [`super::avx2`]).
+    /// Requires AVX2+FMA support (a [`super::simd`] level of `Avx2` or above).
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -701,12 +740,17 @@ mod tests {
     #[test]
     fn simd_force_off_and_redetect() {
         let _guard = serial();
-        set_simd(false);
-        assert!(!avx2());
-        assert_eq!(simd_label(), "scalar");
-        set_simd(true);
-        // Whatever the host supports, the label is consistent with it.
-        assert_eq!(simd_label(), if avx2() { "avx2-fma" } else { "scalar" });
+        set_simd(Simd::Scalar);
+        assert_eq!((simd(), simd_label()), (Simd::Scalar, "scalar"));
+        // A cap selects exactly the levels the host runs, and the top
+        // cap re-detects the highest of them.
+        for level in simd_levels() {
+            set_simd(level);
+            assert_eq!((simd(), simd_label()), (level, level.label()));
+        }
+        set_simd(Simd::Avx512);
+        assert_eq!(Some(simd()), simd_levels().last());
+        assert!(Simd::Scalar < Simd::Avx2 && Simd::Avx2 < Simd::Avx512);
     }
 
     #[test]
@@ -717,8 +761,8 @@ mod tests {
                 .map(|i| ((i * 31 + salt) % 97) as f32 * 0.037 - 1.5)
                 .collect()
         };
-        for enabled in [false, true] {
-            set_simd(enabled);
+        for level in simd_levels() {
+            set_simd(level);
             let x = mk(5);
             let mut add = mk(9);
             add_assign_dispatch(&mut add, &x);
@@ -740,20 +784,20 @@ mod tests {
                 .zip(x.iter().zip(&z))
                 .map(|(a, (b, c))| a + 0.5 * b * c)
                 .collect();
-            assert_eq!(add, want_add, "add_assign simd={enabled}");
-            assert_eq!(div, want_div, "add_div simd={enabled}");
-            assert_eq!(ax, want_ax, "axpy simd={enabled}");
-            assert_eq!(sc, want_sc, "scale simd={enabled}");
-            assert_eq!(acm, want_acm, "addcmul simd={enabled}");
+            assert_eq!(add, want_add, "add_assign at {level:?}");
+            assert_eq!(div, want_div, "add_div at {level:?}");
+            assert_eq!(ax, want_ax, "axpy at {level:?}");
+            assert_eq!(sc, want_sc, "scale at {level:?}");
+            assert_eq!(acm, want_acm, "addcmul at {level:?}");
         }
-        set_simd(true);
+        set_simd(Simd::Avx512);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn exp256_close_to_libm() {
         let _guard = serial();
-        if !avx2() {
+        if simd() < Simd::Avx2 {
             return;
         }
         let xs: Vec<f32> = (-80..=8).map(|i| i as f32 * 1.09).collect();
@@ -778,7 +822,7 @@ mod tests {
     #[test]
     fn dot_fast_close_to_scalar() {
         let _guard = serial();
-        if !avx2() {
+        if simd() < Simd::Avx2 {
             return;
         }
         let a: Vec<f32> = (0..531).map(|i| ((i * 37) % 101) as f32 * 0.02 - 1.0).collect();

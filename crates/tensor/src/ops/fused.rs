@@ -15,7 +15,7 @@
 use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
 
 use crate::autograd::grad_enabled;
-use crate::kernel::{self, Trig};
+use crate::kernel::{self, Simd, Trig};
 use crate::ops::{rows_threshold, same_device, ELEMWISE_SEQ};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -24,8 +24,8 @@ use crate::Tensor;
 /// `maxps`, whose NaN/zero behavior matches `f32::max(x, 0.0)` here.
 fn add_relu_fwd(out: &mut [f32], a: &[f32], b: &[f32]) {
     #[cfg(target_arch = "x86_64")]
-    if kernel::avx2() {
-        // SAFETY: avx2() verified CPU support.
+    if kernel::simd() >= Simd::Avx2 {
+        // SAFETY: the level says the CPU supports AVX2+FMA.
         unsafe { add_relu_fwd_avx2(out, a, b) };
         return;
     }
@@ -64,8 +64,8 @@ pub(crate) fn bias_act_rows(rows: &mut [f32], n: usize, bias: Option<&[f32]>, re
     }
     debug_assert!(rows.len().is_multiple_of(n) && bias.is_none_or(|b| b.len() == n));
     #[cfg(target_arch = "x86_64")]
-    if kernel::avx2() {
-        // SAFETY: avx2() verified CPU support; the bias is `n` long.
+    if kernel::simd() >= Simd::Avx2 {
+        // SAFETY: the level says the CPU supports AVX2+FMA; the bias is `n` long.
         unsafe { bias_act_rows_avx2(rows, n, bias, relu) };
         return;
     }
@@ -106,8 +106,8 @@ unsafe fn bias_act_rows_avx2(rows: &mut [f32], n: usize, bias: Option<&[f32]>, r
 /// compare mask passes `go`'s bits through unchanged.
 pub(crate) fn relu_mask_bwd(out: &mut [f32], go: &[f32], y: &[f32]) {
     #[cfg(target_arch = "x86_64")]
-    if kernel::avx2() {
-        // SAFETY: avx2() verified CPU support.
+    if kernel::simd() >= Simd::Avx2 {
+        // SAFETY: the level says the CPU supports AVX2+FMA.
         unsafe { relu_mask_bwd_avx2(out, go, y) };
         return;
     }
@@ -139,8 +139,8 @@ unsafe fn relu_mask_bwd_avx2(out: &mut [f32], go: &[f32], y: &[f32]) {
 /// mul then add); contracted in fast mode.
 fn scale_add_fwd(out: &mut [f32], a: &[f32], b: &[f32], s: f32, fma: bool) {
     #[cfg(target_arch = "x86_64")]
-    if kernel::avx2() {
-        // SAFETY: avx2() verified CPU support.
+    if kernel::simd() >= Simd::Avx2 {
+        // SAFETY: the level says the CPU supports AVX2+FMA.
         unsafe {
             if fma {
                 scale_add_fwd_avx2::<true>(out, a, b, s);
@@ -192,8 +192,8 @@ unsafe fn scale_add_fwd_avx2<const FMA: bool>(out: &mut [f32], a: &[f32], b: &[f
 /// product. Exact-safe with `fma=false`; final add contracts in fast.
 fn addcmul_fwd(out: &mut [f32], base: &[f32], a: &[f32], b: &[f32], s: f32, fma: bool) {
     #[cfg(target_arch = "x86_64")]
-    if kernel::avx2() {
-        // SAFETY: avx2() verified CPU support.
+    if kernel::simd() >= Simd::Avx2 {
+        // SAFETY: the level says the CPU supports AVX2+FMA.
         unsafe {
             if fma {
                 addcmul_fwd_avx2::<true>(out, base, a, b, s);

@@ -1,16 +1,16 @@
-//! Cache-blocked GEMM: one packed `MR×NR` register-tile core behind
-//! `mm_nn`, `mm_nt` and `mm_tn`.
+//! Cache-blocked GEMM: one packed register-tile core behind `mm_nn`,
+//! `mm_nt` and `mm_tn`.
 //!
 //! [`gemm`] is the only dense kernel. It computes `C = A'·B'` where
 //! each operand is read as stored or transposed, so the three entry
 //! points differ only in how the core reaches their operands:
 //!
 //! * **B packer** — every variant walks the reduction in [`KC`]-deep
-//!   blocks and packs the block of `B'` into [`NR`]-wide column panels
-//!   (zero-padded past the last column). `mm_nt` (`dA = dC·Bᵀ`) fills
-//!   the same panels through a transposed reader. Rows of `b` are
-//!   `ldb` apart, so `B'` may be a block of columns of a wider matrix
-//!   (`dX_p = dY · W[:, part p]` on the weight as stored).
+//!   blocks and packs the block of `B'` into column panels one register
+//!   tile wide (zero-padded past the last column). `mm_nt` (`dA =
+//!   dC·Bᵀ`) fills the same panels through a transposed reader. Rows of
+//!   `b` are `ldb` apart, so `B'` may be a block of columns of a wider
+//!   matrix (`dX_p = dY · W[:, part p]` on the weight as stored).
 //! * **A reader** — the tile kernel takes each row of `A'` as a start
 //!   plus the stride between consecutive reduction indices: 1 for
 //!   `mm_nn` / `mm_nt`, whose rows are contiguous, and the row length
@@ -21,13 +21,22 @@
 //!   `[x₀ ‖ x₁ ‖ ..]` runs on the parts and the concatenation is never
 //!   built.
 //!
-//! A panel tile (`KC × NR × 4 B` = 8 KiB) stays L1-resident while a
-//! [`MR`]`×`[`NR`] register tile accumulates across it in place on C
-//! ([`NR`] = one `__m256` per row on AVX2 hosts); partial tiles at the
-//! right and bottom edges run the same kernel on a zero-padded copy.
-//! The only scratch is the packed block, `KC · n` floats (rounded up
-//! to `NR`) that each worker thread keeps from one product to the next
-//! — never operand-sized, whatever the reduction depth.
+//! The register tile ([`Tile`]) is [`MR`] rows by [`NV`] vectors of the
+//! widest kind the host has: `4 × 8` floats at the scalar level, `4 ×
+//! 16` on AVX2 and `4 × 32` on AVX-512F, eight independent accumulator
+//! registers at either SIMD level (a multiply-add waits 4 cycles for
+//! the one before it on the same register and two issue per cycle, so
+//! fewer than eight chains leave the FMA ports idle). A last panel that one vector covers runs
+//! the one-vector-wide form of the same body, so a narrow `C` (`n` up
+//! to 16) pays for no second vector of padding. A panel (`KC` rows of
+//! at most 32 floats = 16 KiB) stays L1-resident while the tile
+//! accumulates across it in place on C; partial tiles at the right and
+//! bottom edges run the same kernel on a zero-padded copy. The only
+//! scratch is the packed block, `KC · n` floats (rounded up to a
+//! panel) that each worker thread keeps from one product to the next
+//! — never operand-sized, whatever the reduction depth — and a `B'`
+//! that is stored as one packed panel already (`mm_nn` / `mm_tn` with
+//! `n` one tile wide) is read where it lies.
 //!
 //! Contract (see `DESIGN.md` "Kernel contract"): **every output element
 //! accumulates its products in ascending reduction-index order** — `KC`
@@ -36,14 +45,15 @@
 //! in. Output rows are split into one
 //! panel per pool thread, and since no element's order depends on
 //! where a panel starts, results are invariant across thread counts.
-//! In `exact` mode the AVX2 tile uses lane-wise `mul`+`add` (one
-//! rounding each, the arithmetic of the scalar tile), so results are
-//! also bitwise equal to the naive triple loop on every host; `fast`
+//! In `exact` mode every tile uses lane-wise `mul`+`add` (one rounding
+//! each, the arithmetic of the scalar tile), so which lane of which
+//! tile an element lands in cannot show: results are bitwise equal to
+//! the naive triple loop at every SIMD level and on every host; `fast`
 //! mode contracts to FMA.
 
 use tgl_runtime::{parallel_for_chunks, UnsafeSlice};
 
-use crate::kernel;
+use crate::kernel::{self, Simd};
 
 /// A pass over finished whole rows of `C` (bias add, activation).
 pub(crate) type Epilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
@@ -53,12 +63,18 @@ const NO_EPILOGUE: &Epilogue<'static> = &|_| {};
 
 /// Rows of A per register tile.
 pub(crate) const MR: usize = 4;
-/// Columns of B per packed panel (one `__m256` of `f32`s; `MR × NR`
-/// accumulators fit the 16-register AVX ymm file with room for the A
-/// broadcast and B panel load).
-pub(crate) const NR: usize = 8;
-/// Reduction depth of a packed block.
-pub(crate) const KC: usize = 256;
+/// Vectors per tile row: `MR × NV` = 8 accumulators (see the module
+/// docs), leaving half of the 16 AVX2 registers for the A broadcast
+/// and the B panel loads.
+const NV: usize = 2;
+/// The widest tile row of any level, in floats (AVX-512F).
+const MAX_NR: usize = NV * 16;
+/// Reduction depth of a packed block: a panel of the widest tile is
+/// `KC × 32` floats = 16 KiB, a third of L1D, which leaves room for the
+/// lines of `A'` that `mm_tn` walks at a stride beside it (at 256 the
+/// two evict each other and `tn` runs out of L2). Where the blocks are
+/// cut shows in no bit: an element's products keep their order.
+pub(crate) const KC: usize = 128;
 
 thread_local! {
     /// This thread's packed block of `B'` (`KC · n` floats for the
@@ -66,9 +82,16 @@ thread_local! {
     static PANEL: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Multiply-add count below which a matmul runs inline on the caller;
-/// pool dispatch costs more than the arithmetic.
-const MM_SEQ_FLOPS: usize = 32 * 1024;
+/// Multiply-add count below which a matmul runs inline on the caller:
+/// the 2-thread break-even of this tile. Measured on the 2-vCPU
+/// AVX-512 host that recorded `BENCH_micro_gemm.json`, best of six
+/// alternating 1- and 2-thread runs per shape: at 2 threads `m×32×32`
+/// reads 0.45x of its 1-thread rate at `m` = 512, 0.5x at 1024, 0.7-1.2x
+/// at 2048 (2 M multiply-adds), 1.0-1.4x at 3072 and wins from 4608
+/// (4.7 M) on; `1024×80×32` (2.6 M) reads 0.9x, `4608×80×32` (11.8 M)
+/// 1.3-1.4x. Waking a worker costs what 3 M multiply-adds cost one
+/// thread (about 60 µs), whatever the shape.
+const MM_SEQ_FLOPS: usize = 4 << 20;
 
 /// Output rows (of `row_flops` multiply-adds each) per sequential-path
 /// threshold — feeds `parallel_for`'s element threshold.
@@ -160,106 +183,290 @@ fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
 // Register-tile kernels
 // ---------------------------------------------------------------------
 
-/// AVX2 `MR×NR` tile update: row `r` of the tile lives at
-/// `c[r * ldc..][..NR]` and gains `sum_kk a[r][kk] * pan[kk]`, `kk`
-/// running through `runs` in order — or, with `first`, is overwritten
-/// by that sum started from zero. The accumulators stay in registers
-/// from the first run to the last.
-///
-/// With `FMA = false` each lane performs mul-then-add — the identical
-/// two IEEE roundings, per element, in the same k order as the scalar
-/// tile, so the result is bitwise equal to it. With `FMA = true` the
-/// multiply-add contracts to one rounding (fast mode only).
+/// What the tile body needs of a vector of `f32` lanes. Every operation
+/// is lane-wise, one IEEE rounding per lane, so a lane computes what
+/// the scalar loop computes for that element.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA (checked by `kernel::avx2()`); `pan` must hold at
-/// least `NR` elements per reduction index of `runs` and `c` at least
-/// `(MR - 1) * ldc + NR` (a [`Run`] keeps its own rows in bounds).
+/// The methods of an implementation may only be called where its
+/// instruction set is enabled (inside a `#[target_feature]` function of
+/// that set, on a CPU that has it); `load` / `store` touch `LANES`
+/// floats from the pointer on.
+trait Lanes: Copy {
+    const LANES: usize;
+    unsafe fn splat(x: f32) -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn store(self, p: *mut f32);
+    /// `self + a * b`: contracted to one rounding with `FMA`, else a
+    /// `mul` and an `add` of one rounding each.
+    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self;
+}
+
+/// The scalar level's vector: four floats, one at a time. There is no
+/// FMA unit to contract into, so `fast` runs the exact arithmetic here.
+#[derive(Clone, Copy)]
+struct F32x4([f32; 4]);
+
+impl Lanes for F32x4 {
+    const LANES: usize = 4;
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        F32x4([x; 4])
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        F32x4(p.cast::<[f32; 4]>().read_unaligned())
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        p.cast::<[f32; 4]>().write_unaligned(self.0);
+    }
+    #[inline(always)]
+    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
+        F32x4(std::array::from_fn(|l| self.0[l] + a.0[l] * b.0[l]))
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_avx2<const FMA: bool>(
+mod x86 {
+    use super::Lanes;
+    use std::arch::x86_64::*;
+
+    impl Lanes for __m256 {
+        const LANES: usize = 8;
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self);
+        }
+        #[inline(always)]
+        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
+            if FMA {
+                _mm256_fmadd_ps(a, b, self)
+            } else {
+                _mm256_add_ps(self, _mm256_mul_ps(a, b))
+            }
+        }
+    }
+
+    impl Lanes for __m512 {
+        const LANES: usize = 16;
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self);
+        }
+        #[inline(always)]
+        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
+            if FMA {
+                _mm512_fmadd_ps(a, b, self)
+            } else {
+                _mm512_add_ps(self, _mm512_mul_ps(a, b))
+            }
+        }
+    }
+}
+
+/// The tile update, written once: `MR` rows of `W` vectors. Row `r` of
+/// the tile lives at `c[r * ldc..][..W * V::LANES]` and gains `sum_kk
+/// a[r][kk] * pan[kk]`, `kk` running through `runs` in order — or, with
+/// `first`, is overwritten by that sum started from zero. The `MR × W`
+/// accumulators stay in registers from the first run to the last, and
+/// each lane performs its element's products in that order whatever
+/// `V` and `W` are.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be enabled in the caller (this inlines
+/// into a `#[target_feature]` instance of [`Tile`]); `pan` must hold
+/// one tile row (`W` vectors) of floats per reduction index of `runs`
+/// and `c` at least `(MR - 1) * ldc` floats plus one tile row (a
+/// [`Run`] keeps its own rows in bounds).
+#[inline(always)]
+unsafe fn tile_body<V: Lanes, const W: usize, const FMA: bool>(
     runs: &[Run<'_>],
     pan: &[f32],
     c: &mut [f32],
     ldc: usize,
     first: bool,
 ) {
-    use std::arch::x86_64::*;
-    let mut v = [_mm256_setzero_ps(); MR];
+    let nr = W * V::LANES;
+    debug_assert!(c.len() >= (MR - 1) * ldc + nr);
+    debug_assert!(pan.len() >= runs.iter().map(|run| run.len).sum::<usize>() * nr);
+    let mut acc = [[V::splat(0.0); W]; MR];
     if !first {
-        for (r, vr) in v.iter_mut().enumerate() {
-            *vr = _mm256_loadu_ps(c.as_ptr().add(r * ldc));
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (w, v) in row.iter_mut().enumerate() {
+                *v = V::load(c.as_ptr().add(r * ldc + w * V::LANES));
+            }
         }
     }
     let mut pan = pan.as_ptr();
     for run in runs {
         for kk in 0..run.len {
-            let pb = _mm256_loadu_ps(pan.add(kk * NR));
-            for (vr, a_row) in v.iter_mut().zip(&run.rows) {
-                let av = _mm256_set1_ps(*a_row.get_unchecked(kk * run.ps));
-                *vr = if FMA {
-                    _mm256_fmadd_ps(av, pb, *vr)
-                } else {
-                    _mm256_add_ps(*vr, _mm256_mul_ps(av, pb))
-                };
+            let pb: [V; W] = std::array::from_fn(|w| V::load(pan.add(w * V::LANES)));
+            for (row, a_row) in acc.iter_mut().zip(&run.rows) {
+                let av = V::splat(*a_row.get_unchecked(kk * run.ps));
+                for (v, &b) in row.iter_mut().zip(&pb) {
+                    *v = v.mul_add::<FMA>(av, b);
+                }
             }
+            pan = pan.add(nr);
         }
-        pan = pan.add(run.len * NR);
     }
-    for (r, vr) in v.into_iter().enumerate() {
-        _mm256_storeu_ps(c.as_mut_ptr().add(r * ldc), vr);
+    for (r, row) in acc.into_iter().enumerate() {
+        for (w, v) in row.into_iter().enumerate() {
+            v.store(c.as_mut_ptr().add(r * ldc + w * V::LANES));
+        }
     }
 }
 
-/// Tile update in place on C (layout as in [`tile_avx2`]) with SIMD
-/// dispatch and the scalar reference as the fallback (and the
-/// exact-mode ground truth).
-fn tile_update(
+/// One instance of [`tile_body`].
+type TileFn = unsafe fn(&[Run<'_>], &[f32], &mut [f32], usize, bool);
+
+/// [`tile_body`] with nothing to enable: the scalar level.
+unsafe fn tile_scalar<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
+    tile_body::<F32x4, W, false>(runs, pan, c, ldc, first)
+}
+
+/// # Safety
+///
+/// Requires AVX2+FMA, and what [`tile_body`] asks of its slices.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn tile_avx2<const W: usize, const FMA: bool>(
     runs: &[Run<'_>],
     pan: &[f32],
     c: &mut [f32],
     ldc: usize,
     first: bool,
-    simd: bool,
-    fma: bool,
 ) {
-    let kc: usize = runs.iter().map(|run| run.len).sum();
-    assert!(c.len() >= (MR - 1) * ldc + NR && pan.len() >= kc * NR);
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` comes from `kernel::avx2()`; `c` and `pan` were
-        // measured just above and every `Run` when it was built.
-        unsafe {
-            if fma {
-                tile_avx2::<true>(runs, pan, c, ldc, first);
-            } else {
-                tile_avx2::<false>(runs, pan, c, ldc, first);
+    tile_body::<std::arch::x86_64::__m256, W, FMA>(runs, pan, c, ldc, first)
+}
+
+/// # Safety
+///
+/// Requires AVX-512F, and what [`tile_body`] asks of its slices.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const W: usize, const FMA: bool>(
+    runs: &[Run<'_>],
+    pan: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
+) {
+    tile_body::<std::arch::x86_64::__m512, W, FMA>(runs, pan, c, ldc, first)
+}
+
+/// The register tile of one SIMD level and kernel mode: the lanes of
+/// its vector and [`tile_body`] instantiated one vector wide and [`NV`]
+/// wide. [`Tile::of`] is the only constructor, which is what ties the
+/// instances to a level the CPU was seen to support.
+struct Tile {
+    lanes: usize,
+    narrow: TileFn,
+    wide: TileFn,
+}
+
+impl Tile {
+    /// The tile for `level` (from [`kernel::simd`]); `fma` contracts
+    /// the multiply-adds (fast mode, SIMD levels only).
+    fn of(level: Simd, fma: bool) -> Tile {
+        #[cfg(target_arch = "x86_64")]
+        match (level, fma) {
+            (Simd::Avx512, false) => {
+                return Tile { lanes: 16, narrow: tile_avx512::<1, false>, wide: tile_avx512::<NV, false> }
             }
+            (Simd::Avx512, true) => {
+                return Tile { lanes: 16, narrow: tile_avx512::<1, true>, wide: tile_avx512::<NV, true> }
+            }
+            (Simd::Avx2, false) => {
+                return Tile { lanes: 8, narrow: tile_avx2::<1, false>, wide: tile_avx2::<NV, false> }
+            }
+            (Simd::Avx2, true) => {
+                return Tile { lanes: 8, narrow: tile_avx2::<1, true>, wide: tile_avx2::<NV, true> }
+            }
+            (Simd::Scalar, _) => {}
         }
-        return;
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (level, fma);
+        Tile { lanes: F32x4::LANES, narrow: tile_scalar::<1>, wide: tile_scalar::<NV> }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (simd, fma);
-    let mut acc = [[0.0f32; NR]; MR];
-    if !first {
-        for (r, row) in acc.iter_mut().enumerate() {
-            row.copy_from_slice(&c[r * ldc..][..NR]);
+
+    /// Floats per row of the wide tile: the width of a packed panel.
+    fn nr(&self) -> usize {
+        NV * self.lanes
+    }
+
+    /// Width of column panel `jt` of an `n`-column `B'`: panels are
+    /// [`Tile::nr`] wide, except a last one that a single vector covers.
+    /// Panel `jt` starts at column `jt * nr` and, packed `kc` deep, at
+    /// float `jt * kc * nr` of the block.
+    fn panel_width(&self, n: usize, jt: usize) -> usize {
+        if n - jt * self.nr() <= self.lanes {
+            self.lanes
+        } else {
+            self.nr()
         }
     }
-    let mut pan = pan.chunks_exact(NR);
-    for run in runs {
-        for (kk, pb) in pan.by_ref().take(run.len).enumerate() {
-            for (row, a_row) in acc.iter_mut().zip(&run.rows) {
-                let av = a_row[kk * run.ps];
-                for (o, &bv) in row.iter_mut().zip(pb) {
-                    *o += av * bv;
+
+    /// Packs `B'[k0..k0 + kc, ..n]` into `block`, one column panel after
+    /// the other: panel `jt` holds its rows kk-major, zero-padded past
+    /// column `n`. `B'` is `b` (`tb`: its transpose), rows `ldb` apart.
+    #[allow(clippy::too_many_arguments)]
+    fn pack(&self, b: &[f32], tb: bool, ldb: usize, k0: usize, kc: usize, n: usize, block: &mut [f32]) {
+        let nr = self.nr();
+        for jt in 0..n.div_ceil(nr) {
+            let (j0, pw) = (jt * nr, self.panel_width(n, jt));
+            let jw = pw.min(n - j0);
+            let dst = &mut block[jt * kc * nr..][..kc * pw];
+            for kk in 0..kc {
+                let d = &mut dst[kk * pw..(kk + 1) * pw];
+                if !tb {
+                    d[..jw].copy_from_slice(&b[(k0 + kk) * ldb + j0..][..jw]);
+                }
+                d[jw..].fill(0.0);
+            }
+            if tb {
+                // The transposed reader: column `j` of B' is a
+                // contiguous row of `b`.
+                for jj in 0..jw {
+                    for (kk, &v) in b[(j0 + jj) * ldb + k0..][..kc].iter().enumerate() {
+                        dst[kk * pw + jj] = v;
+                    }
                 }
             }
         }
     }
-    for (r, row) in acc.iter().enumerate() {
-        c[r * ldc..][..NR].copy_from_slice(row);
+
+    /// Tile update in place on C (layout as in [`tile_body`]) over a
+    /// panel `width` floats wide: one vector or [`Tile::nr`].
+    fn update(&self, width: usize, runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
+        let kc: usize = runs.iter().map(|run| run.len).sum();
+        assert!(width == self.lanes || width == self.nr());
+        assert!(c.len() >= (MR - 1) * ldc + width && pan.len() >= kc * width);
+        let kernel = if width == self.lanes { self.narrow } else { self.wide };
+        // SAFETY: `Tile::of` pairs these instances with a level that
+        // `kernel::simd()` reported; `c` and `pan` were measured just
+        // above against the instance's width and every `Run` when it
+        // was built.
+        unsafe { kernel(runs, pan, c, ldc, first) }
     }
 }
 
@@ -291,9 +498,17 @@ fn gemm(
         c.fill(0.0);
         return epilogue(c);
     }
-    let n_tiles = n.div_ceil(NR);
-    let simd = kernel::avx2();
-    let fma = kernel::fast();
+    if n == 0 {
+        return;
+    }
+    let tile = Tile::of(kernel::simd(), kernel::fast());
+    let nr = tile.nr();
+    let n_tiles = n.div_ceil(nr);
+    // Floats per reduction index of the packed block.
+    let packed_row = (n_tiles - 1) * nr + tile.panel_width(n, n_tiles - 1);
+    // A `B'` of one panel whose rows are whole panel rows, back to
+    // back, is its own packed block.
+    let as_stored = !tb && n_tiles == 1 && ldb == n && n == packed_row;
     let c = UnsafeSlice::new(c);
     // One MR-aligned row panel per pool thread: each panel packs its
     // own copy of B', so fewer panels means less packing. No element's
@@ -312,32 +527,18 @@ fn gemm(
         // block it has packed, never handed back, so it is L1-hot from
         // one product to the next.
         let mut panel = PANEL.take();
-        panel.resize(panel.len().max(KC.min(k) * n_tiles * NR), 0.0);
+        if !as_stored {
+            panel.resize(panel.len().max(KC.min(k) * packed_row), 0.0);
+        }
         let mut runs = Vec::new();
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            // Pack B'[k0..k0+kc, :] into NR-wide panels: panel `jt`
-            // holds rows kk-major, zero-padded past column n.
-            for jt in 0..n_tiles {
-                let (j0, jw) = (jt * NR, NR.min(n - jt * NR));
-                let dst = &mut panel[jt * kc * NR..(jt + 1) * kc * NR];
-                for kk in 0..kc {
-                    let d = &mut dst[kk * NR..(kk + 1) * NR];
-                    if !tb {
-                        d[..jw].copy_from_slice(&b[(k0 + kk) * ldb + j0..][..jw]);
-                    }
-                    d[jw..].fill(0.0);
-                }
-                if tb {
-                    // The transposed reader: column `j` of B' is a
-                    // contiguous row of `b`.
-                    for jj in 0..jw {
-                        for (kk, &v) in b[(j0 + jj) * ldb + k0..][..kc].iter().enumerate() {
-                            dst[kk * NR + jj] = v;
-                        }
-                    }
-                }
-            }
+            let block: &[f32] = if as_stored {
+                &b[k0 * n..][..kc * n]
+            } else {
+                tile.pack(b, tb, ldb, k0, kc, n, &mut panel);
+                &panel
+            };
             let first = k0 == 0;
             let mut i = 0;
             while i < rows_n {
@@ -346,24 +547,25 @@ fn gemm(
                 let ih = a.tile_rows(r0 + i).min(rows_n - i);
                 a.runs(r0 + i, ih, k0, kc, &mut runs);
                 for jt in 0..n_tiles {
-                    let (j0, jw) = (jt * NR, NR.min(n - jt * NR));
-                    let pan = &panel[jt * kc * NR..(jt + 1) * kc * NR];
-                    if ih == MR && jw == NR {
+                    let (j0, pw) = (jt * nr, tile.panel_width(n, jt));
+                    let jw = pw.min(n - j0);
+                    let pan = &block[jt * kc * nr..][..kc * pw];
+                    if ih == MR && jw == pw {
                         let c_tile = &mut c_rows[i * n + j0..];
-                        tile_update(&runs, pan, c_tile, n, first, simd, fma);
+                        tile.update(pw, &runs, pan, c_tile, n, first);
                         continue;
                     }
                     // Edge tile: the same kernel on a zero-padded copy.
-                    let mut edge = [0.0f32; MR * NR];
+                    let mut edge = [0.0f32; MR * MAX_NR];
                     if !first {
                         for r in 0..ih {
                             let c_row = &c_rows[(i + r) * n + j0..][..jw];
-                            edge[r * NR..][..jw].copy_from_slice(c_row);
+                            edge[r * pw..][..jw].copy_from_slice(c_row);
                         }
                     }
-                    tile_update(&runs, pan, &mut edge, NR, first, simd, fma);
+                    tile.update(pw, &runs, pan, &mut edge, pw, first);
                     for r in 0..ih {
-                        c_rows[(i + r) * n + j0..][..jw].copy_from_slice(&edge[r * NR..][..jw]);
+                        c_rows[(i + r) * n + j0..][..jw].copy_from_slice(&edge[r * pw..][..jw]);
                     }
                 }
                 i += ih;
@@ -431,12 +633,25 @@ mod tests {
     use super::*;
     use crate::kernel::KernelMode;
 
+    /// Holds the crate-wide kernel lock; puts the process back in exact
+    /// mode at the host's own SIMD level when the test ends, however it
+    /// ends.
+    struct KernelGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    impl Drop for KernelGuard {
+        fn drop(&mut self) {
+            kernel::set_mode(KernelMode::Exact);
+            kernel::set_simd(Simd::Avx512);
+        }
+    }
+
     /// Bitwise assertions below define the *exact* contract: take the
-    /// crate-wide kernel lock and pin exact mode (SIMD stays as
-    /// detected — the exact-safe AVX2 tile must match scalar bitwise).
-    fn exact_guard() -> std::sync::MutexGuard<'static, ()> {
-        let g = crate::kernel::test_serial();
-        crate::kernel::set_mode(KernelMode::Exact);
+    /// crate-wide kernel lock and pin exact mode (the tests walk the
+    /// SIMD levels themselves — every level's tile must match the naive
+    /// loop bitwise).
+    fn exact_guard() -> KernelGuard {
+        let g = KernelGuard(kernel::test_serial());
+        kernel::set_mode(KernelMode::Exact);
         g
     }
 
@@ -477,9 +692,12 @@ mod tests {
         c
     }
 
-    /// Sizes straddling every tile boundary: below MR/NR, exact
-    /// multiples, one over, and spanning multiple KC blocks.
-    const SIZES: [(usize, usize, usize); 8] = [
+    /// Sizes straddling every tile boundary of every level: `m` below,
+    /// at and above `MR`; `n` one below, at and one above a vector and
+    /// a whole tile row (4 / 8 floats scalar, 8 / 16 AVX2, 16 / 32
+    /// AVX-512F), so the narrow last panel, the wide one and both kinds
+    /// of edge copy all run; `k` below, at and across `KC` blocks.
+    const SIZES: [(usize, usize, usize); 17] = [
         (1, 1, 1),
         (3, 5, 7),
         (4, 8, 8),
@@ -488,53 +706,73 @@ mod tests {
         (5, 257, 9),
         (65, 300, 33),
         (7, 513, 31),
+        (3, 4, 15),
+        (4, 127, 16),
+        (5, 7, 17),
+        (8, 31, 32),
+        (9, 128, 48),
+        (13, 129, 49),
+        (6, 258, 63),
+        (12, 3, 64),
+        (11, 40, 65),
     ];
 
     /// Same k-ascending order and per-element roundings as the naive
-    /// loop (exact mode, SIMD or scalar) => bitwise equal.
+    /// loop (exact mode, at whichever SIMD level) => bitwise equal.
     fn assert_matches_naive(variant: &str) {
         let _guard = exact_guard();
-        for (m, k, n) in SIZES {
-            let a = fill(m * k, 1);
-            let b = fill(k * n, 2);
-            let want = naive_nn(&a, &b, m, k, n);
-            assert_eq!(run(variant, &a, &b, m, k, n), want, "mm_{variant} {m}x{k}x{n}");
+        for level in kernel::simd_levels() {
+            kernel::set_simd(level);
+            for (m, k, n) in SIZES {
+                let a = fill(m * k, 1);
+                let b = fill(k * n, 2);
+                let want = naive_nn(&a, &b, m, k, n);
+                assert_eq!(run(variant, &a, &b, m, k, n), want, "mm_{variant} {m}x{k}x{n} at {level:?}");
+            }
         }
     }
 
+    /// Every level against the scalar level, on other operand values
+    /// than the naive comparison sees.
     fn assert_simd_matches_scalar(variant: &str) {
         let _guard = exact_guard();
         for (m, k, n) in SIZES {
             let a = fill(m * k, 7);
             let b = fill(k * n, 9);
-            crate::kernel::set_simd(false);
+            kernel::set_simd(Simd::Scalar);
             let scalar = run(variant, &a, &b, m, k, n);
-            crate::kernel::set_simd(true);
-            let simd = run(variant, &a, &b, m, k, n);
-            assert_eq!(simd, scalar, "mm_{variant} simd parity {m}x{k}x{n}");
+            for level in kernel::simd_levels() {
+                kernel::set_simd(level);
+                let simd = run(variant, &a, &b, m, k, n);
+                assert_eq!(simd, scalar, "mm_{variant} {level:?} vs scalar {m}x{k}x{n}");
+            }
         }
     }
 
-    /// 1 vs 4 threads, bitwise, in both kernel modes. The shapes span
-    /// several row panels with a reduction crossing a KC boundary, plus
-    /// one whose reduction and width sit below NR.
+    /// 1 vs 4 threads, bitwise, in both kernel modes at every level. Both
+    /// shapes carry more than `MM_SEQ_FLOPS` multiply-adds, so they do
+    /// split into several row panels: one with a reduction crossing `KC`
+    /// boundaries, one whose reduction and width sit below a vector.
     fn assert_thread_count_invariant(variant: &str) {
         let _guard = exact_guard();
         let before = tgl_runtime::current_threads();
-        for mode in [KernelMode::Exact, KernelMode::Fast] {
-            crate::kernel::set_mode(mode);
-            for (m, k, n) in [(300, 257, 33), (9000, 3, 5)] {
-                let a = fill(m * k, 11);
-                let b = fill(k * n, 12);
-                tgl_runtime::set_threads(1);
-                let one = run(variant, &a, &b, m, k, n);
-                tgl_runtime::set_threads(4);
-                let four = run(variant, &a, &b, m, k, n);
-                assert_eq!(one, four, "mm_{variant} {m}x{k}x{n} {mode:?} 1 vs 4 threads");
+        for level in kernel::simd_levels() {
+            kernel::set_simd(level);
+            for mode in [KernelMode::Exact, KernelMode::Fast] {
+                kernel::set_mode(mode);
+                for (m, k, n) in [(1300, 257, 33), (300_000, 3, 5)] {
+                    assert!(seq_rows(k * n) < m, "{m}x{k}x{n} would run as one panel");
+                    let a = fill(m * k, 11);
+                    let b = fill(k * n, 12);
+                    tgl_runtime::set_threads(1);
+                    let one = run(variant, &a, &b, m, k, n);
+                    tgl_runtime::set_threads(4);
+                    let four = run(variant, &a, &b, m, k, n);
+                    assert_eq!(one, four, "mm_{variant} {m}x{k}x{n} {mode:?} {level:?} 1 vs 4 threads");
+                }
             }
         }
         tgl_runtime::set_threads(before);
-        crate::kernel::set_mode(KernelMode::Exact);
     }
 
     #[test]
@@ -582,54 +820,91 @@ mod tests {
         assert_thread_count_invariant("tn");
     }
 
-    /// `A'` in parts cut anywhere, a part of no columns among them, is
-    /// the one product bit for bit, as stored and transposed; so is a
-    /// column block of `B` read through `ldb`.
+    /// `A'` in parts cut anywhere (inside a register tile, on a vector,
+    /// past `KC`), a part of no columns among them, is the one product
+    /// bit for bit, as stored and transposed; so is a column block of
+    /// `B` read through `ldb`. At every level, in both modes.
     #[test]
     fn parts_and_column_blocks_match_the_whole_product() {
         let _guard = exact_guard();
-        for mode in [KernelMode::Exact, KernelMode::Fast] {
-            crate::kernel::set_mode(mode);
-            for (m, k, n, cuts) in [
-                (5, 8, 3, vec![3]),
-                (33, 300, 21, vec![256]),
-                (9, 80, 32, vec![32, 64]),
-                (70, 300, 9, vec![200, 200, 299]),
-                (7, 12, 9, vec![0]),
-            ] {
-                let x = fill(m * k, 3);
-                let w = fill(n * k, 4);
-                let dy = fill(m * n, 5);
-                // Columns c0..c1 of every row of X.
-                let cols = |c0: usize, c1: usize| -> Vec<f32> {
-                    x.chunks_exact(k).flat_map(|row| row[c0..c1].to_vec()).collect()
-                };
-                let bounds: Vec<usize> = [0].into_iter().chain(cuts.clone()).chain([k]).collect();
-                let owned: Vec<(Vec<f32>, usize)> =
-                    bounds.windows(2).map(|b| (cols(b[0], b[1]), b[1] - b[0])).collect();
-                let parts: Vec<Part<'_>> = owned.iter().map(|(x, width)| (&x[..], *width)).collect();
+        for level in kernel::simd_levels() {
+            kernel::set_simd(level);
+            for mode in [KernelMode::Exact, KernelMode::Fast] {
+                kernel::set_mode(mode);
+                for (m, k, n, cuts) in [
+                    (5, 8, 3, vec![3]),
+                    (33, 300, 21, vec![128, 256]),
+                    (9, 80, 32, vec![32, 64]),
+                    (70, 300, 9, vec![200, 200, 299]),
+                    (7, 12, 9, vec![0]),
+                    (6, 50, 33, vec![1, 17, 18, 47]),
+                    (10, 270, 16, vec![15, 31, 129, 257]),
+                ] {
+                    let x = fill(m * k, 3);
+                    let w = fill(n * k, 4);
+                    let dy = fill(m * n, 5);
+                    // Columns c0..c1 of every row of X.
+                    let cols = |c0: usize, c1: usize| -> Vec<f32> {
+                        x.chunks_exact(k).flat_map(|row| row[c0..c1].to_vec()).collect()
+                    };
+                    let bounds: Vec<usize> = [0].into_iter().chain(cuts.clone()).chain([k]).collect();
+                    let owned: Vec<(Vec<f32>, usize)> =
+                        bounds.windows(2).map(|b| (cols(b[0], b[1]), b[1] - b[0])).collect();
+                    let parts: Vec<Part<'_>> = owned.iter().map(|(x, width)| (&x[..], *width)).collect();
+                    let at = format!("{mode:?} {level:?}");
 
-                let (mut whole, mut split) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
-                mm_nt_then(&[(&x, k)], &w, &mut whole, m, n, NO_EPILOGUE);
-                mm_nt_then(&parts, &w, &mut split, m, n, NO_EPILOGUE);
-                assert_eq!(split, whole, "{mode:?} X·Wᵀ {m}x{k}x{n} cut at {cuts:?}");
+                    let (mut whole, mut split) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+                    mm_nt_then(&[(&x, k)], &w, &mut whole, m, n, NO_EPILOGUE);
+                    mm_nt_then(&parts, &w, &mut split, m, n, NO_EPILOGUE);
+                    assert_eq!(split, whole, "{at} X·Wᵀ {m}x{k}x{n} cut at {cuts:?}");
 
-                let (mut whole, mut split) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
-                mm_tn(&[(&x, k)], &dy, &mut whole, m, n);
-                mm_tn(&parts, &dy, &mut split, m, n);
-                assert_eq!(split, whole, "{mode:?} Xᵀ·dY {m}x{k}x{n} cut at {cuts:?}");
+                    let (mut whole, mut split) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
+                    mm_tn(&[(&x, k)], &dy, &mut whole, m, n);
+                    mm_tn(&parts, &dy, &mut split, m, n);
+                    assert_eq!(split, whole, "{at} Xᵀ·dY {m}x{k}x{n} cut at {cuts:?}");
 
-                // dX = dY · W, and its columns from the first cut on.
-                let cut = cuts[0];
-                let mut dx = vec![f32::NAN; m * k];
-                mm_nn(&dy, &w, &mut dx, m, n, k);
-                let mut block = vec![f32::NAN; m * (k - cut)];
-                mm_nn_cols(&dy, &w[cut..], k, &mut block, m, n, k - cut);
-                let want: Vec<f32> = dx.chunks_exact(k).flat_map(|row| row[cut..].to_vec()).collect();
-                assert_eq!(block, want, "{mode:?} dX columns {cut}.. of {m}x{n}x{k}");
+                    // dX = dY · W, and its columns from the first cut on.
+                    let cut = cuts[0];
+                    let mut dx = vec![f32::NAN; m * k];
+                    mm_nn(&dy, &w, &mut dx, m, n, k);
+                    let mut block = vec![f32::NAN; m * (k - cut)];
+                    mm_nn_cols(&dy, &w[cut..], k, &mut block, m, n, k - cut);
+                    let want: Vec<f32> = dx.chunks_exact(k).flat_map(|row| row[cut..].to_vec()).collect();
+                    assert_eq!(block, want, "{at} dX columns {cut}.. of {m}x{n}x{k}");
+                }
             }
         }
-        crate::kernel::set_mode(KernelMode::Exact);
+    }
+
+    /// `fast` contracts each multiply-add to one rounding and nothing
+    /// else, so at every level it stays within the documented `1e-4`
+    /// (relative to `max(|x|, 1)`) of `exact`, and the two SIMD levels
+    /// agree bit for bit (the same FMA per lane in the same order).
+    #[test]
+    fn fast_mode_within_tolerance_at_every_level() {
+        let _guard = exact_guard();
+        for variant in ["nn", "nt", "tn"] {
+            for (m, k, n) in SIZES {
+                let a = fill(m * k, 13);
+                let b = fill(k * n, 14);
+                let want = naive_nn(&a, &b, m, k, n);
+                kernel::set_mode(KernelMode::Fast);
+                let mut simd_fast: Option<Vec<f32>> = None;
+                for level in kernel::simd_levels() {
+                    kernel::set_simd(level);
+                    let got = run(variant, &a, &b, m, k, n);
+                    for (g, w) in got.iter().zip(&want) {
+                        let err = (g - w).abs() / w.abs().max(1.0);
+                        assert!(err <= 1e-4, "mm_{variant} {m}x{k}x{n} fast at {level:?}: {g} vs {w}");
+                    }
+                    if level >= Simd::Avx2 {
+                        let first = simd_fast.get_or_insert_with(|| got.clone());
+                        assert_eq!(&got, first, "mm_{variant} {m}x{k}x{n} fast: {level:?} vs AVX2");
+                    }
+                }
+                kernel::set_mode(KernelMode::Exact);
+            }
+        }
     }
 
     #[test]
@@ -641,5 +916,7 @@ mod tests {
         let mut c2 = vec![5.0f32; 6];
         mm_nn(&[], &[], &mut c2, 2, 0, 3);
         assert_eq!(c2, vec![0.0; 6], "an empty reduction is a zero product");
+        // A part of no columns asks `mm_nn_cols` for a `C` of none.
+        mm_nn(&[1.0; 6], &[], &mut c, 2, 3, 0);
     }
 }

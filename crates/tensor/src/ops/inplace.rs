@@ -39,8 +39,8 @@ pub(crate) mod inplace_simd {
         fma: bool,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if crate::kernel::avx2() {
-            // SAFETY: avx2() verified CPU support.
+        if crate::kernel::simd() >= crate::kernel::Simd::Avx2 {
+            // SAFETY: the level says the CPU supports AVX2+FMA.
             unsafe {
                 if fma {
                     adam_avx2::<true>(pd, md, vd, g, s);

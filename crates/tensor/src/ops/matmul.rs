@@ -353,10 +353,10 @@ mod tests {
 
     #[test]
     fn matmul_gradcheck_straddles_kc_panel() {
-        // k = 257 is one element past the blocked kernel's KC=256 panel,
-        // so the packed forward and the nt/tn backward kernels all walk
-        // a partial trailing panel. The analytic gradients must still
-        // match central differences there.
+        // k = 257 is one element past two of the blocked kernel's KC=128
+        // panels, so the packed forward and the nt/tn backward kernels
+        // all walk a partial trailing panel. The analytic gradients must
+        // still match central differences there.
         let k = 257;
         let fill = |len: usize, salt: usize| -> Vec<f32> {
             (0..len).map(|i| ((i * 37 + salt) % 101) as f32 / 101.0 - 0.5).collect()
@@ -411,9 +411,9 @@ mod tests {
 
     #[test]
     fn large_matmul_matches_naive() {
-        // 70×60 @ 60×50 = 210k multiply-adds — large enough to cross
+        // 700×120 @ 120×50 = 4.2M multiply-adds — large enough to cross
         // the sequential threshold and exercise the pool.
-        let (m, k, n) = (70, 60, 50);
+        let (m, k, n) = (700, 120, 50);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.01).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.01).collect();
         let got = Tensor::from_vec(a.clone(), [m, k])

@@ -8,7 +8,7 @@
 
 use tgl_runtime::{parallel_for, UnsafeSlice};
 
-use crate::kernel;
+use crate::kernel::{self, Simd};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
@@ -339,7 +339,7 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
         .backward_cost(4 * (n * d) as u64, 8 * (n * d) as u64, 4 * (n * d) as u64);
     let device = values.device();
     let idx = SegmentIndex::build(segments, num_segments);
-    let fast_simd = kernel::fast() && kernel::avx2();
+    let fast_simd = kernel::fast() && kernel::simd() >= Simd::Avx2;
     #[cfg(not(target_arch = "x86_64"))]
     let _ = fast_simd;
     // Segments partition the rows, so every element is written below.
@@ -400,7 +400,7 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
         std::slice::from_ref(values),
         move |go| {
             // Per segment/column: dx_i = (go_i - Σ_k go_k y_k) * y_i
-            let simd = kernel::avx2();
+            let simd = kernel::simd() >= Simd::Avx2;
             #[cfg(not(target_arch = "x86_64"))]
             let _ = simd;
             let mut g = pool::take_uninit(n * d, device);
@@ -417,7 +417,7 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
                         #[cfg(target_arch = "x86_64")]
                         if simd {
                             while j0 + 8 <= d {
-                                // SAFETY: `simd` is kernel::avx2(); the
+                                // SAFETY: `simd` is an AVX2-or-above level; the
                                 // block is exact-safe (see its docs).
                                 unsafe {
                                     seg_softmax_grad_block_avx2(go, &y_copy[..], &g_sl, rows, d, j0)

@@ -2,7 +2,7 @@
 
 use tgl_runtime::{parallel_for, UnsafeSlice};
 
-use crate::kernel;
+use crate::kernel::{self, Simd};
 use crate::ops::rows_threshold;
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -107,7 +107,7 @@ impl Tensor {
             .io(4 * n, 8 * n)
             .shape(&[self.dims()])
             .backward_cost(4 * n, 8 * n, 4 * n);
-        let fast_simd = kernel::fast() && kernel::avx2();
+        let fast_simd = kernel::fast() && kernel::simd() >= Simd::Avx2;
         #[cfg(not(target_arch = "x86_64"))]
         let _ = fast_simd;
         let x = self.inner.storage.read();
@@ -124,7 +124,7 @@ impl Tensor {
                     let yrow = &mut out[k * cols..(k + 1) * cols];
                     #[cfg(target_arch = "x86_64")]
                     if fast_simd {
-                        // SAFETY: `fast_simd` implies `kernel::avx2()`.
+                        // SAFETY: `fast_simd` implies an AVX2-or-above level.
                         unsafe { softmax_row_avx2(row, yrow) };
                         continue;
                     }

@@ -30,6 +30,16 @@ TGL_KERNEL=fast timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
 echo "==> cargo test --release -q --offline -p tgl-harness -p tgl-tensor"
 timeout "$TEST_TIMEOUT" cargo test --release -q --offline -p tgl-harness -p tgl-tensor
 
+# The GEMM's register tile differs per SIMD level. The gemm unit tests
+# and kernel_parity walk every level below the runner's own through the
+# in-process cap (`kernel::set_simd`), so the passes above have held the
+# AVX2 tile to the naive loop's bits on an AVX-512 runner; this one
+# starts the process itself at the scalar level, the only level
+# `TGL_SIMD` names.
+echo "==> GEMM + kernel parity once more with the process at the scalar level (TGL_SIMD=off)"
+TGL_SIMD=off timeout "$TEST_TIMEOUT" cargo test -q --offline -p tgl-tensor gemm
+TGL_SIMD=off timeout "$TEST_TIMEOUT" cargo test -q --offline -p tgl-integration --test kernel_parity
+
 # The end-to-end benchmark is its own package (own lockfile and target
 # dir). Its smoke run trains every workload at 1/8 size and exits
 # non-zero on any failed check, so a kernel change that breaks the
@@ -142,8 +152,10 @@ awk '/^stage seconds/ {on=1; next}
 echo "==> the part of a TGAT step that is not a GEMM stays small (1 thread, --scale 1, 2 epochs)"
 # Shares of op self time from the run report's profile section: Φ(Δt)
 # and its backward were 23% of this epoch on libm `cos` / `sin` (5.4-5.7%
-# now, of an op total that fell by 37%), and `cat` + `cat.bwd` 6% before
-# the affine layers read their inputs' parts in place (0.01% now).
+# at PR 21, of an op total that fell by 37%; the same seconds are
+# 6.7-6.8% of the total PR 23's GEMM tile left, hence the 9% limit), and
+# `cat` + `cat.bwd` 6% before the affine layers read their inputs' parts
+# in place (0.02% now).
 SHARE_REPORT="$OBS_DIR/tgat-shares.json"
 TGL_THREADS=1 ./target/release/tgl train --model tgat --scale 1 --epochs 2 --profile \
     --metrics-out "$SHARE_REPORT" >"$OBS_DIR/tgat-shares.log" 2>&1 \
@@ -156,7 +168,7 @@ grep -o '{"name":"[^"]*","phase":"[^"]*","stage":"[^"]*","kind":"op"[^}]*' "$SHA
            END {
                if (total == 0) { print "the report has no op rows"; exit 1 }
                printf "time_encode + .bwd %.2f%%, cat + .bwd %.2f%% of %.3f s of op self time\n", 100 * trig / total, 100 * cat / total, total / 1e9
-               if (trig > 0.07 * total) { print "time_encode + time_encode.bwd exceed 7% of op self time"; bad = 1 }
+               if (trig > 0.09 * total) { print "time_encode + time_encode.bwd exceed 9% of op self time"; bad = 1 }
                if (cat > 0.015 * total) { print "cat + cat.bwd exceed 1.5% of op self time"; bad = 1 }
                exit bad
            }' \

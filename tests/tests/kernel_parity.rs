@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tgl_runtime::set_threads;
-use tgl_tensor::kernel::{self, KernelMode, Trig};
+use tgl_tensor::kernel::{self, KernelMode, Simd, Trig};
 use tgl_tensor::ops::{
     cat, gru_gates, linear_cat, segment_dot, segment_mean, segment_softmax, segment_sum,
     segment_weighted_sum, time_encode, AdamStep,
@@ -27,13 +27,13 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Restores the default kernel state (exact mode, SIMD auto-detected,
-/// one thread) when a test scope unwinds.
+/// Restores the default kernel state (exact mode, the host's own SIMD
+/// level, one thread) when a test scope unwinds.
 struct RestoreKernel;
 impl Drop for RestoreKernel {
     fn drop(&mut self) {
         kernel::set_mode(KernelMode::Exact);
-        kernel::set_simd(true);
+        kernel::set_simd(Simd::Avx512);
         set_threads(1);
     }
 }
@@ -42,15 +42,24 @@ fn rand2(rng: &mut StdRng, dims: [usize; 2]) -> Tensor {
     Tensor::rand_uniform(dims, -1.0, 1.0, rng)
 }
 
-/// GEMM shapes crossing every tile boundary (MR=4 / NR=8 / KC=256)
-/// plus the attention-shaped skinny cases from the bench sweep.
-const GEMM_SIZES: [(usize, usize, usize); 6] = [
+/// GEMM shapes crossing every tile boundary of every SIMD level (4
+/// rows; one vector and a whole tile row of 4 / 8, 8 / 16 and 16 / 32
+/// floats; KC=128) plus the attention-shaped skinny cases from the
+/// bench sweep.
+const GEMM_SIZES: [(usize, usize, usize); 13] = [
     (3, 5, 7),
     (5, 257, 9),
     (65, 300, 33),
     (400, 16, 10), // attention scores: (batch*heads) x dim x fanout
     (400, 10, 16), // attention output
     (7, 513, 31),
+    (4, 127, 1), // the predictor's single output column
+    (3, 128, 15),
+    (5, 129, 17),
+    (8, 31, 32),
+    (9, 16, 48), // a whole AVX-512F tile row and one vector more
+    (6, 40, 63),
+    (12, 33, 65),
 ];
 
 /// One deterministic pass over the ops under contract; returns every
@@ -153,16 +162,17 @@ fn exact_mode_simd_is_bitwise_identical_to_scalar() {
     let _restore = RestoreKernel;
     kernel::set_mode(KernelMode::Exact);
     set_threads(1);
-    kernel::set_simd(false);
+    kernel::set_simd(Simd::Scalar);
     let scalar = op_suite();
-    kernel::set_simd(true);
-    let simd = op_suite();
-    assert_eq!(
-        bits(&scalar),
-        bits(&simd),
-        "exact mode must be bitwise identical with SIMD on ({}) and off",
-        kernel::simd_label()
-    );
+    for level in kernel::simd_levels() {
+        kernel::set_simd(level);
+        assert_eq!(
+            bits(&scalar),
+            bits(&op_suite()),
+            "exact mode must be bitwise identical at {} and at the scalar level",
+            kernel::simd_label()
+        );
+    }
 }
 
 #[test]
@@ -218,6 +228,29 @@ fn fast_mode_gradients_pass_finite_difference_check() {
     }
 }
 
+/// What the naive loops make of `C = A·B` and its backward from `dC`:
+/// `(C, dA, dB)`, every element accumulated in ascending reduction
+/// index from zero, one `mul` and one `add` at a time.
+fn naive_gemm_triple(a: &[f32], b: &[f32], dc: &[f32], (m, k, n): (usize, usize, usize)) -> [Vec<f32>; 3] {
+    let (mut c, mut da, mut db) = (vec![0.0f32; m * n], vec![0.0f32; m * k], vec![0.0f32; k * n]);
+    for i in 0..m {
+        for p in 0..k {
+            for j in 0..n {
+                c[i * n + j] += a[i * k + p] * b[p * n + j];
+                da[i * k + p] += dc[i * n + j] * b[p * n + j];
+            }
+        }
+    }
+    for p in 0..k {
+        for i in 0..m {
+            for j in 0..n {
+                db[p * n + j] += a[i * k + p] * dc[i * n + j];
+            }
+        }
+    }
+    [c, da, db]
+}
+
 /// `C = A·B` forward, then backward from the upstream gradient `dC`:
 /// returns `(C, dA, dB)` — the `nn`, `nt` and `tn` kernels in turn.
 fn gemm_triple(a: &Tensor, b: &Tensor, dc: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -234,31 +267,15 @@ fn transposed_gemms_match_naive_reduction_order_in_exact_mode() {
     kernel::set_mode(KernelMode::Exact);
     set_threads(1);
     let mut rng = StdRng::seed_from_u64(0x7A1);
-    // Includes reductions crossing KC=256 for both products (dA reduces
-    // over n, dB over m) and shapes with k and n below NR=8.
+    // Includes reductions crossing KC=128 for both products (dA reduces
+    // over n, dB over m) and shapes with k and n below one vector.
     for (m, k, n) in [(3, 5, 7), (5, 257, 9), (9, 5, 257), (300, 7, 33), (65, 300, 33)] {
         let (a, b) = (rand2(&mut rng, [m, k]), rand2(&mut rng, [k, n]));
         let dc = rand2(&mut rng, [m, n]).to_vec();
         let (_, da, db) = gemm_triple(&a, &b, &dc);
-        let (av, bv) = (a.to_vec(), b.to_vec());
         // dA[i,p] = sum_j dC[i,j]·B[p,j] and dB[p,j] = sum_i A[i,p]·dC[i,j],
         // each accumulated in ascending reduction index.
-        let mut want_da = vec![0.0f32; m * k];
-        let mut want_db = vec![0.0f32; k * n];
-        for i in 0..m {
-            for p in 0..k {
-                for j in 0..n {
-                    want_da[i * k + p] += dc[i * n + j] * bv[p * n + j];
-                }
-            }
-        }
-        for p in 0..k {
-            for i in 0..m {
-                for j in 0..n {
-                    want_db[p * n + j] += av[i * k + p] * dc[i * n + j];
-                }
-            }
-        }
+        let [_, want_da, want_db] = naive_gemm_triple(&a.to_vec(), &b.to_vec(), &dc, (m, k, n));
         assert_eq!(bits(&da), bits(&want_da), "dA = dC·Bt at {m}x{k}x{n}");
         assert_eq!(bits(&db), bits(&want_db), "dB = At·dC at {m}x{k}x{n}");
     }
@@ -268,15 +285,16 @@ fn transposed_gemms_match_naive_reduction_order_in_exact_mode() {
 fn mc_panel_gemm_thread_invariant_in_both_modes() {
     let _g = serial();
     let _restore = RestoreKernel;
-    // Enough rows for several row panels in every product, with a
+    // Enough work (past the 4 Mi multiply-adds below which a product
+    // runs inline) for several row panels in every product, with a
     // reduction crossing a KC boundary in each (k for C, n for dA, m
-    // for dB) and one shape whose k and n sit below NR. All three
-    // kernels must be bitwise invariant between 1 and 4 threads in
-    // *both* kernel modes — fast mode changes which arithmetic runs,
+    // for dB) and one shape whose k and n sit below one vector. All
+    // three kernels must be bitwise invariant between 1 and 4 threads
+    // in *both* kernel modes — fast mode changes which arithmetic runs,
     // never the order it runs in.
     for mode in [KernelMode::Exact, KernelMode::Fast] {
         kernel::set_mode(mode);
-        for (m, k, n) in [(300, 257, 33), (300, 33, 257), (9000, 3, 5)] {
+        for (m, k, n) in [(1300, 257, 33), (1300, 33, 257), (300_000, 3, 5)] {
             let run = |threads: usize| {
                 set_threads(threads);
                 let mut rng = StdRng::seed_from_u64(0x6CA);
@@ -286,6 +304,127 @@ fn mc_panel_gemm_thread_invariant_in_both_modes() {
                 (bits(&c), bits(&da), bits(&db))
             };
             assert_eq!(run(1), run(4), "{mode:?} {m}x{k}x{n}: GEMM differs between 1 and 4 threads");
+        }
+    }
+}
+
+/// The affine layer over parts of `widths` columns by naive loops:
+/// the output (bias added to the finished sum, then ReLU), and from the
+/// upstream gradient [`upstream`] every part's gradient, the weight's
+/// and the bias's, each sum ascending from zero.
+fn naive_linear_cat(parts: &[Vec<f32>], widths: &[usize], w: &[f32], bias: &[f32], m: usize, relu: bool) -> Vec<Vec<f32>> {
+    let (k, n) = (widths.iter().sum::<usize>(), bias.len());
+    // Row `i` of the concatenation.
+    let row = |i: usize| -> Vec<f32> {
+        parts.iter().zip(widths).flat_map(|(x, &kp)| x[i * kp..(i + 1) * kp].to_vec()).collect()
+    };
+    let (mut y, mut dy) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+    for i in 0..m {
+        let x = row(i);
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += x[p] * w[j * k + p];
+            }
+            let out = acc + bias[j];
+            y[i * n + j] = if relu { out.max(0.0) } else { out };
+            dy[i * n + j] = if relu && out <= 0.0 { 0.0 } else { upstream(i * n + j) };
+        }
+    }
+    let (mut dx, mut dw, mut dbias) = (vec![0.0f32; m * k], vec![0.0f32; n * k], vec![0.0f32; n]);
+    for i in 0..m {
+        let x = row(i);
+        for j in 0..n {
+            for p in 0..k {
+                dx[i * k + p] += dy[i * n + j] * w[j * k + p];
+                dw[j * k + p] += dy[i * n + j] * x[p];
+            }
+            dbias[j] += dy[i * n + j];
+        }
+    }
+    let mut all = vec![y];
+    let mut col0 = 0;
+    for &kp in widths {
+        all.push((0..m).flat_map(|i| dx[i * k + col0..i * k + col0 + kp].to_vec()).collect());
+        col0 += kp;
+    }
+    all.extend([dw, dbias]);
+    all
+}
+
+#[test]
+fn gemm_and_linear_cat_hold_their_bits_at_every_simd_level() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    let mut rng = StdRng::seed_from_u64(0x1E7E1);
+    // The tile-edge shapes, and one product large enough to split into
+    // row panels at 4 threads.
+    let gemms: Vec<_> = GEMM_SIZES
+        .into_iter()
+        .chain([(1100, 129, 33)])
+        .map(|(m, k, n)| {
+            let (a, b) = (rand2(&mut rng, [m, k]), rand2(&mut rng, [k, n]));
+            let dc = rand2(&mut rng, [m, n]).to_vec();
+            let want = naive_gemm_triple(&a.to_vec(), &b.to_vec(), &dc, (m, k, n));
+            (a, b, dc, want)
+        })
+        .collect();
+    // Parts cut inside a register tile, on a vector, past a KC block;
+    // an output one column wide, one vector wide, one over a tile row.
+    let layers: Vec<_> = [
+        (9usize, vec![6usize], 3usize, false),
+        (70, vec![3, 5], 5, true),
+        (300, vec![32, 32, 16], 32, true),
+        (41, vec![130, 100], 17, false),
+        (37, vec![15, 1, 17], 1, false),
+        (5, vec![4, 0, 3], 16, true),
+        (23, vec![33, 31], 33, true),
+    ]
+    .into_iter()
+    .map(|(m, widths, n, relu)| {
+        let case = linear_cat_case(m, &widths, n, relu, None, &mut rng);
+        let values: Vec<Vec<f32>> = case.inputs.iter().map(Tensor::to_vec).collect();
+        let p = widths.len();
+        let want = naive_linear_cat(&values[..p], &widths, &values[p], &values[p + 1], m, relu);
+        (case, want)
+    })
+    .collect();
+
+    for level in kernel::simd_levels() {
+        kernel::set_simd(level);
+        for threads in [1, 4] {
+            set_threads(threads);
+            kernel::set_mode(KernelMode::Exact);
+            for (a, b, dc, want) in &gemms {
+                let (c, da, db) = gemm_triple(a, b, dc);
+                let at = format!("{}x{} at {level:?}, {threads} threads", a.shape(), b.shape());
+                assert_eq!(bits(&c), bits(&want[0]), "C = A·B, {at}");
+                assert_eq!(bits(&da), bits(&want[1]), "dA = dC·Bt, {at}");
+                assert_eq!(bits(&db), bits(&want[2]), "dB = At·dC, {at}");
+            }
+            for (case, want) in &layers {
+                // `==` on values, as for the chains: a zeroed accumulator
+                // turns a `-0.0` gradient into `+0.0`.
+                let got = eval(&case.fused, &case.inputs);
+                assert_eq!(&got, want, "{} at {level:?}, {threads} threads", case.name);
+            }
+            kernel::set_mode(KernelMode::Fast);
+            let close = |got: &[f32], want: &[f32], what: &str| {
+                let size = want.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+                let err = got.iter().zip(want).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max) / size;
+                assert!(err <= 1e-4, "{what} off by {err} under fast at {level:?}, {threads} threads");
+            };
+            for (a, b, dc, want) in &gemms {
+                let (c, da, db) = gemm_triple(a, b, dc);
+                for (got, want) in [&c, &da, &db].into_iter().zip(want) {
+                    close(got, want, &format!("{}x{}", a.shape(), b.shape()));
+                }
+            }
+            for (case, want) in &layers {
+                for (got, want) in eval(&case.fused, &case.inputs).iter().zip(want) {
+                    close(got, want, &case.name);
+                }
+            }
         }
     }
 }
@@ -405,7 +544,7 @@ fn sincos_simd_is_the_scalar_reference_bit_for_bit() {
         let want: Vec<f32> = args.iter().map(|&x| kernel::sincos_scalar(x, f)).collect();
         // Whole buffer, then row widths that leave every lane tail.
         for width in [args.len(), 1, 3, 5, 16] {
-            for simd in [true, false] {
+            for simd in kernel::simd_levels() {
                 kernel::set_simd(simd);
                 // Alone, and as the second output of the other function.
                 let (mut got, mut second) = (args.clone(), args.clone());
@@ -418,7 +557,7 @@ fn sincos_simd_is_the_scalar_reference_bit_for_bit() {
                     let same = |v: &f32| v.to_bits() == w.to_bits() || (v.is_nan() && w.is_nan());
                     assert!(
                         same(g) && same(s),
-                        "{f:?}({x:e}) simd={simd} width={width}: {g:e} / {s:e} vs scalar {w:e}"
+                        "{f:?}({x:e}) at {simd:?} width={width}: {g:e} / {s:e} vs scalar {w:e}"
                     );
                 }
             }
@@ -608,9 +747,9 @@ fn gru_gates_case(n: usize, hid: usize, rng: &mut StdRng) -> Fusion {
 }
 
 /// Every fused kernel at shapes that cross its edges: `k` straddling
-/// the GEMM's `KC = 256` panel, `n` below `NR = 8`, a mostly-zero
+/// the GEMM's `KC = 128` panels, `n` below one vector, a mostly-zero
 /// input, one to three input parts whose boundaries fall inside a
-/// register tile, on `NR` and past `KC`, head widths that are and are
+/// register tile, on a vector and past `KC`, head widths that are and are
 /// not a lane multiple, empty segments, no edges at all, and GRU
 /// states of no rows, one row, and enough rows to split across
 /// threads.

@@ -235,20 +235,23 @@ fn training_counters_invariant_across_thread_counts() {
 #[test]
 fn blocked_gemm_invariant_at_tile_boundaries() {
     let _g = serial();
-    // The blocked GEMM packs B into panels and tiles over
-    // MR=4 / NR=8 / KC=256; sizes one off either side of those
-    // boundaries exercise every partial-tile edge path. Forward and
-    // backward (which routes through the nt/tn kernels) must stay
-    // bitwise thread-invariant at all of them.
-    const SIZES: [(usize, usize, usize); 7] = [
-        (3, 255, 7),    // below every tile in all dims
-        (4, 256, 8),    // exact MR / KC / NR multiples
-        (5, 257, 9),    // one past MR / KC / NR
-        (63, 511, 7),   // odd row count, straddling 2 KC panels
-        (65, 513, 17),  // one element into a 3rd KC panel
-        (128, 256, 40),
-        (200, 129, 24), // enough work to fan out: the per-thread row
-                        // panel split must stay invariant
+    // The blocked GEMM packs B into panels and tiles over MR=4 rows,
+    // a tile row of 8 / 16 / 32 floats (scalar / AVX2 / AVX-512F) and
+    // KC=128; sizes one off either side of those boundaries exercise
+    // every partial-tile edge path. Forward and backward (which routes
+    // through the nt/tn kernels) must stay bitwise thread-invariant at
+    // all of them.
+    const SIZES: [(usize, usize, usize); 8] = [
+        (3, 127, 7),    // below every tile in all dims
+        (4, 256, 8),    // exact MR / KC multiples, one scalar tile row
+        (5, 257, 9),    // one past MR / KC / a scalar tile row
+        (63, 511, 15),  // odd row count, straddling 4 KC panels
+        (65, 513, 17),  // one element into a 5th KC panel
+        (128, 256, 32), // one AVX-512F tile row
+        (200, 129, 33), // ... and one column more
+        (1100, 129, 40), // enough work (past 4 Mi multiply-adds) to fan
+                         // out: the per-thread row panel split must
+                         // stay invariant
     ];
     for (m, k, n) in SIZES {
         assert_invariant(&format!("blocked gemm {m}x{k}x{n}"), || {
