@@ -415,45 +415,56 @@ struct SweepCell {
     secs: f64,
 }
 
-/// The two attention segment kernels at one TGAT batch's shape
-/// (6 000 sampled edges over 600 destinations, 2 heads of 16), forward
-/// and backward, at 1 and 2 threads in both kernel modes.
+/// The attention segment kernels, forward and backward, at 1 and 2
+/// threads in both kernel modes: `segment_dot` and
+/// `segment_weighted_sum` at one TGAT batch's shape (6 000 sampled edges
+/// over 600 destinations, 2 heads of 16), then those two and
+/// `segment_softmax` at TGAT's measured per-layer shapes on Wiki (4 430
+/// edges over 600 destinations and 11 803 over 1 600, nondecreasing
+/// ids as a block hands them over).
 fn attention_kernel_sweep(counts: &[usize]) -> Vec<SweepCell> {
-    let (e, s, h, d) = (6000usize, 600usize, 2usize, 16usize);
+    let (h, d) = (2usize, 16usize);
     let mut rng = StdRng::seed_from_u64(11);
-    let seg: Vec<usize> = (0..e).map(|i| i / 10).collect();
-    let q = Tensor::rand_uniform([s, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
-    let k = Tensor::rand_uniform([e, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
-    let a = Tensor::rand_uniform([e, h], 0.0, 1.0, &mut rng).requires_grad(true);
-    let backward = |y: Tensor| {
-        let go = vec![1.0; y.numel()];
-        let t0 = Instant::now();
-        y.backward_with(go);
-        let secs = t0.elapsed().as_secs_f64();
-        [&q, &k, &a].into_iter().for_each(Tensor::zero_grad);
-        secs
-    };
+    let shapes = [(6000usize, 600usize, false), (4430, 600, true), (11803, 1600, true)];
     let ambient = tgl_tensor::kernel::mode();
     let mut cells = Vec::new();
-    for mode in [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast] {
-        tgl_tensor::kernel::set_mode(mode);
-        for &t in counts.iter().filter(|&&t| t <= 2) {
-            set_threads(t);
-            let scale = 1.0 / (d as f32).sqrt();
-            let timed = [
-                ("segment_dot", time_it(|| segment_dot(&q, &k, &seg, h, scale), 0.3)),
-                ("segment_dot_bwd", mean_of(|| backward(segment_dot(&q, &k, &seg, h, scale)), 0.3)),
-                ("segment_weighted_sum", time_it(|| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
-                (
-                    "segment_weighted_sum_bwd",
-                    mean_of(|| backward(segment_weighted_sum(&k, &a, &seg, s)), 0.3),
-                ),
-            ];
-            cells.extend(timed.map(|(kernel, secs)| SweepCell {
-                bench: format!("{kernel}_{e}x{h}x{d}_{}", mode.label()),
-                threads: t,
-                secs,
-            }));
+    for (e, s, softmax) in shapes {
+        let seg: Vec<usize> = (0..e).map(|i| i * s / e).collect();
+        let q = Tensor::rand_uniform([s, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
+        let k = Tensor::rand_uniform([e, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
+        let a = Tensor::rand_uniform([e, h], 0.0, 1.0, &mut rng).requires_grad(true);
+        let backward = |y: Tensor| {
+            let go = vec![1.0; y.numel()];
+            let t0 = Instant::now();
+            y.backward_with(go);
+            let secs = t0.elapsed().as_secs_f64();
+            [&q, &k, &a].into_iter().for_each(Tensor::zero_grad);
+            secs
+        };
+        for mode in [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast] {
+            tgl_tensor::kernel::set_mode(mode);
+            for &t in counts.iter().filter(|&&t| t <= 2) {
+                set_threads(t);
+                let scale = 1.0 / (d as f32).sqrt();
+                let mut timed = vec![
+                    ("segment_dot", time_it(|| segment_dot(&q, &k, &seg, h, scale), 0.3)),
+                    ("segment_dot_bwd", mean_of(|| backward(segment_dot(&q, &k, &seg, h, scale)), 0.3)),
+                    ("segment_weighted_sum", time_it(|| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
+                    (
+                        "segment_weighted_sum_bwd",
+                        mean_of(|| backward(segment_weighted_sum(&k, &a, &seg, s)), 0.3),
+                    ),
+                ];
+                if softmax {
+                    timed.push(("segment_softmax", time_it(|| segment_softmax(&a, &seg, s), 0.3)));
+                    timed.push(("segment_softmax_bwd", mean_of(|| backward(segment_softmax(&a, &seg, s)), 0.3)));
+                }
+                cells.extend(timed.into_iter().map(|(kernel, secs)| SweepCell {
+                    bench: format!("{kernel}_{e}x{h}x{d}_{}", mode.label()),
+                    threads: t,
+                    secs,
+                }));
+            }
         }
     }
     tgl_tensor::kernel::set_mode(ambient);
@@ -677,8 +688,8 @@ fn main() {
     bench_gemm_series(&counts);
     println!();
     println!("== thread sweep ({host_cpus} host cpus) ==");
-    // Appended after the sweep so `scripts/bench_trend` keeps matching
-    // the older rows by position.
+    // `scripts/bench_trend` matches rows by `bench` and `threads`, so a
+    // sweep may add rows anywhere.
     let mut cells = thread_sweep(&counts);
     cells.extend(attention_kernel_sweep(&counts));
     cells.extend(gru_cell_sweep(&counts));

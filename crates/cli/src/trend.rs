@@ -6,14 +6,22 @@
 //! and the worst regression percentage. Only keys whose leaf name is a
 //! wall-time measurement (`secs`, `wall_s`) are compared — counts,
 //! ratios, and configuration echo through unchanged between runs and
-//! would only add noise.
+//! would only add noise. A row of a results array is named by what it
+//! measures, not by where it sits ([`IDENTITY`]), so appending or
+//! reordering rows compares like with like.
 
 use tgl_data::Json;
+
+/// The fields that say what an array row measures (the op or bench,
+/// its shape, kernel mode and thread count); a row carrying any of them
+/// is keyed by their values instead of its position.
+const IDENTITY: [&str; 7] = ["op", "bench", "m", "k", "n", "kernel", "threads"];
 
 /// One compared series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
-    /// Flattened key path, e.g. `runs[2].wall_s`.
+    /// Flattened key path, e.g. `runs[2].wall_s` or
+    /// `results[bench=matmul_512,threads=2].secs`.
     pub key: String,
     /// Value in the old (committed) document.
     pub old: f64,
@@ -24,7 +32,9 @@ pub struct TrendRow {
 }
 
 /// Flattens a JSON document into `(path, value)` rows for every
-/// numeric leaf, using `a.b[0].c` path syntax.
+/// numeric leaf, using `a.b[0].c` path syntax; an array element with
+/// [`IDENTITY`] fields is `a.b[op=nn,m=64].c` instead, with `#2`, `#3`
+/// .. after the identity of a repeated row.
 pub fn flatten_numeric(v: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk(String::new(), v, &mut out);
@@ -35,8 +45,17 @@ fn walk(prefix: String, v: &Json, out: &mut Vec<(String, f64)>) {
     match v {
         Json::Num(n) => out.push((prefix, *n)),
         Json::Arr(items) => {
+            let mut seen: Vec<String> = Vec::new();
             for (i, item) in items.iter().enumerate() {
-                walk(format!("{prefix}[{i}]"), item, out);
+                let id = identity(item).map_or_else(
+                    || i.to_string(),
+                    |id| {
+                        let repeats = seen.iter().filter(|s| **s == id).count();
+                        seen.push(id.clone());
+                        if repeats == 0 { id } else { format!("{id}#{}", repeats + 1) }
+                    },
+                );
+                walk(format!("{prefix}[{id}]"), item, out);
             }
         }
         Json::Obj(pairs) => {
@@ -51,6 +70,24 @@ fn walk(prefix: String, v: &Json, out: &mut Vec<(String, f64)>) {
         }
         _ => {}
     }
+}
+
+/// `field=value,..` over the [`IDENTITY`] fields an object carries, or
+/// `None` when it carries none.
+fn identity(item: &Json) -> Option<String> {
+    let Json::Obj(pairs) = item else { return None };
+    let parts: Vec<String> = IDENTITY
+        .iter()
+        .filter_map(|&field| {
+            let value = match pairs.iter().find(|(k, _)| k == field)?.1 {
+                Json::Str(ref s) => s.clone(),
+                Json::Num(n) => n.to_string(),
+                _ => return None,
+            };
+            Some(format!("{field}={value}"))
+        })
+        .collect();
+    (!parts.is_empty()).then(|| parts.join(","))
 }
 
 /// Whether a flattened key names a wall-time measurement.
@@ -183,6 +220,47 @@ mod tests {
         assert_eq!(missing, vec!["gone.wall_s".to_string()]);
         // Non-wall-time keys never warn; nothing missing → no warnings.
         assert!(missing_series(&new, &old).is_empty());
+    }
+
+    #[test]
+    fn rows_match_by_identity_when_reordered() {
+        let old = parse(
+            r#"{"results": [{"bench": "a", "threads": 1, "secs": 1.0}, {"bench": "b", "threads": 1, "secs": 4.0}]}"#,
+        );
+        let new = parse(
+            r#"{"results": [{"bench": "b", "threads": 1, "secs": 4.4}, {"bench": "a", "threads": 1, "secs": 1.0}]}"#,
+        );
+        let rows = compare(&old, &new);
+        assert_eq!(rows.len(), 2);
+        let b = rows.iter().find(|r| r.key == "results[bench=b,threads=1].secs").unwrap();
+        assert!((b.delta_pct - 10.0).abs() < 1e-9, "b compares with b: {}", b.delta_pct);
+        assert_eq!(worst_regression(&rows), b.delta_pct);
+        assert!(missing_series(&old, &new).is_empty());
+    }
+
+    #[test]
+    fn inserted_rows_leave_the_others_matched() {
+        // A GEMM row inserted at the front, and a second row with the
+        // same identity: the old rows still meet their own values.
+        let old = parse(
+            r#"{"results": [{"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 2.0, "gflops": 9},
+                            {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 3.0}]}"#,
+        );
+        let new = parse(
+            r#"{"results": [{"op": "tn", "m": 8, "kernel": "fast", "threads": 2, "secs": 50.0},
+                            {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 2.0, "gflops": 9},
+                            {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 3.0}]}"#,
+        );
+        let rows = compare(&old, &new);
+        let keys: Vec<&str> = rows.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["results[op=nn,m=64,kernel=exact,threads=1].secs", "results[op=nn,m=64,kernel=exact,threads=1#2].secs"]
+        );
+        assert_eq!(worst_regression(&rows), 0.0, "the new row has nothing to compare with");
+        // Rows without identity fields still go by position.
+        let flat = flatten_numeric(&parse(r#"{"epochs": [{"wall_s": 1.0}, {"wall_s": 2.0}]}"#));
+        assert_eq!(flat[1].0, "epochs[1].wall_s");
     }
 
     #[test]

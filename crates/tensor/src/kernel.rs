@@ -4,7 +4,8 @@
 //! implementation whose floating-point order defines the *exact*
 //! contract: results are bitwise identical across thread counts,
 //! across hosts and across SIMD levels. SIMD paths (x86-64 AVX2/FMA and,
-//! for the GEMM tile, AVX-512F; runtime-detected) come in two flavors:
+//! for the GEMM tile, the kernels written on `Lanes` and `sincos`, AVX-512F;
+//! runtime-detected) come in two flavors:
 //!
 //! * **Exact-safe SIMD** performs the *same* IEEE operations per output
 //!   element in the same order as the scalar kernel — lane-wise
@@ -20,8 +21,8 @@
 //!
 //! Two kinds of transcendental sit under that contract. `cos` and
 //! `sin` are in-tree: [`sincos`] is a fixed sequence of IEEE `f64`
-//! operations (no libm, no FMA) whose AVX2 form does the same
-//! operations lane-wise, so it is exact-safe SIMD, runs in both modes
+//! operations (no libm, no FMA) whose AVX2 and AVX-512F forms do the
+//! same operations lane-wise, so it is exact-safe SIMD, runs in both modes
 //! and gives the same bits on every host. `exp`, `tanh` and `ln` still
 //! come from the host's libm in `exact` mode (and `exp` from a
 //! polynomial in `fast`), which is the one place where `exact` depends
@@ -123,8 +124,9 @@ pub enum Simd {
     Scalar = 1,
     /// x86-64 AVX2 + FMA: 8 `f32` lanes.
     Avx2 = 2,
-    /// AVX-512F on top of AVX2 + FMA: 16 `f32` lanes in the GEMM tile;
-    /// every other kernel keeps its AVX2 body.
+    /// AVX-512F on top of AVX2 + FMA: 16 `f32` lanes in the GEMM tile
+    /// and the kernels written on `Lanes`, 8 `f64` lanes in
+    /// [`sincos`]; every other kernel keeps its AVX2 body.
     Avx512 = 3,
 }
 
@@ -294,6 +296,318 @@ pub(crate) fn addcmul_dispatch(y: &mut [f32], a: &[f32], b: &[f32], s: f32, fma:
 }
 
 // ---------------------------------------------------------------------
+// Lane vectors
+// ---------------------------------------------------------------------
+
+/// What a kernel body written once for every level needs of a vector of
+/// `f32` lanes. Every arithmetic operation is lane-wise, one IEEE
+/// rounding per lane (or one for a contracted `mul_add`), so a lane
+/// computes what the scalar loop computes for that element; moves
+/// (`transpose`, partial loads and stores) do not round at all.
+///
+/// # Safety
+///
+/// The methods of an implementation may only be called where its
+/// instruction set is enabled (inside a `#[target_feature]` function of
+/// that set, on a CPU that has it, as [`run_lanes`] arranges); `load` /
+/// `store` touch `LANES` floats from the pointer on, `load_part` /
+/// `store_part` the first `len <= LANES` of them.
+pub(crate) trait Lanes: Copy {
+    const LANES: usize;
+    unsafe fn splat(x: f32) -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn store(self, p: *mut f32);
+    /// `self + a * b`: contracted to one rounding with `FMA`, else a
+    /// `mul` and an `add` of one rounding each.
+    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self;
+    unsafe fn add(self, b: Self) -> Self;
+    unsafe fn sub(self, b: Self) -> Self;
+    unsafe fn mul(self, b: Self) -> Self;
+    /// The first `len` lanes from `p`; the others read zero.
+    unsafe fn load_part(p: *const f32, len: usize) -> Self;
+    /// Writes the first `len` lanes to `p`.
+    unsafe fn store_part(self, p: *mut f32, len: usize);
+    /// Transposes the square block of the first `LANES` vectors of `v`:
+    /// lane `j` of `v[i]` moves to lane `i` of `v[j]`.
+    unsafe fn transpose(v: &mut [Self]);
+}
+
+/// The scalar level's vector: four floats, one at a time. There is no
+/// FMA unit to contract into, so `fast` runs the exact arithmetic here.
+#[derive(Clone, Copy)]
+pub(crate) struct F32x4([f32; 4]);
+
+impl Lanes for F32x4 {
+    const LANES: usize = 4;
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        F32x4([x; 4])
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        F32x4(p.cast::<[f32; 4]>().read_unaligned())
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        p.cast::<[f32; 4]>().write_unaligned(self.0);
+    }
+    #[inline(always)]
+    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
+        F32x4(std::array::from_fn(|l| self.0[l] + a.0[l] * b.0[l]))
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        F32x4(std::array::from_fn(|l| self.0[l] + b.0[l]))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        F32x4(std::array::from_fn(|l| self.0[l] - b.0[l]))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        F32x4(std::array::from_fn(|l| self.0[l] * b.0[l]))
+    }
+    #[inline(always)]
+    unsafe fn load_part(p: *const f32, len: usize) -> Self {
+        F32x4(std::array::from_fn(|l| if l < len { *p.add(l) } else { 0.0 }))
+    }
+    #[inline(always)]
+    unsafe fn store_part(self, p: *mut f32, len: usize) {
+        for (l, &v) in self.0.iter().enumerate().take(len) {
+            *p.add(l) = v;
+        }
+    }
+    #[inline(always)]
+    unsafe fn transpose(v: &mut [Self]) {
+        let v: &mut [Self; 4] = (&mut v[..4]).try_into().expect("four vectors");
+        let t = *v;
+        *v = std::array::from_fn(|j| F32x4(std::array::from_fn(|i| t[i].0[j])));
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod lanes_x86 {
+    use super::Lanes;
+    use std::arch::x86_64::*;
+
+    impl Lanes for __m256 {
+        const LANES: usize = 8;
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self);
+        }
+        #[inline(always)]
+        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
+            if FMA {
+                _mm256_fmadd_ps(a, b, self)
+            } else {
+                _mm256_add_ps(self, _mm256_mul_ps(a, b))
+            }
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm256_add_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, b: Self) -> Self {
+            _mm256_sub_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm256_mul_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn load_part(p: *const f32, len: usize) -> Self {
+            if len >= 8 {
+                return _mm256_loadu_ps(p);
+            }
+            _mm256_maskload_ps(p, first_lanes(len))
+        }
+        #[inline(always)]
+        unsafe fn store_part(self, p: *mut f32, len: usize) {
+            if len >= 8 {
+                return _mm256_storeu_ps(p, self);
+            }
+            _mm256_maskstore_ps(p, first_lanes(len), self);
+        }
+        #[inline(always)]
+        unsafe fn transpose(v: &mut [Self]) {
+            let v: &mut [Self; 8] = (&mut v[..8]).try_into().expect("eight vectors");
+            // Pairs of rows, then 64-bit pairs within each 128-bit half:
+            // `u[4g + c]` holds column `4k + c` of rows `4g..4g + 4` in
+            // half `k`; swapping halves between groups finishes it.
+            let t: [Self; 8] = std::array::from_fn(|i| {
+                let (a, b) = (v[i / 2 * 2], v[i / 2 * 2 + 1]);
+                if i % 2 == 0 { _mm256_unpacklo_ps(a, b) } else { _mm256_unpackhi_ps(a, b) }
+            });
+            let u: [Self; 8] = std::array::from_fn(|i| {
+                let (g, c) = (i / 4, i % 4);
+                let (a, b) = (t[4 * g + c / 2], t[4 * g + c / 2 + 2]);
+                if c % 2 == 0 { _mm256_shuffle_ps::<0x44>(a, b) } else { _mm256_shuffle_ps::<0xEE>(a, b) }
+            });
+            for c in 0..4 {
+                v[c] = _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]);
+                v[4 + c] = _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]);
+            }
+        }
+    }
+
+    /// The mask of `maskload` / `maskstore` selecting lanes `0..len`.
+    #[inline(always)]
+    unsafe fn first_lanes(len: usize) -> __m256i {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
+    impl Lanes for __m512 {
+        const LANES: usize = 16;
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self);
+        }
+        #[inline(always)]
+        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
+            if FMA {
+                _mm512_fmadd_ps(a, b, self)
+            } else {
+                _mm512_add_ps(self, _mm512_mul_ps(a, b))
+            }
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm512_add_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, b: Self) -> Self {
+            _mm512_sub_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, b: Self) -> Self {
+            _mm512_mul_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn load_part(p: *const f32, len: usize) -> Self {
+            if len >= 16 {
+                return _mm512_loadu_ps(p);
+            }
+            _mm512_maskz_loadu_ps(((1u32 << len) - 1) as __mmask16, p)
+        }
+        #[inline(always)]
+        unsafe fn store_part(self, p: *mut f32, len: usize) {
+            if len >= 16 {
+                return _mm512_storeu_ps(p, self);
+            }
+            _mm512_mask_storeu_ps(p, ((1u32 << len) - 1) as __mmask16, self);
+        }
+        #[inline(always)]
+        unsafe fn transpose(v: &mut [Self]) {
+            let v: &mut [Self; 16] = (&mut v[..16]).try_into().expect("sixteen vectors");
+            // Within each 128-bit quarter as the 8-lane transpose does
+            // (`u[4g + c]` holds column `4k + c` of rows `4g..4g + 4` in
+            // quarter `k`), then a 4 x 4 transpose of the quarters in two
+            // rounds of quarter shuffles.
+            let t: [Self; 16] = std::array::from_fn(|i| {
+                let (a, b) = (v[i / 2 * 2], v[i / 2 * 2 + 1]);
+                if i % 2 == 0 { _mm512_unpacklo_ps(a, b) } else { _mm512_unpackhi_ps(a, b) }
+            });
+            let u: [Self; 16] = std::array::from_fn(|i| {
+                let (g, c) = (i / 4, i % 4);
+                let (a, b) = (_mm512_castps_pd(t[4 * g + c / 2]), _mm512_castps_pd(t[4 * g + c / 2 + 2]));
+                _mm512_castpd_ps(if c % 2 == 0 { _mm512_unpacklo_pd(a, b) } else { _mm512_unpackhi_pd(a, b) })
+            });
+            // `w[c]`: quarters (k, g) = (0, 0) (2, 0) (0, 1) (2, 1) of
+            // column group `c`, `w[4 + c]` the odd `k`, `w[8 + c]` and
+            // `w[12 + c]` the same for groups 2 and 3.
+            let w: [Self; 16] = std::array::from_fn(|i| {
+                let (half, odd, c) = (i / 8, i / 4 % 2, i % 4);
+                let (a, b) = (u[8 * half + c], u[8 * half + 4 + c]);
+                if odd == 0 { _mm512_shuffle_f32x4::<0x88>(a, b) } else { _mm512_shuffle_f32x4::<0xDD>(a, b) }
+            });
+            for c in 0..4 {
+                v[c] = _mm512_shuffle_f32x4::<0x88>(w[c], w[8 + c]);
+                v[8 + c] = _mm512_shuffle_f32x4::<0xDD>(w[c], w[8 + c]);
+                v[4 + c] = _mm512_shuffle_f32x4::<0x88>(w[4 + c], w[12 + c]);
+                v[12 + c] = _mm512_shuffle_f32x4::<0xDD>(w[4 + c], w[12 + c]);
+            }
+        }
+    }
+}
+
+/// A kernel body written once over [`Lanes`] and instantiated at every
+/// SIMD level by [`run_lanes`].
+pub(crate) trait LaneKernel {
+    /// Runs the body on vectors `V`, contracting multiply-adds when
+    /// `FMA`.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s instruction set must be enabled in the caller (implementations
+    /// are `#[inline(always)]` and inline into [`run_lanes`]'s
+    /// `#[target_feature]` instances), plus whatever the kernel states.
+    unsafe fn run<V: Lanes, const FMA: bool>(self);
+}
+
+/// Runs `k` on the vectors of the active SIMD level: [`F32x4`] at the
+/// scalar level, 8 lanes at AVX2, 16 at AVX-512F. With `fma`, SIMD
+/// levels contract multiply-adds (fast mode only).
+pub(crate) fn run_lanes<K: LaneKernel>(k: K, fma: bool) {
+    #[cfg(target_arch = "x86_64")]
+    match simd() {
+        // SAFETY (both): the level says the CPU supports the instance's
+        // instruction set.
+        Simd::Avx512 => return unsafe { run_avx512(k, fma) },
+        Simd::Avx2 => return unsafe { run_avx2(k, fma) },
+        Simd::Scalar => {}
+    }
+    let _ = fma; // the scalar level has nothing to contract
+    // SAFETY: `F32x4` needs no instruction set beyond the baseline.
+    unsafe { k.run::<F32x4, false>() }
+}
+
+/// # Safety
+///
+/// Requires AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn run_avx2<K: LaneKernel>(k: K, fma: bool) {
+    use std::arch::x86_64::__m256;
+    if fma {
+        k.run::<__m256, true>()
+    } else {
+        k.run::<__m256, false>()
+    }
+}
+
+/// # Safety
+///
+/// Requires AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512<K: LaneKernel>(k: K, fma: bool) {
+    use std::arch::x86_64::__m512;
+    if fma {
+        k.run::<__m512, true>()
+    } else {
+        k.run::<__m512, false>()
+    }
+}
+
+// ---------------------------------------------------------------------
 // Trigonometry
 // ---------------------------------------------------------------------
 
@@ -396,11 +710,12 @@ pub fn sincos_scalar(x: f32, f: Trig) -> f32 {
 /// writes the other function of the same arguments there (a forward
 /// pass that saves what its backward multiplies by).
 ///
-/// Exact-safe SIMD: the AVX2 kernel performs the operations of
-/// [`sincos_scalar`] on four `f64` lanes (both polynomials, then a
-/// per-lane select for each output), so SIMD and scalar hosts, both
-/// kernel modes and every way of splitting `buf` across threads give
-/// the same bits.
+/// Exact-safe SIMD: the AVX2 and AVX-512F kernels perform the
+/// operations of [`sincos_scalar`] on four and eight `f64` lanes (both
+/// polynomials, then a per-lane select for each output) and leave the
+/// last few elements to the scalar reference, so SIMD and scalar
+/// hosts, both kernel modes and every way of splitting `buf` across
+/// threads give the same bits.
 ///
 /// # Panics
 ///
@@ -408,11 +723,13 @@ pub fn sincos_scalar(x: f32, f: Trig) -> f32 {
 pub fn sincos(buf: &mut [f32], f: Trig, other: Option<&mut [f32]>) {
     assert!(other.as_ref().is_none_or(|o| o.len() == buf.len()), "sincos outputs differ in length");
     #[cfg(target_arch = "x86_64")]
-    if simd() >= Simd::Avx2 {
-        // SAFETY: the level says the CPU supports AVX2; the outputs
-        // were measured against each other just above.
-        unsafe { sincos_avx2(buf, f, other) };
-        return;
+    match simd() {
+        // SAFETY (both): the level says the CPU supports the kernel's
+        // instruction set; the outputs were measured against each other
+        // just above.
+        Simd::Avx512 => return unsafe { sincos_avx512(buf, f, other) },
+        Simd::Avx2 => return unsafe { sincos_avx2(buf, f, other) },
+        Simd::Scalar => {}
     }
     sincos_from(0, buf, f, other);
 }
@@ -474,6 +791,57 @@ unsafe fn sincos_avx2(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
         _mm_storeu_ps(buf.as_mut_ptr().add(at), pick(f));
         if let Some(other) = other.as_deref_mut() {
             _mm_storeu_ps(other.as_mut_ptr().add(at), pick(f.other()));
+        }
+    }
+    sincos_from(whole, buf, f, other);
+}
+
+/// [`sincos_avx2`] on eight lanes: the same operations, with the parity
+/// select as a mask blend and the sign flip as an integer `xor`.
+///
+/// # Safety
+///
+/// Requires AVX-512F; `other`, if given, must be as long as `buf`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sincos_avx512(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
+    use std::arch::x86_64::*;
+    use trig::*;
+    let k = |c: f64| _mm512_set1_pd(c);
+    let whole = buf.len() / 8 * 8;
+    for at in (0..whole).step_by(8) {
+        let x = _mm512_cvtps_pd(_mm256_loadu_ps(buf.as_ptr().add(at)));
+        let t = _mm512_mul_pd(x, k(TWO_OVER_PI));
+        let tm = _mm512_add_pd(t, k(ROUND));
+        let q = _mm512_sub_pd(tm, k(ROUND));
+        let r = _mm512_sub_pd(x, _mm512_mul_pd(q, k(PIO2_1)));
+        let r = _mm512_sub_pd(r, _mm512_mul_pd(q, k(PIO2_2)));
+        let r = _mm512_sub_pd(r, _mm512_mul_pd(q, k(PIO2_3)));
+        let z = _mm512_mul_pd(r, r);
+        let w = _mm512_mul_pd(z, z);
+        let c = _mm512_add_pd(
+            _mm512_add_pd(
+                _mm512_add_pd(k(1.0), _mm512_mul_pd(z, k(C0))),
+                _mm512_mul_pd(w, k(C1)),
+            ),
+            _mm512_mul_pd(_mm512_mul_pd(w, z), _mm512_add_pd(k(C2), _mm512_mul_pd(z, k(C3)))),
+        );
+        let s = _mm512_mul_pd(z, r);
+        let sn = _mm512_add_pd(
+            _mm512_add_pd(r, _mm512_mul_pd(s, _mm512_add_pd(k(S1), _mm512_mul_pd(z, k(S2))))),
+            _mm512_mul_pd(_mm512_mul_pd(s, w), _mm512_add_pd(k(S3), _mm512_mul_pd(z, k(S4)))),
+        );
+        let pick = |f: Trig| {
+            let m = _mm512_add_epi64(_mm512_castpd_si512(tm), _mm512_set1_epi64(f.quadrant_shift() as i64));
+            let odd = _mm512_test_epi64_mask(m, _mm512_set1_epi64(1));
+            let y = _mm512_castpd_si512(_mm512_mask_blend_pd(odd, c, sn));
+            let negative = _mm512_and_si512(_mm512_add_epi64(m, _mm512_set1_epi64(1)), _mm512_set1_epi64(2));
+            let y = _mm512_castsi512_pd(_mm512_xor_si512(y, _mm512_slli_epi64::<62>(negative)));
+            _mm512_cvtpd_ps(_mm512_max_pd(k(-1.0), _mm512_min_pd(k(1.0), y)))
+        };
+        _mm256_storeu_ps(buf.as_mut_ptr().add(at), pick(f));
+        if let Some(other) = other.as_deref_mut() {
+            _mm256_storeu_ps(other.as_mut_ptr().add(at), pick(f.other()));
         }
     }
     sincos_from(whole, buf, f, other);

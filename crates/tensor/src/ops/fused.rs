@@ -15,7 +15,7 @@
 use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
 
 use crate::autograd::grad_enabled;
-use crate::kernel::{self, Simd, Trig};
+use crate::kernel::{self, LaneKernel, Lanes, Simd, Trig};
 use crate::ops::{rows_threshold, same_device, ELEMWISE_SEQ};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -502,10 +502,12 @@ impl Tensor {
 /// a forward that builds a node takes the `sin` of the same arguments
 /// from the same kernel pass and keeps it for backward, so values and
 /// gradients carry the roundings of
-/// `deltas.reshape([n, 1]).mul(freq).add(phase).cos()`. `deltas` takes
-/// no gradient. Forward owns rows; backward owns columns and walks
-/// them row-major (lanes are columns), so both are invariant across
-/// thread counts.
+/// `deltas.reshape([n, 1]).mul(freq).add(phase).cos()`. When every
+/// delta has the same bits (`Φ(0)` for a block's destinations) the rows
+/// are equal: one is computed and copied, and backward reads its sines
+/// for every row. `deltas` takes no gradient. Forward owns rows;
+/// backward owns columns and walks them row-major (lanes are columns),
+/// so both are invariant across thread counts.
 ///
 /// # Panics
 ///
@@ -535,14 +537,17 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
             4 * (2 * cells + n as u64),
             4 * ((need_f as usize + need_p as usize) * dim) as u64,
         );
+    let dt = deltas.inner.storage.read();
+    // The rows that are computed: all of them, or the first when the
+    // rest repeat its delta.
+    let distinct = if dt.iter().all(|t| t.to_bits() == dt[0].to_bits()) { n.min(1) } else { n };
     let mut y = pool::take_uninit(n * dim, device);
-    let mut sin = track.then(|| pool::take_uninit(n * dim, device));
+    let mut sin = track.then(|| pool::take_uninit(distinct * dim, device));
     {
-        let dt = deltas.inner.storage.read();
         let w = freq.inner.storage.read();
         let b = phase.inner.storage.read();
         let (y_sl, sin_sl) = (UnsafeSlice::new(&mut y), shared(&mut sin));
-        parallel_for(n, rows_threshold(8 * dim), |rows: std::ops::Range<usize>| {
+        parallel_for(distinct, rows_threshold(8 * dim), |rows: std::ops::Range<usize>| {
             // SAFETY (both): disjoint row ranges per chunk.
             let out = unsafe { y_sl.slice_mut(rows.start * dim, rows.len() * dim) };
             let sin = unsafe { rows_of(&sin_sl, &rows, dim) };
@@ -554,6 +559,11 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
             kernel::sincos(out, Trig::Cos, sin);
         });
     }
+    if distinct < n && dim > 0 {
+        let (first, rest) = y.split_at_mut(dim);
+        rest.chunks_exact_mut(dim).for_each(|row| row.copy_from_slice(first));
+    }
+    drop(dt);
     let sin = sin.map(|s| PooledBuf::new(s, device));
     let dt_t = deltas.clone();
     let inputs = [deltas.clone(), freq.clone(), phase.clone()];
@@ -567,28 +577,71 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
             // One strip of columns per chunk: a worker reads every row
             // whatever its share of the columns, so narrower strips
             // only re-read the same cache lines.
-            parallel_for_chunks(dim, STRIP, |_, strip: std::ops::Range<usize>| {
-                let (mut acc_f, mut acc_p) = ([0.0f32; STRIP], [0.0f32; STRIP]);
-                let rows = go.chunks_exact(dim).zip(sin.chunks_exact(dim)).zip(dt.iter());
-                for ((go_row, sin_row), &t) in rows {
-                    let cells = go_row[strip.clone()].iter().zip(&sin_row[strip.clone()]);
-                    for (j, (&g, &s)) in cells.enumerate() {
-                        let g = -g * s;
-                        acc_p[j] += g;
-                        acc_f[j] += g * t;
-                    }
-                }
+            parallel_for_chunks(dim, STRIP, |_, cols: std::ops::Range<usize>| {
                 // SAFETY (both): the strip's columns belong to one chunk.
-                if let Some(gf_sl) = &gf_sl {
-                    unsafe { gf_sl.slice_mut(strip.start, strip.len()) }.copy_from_slice(&acc_f[..strip.len()]);
-                }
-                if let Some(gp_sl) = &gp_sl {
-                    unsafe { gp_sl.slice_mut(strip.start, strip.len()) }.copy_from_slice(&acc_p[..strip.len()]);
-                }
+                let gf = unsafe { rows_of(&gf_sl, &cols, 1) };
+                let gp = unsafe { rows_of(&gp_sl, &cols, 1) };
+                let sums = TimeGrads { go, sin, dt: &dt, dim, cols, gf, gp };
+                kernel::run_lanes(sums, false);
             });
         }
         vec![None, gf, gp]
     })
+}
+
+/// The column sums of [`time_encode`]'s backward over the columns
+/// `cols`: with `p = dout[i,j] · sin[i,j]` (one rounding),
+/// `dphase[j] = Σ_i -p` and `dfreq[j] = Σ_i -p · t_i`, each from zero
+/// over ascending rows, as `acc - p` and `acc - p · t` (the roundings
+/// of adding `-p` and `(-p) · t`). `sin` holds a row per delta or one
+/// row for all of them.
+struct TimeGrads<'a> {
+    go: &'a [f32],
+    sin: &'a [f32],
+    dt: &'a [f32],
+    dim: usize,
+    cols: std::ops::Range<usize>,
+    gf: Option<&'a mut [f32]>,
+    gp: Option<&'a mut [f32]>,
+}
+
+impl LaneKernel for TimeGrads<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes, const FMA: bool>(self) {
+        /// Vectors of columns one walk over the rows keeps in registers.
+        const GROUP: usize = 4;
+        let TimeGrads { go, sin, dt, dim, cols, mut gf, mut gp } = self;
+        assert!(go.len() == dt.len() * dim && (sin.len() == go.len() || sin.len() == dim) && cols.end <= dim);
+        let shared_row = sin.len() < go.len();
+        let mut c0 = cols.start;
+        while c0 < cols.end {
+            let real = (cols.end - c0).div_ceil(V::LANES).min(GROUP);
+            let lens: [usize; GROUP] = std::array::from_fn(|v| (cols.end - c0).saturating_sub(v * V::LANES).min(V::LANES));
+            let (mut acc_f, mut acc_p) = ([V::splat(0.0); GROUP], [V::splat(0.0); GROUP]);
+            for (i, &t) in dt.iter().enumerate() {
+                let go_row = go.as_ptr().add(i * dim + c0);
+                let sin_row = sin.as_ptr().add(if shared_row { c0 } else { i * dim + c0 });
+                let t = V::splat(t);
+                for (v, ((f, p_sum), &len)) in acc_f.iter_mut().zip(&mut acc_p).zip(&lens).take(real).enumerate() {
+                    // SAFETY: the columns lie inside both rows.
+                    let c = v * V::LANES;
+                    let p = V::load_part(go_row.add(c), len).mul(V::load_part(sin_row.add(c), len));
+                    *p_sum = p_sum.sub(p);
+                    *f = f.sub(p.mul(t));
+                }
+            }
+            let at = c0 - cols.start;
+            for (v, ((f, p_sum), &len)) in acc_f.iter().zip(&acc_p).zip(&lens).take(real).enumerate() {
+                if let Some(gf) = gf.as_deref_mut() {
+                    f.store_part(gf.as_mut_ptr().add(at + v * V::LANES), len);
+                }
+                if let Some(gp) = gp.as_deref_mut() {
+                    p_sum.store_part(gp.as_mut_ptr().add(at + v * V::LANES), len);
+                }
+            }
+            c0 += GROUP * V::LANES;
+        }
+    }
 }
 
 /// The logistic function as [`Tensor::sigmoid`] rounds it.

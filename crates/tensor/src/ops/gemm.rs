@@ -53,7 +53,7 @@
 
 use tgl_runtime::{parallel_for_chunks, UnsafeSlice};
 
-use crate::kernel::{self, Simd};
+use crate::kernel::{self, F32x4, Lanes, Simd};
 
 /// A pass over finished whole rows of `C` (bias add, activation).
 pub(crate) type Epilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
@@ -182,105 +182,6 @@ fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
 // ---------------------------------------------------------------------
 // Register-tile kernels
 // ---------------------------------------------------------------------
-
-/// What the tile body needs of a vector of `f32` lanes. Every operation
-/// is lane-wise, one IEEE rounding per lane, so a lane computes what
-/// the scalar loop computes for that element.
-///
-/// # Safety
-///
-/// The methods of an implementation may only be called where its
-/// instruction set is enabled (inside a `#[target_feature]` function of
-/// that set, on a CPU that has it); `load` / `store` touch `LANES`
-/// floats from the pointer on.
-trait Lanes: Copy {
-    const LANES: usize;
-    unsafe fn splat(x: f32) -> Self;
-    unsafe fn load(p: *const f32) -> Self;
-    unsafe fn store(self, p: *mut f32);
-    /// `self + a * b`: contracted to one rounding with `FMA`, else a
-    /// `mul` and an `add` of one rounding each.
-    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self;
-}
-
-/// The scalar level's vector: four floats, one at a time. There is no
-/// FMA unit to contract into, so `fast` runs the exact arithmetic here.
-#[derive(Clone, Copy)]
-struct F32x4([f32; 4]);
-
-impl Lanes for F32x4 {
-    const LANES: usize = 4;
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> Self {
-        F32x4([x; 4])
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        F32x4(p.cast::<[f32; 4]>().read_unaligned())
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        p.cast::<[f32; 4]>().write_unaligned(self.0);
-    }
-    #[inline(always)]
-    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
-        F32x4(std::array::from_fn(|l| self.0[l] + a.0[l] * b.0[l]))
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::Lanes;
-    use std::arch::x86_64::*;
-
-    impl Lanes for __m256 {
-        const LANES: usize = 8;
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> Self {
-            _mm256_set1_ps(x)
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            _mm256_loadu_ps(p)
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            _mm256_storeu_ps(p, self);
-        }
-        #[inline(always)]
-        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
-            if FMA {
-                _mm256_fmadd_ps(a, b, self)
-            } else {
-                _mm256_add_ps(self, _mm256_mul_ps(a, b))
-            }
-        }
-    }
-
-    impl Lanes for __m512 {
-        const LANES: usize = 16;
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> Self {
-            _mm512_set1_ps(x)
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            _mm512_loadu_ps(p)
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            _mm512_storeu_ps(p, self);
-        }
-        #[inline(always)]
-        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
-            if FMA {
-                _mm512_fmadd_ps(a, b, self)
-            } else {
-                _mm512_add_ps(self, _mm512_mul_ps(a, b))
-            }
-        }
-    }
-}
 
 /// The tile update, written once: `MR` rows of `W` vectors. Row `r` of
 /// the tile lives at `c[r * ldc..][..W * V::LANES]` and gains `sum_kk

@@ -4,11 +4,26 @@
 //! `edge_softmax` is a segmented softmax grouped by destination node,
 //! `edge_reduce` is a segmented reduction, and `src_scatter` uses
 //! segmented mean. Inputs are `[N, D]` row tensors plus a per-row
-//! segment id; segment ids need not be sorted.
+//! segment id; segment ids need not be sorted, but when they are
+//! nondecreasing (a block's destination index always is) each segment
+//! is read as one run of consecutive rows (`SegmentRows`).
+//!
+//! The three attention kernels run one body at every SIMD level
+//! (`kernel::run_lanes`) with one output element per lane: per
+//! destination, the rows of a run are accumulated into registers that
+//! each hold a vector of output columns (`WeightedRows`); per edge, a
+//! block of one vector's width of edges is transposed so that each lane
+//! sums its own edge's products (`Dots`). Either way a lane performs
+//! its element's operations in the scalar loop's order, so `exact`
+//! results do not depend on the level, the row source or the thread
+//! count.
+
+use std::marker::PhantomData;
+use std::ops::Range;
 
 use tgl_runtime::{parallel_for, UnsafeSlice};
 
-use crate::kernel::{self, Simd};
+use crate::kernel::{self, LaneKernel, Lanes, Simd};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
@@ -24,7 +39,7 @@ use crate::Tensor;
 unsafe fn seg_softmax_block_avx2(
     x: &[f32],
     y: &UnsafeSlice<f32>,
-    rows: &[usize],
+    rows: impl Iterator<Item = usize> + Clone,
     d: usize,
     j0: usize,
 ) {
@@ -32,11 +47,11 @@ unsafe fn seg_softmax_block_avx2(
 
     use crate::kernel::x86::exp256;
     let mut vm = _mm256_set1_ps(f32::NEG_INFINITY);
-    for &i in rows {
+    for i in rows.clone() {
         vm = _mm256_max_ps(vm, _mm256_loadu_ps(x.as_ptr().add(i * d + j0)));
     }
     let mut vs = _mm256_setzero_ps();
-    for &i in rows {
+    for i in rows.clone() {
         let e = exp256(_mm256_sub_ps(_mm256_loadu_ps(x.as_ptr().add(i * d + j0)), vm));
         // SAFETY: segments partition rows, so row `i` is written by
         // exactly one segment; columns j0..j0+8 are in bounds.
@@ -44,7 +59,7 @@ unsafe fn seg_softmax_block_avx2(
         _mm256_storeu_ps(out.as_mut_ptr(), e);
         vs = _mm256_add_ps(vs, e);
     }
-    for &i in rows {
+    for i in rows {
         let out = y.slice_mut(i * d + j0, 8);
         let v = _mm256_div_ps(_mm256_loadu_ps(out.as_ptr()), vs);
         _mm256_storeu_ps(out.as_mut_ptr(), v);
@@ -65,13 +80,13 @@ unsafe fn seg_softmax_grad_block_avx2(
     go: &[f32],
     yv: &[f32],
     g: &UnsafeSlice<f32>,
-    rows: &[usize],
+    rows: impl Iterator<Item = usize> + Clone,
     d: usize,
     j0: usize,
 ) {
     use std::arch::x86_64::*;
     let mut vdot = _mm256_setzero_ps();
-    for &i in rows {
+    for i in rows.clone() {
         vdot = _mm256_add_ps(
             vdot,
             _mm256_mul_ps(
@@ -80,7 +95,7 @@ unsafe fn seg_softmax_grad_block_avx2(
             ),
         );
     }
-    for &i in rows {
+    for i in rows {
         // SAFETY: segments partition rows; columns are in bounds.
         let out = g.slice_mut(i * d + j0, 8);
         let v = _mm256_mul_ps(
@@ -124,15 +139,118 @@ impl SegmentIndex {
     }
 }
 
-/// Segment batches below ~4096 total elements run inline — expressed as
-/// a `parallel_for` element threshold over the segment count.
-fn seg_seq_threshold(total_elems: usize, num_segments: usize) -> usize {
-    if total_elems <= 4096 {
-        num_segments
+/// A kernel over consecutive segments, called once per segment with its
+/// rows in ascending order.
+trait SegmentKernel {
+    /// The `k`-th segment of the range [`SegmentRows::each`] walks.
+    fn segment(&mut self, k: usize, rows: impl Iterator<Item = usize> + Clone);
+}
+
+/// Where each segment's rows come from. Nondecreasing ids (a block's
+/// destination index: the sampler emits each destination's edges
+/// together) make segment `s` one run of consecutive rows,
+/// `starts[s]..starts[s + 1]`, found in one pass over the ids; any other
+/// order goes through the counting-sort [`SegmentIndex`]. Both hand a
+/// kernel the same rows in the same ascending order: the kernel body is
+/// one, compiled for each source. Against the same kernels over the
+/// index alone, runs take the self time of the four ops that read
+/// segments (the weighted sum, `dq`, the softmax and its backward) from
+/// 126.8 to 111.5 ms (median of 12 alternating pairs, faster in all 12;
+/// `tgl train --model tgat --scale 1 --threads 1 --epochs 3 --profile`
+/// on the host of [`SEG_SEQ_ROWS`]).
+enum SegmentRows {
+    Runs(Vec<usize>),
+    Index(SegmentIndex),
+}
+
+impl SegmentRows {
+    fn new(ids: &[usize], num_segments: usize) -> SegmentRows {
+        if !ids.is_sorted() {
+            return SegmentRows::Index(SegmentIndex::build(ids, num_segments));
+        }
+        let mut starts = Vec::with_capacity(num_segments + 1);
+        for (i, &id) in ids.iter().enumerate() {
+            starts.resize(starts.len().max(id + 1), i);
+        }
+        starts.resize(num_segments + 1, ids.len());
+        SegmentRows::Runs(starts)
+    }
+
+    /// Runs `kernel` over the segments `segs`, in order. Inlined, so
+    /// that a kernel built on [`Lanes`] stays inside its level's
+    /// `#[target_feature]` function.
+    #[inline(always)]
+    fn each(&self, segs: Range<usize>, kernel: &mut impl SegmentKernel) {
+        match self {
+            SegmentRows::Runs(starts) => {
+                for (k, s) in segs.enumerate() {
+                    kernel.segment(k, starts[s]..starts[s + 1]);
+                }
+            }
+            SegmentRows::Index(idx) => {
+                for (k, s) in segs.enumerate() {
+                    kernel.segment(k, idx.rows_of(s).iter().copied());
+                }
+            }
+        }
+    }
+}
+
+/// Rows (edges) below which a segment kernel runs inline on the caller:
+/// the 2-thread break-even of `segment_dot`, `segment_softmax` and the
+/// weighted sum's backward. Measured on the 2-vCPU AVX-512 host that
+/// recorded `BENCH_parallel.json` with the split forced at every size,
+/// each thread count in its own process (median of 300 runs, twice) at
+/// 2 heads of 16 and about 7 edges per destination: at 2 threads
+/// `segment_dot` reads 1.13-1.16x at 2 000 edges, `segment_softmax`
+/// 1.21-1.26x, the weighted sum's backward 0.85-0.88x at 3 000 and
+/// 1.03-1.16x at 4 000.
+const SEG_SEQ_ROWS: usize = 4096;
+
+/// [`SEG_SEQ_ROWS`] for the kernels whose passes do one multiply or
+/// multiply-add per element read (the weighted sum's forward, the
+/// `segment_dot` and softmax backwards), where a second thread takes
+/// longer to pay for itself: at 2 threads they read 0.60-0.95x up to
+/// 5 000 edges, 0.84-1.18x at 6 000 and 1.01-1.63x at 8 000.
+const SEG_SEQ_ROWS_LIGHT: usize = 8192;
+
+/// Elements (rows × row width) below which the forwards of the plain
+/// reductions, `segment_sum` and `segment_mean`, run inline. Their rows
+/// run from one column (APAN's mail times) to hundreds (its mails,
+/// `2 · memory + edge features`), so the split counts elements, not
+/// rows. Measured like [`SEG_SEQ_ROWS`] at row widths 32, 96 and 232,
+/// about 7 rows per segment, ids sorted and shuffled: at 2 threads they
+/// read 0.69-1.08x at 131 072 elements, 0.67-1.29x at 262 144 and
+/// 1.08-1.84x at 524 288 (one run of 12 read 0.72x). At APAN's shapes
+/// (Wiki, default widths) its mail scatter, `[3 307, 96]` by shuffled
+/// ids, reads 1.20-1.22x and its summary sum, `[5 100, 32]`, 0.96-0.98x.
+const SEG_SEQ_ELEMS: usize = 1 << 18;
+
+/// [`SEG_SEQ_ELEMS`] for `segment_sum`'s backward, a row copy per input
+/// row: at 2 threads 0.24-0.72x at 16 384 elements of rows 32-232 wide,
+/// 0.56-1.17x at 65 536, 0.81-1.34x at 131 072 (1.10-1.34x at width
+/// 32) and 0.97-1.66x at 262 144; APAN's summary gradient, `[5 850,
+/// 32]`, 1.25-1.29x. One-column rows win from 16 384 (1.09-1.35x).
+const SEG_SEQ_GATHER: usize = 1 << 17;
+
+/// [`SEG_SEQ_ELEMS`] for `segment_mean`'s backward, a division per
+/// element: at 2 threads 0.86-1.15x at 16 384 elements of rows 1-232
+/// wide, 0.97-1.56x at 32 768 and 1.26-1.72x at 65 536.
+const SEG_SEQ_DIVIDE: usize = 1 << 15;
+
+/// `parallel_for`'s threshold over `items` work items covering `size`
+/// rows or elements: all inline below `min_size`, else any split.
+fn seg_seq_threshold(size: usize, items: usize, min_size: usize) -> usize {
+    if size < min_size {
+        items
     } else {
         1
     }
 }
+
+/// Edges per work item of the per-edge attention kernels: a multiple of
+/// every level's lane count, so only the last item has a ragged tail.
+const EDGE_BLOCK: usize = 16;
 
 fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (usize, usize) {
     assert!(values.rank() >= 1, "segment ops need rank >= 1 values");
@@ -152,6 +270,371 @@ fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (
     let d: usize = values.dims()[1..].iter().product();
     (n, d)
 }
+
+// ---------------------------------------------------------------------
+// Lane kernels of the attention operators
+// ---------------------------------------------------------------------
+
+/// Row-major `[rows, width]` data read through row pointers that the
+/// hot loops do not bounds-check: each kernel checks its shapes once,
+/// and its row indices are positions below `rows` or segment ids that
+/// [`check_segments`] bounded by the row count.
+#[derive(Clone, Copy)]
+struct RowPtrs<'a> {
+    data: &'a [f32],
+    width: usize,
+}
+
+impl<'a> RowPtrs<'a> {
+    /// `data` as rows of `width`, of which there must be `rows`.
+    fn new(data: &'a [f32], width: usize, rows: usize) -> RowPtrs<'a> {
+        assert_eq!(data.len(), rows * width, "a [{rows}, {width}] operand");
+        RowPtrs { data, width }
+    }
+
+    /// Row `i`, `width` floats from the pointer on.
+    ///
+    /// # Safety
+    ///
+    /// `i` must be below the row count given to [`RowPtrs::new`].
+    #[inline(always)]
+    unsafe fn row(self, i: usize) -> *const f32 {
+        debug_assert!((i + 1) * self.width <= self.data.len(), "row {i} of a {}-wide operand", self.width);
+        self.data.as_ptr().add(i * self.width)
+    }
+}
+
+/// One vector's share of a row of `h` heads of `d` columns: columns
+/// `col..col + len` (`len <= lanes`), all of head `head`. A head takes
+/// `ceil(d / lanes)` slots, the last one partial.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    col: usize,
+    len: usize,
+    head: usize,
+}
+
+/// Slots a [`WeightedRows`] walk over a segment's rows keeps in
+/// registers at once.
+const GROUP: usize = 4;
+
+/// A row's slots at `lanes` floats per vector, [`GROUP`] at a time
+/// (the last group padded with empty slots), and how many of each
+/// group are real.
+fn slot_groups(h: usize, d: usize, lanes: usize) -> Vec<([Slot; GROUP], usize)> {
+    let per_head = d.div_ceil(lanes);
+    let all: Vec<Slot> = (0..h * per_head)
+        .map(|i| {
+            let (head, c) = (i / per_head, i % per_head * lanes);
+            Slot { col: head * d + c, len: lanes.min(d - c), head }
+        })
+        .collect();
+    all.chunks(GROUP)
+        .map(|g| (std::array::from_fn(|v| g.get(v).copied().unwrap_or_default()), g.len()))
+        .collect()
+}
+
+/// `out[s, c] = Σ_{e ∈ rows(s)} (w[e·h + c/d] · scale) · x[e·hd + c]`
+/// for the segments `segs` (`out` holds their rows; `x` and `w` have `n`
+/// rows): each element adds its products to zero in row order, a
+/// product rounded before it is added (contracted to one FMA under
+/// `fast`) — the arithmetic of an `axpy` of every row into a zeroed
+/// output row. Empty segments give zero rows. With `scale` = 1 the
+/// weights pass unchanged (`w · 1` is exact).
+struct WeightedRows<'a> {
+    out: &'a mut [f32],
+    segs: Range<usize>,
+    rows: &'a SegmentRows,
+    n: usize,
+    x: &'a [f32],
+    w: &'a [f32],
+    scale: f32,
+    h: usize,
+    d: usize,
+}
+
+impl LaneKernel for WeightedRows<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes, const FMA: bool>(self) {
+        let WeightedRows { out, segs, rows, n, x, w, scale, h, d } = self;
+        assert_eq!(out.len(), segs.len() * h * d);
+        let (x, w) = (RowPtrs::new(x, h * d, n), RowPtrs::new(w, h, n));
+        let groups = slot_groups(h, d, V::LANES);
+        let mut each = Accumulate::<V, FMA> { out, x, w, scale, hd: h * d, groups: &groups, lanes: PhantomData };
+        rows.each(segs, &mut each);
+    }
+}
+
+/// [`WeightedRows`] on one segment at a time, in `V`'s registers.
+struct Accumulate<'a, V, const FMA: bool> {
+    out: &'a mut [f32],
+    x: RowPtrs<'a>,
+    w: RowPtrs<'a>,
+    scale: f32,
+    hd: usize,
+    groups: &'a [([Slot; GROUP], usize)],
+    lanes: PhantomData<V>,
+}
+
+impl<V: Lanes, const FMA: bool> SegmentKernel for Accumulate<'_, V, FMA> {
+    #[inline(always)]
+    fn segment(&mut self, k: usize, rows: impl Iterator<Item = usize> + Clone) {
+        let hd = self.hd;
+        let o_row = &mut self.out[k * hd..][..hd];
+        for (slots, real) in self.groups {
+            // SAFETY: this runs inside `WeightedRows::run::<V, _>`, where
+            // `V`'s instruction set is enabled; rows are positions below
+            // the id count, and a slot's columns lie inside a row.
+            unsafe {
+                let mut acc = [V::splat(0.0); GROUP];
+                for e in rows.clone() {
+                    let (x_row, w_row) = (self.x.row(e), self.w.row(e));
+                    for (a, s) in acc.iter_mut().zip(slots).take(*real) {
+                        let w = V::splat(*w_row.add(s.head) * self.scale);
+                        *a = a.mul_add::<FMA>(w, V::load_part(x_row.add(s.col), s.len));
+                    }
+                }
+                for (a, s) in acc.iter().zip(slots).take(*real) {
+                    a.store_part(o_row.as_mut_ptr().add(s.col), s.len);
+                }
+            }
+        }
+    }
+}
+
+/// `out[e - edges.start, c] = (w[e·h + c/d] · scale) · x[sel[e]·hd + c]`
+/// for the edges `edges`: a row of `x` (selected per edge; `sel` holds
+/// checked segment ids, `x` a row per segment) times its edge's
+/// per-head weight, one rounding per element (two with a `scale` other
+/// than 1).
+struct ScaledRows<'a> {
+    out: &'a mut [f32],
+    edges: Range<usize>,
+    x: &'a [f32],
+    sel: &'a [usize],
+    w: &'a [f32],
+    scale: f32,
+    h: usize,
+    d: usize,
+}
+
+impl LaneKernel for ScaledRows<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes, const FMA: bool>(self) {
+        let (h, d, hd) = (self.h, self.d, self.h * self.d);
+        assert_eq!(self.out.len(), self.edges.len() * hd);
+        let x = RowPtrs::new(self.x, hd, self.x.len() / hd);
+        for (o_row, e) in self.out.chunks_exact_mut(hd).zip(self.edges) {
+            // SAFETY: `sel` holds checked segment ids.
+            let x_row = x.row(self.sel[e]);
+            for (head, &w) in self.w[e * h..][..h].iter().enumerate() {
+                let w = V::splat(w * self.scale);
+                let mut c = head * d;
+                while c < (head + 1) * d {
+                    let len = V::LANES.min((head + 1) * d - c);
+                    // SAFETY: columns `c..c + len` lie inside both rows.
+                    w.mul(V::load_part(x_row.add(c), len)).store_part(o_row.as_mut_ptr().add(c), len);
+                    c += V::LANES;
+                }
+            }
+        }
+    }
+}
+
+/// `out[(e - edges.start)·h + hh] = (Σ_j a[sel[e]·hd + hh·d + j] ·
+/// b[e·hd + hh·d + j]) · scale`, `j` ascending from a zero sum, one
+/// rounding per product and per add, then one multiply by `scale` (1
+/// leaves the sum as it is). A block of one vector's width of edges
+/// multiplies its rows one vector of a head's columns at a time and
+/// transposes the products, so that lane `l` holds edge `l`'s products
+/// column by column and adds them in order; edges past the last whole
+/// block run the same operations one at a time. `sel` holds checked
+/// segment ids and `a` a row per segment; `b` has a row per edge.
+struct Dots<'a> {
+    out: &'a mut [f32],
+    edges: Range<usize>,
+    a: &'a [f32],
+    sel: &'a [usize],
+    b: &'a [f32],
+    scale: f32,
+    h: usize,
+    d: usize,
+}
+
+impl LaneKernel for Dots<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes, const FMA: bool>(self) {
+        let (h, d, hd, lanes) = (self.h, self.d, self.h * self.d, V::LANES);
+        let Range { start, end } = self.edges;
+        assert_eq!(self.out.len(), (end - start) * h);
+        let (a, b) = (RowPtrs::new(self.a, hd, self.a.len() / hd), RowPtrs::new(self.b, hd, self.sel.len()));
+        assert!(end <= self.sel.len());
+        // SAFETY (both): `sel` holds checked segment ids; `e < end`.
+        let row_a = |e: usize| a.row(self.sel[e]);
+        let row_b = |e: usize| b.row(e);
+        let mut e0 = start;
+        while e0 + lanes <= end {
+            let (mut pa, mut pb) = ([std::ptr::null(); 16], [std::ptr::null(); 16]);
+            for l in 0..lanes {
+                (pa[l], pb[l]) = (row_a(e0 + l), row_b(e0 + l));
+            }
+            let out = &mut self.out[(e0 - start) * h..][..lanes * h];
+            for head in 0..h {
+                let mut acc = V::splat(0.0);
+                let mut c = head * d;
+                while c < (head + 1) * d {
+                    let len = lanes.min((head + 1) * d - c);
+                    let mut p = [V::splat(0.0); 16];
+                    for l in 0..lanes {
+                        // SAFETY: columns `c..c + len` lie inside both rows.
+                        p[l] = V::load_part(pa[l].add(c), len).mul(V::load_part(pb[l].add(c), len));
+                    }
+                    V::transpose(&mut p);
+                    for (j, &v) in p.iter().enumerate().take(lanes) {
+                        if j < len {
+                            acc = acc.add(v);
+                        }
+                    }
+                    c += lanes;
+                }
+                let mut sums = [0.0f32; 16];
+                acc.mul(V::splat(self.scale)).store(sums.as_mut_ptr());
+                for (o, &s) in out.chunks_exact_mut(h).zip(&sums) {
+                    o[head] = s;
+                }
+            }
+            e0 += lanes;
+        }
+        for e in e0..end {
+            let (x, y) = (std::slice::from_raw_parts(row_a(e), hd), std::slice::from_raw_parts(row_b(e), hd));
+            for (hh, o) in self.out[(e - start) * h..][..h].iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for (&p, &q) in x[hh * d..][..d].iter().zip(&y[hh * d..][..d]) {
+                    acc += p * q;
+                }
+                *o = acc * self.scale;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Per-segment bodies of the reductions and the softmax
+// ---------------------------------------------------------------------
+
+/// `out[k] += x[i]` (or `+= x[i] / counts[s]` given the counts) for the
+/// rows `i` of the `k`-th segment `s` of a chunk starting at segment
+/// `s0`, ascending. Exact-safe SIMD: lane-wise adds (div then add), the
+/// scalar loop's roundings in its order.
+struct SumRows<'a> {
+    out: &'a mut [f32],
+    x: &'a [f32],
+    d: usize,
+    counts: Option<(&'a [f32], usize)>,
+}
+
+impl SegmentKernel for SumRows<'_> {
+    fn segment(&mut self, k: usize, rows: impl Iterator<Item = usize> + Clone) {
+        let d = self.d;
+        let o_row = &mut self.out[k * d..][..d];
+        for i in rows {
+            let x_row = &self.x[i * d..][..d];
+            match self.counts {
+                Some((counts, s0)) => kernel::add_div_dispatch(o_row, x_row, counts[s0 + k]),
+                None => kernel::add_assign_dispatch(o_row, x_row),
+            }
+        }
+    }
+}
+
+/// Softmax over a segment's rows, per column: the column's max for
+/// stability, then `exp` and the normalizing sum, each over ascending
+/// rows. Segments partition the rows, so each row of `y` is written by
+/// exactly one segment.
+struct SoftmaxRows<'a> {
+    x: &'a [f32],
+    y: &'a UnsafeSlice<'a, f32>,
+    d: usize,
+    fast_simd: bool,
+}
+
+impl SegmentKernel for SoftmaxRows<'_> {
+    fn segment(&mut self, _k: usize, rows: impl Iterator<Item = usize> + Clone) {
+        let (x, y, d) = (self.x, self.y, self.d);
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut j0 = 0;
+        #[cfg(target_arch = "x86_64")]
+        if self.fast_simd {
+            while j0 + 8 <= d {
+                // SAFETY: `fast_simd` implies avx2; the block's 8
+                // columns are in bounds.
+                unsafe { seg_softmax_block_avx2(x, y, rows.clone(), d, j0) };
+                j0 += 8;
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = self.fast_simd;
+        for j in j0..d {
+            let mut mx = f32::NEG_INFINITY;
+            for i in rows.clone() {
+                mx = mx.max(x[i * d + j]);
+            }
+            let mut sum = 0.0f32;
+            for i in rows.clone() {
+                let e = (x[i * d + j] - mx).exp();
+                // SAFETY: the segment owns row `i`.
+                unsafe { *y.get_mut(i * d + j) = e };
+                sum += e;
+            }
+            for i in rows.clone() {
+                unsafe { *y.get_mut(i * d + j) /= sum };
+            }
+        }
+    }
+}
+
+/// The softmax's backward over a segment's rows, per column:
+/// `g_i = (go_i - Σ_k go_k y_k) · y_i`, the dot over ascending rows.
+struct SoftmaxGrad<'a> {
+    go: &'a [f32],
+    y: &'a [f32],
+    g: &'a UnsafeSlice<'a, f32>,
+    d: usize,
+    simd: bool,
+}
+
+impl SegmentKernel for SoftmaxGrad<'_> {
+    fn segment(&mut self, _k: usize, rows: impl Iterator<Item = usize> + Clone) {
+        let (go, y, g, d) = (self.go, self.y, self.g, self.d);
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut j0 = 0;
+        #[cfg(target_arch = "x86_64")]
+        if self.simd {
+            while j0 + 8 <= d {
+                // SAFETY: `simd` is an AVX2-or-above level; the block is
+                // exact-safe (see its docs).
+                unsafe { seg_softmax_grad_block_avx2(go, y, g, rows.clone(), d, j0) };
+                j0 += 8;
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = self.simd;
+        for j in j0..d {
+            let mut dot = 0.0f32;
+            for i in rows.clone() {
+                dot += go[i * d + j] * y[i * d + j];
+            }
+            for i in rows.clone() {
+                // SAFETY: the segment owns row `i`.
+                unsafe { *g.get_mut(i * d + j) = (go[i * d + j] - dot) * y[i * d + j] };
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Operators
+// ---------------------------------------------------------------------
 
 /// Sums rows of `values` into `num_segments` buckets:
 /// `out[s] = Σ_{i: segments[i]==s} values[i]`.
@@ -179,39 +662,16 @@ pub fn segment_sum(values: &Tensor, segments: &[usize], num_segments: usize) -> 
         .io(4 * (n * d) as u64, 4 * (num_segments * d) as u64)
         .shape(&[values.dims(), &[num_segments]])
         .backward_cost(0, 4 * (num_segments * d) as u64, 4 * (n * d) as u64);
-    let device = values.device();
-    let idx = SegmentIndex::build(segments, num_segments);
-    // Accumulates with `+=` (and empty segments stay zero), so the
-    // recycled buffer must start zeroed.
-    let mut out = pool::take_zeroed(num_segments * d, device);
-    {
-        let x = values.inner.storage.read();
-        let out_sl = UnsafeSlice::new(&mut out);
-        parallel_for(
-            num_segments,
-            seg_seq_threshold(n * d, num_segments),
-            |segs: std::ops::Range<usize>| {
-                // SAFETY: each segment owns its own output row.
-                let rows_out = unsafe { out_sl.slice_mut(segs.start * d, segs.len() * d) };
-                for (si, s) in segs.enumerate() {
-                    let orow = &mut rows_out[si * d..(si + 1) * d];
-                    for &i in idx.rows_of(s) {
-                        // Exact-safe SIMD: lane-wise adds in ascending
-                        // row order, bitwise equal to the scalar loop.
-                        kernel::add_assign_dispatch(orow, &x[i * d..(i + 1) * d]);
-                    }
-                }
-            },
-        );
-    }
+    let out = sum_rows(values, segments, num_segments, None);
     let mut out_dims = values.dims().to_vec();
     out_dims[0] = num_segments;
     let seg = segments.to_vec();
-    Tensor::make_result(out, out_dims, values.device(), std::slice::from_ref(values), move |go| {
+    let device = values.device();
+    Tensor::make_result(out, out_dims, device, std::slice::from_ref(values), move |go| {
         // Gather: every input row copies its segment's gradient row.
         let mut g = pool::take_uninit(n * d, device);
         let g_sl = UnsafeSlice::new(&mut g);
-        parallel_for(n, seg_seq_threshold(n * d, n), |rows: std::ops::Range<usize>| {
+        parallel_for(n, seg_seq_threshold(n * d, n, SEG_SEQ_GATHER), |rows: Range<usize>| {
             // SAFETY: disjoint row ranges per chunk.
             let g_rows = unsafe { g_sl.slice_mut(rows.start * d, rows.len() * d) };
             for (ri, i) in rows.enumerate() {
@@ -221,6 +681,26 @@ pub fn segment_sum(values: &Tensor, segments: &[usize], num_segments: usize) -> 
         });
         vec![Some(g)]
     })
+}
+
+/// The forward of [`segment_sum`] and, given the row counts,
+/// [`segment_mean`]: segments own their output rows.
+fn sum_rows(values: &Tensor, segments: &[usize], num_segments: usize, counts: Option<&[f32]>) -> Vec<f32> {
+    let (n, d): (usize, usize) = (values.dim(0), values.dims()[1..].iter().product());
+    let seg_rows = SegmentRows::new(segments, num_segments);
+    // Accumulates with `+=` (and empty segments stay zero), so the
+    // recycled buffer must start zeroed.
+    let mut out = pool::take_zeroed(num_segments * d, values.device());
+    let x = values.inner.storage.read();
+    let out_sl = UnsafeSlice::new(&mut out);
+    parallel_for(num_segments, seg_seq_threshold(n * d, num_segments, SEG_SEQ_ELEMS), |segs: Range<usize>| {
+        // SAFETY: each segment owns its own output row.
+        let out = unsafe { out_sl.slice_mut(segs.start * d, segs.len() * d) };
+        let counts = counts.map(|c| (c, segs.start));
+        seg_rows.each(segs, &mut SumRows { out, x: &x, d, counts });
+    });
+    drop(x);
+    out
 }
 
 /// Averages rows of `values` per segment. Empty segments yield zeros.
@@ -236,43 +716,20 @@ pub fn segment_mean(values: &Tensor, segments: &[usize], num_segments: usize) ->
         counts[s] += 1.0;
     }
     let device = values.device();
-    let idx = SegmentIndex::build(segments, num_segments);
-    let mut out = pool::take_zeroed(num_segments * d, device);
-    {
-        let x = values.inner.storage.read();
-        let out_sl = UnsafeSlice::new(&mut out);
-        let counts = &counts;
-        parallel_for(
-            num_segments,
-            seg_seq_threshold(n * d, num_segments),
-            |segs: std::ops::Range<usize>| {
-                // SAFETY: each segment owns its own output row.
-                let rows_out = unsafe { out_sl.slice_mut(segs.start * d, segs.len() * d) };
-                for (si, s) in segs.enumerate() {
-                    let orow = &mut rows_out[si * d..(si + 1) * d];
-                    for &i in idx.rows_of(s) {
-                        // Exact-safe SIMD: lane-wise div-then-add, the
-                        // same two roundings as the scalar loop.
-                        kernel::add_div_dispatch(orow, &x[i * d..(i + 1) * d], counts[s]);
-                    }
-                }
-            },
-        );
-    }
+    let out = sum_rows(values, segments, num_segments, Some(&counts));
     let mut out_dims = values.dims().to_vec();
     out_dims[0] = num_segments;
     let seg = segments.to_vec();
-    Tensor::make_result(out, out_dims, values.device(), std::slice::from_ref(values), move |go| {
+    Tensor::make_result(out, out_dims, device, std::slice::from_ref(values), move |go| {
         let mut g = pool::take_uninit(n * d, device);
         let g_sl = UnsafeSlice::new(&mut g);
         let (seg, counts) = (&seg, &counts);
-        parallel_for(n, seg_seq_threshold(n * d, n), |rows: std::ops::Range<usize>| {
+        parallel_for(n, seg_seq_threshold(n * d, n, SEG_SEQ_DIVIDE), |rows: Range<usize>| {
             // SAFETY: disjoint row ranges per chunk.
             let g_rows = unsafe { g_sl.slice_mut(rows.start * d, rows.len() * d) };
-            for (ri, i) in rows.enumerate() {
-                let s = seg[i];
-                for j in 0..d {
-                    g_rows[ri * d + j] = go[s * d + j] / counts[s];
+            for (g_row, &s) in g_rows.chunks_exact_mut(d.max(1)).zip(&seg[rows]) {
+                for (g, &o) in g_row.iter_mut().zip(&go[s * d..][..d]) {
+                    *g = o / counts[s];
                 }
             }
         });
@@ -280,8 +737,12 @@ pub fn segment_mean(values: &Tensor, segments: &[usize], num_segments: usize) ->
     })
 }
 
-/// Per-segment max of rows. Empty segments yield zeros; gradient routes
-/// to the (first) argmax row per segment/column.
+/// Per-segment max of rows: the largest value of each column over the
+/// segment's rows, infinities included. A NaN is the max only of a
+/// column that holds nothing else; otherwise NaNs are skipped. The
+/// result is always one of the rows' values, and the gradient routes
+/// to the first row holding it per segment/column. Segments without
+/// rows yield zeros.
 pub fn segment_max(values: &Tensor, segments: &[usize], num_segments: usize) -> Tensor {
     let (n, d) = check_segments(values, segments, num_segments);
     let _prof = tgl_obs::profile::op("segment_max")
@@ -290,23 +751,19 @@ pub fn segment_max(values: &Tensor, segments: &[usize], num_segments: usize) -> 
         .shape(&[values.dims(), &[num_segments]])
         .backward_cost(0, 4 * (num_segments * d) as u64, 4 * (n * d) as u64);
     let device = values.device();
-    let mut out = pool::take_uninit(num_segments * d, device);
-    out.fill(f32::NEG_INFINITY);
+    // A segment's first row claims each column; empty segments keep 0.
+    let mut out = pool::take_zeroed(num_segments * d, device);
     let mut argmax = vec![usize::MAX; num_segments * d];
     {
         let x = values.inner.storage.read();
         for (i, &s) in segments.iter().enumerate() {
             for j in 0..d {
-                if x[i * d + j] > out[s * d + j] {
-                    out[s * d + j] = x[i * d + j];
-                    argmax[s * d + j] = i;
+                let (v, best, arg) = (x[i * d + j], &mut out[s * d + j], &mut argmax[s * d + j]);
+                if *arg == usize::MAX || v > *best || (best.is_nan() && !v.is_nan()) {
+                    *best = v;
+                    *arg = i;
                 }
             }
-        }
-    }
-    for v in out.iter_mut() {
-        if !v.is_finite() {
-            *v = 0.0; // empty segment
         }
     }
     let mut out_dims = values.dims().to_vec();
@@ -338,55 +795,16 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
         .shape(&[values.dims(), &[num_segments]])
         .backward_cost(4 * (n * d) as u64, 8 * (n * d) as u64, 4 * (n * d) as u64);
     let device = values.device();
-    let idx = SegmentIndex::build(segments, num_segments);
+    let seg_rows = SegmentRows::new(segments, num_segments);
     let fast_simd = kernel::fast() && kernel::simd() >= Simd::Avx2;
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = fast_simd;
     // Segments partition the rows, so every element is written below.
     let mut y = pool::take_uninit(n * d, device);
     {
         let x = values.inner.storage.read();
         let y_sl = UnsafeSlice::new(&mut y);
-        let idx = &idx;
-        parallel_for(
-            num_segments,
-            seg_seq_threshold(n * d, num_segments),
-            |segs: std::ops::Range<usize>| {
-                for s in segs {
-                    let rows = idx.rows_of(s);
-                    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-                    let mut j0 = 0;
-                    #[cfg(target_arch = "x86_64")]
-                    if fast_simd {
-                        while j0 + 8 <= d {
-                            // SAFETY: `fast_simd` implies avx2; the
-                            // block's 8 columns are in bounds.
-                            unsafe { seg_softmax_block_avx2(&x[..], &y_sl, rows, d, j0) };
-                            j0 += 8;
-                        }
-                    }
-                    for j in j0..d {
-                        // Per (segment, column) max for stability, then
-                        // exp and normalize — all over ascending rows.
-                        let mut mx = f32::NEG_INFINITY;
-                        for &i in rows {
-                            mx = mx.max(x[i * d + j]);
-                        }
-                        let mut sum = 0.0f32;
-                        for &i in rows {
-                            let e = (x[i * d + j] - mx).exp();
-                            // SAFETY: segments partition rows, so row
-                            // `i` is written by exactly one segment.
-                            unsafe { *y_sl.get_mut(i * d + j) = e };
-                            sum += e;
-                        }
-                        for &i in rows {
-                            unsafe { *y_sl.get_mut(i * d + j) /= sum };
-                        }
-                    }
-                }
-            },
-        );
+        parallel_for(num_segments, seg_seq_threshold(n, num_segments, SEG_SEQ_ROWS), |segs: Range<usize>| {
+            seg_rows.each(segs, &mut SoftmaxRows { x: &x, y: &y_sl, d, fast_simd });
+        });
     }
     let y_copy = {
         let mut c = pool::take_uninit(y.len(), device);
@@ -399,48 +817,13 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
         values.device(),
         std::slice::from_ref(values),
         move |go| {
-            // Per segment/column: dx_i = (go_i - Σ_k go_k y_k) * y_i
             let simd = kernel::simd() >= Simd::Avx2;
-            #[cfg(not(target_arch = "x86_64"))]
-            let _ = simd;
             let mut g = pool::take_uninit(n * d, device);
             let g_sl = UnsafeSlice::new(&mut g);
-            let (idx, y_copy) = (&idx, &y_copy);
-            parallel_for(
-                num_segments,
-                seg_seq_threshold(n * d, num_segments),
-                |segs: std::ops::Range<usize>| {
-                    for s in segs {
-                        let rows = idx.rows_of(s);
-                        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-                        let mut j0 = 0;
-                        #[cfg(target_arch = "x86_64")]
-                        if simd {
-                            while j0 + 8 <= d {
-                                // SAFETY: `simd` is an AVX2-or-above level; the
-                                // block is exact-safe (see its docs).
-                                unsafe {
-                                    seg_softmax_grad_block_avx2(go, &y_copy[..], &g_sl, rows, d, j0)
-                                };
-                                j0 += 8;
-                            }
-                        }
-                        for j in j0..d {
-                            let mut dot = 0.0f32;
-                            for &i in rows {
-                                dot += go[i * d + j] * y_copy[i * d + j];
-                            }
-                            for &i in rows {
-                                // SAFETY: segments partition rows.
-                                unsafe {
-                                    *g_sl.get_mut(i * d + j) =
-                                        (go[i * d + j] - dot) * y_copy[i * d + j];
-                                }
-                            }
-                        }
-                    }
-                },
-            );
+            parallel_for(num_segments, seg_seq_threshold(n, num_segments, SEG_SEQ_ROWS_LIGHT), |segs: Range<usize>| {
+                let y = &y_copy[..];
+                seg_rows.each(segs, &mut SoftmaxGrad { go, y, g: &g_sl, d, simd });
+            });
             vec![Some(g)]
         },
     )
@@ -456,6 +839,37 @@ fn check_heads(wide: &Tensor, heads: usize) -> (usize, usize) {
         wide.dim(1)
     );
     (heads, wide.dim(1) / heads)
+}
+
+/// Runs `kernel(out_chunk, edges)` over the `n` edges in
+/// [`EDGE_BLOCK`]-aligned chunks, each writing `width` floats per edge
+/// of `out`; inline below `min_rows` edges.
+fn per_edge(out: &mut [f32], n: usize, width: usize, min_rows: usize, kernel: impl Fn(&mut [f32], Range<usize>) + Sync) {
+    let out_sl = UnsafeSlice::new(out);
+    let blocks = n.div_ceil(EDGE_BLOCK);
+    parallel_for(blocks, seg_seq_threshold(n, blocks, min_rows), |blocks: Range<usize>| {
+        let edges = blocks.start * EDGE_BLOCK..(blocks.end * EDGE_BLOCK).min(n);
+        // SAFETY: chunks own disjoint edge ranges.
+        kernel(unsafe { out_sl.slice_mut(edges.start * width, edges.len() * width) }, edges);
+    });
+}
+
+/// Runs `kernel(out_chunk, segs)` over the `num_segments` segments of
+/// `rows` rows in chunks, each writing its segments' `width`-float
+/// output rows; inline below `min_rows` rows.
+fn per_segment(
+    out: &mut [f32],
+    num_segments: usize,
+    width: usize,
+    rows: usize,
+    min_rows: usize,
+    kernel: impl Fn(&mut [f32], Range<usize>) + Sync,
+) {
+    let out_sl = UnsafeSlice::new(out);
+    parallel_for(num_segments, seg_seq_threshold(rows, num_segments, min_rows), |segs: Range<usize>| {
+        // SAFETY: each segment owns its own output row.
+        kernel(unsafe { out_sl.slice_mut(segs.start * width, segs.len() * width) }, segs);
+    });
 }
 
 /// Per-head dot product of every row of `k` with the row of `q` its
@@ -495,73 +909,33 @@ pub fn segment_dot(q: &Tensor, k: &Tensor, segments: &[usize], heads: usize, sca
         );
     let mut out = pool::take_uninit(n * h, device);
     {
-        let qd = q.inner.storage.read();
-        let kd = k.inner.storage.read();
-        let out_sl = UnsafeSlice::new(&mut out);
-        parallel_for(n, crate::ops::rows_threshold(hd), |rows: std::ops::Range<usize>| {
-            // SAFETY: disjoint row ranges per chunk.
-            let o = unsafe { out_sl.slice_mut(rows.start * h, rows.len() * h) };
-            for (oe, e) in o.chunks_exact_mut(h).zip(rows) {
-                let (q_row, k_row) = (&qd[segments[e] * hd..][..hd], &kd[e * hd..][..hd]);
-                for (hh, oh) in oe.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in q_row[hh * d..][..d].iter().zip(&k_row[hh * d..][..d]) {
-                        acc += a * b;
-                    }
-                    *oh = acc * scale;
-                }
-            }
+        let (qd, kd) = (q.inner.storage.read(), k.inner.storage.read());
+        per_edge(&mut out, n, h, SEG_SEQ_ROWS, |out, edges| {
+            kernel::run_lanes(Dots { out, edges, a: &qd, sel: segments, b: &kd, scale, h, d }, false);
         });
     }
     let (q_t, k_t) = (q.clone(), k.clone());
     let seg = segments.to_vec();
     Tensor::make_result(out, [n, h], device, &[q.clone(), k.clone()], move |go| {
-        let fma = kernel::fast();
         let qd = q_t.inner.storage.read();
         let kd = k_t.inner.storage.read();
         // dk[e,h,:] = (go[e,h]·scale) · q[seg[e],h,:], one row per edge.
         let gk = need_k.then(|| {
             let mut gk = pool::take_uninit(n * hd, device);
-            let gk_sl = UnsafeSlice::new(&mut gk);
-            parallel_for(n, crate::ops::rows_threshold(hd), |rows: std::ops::Range<usize>| {
-                // SAFETY: disjoint row ranges per chunk.
-                let g_rows = unsafe { gk_sl.slice_mut(rows.start * hd, rows.len() * hd) };
-                for (g_row, e) in g_rows.chunks_exact_mut(hd).zip(rows) {
-                    let q_row = &qd[seg[e] * hd..][..hd];
-                    for hh in 0..h {
-                        let g = go[e * h + hh] * scale;
-                        for (o, &v) in g_row[hh * d..][..d].iter_mut().zip(&q_row[hh * d..][..d]) {
-                            *o = g * v;
-                        }
-                    }
-                }
+            per_edge(&mut gk, n, hd, SEG_SEQ_ROWS_LIGHT, |out, edges| {
+                kernel::run_lanes(ScaledRows { out, edges, x: &qd, sel: &seg, w: go, scale, h, d }, false);
             });
             gk
         });
         // dq[s,h,:] = Σ_{e in s, ascending} (go[e,h]·scale) · k[e,h,:],
-        // one row per segment (empty segments stay zero).
+        // one row per segment (empty segments give zero rows).
         let gq = need_q.then(|| {
-            let mut gq = pool::take_zeroed(num_segments * hd, device);
-            let gq_sl = UnsafeSlice::new(&mut gq);
-            let idx = SegmentIndex::build(&seg, num_segments);
-            parallel_for(
-                num_segments,
-                seg_seq_threshold(n * hd, num_segments),
-                |segs: std::ops::Range<usize>| {
-                    // SAFETY: each segment owns its own output row.
-                    let g_rows = unsafe { gq_sl.slice_mut(segs.start * hd, segs.len() * hd) };
-                    for (g_row, s) in g_rows.chunks_exact_mut(hd).zip(segs) {
-                        for &e in idx.rows_of(s) {
-                            let k_row = &kd[e * hd..][..hd];
-                            for hh in 0..h {
-                                let g = go[e * h + hh] * scale;
-                                let (o, x) = (&mut g_row[hh * d..][..d], &k_row[hh * d..][..d]);
-                                kernel::axpy_dispatch(o, x, g, fma);
-                            }
-                        }
-                    }
-                },
-            );
+            let mut gq = pool::take_uninit(num_segments * hd, device);
+            let rows = SegmentRows::new(&seg, num_segments);
+            per_segment(&mut gq, num_segments, hd, n, SEG_SEQ_ROWS_LIGHT, |out, segs| {
+                let kernel = WeightedRows { out, segs, rows: &rows, n, x: &kd, w: go, scale, h, d };
+                kernel::run_lanes(kernel, kernel::fast());
+            });
             gq
         });
         vec![gq, gk]
@@ -607,72 +981,37 @@ pub fn segment_weighted_sum(
             4 * (n * hd + wa * n * hd + wv * n * h) as u64,
             4 * (wv * n * hd + wa * n * h) as u64,
         );
-    let fma = kernel::fast();
-    let idx = SegmentIndex::build(segments, num_segments);
-    // Accumulates with `+=` (and empty segments stay zero).
-    let mut out = pool::take_zeroed(num_segments * hd, device);
+    let rows = SegmentRows::new(segments, num_segments);
+    // Every output row is written, empty segments included.
+    let mut out = pool::take_uninit(num_segments * hd, device);
     {
-        let vd = v.inner.storage.read();
-        let ad = a.inner.storage.read();
-        let out_sl = UnsafeSlice::new(&mut out);
-        parallel_for(
-            num_segments,
-            seg_seq_threshold(n * hd, num_segments),
-            |segs: std::ops::Range<usize>| {
-                // SAFETY: each segment owns its own output row.
-                let o_rows = unsafe { out_sl.slice_mut(segs.start * hd, segs.len() * hd) };
-                for (o_row, s) in o_rows.chunks_exact_mut(hd).zip(segs) {
-                    for &e in idx.rows_of(s) {
-                        let v_row = &vd[e * hd..][..hd];
-                        for hh in 0..h {
-                            let (o, x) = (&mut o_row[hh * d..][..d], &v_row[hh * d..][..d]);
-                            kernel::axpy_dispatch(o, x, ad[e * h + hh], fma);
-                        }
-                    }
-                }
-            },
-        );
+        let (vd, ad) = (v.inner.storage.read(), a.inner.storage.read());
+        per_segment(&mut out, num_segments, hd, n, SEG_SEQ_ROWS_LIGHT, |out, segs| {
+            let kernel = WeightedRows { out, segs, rows: &rows, n, x: &vd, w: &ad, scale: 1.0, h, d };
+            kernel::run_lanes(kernel, kernel::fast());
+        });
     }
     let (v_t, a_t) = (v.clone(), a.clone());
     let seg = segments.to_vec();
     Tensor::make_result(out, [num_segments, hd], device, &[v.clone(), a.clone()], move |go| {
         let vd = v_t.inner.storage.read();
         let ad = a_t.inner.storage.read();
-        let mut gv = need_v.then(|| pool::take_uninit(n * hd, device));
-        let mut ga = need_a.then(|| pool::take_uninit(n * h, device));
-        {
-            let gv_sl = gv.as_mut().map(|g| UnsafeSlice::new(g));
-            let ga_sl = ga.as_mut().map(|g| UnsafeSlice::new(g));
-            parallel_for(n, crate::ops::rows_threshold(hd), |rows: std::ops::Range<usize>| {
-                for e in rows {
-                    let go_row = &go[seg[e] * hd..][..hd];
-                    // dv[e,h,:] = go[s,h,:] · a[e,h]
-                    if let Some(gv_sl) = &gv_sl {
-                        // SAFETY: row `e` belongs to exactly one chunk.
-                        let g_row = unsafe { gv_sl.slice_mut(e * hd, hd) };
-                        for hh in 0..h {
-                            let w = ad[e * h + hh];
-                            for (o, &g) in g_row[hh * d..][..d].iter_mut().zip(&go_row[hh * d..][..d]) {
-                                *o = g * w;
-                            }
-                        }
-                    }
-                    // da[e,h] = Σ_d go[s,h,d] · v[e,h,d], d ascending.
-                    if let Some(ga_sl) = &ga_sl {
-                        // SAFETY: row `e` belongs to exactly one chunk.
-                        let g_row = unsafe { ga_sl.slice_mut(e * h, h) };
-                        let v_row = &vd[e * hd..][..hd];
-                        for (hh, o) in g_row.iter_mut().enumerate() {
-                            let mut acc = 0.0f32;
-                            for (&g, &x) in go_row[hh * d..][..d].iter().zip(&v_row[hh * d..][..d]) {
-                                acc += g * x;
-                            }
-                            *o = acc;
-                        }
-                    }
-                }
+        // dv[e,h,:] = go[s,h,:] · a[e,h]
+        let gv = need_v.then(|| {
+            let mut gv = pool::take_uninit(n * hd, device);
+            per_edge(&mut gv, n, hd, SEG_SEQ_ROWS, |out, edges| {
+                kernel::run_lanes(ScaledRows { out, edges, x: go, sel: &seg, w: &ad, scale: 1.0, h, d }, false);
             });
-        }
+            gv
+        });
+        // da[e,h] = Σ_d go[s,h,d] · v[e,h,d], d ascending.
+        let ga = need_a.then(|| {
+            let mut ga = pool::take_uninit(n * h, device);
+            per_edge(&mut ga, n, h, SEG_SEQ_ROWS, |out, edges| {
+                kernel::run_lanes(Dots { out, edges, a: go, sel: &seg, b: &vd, scale: 1.0, h, d }, false);
+            });
+            ga
+        });
         vec![gv, ga]
     })
 }
@@ -711,6 +1050,27 @@ mod tests {
         assert_eq!(m.to_vec(), vec![5.0, 3.0]);
         m.sum_all().backward();
         assert_eq!(v.grad().unwrap(), vec![0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn segment_max_keeps_infinities_and_zeroes_only_empty_segments() {
+        let (inf, ninf, nan) = (f32::INFINITY, f32::NEG_INFINITY, f32::NAN);
+        let v = Tensor::from_vec(vec![1.0, inf, ninf, ninf, 2.0, nan, nan, nan, 3.0, nan], [10, 1])
+            .requires_grad(true);
+        // Segment 0 reaches +inf, 1 holds only -inf, 2 has no rows, 4
+        // only NaNs, 5 a number between NaNs.
+        let m = segment_max(&v, &[0, 0, 1, 1, 3, 4, 4, 5, 5, 5], 6);
+        let got = m.to_vec();
+        assert_eq!(got[..4], [inf, ninf, 0.0, 2.0]);
+        assert!(got[4].is_nan(), "an all-NaN column gives NaN, got {}", got[4]);
+        assert_eq!(got[5], 3.0);
+        m.backward_with(vec![1.0, 10.0, 100.0, 1e3, 1e4, 1e5]);
+        // An all `-inf` or all-NaN segment's gradient goes to its first
+        // row; NaNs beside a number get none.
+        let want = [0.0, 1.0, 10.0, 0.0, 1e3, 1e4, 0.0, 0.0, 1e5, 0.0];
+        assert_eq!(v.grad().unwrap(), want);
+        let m = segment_max(&Tensor::from_vec(vec![1.0, inf], [2, 1]), &[0, 0], 3);
+        assert_eq!(m.to_vec(), vec![inf, 0.0, 0.0]);
     }
 
     #[test]

@@ -542,8 +542,9 @@ fn sincos_simd_is_the_scalar_reference_bit_for_bit() {
     args.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
     for f in [Trig::Cos, Trig::Sin] {
         let want: Vec<f32> = args.iter().map(|&x| kernel::sincos_scalar(x, f)).collect();
-        // Whole buffer, then row widths that leave every lane tail.
-        for width in [args.len(), 1, 3, 5, 16] {
+        // Whole buffer, then row widths that leave every lane tail of
+        // the 4- and 8-lane bodies.
+        for width in [args.len(), 1, 5, 9, 16, 23] {
             for simd in kernel::simd_levels() {
                 kernel::set_simd(simd);
                 // Alone, and as the second output of the other function.
@@ -782,6 +783,11 @@ fn fusions() -> Vec<Fusion> {
     all.push(time_encode_case(33, 5, 3, &mut rng));
     // More columns than one backward strip carries.
     all.push(time_encode_case(40, 70, 3, &mut rng));
+    // Φ(0): every delta the same, one row computed and copied.
+    let mut zero = time_encode_case(300, 16, 3, &mut rng);
+    zero.inputs[0] = Tensor::zeros([300]);
+    zero.name.push_str(" all deltas 0");
+    all.push(zero);
     for (n, hid) in [(0, 8), (1, 5), (700, 32)] {
         all.push(gru_gates_case(n, hid, &mut rng));
     }
@@ -944,4 +950,157 @@ fn attention_step_is_the_same_bits_fused_and_unfused() {
         all
     };
     assert_eq!(run(true), run(false));
+}
+
+// ---------------------------------------------------------------------
+// The attention kernels against the scalar loops that define them
+// ---------------------------------------------------------------------
+
+/// Segment ids in runs of 1, 15, 16, 17 and 33 rows (either side of a
+/// vector of 8 and of 16 lanes, and a row alone), an empty segment after
+/// every five, `cycles` times over; nondecreasing as a block's
+/// destination index is, or the same ids shuffled. Returns the ids and
+/// the segment count.
+fn attention_ids(cycles: usize, shuffled: bool, rng: &mut StdRng) -> (Vec<usize>, usize) {
+    let (mut ids, mut s) = (Vec::new(), 0);
+    for _ in 0..cycles {
+        for run in [1, 15, 16, 17, 33] {
+            ids.extend(std::iter::repeat_n(s, run));
+            s += 1;
+        }
+        s += 1;
+    }
+    if shuffled {
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+    }
+    (ids, s)
+}
+
+/// The outputs and gradients of `segment_dot`, `segment_softmax` and
+/// `segment_weighted_sum` over the values of `[q, k, x, v, a]` by the
+/// scalar loops that define them, from the upstream gradient
+/// [`upstream`]: `[dot, dq, dk, softmax, dx, wsum, dv, da]`. Every sum
+/// starts from zero and adds its terms one at a time in ascending order
+/// (`d` within a dot, rows within a segment), each product rounded
+/// first.
+fn naive_attention(values: &[Vec<f32>], seg: &[usize], s: usize, (h, d): (usize, usize), scale: f32) -> [Vec<f32>; 8] {
+    let [q, k, x, v, a] = [0, 1, 2, 3, 4].map(|i| &values[i][..]);
+    let (e, hd) = (seg.len(), h * d);
+    let head = |c: usize| c / d;
+    let (mut dot, mut dq, mut dk) = (vec![0.0f32; e * h], vec![0.0f32; s * hd], vec![0.0f32; e * hd]);
+    for i in 0..e {
+        for hh in 0..h {
+            let mut acc = 0.0f32;
+            for j in hh * d..(hh + 1) * d {
+                acc += q[seg[i] * hd + j] * k[i * hd + j];
+            }
+            dot[i * h + hh] = acc * scale;
+        }
+        for c in 0..hd {
+            dk[i * hd + c] = (upstream(i * h + head(c)) * scale) * q[seg[i] * hd + c];
+        }
+    }
+    for si in 0..s {
+        for i in (0..e).filter(|&i| seg[i] == si) {
+            for c in 0..hd {
+                dq[si * hd + c] += (upstream(i * h + head(c)) * scale) * k[i * hd + c];
+            }
+        }
+    }
+    let (mut y, mut dx) = (vec![0.0f32; e * h], vec![0.0f32; e * h]);
+    for si in 0..s {
+        let rows: Vec<usize> = (0..e).filter(|&i| seg[i] == si).collect();
+        for j in 0..h {
+            let mut mx = f32::NEG_INFINITY;
+            for &i in &rows {
+                mx = mx.max(x[i * h + j]);
+            }
+            let mut sum = 0.0f32;
+            for &i in &rows {
+                y[i * h + j] = (x[i * h + j] - mx).exp();
+                sum += y[i * h + j];
+            }
+            let mut dot = 0.0f32;
+            for &i in &rows {
+                y[i * h + j] /= sum;
+                dot += upstream(i * h + j) * y[i * h + j];
+            }
+            for &i in &rows {
+                dx[i * h + j] = (upstream(i * h + j) - dot) * y[i * h + j];
+            }
+        }
+    }
+    let (mut ws, mut dv, mut da) = (vec![0.0f32; s * hd], vec![0.0f32; e * hd], vec![0.0f32; e * h]);
+    for si in 0..s {
+        for i in (0..e).filter(|&i| seg[i] == si) {
+            for c in 0..hd {
+                ws[si * hd + c] += a[i * h + head(c)] * v[i * hd + c];
+            }
+        }
+    }
+    for i in 0..e {
+        for c in 0..hd {
+            dv[i * hd + c] = upstream(seg[i] * hd + c) * a[i * h + head(c)];
+        }
+        for hh in 0..h {
+            let mut acc = 0.0f32;
+            for j in hh * d..(hh + 1) * d {
+                acc += upstream(seg[i] * hd + j) * v[i * hd + j];
+            }
+            da[i * h + hh] = acc;
+        }
+    }
+    [dot, dq, dk, y, dx, ws, dv, da]
+}
+
+#[test]
+fn attention_kernels_are_their_scalar_loops_at_every_simd_level() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    kernel::set_mode(KernelMode::Exact);
+    let mut rng = StdRng::seed_from_u64(0xA7E);
+    // Every head count and width at three cycles of runs; one TGAT-wide
+    // layer long enough (past the 8 192 rows below which every kernel
+    // runs inline) to split across 4 threads.
+    let mut shapes: Vec<(usize, usize, usize)> =
+        [1, 2, 4].into_iter().flat_map(|h| [1, 7, 16, 24].map(|d| (h, d, 3))).collect();
+    shapes.push((2, 16, 101));
+    for (h, d, cycles) in shapes {
+        for shuffled in [false, true] {
+            let (seg, s) = attention_ids(cycles, shuffled, &mut rng);
+            let (e, hd) = (seg.len(), h * d);
+            let scale = 1.0 / (d as f32).sqrt();
+            let inputs = [rand2(&mut rng, [s, hd]), rand2(&mut rng, [e, hd]), rand2(&mut rng, [e, h])];
+            let (v, a) = (rand2(&mut rng, [e, hd]), rand2(&mut rng, [e, h]));
+            let values: Vec<Vec<f32>> = inputs.iter().chain([&v, &a]).map(Tensor::to_vec).collect();
+            let want = naive_attention(&values, &seg, s, (h, d), scale);
+            let (dot, softmax, wsum): (Op, Op, Op) = {
+                let (s1, s2, s3) = (seg.clone(), seg.clone(), seg.clone());
+                (
+                    Box::new(move |t| segment_dot(&t[0], &t[1], &s1, h, scale)),
+                    Box::new(move |t| segment_softmax(&t[0], &s2, s)),
+                    Box::new(move |t| segment_weighted_sum(&t[0], &t[1], &s3, s)),
+                )
+            };
+            for level in kernel::simd_levels() {
+                kernel::set_simd(level);
+                for threads in [1, 4] {
+                    set_threads(threads);
+                    let mut got = eval(&dot, &inputs[..2]);
+                    got.extend(eval(&softmax, &inputs[2..]));
+                    got.extend(eval(&wsum, &[v.clone(), a.clone()]));
+                    let names = ["dot", "dq", "dk", "softmax", "dx", "wsum", "dv", "da"];
+                    for ((name, got), want) in names.iter().zip(&got).zip(&want) {
+                        assert_eq!(
+                            bits(got),
+                            bits(want),
+                            "{name}: H={h} D={d} E={e} shuffled={shuffled} at {level:?}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -73,17 +73,20 @@ fn bmm_invariant() {
 #[test]
 fn segment_kernels_invariant() {
     let _g = serial();
-    assert_invariant("segment sum/mean/softmax fwd+bwd", || {
-        let mut rng = StdRng::seed_from_u64(0x5E6);
-        let n = 300;
-        let x = rand_tensor(&mut rng, [n, 8]).requires_grad(true);
-        let seg: Vec<usize> = (0..n).map(|i| (i * 7 % 41) % 23).collect();
-        let s = segment_sum(&x, &seg, 23);
-        let m = segment_mean(&x, &seg, 23);
-        let sm = segment_softmax(&x, &seg, 23);
-        sm.mul(&x).sum_all().add(&s.sum_all()).add(&m.sum_all()).backward();
-        (s.to_vec(), m.to_vec(), sm.to_vec(), x.grad().unwrap())
-    });
+    // The second size is past every fan-out threshold of these ops
+    // (33 000 rows of 8: 264 000 elements).
+    for (n, segs) in [(300, 23), (33_000, 4_700)] {
+        assert_invariant("segment sum/mean/softmax fwd+bwd", || {
+            let mut rng = StdRng::seed_from_u64(0x5E6);
+            let x = rand_tensor(&mut rng, [n, 8]).requires_grad(true);
+            let seg: Vec<usize> = (0..n).map(|i| (i * 7 % 41 + i * 13) % segs).collect();
+            let s = segment_sum(&x, &seg, segs);
+            let m = segment_mean(&x, &seg, segs);
+            let sm = segment_softmax(&x, &seg, segs);
+            sm.mul(&x).sum_all().add(&s.sum_all()).add(&m.sum_all()).backward();
+            (s.to_vec(), m.to_vec(), sm.to_vec(), x.grad().unwrap())
+        });
+    }
 }
 
 #[test]
