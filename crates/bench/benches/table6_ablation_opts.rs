@@ -17,12 +17,7 @@ use tglite::tensor::no_grad;
 use tglite::{TBatch, TContext};
 
 /// Inference wall time over the test split for a TGAT with `opts`.
-fn inference_time(
-    spec: &DatasetSpec,
-    host_resident: bool,
-    opts: OptFlags,
-    is_baseline: bool,
-) -> f64 {
+fn inference_time(spec: &DatasetSpec, host_resident: bool, opts: OptFlags) -> f64 {
     let (g, _) = generate(spec);
     if !host_resident {
         if let Some(f) = g.node_feats() {
@@ -48,33 +43,18 @@ fn inference_time(
         mailbox_slots: 10,
     };
     let mut negs = NegativeSampler::for_spec(spec, 3);
-    let elapsed = if is_baseline {
-        let mut model = tgl_baseline::BaselineTgat::new(&ctx, cfg, 5);
-        run_inference(&mut model, &ctx, &g, &split, &mut negs)
-    } else {
-        let mut model = Tgat::new(&ctx, cfg, opts, 5);
-        model.set_training(false);
-        run_inference(&mut model, &ctx, &g, &split, &mut negs)
-    };
-    tgl_device::set_transfer_model(TransferModel::disabled());
-    elapsed
-}
-
-fn run_inference<M: TemporalModel>(
-    model: &mut M,
-    ctx: &TContext,
-    g: &Arc<tglite::TGraph>,
-    split: &Split,
-    negs: &mut NegativeSampler,
-) -> f64 {
+    let mut model = Tgat::new(&ctx, cfg, opts, 5);
+    model.set_training(false);
     let start = tgl_harness::CpuTimer::start();
     let _guard = no_grad();
     for r in Split::batches(&split.test, 200) {
-        let mut batch = TBatch::new(Arc::clone(g), r);
+        let mut batch = TBatch::new(Arc::clone(&g), r);
         batch.set_negatives(negs.draw(batch.len()));
-        let _ = model.forward(ctx, &batch);
+        let _ = model.forward(&ctx, &batch);
     }
-    start.elapsed_s()
+    let elapsed = start.elapsed_s();
+    tgl_device::set_transfer_model(TransferModel::disabled());
+    elapsed
 }
 
 fn main() {
@@ -110,10 +90,10 @@ fn main() {
     let mut t = TextTable::new(&["Case", "TGLite", "+dedup", "+cache", "+time"]);
     for &host_resident in &[true, false] {
         let case = if host_resident { "CPU-to-GPU" } else { "All-on-GPU" };
-        let tgl = inference_time(&spec, host_resident, OptFlags::none(), true);
+        let tgl = inference_time(&spec, host_resident, OptFlags::none());
         let mut cells: Vec<String> = vec![case.to_string()];
         for (_, opts) in &variants {
-            let ours = inference_time(&spec, host_resident, *opts, false);
+            let ours = inference_time(&spec, host_resident, *opts);
             cells.push(speedup(tgl, ours).trim_matches(['(', ')']).to_string());
         }
         t.row(&cells);

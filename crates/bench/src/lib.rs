@@ -13,6 +13,8 @@
 //!   or 8+ for a quick smoke run);
 //! * `TGL_BENCH_EPOCHS` — override training epoch count (default 2).
 
+#![forbid(unsafe_code)]
+
 use tgl_data::{DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;
 use tgl_harness::{ExperimentConfig, Framework, ModelKind, Placement};

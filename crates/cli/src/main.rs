@@ -10,6 +10,8 @@
 //! tgl --help
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod schema;
 mod trend;

@@ -70,6 +70,8 @@
 //! assert_eq!(out.dim(0), head.num_dst());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod block;
 mod ctx;
@@ -103,3 +105,15 @@ pub use tgl_graph::{EdgeId, Mailbox, Memory, NodeId, TCsr, Time};
 pub use tgl_graph::TemporalGraph as TGraph;
 
 pub use tgl_device::Device;
+
+#[cfg(test)]
+mod testing {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by every test of this crate that crosses the link, so a
+    /// transfer-counter delta read under it is the test's own.
+    pub(crate) fn link() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}

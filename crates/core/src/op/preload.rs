@@ -189,22 +189,14 @@ pub fn preload(ctx: &TContext, head: &TBlock, use_pin: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::link;
     use crate::{TBlock, TContext, TSampler};
     use std::collections::BTreeSet;
-    use std::sync::{Arc, Mutex, MutexGuard};
+    use std::sync::Arc;
     use tgl_device::Device;
     use tgl_graph::TemporalGraph;
     use tgl_sampler::SamplingStrategy;
     use tgl_tensor::Tensor;
-
-    /// Held by every test of this crate that crosses the link (they are
-    /// all in this module), so a transfer-counter delta read under it
-    /// is the test's own.
-    fn link() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn setup(feat_device: Device, compute: Device) -> (Arc<TemporalGraph>, TContext) {
         let g = Arc::new(TemporalGraph::from_edges(3, vec![(0, 1, 1.0), (1, 2, 2.0)]));

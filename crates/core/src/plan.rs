@@ -1,7 +1,8 @@
 //! Chain construction, inline or ahead of the step.
 //!
 //! One private builder makes a batch's block chain: `block` → `dedup` →
-//! `[cache]` → `sample` per layer, then `preload`. Models call
+//! `[cache]` → `sample` per layer, then `preload`, or without it TGL's
+//! eager per-tensor staging (the `tgl` framework). Models call
 //! [`build_chain`] first thing in `forward`. Without `cache` (an
 //! inference-only operator that reads the embedding cache, hence the
 //! parameters) everything the builder does is a function of the batch
@@ -22,9 +23,10 @@
 //! seed, so a chain built on another thread is bitwise the chain the
 //! compute thread would have built. Every observability counter and
 //! phase of this work (`dedup.*`, `sampler.*`, `preload.*`,
-//! `transfer.*`; `prep_batch`, `sample`, `preload`) fires exactly once,
-//! where the chain is built; taking a prepared chain fires nothing, so
-//! pipelined counter totals match the sequential trainer's.
+//! `transfer.*`; `prep_batch`, `sample`, `preload`, `feature_load`)
+//! fires exactly once, where the chain is built; taking a prepared
+//! chain fires nothing, so pipelined counter totals match the
+//! sequential trainer's.
 
 use tgl_runtime::sync::Mutex;
 use tgl_sampler::TemporalSampler;
@@ -42,8 +44,9 @@ pub struct SamplingSpec {
     /// Apply `op::dedup` to each block before sampling.
     pub dedup: bool,
     /// Stage features through the pinned pool (`op::preload`). When
-    /// false, features stay lazy and load on the compute stage exactly
-    /// as the sequential path would.
+    /// false, the chain is staged the way TGL stages its message-flow
+    /// graphs: every block's tensors are loaded one by one over the
+    /// pageable path while the chain is built, and kept for the batch.
     pub preload_pinned: bool,
     /// The model's sampler engine (its seed makes sampling a pure
     /// function of the destination list).
@@ -52,8 +55,9 @@ pub struct SamplingSpec {
 
 /// A built chain in transit from the thread that prepared it to the
 /// `forward` that consumes it. What it keeps on the device tier is what
-/// `op::preload` staged (distinct rows and time deltas): blocks expand
-/// their tensors on first read, on the consuming thread.
+/// `op::preload` staged (distinct rows and time deltas), which blocks
+/// expand on first read, on the consuming thread; or, unpinned, every
+/// block's tensors in full.
 #[derive(Debug)]
 pub struct BatchPlan {
     /// Taken by the first [`build_chain`]: hooks and named data make a
@@ -86,6 +90,18 @@ fn build(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TB
     if spec.preload_pinned {
         let _p = crate::prof::scope("preload").stage(tgl_obs::Stage::Transfer);
         op::preload(ctx, &head, true);
+    } else {
+        // An MFG's eager materialization (paper §3.2): each tensor of
+        // each block crosses on its own, however many rows repeat.
+        let _f = crate::prof::scope("feature_load").stage(tgl_obs::Stage::Transfer);
+        for blk in head.chain() {
+            blk.dstfeat();
+            if blk.has_nbrs() {
+                blk.srcfeat();
+                blk.efeat();
+                blk.deltas();
+            }
+        }
     }
     head
 }
@@ -123,6 +139,7 @@ mod tests {
     use super::*;
     use crate::TContext;
     use std::sync::Arc;
+    use tgl_device::Device;
     use tgl_graph::TemporalGraph;
     use tgl_sampler::SamplingStrategy;
     use tgl_tensor::Tensor;
@@ -229,6 +246,43 @@ mod tests {
                 assert_eq!(bits(blk.deltas().to_vec()), bits(blk.delta_times()));
             }
         }
+    }
+
+    #[test]
+    fn unpinned_chain_moves_every_block_tensor_while_it_builds() {
+        let _l = crate::testing::link();
+        let (g, _) = setup();
+        let ctx = TContext::with_device(Arc::clone(&g), Device::Accel);
+        let mut batch = TBatch::new(Arc::clone(&g), 2..6);
+        batch.set_negatives(vec![4, 5, 4, 5]);
+        let pageable = || tgl_obs::metrics::get("transfer.pageable_count");
+        let (before, paged) = (tgl_device::stats(), pageable());
+        let head = build_sequential(&ctx, &batch, &spec(false, false));
+        let (built, paged_built) = (tgl_device::stats(), pageable());
+
+        // Per sampled block: dst, src and edge rows and the deltas, one
+        // transfer each, every slot's row shipped however often it repeats.
+        let blocks: Vec<TBlock> = head.chain().collect();
+        assert_eq!(blocks.len(), 2);
+        let (dn, de) = (g.node_feat_dim(), g.edge_feat_dim());
+        let floats: usize = blocks
+            .iter()
+            .map(|b| {
+                assert!(b.num_edges() > 0, "block {} sampled nothing", b.layer());
+                b.num_dst() * dn + b.num_edges() * (dn + de + 1)
+            })
+            .sum();
+        assert_eq!(built.h2d_bytes - before.h2d_bytes, 4 * floats as u64);
+        assert_eq!(built.transfer_count - before.transfer_count, 4 * blocks.len() as u64);
+        assert_eq!(paged_built - paged, 4 * blocks.len() as u64);
+
+        for blk in &blocks {
+            for t in [blk.dstfeat(), blk.srcfeat(), blk.efeat(), blk.deltas()] {
+                assert_eq!(t.device(), Device::Accel);
+            }
+        }
+        let after_reads = tgl_device::stats().transfer_count;
+        assert_eq!(after_reads, built.transfer_count, "a later read crossed the link");
     }
 
     #[test]

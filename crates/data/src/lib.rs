@@ -18,6 +18,8 @@
 //!
 //! See `DESIGN.md` for the substitution rationale.
 
+#![forbid(unsafe_code)]
+
 mod generator;
 mod io;
 pub mod json;

@@ -29,6 +29,8 @@
 //! # Ok::<(), tgl_device::DeviceError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod pool;
 mod registry;
 mod transfer;

@@ -24,6 +24,8 @@
 //! assert_eq!(csr.neighbors(0).count(), 2); // undirected view
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod graph;
 mod mailbox;
 mod memory;

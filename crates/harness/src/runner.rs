@@ -8,7 +8,6 @@
 
 use std::path::{Path, PathBuf};
 
-use tgl_baseline::{BaselineApan, BaselineJodie, BaselineTgat, BaselineTgn};
 use tgl_data::{generate, DatasetKind, DatasetSpec, Split};
 use tgl_device::{Device, TransferModel};
 use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
@@ -16,10 +15,14 @@ use tglite::{obs, TContext};
 
 use crate::{profrep, Args, EpochStats, HealthPolicy, MetricLog, RunReporter, TrainConfig, Trainer};
 
-/// Which framework implementation runs (the paper's three bar groups).
+/// Which framework setting runs (the paper's three bar groups). All
+/// three run the same `tgl-models` code; they differ in
+/// [`OptFlags`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Framework {
-    /// The MFG-based baseline (paper: "TGL").
+    /// No optimization operator, and every block's tensors staged
+    /// eagerly over the pageable path as TGL's message-flow graphs are
+    /// (paper: "TGL").
     Tgl,
     /// TGLite with only `preload()` (paper: "TGLite").
     TgLite,
@@ -181,23 +184,15 @@ pub fn build_model(
     seed: u64,
 ) -> Box<dyn TemporalModel> {
     let opts = match framework {
-        Framework::Tgl => OptFlags::none(), // unused by baseline
+        Framework::Tgl => OptFlags::none(),
         Framework::TgLite => OptFlags::preload_only(),
         Framework::TgLiteOpt => OptFlags::all(),
     };
-    match framework {
-        Framework::Tgl => match kind {
-            ModelKind::Jodie => Box::new(BaselineJodie::new(ctx, cfg, seed)),
-            ModelKind::Apan => Box::new(BaselineApan::new(ctx, cfg, seed)),
-            ModelKind::Tgat => Box::new(BaselineTgat::new(ctx, cfg, seed)),
-            ModelKind::Tgn => Box::new(BaselineTgn::new(ctx, cfg, seed)),
-        },
-        Framework::TgLite | Framework::TgLiteOpt => match kind {
-            ModelKind::Jodie => Box::new(Jodie::new(ctx, cfg, opts, seed)),
-            ModelKind::Apan => Box::new(Apan::new(ctx, cfg, opts, seed)),
-            ModelKind::Tgat => Box::new(Tgat::new(ctx, cfg, opts, seed)),
-            ModelKind::Tgn => Box::new(Tgn::new(ctx, cfg, opts, seed)),
-        },
+    match kind {
+        ModelKind::Jodie => Box::new(Jodie::new(ctx, cfg, opts, seed)),
+        ModelKind::Apan => Box::new(Apan::new(ctx, cfg, opts, seed)),
+        ModelKind::Tgat => Box::new(Tgat::new(ctx, cfg, opts, seed)),
+        ModelKind::Tgn => Box::new(Tgn::new(ctx, cfg, opts, seed)),
     }
 }
 

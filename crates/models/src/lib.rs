@@ -20,6 +20,8 @@
 //! settings via [`OptFlags`]: `none()` (plain), `preload_only()`
 //! (the paper's "TGLite" setting), `all()` ("TGLite+opt").
 
+#![forbid(unsafe_code)]
+
 mod apan;
 mod attn;
 mod jodie;

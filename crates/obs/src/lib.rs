@@ -71,6 +71,8 @@
 //! assert!(tgl_obs::metrics::get("demo.hits") >= 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod critpath;
 pub mod flight;
 pub mod health;

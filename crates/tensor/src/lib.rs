@@ -14,8 +14,7 @@
 //! * tape-based reverse-mode autograd with a custom-operator extension
 //!   API ([`Tensor::custom_op`]);
 //! * neural-network modules ([`nn::Linear`], [`nn::GruCell`],
-//!   [`nn::RnnCell`], [`nn::Mlp`]) and optimizers ([`optim::Adam`],
-//!   [`optim::Sgd`]);
+//!   [`nn::RnnCell`], [`nn::Mlp`]) and the [`optim::Adam`] optimizer;
 //! * binary-cross-entropy-with-logits loss for temporal link prediction.
 //!
 //! # Examples

@@ -5,18 +5,14 @@
 //! `nn.RNNCell` (JODIE's memory updater), and small feed-forward MLPs
 //! (the FFN in temporal attention and the edge predictor).
 
-mod dropout;
 mod gru;
 mod linear;
 mod mlp;
-mod norm;
 mod rnn;
 
-pub use dropout::Dropout;
 pub use gru::GruCell;
 pub use linear::Linear;
 pub use mlp::Mlp;
-pub use norm::LayerNorm;
 pub use rnn::RnnCell;
 
 use crate::Tensor;

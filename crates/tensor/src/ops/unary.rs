@@ -237,17 +237,6 @@ impl Tensor {
         )
     }
 
-    /// Leaky rectified linear unit with negative slope `alpha`.
-    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        unary_elementwise(
-            "leaky_relu",
-            1,
-            self,
-            move |x| if x > 0.0 { x } else { alpha * x },
-            move |x, _, g| if x > 0.0 { g } else { alpha * g },
-        )
-    }
-
     /// Softplus `ln(1 + e^x)`, the smooth ReLU (numerically stable).
     pub fn softplus(&self) -> Tensor {
         unary_elementwise(
@@ -256,25 +245,6 @@ impl Tensor {
             self,
             |x| x.max(0.0) + (-(x.abs())).exp().ln_1p(),
             |x, _, g| g / (1.0 + (-x).exp()),
-        )
-    }
-
-    /// Gaussian error linear unit (tanh approximation, as used by
-    /// transformer FFNs).
-    pub fn gelu(&self) -> Tensor {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        unary_elementwise(
-            "gelu",
-            20,
-            self,
-            |x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()),
-            |x, _, g| {
-                let inner = C * (x + 0.044715 * x * x * x);
-                let t = inner.tanh();
-                let sech2 = 1.0 - t * t;
-                let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
-                g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner)
-            },
         )
     }
 }
@@ -323,18 +293,12 @@ mod tests {
         assert_eq!(t(vec![-3.0, 0.5, 9.0]).clamp(0.0, 1.0).to_vec(), vec![0.0, 0.5, 1.0]);
         assert_eq!(t(vec![-2.0, 3.0]).abs().to_vec(), vec![2.0, 3.0]);
         assert_close(&t(vec![2.0]).pow_scalar(3.0).to_vec(), &[8.0], 1e-5);
-        assert_close(&t(vec![-2.0, 2.0]).leaky_relu(0.1).to_vec(), &[-0.2, 2.0], 1e-6);
         assert_close(&t(vec![0.0]).softplus().to_vec(), &[std::f32::consts::LN_2], 1e-6);
-        // GELU(0) = 0; GELU is ~identity for large positive x.
-        assert_close(&t(vec![0.0]).gelu().to_vec(), &[0.0], 1e-6);
-        assert_close(&t(vec![6.0]).gelu().to_vec(), &[6.0], 1e-2);
     }
 
     #[test]
     fn extended_activation_gradchecks() {
-        check_gradient(&t(vec![0.3, -0.7, 1.2]), |x| x.leaky_relu(0.2).sum_all(), 1e-2);
         check_gradient(&t(vec![0.3, -0.7, 1.2]), |x| x.softplus().sum_all(), 1e-2);
-        check_gradient(&t(vec![0.3, -0.7, 1.2]), |x| x.gelu().sum_all(), 2e-2);
         check_gradient(&t(vec![1.3, 0.7, 2.2]), |x| x.pow_scalar(1.7).sum_all(), 5e-2);
         check_gradient(&t(vec![0.6, -0.4]), |x| x.clamp(-0.5, 0.5).mul(x).sum_all(), 1e-2);
     }

@@ -1,82 +1,14 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer and gradient-norm clipping.
 //!
 //! Steady-state steps perform **zero tensor allocations**: optimizer
 //! state lives in plain tensors allocated once per parameter, gradients
 //! are read in place through [`Tensor::with_grad`], and updates run as
-//! fused in-place kernels ([`Tensor::adam_step_`],
-//! [`Tensor::add_scaled_`]).
+//! one fused in-place kernel ([`Tensor::adam_step_`]).
 
 use std::collections::HashMap;
 
 use crate::ops::AdamStep;
 use crate::Tensor;
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-    momentum: f32,
-    velocity: HashMap<u64, Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over `params`.
-    pub fn new(params: Vec<Tensor>, lr: f32) -> Sgd {
-        Sgd {
-            params,
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// Enables classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Sgd {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Applies one update step using accumulated gradients.
-    pub fn step(&mut self) {
-        for p in &self.params {
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(p.id())
-                    .or_insert_with(|| Tensor::zeros_on(p.dims().to_vec(), p.device()));
-                let momentum = self.momentum;
-                let lr = self.lr;
-                p.with_grad(|g| {
-                    let Some(g) = g else { return };
-                    // v = momentum*v + g; p -= lr*v — fused per element.
-                    v.with_data_mut(|vd| {
-                        p.with_data_mut(|data| {
-                            for ((d, gi), vi) in data.iter_mut().zip(g).zip(vd.iter_mut()) {
-                                *vi = momentum * *vi + gi;
-                                *d -= lr * *vi;
-                            }
-                        });
-                    });
-                });
-            } else {
-                let lr = self.lr;
-                p.with_grad(|g| {
-                    if let Some(g) = g {
-                        p.add_scaled_(g, -lr);
-                    }
-                });
-            }
-        }
-    }
-
-    /// Clears gradients on all parameters.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-}
 
 /// Rescales accumulated gradients so their global L2 norm is at most
 /// `max_norm`; returns the norm before clipping. Standard stabilizer
@@ -184,30 +116,6 @@ mod tests {
     fn quadratic_loss(x: &Tensor) -> Tensor {
         let d = x.add_scalar(-3.0);
         d.mul(&d).sum_all()
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let x = Tensor::from_vec(vec![0.0], [1]).requires_grad(true);
-        let mut opt = Sgd::new(vec![x.clone()], 0.1);
-        for _ in 0..100 {
-            opt.zero_grad();
-            quadratic_loss(&x).backward();
-            opt.step();
-        }
-        assert!((x.to_vec()[0] - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_minimizes_quadratic() {
-        let x = Tensor::from_vec(vec![0.0], [1]).requires_grad(true);
-        let mut opt = Sgd::new(vec![x.clone()], 0.05).with_momentum(0.9);
-        for _ in 0..200 {
-            opt.zero_grad();
-            quadratic_loss(&x).backward();
-            opt.step();
-        }
-        assert!((x.to_vec()[0] - 3.0).abs() < 1e-2);
     }
 
     #[test]

@@ -5,6 +5,8 @@ use std::sync::Arc;
 use tgl_data::{generate, DatasetKind, DatasetSpec, NegativeSampler};
 use tglite::{TBatch, TContext, TGraph};
 
+pub mod mfg;
+
 /// A small Wiki-shaped dataset for fast end-to-end tests.
 pub fn tiny_wiki() -> (Arc<TGraph>, DatasetSpec) {
     let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(10);

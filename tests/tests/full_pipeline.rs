@@ -3,6 +3,7 @@
 //! all three framework settings.
 
 use tgl_harness::{run_experiment, ExperimentConfig, Framework, ModelKind, Placement};
+use tgl_integration::mfg::MfgTgat;
 use tgl_integration::{assert_logits_close, batch, ctx, tiny_wiki};
 use tgl_models::{ModelConfig, OptFlags, TemporalModel};
 
@@ -59,19 +60,35 @@ fn epoch_losses_decrease_over_training() {
 
 #[test]
 fn frameworks_agree_on_untrained_tgat_logits() {
-    // Same seeds => the baseline (MFG) and TGLite (TBlock) stacks must
+    // Same seeds => the MFG reference and the TBlock stack must
     // produce identical first-batch logits: they share kernels and
     // differ only in orchestration.
     let (g, spec) = tiny_wiki();
-    let c1 = ctx(&g);
-    let mut a = tgl_baseline::BaselineTgat::new(&c1, ModelConfig::tiny(), 3);
-    let c2 = ctx(&g);
-    let mut b = tgl_models::Tgat::new(&c2, ModelConfig::tiny(), OptFlags::none(), 3);
+    let a = MfgTgat::new(&g, ModelConfig::tiny(), 3);
+    let c = ctx(&g);
+    let mut b = tgl_models::Tgat::new(&c, ModelConfig::tiny(), OptFlags::none(), 3);
     let bt = batch(&g, &spec, 100..160, 0);
-    let (p1, n1) = a.forward(&c1, &bt);
-    let (p2, n2) = b.forward(&c2, &bt);
+    let (p1, n1) = a.forward(&g, &bt);
+    let (p2, n2) = b.forward(&c, &bt);
     assert_logits_close(&p1.to_vec(), &p2.to_vec(), 1e-4, "pos");
     assert_logits_close(&n1.to_vec(), &n2.to_vec(), 1e-4, "neg");
+}
+
+#[test]
+fn tgl_and_tglite_train_to_the_same_bits() {
+    // The framework setting decides staging, not values: one epoch of
+    // every model reads the same losses and APs under both.
+    for model in ModelKind::all() {
+        let run = |fw| {
+            let mut cfg = tiny_cfg(fw, model);
+            cfg.train_cfg.epochs = 1;
+            let r = run_experiment(&cfg);
+            let epochs: Vec<(u32, u64)> =
+                r.epochs.iter().map(|e| (e.loss.to_bits(), e.val_ap.to_bits())).collect();
+            (epochs, r.test_ap.to_bits())
+        };
+        assert_eq!(run(Framework::Tgl), run(Framework::TgLite), "{}", model.label());
+    }
 }
 
 #[test]
