@@ -17,7 +17,7 @@ mod tests {
         let a = parse("train --model tgat --epochs 3 --opt-all");
         assert_eq!(a.subcommand(), Some("train"));
         assert_eq!(a.get("model"), Some("tgat"));
-        assert_eq!(a.get_or("epochs", 1usize), 3);
+        assert_eq!(a.get_or("epochs", 1usize), Ok(3));
         assert!(a.has_flag("opt-all"));
         assert!(!a.has_flag("move"));
     }
@@ -25,7 +25,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse("train");
-        assert_eq!(a.get_or("batch", 200usize), 200);
+        assert_eq!(a.get_or("batch", 200usize), Ok(200));
         assert_eq!(a.get("model"), None);
     }
 
@@ -33,13 +33,14 @@ mod tests {
     fn flag_before_value_option() {
         let a = parse("eval --quiet --lr 0.01");
         assert!(a.has_flag("quiet"));
-        assert_eq!(a.get_or("lr", 0.0f32), 0.01);
+        assert_eq!(a.get_or("lr", 0.0f32), Ok(0.01));
     }
 
     #[test]
-    #[should_panic(expected = "cannot parse")]
-    fn bad_value_panics() {
-        parse("train --epochs banana").get_or("epochs", 1usize);
+    fn bad_value_is_an_error_naming_the_flag() {
+        let a = parse("train --epochs banana --seed -1");
+        assert_eq!(a.get_or("epochs", 1usize), Err("--epochs: cannot parse \"banana\" (expected usize)".into()));
+        assert!(a.get_or("seed", 42u64).unwrap_err().starts_with("--seed: cannot parse \"-1\""));
     }
 
     #[test]

@@ -195,6 +195,12 @@ fn positive_or(args: &Args, key: &str, default: usize) -> usize {
     args.positive(key).unwrap_or_else(|e| usage_error(e)).unwrap_or(default)
 }
 
+/// A numeric option (`default` when absent); a value that does not
+/// parse is a usage error naming the flag.
+fn number<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> T {
+    args.get_or(key, default).unwrap_or_else(|e| usage_error(e))
+}
+
 /// `tgl train` / `tgl eval`: the experiment cell from the common
 /// options, everything else through the shared run path.
 fn train(args: &Args, eval_only: bool) {
@@ -202,28 +208,37 @@ fn train(args: &Args, eval_only: bool) {
     // leaves a flight-recorder post-mortem on disk.
     tgl_harness::install_flight_hook();
     let opts = ObsOptions::from_args(args, eval_only).unwrap_or_else(|e| usage_error(e));
-    let seed = args.get_or("seed", 42u64);
+    let seed = number(args, "seed", 42u64);
     let host_resident = args.has_flag("move");
     // Read for `eval` too, which runs no training epoch: a command line
     // shared with `train` stays valid.
-    let epochs = args.get_or("epochs", 3);
+    let epochs = number(args, "epochs", 3);
+    // Shapes the models would reject only once the run is under way.
+    let (emb_dim, heads) = (positive_or(args, "emb-dim", 32), positive_or(args, "heads", 2));
+    if !emb_dim.is_multiple_of(heads) {
+        usage_error(format!("--heads {heads} does not divide --emb-dim {emb_dim}"));
+    }
+    let lr: f32 = number(args, "lr", 1e-3);
+    if !(lr.is_finite() && lr > 0.0) {
+        usage_error(format!("--lr: expected a finite positive learning rate, got {lr}"));
+    }
     let cfg = ExperimentConfig {
         framework: framework(args),
         model: model_kind(args),
         dataset: spec(args),
         placement: if host_resident { Placement::HostResident } else { Placement::AllOnDevice },
         model_cfg: ModelConfig {
-            emb_dim: args.get_or("emb-dim", 32),
-            time_dim: args.get_or("time-dim", 16),
-            heads: args.get_or("heads", 2),
-            n_layers: args.get_or("layers", 2),
-            n_neighbors: args.get_or("neighbors", 10),
-            mailbox_slots: args.get_or("mailbox", 10),
+            emb_dim,
+            time_dim: positive_or(args, "time-dim", 16),
+            heads,
+            n_layers: positive_or(args, "layers", 2),
+            n_neighbors: number(args, "neighbors", 10),
+            mailbox_slots: number(args, "mailbox", 10),
         },
         train_cfg: TrainConfig {
             batch_size: positive_or(args, "batch", 200),
             epochs: if eval_only { 0 } else { epochs },
-            lr: args.get_or("lr", 1e-3),
+            lr,
             seed: seed ^ 0x5eed,
         },
         seed,
@@ -239,8 +254,12 @@ fn train(args: &Args, eval_only: bool) {
         cfg.dataset.n_edges,
         cfg.placement.label()
     );
-    if let Err(e) = tgl_harness::run(&cfg, &opts) {
-        usage_error(e);
+    let result = tgl_harness::run(&cfg, &opts).unwrap_or_else(|e| usage_error(e));
+    // Trained parameters that the last epoch never stepped (the health
+    // policy skipped every batch) are no result to report success on.
+    if let Some(last) = result.epochs.last().filter(|e| e.steps == 0) {
+        eprintln!("the last epoch applied no optimizer step: all {} batches skipped", last.skipped);
+        std::process::exit(1);
     }
 }
 
@@ -254,7 +273,7 @@ fn jsoncheck_cmd(args: &Args) {
             eprintln!("usage: tgl jsoncheck --file <NEW> --trend --old <OLD> [--budget <PCT>]");
             std::process::exit(2);
         });
-        (old, args.get_or("budget", 25.0f64))
+        (old, number(args, "budget", 25.0f64))
     });
     reject_unread(args);
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -341,7 +360,7 @@ fn generate_cmd(args: &Args) {
 
 fn stats_cmd(args: &Args) {
     let spec = spec(args);
-    let scale = args.get_or("scale", 2usize);
+    let scale = positive_or(args, "scale", 2);
     reject_unread(args);
     let (g, ds) = generate(&spec);
     let ts = temporal_stats(&g);

@@ -44,6 +44,55 @@ fn zero_scale_is_a_usage_error() {
     assert!(!stdout.contains("loss"), "must not train: {stdout}");
 }
 
+#[test]
+fn unusable_numbers_are_usage_errors_before_training() {
+    // Each used to panic with a backtrace (exit 101, a `flight-*.json`
+    // left in the working directory) or train on a shape a model
+    // rejects mid-run.
+    let dir = std::env::temp_dir().join(format!("tgl-bad-numbers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (flag, value) in [
+        ("--seed", "-1"),
+        ("--lr", "abc"),
+        ("--epochs", "-1"),
+        ("--neighbors", "ten"),
+        ("--heads", "3"),
+        ("--heads", "0"),
+        ("--layers", "0"),
+        ("--emb-dim", "0"),
+        ("--time-dim", "0"),
+        ("--lr", "nan"),
+        ("--lr", "inf"),
+        ("--lr", "-0.1"),
+        ("--lr", "0"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
+            .current_dir(&dir)
+            .args(["train", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--epochs", "1", flag, value])
+            .output()
+            .expect("run tgl");
+        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: one-line error: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: error must name the flag: {stderr}");
+        assert!(stdout.is_empty(), "{flag} {value}: must not start a run: {stdout}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read scratch dir").collect();
+    assert!(left.is_empty(), "a usage error left files behind: {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_epoch_of_skipped_batches_fails_the_run() {
+    // A diverging learning rate: the health policy skips every batch of
+    // the last epoch, which must read as a failure, not `loss 0.0000`.
+    let (code, stdout, stderr) = tgl_train(&["--scale", "8", "--epochs", "2", "--lr", "1e18"]);
+    assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("epoch  2: loss NaN (4 of 4 batches skipped)"), "{stdout}");
+    assert!(!stdout.contains("loss 0.0000"), "{stdout}");
+    assert!(stderr.contains("applied no optimizer step"), "{stderr}");
+}
+
 fn tgl_eval_ckpt(path: &std::path::Path) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
         .args(["eval", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--ckpt"])

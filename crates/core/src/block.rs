@@ -480,6 +480,25 @@ impl TBlock {
         self.cached("efeat", Part::Edge)
     }
 
+    /// [`TBlock::efeat`] as an affine layer can read it in place
+    /// (`tgl_tensor::ops::Part::Rows`): the edge table
+    /// [`crate::op::preload`] staged for the chain and the row of each
+    /// sampled edge in it, so no `[E, d_edge]` copy is made. A block
+    /// with nothing staged for its edges, or whose `efeat()` already
+    /// holds the rows (the eager staging of the `tgl` framework), gives
+    /// that tensor and no index.
+    pub fn efeat_rows(&self) -> (Tensor, Option<Vec<usize>>) {
+        let staged = {
+            let inner = self.lock("efeat_rows");
+            let materialized = inner.cache[Part::Edge as usize].is_some();
+            inner.staged.as_ref().filter(|_| !materialized).and_then(|(s, i)| s.edge_rows(*i))
+        };
+        match staged {
+            Some((table, rows)) => (table, Some(rows)),
+            None => (self.efeat(), None),
+        }
+    }
+
     /// Attaches the rows staged for the chain this block is the `i`-th
     /// block of (used by [`crate::op::preload`]). They stay until the
     /// block changes shape (`replace_dst`, `set_neighborhood`) or

@@ -1,9 +1,9 @@
 //! The TGLite runtime context.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tgl_runtime::sync::Mutex;
+use tgl_runtime::IntMap;
 use tgl_device::{Device, PinnedPool};
 use tgl_graph::{NodeId, TemporalGraph, Time};
 
@@ -105,14 +105,14 @@ pub struct EmbedCache {
 
 #[derive(Default)]
 struct CacheInner {
-    slots: HashMap<(u64, u64), usize>,
+    slots: IntMap<(u64, u64), usize>,
     /// Slot → key, in insertion order until the ring wraps.
     keys: Vec<(u64, u64)>,
     /// Slot `i` holds `rows[i * pitch..][..widths[layer of keys[i]]]`.
     rows: Vec<f32>,
     pitch: usize,
     /// Row width per layer, set by the layer's first store.
-    widths: HashMap<usize, usize>,
+    widths: IntMap<usize, usize>,
     /// The oldest slot: the next one overwritten once the ring is full.
     oldest: usize,
     hits: u64,
@@ -421,6 +421,74 @@ mod tests {
         let (hit, merged) = block.lookup(0, &probe_nodes, &probe_times, Device::Host);
         assert_eq!(hit, vec![false; 4]);
         assert!(merged.is_empty(), "no hit, no merged layout");
+    }
+
+    /// What the cache should hold, kept the plain way: the live keys in
+    /// first-store order with their rows, the oldest evicted first.
+    #[derive(Default)]
+    struct Reference {
+        entries: std::collections::VecDeque<((usize, NodeId, u64), Vec<f32>)>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Reference {
+        fn store(&mut self, capacity: usize, key: (usize, NodeId, u64), row: &[f32]) {
+            match self.entries.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, held)) => *held = row.to_vec(),
+                None => {
+                    if self.entries.len() == capacity {
+                        self.entries.pop_front();
+                    }
+                    self.entries.push_back((key, row.to_vec()));
+                }
+            }
+        }
+
+        fn get(&mut self, key: (usize, NodeId, u64)) -> Option<Vec<f32>> {
+            let row = self.entries.iter().find(|(k, _)| *k == key).map(|(_, row)| row.clone());
+            *if row.is_some() { &mut self.hits } else { &mut self.misses } += 1;
+            row
+        }
+    }
+
+    #[test]
+    fn embed_cache_matches_a_fifo_key_list_on_seeded_sequences() {
+        use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
+        // Few nodes and times against a small capacity: blocks re-store
+        // cached keys and lap the ring. Layer 2 is the widest and first
+        // stores a while in, re-laying a ring that already holds rows.
+        let width = |layer: usize| [2, 3, 5][layer];
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(1..12usize);
+            let (cache, mut want) = (EmbedCache::new(capacity), Reference::default());
+            for step in 0..200 {
+                let layer = rng.gen_range(0..if step < 60 { 2 } else { 3 });
+                let w = width(layer);
+                let n = rng.gen_range(0..6usize);
+                let nodes: Vec<NodeId> = (0..n).map(|_| rng.gen_range(0..10u32)).collect();
+                let times: Vec<Time> = (0..n).map(|_| rng.gen_range(0..3u32) as f64 * 1000.0).collect();
+                if rng.gen_bool(0.5) {
+                    let rows: Vec<f32> = (0..n * w).map(|i| (step * 100 + i) as f32).collect();
+                    cache.store(layer, &nodes, &times, &rows, w);
+                    for (i, (&node, &t)) in nodes.iter().zip(&times).enumerate() {
+                        want.store(capacity, (layer, node, t.to_bits()), &rows[i * w..][..w]);
+                    }
+                } else {
+                    let (hit, merged) = cache.lookup(layer, &nodes, &times, Device::Host);
+                    for (i, (&node, &t)) in nodes.iter().zip(&times).enumerate() {
+                        let row = want.get((layer, node, t.to_bits()));
+                        assert_eq!(hit[i], row.is_some(), "seed {seed} step {step}: hit of ({layer}, {node}, {t})");
+                        if let Some(row) = row {
+                            assert_eq!(merged[i * w..][..w], row[..], "seed {seed} step {step}: row of ({layer}, {node}, {t})");
+                        }
+                    }
+                }
+                assert_eq!(cache.len(), want.entries.len(), "seed {seed} step {step}");
+                assert_eq!(cache.stats(), (want.hits, want.misses), "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

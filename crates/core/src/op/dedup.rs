@@ -1,8 +1,7 @@
 //! The deduplication optimization operator.
 
-use std::collections::HashMap;
-
 use tgl_graph::{NodeId, Time};
+use tgl_runtime::IntMap;
 
 use crate::block::BlockHook;
 use crate::TBlock;
@@ -43,7 +42,7 @@ pub fn dedup(blk: &TBlock) -> TBlock {
 /// The pure dedup computation: unique `(node, time)` pairs in
 /// first-appearance order plus the inverse row mapping.
 fn compute(nodes: &[NodeId], times: &[Time]) -> (Vec<NodeId>, Vec<Time>, Vec<usize>) {
-    let mut seen: HashMap<(NodeId, u64), usize> = HashMap::with_capacity(nodes.len());
+    let mut seen: IntMap<(NodeId, u64), usize> = IntMap::with_capacity_and_hasher(nodes.len(), Default::default());
     let keys = nodes.iter().zip(times).map(|(&n, &t)| (n, t.to_bits()));
     let (first, inverse) = first_unique(keys, |key, next| *seen.entry(key).or_insert(next));
     let uniq_nodes = first.iter().map(|&i| nodes[i]).collect();
@@ -187,6 +186,47 @@ mod tests {
         }
         assert_eq!((idx.slot(2), idx.slot(3), idx.slot(99)), (None, None, None));
         assert!(node_index(5, &[]).nodes.is_empty());
+    }
+
+    #[test]
+    fn compute_and_node_index_match_a_btreemap_on_seeded_rows() {
+        use std::collections::BTreeMap;
+        use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
+        for seed in 0..50 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..300usize);
+            let nodes: Vec<NodeId> = (0..n).map(|_| rng.gen_range(0..40u32)).collect();
+            // Whole seconds, as the datasets' timestamps are.
+            let times: Vec<Time> = (0..n).map(|_| rng.gen_range(0..5u32) as f64 * 3600.0).collect();
+            // The reference: a sorted map from key to slot, filled in
+            // row order.
+            let (mut slot_of, mut uniq, mut inverse) = (BTreeMap::new(), Vec::new(), Vec::new());
+            for (&node, &t) in nodes.iter().zip(&times) {
+                let slot = *slot_of.entry((node, t.to_bits())).or_insert_with(|| {
+                    uniq.push((node, t));
+                    uniq.len() - 1
+                });
+                inverse.push(slot);
+            }
+            let (got_nodes, got_times, got_inverse) = compute(&nodes, &times);
+            assert_eq!(got_nodes, uniq.iter().map(|&(node, _)| node).collect::<Vec<_>>(), "seed {seed}");
+            assert_eq!(got_times, uniq.iter().map(|&(_, t)| t).collect::<Vec<_>>(), "seed {seed}");
+            assert_eq!(got_inverse, inverse, "seed {seed}");
+
+            let (mut slot_of, mut distinct) = (BTreeMap::new(), Vec::new());
+            let inverse: Vec<usize> = nodes
+                .iter()
+                .map(|&node| {
+                    *slot_of.entry(node).or_insert_with(|| {
+                        distinct.push(node);
+                        distinct.len() - 1
+                    })
+                })
+                .collect();
+            let idx = node_index(40, &nodes);
+            assert_eq!((&idx.nodes, &idx.inverse), (&distinct, &inverse), "seed {seed}");
+            assert!(idx.first.iter().zip(&idx.nodes).all(|(&row, &node)| nodes[row] == node));
+        }
     }
 
     #[test]

@@ -112,6 +112,15 @@ impl Staged {
         };
         table.as_ref().zip(slots).map(|(t, slots)| t.expand(slots))
     }
+
+    /// Block `i`'s edge rows left in the staged table: the table and
+    /// the row of each of the block's edges in it. `None` as for
+    /// [`Staged::expand`].
+    pub(crate) fn edge_rows(&self, i: usize) -> Option<(Tensor, Vec<usize>)> {
+        let s = &self.blocks[i];
+        let (table, k) = self.edge.as_ref().zip(s.n_nbrs)?;
+        Some((table.rows.clone(), table.slots[s.edge_at..s.edge_at + k].to_vec()))
+    }
 }
 
 /// Loads feature data for *all* blocks in the chain onto the compute

@@ -58,15 +58,16 @@ impl Args {
 
     /// Parsed option with a default.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (with a clear message) if the value does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// A value that does not parse as a `T`: the one-line usage message
+    /// naming the flag.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
-            None => default,
+            None => Ok(default),
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| panic!("--{key}: cannot parse {v:?}")),
+                .map_err(|_| format!("--{key}: cannot parse {v:?} (expected {})", std::any::type_name::<T>())),
         }
     }
 
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn reject_unread_names_everything_no_lookup_served() {
         let a = Args::parse("train --epoch 3 --slo rules --prof on --move --lr 0.1 stray".split_whitespace().map(String::from));
-        assert_eq!(a.get_or("lr", 0.0f32), 0.1);
+        assert_eq!(a.get_or("lr", 0.0f32), Ok(0.1));
         assert!(a.has_flag("move"));
         // `--prof on` parsed as a valued option: the switch lookup
         // misses it, so it is reported rather than silently off.

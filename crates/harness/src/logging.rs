@@ -136,6 +136,8 @@ mod tests {
             0,
             &EpochStats {
                 loss: 0.5,
+                steps: 10,
+                skipped: 0,
                 train_time_s: 1.25,
                 val_ap: 0.9,
             },

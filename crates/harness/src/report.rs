@@ -536,6 +536,8 @@ mod tests {
     fn stats() -> EpochStats {
         EpochStats {
             loss: 0.5,
+            steps: 10,
+            skipped: 0,
             train_time_s: 1.25,
             val_ap: 0.9,
         }
@@ -671,6 +673,8 @@ mod tests {
         let mut rep = RunReporter::start();
         let mk = |loss: f32| EpochStats {
             loss,
+            steps: 10,
+            skipped: 0,
             train_time_s: 1.0,
             val_ap: 0.9,
         };

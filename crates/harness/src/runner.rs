@@ -345,7 +345,7 @@ impl ObsOptions {
             progress: true,
             prof: args.has_flag("prof"),
             profile: args.has_flag("profile"),
-            profile_top: args.get_or("profile-top", 15),
+            profile_top: args.get_or("profile-top", 15).map_err(RunError)?,
             critpath: args.has_flag("critpath"),
             insight: args.has_flag("insight"),
             trace_out: path("trace-out"),
@@ -473,8 +473,12 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
     let (epochs, best_val_ap, test_ap, test_s) =
         trainer.run_with(model.as_mut(), &ctx, &split, |e, s| {
             log.record_epoch(e, s);
+            let skipped = match s.skipped {
+                0 => String::new(),
+                n => format!(" ({n} of {} batches skipped)", n + s.steps),
+            };
             say!(
-                "epoch {:>2}: loss {:.4}  val AP {:5.2}%  ({:.2}s cpu)",
+                "epoch {:>2}: loss {:.4}{skipped}  val AP {:5.2}%  ({:.2}s cpu)",
                 e + 1,
                 s.loss,
                 s.val_ap * 100.0,

@@ -95,8 +95,13 @@ impl Default for TrainConfig {
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
-    /// Mean training loss over batches.
+    /// Mean training loss over the batches that applied a step; NaN
+    /// when none did.
     pub loss: f32,
+    /// Batches that applied an optimizer step.
+    pub steps: usize,
+    /// Batches the health policy skipped (non-finite loss).
+    pub skipped: usize,
     /// Wall time of the epoch's training portion, in seconds.
     pub train_time_s: f64,
     /// AP on the validation split after the epoch.
@@ -291,12 +296,16 @@ impl Trainer {
             tgl_obs::insight::flush_step();
         });
         let train_time_s = start.elapsed_s();
-        let mean_loss = total_loss / batches.max(1) as f64;
+        // A mean over no applied step is no number: an epoch the health
+        // policy skipped whole must not read as a perfect loss of 0.
+        let mean_loss = if batches == 0 { f64::NAN } else { total_loss / batches as f64 };
         health.end_epoch(epoch, &params, mean_loss);
         drop(health);
         let (val_ap, _) = self.evaluate(model, ctx, split.val.clone());
         EpochStats {
             loss: mean_loss as f32,
+            steps: batches,
+            skipped: seen - batches,
             train_time_s,
             val_ap,
         }
@@ -585,6 +594,28 @@ mod tests {
         assert!(stats.loss.is_finite());
         assert!(stats.train_time_s > 0.0);
         assert!((0.0..=1.0).contains(&stats.val_ap));
+    }
+
+    #[test]
+    fn an_epoch_that_applies_no_step_reports_nan_and_its_skips() {
+        let (ctx, split, spec) = tiny_setup();
+        let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 5);
+        let trainer = Trainer::new(
+            TrainConfig { batch_size: 50, epochs: 1, lr: 1e-3, seed: 0 },
+            spec.n_src as u32,
+            spec.num_nodes() as u32,
+        );
+        let mut opt = Adam::new(model.parameters(), 1e-3);
+        let healthy = trainer.train_epoch(&mut model, &ctx, &split, &mut opt, 0);
+        assert!(healthy.loss.is_finite() && healthy.steps > 0 && healthy.skipped == 0, "{healthy:?}");
+        // A poisoned output bias makes every logit, so every loss,
+        // non-finite: the warn policy skips every batch, and the mean
+        // over none is NaN.
+        let bias = model.parameters().pop().expect("the predictor has parameters");
+        bias.with_data_mut(|d| d.fill(f32::NAN));
+        let poisoned = trainer.train_epoch(&mut model, &ctx, &split, &mut opt, 1);
+        assert!(poisoned.loss.is_nan(), "{poisoned:?}");
+        assert_eq!((poisoned.steps, poisoned.skipped), (0, healthy.steps));
     }
 
     #[test]

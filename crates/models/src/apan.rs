@@ -174,28 +174,22 @@ impl Apan {
     fn persist_memory(&self, ctx: &TContext, batch: &TBatch, summaries: &Tensor) {
         let _guard = no_grad();
         let g = ctx.graph();
-        // Unique endpoints, keeping the *latest* occurrence per node.
-        let mut latest: std::collections::HashMap<NodeId, (usize, f64)> =
-            std::collections::HashMap::new();
-        for (i, (&node, &t)) in batch
-            .srcs()
-            .iter()
-            .chain(batch.dsts())
-            .zip(batch.times().iter().chain(batch.times()))
-            .enumerate()
-        {
-            let entry = latest.entry(node).or_insert((i, t));
-            if t >= entry.1 {
-                *entry = (i, t);
+        // Unique endpoints in first-appearance order, each keeping the
+        // row of its *latest* occurrence (the later row on a tie).
+        let endpoints: Vec<NodeId> = batch.srcs().iter().chain(batch.dsts()).copied().collect();
+        let idx = op::node_index(g.num_nodes(), &endpoints);
+        let mut rows = idx.first.clone();
+        let mut times: Vec<f64> = rows.iter().map(|&r| batch.times()[r % batch.len()]).collect();
+        for (i, &slot) in idx.inverse.iter().enumerate() {
+            let t = batch.times()[i % batch.len()];
+            if t >= times[slot] {
+                (rows[slot], times[slot]) = (i, t);
             }
         }
-        let (nodes, rows_times): (Vec<NodeId>, Vec<(usize, f64)>) = latest.into_iter().unzip();
-        let rows: Vec<usize> = rows_times.iter().map(|&(r, _)| r).collect();
-        let times: Vec<f64> = rows_times.iter().map(|&(_, t)| t).collect();
         let summary_rows = summaries.index_select(&rows);
-        let mem_rows = g.memory().rows(&nodes).to(ctx.device());
+        let mem_rows = g.memory().rows(&idx.nodes).to(ctx.device());
         let updated = self.memory_updater.forward(&[&summary_rows], &mem_rows);
-        g.memory().store(&nodes, &updated, &times);
+        g.memory().store(&idx.nodes, &updated, &times);
     }
 }
 

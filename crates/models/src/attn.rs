@@ -4,6 +4,7 @@
 use tgl_runtime::rng::Rng;
 use tgl_device::Device;
 use tgl_tensor::nn::{Linear, Mlp, Module};
+use tgl_tensor::ops::Part;
 use tgl_tensor::Tensor;
 use tglite::nn::TimeEncode;
 use tglite::{op, TBlock, TContext};
@@ -127,7 +128,11 @@ impl TemporalAttnLayer {
         drop(_tn);
         let _ta = tglite::prof::scope("attention");
         let h_src = blk.srcdata("h");
-        let z = [&h_src, &blk.efeat(), &nbr_t];
+        // The edge features are read through their slots in the staged
+        // table, not gathered into an `[E, d_edge]` copy first.
+        let (etable, erows) = blk.efeat_rows();
+        let efeat = erows.as_deref().map_or(Part::Whole(&etable), |rows| Part::Rows(&etable, rows));
+        let z = [Part::Whole(&h_src), efeat, Part::Whole(&nbr_t)];
         let k = self.w_k.forward_parts(&z);
         let v = self.w_v.forward_parts(&z);
 

@@ -1,7 +1,7 @@
 //! The workspace's parallel compute runtime.
 //!
 //! Everything in this crate is `std`-only — no external dependencies —
-//! so the workspace builds with no network access. Three pieces:
+//! so the workspace builds with no network access. Its pieces:
 //!
 //! * [`pool`]: a persistent worker-thread pool with a chunked
 //!   work-distribution API ([`parallel_for`], [`parallel_for_chunks`])
@@ -20,6 +20,8 @@
 //! * [`channel`]: bounded MPSC channels with blocking send/recv,
 //!   backpressure, and a close/drain protocol — the stage connectors
 //!   for the pipelined trainer.
+//! * [`hash`]: [`IntMap`], a `HashMap` under an unkeyed integer hasher
+//!   for the hot-path maps keyed by ids, slots and timestamp bits.
 //!
 //! # Determinism contract
 //!
@@ -32,11 +34,13 @@
 //! in chunk order, so their rounding is also thread-count invariant.
 
 pub mod channel;
+pub mod hash;
 pub mod pool;
 pub mod rng;
 pub mod sync;
 
 pub use channel::{bounded, Receiver, Sender};
+pub use hash::IntMap;
 pub use pool::{
     current_threads, parallel_for, parallel_for_chunks, set_threads, UnsafeSlice,
 };

@@ -300,8 +300,8 @@ impl TemporalSampler {
                     );
                     // Partial Fisher–Yates over [0, avail): k draws
                     // without replacement in O(k) extra space.
-                    let mut swapped: std::collections::HashMap<usize, usize> =
-                        std::collections::HashMap::with_capacity(self.k * 2);
+                    let mut swapped: tgl_runtime::IntMap<usize, usize> =
+                        tgl_runtime::IntMap::with_capacity_and_hasher(self.k * 2, Default::default());
                     for draw in 0..take {
                         let r = rng.gen_range(draw..avail);
                         let pick = *swapped.get(&r).unwrap_or(&r);

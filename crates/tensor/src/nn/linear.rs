@@ -41,8 +41,9 @@ impl Linear {
     }
 
     /// Applies the layer to the column-wise concatenation of `parts`
-    /// (`[N, in_p]` each, `Σ in_p = in`) without building it.
-    pub fn forward_parts(&self, parts: &[&Tensor]) -> Tensor {
+    /// (`N` rows of `in_p` each, `Σ in_p = in`; tensors or indexed rows
+    /// of tables, see [`Part`](crate::ops::Part)) without building it.
+    pub fn forward_parts<'a>(&self, parts: &[impl Into<crate::ops::Part<'a>> + Copy]) -> Tensor {
         linear_cat(parts, &self.weight, self.bias.as_ref(), false)
     }
 

@@ -19,7 +19,10 @@
 //!   `A'` may also be several matrices side by side ([`Lhs`]): the
 //!   reader walks the parts in turn, so an affine layer over
 //!   `[x₀ ‖ x₁ ‖ ..]` runs on the parts and the concatenation is never
-//!   built.
+//!   built. A part may name its rows in a wider table ([`Mat::rows`]):
+//!   a tile row of `mm_nt_then` is then that table row, and `mm_tn`
+//!   walks the reduction through the index, so a gather feeding the
+//!   product is never built either.
 //!
 //! The register tile ([`Tile`]) is [`MR`] rows by [`NV`] vectors of the
 //! widest kind the host has: `4 × 8` floats at the scalar level, `4 ×
@@ -99,44 +102,83 @@ pub(crate) fn seq_rows(row_flops: usize) -> usize {
     (MM_SEQ_FLOPS / row_flops.max(1)).max(1)
 }
 
-/// One of the matrices a left operand is made of: row-major data and
-/// its row length.
-pub(crate) type Part<'a> = (&'a [f32], usize);
+/// One of the matrices a left operand is made of: row-major `data`,
+/// `width` floats a row, read whole or, with `rows`, as the table rows
+/// `rows` names in that order (row `i` of the part is row `rows[i]` of
+/// `data`).
+#[derive(Clone, Copy)]
+pub(crate) struct Mat<'a> {
+    data: &'a [f32],
+    width: usize,
+    rows: Option<&'a [usize]>,
+}
 
-/// The left operand `A'` of a product: row-major matrices of one row
-/// count read side by side, as `[x₀ ‖ x₁ ‖ ..]` or, with `t`, as the
-/// transpose of that concatenation.
+impl<'a> Mat<'a> {
+    /// `data` as it is stored.
+    pub(crate) fn whole(data: &'a [f32], width: usize) -> Mat<'a> {
+        Mat { data, width, rows: None }
+    }
+
+    /// The rows `rows` of the table `data`, read where they lie.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every row named lies inside `data`.
+    pub(crate) fn rows(data: &'a [f32], width: usize, rows: &'a [usize]) -> Mat<'a> {
+        let n = data.len().checked_div(width).unwrap_or(usize::MAX);
+        assert!(rows.iter().all(|&r| r < n), "an indexed part names a row past its table's {n}");
+        Mat { data, width, rows: Some(rows) }
+    }
+
+    /// Row `i` of the part, from column `col` to the end of the table.
+    fn row(&self, i: usize, col: usize) -> &'a [f32] {
+        &self.data[self.rows.map_or(i, |rows| rows[i]) * self.width + col..]
+    }
+}
+
+/// The left operand `A'` of a product: matrices of one row count read
+/// side by side, as `[x₀ ‖ x₁ ‖ ..]` or, with `t`, as the transpose of
+/// that concatenation.
 #[derive(Clone, Copy)]
 struct Lhs<'a> {
-    parts: &'a [Part<'a>],
+    parts: &'a [Mat<'a>],
     t: bool,
 }
 
 /// A stretch of the reduction over which the rows of a register tile
-/// read one part of `A'`: row `r` is `rows[r][kk * ps]` for `kk` in
-/// `0..len`, all in bounds ([`Run::new`] is the only constructor).
+/// read one part of `A'`: row `r` is `rows[r][off(kk)]` for `kk` in
+/// `0..len`, where `off(kk)` is `kk * ps`, or `idx[kk] * ps` through an
+/// index; all in bounds ([`Run::new`] and [`Run::indexed`] are the only
+/// constructors).
 struct Run<'a> {
     rows: [&'a [f32]; MR],
     ps: usize,
     len: usize,
+    idx: Option<&'a [usize]>,
 }
 
 impl<'a> Run<'a> {
     fn new(rows: [&'a [f32]; MR], ps: usize, len: usize) -> Run<'a> {
         assert!(len > 0 && rows.iter().all(|row| row.len() > (len - 1) * ps));
-        Run { rows, ps, len }
+        Run { rows, ps, len, idx: None }
+    }
+
+    fn indexed(rows: [&'a [f32]; MR], ps: usize, idx: &'a [usize]) -> Run<'a> {
+        let last = idx.iter().max().expect("a run of no reduction index");
+        assert!(rows.iter().all(|row| row.len() > last * ps));
+        Run { rows, ps, len: idx.len(), idx: Some(idx) }
     }
 }
 
 impl<'a> Lhs<'a> {
     /// The part holding column `col` of the concatenation, and the
     /// column's place in it.
-    fn part_of(&self, mut col: usize) -> (Part<'a>, usize) {
+    fn part_of(&self, mut col: usize) -> (Mat<'a>, usize) {
         for &part in self.parts {
-            if col < part.1 {
+            if col < part.width {
                 return (part, col);
             }
-            col -= part.1;
+            col -= part.width;
         }
         unreachable!("an index past the last part of A'")
     }
@@ -148,8 +190,8 @@ impl<'a> Lhs<'a> {
         if !self.t {
             return MR;
         }
-        let ((_, width), col) = self.part_of(r);
-        MR.min(width - col)
+        let (part, col) = self.part_of(r);
+        MR.min(part.width - col)
     }
 
     /// Reduction indices `k0..k0 + kc` of the `ih` rows of `A'` from
@@ -157,17 +199,23 @@ impl<'a> Lhs<'a> {
     fn runs(&self, r: usize, ih: usize, k0: usize, kc: usize, runs: &mut Vec<Run<'a>>) {
         runs.clear();
         if self.t {
-            let ((x, width), col) = self.part_of(r);
-            return runs.push(Run::new(tile(ih, |q| &x[k0 * width + col + q..]), width, kc));
+            // Rows of `A'` are columns of the part; the reduction walks
+            // its rows, through the index if it has one.
+            let (part, col) = self.part_of(r);
+            let (x, width) = (part.data, part.width);
+            return runs.push(match part.rows {
+                None => Run::new(tile(ih, |q| &x[k0 * width + col + q..]), width, kc),
+                Some(rows) => Run::indexed(tile(ih, |q| &x[col + q..]), width, &rows[k0..k0 + kc]),
+            });
         }
         // Every row passes from part to part at the same indices.
         let mut col0 = 0;
-        for &(x, width) in self.parts {
-            let (lo, hi) = (k0.max(col0), (k0 + kc).min(col0 + width));
+        for part in self.parts {
+            let (lo, hi) = (k0.max(col0), (k0 + kc).min(col0 + part.width));
             if lo < hi {
-                runs.push(Run::new(tile(ih, |q| &x[(r + q) * width + lo - col0..]), 1, hi - lo));
+                runs.push(Run::new(tile(ih, |q| part.row(r + q, lo - col0)), 1, hi - lo));
             }
-            col0 += width;
+            col0 += part.width;
         }
     }
 }
@@ -185,11 +233,11 @@ fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
 
 /// The tile update, written once: `MR` rows of `W` vectors. Row `r` of
 /// the tile lives at `c[r * ldc..][..W * V::LANES]` and gains `sum_kk
-/// a[r][kk] * pan[kk]`, `kk` running through `runs` in order — or, with
-/// `first`, is overwritten by that sum started from zero. The `MR × W`
-/// accumulators stay in registers from the first run to the last, and
-/// each lane performs its element's products in that order whatever
-/// `V` and `W` are.
+/// a[r][kk] * pan[kk]`, `kk` running through the reduction indices of
+/// `runs` in order — or, with `first`, is overwritten by that sum
+/// started from zero. The `MR × W` accumulators stay in registers from
+/// the first run to the last, and each lane performs its element's
+/// products in that order whatever `V` and `W` are.
 ///
 /// # Safety
 ///
@@ -219,20 +267,47 @@ unsafe fn tile_body<V: Lanes, const W: usize, const FMA: bool>(
     }
     let mut pan = pan.as_ptr();
     for run in runs {
-        for kk in 0..run.len {
-            let pb: [V; W] = std::array::from_fn(|w| V::load(pan.add(w * V::LANES)));
-            for (row, a_row) in acc.iter_mut().zip(&run.rows) {
-                let av = V::splat(*a_row.get_unchecked(kk * run.ps));
-                for (v, &b) in row.iter_mut().zip(&pb) {
-                    *v = v.mul_add::<FMA>(av, b);
+        match run.idx {
+            None => {
+                for kk in 0..run.len {
+                    tile_step::<V, W, FMA>(&mut acc, &run.rows, kk * run.ps, pan);
+                    pan = pan.add(nr);
                 }
             }
-            pan = pan.add(nr);
+            Some(idx) => {
+                for &i in idx {
+                    tile_step::<V, W, FMA>(&mut acc, &run.rows, i * run.ps, pan);
+                    pan = pan.add(nr);
+                }
+            }
         }
     }
     for (r, row) in acc.into_iter().enumerate() {
         for (w, v) in row.into_iter().enumerate() {
             v.store(c.as_mut_ptr().add(r * ldc + w * V::LANES));
+        }
+    }
+}
+
+/// One reduction index of [`tile_body`]: tile row `r` gains `rows[r][at]`
+/// times the panel row at `pan`.
+///
+/// # Safety
+///
+/// As [`tile_body`]: `at` lies inside every row and `pan` holds `W`
+/// vectors.
+#[inline(always)]
+unsafe fn tile_step<V: Lanes, const W: usize, const FMA: bool>(
+    acc: &mut [[V; W]; MR],
+    rows: &[&[f32]; MR],
+    at: usize,
+    pan: *const f32,
+) {
+    let pb: [V; W] = std::array::from_fn(|w| V::load(pan.add(w * V::LANES)));
+    for (row, a_row) in acc.iter_mut().zip(rows) {
+        let av = V::splat(*a_row.get_unchecked(at));
+        for (v, &b) in row.iter_mut().zip(&pb) {
+            *v = v.mul_add::<FMA>(av, b);
         }
     }
 }
@@ -495,21 +570,21 @@ pub(crate) fn mm_nn_cols(
     n: usize,
 ) {
     let _t = tgl_obs::timer("gemm");
-    gemm(Lhs { parts: &[(a, k)], t: false }, b, false, ldb, c, m, k, n, NO_EPILOGUE);
+    gemm(Lhs { parts: &[Mat::whole(a, k)], t: false }, b, false, ldb, c, m, k, n, NO_EPILOGUE);
 }
 
 /// C[m,k] = A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
 pub(crate) fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     let _t = tgl_obs::timer("gemm");
-    gemm(Lhs { parts: &[(a, n)], t: false }, b, true, n, c, m, n, k, NO_EPILOGUE);
+    gemm(Lhs { parts: &[Mat::whole(a, n)], t: false }, b, true, n, c, m, n, k, NO_EPILOGUE);
 }
 
 /// `C[m,n] = [x₀ ‖ x₁ ‖ ..] · W[n,k]ᵀ` over the `m`-row parts `x`
 /// (`k` = the sum of their widths), then `epilogue` over the finished
 /// rows: the `Linear` forward on the weight as stored and on the
-/// parts of its input as they are.
+/// parts of its input where they lie.
 pub(crate) fn mm_nt_then(
-    x: &[Part<'_>],
+    x: &[Mat<'_>],
     w: &[f32],
     c: &mut [f32],
     m: usize,
@@ -517,15 +592,15 @@ pub(crate) fn mm_nt_then(
     epilogue: &Epilogue<'_>,
 ) {
     let _t = tgl_obs::timer("gemm");
-    let k = x.iter().map(|part| part.1).sum();
+    let k = x.iter().map(|part| part.width).sum();
     gemm(Lhs { parts: x, t: false }, w, true, k, c, m, k, n, epilogue);
 }
 
 /// `C[k,n] = [a₀ ‖ a₁ ‖ ..]ᵀ · B[m,n]` over the `m`-row parts `a` (`k`
 /// = the sum of their widths): `Aᵀ · B`.
-pub(crate) fn mm_tn(a: &[Part<'_>], b: &[f32], c: &mut [f32], m: usize, n: usize) {
+pub(crate) fn mm_tn(a: &[Mat<'_>], b: &[f32], c: &mut [f32], m: usize, n: usize) {
     let _t = tgl_obs::timer("gemm");
-    let k = a.iter().map(|part| part.1).sum();
+    let k = a.iter().map(|part| part.width).sum();
     gemm(Lhs { parts: a, t: true }, b, false, n, c, k, m, n, NO_EPILOGUE);
 }
 
@@ -587,7 +662,7 @@ mod tests {
         match variant {
             "nn" => mm_nn(a, b, &mut c, m, k, n),
             "nt" => mm_nt(a, &transposed(b, k, n), &mut c, m, k, n),
-            "tn" => mm_tn(&[(&transposed(a, m, k), m)], b, &mut c, k, n),
+            "tn" => mm_tn(&[Mat::whole(&transposed(a, m, k), m)], b, &mut c, k, n),
             _ => unreachable!(),
         }
         c
@@ -751,16 +826,16 @@ mod tests {
                     let bounds: Vec<usize> = [0].into_iter().chain(cuts.clone()).chain([k]).collect();
                     let owned: Vec<(Vec<f32>, usize)> =
                         bounds.windows(2).map(|b| (cols(b[0], b[1]), b[1] - b[0])).collect();
-                    let parts: Vec<Part<'_>> = owned.iter().map(|(x, width)| (&x[..], *width)).collect();
+                    let parts: Vec<Mat<'_>> = owned.iter().map(|(x, width)| Mat::whole(x, *width)).collect();
                     let at = format!("{mode:?} {level:?}");
 
                     let (mut whole, mut split) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
-                    mm_nt_then(&[(&x, k)], &w, &mut whole, m, n, NO_EPILOGUE);
+                    mm_nt_then(&[Mat::whole(&x, k)], &w, &mut whole, m, n, NO_EPILOGUE);
                     mm_nt_then(&parts, &w, &mut split, m, n, NO_EPILOGUE);
                     assert_eq!(split, whole, "{at} X·Wᵀ {m}x{k}x{n} cut at {cuts:?}");
 
                     let (mut whole, mut split) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
-                    mm_tn(&[(&x, k)], &dy, &mut whole, m, n);
+                    mm_tn(&[Mat::whole(&x, k)], &dy, &mut whole, m, n);
                     mm_tn(&parts, &dy, &mut split, m, n);
                     assert_eq!(split, whole, "{at} Xᵀ·dY {m}x{k}x{n} cut at {cuts:?}");
 
@@ -813,7 +888,7 @@ mod tests {
         let mut c = vec![0.0f32; 0];
         mm_nn(&[], &[], &mut c, 0, 0, 0);
         mm_nt(&[], &[], &mut c, 0, 0, 0);
-        mm_tn(&[(&[], 0)], &[], &mut c, 0, 0);
+        mm_tn(&[Mat::whole(&[], 0)], &[], &mut c, 0, 0);
         let mut c2 = vec![5.0f32; 6];
         mm_nn(&[], &[], &mut c2, 2, 0, 3);
         assert_eq!(c2, vec![0.0; 6], "an empty reduction is a zero product");

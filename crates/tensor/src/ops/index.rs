@@ -1,5 +1,7 @@
 //! Row indexing, gathering, scattering, slicing, and concatenation.
 
+use tgl_device::Device;
+
 use crate::kernel;
 use crate::pool;
 use crate::shape::Shape;
@@ -39,15 +41,7 @@ impl Tensor {
         let idx_owned = idx.to_vec();
         let n = self.numel();
         Tensor::make_result(out, out_dims, device, std::slice::from_ref(self), move |go| {
-            let mut g = pool::take_zeroed(n, device);
-            if row_len > 0 {
-                // Whole rows, `k` ascending: each element sums its
-                // contributions in the order the indexed loop did.
-                for (src, &i) in go.chunks_exact(row_len).zip(&idx_owned) {
-                    kernel::add_assign_dispatch(&mut g[i * row_len..][..row_len], src);
-                }
-            }
-            vec![Some(g)]
+            vec![Some(scatter_add_rows(go, &idx_owned, row_len, n, device))]
         })
     }
 
@@ -109,6 +103,20 @@ impl Tensor {
         drop(s);
         Tensor::from_vec_on(data, self.shape().clone(), self.device())
     }
+}
+
+/// The gradient of gathering rows `idx` of an `n`-element table of
+/// `row_len`-wide rows: a zeroed table with row `k` of `go` added into
+/// row `idx[k]`, whole rows with `k` ascending, so each element sums
+/// its contributions in the order the gather read them.
+pub(crate) fn scatter_add_rows(go: &[f32], idx: &[usize], row_len: usize, n: usize, device: Device) -> Vec<f32> {
+    let mut g = pool::take_zeroed(n, device);
+    if row_len > 0 {
+        for (src, &i) in go.chunks_exact(row_len).zip(idx) {
+            kernel::add_assign_dispatch(&mut g[i * row_len..][..row_len], src);
+        }
+    }
+    g
 }
 
 /// Concatenates tensors along dimension `dim`.

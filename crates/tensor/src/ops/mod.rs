@@ -20,7 +20,7 @@ mod unary;
 pub use fused::{gru_gates, time_encode};
 pub use index::{cat, stack};
 pub use inplace::AdamStep;
-pub use matmul::linear_cat;
+pub use matmul::{linear_cat, Part};
 pub use segment::{
     segment_dot, segment_max, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
 };

@@ -40,7 +40,7 @@ fn main() {
     };
     let opts = ObsOptions::from_args(&args, false).unwrap_or_else(|e| usage(e.to_string()));
     let scale = args.positive("scale").unwrap_or_else(|e| usage(e)).unwrap_or(2);
-    let epochs: usize = args.get_or("epochs", 3);
+    let epochs: usize = args.get_or("epochs", 3).unwrap_or_else(|e| usage(e));
     let host_resident = args.has_flag("move");
 
     // A synthetic stream shaped like the paper's Wiki dataset
@@ -61,7 +61,12 @@ fn main() {
             n_neighbors: 10,
             mailbox_slots: 1,
         },
-        train_cfg: TrainConfig { batch_size: 200, epochs, lr: args.get_or("lr", 1e-3), seed: 0 },
+        train_cfg: TrainConfig {
+            batch_size: 200,
+            epochs,
+            lr: args.get_or("lr", 1e-3).unwrap_or_else(|e| usage(e)),
+            seed: 0,
+        },
         seed: 42,
         transfer: TransferModel::scaled(TransferModel::pcie_v100(), 400.0),
     };

@@ -158,25 +158,58 @@ echo "==> the part of a TGAT step that is not a GEMM stays small (1 thread, --sc
 # 15.6-16.7% lane-parallel over runs (limit 19%); `cat` + `cat.bwd` 6%
 # before the affine layers read their inputs' parts in place (0.02%
 # now). Each limit is the measured share plus about two points.
+# The edge features reach the K / V projections through their staged
+# rows (an indexed part of `linear_cat`): the gather that copied them,
+# `index_select` in phase `attention`, was 3.8% of this epoch and is
+# gone, so no such row may pass 1%.
+# Prints "<name> <phase> <self_ns>" per op row of a run report.
+op_rows() {
+    grep -o '{"name":"[^"]*","phase":"[^"]*","stage":"[^"]*","kind":"op"[^}]*' "$1" \
+        | sed 's/{"name":"\([^"]*\)","phase":"\([^"]*\)".*"self_ns":\([0-9]*\).*/\1 \2 \3/'
+}
 SHARE_REPORT="$OBS_DIR/tgat-shares.json"
 TGL_THREADS=1 ./target/release/tgl train --model tgat --scale 1 --epochs 2 --profile \
     --metrics-out "$SHARE_REPORT" >"$OBS_DIR/tgat-shares.log" 2>&1 \
     || { cat "$OBS_DIR/tgat-shares.log"; exit 1; }
-grep -o '{"name":"[^"]*","phase":"[^"]*","stage":"[^"]*","kind":"op"[^}]*' "$SHARE_REPORT" \
-    | sed 's/{"name":"\([^"]*\)".*"self_ns":\([0-9]*\).*/\1 \2/' \
-    | awk '{total += $2}
-           $1 == "time_encode" || $1 == "time_encode.bwd" {trig += $2}
-           $1 ~ /^segment_/ {seg += $2}
-           $1 == "cat" || $1 == "cat.bwd" {cat += $2}
+op_rows "$SHARE_REPORT" \
+    | awk '{total += $3}
+           $1 == "time_encode" || $1 == "time_encode.bwd" {trig += $3}
+           $1 ~ /^segment_/ {seg += $3}
+           $1 == "cat" || $1 == "cat.bwd" {cat += $3}
+           $1 == "index_select" && $2 == "attention" && $3 > gather {gather = $3}
            END {
                if (total == 0) { print "the report has no op rows"; exit 1 }
                printf "time_encode + .bwd %.2f%%, segment_* + .bwd %.2f%%, cat + .bwd %.2f%% of %.3f s of op self time\n", 100 * trig / total, 100 * seg / total, 100 * cat / total, total / 1e9
                if (trig > 0.08 * total) { print "time_encode + time_encode.bwd exceed 8% of op self time"; bad = 1 }
                if (seg > 0.19 * total) { print "segment_* + their .bwd exceed 19% of op self time"; bad = 1 }
                if (cat > 0.015 * total) { print "cat + cat.bwd exceed 1.5% of op self time"; bad = 1 }
+               if (gather > 0.01 * total) { print "an index_select row in phase attention exceeds 1% of op self time"; bad = 1 }
                exit bad
            }' \
     || { echo "the non-GEMM share of a TGAT epoch grew back"; exit 1; }
+
+echo "==> the lookups of TGAT inference stay lookups (1 thread, --scale 1)"
+# `cache()`'s key -> slot map under SipHash held 11.1-14.0% of this
+# pass's op self time (`cache_lookup` + `cache_store`), 7.2-8.7% under
+# the integer hasher (limit 10.5%, the measured share plus two points);
+# the attention-phase gather was 7.2-8.8% before the K / V projections
+# read the staged edge rows in place (limit 1% per row).
+INFER_REPORT="$OBS_DIR/tgat-infer-shares.json"
+TGL_THREADS=1 ./target/release/tgl eval --model tgat --dataset reddit --scale 1 --threads 1 --profile \
+    --metrics-out "$INFER_REPORT" >"$OBS_DIR/tgat-infer-shares.log" 2>&1 \
+    || { cat "$OBS_DIR/tgat-infer-shares.log"; exit 1; }
+op_rows "$INFER_REPORT" \
+    | awk '{total += $3}
+           $1 == "cache_lookup" || $1 == "cache_store" {cache += $3}
+           $1 == "index_select" && $2 == "attention" && $3 > gather {gather = $3}
+           END {
+               if (total == 0) { print "the report has no op rows"; exit 1 }
+               printf "cache_lookup + cache_store %.2f%%, largest attention index_select %.2f%% of %.3f s of op self time\n", 100 * cache / total, 100 * gather / total, total / 1e9
+               if (cache > 0.105 * total) { print "cache_lookup + cache_store exceed 10.5% of op self time"; bad = 1 }
+               if (gather > 0.01 * total) { print "an index_select row in phase attention exceeds 1% of op self time"; bad = 1 }
+               exit bad
+           }' \
+    || { echo "a lookup of TGAT inference costs more than a lookup again"; exit 1; }
 
 echo "==> TGL_SIMD=off and the default print the same epoch (the in-tree scalar reference is the contract on every host)"
 for simd in off auto; do

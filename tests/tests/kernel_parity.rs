@@ -16,7 +16,7 @@ use tgl_runtime::set_threads;
 use tgl_tensor::kernel::{self, KernelMode, Simd, Trig};
 use tgl_tensor::ops::{
     cat, gru_gates, linear_cat, segment_dot, segment_mean, segment_softmax, segment_sum,
-    segment_weighted_sum, time_encode, AdamStep,
+    segment_weighted_sum, time_encode, AdamStep, Part,
 };
 use tgl_tensor::Tensor;
 
@@ -78,14 +78,6 @@ fn op_suite() -> Vec<f32> {
         out.extend(a.grad().unwrap());
         out.extend(b.grad().unwrap());
     }
-
-    // Batched GEMM.
-    let a = Tensor::rand_uniform([4, 9, 17], -1.0, 1.0, &mut rng).requires_grad(true);
-    let b = Tensor::rand_uniform([4, 17, 11], -1.0, 1.0, &mut rng).requires_grad(true);
-    let c = a.bmm(&b);
-    c.sum_all().backward();
-    out.extend(c.to_vec());
-    out.extend(a.grad().unwrap());
 
     // Softmax over rows long enough to hit the 8-lane paths plus a
     // ragged tail.
@@ -667,6 +659,85 @@ fn linear_cat_case(m: usize, widths: &[usize], n: usize, relu: bool, raw: Option
         inputs,
         fused: Box::new(move |t| linear_cat(&parts(t).iter().collect::<Vec<_>>(), &t[p], Some(&t[p + 1]), relu)),
         chain: Box::new(move |t| cat(&parts(t), 1).linear(&t[p], Some(&t[p + 1]), relu)),
+    }
+}
+
+/// The affine layer over parts of `widths` columns, where each part in
+/// `indexed` is read through [`Part::Rows`] from a table of `table_rows`
+/// rows, against `index_select` of those rows followed by `linear_cat`
+/// over whole parts. The rows repeat and are unsorted; part `raw` (if
+/// any) is off the graph, as a block's edge features are, and every
+/// other indexed table takes a gradient.
+fn indexed_linear_case(
+    m: usize,
+    widths: &[usize],
+    (indexed, table_rows): (&[usize], usize),
+    n: usize,
+    relu: bool,
+    raw: Option<usize>,
+    rng: &mut StdRng,
+) -> Fusion {
+    let p = widths.len();
+    let rows: Vec<usize> = (0..m).map(|i| (i * 7 + i / 3) % table_rows).collect();
+    // Part i's row index, if it is read through one.
+    let index: Vec<Option<Vec<usize>>> = (0..p).map(|i| indexed.contains(&i).then(|| rows.clone())).collect();
+    let mut inputs: Vec<Tensor> =
+        widths.iter().zip(&index).map(|(&k, rows)| rand2(rng, [if rows.is_some() { table_rows } else { m }, k])).collect();
+    inputs.push(rand2(rng, [n, widths.iter().sum()]));
+    inputs.push(Tensor::rand_uniform([n], -1.0, 1.0, rng));
+    let leaves = move |t: &[Tensor]| -> Vec<Tensor> {
+        (0..p).map(|i| if raw == Some(i) { t[i].detach() } else { t[i].clone() }).collect()
+    };
+    let index2 = index.clone();
+    Fusion {
+        name: format!("linear_cat {m}x{widths:?}x{n} rows of {indexed:?} in {table_rows} relu={relu} raw={raw:?}"),
+        inputs,
+        fused: Box::new(move |t| {
+            let xs = leaves(t);
+            let parts: Vec<Part<'_>> = xs
+                .iter()
+                .zip(&index)
+                .map(|(x, rows)| rows.as_deref().map_or(Part::Whole(x), |rows| Part::Rows(x, rows)))
+                .collect();
+            linear_cat(&parts, &t[p], Some(&t[p + 1]), relu)
+        }),
+        chain: Box::new(move |t| {
+            let xs: Vec<Tensor> =
+                leaves(t).into_iter().zip(&index2).map(|(x, rows)| rows.as_ref().map_or(x.clone(), |r| x.index_select(r))).collect();
+            linear_cat(&xs.iter().collect::<Vec<_>>(), &t[p], Some(&t[p + 1]), relu)
+        }),
+    }
+}
+
+#[test]
+fn linear_cat_reads_indexed_parts_as_their_gather() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    let mut rng = StdRng::seed_from_u64(0x1DE7);
+    // Parts of 1, 16, 32 and 33 columns; `m` not a multiple of the
+    // tile's 4 rows; a forward reduction (the widths) and a `dW`
+    // reduction (the rows) that cross `KC` = 128; the last case carries
+    // more than 4 Mi multiply-adds, so 4 threads split every product.
+    let cases = [
+        indexed_linear_case(7, &[1, 16], (&[0], 5), 3, false, None, &mut rng),
+        indexed_linear_case(9, &[16, 32], (&[0, 1], 4), 17, true, Some(1), &mut rng),
+        indexed_linear_case(301, &[33, 1, 32, 16, 33, 32], (&[0, 3], 97), 33, true, None, &mut rng),
+        indexed_linear_case(1300, &[32, 33, 16, 33, 32], (&[1, 3], 400), 33, false, Some(1), &mut rng),
+    ];
+    for level in kernel::simd_levels() {
+        kernel::set_simd(level);
+        for mode in [KernelMode::Exact, KernelMode::Fast] {
+            kernel::set_mode(mode);
+            for threads in [1, 4] {
+                set_threads(threads);
+                for case in &cases {
+                    let (fused, chain) = (eval(&case.fused, &case.inputs), eval(&case.chain, &case.inputs));
+                    for (i, (f, c)) in fused.iter().zip(&chain).enumerate() {
+                        assert_eq!(bits(f), bits(c), "{} {mode:?} at {level:?}, {threads} threads: output/grad {i}", case.name);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -58,19 +58,6 @@ fn matmul_forward_and_backward_invariant() {
 }
 
 #[test]
-fn bmm_invariant() {
-    let _g = serial();
-    assert_invariant("bmm fwd+bwd", || {
-        let mut rng = StdRng::seed_from_u64(0xB33);
-        let a = Tensor::rand_uniform([6, 17, 13], -1.0, 1.0, &mut rng).requires_grad(true);
-        let b = Tensor::rand_uniform([6, 13, 11], -1.0, 1.0, &mut rng).requires_grad(true);
-        let c = a.bmm(&b);
-        c.sum_all().backward();
-        (c.to_vec(), a.grad().unwrap(), b.grad().unwrap())
-    });
-}
-
-#[test]
 fn segment_kernels_invariant() {
     let _g = serial();
     // The second size is past every fan-out threshold of these ops

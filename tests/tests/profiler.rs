@@ -314,7 +314,7 @@ fn profile_rows_survive_epoch_boundaries() {
         let a = Tensor::ones([8, 8]);
         let _ = a.matmul(&a);
     }
-    rep.record_epoch(0, &tgl_harness::EpochStats { loss: 0.5, train_time_s: 0.1, val_ap: 0.5 });
+    rep.record_epoch(0, &tgl_harness::EpochStats { loss: 0.5, steps: 10, skipped: 0, train_time_s: 0.1, val_ap: 0.5 });
     let report = rep.finish(0.0, 0.0);
     collect(false);
     profile::take();
