@@ -66,10 +66,6 @@ fn main() {
         let _s = prof::scope("obs-overhead-workload");
         let _lat = tgl_obs::timer("bench.workload");
         tgl_obs::histogram!("bench.workload_len").record(n as u64);
-        // The per-batch insight bag the trainer installs: disabled,
-        // begin/flush are one relaxed load each and the observation
-        // sites inside sampler/dedup short-circuit the same way.
-        tgl_obs::insight::begin_batch();
         // A per-op site, the kind every tensor kernel carries:
         // disabled it must be one relaxed load.
         let _op = tgl_obs::profile::op("bench.workload_op")
@@ -80,7 +76,6 @@ fn main() {
         op::dedup(&blk);
         blk_sampler.sample(&blk);
         tgl_obs::gauge!("bench.block_len").set(sample.len() as f64);
-        tgl_obs::insight::flush_step();
         sample.len()
     };
 
@@ -94,14 +89,12 @@ fn main() {
         obs::collect(false);
         obs::trace::enable(false);
         obs::flight::enable(false);
-        obs::insight::enable(false);
         off.push(time_it(workload, 0.15));
 
         obs::metrics::set_enabled(true);
         obs::collect(true);
         obs::trace::enable(true);
         obs::flight::enable(true);
-        obs::insight::enable(true);
         on.push(time_it(workload, 0.15));
         // Drain so the event log cannot grow across rounds. (The
         // aggregate is bounded by its keys; draining it just keeps
@@ -113,8 +106,6 @@ fn main() {
     obs::collect(false);
     obs::trace::enable(false);
     obs::flight::enable(false);
-    obs::insight::enable(false);
-    obs::insight::reset();
 
     let fastest = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     let off_min = fastest(&off);
@@ -129,8 +120,8 @@ fn main() {
 
     // The ≤2% acceptance criterion applies to *disabled* observability.
     // Sites stay compiled in either way, so "disabled" here means all
-    // five enable gates (metrics, span collection, event log, flight
-    // recorder, insight) off; the budget is 2% relative plus 5us
+    // four enable gates (metrics, span collection, event log, flight
+    // recorder) off; the budget is 2% relative plus 5us
     // absolute slack for single-core scheduler noise on a workload of
     // hundreds of microseconds.
     // Guard against systematic regression: compare the disabled path
@@ -269,46 +260,6 @@ fn main() {
     obs::collect(false);
     obs::profile::take();
     obs::metrics::set_enabled(true);
-    // The insight observation sites the sampler/dedup/model paths now
-    // carry: disabled, one relaxed load; with a bag installed, a TLS
-    // borrow plus a few integer adds. The per-step flush (the one
-    // heavyweight moment — the registry mutex) is measured per step,
-    // since it runs once per batch, not per site.
-    let insight_site = || {
-        for i in 0..SITES {
-            tgl_obs::insight::observe_dedup(256, i as u64 & 0x3F);
-        }
-        SITES
-    };
-    obs::insight::enable(false);
-    let ins_off_ns = {
-        let med = median((0..5).map(|_| time_it(insight_site, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
-    obs::insight::enable(true);
-    tgl_obs::insight::begin_batch();
-    let ins_on_ns = {
-        let med = median((0..5).map(|_| time_it(insight_site, 0.1)).collect());
-        med / SITES as f64 * 1e9
-    };
-    tgl_obs::insight::take_batch();
-    const TICKS: usize = 10_000;
-    let flush_path = || {
-        for i in 0..TICKS {
-            tgl_obs::insight::begin_batch();
-            tgl_obs::insight::observe_dedup(512, 128);
-            tgl_obs::insight::observe_neg_sampling(100, i as u64 % 100);
-            tgl_obs::insight::record_group("bench.group", 1.0, 2.0, 0.5);
-            tgl_obs::insight::flush_step();
-        }
-        TICKS
-    };
-    let ins_flush_ns = {
-        let med = median((0..5).map(|_| time_it(flush_path, 0.1)).collect());
-        med / TICKS as f64 * 1e9
-    };
-    obs::insight::enable(false);
-    obs::insight::reset();
     println!(
         "  hist.record:  {hist_off_ns:>6.2} ns/site disabled, {hist_on_ns:>6.2} ns/site enabled"
     );
@@ -324,10 +275,6 @@ fn main() {
     println!(
         "  region:       {region_off_ns:>6.2} ns/site all-off, {region_flight_ns:>6.2} ns/site flight-only"
     );
-    println!(
-        "  insight.observe: {ins_off_ns:>5.2} ns/site disabled, {ins_on_ns:>6.2} ns/site bag installed"
-    );
-    println!("  insight.flush_step: {ins_flush_ns:>6.1} ns/step enabled");
 
     let json = format!(
         "{{\n  \"host_cpus\": {},\n  \"workload\": {{\n    \"disabled\": {{\"wall_s\": {:.9}}},\n    \
@@ -339,9 +286,7 @@ fn main() {
          \"profile_op_disabled\": {:.2},\n    \"profile_op_flight_only\": {:.2},\n    \
          \"profile_op_enabled\": {:.2},\n    \
          \"span_all_off\": {:.2},\n    \"span_flight_on\": {:.2},\n    \"span_collecting\": {:.2},\n    \
-         \"region_all_off\": {:.2},\n    \"region_flight_on\": {:.2},\n    \
-         \"insight_observe_disabled\": {:.2},\n    \"insight_observe_active\": {:.2},\n    \
-         \"insight_flush_step\": {:.1}\n  }}\n}}\n",
+         \"region_all_off\": {:.2},\n    \"region_flight_on\": {:.2}\n  }}\n}}\n",
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         off_med,
         on_med,
@@ -361,9 +306,6 @@ fn main() {
         span_collect_ns,
         region_off_ns,
         region_flight_ns,
-        ins_off_ns,
-        ins_on_ns,
-        ins_flush_ns,
     );
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
     match std::fs::write(&path, &json) {

@@ -38,7 +38,7 @@ SUBCOMMANDS:
     stats      print a dataset's structural statistics
     jsoncheck  parse a JSON file and exit nonzero if malformed; a
                tgl-run-report/v3 document also gets its profile /
-               critpath / insight sections shape-validated;
+               critpath sections shape-validated;
                with --trend --old <PATH> [--budget <PCT>] also compare
                wall-time series against an older copy and fail on
                regressions beyond the budget (default 25%)
@@ -62,13 +62,6 @@ OBSERVABILITY OPTIONS (train/eval):
                          exclusive vs overlapped time, the critical
                          path itself, overlap efficiency, and pool
                          busy/wait attribution
-    --insight            model & data introspection: per-parameter-group
-                         gradient/weight norms and update ratios,
-                         dead-activation fractions, memory staleness,
-                         neighbor time-delta spread, negative-sampling
-                         collisions, dedup effectiveness, and mailbox
-                         depth — printed as a per-layer table at end of
-                         run; the run report carries the summaries
     --flight <on|off>    flight recorder: always-on ring of recent
                          spans/health events dumped on panic or
                          health-fail (default on; also TGL_FLIGHT=off;
@@ -76,9 +69,9 @@ OBSERVABILITY OPTIONS (train/eval):
     --flight-out <PATH>  write a flight dump at end of run
     --metrics-out <PATH> write the tgl-run-report/v3 JSON: per-epoch
                          phases, counters, latency histograms, health,
-                         and the profile (every span-aggregate row),
-                         insight and (with --critpath / --trace-out)
-                         critpath sections
+                         and the profile (every span-aggregate row)
+                         and (with --critpath / --trace-out) critpath
+                         sections
     --health <off|warn|fail>  non-finite loss/gradient policy: warn
                          records a health event and skips the batch
                          (default), fail aborts, off disables checks
@@ -233,7 +226,7 @@ fn train(args: &Args, eval_only: bool) {
             heads,
             n_layers: positive_or(args, "layers", 2),
             n_neighbors: number(args, "neighbors", 10),
-            mailbox_slots: number(args, "mailbox", 10),
+            mailbox_slots: positive_or(args, "mailbox", 10),
         },
         train_cfg: TrainConfig {
             batch_size: positive_or(args, "batch", 200),
@@ -348,7 +341,7 @@ fn generate_cmd(args: &Args) {
     let out = args.get("out").unwrap_or(&default);
     reject_unread(args);
     let (g, stats) = generate(&spec);
-    save_csv(&g, std::path::Path::new(out)).expect("write dataset");
+    save_csv(&g, std::path::Path::new(out)).unwrap_or_else(|e| usage_error(format!("--out {out}: {e}")));
     println!(
         "wrote {} ({} nodes, {} edges, {:.0}% repeat interactions)",
         out,

@@ -1,8 +1,8 @@
 //! Known-schema validation for `tgl jsoncheck`.
 //!
 //! The observability artifacts carry a `"schema"` discriminator
-//! (`tgl-run-report/v3`, whose `profile` / `critpath` / `insight`
-//! sections are checked here). After the generic parse/round-trip
+//! (`tgl-run-report/v3`, whose `profile` / `critpath` sections are
+//! checked here). After the generic parse/round-trip
 //! check, `jsoncheck` looks the discriminator up here
 //! and — when it names a schema this module knows — validates the
 //! document's shape so CI catches a writer drifting from its contract,
@@ -44,31 +44,10 @@ fn arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
         .ok_or_else(|| format!("missing or non-array field {key:?}"))
 }
 
-/// Number or `null` — how the writers render non-finite samples.
-fn num_or_null(v: &Json, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Json::Num(_)) | Some(Json::Null) => Ok(()),
-        _ => Err(format!("field {key:?} must be a number or null")),
-    }
-}
-
 /// The sections of the run report that used to be documents of their
 /// own. Each may be `null` (layer off) or absent.
 fn run_report(v: &Json) -> Result<(), String> {
     let section = |key: &str| v.get(key).filter(|s| **s != Json::Null);
-    if let Some(ins) = section("insight") {
-        num(ins, "steps").map_err(|e| format!("insight: {e}"))?;
-        for (i, s) in arr(ins, "series").map_err(|e| format!("insight: {e}"))?.iter().enumerate() {
-            let name = string(s, "name").map_err(|e| format!("insight.series[{i}]: {e}"))?;
-            let ctx = |e| format!("insight series {name:?}: {e}");
-            num(s, "count").map_err(ctx)?;
-            // Summary moments of a diverged layer are legitimately
-            // non-finite, which the writer renders as null.
-            for key in ["mean", "std", "min", "max", "last"] {
-                num_or_null(s, key).map_err(ctx)?;
-            }
-        }
-    }
     if section("profile").is_some() {
         for (i, r) in arr(v, "profile")?.iter().enumerate() {
             let name = string(r, "name").map_err(|e| format!("profile[{i}]: {e}"))?;
@@ -118,26 +97,6 @@ mod tests {
         assert_eq!(validate(&parse("{\"a\": 1}")), Ok(None));
         assert_eq!(validate(&parse("{\"schema\": \"tgl-profile/v1\"}")), Ok(None));
         assert_eq!(validate(&parse("[1, 2]")), Ok(None));
-    }
-
-    #[test]
-    fn valid_insight_passes_and_violations_are_named() {
-        let report = |sections: &str| parse(&format!("{{\"schema\": \"tgl-run-report/v3\", {sections}}}"));
-        let doc = report(
-            "\"insight\": {\"steps\": 12, \"series\": [{\"name\": \"insight.layer.layer0.w_q.grad_norm\", \
-             \"count\": 12, \"mean\": 0.2, \"std\": 0.05, \"min\": 0.1, \"max\": null, \"last\": 0.3}]}, \
-             \"critpath\": null",
-        );
-        assert_eq!(validate(&doc), Ok(Some("tgl-run-report/v3")));
-
-        let missing_steps = report("\"insight\": {\"series\": []}");
-        assert!(validate(&missing_steps).unwrap_err().contains("steps"));
-
-        let bad_stat = report(
-            "\"insight\": {\"steps\": 1, \"series\": [{\"name\": \"x\", \"count\": 1, \"mean\": 0.1, \
-             \"std\": 0.0, \"min\": 0.1, \"max\": 0.1, \"last\": \"nan\"}]}",
-        );
-        assert!(validate(&bad_stat).unwrap_err().contains("last"));
     }
 
     #[test]

@@ -65,6 +65,7 @@ fn unusable_numbers_are_usage_errors_before_training() {
         ("--lr", "inf"),
         ("--lr", "-0.1"),
         ("--lr", "0"),
+        ("--mailbox", "0"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
             .current_dir(&dir)
@@ -80,6 +81,19 @@ fn unusable_numbers_are_usage_errors_before_training() {
     let left: Vec<_> = std::fs::read_dir(&dir).expect("read scratch dir").collect();
     assert!(left.is_empty(), "a usage error left files behind: {left:?}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unwritable_generate_output_is_a_usage_error() {
+    // Used to panic at `.expect("write dataset")` with a backtrace.
+    let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
+        .args(["generate", "--dataset", "wiki", "--scale", "16", "--out", "/nonexistent-tgl-dir/x.csv"])
+        .output()
+        .expect("run tgl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error, no backtrace: {stderr}");
+    assert!(stderr.contains("--out") && stderr.contains("/nonexistent-tgl-dir/x.csv"), "{stderr}");
 }
 
 #[test]
@@ -181,10 +195,11 @@ fn bad_observability_values_are_usage_errors() {
 
 #[test]
 fn flags_nobody_reads_are_usage_errors() {
-    // Two retired flags and a misspelt one: each used to train with
+    // Three retired flags and a misspelt one: each used to train with
     // defaults and exit 0.
-    for (flag, value) in [("--slo", "x"), ("--serve-metrics", "127.0.0.1:0"), ("--epoch", "3")] {
-        let (code, stdout, stderr) = tgl_train(&[flag, value]);
+    for args in [&["--slo", "x"][..], &["--serve-metrics", "127.0.0.1:0"], &["--epoch", "3"], &["--insight"]] {
+        let flag = args[0];
+        let (code, stdout, stderr) = tgl_train(args);
         assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error: {stderr}");
         assert!(stderr.contains(flag), "{flag}: error must name the flag: {stderr}");

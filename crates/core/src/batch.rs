@@ -22,10 +22,6 @@ pub struct TBatch {
     /// The chain built ahead of the step by the pipelined trainer's
     /// sampler stage (see [`crate::plan`]).
     plan: Option<Arc<crate::plan::BatchPlan>>,
-    /// Introspection observations collected while the batch was built
-    /// (possibly on a sampler thread), carried to the compute thread so
-    /// they flush in batch order regardless of pipeline depth.
-    insight: Option<Box<tgl_obs::insight::InsightBag>>,
 }
 
 impl TBatch {
@@ -41,7 +37,6 @@ impl TBatch {
             range,
             negs: Vec::new(),
             plan: None,
-            insight: None,
         }
     }
 
@@ -93,14 +88,6 @@ impl TBatch {
     /// Panics if `negs.len() != len()`.
     pub fn set_negatives(&mut self, negs: Vec<NodeId>) {
         assert_eq!(negs.len(), self.len(), "one negative per edge required");
-        // Collision rate of the negative draw against this batch's
-        // positive destinations: a set-membership count, so the value
-        // is independent of draw or thread order.
-        if tgl_obs::insight::active() && !negs.is_empty() {
-            let dsts: std::collections::HashSet<NodeId> = self.dsts().iter().copied().collect();
-            let collisions = negs.iter().filter(|n| dsts.contains(n)).count();
-            tgl_obs::insight::observe_neg_sampling(negs.len() as u64, collisions as u64);
-        }
         self.negs = negs;
     }
 
@@ -118,19 +105,6 @@ impl TBatch {
     /// The attached prepared chain, if any.
     pub fn plan(&self) -> Option<&Arc<crate::plan::BatchPlan>> {
         self.plan.as_ref()
-    }
-
-    /// Attaches the insight bag collected while this batch was built
-    /// (pipelined trainer: detach with
-    /// [`tgl_obs::insight::take_batch`] on the sampler stage).
-    pub fn set_insight(&mut self, bag: Option<Box<tgl_obs::insight::InsightBag>>) {
-        self.insight = bag;
-    }
-
-    /// Detaches the carried insight bag (compute-thread side: hand it
-    /// to [`tgl_obs::insight::install_batch`]).
-    pub fn take_insight(&mut self) -> Option<Box<tgl_obs::insight::InsightBag>> {
-        self.insight.take()
     }
 
     /// Builds the head [`TBlock`] for embedding computation: the

@@ -28,7 +28,6 @@ pub fn dedup(blk: &TBlock) -> TBlock {
     let saved = (inverse.len() - uniq_nodes.len()) as u64;
     tgl_obs::counter!("dedup.rows_in").add(inverse.len() as u64);
     tgl_obs::counter!("dedup.rows_saved").add(saved);
-    tgl_obs::insight::observe_dedup(inverse.len() as u64, saved);
     if saved > 0 {
         blk.replace_dst(uniq_nodes, uniq_times);
         blk.register_hook(BlockHook::new("dedup-invert", move |out| {

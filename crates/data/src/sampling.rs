@@ -43,23 +43,6 @@ impl NegativeSampler {
     pub fn draw(&mut self, n: usize) -> Vec<NodeId> {
         (0..n).map(|_| self.rng.gen_range(self.lo..self.hi)).collect()
     }
-
-    /// Draws `n` *historical* negatives: with probability `p_hist`
-    /// each negative is a destination that actually appeared earlier
-    /// in the stream (drawn from `seen`), otherwise uniform. This is
-    /// the harder corruption scheme of recent temporal-graph
-    /// benchmarks; pass the destinations observed so far.
-    pub fn draw_historical(&mut self, n: usize, seen: &[NodeId], p_hist: f64) -> Vec<NodeId> {
-        (0..n)
-            .map(|_| {
-                if !seen.is_empty() && self.rng.gen_bool(p_hist) {
-                    seen[self.rng.gen_range(0..seen.len())]
-                } else {
-                    self.rng.gen_range(self.lo..self.hi)
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -95,31 +78,6 @@ mod tests {
         let spec2 = DatasetSpec::of(DatasetKind::WikiTalk);
         let mut s2 = NegativeSampler::for_spec(&spec2, 0);
         assert!(s2.draw(200).iter().all(|&n| (n as usize) < spec2.num_nodes()));
-    }
-
-    #[test]
-    fn historical_negatives_come_from_seen_set() {
-        let mut s = NegativeSampler::new(0, 1000, 1);
-        let seen = vec![7u32, 7, 7, 42];
-        let v = s.draw_historical(500, &seen, 1.0);
-        assert!(v.iter().all(|n| seen.contains(n)));
-        // Popular destinations dominate (frequency-proportional).
-        let sevens = v.iter().filter(|&&n| n == 7).count();
-        assert!(sevens > 250, "got {sevens}");
-    }
-
-    #[test]
-    fn historical_with_zero_prob_is_uniform() {
-        let mut s = NegativeSampler::new(10, 20, 2);
-        let v = s.draw_historical(100, &[999], 0.0);
-        assert!(v.iter().all(|&n| (10..20).contains(&n)));
-    }
-
-    #[test]
-    fn historical_empty_seen_falls_back() {
-        let mut s = NegativeSampler::new(10, 20, 3);
-        let v = s.draw_historical(50, &[], 1.0);
-        assert!(v.iter().all(|&n| (10..20).contains(&n)));
     }
 
     #[test]

@@ -96,18 +96,6 @@ impl TransferModel {
         }
     }
 
-    /// PCIe 4.0 x16 calibration (A100-class machine).
-    pub fn pcie_a100() -> Self {
-        TransferModel {
-            enabled: true,
-            pageable_bw: 12.0e9,
-            pinned_bw: 24.0e9,
-            d2h_bw: 12.0e9,
-            latency_ns: 8_000,
-            time_compression: 1.0,
-        }
-    }
-
     /// Simulated nanoseconds a transfer of `bytes` with `kind` costs.
     pub fn cost_ns(&self, bytes: u64, kind: TransferKind) -> u64 {
         if !self.enabled {
@@ -258,16 +246,5 @@ mod tests {
         assert!(after.h2d_bytes >= before.h2d_bytes + 123);
         assert!(after.d2h_bytes >= before.d2h_bytes + 77);
         assert!(after.count >= before.count + 2);
-    }
-
-    #[test]
-    fn a100_link_is_faster_than_v100() {
-        let v = TransferModel::pcie_v100();
-        let a = TransferModel::pcie_a100();
-        let bytes = 8 << 20;
-        assert!(
-            a.cost_ns(bytes, TransferKind::HostToAccelPinned)
-                < v.cost_ns(bytes, TransferKind::HostToAccelPinned)
-        );
     }
 }

@@ -92,9 +92,6 @@ impl Mailbox {
             rows.push(row);
             times.push(t[row]);
         }
-        if tgl_obs::insight::active() {
-            self.observe_depths(nodes, &t);
-        }
         drop(t);
         drop(cursor);
         tgl_obs::counter!("mailbox.rows_read").add(nodes.len() as u64);
@@ -121,28 +118,9 @@ impl Mailbox {
                 owners.push(k);
             }
         }
-        if tgl_obs::insight::active() {
-            self.observe_depths(nodes, &t);
-        }
         drop(t);
         tgl_obs::counter!("mailbox.rows_read").add(rows.len() as u64);
         (self.data.index_select(&rows), times, owners)
-    }
-
-    /// Reports per-node occupied-slot counts (a slot with a nonzero
-    /// delivery time has received a mail) to the insight layer — "how
-    /// full are the mailboxes this batch reads from".
-    fn observe_depths(&self, nodes: &[NodeId], times: &[Time]) {
-        let depths: Vec<u64> = nodes
-            .iter()
-            .map(|&n| {
-                let n = n as usize;
-                (0..self.slots)
-                    .filter(|&s| times[n * self.slots + s] != 0.0)
-                    .count() as u64
-            })
-            .collect();
-        tgl_obs::insight::observe_mailbox_depths(&depths);
     }
 
     /// Zeroes all mails, times, and cursors.

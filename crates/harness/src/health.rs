@@ -68,7 +68,7 @@ impl HealthPolicy {
 
 /// L2 norm of all gradients currently attached to `params`
 /// (parameters without a gradient contribute 0).
-pub fn grad_norm(params: &[Tensor]) -> f64 {
+fn grad_norm(params: &[Tensor]) -> f64 {
     let mut sq = 0.0f64;
     for p in params {
         p.with_grad(|g| {

@@ -41,7 +41,7 @@ pub use runner::{
     ModelKind, ObsOptions, Placement, RunError,
 };
 pub use flightdump::install_flight_hook;
-pub use health::{grad_norm, EpochHealth, HealthMonitor, HealthPolicy};
+pub use health::{EpochHealth, HealthMonitor, HealthPolicy};
 pub use logging::MetricLog;
 pub use report::{EpochReport, HealthSection, RunReport, RunReporter};
 pub use trainer::{process_cpu_seconds, CpuTimer, EpochStats, TrainConfig, Trainer};

@@ -6,12 +6,11 @@
 //! with the Fig. 7 phase breakdown and the Table 6 redundancy counters
 //! for every epoch — the structured counterpart to the
 //! [`MetricLog`](crate::MetricLog) CSV. The report is the one artifact
-//! envelope: the op profile, the critical path and the introspection
-//! summaries are its `profile`, `critpath` and `insight` sections, not
-//! documents of their own.
+//! envelope: the op profile and the critical path are its `profile`
+//! and `critpath` sections, not documents of their own.
 //!
 //! Schema (`"schema": "tgl-run-report/v3"`; v1 lacked `hists`,
-//! `histograms`, `gauges`, and `health`; v2 lacked `insight`):
+//! `histograms`, `gauges`, and `health`):
 //!
 //! ```json
 //! {
@@ -33,10 +32,6 @@
 //!   "health": {"policy": "warn", "status": "ok", "loss_trend": -0.12,
 //!              "dropped": 0, "events": [{"level": "warn",
 //!              "source": "trainer.loss", "message": "...", "seq": 3}]},
-//!   "insight": {"steps": 36, "series": [
-//!     {"name": "insight.layer.layer0.w_q.grad_norm", "count": 36,
-//!      "mean": 0.21, "std": 0.05, "min": 0.1, "max": 0.4,
-//!      "last": 0.2}, ...]},
 //!   "phases_total_s": {"sample": 1.21, "attention": 1.88, ...},
 //!   "profile": [{"name": "linear", "phase": "attention",
 //!                "stage": "forward", "kind": "op", "calls": 96,
@@ -50,8 +45,7 @@
 //! ```
 //!
 //! `critpath` is `null` unless the event log was on for the run (see
-//! `tgl_obs::critpath`). `insight` is `null` unless the introspection
-//! layer recorded at least one step (see `tgl_obs::insight`).
+//! `tgl_obs::critpath`).
 //!
 //! `profile` holds every row of the span aggregate
 //! ([`tgl_obs::profile`]) for the run: ops, phases, regions and timers,
@@ -131,11 +125,6 @@ pub struct RunReport {
     pub gauges: Vec<(String, f64)>,
     /// Training-health summary.
     pub health: HealthSection,
-    /// Introspection-layer per-series summaries (empty unless
-    /// `tgl_obs::insight` was enabled and flushed at least one step).
-    pub insight: Vec<tgl_obs::insight::InsightStat>,
-    /// Steps the insight layer flushed during the run.
-    pub insight_steps: u64,
     /// Whole-run phase seconds (training epochs plus test inference),
     /// sorted by name.
     pub phases_total_s: Vec<(String, f64)>,
@@ -242,42 +231,6 @@ fn epoch_json(e: &EpochReport) -> Json {
     Json::obj(fields)
 }
 
-/// Finite numbers render as numbers; NaN/inf (a diverged layer's stats)
-/// become `null` so the document stays valid JSON.
-fn num_or_null(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Num(v)
-    } else {
-        Json::Null
-    }
-}
-
-/// The `insight` section: `null` when the introspection layer never
-/// flushed a step, otherwise the per-series cumulative summaries.
-fn insight_json(stats: &[tgl_obs::insight::InsightStat], steps: u64) -> Json {
-    if steps == 0 && stats.is_empty() {
-        return Json::Null;
-    }
-    let series = stats
-        .iter()
-        .map(|s| {
-            Json::obj(vec![
-                ("name".into(), Json::Str(s.name.clone())),
-                ("count".into(), Json::Num(s.count as f64)),
-                ("mean".into(), num_or_null(s.mean)),
-                ("std".into(), num_or_null(s.std)),
-                ("min".into(), num_or_null(s.min)),
-                ("max".into(), num_or_null(s.max)),
-                ("last".into(), num_or_null(s.last)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("steps".into(), Json::Num(steps as f64)),
-        ("series".into(), Json::Arr(series)),
-    ])
-}
-
 fn health_json(h: &HealthSection) -> Json {
     let events = h
         .events
@@ -312,7 +265,6 @@ impl RunReport {
             ("histograms".into(), hists_json(&self.histograms)),
             ("gauges".into(), num_map(&self.gauges, |v| v)),
             ("health".into(), health_json(&self.health)),
-            ("insight".into(), insight_json(&self.insight, self.insight_steps)),
             ("phases_total_s".into(), num_map(&self.phases_total_s, |v| v)),
             ("profile".into(), Json::Arr(self.profile.iter().map(row_json).collect())),
             ("critpath".into(), self.critpath.as_ref().map_or(Json::Null, critpath_json)),
@@ -498,8 +450,6 @@ impl RunReporter {
             histograms,
             gauges: obs::hist::gauge_snapshot().into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
             health,
-            insight: tgl_obs::insight::stats(),
-            insight_steps: tgl_obs::insight::steps(),
             phases_total_s,
             profile,
             critpath,
@@ -596,8 +546,6 @@ mod tests {
             Some("tgl-run-report/v3")
         );
         assert!(v.get("histograms").is_some());
-        // Insight was off: the v3 section is present but null.
-        assert!(v.get("insight").is_some());
         assert!(v.get("health").and_then(|h| h.get("status")).is_some());
         let epochs = v.get("epochs").and_then(Json::as_arr).unwrap();
         assert_eq!(epochs.len(), 1);

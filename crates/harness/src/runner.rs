@@ -276,8 +276,6 @@ pub struct ObsOptions {
     pub profile_top: usize,
     /// `--critpath`: critical-path table (turns the event log on).
     pub critpath: bool,
-    /// `--insight`: model & data introspection table.
-    pub insight: bool,
     /// `--trace-out`: Chrome trace of every span.
     pub trace_out: Option<PathBuf>,
     /// `--metrics-out`: the `tgl-run-report/v3` document.
@@ -347,7 +345,6 @@ impl ObsOptions {
             profile: args.has_flag("profile"),
             profile_top: args.get_or("profile-top", 15).map_err(RunError)?,
             critpath: args.has_flag("critpath"),
-            insight: args.has_flag("insight"),
             trace_out: path("trace-out"),
             metrics_out: path("metrics-out"),
             flight_out: path("flight-out"),
@@ -422,9 +419,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
     }
     if let Some(mode) = opts.kernel {
         tgl_tensor::kernel::set_mode(mode);
-    }
-    if opts.insight {
-        obs::insight::enable(true);
     }
     let logging = opts.trace_out.is_some() || opts.critpath;
     if logging {
@@ -531,9 +525,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
     if let Some(path) = &opts.flight_out {
         std::fs::write(path, obs::flight::to_json("request")).map_err(RunError::io("flight-out", path))?;
         say!("flight dump written to {}", path.display());
-    }
-    if opts.insight {
-        say!("{}", obs::insight::render_table(8).trim_end());
     }
     if let Some(path) = &opts.csv {
         log.save(path).map_err(RunError::io("csv", path))?;

@@ -172,8 +172,7 @@ impl Trainer {
     /// A batch is prepared in one place, the closure below: negatives
     /// drawn from `negs`, then, when there is a sampler stage and the
     /// model publishes a `spec`, its block chain
-    /// ([`tglite::plan::build_plan`]), and with `collect_insight` the
-    /// insight observations made on the way. At depth 0 that runs
+    /// ([`tglite::plan::build_plan`]). At depth 0 that runs
     /// inline and `forward` builds the chain. At depth `d >= 1` it runs
     /// on a sampler thread, up to `d` batches ahead over a bounded
     /// channel, while this thread runs `step`. Everything prepared is
@@ -186,25 +185,15 @@ impl Trainer {
         range: &std::ops::Range<usize>,
         mut negs: NegativeSampler,
         spec: Option<SamplingSpec>,
-        collect_insight: bool,
         mut step: impl FnMut(TBatch),
     ) {
         // Without a sampler stage `forward` builds the chain itself.
         let spec = if self.pipeline > 0 { spec } else { None };
         let mut prepare = move |range| {
-            // Observations made while the batch is built collect into
-            // a bag that travels with it, so flush order (and every
-            // derived series) is batch order at any pipeline depth.
-            if collect_insight {
-                tgl_obs::insight::begin_batch();
-            }
             let mut batch = TBatch::new(ctx.graph().clone(), range);
             batch.set_negatives(negs.draw(batch.len()));
             if let Some(spec) = &spec {
                 batch.set_plan(Arc::new(tglite::plan::build_plan(ctx, &batch, spec)));
-            }
-            if collect_insight {
-                batch.set_insight(tgl_obs::insight::take_batch());
             }
             batch
         };
@@ -230,7 +219,7 @@ impl Trainer {
                         prepare(r)
                     };
                     tgl_obs::histogram!("pipeline.queue.occupancy").record(tx.len() as u64);
-                    let _wait = tgl_obs::histogram!("pipeline.queue.send_wait_ns").timer();
+                    let _wait = tgl_obs::timer("pipeline.queue.send_wait");
                     if tx.send(batch).is_err() {
                         // The compute stage died (panic); stop
                         // preparing so its unwind can proceed.
@@ -239,7 +228,7 @@ impl Trainer {
                 }
             });
             let recv = || {
-                let _wait = tgl_obs::histogram!("pipeline.queue.recv_wait_ns").timer();
+                let _wait = tgl_obs::timer("pipeline.queue.recv_wait");
                 rx.recv()
             };
             // `Err` = closed and drained.
@@ -281,19 +270,13 @@ impl Trainer {
         let mut total_loss = 0.0f64;
         let mut batches = 0usize;
         let mut seen = 0usize;
-        self.for_each_batch(ctx, &split.train, negs, model.sampling_spec(), true, |mut batch| {
-            {
-                let _step_region = tgl_obs::region("step");
-                tgl_obs::insight::install_batch(batch.take_insight());
-                if let Some(loss) =
-                    Self::train_step(model, ctx, opt, &mut health, epoch, seen, &batch)
-                {
-                    total_loss += loss;
-                    batches += 1;
-                }
-                seen += 1;
+        self.for_each_batch(ctx, &split.train, negs, model.sampling_spec(), |batch| {
+            let _step_region = tgl_obs::region("step");
+            if let Some(loss) = Self::train_step(model, ctx, opt, &mut health, epoch, seen, &batch) {
+                total_loss += loss;
+                batches += 1;
             }
-            tgl_obs::insight::flush_step();
+            seen += 1;
         });
         let train_time_s = start.elapsed_s();
         // A mean over no applied step is no number: an epoch the health
@@ -347,49 +330,9 @@ impl Trainer {
             let _b = tgl_obs::span("backward").stage(tgl_obs::Stage::Backward);
             loss.backward();
         }
-        // Per-parameter-group introspection: gradient norms are read
-        // after backward, pre-step values snapshotted so the update
-        // ratio can be measured across this optimizer step. All on the
-        // compute thread in batch order — series stay thread-count- and
-        // pipeline-depth-invariant.
-        let insight_pre = if tgl_obs::insight::active() {
-            Some(
-                model
-                    .param_groups()
-                    .into_iter()
-                    .map(|(name, ps)| {
-                        let gn = crate::health::grad_norm(&ps);
-                        let before: Vec<Vec<f32>> = ps.iter().map(Tensor::to_vec).collect();
-                        (name, gn, before, ps)
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            None
-        };
         {
             let _o = tgl_obs::span("opt_step").stage(tgl_obs::Stage::Opt);
             opt.step();
-        }
-        if let Some(groups) = insight_pre {
-            for (name, gn, before, ps) in groups {
-                let (mut post_sq, mut pre_sq, mut delta_sq) = (0.0f64, 0.0f64, 0.0f64);
-                for (p, b) in ps.iter().zip(&before) {
-                    let now = p.to_vec();
-                    for (&a, &b) in now.iter().zip(b.iter()) {
-                        let (a, b) = (f64::from(a), f64::from(b));
-                        post_sq += a * a;
-                        pre_sq += b * b;
-                        delta_sq += (a - b) * (a - b);
-                    }
-                }
-                // Same convention as HealthMonitor::end_epoch: the
-                // ratio's denominator is the *pre-step* norm, so a
-                // pathological step reads as a huge ratio instead of
-                // normalizing itself away.
-                let ur = delta_sq.sqrt() / pre_sq.sqrt().max(1e-12);
-                tgl_obs::insight::record_group(&name, gn, post_sq.sqrt(), ur);
-            }
         }
         // Parameter updates invalidate memoized embeddings.
         ctx.clear_caches();
@@ -417,7 +360,7 @@ impl Trainer {
         {
             let _eval_region = tgl_obs::region("eval");
             let _guard = no_grad();
-            self.for_each_batch(ctx, &range, negs, model.sampling_spec(), false, |batch| {
+            self.for_each_batch(ctx, &range, negs, model.sampling_spec(), |batch| {
                 let _fwd = tgl_obs::region("forward").stage(tgl_obs::Stage::Forward);
                 let (pos, neg) = model.forward(ctx, &batch);
                 all_pos.extend(pos.to_vec());
@@ -438,55 +381,6 @@ impl Trainer {
             return (0.0, secs);
         }
         (average_precision(&all_pos, &all_neg), secs)
-    }
-
-    /// Best-epoch protocol with early stopping: trains up to
-    /// `max_epochs`, checkpointing parameters whenever validation AP
-    /// improves, stopping after `patience` epochs without improvement,
-    /// and restoring the best checkpoint before test inference — the
-    /// workflow of TGL's training scripts.
-    ///
-    /// Returns `(epoch_stats, best_val_ap, test_ap, test_seconds)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint file cannot be written or read.
-    pub fn run_early_stopping<M: TemporalModel + ?Sized>(
-        &self,
-        model: &mut M,
-        ctx: &TContext,
-        split: &Split,
-        max_epochs: usize,
-        patience: usize,
-    ) -> (Vec<EpochStats>, f64, f64, f64) {
-        let mut opt = Adam::new(model.parameters(), self.cfg.lr);
-        let dir = std::env::temp_dir().join("tgl-harness-best");
-        std::fs::create_dir_all(&dir).expect("checkpoint dir");
-        let ckpt = dir.join(format!("best-{}-{}.tglt", std::process::id(), self.cfg.seed));
-        let mut stats = Vec::new();
-        let mut best_val = f64::NEG_INFINITY;
-        let mut since_best = 0usize;
-        for e in 0..max_epochs {
-            let s = self.train_epoch(model, ctx, split, &mut opt, e);
-            stats.push(s);
-            if s.val_ap > best_val {
-                best_val = s.val_ap;
-                since_best = 0;
-                tgl_tensor::save_params(&model.parameters(), &ckpt).expect("save best");
-            } else {
-                since_best += 1;
-                if since_best >= patience {
-                    break;
-                }
-            }
-        }
-        if ckpt.exists() {
-            tgl_tensor::load_params(&model.parameters(), &ckpt).expect("restore best");
-            ctx.clear_caches();
-            std::fs::remove_file(&ckpt).ok();
-        }
-        let (test_ap, test_s) = self.evaluate(model, ctx, split.test.clone());
-        (stats, best_val.max(0.0), test_ap, test_s)
     }
 
     /// Full protocol: `epochs` training epochs (tracking the best
@@ -650,31 +544,6 @@ mod tests {
                 "pipeline depth {depth} diverged from the sequential reference"
             );
         }
-    }
-
-    #[test]
-    fn early_stopping_restores_best_epoch() {
-        let (ctx, split, spec) = tiny_setup();
-        let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 4);
-        let trainer = Trainer::new(
-            TrainConfig {
-                batch_size: 50,
-                epochs: 0,
-                lr: 2e-3,
-                seed: 11,
-            },
-            spec.n_src as u32,
-            spec.num_nodes() as u32,
-        );
-        let (stats, best_val, test_ap, _) =
-            trainer.run_early_stopping(&mut model, &ctx, &split, 4, 2);
-        assert!(!stats.is_empty());
-        assert!(stats.len() <= 4);
-        assert!((0.0..=1.0).contains(&best_val));
-        assert!((0.0..=1.0).contains(&test_ap));
-        // The reported best is the max of epoch vals.
-        let max_epoch = stats.iter().map(|s| s.val_ap).fold(0.0, f64::max);
-        assert!((best_val - max_epoch).abs() < 1e-12);
     }
 
     #[test]

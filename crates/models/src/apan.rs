@@ -86,9 +86,6 @@ impl Apan {
             .zip(&mail_ts)
             .map(|(&o, &mt)| (times[o] - mt) as f32)
             .collect();
-        // Mail age relative to the querying node's time = staleness of
-        // the stored state this embedding is computed from.
-        tgl_obs::insight::observe_mem_staleness(&deltas);
         let deltas = Tensor::from_vec(deltas, [owners.len()]).to(device);
         let use_pre = self.opts.time_precompute && !self.training;
         let mail_t = if use_pre {
@@ -207,19 +204,6 @@ impl TemporalModel for Apan {
         p.extend(self.memory_updater.parameters());
         p.extend(self.predictor.parameters());
         p
-    }
-
-    fn param_groups(&self) -> Vec<(String, Vec<Tensor>)> {
-        let mut groups = vec![
-            ("mail.w_q".to_string(), self.w_q.parameters()),
-            ("mail.w_k".to_string(), self.w_k.parameters()),
-            ("mail.w_v".to_string(), self.w_v.parameters()),
-            ("mail.ffn".to_string(), self.ffn.parameters()),
-            ("mail.time".to_string(), self.time_encoder.parameters()),
-            ("memory.gru".to_string(), self.memory_updater.parameters()),
-        ];
-        groups.extend(self.predictor.param_groups());
-        groups
     }
 
     fn set_training(&mut self, training: bool) {

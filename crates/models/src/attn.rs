@@ -76,19 +76,6 @@ impl TemporalAttnLayer {
         self.ffn.out_features()
     }
 
-    /// Named parameter groups (`<prefix>.w_q` ... `<prefix>.time`) in
-    /// [`parameters`](Module::parameters) order, for per-layer
-    /// introspection.
-    pub fn param_groups(&self, prefix: &str) -> Vec<(String, Vec<Tensor>)> {
-        vec![
-            (format!("{prefix}.w_q"), self.w_q.parameters()),
-            (format!("{prefix}.w_k"), self.w_k.parameters()),
-            (format!("{prefix}.w_v"), self.w_v.parameters()),
-            (format!("{prefix}.ffn"), self.ffn.parameters()),
-            (format!("{prefix}.time"), self.time_encoder.parameters()),
-        ]
-    }
-
     /// Computes one row of output per block destination, consuming
     /// `blk.dstdata("h")` / `blk.srcdata("h")`.
     pub fn forward(&self, ctx: &TContext, blk: &TBlock, time_precompute: bool) -> Tensor {

@@ -157,10 +157,8 @@ pub trait TemporalModel {
     /// All trainable parameters.
     fn parameters(&self) -> Vec<Tensor>;
 
-    /// Named parameter groups for per-layer introspection
-    /// (`layer0.w_q`, `predictor`, ...). The default is one whole-model
-    /// group; models override so the insight layer can attribute
-    /// gradient/weight/update stats to a specific component.
+    /// All parameters as one named group. No caller in the framework;
+    /// kept because the benchmark's model wrapper forwards it.
     fn param_groups(&self) -> Vec<(String, Vec<Tensor>)> {
         vec![("model".to_string(), self.parameters())]
     }
@@ -226,7 +224,6 @@ pub(crate) fn score_embeddings(
     batch_len: usize,
 ) -> (Tensor, Tensor) {
     let _phase = tglite::prof::scope("predictor");
-    let _scope = tgl_obs::insight::act_scope("predictor");
     let src = embs.narrow_rows(0, batch_len);
     let dst = embs.narrow_rows(batch_len, batch_len);
     let neg = embs.narrow_rows(2 * batch_len, batch_len);

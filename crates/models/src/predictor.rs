@@ -38,7 +38,6 @@ impl EdgePredictor {
     /// Logits for each row pair: `[n, emb] × [n, emb] → [n]`.
     pub fn forward(&self, src: &Tensor, dst: &Tensor) -> Tensor {
         let _phase = tglite::prof::scope("predictor");
-        let _scope = tgl_obs::insight::act_scope("predictor");
         self.logits(src, dst)
     }
 
@@ -48,19 +47,10 @@ impl EdgePredictor {
         // Fused add+ReLU: one kernel, one output buffer, and no
         // intermediate sum captured by autograd.
         let h = self.src_fc.forward(src).add_relu(&self.dst_fc.forward(dst));
-        tgl_tensor::nn::observe_relu_zeros(&h);
         let n = h.dim(0);
         self.out_fc.forward(&h).reshape([n])
     }
 
-    /// Named parameter groups for per-layer introspection.
-    pub fn param_groups(&self) -> Vec<(String, Vec<Tensor>)> {
-        vec![
-            ("predictor.src_fc".to_string(), self.src_fc.parameters()),
-            ("predictor.dst_fc".to_string(), self.dst_fc.parameters()),
-            ("predictor.out_fc".to_string(), self.out_fc.parameters()),
-        ]
-    }
 }
 
 impl Module for EdgePredictor {

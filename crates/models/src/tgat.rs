@@ -71,15 +71,9 @@ impl Tgat {
         let use_pre = self.opts.time_precompute && !self.training;
         op::aggregate(&head, "h", |blk| {
             let li = blk.layer().min(self.cfg.n_layers - 1);
-            let _act = tgl_obs::insight::act_scope(layer_scope(li));
             self.layers[li].forward(ctx, blk, use_pre)
         })
     }
-}
-
-/// Interned `layer<i>` activation-scope name (stable for the process).
-pub(crate) fn layer_scope(i: usize) -> &'static str {
-    tgl_obs::intern::intern(&format!("layer{i}"))
 }
 
 impl TemporalModel for Tgat {
@@ -91,15 +85,6 @@ impl TemporalModel for Tgat {
         let mut p: Vec<Tensor> = self.layers.iter().flat_map(|l| l.parameters()).collect();
         p.extend(self.predictor.parameters());
         p
-    }
-
-    fn param_groups(&self) -> Vec<(String, Vec<Tensor>)> {
-        let mut groups = Vec::new();
-        for (i, l) in self.layers.iter().enumerate() {
-            groups.extend(l.param_groups(&format!("layer{i}")));
-        }
-        groups.extend(self.predictor.param_groups());
-        groups
     }
 
     fn set_training(&mut self, training: bool) {

@@ -86,9 +86,6 @@ impl Tgn {
             .zip(&mem_ts)
             .map(|(&a, &b)| (a - b) as f32)
             .collect();
-        // The GRU deltas ARE the memory-staleness signal: how old each
-        // node's stored state is relative to the mail consuming it.
-        tgl_obs::insight::observe_mem_staleness(&deltas);
         let deltas = Tensor::from_vec(deltas, [nodes.len()]).to(device);
         let tfeat = if self.opts.time_precompute && !self.training {
             op::precomputed_times(ctx, &self.mem_time_encoder, &deltas)
@@ -138,18 +135,6 @@ impl TemporalModel for Tgn {
         p
     }
 
-    fn param_groups(&self) -> Vec<(String, Vec<Tensor>)> {
-        let mut groups = Vec::new();
-        for (i, l) in self.layers.iter().enumerate() {
-            groups.extend(l.param_groups(&format!("layer{i}")));
-        }
-        groups.push(("memory.gru".to_string(), self.memory_updater.parameters()));
-        groups.push(("memory.time".to_string(), self.mem_time_encoder.parameters()));
-        groups.push(("feat".to_string(), self.feat_linear.parameters()));
-        groups.extend(self.predictor.param_groups());
-        groups
-    }
-
     fn set_training(&mut self, training: bool) {
         self.training = training;
     }
@@ -183,7 +168,6 @@ impl TemporalModel for Tgn {
         let use_pre = self.opts.time_precompute && !self.training;
         let embs = op::aggregate(&head, "h", |blk| {
             let li = blk.layer().min(self.cfg.n_layers - 1);
-            let _act = tgl_obs::insight::act_scope(crate::tgat::layer_scope(li));
             self.layers[li].forward(ctx, blk, use_pre)
         });
 

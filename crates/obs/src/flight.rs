@@ -309,24 +309,6 @@ pub fn to_json(reason: &str) -> String {
         out.push_str("\": ");
         json_num(*value, &mut out);
     }
-    // Introspection context: cumulative per-series summaries (steps,
-    // last, max), so a post-mortem attributes a divergence to a
-    // parameter group.
-    out.push_str("\n  },\n  \"insight\": {");
-    let _ = write!(out, "\n    \"steps\": {},\n    \"stats\": {{", crate::insight::steps());
-    for (i, s) in crate::insight::stats().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n      \"");
-        esc(&s.name, &mut out);
-        out.push_str("\": {\"last\": ");
-        json_num(s.last, &mut out);
-        out.push_str(", \"max\": ");
-        json_num(s.max, &mut out);
-        let _ = write!(out, ", \"count\": {}}}", s.count);
-    }
-    out.push_str("\n    }");
     out.push_str("\n  },\n  \"health\": {");
     let worst = crate::health::worst();
     let _ = write!(
@@ -448,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_carries_gauges_and_insight_section() {
+    fn dump_carries_gauges() {
         let _g = serial();
         enable(true);
         crate::metrics::set_enabled(true);
@@ -458,8 +440,6 @@ mod tests {
         assert!(json.contains("\"gauges\": {"));
         assert!(json.contains("\"flight.test.level\": 3.5"));
         assert!(json.contains("\"flight.test.nan\": null"));
-        // The insight section is always present, empty when off.
-        assert!(json.contains("\"insight\": {"));
     }
 
     #[test]

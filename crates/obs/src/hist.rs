@@ -1,10 +1,10 @@
-//! Log2-bucketed latency histograms and gauges.
+//! Log2-bucketed value histograms and gauges.
 //!
 //! Counters answer "how many"; these answer "how is it distributed" and
 //! "how much right now". A [`Histogram`] records `u64` samples (queue
-//! occupancy, channel waits in nanoseconds — names then end in `_ns`;
-//! span durations are bucketed by the aggregate in [`crate::profile`]
-//! and only *read* through [`hist_snapshot`]) into 64 power-of-two buckets:
+//! occupancy; durations, waits included, are spans bucketed by the
+//! aggregate in [`crate::profile`] and only *read* through
+//! [`hist_snapshot`]) into 64 power-of-two buckets:
 //! bucket `i` holds values in `[2^i, 2^(i+1))`, with 0 folded into
 //! bucket 0. Everything is a relaxed atomic, so recording from pool
 //! workers is wait-free and a [`HistSnapshot`] taken after a parallel
@@ -28,7 +28,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use crate::metrics::enabled;
 
@@ -103,22 +102,6 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Starts a timer that records its elapsed nanoseconds on drop.
-    /// When metering is disabled the guard is inert (no clock read).
-    #[inline]
-    pub fn timer(&'static self) -> HistTimer {
-        HistTimer {
-            hist: self,
-            start: enabled().then(Instant::now),
-        }
-    }
-
     /// A consistent copy of the histogram's current state.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
@@ -136,21 +119,6 @@ impl Histogram {
         self.max.store(0, Ordering::Relaxed);
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// RAII timer produced by [`Histogram::timer`].
-#[derive(Debug)]
-pub struct HistTimer {
-    hist: &'static Histogram,
-    start: Option<Instant>,
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.hist.record_duration(start.elapsed());
         }
     }
 }
@@ -504,31 +472,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metering_drops_records_and_timers() {
+    fn disabled_metering_drops_records() {
         let h = histogram("test.hist.gated");
         h.reset();
         crate::metrics::set_enabled(false);
         h.record(5);
-        {
-            let _t = h.timer();
-        }
         crate::metrics::set_enabled(true);
         assert_eq!(h.snapshot().count, 0);
         h.record(5);
         assert_eq!(h.snapshot().count, 1);
-    }
-
-    #[test]
-    fn timer_records_elapsed_nanos() {
-        let h = histogram("test.hist.timer");
-        h.reset();
-        {
-            let _t = h.timer();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.sum >= 1_000_000, "timer recorded {}ns", s.sum);
     }
 
     #[test]

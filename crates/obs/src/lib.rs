@@ -31,8 +31,9 @@
 //!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
 //! * [`hist`] — log2-bucketed atomic [`hist::Histogram`]s (value
-//!   distributions via the [`histogram!`] macro; the duration families
-//!   are a view of [`profile`]) and last-write-wins [`hist::Gauge`]s
+//!   distributions via the [`histogram!`] macro; the duration families,
+//!   the pipeline queue's waits included, are a view of [`profile`])
+//!   and last-write-wins [`hist::Gauge`]s
 //!   ([`gauge!`]), sharing the counter enable gate. [`intern`] backs
 //!   dynamically composed names (`linear.bwd`, shape signatures).
 //!
@@ -47,13 +48,6 @@
 //! * [`critpath`] — critical-path analysis over the event log: per-stage
 //!   serial vs overlapped time, the critical path itself, and overlap
 //!   efficiency (the acceptance instrument for pipelined training).
-//!
-//! * [`insight`] — model & data introspection: per-parameter-group
-//!   gradient/weight/update stats, dead-ReLU fractions, and
-//!   temporal-data quality (memory staleness, neighbor time-deltas,
-//!   negative-sampling collisions, dedup effectiveness, mailbox depth)
-//!   collected into a per-batch bag and flushed into the deterministic
-//!   `insight.*` summaries of the run report's `insight` section.
 //!
 //! # Examples
 //!
@@ -77,7 +71,6 @@ pub mod critpath;
 pub mod flight;
 pub mod health;
 pub mod hist;
-pub mod insight;
 pub mod intern;
 pub mod metrics;
 pub mod phase;
@@ -106,9 +99,10 @@ pub fn region(name: &'static str) -> SpanGuard {
     span::open(name, Kind::Region)
 }
 
-/// Starts a latency probe inside an op (`gemm`, `pool.wait`): counted
-/// and bucketed for the duration histograms, while its time stays in
-/// the enclosing span's self time. Live only while collecting.
+/// Starts a latency probe (`gemm`, `pool.wait`, the pipeline queue's
+/// waits): counted and bucketed for the duration histograms, while its
+/// time stays in the enclosing span's self time. Live only while
+/// collecting.
 #[inline]
 pub fn timer(name: &'static str) -> SpanGuard {
     span::open(name, Kind::Timer)

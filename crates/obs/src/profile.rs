@@ -15,7 +15,8 @@
 //! * per-stage seconds for both — [`stage_seconds`];
 //! * the latency histograms in the run report —
 //!   [`latency_snapshot`] (`step`, `gemm`, `sampler`, `transfer`,
-//!   `pool.wait` as `*.latency_ns` / `pool.wait_ns`).
+//!   `pool.wait` and the pipeline queue's two waits as `*.latency_ns`
+//!   / `*_ns`).
 //!
 //! Two invariants carry over from the per-operator profiler this
 //! replaces. **Thread-count invariance:** ops are dispatched on the
@@ -223,8 +224,10 @@ pub fn stage_seconds(rows: &[Row]) -> [StageSeconds; 6] {
 }
 
 /// Span name behind each duration-histogram family.
-const LATENCY_FAMILIES: [(&str, &str); 5] = [
+const LATENCY_FAMILIES: [(&str, &str); 7] = [
     ("gemm.latency_ns", "gemm"),
+    ("pipeline.queue.recv_wait_ns", "pipeline.queue.recv_wait"),
+    ("pipeline.queue.send_wait_ns", "pipeline.queue.send_wait"),
     ("pool.wait_ns", "pool.wait"),
     ("sampler.latency_ns", "sampler"),
     ("step.latency_ns", "step"),
@@ -422,7 +425,7 @@ mod tests {
         let lat = latency_snapshot();
         collect(false);
         take();
-        assert_eq!(lat.len(), 5);
+        assert_eq!(lat.len(), LATENCY_FAMILIES.len());
         assert!(lat.windows(2).all(|w| w[0].0 < w[1].0), "sorted by family");
         for family in ["step.latency_ns", "gemm.latency_ns"] {
             let (_, h) = lat.iter().find(|(n, _)| *n == family).unwrap();

@@ -87,7 +87,6 @@ pub struct TemporalSampler {
     strategy: SamplingStrategy,
     threads: usize,
     seed: u64,
-    window: Option<Time>,
 }
 
 impl TemporalSampler {
@@ -98,16 +97,7 @@ impl TemporalSampler {
             strategy,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             seed: 0x7161_1e5d,
-            window: None,
         }
-    }
-
-    /// Restricts sampling to edges within `window` time units before
-    /// the query time (TGL's `duration` setting): only edges with
-    /// `t_query - window <= t_edge < t_query` qualify.
-    pub fn with_window(mut self, window: Time) -> TemporalSampler {
-        self.window = Some(window);
-        self
     }
 
     /// Sets the threading mode: 1 forces sequential sampling on the
@@ -159,7 +149,7 @@ impl TemporalSampler {
             let counts = UnsafeSlice::new(&mut counts);
             self.for_each_dst(n, &|range: std::ops::Range<usize>| {
                 for i in range {
-                    let (nbrs, _, _) = self.candidates(csr, dst_nodes[i], dst_times[i]);
+                    let (nbrs, _, _) = csr.neighbors_before(dst_nodes[i], dst_times[i]);
                     // SAFETY: destinations partition the index space, so
                     // each `i` is written by exactly one chunk.
                     unsafe { *counts.get_mut(i) = nbrs.len().min(self.k) };
@@ -210,20 +200,6 @@ impl TemporalSampler {
                 }
             });
         }
-        // Serial post-pass over the (thread-invariant) output: the
-        // sampled-neighbor time-delta distribution is a data-quality
-        // signal ("how far back is this batch attending"), observed
-        // here so both the inline and the plan-building paths feed it
-        // exactly once per query.
-        if tgl_obs::insight::active() {
-            let dts: Vec<f64> = out
-                .dst_index
-                .iter()
-                .zip(&out.src_times)
-                .map(|(&d, &st)| dst_times[d] - st)
-                .collect();
-            tgl_obs::insight::observe_nbr_dt(&dts);
-        }
         out
     }
 
@@ -236,25 +212,6 @@ impl TemporalSampler {
         } else {
             parallel_for(n, SEQ_DST_THRESHOLD, f);
         }
-    }
-
-    /// The time-eligible neighbor slices for one `(node, t)` query,
-    /// after applying the optional window.
-    fn candidates<'a>(
-        &self,
-        csr: &'a TCsr,
-        node: NodeId,
-        t: Time,
-    ) -> (&'a [NodeId], &'a [EdgeId], &'a [Time]) {
-        let (mut nbrs, mut eids, mut etimes) = csr.neighbors_before(node, t);
-        if let Some(w) = self.window {
-            // Entries are time-sorted; drop the too-old prefix.
-            let cut = etimes.partition_point(|&et| et < t - w);
-            nbrs = &nbrs[cut..];
-            eids = &eids[cut..];
-            etimes = &etimes[cut..];
-        }
-        (nbrs, eids, etimes)
     }
 
     /// Samples one destination's neighbors into its output rows.
@@ -274,7 +231,7 @@ impl TemporalSampler {
         se: &mut [EdgeId],
         sd: &mut [usize],
     ) {
-        let (nbrs, eids, etimes) = self.candidates(csr, node, t);
+        let (nbrs, eids, etimes) = csr.neighbors_before(node, t);
         let avail = nbrs.len();
         let take = sn.len();
         sd.fill(dst);
@@ -431,30 +388,6 @@ mod tests {
         let g = star();
         let s = TemporalSampler::new(2, SamplingStrategy::Recent).sample(&g.tcsr(), &[], &[]);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn window_restricts_to_recent_edges() {
-        let g = star();
-        let s = TemporalSampler::new(10, SamplingStrategy::Recent)
-            .with_window(2.5)
-            .sample(&g.tcsr(), &[0], &[6.0]);
-        // Edges at t=1..=5 exist; window 2.5 before t=6 keeps t in [3.5, 6).
-        assert_eq!(s.src_times, vec![4.0, 5.0]);
-        // Without the window all five qualify.
-        let all = TemporalSampler::new(10, SamplingStrategy::Recent)
-            .sample(&g.tcsr(), &[0], &[6.0]);
-        assert_eq!(all.len(), 5);
-    }
-
-    #[test]
-    fn window_applies_to_uniform_too() {
-        let g = star();
-        let s = TemporalSampler::new(2, SamplingStrategy::Uniform)
-            .with_window(2.5)
-            .with_seed(3)
-            .sample(&g.tcsr(), &[0], &[6.0]);
-        assert!(s.src_times.iter().all(|&t| (3.5..6.0).contains(&t)));
     }
 
     #[test]

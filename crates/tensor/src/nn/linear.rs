@@ -11,7 +11,7 @@ use crate::Tensor;
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Tensor,
-    bias: Option<Tensor>,
+    bias: Tensor,
 }
 
 impl Linear {
@@ -19,15 +19,7 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Linear {
         Linear {
             weight: xavier_uniform(out_features, in_features, rng),
-            bias: Some(zeros_init([out_features])),
-        }
-    }
-
-    /// Creates a layer without a bias term.
-    pub fn new_no_bias(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Linear {
-        Linear {
-            weight: xavier_uniform(out_features, in_features, rng),
-            bias: None,
+            bias: zeros_init([out_features]),
         }
     }
 
@@ -44,7 +36,7 @@ impl Linear {
     /// (`N` rows of `in_p` each, `Σ in_p = in`; tensors or indexed rows
     /// of tables, see [`Part`](crate::ops::Part)) without building it.
     pub fn forward_parts<'a>(&self, parts: &[impl Into<crate::ops::Part<'a>> + Copy]) -> Tensor {
-        linear_cat(parts, &self.weight, self.bias.as_ref(), false)
+        linear_cat(parts, &self.weight, Some(&self.bias), false)
     }
 
     /// Applies the layer followed by ReLU (`relu(x·Wᵀ + b)`) as the
@@ -56,9 +48,7 @@ impl Linear {
     /// [`forward_relu`](Linear::forward_relu) over the concatenation
     /// of `parts`.
     pub fn forward_relu_parts(&self, parts: &[&Tensor]) -> Tensor {
-        let out = linear_cat(parts, &self.weight, self.bias.as_ref(), true);
-        crate::nn::observe_relu_zeros(&out);
-        out
+        linear_cat(parts, &self.weight, Some(&self.bias), true)
     }
 
     /// Input feature count.
@@ -82,26 +72,14 @@ impl Linear {
     pub fn to_device(&self, device: tgl_device::Device) -> Linear {
         Linear {
             weight: self.weight.to(device).requires_grad(true),
-            bias: self.bias.as_ref().map(|b| b.to(device).requires_grad(true)),
+            bias: self.bias.to(device).requires_grad(true),
         }
     }
 }
 
 impl Module for Linear {
     fn parameters(&self) -> Vec<Tensor> {
-        let mut p = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            p.push(b.clone());
-        }
-        p
-    }
-
-    fn named_parameters(&self) -> Vec<(String, Tensor)> {
-        let mut p = vec![("weight".to_string(), self.weight.clone())];
-        if let Some(b) = &self.bias {
-            p.push(("bias".to_string(), b.clone()));
-        }
-        p
+        vec![self.weight.clone(), self.bias.clone()]
     }
 }
 
@@ -142,14 +120,5 @@ mod tests {
             let g = p.grad().expect("param should have grad");
             assert!(g.iter().any(|v| *v != 0.0), "grad all zero for {p:?}");
         }
-    }
-
-    #[test]
-    fn no_bias_variant() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let lin = Linear::new_no_bias(3, 2, &mut rng);
-        assert_eq!(lin.parameters().len(), 1);
-        assert_eq!(lin.in_features(), 3);
-        assert_eq!(lin.out_features(), 2);
     }
 }

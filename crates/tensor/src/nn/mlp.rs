@@ -53,22 +53,6 @@ impl Module for Mlp {
         p.extend(self.fc2.parameters());
         p
     }
-
-    fn named_parameters(&self) -> Vec<(String, Tensor)> {
-        let mut p: Vec<(String, Tensor)> = self
-            .fc1
-            .named_parameters()
-            .into_iter()
-            .map(|(n, t)| (format!("fc1.{n}"), t))
-            .collect();
-        p.extend(
-            self.fc2
-                .named_parameters()
-                .into_iter()
-                .map(|(n, t)| (format!("fc2.{n}"), t)),
-        );
-        p
-    }
 }
 
 #[cfg(test)]

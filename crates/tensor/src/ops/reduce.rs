@@ -81,31 +81,6 @@ impl Tensor {
         self.reduce_dim(dim, ReduceKind::Max)
     }
 
-    /// Index of the maximum along the last dimension, per row
-    /// (non-differentiable).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank-0 tensors or an empty last dimension.
-    pub fn argmax_last(&self) -> Vec<usize> {
-        assert!(self.rank() >= 1, "argmax needs rank >= 1");
-        let cols = self.dim(self.rank() - 1);
-        assert!(cols > 0, "argmax over empty dimension");
-        let rows = self.numel() / cols;
-        self.with_data(|data| {
-            (0..rows)
-                .map(|r| {
-                    let row = &data[r * cols..(r + 1) * cols];
-                    row.iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                        .map(|(i, _)| i)
-                        .expect("nonempty row")
-                })
-                .collect()
-        })
-    }
-
     fn reduce_dim(&self, dim: usize, kind: ReduceKind) -> Tensor {
         assert!(dim < self.rank(), "reduce dim {dim} out of range for {}", self.shape());
         let _prof = tgl_obs::profile::op(match kind {
@@ -262,14 +237,6 @@ mod tests {
         assert_eq!(s.dims(), &[2, 4]);
         // out[0,0] = t[0,0,0] + t[0,1,0] + t[0,2,0] = 0 + 4 + 8
         assert_eq!(s.to_vec()[0], 12.0);
-    }
-
-    #[test]
-    fn argmax_last_per_row() {
-        let t = Tensor::from_vec(vec![1.0, 5.0, 3.0, 9.0, 2.0, 1.0], [2, 3]);
-        assert_eq!(t.argmax_last(), vec![1, 0]);
-        let v = Tensor::from_vec(vec![0.5, 0.9], [2]);
-        assert_eq!(v.argmax_last(), vec![1]);
     }
 
     #[test]

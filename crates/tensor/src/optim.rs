@@ -1,4 +1,4 @@
-//! The Adam optimizer and gradient-norm clipping.
+//! The Adam optimizer.
 //!
 //! Steady-state steps perform **zero tensor allocations**: optimizer
 //! state lives in plain tensors allocated once per parameter, gradients
@@ -9,34 +9,6 @@ use std::collections::HashMap;
 
 use crate::ops::AdamStep;
 use crate::Tensor;
-
-/// Rescales accumulated gradients so their global L2 norm is at most
-/// `max_norm`; returns the norm before clipping. Standard stabilizer
-/// for RNN/GRU-based temporal models (JODIE/TGN memory updaters).
-pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
-    let mut sq = 0.0f64;
-    for p in params {
-        p.with_grad(|g| {
-            if let Some(g) = g {
-                sq += g.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
-            }
-        });
-    }
-    let norm = (sq.sqrt()) as f32;
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for p in params {
-            p.with_grad_mut(|g| {
-                if let Some(g) = g {
-                    for v in g.iter_mut() {
-                        *v *= scale;
-                    }
-                }
-            });
-        }
-    }
-    norm
-}
 
 /// Adam optimizer (Kingma & Ba), the paper models' default.
 ///
@@ -100,11 +72,6 @@ impl Adam {
             p.zero_grad();
         }
     }
-
-    /// Number of parameter tensors under management.
-    pub fn num_params(&self) -> usize {
-        self.params.len()
-    }
 }
 
 #[cfg(test)]
@@ -159,27 +126,6 @@ mod tests {
         let mut opt = Adam::new(vec![x.clone()], 0.1);
         opt.step();
         assert_eq!(x.to_vec(), vec![1.0]);
-    }
-
-    #[test]
-    fn clip_grad_norm_rescales() {
-        let x = Tensor::from_vec(vec![3.0, 4.0], [2]).requires_grad(true);
-        // grad = [3, 4] after d/dx of 0.5*x^2 summed
-        x.mul(&x).mul_scalar(0.5).sum_all().backward();
-        let before = clip_grad_norm(std::slice::from_ref(&x), 1.0);
-        assert!((before - 5.0).abs() < 1e-4);
-        let g = x.grad().unwrap();
-        let norm: f32 = g.iter().map(|v| v * v).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-4, "clipped norm {norm}");
-    }
-
-    #[test]
-    fn clip_grad_norm_noop_when_small() {
-        let x = Tensor::from_vec(vec![0.1], [1]).requires_grad(true);
-        x.mul_scalar(1.0).sum_all().backward();
-        let before = clip_grad_norm(std::slice::from_ref(&x), 10.0);
-        assert!((before - 1.0).abs() < 1e-5);
-        assert_eq!(x.grad().unwrap(), vec![1.0], "untouched below max");
     }
 
     #[test]

@@ -368,12 +368,6 @@ impl Tensor {
         f(self.inner.grad.lock().as_deref())
     }
 
-    /// Runs `f` over a mutable view of the accumulated gradient without
-    /// copying (used by gradient clipping; no autograd tracking).
-    pub fn with_grad_mut<R>(&self, f: impl FnOnce(Option<&mut [f32]>) -> R) -> R {
-        f(self.inner.grad.lock().as_deref_mut())
-    }
-
     /// Clears the accumulated gradient (the buffer is recycled).
     pub fn zero_grad(&self) {
         if let Some(g) = self.inner.grad.lock().take() {
@@ -381,18 +375,8 @@ impl Tensor {
         }
     }
 
-    /// Adds `g` into the accumulated gradient (used by gradient
-    /// clipping and custom training loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.len() != numel()` when a gradient already exists.
-    pub fn accumulate_grad_public(&self, g: &[f32]) {
-        self.accumulate_grad(g);
-    }
-
-    /// Like [`Tensor::accumulate_grad`] but takes ownership: the buffer
-    /// becomes the gradient directly (first accumulation) or is
+    /// Adds `g` into the accumulated gradient, taking ownership: the
+    /// buffer becomes the gradient directly (first accumulation) or is
     /// recycled after being added in.
     pub(crate) fn accumulate_grad_owned(&self, g: Vec<f32>) {
         let mut lock = self.inner.grad.lock();
@@ -405,22 +389,6 @@ impl Tensor {
                 crate::pool::give(g, self.device());
             }
             None => *lock = Some(g),
-        }
-    }
-
-    pub(crate) fn accumulate_grad(&self, g: &[f32]) {
-        let mut lock = self.inner.grad.lock();
-        match lock.as_mut() {
-            Some(acc) => {
-                for (a, b) in acc.iter_mut().zip(g) {
-                    *a += b;
-                }
-            }
-            None => {
-                let mut buf = crate::pool::take_uninit(g.len(), self.device());
-                buf.copy_from_slice(g);
-                *lock = Some(buf);
-            }
         }
     }
 

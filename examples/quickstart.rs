@@ -21,7 +21,7 @@
 //! features on the host and move them per batch over the simulated PCIe
 //! link). Every observability flag of `tgl train` works here too,
 //! through the one [`ObsOptions::from_args`]: `--prof`, `--profile`, `--critpath`,
-//! `--insight`, `--trace-out`, `--metrics-out`, `--flight-out`,
+//! `--trace-out`, `--metrics-out`, `--flight-out`,
 //! `--health`, `--pipeline`, `--threads`, `--kernel`, `--flight`,
 //! `--csv`, `--ckpt` (see `tgl --help`). Any other argument exits 2.
 

@@ -12,6 +12,18 @@ echo "==> cargo build --release --offline"
 # which --benches alone does not build in a fresh checkout.
 cargo build --release --offline --workspace --bins --benches
 
+echo "==> every observability flag of \`tgl --help\` has a row in DESIGN.md's Consumers table"
+# A surface without a consumer is deleted (DESIGN.md "Consumers"); this
+# keeps the table and the help text from drifting apart.
+CONSUMER_ROWS="$(awk '/^### Consumers/ {on=1; next} on && /^#/ {on=0} on && /^\|/ {split($0, c, "|"); print c[2]}' DESIGN.md)"
+OBS_FLAGS="$(./target/release/tgl --help \
+    | awk '/^OBSERVABILITY OPTIONS/ {on=1; next} on && /^[A-Z]/ {on=0} on && /^    --/ {print $1}')"
+[ -n "$OBS_FLAGS" ] || { echo "tgl --help lists no OBSERVABILITY OPTIONS"; exit 1; }
+for flag in $OBS_FLAGS; do
+    grep -Fq -- "\`$flag\`" <<<"$CONSUMER_ROWS" \
+        || { echo "$flag is in tgl --help but has no consumer row in DESIGN.md"; exit 1; }
+done
+
 # Both passes run under `timeout`: block chains cross threads behind
 # one lock per block, and a lock cycle would otherwise hang the job
 # instead of failing it. A full pass takes about two minutes here once
@@ -67,8 +79,8 @@ TGL_THREADS=2 ./target/release/quickstart \
     --scale 8 --epochs 1 \
     --profile --metrics-out "$OBS_DIR/profile-report.json" >"$PROF_LOG" 2>&1 \
     || { cat "$PROF_LOG"; exit 1; }
-# jsoncheck shape-validates the report's profile / critpath / insight
-# sections, so a drifting row writer fails here.
+# jsoncheck shape-validates the report's profile / critpath sections,
+# so a drifting row writer fails here.
 ./target/release/tgl jsoncheck "$OBS_DIR/profile-report.json" | grep -q "schema tgl-run-report/v3 ok" \
     || { echo "run report failed its schema check"; exit 1; }
 grep -Eq '"name": *"linear", *"phase": *"attention", *"stage": *"forward", *"kind": *"op"' "$OBS_DIR/profile-report.json" \
@@ -310,31 +322,11 @@ HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
     && grep -q '"reason": "health-fail"' "$HEALTH_DUMP" \
     || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }
 
-echo "==> model & data introspection (--insight table + the report's insight section)"
-INS_LOG="$OBS_DIR/insight.log"
-TGL_THREADS=2 ./target/release/quickstart \
-    --scale 8 --epochs 1 --insight --metrics-out "$OBS_DIR/insight-report.json" >"$INS_LOG" 2>&1 \
-    || { cat "$INS_LOG"; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/insight-report.json" | grep -q "schema tgl-run-report/v3 ok" \
-    || { echo "run report failed its schema check"; exit 1; }
-# The section must carry per-parameter-group and data-quality series.
-grep -Eq '"name": *"insight\.layer\.layer0\.w_q\.grad_norm"' "$OBS_DIR/insight-report.json" \
-    || { echo "insight section missing layer0.w_q grad norm"; exit 1; }
-grep -Eq '"name": *"insight\.data\.nbr_dt\.mean"' "$OBS_DIR/insight-report.json" \
-    || { echo "insight section missing neighbor time-delta series"; exit 1; }
-# The console table must name per-layer parameter groups.
-grep -q "model introspection" "$INS_LOG" \
-    || { echo "--insight printed no model table"; cat "$INS_LOG"; exit 1; }
-grep -Eq "^  layer[0-9]+\.[a-z_]+ " "$INS_LOG" \
-    || { echo "--insight table carries no per-layer row"; cat "$INS_LOG"; exit 1; }
-grep -q "data introspection" "$INS_LOG" \
-    || { echo "--insight printed no data-quality table"; cat "$INS_LOG"; exit 1; }
-
 echo "==> allocation churn smoke (pool on vs off, bitwise loss guard)"
 cargo bench --offline -q -p tgl-bench --bench alloc_churn
 ./target/release/tgl jsoncheck BENCH_alloc.json
 
-echo "==> observability overhead guard (counters, histograms, gauges, span / region / op and insight sites)"
+echo "==> observability overhead guard (counters, histograms, gauges, span / region / op sites)"
 cargo bench --offline -q -p tgl-bench --bench obs_overhead
 ./target/release/tgl jsoncheck BENCH_obs.json
 
