@@ -177,34 +177,30 @@ struct GemmCell {
     m: usize,
     k: usize,
     n: usize,
-    kernel: &'static str,
     threads: usize,
     secs: f64,
     gflops: f64,
 }
 
 impl GemmCell {
-    fn new(
-        op: &'static str,
-        (m, k, n): (usize, usize, usize),
-        kernel: &'static str,
-        threads: usize,
-        secs: f64,
-    ) -> GemmCell {
+    fn new(op: &'static str, (m, k, n): (usize, usize, usize), threads: usize, secs: f64) -> GemmCell {
         let products = if op == "linear.bwd" { 2.0 } else { 1.0 };
         let gflops = products * 2.0 * (m * k * n) as f64 / secs / 1e9;
         println!(
-            "  gemm_{op}_{:<18} {kernel:<5} t={threads:<2} {:>12.1} us/iter  {gflops:>7.2} GFLOP/s",
+            "  gemm_{op}_{:<18} t={threads:<2} {:>12.1} us/iter  {gflops:>7.2} GFLOP/s",
             format!("{m}x{k}x{n}"),
             secs * 1e6
         );
-        GemmCell { op, m, k, n, kernel, threads, secs, gflops }
+        GemmCell { op, m, k, n, threads, secs, gflops }
     }
 
+    /// The row, with the `"kernel": "exact"` identity field every row
+    /// has carried since the series were split by kernel mode, so that
+    /// `scripts/bench_trend` still matches it to the committed one.
     fn json(&self, extra: &str) -> String {
         format!(
-            "{{\"op\": {:?}, \"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": {:?}, \"threads\": {}, \"secs\": {:.6e}, \"gflops\": {:.3}{extra}}}",
-            self.op, self.m, self.k, self.n, self.kernel, self.threads, self.secs, self.gflops
+            "{{\"op\": {:?}, \"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": \"exact\", \"threads\": {}, \"secs\": {:.6e}, \"gflops\": {:.3}{extra}}}",
+            self.op, self.m, self.k, self.n, self.threads, self.secs, self.gflops
         )
     }
 }
@@ -263,9 +259,7 @@ fn time_linear(bwd: bool, (m, k, n): (usize, usize, usize), budget_s: f64) -> f6
 /// Times the cache-blocked GEMM over a size series that spans the
 /// L1/L2 tiling regimes plus attention-shaped skinny GEMMs
 /// (m = batch*heads, k = dim-per-head, small n = neighbor fan-out),
-/// in both kernel modes (`exact` keeps scalar bitwise parity, `fast`
-/// enables FMA contraction), then scales 512^3 over the pool's thread
-/// counts. Writes `BENCH_micro_gemm.json` at the workspace root.
+/// then scales 512^3 over the pool's thread counts. Writes `BENCH_micro_gemm.json` at the workspace root.
 /// GFLOP/s uses the usual 2·m·k·n flop count for C += A·B.
 fn bench_gemm_series(counts: &[usize]) {
     const SIZES: [(usize, usize, usize); 9] = [
@@ -279,38 +273,29 @@ fn bench_gemm_series(counts: &[usize]) {
         (400, 10, 16),   // attention output: (batch*heads) x fanout x dim_per_head
         (800, 32, 16),   // wider heads, deeper fan-in
     ];
-    const MODES: [tgl_tensor::kernel::KernelMode; 2] =
-        [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast];
-    let ambient_mode = tgl_tensor::kernel::mode();
     let mut cells = Vec::new();
-    for mode in MODES {
-        tgl_tensor::kernel::set_mode(mode);
-        set_threads(1);
-        let mut rng = StdRng::seed_from_u64(3);
-        println!();
-        println!("== single-thread GEMM series (blocked kernel, {} mode) ==", mode.label());
-        for (m, k, n) in SIZES {
-            let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
-            let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
-            let secs = time_it(|| a.matmul(&b), 0.4);
-            cells.push(GemmCell::new("nn", (m, k, n), mode.label(), 1, secs));
-        }
+    set_threads(1);
+    let mut rng = StdRng::seed_from_u64(3);
+    println!();
+    println!("== single-thread GEMM series (blocked kernel) ==");
+    for (m, k, n) in SIZES {
+        let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
+        let secs = time_it(|| a.matmul(&b), 0.4);
+        cells.push(GemmCell::new("nn", (m, k, n), 1, secs));
     }
 
     // Thread scaling of the row-panel parallel GEMM at 512^3.
     let mut tcells = Vec::new();
     println!();
     println!("== GEMM thread scaling (512^3, one row panel per thread) ==");
-    for mode in MODES {
-        tgl_tensor::kernel::set_mode(mode);
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = Tensor::rand_uniform([512, 512], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform([512, 512], -1.0, 1.0, &mut rng);
-        for &t in counts {
-            set_threads(t);
-            let secs = time_it(|| a.matmul(&b), 0.4);
-            tcells.push(GemmCell::new("nn", (512, 512, 512), mode.label(), t, secs));
-        }
+    let mut rng = StdRng::seed_from_u64(3);
+    let a = Tensor::rand_uniform([512, 512], -1.0, 1.0, &mut rng);
+    let b = Tensor::rand_uniform([512, 512], -1.0, 1.0, &mut rng);
+    for &t in counts {
+        set_threads(t);
+        let secs = time_it(|| a.matmul(&b), 0.4);
+        tcells.push(GemmCell::new("nn", (512, 512, 512), t, secs));
     }
 
     // The transposed entry points autograd uses, beside `nn` at the
@@ -319,21 +304,18 @@ fn bench_gemm_series(counts: &[usize]) {
     // position.
     println!();
     println!("== backward GEMMs (nt: dA = dC.Bt, tn: dB = At.dC) vs forward nn ==");
-    for mode in MODES {
-        tgl_tensor::kernel::set_mode(mode);
-        for shape in BWD_SHAPES {
-            let mut rng = StdRng::seed_from_u64(3);
-            let a = Tensor::rand_uniform([shape.0, shape.1], -1.0, 1.0, &mut rng);
-            let b = Tensor::rand_uniform([shape.1, shape.2], -1.0, 1.0, &mut rng);
-            for &t in counts {
-                set_threads(t);
-                let nn = time_it(|| a.matmul(&b), 0.3);
-                let series = if t == 1 { &mut cells } else { &mut tcells };
-                series.push(GemmCell::new("nn", shape, mode.label(), t, nn));
-                for op in ["nt", "tn"] {
-                    let secs = time_backward_gemm(op, shape, 0.3);
-                    series.push(GemmCell::new(op, shape, mode.label(), t, secs));
-                }
+    for shape in BWD_SHAPES {
+        let mut rng = StdRng::seed_from_u64(3);
+        let a = Tensor::rand_uniform([shape.0, shape.1], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform([shape.1, shape.2], -1.0, 1.0, &mut rng);
+        for &t in counts {
+            set_threads(t);
+            let nn = time_it(|| a.matmul(&b), 0.3);
+            let series = if t == 1 { &mut cells } else { &mut tcells };
+            series.push(GemmCell::new("nn", shape, t, nn));
+            for op in ["nt", "tn"] {
+                let secs = time_backward_gemm(op, shape, 0.3);
+                series.push(GemmCell::new(op, shape, t, secs));
             }
         }
     }
@@ -341,16 +323,13 @@ fn bench_gemm_series(counts: &[usize]) {
     // one backward node) at the same two shapes, after everything older.
     println!();
     println!("== fused linear (x.Wt + b) forward and backward ==");
-    for mode in MODES {
-        tgl_tensor::kernel::set_mode(mode);
-        for shape in BWD_SHAPES {
-            for &t in counts.iter().filter(|&&t| t <= 2) {
-                set_threads(t);
-                let series = if t == 1 { &mut cells } else { &mut tcells };
-                for (op, bwd) in [("linear", false), ("linear.bwd", true)] {
-                    let secs = time_linear(bwd, shape, 0.3);
-                    series.push(GemmCell::new(op, shape, mode.label(), t, secs));
-                }
+    for shape in BWD_SHAPES {
+        for &t in counts.iter().filter(|&&t| t <= 2) {
+            set_threads(t);
+            let series = if t == 1 { &mut cells } else { &mut tcells };
+            for (op, bwd) in [("linear", false), ("linear.bwd", true)] {
+                let secs = time_linear(bwd, shape, 0.3);
+                series.push(GemmCell::new(op, shape, t, secs));
             }
         }
     }
@@ -360,18 +339,13 @@ fn bench_gemm_series(counts: &[usize]) {
     println!();
     println!("== narrow outputs (one vector of the register tile) ==");
     set_threads(1);
-    for mode in MODES {
-        tgl_tensor::kernel::set_mode(mode);
-        let mut rng = StdRng::seed_from_u64(3);
-        for (m, k, n) in [(4608, 80, 1), (4608, 32, 16)] {
-            let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
-            let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
-            let secs = time_it(|| a.matmul(&b), 0.3);
-            cells.push(GemmCell::new("nn", (m, k, n), mode.label(), 1, secs));
-        }
+    let mut rng = StdRng::seed_from_u64(3);
+    for (m, k, n) in [(4608, 80, 1), (4608, 32, 16)] {
+        let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
+        let secs = time_it(|| a.matmul(&b), 0.3);
+        cells.push(GemmCell::new("nn", (m, k, n), 1, secs));
     }
-    tgl_tensor::kernel::set_mode(ambient_mode);
-    set_threads(1);
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = String::from("{\n");
@@ -381,9 +355,9 @@ fn bench_gemm_series(counts: &[usize]) {
     let rows: Vec<String> = cells.iter().map(|c| format!("    {}", c.json(""))).collect();
     s.push_str(&rows.join(",\n"));
     s.push_str("\n  ],\n  \"multi_thread\": [\n");
-    // Speedup against the one-thread cell of the same op, shape and
-    // kernel mode (the 512^3 sweep carries its own; the backward shapes
-    // find theirs in the single-thread series).
+    // Speedup against the one-thread cell of the same op and shape (the
+    // 512^3 sweep carries its own; the backward shapes find theirs in
+    // the single-thread series).
     let rows: Vec<String> = tcells
         .iter()
         .map(|c| {
@@ -391,8 +365,7 @@ fn bench_gemm_series(counts: &[usize]) {
                 .iter()
                 .chain(&cells)
                 .find(|b| {
-                    b.threads == 1
-                        && (b.op, b.m, b.k, b.n, b.kernel) == (c.op, c.m, c.k, c.n, c.kernel)
+                    b.threads == 1 && (b.op, b.m, b.k, b.n) == (c.op, c.m, c.k, c.n)
                 })
                 .map_or(f64::NAN, |b| b.secs);
             format!("    {}", c.json(&format!(", \"speedup_vs_1t\": {:.3}", base / c.secs)))
@@ -416,7 +389,7 @@ struct SweepCell {
 }
 
 /// The attention segment kernels, forward and backward, at 1 and 2
-/// threads in both kernel modes: `segment_dot` and
+/// threads: `segment_dot` and
 /// `segment_weighted_sum` at one TGAT batch's shape (6 000 sampled edges
 /// over 600 destinations, 2 heads of 16), then those two and
 /// `segment_softmax` at TGAT's measured per-layer shapes on Wiki (4 430
@@ -426,7 +399,6 @@ fn attention_kernel_sweep(counts: &[usize]) -> Vec<SweepCell> {
     let (h, d) = (2usize, 16usize);
     let mut rng = StdRng::seed_from_u64(11);
     let shapes = [(6000usize, 600usize, false), (4430, 600, true), (11803, 1600, true)];
-    let ambient = tgl_tensor::kernel::mode();
     let mut cells = Vec::new();
     for (e, s, softmax) in shapes {
         let seg: Vec<usize> = (0..e).map(|i| i * s / e).collect();
@@ -441,33 +413,30 @@ fn attention_kernel_sweep(counts: &[usize]) -> Vec<SweepCell> {
             [&q, &k, &a].into_iter().for_each(Tensor::zero_grad);
             secs
         };
-        for mode in [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast] {
-            tgl_tensor::kernel::set_mode(mode);
-            for &t in counts.iter().filter(|&&t| t <= 2) {
-                set_threads(t);
-                let scale = 1.0 / (d as f32).sqrt();
-                let mut timed = vec![
-                    ("segment_dot", time_it(|| segment_dot(&q, &k, &seg, h, scale), 0.3)),
-                    ("segment_dot_bwd", mean_of(|| backward(segment_dot(&q, &k, &seg, h, scale)), 0.3)),
-                    ("segment_weighted_sum", time_it(|| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
-                    (
-                        "segment_weighted_sum_bwd",
-                        mean_of(|| backward(segment_weighted_sum(&k, &a, &seg, s)), 0.3),
-                    ),
-                ];
-                if softmax {
-                    timed.push(("segment_softmax", time_it(|| segment_softmax(&a, &seg, s), 0.3)));
-                    timed.push(("segment_softmax_bwd", mean_of(|| backward(segment_softmax(&a, &seg, s)), 0.3)));
-                }
-                cells.extend(timed.into_iter().map(|(kernel, secs)| SweepCell {
-                    bench: format!("{kernel}_{e}x{h}x{d}_{}", mode.label()),
-                    threads: t,
-                    secs,
-                }));
+        for &t in counts.iter().filter(|&&t| t <= 2) {
+            set_threads(t);
+            let scale = 1.0 / (d as f32).sqrt();
+            let mut timed = vec![
+                ("segment_dot", time_it(|| segment_dot(&q, &k, &seg, h, scale), 0.3)),
+                ("segment_dot_bwd", mean_of(|| backward(segment_dot(&q, &k, &seg, h, scale)), 0.3)),
+                ("segment_weighted_sum", time_it(|| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
+                (
+                    "segment_weighted_sum_bwd",
+                    mean_of(|| backward(segment_weighted_sum(&k, &a, &seg, s)), 0.3),
+                ),
+            ];
+            if softmax {
+                timed.push(("segment_softmax", time_it(|| segment_softmax(&a, &seg, s), 0.3)));
+                timed.push(("segment_softmax_bwd", mean_of(|| backward(segment_softmax(&a, &seg, s)), 0.3)));
             }
+            cells.extend(timed.into_iter().map(|(kernel, secs)| SweepCell {
+                // The `_exact` suffix keeps the committed rows' names.
+                bench: format!("{kernel}_{e}x{h}x{d}_exact"),
+                threads: t,
+                secs,
+            }));
         }
     }
-    tgl_tensor::kernel::set_mode(ambient);
     cells
 }
 
@@ -476,7 +445,7 @@ fn attention_kernel_sweep(counts: &[usize]) -> Vec<SweepCell> {
 /// forward and backward: the two `linear`s followed by the fused
 /// `gru_gates` kernel (what `GruCell::forward` runs) against the gate
 /// chain it replaced (six strided gathers, nine elementwise nodes),
-/// at 1 and 2 threads in both kernel modes.
+/// at 1 and 2 threads.
 fn gru_cell_sweep(counts: &[usize]) -> Vec<SweepCell> {
     let (input, hid) = (112usize, 32usize);
     let mut rng = StdRng::seed_from_u64(13);
@@ -510,31 +479,27 @@ fn gru_cell_sweep(counts: &[usize]) -> Vec<SweepCell> {
         params.into_iter().for_each(Tensor::zero_grad);
         secs
     };
-    let ambient = tgl_tensor::kernel::mode();
     let mut cells = Vec::new();
-    for mode in [tgl_tensor::kernel::KernelMode::Exact, tgl_tensor::kernel::KernelMode::Fast] {
-        tgl_tensor::kernel::set_mode(mode);
-        for n in [512usize, 4608] {
-            let mut rng = StdRng::seed_from_u64(17);
-            let x = Tensor::rand_uniform([n, input], -1.0, 1.0, &mut rng);
-            let h = Tensor::rand_uniform([n, hid], -1.0, 1.0, &mut rng);
-            for &t in counts.iter().filter(|&&t| t <= 2) {
-                set_threads(t);
-                let timed = [
-                    ("gru_cell", time_it(|| cell(&x, &h, true), 0.3)),
-                    ("gru_cell_bwd", mean_of(|| backward(cell(&x, &h, true)), 0.3)),
-                    ("gru_cell_chain", time_it(|| cell(&x, &h, false), 0.3)),
-                    ("gru_cell_chain_bwd", mean_of(|| backward(cell(&x, &h, false)), 0.3)),
-                ];
-                cells.extend(timed.map(|(kernel, secs)| SweepCell {
-                    bench: format!("{kernel}_{n}x{input}x{hid}_{}", mode.label()),
-                    threads: t,
-                    secs,
-                }));
-            }
+    for n in [512usize, 4608] {
+        let mut rng = StdRng::seed_from_u64(17);
+        let x = Tensor::rand_uniform([n, input], -1.0, 1.0, &mut rng);
+        let h = Tensor::rand_uniform([n, hid], -1.0, 1.0, &mut rng);
+        for &t in counts.iter().filter(|&&t| t <= 2) {
+            set_threads(t);
+            let timed = [
+                ("gru_cell", time_it(|| cell(&x, &h, true), 0.3)),
+                ("gru_cell_bwd", mean_of(|| backward(cell(&x, &h, true)), 0.3)),
+                ("gru_cell_chain", time_it(|| cell(&x, &h, false), 0.3)),
+                ("gru_cell_chain_bwd", mean_of(|| backward(cell(&x, &h, false)), 0.3)),
+            ];
+            cells.extend(timed.map(|(kernel, secs)| SweepCell {
+                // The `_exact` suffix keeps the committed rows' names.
+                bench: format!("{kernel}_{n}x{input}x{hid}_exact"),
+                threads: t,
+                secs,
+            }));
         }
     }
-    tgl_tensor::kernel::set_mode(ambient);
     cells
 }
 

@@ -82,11 +82,6 @@ OBSERVABILITY OPTIONS (train/eval):
                          bounded channel, in training and evaluation;
                          0 = prepared inline (default). Losses and APs
                          are bitwise identical at any depth
-    --kernel <exact|fast>  tensor kernel contract (overrides TGL_KERNEL):
-                         exact = bitwise identical to the scalar
-                         reference on every host (default), fast =
-                         SIMD with FMA contraction and vectorized
-                         exp/reductions (tolerance-level differences)
 
 COMMON OPTIONS:
     --dataset <wiki|mooc|reddit|lastfm|wikitalk|gdelt>   (default wiki)
@@ -205,7 +200,7 @@ fn train(args: &Args, eval_only: bool) {
     let host_resident = args.has_flag("move");
     // Read for `eval` too, which runs no training epoch: a command line
     // shared with `train` stays valid.
-    let epochs = number(args, "epochs", 3);
+    let epochs = positive_or(args, "epochs", 3);
     // Shapes the models would reject only once the run is under way.
     let (emb_dim, heads) = (positive_or(args, "emb-dim", 32), positive_or(args, "heads", 2));
     if !emb_dim.is_multiple_of(heads) {
@@ -225,7 +220,7 @@ fn train(args: &Args, eval_only: bool) {
             time_dim: positive_or(args, "time-dim", 16),
             heads,
             n_layers: positive_or(args, "layers", 2),
-            n_neighbors: number(args, "neighbors", 10),
+            n_neighbors: positive_or(args, "neighbors", 10),
             mailbox_slots: positive_or(args, "mailbox", 10),
         },
         train_cfg: TrainConfig {

@@ -48,14 +48,17 @@ fn zero_scale_is_a_usage_error() {
 fn unusable_numbers_are_usage_errors_before_training() {
     // Each used to panic with a backtrace (exit 101, a `flight-*.json`
     // left in the working directory) or train on a shape a model
-    // rejects mid-run.
+    // rejects mid-run, or (`--epochs 0`, `--neighbors 0`) ran a
+    // degenerate experiment to exit 0.
     let dir = std::env::temp_dir().join(format!("tgl-bad-numbers-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     for (flag, value) in [
         ("--seed", "-1"),
         ("--lr", "abc"),
         ("--epochs", "-1"),
+        ("--epochs", "0"),
         ("--neighbors", "ten"),
+        ("--neighbors", "0"),
         ("--heads", "3"),
         ("--heads", "0"),
         ("--layers", "0"),
@@ -184,7 +187,7 @@ fn unwritable_output_paths_fail_before_training_naming_the_flag() {
 
 #[test]
 fn bad_observability_values_are_usage_errors() {
-    for (flag, value) in [("--health", "maybe"), ("--flight", "sideways"), ("--kernel", "turbo"), ("--pipeline", "deep")] {
+    for (flag, value) in [("--health", "maybe"), ("--flight", "sideways"), ("--pipeline", "deep")] {
         let (code, stdout, stderr) = tgl_train(&[flag, value]);
         assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error: {stderr}");
@@ -195,9 +198,8 @@ fn bad_observability_values_are_usage_errors() {
 
 #[test]
 fn flags_nobody_reads_are_usage_errors() {
-    // Three retired flags and a misspelt one: each used to train with
-    // defaults and exit 0.
-    for args in [&["--slo", "x"][..], &["--serve-metrics", "127.0.0.1:0"], &["--epoch", "3"], &["--insight"]] {
+    // Four retired flags and a misspelt one: none may start a run.
+    for args in [&["--slo", "x"][..], &["--serve-metrics", "127.0.0.1:0"], &["--epoch", "3"], &["--insight"], &["--kernel", "fast"]] {
         let flag = args[0];
         let (code, stdout, stderr) = tgl_train(args);
         assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");

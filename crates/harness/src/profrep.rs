@@ -29,7 +29,7 @@ const FALLBACK_PEAK_GFLOPS: f64 = 3.0;
 #[derive(Debug, Clone, Copy)]
 pub struct Roofline {
     /// Peak compute throughput (GFLOP/s), taken as the best measured
-    /// GEMM rate for the active kernel mode and thread count.
+    /// GEMM rate for the active thread count.
     pub peak_gflops: f64,
     /// Sustained memory bandwidth (GB/s).
     pub bw_gbs: f64,
@@ -38,8 +38,6 @@ pub struct Roofline {
     pub peak_source: &'static str,
     /// Pool thread count the peak was calibrated for.
     pub threads: usize,
-    /// Kernel mode label (`exact` / `fast`) the peak was filtered by.
-    pub kernel: &'static str,
     /// The SIMD level `BENCH_micro_gemm.json` was recorded at, when
     /// that is not the level this process runs: the peak is then
     /// another machine's ceiling, the header says so and no row is
@@ -50,8 +48,7 @@ pub struct Roofline {
 impl Roofline {
     /// Detects the machine roofline: GEMM peak from
     /// `BENCH_micro_gemm.json` (searched upward from the working
-    /// directory, filtered to the active kernel mode and scaled to the
-    /// active pool thread count) and memory bandwidth from
+    /// directory, scaled to the active pool thread count) and memory bandwidth from
     /// [`memory_bandwidth_gbs`].
     pub fn detect() -> Roofline {
         let threads = tgl_runtime::current_threads();
@@ -63,7 +60,6 @@ impl Roofline {
             bw_gbs: memory_bandwidth_gbs(),
             peak_source,
             threads,
-            kernel: tgl_tensor::kernel::mode().label(),
             recorded_simd: artifact
                 .as_ref()
                 .and_then(|v| v.get("simd")?.as_str())
@@ -105,31 +101,20 @@ fn find_upwards(name: &str) -> Option<PathBuf> {
     }
 }
 
-/// Whether a bench entry applies to the active kernel mode: entries
-/// carry a `"kernel"` tag since the SIMD split; untagged entries (old
-/// artifacts) stay candidates for every mode.
-fn kernel_matches(entry: &Json, label: &str) -> bool {
-    entry
-        .get("kernel")
-        .and_then(|k| k.as_str())
-        .is_none_or(|k| k == label)
-}
-
-/// Max `gflops` over mode-matching entries of a bench array.
-fn max_gflops(arr: &Json, label: &str, extra: impl Fn(&Json) -> bool) -> Option<f64> {
+/// Max `gflops` over the entries of a bench array.
+fn max_gflops(arr: &Json) -> Option<f64> {
     arr.as_arr()?
         .iter()
-        .filter(|r| kernel_matches(r, label) && extra(r))
         .filter_map(|r| r.get("gflops")?.as_num())
         .fold(None, |best: Option<f64>, g| Some(best.map_or(g, |b| b.max(g))))
 }
 
-/// Best measured GEMM rate from `BENCH_micro_gemm.json` for the active
-/// kernel mode at the given pool thread count, with a conservative
+/// Best measured GEMM rate from `BENCH_micro_gemm.json` at the given
+/// pool thread count, with a conservative
 /// fallback when the artifact is missing or unparsable.
 ///
-/// The single-thread peak is the max over the `results[]` series
-/// (filtered by `kernel` tag). For `threads > 1` the `multi_thread[]`
+/// The single-thread peak is the max over the `results[]` series. For
+/// `threads > 1` the `multi_thread[]`
 /// sweep supplies a scale factor: the measured `speedup_vs_1t` at that
 /// thread count, or — when the report asks for a count beyond the
 /// sweep — a linear extrapolation from the largest swept count. The
@@ -148,10 +133,9 @@ fn bench_artifact() -> Option<Json> {
 
 /// [`gemm_peak_gflops_at`] over an already parsed artifact.
 fn peak_of(artifact: Option<&Json>, threads: usize) -> (f64, &'static str) {
-    let label = tgl_tensor::kernel::mode().label();
     let parsed = artifact
         .and_then(|v| {
-            let base = max_gflops(v.get("results")?, label, |_| true)?;
+            let base = max_gflops(v.get("results")?)?;
             if threads <= 1 {
                 return Some(base);
             }
@@ -162,7 +146,6 @@ fn peak_of(artifact: Option<&Json>, threads: usize) -> (f64, &'static str) {
                     // Exact thread-count match first.
                     let at = |t: usize| {
                         arr.iter()
-                            .filter(|r| kernel_matches(r, label))
                             .filter(|r| {
                                 r.get("threads").and_then(Json::as_num) == Some(t as f64)
                             })
@@ -179,7 +162,6 @@ fn peak_of(artifact: Option<&Json>, threads: usize) -> (f64, &'static str) {
                     // a deliberate over-estimate of the ceiling).
                     let swept_max = arr
                         .iter()
-                        .filter(|r| kernel_matches(r, label))
                         .filter_map(|r| r.get("threads")?.as_num())
                         .fold(None, |best: Option<f64>, t| {
                             Some(best.map_or(t, |b| b.max(t)))
@@ -286,10 +268,9 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
         None => roof.peak_source.to_string(),
     };
     let mut out = format!(
-        "op profile — roofline: peak {:.2} GFLOP/s ({}, kernel {}, {}t), mem {:.1} GB/s, ridge {:.3} FLOP/B\n",
+        "op profile — roofline: peak {:.2} GFLOP/s ({}, {}t), mem {:.1} GB/s, ridge {:.3} FLOP/B\n",
         roof.peak_gflops,
         source,
-        roof.kernel,
         roof.threads,
         roof.bw_gbs,
         roof.ridge_ai()
@@ -422,7 +403,6 @@ mod tests {
             bw_gbs: 8.0,
             peak_source: "fallback",
             threads: 1,
-            kernel: "exact",
             recorded_simd: None,
         }
     }
@@ -463,23 +443,13 @@ mod tests {
 
     #[test]
     fn multi_thread_peak_never_below_single_thread() {
-        // Whatever the artifact holds (tagged or untagged, with or
-        // without a multi_thread sweep), the scaled ceiling must not
+        // Whatever the artifact holds (with or without a multi_thread
+        // sweep), the scaled ceiling must not
         // drop below the 1-thread peak: scale is clamped at >= 1.
         let (p1, _) = gemm_peak_gflops_at(1);
         let (p4, src) = gemm_peak_gflops_at(4);
         assert_eq!(src, "BENCH_micro_gemm.json");
         assert!(p4 >= p1, "peak at 4t ({p4}) below 1t ({p1})");
-    }
-
-    #[test]
-    fn kernel_tag_filter_accepts_untagged_entries() {
-        let entry = Json::parse(r#"{"gflops": 3.0}"#).unwrap();
-        assert!(kernel_matches(&entry, "exact"));
-        assert!(kernel_matches(&entry, "fast"));
-        let tagged = Json::parse(r#"{"kernel": "fast", "gflops": 30.0}"#).unwrap();
-        assert!(kernel_matches(&tagged, "fast"));
-        assert!(!kernel_matches(&tagged, "exact"));
     }
 
     #[test]

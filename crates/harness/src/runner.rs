@@ -296,8 +296,6 @@ pub struct ObsOptions {
     pub flight: Option<bool>,
     /// `--threads`; `None` keeps `TGL_THREADS`.
     pub threads: Option<usize>,
-    /// `--kernel`; `None` keeps `TGL_KERNEL`.
-    pub kernel: Option<tgl_tensor::kernel::KernelMode>,
 }
 
 /// A run that could not start or could not write an output: one line
@@ -355,7 +353,6 @@ impl ObsOptions {
             pipeline: parsed(args, "pipeline", "a queue depth", |v| v.parse().ok())?,
             flight: parsed(args, "flight", "on/off", on_off)?,
             threads: args.positive("threads").map_err(RunError)?,
-            kernel: parsed(args, "kernel", "exact/fast", tgl_tensor::kernel::parse)?,
         })
     }
 }
@@ -417,9 +414,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
     if let Some(n) = opts.threads {
         tgl_runtime::set_threads(n);
     }
-    if let Some(mode) = opts.kernel {
-        tgl_tensor::kernel::set_mode(mode);
-    }
     let logging = opts.trace_out.is_some() || opts.critpath;
     if logging {
         obs::trace::enable(true);
@@ -460,7 +454,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         rep.set_meta_num("seed", cfg.seed as f64);
         rep.set_meta_num("batch", cfg.train_cfg.batch_size as f64);
         rep.set_meta_num("threads", tgl_runtime::current_threads() as f64);
-        rep.set_meta("kernel", tgl_tensor::kernel::mode().label());
         rep
     });
     let mut log = MetricLog::for_training();

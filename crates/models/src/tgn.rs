@@ -233,8 +233,8 @@ mod tests {
         (bits(&g.memory().rows(&all)), g.memory().times(&all), bits(&mail), mail_ts)
     }
 
-    // `scripts/ci.sh` runs this suite under TGL_KERNEL=exact and =fast,
-    // so the three bitwise checks below hold in both kernel modes.
+    // The three bitwise checks below hold at every SIMD level: every
+    // tensor kernel keeps its scalar loop's bits (`tgl_tensor::kernel`).
 
     #[test]
     fn distinct_node_memory_expands_to_the_per_row_update_bitwise() {

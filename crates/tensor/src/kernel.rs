@@ -1,119 +1,59 @@
-//! Kernel execution contract: `exact` vs `fast`, plus SIMD dispatch.
+//! Kernel execution contract and SIMD dispatch.
 //!
 //! Every tensor kernel in this crate has a scalar reference
-//! implementation whose floating-point order defines the *exact*
-//! contract: results are bitwise identical across thread counts,
-//! across hosts and across SIMD levels. SIMD paths (x86-64 AVX2/FMA and,
-//! for the GEMM tile, the kernels written on `Lanes` and `sincos`, AVX-512F;
-//! runtime-detected) come in two flavors:
+//! implementation whose floating-point order defines the contract:
+//! results are bitwise identical across thread counts, across hosts and
+//! across SIMD levels. A SIMD path (x86-64 AVX2 and AVX-512F,
+//! runtime-detected) performs the *same* IEEE operations per output
+//! element in the same order as the scalar kernel — lane-wise
+//! `mul` / `add` / `sub` / `div` / `sqrt` / `max` over independent output
+//! elements, no multiply-add contracted into an FMA, no reduction
+//! reassociated — so which level ran cannot show in a bit.
 //!
-//! * **Exact-safe SIMD** performs the *same* IEEE operations per output
-//!   element in the same order as the scalar kernel — lane-wise
-//!   `mul`/`add`/`div`/`sqrt`/`max` over independent output elements.
-//!   These run in both modes and stay bitwise identical to the scalar
-//!   reference.
-//! * **Fast-only SIMD** reassociates (horizontal reductions, wider
-//!   partial-sum fans) or contracts multiply-adds into FMAs, or swaps
-//!   libm `exp` for a vectorized polynomial. These change low-order
-//!   bits and run only under [`KernelMode::Fast`], with tolerances
-//!   documented in `DESIGN.md` ("Kernel contract") and enforced by the
-//!   parity suite.
+//! Every such kernel but [`sincos`] is one body written on [`Lanes`] and
+//! instantiated at each level by [`run_lanes`]; the intrinsics behind
+//! `Lanes` and `sincos` live in this file alone.
 //!
 //! Two kinds of transcendental sit under that contract. `cos` and
 //! `sin` are in-tree: [`sincos`] is a fixed sequence of IEEE `f64`
 //! operations (no libm, no FMA) whose AVX2 and AVX-512F forms do the
-//! same operations lane-wise, so it is exact-safe SIMD, runs in both modes
-//! and gives the same bits on every host. `exp`, `tanh` and `ln` still
-//! come from the host's libm in `exact` mode (and `exp` from a
-//! polynomial in `fast`), which is the one place where `exact` depends
-//! on the host's C library.
+//! same operations lane-wise, so it gives the same bits on every host.
+//! `exp`, `tanh` and `ln` come from the host's libm, which is the one
+//! place where results depend on the host's C library.
 //!
-//! Both modes remain **thread-count invariant**: reduction orders are a
-//! function of the problem shape only, never of which thread ran a
-//! chunk. What `fast` gives up is bitwise equality with the scalar
-//! reference (and therefore with non-AVX2 hosts).
-//!
-//! The mode defaults to `exact`, is initialized from the `TGL_KERNEL`
-//! environment variable, and can be overridden at runtime with
-//! [`set_mode`] (the `--kernel` CLI flag). SIMD dispatch runs at one
-//! ordered level ([`Simd`]: scalar, AVX2, AVX-512F), the highest the
-//! host supports; it can be forced to scalar with `TGL_SIMD=off` and
-//! capped with [`set_simd`] — the parity suite uses this to compare
-//! every level's outputs in-process.
+//! Reduction orders are a function of the problem shape only, never of
+//! which thread ran a chunk, so results are also thread-count
+//! invariant. SIMD dispatch runs at one ordered level ([`Simd`]: scalar,
+//! AVX2, AVX-512F), the highest the host supports; it can be forced to
+//! scalar with `TGL_SIMD=off` and capped with [`set_simd`] — the parity
+//! suites use this to compare every level's outputs in-process.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which floating-point contract kernels honor.
+/// The floating-point contract kernels honor. There is one; this stub,
+/// [`mode`] and [`set_mode`] stay because `benchmark/src/workload.rs`
+/// and `benchmark/src/measure.rs` call them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// Bitwise identical to the scalar reference kernels, on every
-    /// host, at every thread count. The default.
+    /// host, at every thread count.
     Exact,
-    /// FMA contraction, wider reduction fans, and polynomial `exp`
-    /// allowed; results carry documented tolerances but are still
-    /// thread-count invariant.
-    Fast,
 }
 
 impl KernelMode {
-    /// Stable lowercase name (`exact` / `fast`) used by the CLI, the
-    /// bench artifacts, and run-report metadata.
+    /// `exact`, the name bench artifacts record.
     pub fn label(self) -> &'static str {
-        match self {
-            KernelMode::Exact => "exact",
-            KernelMode::Fast => "fast",
-        }
+        "exact"
     }
 }
 
-/// Parses a mode name as accepted by `--kernel` and `TGL_KERNEL`.
-pub fn parse(s: &str) -> Option<KernelMode> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "exact" => Some(KernelMode::Exact),
-        "fast" => Some(KernelMode::Fast),
-        _ => None,
-    }
-}
-
-/// 0 = uninitialized, 1 = exact, 2 = fast.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// The active kernel mode (initialized from `TGL_KERNEL` on first use;
-/// unknown values fall back to `exact` with a warning).
+/// Always [`KernelMode::Exact`].
 pub fn mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Exact,
-        2 => KernelMode::Fast,
-        _ => {
-            let m = match std::env::var("TGL_KERNEL") {
-                Ok(v) => parse(&v).unwrap_or_else(|| {
-                    eprintln!("TGL_KERNEL={v:?} not recognized (try exact/fast); using exact");
-                    KernelMode::Exact
-                }),
-                Err(_) => KernelMode::Exact,
-            };
-            // Racing initializers read the same environment.
-            set_mode(m);
-            m
-        }
-    }
+    KernelMode::Exact
 }
 
-/// Overrides the kernel mode for subsequent kernel invocations.
-pub fn set_mode(m: KernelMode) {
-    MODE.store(
-        match m {
-            KernelMode::Exact => 1,
-            KernelMode::Fast => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// True when fast-only SIMD paths may run.
-pub fn fast() -> bool {
-    mode() == KernelMode::Fast
-}
+/// Does nothing: there is one mode.
+pub fn set_mode(_: KernelMode) {}
 
 /// The instruction-set level kernels dispatch on, ordered: each level
 /// runs everything the one below it runs. Whichever is active, `exact`
@@ -124,9 +64,8 @@ pub enum Simd {
     Scalar = 1,
     /// x86-64 AVX2 + FMA: 8 `f32` lanes.
     Avx2 = 2,
-    /// AVX-512F on top of AVX2 + FMA: 16 `f32` lanes in the GEMM tile
-    /// and the kernels written on `Lanes`, 8 `f64` lanes in
-    /// [`sincos`]; every other kernel keeps its AVX2 body.
+    /// AVX-512F on top of AVX2 + FMA: 16 `f32` lanes in the kernels
+    /// written on `Lanes`, 8 `f64` lanes in [`sincos`].
     Avx512 = 3,
 }
 
@@ -201,109 +140,14 @@ pub fn simd_label() -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// Shared AVX2 primitives
-// ---------------------------------------------------------------------
-//
-// The `*_avx2` functions are `#[target_feature]`-gated and unsafe to
-// call; the safe `*_dispatch` wrappers check [`simd`] and fall back to
-// the scalar loop. Exact-safe primitives (`add_assign`, `add_div`, the
-// non-FMA `axpy`) perform identical lane-wise IEEE arithmetic to their
-// scalar fallbacks and may run in either mode; `FMA=true` instantiations
-// and the reduction/exp helpers are fast-only.
-
-/// `y[i] += x[i]` — exact-safe in both modes.
-pub(crate) fn add_assign_dispatch(y: &mut [f32], x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd() >= Simd::Avx2 {
-        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
-        unsafe { add_assign_avx2(y, x) };
-        return;
-    }
-    for (a, b) in y.iter_mut().zip(x) {
-        *a += b;
-    }
-}
-
-/// `y[i] += x[i] / d` — exact-safe (lane-wise IEEE div then add, the
-/// same two roundings as the scalar loop).
-pub(crate) fn add_div_dispatch(y: &mut [f32], x: &[f32], d: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd() >= Simd::Avx2 {
-        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
-        unsafe { add_div_avx2(y, x, d) };
-        return;
-    }
-    for (a, b) in y.iter_mut().zip(x) {
-        *a += b / d;
-    }
-}
-
-/// `y[i] += a * x[i]`. With `fma=false` this is exact-safe (lane-wise
-/// mul then add); with `fma=true` the multiply-add contracts, which is
-/// fast-only.
-pub(crate) fn axpy_dispatch(y: &mut [f32], x: &[f32], a: f32, fma: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if simd() >= Simd::Avx2 {
-        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
-        unsafe {
-            if fma {
-                axpy_avx2::<true>(y, x, a);
-            } else {
-                axpy_avx2::<false>(y, x, a);
-            }
-        }
-        return;
-    }
-    let _ = fma; // scalar fallback has nothing to contract
-    for (o, &v) in y.iter_mut().zip(x) {
-        *o += a * v;
-    }
-}
-
-/// `y[i] *= s` — exact-safe (one lane-wise IEEE multiply).
-pub(crate) fn scale_dispatch(y: &mut [f32], s: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd() >= Simd::Avx2 {
-        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
-        unsafe { scale_avx2(y, s) };
-        return;
-    }
-    for v in y.iter_mut() {
-        *v *= s;
-    }
-}
-
-/// `y[i] += s * a[i] * b[i]` with the scalar's left-associated product
-/// order. With `fma=false` exact-safe; with `fma=true` the final
-/// multiply-add contracts (fast-only).
-pub(crate) fn addcmul_dispatch(y: &mut [f32], a: &[f32], b: &[f32], s: f32, fma: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if simd() >= Simd::Avx2 {
-        // SAFETY: a level of Avx2 or above means the CPU supports AVX2+FMA.
-        unsafe {
-            if fma {
-                addcmul_avx2::<true>(y, a, b, s);
-            } else {
-                addcmul_avx2::<false>(y, a, b, s);
-            }
-        }
-        return;
-    }
-    let _ = fma;
-    for i in 0..y.len() {
-        y[i] += s * a[i] * b[i];
-    }
-}
-
-// ---------------------------------------------------------------------
 // Lane vectors
 // ---------------------------------------------------------------------
 
 /// What a kernel body written once for every level needs of a vector of
-/// `f32` lanes. Every arithmetic operation is lane-wise, one IEEE
-/// rounding per lane (or one for a contracted `mul_add`), so a lane
-/// computes what the scalar loop computes for that element; moves
-/// (`transpose`, partial loads and stores) do not round at all.
+/// `f32` lanes. Every arithmetic operation is lane-wise with one IEEE
+/// rounding per lane, so a lane computes what the scalar loop computes
+/// for that element; moves (`transpose`, partial loads and stores, the
+/// selects of `max` and `where_positive`) do not round at all.
 ///
 /// # Safety
 ///
@@ -317,25 +161,41 @@ pub(crate) trait Lanes: Copy {
     unsafe fn splat(x: f32) -> Self;
     unsafe fn load(p: *const f32) -> Self;
     unsafe fn store(self, p: *mut f32);
-    /// `self + a * b`: contracted to one rounding with `FMA`, else a
-    /// `mul` and an `add` of one rounding each.
-    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self;
-    unsafe fn add(self, b: Self) -> Self;
-    unsafe fn sub(self, b: Self) -> Self;
-    unsafe fn mul(self, b: Self) -> Self;
     /// The first `len` lanes from `p`; the others read zero.
     unsafe fn load_part(p: *const f32, len: usize) -> Self;
     /// Writes the first `len` lanes to `p`.
     unsafe fn store_part(self, p: *mut f32, len: usize);
+    unsafe fn add(self, b: Self) -> Self;
+    unsafe fn sub(self, b: Self) -> Self;
+    unsafe fn mul(self, b: Self) -> Self;
+    unsafe fn div(self, b: Self) -> Self;
+    unsafe fn sqrt(self) -> Self;
+    /// `if self > b { self } else { b }` per lane: `maxps`'s select, so a
+    /// NaN on either side, or two zeros of either sign, give `b`.
+    unsafe fn max(self, b: Self) -> Self;
+    /// `self` where `m > 0`, `+0.0` elsewhere (a NaN `m` included), per
+    /// lane; the kept lanes' bits pass unchanged.
+    unsafe fn where_positive(self, m: Self) -> Self;
     /// Transposes the square block of the first `LANES` vectors of `v`:
     /// lane `j` of `v[i]` moves to lane `i` of `v[j]`.
     unsafe fn transpose(v: &mut [Self]);
+    /// `self + a * b`: a `mul` and an `add`, one rounding each.
+    #[inline(always)]
+    unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+        self.add(a.mul(b))
+    }
 }
 
-/// The scalar level's vector: four floats, one at a time. There is no
-/// FMA unit to contract into, so `fast` runs the exact arithmetic here.
+/// The scalar level's vector: four floats, one at a time.
 #[derive(Clone, Copy)]
 pub(crate) struct F32x4([f32; 4]);
+
+impl F32x4 {
+    #[inline(always)]
+    fn zip(self, b: F32x4, f: impl Fn(f32, f32) -> f32) -> F32x4 {
+        F32x4(std::array::from_fn(|l| f(self.0[l], b.0[l])))
+    }
+}
 
 impl Lanes for F32x4 {
     const LANES: usize = 4;
@@ -352,22 +212,6 @@ impl Lanes for F32x4 {
         p.cast::<[f32; 4]>().write_unaligned(self.0);
     }
     #[inline(always)]
-    unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
-        F32x4(std::array::from_fn(|l| self.0[l] + a.0[l] * b.0[l]))
-    }
-    #[inline(always)]
-    unsafe fn add(self, b: Self) -> Self {
-        F32x4(std::array::from_fn(|l| self.0[l] + b.0[l]))
-    }
-    #[inline(always)]
-    unsafe fn sub(self, b: Self) -> Self {
-        F32x4(std::array::from_fn(|l| self.0[l] - b.0[l]))
-    }
-    #[inline(always)]
-    unsafe fn mul(self, b: Self) -> Self {
-        F32x4(std::array::from_fn(|l| self.0[l] * b.0[l]))
-    }
-    #[inline(always)]
     unsafe fn load_part(p: *const f32, len: usize) -> Self {
         F32x4(std::array::from_fn(|l| if l < len { *p.add(l) } else { 0.0 }))
     }
@@ -376,6 +220,34 @@ impl Lanes for F32x4 {
         for (l, &v) in self.0.iter().enumerate().take(len) {
             *p.add(l) = v;
         }
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        self.zip(b, |x, y| x + y)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        self.zip(b, |x, y| x - y)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        self.zip(b, |x, y| x * y)
+    }
+    #[inline(always)]
+    unsafe fn div(self, b: Self) -> Self {
+        self.zip(b, |x, y| x / y)
+    }
+    #[inline(always)]
+    unsafe fn sqrt(self) -> Self {
+        F32x4(self.0.map(f32::sqrt))
+    }
+    #[inline(always)]
+    unsafe fn max(self, b: Self) -> Self {
+        self.zip(b, |x, y| if x > y { x } else { y })
+    }
+    #[inline(always)]
+    unsafe fn where_positive(self, m: Self) -> Self {
+        self.zip(m, |x, m| if m > 0.0 { x } else { 0.0 })
     }
     #[inline(always)]
     unsafe fn transpose(v: &mut [Self]) {
@@ -405,12 +277,18 @@ mod lanes_x86 {
             _mm256_storeu_ps(p, self);
         }
         #[inline(always)]
-        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
-            if FMA {
-                _mm256_fmadd_ps(a, b, self)
-            } else {
-                _mm256_add_ps(self, _mm256_mul_ps(a, b))
+        unsafe fn load_part(p: *const f32, len: usize) -> Self {
+            if len >= 8 {
+                return _mm256_loadu_ps(p);
             }
+            _mm256_maskload_ps(p, first_lanes(len))
+        }
+        #[inline(always)]
+        unsafe fn store_part(self, p: *mut f32, len: usize) {
+            if len >= 8 {
+                return _mm256_storeu_ps(p, self);
+            }
+            _mm256_maskstore_ps(p, first_lanes(len), self);
         }
         #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
@@ -425,18 +303,20 @@ mod lanes_x86 {
             _mm256_mul_ps(self, b)
         }
         #[inline(always)]
-        unsafe fn load_part(p: *const f32, len: usize) -> Self {
-            if len >= 8 {
-                return _mm256_loadu_ps(p);
-            }
-            _mm256_maskload_ps(p, first_lanes(len))
+        unsafe fn div(self, b: Self) -> Self {
+            _mm256_div_ps(self, b)
         }
         #[inline(always)]
-        unsafe fn store_part(self, p: *mut f32, len: usize) {
-            if len >= 8 {
-                return _mm256_storeu_ps(p, self);
-            }
-            _mm256_maskstore_ps(p, first_lanes(len), self);
+        unsafe fn sqrt(self) -> Self {
+            _mm256_sqrt_ps(self)
+        }
+        #[inline(always)]
+        unsafe fn max(self, b: Self) -> Self {
+            _mm256_max_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn where_positive(self, m: Self) -> Self {
+            _mm256_and_ps(self, _mm256_cmp_ps::<_CMP_GT_OQ>(m, _mm256_setzero_ps()))
         }
         #[inline(always)]
         unsafe fn transpose(v: &mut [Self]) {
@@ -481,12 +361,18 @@ mod lanes_x86 {
             _mm512_storeu_ps(p, self);
         }
         #[inline(always)]
-        unsafe fn mul_add<const FMA: bool>(self, a: Self, b: Self) -> Self {
-            if FMA {
-                _mm512_fmadd_ps(a, b, self)
-            } else {
-                _mm512_add_ps(self, _mm512_mul_ps(a, b))
+        unsafe fn load_part(p: *const f32, len: usize) -> Self {
+            if len >= 16 {
+                return _mm512_loadu_ps(p);
             }
+            _mm512_maskz_loadu_ps(((1u32 << len) - 1) as __mmask16, p)
+        }
+        #[inline(always)]
+        unsafe fn store_part(self, p: *mut f32, len: usize) {
+            if len >= 16 {
+                return _mm512_storeu_ps(p, self);
+            }
+            _mm512_mask_storeu_ps(p, ((1u32 << len) - 1) as __mmask16, self);
         }
         #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
@@ -501,18 +387,20 @@ mod lanes_x86 {
             _mm512_mul_ps(self, b)
         }
         #[inline(always)]
-        unsafe fn load_part(p: *const f32, len: usize) -> Self {
-            if len >= 16 {
-                return _mm512_loadu_ps(p);
-            }
-            _mm512_maskz_loadu_ps(((1u32 << len) - 1) as __mmask16, p)
+        unsafe fn div(self, b: Self) -> Self {
+            _mm512_div_ps(self, b)
         }
         #[inline(always)]
-        unsafe fn store_part(self, p: *mut f32, len: usize) {
-            if len >= 16 {
-                return _mm512_storeu_ps(p, self);
-            }
-            _mm512_mask_storeu_ps(p, ((1u32 << len) - 1) as __mmask16, self);
+        unsafe fn sqrt(self) -> Self {
+            _mm512_sqrt_ps(self)
+        }
+        #[inline(always)]
+        unsafe fn max(self, b: Self) -> Self {
+            _mm512_max_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn where_positive(self, m: Self) -> Self {
+            _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(m, _mm512_setzero_ps()), self)
         }
         #[inline(always)]
         unsafe fn transpose(v: &mut [Self]) {
@@ -551,32 +439,29 @@ mod lanes_x86 {
 /// A kernel body written once over [`Lanes`] and instantiated at every
 /// SIMD level by [`run_lanes`].
 pub(crate) trait LaneKernel {
-    /// Runs the body on vectors `V`, contracting multiply-adds when
-    /// `FMA`.
+    /// Runs the body on vectors `V`.
     ///
     /// # Safety
     ///
     /// `V`'s instruction set must be enabled in the caller (implementations
     /// are `#[inline(always)]` and inline into [`run_lanes`]'s
     /// `#[target_feature]` instances), plus whatever the kernel states.
-    unsafe fn run<V: Lanes, const FMA: bool>(self);
+    unsafe fn run<V: Lanes>(self);
 }
 
 /// Runs `k` on the vectors of the active SIMD level: [`F32x4`] at the
-/// scalar level, 8 lanes at AVX2, 16 at AVX-512F. With `fma`, SIMD
-/// levels contract multiply-adds (fast mode only).
-pub(crate) fn run_lanes<K: LaneKernel>(k: K, fma: bool) {
+/// scalar level, 8 lanes at AVX2, 16 at AVX-512F.
+pub(crate) fn run_lanes<K: LaneKernel>(k: K) {
     #[cfg(target_arch = "x86_64")]
     match simd() {
         // SAFETY (both): the level says the CPU supports the instance's
         // instruction set.
-        Simd::Avx512 => return unsafe { run_avx512(k, fma) },
-        Simd::Avx2 => return unsafe { run_avx2(k, fma) },
+        Simd::Avx512 => return unsafe { run_avx512(k) },
+        Simd::Avx2 => return unsafe { run_avx2(k) },
         Simd::Scalar => {}
     }
-    let _ = fma; // the scalar level has nothing to contract
     // SAFETY: `F32x4` needs no instruction set beyond the baseline.
-    unsafe { k.run::<F32x4, false>() }
+    unsafe { k.run::<F32x4>() }
 }
 
 /// # Safety
@@ -584,13 +469,8 @@ pub(crate) fn run_lanes<K: LaneKernel>(k: K, fma: bool) {
 /// Requires AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn run_avx2<K: LaneKernel>(k: K, fma: bool) {
-    use std::arch::x86_64::__m256;
-    if fma {
-        k.run::<__m256, true>()
-    } else {
-        k.run::<__m256, false>()
-    }
+unsafe fn run_avx2<K: LaneKernel>(k: K) {
+    k.run::<std::arch::x86_64::__m256>()
 }
 
 /// # Safety
@@ -598,12 +478,81 @@ unsafe fn run_avx2<K: LaneKernel>(k: K, fma: bool) {
 /// Requires AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn run_avx512<K: LaneKernel>(k: K, fma: bool) {
-    use std::arch::x86_64::__m512;
-    if fma {
-        k.run::<__m512, true>()
-    } else {
-        k.run::<__m512, false>()
+unsafe fn run_avx512<K: LaneKernel>(k: K) {
+    k.run::<std::arch::x86_64::__m512>()
+}
+
+/// `out[i] = f([ins[0][i], ..])` for `i < len`, a vector at a time and
+/// the last one partial, so that every element goes through the same
+/// lane operations wherever a caller's chunk boundaries fall.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be enabled; `out` and every pointer of
+/// `ins` must be valid for `len` floats. `out` may be one of `ins`:
+/// each vector is loaded before it is stored.
+#[inline(always)]
+pub(crate) unsafe fn map<V: Lanes, const N: usize>(out: *mut f32, ins: [*const f32; N], len: usize, f: impl Fn([V; N]) -> V) {
+    let whole = len / V::LANES * V::LANES;
+    for at in (0..whole).step_by(V::LANES) {
+        f(ins.map(|p| V::load(p.add(at)))).store(out.add(at));
+    }
+    if whole < len {
+        let part = len - whole;
+        f(ins.map(|p| V::load_part(p.add(whole), part))).store_part(out.add(whole), part);
+    }
+}
+
+/// `y[i] += x[i]`, lane-wise.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be enabled.
+#[inline(always)]
+pub(crate) unsafe fn add_assign<V: Lanes>(y: &mut [f32], x: &[f32]) {
+    assert_eq!(y.len(), x.len());
+    let y_ptr = y.as_mut_ptr();
+    map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), |[a, b]| a.add(b));
+}
+
+/// `y[i] += x[i] / d`, lane-wise: the scalar loop's two roundings, the
+/// division first.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be enabled.
+#[inline(always)]
+pub(crate) unsafe fn add_div<V: Lanes>(y: &mut [f32], x: &[f32], d: f32) {
+    assert_eq!(y.len(), x.len());
+    let (y_ptr, d) = (y.as_mut_ptr(), V::splat(d));
+    map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), |[a, b]| a.add(b.div(d)));
+}
+
+/// `dst[at(k)] += src[k]` for the `width`-wide rows `k` of `src`, `k`
+/// ascending: every element adds its rows in order. One entry into the
+/// active level for all of them.
+///
+/// # Panics
+///
+/// Panics if a row `at` names lies outside `dst`.
+pub(crate) fn add_rows(dst: &mut [f32], src: &[f32], width: usize, at: impl Fn(usize) -> usize) {
+    struct AddRows<'a, F> {
+        dst: &'a mut [f32],
+        src: &'a [f32],
+        width: usize,
+        at: F,
+    }
+    impl<F: Fn(usize) -> usize> LaneKernel for AddRows<'_, F> {
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let AddRows { dst, src, width, at } = self;
+            for (k, row) in src.chunks_exact(width).enumerate() {
+                add_assign::<V>(&mut dst[at(k) * width..][..width], row);
+            }
+        }
+    }
+    if width > 0 {
+        run_lanes(AddRows { dst, src, width, at });
     }
 }
 
@@ -710,12 +659,11 @@ pub fn sincos_scalar(x: f32, f: Trig) -> f32 {
 /// writes the other function of the same arguments there (a forward
 /// pass that saves what its backward multiplies by).
 ///
-/// Exact-safe SIMD: the AVX2 and AVX-512F kernels perform the
-/// operations of [`sincos_scalar`] on four and eight `f64` lanes (both
-/// polynomials, then a per-lane select for each output) and leave the
-/// last few elements to the scalar reference, so SIMD and scalar
-/// hosts, both kernel modes and every way of splitting `buf` across
-/// threads give the same bits.
+/// The AVX2 and AVX-512F kernels perform the operations of
+/// [`sincos_scalar`] on four and eight `f64` lanes (both polynomials,
+/// then a per-lane select for each output) and leave the last few
+/// elements to the scalar reference, so SIMD and scalar hosts and every
+/// way of splitting `buf` across threads give the same bits.
 ///
 /// # Panics
 ///
@@ -847,231 +795,8 @@ unsafe fn sincos_avx512(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>)
     sincos_from(whole, buf, f, other);
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod x86 {
-    //! Raw AVX2/FMA building blocks shared by the op kernels.
-    use std::arch::x86_64::*;
-
-    /// Horizontal sum of all 8 lanes (fast-only: reassociates).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 support (a [`super::simd`] level of `Avx2` or above).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn hsum(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        let s = _mm_add_ps(lo, hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-        _mm_cvtss_f32(s)
-    }
-
-    /// Horizontal max of all 8 lanes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 support (a [`super::simd`] level of `Avx2` or above).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn hmax(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        let s = _mm_max_ps(lo, hi);
-        let s = _mm_max_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
-        _mm_cvtss_f32(s)
-    }
-
-    /// Vectorized `exp` (Cephes-style degree-5 polynomial over the
-    /// range-reduced argument, then exponent reassembly). Accurate to a
-    /// few ulp over the clamped range; fast-only.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA support (a [`super::simd`] level of `Avx2` or above).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn exp256(x: __m256) -> __m256 {
-        // Clamp: below -87.3 the result underflows toward zero (we
-        // return exactly 2^-126-ish, close enough for softmax weights);
-        // above 88.7 it would overflow to inf.
-        let x = _mm256_min_ps(x, _mm256_set1_ps(88.376_26));
-        let x = _mm256_max_ps(x, _mm256_set1_ps(-87.336_54));
-        // n = round(x / ln 2)
-        let log2e = _mm256_set1_ps(std::f32::consts::LOG2_E);
-        let n = _mm256_round_ps(
-            _mm256_mul_ps(x, log2e),
-            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC,
-        );
-        // r = x - n·ln2 in two pieces for extra bits.
-        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693_359_4), x);
-        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.121_944_4e-4), r);
-        // exp(r) ≈ 1 + r + r²·p(r)
-        let mut p = _mm256_set1_ps(1.987_569_1e-4);
-        p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.398_199_9e-3));
-        p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.333_452e-3));
-        p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.166_579_6e-2));
-        p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.666_666_6e-1));
-        p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0e-1));
-        let r2 = _mm256_mul_ps(r, r);
-        let y = _mm256_fmadd_ps(p, r2, _mm256_add_ps(r, _mm256_set1_ps(1.0)));
-        // Scale by 2^n through the exponent field.
-        let pow2n = _mm256_castsi256_ps(_mm256_slli_epi32(
-            _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(0x7f)),
-            23,
-        ));
-        _mm256_mul_ps(y, pow2n)
-    }
-
-    /// 8-lane FMA dot product with horizontal sum (fast-only): the
-    /// reduction fan depends only on `a.len()`, so it is thread-count
-    /// invariant but not bitwise equal to the scalar 4-lane reference.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA support (a [`super::simd`] level of `Avx2` or above).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let chunks = n / 8;
-        let mut acc = _mm256_setzero_ps();
-        for q in 0..chunks {
-            let av = _mm256_loadu_ps(a.as_ptr().add(q * 8));
-            let bv = _mm256_loadu_ps(b.as_ptr().add(q * 8));
-            acc = _mm256_fmadd_ps(av, bv, acc);
-        }
-        let mut tail = 0.0f32;
-        for p in chunks * 8..n {
-            tail += a.get_unchecked(p) * b.get_unchecked(p);
-        }
-        hsum(acc) + tail
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn add_assign_avx2(y: &mut [f32], x: &[f32]) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let chunks = n / 8;
-    for q in 0..chunks {
-        let p = q * 8;
-        let v = _mm256_add_ps(
-            _mm256_loadu_ps(y.as_ptr().add(p)),
-            _mm256_loadu_ps(x.as_ptr().add(p)),
-        );
-        _mm256_storeu_ps(y.as_mut_ptr().add(p), v);
-    }
-    for p in chunks * 8..n {
-        *y.get_unchecked_mut(p) += x.get_unchecked(p);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn add_div_avx2(y: &mut [f32], x: &[f32], d: f32) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let chunks = n / 8;
-    let dv = _mm256_set1_ps(d);
-    for q in 0..chunks {
-        let p = q * 8;
-        let v = _mm256_add_ps(
-            _mm256_loadu_ps(y.as_ptr().add(p)),
-            _mm256_div_ps(_mm256_loadu_ps(x.as_ptr().add(p)), dv),
-        );
-        _mm256_storeu_ps(y.as_mut_ptr().add(p), v);
-    }
-    for p in chunks * 8..n {
-        *y.get_unchecked_mut(p) += x.get_unchecked(p) / d;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn scale_avx2(y: &mut [f32], s: f32) {
-    use std::arch::x86_64::*;
-    let n = y.len();
-    let chunks = n / 8;
-    let sv = _mm256_set1_ps(s);
-    for q in 0..chunks {
-        let p = q * 8;
-        let v = _mm256_mul_ps(_mm256_loadu_ps(y.as_ptr().add(p)), sv);
-        _mm256_storeu_ps(y.as_mut_ptr().add(p), v);
-    }
-    for p in chunks * 8..n {
-        *y.get_unchecked_mut(p) *= s;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn addcmul_avx2<const FMA: bool>(y: &mut [f32], a: &[f32], b: &[f32], s: f32) {
-    use std::arch::x86_64::*;
-    debug_assert!(a.len() >= y.len() && b.len() >= y.len());
-    let n = y.len();
-    let chunks = n / 8;
-    let sv = _mm256_set1_ps(s);
-    for q in 0..chunks {
-        let p = q * 8;
-        // (s * a) * b, left-associated like the scalar loop.
-        let sa = _mm256_mul_ps(sv, _mm256_loadu_ps(a.as_ptr().add(p)));
-        let bv = _mm256_loadu_ps(b.as_ptr().add(p));
-        let yv = _mm256_loadu_ps(y.as_ptr().add(p));
-        let v = if FMA {
-            _mm256_fmadd_ps(sa, bv, yv)
-        } else {
-            _mm256_add_ps(yv, _mm256_mul_ps(sa, bv))
-        };
-        _mm256_storeu_ps(y.as_mut_ptr().add(p), v);
-    }
-    // Tail rounding must match the vector body per element: if a
-    // caller ever hands this a chunk of a range-partitioned buffer,
-    // tail membership depends on the split, and a body/tail rounding
-    // difference would break thread-count invariance in fast mode.
-    for p in chunks * 8..n {
-        let t = s * a.get_unchecked(p);
-        *y.get_unchecked_mut(p) = if FMA {
-            t.mul_add(*b.get_unchecked(p), *y.get_unchecked(p))
-        } else {
-            *y.get_unchecked(p) + t * b.get_unchecked(p)
-        };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn axpy_avx2<const FMA: bool>(y: &mut [f32], x: &[f32], a: f32) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let chunks = n / 8;
-    let av = _mm256_set1_ps(a);
-    for q in 0..chunks {
-        let p = q * 8;
-        let xv = _mm256_loadu_ps(x.as_ptr().add(p));
-        let yv = _mm256_loadu_ps(y.as_ptr().add(p));
-        let v = if FMA {
-            _mm256_fmadd_ps(av, xv, yv)
-        } else {
-            _mm256_add_ps(yv, _mm256_mul_ps(av, xv))
-        };
-        _mm256_storeu_ps(y.as_mut_ptr().add(p), v);
-    }
-    // Same body/tail rounding rule as `addcmul_avx2`.
-    for p in chunks * 8..n {
-        *y.get_unchecked_mut(p) = if FMA {
-            a.mul_add(*x.get_unchecked(p), *y.get_unchecked(p))
-        } else {
-            *y.get_unchecked(p) + a * x.get_unchecked(p)
-        };
-    }
-}
-
 /// Serializes tests (crate-wide) that flip or depend on the global
-/// mode/SIMD switches.
+/// SIMD switch.
 #[cfg(test)]
 pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -1083,27 +808,6 @@ mod tests {
     use super::*;
 
     use super::test_serial as serial;
-
-    #[test]
-    fn mode_parse_round_trips() {
-        assert_eq!(parse("exact"), Some(KernelMode::Exact));
-        assert_eq!(parse("FAST"), Some(KernelMode::Fast));
-        assert_eq!(parse(" fast "), Some(KernelMode::Fast));
-        assert_eq!(parse("loose"), None);
-        assert_eq!(KernelMode::Exact.label(), "exact");
-        assert_eq!(KernelMode::Fast.label(), "fast");
-    }
-
-    #[test]
-    fn set_mode_overrides() {
-        let _guard = serial();
-        let before = mode();
-        set_mode(KernelMode::Fast);
-        assert!(fast());
-        set_mode(KernelMode::Exact);
-        assert!(!fast());
-        set_mode(before);
-    }
 
     #[test]
     fn simd_force_off_and_redetect() {
@@ -1121,85 +825,42 @@ mod tests {
         assert!(Simd::Scalar < Simd::Avx2 && Simd::Avx2 < Simd::Avx512);
     }
 
+    /// `add_rows`' and `add_div`'s lane bodies against their scalar
+    /// loops, bit for bit, at every level and every length from empty to
+    /// past two AVX-512F vectors.
     #[test]
     fn exact_safe_primitives_match_scalar_bitwise() {
+        struct AddDiv<'a>(&'a mut [f32], &'a [f32]);
+        impl LaneKernel for AddDiv<'_> {
+            unsafe fn run<V: Lanes>(self) {
+                add_div::<V>(self.0, self.1, 3.0);
+            }
+        }
         let _guard = serial();
-        let mk = |salt: u32| -> Vec<f32> {
-            (0..37u32)
-                .map(|i| ((i * 31 + salt) % 97) as f32 * 0.037 - 1.5)
-                .collect()
+        let mk = |len: usize, salt: usize| -> Vec<f32> {
+            (0..len).map(|i| ((i * 31 + salt) % 97) as f32 * 0.037 - 1.5).collect()
         };
         for level in simd_levels() {
             set_simd(level);
-            let x = mk(5);
-            let mut add = mk(9);
-            add_assign_dispatch(&mut add, &x);
-            let mut div = mk(9);
-            add_div_dispatch(&mut div, &x, 3.0);
-            let mut ax = mk(9);
-            axpy_dispatch(&mut ax, &x, -0.75, false);
-            let mut sc = mk(9);
-            scale_dispatch(&mut sc, 1.25);
-            let z = mk(13);
-            let mut acm = mk(9);
-            addcmul_dispatch(&mut acm, &x, &z, 0.5, false);
-            let want_add: Vec<f32> = mk(9).iter().zip(&x).map(|(a, b)| a + b).collect();
-            let want_div: Vec<f32> = mk(9).iter().zip(&x).map(|(a, b)| a + b / 3.0).collect();
-            let want_ax: Vec<f32> = mk(9).iter().zip(&x).map(|(a, b)| a + -0.75 * b).collect();
-            let want_sc: Vec<f32> = mk(9).iter().map(|a| a * 1.25).collect();
-            let want_acm: Vec<f32> = mk(9)
-                .iter()
-                .zip(x.iter().zip(&z))
-                .map(|(a, (b, c))| a + 0.5 * b * c)
-                .collect();
-            assert_eq!(add, want_add, "add_assign at {level:?}");
-            assert_eq!(div, want_div, "add_div at {level:?}");
-            assert_eq!(ax, want_ax, "axpy at {level:?}");
-            assert_eq!(sc, want_sc, "scale at {level:?}");
-            assert_eq!(acm, want_acm, "addcmul at {level:?}");
+            for len in 0..=37 {
+                let x = mk(3 * len, 5);
+                // Three rows into rows 0, 1 and 0 of a two-row table.
+                let mut add = mk(2 * len, 9);
+                add_rows(&mut add, &x, len, |k| [0, 1, 0][k]);
+                let mut want_add = mk(2 * len, 9);
+                for (k, row) in x.chunks_exact(len.max(1)).enumerate() {
+                    for (j, v) in row.iter().enumerate() {
+                        want_add[[0, 1, 0][k] * len + j] += v;
+                    }
+                }
+                let mut div = mk(len, 9);
+                run_lanes(AddDiv(&mut div, &x[..len]));
+                let want_div: Vec<f32> = mk(len, 9).iter().zip(&x).map(|(a, b)| a + b / 3.0).collect();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&add), bits(&want_add), "add_rows at {level:?}, len {len}");
+                assert_eq!(bits(&div), bits(&want_div), "add_div at {level:?}, len {len}");
+            }
         }
         set_simd(Simd::Avx512);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn exp256_close_to_libm() {
-        let _guard = serial();
-        if simd() < Simd::Avx2 {
-            return;
-        }
-        let xs: Vec<f32> = (-80..=8).map(|i| i as f32 * 1.09).collect();
-        for chunk in xs.chunks(8) {
-            let mut buf = [0.0f32; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            let mut out = [0.0f32; 8];
-            unsafe {
-                let v = x86::exp256(std::arch::x86_64::_mm256_loadu_ps(buf.as_ptr()));
-                std::arch::x86_64::_mm256_storeu_ps(out.as_mut_ptr(), v);
-            }
-            for (i, &x) in chunk.iter().enumerate() {
-                let want = x.exp();
-                let got = out[i];
-                let rel = if want > 1e-30 { (got - want).abs() / want } else { (got - want).abs() };
-                assert!(rel < 1e-5, "exp({x}) = {got}, want {want} (rel {rel})");
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn dot_fast_close_to_scalar() {
-        let _guard = serial();
-        if simd() < Simd::Avx2 {
-            return;
-        }
-        let a: Vec<f32> = (0..531).map(|i| ((i * 37) % 101) as f32 * 0.02 - 1.0).collect();
-        let b: Vec<f32> = (0..531).map(|i| ((i * 53) % 97) as f32 * 0.02 - 1.0).collect();
-        let want: f64 = a.iter().zip(&b).map(|(x, y)| (*x as f64) * (*y as f64)).sum();
-        let got = unsafe { x86::dot_fast(&a, &b) };
-        assert!(
-            (got as f64 - want).abs() < 1e-3 * want.abs().max(1.0),
-            "dot {got} vs {want}"
-        );
     }
 }

@@ -8,8 +8,8 @@
 //! * dense, contiguous, row-major `f32` tensors of arbitrary rank,
 //!   tagged with a simulated [`Device`] tier (see `tgl-device`);
 //! * broadcasting elementwise ops, matrix multiplication, reductions,
-//!   row indexing/gather/scatter, concatenation, softmax, and the
-//!   *segmented* operators (segment sum/mean/max/softmax) that TGLite's
+//!   row indexing/gather/scatter, concatenation, and the *segmented*
+//!   operators (segment sum/mean/max/softmax) that TGLite's
 //!   edge-wise block operators are built on;
 //! * tape-based reverse-mode autograd with a custom-operator extension
 //!   API ([`Tensor::custom_op`]);

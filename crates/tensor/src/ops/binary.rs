@@ -217,19 +217,6 @@ impl Tensor {
             |x, y, g| (g / y, -g * x / (y * y)),
         )
     }
-
-    /// Elementwise maximum with broadcasting. Gradient flows to the
-    /// larger operand (ties favor `self`).
-    pub fn maximum(&self, other: &Tensor) -> Tensor {
-        binary_elementwise(
-            "maximum",
-            1,
-            self,
-            other,
-            f32::max,
-            |x, y, g| if x >= y { (g, 0.0) } else { (0.0, g) },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -289,17 +276,6 @@ mod tests {
         let b = Tensor::from_vec(vec![2.0, 3.0], [2]);
         assert_eq!(a.sub(&b).to_vec(), vec![4.0, 6.0]);
         assert_eq!(a.div(&b).to_vec(), vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn maximum_values_and_grad_routing() {
-        let a = Tensor::from_vec(vec![1.0, 5.0], [2]).requires_grad(true);
-        let b = Tensor::from_vec(vec![3.0, 2.0], [2]).requires_grad(true);
-        let m = a.maximum(&b);
-        assert_eq!(m.to_vec(), vec![3.0, 5.0]);
-        m.sum_all().backward();
-        assert_eq!(a.grad().unwrap(), vec![0.0, 1.0]);
-        assert_eq!(b.grad().unwrap(), vec![1.0, 0.0]);
     }
 
     #[test]

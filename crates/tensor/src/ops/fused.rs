@@ -15,235 +15,99 @@
 use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
 
 use crate::autograd::grad_enabled;
-use crate::kernel::{self, LaneKernel, Lanes, Simd, Trig};
+use crate::kernel::{self, LaneKernel, Lanes, Trig};
 use crate::ops::{rows_threshold, same_device, ELEMWISE_SEQ};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
-/// `out[i] = max(a[i] + b[i], 0)` — exact-safe: lane-wise add then
-/// `maxps`, whose NaN/zero behavior matches `f32::max(x, 0.0)` here.
-fn add_relu_fwd(out: &mut [f32], a: &[f32], b: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel::simd() >= Simd::Avx2 {
-        // SAFETY: the level says the CPU supports AVX2+FMA.
-        unsafe { add_relu_fwd_avx2(out, a, b) };
-        return;
-    }
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = (x + y).max(0.0);
-    }
+/// One fused elementwise pass over a chunk of an output, each written
+/// once over [`Lanes`]: every element takes the lane operations of its
+/// scalar expression below, whatever level runs and wherever the chunk
+/// starts.
+enum Pass<'a> {
+    /// `a + b`, then `max(.., 0)` as `maxps` selects it (a NaN sum and
+    /// `-0.0` both give `+0.0`).
+    AddRelu(&'a [f32], &'a [f32]),
+    /// `go` where `y > 0`, else `+0.0`: `go`'s bits pass unchanged.
+    ReluMask { go: &'a [f32], y: &'a [f32] },
+    /// `a * s + b`.
+    ScaleAdd(&'a [f32], f32, &'a [f32]),
+    /// `base + s * a * b`, the product left-associated.
+    Addcmul { base: &'a [f32], a: &'a [f32], b: &'a [f32], s: f32 },
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn add_relu_fwd_avx2(out: &mut [f32], a: &[f32], b: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let chunks = n / 8;
-    let zero = _mm256_setzero_ps();
-    for q in 0..chunks {
-        let p = q * 8;
-        let v = _mm256_max_ps(
-            _mm256_add_ps(_mm256_loadu_ps(a.as_ptr().add(p)), _mm256_loadu_ps(b.as_ptr().add(p))),
-            zero,
-        );
-        _mm256_storeu_ps(out.as_mut_ptr().add(p), v);
+/// Runs `pass` into `out` at the active SIMD level.
+///
+/// # Panics
+///
+/// Panics unless every input is as long as `out`.
+fn elementwise(out: &mut [f32], pass: Pass<'_>) {
+    struct Run<'a>(&'a mut [f32], Pass<'a>);
+    impl LaneKernel for Run<'_> {
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let Run(out, pass) = self;
+            let (o, n, zero) = (out.as_mut_ptr(), out.len(), V::splat(0.0));
+            let at = |x: &[f32]| {
+                assert_eq!(x.len(), n, "a fused operand of another length");
+                x.as_ptr()
+            };
+            // SAFETY (all four): every input was measured against `out`.
+            match pass {
+                Pass::AddRelu(a, b) => kernel::map::<V, 2>(o, [at(a), at(b)], n, |[a, b]| a.add(b).max(zero)),
+                Pass::ReluMask { go, y } => kernel::map::<V, 2>(o, [at(go), at(y)], n, |[g, y]| g.where_positive(y)),
+                Pass::ScaleAdd(a, s, b) => {
+                    let s = V::splat(s);
+                    kernel::map::<V, 2>(o, [at(a), at(b)], n, |[a, b]| a.mul(s).add(b));
+                }
+                Pass::Addcmul { base, a, b, s } => {
+                    let s = V::splat(s);
+                    kernel::map::<V, 3>(o, [at(base), at(a), at(b)], n, |[base, a, b]| base.add(s.mul(a).mul(b)));
+                }
+            }
+        }
     }
-    for p in chunks * 8..n {
-        *out.get_unchecked_mut(p) = (a.get_unchecked(p) + b.get_unchecked(p)).max(0.0);
-    }
+    kernel::run_lanes(Run(out, pass));
 }
 
 /// The `Linear` epilogue, in place over whole `n`-wide rows:
 /// `row += bias` when a bias is given, then `max(row, 0)` under
-/// `relu` — exact-safe (a lane-wise add, then the `maxps` of
-/// [`add_relu_fwd`]).
+/// `relu` as [`Pass::AddRelu`] selects it. One entry into the active
+/// level for all the rows; a row narrower than a vector is one partial
+/// one.
 pub(crate) fn bias_act_rows(rows: &mut [f32], n: usize, bias: Option<&[f32]>, relu: bool) {
+    struct BiasAct<'a> {
+        rows: &'a mut [f32],
+        n: usize,
+        bias: Option<&'a [f32]>,
+        relu: bool,
+    }
+    impl LaneKernel for BiasAct<'_> {
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            let BiasAct { rows, n, bias, relu } = self;
+            let zero = V::splat(0.0);
+            for row in rows.chunks_exact_mut(n) {
+                let p = row.as_mut_ptr();
+                // SAFETY (all three): the row and the bias are `n` long.
+                match bias {
+                    Some(b) if relu => kernel::map::<V, 2>(p, [p, b.as_ptr()], n, |[v, b]| v.add(b).max(zero)),
+                    Some(b) => kernel::map::<V, 2>(p, [p, b.as_ptr()], n, |[v, b]| v.add(b)),
+                    None => kernel::map::<V, 1>(p, [p], n, |[v]| v.max(zero)),
+                }
+            }
+        }
+    }
     if n == 0 || (bias.is_none() && !relu) {
         return;
     }
-    debug_assert!(rows.len().is_multiple_of(n) && bias.is_none_or(|b| b.len() == n));
-    #[cfg(target_arch = "x86_64")]
-    if kernel::simd() >= Simd::Avx2 {
-        // SAFETY: the level says the CPU supports AVX2+FMA; the bias is `n` long.
-        unsafe { bias_act_rows_avx2(rows, n, bias, relu) };
-        return;
-    }
-    for row in rows.chunks_exact_mut(n) {
-        for (j, v) in row.iter_mut().enumerate() {
-            let sum = bias.map_or(*v, |b| *v + b[j]);
-            *v = if relu { sum.max(0.0) } else { sum };
-        }
-    }
+    assert!(rows.len().is_multiple_of(n) && bias.is_none_or(|b| b.len() == n));
+    kernel::run_lanes(BiasAct { rows, n, bias, relu });
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn bias_act_rows_avx2(rows: &mut [f32], n: usize, bias: Option<&[f32]>, relu: bool) {
-    use std::arch::x86_64::*;
-    let zero = _mm256_setzero_ps();
-    let lanes = n / 8 * 8;
-    for row in rows.chunks_exact_mut(n) {
-        for j in (0..lanes).step_by(8) {
-            let mut v = _mm256_loadu_ps(row.as_ptr().add(j));
-            if let Some(b) = bias {
-                v = _mm256_add_ps(v, _mm256_loadu_ps(b.as_ptr().add(j)));
-            }
-            if relu {
-                v = _mm256_max_ps(v, zero);
-            }
-            _mm256_storeu_ps(row.as_mut_ptr().add(j), v);
-        }
-        for j in lanes..n {
-            let v = row.get_unchecked_mut(j);
-            let sum = bias.map_or(*v, |b| *v + b.get_unchecked(j));
-            *v = if relu { sum.max(0.0) } else { sum };
-        }
-    }
-}
-
-/// `out[i] = if y[i] > 0 { go[i] } else { 0.0 }` — exact-safe: the
-/// compare mask passes `go`'s bits through unchanged.
+/// `out[i] = if y[i] > 0 { go[i] } else { 0.0 }` ([`Pass::ReluMask`]).
 pub(crate) fn relu_mask_bwd(out: &mut [f32], go: &[f32], y: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel::simd() >= Simd::Avx2 {
-        // SAFETY: the level says the CPU supports AVX2+FMA.
-        unsafe { relu_mask_bwd_avx2(out, go, y) };
-        return;
-    }
-    for ((o, &g), &v) in out.iter_mut().zip(go).zip(y) {
-        *o = if v > 0.0 { g } else { 0.0 };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn relu_mask_bwd_avx2(out: &mut [f32], go: &[f32], y: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let chunks = n / 8;
-    let zero = _mm256_setzero_ps();
-    for q in 0..chunks {
-        let p = q * 8;
-        let mask = _mm256_cmp_ps(_mm256_loadu_ps(y.as_ptr().add(p)), zero, _CMP_GT_OQ);
-        let v = _mm256_and_ps(_mm256_loadu_ps(go.as_ptr().add(p)), mask);
-        _mm256_storeu_ps(out.as_mut_ptr().add(p), v);
-    }
-    for p in chunks * 8..n {
-        *out.get_unchecked_mut(p) =
-            if *y.get_unchecked(p) > 0.0 { *go.get_unchecked(p) } else { 0.0 };
-    }
-}
-
-/// `out[i] = a[i] * s + b[i]`. Exact-safe with `fma=false` (lane-wise
-/// mul then add); contracted in fast mode.
-fn scale_add_fwd(out: &mut [f32], a: &[f32], b: &[f32], s: f32, fma: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel::simd() >= Simd::Avx2 {
-        // SAFETY: the level says the CPU supports AVX2+FMA.
-        unsafe {
-            if fma {
-                scale_add_fwd_avx2::<true>(out, a, b, s);
-            } else {
-                scale_add_fwd_avx2::<false>(out, a, b, s);
-            }
-        }
-        return;
-    }
-    let _ = fma;
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * s + y;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn scale_add_fwd_avx2<const FMA: bool>(out: &mut [f32], a: &[f32], b: &[f32], s: f32) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let chunks = n / 8;
-    let sv = _mm256_set1_ps(s);
-    for q in 0..chunks {
-        let p = q * 8;
-        let av = _mm256_loadu_ps(a.as_ptr().add(p));
-        let bv = _mm256_loadu_ps(b.as_ptr().add(p));
-        let v = if FMA {
-            _mm256_fmadd_ps(av, sv, bv)
-        } else {
-            _mm256_add_ps(_mm256_mul_ps(av, sv), bv)
-        };
-        _mm256_storeu_ps(out.as_mut_ptr().add(p), v);
-    }
-    // The tail must round exactly like the vector body: this helper
-    // runs per parallel_for range, so tail membership depends on the
-    // chunk split — if tail and body arithmetic differed, results
-    // would vary with the thread count. `mul_add` is the correctly
-    // rounded fused op, bit-identical to a vfmadd lane.
-    for p in chunks * 8..n {
-        *out.get_unchecked_mut(p) = if FMA {
-            a.get_unchecked(p).mul_add(s, *b.get_unchecked(p))
-        } else {
-            a.get_unchecked(p) * s + b.get_unchecked(p)
-        };
-    }
-}
-
-/// `out[i] = base[i] + s * a[i] * b[i]` with the scalar's left-assoc
-/// product. Exact-safe with `fma=false`; final add contracts in fast.
-fn addcmul_fwd(out: &mut [f32], base: &[f32], a: &[f32], b: &[f32], s: f32, fma: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel::simd() >= Simd::Avx2 {
-        // SAFETY: the level says the CPU supports AVX2+FMA.
-        unsafe {
-            if fma {
-                addcmul_fwd_avx2::<true>(out, base, a, b, s);
-            } else {
-                addcmul_fwd_avx2::<false>(out, base, a, b, s);
-            }
-        }
-        return;
-    }
-    let _ = fma;
-    for k in 0..out.len() {
-        out[k] = base[k] + s * a[k] * b[k];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn addcmul_fwd_avx2<const FMA: bool>(
-    out: &mut [f32],
-    base: &[f32],
-    a: &[f32],
-    b: &[f32],
-    s: f32,
-) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let chunks = n / 8;
-    let sv = _mm256_set1_ps(s);
-    for q in 0..chunks {
-        let p = q * 8;
-        let sa = _mm256_mul_ps(sv, _mm256_loadu_ps(a.as_ptr().add(p)));
-        let bv = _mm256_loadu_ps(b.as_ptr().add(p));
-        let basev = _mm256_loadu_ps(base.as_ptr().add(p));
-        let v = if FMA {
-            _mm256_fmadd_ps(sa, bv, basev)
-        } else {
-            _mm256_add_ps(basev, _mm256_mul_ps(sa, bv))
-        };
-        _mm256_storeu_ps(out.as_mut_ptr().add(p), v);
-    }
-    // Same thread-invariance requirement as `scale_add_fwd_avx2`: the
-    // tail's rounding must match the vector body's because the chunk
-    // split decides which elements land in the tail.
-    for p in chunks * 8..n {
-        *out.get_unchecked_mut(p) = if FMA {
-            (s * a.get_unchecked(p)).mul_add(*b.get_unchecked(p), *base.get_unchecked(p))
-        } else {
-            base.get_unchecked(p) + s * a.get_unchecked(p) * b.get_unchecked(p)
-        };
-    }
+    elementwise(out, Pass::ReluMask { go, y });
 }
 
 /// A pooled copy of `src` (a gradient that passes through unchanged).
@@ -293,12 +157,13 @@ impl Tensor {
                 // SAFETY: chunks partition the element space.
                 let out = unsafe { y_sl.slice_mut(r.start, r.len()) };
                 if same {
-                    add_relu_fwd(out, &a[r.start..r.end], &b[r.start..r.end]);
+                    elementwise(out, Pass::AddRelu(&a[r.start..r.end], &b[r.start..r.end]));
                 } else {
                     // Broadcast stays scalar: the `i % d` gather has no
                     // contiguous lanes to load.
                     for (k, i) in r.enumerate() {
-                        out[k] = (a[i] + b[i % d]).max(0.0);
+                        let sum = a[i] + b[i % d];
+                        out[k] = if sum > 0.0 { sum } else { 0.0 };
                     }
                 }
             });
@@ -394,11 +259,10 @@ impl Tensor {
             let b = other.inner.storage.read();
             let y_sl = UnsafeSlice::new(&mut y);
             let (a, b) = (&a, &b);
-            let fma = kernel::fast();
             parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
                 // SAFETY: chunks partition the element space.
                 let out = unsafe { y_sl.slice_mut(r.start, r.len()) };
-                scale_add_fwd(out, &a[r.start..r.end], &b[r.start..r.end], s, fma);
+                elementwise(out, Pass::ScaleAdd(&a[r.start..r.end], s, &b[r.start..r.end]));
             });
         }
         let (need_a, need_b) = (self.requires_grad_flag(), other.requires_grad_flag());
@@ -449,18 +313,11 @@ impl Tensor {
             let bd = b.inner.storage.read();
             let y_sl = UnsafeSlice::new(&mut y);
             let (base, ad, bd) = (&base, &ad, &bd);
-            let fma = kernel::fast();
             parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
                 // SAFETY: chunks partition the element space.
                 let out = unsafe { y_sl.slice_mut(r.start, r.len()) };
-                addcmul_fwd(
-                    out,
-                    &base[r.start..r.end],
-                    &ad[r.start..r.end],
-                    &bd[r.start..r.end],
-                    scale,
-                    fma,
-                );
+                let (base, a, b) = (&base[r.start..r.end], &ad[r.start..r.end], &bd[r.start..r.end]);
+                elementwise(out, Pass::Addcmul { base, a, b, s: scale });
             });
         }
         let (a_c, b_c) = (a.clone(), b.clone());
@@ -497,8 +354,8 @@ impl Tensor {
 /// One kernel and one backward node (`dfreq[j] = Σ_i g[i,j] ·
 /// deltas[i]`, `dphase[j] = Σ_i g[i,j]` with `g = -dout · sin(..)`,
 /// rows ascending per column) instead of the broadcast `mul`, `add`,
-/// `cos` chain. The argument is one multiply then one add in both
-/// kernel modes, `cos` is [`kernel::sincos`] as in [`Tensor::cos`], and
+/// `cos` chain. The argument is one multiply then one add, `cos` is
+/// [`kernel::sincos`] as in [`Tensor::cos`], and
 /// a forward that builds a node takes the `sin` of the same arguments
 /// from the same kernel pass and keeps it for backward, so values and
 /// gradients carry the roundings of
@@ -582,7 +439,7 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
                 let gf = unsafe { rows_of(&gf_sl, &cols, 1) };
                 let gp = unsafe { rows_of(&gp_sl, &cols, 1) };
                 let sums = TimeGrads { go, sin, dt: &dt, dim, cols, gf, gp };
-                kernel::run_lanes(sums, false);
+                kernel::run_lanes(sums);
             });
         }
         vec![None, gf, gp]
@@ -607,7 +464,7 @@ struct TimeGrads<'a> {
 
 impl LaneKernel for TimeGrads<'_> {
     #[inline(always)]
-    unsafe fn run<V: Lanes, const FMA: bool>(self) {
+    unsafe fn run<V: Lanes>(self) {
         /// Vectors of columns one walk over the rows keeps in registers.
         const GROUP: usize = 4;
         let TimeGrads { go, sin, dt, dim, cols, mut gf, mut gp } = self;
@@ -680,8 +537,7 @@ unsafe fn rows_of<'a>(
 /// nine elementwise nodes whose backward zero-fills six `[3N, H]`
 /// buffers. Every value is rounded as the chain
 /// `add, sigmoid, add, sigmoid, mul, add, tanh, sub, addcmul` rounds it
-/// in exact mode (each product and sum on its own; the kernel is bound
-/// by `exp`/`tanh`, so fast mode contracts nothing either), and so is
+/// (each product and sum on its own), and so is
 /// every gradient: a gate's slice of `dgi` is what the chain's scatter
 /// into a zeroed buffer leaves there. Forward saves `r`, `z`, `n` for
 /// backward only when a node is built. Rows are independent, so

@@ -48,11 +48,10 @@
 //! in. Output rows are split into one
 //! panel per pool thread, and since no element's order depends on
 //! where a panel starts, results are invariant across thread counts.
-//! In `exact` mode every tile uses lane-wise `mul`+`add` (one rounding
-//! each, the arithmetic of the scalar tile), so which lane of which
-//! tile an element lands in cannot show: results are bitwise equal to
-//! the naive triple loop at every SIMD level and on every host; `fast`
-//! mode contracts to FMA.
+//! Every tile uses lane-wise `mul`+`add` (one rounding each, the
+//! arithmetic of the scalar tile), so which lane of which tile an
+//! element lands in cannot show: results are bitwise equal to the
+//! naive triple loop at every SIMD level and on every host.
 
 use tgl_runtime::{parallel_for_chunks, UnsafeSlice};
 
@@ -247,7 +246,7 @@ fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
 /// and `c` at least `(MR - 1) * ldc` floats plus one tile row (a
 /// [`Run`] keeps its own rows in bounds).
 #[inline(always)]
-unsafe fn tile_body<V: Lanes, const W: usize, const FMA: bool>(
+unsafe fn tile_body<V: Lanes, const W: usize>(
     runs: &[Run<'_>],
     pan: &[f32],
     c: &mut [f32],
@@ -270,13 +269,13 @@ unsafe fn tile_body<V: Lanes, const W: usize, const FMA: bool>(
         match run.idx {
             None => {
                 for kk in 0..run.len {
-                    tile_step::<V, W, FMA>(&mut acc, &run.rows, kk * run.ps, pan);
+                    tile_step::<V, W>(&mut acc, &run.rows, kk * run.ps, pan);
                     pan = pan.add(nr);
                 }
             }
             Some(idx) => {
                 for &i in idx {
-                    tile_step::<V, W, FMA>(&mut acc, &run.rows, i * run.ps, pan);
+                    tile_step::<V, W>(&mut acc, &run.rows, i * run.ps, pan);
                     pan = pan.add(nr);
                 }
             }
@@ -297,7 +296,7 @@ unsafe fn tile_body<V: Lanes, const W: usize, const FMA: bool>(
 /// As [`tile_body`]: `at` lies inside every row and `pan` holds `W`
 /// vectors.
 #[inline(always)]
-unsafe fn tile_step<V: Lanes, const W: usize, const FMA: bool>(
+unsafe fn tile_step<V: Lanes, const W: usize>(
     acc: &mut [[V; W]; MR],
     rows: &[&[f32]; MR],
     at: usize,
@@ -307,7 +306,7 @@ unsafe fn tile_step<V: Lanes, const W: usize, const FMA: bool>(
     for (row, a_row) in acc.iter_mut().zip(rows) {
         let av = V::splat(*a_row.get_unchecked(at));
         for (v, &b) in row.iter_mut().zip(&pb) {
-            *v = v.mul_add::<FMA>(av, b);
+            *v = v.mul_add(av, b);
         }
     }
 }
@@ -317,7 +316,7 @@ type TileFn = unsafe fn(&[Run<'_>], &[f32], &mut [f32], usize, bool);
 
 /// [`tile_body`] with nothing to enable: the scalar level.
 unsafe fn tile_scalar<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
-    tile_body::<F32x4, W, false>(runs, pan, c, ldc, first)
+    tile_body::<F32x4, W>(runs, pan, c, ldc, first)
 }
 
 /// # Safety
@@ -325,14 +324,8 @@ unsafe fn tile_scalar<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f3
 /// Requires AVX2+FMA, and what [`tile_body`] asks of its slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_avx2<const W: usize, const FMA: bool>(
-    runs: &[Run<'_>],
-    pan: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    first: bool,
-) {
-    tile_body::<std::arch::x86_64::__m256, W, FMA>(runs, pan, c, ldc, first)
+unsafe fn tile_avx2<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
+    tile_body::<std::arch::x86_64::__m256, W>(runs, pan, c, ldc, first)
 }
 
 /// # Safety
@@ -340,17 +333,11 @@ unsafe fn tile_avx2<const W: usize, const FMA: bool>(
 /// Requires AVX-512F, and what [`tile_body`] asks of its slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_avx512<const W: usize, const FMA: bool>(
-    runs: &[Run<'_>],
-    pan: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    first: bool,
-) {
-    tile_body::<std::arch::x86_64::__m512, W, FMA>(runs, pan, c, ldc, first)
+unsafe fn tile_avx512<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
+    tile_body::<std::arch::x86_64::__m512, W>(runs, pan, c, ldc, first)
 }
 
-/// The register tile of one SIMD level and kernel mode: the lanes of
+/// The register tile of one SIMD level: the lanes of
 /// its vector and [`tile_body`] instantiated one vector wide and [`NV`]
 /// wide. [`Tile::of`] is the only constructor, which is what ties the
 /// instances to a level the CPU was seen to support.
@@ -361,27 +348,16 @@ struct Tile {
 }
 
 impl Tile {
-    /// The tile for `level` (from [`kernel::simd`]); `fma` contracts
-    /// the multiply-adds (fast mode, SIMD levels only).
-    fn of(level: Simd, fma: bool) -> Tile {
+    /// The tile for `level` (from [`kernel::simd`]).
+    fn of(level: Simd) -> Tile {
         #[cfg(target_arch = "x86_64")]
-        match (level, fma) {
-            (Simd::Avx512, false) => {
-                return Tile { lanes: 16, narrow: tile_avx512::<1, false>, wide: tile_avx512::<NV, false> }
-            }
-            (Simd::Avx512, true) => {
-                return Tile { lanes: 16, narrow: tile_avx512::<1, true>, wide: tile_avx512::<NV, true> }
-            }
-            (Simd::Avx2, false) => {
-                return Tile { lanes: 8, narrow: tile_avx2::<1, false>, wide: tile_avx2::<NV, false> }
-            }
-            (Simd::Avx2, true) => {
-                return Tile { lanes: 8, narrow: tile_avx2::<1, true>, wide: tile_avx2::<NV, true> }
-            }
-            (Simd::Scalar, _) => {}
+        match level {
+            Simd::Avx512 => return Tile { lanes: 16, narrow: tile_avx512::<1>, wide: tile_avx512::<NV> },
+            Simd::Avx2 => return Tile { lanes: 8, narrow: tile_avx2::<1>, wide: tile_avx2::<NV> },
+            Simd::Scalar => {}
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = (level, fma);
+        let _ = level;
         Tile { lanes: F32x4::LANES, narrow: tile_scalar::<1>, wide: tile_scalar::<NV> }
     }
 
@@ -477,7 +453,7 @@ fn gemm(
     if n == 0 {
         return;
     }
-    let tile = Tile::of(kernel::simd(), kernel::fast());
+    let tile = Tile::of(kernel::simd());
     let nr = tile.nr();
     let n_tiles = n.div_ceil(nr);
     // Floats per reduction index of the packed block.
@@ -607,35 +583,29 @@ pub(crate) fn mm_tn(a: &[Mat<'_>], b: &[f32], c: &mut [f32], m: usize, n: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelMode;
 
-    /// Holds the crate-wide kernel lock; puts the process back in exact
-    /// mode at the host's own SIMD level when the test ends, however it
-    /// ends.
+    /// Holds the crate-wide kernel lock; puts the process back at the
+    /// host's own SIMD level when the test ends, however it ends.
     struct KernelGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
 
     impl Drop for KernelGuard {
         fn drop(&mut self) {
-            kernel::set_mode(KernelMode::Exact);
             kernel::set_simd(Simd::Avx512);
         }
     }
 
-    /// Bitwise assertions below define the *exact* contract: take the
-    /// crate-wide kernel lock and pin exact mode (the tests walk the
-    /// SIMD levels themselves — every level's tile must match the naive
-    /// loop bitwise).
+    /// Takes the crate-wide kernel lock (the tests walk the SIMD levels
+    /// themselves — every level's tile must match the naive loop
+    /// bitwise).
     fn exact_guard() -> KernelGuard {
-        let g = KernelGuard(kernel::test_serial());
-        kernel::set_mode(KernelMode::Exact);
-        g
+        KernelGuard(kernel::test_serial())
     }
 
     fn fill(len: usize, salt: usize) -> Vec<f32> {
         (0..len).map(|i| ((i * 37 + salt * 11) % 101) as f32 * 0.02 - 1.0).collect()
     }
 
-    /// The exact-mode ground truth for every variant: the triple loop
+    /// The ground truth for every variant: the triple loop
     /// over the *logical* product `A'[m,k] · B'[k,n]`, reduction index
     /// ascending per output element.
     fn naive_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -694,7 +664,7 @@ mod tests {
     ];
 
     /// Same k-ascending order and per-element roundings as the naive
-    /// loop (exact mode, at whichever SIMD level) => bitwise equal.
+    /// loop (at whichever SIMD level) => bitwise equal.
     fn assert_matches_naive(variant: &str) {
         let _guard = exact_guard();
         for level in kernel::simd_levels() {
@@ -725,7 +695,7 @@ mod tests {
         }
     }
 
-    /// 1 vs 4 threads, bitwise, in both kernel modes at every level. Both
+    /// 1 vs 4 threads, bitwise, at every level. Both
     /// shapes carry more than `MM_SEQ_FLOPS` multiply-adds, so they do
     /// split into several row panels: one with a reduction crossing `KC`
     /// boundaries, one whose reduction and width sit below a vector.
@@ -734,18 +704,15 @@ mod tests {
         let before = tgl_runtime::current_threads();
         for level in kernel::simd_levels() {
             kernel::set_simd(level);
-            for mode in [KernelMode::Exact, KernelMode::Fast] {
-                kernel::set_mode(mode);
-                for (m, k, n) in [(1300, 257, 33), (300_000, 3, 5)] {
-                    assert!(seq_rows(k * n) < m, "{m}x{k}x{n} would run as one panel");
-                    let a = fill(m * k, 11);
-                    let b = fill(k * n, 12);
-                    tgl_runtime::set_threads(1);
-                    let one = run(variant, &a, &b, m, k, n);
-                    tgl_runtime::set_threads(4);
-                    let four = run(variant, &a, &b, m, k, n);
-                    assert_eq!(one, four, "mm_{variant} {m}x{k}x{n} {mode:?} {level:?} 1 vs 4 threads");
-                }
+            for (m, k, n) in [(1300, 257, 33), (300_000, 3, 5)] {
+                assert!(seq_rows(k * n) < m, "{m}x{k}x{n} would run as one panel");
+                let a = fill(m * k, 11);
+                let b = fill(k * n, 12);
+                tgl_runtime::set_threads(1);
+                let one = run(variant, &a, &b, m, k, n);
+                tgl_runtime::set_threads(4);
+                let four = run(variant, &a, &b, m, k, n);
+                assert_eq!(one, four, "mm_{variant} {m}x{k}x{n} {level:?} 1 vs 4 threads");
             }
         }
         tgl_runtime::set_threads(before);
@@ -799,86 +766,52 @@ mod tests {
     /// `A'` in parts cut anywhere (inside a register tile, on a vector,
     /// past `KC`), a part of no columns among them, is the one product
     /// bit for bit, as stored and transposed; so is a column block of
-    /// `B` read through `ldb`. At every level, in both modes.
+    /// `B` read through `ldb`. At every level.
     #[test]
     fn parts_and_column_blocks_match_the_whole_product() {
         let _guard = exact_guard();
         for level in kernel::simd_levels() {
             kernel::set_simd(level);
-            for mode in [KernelMode::Exact, KernelMode::Fast] {
-                kernel::set_mode(mode);
-                for (m, k, n, cuts) in [
-                    (5, 8, 3, vec![3]),
-                    (33, 300, 21, vec![128, 256]),
-                    (9, 80, 32, vec![32, 64]),
-                    (70, 300, 9, vec![200, 200, 299]),
-                    (7, 12, 9, vec![0]),
-                    (6, 50, 33, vec![1, 17, 18, 47]),
-                    (10, 270, 16, vec![15, 31, 129, 257]),
-                ] {
-                    let x = fill(m * k, 3);
-                    let w = fill(n * k, 4);
-                    let dy = fill(m * n, 5);
-                    // Columns c0..c1 of every row of X.
-                    let cols = |c0: usize, c1: usize| -> Vec<f32> {
-                        x.chunks_exact(k).flat_map(|row| row[c0..c1].to_vec()).collect()
-                    };
-                    let bounds: Vec<usize> = [0].into_iter().chain(cuts.clone()).chain([k]).collect();
-                    let owned: Vec<(Vec<f32>, usize)> =
-                        bounds.windows(2).map(|b| (cols(b[0], b[1]), b[1] - b[0])).collect();
-                    let parts: Vec<Mat<'_>> = owned.iter().map(|(x, width)| Mat::whole(x, *width)).collect();
-                    let at = format!("{mode:?} {level:?}");
+            for (m, k, n, cuts) in [
+                (5, 8, 3, vec![3]),
+                (33, 300, 21, vec![128, 256]),
+                (9, 80, 32, vec![32, 64]),
+                (70, 300, 9, vec![200, 200, 299]),
+                (7, 12, 9, vec![0]),
+                (6, 50, 33, vec![1, 17, 18, 47]),
+                (10, 270, 16, vec![15, 31, 129, 257]),
+            ] {
+                let x = fill(m * k, 3);
+                let w = fill(n * k, 4);
+                let dy = fill(m * n, 5);
+                // Columns c0..c1 of every row of X.
+                let cols = |c0: usize, c1: usize| -> Vec<f32> {
+                    x.chunks_exact(k).flat_map(|row| row[c0..c1].to_vec()).collect()
+                };
+                let bounds: Vec<usize> = [0].into_iter().chain(cuts.clone()).chain([k]).collect();
+                let owned: Vec<(Vec<f32>, usize)> =
+                    bounds.windows(2).map(|b| (cols(b[0], b[1]), b[1] - b[0])).collect();
+                let parts: Vec<Mat<'_>> = owned.iter().map(|(x, width)| Mat::whole(x, *width)).collect();
+                let at = format!("{level:?}");
 
-                    let (mut whole, mut split) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
-                    mm_nt_then(&[Mat::whole(&x, k)], &w, &mut whole, m, n, NO_EPILOGUE);
-                    mm_nt_then(&parts, &w, &mut split, m, n, NO_EPILOGUE);
-                    assert_eq!(split, whole, "{at} X·Wᵀ {m}x{k}x{n} cut at {cuts:?}");
+                let (mut whole, mut split) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+                mm_nt_then(&[Mat::whole(&x, k)], &w, &mut whole, m, n, NO_EPILOGUE);
+                mm_nt_then(&parts, &w, &mut split, m, n, NO_EPILOGUE);
+                assert_eq!(split, whole, "{at} X·Wᵀ {m}x{k}x{n} cut at {cuts:?}");
 
-                    let (mut whole, mut split) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
-                    mm_tn(&[Mat::whole(&x, k)], &dy, &mut whole, m, n);
-                    mm_tn(&parts, &dy, &mut split, m, n);
-                    assert_eq!(split, whole, "{at} Xᵀ·dY {m}x{k}x{n} cut at {cuts:?}");
+                let (mut whole, mut split) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
+                mm_tn(&[Mat::whole(&x, k)], &dy, &mut whole, m, n);
+                mm_tn(&parts, &dy, &mut split, m, n);
+                assert_eq!(split, whole, "{at} Xᵀ·dY {m}x{k}x{n} cut at {cuts:?}");
 
-                    // dX = dY · W, and its columns from the first cut on.
-                    let cut = cuts[0];
-                    let mut dx = vec![f32::NAN; m * k];
-                    mm_nn(&dy, &w, &mut dx, m, n, k);
-                    let mut block = vec![f32::NAN; m * (k - cut)];
-                    mm_nn_cols(&dy, &w[cut..], k, &mut block, m, n, k - cut);
-                    let want: Vec<f32> = dx.chunks_exact(k).flat_map(|row| row[cut..].to_vec()).collect();
-                    assert_eq!(block, want, "{at} dX columns {cut}.. of {m}x{n}x{k}");
-                }
-            }
-        }
-    }
-
-    /// `fast` contracts each multiply-add to one rounding and nothing
-    /// else, so at every level it stays within the documented `1e-4`
-    /// (relative to `max(|x|, 1)`) of `exact`, and the two SIMD levels
-    /// agree bit for bit (the same FMA per lane in the same order).
-    #[test]
-    fn fast_mode_within_tolerance_at_every_level() {
-        let _guard = exact_guard();
-        for variant in ["nn", "nt", "tn"] {
-            for (m, k, n) in SIZES {
-                let a = fill(m * k, 13);
-                let b = fill(k * n, 14);
-                let want = naive_nn(&a, &b, m, k, n);
-                kernel::set_mode(KernelMode::Fast);
-                let mut simd_fast: Option<Vec<f32>> = None;
-                for level in kernel::simd_levels() {
-                    kernel::set_simd(level);
-                    let got = run(variant, &a, &b, m, k, n);
-                    for (g, w) in got.iter().zip(&want) {
-                        let err = (g - w).abs() / w.abs().max(1.0);
-                        assert!(err <= 1e-4, "mm_{variant} {m}x{k}x{n} fast at {level:?}: {g} vs {w}");
-                    }
-                    if level >= Simd::Avx2 {
-                        let first = simd_fast.get_or_insert_with(|| got.clone());
-                        assert_eq!(&got, first, "mm_{variant} {m}x{k}x{n} fast: {level:?} vs AVX2");
-                    }
-                }
-                kernel::set_mode(KernelMode::Exact);
+                // dX = dY · W, and its columns from the first cut on.
+                let cut = cuts[0];
+                let mut dx = vec![f32::NAN; m * k];
+                mm_nn(&dy, &w, &mut dx, m, n, k);
+                let mut block = vec![f32::NAN; m * (k - cut)];
+                mm_nn_cols(&dy, &w[cut..], k, &mut block, m, n, k - cut);
+                let want: Vec<f32> = dx.chunks_exact(k).flat_map(|row| row[cut..].to_vec()).collect();
+                assert_eq!(block, want, "{at} dX columns {cut}.. of {m}x{n}x{k}");
             }
         }
     }

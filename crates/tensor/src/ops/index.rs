@@ -108,14 +108,11 @@ impl Tensor {
 /// The gradient of gathering rows `idx` of an `n`-element table of
 /// `row_len`-wide rows: a zeroed table with row `k` of `go` added into
 /// row `idx[k]`, whole rows with `k` ascending, so each element sums
-/// its contributions in the order the gather read them.
+/// its contributions in the order the gather read them. One entry into
+/// the active SIMD level for all the rows.
 pub(crate) fn scatter_add_rows(go: &[f32], idx: &[usize], row_len: usize, n: usize, device: Device) -> Vec<f32> {
     let mut g = pool::take_zeroed(n, device);
-    if row_len > 0 {
-        for (src, &i) in go.chunks_exact(row_len).zip(idx) {
-            kernel::add_assign_dispatch(&mut g[i * row_len..][..row_len], src);
-        }
-    }
+    kernel::add_rows(&mut g, go, row_len, |k| idx[k]);
     g
 }
 
@@ -217,21 +214,9 @@ pub fn cat(tensors: &[Tensor], dim: usize) -> Tensor {
     })
 }
 
-/// Stacks rank-`r` tensors into a rank-`r+1` tensor along a new
-/// leading dimension.
-///
-/// # Panics
-///
-/// Panics on empty input or mismatched shapes/devices.
-pub fn stack(tensors: &[Tensor]) -> Tensor {
-    assert!(!tensors.is_empty(), "stack of zero tensors");
-    let unsqueezed: Vec<Tensor> = tensors.iter().map(|t| t.unsqueeze(0)).collect();
-    cat(&unsqueezed, 0)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{cat, stack};
+    use super::cat;
     use crate::testing::check_gradient;
     use crate::Tensor;
 
@@ -318,24 +303,6 @@ mod tests {
     #[should_panic(expected = "non-concat dim")]
     fn cat_shape_mismatch_panics() {
         cat(&[Tensor::zeros([1, 2]), Tensor::zeros([1, 3])], 0);
-    }
-
-    #[test]
-    fn stack_creates_new_axis() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], [2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0], [2]);
-        let s = stack(&[a, b]);
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn stack_gradient_splits() {
-        let a = Tensor::from_vec(vec![1.0], [1]).requires_grad(true);
-        let b = Tensor::from_vec(vec![2.0], [1]).requires_grad(true);
-        stack(&[a.clone(), b.clone()]).mul_scalar(3.0).sum_all().backward();
-        assert_eq!(a.grad().unwrap(), vec![3.0]);
-        assert_eq!(b.grad().unwrap(), vec![3.0]);
     }
 
     #[test]

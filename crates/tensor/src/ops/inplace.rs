@@ -1,123 +1,19 @@
 //! In-place tensor mutation (no autograd tracking).
 //!
-//! These operators overwrite their receiver's storage directly, so the
-//! hot training loop — optimizer steps, running statistics, gradient
-//! post-processing — performs zero tensor allocations. None of them
-//! record backward nodes; calling one on a tensor that carries a
-//! `grad_fn` is a logic error (it would silently corrupt saved
-//! activations) and panics.
+//! [`Tensor::adam_step_`] overwrites its receivers' storage directly, so
+//! the optimizer step performs zero tensor allocations. It records no
+//! backward node; calling it on a tensor that carries a `grad_fn` is a
+//! logic error (it would silently corrupt saved activations) and
+//! panics.
 //!
-//! All kernels run single-threaded: every call site operates on
+//! The kernel runs single-threaded: every call site operates on
 //! parameter-sized buffers (well under [`crate::ops::ELEMWISE_SEQ`]),
-//! where pool dispatch would cost more than the arithmetic. On AVX2
-//! hosts the loops dispatch to lane-wise SIMD that is bitwise identical
-//! to the scalar code in exact kernel mode (see `crate::kernel`); fast
-//! mode contracts the multiply-adds to FMA.
+//! where pool dispatch would cost more than the arithmetic. It is one
+//! body over [`Lanes`], bitwise identical to the scalar loop at every
+//! SIMD level (see `crate::kernel`).
 
-use crate::kernel;
+use crate::kernel::{self, LaneKernel, Lanes};
 use crate::Tensor;
-
-use self::inplace_simd::adam_dispatch;
-
-pub(crate) mod inplace_simd {
-    //! The fused Adam kernel's SIMD body, kept out of the `impl` block.
-
-    use super::AdamStep;
-
-    /// One fused Adam pass over all four buffers.
-    ///
-    /// Exact-safe without FMA: every lane op (two EMAs as mul/mul/add,
-    /// bias-correction divides, `sqrtps`, the update's mul/div/sub)
-    /// performs the identical IEEE roundings in the same order as the
-    /// scalar loop. Fast mode contracts the two EMAs.
-    pub(crate) fn adam_dispatch(
-        pd: &mut [f32],
-        md: &mut [f32],
-        vd: &mut [f32],
-        g: &[f32],
-        s: AdamStep,
-        fma: bool,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::kernel::simd() >= crate::kernel::Simd::Avx2 {
-            // SAFETY: the level says the CPU supports AVX2+FMA.
-            unsafe {
-                if fma {
-                    adam_avx2::<true>(pd, md, vd, g, s);
-                } else {
-                    adam_avx2::<false>(pd, md, vd, g, s);
-                }
-            }
-            return;
-        }
-        let _ = fma;
-        for i in 0..g.len() {
-            let gi = g[i];
-            md[i] = s.beta1 * md[i] + (1.0 - s.beta1) * gi;
-            vd[i] = s.beta2 * vd[i] + (1.0 - s.beta2) * gi * gi;
-            let m_hat = md[i] / s.bc1;
-            let v_hat = vd[i] / s.bc2;
-            pd[i] -= s.lr * m_hat / (v_hat.sqrt() + s.eps);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn adam_avx2<const FMA: bool>(
-        pd: &mut [f32],
-        md: &mut [f32],
-        vd: &mut [f32],
-        g: &[f32],
-        s: AdamStep,
-    ) {
-        use std::arch::x86_64::*;
-        let n = pd.len();
-        let chunks = n / 8;
-        let b1 = _mm256_set1_ps(s.beta1);
-        let b2 = _mm256_set1_ps(s.beta2);
-        let c1 = _mm256_set1_ps(1.0 - s.beta1);
-        let c2 = _mm256_set1_ps(1.0 - s.beta2);
-        let bc1 = _mm256_set1_ps(s.bc1);
-        let bc2 = _mm256_set1_ps(s.bc2);
-        let eps = _mm256_set1_ps(s.eps);
-        let lr = _mm256_set1_ps(s.lr);
-        for q in 0..chunks {
-            let p = q * 8;
-            let gv = _mm256_loadu_ps(g.as_ptr().add(p));
-            let mv = _mm256_loadu_ps(md.as_ptr().add(p));
-            let vv = _mm256_loadu_ps(vd.as_ptr().add(p));
-            // m = β₁m + (1-β₁)g, scalar order: mul, mul, add.
-            let m_new = if FMA {
-                _mm256_fmadd_ps(b1, mv, _mm256_mul_ps(c1, gv))
-            } else {
-                _mm256_add_ps(_mm256_mul_ps(b1, mv), _mm256_mul_ps(c1, gv))
-            };
-            // v = β₂v + ((1-β₂)g)·g, left-associated like the scalar.
-            let cg = _mm256_mul_ps(c2, gv);
-            let v_new = if FMA {
-                _mm256_fmadd_ps(b2, vv, _mm256_mul_ps(cg, gv))
-            } else {
-                _mm256_add_ps(_mm256_mul_ps(b2, vv), _mm256_mul_ps(cg, gv))
-            };
-            _mm256_storeu_ps(md.as_mut_ptr().add(p), m_new);
-            _mm256_storeu_ps(vd.as_mut_ptr().add(p), v_new);
-            let m_hat = _mm256_div_ps(m_new, bc1);
-            let v_hat = _mm256_div_ps(v_new, bc2);
-            let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), eps);
-            let step = _mm256_div_ps(_mm256_mul_ps(lr, m_hat), denom);
-            let pv = _mm256_sub_ps(_mm256_loadu_ps(pd.as_ptr().add(p)), step);
-            _mm256_storeu_ps(pd.as_mut_ptr().add(p), pv);
-        }
-        for i in chunks * 8..n {
-            let gi = *g.get_unchecked(i);
-            md[i] = s.beta1 * md[i] + (1.0 - s.beta1) * gi;
-            vd[i] = s.beta2 * vd[i] + (1.0 - s.beta2) * gi * gi;
-            let m_hat = md[i] / s.bc1;
-            let v_hat = vd[i] / s.bc2;
-            pd[i] -= s.lr * m_hat / (v_hat.sqrt() + s.eps);
-        }
-    }
-}
 
 /// Hyper-parameters for one fused Adam update (see
 /// [`Tensor::adam_step_`]). The bias corrections `bc1`/`bc2` are
@@ -139,6 +35,41 @@ pub struct AdamStep {
     pub bc2: f32,
 }
 
+/// One fused Adam pass over all four buffers, per element:
+/// `m = β₁·m + (1-β₁)·g` and `v = β₂·v + ((1-β₂)·g)·g` (products
+/// first, then the sum), `p -= (lr · (m / bc1)) / (√(v / bc2) + ε)` —
+/// every operation one lane-wise IEEE rounding, in the scalar order.
+struct Adam<'a> {
+    p: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+    g: &'a [f32],
+    s: AdamStep,
+}
+
+impl LaneKernel for Adam<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let Adam { p, m, v, g, s } = self;
+        let n = g.len();
+        assert!(p.len() == n && m.len() == n && v.len() == n);
+        let [b1, b2, c1, c2, bc1, bc2, eps, lr] =
+            [s.beta1, s.beta2, 1.0 - s.beta1, 1.0 - s.beta2, s.bc1, s.bc2, s.eps, s.lr].map(|c| V::splat(c));
+        for at in (0..n).step_by(V::LANES) {
+            let len = V::LANES.min(n - at);
+            // SAFETY: lanes `at..at + len` lie inside all four buffers.
+            let [pp, mp, vp] = [&mut *p, &mut *m, &mut *v].map(|b| b.as_mut_ptr().add(at));
+            let gv = V::load_part(g.as_ptr().add(at), len);
+            let m_new = b1.mul(V::load_part(mp, len)).add(c1.mul(gv));
+            let v_new = b2.mul(V::load_part(vp, len)).add(c2.mul(gv).mul(gv));
+            m_new.store_part(mp, len);
+            v_new.store_part(vp, len);
+            let step = lr.mul(m_new.div(bc1)).div(v_new.div(bc2).sqrt().add(eps));
+            V::load_part(pp, len).sub(step).store_part(pp, len);
+        }
+    }
+}
+
 impl Tensor {
     fn assert_inplace_ok(&self, other_numel: usize, op: &str) {
         assert!(
@@ -151,75 +82,6 @@ impl Tensor {
             "{op} operand length mismatch: {} vs {other_numel}",
             self.numel()
         );
-    }
-
-    /// `self += other`, element-wise, in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch or if `self` has a backward node.
-    pub fn add_(&self, other: &Tensor) -> &Tensor {
-        self.assert_inplace_ok(other.numel(), "add_");
-        let n = self.numel() as u64;
-        let _prof = tgl_obs::profile::op("add_").flops(n).io(8 * n, 4 * n).shape(&[self.dims()]);
-        if std::sync::Arc::ptr_eq(&self.inner.storage, &other.inner.storage) {
-            let mut d = self.inner.storage.write();
-            for v in d.iter_mut() {
-                *v += *v;
-            }
-        } else {
-            let o = other.inner.storage.read();
-            let mut d = self.inner.storage.write();
-            kernel::add_assign_dispatch(&mut d, &o);
-        }
-        self
-    }
-
-    /// `self *= s`, in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` has a backward node.
-    pub fn mul_scalar_(&self, s: f32) -> &Tensor {
-        self.assert_inplace_ok(self.numel(), "mul_scalar_");
-        let n = self.numel() as u64;
-        let _prof =
-            tgl_obs::profile::op("mul_scalar_").flops(n).io(4 * n, 4 * n).shape(&[self.dims()]);
-        let mut d = self.inner.storage.write();
-        kernel::scale_dispatch(&mut d, s);
-        self
-    }
-
-    /// `self += s * other` (axpy), reading `other` from a raw slice so
-    /// gradient buffers can feed it without wrapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch or if `self` has a backward node.
-    pub fn add_scaled_(&self, other: &[f32], s: f32) -> &Tensor {
-        self.assert_inplace_ok(other.len(), "add_scaled_");
-        let n = self.numel() as u64;
-        let _prof =
-            tgl_obs::profile::op("add_scaled_").flops(2 * n).io(8 * n, 4 * n).shape(&[self.dims()]);
-        let mut d = self.inner.storage.write();
-        kernel::axpy_dispatch(&mut d, other, s, kernel::fast());
-        self
-    }
-
-    /// `self += s * a * b`, element-wise over raw slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch or if `self` has a backward node.
-    pub fn addcmul_(&self, a: &[f32], b: &[f32], s: f32) -> &Tensor {
-        self.assert_inplace_ok(a.len(), "addcmul_");
-        let n = self.numel() as u64;
-        let _prof =
-            tgl_obs::profile::op("addcmul_").flops(3 * n).io(12 * n, 4 * n).shape(&[self.dims()]);
-        assert_eq!(a.len(), b.len(), "addcmul_ factor length mismatch");
-        let mut d = self.inner.storage.write();
-        kernel::addcmul_dispatch(&mut d, a, b, s, kernel::fast());
-        self
     }
 
     /// One fused Adam update: advances the first/second moment tensors
@@ -244,7 +106,7 @@ impl Tensor {
         let mut md = m.inner.storage.write();
         let mut vd = v.inner.storage.write();
         let mut pd = self.inner.storage.write();
-        adam_dispatch(&mut pd, &mut md, &mut vd, g, s, kernel::fast());
+        kernel::run_lanes(Adam { p: &mut pd, m: &mut md, v: &mut vd, g, s });
         self
     }
 }
@@ -253,44 +115,6 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::testing::assert_close;
-
-    #[test]
-    fn add_in_place() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        let b = Tensor::from_vec(vec![0.5, -1.0, 2.0], [3]);
-        a.add_(&b);
-        assert_eq!(a.to_vec(), vec![1.5, 1.0, 5.0]);
-        assert_eq!(b.to_vec(), vec![0.5, -1.0, 2.0]);
-    }
-
-    #[test]
-    fn add_self_aliasing_doubles() {
-        let a = Tensor::from_vec(vec![1.0, -2.0], [2]);
-        let view = a.clone();
-        a.add_(&view);
-        assert_eq!(a.to_vec(), vec![2.0, -4.0]);
-    }
-
-    #[test]
-    fn mul_scalar_in_place() {
-        let a = Tensor::from_vec(vec![1.0, -2.0, 4.0], [3]);
-        a.mul_scalar_(0.5);
-        assert_eq!(a.to_vec(), vec![0.5, -1.0, 2.0]);
-    }
-
-    #[test]
-    fn add_scaled_matches_axpy() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], [2]);
-        a.add_scaled_(&[10.0, -10.0], 0.1);
-        assert_eq!(a.to_vec(), vec![2.0, 1.0]);
-    }
-
-    #[test]
-    fn addcmul_matches_reference() {
-        let a = Tensor::from_vec(vec![1.0, 1.0, 1.0], [3]);
-        a.addcmul_(&[2.0, 3.0, 4.0], &[0.5, 0.5, 0.5], 2.0);
-        assert_eq!(a.to_vec(), vec![3.0, 4.0, 5.0]);
-    }
 
     #[test]
     fn adam_step_matches_unfused_update() {
@@ -318,17 +142,21 @@ mod tests {
         assert_close(&v.to_vec(), &want_v, 0.0);
     }
 
+    fn step() -> AdamStep {
+        AdamStep { lr: 0.1, beta1: 0.9, beta2: 0.999, eps: 1e-8, bc1: 0.1, bc2: 0.001 }
+    }
+
     #[test]
     #[should_panic(expected = "corrupt the autograd graph")]
     fn inplace_on_graph_tensor_panics() {
         let x = Tensor::ones([2]).requires_grad(true);
         let y = x.mul_scalar(2.0); // has a grad_fn
-        y.mul_scalar_(3.0);
+        y.adam_step_(&[1.0, 1.0], &Tensor::zeros([2]), &Tensor::zeros([2]), step());
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn shape_mismatch_panics() {
-        Tensor::ones([2]).add_(&Tensor::ones([3]));
+        Tensor::ones([2]).adam_step_(&[1.0; 3], &Tensor::zeros([2]), &Tensor::zeros([2]), step());
     }
 }

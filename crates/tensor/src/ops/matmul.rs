@@ -284,9 +284,7 @@ fn linear_parts(parts: &[Part<'_>], weight: &Tensor, bias: Option<&Tensor>, relu
         if has_bias {
             grads.push(need_b.then(|| {
                 let mut gb = pool::take_zeroed(n, device);
-                for row in dy.chunks_exact(n.max(1)) {
-                    kernel::add_assign_dispatch(&mut gb, row);
-                }
+                kernel::add_rows(&mut gb, dy, n, |_| 0);
                 gb
             }));
         }

@@ -14,11 +14,10 @@ mod matmul;
 mod reduce;
 pub mod segment;
 mod shape_ops;
-mod softmax;
 mod unary;
 
 pub use fused::{gru_gates, time_encode};
-pub use index::{cat, stack};
+pub use index::cat;
 pub use inplace::AdamStep;
 pub use matmul::{linear_cat, Part};
 pub use segment::{

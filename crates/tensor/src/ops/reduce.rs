@@ -1,4 +1,4 @@
-//! Reduction operators (sum / mean / max, full or per-dimension).
+//! Reduction operators (sums, full or per-dimension).
 
 use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
 
@@ -54,47 +54,22 @@ impl Tensor {
         )
     }
 
-    /// Means all elements into a scalar tensor.
-    pub fn mean_all(&self) -> Tensor {
-        let n = self.numel() as f32;
-        self.sum_all().mul_scalar(1.0 / n)
-    }
-
     /// Sums along dimension `dim`, removing it from the shape.
     ///
     /// # Panics
     ///
     /// Panics if `dim` is out of range.
     pub fn sum_dim(&self, dim: usize) -> Tensor {
-        self.reduce_dim(dim, ReduceKind::Sum)
-    }
-
-    /// Means along dimension `dim`, removing it from the shape.
-    pub fn mean_dim(&self, dim: usize) -> Tensor {
-        let d = self.dim(dim) as f32;
-        self.sum_dim(dim).mul_scalar(1.0 / d)
-    }
-
-    /// Max along dimension `dim`, removing it. Gradient routes to the
-    /// (first) argmax.
-    pub fn max_dim(&self, dim: usize) -> Tensor {
-        self.reduce_dim(dim, ReduceKind::Max)
-    }
-
-    fn reduce_dim(&self, dim: usize, kind: ReduceKind) -> Tensor {
         assert!(dim < self.rank(), "reduce dim {dim} out of range for {}", self.shape());
-        let _prof = tgl_obs::profile::op(match kind {
-            ReduceKind::Sum => "sum_dim",
-            ReduceKind::Max => "max_dim",
-        })
-        .flops(self.numel() as u64)
-        .io(4 * self.numel() as u64, 4 * (self.numel() / self.dim(dim).max(1)) as u64)
-        .shape(&[self.dims()])
-        .backward_cost(
-            0,
-            4 * (self.numel() / self.dim(dim).max(1)) as u64,
-            4 * self.numel() as u64,
-        );
+        let _prof = tgl_obs::profile::op("sum_dim")
+            .flops(self.numel() as u64)
+            .io(4 * self.numel() as u64, 4 * (self.numel() / self.dim(dim).max(1)) as u64)
+            .shape(&[self.dims()])
+            .backward_cost(
+                0,
+                4 * (self.numel() / self.dim(dim).max(1)) as u64,
+                4 * self.numel() as u64,
+            );
         let dims = self.dims();
         let outer: usize = dims[..dim].iter().product();
         let mid = dims[dim];
@@ -103,37 +78,19 @@ impl Tensor {
         let data = self.inner.storage.read();
         let out_shape = self.shape().without_dim(dim);
         let mut out = pool::take_uninit(outer * inner, device);
-        out.fill(match kind {
-            ReduceKind::Sum => 0.0,
-            ReduceKind::Max => f32::NEG_INFINITY,
-        });
-        let mut argmax = match kind {
-            ReduceKind::Max => vec![0usize; outer * inner],
-            ReduceKind::Sum => Vec::new(),
-        };
+        out.fill(0.0);
         // Parallel over `outer`: each outer index owns its own output
-        // (and argmax) rows, and the m-then-i accumulation order per
-        // element matches the sequential loops exactly.
+        // rows, and the m-then-i accumulation order per element matches
+        // the sequential loops exactly.
         {
             let out_sl = UnsafeSlice::new(&mut out);
-            let arg_sl = UnsafeSlice::new(&mut argmax);
             let data = &data;
             parallel_for(outer, rows_threshold(mid * inner), |os: std::ops::Range<usize>| {
                 for o in os {
                     for m in 0..mid {
                         for i in 0..inner {
-                            let src = (o * mid + m) * inner + i;
-                            let dst = o * inner + i;
-                            // SAFETY: `dst` ranges are disjoint across `o`.
-                            match kind {
-                                ReduceKind::Sum => unsafe { *out_sl.get_mut(dst) += data[src] },
-                                ReduceKind::Max => unsafe {
-                                    if data[src] > *out_sl.get_mut(dst) {
-                                        *out_sl.get_mut(dst) = data[src];
-                                        *arg_sl.get_mut(dst) = m;
-                                    }
-                                },
-                            }
+                            // SAFETY: output ranges are disjoint across `o`.
+                            unsafe { *out_sl.get_mut(o * inner + i) += data[(o * mid + m) * inner + i] };
                         }
                     }
                 }
@@ -141,51 +98,25 @@ impl Tensor {
         }
         drop(data);
         let n = self.numel();
-        Tensor::make_result(
-            out,
-            out_shape,
-            self.device(),
-            std::slice::from_ref(self),
-            move |go| {
-                // Sum writes every input slot; Max only touches argmax
-                // positions and needs a zeroed start.
-                let mut g = match kind {
-                    ReduceKind::Sum => pool::take_uninit(n, device),
-                    ReduceKind::Max => pool::take_zeroed(n, device),
-                };
-                {
-                    let g_sl = UnsafeSlice::new(&mut g);
-                    let (go, argmax) = (&go, &argmax);
-                    parallel_for(outer, rows_threshold(mid * inner), |os: std::ops::Range<usize>| {
-                        for o in os {
-                            for m in 0..mid {
-                                for i in 0..inner {
-                                    let src = (o * mid + m) * inner + i;
-                                    let dst = o * inner + i;
-                                    // SAFETY: `src` ranges are disjoint across `o`.
-                                    match kind {
-                                        ReduceKind::Sum => unsafe { *g_sl.get_mut(src) = go[dst] },
-                                        ReduceKind::Max => {
-                                            if argmax[dst] == m {
-                                                unsafe { *g_sl.get_mut(src) = go[dst] };
-                                            }
-                                        }
-                                    }
-                                }
+        Tensor::make_result(out, out_shape, self.device(), std::slice::from_ref(self), move |go| {
+            // Every input slot is written.
+            let mut g = pool::take_uninit(n, device);
+            {
+                let g_sl = UnsafeSlice::new(&mut g);
+                parallel_for(outer, rows_threshold(mid * inner), |os: std::ops::Range<usize>| {
+                    for o in os {
+                        for m in 0..mid {
+                            for i in 0..inner {
+                                // SAFETY: input ranges are disjoint across `o`.
+                                unsafe { *g_sl.get_mut((o * mid + m) * inner + i) = go[o * inner + i] };
                             }
                         }
-                    });
-                }
-                vec![Some(g)]
-            },
-        )
+                    }
+                });
+            }
+            vec![Some(g)]
+        })
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReduceKind {
-    Sum,
-    Max,
 }
 
 #[cfg(test)]
@@ -201,33 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_all() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 6.0], [2, 2]);
-        assert_eq!(t.mean_all().item(), 3.0);
-    }
-
-    #[test]
     fn sum_dim_rows_and_cols() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
         assert_eq!(t.sum_dim(0).to_vec(), vec![5.0, 7.0, 9.0]);
         assert_eq!(t.sum_dim(0).dims(), &[3]);
         assert_eq!(t.sum_dim(1).to_vec(), vec![6.0, 15.0]);
         assert_eq!(t.sum_dim(1).dims(), &[2]);
-    }
-
-    #[test]
-    fn mean_dim() {
-        let t = Tensor::from_vec(vec![2.0, 4.0, 6.0, 8.0], [2, 2]);
-        assert_eq!(t.mean_dim(1).to_vec(), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn max_dim_values_and_grad() {
-        let t = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], [2, 2]).requires_grad(true);
-        let m = t.max_dim(1);
-        assert_eq!(m.to_vec(), vec![5.0, 3.0]);
-        m.sum_all().backward();
-        assert_eq!(t.grad().unwrap(), vec![0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -243,8 +153,7 @@ mod tests {
     fn sum_gradchecks() {
         let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.1, 0.7, -0.3], [2, 3]).requires_grad(true);
         check_gradient(&x, |t| t.sum_dim(0).mul_scalar(2.0).sum_all(), 1e-2);
-        check_gradient(&x, |t| t.mean_dim(1).sum_all(), 1e-2);
-        check_gradient(&x, |t| t.mean_all(), 1e-2);
+        check_gradient(&x, |t| t.sum_dim(1).mul(&t.sum_dim(1)).sum_all(), 1e-2);
     }
 
     #[test]

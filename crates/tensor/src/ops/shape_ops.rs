@@ -1,4 +1,4 @@
-//! Shape-changing operators: reshape (zero-copy), transpose, broadcast.
+//! Shape-changing operators: reshape (zero-copy) and transpose.
 
 use std::sync::Arc;
 
@@ -72,33 +72,6 @@ impl Tensor {
             transpose_into(go, n, m, &mut g);
             vec![Some(g)]
         })
-    }
-
-    /// Materializes a broadcast of this tensor to `shape`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are not broadcast-compatible.
-    pub fn broadcast_to(&self, shape: impl Into<Shape>) -> Tensor {
-        let target = shape.into();
-        let out_shape = self
-            .shape()
-            .broadcast_with(&target)
-            .filter(|s| *s == target)
-            .unwrap_or_else(|| {
-                panic!("cannot broadcast {} to {target}", self.shape())
-            });
-        // Broadcasting against ones of the target shape reuses the
-        // binary machinery (and its gradient reduction).
-        let ones = Tensor::zeros_on(out_shape, self.device());
-        self.add(&ones)
-    }
-
-    /// Repeats a `[D]` vector `n` times into an `[n, D]` matrix.
-    pub fn repeat_rows(&self, n: usize) -> Tensor {
-        assert_eq!(self.rank(), 1, "repeat_rows requires rank-1, got {}", self.shape());
-        let d = self.dim(0);
-        self.broadcast_to([n, d])
     }
 }
 
@@ -176,27 +149,5 @@ mod tests {
         y.add(&detour.reshape([12]).reshape([3, 4]).mul_scalar(0.0)).backward_with(seed);
         let bits = |g: Vec<f32>| g.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         assert_eq!(bits(detour.grad().unwrap()), bits(direct.grad().unwrap()));
-    }
-
-    #[test]
-    fn broadcast_to_matrix() {
-        let v = Tensor::from_vec(vec![1.0, 2.0], [2]);
-        let m = v.broadcast_to([3, 2]);
-        assert_eq!(m.dims(), &[3, 2]);
-        assert_eq!(m.to_vec(), vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn broadcast_grad_sums() {
-        let v = Tensor::from_vec(vec![1.0, 2.0], [2]).requires_grad(true);
-        v.broadcast_to([3, 2]).sum_all().backward();
-        assert_eq!(v.grad().unwrap(), vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn repeat_rows() {
-        let v = Tensor::from_vec(vec![7.0, 8.0], [2]);
-        let m = v.repeat_rows(2);
-        assert_eq!(m.to_vec(), vec![7.0, 8.0, 7.0, 8.0]);
     }
 }

@@ -185,35 +185,6 @@ impl Tensor {
         unary_elementwise("mul_scalar", 1, self, move |x| x * s, move |_, _, g| g * s)
     }
 
-    /// Clamps every element to at least `min` (gradient is zero where
-    /// clamped).
-    pub fn clamp_min(&self, min: f32) -> Tensor {
-        unary_elementwise(
-            "clamp_min",
-            1,
-            self,
-            move |x| x.max(min),
-            move |x, _, g| if x > min { g } else { 0.0 },
-        )
-    }
-
-    /// Clamps every element into `[lo, hi]` (gradient is zero where
-    /// clamped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        assert!(lo <= hi, "clamp range is empty: [{lo}, {hi}]");
-        unary_elementwise(
-            "clamp",
-            2,
-            self,
-            move |x| x.clamp(lo, hi),
-            move |x, _, g| if x > lo && x < hi { g } else { 0.0 },
-        )
-    }
-
     /// Elementwise absolute value (gradient at 0 is 0).
     pub fn abs(&self) -> Tensor {
         unary_elementwise(
@@ -222,29 +193,6 @@ impl Tensor {
             self,
             f32::abs,
             |x, _, g| if x > 0.0 { g } else if x < 0.0 { -g } else { 0.0 },
-        )
-    }
-
-    /// Raises every element to the power `p` (defined for the usual
-    /// domains; gradient `p·x^{p-1}`).
-    pub fn pow_scalar(&self, p: f32) -> Tensor {
-        unary_elementwise(
-            "pow_scalar",
-            15,
-            self,
-            move |x| x.powf(p),
-            move |x, _, g| g * p * x.powf(p - 1.0),
-        )
-    }
-
-    /// Softplus `ln(1 + e^x)`, the smooth ReLU (numerically stable).
-    pub fn softplus(&self) -> Tensor {
-        unary_elementwise(
-            "softplus",
-            15,
-            self,
-            |x| x.max(0.0) + (-(x.abs())).exp().ln_1p(),
-            |x, _, g| g / (1.0 + (-x).exp()),
         )
     }
 }
@@ -272,7 +220,6 @@ mod tests {
         assert_close(&t(vec![0.0]).tanh().to_vec(), &[0.0], 1e-6);
         assert_eq!(t(vec![1.0]).add_scalar(2.0).to_vec(), vec![3.0]);
         assert_eq!(t(vec![3.0]).mul_scalar(-2.0).to_vec(), vec![-6.0]);
-        assert_eq!(t(vec![-5.0, 5.0]).clamp_min(0.0).to_vec(), vec![0.0, 5.0]);
     }
 
     #[test]
@@ -290,23 +237,12 @@ mod tests {
 
     #[test]
     fn extended_activation_values() {
-        assert_eq!(t(vec![-3.0, 0.5, 9.0]).clamp(0.0, 1.0).to_vec(), vec![0.0, 0.5, 1.0]);
-        assert_eq!(t(vec![-2.0, 3.0]).abs().to_vec(), vec![2.0, 3.0]);
-        assert_close(&t(vec![2.0]).pow_scalar(3.0).to_vec(), &[8.0], 1e-5);
-        assert_close(&t(vec![0.0]).softplus().to_vec(), &[std::f32::consts::LN_2], 1e-6);
+        assert_eq!(t(vec![-2.0, 3.0, 0.0]).abs().to_vec(), vec![2.0, 3.0, 0.0]);
     }
 
     #[test]
     fn extended_activation_gradchecks() {
-        check_gradient(&t(vec![0.3, -0.7, 1.2]), |x| x.softplus().sum_all(), 1e-2);
-        check_gradient(&t(vec![1.3, 0.7, 2.2]), |x| x.pow_scalar(1.7).sum_all(), 5e-2);
-        check_gradient(&t(vec![0.6, -0.4]), |x| x.clamp(-0.5, 0.5).mul(x).sum_all(), 1e-2);
-    }
-
-    #[test]
-    #[should_panic(expected = "clamp range is empty")]
-    fn clamp_bad_range_panics() {
-        t(vec![1.0]).clamp(2.0, 1.0);
+        check_gradient(&t(vec![0.6, -0.4, 1.3]), |x| x.abs().mul(x).sum_all(), 1e-2);
     }
 
     #[test]

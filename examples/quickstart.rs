@@ -22,7 +22,7 @@
 //! link). Every observability flag of `tgl train` works here too,
 //! through the one [`ObsOptions::from_args`]: `--prof`, `--profile`, `--critpath`,
 //! `--trace-out`, `--metrics-out`, `--flight-out`,
-//! `--health`, `--pipeline`, `--threads`, `--kernel`, `--flight`,
+//! `--health`, `--pipeline`, `--threads`, `--flight`,
 //! `--csv`, `--ckpt` (see `tgl --help`). Any other argument exits 2.
 
 use tgl_data::{DatasetKind, DatasetSpec};
@@ -72,12 +72,11 @@ fn main() {
     };
     args.reject_unread().unwrap_or_else(|e| usage(e));
     println!(
-        "TGAT on {} ({} nodes, {} edges), {}, kernel {} (simd {})",
+        "TGAT on {} ({} nodes, {} edges), {}, simd {}",
         cfg.dataset.kind.name(),
         cfg.dataset.num_nodes(),
         cfg.dataset.n_edges,
         cfg.placement.label(),
-        opts.kernel.unwrap_or_else(tgl_tensor::kernel::mode).label(),
         tgl_tensor::kernel::simd_label()
     );
     let result = tgl_harness::run(&cfg, &opts).unwrap_or_else(|e| usage(e.to_string()));

@@ -24,17 +24,21 @@ for flag in $OBS_FLAGS; do
         || { echo "$flag is in tgl --help but has no consumer row in DESIGN.md"; exit 1; }
 done
 
-# Both passes run under `timeout`: block chains cross threads behind
+echo "==> SIMD intrinsics live in crates/tensor/src/kernel.rs alone"
+# Every other kernel is written once on `kernel::Lanes`; an `_mm*_`
+# call anywhere else is a second SIMD mechanism.
+INTRINSICS="$(grep -rlE '_mm[0-9]*_' crates --include='*.rs' | grep -vx 'crates/tensor/src/kernel.rs' || true)"
+[ -z "$INTRINSICS" ] \
+    || { echo "SIMD intrinsics outside crates/tensor/src/kernel.rs:"; echo "$INTRINSICS"; exit 1; }
+
+# Test passes run under `timeout`: block chains cross threads behind
 # one lock per block, and a lock cycle would otherwise hang the job
 # instead of failing it. A full pass takes about two minutes here once
 # the test binaries are built.
 TEST_TIMEOUT=1800
 
-echo "==> cargo test -q --offline (TGL_KERNEL=exact, the default)"
-TGL_KERNEL=exact timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
-
-echo "==> cargo test -q --offline (TGL_KERNEL=fast)"
-TGL_KERNEL=fast timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
+echo "==> cargo test -q --offline"
+timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
 
 # Tier-1 is the debug profile; the harness and the tensor crate are
 # where release-only behaviour lives (a CPU clock coarser than a test
@@ -92,13 +96,12 @@ grep -Eq "compute-bound|bandwidth-bound" "$PROF_LOG" \
     || { echo "profile table carries no roofline verdict"; cat "$PROF_LOG"; exit 1; }
 grep -q "phase coverage" "$PROF_LOG" \
     || { echo "profile output missing phase coverage lines"; cat "$PROF_LOG"; exit 1; }
-# The roofline header must name the calibrated peak with its kernel
-# mode, and no op may be reported above that peak — a ">peak!" marker
-# means the ceiling is stale relative to the measured rates.
-grep -q "roofline: peak" "$PROF_LOG" \
-    || { echo "profile output missing roofline header"; cat "$PROF_LOG"; exit 1; }
-grep -q "kernel exact" "$PROF_LOG" \
-    || { echo "roofline header does not name the default kernel mode"; cat "$PROF_LOG"; exit 1; }
+# The roofline header must name the peak calibrated from the GEMM
+# artifact at the run's thread count, and no op may be reported above
+# that peak — a ">peak!" marker means the ceiling is stale relative to
+# the measured rates.
+grep -Eq "roofline: peak [0-9.]+ GFLOP/s \(BENCH_micro_gemm\.json.*, 2t\)" "$PROF_LOG" \
+    || { echo "roofline header does not name a peak calibrated at 2 threads"; cat "$PROF_LOG"; exit 1; }
 if grep -q ">peak!" "$PROF_LOG"; then
     echo "profile reports an op above the calibrated GEMM peak"; cat "$PROF_LOG"; exit 1
 fi
@@ -336,16 +339,10 @@ cargo bench --offline -q -p tgl-bench --bench pipeline
 grep -q '"bitwise_identical": true' BENCH_pipeline.json \
     || { echo "BENCH_pipeline.json missing bitwise-identity marker"; exit 1; }
 
-echo "==> micro-op + GEMM series (exact/fast kernel modes, thread scaling)"
+echo "==> micro-op + GEMM series (thread scaling)"
 cargo bench --offline -q -p tgl-bench --bench micro_ops
 ./target/release/tgl jsoncheck BENCH_micro_gemm.json
 ./target/release/tgl jsoncheck BENCH_parallel.json
-# Both kernel modes must appear in the regenerated artifact so the
-# roofline can calibrate whichever mode a run selects.
-for mode in exact fast; do
-    grep -q "\"kernel\": \"$mode\"" BENCH_micro_gemm.json \
-        || { echo "BENCH_micro_gemm.json missing $mode-mode series"; exit 1; }
-done
 # The two backward products and the fused Linear op (forward and
 # backward) ride the trend guard beside the forward product.
 for op in nn nt tn linear linear.bwd; do

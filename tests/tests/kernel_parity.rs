@@ -1,38 +1,35 @@
 //! Scalar-vs-SIMD kernel contract suite.
 //!
-//! The tensor crate carries two kernel modes (`tgl_tensor::kernel`):
-//! `exact` restricts SIMD to lane-wise operations whose per-element
-//! IEEE roundings match the scalar reference, so every result is
-//! bitwise identical to a scalar-only build; `fast` adds FMA
-//! contraction, horizontal vector reductions, and a polynomial exp,
-//! trading bitwise parity for throughput within documented tolerances.
-//! Both modes stay thread-count invariant. These tests pin each half
-//! of that contract against the public tensor API.
+//! The tensor crate has one floating-point contract
+//! (`tgl_tensor::kernel`): SIMD runs only lane-wise operations whose
+//! per-element IEEE roundings match the scalar reference, so every
+//! result is bitwise identical to a scalar-only build and to the plain
+//! loops that define it, at every thread count. These tests pin that
+//! contract against the public tensor API.
 
 use std::sync::{Mutex, MutexGuard};
 
 use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tgl_runtime::set_threads;
-use tgl_tensor::kernel::{self, KernelMode, Simd, Trig};
+use tgl_tensor::kernel::{self, Simd, Trig};
 use tgl_tensor::ops::{
     cat, gru_gates, linear_cat, segment_dot, segment_mean, segment_softmax, segment_sum,
     segment_weighted_sum, time_encode, AdamStep, Part,
 };
 use tgl_tensor::Tensor;
 
-/// Serializes tests: kernel mode, SIMD gate, and the thread pool are
+/// Serializes tests: the SIMD gate and the thread pool are
 /// process-global.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Restores the default kernel state (exact mode, the host's own SIMD
-/// level, one thread) when a test scope unwinds.
+/// Restores the default kernel state (the host's own SIMD level, one
+/// thread) when a test scope unwinds.
 struct RestoreKernel;
 impl Drop for RestoreKernel {
     fn drop(&mut self) {
-        kernel::set_mode(KernelMode::Exact);
         kernel::set_simd(Simd::Avx512);
         set_threads(1);
     }
@@ -79,15 +76,6 @@ fn op_suite() -> Vec<f32> {
         out.extend(b.grad().unwrap());
     }
 
-    // Softmax over rows long enough to hit the 8-lane paths plus a
-    // ragged tail.
-    let x = rand2(&mut rng, [37, 21]).requires_grad(true);
-    let w = rand2(&mut rng, [37, 21]);
-    let s = x.softmax_last();
-    s.mul(&w).sum_all().backward();
-    out.extend(s.to_vec());
-    out.extend(x.grad().unwrap());
-
     // Segment kernels at d=16 (two full lanes).
     let n = 300;
     let x = rand2(&mut rng, [n, 16]).requires_grad(true);
@@ -109,15 +97,11 @@ fn op_suite() -> Vec<f32> {
     out.extend(y.to_vec());
     out.extend(a.grad().unwrap());
 
-    // In-place hot-path ops, including the fused Adam step.
+    // The fused Adam step.
     let p = rand2(&mut rng, [11, 31]);
     let g: Vec<f32> = (0..11 * 31).map(|i| ((i * 37 % 100) as f32 - 50.0) / 50.0).collect();
     let m = Tensor::zeros([11, 31]);
     let v = Tensor::zeros([11, 31]);
-    p.add_(&rand2(&mut rng, [11, 31]));
-    p.mul_scalar_(0.97);
-    p.add_scaled_(&g, -0.01);
-    p.addcmul_(&g, &g, 0.005);
     for t in 1..=7i32 {
         let s = AdamStep {
             lr: 1e-2,
@@ -140,19 +124,10 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn max_rel_err(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs() / x.abs().max(1.0))
-        .fold(0.0, f32::max)
-}
-
 #[test]
 fn exact_mode_simd_is_bitwise_identical_to_scalar() {
     let _g = serial();
     let _restore = RestoreKernel;
-    kernel::set_mode(KernelMode::Exact);
     set_threads(1);
     kernel::set_simd(Simd::Scalar);
     let scalar = op_suite();
@@ -161,61 +136,8 @@ fn exact_mode_simd_is_bitwise_identical_to_scalar() {
         assert_eq!(
             bits(&scalar),
             bits(&op_suite()),
-            "exact mode must be bitwise identical at {} and at the scalar level",
+            "SIMD must be bitwise identical at {} and at the scalar level",
             kernel::simd_label()
-        );
-    }
-}
-
-#[test]
-fn fast_mode_stays_within_documented_tolerance() {
-    let _g = serial();
-    let _restore = RestoreKernel;
-    set_threads(1);
-    kernel::set_mode(KernelMode::Exact);
-    let exact = op_suite();
-    kernel::set_mode(KernelMode::Fast);
-    let fast = op_suite();
-    // DESIGN.md "Kernel contract": fast-mode results differ from exact
-    // only by FMA contraction / reassociated reductions / polynomial
-    // exp — all O(k * eps) effects. 1e-4 relative (against a max(|x|,1)
-    // denominator) bounds the whole suite with wide margin.
-    let err = max_rel_err(&exact, &fast);
-    assert!(err <= 1e-4, "fast-mode divergence {err} exceeds 1e-4");
-}
-
-#[test]
-fn fast_mode_gradients_pass_finite_difference_check() {
-    let _g = serial();
-    let _restore = RestoreKernel;
-    set_threads(1);
-    kernel::set_mode(KernelMode::Fast);
-    // Composite loss covering GEMM, softmax, and fused paths whose
-    // fast kernels reassociate: analytic gradients must still track
-    // central differences at the usual f32 gradcheck tolerance.
-    let base: Vec<f32> = (0..6 * 5).map(|i| ((i * 13 % 17) as f32 - 8.0) / 8.0).collect();
-    let w = Tensor::from_vec((0..5 * 9).map(|i| ((i * 7 % 23) as f32 - 11.0) / 11.0).collect(), [5, 9]);
-    let loss_of = |vals: Vec<f32>| -> (Tensor, f32) {
-        let x = Tensor::from_vec(vals, [6, 5]).requires_grad(true);
-        let y = x.matmul(&w).softmax_last().sum_all();
-        (x, y.item())
-    };
-    let (x, _) = loss_of(base.clone());
-    let y = x.matmul(&w).softmax_last().sum_all();
-    y.backward();
-    let analytic = x.grad().unwrap();
-    let eps = 1e-2f32;
-    for i in 0..base.len() {
-        let mut up = base.clone();
-        up[i] += eps;
-        let mut dn = base.clone();
-        dn[i] -= eps;
-        let numeric = (loss_of(up).1 - loss_of(dn).1) / (2.0 * eps);
-        let denom = numeric.abs().max(analytic[i].abs()).max(1e-2);
-        assert!(
-            (numeric - analytic[i]).abs() / denom <= 3e-2,
-            "grad[{i}] analytic {} vs numeric {numeric} under fast kernels",
-            analytic[i]
         );
     }
 }
@@ -256,7 +178,6 @@ fn gemm_triple(a: &Tensor, b: &Tensor, dc: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f
 fn transposed_gemms_match_naive_reduction_order_in_exact_mode() {
     let _g = serial();
     let _restore = RestoreKernel;
-    kernel::set_mode(KernelMode::Exact);
     set_threads(1);
     let mut rng = StdRng::seed_from_u64(0x7A1);
     // Includes reductions crossing KC=128 for both products (dA reduces
@@ -281,22 +202,17 @@ fn mc_panel_gemm_thread_invariant_in_both_modes() {
     // runs inline) for several row panels in every product, with a
     // reduction crossing a KC boundary in each (k for C, n for dA, m
     // for dB) and one shape whose k and n sit below one vector. All
-    // three kernels must be bitwise invariant between 1 and 4 threads
-    // in *both* kernel modes — fast mode changes which arithmetic runs,
-    // never the order it runs in.
-    for mode in [KernelMode::Exact, KernelMode::Fast] {
-        kernel::set_mode(mode);
-        for (m, k, n) in [(1300, 257, 33), (1300, 33, 257), (300_000, 3, 5)] {
-            let run = |threads: usize| {
-                set_threads(threads);
-                let mut rng = StdRng::seed_from_u64(0x6CA);
-                let (a, b) = (rand2(&mut rng, [m, k]), rand2(&mut rng, [k, n]));
-                let dc = rand2(&mut rng, [m, n]).to_vec();
-                let (c, da, db) = gemm_triple(&a, &b, &dc);
-                (bits(&c), bits(&da), bits(&db))
-            };
-            assert_eq!(run(1), run(4), "{mode:?} {m}x{k}x{n}: GEMM differs between 1 and 4 threads");
-        }
+    // three kernels must be bitwise invariant between 1 and 4 threads.
+    for (m, k, n) in [(1300, 257, 33), (1300, 33, 257), (300_000, 3, 5)] {
+        let run = |threads: usize| {
+            set_threads(threads);
+            let mut rng = StdRng::seed_from_u64(0x6CA);
+            let (a, b) = (rand2(&mut rng, [m, k]), rand2(&mut rng, [k, n]));
+            let dc = rand2(&mut rng, [m, n]).to_vec();
+            let (c, da, db) = gemm_triple(&a, &b, &dc);
+            (bits(&c), bits(&da), bits(&db))
+        };
+        assert_eq!(run(1), run(4), "{m}x{k}x{n}: GEMM differs between 1 and 4 threads");
     }
 }
 
@@ -386,7 +302,6 @@ fn gemm_and_linear_cat_hold_their_bits_at_every_simd_level() {
         kernel::set_simd(level);
         for threads in [1, 4] {
             set_threads(threads);
-            kernel::set_mode(KernelMode::Exact);
             for (a, b, dc, want) in &gemms {
                 let (c, da, db) = gemm_triple(a, b, dc);
                 let at = format!("{}x{} at {level:?}, {threads} threads", a.shape(), b.shape());
@@ -399,23 +314,6 @@ fn gemm_and_linear_cat_hold_their_bits_at_every_simd_level() {
                 // turns a `-0.0` gradient into `+0.0`.
                 let got = eval(&case.fused, &case.inputs);
                 assert_eq!(&got, want, "{} at {level:?}, {threads} threads", case.name);
-            }
-            kernel::set_mode(KernelMode::Fast);
-            let close = |got: &[f32], want: &[f32], what: &str| {
-                let size = want.iter().fold(1.0f32, |m, v| m.max(v.abs()));
-                let err = got.iter().zip(want).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max) / size;
-                assert!(err <= 1e-4, "{what} off by {err} under fast at {level:?}, {threads} threads");
-            };
-            for (a, b, dc, want) in &gemms {
-                let (c, da, db) = gemm_triple(a, b, dc);
-                for (got, want) in [&c, &da, &db].into_iter().zip(want) {
-                    close(got, want, &format!("{}x{}", a.shape(), b.shape()));
-                }
-            }
-            for (case, want) in &layers {
-                for (got, want) in eval(&case.fused, &case.inputs).iter().zip(want) {
-                    close(got, want, &case.name);
-                }
             }
         }
     }
@@ -468,37 +366,26 @@ fn backward_requests_no_buffer_for_inputs_off_the_graph() {
 }
 
 #[test]
-fn fused_elementwise_thread_invariant_in_fast_mode() {
+fn fused_elementwise_thread_invariant_across_chunk_boundaries() {
     let _g = serial();
     let _restore = RestoreKernel;
-    // Regression guard: the fused scale_add/addcmul forwards vectorize
-    // per parallel_for range, and range boundaries move with the
-    // thread count. The FMA paths' scalar tails must round exactly
-    // like the vector body (f32::mul_add), or elements near chunk
-    // splits change value with the thread count. 123*211 elements is
-    // past the elementwise parallel threshold and not a lane multiple.
-    kernel::set_mode(KernelMode::Fast);
-    let run = |threads: usize| {
-        set_threads(threads);
-        let mut rng = StdRng::seed_from_u64(0xF0A6);
-        let a = rand2(&mut rng, [123, 211]).requires_grad(true);
-        let b = rand2(&mut rng, [123, 211]);
-        let y = a.scale_add(0.731, &b).addcmul(&b, &b, -0.417);
-        y.sum_all().backward();
-        (bits(&y.to_vec()), bits(&a.grad().unwrap()))
-    };
-    let one = run(1);
-    let eight = run(8);
-    assert_eq!(one, eight, "fused scale_add/addcmul vary with thread count in fast mode");
-}
-
-#[test]
-fn mode_parsing_accepts_exact_and_fast_only() {
-    assert_eq!(kernel::parse("exact"), Some(KernelMode::Exact));
-    assert_eq!(kernel::parse("FAST"), Some(KernelMode::Fast));
-    assert_eq!(kernel::parse(" Exact "), Some(KernelMode::Exact));
-    assert_eq!(kernel::parse("quick"), None);
-    assert_eq!(kernel::parse(""), None);
+    // The fused elementwise kernels run once per `parallel_for` range,
+    // and range boundaries move with the thread count: a partial last
+    // vector must round like a whole one, or elements near a split
+    // change value with the thread count. Every length is past the
+    // elementwise parallel threshold (16 384) and not a lane multiple.
+    for n in [123 * 211, 2 * 16_384 + 7, 5 * 16_384 + 13] {
+        let run = |threads: usize| {
+            set_threads(threads);
+            let mut rng = StdRng::seed_from_u64(0xF0A6);
+            let a = rand2(&mut rng, [n, 1]).requires_grad(true);
+            let b = rand2(&mut rng, [n, 1]);
+            let y = a.add_relu(&b).scale_add(0.731, &b).addcmul(&b, &b, -0.417);
+            y.sum_all().backward();
+            (bits(&y.to_vec()), bits(&a.grad().unwrap()))
+        };
+        assert_eq!(run(1), run(4), "fused elementwise ops over {n} elements vary with the thread count");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -726,15 +613,12 @@ fn linear_cat_reads_indexed_parts_as_their_gather() {
     ];
     for level in kernel::simd_levels() {
         kernel::set_simd(level);
-        for mode in [KernelMode::Exact, KernelMode::Fast] {
-            kernel::set_mode(mode);
-            for threads in [1, 4] {
-                set_threads(threads);
-                for case in &cases {
-                    let (fused, chain) = (eval(&case.fused, &case.inputs), eval(&case.chain, &case.inputs));
-                    for (i, (f, c)) in fused.iter().zip(&chain).enumerate() {
-                        assert_eq!(bits(f), bits(c), "{} {mode:?} at {level:?}, {threads} threads: output/grad {i}", case.name);
-                    }
+        for threads in [1, 4] {
+            set_threads(threads);
+            for case in &cases {
+                let (fused, chain) = (eval(&case.fused, &case.inputs), eval(&case.chain, &case.inputs));
+                for (i, (f, c)) in fused.iter().zip(&chain).enumerate() {
+                    assert_eq!(bits(f), bits(c), "{} at {level:?}, {threads} threads: output/grad {i}", case.name);
                 }
             }
         }
@@ -869,7 +753,6 @@ fn fusions() -> Vec<Fusion> {
 fn fused_kernels_match_their_chains_bitwise_in_exact_mode() {
     let _g = serial();
     let _restore = RestoreKernel;
-    kernel::set_mode(KernelMode::Exact);
     for threads in [1, 4] {
         set_threads(threads);
         for case in fusions() {
@@ -884,38 +767,15 @@ fn fused_kernels_match_their_chains_bitwise_in_exact_mode() {
 }
 
 #[test]
-fn fused_kernels_stay_within_tolerance_in_fast_mode() {
-    let _g = serial();
-    let _restore = RestoreKernel;
-    set_threads(1);
-    for case in fusions() {
-        kernel::set_mode(KernelMode::Exact);
-        let want = eval(&case.chain, &case.inputs);
-        kernel::set_mode(KernelMode::Fast);
-        let got = eval(&case.fused, &case.inputs);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            // Against the largest magnitude of the tensor: a sum that
-            // cancels to ~0 keeps the absolute error of its terms.
-            let size = w.iter().fold(1.0f32, |m, v| m.max(v.abs()));
-            let err = g.iter().zip(w).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max) / size;
-            assert!(err <= 1e-4, "{}: output/grad {i} off by {err} under fast", case.name);
-        }
-    }
-}
-
-#[test]
 fn fused_kernels_are_thread_count_invariant_in_both_modes() {
     let _g = serial();
     let _restore = RestoreKernel;
-    for mode in [KernelMode::Exact, KernelMode::Fast] {
-        kernel::set_mode(mode);
-        for case in fusions() {
-            set_threads(1);
-            let one: Vec<Vec<u32>> = eval(&case.fused, &case.inputs).iter().map(|v| bits(v)).collect();
-            set_threads(4);
-            let four: Vec<Vec<u32>> = eval(&case.fused, &case.inputs).iter().map(|v| bits(v)).collect();
-            assert_eq!(one, four, "{} {mode:?}: 1 vs 4 threads", case.name);
-        }
+    for case in fusions() {
+        set_threads(1);
+        let one: Vec<Vec<u32>> = eval(&case.fused, &case.inputs).iter().map(|v| bits(v)).collect();
+        set_threads(4);
+        let four: Vec<Vec<u32>> = eval(&case.fused, &case.inputs).iter().map(|v| bits(v)).collect();
+        assert_eq!(one, four, "{}: 1 vs 4 threads", case.name);
     }
 }
 
@@ -977,7 +837,6 @@ fn attention_step_is_the_same_bits_fused_and_unfused() {
     // the same order.
     let _g = serial();
     let _restore = RestoreKernel;
-    kernel::set_mode(KernelMode::Exact);
     set_threads(1);
     let (e, s, h, d) = (220, 30, 2, 8);
     let seg = segments_for(e, s, true);
@@ -1130,7 +989,6 @@ fn naive_attention(values: &[Vec<f32>], seg: &[usize], s: usize, (h, d): (usize,
 fn attention_kernels_are_their_scalar_loops_at_every_simd_level() {
     let _g = serial();
     let _restore = RestoreKernel;
-    kernel::set_mode(KernelMode::Exact);
     let mut rng = StdRng::seed_from_u64(0xA7E);
     // Every head count and width at three cycles of runs; one TGAT-wide
     // layer long enough (past the 8 192 rows below which every kernel
@@ -1173,5 +1031,185 @@ fn attention_kernels_are_their_scalar_loops_at_every_simd_level() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The elementwise and row kernels against their scalar loops
+// ---------------------------------------------------------------------
+
+/// `max(x, 0)` as the kernels select it: `x` if `x > 0`, else `+0.0`.
+fn relu_select(x: f32) -> f32 {
+    if x > 0.0 { x } else { 0.0 }
+}
+
+/// Output and input gradients of `f` over fresh leaves of `inputs`,
+/// from the upstream gradient `go`.
+fn run_with(f: impl Fn(&[Tensor]) -> Tensor, inputs: &[Tensor], go: &[f32]) -> Vec<Vec<f32>> {
+    let leaves: Vec<Tensor> = inputs.iter().map(|t| t.requires_grad(true)).collect();
+    let y = f(&leaves);
+    y.backward_with(go.to_vec());
+    let mut all = vec![y.to_vec()];
+    all.extend(leaves.iter().map(|t| t.grad().unwrap_or_default()));
+    all
+}
+
+/// Every kernel written on `Lanes` outside the GEMM and the attention
+/// operators, through the op that runs it, against the plain scalar
+/// loop that defines it: `add_relu` and its mask, `scale_add`,
+/// `addcmul`, the `Linear` epilogue and its bias gradient, the row
+/// scatter of `index_select`'s backward, `segment_sum` /
+/// `segment_mean`, `segment_softmax`'s backward and the Adam step. At
+/// every level, every width from none to a vector and a half of 16
+/// lanes (so every partial vector of every level), bit for bit.
+#[test]
+fn lane_kernels_are_their_scalar_loops_at_every_length_and_level() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    set_threads(1);
+    let mut rng = StdRng::seed_from_u64(0x1A7E5);
+    for len in 0..=33usize {
+        let vec = |rng: &mut StdRng, n: usize| rand2(rng, [n, 1]).to_vec();
+        let (a, b, c, go) = (vec(&mut rng, len), vec(&mut rng, len), vec(&mut rng, len), vec(&mut rng, len));
+        let t = |v: &[f32], dims: [usize; 2]| Tensor::from_vec(v.to_vec(), dims);
+        let (s, m) = (0.731f32, 3usize);
+        // Elementwise: output and the first input's gradient.
+        let relu: Vec<f32> = a.iter().zip(&b).map(|(x, y)| relu_select(x + y)).collect();
+        let mask = |y: &[f32], go: &[f32]| -> Vec<f32> {
+            y.iter().zip(go).map(|(&y, &g)| if y > 0.0 { g } else { 0.0 }).collect()
+        };
+        let scale_add: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x * s + y).collect();
+        let addcmul: Vec<f32> = (0..len).map(|i| c[i] + s * a[i] * b[i]).collect();
+        // The `Linear` epilogue over `m` rows `len` wide, on the product
+        // the GEMM leaves, and the bias gradient summed over rows.
+        let (x, w, bias) = (rand2(&mut rng, [m, 5]), rand2(&mut rng, [len, 5]), vec(&mut rng, len));
+        let dy = vec(&mut rng, m * len);
+        let plain = x.linear(&w, None, false).to_vec();
+        // Table rows 0..5 gathered as [0, 3, 0, 4, 3, 3]: repeats add up.
+        let (idx, table) = ([0usize, 3, 0, 4, 3, 3], rand2(&mut rng, [5, len]));
+        let up = vec(&mut rng, idx.len() * len);
+        let mut scatter = vec![0.0f32; 5 * len];
+        for (k, &r) in idx.iter().enumerate() {
+            for j in 0..len {
+                scatter[r * len + j] += up[k * len + j];
+            }
+        }
+        // Seven rows over three segments, unsorted ids; a count of 3 makes
+        // `x / 3` differ from `x * (1 / 3)`.
+        let (ids, values) = ([2usize, 0, 2, 1, 0, 2, 0], rand2(&mut rng, [7, len]));
+        let vals = values.to_vec();
+        let (mut sum, mut mean, counts) = (vec![0.0f32; 3 * len], vec![0.0f32; 3 * len], [3.0f32, 1.0, 3.0]);
+        for (i, &sg) in ids.iter().enumerate() {
+            for j in 0..len {
+                sum[sg * len + j] += vals[i * len + j];
+                mean[sg * len + j] += vals[i * len + j] / counts[sg];
+            }
+        }
+        let soft_up = vec(&mut rng, 7 * len);
+        // Adam from moments of the previous steps.
+        let (p0, m0, v0, g) = (vec(&mut rng, len), vec(&mut rng, len), vec(&mut rng, len), vec(&mut rng, len));
+        let v0: Vec<f32> = v0.iter().map(|v| v * v).collect();
+        let step = AdamStep { lr: 1e-2, beta1: 0.9, beta2: 0.999, eps: 1e-8, bc1: 0.271, bc2: 0.003 };
+        let (mut want_p, mut want_m, mut want_v) = (p0.clone(), m0.clone(), v0.clone());
+        for i in 0..len {
+            want_m[i] = step.beta1 * want_m[i] + (1.0 - step.beta1) * g[i];
+            want_v[i] = step.beta2 * want_v[i] + (1.0 - step.beta2) * g[i] * g[i];
+            want_p[i] -= step.lr * (want_m[i] / step.bc1) / ((want_v[i] / step.bc2).sqrt() + step.eps);
+        }
+
+        for level in kernel::simd_levels() {
+            kernel::set_simd(level);
+            let at = format!("len {len} at {level:?}");
+            let got = run_with(|t| t[0].add_relu(&t[1]), &[t(&a, [len, 1]), t(&b, [len, 1])], &go);
+            assert_eq!(bits(&got[0]), bits(&relu), "add_relu, {at}");
+            assert_eq!(bits(&got[1]), bits(&mask(&relu, &go)), "add_relu mask, {at}");
+            let got = run_with(|t| t[0].scale_add(s, &t[1]), &[t(&a, [len, 1]), t(&b, [len, 1])], &go);
+            assert_eq!(bits(&got[0]), bits(&scale_add), "scale_add, {at}");
+            let got = run_with(|t| t[0].addcmul(&t[1], &t[2], s), &[t(&c, [len, 1]), t(&a, [len, 1]), t(&b, [len, 1])], &go);
+            assert_eq!(bits(&got[0]), bits(&addcmul), "addcmul, {at}");
+
+            for (with_bias, relu) in [(true, true), (true, false), (false, true)] {
+                let bias_t = t(&bias, [len, 1]).reshape([len]);
+                let got = run_with(
+                    |t| t[0].linear(&t[1], with_bias.then_some(&t[2]), relu),
+                    &[x.clone(), w.clone(), bias_t],
+                    &dy,
+                );
+                let y: Vec<f32> = plain
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| {
+                        let v = if with_bias { v + bias[i % len.max(1)] } else { v };
+                        if relu { relu_select(v) } else { v }
+                    })
+                    .collect();
+                assert_eq!(bits(&got[0]), bits(&y), "linear bias={with_bias} relu={relu}, {at}");
+                let dy_masked = if relu { mask(&y, &dy) } else { dy.clone() };
+                let mut db = vec![0.0f32; len];
+                for row in dy_masked.chunks_exact(len.max(1)) {
+                    for (d, &g) in db.iter_mut().zip(row) {
+                        *d += g;
+                    }
+                }
+                if with_bias {
+                    assert_eq!(bits(&got[3]), bits(&db), "linear bias gradient relu={relu}, {at}");
+                }
+            }
+
+            let got = run_with(|t| t[0].index_select(&idx), std::slice::from_ref(&table), &up);
+            assert_eq!(bits(&got[1]), bits(&scatter), "index_select backward, {at}");
+            assert_eq!(bits(&segment_sum(&values, &ids, 3).to_vec()), bits(&sum), "segment_sum, {at}");
+            assert_eq!(bits(&segment_mean(&values, &ids, 3).to_vec()), bits(&mean), "segment_mean, {at}");
+            let got = run_with(|t| segment_softmax(&t[0], &ids, 3), std::slice::from_ref(&values), &soft_up);
+            let y = &got[0];
+            let mut dx = vec![0.0f32; 7 * len];
+            for sg in 0..3 {
+                let rows: Vec<usize> = (0..7).filter(|&i| ids[i] == sg).collect();
+                for j in 0..len {
+                    let mut dot = 0.0f32;
+                    for &i in &rows {
+                        dot += soft_up[i * len + j] * y[i * len + j];
+                    }
+                    for &i in &rows {
+                        dx[i * len + j] = (soft_up[i * len + j] - dot) * y[i * len + j];
+                    }
+                }
+            }
+            assert_eq!(bits(&got[1]), bits(&dx), "segment_softmax backward, {at}");
+
+            let (p, mm, vv) = (t(&p0, [len, 1]), t(&m0, [len, 1]), t(&v0, [len, 1]));
+            p.adam_step_(&g, &mm, &vv, step);
+            for (name, got, want) in [("p", &p, &want_p), ("m", &mm, &want_m), ("v", &vv, &want_v)] {
+                assert_eq!(bits(&got.to_vec()), bits(want), "adam {name}, {at}");
+            }
+        }
+    }
+}
+
+/// `add_relu` and its mask on the values a lane select can get wrong:
+/// NaN, both zeros and both infinities, in the inputs and in the
+/// upstream gradient, at every level and in every lane position.
+#[test]
+fn relu_kernels_select_nan_zeros_and_infinities_as_the_scalar_loop() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    set_threads(1);
+    let (nan, inf) = (f32::NAN, f32::INFINITY);
+    let special = [nan, -0.0, 0.0, inf, -inf, 1.5, -1.5];
+    // Every pair of specials, then again at shifted lanes, ending in a
+    // partial vector.
+    let n = 101;
+    let a: Vec<f32> = (0..n).map(|i| special[i / 7 % 7]).collect();
+    let b: Vec<f32> = (0..n).map(|i| special[(i + i / 49) % 7]).collect();
+    let go: Vec<f32> = (0..n).map(|i| special[(i * 3 + 1) % special.len()]).collect();
+    let want_y: Vec<f32> = a.iter().zip(&b).map(|(x, y)| relu_select(x + y)).collect();
+    let want_g: Vec<f32> = want_y.iter().zip(&go).map(|(&y, &g)| if y > 0.0 { g } else { 0.0 }).collect();
+    for level in kernel::simd_levels() {
+        kernel::set_simd(level);
+        let inputs = [Tensor::from_vec(a.clone(), [n, 1]), Tensor::from_vec(b.clone(), [n, 1])];
+        let got = run_with(|t| t[0].add_relu(&t[1]), &inputs, &go);
+        assert_eq!(bits(&got[0]), bits(&want_y), "add_relu at {level:?}");
+        assert_eq!(bits(&got[1]), bits(&want_g), "add_relu mask at {level:?}");
+        assert_eq!(bits(&got[2]), bits(&want_g), "add_relu bias mask at {level:?}");
     }
 }
