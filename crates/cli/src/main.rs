@@ -62,10 +62,11 @@ OBSERVABILITY OPTIONS (train/eval):
                          exclusive vs overlapped time, the critical
                          path itself, overlap efficiency, and pool
                          busy/wait attribution
-    --flight <on|off>    flight recorder: always-on ring of recent
-                         spans/health events dumped on panic or
-                         health-fail (default on; also TGL_FLIGHT=off;
-                         dumps land in TGL_FLIGHT_DIR or the cwd)
+    --flight <on|off>    flight recorder: always-on ring of each
+                         thread's recent spans, dumped on panic or
+                         health-fail as a tgl-run-report/v3 with
+                         meta.reason and a recent section (default
+                         on; dumps land in TGL_FLIGHT_DIR or the cwd)
     --flight-out <PATH>  write a flight dump at end of run
     --metrics-out <PATH> write the tgl-run-report/v3 JSON: per-epoch
                          phases, counters, latency histograms, health,
@@ -261,7 +262,13 @@ fn jsoncheck_cmd(args: &Args) {
             eprintln!("usage: tgl jsoncheck --file <NEW> --trend --old <OLD> [--budget <PCT>]");
             std::process::exit(2);
         });
-        (old, number(args, "budget", 25.0f64))
+        let budget = number(args, "budget", 25.0f64);
+        // NaN or infinity passes every regression; a negative budget
+        // fails an unchanged series.
+        if !(budget.is_finite() && budget >= 0.0) {
+            usage_error(format!("--budget: expected a finite percentage >= 0, got {budget}"));
+        }
+        (old, budget)
     });
     reject_unread(args);
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {

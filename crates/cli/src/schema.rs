@@ -1,8 +1,8 @@
 //! Known-schema validation for `tgl jsoncheck`.
 //!
 //! The observability artifacts carry a `"schema"` discriminator
-//! (`tgl-run-report/v3`, whose `profile` / `critpath` sections are
-//! checked here). After the generic parse/round-trip
+//! (`tgl-run-report/v3`, whose `profile` / `critpath` / `recent`
+//! sections are checked here; a flight dump is one). After the generic parse/round-trip
 //! check, `jsoncheck` looks the discriminator up here
 //! and — when it names a schema this module knows — validates the
 //! document's shape so CI catches a writer drifting from its contract,
@@ -45,21 +45,30 @@ fn arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
 }
 
 /// The sections of the run report that used to be documents of their
-/// own. Each may be `null` (layer off) or absent.
+/// own (`profile`, `critpath`, and a flight dump's `recent`). Each may
+/// be `null` (layer off) or absent.
 fn run_report(v: &Json) -> Result<(), String> {
     let section = |key: &str| v.get(key).filter(|s| **s != Json::Null);
-    if section("profile").is_some() {
-        for (i, r) in arr(v, "profile")?.iter().enumerate() {
-            let name = string(r, "name").map_err(|e| format!("profile[{i}]: {e}"))?;
-            let ctx = |e| format!("profile row {name:?}: {e}");
-            string(r, "phase").map_err(ctx)?;
+    for (key, fields) in [
+        ("profile", &["calls", "self_ns", "span_ns", "total_ns", "flops", "bytes_read", "bytes_written"][..]),
+        ("recent", &["tid", "t_ns", "dur_ns"][..]),
+    ] {
+        if section(key).is_none() {
+            continue;
+        }
+        for (i, r) in arr(v, key)?.iter().enumerate() {
+            let name = string(r, "name").map_err(|e| format!("{key}[{i}]: {e}"))?;
+            let ctx = |e| format!("{key} row {name:?}: {e}");
+            if key == "profile" {
+                string(r, "phase").map_err(ctx)?;
+            }
             let kind = string(r, "kind").map_err(ctx)?;
             if !matches!(kind, "phase" | "region" | "op" | "timer") {
-                return Err(format!("profile row {name:?}: unknown kind {kind:?}"));
+                return Err(format!("{key} row {name:?}: unknown kind {kind:?}"));
             }
             stage_label(r).map_err(ctx)?;
-            for key in ["calls", "self_ns", "span_ns", "total_ns", "flops", "bytes_read", "bytes_written"] {
-                num(r, key).map_err(ctx)?;
+            for field in fields {
+                num(r, field).map_err(ctx)?;
             }
         }
     }
@@ -113,5 +122,10 @@ mod tests {
         assert!(validate(&bad_stage).unwrap_err().contains("sideways"));
         let bad_cp = parse("{\"schema\": \"tgl-run-report/v3\", \"critpath\": {\"wall_s\": 1}}");
         assert!(validate(&bad_cp).unwrap_err().contains("busy_s"));
+        let span = "{\"name\": \"step\", \"kind\": \"region\", \"stage\": \"other\", \"tid\": 0, \"t_ns\": 5, \"dur_ns\": 3}";
+        let dump = parse(&format!("{{\"schema\": \"tgl-run-report/v3\", \"test\": null, \"recent\": [{span}]}}"));
+        assert_eq!(validate(&dump), Ok(Some("tgl-run-report/v3")));
+        let bad_span = parse(&format!("{{\"schema\": \"tgl-run-report/v3\", \"recent\": [{}]}}", span.replace("\"t_ns\": 5, ", "")));
+        assert!(validate(&bad_span).unwrap_err().contains("t_ns"));
     }
 }

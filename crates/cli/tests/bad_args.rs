@@ -197,6 +197,36 @@ fn bad_observability_values_are_usage_errors() {
 }
 
 #[test]
+fn an_unusable_trend_budget_is_a_usage_error() {
+    // NaN and infinity used to pass a +900% regression with exit 0, and
+    // a negative budget was accepted.
+    let dir = std::env::temp_dir().join(format!("tgl-bad-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (old, new) = (dir.join("old.json"), dir.join("new.json"));
+    std::fs::write(&old, "{\"wall_s\": 1.0}").expect("write fixture");
+    std::fs::write(&new, "{\"wall_s\": 10.0}").expect("write fixture");
+    let trend = |budget: &str| {
+        Command::new(env!("CARGO_BIN_EXE_tgl"))
+            .arg("jsoncheck")
+            .arg(&new)
+            .args(["--trend", "--old"])
+            .arg(&old)
+            .args(["--budget", budget])
+            .output()
+            .expect("run tgl")
+    };
+    for budget in ["nan", "inf", "-5"] {
+        let out = trend(budget);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--budget {budget}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "--budget {budget}: one-line error: {stderr}");
+        assert!(stderr.contains("--budget"), "--budget {budget}: error must name the flag: {stderr}");
+    }
+    assert_eq!(trend("25").status.code(), Some(1), "a +900% regression must fail a 25% budget");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn flags_nobody_reads_are_usage_errors() {
     // Four retired flags and a misspelt one: none may start a run.
     for args in [&["--slo", "x"][..], &["--serve-metrics", "127.0.0.1:0"], &["--epoch", "3"], &["--insight"], &["--kernel", "fast"]] {

@@ -120,6 +120,17 @@ impl HealthMonitor {
         self.policy
     }
 
+    /// Records `msg` from `source` at the policy's level. Under
+    /// [`HealthPolicy::Fail`] it then writes a flight dump and panics;
+    /// the panic hook's recently-dumped check avoids a second dump.
+    fn trip(&self, source: &'static str, msg: String) {
+        health::record(self.policy.event_level(), source, msg.clone());
+        if self.policy == HealthPolicy::Fail {
+            crate::flightdump::dump("health-fail", Some(self.policy));
+            panic!("health: {msg} (--health fail)");
+        }
+    }
+
     /// Snapshots parameters at the epoch start so
     /// [`end_epoch`](HealthMonitor::end_epoch) can compute the
     /// parameter-update ratio. No-op (and no copy) under
@@ -143,14 +154,7 @@ impl HealthMonitor {
             return true;
         }
         tgl_obs::counter!("health.nonfinite_loss").incr();
-        let msg = format!("non-finite loss {loss} at epoch {epoch} batch {batch}");
-        health::record(self.policy.event_level(), "trainer.loss", msg.clone());
-        if self.policy == HealthPolicy::Fail {
-            // Post-mortem before the policy panic; the panic hook's
-            // recently-dumped check avoids writing a second dump.
-            crate::flightdump::dump("health-fail");
-            panic!("health: {msg} (--health fail)");
-        }
+        self.trip("trainer.loss", format!("non-finite loss {loss} at epoch {epoch} batch {batch}"));
         false
     }
 
@@ -171,14 +175,7 @@ impl HealthMonitor {
             return true;
         }
         tgl_obs::counter!("health.nonfinite_scores").add(bad as u64);
-        let msg = format!("{bad} of {} evaluation scores non-finite", scores.len());
-        health::record(self.policy.event_level(), "trainer.eval", msg.clone());
-        if self.policy == HealthPolicy::Fail {
-            // Post-mortem before the policy panic; the panic hook's
-            // recently-dumped check avoids writing a second dump.
-            crate::flightdump::dump("health-fail");
-            panic!("health: {msg} (--health fail)");
-        }
+        self.trip("trainer.eval", format!("{bad} of {} evaluation scores non-finite", scores.len()));
         false
     }
 
@@ -228,20 +225,10 @@ impl HealthMonitor {
         self.prev_loss = Some(mean_loss);
 
         if !gn.is_finite() {
-            let msg = format!("non-finite gradient norm {gn} at end of epoch {epoch}");
-            health::record(self.policy.event_level(), "trainer.grad", msg.clone());
-            if self.policy == HealthPolicy::Fail {
-                crate::flightdump::dump("health-fail");
-                panic!("health: {msg} (--health fail)");
-            }
+            self.trip("trainer.grad", format!("non-finite gradient norm {gn} at end of epoch {epoch}"));
         }
         if !finite {
-            let msg = format!("non-finite parameters at end of epoch {epoch}");
-            health::record(self.policy.event_level(), "trainer.params", msg.clone());
-            if self.policy == HealthPolicy::Fail {
-                crate::flightdump::dump("health-fail");
-                panic!("health: {msg} (--health fail)");
-            }
+            self.trip("trainer.params", format!("non-finite parameters at end of epoch {epoch}"));
         }
         self.start_params.clear();
         Some(EpochHealth {
@@ -304,39 +291,12 @@ mod tests {
         assert_eq!(m.end_epoch(0, &[p], f64::NAN), None);
     }
 
-    /// The fail policy dumps the flight recorder before panicking.
-    /// This points `TGL_FLIGHT_DIR` at a directory of the test's own
-    /// and removes both when dropped, which the policy's panic does on
-    /// its way out, so the test leaves no file behind. The variable is
-    /// process-global: holders take turns.
-    struct FlightDir {
-        dir: std::path::PathBuf,
-        _turn: std::sync::MutexGuard<'static, ()>,
-    }
-
-    impl FlightDir {
-        fn new(test: &str) -> FlightDir {
-            static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-            let turn = TURN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let dir = std::env::temp_dir()
-                .join(format!("tgl-health-{test}-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("create flight dir");
-            std::env::set_var("TGL_FLIGHT_DIR", &dir);
-            FlightDir { dir, _turn: turn }
-        }
-    }
-
-    impl Drop for FlightDir {
-        fn drop(&mut self) {
-            std::env::remove_var("TGL_FLIGHT_DIR");
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-
+    /// The fail policy dumps the flight recorder before panicking,
+    /// into a directory of the test's own.
     #[test]
     #[should_panic(expected = "non-finite loss")]
     fn fail_policy_panics_on_nonfinite_loss() {
-        let _dir = FlightDir::new("nonfinite-loss");
+        let _dir = crate::flightdump::tests::FlightDir::new("nonfinite-loss");
         HealthMonitor::new(HealthPolicy::Fail).check_loss(1, 2, f32::NAN);
     }
 

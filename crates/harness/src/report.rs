@@ -31,7 +31,8 @@
 //!   "gauges": {"health.grad_norm": 0.82, ...},
 //!   "health": {"policy": "warn", "status": "ok", "loss_trend": -0.12,
 //!              "dropped": 0, "events": [{"level": "warn",
-//!              "source": "trainer.loss", "message": "...", "seq": 3}]},
+//!              "source": "trainer.loss", "message": "...", "seq": 3,
+//!              "t_ns": 81234567}]},
 //!   "phases_total_s": {"sample": 1.21, "attention": 1.88, ...},
 //!   "profile": [{"name": "linear", "phase": "attention",
 //!                "stage": "forward", "kind": "op", "calls": 96,
@@ -40,9 +41,20 @@
 //!                "overlap_efficiency": 1.4,
 //!                "stages": [{"stage": "sample", "serial_s": 0.4,
 //!                            "exclusive_s": 0.1, "overlapped_s": 0.3,
-//!                            "critical_s": 0.2, "segments": 64}, ...]}
+//!                            "critical_s": 0.2, "segments": 64}, ...]},
+//!   "recent": [{"name": "step", "kind": "region", "stage": "other",
+//!               "tid": 0, "t_ns": 80112233, "dur_ns": 3100000}, ...]
 //! }
 //! ```
+//!
+//! A flight dump ([`RunReport::flight`]) is the same document read off
+//! the process-wide registries: `meta.reason` says why it was taken
+//! (`panic`, `health-fail`, `request`), `recent` holds the flight
+//! rings' spans, `epochs` is empty and `test` `null` unless the run got
+//! that far, and `profile` / `phases_total_s` / `critpath` are empty.
+//! Health events carry `t_ns` on the spans' time base, so a reader
+//! orders them among the spans. A report from [`RunReporter`] leaves
+//! `recent` empty.
 //!
 //! `critpath` is `null` unless the event log was on for the run (see
 //! `tgl_obs::critpath`).
@@ -62,6 +74,7 @@ use std::time::Duration;
 use tgl_data::Json;
 use tgl_obs::hist::HistSnapshot;
 use tgl_obs::profile::{self, Row};
+use tgl_obs::Span;
 use tglite::obs;
 
 use crate::{EpochStats, HealthPolicy};
@@ -89,6 +102,22 @@ pub struct EpochReport {
     pub hists: Vec<(String, HistSnapshot)>,
 }
 
+impl EpochReport {
+    /// An epoch's trainer stats alone, with no phase, counter or
+    /// histogram deltas (the epochs of a flight dump).
+    pub fn bare(epoch: usize, stats: &EpochStats) -> EpochReport {
+        EpochReport {
+            epoch,
+            loss: stats.loss,
+            train_s: stats.train_time_s,
+            val_ap: stats.val_ap,
+            phases_s: Vec::new(),
+            counters: Vec::new(),
+            hists: Vec::new(),
+        }
+    }
+}
+
 /// The run report's `health` section.
 #[derive(Debug, Clone)]
 pub struct HealthSection {
@@ -112,10 +141,8 @@ pub struct RunReport {
     pub meta: Vec<(String, Json)>,
     /// Per-epoch measurements in order.
     pub epochs: Vec<EpochReport>,
-    /// Test AP after training.
-    pub test_ap: f64,
-    /// Test inference seconds.
-    pub test_s: f64,
+    /// Test AP and inference seconds (`None` before test inference).
+    pub test: Option<(f64, f64)>,
     /// Absolute counter values at the end of the run, sorted by name.
     pub counters_total: Vec<(String, u64)>,
     /// Absolute histogram state at the end of the run (empty
@@ -134,6 +161,9 @@ pub struct RunReport {
     /// Critical-path analysis over the run's event log (`None` unless
     /// the log was on).
     pub critpath: Option<tgl_obs::critpath::Analysis>,
+    /// The flight rings' spans, oldest first (a flight dump's; empty
+    /// otherwise).
+    pub recent: Vec<Span>,
 }
 
 /// `(key, number)` pairs as JSON object fields.
@@ -241,6 +271,7 @@ fn health_json(h: &HealthSection) -> Json {
                 ("source".into(), Json::Str(e.source.into())),
                 ("message".into(), Json::Str(e.message.clone())),
                 ("seq".into(), Json::Num(e.seq as f64)),
+                ("t_ns".into(), Json::Num(e.t_ns as f64)),
             ])
         })
         .collect();
@@ -253,14 +284,81 @@ fn health_json(h: &HealthSection) -> Json {
     ])
 }
 
+/// One flight-ring span as an entry of the report's `recent` section.
+fn span_json(s: &Span) -> Json {
+    let mut fields = vec![
+        ("name".to_string(), Json::Str(s.name.into())),
+        ("kind".into(), Json::Str(s.kind.label().into())),
+        ("stage".into(), Json::Str(s.stage.label().into())),
+    ];
+    fields.extend(nums([("tid", s.tid as f64), ("t_ns", s.start_ns as f64), ("dur_ns", s.dur_ns as f64)]));
+    Json::obj(fields)
+}
+
+/// Renders spans as a Chrome trace (complete `"ph":"X"` events with
+/// microsecond timestamps, as the format requires): open it in
+/// `chrome://tracing` or <https://ui.perfetto.dev> for the per-thread
+/// timeline. An op's event is named `op[shape]`; the category is the
+/// span's stage, and spans the event log numbered carry their cost,
+/// id and parent as `args`.
+pub fn chrome_trace(spans: &[Span]) -> String {
+    let event = |s: &Span| {
+        let name = if s.shape.is_empty() { s.name.to_string() } else { format!("{}[{}]", s.name, s.shape) };
+        let mut fields = vec![
+            ("name".to_string(), Json::Str(name)),
+            ("cat".into(), Json::Str(s.stage.label().into())),
+            ("ph".into(), Json::Str("X".into())),
+        ];
+        fields.extend(nums([
+            ("ts", s.start_ns as f64 / 1e3),
+            ("dur", s.dur_ns as f64 / 1e3),
+            ("pid", 1.0),
+            ("tid", s.tid as f64),
+        ]));
+        if s.id != 0 || s.parent != 0 || s.flops != 0 || s.bytes != 0 {
+            let mut args = nums([("flops", s.flops as f64), ("bytes", s.bytes as f64)]);
+            args.push(("shape".into(), Json::Str(s.shape.into())));
+            args.extend(nums([("id", s.id as f64), ("parent", s.parent as f64)]));
+            fields.push(("args".into(), Json::obj(args)));
+        }
+        Json::obj(fields)
+    };
+    Json::obj(vec![
+        ("traceEvents".into(), Json::Arr(spans.iter().map(event).collect())),
+        ("displayTimeUnit".into(), Json::Str("ms".into())),
+    ])
+    .render()
+}
+
 impl RunReport {
+    /// A flight dump: what the process-wide registries hold now, plus
+    /// the flight rings' spans, with `meta.reason` set to `reason` and
+    /// every health event the process recorded. `policy` names the
+    /// health policy when the caller knows it.
+    pub fn flight(reason: &str, policy: Option<HealthPolicy>) -> RunReport {
+        let policy = policy.map_or("unknown", HealthPolicy::label);
+        RunReport {
+            meta: vec![("reason".into(), Json::Str(reason.into()))],
+            epochs: Vec::new(),
+            test: None,
+            counters_total: counters_total(),
+            histograms: histograms(),
+            gauges: gauges(),
+            health: HealthSection::new(policy, obs::health::events(), &[]),
+            phases_total_s: Vec::new(),
+            profile: Vec::new(),
+            critpath: None,
+            recent: obs::flight::recent(),
+        }
+    }
+
     /// Renders the report as a JSON document.
     pub fn to_json(&self) -> String {
         Json::obj(vec![
             ("schema".into(), Json::Str("tgl-run-report/v3".into())),
             ("meta".into(), Json::Obj(self.meta.clone())),
             ("epochs".into(), Json::Arr(self.epochs.iter().map(epoch_json).collect())),
-            ("test".into(), Json::obj(nums([("ap", self.test_ap), ("secs", self.test_s)]))),
+            ("test".into(), self.test.map_or(Json::Null, |(ap, secs)| Json::obj(nums([("ap", ap), ("secs", secs)])))),
             ("counters_total".into(), num_map(&self.counters_total, |v| v as f64)),
             ("histograms".into(), hists_json(&self.histograms)),
             ("gauges".into(), num_map(&self.gauges, |v| v)),
@@ -268,6 +366,7 @@ impl RunReport {
             ("phases_total_s".into(), num_map(&self.phases_total_s, |v| v)),
             ("profile".into(), Json::Arr(self.profile.iter().map(row_json).collect())),
             ("critpath".into(), self.critpath.as_ref().map_or(Json::Null, critpath_json)),
+            ("recent".into(), Json::Arr(self.recent.iter().map(span_json).collect())),
         ])
         .render()
     }
@@ -378,43 +477,7 @@ impl RunReporter {
             .collect();
         hists.sort_by(|a, b| a.0.cmp(&b.0));
         self.last_hists = hist_now;
-        self.epochs.push(EpochReport {
-            epoch,
-            loss: stats.loss,
-            train_s: stats.train_time_s,
-            val_ap: stats.val_ap,
-            phases_s,
-            counters,
-            hists,
-        });
-    }
-
-    /// Builds the health section from events recorded since
-    /// [`start`](RunReporter::start) and the epoch loss series.
-    fn collect_health(&self) -> HealthSection {
-        let all = obs::health::events();
-        let events: Vec<_> = all.get(self.health_events0..).unwrap_or(&[]).to_vec();
-        let status = events
-            .iter()
-            .map(|e| e.level)
-            .max()
-            .map_or("ok", |l| l.label())
-            .to_string();
-        let loss_trend = match self.epochs.len() {
-            0 | 1 => 0.0,
-            n => {
-                let prev = self.epochs[n - 2].loss as f64;
-                let last = self.epochs[n - 1].loss as f64;
-                (last - prev) / prev.abs().max(1e-12)
-            }
-        };
-        HealthSection {
-            policy: self.policy.label().to_string(),
-            status,
-            loss_trend,
-            events,
-            dropped: obs::health::dropped(),
-        }
+        self.epochs.push(EpochReport { phases_s, counters, hists, ..EpochReport::bare(epoch, stats) });
     }
 
     /// Finishes the run: reads everything the registries and the
@@ -422,18 +485,14 @@ impl RunReporter {
     /// [`start`](RunReporter::start) drains), restores the previous
     /// collection state, and returns the report.
     pub fn finish(self, test_ap: f64, test_s: f64) -> RunReport {
-        let health = self.collect_health();
+        let events = obs::health::events().get(self.health_events0..).unwrap_or(&[]).to_vec();
+        let health = HealthSection::new(self.policy.label(), events, &self.epochs);
         let profile = profile::snapshot();
         let mut phases_total_s: Vec<(String, f64)> = obs::phase::table(&profile)
             .into_iter()
             .map(|(n, d)| (n.to_string(), d.as_secs_f64()))
             .collect();
         phases_total_s.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut counters_total: Vec<(String, u64)> = snapshot_map().into_iter().collect();
-        counters_total.sort();
-        let mut histograms: Vec<(String, HistSnapshot)> =
-            hist_map().into_iter().filter(|(_, s)| !s.is_empty()).collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         let mut meta = self.meta;
         meta.sort_by(|a, b| a.0.cmp(&b.0));
         // Analyze a non-draining snapshot of the event log so the
@@ -444,17 +503,52 @@ impl RunReporter {
         RunReport {
             meta,
             epochs: self.epochs,
-            test_ap,
-            test_s,
-            counters_total,
-            histograms,
-            gauges: obs::hist::gauge_snapshot().into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
+            test: Some((test_ap, test_s)),
+            counters_total: counters_total(),
+            histograms: histograms(),
+            gauges: gauges(),
             health,
             phases_total_s,
             profile,
             critpath,
+            recent: Vec::new(),
         }
     }
+}
+
+impl HealthSection {
+    /// The section for `events` under the policy labelled `policy`,
+    /// with the loss trend of the last two `epochs`.
+    fn new(policy: &str, events: Vec<obs::health::HealthEvent>, epochs: &[EpochReport]) -> HealthSection {
+        let status = events.iter().map(|e| e.level).max().map_or("ok", |l| l.label()).to_string();
+        let loss_trend = match epochs {
+            [.., prev, last] => {
+                let (prev, last) = (prev.loss as f64, last.loss as f64);
+                (last - prev) / prev.abs().max(1e-12)
+            }
+            _ => 0.0,
+        };
+        HealthSection { policy: policy.to_string(), status, loss_trend, events, dropped: obs::health::dropped() }
+    }
+}
+
+/// Absolute counter values, sorted by name.
+fn counters_total() -> Vec<(String, u64)> {
+    let mut counters: Vec<(String, u64)> = snapshot_map().into_iter().collect();
+    counters.sort();
+    counters
+}
+
+/// Non-empty histograms, sorted by name.
+fn histograms() -> Vec<(String, HistSnapshot)> {
+    let mut hists: Vec<(String, HistSnapshot)> = hist_map().into_iter().filter(|(_, s)| !s.is_empty()).collect();
+    hists.sort_by(|a, b| a.0.cmp(&b.0));
+    hists
+}
+
+/// Gauge values, sorted by name.
+fn gauges() -> Vec<(String, f64)> {
+    obs::hist::gauge_snapshot().into_iter().map(|(n, v)| (n.to_string(), v)).collect()
 }
 
 fn snapshot_map() -> HashMap<String, u64> {
@@ -630,6 +724,39 @@ mod tests {
         rep.record_epoch(1, &mk(1.0));
         let report = rep.finish(0.9, 0.1);
         assert!((report.health.loss_trend + 0.5).abs() < 1e-9);
+    }
+
+    fn span(name: &'static str, tid: u32, start_ns: u64, dur_ns: u64) -> Span {
+        Span { name, tid, start_ns, dur_ns, ..Span::default() }
+    }
+
+    #[test]
+    fn chrome_trace_shape() {
+        let json = chrome_trace(&[span("alpha", 0, 1_500, 2_000_123), span("beta", 3, 10_000, 500)]);
+        assert!(json.starts_with("{\"traceEvents\":["));
+        assert!(json.contains("\"name\":\"alpha\""));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert!(json.contains("\"ts\":1.5"));
+        assert!(json.contains("\"dur\":2000.123"));
+        assert!(json.contains("\"tid\":3"));
+        assert!(!json.contains("\"args\""));
+    }
+
+    #[test]
+    fn chrome_trace_renders_op_args() {
+        let op = Span {
+            kind: obs::Kind::Op,
+            stage: obs::Stage::Forward,
+            id: 9,
+            parent: 7,
+            flops: 48,
+            bytes: 128,
+            shape: "2x3,3x4",
+            ..span("matmul", 1, 1_000, 2_000)
+        };
+        let json = chrome_trace(&[op]);
+        assert!(json.contains("\"name\":\"matmul[2x3,3x4]\",\"cat\":\"forward\""));
+        assert!(json.contains("\"args\":{\"flops\":48,\"bytes\":128,\"shape\":\"2x3,3x4\",\"id\":9,\"parent\":7}"));
     }
 
     #[test]

@@ -13,7 +13,9 @@ use tgl_device::{Device, TransferModel};
 use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tglite::{obs, TContext};
 
-use crate::{profrep, Args, EpochStats, HealthPolicy, MetricLog, RunReporter, TrainConfig, Trainer};
+use crate::{
+    profrep, Args, EpochReport, EpochStats, HealthPolicy, MetricLog, RunReport, RunReporter, TrainConfig, Trainer,
+};
 
 /// Which framework setting runs (the paper's three bar groups). All
 /// three run the same `tgl-models` code; they differ in
@@ -292,7 +294,8 @@ pub struct ObsOptions {
     pub health: Option<HealthPolicy>,
     /// `--pipeline` depth; `None` keeps the trainer's (0).
     pub pipeline: Option<usize>,
-    /// `--flight on|off`; `None` keeps `TGL_FLIGHT`.
+    /// `--flight on|off`; `None` keeps the recorder as it is (on by
+    /// default).
     pub flight: Option<bool>,
     /// `--threads`; `None` keeps `TGL_THREADS`.
     pub threads: Option<usize>,
@@ -511,12 +514,15 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         let spans = obs::trace::take();
         obs::trace::enable(false);
         if let Some(path) = &opts.trace_out {
-            std::fs::write(path, obs::trace::to_chrome_json(&spans)).map_err(RunError::io("trace-out", path))?;
+            std::fs::write(path, crate::report::chrome_trace(&spans)).map_err(RunError::io("trace-out", path))?;
             say!("chrome trace with {} spans written to {}", spans.len(), path.display());
         }
     }
     if let Some(path) = &opts.flight_out {
-        std::fs::write(path, obs::flight::to_json("request")).map_err(RunError::io("flight-out", path))?;
+        let mut dump = RunReport::flight("request", Some(trainer.health_policy()));
+        dump.epochs = epochs.iter().enumerate().map(|(e, s)| EpochReport::bare(e, s)).collect();
+        dump.test = Some((test_ap, test_s));
+        dump.save(path).map_err(RunError::io("flight-out", path))?;
         say!("flight dump written to {}", path.display());
     }
     if let Some(path) = &opts.csv {

@@ -1,5 +1,6 @@
 //! Epoch-based training and inference driver.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tgl_data::{NegativeSampler, Split};
@@ -187,8 +188,11 @@ impl Trainer {
         spec: Option<SamplingSpec>,
         mut step: impl FnMut(TBatch),
     ) {
+        // A queue deeper than the range has batches never fills, and
+        // the channel allocates its slots up front.
+        let depth = self.pipeline.min(range.len().div_ceil(self.cfg.batch_size.max(1)));
         // Without a sampler stage `forward` builds the chain itself.
-        let spec = if self.pipeline > 0 { spec } else { None };
+        let spec = if depth > 0 { spec } else { None };
         let mut prepare = move |range| {
             let mut batch = TBatch::new(ctx.graph().clone(), range);
             batch.set_negatives(negs.draw(batch.len()));
@@ -198,17 +202,21 @@ impl Trainer {
             batch
         };
         let ranges = Split::batches(range, self.cfg.batch_size);
-        if self.pipeline == 0 {
+        if depth == 0 {
             ranges.for_each(|r| step(prepare(r)));
             return;
         }
-        let (tx, rx) = tgl_runtime::channel::bounded::<TBatch>(self.pipeline);
+        let (tx, rx) = tgl_runtime::bounded::<TBatch>(depth);
+        // Batches the sampler stage has handed over so far: the compute
+        // stage reads the queue's occupancy off it.
+        let sent = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             // Moved into this closure so a compute-stage panic drops
             // the receiver during unwind, waking a sampler blocked on
             // the full queue before the scope joins it.
             let rx = rx;
             let parent_span = tgl_obs::current();
+            let sent = &sent;
             scope.spawn(move || {
                 // The sampler stage continues the caller's span on its
                 // own thread.
@@ -218,13 +226,13 @@ impl Trainer {
                         let _prefetch = tgl_obs::region("prefetch").stage(tgl_obs::Stage::Sample);
                         prepare(r)
                     };
-                    tgl_obs::histogram!("pipeline.queue.occupancy").record(tx.len() as u64);
                     let _wait = tgl_obs::timer("pipeline.queue.send_wait");
                     if tx.send(batch).is_err() {
                         // The compute stage died (panic); stop
                         // preparing so its unwind can proceed.
                         break;
                     }
+                    sent.fetch_add(1, Ordering::Release);
                 }
             });
             let recv = || {
@@ -232,7 +240,14 @@ impl Trainer {
                 rx.recv()
             };
             // `Err` = closed and drained.
+            let mut taken = 0usize;
             while let Ok(batch) = recv() {
+                taken += 1;
+                // Batches still queued behind this one. The sampler
+                // counts a send after it lands, so this never reads
+                // more than the queue holds.
+                let queued = sent.load(Ordering::Acquire).saturating_sub(taken);
+                tgl_obs::histogram!("pipeline.queue.occupancy").record(queued as u64);
                 step(batch);
             }
         });

@@ -2,8 +2,8 @@
 //!
 //! Subsystems report conditions ("loss went NaN at epoch 2 batch 17",
 //! "loss trend diverging") as [`HealthEvent`]s instead of panicking:
-//! the event is recorded here, surfaced through the run report's
-//! `health` section and the flight dump, and the *caller's* policy decides
+//! the event is recorded here, surfaced through the `health` section of the
+//! run report (a flight dump is one), and the *caller's* policy decides
 //! whether the run continues. The sink is bounded ([`MAX_EVENTS`]) so a
 //! pathological run cannot grow it without limit; overflow is counted.
 
@@ -43,6 +43,10 @@ pub struct HealthEvent {
     pub message: String,
     /// Monotonic sequence number (process-wide).
     pub seq: u64,
+    /// When it was recorded: offset from the trace epoch in
+    /// nanoseconds, the time base of every [`crate::Span`], so a flight
+    /// dump orders it among the spans.
+    pub t_ns: u64,
 }
 
 /// Events kept in memory; older events stay, later ones are dropped
@@ -56,22 +60,12 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 /// Records a health event; returns its sequence number.
 pub fn record(level: Level, source: &'static str, message: String) -> u64 {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut ev = EVENTS.lock().unwrap_or_else(|e| e.into_inner());
-        if ev.len() < MAX_EVENTS {
-            ev.push(HealthEvent {
-                level,
-                source,
-                message,
-                seq,
-            });
-        } else {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
+    let mut ev = EVENTS.lock().unwrap_or_else(|e| e.into_inner());
+    if ev.len() < MAX_EVENTS {
+        ev.push(HealthEvent { level, source, message, seq, t_ns: crate::trace::now_ns() });
+    } else {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
     }
-    // Mirror into the flight recorder so post-mortem dumps carry the
-    // health timeline (no-op when the recorder is off).
-    crate::flight::note_health(level, source, seq);
     seq
 }
 
@@ -80,25 +74,9 @@ pub fn events() -> Vec<HealthEvent> {
     EVENTS.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// The worst severity recorded so far (`None` when no events).
-pub fn worst() -> Option<Level> {
-    EVENTS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|e| e.level)
-        .max()
-}
-
 /// Events that did not fit in the bounded sink.
 pub fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
-}
-
-/// Clears recorded events (between measured runs).
-pub fn reset() {
-    EVENTS.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    DROPPED.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -118,7 +96,7 @@ mod tests {
         let mine: Vec<_> = evs.iter().filter(|e| e.source == "test.health").collect();
         assert!(mine.len() >= 2);
         assert!(mine.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(worst() >= Some(Level::Warn));
+        assert_eq!(mine.iter().map(|e| e.level).max(), Some(Level::Warn));
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //!   table ([`phase`]), the op / roofline profile and the duration
 //!   histograms are readers of its rows.
 //!
-//! * [`trace`] — the opt-in event log of every [`Span`];
-//!   [`trace::to_chrome_json`] renders Chrome trace-event JSON loadable
-//!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//! * [`trace`] — the opt-in event log of every [`Span`], which the
+//!   harness exports as a Chrome trace.
 //!
 //! * [`hist`] — log2-bucketed atomic [`hist::Histogram`]s (value
 //!   distributions via the [`histogram!`] macro; the duration families,
@@ -41,9 +40,9 @@
 //!   (NaN sentinels, divergence warnings) that subsystems record
 //!   instead of panicking.
 //!
-//! * [`flight`] — an always-on flight recorder: fixed-size per-thread
-//!   rings of the most recent spans and health events, dumped as a
-//!   `tgl-flight/v1` artifact on panic / health-fail / request.
+//! * [`flight`] — an always-on flight recorder: per-thread rings of the
+//!   most recent [`Span`]s, which the harness writes as the `recent`
+//!   section of a run report on panic / health-fail / request.
 //!
 //! * [`critpath`] — critical-path analysis over the event log: per-stage
 //!   serial vs overlapped time, the critical path itself, and overlap

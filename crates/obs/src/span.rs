@@ -136,33 +136,18 @@ pub struct Cost {
 pub(crate) const COLLECT: u32 = 1;
 pub(crate) const LOG: u32 = 2;
 pub(crate) const FLIGHT: u32 = 4;
-/// `TGL_FLIGHT` not consulted yet.
-const FLIGHT_UNSET: u32 = 8;
 const ANY_SINK: u32 = COLLECT | LOG | FLIGHT;
 
-/// Every sink switch in one word, so a disabled site is one load.
-static STATE: AtomicU32 = AtomicU32::new(FLIGHT_UNSET);
+/// Every sink switch in one word, so a disabled site is one load. The
+/// flight ring starts on.
+static STATE: AtomicU32 = AtomicU32::new(FLIGHT);
 
 #[inline]
 fn state() -> u32 {
-    let s = STATE.load(Ordering::Relaxed);
-    if s & FLIGHT_UNSET != 0 {
-        return init_flight();
-    }
-    s
-}
-
-#[cold]
-fn init_flight() -> u32 {
-    // Racing initializers read the same environment and agree.
-    if !matches!(std::env::var("TGL_FLIGHT").as_deref(), Ok("off") | Ok("0") | Ok("OFF")) {
-        STATE.fetch_or(FLIGHT, Ordering::Relaxed);
-    }
-    STATE.fetch_and(!FLIGHT_UNSET, Ordering::Relaxed) & !FLIGHT_UNSET
+    STATE.load(Ordering::Relaxed)
 }
 
 pub(crate) fn set(bit: u32, on: bool) {
-    state();
     if on {
         STATE.fetch_or(bit, Ordering::Relaxed);
     } else {
@@ -204,7 +189,7 @@ impl Frame {
     /// stage and the phase its children are keyed by).
     fn new(name: &'static str, kind: Kind, parent: Option<SpanCtx>, start: Instant) -> Frame {
         let ctx = parent.unwrap_or(SpanCtx { id: 0, stage: Stage::Other, phase: profile::NO_PHASE });
-        let logging = STATE.load(Ordering::Relaxed) & LOG != 0;
+        let logging = state() & LOG != 0;
         Frame {
             name,
             kind,
@@ -274,7 +259,7 @@ fn push(frame: Frame) -> SpanGuard {
 pub(crate) fn open(name: &'static str, kind: Kind) -> SpanGuard {
     let live = match kind {
         Kind::Phase | Kind::Region => state() & ANY_SINK != 0,
-        Kind::Op | Kind::Timer => STATE.load(Ordering::Relaxed) & COLLECT != 0,
+        Kind::Op | Kind::Timer => state() & COLLECT != 0,
     };
     if !live {
         return INERT;
@@ -391,31 +376,31 @@ impl Drop for SpanGuard {
 
 /// The one write: hands a finished frame to every sink that is on.
 fn emit(f: &Frame, dur_ns: u64) {
-    let st = STATE.load(Ordering::Relaxed);
+    let st = state();
     if st & COLLECT != 0 {
         profile::record(f, dur_ns);
     }
     if st & (FLIGHT | LOG) == 0 {
         return;
     }
-    let start_ns = trace::offset_ns(f.start);
+    let span = Span {
+        name: f.name,
+        kind: f.kind,
+        stage: f.stage,
+        tid: crate::thread_id(),
+        start_ns: trace::offset_ns(f.start),
+        dur_ns,
+        id: f.id,
+        parent: f.parent,
+        flops: f.cost.flops,
+        bytes: f.cost.bytes_read + f.cost.bytes_written,
+        shape: f.cost.shape,
+    };
     if st & FLIGHT != 0 {
-        flight::record_span(f.name, start_ns, dur_ns);
+        flight::record(span.clone());
     }
     if st & LOG != 0 {
-        trace::push(Span {
-            name: f.name,
-            kind: f.kind,
-            stage: f.stage,
-            tid: crate::thread_id(),
-            start_ns,
-            dur_ns,
-            id: f.id,
-            parent: f.parent,
-            flops: f.cost.flops,
-            bytes: f.cost.bytes_read + f.cost.bytes_written,
-            shape: f.cost.shape,
-        });
+        trace::push(span);
     }
 }
 

@@ -1,11 +1,8 @@
-//! The opt-in event log: every finished [`Span`], with Chrome
-//! trace-event export.
+//! The opt-in event log: every finished [`Span`].
 //!
 //! While [`enable`]d, the span emit (see [`crate::span`]) appends each
-//! record to one global sink. [`take`] drains it;
-//! [`to_chrome_json`] renders the spans as
-//! Chrome trace-event JSON — open the file in `chrome://tracing` or
-//! <https://ui.perfetto.dev> to see the per-thread timeline. The
+//! record to one global sink. [`take`] drains it; the harness renders
+//! the spans as a Chrome trace (`--trace-out`). The
 //! critical-path analyzer ([`crate::critpath`]) reads the same log,
 //! using each span's `stage`, `id` and cross-thread `parent`.
 //!
@@ -13,7 +10,6 @@
 //! distinct span keys) it grows with every span, so it should only run
 //! when a `--trace-out` / `--critpath` style flag asks for it.
 
-use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -73,55 +69,11 @@ pub fn snapshot() -> Vec<Span> {
     sorted(SINK.lock().unwrap_or_else(|e| e.into_inner()).clone())
 }
 
-/// Renders spans as Chrome trace-event JSON (complete `"ph":"X"`
-/// events, microsecond timestamps as the format requires). An op's
-/// event is named `op[shape]`; the category is the span's stage.
-pub fn to_chrome_json(spans: &[Span]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Span names are identifiers and shape signatures are digits,
-        // `x` and `,` — no quotes or backslashes — so plain
-        // interpolation is JSON-safe here.
-        let _ = write!(out, "{{\"name\":\"{}", s.name);
-        if !s.shape.is_empty() {
-            let _ = write!(out, "[{}]", s.shape);
-        }
-        let _ = write!(
-            out,
-            "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{}",
-            s.stage.label(),
-            s.start_ns / 1_000,
-            s.start_ns % 1_000,
-            s.dur_ns / 1_000,
-            s.dur_ns % 1_000,
-            s.tid
-        );
-        if s.id != 0 || s.parent != 0 || s.flops != 0 || s.bytes != 0 {
-            let _ = write!(
-                out,
-                ",\"args\":{{\"flops\":{},\"bytes\":{},\"shape\":\"{}\",\"id\":{},\"parent\":{}}}",
-                s.flops, s.bytes, s.shape, s.id, s.parent
-            );
-        }
-        out.push('}');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Kind, Stage};
     use crate::tests::serial;
     use std::time::Duration;
-
-    fn sp(name: &'static str, tid: u32, start_ns: u64, dur_ns: u64) -> Span {
-        Span { name, tid, start_ns, dur_ns, ..Span::default() }
-    }
 
     #[test]
     fn spans_record_across_threads_with_distinct_tids() {
@@ -201,39 +153,6 @@ mod tests {
         let spans = take();
         enable(false);
         assert!(spans.iter().any(|s| s.name == "trace-test-snap"));
-    }
-
-    #[test]
-    fn chrome_json_shape() {
-        let spans = vec![sp("alpha", 0, 1_500, 2_000_123), sp("beta", 3, 10_000, 500)];
-        let json = to_chrome_json(&spans);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"alpha\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":1.500"));
-        assert!(json.contains("\"dur\":2000.123"));
-        assert!(json.contains("\"tid\":3"));
-        assert!(json.ends_with("}"));
-        assert!(!json.contains("\"args\""));
-    }
-
-    #[test]
-    fn chrome_json_renders_op_args() {
-        let spans = vec![Span {
-            kind: Kind::Op,
-            stage: Stage::Forward,
-            id: 9,
-            parent: 7,
-            flops: 48,
-            bytes: 128,
-            shape: "2x3,3x4",
-            ..sp("matmul", 1, 1_000, 2_000)
-        }];
-        let json = to_chrome_json(&spans);
-        assert!(json.contains("\"name\":\"matmul[2x3,3x4]\",\"cat\":\"forward\""));
-        assert!(json.contains(
-            "\"args\":{\"flops\":48,\"bytes\":128,\"shape\":\"2x3,3x4\",\"id\":9,\"parent\":7}"
-        ));
     }
 
     #[test]

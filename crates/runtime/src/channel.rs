@@ -1,426 +1,25 @@
-//! Bounded channels for pipelined dataflow stages.
-//!
-//! A std-only bounded MPSC channel (`Mutex` + two `Condvar`s) built for
-//! the trainer's sampler → compute pipeline:
-//!
-//! * **Backpressure**: [`Sender::send`] blocks while the queue holds
-//!   `capacity` items, so a fast producer can run at most `capacity`
-//!   batches ahead of the consumer.
-//! * **Close/drain protocol**: dropping every [`Sender`] closes the
-//!   channel; [`Receiver::recv`] keeps draining queued items and only
-//!   then reports [`RecvError`]. Dropping the [`Receiver`] closes the
-//!   other direction: blocked and future sends return the rejected
-//!   value in [`SendError`], so a producer stage unwinds cleanly when
-//!   its consumer dies (e.g. a panic on the compute stage).
-//! * **FIFO ordering**: items arrive in send order; with multiple
-//!   senders, each sender's items stay in that sender's order.
-//!
-//! The channel itself is instrumentation-free — callers record queue
-//! occupancy/wait metrics with whatever names fit their stage.
+//! Bounded channels for pipelined dataflow stages: std's `sync_channel`.
+//! A send blocks while `capacity` items are queued; once every
+//! [`Sender`] is gone, [`Receiver::recv`] drains the queue before it
+//! fails; a dropped [`Receiver`] fails blocked and later sends.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+pub use std::sync::mpsc::{Receiver, SyncSender as Sender};
 
-struct Inner<T> {
-    queue: VecDeque<T>,
-    /// Live `Sender` handles; 0 means closed for writing.
-    senders: usize,
-    /// False once the `Receiver` is dropped.
-    rx_alive: bool,
-}
-
-struct Shared<T> {
-    inner: Mutex<Inner<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> Shared<T> {
-    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The sending half of a [`bounded`] channel. Clone for MPSC use.
-pub struct Sender<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// The receiving half of a [`bounded`] channel (single consumer).
-pub struct Receiver<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// The receiver was dropped; the rejected value is returned.
-pub struct SendError<T>(pub T);
-
-/// Error from [`Sender::try_send`].
-pub enum TrySendError<T> {
-    /// The queue is at capacity; the rejected value is returned.
-    Full(T),
-    /// The receiver was dropped; the rejected value is returned.
-    Closed(T),
-}
-
-/// All senders are gone and the queue is fully drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-/// Error from [`Receiver::try_recv`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No item is queued right now, but senders remain.
-    Empty,
-    /// All senders are gone and the queue is fully drained.
-    Closed,
-}
-
-impl<T> std::fmt::Debug for SendError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SendError(..)")
-    }
-}
-
-impl<T> std::fmt::Debug for TrySendError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrySendError::Full(_) => f.write_str("TrySendError::Full(..)"),
-            TrySendError::Closed(_) => f.write_str("TrySendError::Closed(..)"),
-        }
-    }
-}
-
-/// Creates a bounded FIFO channel holding at most `capacity` in-flight
-/// items.
+/// A bounded FIFO channel holding at most `capacity` in-flight items.
 ///
 /// # Panics
 ///
-/// Panics if `capacity` is 0 — a zero-capacity rendezvous is never what
-/// the pipeline wants (it would serialize the stages again).
+/// Panics if `capacity` is 0: a rendezvous would serialize the stages.
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     assert!(capacity >= 1, "channel capacity must be at least 1");
-    let shared = Arc::new(Shared {
-        inner: Mutex::new(Inner {
-            queue: VecDeque::with_capacity(capacity),
-            senders: 1,
-            rx_alive: true,
-        }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-        capacity,
-    });
-    (
-        Sender {
-            shared: Arc::clone(&shared),
-        },
-        Receiver { shared },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Blocks until the queue has room, then enqueues `value`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the value back if the receiver was dropped (including
-    /// while this call was blocked on a full queue).
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut inner = self.shared.lock();
-        loop {
-            if !inner.rx_alive {
-                return Err(SendError(value));
-            }
-            if inner.queue.len() < self.shared.capacity {
-                break;
-            }
-            inner = self
-                .shared
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        inner.queue.push_back(value);
-        drop(inner);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`TrySendError::Full`] when the queue is at capacity,
-    /// [`TrySendError::Closed`] when the receiver is gone; the value
-    /// rides back in both.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut inner = self.shared.lock();
-        if !inner.rx_alive {
-            return Err(TrySendError::Closed(value));
-        }
-        if inner.queue.len() >= self.shared.capacity {
-            return Err(TrySendError::Full(value));
-        }
-        inner.queue.push_back(value);
-        drop(inner);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Items currently queued (racy — for occupancy gauges only).
-    pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
-    /// True when nothing is queued right now.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Sender<T> {
-        self.shared.lock().senders += 1;
-        Sender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut inner = self.shared.lock();
-        inner.senders -= 1;
-        let last = inner.senders == 0;
-        drop(inner);
-        if last {
-            // Wake a receiver blocked on an empty queue so it can
-            // observe the close and finish draining.
-            self.shared.not_empty.notify_all();
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Blocks until an item arrives, draining queued items even after
-    /// every sender is gone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecvError`] only once all senders are dropped *and*
-    /// the queue is empty — the drain half of the close protocol.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut inner = self.shared.lock();
-        loop {
-            if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
-            if inner.senders == 0 {
-                return Err(RecvError);
-            }
-            inner = self
-                .shared
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Dequeues without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`TryRecvError::Empty`] when nothing is queued but senders
-    /// remain, [`TryRecvError::Closed`] once closed and drained.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut inner = self.shared.lock();
-        if let Some(v) = inner.queue.pop_front() {
-            drop(inner);
-            self.shared.not_full.notify_one();
-            return Ok(v);
-        }
-        if inner.senders == 0 {
-            return Err(TryRecvError::Closed);
-        }
-        Err(TryRecvError::Empty)
-    }
-
-    /// Items currently queued (racy — for occupancy gauges only).
-    pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
-    /// True when nothing is queued right now.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        let mut inner = self.shared.lock();
-        inner.rx_alive = false;
-        // Queued items a dead consumer will never take are dropped now,
-        // not when the last sender lets go of the Arc.
-        inner.queue.clear();
-        drop(inner);
-        self.shared.not_full.notify_all();
-    }
+    std::sync::mpsc::sync_channel(capacity)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
-
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_capacity_panics() {
-        let _ = bounded::<u32>(0);
-    }
-
-    #[test]
-    fn try_send_backpressure_at_capacity() {
-        let (tx, rx) = bounded(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.len(), 2);
-        assert_eq!(tx.capacity(), 2);
-        match tx.try_send(3) {
-            Err(TrySendError::Full(v)) => assert_eq!(v, 3),
-            other => panic!("expected Full, got {other:?}"),
-        }
-        // Draining one slot re-opens the queue.
-        assert_eq!(rx.recv(), Ok(1));
-        tx.try_send(3).unwrap();
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(3));
-        assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn blocking_send_waits_for_consumer() {
-        let (tx, rx) = bounded(1);
-        tx.send(0u32).unwrap();
-        let highest_seen = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&highest_seen);
-        let producer = std::thread::spawn(move || {
-            for v in 1..=5u32 {
-                tx.send(v).unwrap(); // blocks at capacity 1
-                seen.store(v as usize, Ordering::SeqCst);
-            }
-        });
-        // The producer can complete at most one send (into the slot
-        // freed below) before the consumer starts pulling.
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(
-            highest_seen.load(Ordering::SeqCst) <= 1,
-            "producer ran ahead of a full queue"
-        );
-        for expect in 0..=5u32 {
-            assert_eq!(rx.recv(), Ok(expect));
-        }
-        producer.join().unwrap();
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn close_then_drain() {
-        let (tx, rx) = bounded(4);
-        tx.send('a').unwrap();
-        tx.send('b').unwrap();
-        drop(tx);
-        // Closed for writing, but queued items still arrive in order.
-        assert_eq!(rx.recv(), Ok('a'));
-        assert_eq!(rx.try_recv(), Ok('b'));
-        assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Closed));
-    }
-
-    #[test]
-    fn try_recv_empty_vs_closed() {
-        let (tx, rx) = bounded::<u8>(1);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Closed));
-    }
-
-    #[test]
-    fn send_fails_once_receiver_is_gone() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        drop(rx);
-        match tx.send(2) {
-            Err(SendError(v)) => assert_eq!(v, 2),
-            Ok(()) => panic!("send succeeded into a dropped receiver"),
-        }
-        match tx.try_send(3) {
-            Err(TrySendError::Closed(v)) => assert_eq!(v, 3),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn receiver_drop_unblocks_a_waiting_sender() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let producer = std::thread::spawn(move || tx.send(2));
-        std::thread::sleep(Duration::from_millis(50));
-        drop(rx); // producer is blocked on the full queue right now
-        let res = producer.join().unwrap();
-        assert!(res.is_err(), "blocked send must fail on receiver drop");
-    }
-
-    #[test]
-    fn cross_thread_fifo_ordering() {
-        let (tx, rx) = bounded(3);
-        let producer = std::thread::spawn(move || {
-            for v in 0..500u32 {
-                tx.send(v).unwrap();
-            }
-        });
-        for expect in 0..500u32 {
-            assert_eq!(rx.recv(), Ok(expect), "items must arrive in send order");
-        }
-        producer.join().unwrap();
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn mpsc_preserves_per_sender_order() {
-        let (tx, rx) = bounded(2);
-        let tx2 = tx.clone();
-        let spawn_producer = |tx: Sender<(u8, u32)>, id: u8| {
-            std::thread::spawn(move || {
-                for v in 0..200u32 {
-                    tx.send((id, v)).unwrap();
-                }
-            })
-        };
-        let p1 = spawn_producer(tx, 1);
-        let p2 = spawn_producer(tx2, 2);
-        let mut next = [0u32; 3];
-        let mut total = 0;
-        while let Ok((id, v)) = rx.recv() {
-            assert_eq!(v, next[id as usize], "sender {id} items out of order");
-            next[id as usize] += 1;
-            total += 1;
-        }
-        assert_eq!(total, 400);
-        p1.join().unwrap();
-        p2.join().unwrap();
+        let _ = super::bounded::<u32>(0);
     }
 }

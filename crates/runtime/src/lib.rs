@@ -17,9 +17,8 @@
 //! * [`sync`]: thin wrappers over `std::sync` locks with a
 //!   panic-poisoning-free API (`lock()` / `read()` / `write()` return
 //!   guards directly).
-//! * [`channel`]: bounded MPSC channels with blocking send/recv,
-//!   backpressure, and a close/drain protocol — the stage connectors
-//!   for the pipelined trainer.
+//! * [`channel`]: [`bounded`], std's `sync_channel` behind the one name
+//!   the pipelined trainer and the benchmark's channel probe call.
 //! * [`hash`]: [`IntMap`], a `HashMap` under an unkeyed integer hasher
 //!   for the hot-path maps keyed by ids, slots and timestamp bits.
 //!

@@ -96,6 +96,10 @@ struct JobCore {
     parent_span: Option<tgl_obs::SpanCtx>,
 }
 
+// SAFETY (both): the raw `data` pointer is the only field that is not
+// already `Send + Sync`. It points at an `F: Fn + Sync` that is only
+// ever called through `&F`, and the dispatching caller keeps it alive
+// until `pending` reaches zero, after which no helper touches it.
 unsafe impl Send for JobCore {}
 unsafe impl Sync for JobCore {}
 
@@ -124,6 +128,9 @@ fn drain_job(job: &JobCore) {
         executed += 1;
         let start = i * job.chunk;
         let end = (start + job.chunk).min(job.total);
+        // SAFETY: `call` is the `call_erased::<F>` paired with `data`
+        // when the job was built, and the caller keeps `data` alive
+        // until this chunk's `pending` decrement below.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
             (job.call)(job.data, start..end)
         }));
@@ -357,6 +364,10 @@ pub struct UnsafeSlice<'a, T> {
     _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
+// SAFETY (both): an `UnsafeSlice` is a `&mut [T]` split across
+// threads, so it may cross threads when `T: Send`; every access is an
+// `unsafe` method whose caller promises that concurrently materialized
+// regions never overlap.
 unsafe impl<T: Send> Send for UnsafeSlice<'_, T> {}
 unsafe impl<T: Send> Sync for UnsafeSlice<'_, T> {}
 
@@ -421,6 +432,8 @@ mod tests {
         let slice = UnsafeSlice::new(&mut hits);
         parallel_for(10_000, 64, |r| {
             for i in r {
+                // SAFETY: `i` is in bounds and each index reaches one
+                // chunk only.
                 unsafe { *slice.get_mut(i) += 1 };
             }
         });
@@ -446,6 +459,7 @@ mod tests {
             let mut partials = vec![0.0f64; 100_000usize.div_ceil(1024)];
             let ps = UnsafeSlice::new(&mut partials);
             parallel_for_chunks(100_000, 1024, |ci, r| {
+                // SAFETY: one partial per chunk, `ci` in bounds.
                 let p = unsafe { ps.get_mut(ci) };
                 for i in r {
                     *p += (i as f64).sqrt();

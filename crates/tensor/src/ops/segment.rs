@@ -515,6 +515,7 @@ impl SegmentKernel for SoftmaxRows<'_> {
                 sum += e;
             }
             for i in rows.clone() {
+                // SAFETY: as above.
                 unsafe { *y.get_mut(i * d + j) /= sum };
             }
         }

@@ -31,6 +31,17 @@ INTRINSICS="$(grep -rlE '_mm[0-9]*_' crates --include='*.rs' | grep -vx 'crates/
 [ -z "$INTRINSICS" ] \
     || { echo "SIMD intrinsics outside crates/tensor/src/kernel.rs:"; echo "$INTRINSICS"; exit 1; }
 
+echo "==> every unsafe block and unsafe impl states its invariant"
+# A `// SAFETY:` comment (or the comment block it opens) must end at
+# most three lines above each `unsafe {` and `unsafe impl`.
+UNSAID="$(find crates -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { delete said }
+    { said[FNR] = /SAFETY/ || (/^[ ]*\/\// && said[FNR - 1]) }
+    /unsafe[ ]*\{|unsafe impl/ && !/^[ ]*\/\// && !(said[FNR] || said[FNR - 1] || said[FNR - 2] || said[FNR - 3]) {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }')"
+[ -z "$UNSAID" ] || { echo "unsafe without a SAFETY comment:"; echo "$UNSAID"; exit 1; }
+
 # Test passes run under `timeout`: block chains cross threads behind
 # one lock per block, and a lock cycle would otherwise hang the job
 # instead of failing it. A full pass takes about two minutes here once
@@ -246,11 +257,18 @@ TGL_THREADS=2 ./target/release/quickstart \
     || { cat "$CP_LOG"; exit 1; }
 ./target/release/tgl jsoncheck "$OBS_DIR/critpath-report.json" | grep -q "schema tgl-run-report/v3 ok" \
     || { echo "run report failed its schema check"; exit 1; }
-./target/release/tgl jsoncheck "$OBS_DIR/flight.json"
 grep -Eq '"critpath": *\{"wall_s"' "$OBS_DIR/critpath-report.json" \
     || { echo "run report of a --critpath run has no critpath section"; exit 1; }
-grep -q '"schema": "tgl-flight/v1"' "$OBS_DIR/flight.json" \
-    || { echo "flight dump missing tgl-flight/v1 schema"; exit 1; }
+# A flight dump is a run report: the reason it was taken in
+# meta.reason, the rings' spans (the last training step among them)
+# in its recent section.
+flight_dump() {
+    ./target/release/tgl jsoncheck "$1" | grep -q "schema tgl-run-report/v3 ok" \
+        && grep -Eq "\"reason\": *\"$2\"" "$1" \
+        && grep -Eq '"name": *"step", *"kind": *"region"' "$1"
+}
+flight_dump "$OBS_DIR/flight.json" request \
+    || { echo "--flight-out wrote no run report with reason request and a step in recent"; exit 1; }
 # The table must lead with the critical-path headline and break the
 # run down into the pipeline stages the paper's Figure 7 names.
 grep -q "critical path" "$CP_LOG" \
@@ -321,8 +339,7 @@ if TGL_FLIGHT_DIR="$HEALTH_FLIGHT_DIR" TGL_THREADS=2 ./target/release/quickstart
     echo "--health fail should have aborted on the non-finite loss"; cat "$HEALTH_LOG"; exit 1
 fi
 HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
-[ -n "$HEALTH_DUMP" ] && ./target/release/tgl jsoncheck "$HEALTH_DUMP" \
-    && grep -q '"reason": "health-fail"' "$HEALTH_DUMP" \
+[ -n "$HEALTH_DUMP" ] && flight_dump "$HEALTH_DUMP" health-fail \
     || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }
 
 echo "==> allocation churn smoke (pool on vs off, bitwise loss guard)"

@@ -3,6 +3,8 @@
 use std::sync::Arc;
 
 use tgl_data::{generate, DatasetKind, DatasetSpec, NegativeSampler};
+use tgl_models::{TemporalModel, Tgat};
+use tgl_tensor::Tensor;
 use tglite::{TBatch, TContext, TGraph};
 
 pub mod mfg;
@@ -37,5 +39,52 @@ pub fn assert_logits_close(a: &[f32], b: &[f32], tol: f32, what: &str) {
             (x - y).abs() <= tol,
             "{what}: logit {i} differs: {x} vs {y}"
         );
+    }
+}
+
+/// TGAT, except that its `forward` sleeps for `pause` and then panics
+/// on call number `at`: a model bug in the middle of an epoch.
+pub struct PanicsInForward {
+    inner: Tgat,
+    calls: usize,
+    at: usize,
+    pause: std::time::Duration,
+}
+
+impl PanicsInForward {
+    /// Wraps `inner`, panicking on forward call `at` (1-based).
+    pub fn new(inner: Tgat, at: usize, pause: std::time::Duration) -> PanicsInForward {
+        PanicsInForward { inner, calls: 0, at, pause }
+    }
+}
+
+impl TemporalModel for PanicsInForward {
+    fn name(&self) -> &'static str {
+        "panics-in-forward"
+    }
+
+    fn parameters(&self) -> Vec<Tensor> {
+        self.inner.parameters()
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.inner.set_training(training);
+    }
+
+    fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
+        self.calls += 1;
+        if self.calls == self.at {
+            std::thread::sleep(self.pause);
+            panic!("injected forward panic");
+        }
+        self.inner.forward(ctx, batch)
+    }
+
+    fn sampling_spec(&self) -> Option<tglite::plan::SamplingSpec> {
+        self.inner.sampling_spec()
+    }
+
+    fn reset_state(&self, ctx: &TContext) {
+        self.inner.reset_state(ctx);
     }
 }

@@ -3,7 +3,9 @@
 //! must land within 10% of the traced wall regardless of thread
 //! count (1 vs 4), the run report's `critpath` section must parse with
 //! the in-tree JSON parser, and an injected panic must leave a
-//! parseable `flight-<ts>.json` post-mortem behind.
+//! `flight-<ts>.json` post-mortem behind: a run report whose
+//! `meta.reason` says why and whose `recent` section holds the flight
+//! rings' spans.
 //!
 //! The trace sink, flight rings, pool size, and `TGL_FLIGHT_DIR` are
 //! all process-global, so every test holds the `serial()` lock and
@@ -11,8 +13,14 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use tgl_data::{DatasetKind, Json};
-use tgl_harness::{run_experiment, ExperimentConfig, Framework, ModelKind, ObsOptions, Placement};
+use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
+use tgl_harness::{
+    run_experiment, ExperimentConfig, Framework, ModelKind, ObsOptions, Placement, RunReport, TrainConfig, Trainer,
+};
+use tgl_integration::PanicsInForward;
+use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat};
+use tglite::tensor::optim::Adam;
+use tglite::TContext;
 use tgl_runtime::set_threads;
 use tglite::obs::{critpath, flight, trace};
 
@@ -164,33 +172,47 @@ fn critpath_artifact_parses_and_is_self_consistent() {
     );
 }
 
-/// The always-on flight recorder captures spans from a real run and
-/// renders a parseable `tgl-flight/v1` dump on demand.
+/// The run report `doc` as a flight dump: schema, `meta.reason` and a
+/// `recent` section of well-formed spans, returned.
+fn flight_dump<'a>(doc: &'a Json, reason: &str) -> &'a [Json] {
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-run-report/v3"));
+    assert_eq!(doc.get("meta").and_then(|m| m.get("reason")).and_then(Json::as_str), Some(reason));
+    let recent = doc.get("recent").and_then(Json::as_arr).expect("flight dump has a recent section");
+    for span in recent {
+        assert!(span.get("name").and_then(Json::as_str).is_some());
+        assert!(span.get("t_ns").and_then(Json::as_num).is_some());
+        assert!(span.get("tid").and_then(Json::as_num).is_some());
+    }
+    recent
+}
+
+/// The always-on flight recorder captures spans from a real run, and a
+/// flight dump taken on demand holds the run's `step` regions and
+/// counters.
 #[test]
 fn flight_dump_from_real_run_parses_with_recent_spans() {
     let _g = serial();
     flight::enable(true);
     run_experiment(&obs_cfg());
-    let doc = Json::parse(&flight::to_json("request")).expect("flight dump must be valid JSON");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-flight/v1"));
-    assert_eq!(doc.get("reason").and_then(Json::as_str), Some("request"));
-    let events = doc.get("events").and_then(Json::as_arr).expect("events");
-    assert!(!events.is_empty(), "flight ring captured no events");
-    for ev in events {
-        assert!(ev.get("name").and_then(Json::as_str).is_some());
-        assert!(ev.get("t_ns").and_then(Json::as_num).is_some());
-        assert!(ev.get("tid").and_then(Json::as_num).is_some());
-    }
+    let doc = Json::parse(&RunReport::flight("request", None).to_json()).expect("flight dump must be valid JSON");
+    let recent = flight_dump(&doc, "request");
     assert!(
-        doc.get("counters").is_some(),
-        "flight dump missing counters section"
+        recent.iter().any(|s| s.get("name").and_then(Json::as_str) == Some("step")),
+        "flight rings hold no step region"
     );
+    assert!(
+        doc.get("counters_total").and_then(|c| c.get("sampler.queries")).is_some(),
+        "flight dump missing the run's counters"
+    );
+    assert_eq!(doc.get("test"), Some(&Json::Null), "a dump before test inference has no test section");
 }
 
 /// Post-mortem contract: a panic anywhere in the process must leave
 /// a parseable `flight-<ts>.json` in `TGL_FLIGHT_DIR` with reason
-/// "panic". Std panic hooks run before unwinding, so `catch_unwind`
-/// exercises the hook without killing the test runner.
+/// "panic" and the steps before it in `recent`. Here a model panics in
+/// its third `forward` of an epoch. Std panic hooks run before
+/// unwinding, so `catch_unwind` exercises the hook without killing the
+/// test runner.
 #[test]
 fn injected_panic_writes_parseable_flight_dump() {
     let _g = serial();
@@ -199,13 +221,25 @@ fn injected_panic_writes_parseable_flight_dump() {
     std::env::set_var("TGL_FLIGHT_DIR", &dir);
     flight::enable(true);
     tgl_harness::install_flight_hook();
-    // Record something so the dump has content, then outwait the
-    // hook's 1s duplicate-dump suppression window in case an earlier
-    // test dumped recently.
-    drop(tglite::obs::span("flight-panic-test"));
+    // Outwait the hook's 1s duplicate-dump suppression window in case
+    // an earlier test dumped recently.
     std::thread::sleep(std::time::Duration::from_millis(1100));
 
-    let result = std::panic::catch_unwind(|| panic!("injected: flight dump test"));
+    let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(20);
+    let (g, _) = generate(&spec);
+    let ctx = TContext::new(g);
+    let split = Split::standard(ctx.graph());
+    let inner = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
+    let mut model = PanicsInForward::new(inner, 3, std::time::Duration::ZERO);
+    let mut opt = Adam::new(model.parameters(), 1e-3);
+    let trainer = Trainer::new(
+        TrainConfig { batch_size: 60, epochs: 1, lr: 1e-3, seed: 1 },
+        spec.n_src as u32,
+        spec.num_nodes() as u32,
+    );
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        trainer.train_epoch(&mut model, &ctx, &split, &mut opt, 0)
+    }));
     assert!(result.is_err(), "injected panic did not propagate");
     std::env::remove_var("TGL_FLIGHT_DIR");
 
@@ -226,11 +260,8 @@ fn injected_panic_writes_parseable_flight_dump() {
     );
     let body = std::fs::read_to_string(&dumps[0]).expect("read flight dump");
     let doc = Json::parse(&body).expect("panic flight dump must be valid JSON");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-flight/v1"));
-    assert_eq!(doc.get("reason").and_then(Json::as_str), Some("panic"));
-    assert!(
-        doc.get("events").and_then(Json::as_arr).is_some(),
-        "panic dump missing events array"
-    );
+    let recent = flight_dump(&doc, "panic");
+    let steps = recent.iter().filter(|s| s.get("name").and_then(Json::as_str) == Some("step")).count();
+    assert!(steps >= 2, "panic dump holds {steps} of the two steps before the panic");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -66,7 +66,7 @@ fn traced_run_spans_two_threads_and_exports_valid_chrome_json() {
         );
     }
 
-    let json = trace::to_chrome_json(&spans);
+    let json = tgl_harness::report::chrome_trace(&spans);
     let doc = Json::parse(&json).expect("chrome trace must be valid JSON");
     let events = doc
         .get("traceEvents")

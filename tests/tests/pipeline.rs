@@ -6,7 +6,9 @@
 //! worker-pool width, identical deltas on the work counters the
 //! sampler stage owns (sampling, dedup, preload, transfers), and
 //! unchanged health semantics (a poisoned batch is skipped, not
-//! crashed, and the flight recorder still yields a parseable dump).
+//! crashed, and the flight recorder still yields a parseable dump). A
+//! compute stage that panics while the sampler stage waits on a full
+//! queue fails the epoch instead of hanging it.
 //!
 //! The counters and the thread pool are process-global, so every test
 //! holds the `serial()` lock and restores a single-threaded pool.
@@ -17,6 +19,7 @@ use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_device::TransferModel;
 use tgl_harness::runner::{prepare_context, Placement};
 use tgl_harness::{HealthPolicy, TrainConfig, Trainer};
+use tgl_integration::PanicsInForward;
 use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::metrics;
@@ -301,12 +304,15 @@ fn pipelined_nan_batches_are_skipped_not_crashed() {
         metrics::get("health.nonfinite_loss") > nonfinite0,
         "health.nonfinite_loss counter did not advance under pipelining"
     );
-    let dump = tglite::obs::flight::to_json("pipeline-test");
+    let dump = tgl_harness::RunReport::flight("pipeline-test", Some(HealthPolicy::Warn)).to_json();
     let doc = Json::parse(&dump).expect("flight dump must stay parseable");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("tgl-flight/v1"),
-        "unexpected flight dump schema"
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-run-report/v3"));
+    let reason = doc.get("meta").and_then(|m| m.get("reason")).and_then(Json::as_str);
+    assert_eq!(reason, Some("pipeline-test"), "flight dump's meta.reason");
+    let recent = doc.get("recent").and_then(Json::as_arr).expect("flight dump has a recent section");
+    assert!(
+        recent.iter().any(|s| s.get("name").and_then(Json::as_str) == Some("step")),
+        "the flight rings hold no step region of the epoch that just ran"
     );
 }
 
@@ -323,6 +329,7 @@ fn pipelined_run_reports_its_queue_telemetry() {
     let split = Split::standard(ctx.graph());
     let mut model = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
     let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), 1e-3);
+    tglite::obs::hist::histogram("pipeline.queue.occupancy").reset();
     let mut reporter = tgl_harness::RunReporter::start();
     let stats = trainer(&spec, 2).train_epoch(&mut model, &ctx, &split, &mut opt, 0);
     reporter.record_epoch(0, &stats);
@@ -331,6 +338,50 @@ fn pipelined_run_reports_its_queue_telemetry() {
         let hist = report.histograms.iter().find(|(n, _)| n == name);
         assert!(hist.is_some_and(|(_, h)| h.count > 0), "{name} missing or empty in the run report");
     }
+    let occupancy = report.histograms.iter().find(|(n, _)| n == "pipeline.queue.occupancy");
+    let max = occupancy.map_or(0, |(_, h)| h.max);
+    assert!(max <= 2, "a depth-2 queue read as holding {max} batches");
     let depth = report.gauges.iter().find(|(n, _)| n == "pipeline.depth").map(|(_, v)| *v);
     assert_eq!(depth, Some(2.0), "pipeline.depth gauge");
+}
+
+/// A depth no range can fill trains exactly like depth 0: the queue is
+/// sized to the batches in the range, so `usize::MAX` allocates no
+/// more than the epoch needs.
+#[test]
+fn an_unbounded_depth_trains_to_the_bits_of_depth_zero() {
+    let _g = serial();
+    set_threads(1);
+    assert_eq!(run(TGAT, train, 0).0, run(TGAT, train, usize::MAX).0);
+}
+
+/// A compute stage that panics while the sampler stage is blocked on a
+/// full queue fails the epoch: dropping the receiver during the unwind
+/// wakes the sampler, and the scope joins it. Run on a thread of its
+/// own under a deadline, so a hang fails the test instead of stalling
+/// the suite.
+#[test]
+fn a_panicking_forward_fails_the_epoch_instead_of_hanging_it() {
+    let _g = serial();
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = tiny_wiki();
+        let (g, _) = generate(&spec);
+        let ctx = TContext::new(g);
+        let split = Split::standard(ctx.graph());
+        let inner = Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 5);
+        // The pause gives the sampler stage time to fill the queue and
+        // block on it before the panic.
+        let mut model = PanicsInForward::new(inner, 2, std::time::Duration::from_millis(200));
+        let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), 1e-3);
+        let trainer = trainer(&spec, 1);
+        let epoch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            trainer.train_epoch(&mut model, &ctx, &split, &mut opt, 0)
+        }));
+        let _ = done.send(epoch.is_err());
+    });
+    let panicked = outcome
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("train_epoch hung after its forward panicked");
+    assert!(panicked, "train_epoch returned although its forward panicked");
 }
