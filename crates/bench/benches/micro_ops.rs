@@ -69,10 +69,14 @@ fn bench_sampler() {
     let n = 512usize;
     let nodes: Vec<u32> = (0..n as u32).map(|i| i % g.num_nodes() as u32).collect();
     let times: Vec<f64> = vec![g.max_time(); n];
-    let recent = TemporalSampler::new(10, SamplingStrategy::Recent).with_threads(1);
-    let uniform = TemporalSampler::new(10, SamplingStrategy::Uniform).with_threads(1);
+    let recent = TemporalSampler::new(10, SamplingStrategy::Recent);
+    let uniform = TemporalSampler::new(10, SamplingStrategy::Uniform);
+    // Sequential: the per-query cost, not the pool's.
+    let before = tgl_runtime::current_threads();
+    set_threads(1);
     report("sampler_recent_512x10", || recent.sample(&csr, &nodes, &times));
     report("sampler_uniform_512x10", || uniform.sample(&csr, &nodes, &times));
+    set_threads(before);
 }
 
 fn bench_segment_ops() {
@@ -584,7 +588,7 @@ fn thread_sweep(counts: &[usize]) -> Vec<SweepCell> {
     let mut cells = Vec::new();
     for &t in counts {
         set_threads(t);
-        let uniform = TemporalSampler::new(10, SamplingStrategy::Uniform).with_threads(t);
+        let uniform = TemporalSampler::new(10, SamplingStrategy::Uniform);
         cells.push(SweepCell {
             bench: "matmul_512".into(),
             threads: t,

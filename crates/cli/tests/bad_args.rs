@@ -35,6 +35,23 @@ fn zero_threads_is_a_usage_error() {
 }
 
 #[test]
+fn unusable_tgl_threads_is_a_usage_error() {
+    // Each used to run at the host's width and exit 0.
+    for value in ["0", "two", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
+            .env("TGL_THREADS", value)
+            .args(["train", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--epochs", "1"])
+            .output()
+            .expect("run tgl");
+        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(2), "TGL_THREADS={value}: stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "TGL_THREADS={value}: one-line error: {stderr}");
+        assert!(stderr.contains("TGL_THREADS"), "error must name the variable: {stderr}");
+        assert!(!stdout.contains("loss"), "TGL_THREADS={value}: must not train: {stdout}");
+    }
+}
+
+#[test]
 fn zero_scale_is_a_usage_error() {
     // `--scale` appears twice: the later, offending value wins.
     let (code, stdout, stderr) = tgl_train(&["--scale", "0"]);

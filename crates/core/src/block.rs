@@ -690,7 +690,6 @@ mod tests {
 
     fn sample(blk: &TBlock) {
         let nbrs = tgl_sampler::TemporalSampler::new(2, tgl_sampler::SamplingStrategy::Recent)
-            .with_threads(1)
             .sample(&blk.graph().tcsr(), &blk.dst_nodes(), &blk.dst_times());
         blk.set_neighborhood(nbrs);
     }

@@ -24,6 +24,8 @@
 //!   trips, writing `flight-<ts>.json` post-mortems to
 //!   `TGL_FLIGHT_DIR`.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod flightdump;
 pub mod health;
@@ -44,4 +46,5 @@ pub use flightdump::install_flight_hook;
 pub use health::{EpochHealth, HealthMonitor, HealthPolicy};
 pub use logging::MetricLog;
 pub use report::{EpochReport, HealthSection, RunReport, RunReporter};
-pub use trainer::{process_cpu_seconds, CpuTimer, EpochStats, TrainConfig, Trainer};
+pub use tgl_runtime::process_cpu_seconds;
+pub use trainer::{CpuTimer, EpochStats, TrainConfig, Trainer};

@@ -340,6 +340,9 @@ impl ObsOptions {
             _ => None,
         };
         let (ckpt_save, ckpt_load) = if eval_only { (None, path("ckpt")) } else { (path("ckpt"), None) };
+        // A set but unusable `TGL_THREADS` is a usage error, not a
+        // silent default, even where `--threads` overrides it.
+        tgl_runtime::env_threads().map_err(RunError)?;
         Ok(ObsOptions {
             progress: true,
             prof: args.has_flag("prof"),

@@ -1,12 +1,19 @@
 //! Persistent worker-thread pool with chunked work distribution.
 //!
 //! The pool is a process-global singleton. A parallel region
-//! ([`parallel_for`] / [`parallel_for_chunks`]) splits `0..total` into
-//! contiguous chunks, publishes a type-erased pointer to the caller's
-//! closure to the workers, and then participates in draining the chunk
-//! queue itself before blocking until every chunk has finished. Because
-//! the calling frame outlives the region, the closure may borrow local
-//! slices — a scope-style API without per-call thread spawns.
+//! ([`parallel_rows`], or [`parallel_for`] without output buffers)
+//! splits `0..total` into contiguous chunks, publishes a type-erased
+//! pointer to the caller's closure to the workers, and then
+//! participates in draining the chunk queue itself before blocking
+//! until every chunk has finished. Because the calling frame outlives
+//! the region, the closure may borrow local slices — a scope-style API
+//! without per-call thread spawns.
+//!
+//! A region's outputs are handed out, not shared: [`parallel_rows`]
+//! cuts each output buffer at the item offsets of every chunk
+//! ([`Rows`]: a row per item or an offsets slice, checked before any
+//! chunk runs) and gives each chunk its own `&mut` rows. Two chunks
+//! cannot write the same element, and callers need no `unsafe`.
 //!
 //! Chunks are claimed from a shared atomic counter, so distribution is
 //! dynamic, but each chunk's *computation* depends only on its index
@@ -25,13 +32,27 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Thread count requested by the environment: `TGL_THREADS` when set to
-/// a positive integer, otherwise the machine's available parallelism.
+/// The pool width `TGL_THREADS` asks for: `Ok(None)` when it is unset,
+/// `Ok(Some(n))` for a positive integer, and an error naming the
+/// variable for any other value.
+pub fn env_threads() -> Result<Option<usize>, String> {
+    let Some(v) = std::env::var_os("TGL_THREADS") else {
+        return Ok(None);
+    };
+    match v.to_str().and_then(|s| s.trim().parse::<usize>().ok()) {
+        Some(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("TGL_THREADS: expected a positive integer, got {v:?}")),
+    }
+}
+
+/// Thread count requested by the environment: [`env_threads`], or the
+/// machine's available parallelism when it is unset. An unusable value
+/// is the front end's to reject (`tgl` exits 2 on it); a library caller
+/// gets the fallback.
 fn configured_threads() -> usize {
-    std::env::var("TGL_THREADS")
+    env_threads()
         .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+        .flatten()
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
@@ -216,20 +237,12 @@ fn ensure_workers(n: usize) {
     }
 }
 
-/// Runs the erased closure over `0..total` in `chunk`-sized pieces with
-/// up to `par` threads (including the caller), blocking until done.
+/// Runs the erased closure over `0..total` in `chunk`-sized pieces (at
+/// least two) with up to `par` threads (including the caller), blocking
+/// until done.
 fn run_region<F: Fn(Range<usize>) + Sync>(total: usize, chunk: usize, par: usize, f: &F) {
     let n_chunks = total.div_ceil(chunk);
-    let helpers = (par - 1).min(n_chunks.saturating_sub(1));
-    if helpers == 0 {
-        // Keep the exact chunked iteration order so results match the
-        // parallel path bit-for-bit.
-        for i in 0..n_chunks {
-            let start = i * chunk;
-            f(start..(start + chunk).min(total));
-        }
-        return;
-    }
+    let helpers = (par - 1).min(n_chunks - 1);
     ensure_workers(helpers);
     let job = Arc::new(JobCore {
         data: f as *const F as *const (),
@@ -286,133 +299,169 @@ fn run_region<F: Fn(Range<usize>) + Sync>(total: usize, chunk: usize, par: usize
 // Public entry points
 // ---------------------------------------------------------------------
 
+/// How [`parallel_rows`] cuts `0..total` into chunks.
+#[derive(Clone, Copy, Debug)]
+pub enum Chunks {
+    /// One inline call `f(0..total)` when `total <= seq_threshold` (or
+    /// one thread is configured, or the caller is already inside a pool
+    /// worker); above it, about four contiguous chunks per thread.
+    Auto(usize),
+    /// Chunks of this many items, the last one ragged, at every thread
+    /// count — even when they run sequentially. The primitive for
+    /// reductions: a partial per chunk, combined in chunk order, rounds
+    /// the same for every thread count.
+    Fixed(usize),
+}
+
+/// The rows of an output buffer that each work item owns, read by the
+/// runtime itself: rows of `width` elements, item `i` owning either row
+/// `i` ([`Rows::width`]) or rows `offsets[i]..offsets[i + 1]`
+/// ([`Rows::offsets`]).
+pub struct Rows<'a, T> {
+    /// What is left of the buffer after the chunks cut so far.
+    rest: &'a mut [T],
+    /// Index of `rest[0]` in the whole buffer.
+    at: usize,
+    /// `None`: item `i` owns row `i`.
+    offsets: Option<&'a [usize]>,
+    width: usize,
+}
+
+impl<'a, T> Rows<'a, T> {
+    /// `buf` as rows of `width` elements, one per item.
+    pub fn width(buf: &'a mut [T], width: usize) -> Rows<'a, T> {
+        Rows { rest: buf, at: 0, offsets: None, width }
+    }
+
+    /// `buf` as rows of `width` elements, item `i` owning rows
+    /// `offsets[i]..offsets[i + 1]`.
+    pub fn offsets(buf: &'a mut [T], offsets: &'a [usize], width: usize) -> Rows<'a, T> {
+        Rows { rest: buf, at: 0, offsets: Some(offsets), width }
+    }
+
+    /// The first element of item `item`'s rows (saturating, so that an
+    /// overflow reads as past the buffer).
+    fn start(&self, item: usize) -> usize {
+        self.offsets.map_or(item, |o| o[item]).saturating_mul(self.width)
+    }
+}
+
+/// The output buffers of a [`parallel_rows`] region: a [`Rows`], an
+/// `Option` of one (an absent output arrives as `None`), or a tuple of
+/// up to four of them, of any element types.
+pub trait Outputs {
+    /// What one chunk receives: its own `&mut` rows of every buffer.
+    type Chunk: Send;
+
+    /// Cuts off the rows of `items`, which start where the previous cut
+    /// ended (or at item 0). Panics, in release builds too, unless the
+    /// boundaries are monotone and inside the buffer.
+    fn cut(&mut self, items: Range<usize>) -> Self::Chunk;
+}
+
+impl<'a, T: Send> Outputs for Rows<'a, T> {
+    type Chunk = &'a mut [T];
+
+    fn cut(&mut self, items: Range<usize>) -> &'a mut [T] {
+        let (lo, hi) = (self.start(items.start), self.start(items.end));
+        let len = self.at + self.rest.len();
+        assert!(self.at <= lo && lo <= hi, "row offsets of items {items:?} are not monotone");
+        assert!(hi <= len, "rows of items {items:?} end at {hi}, past a buffer of {len}");
+        let (_, rest) = std::mem::take(&mut self.rest).split_at_mut(lo - self.at);
+        let (chunk, rest) = rest.split_at_mut(hi - lo);
+        (self.rest, self.at) = (rest, hi);
+        chunk
+    }
+}
+
+impl<O: Outputs> Outputs for Option<O> {
+    type Chunk = Option<O::Chunk>;
+
+    fn cut(&mut self, items: Range<usize>) -> Self::Chunk {
+        self.as_mut().map(|o| o.cut(items))
+    }
+}
+
+impl Outputs for () {
+    type Chunk = ();
+
+    fn cut(&mut self, _: Range<usize>) {}
+}
+
+macro_rules! tuple_outputs {
+    ($($o:ident),+) => {
+        #[allow(non_snake_case)]
+        impl<$($o: Outputs),+> Outputs for ($($o,)+) {
+            type Chunk = ($($o::Chunk,)+);
+
+            fn cut(&mut self, items: Range<usize>) -> Self::Chunk {
+                let ($($o,)+) = self;
+                ($($o.cut(items.clone()),)+)
+            }
+        }
+    };
+}
+
+tuple_outputs!(A, B);
+tuple_outputs!(A, B, C);
+tuple_outputs!(A, B, C, D);
+
+/// Runs `f(items, rows)` over contiguous item ranges covering
+/// `0..total`, cut as `chunks` says, in parallel when the work is large
+/// enough; `rows` is the chunk's own `&mut` share of every buffer in
+/// `outs`.
+///
+/// Every chunk's rows are cut with `split_at_mut`, and their boundaries
+/// checked, before any chunk runs, so no two chunks can reach the same
+/// element: a kernel that writes its own rows from inputs that depend
+/// only on its item range gives the same output at every thread count.
+pub fn parallel_rows<O, F>(total: usize, chunks: Chunks, mut outs: O, f: F)
+where
+    O: Outputs,
+    F: Fn(Range<usize>, O::Chunk) + Sync,
+{
+    if total == 0 {
+        return;
+    }
+    let par = current_threads();
+    let inline = par <= 1 || IN_POOL.with(|flag| flag.get());
+    let chunk = match chunks {
+        Chunks::Auto(seq_threshold) if inline || total <= seq_threshold.max(1) => total,
+        // Oversplit 4x for load balance; chunks stay big enough that
+        // the per-chunk claim (one fetch_add) is noise.
+        Chunks::Auto(_) => total.div_ceil(par * 4),
+        Chunks::Fixed(chunk) => chunk.max(1),
+    };
+    if chunk >= total {
+        tgl_obs::counter!("pool.seq_fast_path").incr();
+        return f(0..total, outs.cut(0..total));
+    }
+    let items = |start: usize| start..(start + chunk).min(total);
+    // Each chunk's rows wait in its own slot until the chunk is claimed.
+    let slots: Vec<_> = (0..total).step_by(chunk).map(|s| Mutex::new(Some(outs.cut(items(s))))).collect();
+    let run = |items: Range<usize>| {
+        let rows = slots[items.start / chunk].lock().unwrap_or_else(|e| e.into_inner()).take();
+        f(items, rows.expect("a chunk runs once"))
+    };
+    if inline {
+        tgl_obs::counter!("pool.seq_fast_path").incr();
+        (0..total).step_by(chunk).for_each(|s| run(items(s)));
+        return;
+    }
+    tgl_obs::counter!("pool.regions").incr();
+    run_region(total, chunk, par, &run);
+}
+
 /// Runs `f` over contiguous sub-ranges covering `0..total`, in parallel
-/// when the work is large enough.
+/// when the work is large enough: [`parallel_rows`] with
+/// [`Chunks::Auto`] and no output buffers.
 ///
 /// `seq_threshold` is the sequential fast-path cutoff in work items:
-/// when `total <= seq_threshold` (or one thread is configured, or the
-/// caller is already inside a pool worker) the closure runs inline as a
-/// single `f(0..total)` call, paying zero synchronization cost. Above
-/// it, the range is split into contiguous chunks sized for the current
-/// thread count.
-///
-/// `f` must produce results that depend only on the range it is given
-/// (each output region written by exactly one range) — under that
-/// contract, output is identical for every thread count.
+/// when `total <= seq_threshold` the closure runs inline as a single
+/// `f(0..total)` call, paying zero synchronization cost. `f` must
+/// produce results that depend only on the range it is given.
 pub fn parallel_for<F: Fn(Range<usize>) + Sync>(total: usize, seq_threshold: usize, f: F) {
-    if total == 0 {
-        return;
-    }
-    let par = current_threads();
-    if par <= 1 || total <= seq_threshold.max(1) || IN_POOL.with(|flag| flag.get()) {
-        tgl_obs::counter!("pool.seq_fast_path").incr();
-        f(0..total);
-        return;
-    }
-    tgl_obs::counter!("pool.regions").incr();
-    // Oversplit 4x for load balance; chunks stay big enough that the
-    // per-chunk claim (one fetch_add) is noise.
-    let chunk = total.div_ceil(par * 4).max(1);
-    run_region(total, chunk, par, &f);
-}
-
-/// Runs `f(chunk_index, range)` over `0..total` in *fixed* `chunk`-sized
-/// pieces, in parallel when possible — always applying the same
-/// chunking, even when it runs sequentially.
-///
-/// This is the primitive for parallel reductions: accumulate a partial
-/// per chunk index, then combine partials in chunk order. Because the
-/// chunk boundaries are a function of `(total, chunk)` only, the
-/// floating-point rounding of the combined result is identical for
-/// every thread count.
-pub fn parallel_for_chunks<F: Fn(usize, Range<usize>) + Sync>(
-    total: usize,
-    chunk: usize,
-    f: F,
-) {
-    if total == 0 {
-        return;
-    }
-    let chunk = chunk.max(1);
-    let par = current_threads();
-    let wrapped = |r: Range<usize>| f(r.start / chunk, r);
-    if par <= 1 || total <= chunk || IN_POOL.with(|flag| flag.get()) {
-        tgl_obs::counter!("pool.seq_fast_path").incr();
-        let n_chunks = total.div_ceil(chunk);
-        for i in 0..n_chunks {
-            let start = i * chunk;
-            wrapped(start..(start + chunk).min(total));
-        }
-        return;
-    }
-    tgl_obs::counter!("pool.regions").incr();
-    run_region(total, chunk, par, &wrapped);
-}
-
-/// A shareable pointer to a mutable slice for writing *disjoint*
-/// regions from parallel chunks.
-///
-/// Safe Rust cannot hand `&mut` sub-slices of one buffer to a `Fn`
-/// closure running on several threads; this wrapper carries the raw
-/// parts and re-materializes sub-slices on demand. All methods are
-/// `unsafe`: the caller must guarantee that concurrently materialized
-/// regions never overlap (the natural property of output-partitioned
-/// kernels).
-pub struct UnsafeSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY (both): an `UnsafeSlice` is a `&mut [T]` split across
-// threads, so it may cross threads when `T: Send`; every access is an
-// `unsafe` method whose caller promises that concurrently materialized
-// regions never overlap.
-unsafe impl<T: Send> Send for UnsafeSlice<'_, T> {}
-unsafe impl<T: Send> Sync for UnsafeSlice<'_, T> {}
-
-impl<'a, T> UnsafeSlice<'a, T> {
-    /// Wraps `slice` for the duration of its borrow.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        UnsafeSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Total length of the wrapped slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the wrapped slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Materializes `&mut self[start..start + len]`.
-    ///
-    /// # Safety
-    ///
-    /// The range must be in bounds and must not overlap any other
-    /// region materialized while this one is alive.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        debug_assert!(start + len <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
-    }
-
-    /// Materializes `&mut self[i]`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds and not aliased by any other live region.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
-    }
+    parallel_rows(total, Chunks::Auto(seq_threshold), (), |items, ()| f(items));
 }
 
 #[cfg(test)]
@@ -429,12 +478,9 @@ mod tests {
     #[test]
     fn covers_every_index_exactly_once() {
         let mut hits = vec![0u8; 10_000];
-        let slice = UnsafeSlice::new(&mut hits);
-        parallel_for(10_000, 64, |r| {
-            for i in r {
-                // SAFETY: `i` is in bounds and each index reaches one
-                // chunk only.
-                unsafe { *slice.get_mut(i) += 1 };
+        parallel_rows(10_000, Chunks::Auto(64), Rows::width(&mut hits, 1), |_, hits| {
+            for h in hits {
+                *h += 1;
             }
         });
         assert!(hits.iter().all(|&h| h == 1));
@@ -453,26 +499,125 @@ mod tests {
     #[test]
     fn fixed_chunks_are_thread_count_invariant() {
         let _guard = serial();
+        // Each element holds its chunk's running sum up to it, so any
+        // boundary that moved with the thread count would show.
         let run = |threads: usize| {
             let before = current_threads();
             set_threads(threads);
-            let mut partials = vec![0.0f64; 100_000usize.div_ceil(1024)];
-            let ps = UnsafeSlice::new(&mut partials);
-            parallel_for_chunks(100_000, 1024, |ci, r| {
-                // SAFETY: one partial per chunk, `ci` in bounds.
-                let p = unsafe { ps.get_mut(ci) };
-                for i in r {
-                    *p += (i as f64).sqrt();
+            let mut sums = vec![0.0f64; 100_000];
+            parallel_rows(100_000, Chunks::Fixed(1024), Rows::width(&mut sums, 1), |r, out| {
+                assert!(r.start % 1024 == 0 && (r.len() == 1024 || r.end == 100_000), "chunk {r:?}");
+                let mut acc = 0.0;
+                for (o, i) in out.iter_mut().zip(r) {
+                    acc += (i as f64).sqrt();
+                    *o = acc;
                 }
             });
             set_threads(before);
-            partials.iter().sum::<f64>()
+            sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
         };
         let a = run(1);
-        let b = run(4);
-        let c = run(8);
-        assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(b.to_bits(), c.to_bits());
+        assert_eq!(a, run(4));
+        assert_eq!(a, run(8));
+    }
+
+    /// One element of a property-test buffer: how often it was written,
+    /// and by which item.
+    type Cell = (u32, usize);
+
+    /// Writes `(hits + 1, item)` over each item's rows of a chunk whose
+    /// rows start at `rows_of(items.start)`, after checking that the
+    /// chunk was handed exactly its own rows.
+    fn fill(cells: &mut [Cell], items: Range<usize>, rows_of: impl Fn(usize) -> usize) {
+        let base = rows_of(items.start);
+        assert_eq!(cells.len(), rows_of(items.end) - base, "items {items:?} got the wrong rows");
+        for i in items {
+            for c in &mut cells[rows_of(i) - base..rows_of(i + 1) - base] {
+                *c = (c.0 + 1, i);
+            }
+        }
+    }
+
+    /// Every row of items `0..total` was written once, by its owner, and
+    /// nothing outside them was written.
+    fn assert_once(cells: &[Cell], total: usize, rows_of: impl Fn(usize) -> usize) {
+        let mut want = vec![(0, 0); cells.len()];
+        for i in 0..total {
+            want[rows_of(i)..rows_of(i + 1)].fill((1, i));
+        }
+        assert_eq!(cells, want);
+    }
+
+    #[test]
+    fn chunks_get_exactly_their_own_rows() {
+        use crate::rng::{Rng, SeedableRng, StdRng};
+        let _guard = serial();
+        let before = current_threads();
+        let mut rng = StdRng::seed_from_u64(32);
+        for threads in [1, 2, 4] {
+            set_threads(threads);
+            for _ in 0..60 {
+                let total = rng.gen_range(0..300usize);
+                let chunks = if rng.gen_range(0..2usize) == 0 {
+                    Chunks::Auto(rng.gen_range(0..40usize))
+                } else {
+                    Chunks::Fixed(rng.gen_range(1..50usize))
+                };
+                // A fixed width, with slack past the last row.
+                let width = rng.gen_range(0..5usize);
+                let mut wide = vec![(0, 0); total * width + rng.gen_range(0..3usize)];
+                // Ragged offsets (empty items included) not starting at 0,
+                // over rows two wide, with slack on both sides.
+                let mut offsets = vec![rng.gen_range(0..4usize)];
+                for _ in 0..total {
+                    offsets.push(offsets.last().unwrap() + rng.gen_range(0..4usize));
+                }
+                let mut ragged = vec![(0, 0); 2 * offsets[total] + rng.gen_range(0..3usize)];
+                let at = |i: usize| offsets[i] * 2;
+                // One buffer alone, then both in one region.
+                parallel_rows(total, chunks, Rows::width(&mut wide, width), |items, rows| {
+                    fill(rows, items, |i| i * width);
+                });
+                assert_once(&wide, total, |i| i * width);
+                let outs = (Rows::width(&mut wide, width), Rows::offsets(&mut ragged, &offsets, 2), None::<Rows<u8>>);
+                parallel_rows(total, chunks, outs, |items, (wide, ragged, absent)| {
+                    assert!(absent.is_none());
+                    fill(wide, items.clone(), |i| i * width);
+                    fill(ragged, items, at);
+                });
+                wide.iter_mut().for_each(|c| c.0 -= (c.0 > 0) as u32);
+                assert_once(&wide, total, |i| i * width);
+                assert_once(&ragged, total, at);
+            }
+        }
+        set_threads(before);
+    }
+
+    #[test]
+    fn bad_offsets_panic_before_any_write() {
+        let _guard = serial();
+        let before = current_threads();
+        for threads in [1, 4] {
+            set_threads(threads);
+            let cases: [(&[usize], &str); 3] =
+                [(&[0, 5, 2, 8], "not monotone"), (&[0, 2, 4, 11], "past a buffer"), (&[0, 2], "out of bounds")];
+            for (offsets, message) in cases {
+                let mut buf = vec![0u32; 10];
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    parallel_rows(3, Chunks::Fixed(1), Rows::offsets(&mut buf, offsets, 1), |_, rows| rows.fill(1));
+                }));
+                let payload = run.expect_err("bad offsets must panic");
+                let text = payload.downcast_ref::<String>().map_or("", |s| s.as_str());
+                assert!(text.contains(message), "{offsets:?}: {text}");
+                assert!(buf.iter().all(|&x| x == 0), "{offsets:?} wrote before panicking: {buf:?}");
+            }
+            let mut buf = vec![0u32; 10];
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_rows(3, Chunks::Auto(0), Rows::width(&mut buf, 4), |_, rows| rows.fill(1));
+            }));
+            assert!(run.is_err() && buf.iter().all(|&x| x == 0), "a width past the buffer: {buf:?}");
+        }
+        set_threads(before);
     }
 
     #[test]

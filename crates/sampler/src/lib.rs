@@ -30,8 +30,10 @@
 //! assert_eq!(s.src_times, vec![2.0, 3.0]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
-use tgl_runtime::{parallel_for, UnsafeSlice};
+use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 use tgl_graph::{EdgeId, NodeId, TCsr, Time};
 
@@ -85,7 +87,6 @@ impl NeighborSample {
 pub struct TemporalSampler {
     k: usize,
     strategy: SamplingStrategy,
-    threads: usize,
     seed: u64,
 }
 
@@ -95,18 +96,8 @@ impl TemporalSampler {
         TemporalSampler {
             k,
             strategy,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             seed: 0x7161_1e5d,
         }
-    }
-
-    /// Sets the threading mode: 1 forces sequential sampling on the
-    /// caller; anything larger uses the `tgl-runtime` pool (whose
-    /// actual width follows `TGL_THREADS`). Output is bitwise identical
-    /// either way.
-    pub fn with_threads(mut self, threads: usize) -> TemporalSampler {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Sets the RNG seed for uniform sampling (deterministic per seed).
@@ -144,18 +135,13 @@ impl TemporalSampler {
 
         // Pass 1: how many edges each destination contributes, so each
         // destination's rows land at an exact offset in pass 2.
+        let chunks = Chunks::Auto(SEQ_DST_THRESHOLD);
         let mut counts = vec![0usize; n];
-        {
-            let counts = UnsafeSlice::new(&mut counts);
-            self.for_each_dst(n, &|range: std::ops::Range<usize>| {
-                for i in range {
-                    let (nbrs, _, _) = csr.neighbors_before(dst_nodes[i], dst_times[i]);
-                    // SAFETY: destinations partition the index space, so
-                    // each `i` is written by exactly one chunk.
-                    unsafe { *counts.get_mut(i) = nbrs.len().min(self.k) };
-                }
-            });
-        }
+        parallel_rows(n, chunks, Rows::width(&mut counts, 1), |dsts, counts| {
+            for (c, i) in counts.iter_mut().zip(dsts) {
+                *c = csr.neighbors_before(dst_nodes[i], dst_times[i]).0.len().min(self.k);
+            }
+        });
         let mut offsets = vec![0usize; n + 1];
         for i in 0..n {
             offsets[i + 1] = offsets[i] + counts[i];
@@ -167,51 +153,32 @@ impl TemporalSampler {
         tgl_obs::counter!("sampler.queries").add(n as u64);
         tgl_obs::counter!("sampler.neighbors").add(total as u64);
 
-        // Pass 2: every destination fills its own disjoint output rows.
+        // Pass 2: every destination fills its own rows, cut at `offsets`.
         let mut out = NeighborSample {
             src_nodes: vec![NodeId::default(); total],
             src_times: vec![Time::default(); total],
             eids: vec![EdgeId::default(); total],
             dst_index: vec![0usize; total],
         };
-        {
-            let src_nodes = UnsafeSlice::new(&mut out.src_nodes);
-            let src_times = UnsafeSlice::new(&mut out.src_times);
-            let eids_out = UnsafeSlice::new(&mut out.eids);
-            let dst_index = UnsafeSlice::new(&mut out.dst_index);
-            let offsets = &offsets;
-            self.for_each_dst(n, &|range: std::ops::Range<usize>| {
-                for i in range {
-                    let take = offsets[i + 1] - offsets[i];
-                    if take == 0 {
-                        continue;
-                    }
-                    // SAFETY: [offsets[i], offsets[i+1]) ranges are
-                    // disjoint across destinations.
-                    let (sn, st, se, sd) = unsafe {
-                        (
-                            src_nodes.slice_mut(offsets[i], take),
-                            src_times.slice_mut(offsets[i], take),
-                            eids_out.slice_mut(offsets[i], take),
-                            dst_index.slice_mut(offsets[i], take),
-                        )
-                    };
-                    self.sample_one(csr, dst_nodes[i], dst_times[i], i, sn, st, se, sd);
+        let outs = (
+            Rows::offsets(&mut out.src_nodes, &offsets, 1),
+            Rows::offsets(&mut out.src_times, &offsets, 1),
+            Rows::offsets(&mut out.eids, &offsets, 1),
+            Rows::offsets(&mut out.dst_index, &offsets, 1),
+        );
+        parallel_rows(n, chunks, outs, |dsts, (sn, st, se, sd)| {
+            let base = offsets[dsts.start];
+            for i in dsts {
+                let rows = offsets[i] - base..offsets[i + 1] - base;
+                if rows.is_empty() {
+                    continue;
                 }
-            });
-        }
+                let (sn, st) = (&mut sn[rows.clone()], &mut st[rows.clone()]);
+                let (se, sd) = (&mut se[rows.clone()], &mut sd[rows]);
+                self.sample_one(csr, dst_nodes[i], dst_times[i], i, sn, st, se, sd);
+            }
+        });
         out
-    }
-
-    /// Runs `f` over `0..n` — inline when configured sequential, else
-    /// chunked on the pool. Kernels are written so either path produces
-    /// bitwise-identical output.
-    fn for_each_dst(&self, n: usize, f: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-        if self.threads <= 1 {
-            f(0..n);
-        } else {
-            parallel_for(n, SEQ_DST_THRESHOLD, f);
-        }
     }
 
     /// Samples one destination's neighbors into its output rows.
@@ -278,6 +245,17 @@ impl TemporalSampler {
 mod tests {
     use super::*;
     use tgl_graph::TemporalGraph;
+
+    /// `f()` with the pool `threads` wide, one caller at a time.
+    fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let before = tgl_runtime::current_threads();
+        tgl_runtime::set_threads(threads);
+        let out = f();
+        tgl_runtime::set_threads(before);
+        out
+    }
 
     /// Star graph: node 0 connected to nodes 1..=5 at times 1..=5.
     fn star() -> TemporalGraph {
@@ -358,12 +336,8 @@ mod tests {
         let g = star();
         let dsts: Vec<NodeId> = (0..6).cycle().take(100).collect();
         let times: Vec<Time> = (0..100).map(|i| 1.0 + (i % 7) as Time).collect();
-        let seq = TemporalSampler::new(2, SamplingStrategy::Recent)
-            .with_threads(1)
-            .sample(&g.tcsr(), &dsts, &times);
-        let par = TemporalSampler::new(2, SamplingStrategy::Recent)
-            .with_threads(4)
-            .sample(&g.tcsr(), &dsts, &times);
+        let sampler = TemporalSampler::new(2, SamplingStrategy::Recent);
+        let [seq, par] = [1, 4].map(|t| at_threads(t, || sampler.sample(&g.tcsr(), &dsts, &times)));
         assert_eq!(seq, par);
     }
 
@@ -372,14 +346,8 @@ mod tests {
         let g = star();
         let dsts: Vec<NodeId> = (0..6).cycle().take(500).collect();
         let times: Vec<Time> = (0..500).map(|i| 1.0 + (i % 7) as Time).collect();
-        let seq = TemporalSampler::new(2, SamplingStrategy::Uniform)
-            .with_seed(5)
-            .with_threads(1)
-            .sample(&g.tcsr(), &dsts, &times);
-        let par = TemporalSampler::new(2, SamplingStrategy::Uniform)
-            .with_seed(5)
-            .with_threads(8)
-            .sample(&g.tcsr(), &dsts, &times);
+        let sampler = TemporalSampler::new(2, SamplingStrategy::Uniform).with_seed(5);
+        let [seq, par] = [1, 8].map(|t| at_threads(t, || sampler.sample(&g.tcsr(), &dsts, &times)));
         assert_eq!(seq, par);
     }
 

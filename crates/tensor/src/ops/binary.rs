@@ -1,8 +1,8 @@
 //! Broadcasting elementwise binary operators.
 
-use tgl_runtime::{parallel_for, UnsafeSlice};
+use tgl_runtime::{parallel_rows, Chunks, Rows};
 
-use crate::ops::{same_device, ELEMWISE_SEQ};
+use crate::ops::{for_each_chunk, same_device, ELEMWISE_SEQ};
 use crate::pool;
 use crate::shape::Shape;
 use crate::Tensor;
@@ -110,11 +110,8 @@ fn binary_elementwise(
     let mut out = pool::take_uninit(out_shape.numel(), device);
     if a.shape() == b.shape() {
         // Fast path: identical shapes — chunked across the pool.
-        let out_sl = UnsafeSlice::new(&mut out);
         let (a_data, b_data, fwd) = (&a_data, &b_data, &fwd);
-        parallel_for(a_data.len(), ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-            // SAFETY: chunks partition the element space.
-            let o = unsafe { out_sl.slice_mut(r.start, r.len()) };
+        for_each_chunk(&mut out, |r, o| {
             for (k, i) in r.enumerate() {
                 o[k] = fwd(a_data[i], b_data[i]);
             }
@@ -148,17 +145,11 @@ fn binary_elementwise(
         // skips the store for the price of the bounds check an index
         // would pay anyway, so the loops stay branch-for-branch what
         // they were when both buffers always existed.
-        let ga_s: &mut [f32] = ga.as_deref_mut().unwrap_or_default();
-        let gb_s: &mut [f32] = gb.as_deref_mut().unwrap_or_default();
         if same {
-            let (ga_sl, gb_sl) = (UnsafeSlice::new(ga_s), UnsafeSlice::new(gb_s));
             let (a_data, b_data, bwd) = (&a_data, &b_data, &bwd);
-            parallel_for(a_n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-                let chunk = |need: bool| if need { (r.start, r.len()) } else { (0, 0) };
-                let ((sa, la), (sb, lb)) = (chunk(need_a), chunk(need_b));
-                // SAFETY: chunks partition the element space (and an
-                // absent gradient contributes the empty chunk).
-                let (gar, gbr) = unsafe { (ga_sl.slice_mut(sa, la), gb_sl.slice_mut(sb, lb)) };
+            let outs = (ga.as_deref_mut().map(|g| Rows::width(g, 1)), gb.as_deref_mut().map(|g| Rows::width(g, 1)));
+            parallel_rows(a_n, Chunks::Auto(ELEMWISE_SEQ), outs, |r, (gar, gbr)| {
+                let (gar, gbr) = (gar.unwrap_or_default(), gbr.unwrap_or_default());
                 for (k, i) in r.enumerate() {
                     let (da, db) = bwd(a_data[i], b_data[i], go[i]);
                     if let Some(g) = gar.get_mut(k) {
@@ -170,6 +161,8 @@ fn binary_elementwise(
                 }
             });
         } else {
+            let ga_s: &mut [f32] = ga.as_deref_mut().unwrap_or_default();
+            let gb_s: &mut [f32] = gb.as_deref_mut().unwrap_or_default();
             let mut oi = 0;
             broadcast_apply(&a_dims, &b_dims, |ai, bi| {
                 let (da, db) = bwd(a_data[ai], b_data[bi], go[oi]);

@@ -12,11 +12,11 @@
 //! reduction in [`Tensor::add_relu`] parallelizes over *columns*, each
 //! summing its rows in ascending order regardless of thread count.
 
-use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
+use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 use crate::autograd::grad_enabled;
 use crate::kernel::{self, LaneKernel, Lanes, Trig};
-use crate::ops::{rows_threshold, same_device, ELEMWISE_SEQ};
+use crate::ops::{for_each_chunk, rows_threshold, same_device};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
@@ -151,11 +151,8 @@ impl Tensor {
         {
             let a = self.inner.storage.read();
             let b = bias.inner.storage.read();
-            let y_sl = UnsafeSlice::new(&mut y);
             let (a, b) = (&a, &b);
-            parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-                // SAFETY: chunks partition the element space.
-                let out = unsafe { y_sl.slice_mut(r.start, r.len()) };
+            for_each_chunk(&mut y, |r, out| {
                 if same {
                     elementwise(out, Pass::AddRelu(&a[r.start..r.end], &b[r.start..r.end]));
                 } else {
@@ -188,11 +185,8 @@ impl Tensor {
                 // operand that needs it.
                 let masked = || {
                     let mut g = pool::take_uninit(n, device);
-                    let g_sl = UnsafeSlice::new(&mut g);
                     let y = &y_copy;
-                    parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-                        // SAFETY: chunks partition the element space.
-                        let out = unsafe { g_sl.slice_mut(r.start, r.len()) };
+                    for_each_chunk(&mut g, |r, out| {
                         relu_mask_bwd(out, &go[r.start..r.end], &y[r.start..r.end]);
                     });
                     g
@@ -207,11 +201,8 @@ impl Tensor {
                     // element, summed over rows in ascending order.
                     let mut gb = pool::take_uninit(d, device);
                     let rows = n / d.max(1);
-                    let gb_sl = UnsafeSlice::new(&mut gb);
                     let y = &y_copy;
-                    parallel_for(d, rows_threshold(rows), |cols: std::ops::Range<usize>| {
-                        // SAFETY: columns partition the bias elements.
-                        let out = unsafe { gb_sl.slice_mut(cols.start, cols.len()) };
+                    parallel_rows(d, Chunks::Auto(rows_threshold(rows)), Rows::width(&mut gb, 1), |cols, out| {
                         for (k, j) in cols.enumerate() {
                             let mut acc = 0.0f32;
                             for r in 0..rows {
@@ -257,11 +248,8 @@ impl Tensor {
         {
             let a = self.inner.storage.read();
             let b = other.inner.storage.read();
-            let y_sl = UnsafeSlice::new(&mut y);
             let (a, b) = (&a, &b);
-            parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-                // SAFETY: chunks partition the element space.
-                let out = unsafe { y_sl.slice_mut(r.start, r.len()) };
+            for_each_chunk(&mut y, |r, out| {
                 elementwise(out, Pass::ScaleAdd(&a[r.start..r.end], s, &b[r.start..r.end]));
             });
         }
@@ -311,11 +299,8 @@ impl Tensor {
             let base = self.inner.storage.read();
             let ad = a.inner.storage.read();
             let bd = b.inner.storage.read();
-            let y_sl = UnsafeSlice::new(&mut y);
             let (base, ad, bd) = (&base, &ad, &bd);
-            parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-                // SAFETY: chunks partition the element space.
-                let out = unsafe { y_sl.slice_mut(r.start, r.len()) };
+            for_each_chunk(&mut y, |r, out| {
                 let (base, a, b) = (&base[r.start..r.end], &ad[r.start..r.end], &bd[r.start..r.end]);
                 elementwise(out, Pass::Addcmul { base, a, b, s: scale });
             });
@@ -403,11 +388,8 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
     {
         let w = freq.inner.storage.read();
         let b = phase.inner.storage.read();
-        let (y_sl, sin_sl) = (UnsafeSlice::new(&mut y), shared(&mut sin));
-        parallel_for(distinct, rows_threshold(8 * dim), |rows: std::ops::Range<usize>| {
-            // SAFETY (both): disjoint row ranges per chunk.
-            let out = unsafe { y_sl.slice_mut(rows.start * dim, rows.len() * dim) };
-            let sin = unsafe { rows_of(&sin_sl, &rows, dim) };
+        let outs = (Rows::width(&mut y, dim), rows(&mut sin, dim));
+        parallel_rows(distinct, Chunks::Auto(rows_threshold(8 * dim)), outs, |rows, (out, sin)| {
             for (o_row, &t) in out.chunks_exact_mut(dim.max(1)).zip(&dt[rows]) {
                 for ((o, &wj), &bj) in o_row.iter_mut().zip(w.iter()).zip(b.iter()) {
                     *o = t * wj + bj;
@@ -429,19 +411,13 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
         let dt = dt_t.inner.storage.read();
         let mut gf = need_f.then(|| pool::take_uninit(dim, device));
         let mut gp = need_p.then(|| pool::take_uninit(dim, device));
-        {
-            let (gf_sl, gp_sl) = (shared(&mut gf), shared(&mut gp));
-            // One strip of columns per chunk: a worker reads every row
-            // whatever its share of the columns, so narrower strips
-            // only re-read the same cache lines.
-            parallel_for_chunks(dim, STRIP, |_, cols: std::ops::Range<usize>| {
-                // SAFETY (both): the strip's columns belong to one chunk.
-                let gf = unsafe { rows_of(&gf_sl, &cols, 1) };
-                let gp = unsafe { rows_of(&gp_sl, &cols, 1) };
-                let sums = TimeGrads { go, sin, dt: &dt, dim, cols, gf, gp };
-                kernel::run_lanes(sums);
-            });
-        }
+        // One strip of columns per chunk: a worker reads every row
+        // whatever its share of the columns, so narrower strips only
+        // re-read the same cache lines.
+        let outs = (rows(&mut gf, 1), rows(&mut gp, 1));
+        parallel_rows(dim, Chunks::Fixed(STRIP), outs, |cols, (gf, gp)| {
+            kernel::run_lanes(TimeGrads { go, sin, dt: &dt, dim, cols, gf, gp });
+        });
         vec![None, gf, gp]
     })
 }
@@ -506,23 +482,10 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// An optional output buffer, shared for row-partitioned writes.
-fn shared(buf: &mut Option<Vec<f32>>) -> Option<UnsafeSlice<'_, f32>> {
-    buf.as_mut().map(|b| UnsafeSlice::new(b))
-}
-
-/// Rows `rows` of an optional `[N, width]` output partitioned by rows.
-///
-/// # Safety
-///
-/// No other live region of `buf` may overlap these rows.
-#[allow(clippy::mut_from_ref)] // as `UnsafeSlice::slice_mut`, which this forwards to
-unsafe fn rows_of<'a>(
-    buf: &'a Option<UnsafeSlice<'_, f32>>,
-    rows: &std::ops::Range<usize>,
-    width: usize,
-) -> Option<&'a mut [f32]> {
-    buf.as_ref().map(|b| b.slice_mut(rows.start * width, rows.len() * width))
+/// An optional `[N, width]` output, one row per item (absent when
+/// `buf` is).
+fn rows(buf: &mut Option<Vec<f32>>, width: usize) -> Option<Rows<'_, f32>> {
+    buf.as_deref_mut().map(|b| Rows::width(b, width))
 }
 
 /// The GRU gate combination over the two affine maps
@@ -575,12 +538,8 @@ pub fn gru_gates(gi: &Tensor, gh: &Tensor, h: &Tensor) -> Tensor {
         let gi = gi.inner.storage.read();
         let gh = gh.inner.storage.read();
         let hd = h.inner.storage.read();
-        let y_sl = UnsafeSlice::new(&mut y);
-        let gates_sl = shared(&mut gates);
-        parallel_for(n, row_seq, |rows: std::ops::Range<usize>| {
-            // SAFETY (both): disjoint row ranges per chunk.
-            let out = unsafe { y_sl.slice_mut(rows.start * hid, rows.len() * hid) };
-            let mut saved = unsafe { rows_of(&gates_sl, &rows, 3 * hid) };
+        let outs = (Rows::width(&mut y, hid), rows(&mut gates, 3 * hid));
+        parallel_rows(n, Chunks::Auto(row_seq), outs, |rows, (out, mut saved)| {
             for (k, i) in rows.enumerate() {
                 let (gi, gh) = (&gi[3 * i * hid..][..3 * hid], &gh[3 * i * hid..][..3 * hid]);
                 let (h, out) = (&hd[i * hid..][..hid], &mut out[k * hid..][..hid]);
@@ -607,38 +566,32 @@ pub fn gru_gates(gi: &Tensor, gh: &Tensor, h: &Tensor) -> Tensor {
         let mut dgi = needs[0].then(|| pool::take_uninit(3 * n * hid, device));
         let mut dgh = needs[1].then(|| pool::take_uninit(3 * n * hid, device));
         let mut dh = needs[2].then(|| pool::take_uninit(n * hid, device));
-        {
-            let (dgi_sl, dgh_sl, dh_sl) = (shared(&mut dgi), shared(&mut dgh), shared(&mut dh));
-            parallel_for(n, row_seq, |rows: std::ops::Range<usize>| {
-                // SAFETY (all three): disjoint row ranges per chunk.
-                let mut dgi = unsafe { rows_of(&dgi_sl, &rows, 3 * hid) };
-                let mut dgh = unsafe { rows_of(&dgh_sl, &rows, 3 * hid) };
-                let mut dh = unsafe { rows_of(&dh_sl, &rows, hid) };
-                for (k, i) in rows.enumerate() {
-                    let saved = &gates[3 * i * hid..][..3 * hid];
-                    let (h, gh_n) = (&hd[i * hid..][..hid], &gh[(3 * i + 2) * hid..][..hid]);
-                    let go = &go[i * hid..][..hid];
-                    for j in 0..hid {
-                        let (r, z, c) = (saved[j], saved[hid + j], saved[2 * hid + j]);
-                        let d_h = go[j] * z;
-                        let d_z = go[j] * (h[j] - c);
-                        let d_n = (go[j] - d_h) * (1.0 - c * c);
-                        let d_ar = d_n * gh_n[j] * r * (1.0 - r);
-                        let d_az = d_z * z * (1.0 - z);
-                        let at = 3 * k * hid + j;
-                        if let Some(g) = dgi.as_deref_mut() {
-                            (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n);
-                        }
-                        if let Some(g) = dgh.as_deref_mut() {
-                            (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n * r);
-                        }
-                        if let Some(g) = dh.as_deref_mut() {
-                            g[k * hid + j] = d_h;
-                        }
+        let outs = (rows(&mut dgi, 3 * hid), rows(&mut dgh, 3 * hid), rows(&mut dh, hid));
+        parallel_rows(n, Chunks::Auto(row_seq), outs, |rows, (mut dgi, mut dgh, mut dh)| {
+            for (k, i) in rows.enumerate() {
+                let saved = &gates[3 * i * hid..][..3 * hid];
+                let (h, gh_n) = (&hd[i * hid..][..hid], &gh[(3 * i + 2) * hid..][..hid]);
+                let go = &go[i * hid..][..hid];
+                for j in 0..hid {
+                    let (r, z, c) = (saved[j], saved[hid + j], saved[2 * hid + j]);
+                    let d_h = go[j] * z;
+                    let d_z = go[j] * (h[j] - c);
+                    let d_n = (go[j] - d_h) * (1.0 - c * c);
+                    let d_ar = d_n * gh_n[j] * r * (1.0 - r);
+                    let d_az = d_z * z * (1.0 - z);
+                    let at = 3 * k * hid + j;
+                    if let Some(g) = dgi.as_deref_mut() {
+                        (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n);
+                    }
+                    if let Some(g) = dgh.as_deref_mut() {
+                        (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n * r);
+                    }
+                    if let Some(g) = dh.as_deref_mut() {
+                        g[k * hid + j] = d_h;
                     }
                 }
-            });
-        }
+            }
+        });
         vec![dgi, dgh, dh]
     })
 }

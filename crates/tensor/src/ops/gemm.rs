@@ -53,7 +53,7 @@
 //! element lands in cannot show: results are bitwise equal to the
 //! naive triple loop at every SIMD level and on every host.
 
-use tgl_runtime::{parallel_for_chunks, UnsafeSlice};
+use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 use crate::kernel::{self, F32x4, Lanes, Simd};
 
@@ -96,7 +96,7 @@ thread_local! {
 const MM_SEQ_FLOPS: usize = 4 << 20;
 
 /// Output rows (of `row_flops` multiply-adds each) per sequential-path
-/// threshold — feeds `parallel_for`'s element threshold.
+/// threshold: the smallest row panel a chunk of a product is given.
 pub(crate) fn seq_rows(row_flops: usize) -> usize {
     (MM_SEQ_FLOPS / row_flops.max(1)).max(1)
 }
@@ -461,7 +461,6 @@ fn gemm(
     // A `B'` of one panel whose rows are whole panel rows, back to
     // back, is its own packed block.
     let as_stored = !tb && n_tiles == 1 && ldb == n && n == packed_row;
-    let c = UnsafeSlice::new(c);
     // One MR-aligned row panel per pool thread: each panel packs its
     // own copy of B', so fewer panels means less packing. No element's
     // accumulation order depends on where the boundaries fall. Small
@@ -470,10 +469,7 @@ fn gemm(
         .div_ceil(tgl_runtime::current_threads())
         .next_multiple_of(MR)
         .max(seq_rows(k * n));
-    parallel_for_chunks(m, panel_rows, |_, rows: std::ops::Range<usize>| {
-        // SAFETY: panels partition the row space, so these row ranges
-        // are disjoint.
-        let c_rows = unsafe { c.slice_mut(rows.start * n, rows.len() * n) };
+    parallel_rows(m, Chunks::Fixed(panel_rows), Rows::width(c, n), |rows, c_rows| {
         let (r0, rows_n) = (rows.start, rows.len());
         // The packed block lives with the worker: grown to the largest
         // block it has packed, never handed back, so it is L1-hot from

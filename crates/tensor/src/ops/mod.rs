@@ -24,15 +24,24 @@ pub use segment::{
     segment_dot, segment_max, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
 };
 
+use std::ops::Range;
+
 use crate::Tensor;
 use tgl_device::Device;
+use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 /// Elementwise kernels below this many elements run inline on the
 /// caller; pool dispatch costs more than the arithmetic.
 pub(crate) const ELEMWISE_SEQ: usize = 16 * 1024;
 
+/// Runs `f(range, &mut out[range])` over chunks of `out`'s element
+/// space, inline up to [`ELEMWISE_SEQ`] elements.
+pub(crate) fn for_each_chunk(out: &mut [f32], f: impl Fn(Range<usize>, &mut [f32]) + Sync) {
+    parallel_rows(out.len(), Chunks::Auto(ELEMWISE_SEQ), Rows::width(out, 1), f);
+}
+
 /// Row count matching [`ELEMWISE_SEQ`] for kernels that partition rows
-/// of `row_elems` elements each (feeds `parallel_for`'s threshold).
+/// of `row_elems` elements each (feeds `Chunks::Auto`'s threshold).
 pub(crate) fn rows_threshold(row_elems: usize) -> usize {
     (ELEMWISE_SEQ / row_elems.max(1)).max(1)
 }

@@ -1,6 +1,6 @@
 //! Reduction operators (sums, full or per-dimension).
 
-use tgl_runtime::{parallel_for, parallel_for_chunks, UnsafeSlice};
+use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 use crate::ops::rows_threshold;
 use crate::pool;
@@ -18,15 +18,14 @@ fn sum_slice(data: &[f32]) -> f32 {
     if data.len() <= SUM_CHUNK {
         return data.iter().sum();
     }
+    // One partial per `SUM_CHUNK` elements, one pool chunk each.
     let n_chunks = data.len().div_ceil(SUM_CHUNK);
     let mut partials = vec![0.0f32; n_chunks];
-    {
-        let p = UnsafeSlice::new(&mut partials);
-        parallel_for_chunks(data.len(), SUM_CHUNK, |ci, r| {
-            // SAFETY: one write per chunk index.
-            unsafe { *p.get_mut(ci) = data[r].iter().sum() };
-        });
-    }
+    parallel_rows(n_chunks, Chunks::Fixed(1), Rows::width(&mut partials, 1), |cs, p| {
+        for (p, data) in p.iter_mut().zip(data.chunks(SUM_CHUNK).skip(cs.start)) {
+            *p = data.iter().sum();
+        }
+    });
     partials.iter().sum()
 }
 
@@ -83,14 +82,13 @@ impl Tensor {
         // rows, and the m-then-i accumulation order per element matches
         // the sequential loops exactly.
         {
-            let out_sl = UnsafeSlice::new(&mut out);
             let data = &data;
-            parallel_for(outer, rows_threshold(mid * inner), |os: std::ops::Range<usize>| {
-                for o in os {
+            let chunks = Chunks::Auto(rows_threshold(mid * inner));
+            parallel_rows(outer, chunks, Rows::width(&mut out, inner), |os, out| {
+                for (k, o) in os.enumerate() {
                     for m in 0..mid {
                         for i in 0..inner {
-                            // SAFETY: output ranges are disjoint across `o`.
-                            unsafe { *out_sl.get_mut(o * inner + i) += data[(o * mid + m) * inner + i] };
+                            out[k * inner + i] += data[(o * mid + m) * inner + i];
                         }
                     }
                 }
@@ -101,19 +99,16 @@ impl Tensor {
         Tensor::make_result(out, out_shape, self.device(), std::slice::from_ref(self), move |go| {
             // Every input slot is written.
             let mut g = pool::take_uninit(n, device);
-            {
-                let g_sl = UnsafeSlice::new(&mut g);
-                parallel_for(outer, rows_threshold(mid * inner), |os: std::ops::Range<usize>| {
-                    for o in os {
-                        for m in 0..mid {
-                            for i in 0..inner {
-                                // SAFETY: input ranges are disjoint across `o`.
-                                unsafe { *g_sl.get_mut((o * mid + m) * inner + i) = go[o * inner + i] };
-                            }
+            let chunks = Chunks::Auto(rows_threshold(mid * inner));
+            parallel_rows(outer, chunks, Rows::width(&mut g, mid * inner), |os, g| {
+                for (k, o) in os.enumerate() {
+                    for m in 0..mid {
+                        for i in 0..inner {
+                            g[(k * mid + m) * inner + i] = go[o * inner + i];
                         }
                     }
-                });
-            }
+                }
+            });
             vec![Some(g)]
         })
     }

@@ -21,7 +21,7 @@
 use std::marker::PhantomData;
 use std::ops::Range;
 
-use tgl_runtime::{parallel_for, UnsafeSlice};
+use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 use crate::kernel::{self, LaneKernel, Lanes};
 use crate::pool::{self, PooledBuf};
@@ -97,6 +97,34 @@ impl SegmentRows {
         SegmentRows::Runs(starts)
     }
 
+    /// A range of row positions that holds every row of the segments
+    /// `segs`: their run, or all rows for unsorted ids.
+    fn span(&self, segs: &Range<usize>) -> Range<usize> {
+        match self {
+            SegmentRows::Runs(starts) => starts[segs.start]..starts[segs.end],
+            SegmentRows::Index(idx) => 0..idx.rows.len(),
+        }
+    }
+
+    /// Runs `kernel(segs, out_rows, base)` over chunks of the segments,
+    /// where `out_rows` holds the `d`-wide rows of `out` that the
+    /// segments `segs` own and `base` is the first of them. A chunk of
+    /// runs owns one range of rows: runs split at their `starts`, in
+    /// parallel from `min_rows` rows. Unsorted ids scatter a segment's
+    /// rows over the output, so one chunk owns them all (`base` 0).
+    fn split_rows(&self, out: &mut [f32], d: usize, min_rows: usize, kernel: impl Fn(Range<usize>, &mut [f32], usize) + Sync) {
+        match self {
+            SegmentRows::Runs(starts) => {
+                let (num_segments, n) = (starts.len() - 1, starts[starts.len() - 1]);
+                let chunks = Chunks::Auto(seg_seq_threshold(n, num_segments, min_rows));
+                parallel_rows(num_segments, chunks, Rows::offsets(out, starts, d), |segs, rows| {
+                    kernel(segs.clone(), rows, starts[segs.start]);
+                });
+            }
+            SegmentRows::Index(idx) => kernel(0..idx.starts.len() - 1, out, 0),
+        }
+    }
+
     /// Runs `kernel` over the segments `segs`, in order. Inlined, so
     /// that a kernel built on [`Lanes`] stays inside its level's
     /// `#[target_feature]` function.
@@ -159,7 +187,7 @@ const SEG_SEQ_GATHER: usize = 1 << 17;
 /// wide, 0.97-1.56x at 32 768 and 1.26-1.72x at 65 536.
 const SEG_SEQ_DIVIDE: usize = 1 << 15;
 
-/// `parallel_for`'s threshold over `items` work items covering `size`
+/// `Chunks::Auto`'s threshold over `items` work items covering `size`
 /// rows or elements: all inline below `min_size`, else any split.
 fn seg_seq_threshold(size: usize, items: usize, min_size: usize) -> usize {
     if size < min_size {
@@ -491,17 +519,18 @@ impl<V: Lanes> SegmentKernel for SumSegment<'_, V> {
 
 /// Softmax over a segment's rows, per column: the column's max for
 /// stability, then `exp` and the normalizing sum, each over ascending
-/// rows. Segments partition the rows, so each row of `y` is written by
-/// exactly one segment.
+/// rows. `y` holds the rows from `base` on of the segments it is run
+/// over ([`SegmentRows::split_rows`]).
 struct SoftmaxRows<'a> {
     x: &'a [f32],
-    y: &'a UnsafeSlice<'a, f32>,
+    y: &'a mut [f32],
+    base: usize,
     d: usize,
 }
 
 impl SegmentKernel for SoftmaxRows<'_> {
     fn segment(&mut self, _k: usize, rows: impl Iterator<Item = usize> + Clone) {
-        let (x, y, d) = (self.x, self.y, self.d);
+        let (x, y, base, d) = (self.x, &mut *self.y, self.base, self.d);
         for j in 0..d {
             let mut mx = f32::NEG_INFINITY;
             for i in rows.clone() {
@@ -510,13 +539,11 @@ impl SegmentKernel for SoftmaxRows<'_> {
             let mut sum = 0.0f32;
             for i in rows.clone() {
                 let e = (x[i * d + j] - mx).exp();
-                // SAFETY: the segment owns row `i`.
-                unsafe { *y.get_mut(i * d + j) = e };
+                y[(i - base) * d + j] = e;
                 sum += e;
             }
             for i in rows.clone() {
-                // SAFETY: as above.
-                unsafe { *y.get_mut(i * d + j) /= sum };
+                y[(i - base) * d + j] /= sum;
             }
         }
     }
@@ -525,11 +552,13 @@ impl SegmentKernel for SoftmaxRows<'_> {
 /// The softmax's backward over the segments `segs`, per column:
 /// `g_i = (go_i - Σ_k go_k y_k) · y_i`, the dot from zero over ascending
 /// rows, one rounding per product and per add; a vector of columns at a
-/// time, the last one partial.
+/// time, the last one partial. `g` holds the rows from `base` on of the
+/// segments `segs`, as [`SoftmaxRows`] writes `y`.
 struct SoftmaxGrad<'a> {
     go: &'a [f32],
     y: &'a [f32],
-    g: &'a UnsafeSlice<'a, f32>,
+    g: &'a mut [f32],
+    base: usize,
     d: usize,
     segs: Range<usize>,
     rows: &'a SegmentRows,
@@ -538,8 +567,10 @@ struct SoftmaxGrad<'a> {
 impl LaneKernel for SoftmaxGrad<'_> {
     #[inline(always)]
     unsafe fn run<V: Lanes>(self) {
-        let SoftmaxGrad { go, y, g, d, segs, rows } = self;
-        assert!(go.len() == y.len() && g.len() == y.len());
+        let SoftmaxGrad { go, y, g, base, d, segs, rows } = self;
+        let span = rows.span(&segs);
+        assert!(go.len() == y.len() && base == span.start && g.len() == span.len() * d);
+        let g = g.as_mut_ptr().wrapping_sub(base * d);
         rows.each(segs, &mut SoftmaxGradRows::<V> { go, y, g, d, lanes: PhantomData });
     }
 }
@@ -548,7 +579,9 @@ impl LaneKernel for SoftmaxGrad<'_> {
 struct SoftmaxGradRows<'a, V> {
     go: &'a [f32],
     y: &'a [f32],
-    g: &'a UnsafeSlice<'a, f32>,
+    /// Where row 0 of the gradient would start: the rows of the chunk's
+    /// segments, and only those, are inside its buffer.
+    g: *mut f32,
     d: usize,
     lanes: PhantomData<V>,
 }
@@ -561,8 +594,8 @@ impl<V: Lanes> SegmentKernel for SoftmaxGradRows<'_, V> {
             let len = V::LANES.min(d - j0);
             // SAFETY: this runs inside `SoftmaxGrad::run::<V>`, where
             // `V`'s instruction set is enabled; rows are positions below
-            // the id count, whose rows `go`, `y` and `g` hold, and the
-            // segment owns row `i` of `g`.
+            // the id count, whose rows `go` and `y` hold, and `run`
+            // checked that `g`'s buffer holds every row of the segments.
             unsafe {
                 let mut dot = V::splat(0.0);
                 for i in rows.clone() {
@@ -572,7 +605,7 @@ impl<V: Lanes> SegmentKernel for SoftmaxGradRows<'_, V> {
                 for i in rows.clone() {
                     let at = i * d + j0;
                     let gi = V::load_part(go.add(at), len).sub(dot).mul(V::load_part(y.add(at), len));
-                    gi.store_part(self.g.slice_mut(at, len).as_mut_ptr(), len);
+                    gi.store_part(self.g.wrapping_add(at), len);
                 }
             }
         }
@@ -617,10 +650,8 @@ pub fn segment_sum(values: &Tensor, segments: &[usize], num_segments: usize) -> 
     Tensor::make_result(out, out_dims, device, std::slice::from_ref(values), move |go| {
         // Gather: every input row copies its segment's gradient row.
         let mut g = pool::take_uninit(n * d, device);
-        let g_sl = UnsafeSlice::new(&mut g);
-        parallel_for(n, seg_seq_threshold(n * d, n, SEG_SEQ_GATHER), |rows: Range<usize>| {
-            // SAFETY: disjoint row ranges per chunk.
-            let g_rows = unsafe { g_sl.slice_mut(rows.start * d, rows.len() * d) };
+        let chunks = Chunks::Auto(seg_seq_threshold(n * d, n, SEG_SEQ_GATHER));
+        parallel_rows(n, chunks, Rows::width(&mut g, d), |rows, g_rows| {
             for (ri, i) in rows.enumerate() {
                 let s = seg[i];
                 g_rows[ri * d..(ri + 1) * d].copy_from_slice(&go[s * d..(s + 1) * d]);
@@ -639,10 +670,8 @@ fn sum_rows(values: &Tensor, segments: &[usize], num_segments: usize, counts: Op
     // recycled buffer must start zeroed.
     let mut out = pool::take_zeroed(num_segments * d, values.device());
     let x = values.inner.storage.read();
-    let out_sl = UnsafeSlice::new(&mut out);
-    parallel_for(num_segments, seg_seq_threshold(n * d, num_segments, SEG_SEQ_ELEMS), |segs: Range<usize>| {
-        // SAFETY: each segment owns its own output row.
-        let out = unsafe { out_sl.slice_mut(segs.start * d, segs.len() * d) };
+    let chunks = Chunks::Auto(seg_seq_threshold(n * d, num_segments, SEG_SEQ_ELEMS));
+    parallel_rows(num_segments, chunks, Rows::width(&mut out, d), |segs, out| {
         kernel::run_lanes(SumRows { out, segs, rows: &seg_rows, x: &x, d, counts });
     });
     drop(x);
@@ -668,11 +697,9 @@ pub fn segment_mean(values: &Tensor, segments: &[usize], num_segments: usize) ->
     let seg = segments.to_vec();
     Tensor::make_result(out, out_dims, device, std::slice::from_ref(values), move |go| {
         let mut g = pool::take_uninit(n * d, device);
-        let g_sl = UnsafeSlice::new(&mut g);
         let (seg, counts) = (&seg, &counts);
-        parallel_for(n, seg_seq_threshold(n * d, n, SEG_SEQ_DIVIDE), |rows: Range<usize>| {
-            // SAFETY: disjoint row ranges per chunk.
-            let g_rows = unsafe { g_sl.slice_mut(rows.start * d, rows.len() * d) };
+        let chunks = Chunks::Auto(seg_seq_threshold(n * d, n, SEG_SEQ_DIVIDE));
+        parallel_rows(n, chunks, Rows::width(&mut g, d), |rows, g_rows| {
             for (g_row, &s) in g_rows.chunks_exact_mut(d.max(1)).zip(&seg[rows]) {
                 for (g, &o) in g_row.iter_mut().zip(&go[s * d..][..d]) {
                     *g = o / counts[s];
@@ -746,9 +773,8 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
     let mut y = pool::take_uninit(n * d, device);
     {
         let x = values.inner.storage.read();
-        let y_sl = UnsafeSlice::new(&mut y);
-        parallel_for(num_segments, seg_seq_threshold(n, num_segments, SEG_SEQ_ROWS), |segs: Range<usize>| {
-            seg_rows.each(segs, &mut SoftmaxRows { x: &x, y: &y_sl, d });
+        seg_rows.split_rows(&mut y, d, SEG_SEQ_ROWS, |segs, y, base| {
+            seg_rows.each(segs, &mut SoftmaxRows { x: &x, y, base, d });
         });
     }
     let y_copy = {
@@ -763,10 +789,9 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
         std::slice::from_ref(values),
         move |go| {
             let mut g = pool::take_uninit(n * d, device);
-            let g_sl = UnsafeSlice::new(&mut g);
-            parallel_for(num_segments, seg_seq_threshold(n, num_segments, SEG_SEQ_ROWS_LIGHT), |segs: Range<usize>| {
+            seg_rows.split_rows(&mut g, d, SEG_SEQ_ROWS_LIGHT, |segs, g, base| {
                 let y = &y_copy[..];
-                kernel::run_lanes(SoftmaxGrad { go, y, g: &g_sl, d, segs, rows: &seg_rows });
+                kernel::run_lanes(SoftmaxGrad { go, y, g, base, d, segs, rows: &seg_rows });
             });
             vec![Some(g)]
         },
@@ -789,12 +814,12 @@ fn check_heads(wide: &Tensor, heads: usize) -> (usize, usize) {
 /// [`EDGE_BLOCK`]-aligned chunks, each writing `width` floats per edge
 /// of `out`; inline below `min_rows` edges.
 fn per_edge(out: &mut [f32], n: usize, width: usize, min_rows: usize, kernel: impl Fn(&mut [f32], Range<usize>) + Sync) {
-    let out_sl = UnsafeSlice::new(out);
     let blocks = n.div_ceil(EDGE_BLOCK);
-    parallel_for(blocks, seg_seq_threshold(n, blocks, min_rows), |blocks: Range<usize>| {
-        let edges = blocks.start * EDGE_BLOCK..(blocks.end * EDGE_BLOCK).min(n);
-        // SAFETY: chunks own disjoint edge ranges.
-        kernel(unsafe { out_sl.slice_mut(edges.start * width, edges.len() * width) }, edges);
+    // The first edge of each block, and `n` after the (ragged) last.
+    let firsts: Vec<usize> = (0..=blocks).map(|b| (b * EDGE_BLOCK).min(n)).collect();
+    let chunks = Chunks::Auto(seg_seq_threshold(n, blocks, min_rows));
+    parallel_rows(blocks, chunks, Rows::offsets(out, &firsts, width), |blocks, out| {
+        kernel(out, firsts[blocks.start]..firsts[blocks.end]);
     });
 }
 
@@ -809,11 +834,8 @@ fn per_segment(
     min_rows: usize,
     kernel: impl Fn(&mut [f32], Range<usize>) + Sync,
 ) {
-    let out_sl = UnsafeSlice::new(out);
-    parallel_for(num_segments, seg_seq_threshold(rows, num_segments, min_rows), |segs: Range<usize>| {
-        // SAFETY: each segment owns its own output row.
-        kernel(unsafe { out_sl.slice_mut(segs.start * width, segs.len() * width) }, segs);
-    });
+    let chunks = Chunks::Auto(seg_seq_threshold(rows, num_segments, min_rows));
+    parallel_rows(num_segments, chunks, Rows::width(out, width), |segs, out| kernel(out, segs));
 }
 
 /// Per-head dot product of every row of `k` with the row of `q` its

@@ -1,9 +1,7 @@
 //! Elementwise unary and scalar operators.
 
-use tgl_runtime::{parallel_for, UnsafeSlice};
-
 use crate::kernel::{self, Trig};
-use crate::ops::ELEMWISE_SEQ;
+use crate::ops::for_each_chunk;
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
@@ -35,11 +33,8 @@ fn unary_elementwise(
     let mut y = pool::take_uninit(n, device);
     {
         let x = input.inner.storage.read();
-        let y_sl = UnsafeSlice::new(&mut y);
         let (x, fwd) = (&x, &fwd);
-        parallel_for(n, ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-            // SAFETY: chunks partition the element space.
-            let out = unsafe { y_sl.slice_mut(r.start, r.len()) };
+        for_each_chunk(&mut y, |r, out| {
             for (o, &v) in out.iter_mut().zip(&x[r]) {
                 *o = fwd(v);
             }
@@ -59,17 +54,12 @@ fn unary_elementwise(
         move |go| {
             let x = x_t.inner.storage.read();
             let mut g = pool::take_uninit(go.len(), device);
-            {
-                let g_sl = UnsafeSlice::new(&mut g);
-                let (x, y_copy, bwd) = (&x, &y_copy, &bwd);
-                parallel_for(go.len(), ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-                    // SAFETY: chunks partition the element space.
-                    let out = unsafe { g_sl.slice_mut(r.start, r.len()) };
-                    for (k, i) in r.enumerate() {
-                        out[k] = bwd(x[i], y_copy[i], go[i]);
-                    }
-                });
-            }
+            let (x, y_copy, bwd) = (&x, &y_copy, &bwd);
+            for_each_chunk(&mut g, |r, out| {
+                for (k, i) in r.enumerate() {
+                    out[k] = bwd(x[i], y_copy[i], go[i]);
+                }
+            });
             vec![Some(g)]
         },
     )
@@ -81,10 +71,7 @@ fn unary_elementwise(
 fn trig_elementwise(name: &'static str, input: &Tensor, f: Trig) -> Tensor {
     /// `out = f(x)`, chunked across the pool.
     fn apply(out: &mut [f32], x: &[f32], f: Trig) {
-        let out_sl = UnsafeSlice::new(out);
-        parallel_for(x.len(), ELEMWISE_SEQ, |r: std::ops::Range<usize>| {
-            // SAFETY: chunks partition the element space.
-            let out = unsafe { out_sl.slice_mut(r.start, r.len()) };
+        for_each_chunk(out, |r, out| {
             out.copy_from_slice(&x[r]);
             kernel::sincos(out, f, None);
         });

@@ -31,6 +31,14 @@ INTRINSICS="$(grep -rlE '_mm[0-9]*_' crates --include='*.rs' | grep -vx 'crates/
 [ -z "$INTRINSICS" ] \
     || { echo "SIMD intrinsics outside crates/tensor/src/kernel.rs:"; echo "$INTRINSICS"; exit 1; }
 
+echo "==> parallel outputs are split by tgl-runtime alone"
+# A chunk of a parallel region gets its own `&mut` rows from
+# `tgl_runtime::parallel_rows`; a raw-pointer split of an output
+# anywhere else is a second, unchecked mechanism.
+RAW_SPLITS="$(grep -rnE 'UnsafeSlice|from_raw_parts_mut' crates --include='*.rs' | grep -v '^crates/runtime/' || true)"
+[ -z "$RAW_SPLITS" ] \
+    || { echo "raw output splits outside crates/runtime:"; echo "$RAW_SPLITS"; exit 1; }
+
 echo "==> every unsafe block and unsafe impl states its invariant"
 # A `// SAFETY:` comment (or the comment block it opens) must end at
 # most three lines above each `unsafe {` and `unsafe impl`.
@@ -51,11 +59,12 @@ TEST_TIMEOUT=1800
 echo "==> cargo test -q --offline"
 timeout "$TEST_TIMEOUT" cargo test -q --offline --workspace
 
-# Tier-1 is the debug profile; the harness and the tensor crate are
-# where release-only behaviour lives (a CPU clock coarser than a test
-# pass went unseen for nine PRs, and `debug_assert!`s compile out).
-echo "==> cargo test --release -q --offline -p tgl-harness -p tgl-tensor"
-timeout "$TEST_TIMEOUT" cargo test --release -q --offline -p tgl-harness -p tgl-tensor
+# Tier-1 is the debug profile; the harness, the tensor crate and the
+# runtime are where release-only behaviour lives (a CPU clock coarser
+# than a test pass went unseen for nine PRs, `debug_assert!`s compile
+# out, and `parallel_rows` must reject bad offsets in release too).
+echo "==> cargo test --release -q --offline -p tgl-harness -p tgl-tensor -p tgl-runtime"
+timeout "$TEST_TIMEOUT" cargo test --release -q --offline -p tgl-harness -p tgl-tensor -p tgl-runtime
 
 # The GEMM's register tile differs per SIMD level. The gemm unit tests
 # and kernel_parity walk every level below the runner's own through the

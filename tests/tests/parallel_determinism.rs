@@ -91,7 +91,8 @@ fn elementwise_and_reductions_invariant() {
     });
 }
 
-fn sample_fixture(threads: usize, strategy: SamplingStrategy) -> NeighborSample {
+/// One batch of queries, sampled at the pool's current width.
+fn sample_fixture(strategy: SamplingStrategy) -> NeighborSample {
     let (g, _) = tiny_wiki();
     let csr = g.tcsr();
     let n = 1024usize;
@@ -99,7 +100,6 @@ fn sample_fixture(threads: usize, strategy: SamplingStrategy) -> NeighborSample 
     let times: Vec<f64> = (0..n).map(|i| g.max_time() * (i as f64 + 1.0) / n as f64).collect();
     TemporalSampler::new(10, strategy)
         .with_seed(99)
-        .with_threads(threads)
         .sample(&csr, &nodes, &times)
 }
 
@@ -110,7 +110,7 @@ fn sampler_invariant_across_thread_counts() {
         let mut base: Option<NeighborSample> = None;
         for t in THREAD_COUNTS {
             set_threads(t);
-            let s = sample_fixture(t, strategy);
+            let s = sample_fixture(strategy);
             match &base {
                 None => base = Some(s),
                 Some(b) => {
@@ -132,8 +132,8 @@ fn sampler_invariant_across_thread_counts() {
 fn sampler_repeatable_with_fixed_seed() {
     let _g = serial();
     set_threads(4);
-    let a = sample_fixture(4, SamplingStrategy::Uniform);
-    let b = sample_fixture(4, SamplingStrategy::Uniform);
+    let a = sample_fixture(SamplingStrategy::Uniform);
+    let b = sample_fixture(SamplingStrategy::Uniform);
     assert_eq!(a.src_nodes, b.src_nodes);
     assert_eq!(a.eids, b.eids);
     assert_eq!(a.src_times, b.src_times);

@@ -63,9 +63,7 @@ fn sampler_respects_temporal_constraint() {
         } else {
             SamplingStrategy::Recent
         };
-        let s = TemporalSampler::new(k, strategy)
-            .with_threads(2)
-            .sample(&g.tcsr(), &nodes, &times);
+        let s = TemporalSampler::new(k, strategy).sample(&g.tcsr(), &nodes, &times);
         // Temporal constraint: strictly earlier.
         for (e, &d) in s.dst_index.iter().enumerate() {
             assert!(d < nodes.len());
