@@ -8,8 +8,9 @@
 //! Expected shape: the MFG path is a few percent slower (paper: ~3%
 //! all-on-GPU, ~9% CPU-to-GPU, from extra data movement).
 
-use tgl_bench::{cell, preamble, sim_link_v100};
+use tgl_bench::{cell, preamble};
 use tgl_data::DatasetKind;
+use tgl_device::TransferModel;
 use tgl_harness::table::TextTable;
 use tgl_harness::{run_experiment, Framework, ModelKind, Placement};
 
@@ -21,7 +22,7 @@ fn main() {
     let mut t = TextTable::new(&["Case", "TBlock (s/epoch)", "MFG (s/epoch)", "MFG overhead"]);
     for &placement in &[Placement::AllOnDevice, Placement::HostResident] {
         if placement == Placement::HostResident {
-            tgl_device::set_transfer_model(sim_link_v100());
+            tgl_device::set_transfer_model(TransferModel::sim_v100());
         }
         // TBlock path without redundancy opts (`preload` only), so the
         // two rows differ in staging alone.

@@ -47,10 +47,7 @@ const POOL_COUNTERS: [&str; 5] = [
 ];
 
 fn fixture() -> ExperimentConfig {
-    let scale: usize = std::env::var("ALLOC_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let scale = tgl_bench::env_count("ALLOC_BENCH_SCALE", 4);
     let mut cfg = ExperimentConfig::paper_default(
         Framework::TgLiteOpt,
         ModelKind::Tgat,

@@ -1,48 +1,20 @@
 //! Regenerates **Figure 6** — training time per epoch (seconds) with
-//! feature data resident on CPU host memory (the CPU-to-GPU case).
+//! feature data resident on CPU host memory (the CPU-to-GPU case),
+//! from a host-resident grid run once and measured by this run.
 //!
 //! Expected shape (paper §5.2.2): TGL takes noticeably longer than its
 //! all-on-GPU times (the paper reports ≈4×); TGLite's pinned-pool
 //! `preload()` gives 1.29–1.62×; TGLite+opt reaches 1.41–3.43×.
 
-use tgl_bench::{grid_lookup, preamble, standard_grid};
-use tgl_data::DatasetKind;
-use tgl_harness::table::{bar, secs, speedup, TextTable};
-use tgl_harness::{Framework, ModelKind, Placement};
+use tgl_bench::{preamble, print_epoch_times, standard_grid};
+use tgl_harness::Placement;
 
 fn main() {
     preamble(
         "Figure 6: training time per epoch, CPU-to-GPU",
         "paper §5.2.2, Figure 6",
     );
-    let grid = standard_grid(Placement::HostResident);
-    for kind in DatasetKind::standard() {
-        println!("\n--- {} ---", kind.name());
-        let mut t = TextTable::new(&["Model", "TGL", "TGLite", "TGLite+opt", "bars (s/epoch)"]);
-        for model in ModelKind::all() {
-            let tgl = grid_lookup(&grid, Framework::Tgl, model, kind).train_s;
-            let lite = grid_lookup(&grid, Framework::TgLite, model, kind).train_s;
-            let opt = grid_lookup(&grid, Framework::TgLiteOpt, model, kind).train_s;
-            let max = tgl.max(lite).max(opt);
-            t.row(&[
-                model.label().to_string(),
-                secs(tgl),
-                format!("{} {}", secs(lite), speedup(tgl, lite)),
-                if model == ModelKind::Jodie {
-                    "- (same as TGLite)".to_string()
-                } else {
-                    format!("{} {}", secs(opt), speedup(tgl, opt))
-                },
-                format!(
-                    "TGL {:<12} lite {:<12} +opt {:<12}",
-                    bar(tgl, max, 12),
-                    bar(lite, max, 12),
-                    bar(opt, max, 12)
-                ),
-            ]);
-        }
-        println!("{}", t.render());
-    }
+    print_epoch_times(&standard_grid(Placement::HostResident));
     println!("\n(speedups vs TGL; host-resident features cross the scaled");
     println!(" PCIe cost model — pageable for TGL, pinned pool for TGLite)");
 }

@@ -80,7 +80,7 @@ fn run_tgat(depth: usize) -> Series {
 /// Trains the model `build` makes with host-resident features behind
 /// the scaled link.
 fn run_host_resident(build: fn(&TContext) -> Box<dyn TemporalModel>, depth: usize) -> Series {
-    let link = TransferModel::scaled(TransferModel::pcie_v100(), 400.0);
+    let link = TransferModel::sim_v100();
     let (ctx, _) = prepare_context(&spec(), Placement::HostResident, link);
     let series = train(build(&ctx).as_mut(), &ctx, depth);
     tgl_device::set_transfer_model(TransferModel::disabled());

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use tgl_bench::{bench_scale, preamble, sim_link_v100};
+use tgl_bench::{bench_scale, preamble};
 use tgl_data::{generate, DatasetKind, DatasetSpec, NegativeSampler, Split};
 use tgl_device::{Device, TransferModel};
 use tgl_harness::table::{speedup, TextTable};
@@ -28,7 +28,7 @@ fn inference_time(spec: &DatasetSpec, host_resident: bool, opts: OptFlags) -> f6
         }
     }
     tgl_device::set_transfer_model(if host_resident {
-        sim_link_v100()
+        TransferModel::sim_v100()
     } else {
         TransferModel::disabled()
     });

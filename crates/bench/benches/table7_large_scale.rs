@@ -7,8 +7,9 @@
 //! amplified for TGAT/TGN on GDELT; TGL runs **OOM** for TGAT/TGN
 //! under the tighter (V100-like) capacity while TGLite+opt completes.
 
-use tgl_bench::{bench_epochs, bench_scale, preamble, sim_link_v100};
+use tgl_bench::{bench_epochs, bench_scale, preamble};
 use tgl_data::{DatasetKind, DatasetSpec};
+use tgl_device::TransferModel;
 use tgl_harness::table::{secs, speedup, TextTable};
 use tgl_harness::{
     run_experiment_with_capacity, ExperimentConfig, Framework, ModelKind, Placement,
@@ -20,7 +21,7 @@ fn large_cell(fw: Framework, model: ModelKind, kind: DatasetKind) -> ExperimentC
     // Paper: batch 4000 and fewer epochs for the large sets.
     cfg.train_cfg.batch_size = 400;
     cfg.train_cfg.epochs = bench_epochs(1);
-    cfg.transfer = sim_link_v100();
+    cfg.transfer = TransferModel::sim_v100();
     cfg
 }
 
@@ -29,7 +30,7 @@ fn main() {
         "Table 7: large-scale training/inference times (host-resident)",
         "paper §5.5, Table 7",
     );
-    tgl_device::set_transfer_model(sim_link_v100());
+    tgl_device::set_transfer_model(TransferModel::sim_v100());
 
     // Phase 1: TGLite+opt runs, recording per-cell peak device usage.
     let mut lite: Vec<(DatasetKind, ModelKind, f64, f64, u64)> = Vec::new();
@@ -41,7 +42,7 @@ fn main() {
                 Framework::TgLiteOpt
             };
             let cfg = large_cell(fw, model, kind);
-            tgl_device::set_transfer_model(sim_link_v100());
+            tgl_device::set_transfer_model(TransferModel::sim_v100());
             let r = run_experiment_with_capacity(&cfg, None).expect("TGLite must complete");
             lite.push((kind, model, r.train_s_per_epoch, r.test_s, r.peak_device_bytes));
             eprintln!(
@@ -71,7 +72,7 @@ fn main() {
     ]);
     for &(kind, model, lite_train, lite_test, _) in &lite {
         let cfg = large_cell(Framework::Tgl, model, kind);
-        tgl_device::set_transfer_model(sim_link_v100());
+        tgl_device::set_transfer_model(TransferModel::sim_v100());
         let (tgl_train_cell, tgl_test_cell, train_sp, test_sp) =
             match run_experiment_with_capacity(&cfg, Some(cap_v100)) {
                 Ok(r) => (
@@ -94,7 +95,7 @@ fn main() {
             format!("{} {test_sp}", secs(lite_test)),
         ]);
     }
-    tgl_device::set_transfer_model(tgl_device::TransferModel::disabled());
+    tgl_device::set_transfer_model(TransferModel::disabled());
     println!("{}", t.render());
     println!("\n(speedups vs TGL in parentheses; OOM = the baseline exceeded");
     println!(" the simulated V100 capacity, as in the paper's Table 7)");

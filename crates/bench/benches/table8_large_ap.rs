@@ -10,6 +10,7 @@
 
 use tgl_bench::{bench_epochs, bench_scale, preamble};
 use tgl_data::{DatasetKind, DatasetSpec};
+use tgl_device::TransferModel;
 use tgl_harness::table::{ap, TextTable};
 use tgl_harness::{run_experiment, ExperimentConfig, Framework, ModelKind, Placement};
 
@@ -36,7 +37,7 @@ fn main() {
                 cfg.dataset = DatasetSpec::of(kind).scaled_down(scale);
                 cfg.train_cfg.batch_size = 400;
                 cfg.train_cfg.epochs = bench_epochs(1);
-                cfg.transfer = tgl_bench::sim_link_v100();
+                cfg.transfer = TransferModel::sim_v100();
                 let r = run_experiment(&cfg);
                 cells.push(ap(r.best_val_ap));
                 cells.push(ap(r.test_ap));

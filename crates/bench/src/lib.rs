@@ -12,38 +12,34 @@
 //!   roughly an hour on a 2-core CPU box; use 1 for the largest runs
 //!   or 8+ for a quick smoke run);
 //! * `TGL_BENCH_EPOCHS` — override training epoch count (default 2).
+//!
+//! A knob set to anything but a positive integer panics naming it.
 
 #![forbid(unsafe_code)]
 
 use tgl_data::{DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;
+use tgl_harness::table::{bar, secs, speedup, TextTable};
 use tgl_harness::{ExperimentConfig, Framework, ModelKind, Placement};
+
+/// A positive count from the environment variable `var`, or `default`
+/// when it is unset.
+///
+/// # Panics
+///
+/// Panics naming `var` when it is set to anything else.
+pub fn env_count(var: &str, default: usize) -> usize {
+    tgl_runtime::env::positive(var).unwrap_or_else(|e| panic!("{e}")).unwrap_or(default)
+}
 
 /// Reads the dataset scale divisor from `TGL_BENCH_SCALE`.
 pub fn bench_scale() -> usize {
-    std::env::var("TGL_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
+    env_count("TGL_BENCH_SCALE", 2)
 }
 
 /// Reads the epoch override from `TGL_BENCH_EPOCHS`.
 pub fn bench_epochs(default: usize) -> usize {
-    std::env::var("TGL_BENCH_EPOCHS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The compute-slowdown factor between this CPU substrate and the
-/// paper's GPUs, used to scale the simulated PCIe link so the
-/// transfer:compute ratio matches the paper (see
-/// `TransferModel::scaled`).
-pub const COMPUTE_SLOWDOWN: f64 = 400.0;
-
-/// The simulated V100-machine PCIe link at reproduction scale.
-pub fn sim_link_v100() -> TransferModel {
-    TransferModel::scaled(TransferModel::pcie_v100(), COMPUTE_SLOWDOWN)
+    env_count("TGL_BENCH_EPOCHS", default)
 }
 
 /// Builds the standard experiment config for one grid cell, applying
@@ -57,7 +53,7 @@ pub fn cell(
     let mut cfg = ExperimentConfig::paper_default(framework, model, kind, placement);
     cfg.dataset = DatasetSpec::of(kind).scaled_down(bench_scale());
     cfg.train_cfg.epochs = bench_epochs(2);
-    cfg.transfer = sim_link_v100();
+    cfg.transfer = TransferModel::sim_v100();
     cfg
 }
 
@@ -80,30 +76,14 @@ pub struct GridRow {
     pub test_ap: f64,
 }
 
-/// Runs (or loads from the on-disk cache) the full standard grid —
-/// 4 models × 4 standard datasets × 3 frameworks — for one placement.
+/// Runs the full standard grid — 4 models × 4 standard datasets × 3
+/// frameworks — for one placement, measuring every cell in this run.
 ///
-/// Figure 5 / Table 4 / Table 5 all report views of the same grid, so
-/// results are cached under `target/` keyed by placement, scale, and
-/// epochs; delete the file (or change `TGL_BENCH_SCALE`) to recompute.
+/// Figure 5 / Table 4 / Table 5 are views of one all-on-device grid
+/// and print from one target; Figure 6 runs the host-resident one.
 /// The JODIE `TGLite+opt` cell reuses the `TGLite` measurement (the
 /// paper applies no further operators to JODIE).
 pub fn standard_grid(placement: Placement) -> Vec<GridRow> {
-    let tag = match placement {
-        Placement::AllOnDevice => "gpu",
-        Placement::HostResident => "cpu",
-    };
-    // Bench binaries run with the package directory as CWD; anchor the
-    // cache at the workspace target dir instead.
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!(
-        "../../target/tgl-grid-{tag}-s{}-e{}.csv",
-        bench_scale(),
-        bench_epochs(2)
-    ));
-    if let Some(rows) = load_grid(&path) {
-        eprintln!("(reusing cached grid results from {})", path.display());
-        return rows;
-    }
     let mut rows = Vec::new();
     for kind in DatasetKind::standard() {
         for model in ModelKind::all() {
@@ -142,7 +122,6 @@ pub fn standard_grid(placement: Placement) -> Vec<GridRow> {
             }
         }
     }
-    save_grid(&path, &rows);
     rows
 }
 
@@ -163,47 +142,37 @@ pub fn grid_lookup(
         .expect("grid cell missing")
 }
 
-fn save_grid(path: &std::path::Path, rows: &[GridRow]) {
-    let mut s = String::from("framework,model,dataset,train_s,test_s,val_ap,test_ap\n");
-    for r in rows {
-        s.push_str(&format!(
-            "{},{},{},{},{},{},{}\n",
-            r.framework.label(),
-            r.model.label(),
-            r.dataset.name(),
-            r.train_s,
-            r.test_s,
-            r.val_ap,
-            r.test_ap
-        ));
-    }
-    if let Err(e) = std::fs::write(path, s) {
-        eprintln!("(could not cache grid to {}: {e})", path.display());
-    }
-}
-
-fn load_grid(path: &std::path::Path) -> Option<Vec<GridRow>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut rows = Vec::new();
-    for line in text.lines().skip(1) {
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() != 7 {
-            return None;
+/// Prints Figure 5's or Figure 6's view of a grid: per dataset, each
+/// model's seconds per training epoch under the three frameworks, with
+/// speedups against TGL and bars.
+pub fn print_epoch_times(grid: &[GridRow]) {
+    for kind in DatasetKind::standard() {
+        println!("\n--- {} ---", kind.name());
+        let mut t = TextTable::new(&["Model", "TGL", "TGLite", "TGLite+opt", "bars (s/epoch)"]);
+        for model in ModelKind::all() {
+            let tgl = grid_lookup(grid, Framework::Tgl, model, kind).train_s;
+            let lite = grid_lookup(grid, Framework::TgLite, model, kind).train_s;
+            let opt = grid_lookup(grid, Framework::TgLiteOpt, model, kind).train_s;
+            let max = tgl.max(lite).max(opt);
+            t.row(&[
+                model.label().to_string(),
+                secs(tgl),
+                format!("{} {}", secs(lite), speedup(tgl, lite)),
+                if model == ModelKind::Jodie {
+                    "- (same as TGLite)".to_string()
+                } else {
+                    format!("{} {}", secs(opt), speedup(tgl, opt))
+                },
+                format!(
+                    "TGL {:<12} lite {:<12} +opt {:<12}",
+                    bar(tgl, max, 12),
+                    bar(lite, max, 12),
+                    bar(opt, max, 12)
+                ),
+            ]);
         }
-        let framework = Framework::all().into_iter().find(|x| x.label() == f[0])?;
-        let model = ModelKind::all().into_iter().find(|x| x.label() == f[1])?;
-        let dataset = DatasetKind::all().into_iter().find(|x| x.name() == f[2])?;
-        rows.push(GridRow {
-            framework,
-            model,
-            dataset,
-            train_s: f[3].parse().ok()?,
-            test_s: f[4].parse().ok()?,
-            val_ap: f[5].parse().ok()?,
-            test_ap: f[6].parse().ok()?,
-        });
+        println!("{}", t.render());
     }
-    (rows.len() == 48).then_some(rows)
 }
 
 /// Prints the standard bench preamble.
@@ -234,9 +203,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "TGL_BENCH_TEST_KNOB: expected a positive integer, got \"abc\"")]
+    fn unusable_knob_panics_naming_it() {
+        // A name no other test reads.
+        std::env::set_var("TGL_BENCH_TEST_KNOB", "abc");
+        env_count("TGL_BENCH_TEST_KNOB", 2);
+    }
+
+    #[test]
     fn scaled_link_is_slower_than_real() {
         let real = TransferModel::pcie_v100();
-        let sim = sim_link_v100();
+        let sim = cell(Framework::Tgl, ModelKind::Tgat, DatasetKind::Wiki, Placement::HostResident).transfer;
         assert!(sim.pageable_bw < real.pageable_bw);
         assert!(sim.enabled);
     }

@@ -231,7 +231,7 @@ fn train(args: &Args, eval_only: bool) {
             seed: seed ^ 0x5eed,
         },
         seed,
-        transfer: TransferModel::scaled(TransferModel::pcie_v100(), 400.0),
+        transfer: TransferModel::sim_v100(),
     };
     reject_unread(args);
     println!(
@@ -253,7 +253,7 @@ fn train(args: &Args, eval_only: bool) {
 }
 
 fn jsoncheck_cmd(args: &Args) {
-    let path = args.get("file").or_else(|| args.get("_extra")).unwrap_or_else(|| {
+    let path = args.get("file").or_else(|| args.positional()).unwrap_or_else(|| {
         eprintln!("usage: tgl jsoncheck --file <PATH>");
         std::process::exit(2);
     });

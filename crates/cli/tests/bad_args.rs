@@ -52,6 +52,24 @@ fn unusable_tgl_threads_is_a_usage_error() {
 }
 
 #[test]
+fn unusable_tgl_simd_and_tgl_pool_are_usage_errors() {
+    // Each used to run silently: `avx2` at the host's highest level,
+    // `of` with recycling on.
+    for (var, value, accepts) in [("TGL_SIMD", "avx2", "off, 0, scalar or auto"), ("TGL_POOL", "of", "on, off, 1, 0, true or false")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
+            .env(var, value)
+            .args(["train", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--epochs", "1"])
+            .output()
+            .expect("run tgl");
+        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{var}={value}: one-line error: {stderr}");
+        assert!(stderr.contains(var) && stderr.contains(accepts), "error must name the variable and its values: {stderr}");
+        assert!(!stdout.contains("loss"), "{var}={value}: must not train: {stdout}");
+    }
+}
+
+#[test]
 fn zero_scale_is_a_usage_error() {
     // `--scale` appears twice: the later, offending value wins.
     let (code, stdout, stderr) = tgl_train(&["--scale", "0"]);

@@ -96,6 +96,13 @@ impl TransferModel {
         }
     }
 
+    /// The link the reproduction's runs cross: [`pcie_v100`](Self::pcie_v100)
+    /// [`scaled`](Self::scaled) by the substrate's compute slowdown,
+    /// taken as 400× (a fixed constant, not a measured calibration).
+    pub fn sim_v100() -> Self {
+        TransferModel::scaled(TransferModel::pcie_v100(), 400.0)
+    }
+
     /// Simulated nanoseconds a transfer of `bytes` with `kind` costs.
     pub fn cost_ns(&self, bytes: u64, kind: TransferKind) -> u64 {
         if !self.enabled {

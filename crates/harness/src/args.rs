@@ -1,18 +1,22 @@
 //! Minimal dependency-free flag parsing (`--key value` / `--flag`).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 
-/// Parsed command line: a subcommand plus `--key value` options and
-/// bare `--flag` switches.
+/// Parsed command line: a subcommand plus `--key value` options, bare
+/// `--flag` switches and positionals.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     subcommand: Option<String>,
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Tokens after the subcommand that are neither a flag nor its value.
+    positionals: Vec<String>,
     /// Keys a lookup has served, so [`reject_unread`](Args::reject_unread)
     /// can name what nobody asked for.
     read: RefCell<BTreeSet<String>>,
+    /// Whether [`positional`](Args::positional) served the first one.
+    positional_read: Cell<bool>,
 }
 
 impl Args {
@@ -36,9 +40,7 @@ impl Args {
             } else if out.subcommand.is_none() {
                 out.subcommand = Some(tok);
             } else {
-                // Positional after the subcommand: treat as error fodder
-                // for the caller; store under a reserved key.
-                out.values.entry("_extra".into()).or_default().push_str(&tok);
+                out.positionals.push(tok);
             }
         }
         out
@@ -47,6 +49,13 @@ impl Args {
     /// The subcommand, if any.
     pub fn subcommand(&self) -> Option<&str> {
         self.subcommand.as_deref()
+    }
+
+    /// The first positional after the subcommand (`tgl jsoncheck FILE`).
+    pub fn positional(&self) -> Option<&str> {
+        let first = self.positionals.first()?;
+        self.positional_read.set(true);
+        Some(first)
     }
 
     /// String option value.
@@ -108,12 +117,15 @@ impl Args {
     pub fn reject_unread(&self) -> Result<(), String> {
         let read = self.read.borrow();
         // A stray positional is named by its text, an option by its flag.
-        let name = |key: &String| match self.values.get(key) {
-            Some(text) if key == "_extra" => format!("{text:?}"),
-            _ => format!("--{key}"),
-        };
-        let unread: BTreeSet<String> =
-            self.values.keys().chain(&self.flags).filter(|key| !read.contains(*key)).map(name).collect();
+        let served = usize::from(self.positional_read.get());
+        let unread: BTreeSet<String> = self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .filter(|key| !read.contains(*key))
+            .map(|key| format!("--{key}"))
+            .chain(self.positionals[served..].iter().map(|text| format!("{text:?}")))
+            .collect();
         if unread.is_empty() {
             return Ok(());
         }
@@ -138,7 +150,7 @@ mod tests {
 
     #[test]
     fn reject_unread_names_everything_no_lookup_served() {
-        let a = Args::parse("train --epoch 3 --slo rules --prof on --move --lr 0.1 stray".split_whitespace().map(String::from));
+        let a = Args::parse("train foo --epoch 3 --slo rules --prof on --move --lr 0.1 stray bar".split_whitespace().map(String::from));
         assert_eq!(a.get_or("lr", 0.0f32), Ok(0.1));
         assert!(a.has_flag("move"));
         // `--prof on` parsed as a valued option: the switch lookup
@@ -146,7 +158,9 @@ mod tests {
         assert!(!a.has_flag("prof"));
         assert_eq!(a.get("epochs"), None);
         let msg = a.reject_unread().unwrap_err();
-        for named in ["--epoch", "--slo", "--prof", "\"stray\""] {
+        // Each stray positional is named on its own (they used to run
+        // together as "foostraybar").
+        for named in ["--epoch", "--slo", "--prof", "\"foo\"", "\"stray\"", "\"bar\""] {
             assert!(msg.contains(named), "{named} missing from {msg:?}");
         }
         assert!(!msg.contains("--lr") && !msg.contains("--move") && !msg.contains('\n'), "{msg:?}");

@@ -3,68 +3,50 @@
 //! Turns the op rows of the span aggregate ([`tgl_obs::profile`]) into
 //! the `--profile` top-k table: each op's time share, achieved
 //! GFLOP/s, and arithmetic intensity are compared against a machine
-//! [`Roofline`] (GEMM peak from `BENCH_micro_gemm.json` plus a measured
-//! memory-bandwidth probe) to classify it as compute-bound,
-//! bandwidth-bound, or pure data movement. Also renders the per-phase
-//! coverage lines (op self time against the phase rows) and the
-//! per-stage table that puts the phase view, the op view and the
-//! critical path side by side.
+//! [`Roofline`] (this process's GEMM and memory bandwidth, both
+//! measured in-process at the pool's width) to classify it as
+//! compute-bound, bandwidth-bound, or pure data movement. Also renders
+//! the per-phase coverage lines (op self time against the phase rows)
+//! and the per-stage table that puts the phase view, the op view and
+//! the critical path side by side.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use tgl_data::Json;
 use tgl_obs::critpath::Analysis;
 use tgl_obs::profile::{stage_seconds, Row};
 use tgl_obs::{Kind, Stage};
+use tgl_tensor::Tensor;
 
 use crate::table::TextTable;
 
-/// Peak GFLOP/s assumed when `BENCH_micro_gemm.json` is not found.
-const FALLBACK_PEAK_GFLOPS: f64 = 3.0;
+/// The GEMMs (`m × k × n`) the peak probe times: one below the pool's
+/// fan-out threshold, which runs inline on the caller, and one that
+/// fans out, the two regimes an epoch's `linear` rows fall in.
+const PROBE_SHAPES: [(usize, usize, usize); 2] = [(512, 32, 32), (4608, 80, 32)];
 
 /// The two machine ceilings an op can hit: peak compute throughput and
 /// peak memory bandwidth.
 #[derive(Debug, Clone, Copy)]
 pub struct Roofline {
-    /// Peak compute throughput (GFLOP/s), taken as the best measured
-    /// GEMM rate for the active thread count.
+    /// Peak compute throughput (GFLOP/s): the best rate this process's
+    /// GEMM reached at `threads`.
     pub peak_gflops: f64,
     /// Sustained memory bandwidth (GB/s).
     pub bw_gbs: f64,
-    /// Where the peak came from: `"BENCH_micro_gemm.json"` or
-    /// `"fallback"`.
-    pub peak_source: &'static str,
-    /// Pool thread count the peak was calibrated for.
+    /// Pool thread count the peak was measured at.
     pub threads: usize,
-    /// The SIMD level `BENCH_micro_gemm.json` was recorded at, when
-    /// that is not the level this process runs: the peak is then
-    /// another machine's ceiling, the header says so and no row is
-    /// flagged against it.
-    pub recorded_simd: Option<&'static str>,
 }
 
 impl Roofline {
-    /// Detects the machine roofline: GEMM peak from
-    /// `BENCH_micro_gemm.json` (searched upward from the working
-    /// directory, scaled to the active pool thread count) and memory bandwidth from
-    /// [`memory_bandwidth_gbs`].
+    /// Measures the roofline of this process at the pool's current
+    /// width: the GEMM peak from [`gemm_peak_gflops`] and the memory
+    /// bandwidth from [`memory_bandwidth_gbs`].
     pub fn detect() -> Roofline {
-        let threads = tgl_runtime::current_threads();
-        let artifact = bench_artifact();
-        let (peak_gflops, peak_source) = peak_of(artifact.as_ref(), threads);
-        let running = tgl_tensor::kernel::simd_label();
         Roofline {
-            peak_gflops,
+            peak_gflops: gemm_peak_gflops(),
             bw_gbs: memory_bandwidth_gbs(),
-            peak_source,
-            threads,
-            recorded_simd: artifact
-                .as_ref()
-                .and_then(|v| v.get("simd")?.as_str())
-                .filter(|&recorded| recorded != running)
-                .map(tgl_obs::intern::intern),
+            threads: tgl_runtime::current_threads(),
         }
     }
 
@@ -87,132 +69,57 @@ impl Roofline {
     }
 }
 
-/// Searches the working directory and its ancestors for `name`.
-fn find_upwards(name: &str) -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let candidate = dir.join(name);
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-/// Max `gflops` over the entries of a bench array.
-fn max_gflops(arr: &Json) -> Option<f64> {
-    arr.as_arr()?
+/// The best rate (GFLOP/s, `2·m·k·n` per product) of the crate's GEMM
+/// as the models call it (`Tensor::linear`) over [`PROBE_SHAPES`] at
+/// the pool's current width: one warm-up round, then the best of five.
+/// Collection is off while it runs, so none of its calls lands in the
+/// op profile.
+fn gemm_peak_gflops() -> f64 {
+    let was_collecting = tgl_obs::collecting();
+    tgl_obs::collect(false);
+    let peak = PROBE_SHAPES
         .iter()
-        .filter_map(|r| r.get("gflops")?.as_num())
-        .fold(None, |best: Option<f64>, g| Some(best.map_or(g, |b| b.max(g))))
-}
-
-/// Best measured GEMM rate from `BENCH_micro_gemm.json` at the given
-/// pool thread count, with a conservative
-/// fallback when the artifact is missing or unparsable.
-///
-/// The single-thread peak is the max over the `results[]` series. For
-/// `threads > 1` the `multi_thread[]`
-/// sweep supplies a scale factor: the measured `speedup_vs_1t` at that
-/// thread count, or — when the report asks for a count beyond the
-/// sweep — a linear extrapolation from the largest swept count. The
-/// scale never drops below 1 so a poorly-scaling sweep cannot push the
-/// ceiling under the single-thread rate (which would make honest
-/// single-thread ops read as >100% of peak).
-pub fn gemm_peak_gflops_at(threads: usize) -> (f64, &'static str) {
-    peak_of(bench_artifact().as_ref(), threads)
-}
-
-/// `BENCH_micro_gemm.json`, found upward from the working directory.
-fn bench_artifact() -> Option<Json> {
-    let text = std::fs::read_to_string(find_upwards("BENCH_micro_gemm.json")?).ok()?;
-    Json::parse(&text).ok()
-}
-
-/// [`gemm_peak_gflops_at`] over an already parsed artifact.
-fn peak_of(artifact: Option<&Json>, threads: usize) -> (f64, &'static str) {
-    let parsed = artifact
-        .and_then(|v| {
-            let base = max_gflops(v.get("results")?)?;
-            if threads <= 1 {
-                return Some(base);
-            }
-            let scale = v
-                .get("multi_thread")
-                .and_then(|mt| {
-                    let arr = mt.as_arr()?;
-                    // Exact thread-count match first.
-                    let at = |t: usize| {
-                        arr.iter()
-                            .filter(|r| {
-                                r.get("threads").and_then(Json::as_num) == Some(t as f64)
-                            })
-                            .filter_map(|r| r.get("speedup_vs_1t")?.as_num())
-                            .fold(None, |best: Option<f64>, s| {
-                                Some(best.map_or(s, |b| b.max(s)))
-                            })
-                    };
-                    if let Some(s) = at(threads) {
-                        return Some(s);
-                    }
-                    // Beyond the sweep: linear extrapolation from the
-                    // largest swept count (ideal scaling of the tail,
-                    // a deliberate over-estimate of the ceiling).
-                    let swept_max = arr
-                        .iter()
-                        .filter_map(|r| r.get("threads")?.as_num())
-                        .fold(None, |best: Option<f64>, t| {
-                            Some(best.map_or(t, |b| b.max(t)))
-                        })?;
-                    let s = at(swept_max as usize)?;
-                    Some(s * threads as f64 / swept_max)
-                })
-                // No sweep recorded: assume ideal linear scaling so the
-                // ceiling stays an upper bound.
-                .unwrap_or(threads as f64);
-            Some(base * scale.max(1.0))
-        });
-    match parsed {
-        Some(peak) if peak > 0.0 => (peak, "BENCH_micro_gemm.json"),
-        _ => (FALLBACK_PEAK_GFLOPS * threads.max(1) as f64, "fallback"),
-    }
+        .map(|&(m, k, n)| {
+            let (x, w) = (Tensor::full([m, k], 0.5), Tensor::full([n, k], 0.25));
+            // About a millisecond a round at tens of GFLOP/s.
+            let calls = ((32 << 20) / (m * k * n)).max(1);
+            let round = || {
+                let t0 = Instant::now();
+                for _ in 0..calls {
+                    std::hint::black_box(x.linear(&w, None, false));
+                }
+                t0.elapsed().as_secs_f64()
+            };
+            round();
+            let best = (0..5).map(|_| round()).fold(f64::MAX, f64::min);
+            (2 * m * k * n * calls) as f64 / best.max(1e-9) / 1e9
+        })
+        .fold(0.0, f64::max);
+    tgl_obs::collect(was_collecting);
+    peak
 }
 
 /// Sustained memory bandwidth in GB/s, probed once per process with a
-/// large out-of-cache copy (read + write counted). Overridable via
-/// `TGL_MEM_BW_GBS` for reproducible reports.
-pub fn memory_bandwidth_gbs() -> f64 {
+/// large out-of-cache copy (read + write counted), best of three rounds.
+fn memory_bandwidth_gbs() -> f64 {
     static BW: OnceLock<f64> = OnceLock::new();
     *BW.get_or_init(|| {
-        if let Some(v) = std::env::var("TGL_MEM_BW_GBS")
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|v| *v > 0.0)
-        {
-            return v;
+        // 8 Mi f32 = 32 MiB per buffer, far beyond typical LLC sizes,
+        // so the copy streams through memory.
+        const ELEMS: usize = 8 << 20;
+        let src = vec![1.0f32; ELEMS];
+        let mut dst = vec![0.0f32; ELEMS];
+        let bytes_moved = (2 * ELEMS * std::mem::size_of::<f32>()) as f64;
+        let mut best = f64::MAX;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            dst.copy_from_slice(&src);
+            let dt = t0.elapsed().as_secs_f64();
+            std::hint::black_box(&dst);
+            best = best.min(dt.max(1e-9));
         }
-        probe_bandwidth_gbs()
+        bytes_moved / best / 1e9
     })
-}
-
-fn probe_bandwidth_gbs() -> f64 {
-    // 8 Mi f32 = 32 MiB per buffer, far beyond typical LLC sizes, so
-    // the copy streams through memory. Best of three rounds.
-    const ELEMS: usize = 8 << 20;
-    let src = vec![1.0f32; ELEMS];
-    let mut dst = vec![0.0f32; ELEMS];
-    let bytes_moved = (2 * ELEMS * std::mem::size_of::<f32>()) as f64;
-    let mut best = f64::MAX;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        dst.copy_from_slice(&src);
-        let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&dst);
-        best = best.min(dt.max(1e-9));
-    }
-    bytes_moved / best / 1e9
 }
 
 /// One op with its roofline-derived metrics, ready for the table.
@@ -258,19 +165,9 @@ pub fn analyze(rows: &[Row], roof: &Roofline) -> Vec<OpRow> {
 /// Renders the `--profile` report: roofline header plus a top-`k` op
 /// table sorted by self time.
 pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
-    // A peak recorded at another SIMD level is not this machine's.
-    let source = match roof.recorded_simd {
-        Some(recorded) => format!(
-            "{} recorded at {recorded}, this run is {}: not its ceiling",
-            roof.peak_source,
-            tgl_tensor::kernel::simd_label()
-        ),
-        None => roof.peak_source.to_string(),
-    };
     let mut out = format!(
-        "op profile — roofline: peak {:.2} GFLOP/s ({}, {}t), mem {:.1} GB/s, ridge {:.3} FLOP/B\n",
+        "op profile — roofline: peak {:.2} GFLOP/s (measured, {}t), mem {:.1} GB/s, ridge {:.3} FLOP/B\n",
         roof.peak_gflops,
-        source,
         roof.threads,
         roof.bw_gbs,
         roof.ridge_ai()
@@ -279,12 +176,10 @@ pub fn render_table(rows: &[OpRow], roof: &Roofline, top_k: usize) -> String {
         "op", "phase", "calls", "self_s", "share", "gflops", "ai", "verdict", "shape",
     ]);
     for row in rows.iter().take(top_k) {
-        // An achieved rate above the calibrated ceiling means the
-        // roofline is stale (e.g. bench artifact from a pre-SIMD
-        // build); flag it rather than report >100% of peak silently.
-        // A ceiling from another SIMD level is already named as such in
-        // the header.
-        let over_peak = roof.recorded_simd.is_none() && row.gflops > roof.peak_gflops * 1.01;
+        // An achieved rate above the measured ceiling means the probe
+        // missed a faster shape; flag it rather than report >100% of
+        // peak silently.
+        let over_peak = row.gflops > roof.peak_gflops * 1.01;
         table.row(&[
             row.stat.name.to_string(),
             row.stat.phase.to_string(),
@@ -398,13 +293,7 @@ mod tests {
     }
 
     fn roof() -> Roofline {
-        Roofline {
-            peak_gflops: 4.0,
-            bw_gbs: 8.0,
-            peak_source: "fallback",
-            threads: 1,
-            recorded_simd: None,
-        }
+        Roofline { peak_gflops: 4.0, bw_gbs: 8.0, threads: 1 }
     }
 
     #[test]
@@ -433,26 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_peak_reads_bench_artifact() {
-        // The workspace root holds BENCH_micro_gemm.json; tests run
-        // from the crate dir, so the upward search must find it.
-        let (peak, source) = gemm_peak_gflops_at(1);
-        assert_eq!(source, "BENCH_micro_gemm.json");
-        assert!(peak > 0.5 && peak < 10_000.0, "implausible peak {peak}");
-    }
-
-    #[test]
-    fn multi_thread_peak_never_below_single_thread() {
-        // Whatever the artifact holds (with or without a multi_thread
-        // sweep), the scaled ceiling must not
-        // drop below the 1-thread peak: scale is clamped at >= 1.
-        let (p1, _) = gemm_peak_gflops_at(1);
-        let (p4, src) = gemm_peak_gflops_at(4);
-        assert_eq!(src, "BENCH_micro_gemm.json");
-        assert!(p4 >= p1, "peak at 4t ({p4}) below 1t ({p1})");
-    }
-
-    #[test]
     fn over_peak_rates_are_flagged_in_the_table() {
         let stats = vec![stat("matmul", "attention", 1_000_000, 100_000_000, 1_000)];
         let r = roof(); // peak 4.0; achieved 100 GFLOP/s
@@ -461,23 +330,7 @@ mod tests {
         let calm = vec![stat("matmul", "attention", 1_000_000, 1_000_000, 1_000)];
         let text = render_table(&analyze(&calm, &r), &r, 5);
         assert!(!text.contains(">peak!"), "1 GFLOP/s under a 4.0 peak must not flag");
-        // A peak recorded at another SIMD level is said to be one, once,
-        // in the header; the rows above it are not flagged.
-        let elsewhere = Roofline { recorded_simd: Some("some-other-simd"), ..r };
-        let text = render_table(&analyze(&stats, &elsewhere), &elsewhere, 5);
-        assert!(!text.contains(">peak!"), "another machine's ceiling flags nothing:\n{text}");
-        let header = text.lines().next().unwrap();
-        assert!(header.contains("recorded at some-other-simd") && header.contains(tgl_tensor::kernel::simd_label()), "{header}");
-    }
-
-    #[test]
-    fn bandwidth_env_override_wins() {
-        // The probe itself is covered implicitly; the override keeps
-        // this test instant and deterministic.
-        std::env::set_var("TGL_MEM_BW_GBS", "12.5");
-        let bw = memory_bandwidth_gbs();
-        std::env::remove_var("TGL_MEM_BW_GBS");
-        assert!((bw - 12.5).abs() < 1e-9);
+        assert!(text.starts_with("op profile — roofline: peak 4.00 GFLOP/s (measured, 1t)"), "{text}");
     }
 
     #[test]

@@ -68,7 +68,8 @@ pub struct EpochStats {
     pub steps: usize,
     /// Batches the health policy skipped (non-finite loss).
     pub skipped: usize,
-    /// Wall time of the epoch's training portion, in seconds.
+    /// Process CPU seconds (every thread's, [`CpuTimer`]) of the
+    /// epoch's training portion.
     pub train_time_s: f64,
     /// AP on the validation split after the epoch.
     pub val_ap: f64,

@@ -25,11 +25,9 @@
 //! Both types share the [`metrics`](crate::metrics) enable gate: when
 //! metering is disabled, `record`/`set` are a relaxed load + branch.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use crate::metrics::enabled;
+use crate::metrics::{enabled, Registry};
 
 /// Number of log2 buckets (covers the full `u64` range).
 pub const NUM_BUCKETS: usize = 64;
@@ -261,49 +259,19 @@ impl Gauge {
     }
 }
 
-/// Shared registry shape for histograms and gauges: a `HashMap` for
-/// O(1) name lookup plus a `Vec` preserving registration order.
-struct Registry<T: 'static> {
-    by_name: HashMap<&'static str, &'static T>,
-    in_order: Vec<&'static T>,
-}
-
-impl<T> Registry<T> {
-    fn new() -> Registry<T> {
-        Registry {
-            by_name: HashMap::new(),
-            in_order: Vec::new(),
-        }
-    }
-
-    fn get_or_insert(&mut self, name: &'static str, make: impl FnOnce(&'static str) -> T) -> &'static T {
-        if let Some(v) = self.by_name.get(name) {
-            return v;
-        }
-        let v: &'static T = Box::leak(Box::new(make(name)));
-        self.by_name.insert(name, v);
-        self.in_order.push(v);
-        v
-    }
-}
-
-static HISTOGRAMS: std::sync::LazyLock<Mutex<Registry<Histogram>>> =
-    std::sync::LazyLock::new(|| Mutex::new(Registry::new()));
-static GAUGES: std::sync::LazyLock<Mutex<Registry<Gauge>>> =
-    std::sync::LazyLock::new(|| Mutex::new(Registry::new()));
+static HISTOGRAMS: Registry<Histogram> = Registry::new();
+static GAUGES: Registry<Gauge> = Registry::new();
 
 /// Returns the histogram registered under `name`, creating it on first
 /// use. Prefer the `histogram!` macro at instrumentation sites.
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut reg = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-    reg.get_or_insert(name, Histogram::new)
+    HISTOGRAMS.get_or_insert(name, Histogram::new)
 }
 
 /// Returns the gauge registered under `name`, creating it on first
 /// use. Prefer the `gauge!` macro at instrumentation sites.
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
-    reg.get_or_insert(name, Gauge::new)
+    GAUGES.get_or_insert(name, Gauge::new)
 }
 
 /// Snapshot of every histogram as `(name, snapshot)`, sorted by name
@@ -311,9 +279,7 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
 /// duration families, which are a view of the span aggregate
 /// ([`crate::profile::latency_snapshot`]).
 pub fn hist_snapshot() -> Vec<(&'static str, HistSnapshot)> {
-    let reg = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-    let mut v: Vec<_> = reg.in_order.iter().map(|h| (h.name, h.snapshot())).collect();
-    drop(reg);
+    let mut v: Vec<_> = HISTOGRAMS.entries().into_iter().map(|h| (h.name, h.snapshot())).collect();
     v.extend(crate::profile::latency_snapshot());
     v.sort_unstable_by_key(|&(n, _)| n);
     v
@@ -322,10 +288,7 @@ pub fn hist_snapshot() -> Vec<(&'static str, HistSnapshot)> {
 /// Snapshot of every registered gauge as `(name, value)`, sorted by
 /// name.
 pub fn gauge_snapshot() -> Vec<(&'static str, f64)> {
-    let reg = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
-    let mut v: Vec<_> = reg.in_order.iter().map(|g| (g.name, g.get())).collect();
-    v.sort_unstable_by_key(|&(n, _)| n);
-    v
+    GAUGES.entries().into_iter().map(|g| (g.name, g.get())).collect()
 }
 
 /// Interns a histogram at the call site, mirroring `counter!`.

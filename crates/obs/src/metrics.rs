@@ -5,16 +5,17 @@
 //! in a process-global registry once per call site, so steady-state
 //! cost is one relaxed atomic load (the enable gate) plus one relaxed
 //! `fetch_add`. [`snapshot`] returns every registered counter for run
-//! reports; [`reset`] zeroes them between measured runs.
+//! reports; [`reset`] zeroes them between measured runs. The registry
+//! type is the one `hist`'s gauges and histograms use too.
 //!
 //! Naming scheme: `<subsystem>.<quantity>[.<qualifier>]`, all
 //! lowercase, e.g. `cache.hits`, `transfer.h2d_bytes`,
 //! `pool.busy_ns.t3`. Byte counts end in `_bytes`, nanosecond totals in
 //! `_ns`; everything else is an event count.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Whether counters record increments. Enabled by default: a counter
 /// site is a relaxed `fetch_add` at batch granularity, which is noise.
@@ -72,75 +73,69 @@ impl Counter {
     }
 }
 
-/// Registered counters: a `HashMap` keyed by interned name for O(1)
-/// registration-time lookup (per-worker `counter_owned` sites used to
-/// pay an O(n) scan per call) plus a `Vec` preserving registration
-/// order so iteration stays stable. Entries are leaked intentionally:
-/// counters are process-lifetime statics.
-struct Registry {
-    by_name: HashMap<&'static str, &'static Counter>,
-    in_order: Vec<&'static Counter>,
-}
+/// The one name registry, shared by counters, gauges and histograms:
+/// each name maps to one leaked, process-lifetime entry, and entries
+/// come back in name order. Sites cache their lookup (`counter!`,
+/// `gauge!`, `histogram!`), so the lock is taken at registration and by
+/// readers, never per increment.
+pub(crate) struct Registry<T: 'static>(Mutex<BTreeMap<&'static str, &'static T>>);
 
-impl Registry {
-    fn insert(&mut self, name: &'static str) -> &'static Counter {
-        let c: &'static Counter = Box::leak(Box::new(Counter::new(name)));
-        self.by_name.insert(name, c);
-        self.in_order.push(c);
-        c
+impl<T> Registry<T> {
+    pub(crate) const fn new() -> Registry<T> {
+        Registry(Mutex::new(BTreeMap::new()))
+    }
+
+    fn map(&self) -> MutexGuard<'_, BTreeMap<&'static str, &'static T>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The entry registered under `name`, made by `make` on first use.
+    pub(crate) fn get_or_insert(&self, name: &'static str, make: impl FnOnce(&'static str) -> T) -> &'static T {
+        self.map().entry(name).or_insert_with(|| Box::leak(Box::new(make(name))))
+    }
+
+    /// The entry registered under `name`, if any.
+    pub(crate) fn get(&self, name: &str) -> Option<&'static T> {
+        self.map().get(name).copied()
+    }
+
+    /// Every entry, in name order.
+    pub(crate) fn entries(&self) -> Vec<&'static T> {
+        self.map().values().copied().collect()
     }
 }
 
-static REGISTRY: std::sync::LazyLock<Mutex<Registry>> = std::sync::LazyLock::new(|| {
-    Mutex::new(Registry {
-        by_name: HashMap::new(),
-        in_order: Vec::new(),
-    })
-});
+static COUNTERS: Registry<Counter> = Registry::new();
 
 /// Returns the counter registered under `name`, creating it on first
 /// use. Prefer the `counter!` macro at instrumentation sites — it
 /// caches this lookup in a per-site `OnceLock`.
 pub fn counter(name: &'static str) -> &'static Counter {
-    let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(c) = reg.by_name.get(name) {
-        return c;
-    }
-    reg.insert(name)
+    COUNTERS.get_or_insert(name, Counter::new)
 }
 
 /// Registers a counter under a runtime-constructed name (e.g.
-/// per-worker `pool.busy_ns.t3`). The name string is interned (leaked)
-/// on first registration; repeat registrations of an existing name
-/// allocate nothing.
+/// per-worker `pool.busy_ns.t3`), interned through
+/// [`intern`](crate::intern::intern): a repeat registration leaks
+/// nothing.
 pub fn counter_owned(name: String) -> &'static Counter {
-    let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(c) = reg.by_name.get(name.as_str()) {
-        return c;
-    }
-    let name: &'static str = Box::leak(name.into_boxed_str());
-    reg.insert(name)
+    counter(crate::intern::intern(&name))
 }
 
 /// Current value of the counter named `name` (0 if never registered).
 pub fn get(name: &str) -> u64 {
-    let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    reg.by_name.get(name).map_or(0, |c| c.get())
+    COUNTERS.get(name).map_or(0, Counter::get)
 }
 
 /// Snapshot of every registered counter as `(name, value)`, sorted by
 /// name for stable report output.
 pub fn snapshot() -> Vec<(&'static str, u64)> {
-    let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let mut v: Vec<_> = reg.in_order.iter().map(|c| (c.name, c.get())).collect();
-    v.sort_unstable_by_key(|&(n, _)| n);
-    v
+    COUNTERS.entries().into_iter().map(|c| (c.name, c.get())).collect()
 }
 
 /// Zeroes every registered counter (registrations persist).
 pub fn reset() {
-    let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    for c in reg.in_order.iter() {
+    for c in COUNTERS.entries() {
         c.value.store(0, Ordering::Relaxed);
     }
 }

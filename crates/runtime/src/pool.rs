@@ -34,15 +34,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// The pool width `TGL_THREADS` asks for: `Ok(None)` when it is unset,
 /// `Ok(Some(n))` for a positive integer, and an error naming the
-/// variable for any other value.
+/// variable for any other value ([`crate::env::positive`]).
 pub fn env_threads() -> Result<Option<usize>, String> {
-    let Some(v) = std::env::var_os("TGL_THREADS") else {
-        return Ok(None);
-    };
-    match v.to_str().and_then(|s| s.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(format!("TGL_THREADS: expected a positive integer, got {v:?}")),
-    }
+    crate::env::positive("TGL_THREADS")
 }
 
 /// Thread count requested by the environment: [`env_threads`], or the

@@ -86,12 +86,22 @@ impl Simd {
 /// 0 = uninitialized, otherwise a [`Simd`] discriminant.
 static SIMD: AtomicU8 = AtomicU8::new(0);
 
+/// What `TGL_SIMD` asks for: `Ok(true)` to run the scalar kernels
+/// (`off`, `0` or `scalar`), `Ok(false)` for the host's highest level
+/// (unset or `auto`), and an error naming the variable for any other
+/// value, which `tgl` rejects and a library caller reads as unset.
+pub fn env_scalar() -> Result<bool, String> {
+    let parse = |v: &str| match v {
+        "off" | "0" | "scalar" => Some(true),
+        "auto" => Some(false),
+        _ => None,
+    };
+    tgl_runtime::env::parse("TGL_SIMD", "off, 0, scalar or auto", parse).map(|v| v.unwrap_or(false))
+}
+
 /// The highest level this host runs (`Scalar` under `TGL_SIMD=off`).
 fn detect_simd() -> Simd {
-    if matches!(
-        std::env::var("TGL_SIMD").as_deref(),
-        Ok("off") | Ok("0") | Ok("scalar")
-    ) {
+    if env_scalar().unwrap_or(false) {
         return Simd::Scalar;
     }
     #[cfg(target_arch = "x86_64")]

@@ -145,13 +145,23 @@ fn shelf(device: Device) -> &'static Mutex<Shelf> {
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static ENV_READ: OnceLock<()> = OnceLock::new();
 
+/// What `TGL_POOL` asks for: recycling on (unset, `on`, `1` or `true`)
+/// or off (`off`, `0` or `false`), in any case; an error naming the
+/// variable for any other value, which `tgl` rejects and a library
+/// caller reads as unset.
+pub fn env_enabled() -> Result<bool, String> {
+    let parse = |v: &str| match v.to_ascii_lowercase().as_str() {
+        "on" | "1" | "true" => Some(true),
+        "off" | "0" | "false" => Some(false),
+        _ => None,
+    };
+    tgl_runtime::env::parse("TGL_POOL", "on, off, 1, 0, true or false", parse).map(|v| v.unwrap_or(true))
+}
+
 fn ensure_env() {
     ENV_READ.get_or_init(|| {
-        if let Ok(v) = std::env::var("TGL_POOL") {
-            let v = v.to_ascii_lowercase();
-            if v == "off" || v == "0" || v == "false" {
-                ENABLED.store(false, Ordering::Relaxed);
-            }
+        if !env_enabled().unwrap_or(true) {
+            ENABLED.store(false, Ordering::Relaxed);
         }
     });
 }

@@ -68,7 +68,7 @@ fn main() {
             seed: 0,
         },
         seed: 42,
-        transfer: TransferModel::scaled(TransferModel::pcie_v100(), 400.0),
+        transfer: TransferModel::sim_v100(),
     };
     args.reject_unread().unwrap_or_else(|e| usage(e));
     println!(

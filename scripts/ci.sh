@@ -97,11 +97,14 @@ TGL_THREADS=2 cargo run --release --offline -q -p tgl-examples --bin quickstart 
 grep -Eq '"tensor\.pool\.hit": *[1-9]' "$OBS_DIR/report.json" \
     || { echo "run report shows no tensor pool hits"; exit 1; }
 
-echo "==> quickstart with op-level profiling (roofline table + the report's profile section)"
+echo "==> quickstart with op-level profiling (roofline table + the report's profile section), run outside the checkout"
 PROF_LOG="$OBS_DIR/profile.log"
-TGL_THREADS=2 ./target/release/quickstart \
+# From a directory outside the checkout, so an input read from the
+# working directory (a committed bench artifact, say) fails here.
+ROOT="$PWD"
+(cd "$OBS_DIR" && TGL_THREADS=2 "$ROOT/target/release/quickstart" \
     --scale 8 --epochs 1 \
-    --profile --metrics-out "$OBS_DIR/profile-report.json" >"$PROF_LOG" 2>&1 \
+    --profile --metrics-out "$OBS_DIR/profile-report.json") >"$PROF_LOG" 2>&1 \
     || { cat "$PROF_LOG"; exit 1; }
 # jsoncheck shape-validates the report's profile / critpath sections,
 # so a drifting row writer fails here.
@@ -116,14 +119,13 @@ grep -Eq "compute-bound|bandwidth-bound" "$PROF_LOG" \
     || { echo "profile table carries no roofline verdict"; cat "$PROF_LOG"; exit 1; }
 grep -q "phase coverage" "$PROF_LOG" \
     || { echo "profile output missing phase coverage lines"; cat "$PROF_LOG"; exit 1; }
-# The roofline header must name the peak calibrated from the GEMM
-# artifact at the run's thread count, and no op may be reported above
-# that peak — a ">peak!" marker means the ceiling is stale relative to
-# the measured rates.
-grep -Eq "roofline: peak [0-9.]+ GFLOP/s \(BENCH_micro_gemm\.json.*, 2t\)" "$PROF_LOG" \
-    || { echo "roofline header does not name a peak calibrated at 2 threads"; cat "$PROF_LOG"; exit 1; }
+# The roofline header must name the peak this run measured at its
+# thread count, and no op may be reported above that peak — a ">peak!"
+# marker means the probe missed a faster GEMM than it timed.
+grep -Eq "roofline: peak [0-9.]+ GFLOP/s \(measured, 2t\)" "$PROF_LOG" \
+    || { echo "roofline header does not name a peak measured at 2 threads"; cat "$PROF_LOG"; exit 1; }
 if grep -q ">peak!" "$PROF_LOG"; then
-    echo "profile reports an op above the calibrated GEMM peak"; cat "$PROF_LOG"; exit 1
+    echo "profile reports an op above the measured GEMM peak"; cat "$PROF_LOG"; exit 1
 fi
 
 echo "==> op profile coverage: every phase above 5% of the wall is at least half covered by op frames (TGAT inference, TGN training)"

@@ -323,3 +323,25 @@ fn profile_rows_survive_epoch_boundaries() {
         "the finished report must include the matmul row recorded in epoch 0"
     );
 }
+
+/// `--profile`'s roofline is measured by this process at the pool's
+/// width, whatever the working directory holds, and the probe's own
+/// GEMMs stay out of the aggregate it is printed beside.
+#[test]
+fn roofline_peak_is_measured_here_and_leaves_no_rows() {
+    let _g = serial();
+    let before = tgl_runtime::current_threads();
+    set_threads(2);
+    collect(true);
+    profile::take();
+    let roof = tgl_harness::profrep::Roofline::detect();
+    let rows = take_ops();
+    let still_collecting = tglite::obs::collecting();
+    collect(false);
+    set_threads(before);
+    assert!(still_collecting, "the probe must restore collection");
+    assert!(rows.is_empty(), "probe calls landed in the profile: {:?}", rows.iter().map(|r| r.name).collect::<Vec<_>>());
+    assert_eq!(roof.threads, 2);
+    assert!(roof.peak_gflops > 0.1 && roof.peak_gflops < 100_000.0, "implausible peak {}", roof.peak_gflops);
+    assert!(roof.bw_gbs > 0.0);
+}
