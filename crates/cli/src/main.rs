@@ -73,9 +73,9 @@ OBSERVABILITY OPTIONS (train/eval):
                          and the profile (every span-aggregate row)
                          and (with --critpath / --trace-out) critpath
                          sections
-    --health <off|warn|fail>  non-finite loss/gradient policy: warn
+    --health <warn|fail> non-finite loss/gradient policy: warn
                          records a health event and skips the batch
-                         (default), fail aborts, off disables checks
+                         (default), fail aborts
     --threads <N>        set the worker pool width (overrides TGL_THREADS)
     --pipeline <N>       a sampler stage prepares up to N batches
                          (negatives, the sampled block chain, transfer
@@ -96,7 +96,6 @@ COMMON OPTIONS:
     --move             keep data on CPU host and move per batch
                        (the paper's CPU-to-GPU case; default all-on-GPU)
     --opt-all          shorthand: framework = tglite-opt
-    --csv <PATH>       write per-epoch metrics as CSV
     --ckpt <PATH>      save final parameters to a checkpoint
     --out <PATH>       output path for `generate` (default <dataset>.csv)
 ";

@@ -52,21 +52,21 @@ fn unusable_tgl_threads_is_a_usage_error() {
 }
 
 #[test]
-fn unusable_tgl_simd_and_tgl_pool_are_usage_errors() {
-    // Each used to run silently: `avx2` at the host's highest level,
-    // `of` with recycling on.
-    for (var, value, accepts) in [("TGL_SIMD", "avx2", "off, 0, scalar or auto"), ("TGL_POOL", "of", "on, off, 1, 0, true or false")] {
-        let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
-            .env(var, value)
-            .args(["train", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--epochs", "1"])
-            .output()
-            .expect("run tgl");
-        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
-        assert_eq!(out.status.code(), Some(2), "{var}={value}: stdout: {stdout}\nstderr: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{var}={value}: one-line error: {stderr}");
-        assert!(stderr.contains(var) && stderr.contains(accepts), "error must name the variable and its values: {stderr}");
-        assert!(!stdout.contains("loss"), "{var}={value}: must not train: {stdout}");
-    }
+fn unusable_tgl_simd_is_a_usage_error() {
+    // It used to run `avx2` silently at the host's highest level.
+    let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
+        .env("TGL_SIMD", "avx2")
+        .args(["train", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--epochs", "1"])
+        .output()
+        .expect("run tgl");
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(2), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error: {stderr}");
+    assert!(
+        stderr.contains("TGL_SIMD") && stderr.contains("off, 0, scalar or auto"),
+        "error must name the variable and its values: {stderr}"
+    );
+    assert!(!stdout.contains("loss"), "must not train: {stdout}");
 }
 
 #[test]
@@ -104,6 +104,7 @@ fn unusable_numbers_are_usage_errors_before_training() {
         ("--lr", "-0.1"),
         ("--lr", "0"),
         ("--mailbox", "0"),
+        ("--profile-top", "0"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
             .current_dir(&dir)
@@ -211,7 +212,7 @@ fn bit_flipped_checkpoint_is_a_one_line_error() {
 fn unwritable_output_paths_fail_before_training_naming_the_flag() {
     // Every artifact the run path writes: a bad path must cost nothing,
     // not a whole run followed by a panic in `.expect("write ...")`.
-    for flag in ["--ckpt", "--csv", "--metrics-out", "--trace-out", "--flight-out"] {
+    for flag in ["--ckpt", "--metrics-out", "--trace-out", "--flight-out"] {
         let (code, stdout, stderr) = tgl_train(&[flag, "/nonexistent-tgl-dir/sub/out.bin"]);
         assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error, no backtrace: {stderr}");
@@ -222,11 +223,18 @@ fn unwritable_output_paths_fail_before_training_naming_the_flag() {
 
 #[test]
 fn bad_observability_values_are_usage_errors() {
-    for (flag, value) in [("--health", "maybe"), ("--flight", "sideways"), ("--pipeline", "deep")] {
+    // `--health off` trained on through NaN losses and printed an AP
+    // computed over NaN scores.
+    for (flag, value, accepts) in [
+        ("--health", "maybe", "warn/fail"),
+        ("--health", "off", "warn/fail"),
+        ("--flight", "sideways", "on/off"),
+        ("--pipeline", "deep", "a queue depth"),
+    ] {
         let (code, stdout, stderr) = tgl_train(&[flag, value]);
         assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error: {stderr}");
-        assert!(stderr.contains(flag) && stderr.contains(value), "{flag}: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains(value) && stderr.contains(accepts), "{flag}: {stderr}");
         assert!(!stdout.contains("epoch"), "{flag}: must not train: {stdout}");
     }
 }
@@ -263,8 +271,15 @@ fn an_unusable_trend_budget_is_a_usage_error() {
 
 #[test]
 fn flags_nobody_reads_are_usage_errors() {
-    // Four retired flags and a misspelt one: none may start a run.
-    for args in [&["--slo", "x"][..], &["--serve-metrics", "127.0.0.1:0"], &["--epoch", "3"], &["--insight"], &["--kernel", "fast"]] {
+    // Five retired flags and a misspelt one: none may start a run.
+    for args in [
+        &["--slo", "x"][..],
+        &["--serve-metrics", "127.0.0.1:0"],
+        &["--epoch", "3"],
+        &["--insight"],
+        &["--kernel", "fast"],
+        &["--csv", "metrics.csv"],
+    ] {
         let flag = args[0];
         let (code, stdout, stderr) = tgl_train(args);
         assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");

@@ -10,9 +10,10 @@
 //!   poisoned batch (its gradients would corrupt the parameters), and
 //!   keep training;
 //! * [`HealthPolicy::Fail`] — record a `fail` event, then panic so CI
-//!   stops at the first corruption;
-//! * [`HealthPolicy::Off`] — legacy behavior: no checks, non-finite
-//!   losses propagate.
+//!   stops at the first corruption.
+//!
+//! There is no policy without checks: an AP over non-finite scores
+//! means nothing.
 //!
 //! Per epoch the monitor also publishes training-dynamics gauges —
 //! `health.grad_norm` (L2 norm of the last batch's gradients),
@@ -28,8 +29,6 @@ use tgl_tensor::Tensor;
 /// What the trainer does when a health check trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthPolicy {
-    /// No checks; non-finite values propagate (pre-monitor behavior).
-    Off,
     /// Record a `warn` event and skip the poisoned batch.
     #[default]
     Warn,
@@ -38,10 +37,9 @@ pub enum HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// Parses a policy name (`off` / `warn` / `fail`).
+    /// Parses a policy name (`warn` / `fail`).
     pub fn parse(s: &str) -> Option<HealthPolicy> {
         match s.to_ascii_lowercase().as_str() {
-            "off" => Some(HealthPolicy::Off),
             "warn" => Some(HealthPolicy::Warn),
             "fail" => Some(HealthPolicy::Fail),
             _ => None,
@@ -51,7 +49,6 @@ impl HealthPolicy {
     /// Lowercase label used in reports.
     pub fn label(self) -> &'static str {
         match self {
-            HealthPolicy::Off => "off",
             HealthPolicy::Warn => "warn",
             HealthPolicy::Fail => "fail",
         }
@@ -133,12 +130,8 @@ impl HealthMonitor {
 
     /// Snapshots parameters at the epoch start so
     /// [`end_epoch`](HealthMonitor::end_epoch) can compute the
-    /// parameter-update ratio. No-op (and no copy) under
-    /// [`HealthPolicy::Off`].
+    /// parameter-update ratio.
     pub fn begin_epoch(&mut self, params: &[Tensor]) {
-        if self.policy == HealthPolicy::Off {
-            return;
-        }
         self.start_params = params.iter().map(Tensor::to_vec).collect();
     }
 
@@ -150,7 +143,7 @@ impl HealthMonitor {
     ///
     /// Panics under [`HealthPolicy::Fail`] after recording the event.
     pub fn check_loss(&mut self, epoch: usize, batch: usize, loss: f32) -> bool {
-        if self.policy == HealthPolicy::Off || loss.is_finite() {
+        if loss.is_finite() {
             return true;
         }
         tgl_obs::counter!("health.nonfinite_loss").incr();
@@ -167,9 +160,6 @@ impl HealthMonitor {
     ///
     /// Panics under [`HealthPolicy::Fail`] after recording the event.
     pub fn check_scores(&mut self, scores: &[f32]) -> bool {
-        if self.policy == HealthPolicy::Off {
-            return true;
-        }
         let bad = scores.iter().filter(|v| !v.is_finite()).count();
         if bad == 0 {
             return true;
@@ -185,21 +175,13 @@ impl HealthMonitor {
     /// parameters. `params` must be the same tensors passed to
     /// [`begin_epoch`](HealthMonitor::begin_epoch); gradients are those
     /// of the epoch's last completed batch. Returns the computed
-    /// summary (`None` under [`HealthPolicy::Off`]).
+    /// summary.
     ///
     /// # Panics
     ///
     /// Panics under [`HealthPolicy::Fail`] when gradients or parameters
     /// went non-finite.
-    pub fn end_epoch(
-        &mut self,
-        epoch: usize,
-        params: &[Tensor],
-        mean_loss: f64,
-    ) -> Option<EpochHealth> {
-        if self.policy == HealthPolicy::Off {
-            return None;
-        }
+    pub fn end_epoch(&mut self, epoch: usize, params: &[Tensor], mean_loss: f64) -> EpochHealth {
         let gn = grad_norm(params);
         tgl_obs::gauge!("health.grad_norm").set(gn);
 
@@ -231,12 +213,12 @@ impl HealthMonitor {
             self.trip("trainer.params", format!("non-finite parameters at end of epoch {epoch}"));
         }
         self.start_params.clear();
-        Some(EpochHealth {
+        EpochHealth {
             grad_norm: gn,
             update_ratio,
             loss: mean_loss,
             loss_trend: trend,
-        })
+        }
     }
 }
 
@@ -246,7 +228,7 @@ mod tests {
 
     #[test]
     fn policy_parses_and_defaults_to_warn() {
-        assert_eq!(HealthPolicy::parse("off"), Some(HealthPolicy::Off));
+        assert_eq!(HealthPolicy::parse("off"), None);
         assert_eq!(HealthPolicy::parse("WARN"), Some(HealthPolicy::Warn));
         assert_eq!(HealthPolicy::parse("fail"), Some(HealthPolicy::Fail));
         assert_eq!(HealthPolicy::parse("bogus"), None);
@@ -276,19 +258,6 @@ mod tests {
         assert!(tgl_obs::health::events()
             .iter()
             .any(|e| e.source == "trainer.eval"));
-        // Off never looks at the values at all.
-        assert!(HealthMonitor::new(HealthPolicy::Off).check_scores(&[f32::NAN]));
-    }
-
-    #[test]
-    fn off_policy_checks_nothing() {
-        let mut m = HealthMonitor::new(HealthPolicy::Off);
-        // NaN passes through untouched and no snapshot work happens.
-        assert!(m.check_loss(0, 0, f32::NAN));
-        let p = Tensor::from_vec(vec![1.0], [1]);
-        m.begin_epoch(std::slice::from_ref(&p));
-        assert!(m.start_params.is_empty());
-        assert_eq!(m.end_epoch(0, &[p], f64::NAN), None);
     }
 
     /// The fail policy dumps the flight recorder before panicking,
@@ -306,9 +275,9 @@ mod tests {
         let params = vec![p];
         let mut m = HealthMonitor::new(HealthPolicy::Warn);
         m.begin_epoch(&params);
-        m.end_epoch(0, &params, 2.0).unwrap();
+        m.end_epoch(0, &params, 2.0);
         m.begin_epoch(&params);
-        let h = m.end_epoch(1, &params, 1.0).unwrap();
+        let h = m.end_epoch(1, &params, 1.0);
         // loss halved: trend = (1 - 2) / 2 = -0.5
         assert!((h.loss_trend + 0.5).abs() < 1e-9, "trend {}", h.loss_trend);
         assert_eq!(h.loss, 1.0);

@@ -13,7 +13,7 @@
 //!   writes the artifacts [`ObsOptions`] asks for;
 //! * [`table`] — fixed-width text rendering for paper-style tables;
 //! * [`health`] — training-health monitor: NaN/Inf sentinels with a
-//!   configurable policy (`--health off|warn|fail`) and per-epoch
+//!   configurable policy (`--health warn|fail`) and per-epoch
 //!   gradient-norm / update-ratio / loss-trend gauges;
 //! * [`profrep`] — roofline-annotated rendering of the span
 //!   aggregate's op rows (`tgl_obs::profile`): top-k table with
@@ -29,7 +29,6 @@
 pub mod args;
 pub mod flightdump;
 pub mod health;
-pub mod logging;
 pub mod metrics;
 pub mod profrep;
 pub mod report;
@@ -44,7 +43,6 @@ pub use runner::{
 };
 pub use flightdump::install_flight_hook;
 pub use health::{EpochHealth, HealthMonitor, HealthPolicy};
-pub use logging::MetricLog;
 pub use report::{EpochReport, HealthSection, RunReport, RunReporter};
 pub use tgl_runtime::process_cpu_seconds;
 pub use trainer::{CpuTimer, EpochStats, TrainConfig, Trainer};

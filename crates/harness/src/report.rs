@@ -4,10 +4,10 @@
 //! span aggregate's phase rows, the global counter registry and the
 //! histograms (`tgl_obs`), producing one [`RunReport`] JSON document
 //! with the Fig. 7 phase breakdown and the Table 6 redundancy counters
-//! for every epoch — the structured counterpart to the
-//! [`MetricLog`](crate::MetricLog) CSV. The report is the one artifact
-//! envelope: the op profile and the critical path are its `profile`
-//! and `critpath` sections, not documents of their own.
+//! for every epoch (its `epochs` entries carry `epoch`, `loss`,
+//! `train_s` and `val_ap`). The report is the one artifact envelope:
+//! the op profile and the critical path are its `profile` and
+//! `critpath` sections, not documents of their own.
 //!
 //! Schema (`"schema": "tgl-run-report/v3"`; v1 lacked `hists`,
 //! `histograms`, `gauges`, and `health`):

@@ -14,7 +14,7 @@ use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tglite::{obs, TContext};
 
 use crate::{
-    profrep, Args, EpochReport, EpochStats, HealthPolicy, MetricLog, RunReport, RunReporter, TrainConfig, Trainer,
+    profrep, Args, EpochReport, EpochStats, HealthPolicy, RunReport, RunReporter, TrainConfig, Trainer,
 };
 
 /// Which framework setting runs (the paper's three bar groups). All
@@ -284,8 +284,6 @@ pub struct ObsOptions {
     pub metrics_out: Option<PathBuf>,
     /// `--flight-out`: a flight-recorder dump at end of run.
     pub flight_out: Option<PathBuf>,
-    /// `--csv`: per-epoch metrics.
-    pub csv: Option<PathBuf>,
     /// `--ckpt` on `train`: final parameters.
     pub ckpt_save: Option<PathBuf>,
     /// `--ckpt` on `eval`: parameters to load before inference.
@@ -340,25 +338,23 @@ impl ObsOptions {
             _ => None,
         };
         let (ckpt_save, ckpt_load) = if eval_only { (None, path("ckpt")) } else { (path("ckpt"), None) };
-        // A set but unusable `TGL_THREADS`, `TGL_SIMD` or `TGL_POOL` is
-        // a usage error, not a silent default, even where `--threads`
-        // overrides the first.
+        // A set but unusable `TGL_THREADS` or `TGL_SIMD` is a usage
+        // error, not a silent default, even where `--threads` overrides
+        // the first.
         tgl_runtime::env_threads().map_err(RunError)?;
         tgl_tensor::kernel::env_scalar().map_err(RunError)?;
-        tgl_tensor::pool::env_enabled().map_err(RunError)?;
         Ok(ObsOptions {
             progress: true,
             prof: args.has_flag("prof"),
             profile: args.has_flag("profile"),
-            profile_top: args.get_or("profile-top", 15).map_err(RunError)?,
+            profile_top: args.positive("profile-top").map_err(RunError)?.unwrap_or(15),
             critpath: args.has_flag("critpath"),
             trace_out: path("trace-out"),
             metrics_out: path("metrics-out"),
             flight_out: path("flight-out"),
-            csv: path("csv"),
             ckpt_save,
             ckpt_load,
-            health: parsed(args, "health", "off/warn/fail", HealthPolicy::parse)?,
+            health: parsed(args, "health", "warn/fail", HealthPolicy::parse)?,
             pipeline: parsed(args, "pipeline", "a queue depth", |v| v.parse().ok())?,
             flight: parsed(args, "flight", "on/off", on_off)?,
             threads: args.positive("threads").map_err(RunError)?,
@@ -407,7 +403,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
     }
     let outputs = [
         ("ckpt", &opts.ckpt_save),
-        ("csv", &opts.csv),
         ("metrics-out", &opts.metrics_out),
         ("trace-out", &opts.trace_out),
         ("flight-out", &opts.flight_out),
@@ -465,10 +460,8 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         rep.set_meta_num("threads", tgl_runtime::current_threads() as f64);
         rep
     });
-    let mut log = MetricLog::for_training();
     let (epochs, best_val_ap, test_ap, test_s) =
         trainer.run_with(model.as_mut(), &ctx, &split, |e, s| {
-            log.record_epoch(e, s);
             let skipped = match s.skipped {
                 0 => String::new(),
                 n => format!(" ({n} of {} batches skipped)", n + s.steps),
@@ -530,10 +523,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         dump.test = Some((test_ap, test_s));
         dump.save(path).map_err(RunError::io("flight-out", path))?;
         say!("flight dump written to {}", path.display());
-    }
-    if let Some(path) = &opts.csv {
-        log.save(path).map_err(RunError::io("csv", path))?;
-        say!("metrics written to {}", path.display());
     }
     if let Some(path) = &opts.ckpt_save {
         model.save(path).map_err(RunError::io("ckpt", path))?;

@@ -4,10 +4,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tgl_data::{NegativeSampler, Split};
+use tgl_device::Device;
 use tgl_models::TemporalModel;
 use tgl_runtime::process_cpu_seconds;
 use tgl_tensor::optim::Adam;
-use tgl_tensor::{bce_with_logits, no_grad, ops::cat, Tensor};
+use tgl_tensor::{bce_with_logits, no_grad, ops::cat, pool, Tensor};
 use tglite::plan::SamplingSpec;
 use tglite::{TBatch, TContext};
 
@@ -266,6 +267,10 @@ impl Trainer {
         health.end_epoch(epoch, &params, mean_loss);
         drop(health);
         let (val_ap, _) = self.evaluate(model, ctx, split.val.clone());
+        // What the buffer pool holds beyond the live tensors: most of
+        // a run's peak RSS.
+        let held: u64 = [Device::Host, Device::Accel].into_iter().map(|d| pool::held(d).1).sum();
+        tgl_obs::gauge!("tensor.pool.held_bytes").set(held as f64);
         EpochStats {
             loss: mean_loss as f32,
             steps: batches,

@@ -25,7 +25,7 @@
 //! * [`clock`]: [`process_cpu_seconds`], the process CPU clock read
 //!   through libc's `clock_gettime`.
 //! * [`env`]: the one reader of environment knobs (`TGL_THREADS`,
-//!   `TGL_SIMD`, `TGL_POOL`, the bench sizes): unset is a default, an
+//!   `TGL_SIMD`, the bench sizes): unset is a default, an
 //!   unusable value an error naming the variable.
 //! * [`hash`]: [`IntMap`], a `HashMap` under an unkeyed integer hasher
 //!   for the hot-path maps keyed by ids, slots and timestamp bits.

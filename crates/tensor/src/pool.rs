@@ -39,22 +39,20 @@
 //! *valid* `f32` contents; callers must overwrite every element before
 //! any read. This is why recycling cannot change results: an op either
 //! asked for zeros and got zeros, or promised to write every element it
-//! reads. The determinism suite asserts bitwise-identical training
-//! with the pool on and off.
+//! reads. Debug builds hold ops to that promise: there `take_uninit`
+//! fills every buffer it returns, fresh or recycled, with NaN, so an
+//! element read before it is written turns a loss or gradient NaN.
 //!
 //! # Device accounting
 //!
 //! Buffers held by the pool are *not* registered with the `tgl-device`
 //! tracker: `Storage` releases its accounting before donating the
 //! buffer, and re-registers on reuse, so `tgl_device::stats()` still
-//! reports exactly the bytes held by live tensors.
+//! reports exactly the bytes held by live tensors. [`held`] reports
+//! what the pool holds; the trainer publishes it per epoch as the
+//! `tensor.pool.held_bytes` gauge.
 //!
-//! # Escape hatch and metering
-//!
-//! `TGL_POOL=off` (or `0` / `false`) disables recycling: every take is
-//! a fresh allocation and every give is a free. The request/miss
-//! counters are metered in both modes, which is how the `alloc_churn`
-//! bench measures the pool's effect:
+//! # Metering
 //!
 //! | counter                     | meaning                              |
 //! |-----------------------------|--------------------------------------|
@@ -65,7 +63,6 @@
 //! | `tensor.pool.miss`          | requests that hit the allocator      |
 //! | `tensor.pool.alloc_bytes`   | bytes from the allocator             |
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use tgl_device::Device;
@@ -140,50 +137,16 @@ fn shelf(device: Device) -> &'static Mutex<Shelf> {
     }
 }
 
-/// Recycling gate: initialized from `TGL_POOL`, overridable at runtime
-/// (benches toggle it to measure both configurations in one process).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_READ: OnceLock<()> = OnceLock::new();
-
-/// What `TGL_POOL` asks for: recycling on (unset, `on`, `1` or `true`)
-/// or off (`off`, `0` or `false`), in any case; an error naming the
-/// variable for any other value, which `tgl` rejects and a library
-/// caller reads as unset.
-pub fn env_enabled() -> Result<bool, String> {
-    let parse = |v: &str| match v.to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    };
-    tgl_runtime::env::parse("TGL_POOL", "on, off, 1, 0, true or false", parse).map(|v| v.unwrap_or(true))
-}
-
-fn ensure_env() {
-    ENV_READ.get_or_init(|| {
-        if !env_enabled().unwrap_or(true) {
-            ENABLED.store(false, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Whether buffer recycling is active.
-pub fn enabled() -> bool {
-    ensure_env();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns recycling on or off (counters keep metering either way).
-/// Overrides the `TGL_POOL` environment setting.
-pub fn set_enabled(on: bool) {
-    ensure_env();
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// Returns a buffer of exactly `len` elements with **unspecified**
 /// (stale but valid) contents. The caller must write every element
-/// before reading it — this is what keeps recycling bit-exact.
+/// before reading it — this is what keeps recycling bit-exact. Debug
+/// builds return it all NaN, so a read of an unwritten element shows.
 pub fn take_uninit(len: usize, device: Device) -> Vec<f32> {
-    take(len, device, false)
+    let mut buf = take(len, device, false);
+    if cfg!(debug_assertions) {
+        buf.fill(f32::NAN);
+    }
+    buf
 }
 
 /// Returns an all-zero buffer of exactly `len` elements.
@@ -198,20 +161,18 @@ fn take(len: usize, device: Device, zeroed: bool) -> Vec<f32> {
     let bytes = (len * std::mem::size_of::<f32>()) as u64;
     tgl_obs::counter!("tensor.pool.request").incr();
     tgl_obs::counter!("tensor.pool.request_bytes").add(bytes);
-    if enabled() {
-        if let Some(mut buf) = shelf(device).lock().take(len) {
-            tgl_obs::counter!("tensor.pool.hit").incr();
-            tgl_obs::counter!("tensor.pool.recycled_bytes").add(bytes);
-            tgl_obs::profile::note_pool(true);
-            // Shrinking keeps the stale prefix, growing zero-fills the
-            // new tail; only the prefix is left to clear.
-            let stale = buf.len().min(len);
-            buf.resize(len, 0.0);
-            if zeroed {
-                buf[..stale].fill(0.0);
-            }
-            return buf;
+    if let Some(mut buf) = shelf(device).lock().take(len) {
+        tgl_obs::counter!("tensor.pool.hit").incr();
+        tgl_obs::counter!("tensor.pool.recycled_bytes").add(bytes);
+        tgl_obs::profile::note_pool(true);
+        // Shrinking keeps the stale prefix, growing zero-fills the
+        // new tail; only the prefix is left to clear.
+        let stale = buf.len().min(len);
+        buf.resize(len, 0.0);
+        if zeroed {
+            buf[..stale].fill(0.0);
         }
+        return buf;
     }
     tgl_obs::counter!("tensor.pool.miss").incr();
     tgl_obs::counter!("tensor.pool.alloc_bytes").add(bytes);
@@ -221,10 +182,10 @@ fn take(len: usize, device: Device, zeroed: bool) -> Vec<f32> {
     vec![0.0; len]
 }
 
-/// Donates a buffer to `device`'s free lists (dropped if recycling is
-/// off, the buffer is empty, or its size class is full).
+/// Donates a buffer to `device`'s free lists (dropped if the buffer is
+/// empty or its size class is full).
 pub fn give(buf: Vec<f32>, device: Device) {
-    if buf.is_empty() || !enabled() {
+    if buf.is_empty() {
         return;
     }
     shelf(device).lock().give(buf);
@@ -291,7 +252,9 @@ mod tests {
     /// Serializes pool tests: they mutate the one global pool. Other
     /// tensor-crate tests run concurrently and give/take *host* buffers
     /// through ordinary op calls, so every assertion below uses the
-    /// accel shelf with odd sizes no op test allocates.
+    /// accel shelf with odd sizes no op test allocates. A recycled
+    /// buffer is recognized by its address, not its contents (debug
+    /// builds poison those).
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -310,17 +273,17 @@ mod tests {
     #[test]
     fn same_size_request_hits() {
         let _g = serial();
-        set_enabled(true);
-        give(vec![7.0; 5077], Device::Accel);
+        let donor = vec![7.0; 5077];
+        let ptr = donor.as_ptr();
+        give(donor, Device::Accel);
         let buf = take_uninit(5077, Device::Accel);
         assert_eq!(buf.len(), 5077);
-        assert_eq!(buf[0], 7.0, "must be the recycled (dirty) buffer");
+        assert_eq!(buf.as_ptr(), ptr, "must be the recycled buffer");
     }
 
     #[test]
     fn smaller_request_scans_next_class() {
         let _g = serial();
-        set_enabled(true);
         // 9001 is class 13; a request of 3333 (class 11) misses its own
         // class... give an exact-class buffer too to hit the own-class
         // path first.
@@ -329,56 +292,82 @@ mod tests {
         assert_eq!(own.len(), 3333);
         assert!(own.iter().all(|&v| v == 0.0), "take_zeroed must zero-fill");
         // Next-class fallback: only a class-12 buffer available.
-        give(vec![2.0; 7000], Device::Accel);
+        let donor = vec![2.0; 7000];
+        let ptr = donor.as_ptr();
+        give(donor, Device::Accel);
         let up = take_uninit(3600, Device::Accel);
         assert_eq!(up.len(), 3600);
-        assert_eq!(up[0], 2.0, "served from the class above");
+        assert_eq!(up.as_ptr(), ptr, "served from the class above");
     }
 
     #[test]
     fn recycled_buffer_keeps_its_capacity_class() {
         let _g = serial();
-        set_enabled(true);
         // A class-12 buffer serves a class-11 request and comes back:
         // it must still be there for the next class-12 request, not
         // filed away under the shorter length it was last used at.
-        give(vec![3.0; 7001], Device::Accel);
+        let donor = vec![3.0; 7001];
+        let ptr = donor.as_ptr();
+        give(donor, Device::Accel);
         let short = take_uninit(3601, Device::Accel);
-        assert_eq!((short.len(), short[0]), (3601, 3.0));
+        assert_eq!((short.len(), short.as_ptr()), (3601, ptr));
         give(short, Device::Accel);
         let long = take_uninit(6999, Device::Accel);
-        assert_eq!(long[0], 3.0, "the same buffer, back at nearly full length");
-        assert!(long[3601..].iter().all(|&v| v == 0.0), "regrown tail is zero-filled");
+        assert_eq!((long.len(), long.as_ptr()), (6999, ptr), "the same buffer, back at nearly full length");
     }
 
     #[test]
     fn devices_do_not_mix() {
         let _g = serial();
-        set_enabled(true);
-        give(vec![7.5; 5077], Device::Accel);
+        let donor = vec![7.5; 5077];
+        let ptr = donor.as_ptr();
+        give(donor, Device::Accel);
         // A host request must not drain the accel shelf.
         let host = take_uninit(5077, Device::Host);
-        assert_ne!(host.first(), Some(&7.5));
+        assert_ne!(host.as_ptr(), ptr);
         let accel = take_uninit(5077, Device::Accel);
-        assert_eq!(accel[0], 7.5, "accel buffer stays on the accel shelf");
+        assert_eq!(accel.as_ptr(), ptr, "accel buffer stays on the accel shelf");
     }
 
+    /// Debug builds poison every `take_uninit` buffer: a fresh one, a
+    /// recycled one cut down to the request, and one regrown past its
+    /// last length all come back NaN in every element.
     #[test]
-    fn disabled_pool_never_recycles() {
+    #[cfg(debug_assertions)]
+    fn take_uninit_poisons_fresh_and_recycled_buffers() {
         let _g = serial();
         clear();
-        set_enabled(false);
-        give(vec![9.0; 5077], Device::Accel);
-        assert_eq!(held(Device::Accel).0, 0, "give while disabled must drop");
-        let buf = take_uninit(5077, Device::Accel);
-        assert!(buf.iter().all(|&v| v == 0.0), "disabled takes are fresh");
-        set_enabled(true);
+        let all_nan = |buf: &[f32]| buf.iter().all(|v| v.is_nan());
+        let fresh = take_uninit(6007, Device::Accel);
+        assert!(all_nan(&fresh), "a fresh buffer must come back all NaN");
+        let donor = vec![1.5; 6007];
+        let ptr = donor.as_ptr();
+        give(donor, Device::Accel);
+        let shrunk = take_uninit(5003, Device::Accel);
+        assert_eq!(shrunk.as_ptr(), ptr);
+        assert!(all_nan(&shrunk), "a recycled buffer must come back all NaN");
+        // A buffer last used at 3000 of its 6007 elements.
+        let partly_used = || {
+            let mut buf = Vec::with_capacity(6007);
+            buf.resize(3000, 2.5);
+            let ptr = buf.as_ptr();
+            give(buf, Device::Accel);
+            ptr
+        };
+        let ptr = partly_used();
+        let regrown = take_uninit(6007, Device::Accel);
+        assert_eq!(regrown.as_ptr(), ptr);
+        assert!(all_nan(&regrown), "a regrown buffer must come back all NaN");
+        // `take_zeroed` clears the stale prefix and the regrown tail.
+        let ptr = partly_used();
+        let zeroed = take_zeroed(6007, Device::Accel);
+        assert_eq!(zeroed.as_ptr(), ptr);
+        assert!(zeroed.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn class_cap_bounds_held_buffers() {
         let _g = serial();
-        set_enabled(true);
         let before = held(Device::Accel).0;
         for _ in 0..CLASS_CAP_MAX + 10 {
             give(vec![0.0; 777], Device::Accel);
@@ -400,7 +389,6 @@ mod tests {
     #[test]
     fn full_class_keeps_the_roomiest_buffers() {
         let _g = serial();
-        set_enabled(true);
         // Fill class 17 (131072..262143 elements; unused by op tests on
         // this shelf) with small-capacity buffers, then hand back one
         // near the top of the class, as the largest batch of an epoch
@@ -408,15 +396,17 @@ mod tests {
         for _ in 0..CLASS_CAP_MAX {
             give(vec![1.0; 131_101], Device::Accel);
         }
-        give(vec![2.0; 260_003], Device::Accel);
+        let donor = vec![2.0; 260_003];
+        let ptr = donor.as_ptr();
+        give(donor, Device::Accel);
         let big = take_uninit(260_003, Device::Accel);
-        assert_eq!(big[0], 2.0, "a full class must not drop its roomiest buffer");
+        assert_eq!(big.as_ptr(), ptr, "a full class must not drop its roomiest buffer");
         // A buffer smaller than everything held is the one freed.
         give(big, Device::Accel);
         let held_before = held(Device::Accel);
         give(vec![3.0; 131_073], Device::Accel);
         assert_eq!(held(Device::Accel), held_before);
-        while take_uninit(131_073, Device::Accel)[0] != 0.0 {} // drain the class
+        while shelf(Device::Accel).lock().take(131_073).is_some() {} // drain the class
     }
 
     #[test]
@@ -431,11 +421,10 @@ mod tests {
     #[test]
     fn pooled_buf_returns_on_drop() {
         let _g = serial();
-        set_enabled(true);
-        {
-            let _b = PooledBuf::new(vec![6.25; 4444], Device::Accel);
-        }
+        let donor = vec![6.25; 4444];
+        let ptr = donor.as_ptr();
+        drop(PooledBuf::new(donor, Device::Accel));
         let back = take_uninit(4444, Device::Accel);
-        assert_eq!(back[0], 6.25, "PooledBuf must donate its buffer on drop");
+        assert_eq!(back.as_ptr(), ptr, "PooledBuf must donate its buffer on drop");
     }
 }

@@ -23,7 +23,8 @@
 //! through the one [`ObsOptions::from_args`]: `--prof`, `--profile`, `--critpath`,
 //! `--trace-out`, `--metrics-out`, `--flight-out`,
 //! `--health`, `--pipeline`, `--threads`, `--flight`,
-//! `--csv`, `--ckpt` (see `tgl --help`). Any other argument exits 2.
+//! `--ckpt` (see `tgl --help`); per-epoch loss, time and AP are the
+//! `--metrics-out` report's `epochs` rows. Any other argument exits 2.
 
 use tgl_data::{DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;

@@ -353,10 +353,6 @@ HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
 [ -n "$HEALTH_DUMP" ] && flight_dump "$HEALTH_DUMP" health-fail \
     || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }
 
-echo "==> allocation churn smoke (pool on vs off, bitwise loss guard)"
-cargo bench --offline -q -p tgl-bench --bench alloc_churn
-./target/release/tgl jsoncheck BENCH_alloc.json
-
 echo "==> observability overhead guard (counters, histograms, gauges, span / region / op sites)"
 cargo bench --offline -q -p tgl-bench --bench obs_overhead
 ./target/release/tgl jsoncheck BENCH_obs.json

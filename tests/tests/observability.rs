@@ -143,6 +143,27 @@ fn run_report_names_figure7_phases_and_roundtrips_as_json() {
     assert!(health.get("status").and_then(Json::as_str).is_some());
 }
 
+/// Peak RSS is mostly memory the buffer pool holds, so each epoch end
+/// publishes it: after one epoch from an empty pool, the report
+/// `--metrics-out` writes carries a nonzero `tensor.pool.held_bytes`
+/// gauge.
+#[test]
+fn run_report_gauges_what_the_buffer_pool_holds() {
+    let _g = serial();
+    let mut cfg = obs_cfg();
+    cfg.dataset = cfg.dataset.scaled_down(2);
+    cfg.model_cfg = ModelConfig::tiny();
+    let path = std::env::temp_dir().join(format!("tgl-pool-held-{}.json", std::process::id()));
+    let opts = tgl_harness::ObsOptions { metrics_out: Some(path.clone()), ..Default::default() };
+    tglite::tensor::pool::clear();
+    tglite::obs::hist::gauge("tensor.pool.held_bytes").set(0.0);
+    tgl_harness::run(&cfg, &opts).expect("the report path is writable");
+    let doc = Json::parse(&std::fs::read_to_string(&path).expect("read the report")).expect("valid JSON");
+    std::fs::remove_file(&path).ok();
+    let held = doc.get("gauges").and_then(|g| g.get("tensor.pool.held_bytes")).and_then(Json::as_num);
+    assert!(held.is_some_and(|b| b > 0.0), "tensor.pool.held_bytes gauge: {held:?}");
+}
+
 /// The acceptance bar for the telemetry layer: one reported epoch on
 /// the accelerator placement must populate all five latency histogram
 /// families, and their quantiles must appear in the run report.

@@ -291,53 +291,68 @@ fn pool_recycling_is_bitwise_invisible() {
     let _g = serial();
     set_threads(1);
     // Recycled buffers are dirty: `take_uninit` hands back whatever the
-    // donor left behind. The contract is that no kernel ever reads an
-    // element it did not write, so training with a well-used pool must
-    // be bitwise identical to training with recycling disabled
-    // (`TGL_POOL=off`), down to every parameter bit.
-    tgl_tensor::pool::set_enabled(true);
-    let _ = train_mlp_run(); // dirty the free lists with live values
-    let (params_on, losses_on) = train_mlp_run();
-    tgl_tensor::pool::set_enabled(false);
-    let (params_off, losses_off) = train_mlp_run();
-    tgl_tensor::pool::set_enabled(true);
-    assert_eq!(losses_on, losses_off, "per-step losses diverged");
-    assert_eq!(params_on, params_off, "final parameter bits diverged");
+    // donor left behind (NaN in debug builds). The contract is that no
+    // kernel ever reads an element it did not write, so training from a
+    // cold pool must be bitwise identical to training from the pool the
+    // first run left dirty, down to every parameter bit.
+    tgl_tensor::pool::clear();
+    let (params_cold, losses_cold) = train_mlp_run();
+    let (params_dirty, losses_dirty) = train_mlp_run();
+    assert_eq!(losses_cold, losses_dirty, "per-step losses diverged");
+    assert_eq!(params_cold, params_dirty, "final parameter bits diverged");
 }
 
-#[test]
-fn pool_recycling_is_bitwise_invisible_to_full_epoch() {
-    let _g = serial();
-    set_threads(1);
-    // Same contract at full-pipeline scale: one quickstart-sized
-    // TGLite+opt epoch (sampling, attention, memory, Adam) pool-on
-    // vs pool-off must report bitwise-identical losses and APs.
+/// One TGLite+opt TGAT epoch on Wiki divided by `scale`, at the tiny
+/// model shape and batch 60.
+fn tgat_epoch(scale: usize) -> tgl_harness::ExperimentConfig {
     let mut cfg = tgl_harness::ExperimentConfig::paper_default(
         tgl_harness::Framework::TgLiteOpt,
         tgl_harness::ModelKind::Tgat,
         tgl_data::DatasetKind::Wiki,
         tgl_harness::Placement::AllOnDevice,
     );
-    cfg.dataset = cfg.dataset.scaled_down(20);
+    cfg.dataset = cfg.dataset.scaled_down(scale);
     cfg.model_cfg = tgl_models::ModelConfig::tiny();
     cfg.train_cfg.epochs = 1;
     cfg.train_cfg.batch_size = 60;
-    tgl_tensor::pool::set_enabled(true);
-    let _ = tgl_harness::run_experiment(&cfg); // dirty the free lists
-    let on = tgl_harness::run_experiment(&cfg);
-    tgl_tensor::pool::set_enabled(false);
-    let off = tgl_harness::run_experiment(&cfg);
-    tgl_tensor::pool::set_enabled(true);
-    let bits =
-        |r: &tgl_harness::ExperimentResult| -> Vec<u32> {
-            r.epochs.iter().map(|e| e.loss.to_bits()).collect()
-        };
-    assert_eq!(bits(&on), bits(&off), "epoch losses diverged");
-    assert_eq!(
-        on.test_ap.to_bits(),
-        off.test_ap.to_bits(),
-        "test AP diverged"
-    );
+    cfg
+}
+
+#[test]
+fn pool_recycling_is_bitwise_invisible_to_full_epoch() {
+    let _g = serial();
+    set_threads(1);
+    // Same contract at full-pipeline scale: one quickstart-sized epoch
+    // (sampling, attention, memory, Adam) from a cold pool and from a
+    // dirty one must report bitwise-identical losses and APs.
+    let cfg = tgat_epoch(20);
+    tgl_tensor::pool::clear();
+    let cold = tgl_harness::run_experiment(&cfg);
+    let dirty = tgl_harness::run_experiment(&cfg);
+    let bits = |r: &tgl_harness::ExperimentResult| -> Vec<u32> { r.epochs.iter().map(|e| e.loss.to_bits()).collect() };
+    assert_eq!(bits(&cold), bits(&dirty), "epoch losses diverged");
+    assert_eq!(cold.test_ap.to_bits(), dirty.test_ap.to_bits(), "test AP diverged");
+}
+
+/// The pool's headline claim: an epoch performs O(parameters) heap
+/// allocations, not O(ops x batches). Every allocation is a
+/// `tensor.pool.miss`, so over one epoch from a cold pool recycling
+/// must serve all but a tenth of the buffer requests and all but a
+/// fifth of the requested bytes. The serial lock keeps every other
+/// test of this binary off the counters.
+#[test]
+fn a_cold_pool_epoch_recycles_its_buffers() {
+    let _g = serial();
+    set_threads(1);
+    let cfg = tgat_epoch(4);
+    let counters = ["tensor.pool.request", "tensor.pool.miss", "tensor.pool.request_bytes", "tensor.pool.alloc_bytes"];
+    tgl_tensor::pool::clear();
+    let before = counters.map(tglite::obs::metrics::get);
+    let _ = tgl_harness::run_experiment(&cfg);
+    let after = counters.map(tglite::obs::metrics::get);
+    let [requests, misses, request_bytes, alloc_bytes] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+    assert!(requests >= 10 * misses, "{requests} buffer requests for {misses} allocations: under 10x");
+    assert!(request_bytes >= 5 * alloc_bytes, "{request_bytes} bytes requested for {alloc_bytes} allocated: under 5x");
 }
 
 #[test]
