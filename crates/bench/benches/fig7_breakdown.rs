@@ -7,7 +7,7 @@
 //! time-encoding phases (with small overhead moving to the
 //! precomputed-time operators).
 //!
-//! Phase durations come from the `tgl-obs` cross-thread span tracer:
+//! Phase durations come from the `tgl-obs` span log in full mode:
 //! every `prof::scope` in the run records a span (whichever thread runs
 //! it — pool-worker time is included), and this bench aggregates the
 //! drained spans by name. Alongside the text table it writes
@@ -18,7 +18,7 @@ use tgl_bench::{cell, preamble};
 use tgl_data::{DatasetKind, Json};
 use tgl_harness::table::{bar, TextTable};
 use tgl_harness::{run_experiment, Framework, ModelKind, Placement};
-use tglite::obs::trace;
+use tglite::obs::{log, Span};
 
 const PHASES: [&str; 9] = [
     "sample",
@@ -34,7 +34,7 @@ const PHASES: [&str; 9] = [
 
 /// Aggregates drained spans into per-phase `(seconds, span count)`,
 /// keyed in `PHASES` order.
-fn aggregate(spans: &[trace::Span]) -> Vec<(f64, u64)> {
+fn aggregate(spans: &[Span]) -> Vec<(f64, u64)> {
     PHASES
         .iter()
         .map(|phase| {
@@ -60,11 +60,10 @@ fn main() {
     for fw in Framework::all() {
         let mut cfg = cell(fw, ModelKind::Tgat, DatasetKind::Lastfm, Placement::AllOnDevice);
         cfg.train_cfg.epochs = 1;
-        trace::enable(true);
-        trace::take();
+        log::full(true);
         let r = run_experiment(&cfg);
-        let spans = trace::take();
-        trace::enable(false);
+        let spans = log::take();
+        log::full(false);
         totals.push(r.train_s_per_epoch);
         let agg = aggregate(&spans);
         for ((name, col), (secs, n_spans)) in rows.iter_mut().zip(&agg) {

@@ -1,14 +1,15 @@
 //! Overhead guard for the observability layer.
 //!
 //! The acceptance bar: observability must cost ≤ 2% when disabled. A
-//! disabled counter site is a relaxed atomic load + branch and a
 //! disabled span / region / op / timer site is one relaxed load (all
-//! four are the same guard over one switch word), so the real budget is
-//! noise — this bench measures a representative instrumented workload
-//! (batch temporal sampling + dedup, the hottest counter paths) with
-//! every observability feature disabled vs. enabled-but-draining, and
-//! **asserts** the disabled path is within the budget of a baseline
-//! run, rather than eyeballing it.
+//! four are the same guard over one switch word) and counters always
+//! count, so the real budget is noise — this bench measures a
+//! representative instrumented workload (batch temporal sampling +
+//! dedup, the hottest counter paths) with every span sink off vs. every
+//! sink on and draining, and **asserts** the disabled path is within
+//! the budget of a baseline run, rather than eyeballing it. The span
+//! log's per-thread tail is on in every real run, so its cost over the
+//! all-off reference must fit the same budget.
 //!
 //! Single-core CI boxes jitter by a few percent on sub-microsecond
 //! timings, so the guard compares medians of interleaved rounds and
@@ -84,28 +85,24 @@ fn main() {
     const ROUNDS: usize = 7;
     let mut off = Vec::with_capacity(ROUNDS);
     let mut on = Vec::with_capacity(ROUNDS);
+    let all = |on: bool| {
+        obs::collect(on);
+        obs::log::full(on);
+        obs::log::tail(on);
+    };
     for _ in 0..ROUNDS {
-        obs::metrics::set_enabled(false);
-        obs::collect(false);
-        obs::trace::enable(false);
-        obs::flight::enable(false);
+        all(false);
         off.push(time_it(workload, 0.15));
 
-        obs::metrics::set_enabled(true);
-        obs::collect(true);
-        obs::trace::enable(true);
-        obs::flight::enable(true);
+        all(true);
         on.push(time_it(workload, 0.15));
-        // Drain so the event log cannot grow across rounds. (The
+        // Drain so the full log cannot grow across rounds. (The
         // aggregate is bounded by its keys; draining it just keeps
         // rounds alike.)
-        obs::trace::take();
+        obs::log::take();
         prof::take();
     }
-    obs::metrics::set_enabled(true);
-    obs::collect(false);
-    obs::trace::enable(false);
-    obs::flight::enable(false);
+    all(false);
 
     let fastest = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     let off_min = fastest(&off);
@@ -120,10 +117,9 @@ fn main() {
 
     // The ≤2% acceptance criterion applies to *disabled* observability.
     // Sites stay compiled in either way, so "disabled" here means all
-    // four enable gates (metrics, span collection, event log, flight
-    // recorder) off; the budget is 2% relative plus 5us
-    // absolute slack for single-core scheduler noise on a workload of
-    // hundreds of microseconds.
+    // three span switches (collection, full log, tail) off; the budget
+    // is 2% relative plus 5us absolute slack for single-core scheduler
+    // noise on a workload of hundreds of microseconds.
     // Guard against systematic regression: compare the disabled path
     // against itself re-measured, which catches a future change that
     // makes "disabled" sites expensive (the failure the bar exists for).
@@ -132,9 +128,7 @@ fn main() {
     // always towards slower — so the guard compares the fastest round
     // of each; the medians are what gets printed and recorded.
     let budget = off_min * 1.02 + 5e-6;
-    obs::metrics::set_enabled(false);
     let rechecks: Vec<f64> = (0..ROUNDS).map(|_| time_it(workload, 0.15)).collect();
-    obs::metrics::set_enabled(true);
     let recheck_min = fastest(&rechecks);
     let recheck = median(rechecks);
     println!("  recheck:  {:>10.1} us/iter", recheck * 1e6);
@@ -157,43 +151,41 @@ fn main() {
     }
     println!("  OK: disabled observability within 2% budget");
 
-    // The flight recorder ships enabled by default, so unlike the
-    // other gates its *enabled* cost must fit the same 2% + 5us
-    // budget: with every other feature off, flight-on rounds are
-    // interleaved against all-off rounds and the medians compared.
-    let mut fl_base = Vec::with_capacity(ROUNDS);
-    let mut fl_on = Vec::with_capacity(ROUNDS);
-    obs::metrics::set_enabled(false);
+    // Every run keeps the span log's tail, so unlike the other switches
+    // its *enabled* cost must fit the same 2% + 5us budget: with
+    // everything else off, tail-on rounds are interleaved against
+    // all-off rounds and the medians compared.
+    let mut tail_base = Vec::with_capacity(ROUNDS);
+    let mut tail_on = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
-        obs::flight::enable(false);
-        fl_base.push(time_it(workload, 0.15));
-        obs::flight::enable(true);
-        fl_on.push(time_it(workload, 0.15));
+        obs::log::tail(false);
+        tail_base.push(time_it(workload, 0.15));
+        obs::log::tail(true);
+        tail_on.push(time_it(workload, 0.15));
     }
-    obs::flight::enable(false);
-    obs::metrics::set_enabled(true);
-    let fl_base_med = median(fl_base);
-    let fl_on_med = median(fl_on);
+    obs::log::tail(false);
+    let tail_base_med = median(tail_base);
+    let tail_on_med = median(tail_on);
     println!(
-        "  flight on: {:>9.1} us/iter  ({:+.2}% over {:.1}us all-off)",
-        fl_on_med * 1e6,
-        (fl_on_med / fl_base_med - 1.0) * 100.0,
-        fl_base_med * 1e6
+        "  tail on:   {:>9.1} us/iter  ({:+.2}% over {:.1}us all-off)",
+        tail_on_med * 1e6,
+        (tail_on_med / tail_base_med - 1.0) * 100.0,
+        tail_base_med * 1e6
     );
     assert!(
-        fl_on_med <= fl_base_med * 1.02 + 5e-6,
-        "always-on flight recorder exceeds the 2% budget: {:.1}us > {:.1}us \
+        tail_on_med <= tail_base_med * 1.02 + 5e-6,
+        "the always-on span tail exceeds the 2% budget: {:.1}us > {:.1}us \
          (2% + 5us over the {:.1}us all-off baseline)",
-        fl_on_med * 1e6,
-        (fl_base_med * 1.02 + 5e-6) * 1e6,
-        fl_base_med * 1e6
+        tail_on_med * 1e6,
+        (tail_base_med * 1.02 + 5e-6) * 1e6,
+        tail_base_med * 1e6
     );
-    println!("  OK: always-on flight recorder within 2% budget");
+    println!("  OK: always-on span tail within 2% budget");
 
     // Raw per-site cost of the histogram/gauge record paths, so the
-    // bench-trend guard can watch them drift release over release. A
-    // disabled site is one relaxed load + branch; an enabled histogram
-    // record is a handful of relaxed RMWs.
+    // bench-trend guard can watch them drift release over release: a
+    // histogram record is a handful of relaxed RMWs, a gauge set one
+    // relaxed store.
     const SITES: usize = 1_000_000;
     let hist_path = || {
         for i in 0..SITES {
@@ -207,12 +199,6 @@ fn main() {
         }
         SITES
     };
-    let per_site = |enabled: bool, f: &mut dyn FnMut() -> usize| {
-        obs::metrics::set_enabled(enabled);
-        let med = median((0..5).map(|_| time_it(&mut *f, 0.1)).collect());
-        obs::metrics::set_enabled(true);
-        med / SITES as f64 * 1e9
-    };
     let prof_op_path = || {
         for i in 0..SITES {
             let _g = tgl_obs::profile::op("bench.micro_op")
@@ -224,14 +210,12 @@ fn main() {
     let site_ns = |f: &dyn Fn() -> usize| {
         median((0..5).map(|_| time_it(f, 0.1)).collect()) / SITES as f64 * 1e9
     };
-    let hist_off_ns = per_site(false, &mut { hist_path });
-    let hist_on_ns = per_site(true, &mut { hist_path });
-    let gauge_off_ns = per_site(false, &mut { gauge_path });
-    let gauge_on_ns = per_site(true, &mut { gauge_path });
+    let hist_ns = site_ns(&hist_path);
+    let gauge_ns = site_ns(&gauge_path);
     // The four span sites over the one switch word. Ops and timers are
-    // live only while collecting (flight-on alone leaves them one
+    // live only while collecting (the tail alone leaves them one
     // relaxed load); phases and regions are live whenever any sink is,
-    // so flight-only is the cost every scope pays by default.
+    // so tail-only is the cost every scope pays by default.
     let span_path = || {
         for _ in 0..SITES {
             let _g = obs::span("bench.micro_span");
@@ -244,75 +228,65 @@ fn main() {
         }
         SITES
     };
-    obs::metrics::set_enabled(false);
-    obs::flight::enable(false);
     let prof_off_ns = site_ns(&prof_op_path);
     let span_off_ns = site_ns(&span_path);
     let region_off_ns = site_ns(&region_path);
-    obs::flight::enable(true);
-    let span_flight_ns = site_ns(&span_path);
-    let region_flight_ns = site_ns(&region_path);
-    let prof_flight_ns = site_ns(&prof_op_path);
-    obs::flight::enable(false);
+    obs::log::tail(true);
+    let span_tail_ns = site_ns(&span_path);
+    let region_tail_ns = site_ns(&region_path);
+    let prof_tail_ns = site_ns(&prof_op_path);
+    obs::log::tail(false);
     obs::collect(true);
     let prof_on_ns = site_ns(&prof_op_path);
     let span_collect_ns = site_ns(&span_path);
     obs::collect(false);
     obs::profile::take();
-    obs::metrics::set_enabled(true);
+    println!("  hist.record:  {hist_ns:>6.2} ns/site");
+    println!("  gauge.set:    {gauge_ns:>6.2} ns/site");
     println!(
-        "  hist.record:  {hist_off_ns:>6.2} ns/site disabled, {hist_on_ns:>6.2} ns/site enabled"
+        "  profile.op:   {prof_off_ns:>6.2} ns/site disabled, {prof_tail_ns:>6.2} ns/site tail-only, {prof_on_ns:>6.2} ns/site collecting"
     );
     println!(
-        "  gauge.set:    {gauge_off_ns:>6.2} ns/site disabled, {gauge_on_ns:>6.2} ns/site enabled"
+        "  span:         {span_off_ns:>6.2} ns/site all-off, {span_tail_ns:>6.2} ns/site tail-only, {span_collect_ns:>6.2} ns/site collecting"
     );
     println!(
-        "  profile.op:   {prof_off_ns:>6.2} ns/site disabled, {prof_flight_ns:>6.2} ns/site flight-only, {prof_on_ns:>6.2} ns/site collecting"
-    );
-    println!(
-        "  span:         {span_off_ns:>6.2} ns/site all-off, {span_flight_ns:>6.2} ns/site flight-only, {span_collect_ns:>6.2} ns/site collecting"
-    );
-    println!(
-        "  region:       {region_off_ns:>6.2} ns/site all-off, {region_flight_ns:>6.2} ns/site flight-only"
+        "  region:       {region_off_ns:>6.2} ns/site all-off, {region_tail_ns:>6.2} ns/site tail-only"
     );
 
     let json = format!(
         "{{\n  \"host_cpus\": {},\n  \"workload\": {{\n    \"disabled\": {{\"wall_s\": {:.9}}},\n    \
          \"enabled\": {{\"wall_s\": {:.9}}},\n    \"recheck\": {{\"wall_s\": {:.9}}},\n    \
-         \"overhead_pct\": {:.3},\n    \"flight_on\": {{\"wall_s\": {:.9}}},\n    \
-         \"flight_overhead_pct\": {:.3}\n  }},\n  \"per_site_ns\": {{\n    \
-         \"hist_record_disabled\": {:.2},\n    \"hist_record_enabled\": {:.2},\n    \
-         \"gauge_set_disabled\": {:.2},\n    \"gauge_set_enabled\": {:.2},\n    \
-         \"profile_op_disabled\": {:.2},\n    \"profile_op_flight_only\": {:.2},\n    \
+         \"overhead_pct\": {:.3},\n    \"tail_on\": {{\"wall_s\": {:.9}}},\n    \
+         \"tail_overhead_pct\": {:.3}\n  }},\n  \"per_site_ns\": {{\n    \
+         \"hist_record\": {:.2},\n    \"gauge_set\": {:.2},\n    \
+         \"profile_op_disabled\": {:.2},\n    \"profile_op_tail_only\": {:.2},\n    \
          \"profile_op_enabled\": {:.2},\n    \
-         \"span_all_off\": {:.2},\n    \"span_flight_on\": {:.2},\n    \"span_collecting\": {:.2},\n    \
-         \"region_all_off\": {:.2},\n    \"region_flight_on\": {:.2}\n  }}\n}}\n",
+         \"span_all_off\": {:.2},\n    \"span_tail_on\": {:.2},\n    \"span_collecting\": {:.2},\n    \
+         \"region_all_off\": {:.2},\n    \"region_tail_on\": {:.2}\n  }}\n}}\n",
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         off_med,
         on_med,
         recheck,
         (on_med / off_med - 1.0) * 100.0,
-        fl_on_med,
-        (fl_on_med / fl_base_med - 1.0) * 100.0,
-        hist_off_ns,
-        hist_on_ns,
-        gauge_off_ns,
-        gauge_on_ns,
+        tail_on_med,
+        (tail_on_med / tail_base_med - 1.0) * 100.0,
+        hist_ns,
+        gauge_ns,
         prof_off_ns,
-        prof_flight_ns,
+        prof_tail_ns,
         prof_on_ns,
         span_off_ns,
-        span_flight_ns,
+        span_tail_ns,
         span_collect_ns,
         region_off_ns,
-        region_flight_ns,
+        region_tail_ns,
     );
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
     match std::fs::write(&path, &json) {
         Ok(()) => println!("  wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
-    // The flight recorder is on by default; leave the process the way
-    // a real one runs.
-    obs::flight::enable(true);
+    // The tail is on by default; leave the process the way a real one
+    // runs.
+    obs::log::tail(true);
 }

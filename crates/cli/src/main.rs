@@ -44,16 +44,15 @@ SUBCOMMANDS:
                regressions beyond the budget (default 25%)
 
 OBSERVABILITY OPTIONS (train/eval):
-    --prof               print the per-phase epoch breakdown (Fig. 7)
-                         and, after the run, the per-stage seconds as
-                         the phase table, the op profile and (with
+    --profile            print the per-phase breakdown (Fig. 7) after
+                         every epoch and, after the run, a per-operator
+                         profile: top-k table of self time, calls,
+                         achieved GFLOP/s, arithmetic intensity, and a
+                         roofline verdict (compute- vs bandwidth-bound
+                         vs data movement), per-phase attribution
+                         coverage, and the per-stage seconds as the
+                         phase table, the op profile and (with
                          --critpath) the critical path see them
-    --profile            per-operator profile: top-k table of self
-                         time, calls, achieved GFLOP/s, arithmetic
-                         intensity, and a roofline verdict (compute-
-                         vs bandwidth-bound vs data movement), plus
-                         per-phase attribution coverage and the
-                         per-stage table
     --profile-top <N>    rows in the --profile table (default 15)
     --trace-out <PATH>   write a Chrome trace-event JSON of all spans
                          (open in chrome://tracing or ui.perfetto.dev)
@@ -62,20 +61,16 @@ OBSERVABILITY OPTIONS (train/eval):
                          exclusive vs overlapped time, the critical
                          path itself, overlap efficiency, and pool
                          busy/wait attribution
-    --flight <on|off>    flight recorder: always-on ring of each
-                         thread's recent spans, dumped on panic or
-                         health-fail as a tgl-run-report/v3 with
-                         meta.reason and a recent section (default
-                         on; dumps land in TGL_FLIGHT_DIR or the cwd)
-    --flight-out <PATH>  write a flight dump at end of run
     --metrics-out <PATH> write the tgl-run-report/v3 JSON: per-epoch
                          phases, counters, latency histograms, health,
-                         and the profile (every span-aggregate row)
-                         and (with --critpath / --trace-out) critpath
-                         sections
+                         the profile (every span-aggregate row), each
+                         thread's last 512 spans (recent) and (with
+                         --critpath / --trace-out) critpath sections
     --health <warn|fail> non-finite loss/gradient policy: warn
                          records a health event and skips the batch
-                         (default), fail aborts
+                         (default), fail aborts leaving a flight dump
+                         (a tgl-run-report/v3 with meta.reason) in
+                         TGL_FLIGHT_DIR or the cwd, as a panic does
     --threads <N>        set the worker pool width (overrides TGL_THREADS)
     --pipeline <N>       a sampler stage prepares up to N batches
                          (negatives, the sampled block chain, transfer

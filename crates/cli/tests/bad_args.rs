@@ -212,7 +212,7 @@ fn bit_flipped_checkpoint_is_a_one_line_error() {
 fn unwritable_output_paths_fail_before_training_naming_the_flag() {
     // Every artifact the run path writes: a bad path must cost nothing,
     // not a whole run followed by a panic in `.expect("write ...")`.
-    for flag in ["--ckpt", "--metrics-out", "--trace-out", "--flight-out"] {
+    for flag in ["--ckpt", "--metrics-out", "--trace-out"] {
         let (code, stdout, stderr) = tgl_train(&[flag, "/nonexistent-tgl-dir/sub/out.bin"]);
         assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{flag}: one-line error, no backtrace: {stderr}");
@@ -228,7 +228,6 @@ fn bad_observability_values_are_usage_errors() {
     for (flag, value, accepts) in [
         ("--health", "maybe", "warn/fail"),
         ("--health", "off", "warn/fail"),
-        ("--flight", "sideways", "on/off"),
         ("--pipeline", "deep", "a queue depth"),
     ] {
         let (code, stdout, stderr) = tgl_train(&[flag, value]);
@@ -271,7 +270,7 @@ fn an_unusable_trend_budget_is_a_usage_error() {
 
 #[test]
 fn flags_nobody_reads_are_usage_errors() {
-    // Five retired flags and a misspelt one: none may start a run.
+    // Eight retired flags and a misspelt one: none may start a run.
     for args in [
         &["--slo", "x"][..],
         &["--serve-metrics", "127.0.0.1:0"],
@@ -279,6 +278,9 @@ fn flags_nobody_reads_are_usage_errors() {
         &["--insight"],
         &["--kernel", "fast"],
         &["--csv", "metrics.csv"],
+        &["--prof"],
+        &["--flight", "on"],
+        &["--flight-out", "x.json"],
     ] {
         let flag = args[0];
         let (code, stdout, stderr) = tgl_train(args);

@@ -440,11 +440,6 @@ impl TBlock {
         self.chain().last().expect("a chain has at least its head")
     }
 
-    /// Number of blocks from this one to the tail (inclusive).
-    pub fn chain_len(&self) -> usize {
-        self.chain().count()
-    }
-
     // ---------------------------------------------------------------
     // Feature access (cached; paper: "stored in the block's cached
     // area so we avoid fetching them a second time")
@@ -761,7 +756,7 @@ mod tests {
         let mid = head.next_block();
         sample(&mid);
         let tail = mid.next_block();
-        assert_eq!(head.chain_len(), 3);
+        assert_eq!(head.chain().count(), 3);
         assert!(Arc::ptr_eq(&head.tail().inner, &tail.inner));
     }
 

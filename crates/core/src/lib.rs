@@ -92,7 +92,7 @@ pub mod tensor {
 }
 
 /// Observability substrate (re-export of `tgl-obs`): counters, the
-/// span primitive and its aggregate, and the event log. [`prof`] is the
+/// span primitive, its aggregate and the span log. [`prof`] is the
 /// framework-side name for `obs::span`; use this module directly for
 /// counters and Chrome-trace export.
 pub mod obs {

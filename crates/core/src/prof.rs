@@ -6,8 +6,7 @@
 //! [`tgl_obs`](crate::obs) span primitive: a [`scope`] *is* an obs
 //! phase span, so its time lands in the one process-global aggregate no
 //! matter which thread records it — including `tgl-runtime` pool
-//! workers — and the same guard feeds the event log and the flight
-//! recorder when those are on.
+//! workers — and the same guard feeds the per-thread span log.
 //!
 //! Collection is process-global and off (one relaxed load per scope)
 //! unless a harness calls [`enable`].

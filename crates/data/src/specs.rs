@@ -214,122 +214,6 @@ impl DatasetSpec {
     pub fn num_nodes(&self) -> usize {
         self.n_src + self.n_items
     }
-
-    /// Serializes the spec as a single JSON object.
-    ///
-    /// Hand-rolled (no serde in the workspace): every field is a number
-    /// except `kind`, which is the variant name as a string. Floats are
-    /// written with enough precision to round-trip exactly.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"kind\":\"{}\",\"n_src\":{},\"n_items\":{},\"n_edges\":{},",
-                "\"d_node\":{},\"d_edge\":{},\"max_t\":{:?},\"repeat_prob\":{:?},",
-                "\"zipf_s\":{:?},\"n_clusters\":{},\"time_quantum\":{:?},\"seed\":{}}}"
-            ),
-            self.kind.variant_name(),
-            self.n_src,
-            self.n_items,
-            self.n_edges,
-            self.d_node,
-            self.d_edge,
-            self.max_t,
-            self.repeat_prob,
-            self.zipf_s,
-            self.n_clusters,
-            self.time_quantum,
-            self.seed,
-        )
-    }
-
-    /// Parses a spec from the JSON produced by [`DatasetSpec::to_json`]
-    /// (key order and insignificant whitespace are flexible).
-    pub fn from_json(text: &str) -> Result<DatasetSpec, String> {
-        let fields = parse_flat_object(text)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field `{key}`"))
-        };
-        let usize_of = |key: &str| -> Result<usize, String> {
-            get(key)?
-                .parse()
-                .map_err(|e| format!("field `{key}`: {e}"))
-        };
-        let f64_of = |key: &str| -> Result<f64, String> {
-            get(key)?
-                .parse()
-                .map_err(|e| format!("field `{key}`: {e}"))
-        };
-        Ok(DatasetSpec {
-            kind: DatasetKind::from_variant_name(get("kind")?)?,
-            n_src: usize_of("n_src")?,
-            n_items: usize_of("n_items")?,
-            n_edges: usize_of("n_edges")?,
-            d_node: usize_of("d_node")?,
-            d_edge: usize_of("d_edge")?,
-            max_t: f64_of("max_t")?,
-            repeat_prob: f64_of("repeat_prob")?,
-            zipf_s: f64_of("zipf_s")?,
-            n_clusters: usize_of("n_clusters")?,
-            time_quantum: f64_of("time_quantum")?,
-            seed: get("seed")?
-                .parse()
-                .map_err(|e| format!("field `seed`: {e}"))?,
-        })
-    }
-}
-
-impl DatasetKind {
-    /// The enum variant identifier used in JSON (`Wiki`, `Mooc`, ...).
-    pub fn variant_name(&self) -> &'static str {
-        match self {
-            DatasetKind::Wiki => "Wiki",
-            DatasetKind::Mooc => "Mooc",
-            DatasetKind::Reddit => "Reddit",
-            DatasetKind::Lastfm => "Lastfm",
-            DatasetKind::WikiTalk => "WikiTalk",
-            DatasetKind::Gdelt => "Gdelt",
-        }
-    }
-
-    /// Inverse of [`DatasetKind::variant_name`].
-    pub fn from_variant_name(name: &str) -> Result<DatasetKind, String> {
-        DatasetKind::all()
-            .into_iter()
-            .find(|k| k.variant_name() == name)
-            .ok_or_else(|| format!("unknown dataset kind `{name}`"))
-    }
-}
-
-/// Splits a flat (non-nested) JSON object into `(key, raw value)` pairs.
-/// Values keep their text form; string quotes are stripped. Enough JSON
-/// for [`DatasetSpec`] — rejects nesting rather than mis-parsing it.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
-    let body = text
-        .trim()
-        .strip_prefix('{')
-        .and_then(|t| t.strip_suffix('}'))
-        .ok_or("expected a JSON object")?;
-    let mut fields = Vec::new();
-    for part in body.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, value) = part
-            .split_once(':')
-            .ok_or_else(|| format!("expected `key: value`, got `{part}`"))?;
-        let key = key.trim().trim_matches('"').to_string();
-        let value = value.trim();
-        if value.starts_with('{') || value.starts_with('[') {
-            return Err(format!("field `{key}`: nested values are not supported"));
-        }
-        fields.push((key, value.trim_matches('"').to_string()));
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]
@@ -385,35 +269,6 @@ mod tests {
         assert!(DatasetSpec::of(DatasetKind::Wiki).bipartite());
         assert!(!DatasetSpec::of(DatasetKind::WikiTalk).bipartite());
         assert!(!DatasetSpec::of(DatasetKind::Gdelt).bipartite());
-    }
-
-    #[test]
-    fn json_round_trips_every_kind() {
-        for kind in DatasetKind::all() {
-            let spec = DatasetSpec::of(kind);
-            let json = spec.to_json();
-            let back = DatasetSpec::from_json(&json).expect("parse");
-            assert_eq!(spec, back, "round-trip for {kind:?}: {json}");
-        }
-    }
-
-    #[test]
-    fn json_parse_tolerates_whitespace_and_order() {
-        let text = r#"{ "seed": 9, "kind": "Mooc", "n_src": 1, "n_items": 2,
-            "n_edges": 3, "d_node": 4, "d_edge": 5, "max_t": 6.5,
-            "repeat_prob": 0.5, "zipf_s": 1.5, "n_clusters": 7,
-            "time_quantum": 0.0 }"#;
-        let spec = DatasetSpec::from_json(text).expect("parse");
-        assert_eq!(spec.kind, DatasetKind::Mooc);
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.max_t, 6.5);
-    }
-
-    #[test]
-    fn json_parse_rejects_garbage() {
-        assert!(DatasetSpec::from_json("not json").is_err());
-        assert!(DatasetSpec::from_json("{}").is_err());
-        assert!(DatasetSpec::from_json("{\"kind\":\"Nope\"}").is_err());
     }
 
     #[test]

@@ -50,11 +50,6 @@ pub struct TransferModel {
     pub d2h_bw: f64,
     /// Fixed per-transfer latency in nanoseconds.
     pub latency_ns: u64,
-    /// Time scale factor: simulated seconds of transfer per wall second
-    /// spent waiting. `1.0` waits in real time; larger values compress
-    /// the wait so benchmarks finish quicker while keeping relative
-    /// costs intact.
-    pub time_compression: f64,
 }
 
 impl TransferModel {
@@ -74,7 +69,6 @@ impl TransferModel {
             pinned_bw: 12.0e9,
             d2h_bw: 6.0e9,
             latency_ns: 10_000,
-            time_compression: 1.0,
         }
     }
 
@@ -92,7 +86,6 @@ impl TransferModel {
             pinned_bw: base.pinned_bw / compute_slowdown,
             d2h_bw: base.d2h_bw / compute_slowdown,
             latency_ns: (base.latency_ns as f64 * compute_slowdown.cbrt()) as u64,
-            time_compression: base.time_compression,
         }
     }
 
@@ -129,7 +122,6 @@ static MODEL: RwLock<TransferModel> = RwLock::new(TransferModel {
     pinned_bw: 12.0e9,
     d2h_bw: 6.0e9,
     latency_ns: 10_000,
-    time_compression: 1.0,
 });
 
 static H2D_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -142,9 +134,9 @@ pub fn set_transfer_model(model: TransferModel) {
     *MODEL.write() = model;
 }
 
-/// Meters (and, if the model is enabled, waits out) a transfer of
-/// `bytes` across the tier boundary. Returns the simulated cost in
-/// nanoseconds.
+/// Meters a transfer of `bytes` across the tier boundary and, if the
+/// model is enabled, waits out its simulated nanoseconds. Returns the
+/// simulated cost in nanoseconds.
 pub fn transfer(bytes: u64, kind: TransferKind) -> u64 {
     let model = *MODEL.read();
     COUNT.fetch_add(1, Ordering::Relaxed);
@@ -171,8 +163,7 @@ pub fn transfer(bytes: u64, kind: TransferKind) -> u64 {
     // the modeled wait (about 0 when the model is disabled).
     let _lat = tgl_obs::timer("transfer");
     if ns > 0 {
-        let wait = Duration::from_nanos((ns as f64 / model.time_compression.max(1.0)) as u64);
-        spin_wait(wait);
+        spin_wait(Duration::from_nanos(ns));
     }
     ns
 }

@@ -213,11 +213,6 @@ impl TemporalGraph {
             .expect("no mailbox attached; call attach_mailbox first")
     }
 
-    /// Whether node memory is attached.
-    pub fn has_memory(&self) -> bool {
-        self.memory.read().is_some()
-    }
-
     /// Resets memory and mailbox (epoch boundary).
     pub fn reset_state(&self) {
         if let Some(m) = self.memory.read().as_ref() {
@@ -289,10 +284,10 @@ mod tests {
     #[test]
     fn memory_mailbox_lifecycle() {
         let g = graph();
-        assert!(!g.has_memory());
+        assert!(g.memory.read().is_none());
         g.attach_memory(4, Device::Host);
         g.attach_mailbox(2, 6, Device::Host);
-        assert!(g.has_memory());
+        assert!(g.memory.read().is_some());
         g.memory()
             .store(&[1], &Tensor::ones([1, 4]), &[3.0]);
         g.mailbox()

@@ -98,11 +98,6 @@ impl TCsr {
         self.indptr.len() - 1
     }
 
-    /// Total adjacency entries (2x edges when undirected).
-    pub fn num_entries(&self) -> usize {
-        self.nbrs.len()
-    }
-
     /// Iterates `(neighbor, edge_id, time)` for all of `node`'s
     /// adjacency, ascending in time.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, Time)> + '_ {
@@ -158,13 +153,13 @@ mod tests {
         assert_eq!(csr.degree(0), 3);
         assert_eq!(csr.degree(1), 1);
         assert_eq!(csr.degree(2), 0);
-        assert_eq!(csr.num_entries(), 4);
+        assert_eq!(csr.nbrs.len(), 4);
     }
 
     #[test]
     fn undirected_doubles_entries() {
         let csr = sample_csr(true);
-        assert_eq!(csr.num_entries(), 8);
+        assert_eq!(csr.nbrs.len(), 8);
         assert_eq!(csr.degree(2), 2);
     }
 

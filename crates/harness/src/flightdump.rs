@@ -1,7 +1,7 @@
 //! Flight-recorder dump policy for training runs.
 //!
-//! The recorder itself lives in `tgl_obs::flight`; a dump is a run
-//! report ([`RunReport::flight`]). This module decides *when* one hits
+//! The spans come from each thread's tail in `tgl_obs::log`; a dump is
+//! a run report ([`RunReport::flight`]). This module decides *when* one hits
 //! disk: on panic (via a std panic hook installed once by
 //! [`install_flight_hook`]), on a `--health fail` trip (the health
 //! monitor calls [`dump`] just before panicking), or wherever a driver
@@ -32,13 +32,10 @@ fn unix_ms() -> u64 {
 static LAST_DUMP: AtomicU64 = AtomicU64::new(0);
 
 /// Writes a flight dump now, naming `reason` and, when the caller knows
-/// it, the health `policy`. A no-op returning `None` when the recorder
-/// is disabled or the write fails — a post-mortem must never turn into
-/// a second failure. Logs the dump path to stderr on success.
+/// it, the health `policy`. Returns `None` when the write fails — a
+/// post-mortem must never turn into a second failure. Logs the dump
+/// path to stderr on success.
 pub fn dump(reason: &str, policy: Option<HealthPolicy>) -> Option<PathBuf> {
-    if !tgl_obs::flight::enabled() {
-        return None;
-    }
     let now = unix_ms();
     let path = flight_dir().join(format!("flight-{now}.json"));
     match RunReport::flight(reason, policy).save(&path) {
@@ -133,9 +130,8 @@ pub(crate) mod tests {
     #[test]
     fn dump_writes_parseable_file() {
         let dir = FlightDir::new("dump");
-        tgl_obs::flight::enable(true);
         drop(tgl_obs::region("flight-dump-test"));
-        let path = dump("test", Some(HealthPolicy::Fail)).expect("the recorder is on and the directory exists");
+        let path = dump("test", Some(HealthPolicy::Fail)).expect("the directory exists");
         assert_eq!(path.parent(), Some(dir.dir.as_path()));
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("the dump parses");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tgl-run-report/v3"));

@@ -260,7 +260,7 @@ mod tests {
             .any(|e| e.source == "trainer.eval"));
     }
 
-    /// The fail policy dumps the flight recorder before panicking,
+    /// The fail policy writes a flight dump before panicking,
     /// into a directory of the test's own.
     #[test]
     #[should_panic(expected = "non-finite loss")]

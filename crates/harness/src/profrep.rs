@@ -260,8 +260,8 @@ pub fn render_coverage(rows: &[PhaseCoverage]) -> String {
 
 /// Renders the per-stage table: the same seconds as the phase table
 /// sees them (`phase`), as the op profile sees them (`ops` self time
-/// plus the stage's non-op `rest`), and, when the event log ran, as the
-/// critical-path analysis computed them from the log (`critpath`
+/// plus the stage's non-op `rest`), and, when the span log kept the
+/// whole run, as the critical-path analysis computed them (`critpath`
 /// serial). On one thread the three agree; `scripts/ci.sh` checks it.
 pub fn render_stages(rows: &[Row], critpath: Option<&Analysis>) -> String {
     let secs = stage_seconds(rows);

@@ -47,16 +47,17 @@
 //! }
 //! ```
 //!
+//! `recent` holds the last spans of every thread (`tgl_obs::log::recent`)
+//! when the report was written.
+//!
 //! A flight dump ([`RunReport::flight`]) is the same document read off
 //! the process-wide registries: `meta.reason` says why it was taken
-//! (`panic`, `health-fail`, `request`), `recent` holds the flight
-//! rings' spans, `epochs` is empty and `test` `null` unless the run got
-//! that far, and `profile` / `phases_total_s` / `critpath` are empty.
-//! Health events carry `t_ns` on the spans' time base, so a reader
-//! orders them among the spans. A report from [`RunReporter`] leaves
-//! `recent` empty.
+//! (`panic`, `health-fail`), `epochs` is empty, `test` `null`, and
+//! `profile` / `phases_total_s` / `critpath` are empty. Health events
+//! carry `t_ns` on the spans' time base, so a reader orders them among
+//! the spans.
 //!
-//! `critpath` is `null` unless the event log was on for the run (see
+//! `critpath` is `null` unless the span log kept the whole run (see
 //! `tgl_obs::critpath`).
 //!
 //! `profile` holds every row of the span aggregate
@@ -104,7 +105,7 @@ pub struct EpochReport {
 
 impl EpochReport {
     /// An epoch's trainer stats alone, with no phase, counter or
-    /// histogram deltas (the epochs of a flight dump).
+    /// histogram deltas.
     pub fn bare(epoch: usize, stats: &EpochStats) -> EpochReport {
         EpochReport {
             epoch,
@@ -158,11 +159,10 @@ pub struct RunReport {
     /// Every span-aggregate row of the run, in self-time-descending
     /// order.
     pub profile: Vec<Row>,
-    /// Critical-path analysis over the run's event log (`None` unless
-    /// the log was on).
+    /// Critical-path analysis over the run's spans (`None` unless the
+    /// span log kept the whole run).
     pub critpath: Option<tgl_obs::critpath::Analysis>,
-    /// The flight rings' spans, oldest first (a flight dump's; empty
-    /// otherwise).
+    /// The last spans of every thread, oldest first.
     pub recent: Vec<Span>,
 }
 
@@ -284,7 +284,7 @@ fn health_json(h: &HealthSection) -> Json {
     ])
 }
 
-/// One flight-ring span as an entry of the report's `recent` section.
+/// One span as an entry of the report's `recent` section.
 fn span_json(s: &Span) -> Json {
     let mut fields = vec![
         ("name".to_string(), Json::Str(s.name.into())),
@@ -299,8 +299,8 @@ fn span_json(s: &Span) -> Json {
 /// microsecond timestamps, as the format requires): open it in
 /// `chrome://tracing` or <https://ui.perfetto.dev> for the per-thread
 /// timeline. An op's event is named `op[shape]`; the category is the
-/// span's stage, and spans the event log numbered carry their cost,
-/// id and parent as `args`.
+/// span's stage, and spans numbered in the log's full mode carry their
+/// cost, id and parent as `args`.
 pub fn chrome_trace(spans: &[Span]) -> String {
     let event = |s: &Span| {
         let name = if s.shape.is_empty() { s.name.to_string() } else { format!("{}[{}]", s.name, s.shape) };
@@ -332,7 +332,7 @@ pub fn chrome_trace(spans: &[Span]) -> String {
 
 impl RunReport {
     /// A flight dump: what the process-wide registries hold now, plus
-    /// the flight rings' spans, with `meta.reason` set to `reason` and
+    /// every thread's last spans, with `meta.reason` set to `reason` and
     /// every health event the process recorded. `policy` names the
     /// health policy when the caller knows it.
     pub fn flight(reason: &str, policy: Option<HealthPolicy>) -> RunReport {
@@ -348,7 +348,7 @@ impl RunReport {
             phases_total_s: Vec::new(),
             profile: Vec::new(),
             critpath: None,
-            recent: obs::flight::recent(),
+            recent: obs::log::recent(),
         }
     }
 
@@ -480,10 +480,10 @@ impl RunReporter {
         self.epochs.push(EpochReport { phases_s, counters, hists, ..EpochReport::bare(epoch, stats) });
     }
 
-    /// Finishes the run: reads everything the registries and the
-    /// aggregate hold (without draining; the next
-    /// [`start`](RunReporter::start) drains), restores the previous
-    /// collection state, and returns the report.
+    /// Finishes the run: reads everything the registries, the
+    /// aggregate and every thread's tail hold (without draining; the
+    /// next [`start`](RunReporter::start) drains), restores the
+    /// previous collection state, and returns the report.
     pub fn finish(self, test_ap: f64, test_s: f64) -> RunReport {
         let events = obs::health::events().get(self.health_events0..).unwrap_or(&[]).to_vec();
         let health = HealthSection::new(self.policy.label(), events, &self.epochs);
@@ -495,10 +495,9 @@ impl RunReporter {
         phases_total_s.sort_by(|a, b| a.0.cmp(&b.0));
         let mut meta = self.meta;
         meta.sort_by(|a, b| a.0.cmp(&b.0));
-        // Analyze a non-draining snapshot of the event log so the
+        // Analyze a non-draining snapshot of the full log so the
         // caller can still export the Chrome trace afterwards.
-        let critpath =
-            tgl_obs::trace::enabled().then(|| tgl_obs::critpath::analyze(&tgl_obs::trace::snapshot()));
+        let critpath = obs::log::is_full().then(|| obs::critpath::analyze(&obs::log::snapshot()));
         obs::collect(self.was_collecting);
         RunReport {
             meta,
@@ -511,7 +510,7 @@ impl RunReporter {
             phases_total_s,
             profile,
             critpath,
-            recent: Vec::new(),
+            recent: obs::log::recent(),
         }
     }
 }
@@ -658,10 +657,10 @@ mod tests {
     fn reporter_collects_histogram_deltas_and_quantiles() {
         let _g = serial();
         let mut rep = RunReporter::start();
-        obs::hist::histogram("report.test.lat_ns").record_always(1000);
-        obs::hist::histogram("report.test.lat_ns").record_always(3000);
+        obs::hist::histogram("report.test.lat_ns").record(1000);
+        obs::hist::histogram("report.test.lat_ns").record(3000);
         rep.record_epoch(0, &stats());
-        obs::hist::histogram("report.test.lat_ns").record_always(5000);
+        obs::hist::histogram("report.test.lat_ns").record(5000);
         rep.record_epoch(1, &stats());
         let report = rep.finish(0.9, 0.1);
 

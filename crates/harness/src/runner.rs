@@ -14,7 +14,7 @@ use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tglite::{obs, TContext};
 
 use crate::{
-    profrep, Args, EpochReport, EpochStats, HealthPolicy, RunReport, RunReporter, TrainConfig, Trainer,
+    profrep, Args, EpochStats, HealthPolicy, RunReporter, TrainConfig, Trainer,
 };
 
 /// Which framework setting runs (the paper's three bar groups). All
@@ -270,20 +270,17 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
 pub struct ObsOptions {
     /// Print progress lines and the requested tables to stdout.
     pub progress: bool,
-    /// `--prof`: per-epoch Fig. 7 phase breakdown.
-    pub prof: bool,
-    /// `--profile`: op / roofline table and phase coverage.
+    /// `--profile`: per-epoch Fig. 7 phase lines, then the op /
+    /// roofline table, phase coverage and the per-stage table.
     pub profile: bool,
     /// `--profile-top`: rows in the op table.
     pub profile_top: usize,
-    /// `--critpath`: critical-path table (turns the event log on).
+    /// `--critpath`: critical-path table (turns the log's full mode on).
     pub critpath: bool,
     /// `--trace-out`: Chrome trace of every span.
     pub trace_out: Option<PathBuf>,
     /// `--metrics-out`: the `tgl-run-report/v3` document.
     pub metrics_out: Option<PathBuf>,
-    /// `--flight-out`: a flight-recorder dump at end of run.
-    pub flight_out: Option<PathBuf>,
     /// `--ckpt` on `train`: final parameters.
     pub ckpt_save: Option<PathBuf>,
     /// `--ckpt` on `eval`: parameters to load before inference.
@@ -292,9 +289,6 @@ pub struct ObsOptions {
     pub health: Option<HealthPolicy>,
     /// `--pipeline` depth; `None` keeps the trainer's (0).
     pub pipeline: Option<usize>,
-    /// `--flight on|off`; `None` keeps the recorder as it is (on by
-    /// default).
-    pub flight: Option<bool>,
     /// `--threads`; `None` keeps `TGL_THREADS`.
     pub threads: Option<usize>,
 }
@@ -332,11 +326,6 @@ impl ObsOptions {
     /// A flag with an unusable value, named in the error.
     pub fn from_args(args: &Args, eval_only: bool) -> Result<ObsOptions, RunError> {
         let path = |key: &str| args.get(key).map(PathBuf::from);
-        let on_off = |v: &str| match v {
-            "on" | "1" => Some(true),
-            "off" | "0" => Some(false),
-            _ => None,
-        };
         let (ckpt_save, ckpt_load) = if eval_only { (None, path("ckpt")) } else { (path("ckpt"), None) };
         // A set but unusable `TGL_THREADS` or `TGL_SIMD` is a usage
         // error, not a silent default, even where `--threads` overrides
@@ -345,18 +334,15 @@ impl ObsOptions {
         tgl_tensor::kernel::env_scalar().map_err(RunError)?;
         Ok(ObsOptions {
             progress: true,
-            prof: args.has_flag("prof"),
             profile: args.has_flag("profile"),
             profile_top: args.positive("profile-top").map_err(RunError)?.unwrap_or(15),
             critpath: args.has_flag("critpath"),
             trace_out: path("trace-out"),
             metrics_out: path("metrics-out"),
-            flight_out: path("flight-out"),
             ckpt_save,
             ckpt_load,
             health: parsed(args, "health", "warn/fail", HealthPolicy::parse)?,
             pipeline: parsed(args, "pipeline", "a queue depth", |v| v.parse().ok())?,
-            flight: parsed(args, "flight", "on/off", on_off)?,
             threads: args.positive("threads").map_err(RunError)?,
         })
     }
@@ -405,22 +391,18 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         ("ckpt", &opts.ckpt_save),
         ("metrics-out", &opts.metrics_out),
         ("trace-out", &opts.trace_out),
-        ("flight-out", &opts.flight_out),
     ];
     for (flag, path) in outputs {
         if let Some(path) = path {
             check_writable(flag, path)?;
         }
     }
-    if let Some(on) = opts.flight {
-        obs::flight::enable(on);
-    }
     if let Some(n) = opts.threads {
         tgl_runtime::set_threads(n);
     }
     let logging = opts.trace_out.is_some() || opts.critpath;
     if logging {
-        obs::trace::enable(true);
+        obs::log::full(true);
     }
 
     let (ctx, split) = prepare_context(&cfg.dataset, cfg.placement, cfg.transfer);
@@ -448,7 +430,7 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         say!("pipeline: sampler stage prefetching up to {} batches", trainer.pipeline_depth());
     }
 
-    let reporting = opts.prof || opts.profile || opts.critpath || opts.metrics_out.is_some();
+    let reporting = opts.profile || opts.critpath || opts.metrics_out.is_some();
     let mut reporter = reporting.then(|| {
         let mut rep = RunReporter::start().with_health(trainer.health_policy());
         rep.set_meta("model", cfg.model.label());
@@ -475,7 +457,7 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
             );
             if let Some(rep) = reporter.as_mut() {
                 rep.record_epoch(e, s);
-                if let (true, Some(epoch)) = (opts.prof, rep.epochs_so_far().last()) {
+                if let (true, Some(epoch)) = (opts.profile, rep.epochs_so_far().last()) {
                     for (phase, secs) in &epoch.phases_s {
                         say!("    {phase:<14} {secs:8.3}s");
                     }
@@ -501,8 +483,6 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
             say!("{}", profrep::render_table(&rows, &roof, opts.profile_top).trim_end());
             let coverage = profrep::phase_coverage(&report.profile, &report.phases_total_s);
             say!("{}", profrep::render_coverage(&coverage).trim_end());
-        }
-        if opts.prof || opts.profile {
             say!("{}", profrep::render_stages(&report.profile, report.critpath.as_ref()).trim_end());
         }
         if let (true, Some(analysis)) = (opts.critpath, &report.critpath) {
@@ -510,19 +490,12 @@ pub fn run(cfg: &ExperimentConfig, opts: &ObsOptions) -> Result<ExperimentResult
         }
     }
     if logging {
-        let spans = obs::trace::take();
-        obs::trace::enable(false);
+        let spans = obs::log::take();
+        obs::log::full(false);
         if let Some(path) = &opts.trace_out {
             std::fs::write(path, crate::report::chrome_trace(&spans)).map_err(RunError::io("trace-out", path))?;
             say!("chrome trace with {} spans written to {}", spans.len(), path.display());
         }
-    }
-    if let Some(path) = &opts.flight_out {
-        let mut dump = RunReport::flight("request", Some(trainer.health_policy()));
-        dump.epochs = epochs.iter().enumerate().map(|(e, s)| EpochReport::bare(e, s)).collect();
-        dump.test = Some((test_ap, test_s));
-        dump.save(path).map_err(RunError::io("flight-out", path))?;
-        say!("flight dump written to {}", path.display());
     }
     if let Some(path) = &opts.ckpt_save {
         model.save(path).map_err(RunError::io("ckpt", path))?;

@@ -24,11 +24,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with column separators and a header rule.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -100,7 +95,7 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("Data"));
         assert!(lines[2].starts_with("Wiki"));
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl TemporalAttnLayer {
         }
     }
 
-    /// Output embedding width.
-    pub fn out_dim(&self) -> usize {
-        self.ffn.out_features()
-    }
-
     /// Computes one row of output per block destination, consuming
     /// `blk.dstdata("h")` / `blk.srcdata("h")`.
     pub fn forward(&self, ctx: &TContext, blk: &TBlock, time_precompute: bool) -> Tensor {
@@ -173,7 +168,6 @@ mod tests {
         let l = layer(6);
         let out = l.forward(&ctx, &blk, false);
         assert_eq!(out.dims(), &[3, 8]);
-        assert_eq!(l.out_dim(), 8);
     }
 
     #[test]

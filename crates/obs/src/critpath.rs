@@ -1,8 +1,8 @@
 //! Critical-path analysis over tracer spans.
 //!
 //! The profiler says where CPU time goes; this module says what the
-//! *wall clock* was waiting on. It consumes the spans logged by
-//! [`crate::trace`] (thread ids + parent hints included), reduces them
+//! *wall clock* was waiting on. It consumes the spans [`crate::log`]
+//! keeps in full mode (thread ids + parent hints included), reduces them
 //! to non-overlapping per-thread *leaf segments* (the innermost active
 //! span owns each instant, so container spans like `step` contribute
 //! only their self time), files every segment under the pipeline stage
@@ -177,8 +177,8 @@ fn stage_index(stage: Stage) -> usize {
     stage as usize
 }
 
-/// Analyzes a set of tracer spans (from [`crate::trace::take`] or
-/// [`crate::trace::snapshot`]). Returns a zeroed analysis when the
+/// Analyzes a set of logged spans (from [`crate::log::take`] or
+/// [`crate::log::snapshot`]). Returns a zeroed analysis when the
 /// trace is empty.
 pub fn analyze(spans: &[Span]) -> Analysis {
     let ns = 1e-9;

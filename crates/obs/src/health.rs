@@ -62,7 +62,7 @@ pub fn record(level: Level, source: &'static str, message: String) -> u64 {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut ev = EVENTS.lock().unwrap_or_else(|e| e.into_inner());
     if ev.len() < MAX_EVENTS {
-        ev.push(HealthEvent { level, source, message, seq, t_ns: crate::trace::now_ns() });
+        ev.push(HealthEvent { level, source, message, seq, t_ns: crate::log::now_ns() });
     } else {
         DROPPED.fetch_add(1, Ordering::Relaxed);
     }

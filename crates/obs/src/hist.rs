@@ -21,13 +21,11 @@
 //!
 //! A [`Gauge`] is a last-write-wins `f64` (parameter-update ratio,
 //! gradient norm, loss trend): `gauge!("health.grad_norm").set(x)`.
-//!
-//! Both types share the [`metrics`](crate::metrics) enable gate: when
-//! metering is disabled, `record`/`set` are a relaxed load + branch.
+//! Both types always record, as counters always count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::metrics::{enabled, Registry};
+use crate::metrics::Registry;
 
 /// Number of log2 buckets (covers the full `u64` range).
 pub const NUM_BUCKETS: usize = 64;
@@ -83,17 +81,9 @@ impl Histogram {
         self.name
     }
 
-    /// Records one sample (no-op when metering is disabled).
+    /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if enabled() {
-            self.record_always(v);
-        }
-    }
-
-    /// Records one sample regardless of the enable gate (used by tests
-    /// and by drains that must not lose data).
-    pub fn record_always(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -245,12 +235,10 @@ impl Gauge {
         self.name
     }
 
-    /// Sets the gauge (no-op when metering is disabled).
+    /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if enabled() {
-            self.bits.store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -347,7 +335,7 @@ mod tests {
         let h = histogram("test.hist.buckets");
         h.reset();
         for v in [0u64, 1, 2, 3, 7, 8, 1000] {
-            h.record_always(v);
+            h.record(v);
         }
         let s = h.snapshot();
         assert_eq!(s.count, 7);
@@ -367,7 +355,7 @@ mod tests {
         // 1..=1024 once each: the true q-quantile is ~1024q; log2
         // buckets bound the estimate within a factor of 2.
         for v in 1..=1024u64 {
-            h.record_always(v);
+            h.record(v);
         }
         let s = h.snapshot();
         for (q, truth) in [(0.5, 512.0), (0.9, 922.0), (0.99, 1014.0)] {
@@ -386,7 +374,7 @@ mod tests {
         let h = histogram("test.hist.constant");
         h.reset();
         for _ in 0..100 {
-            h.record_always(4096);
+            h.record(4096);
         }
         let s = h.snapshot();
         // All mass in one bucket whose hi is clamped to the max.
@@ -404,7 +392,7 @@ mod tests {
             for t in 0..threads {
                 s.spawn(move || {
                     for i in 0..per {
-                        h.record_always(t * per + i + 1);
+                        h.record(t * per + i + 1);
                     }
                 });
             }
@@ -421,10 +409,10 @@ mod tests {
     fn snapshot_merge_and_diff_are_inverse() {
         let h = histogram("test.hist.diff");
         h.reset();
-        h.record_always(10);
-        h.record_always(100);
+        h.record(10);
+        h.record(100);
         let early = h.snapshot();
-        h.record_always(1000);
+        h.record(1000);
         let late = h.snapshot();
         let delta = late.diff(&early);
         assert_eq!(delta.count, 1);
@@ -432,18 +420,6 @@ mod tests {
         assert_eq!(early.merge(&delta).count, late.count);
         assert_eq!(early.merge(&delta).sum, late.sum);
         assert_eq!(early.merge(&delta).buckets, late.buckets);
-    }
-
-    #[test]
-    fn disabled_metering_drops_records() {
-        let h = histogram("test.hist.gated");
-        h.reset();
-        crate::metrics::set_enabled(false);
-        h.record(5);
-        crate::metrics::set_enabled(true);
-        assert_eq!(h.snapshot().count, 0);
-        h.record(5);
-        assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]
@@ -470,8 +446,8 @@ mod tests {
 
     #[test]
     fn snapshot_listing_is_sorted() {
-        histogram("test.hist.zz").record_always(1);
-        histogram("test.hist.aa").record_always(1);
+        histogram("test.hist.zz").record(1);
+        histogram("test.hist.aa").record(1);
         let snap = hist_snapshot();
         assert!(snap.windows(2).all(|w| w[0].0 <= w[1].0));
     }

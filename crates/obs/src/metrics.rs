@@ -3,9 +3,9 @@
 //! Subsystems meter themselves with named monotonic counters:
 //! `tgl_obs::counter!("cache.hits").add(n)`. The macro interns the name
 //! in a process-global registry once per call site, so steady-state
-//! cost is one relaxed atomic load (the enable gate) plus one relaxed
-//! `fetch_add`. [`snapshot`] returns every registered counter for run
-//! reports; [`reset`] zeroes them between measured runs. The registry
+//! cost is one relaxed `fetch_add`; counters always count. [`snapshot`]
+//! returns every registered counter for run reports; [`reset`] zeroes
+//! them between measured runs. The registry
 //! type is the one `hist`'s gauges and histograms use too.
 //!
 //! Naming scheme: `<subsystem>.<quantity>[.<qualifier>]`, all
@@ -14,23 +14,8 @@
 //! `_ns`; everything else is an event count.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-/// Whether counters record increments. Enabled by default: a counter
-/// site is a relaxed `fetch_add` at batch granularity, which is noise.
-/// Disable for the strictest overhead measurements.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns metering on or off globally (counters keep their values).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether metering is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// A named monotonic counter. Obtain via [`counter`] or the
 /// `counter!` macro; instances live for the life of the process.
@@ -53,15 +38,13 @@ impl Counter {
         self.name
     }
 
-    /// Adds `n` (no-op when metering is disabled).
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if ENABLED.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1 (no-op when metering is disabled).
+    /// Adds 1.
     #[inline]
     pub fn incr(&self) {
         self.add(1);
@@ -187,17 +170,6 @@ mod tests {
         let snap = snapshot();
         assert!(snap.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(snap.iter().any(|&(n, _)| n == "test.metrics.zz"));
-    }
-
-    #[test]
-    fn disabled_metering_drops_increments() {
-        let c = counter("test.metrics.gated");
-        set_enabled(false);
-        c.add(100);
-        let frozen = c.get();
-        set_enabled(true);
-        c.add(1);
-        assert_eq!(c.get(), frozen + 1);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! such as `step`), [`crate::profile::op`] (a tensor operator with an
 //! analytic cost) and [`crate::timer`] (a latency probe inside an op)
 //! all return the same [`SpanGuard`]. Opening one pushes a frame;
-//! dropping it pops the frame and hands the finished span to every sink
-//! that is on: the flight ring ([`crate::flight`], on by default), the
+//! dropping it pops the frame and hands the finished span to the
 //! aggregate behind the phase table, op profile and latency histograms
-//! ([`crate::profile`], [`crate::collect`]), and the opt-in event log
-//! behind the Chrome trace and the critical path ([`crate::trace`]).
+//! ([`crate::profile`], while [`crate::collect`]ing) and, as one
+//! [`Span`] record, to the per-thread span log ([`crate::log`]: each
+//! thread's tail always, the whole run in full mode, behind the Chrome
+//! trace and the critical path).
 //!
 //! **Stage inheritance.** A span's [`Stage`] is its parent's unless the
 //! site sets one with [`SpanGuard::stage`]; only the stage roots do
@@ -19,14 +20,14 @@
 //! workers and across the pipeline channel.
 //!
 //! With every sink off a phase or region site costs one relaxed load;
-//! ops and timers are live only while collecting, so they cost one
-//! relaxed load otherwise and never reach the flight ring.
+//! ops and timers are live only while collecting, so outside it they
+//! cost one relaxed load and never reach the log.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::{flight, intern, profile, trace};
+use crate::{intern, log, profile};
 
 /// What a span is for; decides which views count it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -79,7 +80,7 @@ impl Stage {
     }
 }
 
-/// One completed span, as the event log stores it.
+/// One completed span, as the span log stores it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Span {
     /// Phase / region / operator name.
@@ -94,7 +95,7 @@ pub struct Span {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Process-unique id (0 = none: allocated only while logging).
+    /// Process-unique id (0 = none: allocated only in full mode).
     pub id: u64,
     /// Id of the enclosing span, possibly on another thread (0 = none).
     pub parent: u64,
@@ -134,13 +135,13 @@ pub struct Cost {
 }
 
 pub(crate) const COLLECT: u32 = 1;
-pub(crate) const LOG: u32 = 2;
-pub(crate) const FLIGHT: u32 = 4;
-const ANY_SINK: u32 = COLLECT | LOG | FLIGHT;
+pub(crate) const FULL: u32 = 2;
+pub(crate) const TAIL: u32 = 4;
+const ANY_SINK: u32 = COLLECT | FULL | TAIL;
 
 /// Every sink switch in one word, so a disabled site is one load. The
-/// flight ring starts on.
-static STATE: AtomicU32 = AtomicU32::new(FLIGHT);
+/// tail starts on.
+static STATE: AtomicU32 = AtomicU32::new(TAIL);
 
 #[inline]
 fn state() -> u32 {
@@ -189,7 +190,7 @@ impl Frame {
     /// stage and the phase its children are keyed by).
     fn new(name: &'static str, kind: Kind, parent: Option<SpanCtx>, start: Instant) -> Frame {
         let ctx = parent.unwrap_or(SpanCtx { id: 0, stage: Stage::Other, phase: profile::NO_PHASE });
-        let logging = state() & LOG != 0;
+        let logging = state() & FULL != 0;
         Frame {
             name,
             kind,
@@ -221,7 +222,7 @@ thread_local! {
 /// cross-thread parent edge), stage and phase.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanCtx {
-    /// Id of the dispatching span (0 unless logging).
+    /// Id of the dispatching span (0 outside full mode).
     pub id: u64,
     stage: Stage,
     phase: &'static str,
@@ -374,13 +375,14 @@ impl Drop for SpanGuard {
     }
 }
 
-/// The one write: hands a finished frame to every sink that is on.
+/// The one write: hands a finished frame to the aggregate while
+/// collecting and records it once in the span log.
 fn emit(f: &Frame, dur_ns: u64) {
     let st = state();
     if st & COLLECT != 0 {
         profile::record(f, dur_ns);
     }
-    if st & (FLIGHT | LOG) == 0 {
+    if st & (TAIL | FULL) == 0 {
         return;
     }
     let span = Span {
@@ -388,7 +390,7 @@ fn emit(f: &Frame, dur_ns: u64) {
         kind: f.kind,
         stage: f.stage,
         tid: crate::thread_id(),
-        start_ns: trace::offset_ns(f.start),
+        start_ns: log::offset_ns(f.start),
         dur_ns,
         id: f.id,
         parent: f.parent,
@@ -396,12 +398,7 @@ fn emit(f: &Frame, dur_ns: u64) {
         bytes: f.cost.bytes_read + f.cost.bytes_written,
         shape: f.cost.shape,
     };
-    if st & FLIGHT != 0 {
-        flight::record(span.clone());
-    }
-    if st & LOG != 0 {
-        trace::push(span);
-    }
+    log::record(span, st & FULL != 0);
 }
 
 /// Runs `f` on the innermost open op frame of this thread, if any.
@@ -417,9 +414,8 @@ mod tests {
     #[test]
     fn stage_is_set_at_roots_and_inherited_below_and_across_threads() {
         let _g = serial();
-        trace::enable(true);
+        log::full(true);
         crate::collect(true);
-        trace::take();
         {
             let _step = crate::region("span-test-step");
             let _fwd = crate::region("span-test-forward").stage(Stage::Forward);
@@ -439,8 +435,8 @@ mod tests {
             std::mem::forget(crate::region("span-test-leaked"));
         }
         assert!(current().is_none(), "stack must be empty again");
-        let spans = trace::take();
-        trace::enable(false);
+        let spans = log::take();
+        log::full(false);
         crate::collect(false);
         let find = |n: &str| spans.iter().find(|s| s.name == n).unwrap_or_else(|| panic!("no {n}"));
         assert_eq!(find("span-test-step").stage, Stage::Other);

@@ -131,8 +131,7 @@ thread_local! {
 
 /// Claims and executes chunks until the job's counter is exhausted.
 fn drain_job(job: &JobCore) {
-    let observing = tgl_obs::metrics::enabled() || job.parent_span.is_some();
-    let started = observing.then(std::time::Instant::now);
+    let started = std::time::Instant::now();
     let _adopt = tgl_obs::adopt(job.parent_span);
     let mut executed: u64 = 0;
     loop {
@@ -162,7 +161,7 @@ fn drain_job(job: &JobCore) {
     }
     // Record only threads that actually executed work: a helper that
     // lost every claim race produced no busy time and no span.
-    if let (Some(started), true) = (started, executed > 0) {
+    if executed > 0 {
         let busy = started.elapsed();
         tgl_obs::counter!("pool.chunks").add(executed);
         BUSY_NS.with(|c| c.add(busy.as_nanos() as u64));

@@ -51,16 +51,6 @@ impl Linear {
         linear_cat(parts, &self.weight, Some(&self.bias), true)
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.weight.dim(1)
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.weight.dim(0)
-    }
-
     /// The weight tensor (`[out, in]`).
     pub fn weight(&self) -> &Tensor {
         &self.weight

@@ -33,11 +33,6 @@ impl Mlp {
         self.fc2.forward(&self.fc1.forward_relu_parts(parts))
     }
 
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.fc2.out_features()
-    }
-
     /// Returns a copy of this network with parameters on `device`.
     pub fn to_device(&self, device: tgl_device::Device) -> Mlp {
         Mlp {

@@ -5,7 +5,7 @@
 //! cargo run --release -p tgl-examples --bin quickstart
 //! # with observability:
 //! cargo run --release -p tgl-examples --bin quickstart -- \
-//!     --prof --profile --critpath --metrics-out report.json
+//!     --profile --critpath --metrics-out report.json
 //! ```
 //!
 //! One experiment is one [`ExperimentConfig`] — framework, model,
@@ -20,11 +20,12 @@
 //! `1e18` to watch the health monitor skip batches) and `--move` (keep
 //! features on the host and move them per batch over the simulated PCIe
 //! link). Every observability flag of `tgl train` works here too,
-//! through the one [`ObsOptions::from_args`]: `--prof`, `--profile`, `--critpath`,
-//! `--trace-out`, `--metrics-out`, `--flight-out`,
-//! `--health`, `--pipeline`, `--threads`, `--flight`,
-//! `--ckpt` (see `tgl --help`); per-epoch loss, time and AP are the
-//! `--metrics-out` report's `epochs` rows. Any other argument exits 2.
+//! through the one [`ObsOptions::from_args`]: `--profile`, `--profile-top`,
+//! `--critpath`, `--trace-out`, `--metrics-out`, `--health`,
+//! `--pipeline`, `--threads`, `--ckpt` (see `tgl --help`); per-epoch
+//! loss, time and AP are the `--metrics-out` report's `epochs` rows,
+//! and its `recent` section holds each thread's last spans. Any other
+//! argument exits 2.
 
 use tgl_data::{DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;

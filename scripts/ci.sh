@@ -89,7 +89,7 @@ OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
 TGL_THREADS=2 cargo run --release --offline -q -p tgl-examples --bin quickstart -- \
     --scale 8 --epochs 1 \
-    --prof --trace-out "$OBS_DIR/trace.json" --metrics-out "$OBS_DIR/report.json"
+    --profile --trace-out "$OBS_DIR/trace.json" --metrics-out "$OBS_DIR/report.json"
 ./target/release/tgl jsoncheck "$OBS_DIR/trace.json"
 ./target/release/tgl jsoncheck "$OBS_DIR/report.json"
 # The training epoch must actually recycle tensor buffers: a zero (or
@@ -153,7 +153,7 @@ phase_coverage "$EVAL_LOG" \
 echo "==> one span stream, three views: phase table, op profile and critical path agree per stage (TGN training, 1 thread)"
 VIEWS_LOG="$OBS_DIR/views.log"
 TGL_THREADS=1 ./target/release/tgl train --model tgn --scale 8 --epochs 1 \
-    --prof --profile --profile-top 200 --critpath >"$VIEWS_LOG" 2>&1 \
+    --profile --profile-top 200 --critpath >"$VIEWS_LOG" 2>&1 \
     || { cat "$VIEWS_LOG"; exit 1; }
 phase_coverage "$VIEWS_LOG" \
     || { echo "tgl train --model tgn --profile leaves a heavy phase unattributed"; cat "$VIEWS_LOG"; exit 1; }
@@ -259,27 +259,20 @@ result_lines() { sed -n 's/^\(epoch  *1: loss [0-9.]*  val AP [0-9.]*%\).*/\1/p;
     && [ "$(result_lines "$OBS_DIR/simd-off.log")" = "$(result_lines "$OBS_DIR/simd-auto.log")" ] \
     || { echo "scalar and SIMD kernels disagree end to end"; cat "$OBS_DIR/simd-off.log" "$OBS_DIR/simd-auto.log"; exit 1; }
 
-echo "==> critical-path analysis + flight recorder smoke"
+echo "==> critical-path analysis + the run report's recent spans"
 CP_LOG="$OBS_DIR/critpath.log"
 TGL_THREADS=2 ./target/release/quickstart \
     --scale 8 --epochs 1 \
-    --critpath --metrics-out "$OBS_DIR/critpath-report.json" \
-    --flight-out "$OBS_DIR/flight.json" >"$CP_LOG" 2>&1 \
+    --critpath --metrics-out "$OBS_DIR/critpath-report.json" >"$CP_LOG" 2>&1 \
     || { cat "$CP_LOG"; exit 1; }
 ./target/release/tgl jsoncheck "$OBS_DIR/critpath-report.json" | grep -q "schema tgl-run-report/v3 ok" \
     || { echo "run report failed its schema check"; exit 1; }
 grep -Eq '"critpath": *\{"wall_s"' "$OBS_DIR/critpath-report.json" \
     || { echo "run report of a --critpath run has no critpath section"; exit 1; }
-# A flight dump is a run report: the reason it was taken in
-# meta.reason, the rings' spans (the last training step among them)
-# in its recent section.
-flight_dump() {
-    ./target/release/tgl jsoncheck "$1" | grep -q "schema tgl-run-report/v3 ok" \
-        && grep -Eq "\"reason\": *\"$2\"" "$1" \
-        && grep -Eq '"name": *"step", *"kind": *"region"' "$1"
-}
-flight_dump "$OBS_DIR/flight.json" request \
-    || { echo "--flight-out wrote no run report with reason request and a step in recent"; exit 1; }
+# Every thread's last spans are the report's recent section, the last
+# training step among them.
+grep -Eq '"name": *"step", *"kind": *"region"' "$OBS_DIR/critpath-report.json" \
+    || { echo "the run report's recent section holds no step region"; exit 1; }
 # The table must lead with the critical-path headline and break the
 # run down into the pipeline stages the paper's Figure 7 names.
 grep -q "critical path" "$CP_LOG" \
@@ -349,6 +342,14 @@ if TGL_FLIGHT_DIR="$HEALTH_FLIGHT_DIR" TGL_THREADS=2 ./target/release/quickstart
     --scale 4 --epochs 1 --lr 1e18 --health fail >"$HEALTH_LOG" 2>&1; then
     echo "--health fail should have aborted on the non-finite loss"; cat "$HEALTH_LOG"; exit 1
 fi
+# A flight dump is a run report: the reason it was taken in
+# meta.reason, every thread's last spans (the last training step among
+# them) in its recent section.
+flight_dump() {
+    ./target/release/tgl jsoncheck "$1" | grep -q "schema tgl-run-report/v3 ok" \
+        && grep -Eq "\"reason\": *\"$2\"" "$1" \
+        && grep -Eq '"name": *"step", *"kind": *"region"' "$1"
+}
 HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
 [ -n "$HEALTH_DUMP" ] && flight_dump "$HEALTH_DUMP" health-fail \
     || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }

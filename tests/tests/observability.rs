@@ -6,7 +6,7 @@
 //! and (c) leave the subsystem counters (cache hits, transfer bytes)
 //! visibly advanced.
 //!
-//! Everything observability touches is process-global (trace sink,
+//! Everything observability touches is process-global (span log,
 //! phase map, counter registry, thread pool), so every test holds the
 //! `serial()` lock and restores the default state on the way out.
 
@@ -18,9 +18,9 @@ use tgl_harness::{
 };
 use tgl_models::ModelConfig;
 use tgl_runtime::set_threads;
-use tglite::obs::{metrics, trace};
+use tglite::obs::{log, metrics};
 
-/// Serializes tests: trace sink, phase map, and pool size are global.
+/// Serializes tests: span log, phase map, and pool size are global.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -44,11 +44,10 @@ fn obs_cfg() -> ExperimentConfig {
 fn traced_run_spans_two_threads_and_exports_valid_chrome_json() {
     let _g = serial();
     set_threads(2);
-    trace::enable(true);
-    trace::take(); // discard anything a prior test left behind
+    log::full(true);
     run_experiment(&obs_cfg());
-    let spans = trace::take();
-    trace::enable(false);
+    let spans = log::take();
+    log::full(false);
     set_threads(1);
 
     assert!(!spans.is_empty(), "traced run recorded no spans");
@@ -162,6 +161,37 @@ fn run_report_gauges_what_the_buffer_pool_holds() {
     std::fs::remove_file(&path).ok();
     let held = doc.get("gauges").and_then(|g| g.get("tensor.pool.held_bytes")).and_then(Json::as_num);
     assert!(held.is_some_and(|b| b > 0.0), "tensor.pool.held_bytes gauge: {held:?}");
+}
+
+/// Everything an end-of-run flight dump held, the `--metrics-out`
+/// report holds: its `recent` section carries the run's last training
+/// `step` region, the very record the full log kept for the whole run.
+#[test]
+fn run_report_recent_holds_the_last_training_step() {
+    let _g = serial();
+    let path = std::env::temp_dir().join(format!("tgl-recent-{}.json", std::process::id()));
+    let opts = tgl_harness::ObsOptions { metrics_out: Some(path.clone()), ..Default::default() };
+    log::full(true);
+    tgl_harness::run(&obs_cfg(), &opts).expect("the report path is writable");
+    let spans = log::take();
+    log::full(false);
+    let doc = Json::parse(&std::fs::read_to_string(&path).expect("read the report")).expect("valid JSON");
+    std::fs::remove_file(&path).ok();
+    let last = spans.iter().filter(|s| s.name == "step").max_by_key(|s| s.start_ns).expect("the run logged its steps");
+    let recent = doc.get("recent").and_then(Json::as_arr).expect("the report has a recent section");
+    let field = |s: &Json, key: &str| s.get(key).and_then(Json::as_num);
+    let steps: Vec<(Option<f64>, Option<f64>)> = recent
+        .iter()
+        .filter(|s| s.get("name").and_then(Json::as_str) == Some("step"))
+        .filter(|s| s.get("kind").and_then(Json::as_str) == Some("region"))
+        .map(|s| (field(s, "t_ns"), field(s, "dur_ns")))
+        .collect();
+    assert!(
+        steps.contains(&(Some(last.start_ns as f64), Some(last.dur_ns as f64))),
+        "recent holds {} step regions, not the last one at {} ns",
+        steps.len(),
+        last.start_ns
+    );
 }
 
 /// The acceptance bar for the telemetry layer: one reported epoch on
@@ -310,14 +340,12 @@ fn reported_epoch(model: ModelKind, threads: usize) -> tgl_harness::RunReport {
         Trainer::new(cfg.train_cfg, cfg.dataset.n_src as u32, cfg.dataset.num_nodes() as u32)
             .with_pipeline(0);
     let mut opt = tglite::tensor::optim::Adam::new(model.parameters(), cfg.train_cfg.lr);
-    trace::enable(true);
-    trace::take();
+    log::full(true);
     let mut rep = RunReporter::start();
     let stats = trainer.train_epoch(model.as_mut(), &ctx, &split, &mut opt, 0);
     rep.record_epoch(0, &stats);
     let report = rep.finish(0.0, 0.0);
-    trace::take();
-    trace::enable(false);
+    log::full(false);
     set_threads(1);
     report
 }
@@ -338,7 +366,7 @@ fn timing_views_agree_per_stage_on_real_tgat_and_tgn_epochs() {
     let within = |a: f64, b: f64| (a - b).abs() <= 0.05 * a.max(b);
     for model in [ModelKind::Tgat, ModelKind::Tgn] {
         let report = reported_epoch(model, 1);
-        let cp = report.critpath.as_ref().expect("the event log was on");
+        let cp = report.critpath.as_ref().expect("the span log kept the run");
         let views = stage_seconds(&report.profile);
         let mut heavy = 0;
         for (i, stage) in Stage::ALL.into_iter().enumerate() {
@@ -380,7 +408,7 @@ fn timing_views_agree_per_stage_on_real_tgat_and_tgn_epochs() {
         }
 
         let report = reported_epoch(model, 2);
-        let cp = report.critpath.as_ref().expect("the event log was on");
+        let cp = report.critpath.as_ref().expect("the span log kept the run");
         let backward_wall = report
             .phases_total_s
             .iter()

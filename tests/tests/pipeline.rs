@@ -6,7 +6,7 @@
 //! worker-pool width, identical deltas on the work counters the
 //! sampler stage owns (sampling, dedup, preload, transfers), and
 //! unchanged health semantics (a poisoned batch is skipped, not
-//! crashed, and the flight recorder still yields a parseable dump). A
+//! crashed, and a flight dump still parses). A
 //! compute stage that panics while the sampler stage waits on a full
 //! queue fails the epoch instead of hanging it.
 //!
@@ -266,7 +266,7 @@ fn tgn_host_resident_matches_sequential_and_keeps_device_peak() {
 /// prefetched batch produces a NaN loss, and the `warn` policy must
 /// skip each one (recording `trainer.loss` events) while the epoch —
 /// including the sampler-stage shutdown — completes cleanly, and the
-/// flight recorder still renders a parseable dump.
+/// span tail still renders as a parseable flight dump.
 #[test]
 fn pipelined_nan_batches_are_skipped_not_crashed() {
     let _g = serial();
@@ -312,7 +312,7 @@ fn pipelined_nan_batches_are_skipped_not_crashed() {
     let recent = doc.get("recent").and_then(Json::as_arr).expect("flight dump has a recent section");
     assert!(
         recent.iter().any(|s| s.get("name").and_then(Json::as_str) == Some("step")),
-        "the flight rings hold no step region of the epoch that just ran"
+        "the span tail holds no step region of the epoch that just ran"
     );
 }
 
