@@ -400,23 +400,22 @@ impl Tensor {
     /// metering the simulated transfer. Same-device moves are free
     /// handle clones. The result is detached from the autograd graph.
     pub fn to(&self, device: Device) -> Tensor {
-        self.transfer_to(device, false, None)
+        self.transfer_to(device, None)
     }
 
     /// Moves the tensor host→accelerator through a pinned staging buffer
     /// from `pool` (the fast path used by TGLite's `preload()`).
     pub fn to_pinned(&self, device: Device, pool: &PinnedPool) -> Tensor {
-        self.transfer_to(device, true, Some(pool))
+        self.transfer_to(device, Some(pool))
     }
 
-    fn transfer_to(&self, device: Device, pinned: bool, pool: Option<&PinnedPool>) -> Tensor {
+    fn transfer_to(&self, device: Device, pool: Option<&PinnedPool>) -> Tensor {
         if device == self.device() {
             return self.clone();
         }
         let bytes = (self.numel() * std::mem::size_of::<f32>()) as u64;
         let kind = match (self.device(), device) {
-            (Device::Host, Device::Accel) if pinned => TransferKind::HostToAccelPinned,
-            (Device::Host, Device::Accel) => TransferKind::HostToAccelPageable,
+            (Device::Host, Device::Accel) => pool.map_or(TransferKind::HostToAccelPageable, PinnedPool::transfer_kind),
             (Device::Accel, Device::Host) => TransferKind::AccelToHost,
             _ => unreachable!("same-device handled above"),
         };
@@ -432,7 +431,7 @@ impl Tensor {
             .stage(tgl_obs::Stage::Transfer)
             .io(bytes, bytes)
             .shape(&[self.dims()]);
-        let data = if let (Some(pool), true) = (pool, pinned) {
+        let data = if let Some(pool) = pool {
             // Stage through a reusable pinned buffer: copy into the
             // pinned buffer, transfer, then recycle it.
             let mut staged = pool.acquire(self.numel());
