@@ -13,8 +13,8 @@
 //! gains, so the JSON also records `host_cpus`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use tgl_bench::{time_it, Lap};
 use tgl_runtime::rng::{SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 
@@ -28,31 +28,8 @@ use tgl_tensor::Tensor;
 use tglite::nn::TimeEncode;
 use tglite::{op, TBlock, TContext, TSampler};
 
-/// Times `f`, adaptively picking an iteration count that fills roughly
-/// `budget_s` seconds, and returns mean seconds per iteration.
-fn time_it<R>(mut f: impl FnMut() -> R, budget_s: f64) -> f64 {
-    // Warm-up + calibration run.
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    let once = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((budget_s / once) as usize).clamp(1, 10_000);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Like [`time_it`] for a step that times itself (so set-up inside
-/// `once` stays outside the measurement): mean of the seconds `once`
-/// returns over roughly `budget_s` of them.
-fn mean_of(mut once: impl FnMut() -> f64, budget_s: f64) -> f64 {
-    let iters = ((budget_s / once().max(1e-9)) as usize).clamp(1, 10_000);
-    (0..iters).map(|_| once()).sum::<f64>() / iters as f64
-}
-
-fn report<R>(name: &str, f: impl FnMut() -> R) {
-    let s = time_it(f, 0.3);
+fn report<R>(name: &str, mut f: impl FnMut() -> R) {
+    let s = time_it(|_| f(), 0.3);
     println!("  {name:<36} {:>12.1} us/iter", s * 1e6);
 }
 
@@ -200,7 +177,7 @@ impl GemmCell {
 
     /// The row, with the `"kernel": "exact"` identity field every row
     /// has carried since the series were split by kernel mode, so that
-    /// `scripts/bench_trend` still matches it to the committed one.
+    /// `scripts/ab` matches it to the parent's row.
     fn json(&self, extra: &str) -> String {
         format!(
             "{{\"op\": {:?}, \"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": \"exact\", \"threads\": {}, \"secs\": {:.6e}, \"gflops\": {:.3}{extra}}}",
@@ -222,17 +199,16 @@ fn time_backward_gemm(op: &str, (m, k, n): (usize, usize, usize), budget_s: f64)
     let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng).requires_grad(op == "nt");
     let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng).requires_grad(op == "tn");
     let seed = Tensor::rand_uniform([m, n], -1.0, 1.0, &mut rng).to_vec();
-    let once = || {
-        let y = a.matmul(&b);
-        let go = seed.clone();
-        let t0 = Instant::now();
-        y.backward_with(go);
-        let secs = t0.elapsed().as_secs_f64();
+    let once = |lap: &mut Lap| {
         a.zero_grad();
         b.zero_grad();
-        secs
+        let y = a.matmul(&b);
+        let go = seed.clone();
+        lap.start();
+        y.backward_with(go);
+        y
     };
-    mean_of(once, budget_s)
+    time_it(once, budget_s)
 }
 
 /// Mean seconds of `x.linear(w, b, relu = false)` forward (`bwd` false)
@@ -245,19 +221,18 @@ fn time_linear(bwd: bool, (m, k, n): (usize, usize, usize), budget_s: f64) -> f6
     let w = Tensor::rand_uniform([n, k], -1.0, 1.0, &mut rng).requires_grad(bwd);
     let b = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng).requires_grad(bwd);
     if !bwd {
-        return time_it(|| x.linear(&w, Some(&b), false), budget_s);
+        return time_it(|_| x.linear(&w, Some(&b), false), budget_s);
     }
     let seed = Tensor::rand_uniform([m, n], -1.0, 1.0, &mut rng).to_vec();
-    let once = || {
+    let once = |lap: &mut Lap| {
+        [&x, &w, &b].into_iter().for_each(Tensor::zero_grad);
         let y = x.linear(&w, Some(&b), false);
         let go = seed.clone();
-        let t0 = Instant::now();
+        lap.start();
         y.backward_with(go);
-        let secs = t0.elapsed().as_secs_f64();
-        [&x, &w, &b].into_iter().for_each(Tensor::zero_grad);
-        secs
+        y
     };
-    mean_of(once, budget_s)
+    time_it(once, budget_s)
 }
 
 /// Times the cache-blocked GEMM over a size series that spans the
@@ -285,7 +260,7 @@ fn bench_gemm_series(counts: &[usize]) {
     for (m, k, n) in SIZES {
         let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
-        let secs = time_it(|| a.matmul(&b), 0.4);
+        let secs = time_it(|_| a.matmul(&b), 0.4);
         cells.push(GemmCell::new("nn", (m, k, n), 1, secs));
     }
 
@@ -298,14 +273,12 @@ fn bench_gemm_series(counts: &[usize]) {
     let b = Tensor::rand_uniform([512, 512], -1.0, 1.0, &mut rng);
     for &t in counts {
         set_threads(t);
-        let secs = time_it(|| a.matmul(&b), 0.4);
+        let secs = time_it(|_| a.matmul(&b), 0.4);
         tcells.push(GemmCell::new("nn", (512, 512, 512), t, secs));
     }
 
     // The transposed entry points autograd uses, beside `nn` at the
-    // same shapes, at every swept thread count. Appended after the
-    // older series so `scripts/bench_trend` keeps matching those by
-    // position.
+    // same shapes, at every swept thread count.
     println!();
     println!("== backward GEMMs (nt: dA = dC.Bt, tn: dB = At.dC) vs forward nn ==");
     for shape in BWD_SHAPES {
@@ -314,7 +287,7 @@ fn bench_gemm_series(counts: &[usize]) {
         let b = Tensor::rand_uniform([shape.1, shape.2], -1.0, 1.0, &mut rng);
         for &t in counts {
             set_threads(t);
-            let nn = time_it(|| a.matmul(&b), 0.3);
+            let nn = time_it(|_| a.matmul(&b), 0.3);
             let series = if t == 1 { &mut cells } else { &mut tcells };
             series.push(GemmCell::new("nn", shape, t, nn));
             for op in ["nt", "tn"] {
@@ -347,7 +320,7 @@ fn bench_gemm_series(counts: &[usize]) {
     for (m, k, n) in [(4608, 80, 1), (4608, 32, 16)] {
         let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
-        let secs = time_it(|| a.matmul(&b), 0.3);
+        let secs = time_it(|_| a.matmul(&b), 0.3);
         cells.push(GemmCell::new("nn", (m, k, n), 1, secs));
     }
 
@@ -409,29 +382,31 @@ fn attention_kernel_sweep(counts: &[usize]) -> Vec<SweepCell> {
         let q = Tensor::rand_uniform([s, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
         let k = Tensor::rand_uniform([e, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
         let a = Tensor::rand_uniform([e, h], 0.0, 1.0, &mut rng).requires_grad(true);
-        let backward = |y: Tensor| {
+        let backward = |lap: &mut Lap, y: Tensor| {
             let go = vec![1.0; y.numel()];
-            let t0 = Instant::now();
-            y.backward_with(go);
-            let secs = t0.elapsed().as_secs_f64();
             [&q, &k, &a].into_iter().for_each(Tensor::zero_grad);
-            secs
+            lap.start();
+            y.backward_with(go);
+            y
         };
         for &t in counts.iter().filter(|&&t| t <= 2) {
             set_threads(t);
             let scale = 1.0 / (d as f32).sqrt();
             let mut timed = vec![
-                ("segment_dot", time_it(|| segment_dot(&q, &k, &seg, h, scale), 0.3)),
-                ("segment_dot_bwd", mean_of(|| backward(segment_dot(&q, &k, &seg, h, scale)), 0.3)),
-                ("segment_weighted_sum", time_it(|| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
+                ("segment_dot", time_it(|_| segment_dot(&q, &k, &seg, h, scale), 0.3)),
+                ("segment_dot_bwd", time_it(|lap| backward(lap, segment_dot(&q, &k, &seg, h, scale)), 0.3)),
+                ("segment_weighted_sum", time_it(|_| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
                 (
                     "segment_weighted_sum_bwd",
-                    mean_of(|| backward(segment_weighted_sum(&k, &a, &seg, s)), 0.3),
+                    time_it(|lap| backward(lap, segment_weighted_sum(&k, &a, &seg, s)), 0.3),
                 ),
             ];
             if softmax {
-                timed.push(("segment_softmax", time_it(|| segment_softmax(&a, &seg, s), 0.3)));
-                timed.push(("segment_softmax_bwd", mean_of(|| backward(segment_softmax(&a, &seg, s)), 0.3)));
+                timed.push(("segment_softmax", time_it(|_| segment_softmax(&a, &seg, s), 0.3)));
+                timed.push((
+                    "segment_softmax_bwd",
+                    time_it(|lap| backward(lap, segment_softmax(&a, &seg, s)), 0.3),
+                ));
             }
             cells.extend(timed.into_iter().map(|(kernel, secs)| SweepCell {
                 // The `_exact` suffix keeps the committed rows' names.
@@ -475,13 +450,12 @@ fn gru_cell_sweep(counts: &[usize]) -> Vec<SweepCell> {
         let c = split(&gi, 2).add(&r.mul(&split(&gh, 2))).tanh();
         c.addcmul(&z, &h.sub(&c), 1.0)
     };
-    let backward = |y: Tensor| {
+    let backward = |lap: &mut Lap, y: Tensor| {
         let go = vec![1.0; y.numel()];
-        let t0 = Instant::now();
-        y.backward_with(go);
-        let secs = t0.elapsed().as_secs_f64();
         params.into_iter().for_each(Tensor::zero_grad);
-        secs
+        lap.start();
+        y.backward_with(go);
+        y
     };
     let mut cells = Vec::new();
     for n in [512usize, 4608] {
@@ -491,10 +465,10 @@ fn gru_cell_sweep(counts: &[usize]) -> Vec<SweepCell> {
         for &t in counts.iter().filter(|&&t| t <= 2) {
             set_threads(t);
             let timed = [
-                ("gru_cell", time_it(|| cell(&x, &h, true), 0.3)),
-                ("gru_cell_bwd", mean_of(|| backward(cell(&x, &h, true)), 0.3)),
-                ("gru_cell_chain", time_it(|| cell(&x, &h, false), 0.3)),
-                ("gru_cell_chain_bwd", mean_of(|| backward(cell(&x, &h, false)), 0.3)),
+                ("gru_cell", time_it(|_| cell(&x, &h, true), 0.3)),
+                ("gru_cell_bwd", time_it(|lap| backward(lap, cell(&x, &h, true)), 0.3)),
+                ("gru_cell_chain", time_it(|_| cell(&x, &h, false), 0.3)),
+                ("gru_cell_chain_bwd", time_it(|lap| backward(lap, cell(&x, &h, false)), 0.3)),
             ];
             cells.extend(timed.map(|(kernel, secs)| SweepCell {
                 // The `_exact` suffix keeps the committed rows' names.
@@ -554,12 +528,12 @@ fn non_gemm_third_sweep(counts: &[usize]) -> Vec<SweepCell> {
     for &t in counts.iter().filter(|&&t| t <= 2) {
         set_threads(t);
         let timed = [
-            ("time_encode_4612x16_trained", time_it(|| time_encode(&deltas, &freq, &phase), 0.3)),
-            ("time_encode_4612x16_trained_step", time_it(|| step(time_encode(&deltas, &freq, &phase)), 0.3)),
-            ("linear_4612x(32+32+16)x32_parts", time_it(|| project(true), 0.3)),
-            ("linear_4612x(32+32+16)x32_parts_step", time_it(|| step(project(true)), 0.3)),
-            ("linear_4612x(32+32+16)x32_cat", time_it(|| project(false), 0.3)),
-            ("linear_4612x(32+32+16)x32_cat_step", time_it(|| step(project(false)), 0.3)),
+            ("time_encode_4612x16_trained", time_it(|_| time_encode(&deltas, &freq, &phase), 0.3)),
+            ("time_encode_4612x16_trained_step", time_it(|_| step(time_encode(&deltas, &freq, &phase)), 0.3)),
+            ("linear_4612x(32+32+16)x32_parts", time_it(|_| project(true), 0.3)),
+            ("linear_4612x(32+32+16)x32_parts_step", time_it(|_| step(project(true)), 0.3)),
+            ("linear_4612x(32+32+16)x32_cat", time_it(|_| project(false), 0.3)),
+            ("linear_4612x(32+32+16)x32_cat_step", time_it(|_| step(project(false)), 0.3)),
         ];
         cells.extend(timed.map(|(bench, secs)| SweepCell { bench: bench.into(), threads: t, secs }));
     }
@@ -592,17 +566,17 @@ fn thread_sweep(counts: &[usize]) -> Vec<SweepCell> {
         cells.push(SweepCell {
             bench: "matmul_512".into(),
             threads: t,
-            secs: time_it(|| a.matmul(&b), 0.5),
+            secs: time_it(|_| a.matmul(&b), 0.5),
         });
         cells.push(SweepCell {
             bench: "segment_softmax_32768x16".into(),
             threads: t,
-            secs: time_it(|| segment_softmax(&vals, &seg, nseg), 0.5),
+            secs: time_it(|_| segment_softmax(&vals, &seg, nseg), 0.5),
         });
         cells.push(SweepCell {
             bench: "sampling_uniform_1024x10".into(),
             threads: t,
-            secs: time_it(|| uniform.sample(&csr, &nodes, &times), 0.5),
+            secs: time_it(|_| uniform.sample(&csr, &nodes, &times), 0.5),
         });
     }
     cells
@@ -657,8 +631,8 @@ fn main() {
     bench_gemm_series(&counts);
     println!();
     println!("== thread sweep ({host_cpus} host cpus) ==");
-    // `scripts/bench_trend` matches rows by `bench` and `threads`, so a
-    // sweep may add rows anywhere.
+    // `scripts/ab` matches rows by `bench` and `threads`, so a sweep may
+    // add rows anywhere.
     let mut cells = thread_sweep(&counts);
     cells.extend(attention_kernel_sweep(&counts));
     cells.extend(gru_cell_sweep(&counts));

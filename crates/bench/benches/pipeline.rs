@@ -128,8 +128,8 @@ fn compare(label: &str, run: fn(usize) -> Series) -> String {
 fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!("== pipelined trainer: sequential vs depth-{DEPTH} epoch walls ({cpus} cpus) ==");
-    // JSON key, label, run. New rows go at the end: `scripts/bench_trend`
-    // matches series by position.
+    // JSON key, label, run. `scripts/ab` matches the epochs of a row by
+    // position.
     type Run = fn(usize) -> Series;
     let rows: [(&str, &str, Run); 4] = [
         ("tgat", "TGAT, all on the compute tier", run_tgat),

@@ -14,8 +14,14 @@
 //! * `TGL_BENCH_EPOCHS` — override training epoch count (default 2).
 //!
 //! A knob set to anything but a positive integer panics naming it.
+//!
+//! [`time_it`] is the one timer of the micro benches (`micro_ops`,
+//! `obs_overhead`); `scripts/ab` takes the fastest of several runs of
+//! them per side.
 
 #![forbid(unsafe_code)]
+
+use std::time::Instant;
 
 use tgl_data::{DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;
@@ -55,6 +61,33 @@ pub fn cell(
     cfg.train_cfg.epochs = bench_epochs(2);
     cfg.transfer = TransferModel::sim_v100();
     cfg
+}
+
+/// The start of one call's timed part: [`time_it`] starts it before
+/// the call, and a call with set-up to leave out restarts it after.
+pub struct Lap(Instant);
+
+impl Lap {
+    /// Times the call from here on.
+    pub fn start(&mut self) {
+        self.0 = Instant::now();
+    }
+}
+
+/// Mean seconds per call of `f` over an adaptive number of calls: one
+/// warm-up call sizes the count to fill about `budget_s` (1 to 10 000
+/// calls). A call is timed from its [`Lap`]'s start to its return;
+/// what it returns is dropped outside the timing.
+pub fn time_it<R>(mut f: impl FnMut(&mut Lap) -> R, budget_s: f64) -> f64 {
+    let mut once = || {
+        let mut lap = Lap(Instant::now());
+        let out = std::hint::black_box(f(&mut lap));
+        let secs = lap.0.elapsed().as_secs_f64();
+        drop(out);
+        secs
+    };
+    let iters = ((budget_s / once().max(1e-9)) as usize).clamp(1, 10_000);
+    (0..iters).map(|_| once()).sum::<f64>() / iters as f64
 }
 
 /// One row of the standard evaluation grid.
@@ -208,6 +241,21 @@ mod tests {
         // A name no other test reads.
         std::env::set_var("TGL_BENCH_TEST_KNOB", "abc");
         env_count("TGL_BENCH_TEST_KNOB", 2);
+    }
+
+    #[test]
+    fn time_it_leaves_out_what_precedes_the_lap() {
+        let pause = std::time::Duration::from_millis(2);
+        let whole = time_it(|_| std::thread::sleep(pause), 0.01);
+        let lapped = time_it(
+            |lap| {
+                std::thread::sleep(pause);
+                lap.start();
+            },
+            0.01,
+        );
+        assert!(whole >= pause.as_secs_f64(), "{whole}");
+        assert!(lapped < pause.as_secs_f64() / 2.0, "{lapped}");
     }
 
     #[test]

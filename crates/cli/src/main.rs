@@ -5,7 +5,6 @@
 //! ```sh
 //! tgl train --model tgat --dataset wiki --epochs 3 --opt-all --move
 //! tgl train --model tgn --dataset reddit --framework tgl
-//! tgl generate --dataset lastfm --out lastfm.csv
 //! tgl stats --dataset gdelt
 //! tgl --help
 //! ```
@@ -16,7 +15,7 @@ mod args;
 mod schema;
 mod trend;
 
-use tgl_data::{generate, save_csv, temporal_stats, DatasetKind, DatasetSpec};
+use tgl_data::{generate, temporal_stats, DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;
 use args::Args;
 use tgl_harness::{ExperimentConfig, Framework, ModelKind, ObsOptions, Placement, TrainConfig};
@@ -34,14 +33,14 @@ USAGE:
 SUBCOMMANDS:
     train      train a model and report per-epoch loss/AP + test AP
     eval       inference-only run over the test split
-    generate   write a synthetic dataset's edge list as CSV
     stats      print a dataset's structural statistics
     jsoncheck  parse a JSON file and exit nonzero if malformed; a
                tgl-run-report/v3 document also gets its profile /
                critpath sections shape-validated;
-               with --trend --old <PATH> [--budget <PCT>] also compare
-               wall-time series against an older copy and fail on
-               regressions beyond the budget (default 25%)
+               --trend --old <PARENT_DIR> <CHANGE_DIR> instead compares
+               two directories of runs of one bench (scripts/ab): each
+               timing series' fastest run per side, failing on a
+               change more than 25% slower than the parent
 
 OBSERVABILITY OPTIONS (train/eval):
     --profile            print the per-phase breakdown (Fig. 7) after
@@ -92,7 +91,6 @@ COMMON OPTIONS:
                        (the paper's CPU-to-GPU case; default all-on-GPU)
     --opt-all          shorthand: framework = tglite-opt
     --ckpt <PATH>      save final parameters to a checkpoint
-    --out <PATH>       output path for `generate` (default <dataset>.csv)
 ";
 
 fn main() {
@@ -104,7 +102,6 @@ fn main() {
     match args.subcommand().unwrap() {
         "train" => train(&args, false),
         "eval" => train(&args, true),
-        "generate" => generate_cmd(&args),
         "stats" => stats_cmd(&args),
         "jsoncheck" => jsoncheck_cmd(&args),
         other => {
@@ -248,103 +245,85 @@ fn train(args: &Args, eval_only: bool) {
 
 fn jsoncheck_cmd(args: &Args) {
     let path = args.get("file").or_else(|| args.positional()).unwrap_or_else(|| {
-        eprintln!("usage: tgl jsoncheck --file <PATH>");
-        std::process::exit(2);
+        usage_error("usage: tgl jsoncheck --file <PATH>");
     });
-    let trend = args.has_flag("trend").then(|| {
-        let old = args.get("old").unwrap_or_else(|| {
-            eprintln!("usage: tgl jsoncheck --file <NEW> --trend --old <OLD> [--budget <PCT>]");
-            std::process::exit(2);
-        });
-        let budget = number(args, "budget", 25.0f64);
-        // NaN or infinity passes every regression; a negative budget
-        // fails an unchanged series.
-        if !(budget.is_finite() && budget >= 0.0) {
-            usage_error(format!("--budget: expected a finite percentage >= 0, got {budget}"));
-        }
-        (old, budget)
+    let parent = args.has_flag("trend").then(|| {
+        args.get("old").unwrap_or_else(|| usage_error("usage: tgl jsoncheck --trend --old <PARENT_DIR> <CHANGE_DIR>"))
     });
     reject_unread(args);
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    });
-    let v = match tgl_data::Json::parse(&text) {
-        Ok(v) => {
-            // Round-trip: rendered output must parse back identically,
-            // guarding the writer as well as the reader.
-            let rendered = v.render();
-            match tgl_data::Json::parse(&rendered) {
-                Ok(back) if back == v => {
-                    println!("{path}: valid JSON ({} bytes)", text.len());
-                    // Artifacts that declare a known schema also get
-                    // their shape checked, not just their syntax.
-                    match schema::validate(&v) {
-                        Ok(Some(name)) => println!("{path}: schema {name} ok"),
-                        Ok(None) => {}
-                        Err(e) => {
-                            eprintln!("{path}: schema violation: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                    v
-                }
-                _ => {
-                    eprintln!("{path}: round-trip mismatch");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("{path}: invalid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    let Some((old_path, budget)) = trend else {
-        return;
-    };
-    let old_text = std::fs::read_to_string(old_path).unwrap_or_else(|e| {
-        eprintln!("{old_path}: {e}");
-        std::process::exit(1);
-    });
-    let old = tgl_data::Json::parse(&old_text).unwrap_or_else(|e| {
-        eprintln!("{old_path}: invalid JSON: {e}");
-        std::process::exit(1);
-    });
-    let rows = trend::compare(&old, &v);
-    // A renamed or dropped series is worth a look but not a failure —
-    // the regression budget only covers series both documents share.
-    for key in trend::missing_series(&old, &v) {
-        println!("trend: warning: series {key} missing from {path}");
+    match parent {
+        Some(parent) => trend_cmd(parent, path),
+        None => check_cmd(path),
     }
+}
+
+/// Prints a failed check as one line and exits 1.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// `tgl jsoncheck <PATH>`: the document parses, renders back to
+/// itself, and fits its declared schema.
+fn check_cmd(path: &str) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
+    let v = tgl_data::Json::parse(&text).unwrap_or_else(|e| fail(format!("{path}: invalid JSON: {e}")));
+    // Round-trip: rendered output must parse back identically, guarding
+    // the writer as well as the reader.
+    if tgl_data::Json::parse(&v.render()).ok().as_ref() != Some(&v) {
+        fail(format!("{path}: round-trip mismatch"));
+    }
+    println!("{path}: valid JSON ({} bytes)", text.len());
+    // Artifacts that declare a known schema also get their shape
+    // checked, not just their syntax.
+    match schema::validate(&v) {
+        Ok(Some(name)) => println!("{path}: schema {name} ok"),
+        Ok(None) => {}
+        Err(e) => fail(format!("{path}: schema violation: {e}")),
+    }
+}
+
+/// `tgl jsoncheck --trend --old <PARENT_DIR> <CHANGE_DIR>`: the
+/// change's fastest run of every timing series against the parent's.
+fn trend_cmd(parent_dir: &str, change_dir: &str) {
+    let (parent, change) = (read_runs(parent_dir), read_runs(change_dir));
+    // A renamed or dropped series is worth a look but not a failure —
+    // the budget only covers series both sides share.
+    for key in trend::missing_series(&parent, &change) {
+        println!("trend: warning: series {key} missing from {change_dir}");
+    }
+    let rows = trend::compare(&parent, &change);
     if rows.is_empty() {
-        println!("trend: no wall-time series in common with {old_path}");
+        println!("trend: no timing series in common with {parent_dir}");
         return;
     }
     print!("{}", trend::render_table(&rows));
     let worst = trend::worst_regression(&rows);
-    if worst > budget {
-        eprintln!("trend: worst regression {worst:+.1}% exceeds budget {budget:.0}%");
-        std::process::exit(1);
+    let runs = format!("fastest of {} parent / {} change runs", parent.len(), change.len());
+    if worst > trend::BUDGET_PCT {
+        fail(format!("trend: worst regression {worst:+.1}% ({runs}) exceeds budget {:.0}%", trend::BUDGET_PCT));
     }
-    println!("trend: worst regression {worst:+.1}% within budget {budget:.0}%");
+    println!("trend: worst regression {worst:+.1}% ({runs}) within budget {:.0}%", trend::BUDGET_PCT);
 }
 
-fn generate_cmd(args: &Args) {
-    let spec = spec(args);
-    let default = format!("{}.csv", spec.kind.name().to_lowercase());
-    let out = args.get("out").unwrap_or(&default);
-    reject_unread(args);
-    let (g, stats) = generate(&spec);
-    save_csv(&g, std::path::Path::new(out)).unwrap_or_else(|e| usage_error(format!("--out {out}: {e}")));
-    println!(
-        "wrote {} ({} nodes, {} edges, {:.0}% repeat interactions)",
-        out,
-        stats.num_nodes,
-        stats.num_edges,
-        stats.repeat_fraction * 100.0
-    );
+/// The `*.json` documents in `dir`, one per run, in name order.
+fn read_runs(dir: &str) -> Vec<tgl_data::Json> {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| fail(format!("{dir}: {e}")));
+    let mut paths: Vec<_> = entries
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    if paths.is_empty() {
+        fail(format!("{dir}: no *.json runs"));
+    }
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p).unwrap_or_else(|e| fail(format!("{}: {e}", p.display())));
+            tgl_data::Json::parse(&text).unwrap_or_else(|e| fail(format!("{}: invalid JSON: {e}", p.display())))
+        })
+        .collect()
 }
 
 fn stats_cmd(args: &Args) {

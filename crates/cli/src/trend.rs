@@ -1,14 +1,18 @@
-//! Bench-trajectory comparison backing `tgl jsoncheck --trend`.
+//! Parent / change comparison backing `tgl jsoncheck --trend`.
 //!
-//! Compares wall-time series between two benchmark JSON documents
-//! (typically a freshly generated `BENCH_*.json` and the committed
-//! copy extracted with `git show`), producing a per-series delta table
-//! and the worst regression percentage. Only keys whose leaf name is a
-//! wall-time measurement (`secs`, `wall_s`) are compared — counts,
-//! ratios, and configuration echo through unchanged between runs and
-//! would only add noise. A row of a results array is named by what it
-//! measures, not by where it sits ([`IDENTITY`]), so appending or
-//! reordering rows compares like with like.
+//! `scripts/ab` runs each bench several times per side, parent and
+//! change interleaved on one host, and keeps every run's document.
+//! This module reads the runs of one bench per side, takes each timing
+//! series' fastest run on each side, and compares the change's with the
+//! parent's under the fixed [`BUDGET_PCT`]. Only timings are compared
+//! (leaves named `secs` / `wall_s`, and the rows of an object whose
+//! name ends in `_ns`): counts, ratios and configuration echo through
+//! unchanged between runs and would only add noise. A row of a results
+//! array is named by what it measures, not by where it sits
+//! ([`IDENTITY`]), so appending or reordering rows compares like with
+//! like.
+
+use std::collections::{HashMap, HashSet};
 
 use tgl_data::Json;
 
@@ -17,16 +21,20 @@ use tgl_data::Json;
 /// is keyed by their values instead of its position.
 const IDENTITY: [&str; 7] = ["op", "bench", "m", "k", "n", "kernel", "threads"];
 
+/// The largest slowdown of a series, in percent of the parent's
+/// fastest run, that the comparison accepts.
+pub const BUDGET_PCT: f64 = 25.0;
+
 /// One compared series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
     /// Flattened key path, e.g. `runs[2].wall_s` or
     /// `results[bench=matmul_512,threads=2].secs`.
     pub key: String,
-    /// Value in the old (committed) document.
-    pub old: f64,
-    /// Value in the new (fresh) document.
-    pub new: f64,
+    /// The parent's fastest run.
+    pub parent: f64,
+    /// The change's fastest run.
+    pub change: f64,
     /// Relative change in percent; positive = slower.
     pub delta_pct: f64,
 }
@@ -90,50 +98,55 @@ fn identity(item: &Json) -> Option<String> {
     (!parts.is_empty()).then(|| parts.join(","))
 }
 
-/// Whether a flattened key names a wall-time measurement.
-pub fn is_wall_time_key(key: &str) -> bool {
-    let leaf = key.rsplit('.').next().unwrap_or(key);
-    matches!(leaf, "secs" | "wall_s")
+/// Whether a flattened key names a timing: a `secs` / `wall_s` leaf,
+/// or a row of an object named in a time unit (`per_site_ns.span_all_off`).
+pub fn is_timing_key(key: &str) -> bool {
+    let mut parts = key.rsplit('.');
+    let leaf = parts.next().unwrap_or(key);
+    matches!(leaf, "secs" | "wall_s") || parts.next().is_some_and(|parent| parent.ends_with("_ns"))
 }
 
-/// Compares wall-time series present in both documents.
-pub fn compare(old: &Json, new: &Json) -> Vec<TrendRow> {
-    let old_rows = flatten_numeric(old);
-    let new_rows: std::collections::HashMap<String, f64> =
-        flatten_numeric(new).into_iter().collect();
-    old_rows
+/// Every timing series of a side's runs at its fastest (lowest) value,
+/// in the order the runs first list them.
+pub fn fastest(runs: &[Json]) -> Vec<(String, f64)> {
+    let mut out: Vec<(String, f64)> = Vec::new();
+    let mut at: HashMap<String, usize> = HashMap::new();
+    for (key, v) in runs.iter().flat_map(flatten_numeric).filter(|(k, _)| is_timing_key(k)) {
+        match at.get(&key) {
+            Some(&i) => out[i].1 = f64::min(out[i].1, v),
+            None => {
+                at.insert(key.clone(), out.len());
+                out.push((key, v));
+            }
+        }
+    }
+    out
+}
+
+/// Compares the timing series both sides share, each side at its
+/// fastest run.
+pub fn compare(parent: &[Json], change: &[Json]) -> Vec<TrendRow> {
+    let change: HashMap<String, f64> = fastest(change).into_iter().collect();
+    fastest(parent)
         .into_iter()
-        .filter(|(k, _)| is_wall_time_key(k))
-        .filter_map(|(key, old_v)| {
-            let new_v = *new_rows.get(&key)?;
-            let delta_pct = if old_v.abs() < 1e-12 {
-                0.0
-            } else {
-                (new_v - old_v) / old_v * 100.0
-            };
-            Some(TrendRow {
-                key,
-                old: old_v,
-                new: new_v,
-                delta_pct,
-            })
+        .filter_map(|(key, parent)| {
+            let change = *change.get(&key)?;
+            let delta_pct = if parent.abs() < 1e-12 { 0.0 } else { (change - parent) / parent * 100.0 };
+            Some(TrendRow { key, parent, change, delta_pct })
         })
         .collect()
 }
 
-/// Renders the delta table, worst regression first.
+/// Renders the change / parent table, worst regression first.
 pub fn render_table(rows: &[TrendRow]) -> String {
     let mut rows: Vec<&TrendRow> = rows.iter().collect();
     rows.sort_by(|a, b| b.delta_pct.total_cmp(&a.delta_pct));
     let width = rows.iter().map(|r| r.key.len()).max().unwrap_or(6).max(6);
-    let mut out = format!(
-        "{:<width$}  {:>10}  {:>10}  {:>8}\n",
-        "series", "old (s)", "new (s)", "delta"
-    );
+    let mut out = format!("{:<width$}  {:>10}  {:>10}  {:>8}\n", "series", "parent", "change", "delta");
     for r in rows {
         out.push_str(&format!(
-            "{:<width$}  {:>10.4}  {:>10.4}  {:>+7.1}%\n",
-            r.key, r.old, r.new, r.delta_pct
+            "{:<width$}  {:>10.4e}  {:>10.4e}  {:>+7.1}%\n",
+            r.key, r.parent, r.change, r.delta_pct
         ));
     }
     out
@@ -144,20 +157,13 @@ pub fn worst_regression(rows: &[TrendRow]) -> f64 {
     rows.iter().map(|r| r.delta_pct).fold(0.0, f64::max)
 }
 
-/// Wall-time series present in `old` but absent from `new` — a renamed
-/// or dropped bench config. These degrade to a warning line rather
-/// than failing the check: the budget only applies to series both
-/// documents share.
-pub fn missing_series(old: &Json, new: &Json) -> Vec<String> {
-    let new_keys: std::collections::HashSet<String> = flatten_numeric(new)
-        .into_iter()
-        .map(|(k, _)| k)
-        .collect();
-    flatten_numeric(old)
-        .into_iter()
-        .filter(|(k, _)| is_wall_time_key(k) && !new_keys.contains(k))
-        .map(|(k, _)| k)
-        .collect()
+/// Timing series the parent's runs carry and the change's do not — a
+/// renamed or dropped bench config. These degrade to a warning line
+/// rather than failing the check: the budget only applies to series
+/// both sides share.
+pub fn missing_series(parent: &[Json], change: &[Json]) -> Vec<String> {
+    let change: HashSet<String> = fastest(change).into_iter().map(|(k, _)| k).collect();
+    fastest(parent).into_iter().map(|(k, _)| k).filter(|k| !change.contains(k)).collect()
 }
 
 #[cfg(test)]
@@ -186,7 +192,7 @@ mod tests {
     fn only_wall_time_keys_are_compared() {
         let old = parse(r#"{"runs": [{"wall_s": 1.0, "iters": 100}], "secs": 2.0}"#);
         let new = parse(r#"{"runs": [{"wall_s": 1.5, "iters": 700}], "secs": 2.0}"#);
-        let rows = compare(&old, &new);
+        let rows = compare(&[old], &[new]);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| !r.key.contains("iters")));
         let wall = rows.iter().find(|r| r.key == "runs[0].wall_s").unwrap();
@@ -195,10 +201,30 @@ mod tests {
     }
 
     #[test]
+    fn per_site_rows_are_timings() {
+        // `BENCH_obs.json`'s per-site costs: a disabled span site that
+        // takes a lock reads 3 ns -> 20 ns here, and must fail.
+        let parent = parse(r#"{"per_site_ns": {"span_all_off": 3.0, "gauge_set": 1.0}, "overhead_pct": 2.0}"#);
+        let change = parse(r#"{"per_site_ns": {"span_all_off": 20.0, "gauge_set": 1.0}, "overhead_pct": 9.0}"#);
+        let rows = compare(&[parent], &[change]);
+        let keys: Vec<&str> = rows.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(keys, ["per_site_ns.span_all_off", "per_site_ns.gauge_set"]);
+        assert!(worst_regression(&rows) > BUDGET_PCT);
+        assert!(!is_timing_key("workload.overhead_pct") && !is_timing_key("host_cpus"));
+    }
+
+    #[test]
+    fn each_side_reads_as_its_fastest_run() {
+        // One slow parent run and one slow change run: neither counts.
+        let runs = |walls: [f64; 3]| walls.map(|w| parse(&format!(r#"{{"wall_s": {w}}}"#)));
+        let rows = compare(&runs([1.0, 3.0, 1.1]), &runs([1.2, 1.05, 9.0]));
+        assert_eq!((rows[0].parent, rows[0].change), (1.0, 1.05));
+        assert!((rows[0].delta_pct - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn improvements_are_not_regressions() {
-        let old = parse(r#"{"secs": 2.0}"#);
-        let new = parse(r#"{"secs": 1.0}"#);
-        let rows = compare(&old, &new);
+        let rows = compare(&[parse(r#"{"secs": 2.0}"#)], &[parse(r#"{"secs": 1.0}"#)]);
         assert_eq!(rows[0].delta_pct, -50.0);
         assert_eq!(worst_regression(&rows), 0.0);
     }
@@ -207,15 +233,15 @@ mod tests {
     fn missing_series_are_skipped() {
         let old = parse(r#"{"secs": 2.0, "gone": {"wall_s": 1.0}}"#);
         let new = parse(r#"{"secs": 2.2}"#);
-        let rows = compare(&old, &new);
+        let rows = compare(&[old], &[new]);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].key, "secs");
     }
 
     #[test]
     fn missing_series_are_reported_as_warnings() {
-        let old = parse(r#"{"secs": 2.0, "gone": {"wall_s": 1.0}, "iters": 5}"#);
-        let new = parse(r#"{"secs": 2.2}"#);
+        let old = [parse(r#"{"secs": 2.0, "gone": {"wall_s": 1.0}, "iters": 5}"#)];
+        let new = [parse(r#"{"secs": 2.2}"#)];
         let missing = missing_series(&old, &new);
         assert_eq!(missing, vec!["gone.wall_s".to_string()]);
         // Non-wall-time keys never warn; nothing missing → no warnings.
@@ -224,12 +250,12 @@ mod tests {
 
     #[test]
     fn rows_match_by_identity_when_reordered() {
-        let old = parse(
+        let old = [parse(
             r#"{"results": [{"bench": "a", "threads": 1, "secs": 1.0}, {"bench": "b", "threads": 1, "secs": 4.0}]}"#,
-        );
-        let new = parse(
+        )];
+        let new = [parse(
             r#"{"results": [{"bench": "b", "threads": 1, "secs": 4.4}, {"bench": "a", "threads": 1, "secs": 1.0}]}"#,
-        );
+        )];
         let rows = compare(&old, &new);
         assert_eq!(rows.len(), 2);
         let b = rows.iter().find(|r| r.key == "results[bench=b,threads=1].secs").unwrap();
@@ -251,7 +277,7 @@ mod tests {
                             {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 2.0, "gflops": 9},
                             {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 3.0}]}"#,
         );
-        let rows = compare(&old, &new);
+        let rows = compare(&[old], &[new]);
         let keys: Vec<&str> = rows.iter().map(|r| r.key.as_str()).collect();
         assert_eq!(
             keys,
@@ -268,14 +294,14 @@ mod tests {
         let rows = vec![
             TrendRow {
                 key: "a.secs".into(),
-                old: 1.0,
-                new: 1.3,
+                parent: 1.0,
+                change: 1.3,
                 delta_pct: 30.0,
             },
             TrendRow {
                 key: "b.secs".into(),
-                old: 1.0,
-                new: 0.9,
+                parent: 1.0,
+                change: 0.9,
                 delta_pct: -10.0,
             },
         ];

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 mod generator;
-mod io;
 pub mod json;
 mod sampling;
 mod specs;
@@ -30,7 +29,6 @@ pub mod stats;
 
 pub use generator::{generate, DatasetStats};
 pub use json::Json;
-pub use io::{load_csv, save_csv};
 pub use sampling::NegativeSampler;
 pub use specs::{DatasetKind, DatasetSpec};
 pub use split::{chronological_split, Split};

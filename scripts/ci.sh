@@ -354,22 +354,14 @@ HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
 [ -n "$HEALTH_DUMP" ] && flight_dump "$HEALTH_DUMP" health-fail \
     || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }
 
-echo "==> observability overhead guard (counters, histograms, gauges, span / region / op sites)"
-cargo bench --offline -q -p tgl-bench --bench obs_overhead
-./target/release/tgl jsoncheck BENCH_obs.json
-
-echo "==> pipelined-vs-sequential epoch walls (bitwise loss guard)"
-cargo bench --offline -q -p tgl-bench --bench pipeline
-./target/release/tgl jsoncheck BENCH_pipeline.json
+echo "==> micro benches against the parent on this host (scripts/ab: obs_overhead, pipeline, micro_ops)"
+scripts/ab
+# The BENCH_*.json of ab's last change-side round are at the root.
+for f in BENCH_obs.json BENCH_pipeline.json BENCH_micro_gemm.json BENCH_parallel.json; do ./target/release/tgl jsoncheck "$f"; done
 grep -q '"bitwise_identical": true' BENCH_pipeline.json \
     || { echo "BENCH_pipeline.json missing bitwise-identity marker"; exit 1; }
-
-echo "==> micro-op + GEMM series (thread scaling)"
-cargo bench --offline -q -p tgl-bench --bench micro_ops
-./target/release/tgl jsoncheck BENCH_micro_gemm.json
-./target/release/tgl jsoncheck BENCH_parallel.json
 # The two backward products and the fused Linear op (forward and
-# backward) ride the trend guard beside the forward product.
+# backward) are compared beside the forward product.
 for op in nn nt tn linear linear.bwd; do
     grep -Fq "\"op\": \"$op\"" BENCH_micro_gemm.json \
         || { echo "BENCH_micro_gemm.json missing $op rows"; exit 1; }
@@ -380,9 +372,6 @@ for bench in segment_dot_6000x2x16_exact segment_weighted_sum_6000x2x16_exact \
     grep -Fq "\"bench\": \"${bench}\"" BENCH_parallel.json \
         || { echo "BENCH_parallel.json missing $bench rows"; exit 1; }
 done
-
-echo "==> bench trajectory vs committed baselines"
-scripts/bench_trend
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --offline -D warnings"
