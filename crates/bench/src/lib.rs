@@ -1,17 +1,19 @@
-//! Shared plumbing for the paper-reproduction benchmark targets.
+//! The paper-reproduction benchmarks.
 //!
-//! Every table and figure of the paper's evaluation (§5, Appendix B)
-//! has a bench target (`cargo bench --bench <name>`) that prints the
-//! same rows/series the paper reports. These helpers hold the common
-//! configuration so all targets agree on scales and settings.
+//! [`paper`] is the evaluation (§5, Appendix B) as one list of cells,
+//! one record and a view per table and figure: `cargo bench --bench
+//! paper` runs it and writes `BENCH_paper.json`. [`hooks`] holds the
+//! two paths of the hooks ablation. The other targets (`micro_ops`,
+//! `obs_overhead`, `pipeline`) are micro benches.
 //!
 //! Environment knobs:
 //!
 //! * `TGL_BENCH_SCALE` — integer divisor applied to every dataset's
-//!   node/edge counts (default 2, sized so the full suite finishes in
+//!   node/edge counts (default 2, sized so the paper target finishes in
 //!   roughly an hour on a 2-core CPU box; use 1 for the largest runs
 //!   or 8+ for a quick smoke run);
-//! * `TGL_BENCH_EPOCHS` — override training epoch count (default 2).
+//! * `TGL_BENCH_EPOCHS` — override training epoch count (default 2,
+//!   1 for the large sets of Tables 7 and 8).
 //!
 //! A knob set to anything but a positive integer panics naming it.
 //!
@@ -21,11 +23,13 @@
 
 #![forbid(unsafe_code)]
 
+pub mod hooks;
+pub mod paper;
+
 use std::time::Instant;
 
 use tgl_data::{DatasetKind, DatasetSpec};
 use tgl_device::TransferModel;
-use tgl_harness::table::{bar, secs, speedup, TextTable};
 use tgl_harness::{ExperimentConfig, Framework, ModelKind, Placement};
 
 /// A positive count from the environment variable `var`, or `default`
@@ -88,137 +92,6 @@ pub fn time_it<R>(mut f: impl FnMut(&mut Lap) -> R, budget_s: f64) -> f64 {
     };
     let iters = ((budget_s / once().max(1e-9)) as usize).clamp(1, 10_000);
     (0..iters).map(|_| once()).sum::<f64>() / iters as f64
-}
-
-/// One row of the standard evaluation grid.
-#[derive(Debug, Clone)]
-pub struct GridRow {
-    /// Framework under test.
-    pub framework: Framework,
-    /// Model under test.
-    pub model: ModelKind,
-    /// Dataset shape.
-    pub dataset: DatasetKind,
-    /// Mean training seconds per epoch.
-    pub train_s: f64,
-    /// Test-split inference seconds.
-    pub test_s: f64,
-    /// Best validation AP.
-    pub val_ap: f64,
-    /// Test AP.
-    pub test_ap: f64,
-}
-
-/// Runs the full standard grid — 4 models × 4 standard datasets × 3
-/// frameworks — for one placement, measuring every cell in this run.
-///
-/// Figure 5 / Table 4 / Table 5 are views of one all-on-device grid
-/// and print from one target; Figure 6 runs the host-resident one.
-/// The JODIE `TGLite+opt` cell reuses the `TGLite` measurement (the
-/// paper applies no further operators to JODIE).
-pub fn standard_grid(placement: Placement) -> Vec<GridRow> {
-    let mut rows = Vec::new();
-    for kind in DatasetKind::standard() {
-        for model in ModelKind::all() {
-            let mut lite_row: Option<GridRow> = None;
-            for fw in Framework::all() {
-                if fw == Framework::TgLiteOpt && model == ModelKind::Jodie {
-                    let mut r = lite_row.clone().expect("TGLite ran before TGLite+opt");
-                    r.framework = Framework::TgLiteOpt;
-                    rows.push(r);
-                    continue;
-                }
-                let cfg = cell(fw, model, kind, placement);
-                let r = tgl_harness::run_experiment(&cfg);
-                let row = GridRow {
-                    framework: fw,
-                    model,
-                    dataset: kind,
-                    train_s: r.train_s_per_epoch,
-                    test_s: r.test_s,
-                    val_ap: r.best_val_ap,
-                    test_ap: r.test_ap,
-                };
-                eprintln!(
-                    "  [{}] {}/{}: train {:.2}s/epoch test {:.2}s val-AP {:.3}",
-                    fw.label(),
-                    kind.name(),
-                    model.label(),
-                    row.train_s,
-                    row.test_s,
-                    row.val_ap
-                );
-                if fw == Framework::TgLite {
-                    lite_row = Some(row.clone());
-                }
-                rows.push(row);
-            }
-        }
-    }
-    rows
-}
-
-/// Fetches one grid row.
-///
-/// # Panics
-///
-/// Panics if the combination is missing (grid covers the standard
-/// datasets only).
-pub fn grid_lookup(
-    rows: &[GridRow],
-    fw: Framework,
-    model: ModelKind,
-    dataset: DatasetKind,
-) -> &GridRow {
-    rows.iter()
-        .find(|r| r.framework == fw && r.model == model && r.dataset == dataset)
-        .expect("grid cell missing")
-}
-
-/// Prints Figure 5's or Figure 6's view of a grid: per dataset, each
-/// model's seconds per training epoch under the three frameworks, with
-/// speedups against TGL and bars.
-pub fn print_epoch_times(grid: &[GridRow]) {
-    for kind in DatasetKind::standard() {
-        println!("\n--- {} ---", kind.name());
-        let mut t = TextTable::new(&["Model", "TGL", "TGLite", "TGLite+opt", "bars (s/epoch)"]);
-        for model in ModelKind::all() {
-            let tgl = grid_lookup(grid, Framework::Tgl, model, kind).train_s;
-            let lite = grid_lookup(grid, Framework::TgLite, model, kind).train_s;
-            let opt = grid_lookup(grid, Framework::TgLiteOpt, model, kind).train_s;
-            let max = tgl.max(lite).max(opt);
-            t.row(&[
-                model.label().to_string(),
-                secs(tgl),
-                format!("{} {}", secs(lite), speedup(tgl, lite)),
-                if model == ModelKind::Jodie {
-                    "- (same as TGLite)".to_string()
-                } else {
-                    format!("{} {}", secs(opt), speedup(tgl, opt))
-                },
-                format!(
-                    "TGL {:<12} lite {:<12} +opt {:<12}",
-                    bar(tgl, max, 12),
-                    bar(lite, max, 12),
-                    bar(opt, max, 12)
-                ),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-}
-
-/// Prints the standard bench preamble.
-pub fn preamble(what: &str, paper_ref: &str) {
-    println!("==============================================================");
-    println!("{what}");
-    println!("reproduces: {paper_ref}");
-    println!(
-        "scale divisor: {} | epochs: {} | synthetic datasets (see DESIGN.md)",
-        bench_scale(),
-        bench_epochs(2)
-    );
-    println!("==============================================================");
 }
 
 #[cfg(test)]

@@ -356,8 +356,11 @@ HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
 
 echo "==> micro benches against the parent on this host (scripts/ab: obs_overhead, pipeline, micro_ops)"
 scripts/ab
-# The BENCH_*.json of ab's last change-side round are at the root.
-for f in BENCH_obs.json BENCH_pipeline.json BENCH_micro_gemm.json BENCH_parallel.json; do ./target/release/tgl jsoncheck "$f"; done
+# The BENCH_*.json of ab's last change-side round are at the root, beside
+# the committed paper record (not rerun here: a run would overwrite it).
+for f in BENCH_obs.json BENCH_pipeline.json BENCH_micro_gemm.json BENCH_parallel.json BENCH_paper.json; do
+    ./target/release/tgl jsoncheck "$f"
+done
 grep -q '"bitwise_identical": true' BENCH_pipeline.json \
     || { echo "BENCH_pipeline.json missing bitwise-identity marker"; exit 1; }
 # The two backward products and the fused Linear op (forward and
