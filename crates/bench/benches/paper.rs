@@ -21,7 +21,7 @@ fn main() {
             prev(info);
         }
     }));
-    let text = paper::render(&paper::record(&paper::cells()));
+    let text = tgl_bench::render(&paper::record(&paper::cells()));
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_paper.json");
     std::fs::write(&path, &text).unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
     let rec = Json::parse(&text).expect("the record parses back");

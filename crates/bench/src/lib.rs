@@ -3,8 +3,9 @@
 //! [`paper`] is the evaluation (§5, Appendix B) as one list of cells,
 //! one record and a view per table and figure: `cargo bench --bench
 //! paper` runs it and writes `BENCH_paper.json`. [`hooks`] holds the
-//! two paths of the hooks ablation. The other targets (`micro_ops`,
-//! `obs_overhead`, `pipeline`) are micro benches.
+//! two paths of the hooks ablation. The other target, `micro`, runs the
+//! micro benches and writes `BENCH_micro.json`. Both records open with
+//! the same [`host`] shape and are written by [`render`].
 //!
 //! Environment knobs:
 //!
@@ -17,9 +18,8 @@
 //!
 //! A knob set to anything but a positive integer panics naming it.
 //!
-//! [`time_it`] is the one timer of the micro benches (`micro_ops`,
-//! `obs_overhead`); `scripts/ab` takes the fastest of several runs of
-//! them per side.
+//! [`time_it`] is the one timer of the micro benches; `scripts/ab`
+//! takes the fastest of several runs of them per side.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +28,7 @@ pub mod paper;
 
 use std::time::Instant;
 
-use tgl_data::{DatasetKind, DatasetSpec};
+use tgl_data::{DatasetKind, DatasetSpec, Json};
 use tgl_device::TransferModel;
 use tgl_harness::{ExperimentConfig, Framework, ModelKind, Placement};
 
@@ -65,6 +65,45 @@ pub fn cell(
     cfg.train_cfg.epochs = bench_epochs(2);
     cfg.transfer = TransferModel::sim_v100();
     cfg
+}
+
+/// A numeric member of a record object.
+pub fn field(key: &str, v: impl Into<f64>) -> (String, Json) {
+    (key.to_string(), Json::Num(v.into()))
+}
+
+/// A string member of a record object.
+pub fn text(key: &str, v: &str) -> (String, Json) {
+    (key.to_string(), Json::Str(v.to_string()))
+}
+
+/// The host shape every record carries: `cores`, `simd`, `kernel` and
+/// the pool's `threads`, in that order.
+pub fn host() -> Vec<(String, Json)> {
+    vec![
+        field("cores", std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        text("simd", tgl_tensor::kernel::simd_label()),
+        text("kernel", tgl_tensor::kernel::mode().label()),
+        field("threads", tgl_runtime::current_threads() as f64),
+    ]
+}
+
+/// A record as text: one top-level field, and one item of a top-level
+/// array, per line.
+pub fn render(rec: &Json) -> String {
+    let Json::Obj(fields) = rec else {
+        return rec.render();
+    };
+    let line = |(k, v): &(String, Json)| {
+        let v = match v {
+            Json::Arr(items) => {
+                format!("[\n    {}\n  ]", items.iter().map(Json::render).collect::<Vec<_>>().join(",\n    "))
+            }
+            v => v.render(),
+        };
+        format!("{}: {v}", Json::Str(k.clone()).render())
+    };
+    format!("{{\n  {}\n}}\n", fields.iter().map(line).collect::<Vec<_>>().join(",\n  "))
 }
 
 /// The start of one call's timed part: [`time_it`] starts it before

@@ -32,7 +32,7 @@ use tgl_models::{OptFlags, TemporalModel, Tgat};
 use tglite::tensor::no_grad;
 use tglite::{obs, TBatch};
 
-use crate::{bench_epochs, bench_scale, cell};
+use crate::{bench_epochs, bench_scale, cell, field, text};
 
 /// What a cell runs.
 #[derive(Debug, Clone, Copy)]
@@ -156,14 +156,6 @@ fn infer_s(cfg: &ExperimentConfig, opts: OptFlags) -> f64 {
     elapsed
 }
 
-fn field(key: &str, v: impl Into<f64>) -> (String, Json) {
-    (key.to_string(), Json::Num(v.into()))
-}
-
-fn text(key: &str, v: &str) -> (String, Json) {
-    (key.to_string(), Json::Str(v.to_string()))
-}
-
 /// Runs one cell with the span aggregate on; its record row.
 fn measure(cell: &Cell, cap: Option<u64>) -> Json {
     let mut row = vec![text("id", &cell.id)];
@@ -227,15 +219,12 @@ pub fn record(cells: &[Cell]) -> Json {
         rows.push(measure(cell, cap));
     }
     let hooks = crate::hooks::compare(bench_scale(), 4);
-    let host = vec![
-        field("cores", std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
-        text("simd", tgl_tensor::kernel::simd_label()),
-        text("kernel", tgl_tensor::kernel::mode().label()),
-        field("threads", tgl_runtime::current_threads() as f64),
+    let mut host = crate::host();
+    host.extend([
         field("scale", bench_scale() as f64),
         field("epochs", bench_epochs(2) as f64),
         field("large_epochs", bench_epochs(1) as f64),
-    ];
+    ]);
     Json::Obj(vec![
         ("host".to_string(), Json::Obj(host)),
         ("datasets".to_string(), Json::Arr(datasets.into())),
@@ -249,23 +238,6 @@ pub fn record(cells: &[Cell]) -> Json {
             ]),
         ),
     ])
-}
-
-/// The record as text: one top-level field, dataset and cell per line.
-pub fn render(rec: &Json) -> String {
-    let Json::Obj(fields) = rec else {
-        return rec.render();
-    };
-    let line = |(k, v): &(String, Json)| {
-        let v = match v {
-            Json::Arr(items) => {
-                format!("[\n    {}\n  ]", items.iter().map(Json::render).collect::<Vec<_>>().join(",\n    "))
-            }
-            v => v.render(),
-        };
-        format!("{}: {v}", Json::Str(k.clone()).render())
-    };
-    format!("{{\n  {}\n}}\n", fields.iter().map(line).collect::<Vec<_>>().join(",\n  "))
 }
 
 fn num(row: &Json, key: &str) -> f64 {

@@ -36,11 +36,12 @@ SUBCOMMANDS:
     stats      print a dataset's structural statistics
     jsoncheck  parse a JSON file and exit nonzero if malformed; a
                tgl-run-report/v3 document also gets its profile /
-               critpath sections shape-validated;
+               critpath sections shape-validated, a tgl-bench-micro/v1
+               record its host block and rows;
                --trend --old <PARENT_DIR> <CHANGE_DIR> instead compares
-               two directories of runs of one bench (scripts/ab): each
-               timing series' fastest run per side, failing on a
-               change more than 25% slower than the parent
+               two directories of BENCH_micro.json runs (scripts/ab):
+               each (name, threads) row's fastest secs per side,
+               failing on a change more than 25% slower than the parent
 
 OBSERVABILITY OPTIONS (train/eval):
     --profile            print the per-phase breakdown (Fig. 7) after

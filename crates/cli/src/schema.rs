@@ -1,8 +1,10 @@
 //! Known-schema validation for `tgl jsoncheck`.
 //!
-//! The observability artifacts carry a `"schema"` discriminator
-//! (`tgl-run-report/v3`, whose `profile` / `critpath` / `recent`
-//! sections are checked here; a flight dump is one). After the generic parse/round-trip
+//! The run report and the micro bench record carry a `"schema"`
+//! discriminator: `tgl-run-report/v3`, whose `profile` / `critpath` /
+//! `recent` sections are checked here (a flight dump is one), and
+//! `tgl-bench-micro/v1` (`BENCH_micro.json`, whose host shape and rows
+//! are). After the generic parse/round-trip
 //! check, `jsoncheck` looks the discriminator up here
 //! and — when it names a schema this module knows — validates the
 //! document's shape so CI catches a writer drifting from its contract,
@@ -22,6 +24,7 @@ pub fn validate(v: &Json) -> Result<Option<&'static str>, String> {
     };
     match schema {
         "tgl-run-report/v3" => run_report(v).map(|()| Some("tgl-run-report/v3")),
+        "tgl-bench-micro/v1" => micro_record(v).map(|()| Some("tgl-bench-micro/v1")),
         _ => Ok(None),
     }
 }
@@ -86,6 +89,30 @@ fn run_report(v: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// `BENCH_micro.json`: the host shape every record carries, and rows
+/// that `tgl jsoncheck --trend` can key (a string `name`, a whole
+/// `threads`, each pair once) and time (a numeric `secs`).
+fn micro_record(v: &Json) -> Result<(), String> {
+    let host = v.get("host").ok_or("missing field \"host\"")?;
+    num(host, "cores").map_err(|e| format!("host: {e}"))?;
+    string(host, "simd").map_err(|e| format!("host: {e}"))?;
+    string(host, "kernel").map_err(|e| format!("host: {e}"))?;
+    num(host, "threads").map_err(|e| format!("host: {e}"))?;
+    let mut seen = std::collections::HashSet::new();
+    for (i, r) in arr(v, "rows")?.iter().enumerate() {
+        let name = string(r, "name").map_err(|e| format!("rows[{i}]: {e}"))?;
+        let threads = num(r, "threads").map_err(|e| format!("row {name:?}: {e}"))?;
+        if threads.fract() != 0.0 || threads < 1.0 {
+            return Err(format!("row {name:?}: threads {threads} is not a whole count"));
+        }
+        num(r, "secs").map_err(|e| format!("row {name:?}: {e}"))?;
+        if !seen.insert((name, threads as u64)) {
+            return Err(format!("row {name:?} at {threads} threads appears twice"));
+        }
+    }
+    Ok(())
+}
+
 fn stage_label(v: &Json) -> Result<(), String> {
     match string(v, "stage")? {
         "sample" | "transfer" | "forward" | "backward" | "opt" | "other" => Ok(()),
@@ -127,5 +154,21 @@ mod tests {
         assert_eq!(validate(&dump), Ok(Some("tgl-run-report/v3")));
         let bad_span = parse(&format!("{{\"schema\": \"tgl-run-report/v3\", \"recent\": [{}]}}", span.replace("\"t_ns\": 5, ", "")));
         assert!(validate(&bad_span).unwrap_err().contains("t_ns"));
+    }
+
+    #[test]
+    fn micro_record_needs_its_host_shape_and_timed_rows() {
+        let host = r#"{"cores": 2, "simd": "avx2-fma", "kernel": "exact", "threads": 2}"#;
+        let row = r#"{"name": "matmul_512", "threads": 2, "secs": 0.004, "speedup_vs_1t": 1.2}"#;
+        let doc = |host: &str, rows: &[&str]| {
+            parse(&format!(r#"{{"schema": "tgl-bench-micro/v1", "host": {host}, "rows": [{}]}}"#, rows.join(", ")))
+        };
+        assert_eq!(validate(&doc(host, &[row])), Ok(Some("tgl-bench-micro/v1")));
+        let no_secs = doc(host, &[&row.replace(r#""secs": 0.004, "#, "")]);
+        assert!(validate(&no_secs).unwrap_err().contains("secs"));
+        let no_simd = doc(&host.replace(r#""simd": "avx2-fma", "#, ""), &[row]);
+        assert!(validate(&no_simd).unwrap_err().contains("host: missing or non-string field \"simd\""));
+        assert!(validate(&doc(host, &[&row.replace(r#""threads": 2"#, r#""threads": 1.5"#)])).is_err());
+        assert!(validate(&doc(host, &[row, row])).unwrap_err().contains("twice"));
     }
 }

@@ -1,25 +1,18 @@
 //! Parent / change comparison backing `tgl jsoncheck --trend`.
 //!
-//! `scripts/ab` runs each bench several times per side, parent and
-//! change interleaved on one host, and keeps every run's document.
-//! This module reads the runs of one bench per side, takes each timing
-//! series' fastest run on each side, and compares the change's with the
-//! parent's under the fixed [`BUDGET_PCT`]. Only timings are compared
-//! (leaves named `secs` / `wall_s`, and the rows of an object whose
-//! name ends in `_ns`): counts, ratios and configuration echo through
-//! unchanged between runs and would only add noise. A row of a results
-//! array is named by what it measures, not by where it sits
-//! ([`IDENTITY`]), so appending or reordering rows compares like with
-//! like.
+//! `scripts/ab` runs the micro bench several times per side, parent and
+//! change interleaved on one host, and keeps every run's record. This
+//! module reads the runs of each side, takes each timing series'
+//! fastest run on each side, and compares the change's with the
+//! parent's under the fixed [`BUDGET_PCT`]. A series is one row of a
+//! record's `rows` array, keyed by its `name` and `threads` and timed by
+//! its `secs`: derived fields echo through and would only add noise,
+//! and keying by what a row measures rather than where it sits lets
+//! rows be appended or reordered.
 
 use std::collections::{HashMap, HashSet};
 
 use tgl_data::Json;
-
-/// The fields that say what an array row measures (the op or bench,
-/// its shape, kernel mode and thread count); a row carrying any of them
-/// is keyed by their values instead of its position.
-const IDENTITY: [&str; 7] = ["op", "bench", "m", "k", "n", "kernel", "threads"];
 
 /// The largest slowdown of a series, in percent of the parent's
 /// fastest run, that the comparison accepts.
@@ -28,8 +21,7 @@ pub const BUDGET_PCT: f64 = 25.0;
 /// One compared series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
-    /// Flattened key path, e.g. `runs[2].wall_s` or
-    /// `results[bench=matmul_512,threads=2].secs`.
+    /// The series, `<name> t=<threads>`.
     pub key: String,
     /// The parent's fastest run.
     pub parent: f64,
@@ -39,71 +31,17 @@ pub struct TrendRow {
     pub delta_pct: f64,
 }
 
-/// Flattens a JSON document into `(path, value)` rows for every
-/// numeric leaf, using `a.b[0].c` path syntax; an array element with
-/// [`IDENTITY`] fields is `a.b[op=nn,m=64].c` instead, with `#2`, `#3`
-/// .. after the identity of a repeated row.
-pub fn flatten_numeric(v: &Json) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    walk(String::new(), v, &mut out);
-    out
-}
-
-fn walk(prefix: String, v: &Json, out: &mut Vec<(String, f64)>) {
-    match v {
-        Json::Num(n) => out.push((prefix, *n)),
-        Json::Arr(items) => {
-            let mut seen: Vec<String> = Vec::new();
-            for (i, item) in items.iter().enumerate() {
-                let id = identity(item).map_or_else(
-                    || i.to_string(),
-                    |id| {
-                        let repeats = seen.iter().filter(|s| **s == id).count();
-                        seen.push(id.clone());
-                        if repeats == 0 { id } else { format!("{id}#{}", repeats + 1) }
-                    },
-                );
-                walk(format!("{prefix}[{id}]"), item, out);
-            }
-        }
-        Json::Obj(pairs) => {
-            for (k, item) in pairs {
-                let path = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                walk(path, item, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// `field=value,..` over the [`IDENTITY`] fields an object carries, or
-/// `None` when it carries none.
-fn identity(item: &Json) -> Option<String> {
-    let Json::Obj(pairs) = item else { return None };
-    let parts: Vec<String> = IDENTITY
-        .iter()
-        .filter_map(|&field| {
-            let value = match pairs.iter().find(|(k, _)| k == field)?.1 {
-                Json::Str(ref s) => s.clone(),
-                Json::Num(n) => n.to_string(),
-                _ => return None,
-            };
-            Some(format!("{field}={value}"))
+/// The `(key, secs)` of every row of a record's `rows` array that has
+/// a string `name`, a numeric `threads` and a numeric `secs`.
+pub fn timings(doc: &Json) -> Vec<(String, f64)> {
+    let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or_default();
+    rows.iter()
+        .filter_map(|r| {
+            let name = r.get("name")?.as_str()?;
+            let threads = r.get("threads")?.as_num()?;
+            Some((format!("{name} t={threads}"), r.get("secs")?.as_num()?))
         })
-        .collect();
-    (!parts.is_empty()).then(|| parts.join(","))
-}
-
-/// Whether a flattened key names a timing: a `secs` / `wall_s` leaf,
-/// or a row of an object named in a time unit (`per_site_ns.span_all_off`).
-pub fn is_timing_key(key: &str) -> bool {
-    let mut parts = key.rsplit('.');
-    let leaf = parts.next().unwrap_or(key);
-    matches!(leaf, "secs" | "wall_s") || parts.next().is_some_and(|parent| parent.ends_with("_ns"))
+        .collect()
 }
 
 /// Every timing series of a side's runs at its fastest (lowest) value,
@@ -111,7 +49,7 @@ pub fn is_timing_key(key: &str) -> bool {
 pub fn fastest(runs: &[Json]) -> Vec<(String, f64)> {
     let mut out: Vec<(String, f64)> = Vec::new();
     let mut at: HashMap<String, usize> = HashMap::new();
-    for (key, v) in runs.iter().flat_map(flatten_numeric).filter(|(k, _)| is_timing_key(k)) {
+    for (key, v) in runs.iter().flat_map(timings) {
         match at.get(&key) {
             Some(&i) => out[i].1 = f64::min(out[i].1, v),
             None => {
@@ -174,49 +112,50 @@ mod tests {
         Json::parse(s).expect("test JSON")
     }
 
+    /// A record whose rows are `(name, threads, secs)`.
+    fn record(rows: &[(&str, u32, f64)]) -> Json {
+        let rows: Vec<String> =
+            rows.iter().map(|(n, t, s)| format!(r#"{{"name": "{n}", "threads": {t}, "secs": {s}}}"#)).collect();
+        parse(&format!(r#"{{"schema": "tgl-bench-micro/v1", "rows": [{}]}}"#, rows.join(", ")))
+    }
+
     #[test]
-    fn flatten_walks_nested_structure() {
-        let v = parse(r#"{"a": {"b": [1, 2]}, "c": 3, "s": "x"}"#);
-        let rows = flatten_numeric(&v);
-        assert_eq!(
-            rows,
-            vec![
-                ("a.b[0]".to_string(), 1.0),
-                ("a.b[1]".to_string(), 2.0),
-                ("c".to_string(), 3.0),
-            ]
+    fn timings_are_keyed_by_name_and_threads() {
+        let v = parse(
+            r#"{"host": {"threads": 2}, "secs": 9, "rows": [{"name": "a", "threads": 1, "secs": 1.5},
+               {"name": "a", "threads": 2, "secs": 1}, {"name": "no_secs", "threads": 1}, {"threads": 1, "secs": 3}]}"#,
         );
+        assert_eq!(timings(&v), vec![("a t=1".to_string(), 1.5), ("a t=2".to_string(), 1.0)]);
+        assert!(timings(&parse("[1, 2]")).is_empty());
     }
 
     #[test]
     fn only_wall_time_keys_are_compared() {
-        let old = parse(r#"{"runs": [{"wall_s": 1.0, "iters": 100}], "secs": 2.0}"#);
-        let new = parse(r#"{"runs": [{"wall_s": 1.5, "iters": 700}], "secs": 2.0}"#);
+        let old = parse(r#"{"rows": [{"name": "gemm", "threads": 1, "secs": 1.0, "gflops": 100}], "pipeline_depth": 2}"#);
+        let new = parse(r#"{"rows": [{"name": "gemm", "threads": 1, "secs": 1.5, "gflops": 70}], "pipeline_depth": 3}"#);
         let rows = compare(&[old], &[new]);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| !r.key.contains("iters")));
-        let wall = rows.iter().find(|r| r.key == "runs[0].wall_s").unwrap();
-        assert!((wall.delta_pct - 50.0).abs() < 1e-9);
-        assert_eq!(worst_regression(&rows), wall.delta_pct);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].key, "gemm t=1");
+        assert!((rows[0].delta_pct - 50.0).abs() < 1e-9);
+        assert_eq!(worst_regression(&rows), rows[0].delta_pct);
     }
 
     #[test]
     fn per_site_rows_are_timings() {
-        // `BENCH_obs.json`'s per-site costs: a disabled span site that
-        // takes a lock reads 3 ns -> 20 ns here, and must fail.
-        let parent = parse(r#"{"per_site_ns": {"span_all_off": 3.0, "gauge_set": 1.0}, "overhead_pct": 2.0}"#);
-        let change = parse(r#"{"per_site_ns": {"span_all_off": 20.0, "gauge_set": 1.0}, "overhead_pct": 9.0}"#);
+        // The obs section's per-site costs in seconds: a disabled span
+        // site that takes a lock reads 3 ns -> 20 ns here, and must fail.
+        let parent = record(&[("obs_site_span_all_off", 1, 3e-9), ("obs_site_gauge_set", 1, 1e-9)]);
+        let change = record(&[("obs_site_span_all_off", 1, 20e-9), ("obs_site_gauge_set", 1, 1e-9)]);
         let rows = compare(&[parent], &[change]);
         let keys: Vec<&str> = rows.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["per_site_ns.span_all_off", "per_site_ns.gauge_set"]);
+        assert_eq!(keys, ["obs_site_span_all_off t=1", "obs_site_gauge_set t=1"]);
         assert!(worst_regression(&rows) > BUDGET_PCT);
-        assert!(!is_timing_key("workload.overhead_pct") && !is_timing_key("host_cpus"));
     }
 
     #[test]
     fn each_side_reads_as_its_fastest_run() {
         // One slow parent run and one slow change run: neither counts.
-        let runs = |walls: [f64; 3]| walls.map(|w| parse(&format!(r#"{{"wall_s": {w}}}"#)));
+        let runs = |walls: [f64; 3]| walls.map(|w| record(&[("epoch", 2, w)]));
         let rows = compare(&runs([1.0, 3.0, 1.1]), &runs([1.2, 1.05, 9.0]));
         assert_eq!((rows[0].parent, rows[0].change), (1.0, 1.05));
         assert!((rows[0].delta_pct - 5.0).abs() < 1e-9);
@@ -224,41 +163,37 @@ mod tests {
 
     #[test]
     fn improvements_are_not_regressions() {
-        let rows = compare(&[parse(r#"{"secs": 2.0}"#)], &[parse(r#"{"secs": 1.0}"#)]);
+        let rows = compare(&[record(&[("a", 1, 2.0)])], &[record(&[("a", 1, 1.0)])]);
         assert_eq!(rows[0].delta_pct, -50.0);
         assert_eq!(worst_regression(&rows), 0.0);
     }
 
     #[test]
     fn missing_series_are_skipped() {
-        let old = parse(r#"{"secs": 2.0, "gone": {"wall_s": 1.0}}"#);
-        let new = parse(r#"{"secs": 2.2}"#);
+        let old = record(&[("a", 1, 2.0), ("gone", 1, 1.0)]);
+        let new = record(&[("a", 1, 2.2)]);
         let rows = compare(&[old], &[new]);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].key, "secs");
+        assert_eq!(rows[0].key, "a t=1");
     }
 
     #[test]
     fn missing_series_are_reported_as_warnings() {
-        let old = [parse(r#"{"secs": 2.0, "gone": {"wall_s": 1.0}, "iters": 5}"#)];
-        let new = [parse(r#"{"secs": 2.2}"#)];
+        let old = [record(&[("a", 1, 2.0), ("a", 2, 1.0)])];
+        let new = [record(&[("a", 1, 2.2)])];
         let missing = missing_series(&old, &new);
-        assert_eq!(missing, vec!["gone.wall_s".to_string()]);
-        // Non-wall-time keys never warn; nothing missing → no warnings.
+        assert_eq!(missing, vec!["a t=2".to_string()]);
+        // Nothing missing -> no warnings.
         assert!(missing_series(&new, &old).is_empty());
     }
 
     #[test]
     fn rows_match_by_identity_when_reordered() {
-        let old = [parse(
-            r#"{"results": [{"bench": "a", "threads": 1, "secs": 1.0}, {"bench": "b", "threads": 1, "secs": 4.0}]}"#,
-        )];
-        let new = [parse(
-            r#"{"results": [{"bench": "b", "threads": 1, "secs": 4.4}, {"bench": "a", "threads": 1, "secs": 1.0}]}"#,
-        )];
+        let old = [record(&[("a", 1, 1.0), ("b", 1, 4.0)])];
+        let new = [record(&[("b", 1, 4.4), ("a", 1, 1.0)])];
         let rows = compare(&old, &new);
         assert_eq!(rows.len(), 2);
-        let b = rows.iter().find(|r| r.key == "results[bench=b,threads=1].secs").unwrap();
+        let b = rows.iter().find(|r| r.key == "b t=1").unwrap();
         assert!((b.delta_pct - 10.0).abs() < 1e-9, "b compares with b: {}", b.delta_pct);
         assert_eq!(worst_regression(&rows), b.delta_pct);
         assert!(missing_series(&old, &new).is_empty());
@@ -266,27 +201,14 @@ mod tests {
 
     #[test]
     fn inserted_rows_leave_the_others_matched() {
-        // A GEMM row inserted at the front, and a second row with the
-        // same identity: the old rows still meet their own values.
-        let old = parse(
-            r#"{"results": [{"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 2.0, "gflops": 9},
-                            {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 3.0}]}"#,
-        );
-        let new = parse(
-            r#"{"results": [{"op": "tn", "m": 8, "kernel": "fast", "threads": 2, "secs": 50.0},
-                            {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 2.0, "gflops": 9},
-                            {"op": "nn", "m": 64, "kernel": "exact", "threads": 1, "secs": 3.0}]}"#,
-        );
+        // A row inserted at the front, and the same name at another
+        // width: the old rows still meet their own values.
+        let old = record(&[("gemm_nn_64x64x64", 1, 2.0), ("gemm_nn_64x64x64", 2, 3.0)]);
+        let new = record(&[("gemm_tn_8x8x8", 2, 50.0), ("gemm_nn_64x64x64", 1, 2.0), ("gemm_nn_64x64x64", 2, 3.0)]);
         let rows = compare(&[old], &[new]);
         let keys: Vec<&str> = rows.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(
-            keys,
-            ["results[op=nn,m=64,kernel=exact,threads=1].secs", "results[op=nn,m=64,kernel=exact,threads=1#2].secs"]
-        );
+        assert_eq!(keys, ["gemm_nn_64x64x64 t=1", "gemm_nn_64x64x64 t=2"]);
         assert_eq!(worst_regression(&rows), 0.0, "the new row has nothing to compare with");
-        // Rows without identity fields still go by position.
-        let flat = flatten_numeric(&parse(r#"{"epochs": [{"wall_s": 1.0}, {"wall_s": 2.0}]}"#));
-        assert_eq!(flat[1].0, "epochs[1].wall_s");
     }
 
     #[test]

@@ -233,7 +233,8 @@ fn an_unusable_trend_budget_is_a_usage_error() {
     let (parent, change) = (dir.join("parent"), dir.join("change"));
     for (side, wall) in [(&parent, 1.0), (&change, 10.0)] {
         std::fs::create_dir_all(side).expect("temp dir");
-        std::fs::write(side.join("1.json"), format!("{{\"wall_s\": {wall}}}")).expect("write fixture");
+        let run = format!(r#"{{"rows": [{{"name": "x", "threads": 1, "secs": {wall}}}]}}"#);
+        std::fs::write(side.join("1.json"), run).expect("write fixture");
     }
     let trend = |extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_tgl"))

@@ -4,7 +4,7 @@ use tgl_runtime::rng::StdRng;
 use tgl_runtime::rng::SeedableRng;
 use tgl_graph::NodeId;
 use tgl_tensor::nn::{GruCell, Linear, Mlp, Module};
-use tgl_tensor::ops::{cat, segment_softmax, segment_sum};
+use tgl_tensor::ops::{cat, segment_dot, segment_softmax, segment_weighted_sum};
 use tgl_tensor::{no_grad, Tensor};
 use tglite::nn::TimeEncode;
 use tglite::plan::{self, SamplingSpec};
@@ -103,15 +103,10 @@ impl Apan {
         let kv_in = [&mails, &mail_t];
         let k = self.w_k.forward_parts(&kv_in);
         let v = self.w_v.forward_parts(&kv_in);
-        let hd = q.dim(1);
-        let q_slot = q.index_select(&owners);
-        let logits = q_slot
-            .mul(&k)
-            .sum_dim(1)
-            .mul_scalar(1.0 / (hd as f32).sqrt())
-            .reshape([owners.len(), 1]);
+        let scale = 1.0 / (q.dim(1) as f32).sqrt();
+        let logits = segment_dot(&q, &k, &owners, 1, scale); // [slots, 1]
         let attn = segment_softmax(&logits, &owners, n);
-        let summary = segment_sum(&v.mul(&attn), &owners, n); // [n, hd]
+        let summary = segment_weighted_sum(&v, &attn, &owners, n); // [n, hd]
         let emb = self.ffn.forward_parts(&[&summary, &nfeat]);
         (emb, summary)
     }

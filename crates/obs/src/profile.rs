@@ -308,12 +308,8 @@ mod tests {
         let outer = find(&stats, "profile-test-outer");
         let inner = find(&stats, "profile-test-inner");
         assert!(outer.dur.sum >= inner.dur.sum);
-        assert!(
-            outer.self_ns < inner.self_ns,
-            "outer self time ({}) must exclude the longer inner op ({})",
-            outer.self_ns,
-            inner.self_ns
-        );
+        // The inner op's exact duration is the outer op's child time.
+        assert_eq!(outer.self_ns, outer.dur.sum - inner.dur.sum, "outer self time must exclude the inner op");
         assert!(outer.self_ns + inner.dur.sum <= outer.dur.sum + 1_000_000);
         // A timer is counted and bucketed but leaves the enclosing
         // op's self time alone.

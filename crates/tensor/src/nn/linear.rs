@@ -39,14 +39,9 @@ impl Linear {
         linear_cat(parts, &self.weight, Some(&self.bias), false)
     }
 
-    /// Applies the layer followed by ReLU (`relu(x·Wᵀ + b)`) as the
-    /// same single op, the activation folded into its epilogue.
-    pub fn forward_relu(&self, x: &Tensor) -> Tensor {
-        self.forward_relu_parts(&[x])
-    }
-
-    /// [`forward_relu`](Linear::forward_relu) over the concatenation
-    /// of `parts`.
+    /// Applies the layer followed by ReLU (`relu(x·Wᵀ + b)`) to the
+    /// column-wise concatenation of `parts` as one op, the activation
+    /// folded into its epilogue.
     pub fn forward_relu_parts(&self, parts: &[&Tensor]) -> Tensor {
         linear_cat(parts, &self.weight, Some(&self.bias), true)
     }

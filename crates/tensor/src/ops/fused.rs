@@ -30,8 +30,6 @@ enum Pass<'a> {
     AddRelu(&'a [f32], &'a [f32]),
     /// `go` where `y > 0`, else `+0.0`: `go`'s bits pass unchanged.
     ReluMask { go: &'a [f32], y: &'a [f32] },
-    /// `a * s + b`.
-    ScaleAdd(&'a [f32], f32, &'a [f32]),
     /// `base + s * a * b`, the product left-associated.
     Addcmul { base: &'a [f32], a: &'a [f32], b: &'a [f32], s: f32 },
 }
@@ -52,14 +50,10 @@ fn elementwise(out: &mut [f32], pass: Pass<'_>) {
                 assert_eq!(x.len(), n, "a fused operand of another length");
                 x.as_ptr()
             };
-            // SAFETY (all four): every input was measured against `out`.
+            // SAFETY (all three): every input was measured against `out`.
             match pass {
                 Pass::AddRelu(a, b) => kernel::map::<V, 2>(o, [at(a), at(b)], n, |[a, b]| a.add(b).max(zero)),
                 Pass::ReluMask { go, y } => kernel::map::<V, 2>(o, [at(go), at(y)], n, |[g, y]| g.where_positive(y)),
-                Pass::ScaleAdd(a, s, b) => {
-                    let s = V::splat(s);
-                    kernel::map::<V, 2>(o, [at(a), at(b)], n, |[a, b]| a.mul(s).add(b));
-                }
                 Pass::Addcmul { base, a, b, s } => {
                     let s = V::splat(s);
                     kernel::map::<V, 3>(o, [at(base), at(a), at(b)], n, |[base, a, b]| base.add(s.mul(a).mul(b)));
@@ -217,57 +211,6 @@ impl Tensor {
                     gb
                 });
                 vec![ga, gb]
-            },
-        )
-    }
-
-    /// Fused `self * s + other` (same shape).
-    ///
-    /// One kernel and one backward node instead of the
-    /// `mul_scalar → add` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or device mismatch.
-    pub fn scale_add(&self, s: f32, other: &Tensor) -> Tensor {
-        let device = same_device(self, other);
-        assert_eq!(
-            self.dims(),
-            other.dims(),
-            "scale_add requires matching shapes: {} vs {}",
-            self.shape(),
-            other.shape()
-        );
-        let n = self.numel();
-        let _prof = tgl_obs::profile::op("scale_add")
-            .flops(2 * n as u64)
-            .io(8 * n as u64, 4 * n as u64)
-            .shape(&[self.dims(), other.dims()])
-            .backward_cost(n as u64, 4 * n as u64, 8 * n as u64);
-        let mut y = pool::take_uninit(n, device);
-        {
-            let a = self.inner.storage.read();
-            let b = other.inner.storage.read();
-            let (a, b) = (&a, &b);
-            for_each_chunk(&mut y, |r, out| {
-                elementwise(out, Pass::ScaleAdd(&a[r.start..r.end], s, &b[r.start..r.end]));
-            });
-        }
-        let (need_a, need_b) = (self.requires_grad_flag(), other.requires_grad_flag());
-        Tensor::make_result(
-            y,
-            self.shape().clone(),
-            device,
-            &[self.clone(), other.clone()],
-            move |go| {
-                let ga = need_a.then(|| {
-                    let mut ga = pool::take_uninit(go.len(), device);
-                    for (g, &v) in ga.iter_mut().zip(go) {
-                        *g = v * s;
-                    }
-                    ga
-                });
-                vec![ga, need_b.then(|| pooled_copy(go, device))]
             },
         )
     }
@@ -642,26 +585,6 @@ mod tests {
         let a2 = Tensor::from_vec(vec![0.8, -1.5, 0.6, -0.9], [2, 2]);
         let b2 = Tensor::from_vec(vec![0.3, 0.4], [2]).requires_grad(true);
         check_gradient(&b2, |t| a2.add_relu(t).sum_all(), 1e-2);
-    }
-
-    #[test]
-    fn scale_add_matches_unfused() {
-        let a = Tensor::from_vec(vec![1.0, -2.0, 3.0], [3]);
-        let b = Tensor::from_vec(vec![0.5, 0.5, 0.5], [3]);
-        assert_eq!(
-            a.scale_add(2.0, &b).to_vec(),
-            a.mul_scalar(2.0).add(&b).to_vec()
-        );
-    }
-
-    #[test]
-    fn scale_add_gradcheck() {
-        let a = Tensor::from_vec(vec![0.5, -1.0, 2.0], [3]).requires_grad(true);
-        let b = Tensor::from_vec(vec![1.0, 2.0, -1.0], [3]);
-        check_gradient(&a, |t| t.scale_add(-1.5, &b).sum_all(), 1e-2);
-        let a2 = Tensor::from_vec(vec![0.5, -1.0, 2.0], [3]);
-        let b2 = Tensor::from_vec(vec![1.0, 2.0, -1.0], [3]).requires_grad(true);
-        check_gradient(&b2, |t| a2.scale_add(-1.5, t).sum_all(), 1e-2);
     }
 
     #[test]

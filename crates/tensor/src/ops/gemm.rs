@@ -86,7 +86,7 @@ thread_local! {
 
 /// Multiply-add count below which a matmul runs inline on the caller:
 /// the 2-thread break-even of this tile. Measured on the 2-vCPU
-/// AVX-512 host that recorded `BENCH_micro_gemm.json`, best of six
+/// AVX-512 host that recorded `BENCH_micro.json`, best of six
 /// alternating 1- and 2-thread runs per shape: at 2 threads `m×32×32`
 /// reads 0.45x of its 1-thread rate at `m` = 512, 0.5x at 1024, 0.7-1.2x
 /// at 2048 (2 M multiply-adds), 1.0-1.4x at 3072 and wins from 4608

@@ -148,7 +148,7 @@ impl SegmentRows {
 /// Rows (edges) below which a segment kernel runs inline on the caller:
 /// the 2-thread break-even of `segment_dot`, `segment_softmax` and the
 /// weighted sum's backward. Measured on the 2-vCPU AVX-512 host that
-/// recorded `BENCH_parallel.json` with the split forced at every size,
+/// recorded `BENCH_micro.json` with the split forced at every size,
 /// each thread count in its own process (median of 300 runs, twice) at
 /// 2 heads of 16 and about 7 edges per destination: at 2 threads
 /// `segment_dot` reads 1.13-1.16x at 2 000 edges, `segment_softmax`

@@ -354,26 +354,25 @@ HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
 [ -n "$HEALTH_DUMP" ] && flight_dump "$HEALTH_DUMP" health-fail \
     || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }
 
-echo "==> micro benches against the parent on this host (scripts/ab: obs_overhead, pipeline, micro_ops)"
+echo "==> micro bench against the parent on this host (scripts/ab: cargo bench --bench micro)"
 scripts/ab
-# The BENCH_*.json of ab's last change-side round are at the root, beside
+# BENCH_micro.json of ab's last change-side round is at the root, beside
 # the committed paper record (not rerun here: a run would overwrite it).
-for f in BENCH_obs.json BENCH_pipeline.json BENCH_micro_gemm.json BENCH_parallel.json BENCH_paper.json; do
+for f in BENCH_micro.json BENCH_paper.json; do
     ./target/release/tgl jsoncheck "$f"
 done
-grep -q '"bitwise_identical": true' BENCH_pipeline.json \
-    || { echo "BENCH_pipeline.json missing bitwise-identity marker"; exit 1; }
+grep -q '"bitwise_identical": true' BENCH_micro.json \
+    || { echo "BENCH_micro.json missing bitwise-identity marker"; exit 1; }
 # The two backward products and the fused Linear op (forward and
-# backward) are compared beside the forward product.
-for op in nn nt tn linear linear.bwd; do
-    grep -Fq "\"op\": \"$op\"" BENCH_micro_gemm.json \
-        || { echo "BENCH_micro_gemm.json missing $op rows"; exit 1; }
-done
-for bench in segment_dot_6000x2x16_exact segment_weighted_sum_6000x2x16_exact \
-    gru_cell_4608x112x32_exact gru_cell_chain_4608x112x32_exact \
+# backward) are compared beside the forward product, and the named
+# kernel sweeps are there.
+for name in gemm_nn_512x32x32 gemm_nt_512x32x32 gemm_tn_512x32x32 \
+    gemm_linear_512x32x32 gemm_linear.bwd_512x32x32 \
+    segment_dot_6000x2x16 segment_weighted_sum_6000x2x16 \
+    gru_cell_4608x112x32 gru_cell_chain_4608x112x32 \
     time_encode_4612x16_trained_step 'linear_4612x(32+32+16)x32_parts_step'; do
-    grep -Fq "\"bench\": \"${bench}\"" BENCH_parallel.json \
-        || { echo "BENCH_parallel.json missing $bench rows"; exit 1; }
+    grep -Fq "\"name\":\"$name\"" BENCH_micro.json \
+        || { echo "BENCH_micro.json missing $name rows"; exit 1; }
 done
 
 if cargo clippy --version >/dev/null 2>&1; then

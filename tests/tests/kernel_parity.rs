@@ -92,7 +92,7 @@ fn op_suite() -> Vec<f32> {
     // Fused elementwise ops.
     let a = rand2(&mut rng, [19, 33]).requires_grad(true);
     let b = rand2(&mut rng, [19, 33]);
-    let y = a.add_relu(&b).scale_add(0.37, &b).addcmul(&b, &b, -0.21);
+    let y = a.add_relu(&b).addcmul(&b, &b, -0.21);
     y.sum_all().backward();
     out.extend(y.to_vec());
     out.extend(a.grad().unwrap());
@@ -380,7 +380,7 @@ fn fused_elementwise_thread_invariant_across_chunk_boundaries() {
             let mut rng = StdRng::seed_from_u64(0xF0A6);
             let a = rand2(&mut rng, [n, 1]).requires_grad(true);
             let b = rand2(&mut rng, [n, 1]);
-            let y = a.add_relu(&b).scale_add(0.731, &b).addcmul(&b, &b, -0.417);
+            let y = a.add_relu(&b).addcmul(&b, &b, -0.417);
             y.sum_all().backward();
             (bits(&y.to_vec()), bits(&a.grad().unwrap()))
         };
@@ -1056,10 +1056,10 @@ fn run_with(f: impl Fn(&[Tensor]) -> Tensor, inputs: &[Tensor], go: &[f32]) -> V
 
 /// Every kernel written on `Lanes` outside the GEMM and the attention
 /// operators, through the op that runs it, against the plain scalar
-/// loop that defines it: `add_relu` and its mask, `scale_add`,
-/// `addcmul`, the `Linear` epilogue and its bias gradient, the row
-/// scatter of `index_select`'s backward, `segment_sum` /
-/// `segment_mean`, `segment_softmax`'s backward and the Adam step. At
+/// loop that defines it: `add_relu` and its mask, `addcmul`, the
+/// `Linear` epilogue and its bias gradient, the row scatter of
+/// `index_select`'s backward, `segment_sum` / `segment_mean`,
+/// `segment_softmax`'s backward and the Adam step. At
 /// every level, every width from none to a vector and a half of 16
 /// lanes (so every partial vector of every level), bit for bit.
 #[test]
@@ -1078,7 +1078,6 @@ fn lane_kernels_are_their_scalar_loops_at_every_length_and_level() {
         let mask = |y: &[f32], go: &[f32]| -> Vec<f32> {
             y.iter().zip(go).map(|(&y, &g)| if y > 0.0 { g } else { 0.0 }).collect()
         };
-        let scale_add: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x * s + y).collect();
         let addcmul: Vec<f32> = (0..len).map(|i| c[i] + s * a[i] * b[i]).collect();
         // The `Linear` epilogue over `m` rows `len` wide, on the product
         // the GEMM leaves, and the bias gradient summed over rows.
@@ -1123,8 +1122,6 @@ fn lane_kernels_are_their_scalar_loops_at_every_length_and_level() {
             let got = run_with(|t| t[0].add_relu(&t[1]), &[t(&a, [len, 1]), t(&b, [len, 1])], &go);
             assert_eq!(bits(&got[0]), bits(&relu), "add_relu, {at}");
             assert_eq!(bits(&got[1]), bits(&mask(&relu, &go)), "add_relu mask, {at}");
-            let got = run_with(|t| t[0].scale_add(s, &t[1]), &[t(&a, [len, 1]), t(&b, [len, 1])], &go);
-            assert_eq!(bits(&got[0]), bits(&scale_add), "scale_add, {at}");
             let got = run_with(|t| t[0].addcmul(&t[1], &t[2], s), &[t(&c, [len, 1]), t(&a, [len, 1]), t(&b, [len, 1])], &go);
             assert_eq!(bits(&got[0]), bits(&addcmul), "addcmul, {at}");
 
