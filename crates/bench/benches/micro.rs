@@ -39,7 +39,7 @@ use tgl_runtime::set_threads;
 use tgl_sampler::{SamplingStrategy, TemporalSampler};
 use tgl_tensor::ops::{cat, linear_cat, segment_dot, segment_softmax, segment_weighted_sum, time_encode};
 use tgl_tensor::Tensor;
-use tglite::{obs, op, prof, TBlock, TContext, TSampler};
+use tglite::{obs, op, TBlock, TContext, TSampler};
 
 /// The `schema` field of `BENCH_micro.json`.
 const SCHEMA: &str = "tgl-bench-micro/v1";
@@ -122,7 +122,7 @@ fn obs_section(rows: &mut Rows) {
     // timer, a value histogram and a gauge store per iter.
     let workload = || {
         let _r = tgl_obs::region("obs-overhead-step");
-        let _s = prof::scope("obs-overhead-workload");
+        let _s = tgl_obs::span("obs-overhead-workload");
         let _lat = tgl_obs::timer("bench.workload");
         tgl_obs::histogram!("bench.workload_len").record(n as u64);
         // A per-op site, the kind every tensor kernel carries:
@@ -140,7 +140,7 @@ fn obs_section(rows: &mut Rows) {
     // the full log so it cannot grow across rounds.
     let all = |on: bool| {
         obs::log::take();
-        prof::take();
+        obs::phase::take();
         obs::collect(on);
         obs::log::full(on);
         obs::log::tail(on);

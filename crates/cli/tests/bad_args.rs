@@ -35,9 +35,21 @@ fn zero_threads_is_a_usage_error() {
 }
 
 #[test]
+fn a_pool_wider_than_the_bound_is_a_usage_error() {
+    // It used to reach the first parallel region, whose failed worker
+    // spawns aborted the process. Rejected before any region runs.
+    let (code, stdout, stderr) = tgl_train(&["--threads", "100000"]);
+    assert_eq!(code, Some(2), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line error: {stderr}");
+    assert!(stderr.contains("--threads") && stderr.contains("1024"), "error must name the flag and its bound: {stderr}");
+    assert!(!stdout.contains("loss"), "must not train: {stdout}");
+}
+
+#[test]
 fn unusable_tgl_threads_is_a_usage_error() {
-    // Each used to run at the host's width and exit 0.
-    for value in ["0", "two", "-1"] {
+    // Each but the last used to run at the host's width and exit 0; the
+    // last aborted at the first parallel region.
+    for value in ["0", "two", "-1", "100000"] {
         let out = Command::new(env!("CARGO_BIN_EXE_tgl"))
             .env("TGL_THREADS", value)
             .args(["train", "--model", "tgat", "--dataset", "wiki", "--scale", "16", "--epochs", "1"])

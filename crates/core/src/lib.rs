@@ -78,7 +78,6 @@ mod ctx;
 pub mod nn;
 pub mod op;
 pub mod plan;
-pub mod prof;
 mod sampler;
 
 pub use batch::TBatch;
@@ -92,9 +91,8 @@ pub mod tensor {
 }
 
 /// Observability substrate (re-export of `tgl-obs`): counters, the
-/// span primitive, its aggregate and the span log. [`prof`] is the
-/// framework-side name for `obs::span`; use this module directly for
-/// counters and Chrome-trace export.
+/// span primitive (`obs::span`, the timing of a Fig. 7 phase), its
+/// aggregate and the span log, and Chrome-trace export.
 pub mod obs {
     pub use tgl_obs::*;
 }

@@ -51,7 +51,7 @@ pub fn aggregate(head: &TBlock, key: &str, mut f: impl FnMut(&TBlock) -> Tensor)
                 );
                 // Two row copies per layer boundary, under a phase of
                 // their own rather than in a `(no-phase)` op row.
-                let _phase = crate::prof::scope("aggregate");
+                let _phase = tgl_obs::span("aggregate");
                 prev.set_dstdata(key, out.narrow_rows(0, nd));
                 prev.set_srcdata(key, out.narrow_rows(nd, ne));
             }

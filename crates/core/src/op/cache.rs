@@ -34,7 +34,7 @@ pub fn cache(ctx: &TContext, blk: &TBlock) -> TBlock {
         !blk.has_nbrs(),
         "cache must be applied before sampling the neighborhood"
     );
-    let _phase = crate::prof::scope("cache");
+    let _phase = tgl_obs::span("cache");
     let layer = blk.layer();
     let (nodes, times) = (blk.dst_nodes(), blk.dst_times());
     let n = nodes.len();
@@ -56,7 +56,7 @@ pub fn cache(ctx: &TContext, blk: &TBlock) -> TBlock {
 
     let store = ctx.embed_cache_arc();
     blk.register_hook(BlockHook::new("cache-merge", move |out: Tensor| {
-        let _phase = crate::prof::scope("cache");
+        let _phase = tgl_obs::span("cache");
         let width: usize = out.dims()[1..].iter().product();
         {
             let _prof = tgl_obs::profile::op("cache_store")

@@ -31,7 +31,7 @@ pub fn dedup(blk: &TBlock) -> TBlock {
     if saved > 0 {
         blk.replace_dst(uniq_nodes, uniq_times);
         blk.register_hook(BlockHook::new("dedup-invert", move |out| {
-            let _phase = crate::prof::scope("dedup");
+            let _phase = tgl_obs::span("dedup");
             out.index_select(&inverse)
         }));
     }

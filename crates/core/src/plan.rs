@@ -68,7 +68,7 @@ pub struct BatchPlan {
 /// The one chain-construction loop.
 fn build(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TBlock {
     let head = {
-        let _prep = crate::prof::scope("prep_batch");
+        let _prep = tgl_obs::span("prep_batch");
         batch.block(ctx)
     };
     let mut tail = head.clone();
@@ -82,18 +82,18 @@ fn build(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TB
         if cache {
             op::cache(ctx, &tail);
         }
-        let _s = crate::prof::scope("sample").stage(tgl_obs::Stage::Sample);
+        let _s = tgl_obs::span("sample").stage(tgl_obs::Stage::Sample);
         let csr = tail.graph().tcsr();
         let nbrs = tail.with_dst(|nodes, times| spec.sampler.sample(&csr, nodes, times));
         tail.set_neighborhood(nbrs);
     }
     if spec.preload_pinned {
-        let _p = crate::prof::scope("preload").stage(tgl_obs::Stage::Transfer);
+        let _p = tgl_obs::span("preload").stage(tgl_obs::Stage::Transfer);
         op::preload(ctx, &head, true);
     } else {
         // An MFG's eager materialization (paper §3.2): each tensor of
         // each block crosses on its own, however many rows repeat.
-        let _f = crate::prof::scope("feature_load").stage(tgl_obs::Stage::Transfer);
+        let _f = tgl_obs::span("feature_load").stage(tgl_obs::Stage::Transfer);
         for blk in head.chain() {
             blk.dstfeat();
             if blk.has_nbrs() {

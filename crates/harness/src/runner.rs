@@ -332,6 +332,12 @@ impl ObsOptions {
         // the first.
         tgl_runtime::env_threads().map_err(RunError)?;
         tgl_tensor::kernel::env_scalar().map_err(RunError)?;
+        let threads = args.positive("threads").map_err(RunError)?;
+        // A width the host cannot start would abort at the first region.
+        if let Some(n) = threads.filter(|&n| n > tgl_runtime::MAX_THREADS) {
+            let max = tgl_runtime::MAX_THREADS;
+            return Err(RunError(format!("--threads: expected a positive integer up to {max}, got \"{n}\"")));
+        }
         Ok(ObsOptions {
             progress: true,
             profile: args.has_flag("profile"),
@@ -343,7 +349,7 @@ impl ObsOptions {
             ckpt_load,
             health: parsed(args, "health", "warn/fail", HealthPolicy::parse)?,
             pipeline: parsed(args, "pipeline", "a queue depth", |v| v.parse().ok())?,
-            threads: args.positive("threads").map_err(RunError)?,
+            threads,
         })
     }
 }

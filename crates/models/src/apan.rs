@@ -216,7 +216,7 @@ impl TemporalModel for Apan {
         // 2. Memory update for the positive endpoints (first 2n rows of
         //    the summary tensor).
         let n = batch.len();
-        let memory_phase = tglite::prof::scope("memory");
+        let memory_phase = tgl_obs::span("memory");
         self.persist_memory(ctx, batch, &summaries.narrow_rows(0, 2 * n));
         // 3. Mail creation + asynchronous propagation to neighbors.
         self.propagate_mails(ctx, batch);

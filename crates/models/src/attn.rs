@@ -80,7 +80,7 @@ impl TemporalAttnLayer {
         let hd = self.heads * self.head_dim;
 
         // Φ(0) for destinations (Eq. 4).
-        let _t0 = tglite::prof::scope("time_zero");
+        let _t0 = tgl_obs::span("time_zero");
         let tfeats = if time_precompute {
             op::precomputed_zeros(ctx, &self.time_encoder, n_dst)
         } else {
@@ -88,19 +88,19 @@ impl TemporalAttnLayer {
         };
         drop(_t0);
         let q = {
-            let _ta = tglite::prof::scope("attention");
+            let _ta = tgl_obs::span("attention");
             self.w_q.forward_parts(&[&h_dst, &tfeats])
         };
 
         if n_edges == 0 {
             // No sampled neighbors anywhere: attention output is zero.
-            let _ta = tglite::prof::scope("attention");
+            let _ta = tgl_obs::span("attention");
             let r = Tensor::zeros_on([n_dst, hd], blk.device());
             return self.ffn.forward_parts(&[&r, &h_dst]);
         }
 
         // Φ(Δt) for sampled edges (Eq. 5).
-        let _tn = tglite::prof::scope("time_nbrs");
+        let _tn = tgl_obs::span("time_nbrs");
         let deltas = blk.deltas();
         let nbr_t = if time_precompute {
             op::precomputed_times(ctx, &self.time_encoder, &deltas)
@@ -108,7 +108,7 @@ impl TemporalAttnLayer {
             self.time_encoder.encode(&deltas)
         };
         drop(_tn);
-        let _ta = tglite::prof::scope("attention");
+        let _ta = tgl_obs::span("attention");
         let h_src = blk.srcdata("h");
         // The edge features are read through their slots in the staged
         // table, not gathered into an `[E, d_edge]` copy first.

@@ -140,7 +140,7 @@ impl Jodie {
     /// `[counterpart memory ‖ edge features]` (paper Listing 5
     /// `save_raw_msgs`).
     fn save_state(&self, ctx: &TContext, batch: &TBatch) {
-        let _phase = tglite::prof::scope("memory");
+        let _phase = tgl_obs::span("memory");
         let _guard = no_grad();
         let g = ctx.graph();
         let blk = batch.block_adj(ctx);
@@ -181,7 +181,7 @@ impl TemporalModel for Jodie {
     fn forward(&mut self, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
         // Nodes: [srcs | dsts | negs] at their edge times.
         let head = plan::build_chain(ctx, batch, &self.spec, false);
-        let memory_phase = tglite::prof::scope("memory");
+        let memory_phase = tgl_obs::span("memory");
         let (mem_new, _) = self.update_memory(ctx, &head.dst_nodes());
         drop(memory_phase);
         let embs = self.project(ctx, &mem_new, &head);

@@ -223,7 +223,7 @@ pub(crate) fn score_embeddings(
     embs: &Tensor,
     batch_len: usize,
 ) -> (Tensor, Tensor) {
-    let _phase = tglite::prof::scope("predictor");
+    let _phase = tgl_obs::span("predictor");
     let src = embs.narrow_rows(0, batch_len);
     let dst = embs.narrow_rows(batch_len, batch_len);
     let neg = embs.narrow_rows(2 * batch_len, batch_len);

@@ -37,7 +37,7 @@ impl EdgePredictor {
 
     /// Logits for each row pair: `[n, emb] × [n, emb] → [n]`.
     pub fn forward(&self, src: &Tensor, dst: &Tensor) -> Tensor {
-        let _phase = tglite::prof::scope("predictor");
+        let _phase = tgl_obs::span("predictor");
         self.logits(src, dst)
     }
 

@@ -64,7 +64,7 @@ impl Tgat {
     pub fn embeddings(&self, ctx: &TContext, batch: &TBatch) -> Tensor {
         let head = plan::build_chain(ctx, batch, &self.spec, self.caching());
         let tail = head.tail();
-        let _f = tglite::prof::scope("feature_load").stage(tgl_obs::Stage::Transfer);
+        let _f = tgl_obs::span("feature_load").stage(tgl_obs::Stage::Transfer);
         tail.set_dstdata("h", tail.dstfeat());
         tail.set_srcdata("h", tail.srcfeat());
         drop(_f);

@@ -102,7 +102,7 @@ impl Tgn {
     /// `idx.nodes` that the embeddings were computed from: the rows
     /// persisted are sliced out of it, not recomputed.
     fn save_state(&self, ctx: &TContext, batch: &TBatch, idx: &op::NodeIndex, mem: &Tensor) {
-        let _phase = tglite::prof::scope("memory");
+        let _phase = tgl_obs::span("memory");
         let _guard = no_grad();
         let g = ctx.graph();
         let blk: TBlock = batch.block_adj(ctx);
@@ -153,7 +153,7 @@ impl TemporalModel for Tgn {
         // 4-7). Both are keyed on the node alone, so they are computed
         // once per distinct node (features read from the first staged
         // row naming it) and expanded into the tail's rows.
-        let memory_phase = tglite::prof::scope("memory");
+        let memory_phase = tgl_obs::span("memory");
         let mut rows = tail.dst_nodes();
         let n_dst = rows.len();
         rows.extend(tail.src_nodes());

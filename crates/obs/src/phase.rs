@@ -3,8 +3,7 @@
 //! Every [`crate::span`] is a phase; its time lands in the one
 //! aggregate ([`crate::profile`]) whichever thread records it. This
 //! module only *reads*: [`table`] folds the phase rows by name, and
-//! [`take`] drains the aggregate and returns that table — the
-//! `tglite::prof::take` the harness and benches have always called.
+//! [`take`] drains the aggregate and returns that table.
 
 use std::collections::HashMap;
 use std::time::Duration;

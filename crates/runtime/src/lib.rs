@@ -54,7 +54,7 @@ pub use channel::{bounded, Receiver, Sender};
 pub use clock::process_cpu_seconds;
 pub use hash::IntMap;
 pub use pool::{
-    current_threads, env_threads, parallel_for, parallel_rows, set_threads, Chunks, Outputs, Rows,
+    current_threads, env_threads, parallel_for, parallel_rows, set_threads, Chunks, Outputs, Rows, MAX_THREADS,
 };
 pub use rng::{Rng, SeedableRng, SplitMix64, StdRng};
 pub use sync::{Mutex, RwLock};

@@ -32,11 +32,18 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+/// The widest pool a front end accepts (`--threads`, `TGL_THREADS`). A
+/// pool `n` wide starts `n - 1` worker threads at its first wide region
+/// and a spawn the host refuses aborts the process, so a wider value is
+/// a usage error where it is parsed.
+pub const MAX_THREADS: usize = 1024;
+
 /// The pool width `TGL_THREADS` asks for: `Ok(None)` when it is unset,
-/// `Ok(Some(n))` for a positive integer, and an error naming the
-/// variable for any other value ([`crate::env::positive`]).
+/// `Ok(Some(n))` for a positive integer up to [`MAX_THREADS`], and an
+/// error naming the variable for any other value
+/// ([`crate::env::positive_up_to`]).
 pub fn env_threads() -> Result<Option<usize>, String> {
-    crate::env::positive("TGL_THREADS")
+    crate::env::positive_up_to("TGL_THREADS", MAX_THREADS)
 }
 
 /// Thread count requested by the environment: [`env_threads`], or the

@@ -10,9 +10,10 @@
 //! elements, no multiply-add contracted into an FMA, no reduction
 //! reassociated — so which level ran cannot show in a bit.
 //!
-//! Every such kernel but [`sincos`] is one body written on [`Lanes`] and
-//! instantiated at each level by [`run_lanes`]; the intrinsics behind
-//! `Lanes` and `sincos` live in this file alone.
+//! Every such kernel is one body written on [`Lanes`] and instantiated
+//! at each level by [`run_lanes`], the only code that enables an
+//! instruction set; the intrinsics behind `Lanes` live in this file
+//! alone.
 //!
 //! Two kinds of transcendental sit under that contract. `cos` and
 //! `sin` are in-tree: [`sincos`] is a fixed sequence of IEEE `f64`
@@ -162,8 +163,8 @@ pub fn simd_label() -> &'static str {
 /// # Safety
 ///
 /// The methods of an implementation may only be called where its
-/// instruction set is enabled (inside a `#[target_feature]` function of
-/// that set, on a CPU that has it, as [`run_lanes`] arranges); `load` /
+/// instruction set is enabled (inside a function compiled for that set,
+/// on a CPU that has it, as [`run_lanes`] arranges); `load` /
 /// `store` touch `LANES` floats from the pointer on, `load_part` /
 /// `store_part` the first `len <= LANES` of them.
 pub(crate) trait Lanes: Copy {
@@ -194,6 +195,11 @@ pub(crate) trait Lanes: Copy {
     unsafe fn mul_add(self, a: Self, b: Self) -> Self {
         self.add(a.mul(b))
     }
+    /// [`sincos`] at this level: the operations of [`sincos_scalar`] on
+    /// `LANES / 2` `f64` lanes (both polynomials, then a per-lane select
+    /// for each output), the last few elements through the reference
+    /// itself. `other`, if given, is as long as `buf`.
+    unsafe fn sincos(buf: &mut [f32], f: Trig, other: Option<&mut [f32]>);
 }
 
 /// The scalar level's vector: four floats, one at a time.
@@ -265,11 +271,15 @@ impl Lanes for F32x4 {
         let t = *v;
         *v = std::array::from_fn(|j| F32x4(std::array::from_fn(|i| t[i].0[j])));
     }
+    #[inline(always)]
+    unsafe fn sincos(buf: &mut [f32], f: Trig, other: Option<&mut [f32]>) {
+        sincos_from(0, buf, f, other);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod lanes_x86 {
-    use super::Lanes;
+    use super::{sincos_from, Lanes, Trig};
     use std::arch::x86_64::*;
 
     impl Lanes for __m256 {
@@ -347,6 +357,57 @@ mod lanes_x86 {
                 v[c] = _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]);
                 v[4 + c] = _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]);
             }
+        }
+        #[inline(always)]
+        unsafe fn sincos(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
+            use super::trig::*;
+            // Functions, not closures: a closure is compiled without the
+            // level's instruction set, and its intrinsics can stay calls.
+            // Both ask what the method asks: that set enabled.
+            #[inline(always)]
+            unsafe fn k(c: f64) -> __m256d {
+                _mm256_set1_pd(c)
+            }
+            /// One function of the four arguments from the two polynomials.
+            #[inline(always)]
+            unsafe fn pick(f: Trig, tm: __m256d, c: __m256d, sn: __m256d) -> __m128 {
+                let m = _mm256_add_epi64(_mm256_castpd_si256(tm), _mm256_set1_epi64x(f.quadrant_shift() as i64));
+                // `blendv` selects on a lane's top bit: the quadrant's parity.
+                let odd = _mm256_castsi256_pd(_mm256_slli_epi64(m, 63));
+                let y = _mm256_blendv_pd(c, sn, odd);
+                let negative = _mm256_and_si256(_mm256_add_epi64(m, _mm256_set1_epi64x(1)), _mm256_set1_epi64x(2));
+                let y = _mm256_xor_pd(y, _mm256_castsi256_pd(_mm256_slli_epi64(negative, 62)));
+                _mm256_cvtpd_ps(_mm256_max_pd(k(-1.0), _mm256_min_pd(k(1.0), y)))
+            }
+            let whole = buf.len() / 4 * 4;
+            for at in (0..whole).step_by(4) {
+                let x = _mm256_cvtps_pd(_mm_loadu_ps(buf.as_ptr().add(at)));
+                let t = _mm256_mul_pd(x, k(TWO_OVER_PI));
+                let tm = _mm256_add_pd(t, k(ROUND));
+                let q = _mm256_sub_pd(tm, k(ROUND));
+                let r = _mm256_sub_pd(x, _mm256_mul_pd(q, k(PIO2_1)));
+                let r = _mm256_sub_pd(r, _mm256_mul_pd(q, k(PIO2_2)));
+                let r = _mm256_sub_pd(r, _mm256_mul_pd(q, k(PIO2_3)));
+                let z = _mm256_mul_pd(r, r);
+                let w = _mm256_mul_pd(z, z);
+                let c = _mm256_add_pd(
+                    _mm256_add_pd(
+                        _mm256_add_pd(k(1.0), _mm256_mul_pd(z, k(C0))),
+                        _mm256_mul_pd(w, k(C1)),
+                    ),
+                    _mm256_mul_pd(_mm256_mul_pd(w, z), _mm256_add_pd(k(C2), _mm256_mul_pd(z, k(C3)))),
+                );
+                let s = _mm256_mul_pd(z, r);
+                let sn = _mm256_add_pd(
+                    _mm256_add_pd(r, _mm256_mul_pd(s, _mm256_add_pd(k(S1), _mm256_mul_pd(z, k(S2))))),
+                    _mm256_mul_pd(_mm256_mul_pd(s, w), _mm256_add_pd(k(S3), _mm256_mul_pd(z, k(S4)))),
+                );
+                _mm_storeu_ps(buf.as_mut_ptr().add(at), pick(f, tm, c, sn));
+                if let Some(other) = other.as_deref_mut() {
+                    _mm_storeu_ps(other.as_mut_ptr().add(at), pick(f.other(), tm, c, sn));
+                }
+            }
+            sincos_from(whole, buf, f, other);
         }
     }
 
@@ -443,6 +504,56 @@ mod lanes_x86 {
                 v[12 + c] = _mm512_shuffle_f32x4::<0xDD>(w[4 + c], w[12 + c]);
             }
         }
+        /// The 4-lane body on eight lanes: the same operations, with the
+        /// parity select as a mask blend and the sign flip as an integer
+        /// `xor`.
+        #[inline(always)]
+        unsafe fn sincos(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
+            use super::trig::*;
+            // `k` and `pick` as in the 4-lane body.
+            #[inline(always)]
+            unsafe fn k(c: f64) -> __m512d {
+                _mm512_set1_pd(c)
+            }
+            #[inline(always)]
+            unsafe fn pick(f: Trig, tm: __m512d, c: __m512d, sn: __m512d) -> __m256 {
+                let m = _mm512_add_epi64(_mm512_castpd_si512(tm), _mm512_set1_epi64(f.quadrant_shift() as i64));
+                let odd = _mm512_test_epi64_mask(m, _mm512_set1_epi64(1));
+                let y = _mm512_castpd_si512(_mm512_mask_blend_pd(odd, c, sn));
+                let negative = _mm512_and_si512(_mm512_add_epi64(m, _mm512_set1_epi64(1)), _mm512_set1_epi64(2));
+                let y = _mm512_castsi512_pd(_mm512_xor_si512(y, _mm512_slli_epi64::<62>(negative)));
+                _mm512_cvtpd_ps(_mm512_max_pd(k(-1.0), _mm512_min_pd(k(1.0), y)))
+            }
+            let whole = buf.len() / 8 * 8;
+            for at in (0..whole).step_by(8) {
+                let x = _mm512_cvtps_pd(_mm256_loadu_ps(buf.as_ptr().add(at)));
+                let t = _mm512_mul_pd(x, k(TWO_OVER_PI));
+                let tm = _mm512_add_pd(t, k(ROUND));
+                let q = _mm512_sub_pd(tm, k(ROUND));
+                let r = _mm512_sub_pd(x, _mm512_mul_pd(q, k(PIO2_1)));
+                let r = _mm512_sub_pd(r, _mm512_mul_pd(q, k(PIO2_2)));
+                let r = _mm512_sub_pd(r, _mm512_mul_pd(q, k(PIO2_3)));
+                let z = _mm512_mul_pd(r, r);
+                let w = _mm512_mul_pd(z, z);
+                let c = _mm512_add_pd(
+                    _mm512_add_pd(
+                        _mm512_add_pd(k(1.0), _mm512_mul_pd(z, k(C0))),
+                        _mm512_mul_pd(w, k(C1)),
+                    ),
+                    _mm512_mul_pd(_mm512_mul_pd(w, z), _mm512_add_pd(k(C2), _mm512_mul_pd(z, k(C3)))),
+                );
+                let s = _mm512_mul_pd(z, r);
+                let sn = _mm512_add_pd(
+                    _mm512_add_pd(r, _mm512_mul_pd(s, _mm512_add_pd(k(S1), _mm512_mul_pd(z, k(S2))))),
+                    _mm512_mul_pd(_mm512_mul_pd(s, w), _mm512_add_pd(k(S3), _mm512_mul_pd(z, k(S4)))),
+                );
+                _mm256_storeu_ps(buf.as_mut_ptr().add(at), pick(f, tm, c, sn));
+                if let Some(other) = other.as_deref_mut() {
+                    _mm256_storeu_ps(other.as_mut_ptr().add(at), pick(f.other(), tm, c, sn));
+                }
+            }
+            sincos_from(whole, buf, f, other);
+        }
     }
 }
 
@@ -455,7 +566,7 @@ pub(crate) trait LaneKernel {
     ///
     /// `V`'s instruction set must be enabled in the caller (implementations
     /// are `#[inline(always)]` and inline into [`run_lanes`]'s
-    /// `#[target_feature]` instances), plus whatever the kernel states.
+    /// per-level instances), plus whatever the kernel states.
     unsafe fn run<V: Lanes>(self);
 }
 
@@ -669,27 +780,24 @@ pub fn sincos_scalar(x: f32, f: Trig) -> f32 {
 /// writes the other function of the same arguments there (a forward
 /// pass that saves what its backward multiplies by).
 ///
-/// The AVX2 and AVX-512F kernels perform the operations of
-/// [`sincos_scalar`] on four and eight `f64` lanes (both polynomials,
-/// then a per-lane select for each output) and leave the last few
-/// elements to the scalar reference, so SIMD and scalar hosts and every
-/// way of splitting `buf` across threads give the same bits.
+/// Each level's [`Lanes::sincos`] performs the operations of
+/// [`sincos_scalar`] on four or eight `f64` lanes and leaves the last
+/// few elements to the scalar reference, so SIMD and scalar hosts and
+/// every way of splitting `buf` across threads give the same bits.
 ///
 /// # Panics
 ///
 /// Panics if `other` is given with another length than `buf`.
 pub fn sincos(buf: &mut [f32], f: Trig, other: Option<&mut [f32]>) {
-    assert!(other.as_ref().is_none_or(|o| o.len() == buf.len()), "sincos outputs differ in length");
-    #[cfg(target_arch = "x86_64")]
-    match simd() {
-        // SAFETY (both): the level says the CPU supports the kernel's
-        // instruction set; the outputs were measured against each other
-        // just above.
-        Simd::Avx512 => return unsafe { sincos_avx512(buf, f, other) },
-        Simd::Avx2 => return unsafe { sincos_avx2(buf, f, other) },
-        Simd::Scalar => {}
+    struct SinCos<'a>(&'a mut [f32], Trig, Option<&'a mut [f32]>);
+    impl LaneKernel for SinCos<'_> {
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            V::sincos(self.0, self.1, self.2);
+        }
     }
-    sincos_from(0, buf, f, other);
+    assert!(other.as_ref().is_none_or(|o| o.len() == buf.len()), "sincos outputs differ in length");
+    run_lanes(SinCos(buf, f, other));
 }
 
 /// [`sincos`] of the elements from `at` on, one at a time through the
@@ -701,108 +809,6 @@ fn sincos_from(at: usize, buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]
         }
         *v = sincos_scalar(*v, f);
     }
-}
-
-/// # Safety
-///
-/// Requires AVX2; `other`, if given, must be as long as `buf`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sincos_avx2(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
-    use std::arch::x86_64::*;
-    use trig::*;
-    let k = |c: f64| _mm256_set1_pd(c);
-    let whole = buf.len() / 4 * 4;
-    for at in (0..whole).step_by(4) {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(buf.as_ptr().add(at)));
-        let t = _mm256_mul_pd(x, k(TWO_OVER_PI));
-        let tm = _mm256_add_pd(t, k(ROUND));
-        let q = _mm256_sub_pd(tm, k(ROUND));
-        let r = _mm256_sub_pd(x, _mm256_mul_pd(q, k(PIO2_1)));
-        let r = _mm256_sub_pd(r, _mm256_mul_pd(q, k(PIO2_2)));
-        let r = _mm256_sub_pd(r, _mm256_mul_pd(q, k(PIO2_3)));
-        let z = _mm256_mul_pd(r, r);
-        let w = _mm256_mul_pd(z, z);
-        let c = _mm256_add_pd(
-            _mm256_add_pd(
-                _mm256_add_pd(k(1.0), _mm256_mul_pd(z, k(C0))),
-                _mm256_mul_pd(w, k(C1)),
-            ),
-            _mm256_mul_pd(_mm256_mul_pd(w, z), _mm256_add_pd(k(C2), _mm256_mul_pd(z, k(C3)))),
-        );
-        let s = _mm256_mul_pd(z, r);
-        let sn = _mm256_add_pd(
-            _mm256_add_pd(r, _mm256_mul_pd(s, _mm256_add_pd(k(S1), _mm256_mul_pd(z, k(S2))))),
-            _mm256_mul_pd(_mm256_mul_pd(s, w), _mm256_add_pd(k(S3), _mm256_mul_pd(z, k(S4)))),
-        );
-        // One function of the four arguments from the two polynomials.
-        let pick = |f: Trig| {
-            let m = _mm256_add_epi64(_mm256_castpd_si256(tm), _mm256_set1_epi64x(f.quadrant_shift() as i64));
-            // `blendv` selects on a lane's top bit: the quadrant's parity.
-            let odd = _mm256_castsi256_pd(_mm256_slli_epi64(m, 63));
-            let y = _mm256_blendv_pd(c, sn, odd);
-            let negative =
-                _mm256_and_si256(_mm256_add_epi64(m, _mm256_set1_epi64x(1)), _mm256_set1_epi64x(2));
-            let y = _mm256_xor_pd(y, _mm256_castsi256_pd(_mm256_slli_epi64(negative, 62)));
-            _mm256_cvtpd_ps(_mm256_max_pd(k(-1.0), _mm256_min_pd(k(1.0), y)))
-        };
-        _mm_storeu_ps(buf.as_mut_ptr().add(at), pick(f));
-        if let Some(other) = other.as_deref_mut() {
-            _mm_storeu_ps(other.as_mut_ptr().add(at), pick(f.other()));
-        }
-    }
-    sincos_from(whole, buf, f, other);
-}
-
-/// [`sincos_avx2`] on eight lanes: the same operations, with the parity
-/// select as a mask blend and the sign flip as an integer `xor`.
-///
-/// # Safety
-///
-/// Requires AVX-512F; `other`, if given, must be as long as `buf`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn sincos_avx512(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
-    use std::arch::x86_64::*;
-    use trig::*;
-    let k = |c: f64| _mm512_set1_pd(c);
-    let whole = buf.len() / 8 * 8;
-    for at in (0..whole).step_by(8) {
-        let x = _mm512_cvtps_pd(_mm256_loadu_ps(buf.as_ptr().add(at)));
-        let t = _mm512_mul_pd(x, k(TWO_OVER_PI));
-        let tm = _mm512_add_pd(t, k(ROUND));
-        let q = _mm512_sub_pd(tm, k(ROUND));
-        let r = _mm512_sub_pd(x, _mm512_mul_pd(q, k(PIO2_1)));
-        let r = _mm512_sub_pd(r, _mm512_mul_pd(q, k(PIO2_2)));
-        let r = _mm512_sub_pd(r, _mm512_mul_pd(q, k(PIO2_3)));
-        let z = _mm512_mul_pd(r, r);
-        let w = _mm512_mul_pd(z, z);
-        let c = _mm512_add_pd(
-            _mm512_add_pd(
-                _mm512_add_pd(k(1.0), _mm512_mul_pd(z, k(C0))),
-                _mm512_mul_pd(w, k(C1)),
-            ),
-            _mm512_mul_pd(_mm512_mul_pd(w, z), _mm512_add_pd(k(C2), _mm512_mul_pd(z, k(C3)))),
-        );
-        let s = _mm512_mul_pd(z, r);
-        let sn = _mm512_add_pd(
-            _mm512_add_pd(r, _mm512_mul_pd(s, _mm512_add_pd(k(S1), _mm512_mul_pd(z, k(S2))))),
-            _mm512_mul_pd(_mm512_mul_pd(s, w), _mm512_add_pd(k(S3), _mm512_mul_pd(z, k(S4)))),
-        );
-        let pick = |f: Trig| {
-            let m = _mm512_add_epi64(_mm512_castpd_si512(tm), _mm512_set1_epi64(f.quadrant_shift() as i64));
-            let odd = _mm512_test_epi64_mask(m, _mm512_set1_epi64(1));
-            let y = _mm512_castpd_si512(_mm512_mask_blend_pd(odd, c, sn));
-            let negative = _mm512_and_si512(_mm512_add_epi64(m, _mm512_set1_epi64(1)), _mm512_set1_epi64(2));
-            let y = _mm512_castsi512_pd(_mm512_xor_si512(y, _mm512_slli_epi64::<62>(negative)));
-            _mm512_cvtpd_ps(_mm512_max_pd(k(-1.0), _mm512_min_pd(k(1.0), y)))
-        };
-        _mm256_storeu_ps(buf.as_mut_ptr().add(at), pick(f));
-        if let Some(other) = other.as_deref_mut() {
-            _mm256_storeu_ps(other.as_mut_ptr().add(at), pick(f.other()));
-        }
-    }
-    sincos_from(whole, buf, f, other);
 }
 
 /// Serializes tests (crate-wide) that flip or depend on the global

@@ -24,14 +24,16 @@
 //!   walks the reduction through the index, so a gather feeding the
 //!   product is never built either.
 //!
-//! The register tile ([`Tile`]) is [`MR`] rows by [`NV`] vectors of the
-//! widest kind the host has: `4 × 8` floats at the scalar level, `4 ×
+//! The register tile ([`tile_body`]) is [`MR`] rows by [`NV`] vectors of
+//! the widest kind the host has: `4 × 8` floats at the scalar level, `4 ×
 //! 16` on AVX2 and `4 × 32` on AVX-512F, eight independent accumulator
 //! registers at either SIMD level (a multiply-add waits 4 cycles for
 //! the one before it on the same register and two issue per cycle, so
-//! fewer than eight chains leave the FMA ports idle). A last panel that one vector covers runs
-//! the one-vector-wide form of the same body, so a narrow `C` (`n` up
-//! to 16) pays for no second vector of padding. A panel (`KC` rows of
+//! fewer than eight chains leave the FMA ports idle). Each row panel
+//! of `C` is one [`RowPanel`], which [`kernel::run_lanes`] runs on the
+//! active level's vectors. A last column panel that one vector covers
+//! runs the one-vector-wide form of the same body, so a narrow `C` (`n`
+//! up to 16) pays for no second vector of padding. A panel (`KC` rows of
 //! at most 32 floats = 16 KiB) stays L1-resident while the tile
 //! accumulates across it in place on C; partial tiles at the right and
 //! bottom edges run the same kernel on a zero-padded copy. The only
@@ -55,7 +57,7 @@
 
 use tgl_runtime::{parallel_rows, Chunks, Rows};
 
-use crate::kernel::{self, F32x4, Lanes, Simd};
+use crate::kernel::{self, LaneKernel, Lanes};
 
 /// A pass over finished whole rows of `C` (bias add, activation).
 pub(crate) type Epilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
@@ -241,7 +243,7 @@ fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
 /// # Safety
 ///
 /// `V`'s instruction set must be enabled in the caller (this inlines
-/// into a `#[target_feature]` instance of [`Tile`]); `pan` must hold
+/// into [`RowPanel`], run by [`kernel::run_lanes`]); `pan` must hold
 /// one tile row (`W` vectors) of floats per reduction index of `runs`
 /// and `c` at least `(MR - 1) * ldc` floats plus one tile row (a
 /// [`Run`] keeps its own rows in bounds).
@@ -311,114 +313,132 @@ unsafe fn tile_step<V: Lanes, const W: usize>(
     }
 }
 
-/// One instance of [`tile_body`].
-type TileFn = unsafe fn(&[Run<'_>], &[f32], &mut [f32], usize, bool);
-
-/// [`tile_body`] with nothing to enable: the scalar level.
-unsafe fn tile_scalar<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
-    tile_body::<F32x4, W>(runs, pan, c, ldc, first)
-}
-
-/// # Safety
-///
-/// Requires AVX2+FMA, and what [`tile_body`] asks of its slices.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_avx2<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
-    tile_body::<std::arch::x86_64::__m256, W>(runs, pan, c, ldc, first)
-}
-
-/// # Safety
-///
-/// Requires AVX-512F, and what [`tile_body`] asks of its slices.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn tile_avx512<const W: usize>(runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
-    tile_body::<std::arch::x86_64::__m512, W>(runs, pan, c, ldc, first)
-}
-
-/// The register tile of one SIMD level: the lanes of
-/// its vector and [`tile_body`] instantiated one vector wide and [`NV`]
-/// wide. [`Tile::of`] is the only constructor, which is what ties the
-/// instances to a level the CPU was seen to support.
-struct Tile {
-    lanes: usize,
-    narrow: TileFn,
-    wide: TileFn,
-}
-
-impl Tile {
-    /// The tile for `level` (from [`kernel::simd`]).
-    fn of(level: Simd) -> Tile {
-        #[cfg(target_arch = "x86_64")]
-        match level {
-            Simd::Avx512 => return Tile { lanes: 16, narrow: tile_avx512::<1>, wide: tile_avx512::<NV> },
-            Simd::Avx2 => return Tile { lanes: 8, narrow: tile_avx2::<1>, wide: tile_avx2::<NV> },
-            Simd::Scalar => {}
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = level;
-        Tile { lanes: F32x4::LANES, narrow: tile_scalar::<1>, wide: tile_scalar::<NV> }
+/// Width of column panel `jt` of an `n`-column `B'` on vectors of
+/// `lanes` floats: panels are `NV * lanes` wide, except a last one that
+/// a single vector covers. Panel `jt` starts at column `jt * NV * lanes`
+/// and, packed `kc` deep, at float `jt * kc * NV * lanes` of the block.
+fn panel_width(lanes: usize, n: usize, jt: usize) -> usize {
+    if n - jt * NV * lanes <= lanes {
+        lanes
+    } else {
+        NV * lanes
     }
+}
 
-    /// Floats per row of the wide tile: the width of a packed panel.
-    fn nr(&self) -> usize {
-        NV * self.lanes
-    }
-
-    /// Width of column panel `jt` of an `n`-column `B'`: panels are
-    /// [`Tile::nr`] wide, except a last one that a single vector covers.
-    /// Panel `jt` starts at column `jt * nr` and, packed `kc` deep, at
-    /// float `jt * kc * nr` of the block.
-    fn panel_width(&self, n: usize, jt: usize) -> usize {
-        if n - jt * self.nr() <= self.lanes {
-            self.lanes
-        } else {
-            self.nr()
-        }
-    }
-
-    /// Packs `B'[k0..k0 + kc, ..n]` into `block`, one column panel after
-    /// the other: panel `jt` holds its rows kk-major, zero-padded past
-    /// column `n`. `B'` is `b` (`tb`: its transpose), rows `ldb` apart.
-    #[allow(clippy::too_many_arguments)]
-    fn pack(&self, b: &[f32], tb: bool, ldb: usize, k0: usize, kc: usize, n: usize, block: &mut [f32]) {
-        let nr = self.nr();
-        for jt in 0..n.div_ceil(nr) {
-            let (j0, pw) = (jt * nr, self.panel_width(n, jt));
-            let jw = pw.min(n - j0);
-            let dst = &mut block[jt * kc * nr..][..kc * pw];
-            for kk in 0..kc {
-                let d = &mut dst[kk * pw..(kk + 1) * pw];
-                if !tb {
-                    d[..jw].copy_from_slice(&b[(k0 + kk) * ldb + j0..][..jw]);
-                }
-                d[jw..].fill(0.0);
+/// Packs `B'[k0..k0 + kc, ..n]` into `block`, one column panel after
+/// the other: panel `jt` holds its rows kk-major, zero-padded past
+/// column `n`. `B'` is `b` (`tb`: its transpose), rows `ldb` apart.
+#[allow(clippy::too_many_arguments)]
+fn pack(lanes: usize, b: &[f32], tb: bool, ldb: usize, k0: usize, kc: usize, n: usize, block: &mut [f32]) {
+    let nr = NV * lanes;
+    for jt in 0..n.div_ceil(nr) {
+        let (j0, pw) = (jt * nr, panel_width(lanes, n, jt));
+        let jw = pw.min(n - j0);
+        let dst = &mut block[jt * kc * nr..][..kc * pw];
+        for kk in 0..kc {
+            let d = &mut dst[kk * pw..(kk + 1) * pw];
+            if !tb {
+                d[..jw].copy_from_slice(&b[(k0 + kk) * ldb + j0..][..jw]);
             }
-            if tb {
-                // The transposed reader: column `j` of B' is a
-                // contiguous row of `b`.
-                for jj in 0..jw {
-                    for (kk, &v) in b[(j0 + jj) * ldb + k0..][..kc].iter().enumerate() {
-                        dst[kk * pw + jj] = v;
+            d[jw..].fill(0.0);
+        }
+        if tb {
+            // The transposed reader: column `j` of B' is a
+            // contiguous row of `b`.
+            for jj in 0..jw {
+                for (kk, &v) in b[(j0 + jj) * ldb + k0..][..kc].iter().enumerate() {
+                    dst[kk * pw + jj] = v;
+                }
+            }
+        }
+    }
+}
+
+/// One row panel of [`gemm`]: the whole rows `c` of `C`, from row `r0`
+/// of `A'` on. Each `KC` block of `B'` is packed (or read as stored)
+/// and every register tile of the panel updated over it.
+struct RowPanel<'a, 'c> {
+    a: Lhs<'a>,
+    b: &'a [f32],
+    tb: bool,
+    ldb: usize,
+    k: usize,
+    n: usize,
+    r0: usize,
+    c: &'c mut [f32],
+}
+
+impl LaneKernel for RowPanel<'_, '_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let RowPanel { a, b, tb, ldb, k, n, r0, c } = self;
+        let (lanes, nr) = (V::LANES, NV * V::LANES);
+        let (rows_n, n_tiles) = (c.len() / n, n.div_ceil(nr));
+        // Floats per reduction index of the packed block.
+        let packed_row = (n_tiles - 1) * nr + panel_width(lanes, n, n_tiles - 1);
+        // A `B'` of one panel whose rows are whole panel rows, back to
+        // back, is its own packed block.
+        let as_stored = !tb && n_tiles == 1 && ldb == n && n == packed_row;
+        // The packed block lives with the worker: grown to the largest
+        // block it has packed, never handed back, so it is L1-hot from
+        // one product to the next.
+        let mut panel = PANEL.take();
+        if !as_stored {
+            panel.resize(panel.len().max(KC.min(k) * packed_row), 0.0);
+        }
+        let mut runs = Vec::new();
+        let mut edge = [0.0f32; MR * MAX_NR];
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            let block: &[f32] = if as_stored {
+                &b[k0 * n..][..kc * n]
+            } else {
+                pack(lanes, b, tb, ldb, k0, kc, n, &mut panel);
+                &panel
+            };
+            let first = k0 == 0;
+            let mut i = 0;
+            while i < rows_n {
+                // Past its last row a short tile re-reads that row; those
+                // lanes are computed and dropped.
+                let ih = a.tile_rows(r0 + i).min(rows_n - i);
+                a.runs(r0 + i, ih, k0, kc, &mut runs);
+                for jt in 0..n_tiles {
+                    let (j0, pw) = (jt * nr, panel_width(lanes, n, jt));
+                    let jw = pw.min(n - j0);
+                    let pan = &block[jt * kc * nr..][..kc * pw];
+                    let whole = ih == MR && jw == pw;
+                    let (tile, ldt) = if whole {
+                        (&mut c[i * n + j0..], n)
+                    } else {
+                        // Edge tile: the same kernel on a zero-padded copy.
+                        edge.fill(0.0);
+                        if !first {
+                            for r in 0..ih {
+                                edge[r * pw..][..jw].copy_from_slice(&c[(i + r) * n + j0..][..jw]);
+                            }
+                        }
+                        (&mut edge[..], pw)
+                    };
+                    assert!(tile.len() >= (MR - 1) * ldt + pw && pan.len() >= kc * pw);
+                    // SAFETY (both): `tile` and `pan` were measured just
+                    // above against the instance's width, every `Run` when
+                    // it was built.
+                    if pw == lanes {
+                        tile_body::<V, 1>(&runs, pan, tile, ldt, first);
+                    } else {
+                        tile_body::<V, NV>(&runs, pan, tile, ldt, first);
+                    }
+                    if !whole {
+                        for r in 0..ih {
+                            c[(i + r) * n + j0..][..jw].copy_from_slice(&edge[r * pw..][..jw]);
+                        }
                     }
                 }
+                i += ih;
             }
         }
-    }
-
-    /// Tile update in place on C (layout as in [`tile_body`]) over a
-    /// panel `width` floats wide: one vector or [`Tile::nr`].
-    fn update(&self, width: usize, runs: &[Run<'_>], pan: &[f32], c: &mut [f32], ldc: usize, first: bool) {
-        let kc: usize = runs.iter().map(|run| run.len).sum();
-        assert!(width == self.lanes || width == self.nr());
-        assert!(c.len() >= (MR - 1) * ldc + width && pan.len() >= kc * width);
-        let kernel = if width == self.lanes { self.narrow } else { self.wide };
-        // SAFETY: `Tile::of` pairs these instances with a level that
-        // `kernel::simd()` reported; `c` and `pan` were measured just
-        // above against the instance's width and every `Run` when it
-        // was built.
-        unsafe { kernel(runs, pan, c, ldc, first) }
+        PANEL.set(panel);
     }
 }
 
@@ -453,14 +473,6 @@ fn gemm(
     if n == 0 {
         return;
     }
-    let tile = Tile::of(kernel::simd());
-    let nr = tile.nr();
-    let n_tiles = n.div_ceil(nr);
-    // Floats per reduction index of the packed block.
-    let packed_row = (n_tiles - 1) * nr + tile.panel_width(n, n_tiles - 1);
-    // A `B'` of one panel whose rows are whole panel rows, back to
-    // back, is its own packed block.
-    let as_stored = !tb && n_tiles == 1 && ldb == n && n == packed_row;
     // One MR-aligned row panel per pool thread: each panel packs its
     // own copy of B', so fewer panels means less packing. No element's
     // accumulation order depends on where the boundaries fall. Small
@@ -470,56 +482,7 @@ fn gemm(
         .next_multiple_of(MR)
         .max(seq_rows(k * n));
     parallel_rows(m, Chunks::Fixed(panel_rows), Rows::width(c, n), |rows, c_rows| {
-        let (r0, rows_n) = (rows.start, rows.len());
-        // The packed block lives with the worker: grown to the largest
-        // block it has packed, never handed back, so it is L1-hot from
-        // one product to the next.
-        let mut panel = PANEL.take();
-        if !as_stored {
-            panel.resize(panel.len().max(KC.min(k) * packed_row), 0.0);
-        }
-        let mut runs = Vec::new();
-        for k0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - k0);
-            let block: &[f32] = if as_stored {
-                &b[k0 * n..][..kc * n]
-            } else {
-                tile.pack(b, tb, ldb, k0, kc, n, &mut panel);
-                &panel
-            };
-            let first = k0 == 0;
-            let mut i = 0;
-            while i < rows_n {
-                // Past its last row a short tile re-reads that row; those
-                // lanes are computed and dropped.
-                let ih = a.tile_rows(r0 + i).min(rows_n - i);
-                a.runs(r0 + i, ih, k0, kc, &mut runs);
-                for jt in 0..n_tiles {
-                    let (j0, pw) = (jt * nr, tile.panel_width(n, jt));
-                    let jw = pw.min(n - j0);
-                    let pan = &block[jt * kc * nr..][..kc * pw];
-                    if ih == MR && jw == pw {
-                        let c_tile = &mut c_rows[i * n + j0..];
-                        tile.update(pw, &runs, pan, c_tile, n, first);
-                        continue;
-                    }
-                    // Edge tile: the same kernel on a zero-padded copy.
-                    let mut edge = [0.0f32; MR * MAX_NR];
-                    if !first {
-                        for r in 0..ih {
-                            let c_row = &c_rows[(i + r) * n + j0..][..jw];
-                            edge[r * pw..][..jw].copy_from_slice(c_row);
-                        }
-                    }
-                    tile.update(pw, &runs, pan, &mut edge, pw, first);
-                    for r in 0..ih {
-                        c_rows[(i + r) * n + j0..][..jw].copy_from_slice(&edge[r * pw..][..jw]);
-                    }
-                }
-                i += ih;
-            }
-        }
-        PANEL.set(panel);
+        kernel::run_lanes(RowPanel { a, b, tb, ldb, k, n, r0: rows.start, c: c_rows });
         epilogue(c_rows);
     });
 }
@@ -579,6 +542,7 @@ pub(crate) fn mm_tn(a: &[Mat<'_>], b: &[f32], c: &mut [f32], m: usize, n: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Simd;
 
     /// Holds the crate-wide kernel lock; puts the process back at the
     /// host's own SIMD level when the test ends, however it ends.

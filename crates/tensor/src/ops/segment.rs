@@ -127,7 +127,7 @@ impl SegmentRows {
 
     /// Runs `kernel` over the segments `segs`, in order. Inlined, so
     /// that a kernel built on [`Lanes`] stays inside its level's
-    /// `#[target_feature]` function.
+    /// [`kernel::run_lanes`] instance.
     #[inline(always)]
     fn each(&self, segs: Range<usize>, kernel: &mut impl SegmentKernel) {
         match self {

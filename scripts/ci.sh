@@ -31,6 +31,15 @@ INTRINSICS="$(grep -rlE '_mm[0-9]*_' crates --include='*.rs' | grep -vx 'crates/
 [ -z "$INTRINSICS" ] \
     || { echo "SIMD intrinsics outside crates/tensor/src/kernel.rs:"; echo "$INTRINSICS"; exit 1; }
 
+echo "==> a SIMD level is entered through kernel::run_lanes alone"
+# `run_lanes` is the one match on the active level that enables an
+# instruction set; its AVX2 and AVX-512F instances are the only two
+# `#[target_feature` functions, so another one is a second way in.
+TF_OUTSIDE="$(grep -rlF '#[target_feature' crates --include='*.rs' | grep -vx 'crates/tensor/src/kernel.rs' || true)"
+TF_INSIDE="$(grep -cF '#[target_feature' crates/tensor/src/kernel.rs || true)"
+[ -z "$TF_OUTSIDE" ] && [ "$TF_INSIDE" -le 2 ] \
+    || { echo "#[target_feature beyond run_lanes' two instances:"; grep -rnF '#[target_feature' crates --include='*.rs'; exit 1; }
+
 echo "==> parallel outputs are split by tgl-runtime alone"
 # A chunk of a parallel region gets its own `&mut` rows from
 # `tgl_runtime::parallel_rows`; a raw-pointer split of an output

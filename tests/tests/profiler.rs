@@ -16,7 +16,7 @@ use tgl_harness::{RunReporter, TrainConfig, Trainer};
 use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::profile::{self, Row};
-use tglite::obs::{collect, Kind};
+use tglite::obs::{collect, phase, span, Kind};
 use tglite::tensor::Tensor;
 
 /// The op rows of a drained aggregate (timers such as `gemm` and
@@ -106,11 +106,11 @@ fn invariance_workload() {
     let b = Tensor::ones([32, 48]);
     for _ in 0..3 {
         let c = {
-            let _s = tglite::prof::scope("prof-inv-mm");
+            let _s = span("prof-inv-mm");
             a.matmul(&b)
         };
         let _d = {
-            let _s = tglite::prof::scope("prof-inv-ew");
+            let _s = span("prof-inv-ew");
             c.relu().add(&c).sum_all()
         };
     }
@@ -266,7 +266,7 @@ fn profile_section_of_the_run_report_is_valid_json() {
     let _g = serial();
     let rep = RunReporter::start();
     {
-        let _s = tglite::prof::scope("prof-json-phase");
+        let _s = span("prof-json-phase");
         let a = Tensor::ones([16, 16]);
         let _ = a.matmul(&a);
     }
@@ -310,7 +310,7 @@ fn profile_rows_survive_epoch_boundaries() {
     let _g = serial();
     let mut rep = RunReporter::start();
     {
-        let _s = tglite::prof::scope("prof-epoch-phase");
+        let _s = span("prof-epoch-phase");
         let a = Tensor::ones([8, 8]);
         let _ = a.matmul(&a);
     }
@@ -322,6 +322,34 @@ fn profile_rows_survive_epoch_boundaries() {
         report.profile.iter().any(|r| r.name == "matmul" && r.phase == "prof-epoch-phase"),
         "the finished report must include the matmul row recorded in epoch 0"
     );
+}
+
+/// A phase recorded inside pool closures reaches the caller's report:
+/// phases once landed in the recording worker's thread-local table and
+/// vanished from the caller's.
+#[test]
+fn worker_thread_scopes_reach_caller_report() {
+    let _g = serial();
+    collect(true);
+    phase::take();
+    let before = tgl_runtime::current_threads();
+    set_threads(2);
+    tgl_runtime::parallel_for(4096, 1, |r| {
+        let _s = span("prof-test-worker-phase");
+        let mut acc = 0.0f64;
+        for i in r {
+            acc += (i as f64).sqrt();
+        }
+        std::hint::black_box(acc);
+    });
+    set_threads(before);
+    let report = phase::take();
+    collect(false);
+    let worker = report
+        .iter()
+        .find(|(n, _)| *n == "prof-test-worker-phase")
+        .expect("phase recorded inside a parallel region must appear in the report");
+    assert!(worker.1 > std::time::Duration::ZERO);
 }
 
 /// `--profile`'s roofline is measured by this process at the pool's
