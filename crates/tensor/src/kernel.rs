@@ -6,21 +6,23 @@
 //! across SIMD levels. A SIMD path (x86-64 AVX2 and AVX-512F,
 //! runtime-detected) performs the *same* IEEE operations per output
 //! element in the same order as the scalar kernel — lane-wise
-//! `mul` / `add` / `sub` / `div` / `sqrt` / `max` over independent output
-//! elements, no multiply-add contracted into an FMA, no reduction
-//! reassociated — so which level ran cannot show in a bit.
+//! `mul` / `add` / `sub` / `div` / `sqrt` / `max` and one fused
+//! multiply-add ([`Lanes::mul_add`]: one rounding, at every level) over
+//! independent output elements, no reduction reassociated — so which
+//! level ran cannot show in a bit.
 //!
 //! Every such kernel is one body written on [`Lanes`] and instantiated
 //! at each level by [`run_lanes`], the only code that enables an
 //! instruction set; the intrinsics behind `Lanes` live in this file
 //! alone.
 //!
-//! Two kinds of transcendental sit under that contract. `cos` and
-//! `sin` are in-tree: [`sincos`] is a fixed sequence of IEEE `f64`
-//! operations (no libm, no FMA) whose AVX2 and AVX-512F forms do the
-//! same operations lane-wise, so it gives the same bits on every host.
-//! `exp`, `tanh` and `ln` come from the host's libm, which is the one
-//! place where results depend on the host's C library.
+//! Two kinds of transcendental sit under that contract. `cos`, `sin`
+//! and the attention softmax's `exp` are in-tree: [`sincos`] and
+//! [`exp`] are fixed sequences of IEEE `f64` operations (no libm, no
+//! FMA) whose AVX2 and AVX-512F forms do the same operations lane-wise,
+//! so they give the same bits on every host. The other `exp`s, `tanh`
+//! and `ln` come from the host's libm, which is the one place where
+//! results depend on the host's C library.
 //!
 //! Reduction orders are a function of the problem shape only, never of
 //! which thread ran a chunk, so results are also thread-count
@@ -156,9 +158,10 @@ pub fn simd_label() -> &'static str {
 
 /// What a kernel body written once for every level needs of a vector of
 /// `f32` lanes. Every arithmetic operation is lane-wise with one IEEE
-/// rounding per lane, so a lane computes what the scalar loop computes
-/// for that element; moves (`transpose`, partial loads and stores, the
-/// selects of `max` and `where_positive`) do not round at all.
+/// rounding per lane (`mul_add` included), so a lane computes what the
+/// scalar loop computes for that element; moves (`transpose`, partial
+/// loads and stores, the selects of `max` and `where_positive`) do not
+/// round at all.
 ///
 /// # Safety
 ///
@@ -190,11 +193,17 @@ pub(crate) trait Lanes: Copy {
     /// Transposes the square block of the first `LANES` vectors of `v`:
     /// lane `j` of `v[i]` moves to lane `i` of `v[j]`.
     unsafe fn transpose(v: &mut [Self]);
-    /// `self + a * b`: a `mul` and an `add`, one rounding each.
-    #[inline(always)]
-    unsafe fn mul_add(self, a: Self, b: Self) -> Self {
-        self.add(a.mul(b))
-    }
+    /// Lane `(l + k) % LANES` of `self` in lane `l`.
+    unsafe fn rotate(self, k: usize) -> Self;
+    /// The first `len` lanes of `self`, the others of `other`.
+    unsafe fn first(self, len: usize, other: Self) -> Self;
+    /// `self + a * b` with one rounding: a fused multiply-add, [`fma`]
+    /// per lane. The contract's one multiply-add; a kernel that wants
+    /// the product rounded first calls `mul`, then `add`.
+    unsafe fn mul_add(self, a: Self, b: Self) -> Self;
+    /// [`exp_scalar`] of every lane: its `f64` operations on `LANES / 2`
+    /// lanes at a time.
+    unsafe fn exp(self) -> Self;
     /// [`sincos`] at this level: the operations of [`sincos_scalar`] on
     /// `LANES / 2` `f64` lanes (both polynomials, then a per-lane select
     /// for each output), the last few elements through the reference
@@ -272,6 +281,22 @@ impl Lanes for F32x4 {
         *v = std::array::from_fn(|j| F32x4(std::array::from_fn(|i| t[i].0[j])));
     }
     #[inline(always)]
+    unsafe fn rotate(self, k: usize) -> Self {
+        F32x4(std::array::from_fn(|l| self.0[(l + k) % 4]))
+    }
+    #[inline(always)]
+    unsafe fn first(self, len: usize, other: Self) -> Self {
+        F32x4(std::array::from_fn(|l| if l < len { self.0[l] } else { other.0[l] }))
+    }
+    #[inline(always)]
+    unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+        F32x4(std::array::from_fn(|l| fma(a.0[l], b.0[l], self.0[l])))
+    }
+    #[inline(always)]
+    unsafe fn exp(self) -> Self {
+        F32x4(self.0.map(exp_scalar))
+    }
+    #[inline(always)]
     unsafe fn sincos(buf: &mut [f32], f: Trig, other: Option<&mut [f32]>) {
         sincos_from(0, buf, f, other);
     }
@@ -327,6 +352,35 @@ mod lanes_x86 {
             _mm256_div_ps(self, b)
         }
         #[inline(always)]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            _mm256_fmadd_ps(a, b, self)
+        }
+        /// Each 4-lane half as four `f64` lanes.
+        #[inline(always)]
+        unsafe fn exp(self) -> Self {
+            use super::expo::*;
+            // `k` as in `sincos`: a function, not a closure.
+            #[inline(always)]
+            unsafe fn k(c: f64) -> __m256d {
+                _mm256_set1_pd(c)
+            }
+            #[inline(always)]
+            unsafe fn half(x: __m128) -> __m128 {
+                let x = _mm256_cvtps_pd(x);
+                let x = _mm256_max_pd(k(LO), _mm256_min_pd(k(HI), x));
+                let tm = _mm256_add_pd(_mm256_mul_pd(x, k(LOG2E)), k(ROUND));
+                let n = _mm256_sub_pd(tm, k(ROUND));
+                let r = _mm256_sub_pd(_mm256_sub_pd(x, _mm256_mul_pd(n, k(LN2_HI))), _mm256_mul_pd(n, k(LN2_LO)));
+                let mut p = k(P[P.len() - 1]);
+                for &c in P[..P.len() - 1].iter().rev() {
+                    p = _mm256_add_pd(k(c), _mm256_mul_pd(r, p));
+                }
+                let scale = _mm256_slli_epi64::<52>(_mm256_add_epi64(_mm256_castpd_si256(tm), _mm256_set1_epi64x(1023)));
+                _mm256_cvtpd_ps(_mm256_mul_pd(p, _mm256_castsi256_pd(scale)))
+            }
+            _mm256_set_m128(half(_mm256_extractf128_ps::<1>(self)), half(_mm256_castps256_ps128(self)))
+        }
+        #[inline(always)]
         unsafe fn sqrt(self) -> Self {
             _mm256_sqrt_ps(self)
         }
@@ -359,6 +413,16 @@ mod lanes_x86 {
             }
         }
         #[inline(always)]
+        unsafe fn rotate(self, k: usize) -> Self {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let at = _mm256_and_si256(_mm256_add_epi32(lanes, _mm256_set1_epi32(k as i32)), _mm256_set1_epi32(7));
+            _mm256_permutevar8x32_ps(self, at)
+        }
+        #[inline(always)]
+        unsafe fn first(self, len: usize, other: Self) -> Self {
+            _mm256_blendv_ps(other, self, _mm256_castsi256_ps(first_lanes(len)))
+        }
+        #[inline(always)]
         unsafe fn sincos(buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]>) {
             use super::trig::*;
             // Functions, not closures: a closure is compiled without the
@@ -368,16 +432,24 @@ mod lanes_x86 {
             unsafe fn k(c: f64) -> __m256d {
                 _mm256_set1_pd(c)
             }
-            /// One function of the four arguments from the two polynomials.
+            /// `(cos, sin)` of the four arguments from the two
+            /// polynomials and the quadrant `q` in the low bits of `tm`:
+            /// [`sincos_scalar`]'s selects with its quadrant shifts (0
+            /// and 3) worked in, so the parity test is shared: the sine
+            /// takes the other polynomial, and is negative in quadrants
+            /// 2 and 3 where the cosine is in 1 and 2.
             #[inline(always)]
-            unsafe fn pick(f: Trig, tm: __m256d, c: __m256d, sn: __m256d) -> __m128 {
-                let m = _mm256_add_epi64(_mm256_castpd_si256(tm), _mm256_set1_epi64x(f.quadrant_shift() as i64));
+            unsafe fn pick(tm: __m256d, c: __m256d, sn: __m256d) -> (__m128, __m128) {
+                #[inline(always)]
+                unsafe fn signed(y: __m256d, negative: __m256i) -> __m128 {
+                    let y = _mm256_xor_pd(y, _mm256_castsi256_pd(_mm256_slli_epi64(negative, 62)));
+                    _mm256_cvtpd_ps(_mm256_max_pd(k(-1.0), _mm256_min_pd(k(1.0), y)))
+                }
+                let (q, two) = (_mm256_castpd_si256(tm), _mm256_set1_epi64x(2));
                 // `blendv` selects on a lane's top bit: the quadrant's parity.
-                let odd = _mm256_castsi256_pd(_mm256_slli_epi64(m, 63));
-                let y = _mm256_blendv_pd(c, sn, odd);
-                let negative = _mm256_and_si256(_mm256_add_epi64(m, _mm256_set1_epi64x(1)), _mm256_set1_epi64x(2));
-                let y = _mm256_xor_pd(y, _mm256_castsi256_pd(_mm256_slli_epi64(negative, 62)));
-                _mm256_cvtpd_ps(_mm256_max_pd(k(-1.0), _mm256_min_pd(k(1.0), y)))
+                let odd = _mm256_castsi256_pd(_mm256_slli_epi64(q, 63));
+                let cos = signed(_mm256_blendv_pd(c, sn, odd), _mm256_and_si256(_mm256_add_epi64(q, _mm256_set1_epi64x(1)), two));
+                (cos, signed(_mm256_blendv_pd(sn, c, odd), _mm256_and_si256(q, two)))
             }
             let whole = buf.len() / 4 * 4;
             for at in (0..whole).step_by(4) {
@@ -402,9 +474,11 @@ mod lanes_x86 {
                     _mm256_add_pd(r, _mm256_mul_pd(s, _mm256_add_pd(k(S1), _mm256_mul_pd(z, k(S2))))),
                     _mm256_mul_pd(_mm256_mul_pd(s, w), _mm256_add_pd(k(S3), _mm256_mul_pd(z, k(S4)))),
                 );
-                _mm_storeu_ps(buf.as_mut_ptr().add(at), pick(f, tm, c, sn));
+                let (cos, sin) = pick(tm, c, sn);
+                let (y, o) = if f == Trig::Cos { (cos, sin) } else { (sin, cos) };
+                _mm_storeu_ps(buf.as_mut_ptr().add(at), y);
                 if let Some(other) = other.as_deref_mut() {
-                    _mm_storeu_ps(other.as_mut_ptr().add(at), pick(f.other(), tm, c, sn));
+                    _mm_storeu_ps(other.as_mut_ptr().add(at), o);
                 }
             }
             sincos_from(whole, buf, f, other);
@@ -415,6 +489,12 @@ mod lanes_x86 {
     #[inline(always)]
     unsafe fn first_lanes(len: usize) -> __m256i {
         _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
+    /// The 16-lane mask selecting lanes `0..len`.
+    #[inline(always)]
+    fn first_mask(len: usize) -> __mmask16 {
+        ((1u32 << len.min(16)) - 1) as __mmask16
     }
 
     impl Lanes for __m512 {
@@ -436,14 +516,14 @@ mod lanes_x86 {
             if len >= 16 {
                 return _mm512_loadu_ps(p);
             }
-            _mm512_maskz_loadu_ps(((1u32 << len) - 1) as __mmask16, p)
+            _mm512_maskz_loadu_ps(first_mask(len), p)
         }
         #[inline(always)]
         unsafe fn store_part(self, p: *mut f32, len: usize) {
             if len >= 16 {
                 return _mm512_storeu_ps(p, self);
             }
-            _mm512_mask_storeu_ps(p, ((1u32 << len) - 1) as __mmask16, self);
+            _mm512_mask_storeu_ps(p, first_mask(len), self);
         }
         #[inline(always)]
         unsafe fn add(self, b: Self) -> Self {
@@ -460,6 +540,36 @@ mod lanes_x86 {
         #[inline(always)]
         unsafe fn div(self, b: Self) -> Self {
             _mm512_div_ps(self, b)
+        }
+        #[inline(always)]
+        unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+            _mm512_fmadd_ps(a, b, self)
+        }
+        /// The 8-lane body on each 8-lane half.
+        #[inline(always)]
+        unsafe fn exp(self) -> Self {
+            use super::expo::*;
+            #[inline(always)]
+            unsafe fn k(c: f64) -> __m512d {
+                _mm512_set1_pd(c)
+            }
+            #[inline(always)]
+            unsafe fn half(x: __m256) -> __m256d {
+                let x = _mm512_cvtps_pd(x);
+                let x = _mm512_max_pd(k(LO), _mm512_min_pd(k(HI), x));
+                let tm = _mm512_add_pd(_mm512_mul_pd(x, k(LOG2E)), k(ROUND));
+                let n = _mm512_sub_pd(tm, k(ROUND));
+                let r = _mm512_sub_pd(_mm512_sub_pd(x, _mm512_mul_pd(n, k(LN2_HI))), _mm512_mul_pd(n, k(LN2_LO)));
+                let mut p = k(P[P.len() - 1]);
+                for &c in P[..P.len() - 1].iter().rev() {
+                    p = _mm512_add_pd(k(c), _mm512_mul_pd(r, p));
+                }
+                let scale = _mm512_slli_epi64::<52>(_mm512_add_epi64(_mm512_castpd_si512(tm), _mm512_set1_epi64(1023)));
+                _mm256_castps_pd(_mm512_cvtpd_ps(_mm512_mul_pd(p, _mm512_castsi512_pd(scale))))
+            }
+            let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(self)));
+            let lo = half(_mm512_castps512_ps256(self));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(_mm512_castpd256_pd512(lo), half(hi)))
         }
         #[inline(always)]
         unsafe fn sqrt(self) -> Self {
@@ -504,6 +614,16 @@ mod lanes_x86 {
                 v[12 + c] = _mm512_shuffle_f32x4::<0xDD>(w[4 + c], w[12 + c]);
             }
         }
+        #[inline(always)]
+        unsafe fn rotate(self, k: usize) -> Self {
+            let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            let at = _mm512_and_si512(_mm512_add_epi32(lanes, _mm512_set1_epi32(k as i32)), _mm512_set1_epi32(15));
+            _mm512_permutexvar_ps(at, self)
+        }
+        #[inline(always)]
+        unsafe fn first(self, len: usize, other: Self) -> Self {
+            _mm512_mask_blend_ps(first_mask(len), other, self)
+        }
         /// The 4-lane body on eight lanes: the same operations, with the
         /// parity select as a mask blend and the sign flip as an integer
         /// `xor`.
@@ -516,13 +636,16 @@ mod lanes_x86 {
                 _mm512_set1_pd(c)
             }
             #[inline(always)]
-            unsafe fn pick(f: Trig, tm: __m512d, c: __m512d, sn: __m512d) -> __m256 {
-                let m = _mm512_add_epi64(_mm512_castpd_si512(tm), _mm512_set1_epi64(f.quadrant_shift() as i64));
-                let odd = _mm512_test_epi64_mask(m, _mm512_set1_epi64(1));
-                let y = _mm512_castpd_si512(_mm512_mask_blend_pd(odd, c, sn));
-                let negative = _mm512_and_si512(_mm512_add_epi64(m, _mm512_set1_epi64(1)), _mm512_set1_epi64(2));
-                let y = _mm512_castsi512_pd(_mm512_xor_si512(y, _mm512_slli_epi64::<62>(negative)));
-                _mm512_cvtpd_ps(_mm512_max_pd(k(-1.0), _mm512_min_pd(k(1.0), y)))
+            unsafe fn pick(tm: __m512d, c: __m512d, sn: __m512d) -> (__m256, __m256) {
+                #[inline(always)]
+                unsafe fn signed(y: __m512d, negative: __m512i) -> __m256 {
+                    let y = _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(y), _mm512_slli_epi64::<62>(negative)));
+                    _mm512_cvtpd_ps(_mm512_max_pd(k(-1.0), _mm512_min_pd(k(1.0), y)))
+                }
+                let (q, two) = (_mm512_castpd_si512(tm), _mm512_set1_epi64(2));
+                let odd = _mm512_test_epi64_mask(q, _mm512_set1_epi64(1));
+                let cos = signed(_mm512_mask_blend_pd(odd, c, sn), _mm512_and_si512(_mm512_add_epi64(q, _mm512_set1_epi64(1)), two));
+                (cos, signed(_mm512_mask_blend_pd(odd, sn, c), _mm512_and_si512(q, two)))
             }
             let whole = buf.len() / 8 * 8;
             for at in (0..whole).step_by(8) {
@@ -547,9 +670,11 @@ mod lanes_x86 {
                     _mm512_add_pd(r, _mm512_mul_pd(s, _mm512_add_pd(k(S1), _mm512_mul_pd(z, k(S2))))),
                     _mm512_mul_pd(_mm512_mul_pd(s, w), _mm512_add_pd(k(S3), _mm512_mul_pd(z, k(S4)))),
                 );
-                _mm256_storeu_ps(buf.as_mut_ptr().add(at), pick(f, tm, c, sn));
+                let (cos, sin) = pick(tm, c, sn);
+                let (y, o) = if f == Trig::Cos { (cos, sin) } else { (sin, cos) };
+                _mm256_storeu_ps(buf.as_mut_ptr().add(at), y);
                 if let Some(other) = other.as_deref_mut() {
-                    _mm256_storeu_ps(other.as_mut_ptr().add(at), pick(f.other(), tm, c, sn));
+                    _mm256_storeu_ps(other.as_mut_ptr().add(at), o);
                 }
             }
             sincos_from(whole, buf, f, other);
@@ -674,6 +799,135 @@ pub(crate) fn add_rows(dst: &mut [f32], src: &[f32], width: usize, at: impl Fn(u
     }
     if width > 0 {
         run_lanes(AddRows { dst, src, width, at });
+    }
+}
+
+// ---------------------------------------------------------------------
+// Multiply-add
+// ---------------------------------------------------------------------
+
+/// `a·b + c` with one rounding: the scalar level's [`Lanes::mul_add`],
+/// the value a hardware FMA gives. The product is exact in `f64`; the
+/// sum is rounded to odd there (a TwoSum error term says whether the
+/// nearest `f64` was exact and on which side of it the sum lies), and
+/// the one rounding to `f32` that follows is then the correct rounding
+/// of `a·b + c` (Boldo & Melquiond, "Emulation of FMA and correctly
+/// rounded sums", IEEE TC 2008). No libm call: `f32::mul_add` is one to
+/// `fmaf` where the target has no FMA.
+#[inline(always)]
+pub(crate) fn fma(a: f32, b: f32, c: f32) -> f32 {
+    let (p, c) = (f64::from(a) * f64::from(b), f64::from(c));
+    let s = p + c;
+    // `e = p + c - s` exactly while `s` is finite.
+    let pp = s - c;
+    let e = (p - pp) + (c - (s - pp));
+    let bits = s.to_bits();
+    // Inexact with an even last bit: one step toward the exact sum, to
+    // the odd neighbour.
+    let bits = if s.is_finite() && e != 0.0 && bits & 1 == 0 {
+        if (e > 0.0) == (s > 0.0) { bits + 1 } else { bits - 1 }
+    } else {
+        bits
+    };
+    f64::from_bits(bits) as f32
+}
+
+// ---------------------------------------------------------------------
+// Exponential
+// ---------------------------------------------------------------------
+
+/// Constants of [`exp_scalar`], given as bit patterns (or exact
+/// expressions) as in `trig`.
+mod expo {
+    pub use super::trig::ROUND;
+    /// `1 / ln 2` rounded to nearest.
+    pub const LOG2E: f64 = f64::from_bits(0x3ff7_1547_652b_82fe);
+    /// `ln 2` in two parts: its first 32 bits (`n · LN2_HI` is exact for
+    /// `|n| < 2²¹`) and a full `f64` of the rest.
+    pub const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    pub const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    /// The argument's clamp: `e⁻¹⁵⁰` rounds to `0.0` and `e¹⁰⁰` to `+∞`
+    /// in `f32`, and `2ⁿ` is a normal `f64` for every `n` in between.
+    pub const LO: f64 = -150.0;
+    pub const HI: f64 = 100.0;
+    /// `eʳ ≈ Σ rᵏ / k!`, `k = 0..=8`: on `|r| ≤ ln 2 / 2` the first term
+    /// left out is below `2⁻³²` of the sum.
+    pub const P: [f64; 9] = [
+        1.0,
+        1.0,
+        1.0 / 2.0,
+        1.0 / 6.0,
+        1.0 / 24.0,
+        1.0 / 120.0,
+        1.0 / 720.0,
+        1.0 / 5040.0,
+        1.0 / 40320.0,
+    ];
+}
+
+/// The scalar reference of [`exp`]: one element, every operation an
+/// IEEE `f64` `mul` / `add` / `sub` in the order written, then one
+/// rounding to `f32`.
+///
+/// `x = n·ln 2 + r` with `n` the nearest integer to `x / ln 2` (the
+/// `1.5·2⁵²` rounding trick of [`sincos_scalar`]) and `r` reduced
+/// against a two-part `ln 2`; a degree-8 Taylor polynomial in `r`, by
+/// Horner's rule, times `2ⁿ` built in the exponent bits. Within 1 ulp
+/// of the correctly rounded value over the whole `f32` range, subnormal
+/// results included: `e⁰` is exactly 1, arguments below about -103.97
+/// give `+0.0` and above about 88.72 `+∞`, `-∞` gives `+0.0` and NaN
+/// gives NaN.
+pub fn exp_scalar(x: f32) -> f32 {
+    use expo::*;
+    let x = f64::from(x);
+    // Written as the `minpd` / `maxpd` selections (a NaN passes).
+    let x = if HI < x { HI } else { x };
+    let x = if LO > x { LO } else { x };
+    let tm = x * LOG2E + ROUND;
+    let n = tm - ROUND;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut p = P[P.len() - 1];
+    for &c in P[..P.len() - 1].iter().rev() {
+        p = c + r * p;
+    }
+    // `n` sits in the low bits of `tm` (two's complement): `n + 1023`
+    // there is the exponent field of `2ⁿ`.
+    let scale = f64::from_bits(tm.to_bits().wrapping_add(1023) << 52);
+    (p * scale) as f32
+}
+
+/// Replaces every element of `buf` by `exp` of it: [`exp_scalar`]'s
+/// operations on the active level's lanes ([`Lanes::exp`]), a vector at
+/// a time and the last one partial, so every level and every way of
+/// splitting `buf` gives the same bits.
+pub fn exp(buf: &mut [f32]) {
+    struct Exp<'a>(&'a mut [f32]);
+    impl LaneKernel for Exp<'_> {
+        #[inline(always)]
+        unsafe fn run<V: Lanes>(self) {
+            exp_lanes::<V>(self.0);
+        }
+    }
+    run_lanes(Exp(buf));
+}
+
+/// [`exp`] on `V`'s lanes: `map`'s loop without its closure, which
+/// would be compiled without the level's instruction set and leave
+/// `exp`'s intrinsics as calls.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be enabled.
+#[inline(always)]
+pub(crate) unsafe fn exp_lanes<V: Lanes>(buf: &mut [f32]) {
+    let (p, len) = (buf.as_mut_ptr(), buf.len());
+    let whole = len / V::LANES * V::LANES;
+    for at in (0..whole).step_by(V::LANES) {
+        V::load(p.add(at)).exp().store(p.add(at));
+    }
+    if whole < len {
+        let part = len - whole;
+        V::load_part(p.add(whole), part).exp().store_part(p.add(whole), part);
     }
 }
 
@@ -876,6 +1130,78 @@ mod tests {
                 assert_eq!(bits(&add), bits(&want_add), "add_rows at {level:?}, len {len}");
                 assert_eq!(bits(&div), bits(&want_div), "add_div at {level:?}, len {len}");
             }
+        }
+        set_simd(Simd::Avx512);
+    }
+
+    /// `2²⁰` seeded triples `(a, b, c)`: half of them random bit
+    /// patterns with a special value (±0, ±∞, NaN, the smallest normal
+    /// and subnormal, the largest finite) in one operand in eight, half
+    /// near-cancelling — `c` a few ulps from `-a·b`, the product around
+    /// 1 or around the subnormal range.
+    fn fma_triples() -> [Vec<f32>; 3] {
+        const SPECIAL: [f32; 9] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MIN_POSITIVE, 1e-45, f32::MAX, 1.0];
+        let mut rng = tgl_runtime::rng::SplitMix64::new(0xF3A);
+        let mut next = || rng.next_u64();
+        let mut out = [Vec::new(), Vec::new(), Vec::new()];
+        for i in 0..1 << 20 {
+            let r = next();
+            let [a, b, c] = if i % 2 == 0 {
+                let mut abc = [r as u32, (r >> 32) as u32, next() as u32].map(f32::from_bits);
+                if r % 8 == 0 {
+                    abc[(r >> 3) as usize % 3] = SPECIAL[(r >> 5) as usize % SPECIAL.len()];
+                }
+                abc
+            } else {
+                // A mantissa in [1, 2), signed, times 2^e.
+                let m = |bits: u64, e: i32| {
+                    let v = f32::from_bits(0x3f80_0000 | (bits as u32 & 0x007f_ffff)) * 2f32.powi(e);
+                    if bits >> 40 & 1 == 0 { v } else { -v }
+                };
+                let e = if r >> 60 == 0 { -65 } else { (r >> 48) as i32 % 8 - 4 };
+                let (a, b) = (m(r, e), m(next(), e));
+                let c = -(a * b);
+                let c = f32::from_bits(c.to_bits().wrapping_add((next() % 9) as u32).wrapping_sub(4));
+                [a, b, c]
+            };
+            for (v, x) in out.iter_mut().zip([a, b, c]) {
+                v.push(x);
+            }
+        }
+        out
+    }
+
+    fn same(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// The scalar level's multiply-add rounds once: it is `f32::mul_add`
+    /// on every triple, and every level's `Lanes::mul_add` is it.
+    #[test]
+    fn mul_add_is_one_rounding_at_every_level() {
+        struct MulAdd<'a>(&'a mut [f32], &'a [Vec<f32>; 3]);
+        impl LaneKernel for MulAdd<'_> {
+            unsafe fn run<V: Lanes>(self) {
+                let [a, b, c] = self.1.each_ref().map(|v| v.as_ptr());
+                map::<V, 3>(self.0.as_mut_ptr(), [c, a, b], self.0.len(), |[c, a, b]| c.mul_add(a, b));
+            }
+        }
+        let _guard = serial();
+        let t = fma_triples();
+        let want: Vec<f32> = (0..t[0].len()).map(|i| fma(t[0][i], t[1][i], t[2][i])).collect();
+        let mut cancelled = 0;
+        for (i, &w) in want.iter().enumerate() {
+            let (a, b, c) = (t[0][i], t[1][i], t[2][i]);
+            assert!(same(w, a.mul_add(b, c)), "fma({a:e}, {b:e}, {c:e}) = {w:e}, f32::mul_add says {:e}", a.mul_add(b, c));
+            cancelled += (!same(w, a * b + c)) as usize;
+        }
+        assert!(cancelled > 100_000, "only {cancelled} triples tell one rounding from two");
+        for level in simd_levels() {
+            set_simd(level);
+            let mut got = vec![f32::NAN; want.len()];
+            run_lanes(MulAdd(&mut got, &t));
+            let differ = got.iter().zip(&want).position(|(&g, &w)| !same(g, w));
+            assert_eq!(differ, None, "Lanes::mul_add at {level:?}");
         }
         set_simd(Simd::Avx512);
     }

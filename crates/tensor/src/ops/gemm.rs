@@ -50,10 +50,11 @@
 //! in. Output rows are split into one
 //! panel per pool thread, and since no element's order depends on
 //! where a panel starts, results are invariant across thread counts.
-//! Every tile uses lane-wise `mul`+`add` (one rounding each, the
-//! arithmetic of the scalar tile), so which lane of which tile an
-//! element lands in cannot show: results are bitwise equal to the
-//! naive triple loop at every SIMD level and on every host.
+//! Every tile runs one fused multiply-add per product
+//! ([`Lanes::mul_add`]: one rounding, at every level, the scalar tile's
+//! emulated one included), so which lane of which tile an element lands
+//! in cannot show: results are bitwise equal to the naive triple loop of
+//! `f32::mul_add` at every SIMD level and on every host.
 
 use tgl_runtime::{parallel_rows, Chunks, Rows};
 
@@ -87,14 +88,18 @@ thread_local! {
 }
 
 /// Multiply-add count below which a matmul runs inline on the caller:
-/// the 2-thread break-even of this tile. Measured on the 2-vCPU
-/// AVX-512 host that recorded `BENCH_micro.json`, best of six
-/// alternating 1- and 2-thread runs per shape: at 2 threads `m×32×32`
-/// reads 0.45x of its 1-thread rate at `m` = 512, 0.5x at 1024, 0.7-1.2x
-/// at 2048 (2 M multiply-adds), 1.0-1.4x at 3072 and wins from 4608
-/// (4.7 M) on; `1024×80×32` (2.6 M) reads 0.9x, `4608×80×32` (11.8 M)
-/// 1.3-1.4x. Waking a worker costs what 3 M multiply-adds cost one
-/// thread (about 60 µs), whatever the shape.
+/// the 2-thread break-even of the fused multiply-add tile. Measured on
+/// the 2-vCPU AVX-512 host that recorded `BENCH_micro.json` with the
+/// split forced at every size, `matmul` alternating 1 and 2 threads in
+/// one process, the mean of back-to-back calls, median of 20 pairs (two
+/// sessions): at 2 threads `m×32×32` reads 0.93-0.99x at `m` = 1024
+/// (1 M multiply-adds), 1.04-1.14x at 2048 (2.1 M), 1.39-1.45x at 4608
+/// (4.7 M) and 1.47-1.51x at 6144; `1024×80×32` (2.6 M) 0.97-1.19x,
+/// `2304×80×32` (5.9 M) 1.53-1.55x, `4608×80×32` (11.8 M) 1.39-1.81x.
+/// One thread runs these at about 100 GFLOP/s. Waking a worker costs
+/// what about 1-2 M multiply-adds cost one thread (10-30 µs); a third
+/// session on a busier host read 0.8-0.97x up to 6.3 M, so the
+/// threshold keeps its margin above the break-even.
 const MM_SEQ_FLOPS: usize = 4 << 20;
 
 /// Output rows (of `row_flops` multiply-adds each) per sequential-path
@@ -567,13 +572,13 @@ mod tests {
 
     /// The ground truth for every variant: the triple loop
     /// over the *logical* product `A'[m,k] · B'[k,n]`, reduction index
-    /// ascending per output element.
+    /// ascending per output element, one fused multiply-add per product.
     fn naive_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
             for kk in 0..k {
                 for j in 0..n {
-                    c[i * n + j] += a[i * k + kk] * b[kk * n + j];
+                    c[i * n + j] = a[i * k + kk].mul_add(b[kk * n + j], c[i * n + j]);
                 }
             }
         }
@@ -774,6 +779,37 @@ mod tests {
                 assert_eq!(block, want, "{at} dX columns {cut}.. of {m}x{n}x{k}");
             }
         }
+    }
+
+    /// Every element rounds each multiply-add once, at every level, in
+    /// every tile position and at 1 and 4 threads: row `[1, 1 + 2⁻¹²]`
+    /// times column `[-1, 1 + 2⁻¹²]` is `2⁻¹¹ + 2⁻²⁴` fused, where a
+    /// rounded product would leave `2⁻¹¹`. Every variant over 301 rows,
+    /// and at 4 threads `mm_nn` over enough rows to split into panels.
+    #[test]
+    fn every_product_is_one_fused_multiply_add() {
+        let _guard = exact_guard();
+        let before = tgl_runtime::current_threads();
+        let (k, n, split) = (2, 33, 65_539);
+        assert!(seq_rows(k * n) < split, "{split}x{k}x{n} would run as one panel");
+        let x = 1.0 + 2f32.powi(-12);
+        let (fused, rounded) = (2f32.powi(-11) + 2f32.powi(-24), 2f32.powi(-11));
+        assert_eq!(((x * x) - 1.0, x.mul_add(x, -1.0)), (rounded, fused));
+        let a: Vec<f32> = (0..split).flat_map(|_| [1.0, x]).collect();
+        let b: Vec<f32> = [-1.0; 33].into_iter().chain([x; 33]).collect();
+        for level in kernel::simd_levels() {
+            kernel::set_simd(level);
+            for threads in [1, 4] {
+                tgl_runtime::set_threads(threads);
+                let panels = (threads > 1).then_some(("nn", split));
+                for (variant, m) in [("nn", 301), ("nt", 301), ("tn", 301)].into_iter().chain(panels) {
+                    let c = run(variant, &a[..m * k], &b, m, k, n);
+                    let wrong = c.iter().position(|&v| v != fused);
+                    assert_eq!(wrong, None, "mm_{variant} over {m} rows at {level:?}, {threads} threads");
+                }
+            }
+        }
+        tgl_runtime::set_threads(before);
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! nondecreasing (a block's destination index always is) each segment
 //! is read as one run of consecutive rows (`SegmentRows`).
 //!
-//! The three attention kernels run one body at every SIMD level
+//! The attention kernels run one body at every SIMD level
 //! (`kernel::run_lanes`) with one output element per lane: per
 //! destination, the rows of a run are accumulated into registers that
 //! each hold a vector of output columns (`WeightedRows`); per edge, a
 //! block of one vector's width of edges is transposed so that each lane
-//! sums its own edge's products (`Dots`). Either way a lane performs
-//! its element's operations in the scalar loop's order, so `exact`
-//! results do not depend on the level, the row source or the thread
-//! count.
+//! sums its own edge's products (`Dots`); the softmax packs whole rows
+//! of a run into a vector when they are narrower than one (`Softmax`).
+//! Either way a lane performs its element's operations in the scalar
+//! loop's order, so `exact` results do not depend on the level, the row
+//! source or the thread count.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -89,11 +90,16 @@ impl SegmentRows {
         if !ids.is_sorted() {
             return SegmentRows::Index(SegmentIndex::build(ids, num_segments));
         }
-        let mut starts = Vec::with_capacity(num_segments + 1);
+        // Each row writes where its segment ends (the last write wins),
+        // then an empty segment starts and ends where the one before it
+        // ended: no branch per row.
+        let mut starts = vec![0; num_segments + 1];
         for (i, &id) in ids.iter().enumerate() {
-            starts.resize(starts.len().max(id + 1), i);
+            starts[id + 1] = i + 1;
         }
-        starts.resize(num_segments + 1, ids.len());
+        for s in 1..=num_segments {
+            starts[s] = starts[s].max(starts[s - 1]);
+        }
         SegmentRows::Runs(starts)
     }
 
@@ -210,11 +216,9 @@ fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (
         "segment ids ({}) must match rows ({n})",
         segments.len()
     );
-    for &s in segments {
-        assert!(
-            s < num_segments,
-            "segment id {s} out of range ({num_segments} segments)"
-        );
+    // One vectorizable pass; the largest id names the range it breaks.
+    if let Some(s) = segments.iter().copied().max().filter(|&s| s >= num_segments) {
+        panic!("segment id {s} out of range ({num_segments} segments)");
     }
     let d: usize = values.dims()[1..].iter().product();
     (n, d)
@@ -286,8 +290,11 @@ fn slot_groups(h: usize, d: usize, lanes: usize) -> Vec<([Slot; GROUP], usize)> 
 /// `out[s, c] = Σ_{e ∈ rows(s)} (w[e·h + c/d] · scale) · x[e·hd + c]`
 /// for the segments `segs` (`out` holds their rows; `x` and `w` have `n`
 /// rows): each element adds its products to zero in row order, a
-/// product rounded before it is added — the arithmetic of an `axpy` of
-/// every row into a zeroed output row. Empty segments give zero rows.
+/// product rounded before it is added (`mul`, then `add`: not the
+/// fused [`Lanes::mul_add`]) — the arithmetic of an `axpy` of every row
+/// into a zeroed output row, and of the op chains the attention kernels
+/// replaced, which no fused multiply-add can match. Empty segments give
+/// zero rows.
 /// With `scale` = 1 the weights pass unchanged (`w · 1` is exact).
 struct WeightedRows<'a> {
     out: &'a mut [f32],
@@ -339,7 +346,7 @@ impl<V: Lanes> SegmentKernel for Accumulate<'_, V> {
                     let (x_row, w_row) = (self.x.row(e), self.w.row(e));
                     for (a, s) in acc.iter_mut().zip(slots).take(*real) {
                         let w = V::splat(*w_row.add(s.head) * self.scale);
-                        *a = a.mul_add(w, V::load_part(x_row.add(s.col), s.len));
+                        *a = a.add(w.mul(V::load_part(x_row.add(s.col), s.len)));
                     }
                 }
                 for (a, s) in acc.iter().zip(slots).take(*real) {
@@ -517,33 +524,189 @@ impl<V: Lanes> SegmentKernel for SumSegment<'_, V> {
     }
 }
 
-/// Softmax over a segment's rows, per column: the column's max for
-/// stability, then `exp` and the normalizing sum, each over ascending
-/// rows. `y` holds the rows from `base` on of the segments it is run
-/// over ([`SegmentRows::split_rows`]).
-struct SoftmaxRows<'a> {
+/// Softmax over the segments `segs`, per column: the column's max over
+/// the segment's rows, `exp` ([`Lanes::exp`]) of every row's difference
+/// to it, the sum of those over ascending rows from zero and one
+/// division of each by it. `y` holds the rows from `base` on of the
+/// segments ([`SegmentRows::split_rows`]).
+///
+/// A max does not depend on the order it is taken in (a NaN is skipped
+/// either way, and which zero wins cannot show once `exp` has made it
+/// 1), so every element's arithmetic is the scalar loop's on either
+/// path: runs of rows whose width divides the lane count are read as
+/// packed vectors ([`shift_run`], [`normalize_run`]), anything else a
+/// vector of columns at a time ([`ShiftCols`], [`NormalizeCols`]); one
+/// `exp` over the chunk sits between the two passes.
+struct Softmax<'a> {
     x: &'a [f32],
     y: &'a mut [f32],
     base: usize,
     d: usize,
+    segs: Range<usize>,
+    rows: &'a SegmentRows,
 }
 
-impl SegmentKernel for SoftmaxRows<'_> {
+impl LaneKernel for Softmax<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let Softmax { x, y, base, d, segs, rows } = self;
+        let span = rows.span(&segs);
+        assert!(x.len() >= span.end * d && base == span.start && y.len() == span.len() * d);
+        let packed = match rows {
+            SegmentRows::Runs(starts) if d < V::LANES && V::LANES.is_multiple_of(d) => Some(starts),
+            _ => None,
+        };
+        // The three passes each run over every segment before the next
+        // starts: a segment's work is one chain of dependent operations,
+        // and a pass over many segments overlaps them.
+        let y0 = y.as_mut_ptr().wrapping_sub(base * d);
+        match packed {
+            Some(starts) => {
+                for s in segs.clone() {
+                    let (lo, hi) = (starts[s], starts[s + 1]);
+                    shift_run::<V>(&x[lo * d..hi * d], &mut y[(lo - base) * d..(hi - base) * d], d);
+                }
+            }
+            None => rows.each(segs.clone(), &mut ShiftCols::<V> { x: x.as_ptr(), y: y0, d, lanes: PhantomData }),
+        }
+        kernel::exp_lanes::<V>(y);
+        match packed {
+            Some(starts) => {
+                for s in segs {
+                    let (lo, hi) = (starts[s] - base, starts[s + 1] - base);
+                    normalize_run::<V>(&mut y[lo * d..hi * d], d);
+                }
+            }
+            None => rows.each(segs, &mut NormalizeCols::<V> { y: y0, d, lanes: PhantomData }),
+        }
+    }
+}
+
+/// [`ShiftCols`] of one run of rows `d` wide, `x` into `y`, where `d`
+/// divides `V::LANES`: each vector holds `LANES / d` whole rows, so lane
+/// `l` is always column `l % d`. The column maxima are the lane-wise max
+/// over the run's vectors folded by rotations of `LANES/2, .., d` lanes.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be enabled; `x` and `y` are as long, a
+/// multiple of `d`, and `d` divides `V::LANES`.
+#[inline(always)]
+unsafe fn shift_run<V: Lanes>(x: &[f32], y: &mut [f32], d: usize) {
+    let (lanes, len) = (V::LANES, x.len());
+    debug_assert!(y.len() == len && len % d == 0 && lanes % d == 0);
+    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+    let ninf = V::splat(f32::NEG_INFINITY);
+    let mut mx = ninf;
+    for at in (0..len).step_by(lanes) {
+        let n = lanes.min(len - at);
+        // `x > m` is false for a NaN `x`: skipped, as `f32::max` does.
+        mx = V::load_part(xp.add(at), n).first(n, ninf).max(mx);
+    }
+    let mut step = lanes / 2;
+    while step >= d {
+        mx = mx.max(mx.rotate(step));
+        step /= 2;
+    }
+    for at in (0..len).step_by(lanes) {
+        let n = lanes.min(len - at);
+        V::load_part(xp.add(at), n).sub(mx).store_part(yp.add(at), n);
+    }
+}
+
+/// [`NormalizeCols`] of one run as [`shift_run`] reads it: the sums
+/// add the `LANES / d` rows of each vector in turn into the first `d`
+/// lanes (rotations of `d, 2d, ..` lanes; lanes past the run read zero,
+/// and adding `+0.0` to a sum of `exp`s changes no bit), then rotations
+/// back spread each sum over its column's lanes.
+///
+/// # Safety
+///
+/// As [`shift_run`].
+#[inline(always)]
+unsafe fn normalize_run<V: Lanes>(y: &mut [f32], d: usize) {
+    let (lanes, len, yp) = (V::LANES, y.len(), y.as_mut_ptr());
+    let zero = V::splat(0.0);
+    let mut sum = zero;
+    for at in (0..len).step_by(lanes) {
+        let e = V::load_part(yp.add(at), lanes.min(len - at));
+        sum = sum.add(e);
+        for r in (d..lanes).step_by(d) {
+            sum = sum.add(e.rotate(r));
+        }
+    }
+    sum = sum.first(d, zero);
+    let mut step = d;
+    while step < lanes {
+        sum = sum.add(sum.rotate(lanes - step));
+        step *= 2;
+    }
+    for at in (0..len).step_by(lanes) {
+        let n = lanes.min(len - at);
+        V::load_part(yp.add(at), n).div(sum).store_part(yp.add(at), n);
+    }
+}
+
+/// The first pass of [`Softmax`] over a segment's rows, a vector of
+/// columns at a time (the last one partial): the columns' max over the
+/// rows, then every row's difference to it into `y`, whose row 0 is at
+/// `y` (the chunk's rows, and only those, are inside its buffer).
+struct ShiftCols<V> {
+    x: *const f32,
+    y: *mut f32,
+    d: usize,
+    lanes: PhantomData<V>,
+}
+
+impl<V: Lanes> SegmentKernel for ShiftCols<V> {
+    #[inline(always)]
     fn segment(&mut self, _k: usize, rows: impl Iterator<Item = usize> + Clone) {
-        let (x, y, base, d) = (self.x, &mut *self.y, self.base, self.d);
-        for j in 0..d {
-            let mut mx = f32::NEG_INFINITY;
-            for i in rows.clone() {
-                mx = mx.max(x[i * d + j]);
+        let (x, y, d) = (self.x, self.y, self.d);
+        for j0 in (0..d).step_by(V::LANES) {
+            let len = V::LANES.min(d - j0);
+            // SAFETY: this runs inside `Softmax::run::<V>`, where `V`'s
+            // instruction set is enabled; rows are positions below the
+            // id count, and `run` checked that `y`'s buffer holds every
+            // row of the segments.
+            unsafe {
+                let mut mx = V::splat(f32::NEG_INFINITY);
+                for i in rows.clone() {
+                    mx = V::load_part(x.add(i * d + j0), len).max(mx);
+                }
+                for i in rows.clone() {
+                    let at = i * d + j0;
+                    V::load_part(x.add(at), len).sub(mx).store_part(y.wrapping_add(at), len);
+                }
             }
-            let mut sum = 0.0f32;
-            for i in rows.clone() {
-                let e = (x[i * d + j] - mx).exp();
-                y[(i - base) * d + j] = e;
-                sum += e;
-            }
-            for i in rows.clone() {
-                y[(i - base) * d + j] /= sum;
+        }
+    }
+}
+
+/// The last pass of [`Softmax`], on `y` as [`ShiftCols`] and then `exp`
+/// left it: per column, the sum over ascending rows from zero, then one
+/// division of every row by it.
+struct NormalizeCols<V> {
+    y: *mut f32,
+    d: usize,
+    lanes: PhantomData<V>,
+}
+
+impl<V: Lanes> SegmentKernel for NormalizeCols<V> {
+    #[inline(always)]
+    fn segment(&mut self, _k: usize, rows: impl Iterator<Item = usize> + Clone) {
+        let (y, d) = (self.y, self.d);
+        for j0 in (0..d).step_by(V::LANES) {
+            let len = V::LANES.min(d - j0);
+            // SAFETY: as in `ShiftCols::segment`.
+            unsafe {
+                let mut sum = V::splat(0.0);
+                for i in rows.clone() {
+                    sum = sum.add(V::load_part(y.wrapping_add(i * d + j0), len));
+                }
+                for i in rows.clone() {
+                    let at = y.wrapping_add(i * d + j0);
+                    V::load_part(at, len).div(sum).store_part(at, len);
+                }
             }
         }
     }
@@ -774,7 +937,7 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
     {
         let x = values.inner.storage.read();
         seg_rows.split_rows(&mut y, d, SEG_SEQ_ROWS, |segs, y, base| {
-            seg_rows.each(segs, &mut SoftmaxRows { x: &x, y, base, d });
+            kernel::run_lanes(Softmax { x: &x, y, base, d, segs, rows: &seg_rows });
         });
     }
     let y_copy = {
@@ -850,8 +1013,9 @@ fn per_segment(
 /// mul-then-add from zero in ascending `d`, then takes one multiply by
 /// `scale`: the roundings of
 /// `q.index_select(segments).mul(k).reshape([E, H, D]).sum_dim(2).mul_scalar(scale)`.
-/// Backward writes `dk` per row and `dq` per segment (rows ascending),
-/// so both are invariant across thread counts.
+/// Backward writes `dk` per row and `dq` per segment (rows ascending,
+/// each product rounded before it is added, as that chain's gather
+/// backward adds them), so both are invariant across thread counts.
 ///
 /// # Panics
 ///
@@ -915,7 +1079,7 @@ pub fn segment_dot(q: &Tensor, k: &Tensor, segments: &[usize], heads: usize, sca
 /// This is the attention-output step of an edge-wise block (`a` holds
 /// the normalized attention of each edge, `v` its value row). Rows are
 /// accumulated in ascending order, each product rounded before it is
-/// added: the roundings of
+/// added (no fused multiply-add): the roundings of
 /// `segment_sum(v.reshape([E, H, D]).mul(a.reshape([E, H, 1])).reshape([E, H·D]), ..)`
 /// without the `[E, H·D]` intermediate. Empty segments yield zero
 /// rows. Segments own their output rows and backward writes one row

@@ -28,9 +28,14 @@
 //! cannot drift down into the small classes (where they would pin
 //! their memory while the large requests they were made for miss).
 //! Repeated same-shape requests (the training-loop pattern) hit
-//! exactly-fitting buffers. Each class holds a bounded number of
-//! buffers; a full class keeps the roomiest ones it is given and
-//! frees the rest.
+//! exactly-fitting buffers. A request larger than every buffer of its
+//! class (and with the class above empty) grows the roomiest of them
+//! in place instead of allocating a fresh one: a first epoch asks for
+//! a little more each batch as the graph's history grows, and a fresh
+//! buffer is paid for again in page faults on first touch, where a
+//! grown one (`realloc`, which remaps a large allocation) faults only
+//! its new tail. Each class holds a bounded number of buffers; a full
+//! class keeps the roomiest ones it is given and frees the rest.
 //!
 //! # Zero-fill rules
 //!
@@ -60,8 +65,8 @@
 //! | `tensor.pool.request_bytes` | bytes requested                      |
 //! | `tensor.pool.hit`           | requests served from the free lists  |
 //! | `tensor.pool.recycled_bytes`| bytes served from the free lists     |
-//! | `tensor.pool.miss`          | requests that hit the allocator      |
-//! | `tensor.pool.alloc_bytes`   | bytes from the allocator             |
+//! | `tensor.pool.miss`          | requests that hit the allocator (a grown buffer included) |
+//! | `tensor.pool.alloc_bytes`   | bytes from the allocator (a grown buffer's new tail) |
 
 use std::sync::OnceLock;
 
@@ -99,6 +104,14 @@ impl Shelf {
             }
         }
         None
+    }
+
+    /// The roomiest buffer of `len`'s class, all of which are too small
+    /// for it (after [`Shelf::take`] found nothing), to grow in place.
+    fn take_to_grow(&mut self, len: usize) -> Option<Vec<f32>> {
+        let bufs = self.classes.get_mut(size_class(len))?;
+        let pos = (0..bufs.len()).max_by_key(|&i| bufs[i].capacity())?;
+        Some(bufs.swap_remove(pos))
     }
 
     fn give(&mut self, buf: Vec<f32>) {
@@ -161,10 +174,24 @@ fn take(len: usize, device: Device, zeroed: bool) -> Vec<f32> {
     let bytes = (len * std::mem::size_of::<f32>()) as u64;
     tgl_obs::counter!("tensor.pool.request").incr();
     tgl_obs::counter!("tensor.pool.request_bytes").add(bytes);
-    if let Some(mut buf) = shelf(device).lock().take(len) {
-        tgl_obs::counter!("tensor.pool.hit").incr();
-        tgl_obs::counter!("tensor.pool.recycled_bytes").add(bytes);
-        tgl_obs::profile::note_pool(true);
+    let (found, grow) = {
+        let mut shelf = shelf(device).lock();
+        match shelf.take(len) {
+            Some(buf) => (Some(buf), false),
+            None => (shelf.take_to_grow(len), true),
+        }
+    };
+    if let Some(mut buf) = found {
+        if grow {
+            let tail = len - buf.capacity();
+            tgl_obs::counter!("tensor.pool.miss").incr();
+            tgl_obs::counter!("tensor.pool.alloc_bytes").add((tail * std::mem::size_of::<f32>()) as u64);
+            buf.reserve_exact(len - buf.len());
+        } else {
+            tgl_obs::counter!("tensor.pool.hit").incr();
+            tgl_obs::counter!("tensor.pool.recycled_bytes").add(bytes);
+        }
+        tgl_obs::profile::note_pool(!grow);
         // Shrinking keeps the stale prefix, growing zero-fills the
         // new tail; only the prefix is left to clear.
         let stale = buf.len().min(len);
@@ -407,6 +434,25 @@ mod tests {
         give(vec![3.0; 131_073], Device::Accel);
         assert_eq!(held(Device::Accel), held_before);
         while shelf(Device::Accel).lock().take(131_073).is_some() {} // drain the class
+    }
+
+    #[test]
+    fn a_request_past_its_class_grows_the_roomiest_buffer() {
+        let _g = serial();
+        clear();
+        // Class 12 (4096..8191) holds two buffers too small for 6500.
+        give(vec![1.0; 5000], Device::Accel);
+        give(vec![1.0; 6000], Device::Accel);
+        let grown = take_zeroed(6500, Device::Accel);
+        assert_eq!(grown.len(), 6500);
+        assert!(grown.iter().all(|&v| v == 0.0), "take_zeroed must zero-fill a grown buffer");
+        // The 6000 was grown; the 5000 is still there for a request it
+        // fits.
+        assert_eq!(held(Device::Accel).0, 1);
+        assert_eq!(take_uninit(5000, Device::Accel).capacity(), 5000);
+        // An empty class still allocates.
+        assert_eq!(take_uninit(6500, Device::Accel).len(), 6500);
+        assert_eq!(held(Device::Accel).0, 0);
     }
 
     #[test]

@@ -203,7 +203,15 @@ echo "==> the part of a TGAT step that is not a GEMM stays small (1 thread, --sc
 # (`segment_*` and their backward) 18.1-19.2% per edge and head and
 # 15.6-16.7% lane-parallel over runs (limit 19%); `cat` + `cat.bwd` 6%
 # before the affine layers read their inputs' parts in place (0.02%
-# now). Each limit is the measured share plus about two points.
+# now). Each limit is the measured share plus about two points. The
+# GEMM's fused multiply-add took a third off `linear` + `linear.bwd`
+# and so raised every other share: `segment_*` read 19.4-20.5% and
+# `time_encode` 6.5-7.0% with the softmax on the in-tree `exp`, and
+# 15.4-18.0% and 7.0-7.7% once a pooled buffer grows in place (the
+# attention backward's first-epoch page faults) and Φ(Δt)'s argument
+# pass runs inside its `sincos` kernel, 16.8-17.3% and 7.0-7.1% once
+# `sincos` also tests a quadrant's parity once for both functions. The
+# limits stay.
 # The edge features reach the K / V projections through their staged
 # rows (an indexed part of `linear_cat`): the gather that copied them,
 # `index_select` in phase `attention`, was 3.8% of this epoch and is
@@ -363,8 +371,19 @@ HEALTH_DUMP="$(ls "$HEALTH_FLIGHT_DIR"/*.json 2>/dev/null | head -1)"
 [ -n "$HEALTH_DUMP" ] && flight_dump "$HEALTH_DUMP" health-fail \
     || { echo "the health-fail abort left no valid flight dump"; cat "$HEALTH_LOG"; exit 1; }
 
+if cargo clippy --version >/dev/null 2>&1; then
+    echo "==> cargo clippy --offline -D warnings"
+    cargo clippy --offline --workspace --all-targets -- -D warnings
+else
+    echo "==> clippy unavailable; skipping lint"
+fi
+
 echo "==> micro bench against the parent on this host (scripts/ab: cargo bench --bench micro)"
-scripts/ab
+# `ab` is a gate, and the noisiest one: the lint above runs before it,
+# and the record checks below read what it wrote whether or not it
+# passed; its verdict fails the job after them.
+AB_FAILED=0
+scripts/ab || AB_FAILED=1
 # BENCH_micro.json of ab's last change-side round is at the root, beside
 # the committed paper record (not rerun here: a run would overwrite it).
 for f in BENCH_micro.json BENCH_paper.json; do
@@ -383,12 +402,7 @@ for name in gemm_nn_512x32x32 gemm_nt_512x32x32 gemm_tn_512x32x32 \
     grep -Fq "\"name\":\"$name\"" BENCH_micro.json \
         || { echo "BENCH_micro.json missing $name rows"; exit 1; }
 done
-
-if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy --offline -D warnings"
-    cargo clippy --offline --workspace --all-targets -- -D warnings
-else
-    echo "==> clippy unavailable; skipping lint"
-fi
+[ "$AB_FAILED" -eq 0 ] \
+    || { echo "scripts/ab failed: a micro-bench row is slower than the parent's (its table above)"; exit 1; }
 
 echo "==> CI green"

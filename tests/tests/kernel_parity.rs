@@ -144,21 +144,21 @@ fn exact_mode_simd_is_bitwise_identical_to_scalar() {
 
 /// What the naive loops make of `C = A·B` and its backward from `dC`:
 /// `(C, dA, dB)`, every element accumulated in ascending reduction
-/// index from zero, one `mul` and one `add` at a time.
+/// index from zero, one fused multiply-add at a time.
 fn naive_gemm_triple(a: &[f32], b: &[f32], dc: &[f32], (m, k, n): (usize, usize, usize)) -> [Vec<f32>; 3] {
     let (mut c, mut da, mut db) = (vec![0.0f32; m * n], vec![0.0f32; m * k], vec![0.0f32; k * n]);
     for i in 0..m {
         for p in 0..k {
             for j in 0..n {
-                c[i * n + j] += a[i * k + p] * b[p * n + j];
-                da[i * k + p] += dc[i * n + j] * b[p * n + j];
+                c[i * n + j] = a[i * k + p].mul_add(b[p * n + j], c[i * n + j]);
+                da[i * k + p] = dc[i * n + j].mul_add(b[p * n + j], da[i * k + p]);
             }
         }
     }
     for p in 0..k {
         for i in 0..m {
             for j in 0..n {
-                db[p * n + j] += a[i * k + p] * dc[i * n + j];
+                db[p * n + j] = a[i * k + p].mul_add(dc[i * n + j], db[p * n + j]);
             }
         }
     }
@@ -219,7 +219,8 @@ fn mc_panel_gemm_thread_invariant_in_both_modes() {
 /// The affine layer over parts of `widths` columns by naive loops:
 /// the output (bias added to the finished sum, then ReLU), and from the
 /// upstream gradient [`upstream`] every part's gradient, the weight's
-/// and the bias's, each sum ascending from zero.
+/// and the bias's, each sum ascending from zero (a product's sum by
+/// fused multiply-adds).
 fn naive_linear_cat(parts: &[Vec<f32>], widths: &[usize], w: &[f32], bias: &[f32], m: usize, relu: bool) -> Vec<Vec<f32>> {
     let (k, n) = (widths.iter().sum::<usize>(), bias.len());
     // Row `i` of the concatenation.
@@ -232,7 +233,7 @@ fn naive_linear_cat(parts: &[Vec<f32>], widths: &[usize], w: &[f32], bias: &[f32
         for j in 0..n {
             let mut acc = 0.0f32;
             for p in 0..k {
-                acc += x[p] * w[j * k + p];
+                acc = x[p].mul_add(w[j * k + p], acc);
             }
             let out = acc + bias[j];
             y[i * n + j] = if relu { out.max(0.0) } else { out };
@@ -244,8 +245,8 @@ fn naive_linear_cat(parts: &[Vec<f32>], widths: &[usize], w: &[f32], bias: &[f32
         let x = row(i);
         for j in 0..n {
             for p in 0..k {
-                dx[i * k + p] += dy[i * n + j] * w[j * k + p];
-                dw[j * k + p] += dy[i * n + j] * x[p];
+                dx[i * k + p] = dy[i * n + j].mul_add(w[j * k + p], dx[i * k + p]);
+                dw[j * k + p] = dy[i * n + j].mul_add(x[p], dw[j * k + p]);
             }
             dbias[j] += dy[i * n + j];
         }
@@ -475,6 +476,68 @@ fn sincos_tracks_the_f64_functions() {
     }
     assert_eq!(kernel::sincos_scalar(0.0, Trig::Cos), 1.0);
     assert_eq!(kernel::sincos_scalar(0.0, Trig::Sin), 0.0);
+}
+
+/// `n` seeded arguments of `exp`, uniform over `lo..hi`.
+fn exp_args(n: usize, lo: f32, hi: f32, rng: &mut StdRng) -> Vec<f32> {
+    (0..n).map(|_| rng.gen_range(lo..hi)).collect()
+}
+
+#[test]
+fn exp_simd_is_the_scalar_reference_bit_for_bit() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    let mut rng = StdRng::seed_from_u64(0xE7B);
+    // The softmax's domain (`x - max <= 0`) into underflow, then every
+    // binade an `f32` has, either sign.
+    let mut args = exp_args(600_000, -110.0, 0.0, &mut rng);
+    args.extend(trig_args(400_000, -149, 128, &mut rng));
+    args.extend([0.0, -0.0, f32::MIN_POSITIVE, 1e-45, -1e-45, f32::MAX, f32::MIN]);
+    args.extend([88.72, 88.73, -87.34, -103.97, -103.98, -150.0, -151.0, 100.0, 101.0]);
+    args.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+    let want: Vec<f32> = args.iter().map(|&x| kernel::exp_scalar(x)).collect();
+    // Whole buffer at the SIMD levels (the scalar level's lanes are the
+    // reference itself), then rows of the last few thousand (specials
+    // included) at widths that leave every lane tail of the 8- and
+    // 16-lane bodies, at every level.
+    let tail = args.len() - 4000;
+    for width in [args.len(), 5, 13, 23] {
+        let from = if width == args.len() { 0 } else { tail };
+        for simd in kernel::simd_levels().filter(|&s| width != args.len() || s > Simd::Scalar) {
+            kernel::set_simd(simd);
+            let mut got = args[from..].to_vec();
+            got.chunks_mut(width).for_each(kernel::exp);
+            if bits(&got) != bits(&want[from..]) {
+                for ((&x, g), w) in args[from..].iter().zip(&got).zip(&want[from..]) {
+                    let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                    assert!(same, "exp({x:e}) at {simd:?} width={width}: {g:e} vs scalar {w:e}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn exp_tracks_the_f64_function() {
+    let mut rng = StdRng::seed_from_u64(0xE70);
+    // Within 1 ulp of the correctly rounded value wherever the result
+    // is finite, subnormal results included, and off by one somewhere.
+    let mut worst = 0;
+    let mut args = exp_args(500_000, -104.0, 0.0, &mut rng);
+    args.extend(exp_args(500_000, -104.0, 88.7, &mut rng));
+    for x in args {
+        let (got, want) = (kernel::exp_scalar(x), f64::from(x).exp() as f32);
+        worst = worst.max(ulps(got, want));
+        assert!(ulps(got, want) <= 1, "exp({x:e}) = {got:e}, f64 says {want:e}");
+    }
+    assert_eq!(worst, 1, "a faithfully rounded kernel is off by one somewhere");
+    assert_eq!(kernel::exp_scalar(0.0), 1.0);
+    assert_eq!(kernel::exp_scalar(-0.0), 1.0);
+    for (x, want) in [(-104.0, 0.0), (-150.0, 0.0), (f32::NEG_INFINITY, 0.0), (89.0, f32::INFINITY)] {
+        assert_eq!(kernel::exp_scalar(x).to_bits(), f32::to_bits(want), "exp({x:e})");
+    }
+    assert_eq!(kernel::exp_scalar(f32::INFINITY), f32::INFINITY);
+    assert!(kernel::exp_scalar(f32::NAN).is_nan());
 }
 
 // ---------------------------------------------------------------------
@@ -914,7 +977,7 @@ fn attention_ids(cycles: usize, shuffled: bool, rng: &mut StdRng) -> (Vec<usize>
 /// [`upstream`]: `[dot, dq, dk, softmax, dx, wsum, dv, da]`. Every sum
 /// starts from zero and adds its terms one at a time in ascending order
 /// (`d` within a dot, rows within a segment), each product rounded
-/// first.
+/// first; the softmax's `exp` is the in-tree `kernel::exp_scalar`.
 fn naive_attention(values: &[Vec<f32>], seg: &[usize], s: usize, (h, d): (usize, usize), scale: f32) -> [Vec<f32>; 8] {
     let [q, k, x, v, a] = [0, 1, 2, 3, 4].map(|i| &values[i][..]);
     let (e, hd) = (seg.len(), h * d);
@@ -949,7 +1012,7 @@ fn naive_attention(values: &[Vec<f32>], seg: &[usize], s: usize, (h, d): (usize,
             }
             let mut sum = 0.0f32;
             for &i in &rows {
-                y[i * h + j] = (x[i * h + j] - mx).exp();
+                y[i * h + j] = kernel::exp_scalar(x[i * h + j] - mx);
                 sum += y[i * h + j];
             }
             let mut dot = 0.0f32;
@@ -1059,7 +1122,7 @@ fn run_with(f: impl Fn(&[Tensor]) -> Tensor, inputs: &[Tensor], go: &[f32]) -> V
 /// loop that defines it: `add_relu` and its mask, `addcmul`, the
 /// `Linear` epilogue and its bias gradient, the row scatter of
 /// `index_select`'s backward, `segment_sum` / `segment_mean`,
-/// `segment_softmax`'s backward and the Adam step. At
+/// `segment_softmax` and its backward and the Adam step. At
 /// every level, every width from none to a vector and a half of 16
 /// lanes (so every partial vector of every level), bit for bit.
 #[test]
@@ -1159,9 +1222,18 @@ fn lane_kernels_are_their_scalar_loops_at_every_length_and_level() {
             assert_eq!(bits(&segment_mean(&values, &ids, 3).to_vec()), bits(&mean), "segment_mean, {at}");
             let got = run_with(|t| segment_softmax(&t[0], &ids, 3), std::slice::from_ref(&values), &soft_up);
             let y = &got[0];
-            let mut dx = vec![0.0f32; 7 * len];
+            let (mut want_y, mut dx) = (vec![0.0f32; 7 * len], vec![0.0f32; 7 * len]);
             for sg in 0..3 {
                 let rows: Vec<usize> = (0..7).filter(|&i| ids[i] == sg).collect();
+                for j in 0..len {
+                    let mx = rows.iter().fold(f32::NEG_INFINITY, |m, &i| m.max(vals[i * len + j]));
+                    let mut sum = 0.0f32;
+                    for &i in &rows {
+                        want_y[i * len + j] = kernel::exp_scalar(vals[i * len + j] - mx);
+                        sum += want_y[i * len + j];
+                    }
+                    rows.iter().for_each(|&i| want_y[i * len + j] /= sum);
+                }
                 for j in 0..len {
                     let mut dot = 0.0f32;
                     for &i in &rows {
@@ -1172,6 +1244,7 @@ fn lane_kernels_are_their_scalar_loops_at_every_length_and_level() {
                     }
                 }
             }
+            assert_eq!(bits(y), bits(&want_y), "segment_softmax, {at}");
             assert_eq!(bits(&got[1]), bits(&dx), "segment_softmax backward, {at}");
 
             let (p, mm, vv) = (t(&p0, [len, 1]), t(&m0, [len, 1]), t(&v0, [len, 1]));
