@@ -37,7 +37,9 @@ use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::rng::{SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 use tgl_sampler::{SamplingStrategy, TemporalSampler};
-use tgl_tensor::ops::{cat, linear_cat, segment_dot, segment_softmax, segment_weighted_sum, time_encode};
+use tgl_tensor::ops::{
+    cat, edge_attention, linear_cat, segment_dot, segment_softmax, segment_weighted_sum, time_encode, Part,
+};
 use tgl_tensor::Tensor;
 use tglite::{obs, op, TBlock, TContext, TSampler};
 
@@ -486,6 +488,9 @@ fn gru_cell_sweep(rows: &mut Rows, counts: &[usize]) {
 ///   `linear_cat` on the parts (`parts`) and through `cat` + `linear`
 ///   (`cat`), with the raw edge features off the graph as in the
 ///   model.
+/// * `edge_attention_507x4612x(32+32+16)`: the layer's attention over
+///   those parts (the edge features as rows of a staged table) for 507
+///   destinations of 2 heads of 16, about 9 edges each.
 fn non_gemm_third_sweep(rows: &mut Rows, counts: &[usize]) {
     let e = 4612usize;
     let mut rng = StdRng::seed_from_u64(19);
@@ -509,9 +514,19 @@ fn non_gemm_third_sweep(rows: &mut Rows, counts: &[usize]) {
             cat(&[h_src.clone(), efeat.clone(), phi.clone()], 1).linear(&w, Some(&b), false)
         }
     };
+    let s = 507usize;
+    let q = uniform(&[s, 32], -1.0, 1.0).requires_grad(true);
+    let [wk, wv, bv] = [&[32, 80][..], &[32, 80], &[32]].map(|dims| uniform(dims, -0.2, 0.2).requires_grad(true));
+    let table = uniform(&[7800, 32], -1.0, 1.0);
+    let erows: Vec<usize> = (0..e).map(|i| (i * 7919) % 7800).collect();
+    let seg: Vec<usize> = (0..e).map(|i| i * s / e).collect();
+    let attend = || {
+        let z = [Part::Whole(&h_src), Part::Rows(&table, &erows), Part::Whole(&phi)];
+        edge_attention(&q, &wk, [&wv, &bv], &z, &seg, 2, 0.25)
+    };
     let step = |y: Tensor| {
         y.backward_with(vec![1.0; y.numel()]);
-        [&freq, &phase, &h_src, &phi, &w, &b].into_iter().for_each(Tensor::zero_grad);
+        [&freq, &phase, &h_src, &phi, &w, &b, &q, &wk, &wv, &bv].into_iter().for_each(Tensor::zero_grad);
     };
     for &t in counts.iter().filter(|&&t| t <= 2) {
         set_threads(t);
@@ -522,6 +537,8 @@ fn non_gemm_third_sweep(rows: &mut Rows, counts: &[usize]) {
             ("linear_4612x(32+32+16)x32_parts_step", time_it(|_| step(project(true)), 0.3)),
             ("linear_4612x(32+32+16)x32_cat", time_it(|_| project(false), 0.3)),
             ("linear_4612x(32+32+16)x32_cat_step", time_it(|_| step(project(false)), 0.3)),
+            ("edge_attention_507x4612x(32+32+16)", time_it(|_| attend(), 0.3)),
+            ("edge_attention_507x4612x(32+32+16)_step", time_it(|_| step(attend()), 0.3)),
         ];
         for (name, secs) in timed {
             rows.push(name, t, secs);

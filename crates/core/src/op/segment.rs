@@ -4,8 +4,10 @@
 //! computation operators on TBlocks" (paper §3.1) instead of batched
 //! matmul + masked softmax over padded neighbor tensors.
 
+use tgl_tensor::nn::Linear;
 use tgl_tensor::ops::{
-    segment_dot, segment_max, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
+    edge_attention as attend, segment_dot, segment_max, segment_mean, segment_softmax, segment_sum,
+    segment_weighted_sum, Part,
 };
 use tgl_tensor::Tensor;
 
@@ -39,6 +41,37 @@ pub fn edge_dot(blk: &TBlock, q: &Tensor, k: &Tensor, heads: usize, scale: f32) 
     assert_eq!(q.dim(0), blk.num_dst(), "edge_dot expects one query row per destination");
     assert_eq!(k.dim(0), blk.num_edges(), "edge_dot expects one key row per edge");
     segment_dot(q, k, &blk.dst_index(), heads, scale)
+}
+
+/// Multi-head attention of every destination over its sampled edges
+/// (paper Listing 2, lines 31-36, Eqs. 5-7) with the key and value maps
+/// applied on the destination's side: `q` has one `[heads · dim]` query
+/// row per destination, `z` the parts of each edge's input row
+/// `[h_src ‖ e ‖ Φ(Δt)]` (read in place; the edge features as rows of
+/// their staged table), and the result is, per destination and head,
+/// `W_v` of the softmax-weighted sum of its edges' `z` plus the bias —
+/// the attention output `Σ_e softmax(q·k_e · scale) v_e` of the keys
+/// `k_e = key(z_e)` and values `v_e = value(z_e)`, which are never built
+/// ([`tgl_tensor::ops::edge_attention`]). The key's bias shifts every
+/// logit of a destination alike, which the softmax cancels: it takes no
+/// part and gets no gradient. Destinations with no sampled edges yield
+/// zero rows.
+///
+/// # Panics
+///
+/// Panics unless `q` has one row per destination and every part one
+/// per edge, and on the shape checks of the kernel.
+pub fn edge_attention(
+    blk: &TBlock,
+    q: &Tensor,
+    key: &Linear,
+    value: &Linear,
+    z: &[Part<'_>],
+    heads: usize,
+    scale: f32,
+) -> Tensor {
+    assert_eq!(q.dim(0), blk.num_dst(), "edge_attention expects one query row per destination");
+    attend(q, key.weight(), [value.weight(), value.bias()], z, &blk.dst_index(), heads, scale)
 }
 
 /// Per-head weighted sum of per-edge values into per-destination rows:

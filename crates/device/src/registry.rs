@@ -43,10 +43,94 @@ impl fmt::Display for DeviceError {
 
 impl Error for DeviceError {}
 
-static ACCEL_USED: AtomicU64 = AtomicU64::new(0);
-static ACCEL_PEAK: AtomicU64 = AtomicU64::new(0);
-static HOST_USED: AtomicU64 = AtomicU64::new(0);
-static ACCEL_CAPACITY: Mutex<Option<u64>> = Mutex::new(None);
+/// The byte counters of both tiers and the accelerator's cap. The
+/// process has one, behind the free functions of this module; a test
+/// makes its own, so that no other test's allocations or cap reach it.
+struct Registry {
+    accel_used: AtomicU64,
+    accel_peak: AtomicU64,
+    host_used: AtomicU64,
+    accel_capacity: Mutex<Option<u64>>,
+}
+
+impl Registry {
+    const fn new() -> Registry {
+        Registry {
+            accel_used: AtomicU64::new(0),
+            accel_peak: AtomicU64::new(0),
+            host_used: AtomicU64::new(0),
+            accel_capacity: Mutex::new(None),
+        }
+    }
+
+    fn alloc(&self, device: Device, bytes: u64) -> Result<(), DeviceError> {
+        match device {
+            Device::Host => {
+                self.host_used.fetch_add(bytes, Ordering::Relaxed);
+                Ok(())
+            }
+            Device::Accel => {
+                let cap = *self.accel_capacity.lock();
+                let prev = self.accel_used.fetch_add(bytes, Ordering::Relaxed);
+                if let Some(capacity) = cap {
+                    if prev + bytes > capacity {
+                        self.accel_used.fetch_sub(bytes, Ordering::Relaxed);
+                        return Err(DeviceError::OutOfDeviceMemory {
+                            requested: bytes,
+                            used: prev,
+                            capacity,
+                        });
+                    }
+                }
+                self.accel_peak.fetch_max(prev + bytes, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+    }
+
+    fn free(&self, device: Device, bytes: u64) {
+        let counter = match device {
+            Device::Host => &self.host_used,
+            Device::Accel => &self.accel_used,
+        };
+        // Saturating: a mismatched free is a bug in the caller, but
+        // clamping keeps the counters sane instead of wrapping to
+        // u64::MAX.
+        counter
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(bytes))
+            })
+            .ok();
+    }
+
+    fn set_capacity(&self, device: Device, cap: Option<u64>) {
+        if device == Device::Accel {
+            *self.accel_capacity.lock() = cap;
+        }
+    }
+
+    fn capacity(&self, device: Device) -> Option<u64> {
+        match device {
+            Device::Host => None,
+            Device::Accel => *self.accel_capacity.lock(),
+        }
+    }
+
+    fn usage(&self) -> (u64, u64, u64) {
+        (
+            self.accel_used.load(Ordering::Relaxed),
+            self.accel_peak.load(Ordering::Relaxed),
+            self.host_used.load(Ordering::Relaxed),
+        )
+    }
+
+    fn reset_peak(&self) {
+        self.accel_peak.store(self.accel_used.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+/// The process's registry.
+static GLOBAL: Registry = Registry::new();
 
 /// Records an allocation of `bytes` on `device`.
 ///
@@ -56,43 +140,12 @@ static ACCEL_CAPACITY: Mutex<Option<u64>> = Mutex::new(None);
 /// [`Device::Accel`] and a capacity cap is set that the allocation would
 /// exceed. Host allocations never fail.
 pub fn alloc(device: Device, bytes: u64) -> Result<(), DeviceError> {
-    match device {
-        Device::Host => {
-            HOST_USED.fetch_add(bytes, Ordering::Relaxed);
-            Ok(())
-        }
-        Device::Accel => {
-            let cap = *ACCEL_CAPACITY.lock();
-            let prev = ACCEL_USED.fetch_add(bytes, Ordering::Relaxed);
-            if let Some(capacity) = cap {
-                if prev + bytes > capacity {
-                    ACCEL_USED.fetch_sub(bytes, Ordering::Relaxed);
-                    return Err(DeviceError::OutOfDeviceMemory {
-                        requested: bytes,
-                        used: prev,
-                        capacity,
-                    });
-                }
-            }
-            ACCEL_PEAK.fetch_max(prev + bytes, Ordering::Relaxed);
-            Ok(())
-        }
-    }
+    GLOBAL.alloc(device, bytes)
 }
 
 /// Records a deallocation of `bytes` on `device`.
 pub fn free(device: Device, bytes: u64) {
-    let counter = match device {
-        Device::Host => &HOST_USED,
-        Device::Accel => &ACCEL_USED,
-    };
-    // Saturating: a mismatched free is a bug in the caller, but clamping
-    // keeps the counters sane instead of wrapping to u64::MAX.
-    counter
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(bytes))
-        })
-        .ok();
+    GLOBAL.free(device, bytes);
 }
 
 /// Sets (or clears) the capacity cap of a tier in bytes.
@@ -100,31 +153,22 @@ pub fn free(device: Device, bytes: u64) {
 /// Only the accelerator tier supports a cap; setting a cap on
 /// [`Device::Host`] is ignored.
 pub fn set_capacity(device: Device, cap: Option<u64>) {
-    if device == Device::Accel {
-        *ACCEL_CAPACITY.lock() = cap;
-    }
+    GLOBAL.set_capacity(device, cap);
 }
 
 /// Returns the current capacity cap of a tier, if any.
 pub fn capacity(device: Device) -> Option<u64> {
-    match device {
-        Device::Host => None,
-        Device::Accel => *ACCEL_CAPACITY.lock(),
-    }
+    GLOBAL.capacity(device)
 }
 
 /// Returns `(accel_used, accel_peak, host_used)` in bytes.
 pub(crate) fn usage() -> (u64, u64, u64) {
-    (
-        ACCEL_USED.load(Ordering::Relaxed),
-        ACCEL_PEAK.load(Ordering::Relaxed),
-        HOST_USED.load(Ordering::Relaxed),
-    )
+    GLOBAL.usage()
 }
 
 /// Resets the accelerator peak-usage watermark to current usage.
 pub(crate) fn reset_peak() {
-    ACCEL_PEAK.store(ACCEL_USED.load(Ordering::Relaxed), Ordering::Relaxed);
+    GLOBAL.reset_peak();
 }
 
 #[cfg(test)]
@@ -133,51 +177,45 @@ mod tests {
 
     #[test]
     fn alloc_free_roundtrip() {
-        let (used0, _, _) = usage();
-        alloc(Device::Accel, 100).unwrap();
-        let (used1, _, _) = usage();
-        assert_eq!(used1, used0 + 100);
-        free(Device::Accel, 100);
-        let (used2, _, _) = usage();
-        assert_eq!(used2, used0);
+        let r = Registry::new();
+        r.alloc(Device::Accel, 100).unwrap();
+        assert_eq!(r.usage(), (100, 100, 0));
+        r.free(Device::Accel, 100);
+        assert_eq!(r.usage(), (0, 100, 0));
+        r.reset_peak();
+        assert_eq!(r.usage(), (0, 0, 0));
     }
 
     #[test]
     fn host_alloc_never_fails() {
-        alloc(Device::Host, u64::MAX / 4).unwrap();
-        free(Device::Host, u64::MAX / 4);
+        let r = Registry::new();
+        r.set_capacity(Device::Host, Some(1));
+        assert_eq!(r.capacity(Device::Host), None);
+        r.alloc(Device::Host, u64::MAX / 4).unwrap();
+        assert_eq!(r.usage(), (0, 0, u64::MAX / 4));
+        r.free(Device::Host, u64::MAX / 4);
+        assert_eq!(r.usage(), (0, 0, 0));
     }
 
     #[test]
     fn capacity_cap_enforced() {
-        // Use a huge request so the cap trips regardless of what other
-        // concurrently-running tests have allocated.
-        set_capacity(Device::Accel, Some(1 << 20));
-        let err = alloc(Device::Accel, 1 << 30).unwrap_err();
-        match err {
-            DeviceError::OutOfDeviceMemory {
-                requested,
-                capacity,
-                ..
-            } => {
-                assert_eq!(requested, 1 << 30);
-                assert_eq!(capacity, 1 << 20);
-            }
-        }
-        set_capacity(Device::Accel, None);
+        let r = Registry::new();
+        r.set_capacity(Device::Accel, Some(1 << 20));
+        r.alloc(Device::Accel, 1 << 19).unwrap();
+        let err = r.alloc(Device::Accel, 1 << 30).unwrap_err();
+        assert_eq!(err, DeviceError::OutOfDeviceMemory { requested: 1 << 30, used: 1 << 19, capacity: 1 << 20 });
+        r.set_capacity(Device::Accel, None);
         // Once the cap is lifted the same request succeeds.
-        alloc(Device::Accel, 1 << 30).unwrap();
-        free(Device::Accel, 1 << 30);
+        r.alloc(Device::Accel, 1 << 30).unwrap();
+        assert_eq!(r.usage().0, (1 << 30) + (1 << 19));
     }
 
     #[test]
     fn failed_alloc_does_not_leak_usage() {
-        set_capacity(Device::Accel, Some(1));
-        let (used0, _, _) = usage();
-        assert!(alloc(Device::Accel, 1 << 40).is_err());
-        let (used1, _, _) = usage();
-        assert_eq!(used0, used1);
-        set_capacity(Device::Accel, None);
+        let r = Registry::new();
+        r.set_capacity(Device::Accel, Some(1));
+        assert!(r.alloc(Device::Accel, 1 << 40).is_err());
+        assert_eq!(r.usage(), (0, 0, 0));
     }
 
     #[test]
@@ -194,11 +232,9 @@ mod tests {
 
     #[test]
     fn mismatched_free_saturates() {
-        let (used0, _, _) = usage();
-        free(Device::Accel, u64::MAX);
-        let (used1, _, _) = usage();
-        assert!(used1 <= used0);
-        // Restore balance for other tests (best effort).
-        alloc(Device::Accel, used0.saturating_sub(used1)).ok();
+        let r = Registry::new();
+        r.alloc(Device::Accel, 7).unwrap();
+        r.free(Device::Accel, u64::MAX);
+        assert_eq!(r.usage(), (0, 7, 0));
     }
 }

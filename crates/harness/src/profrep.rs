@@ -261,8 +261,11 @@ pub fn render_coverage(rows: &[PhaseCoverage]) -> String {
 /// Renders the per-stage table: the same seconds as the phase table
 /// sees them (`phase`), as the op profile sees them (`ops` self time
 /// plus the stage's non-op `rest`), and, when the span log kept the
-/// whole run, as the critical-path analysis computed them (`critpath`
-/// serial). On one thread the three agree; `scripts/ci.sh` checks it.
+/// whole run, as the critical path runs through them (`critpath`: the
+/// stage's share of the path, not its serial seconds, which count every
+/// thread's work). Each column adds up to the wall at any thread count,
+/// and on one thread the three agree per stage; `scripts/ci.sh` checks
+/// it.
 pub fn render_stages(rows: &[Row], critpath: Option<&Analysis>) -> String {
     let secs = stage_seconds(rows);
     let mut table = TextTable::new(&["stage", "phase_s", "ops_s", "rest_s", "ops+rest_s", "critpath_s"]);
@@ -274,7 +277,7 @@ pub fn render_stages(rows: &[Row], critpath: Option<&Analysis>) -> String {
             format!("{:.4}", s.op_s),
             format!("{:.4}", s.rest_s),
             format!("{:.4}", s.op_s + s.rest_s),
-            critpath.map_or("-".to_string(), |a| format!("{:.4}", a.stages[i].serial_s)),
+            critpath.map_or("-".to_string(), |a| format!("{:.4}", a.stages[i].critical_s)),
         ]);
     }
     format!("stage seconds (phase table / op profile / critical path):\n{}\n", table.render())

@@ -14,11 +14,13 @@ use tglite::{op, TBlock, TContext};
 /// For a block with destination data `h_dst` and source data `h_src`:
 ///
 /// * `Q = W_q [h_dst ‖ Φ(0)]` (Eq. 4),
-/// * `K/V = W_{k,v} [h_src ‖ e ‖ Φ(Δt)]` (Eq. 5),
+/// * `K/V = W_{k,v} z_e` of every edge's `z_e = [h_src ‖ e ‖ Φ(Δt)]`
+///   (Eq. 5),
 /// * per-edge attention logits `Σ_h (Q⊙K)/√d_h`, normalized per
-///   destination with `edge_softmax` (Eq. 6),
-/// * segmented sum via `edge_reduce`, then an output FFN over
-///   `[r ‖ h_dst]` (Eq. 7).
+///   destination (Eq. 6), and the attention-weighted sum of the values
+///   (all three steps one [`op::edge_attention`], which applies `W_k`
+///   and `W_v` per destination instead of building `K` and `V`),
+/// * then an output FFN over `[r ‖ h_dst]` (Eq. 7).
 ///
 /// With `time_precompute` enabled (inference), `Φ(0)` and `Φ(Δt)` come
 /// from the context's precomputed tables.
@@ -115,17 +117,13 @@ impl TemporalAttnLayer {
         let (etable, erows) = blk.efeat_rows();
         let efeat = erows.as_deref().map_or(Part::Whole(&etable), |rows| Part::Rows(&etable, rows));
         let z = [Part::Whole(&h_src), efeat, Part::Whole(&nbr_t)];
-        let k = self.w_k.forward_parts(&z);
-        let v = self.w_v.forward_parts(&z);
 
         // Per-edge attention logits Σ_d Q⊙K / √d_h, normalized per
         // destination (Eq. 6, edge-wise instead of padded bmm — paper
         // Listing 2 lines 33-34), then the attention-weighted values
         // summed per destination.
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let logits = op::edge_dot(blk, &q, &k, self.heads, scale);
-        let attn = op::edge_softmax(blk, &logits); // [E, heads]
-        let r = op::edge_weighted_sum(blk, &v, &attn);
+        let r = op::edge_attention(blk, &q, &self.w_k, &self.w_v, &z, self.heads, scale);
 
         // Output FFN over [r ‖ h_dst] (Eq. 7).
         self.ffn.forward_parts(&[&r, &h_dst])
@@ -198,6 +196,48 @@ mod tests {
         let with_grad = l.parameters().iter().filter(|p| p.grad().is_some()).count();
         // Everything except possibly unused biases should have grads.
         assert!(with_grad >= 8, "only {with_grad} params got gradients");
+    }
+
+    /// The layer against the key / value chain it replaced, kept here
+    /// as the oracle: `K` and `V` per edge (`linear_cat`), `edge_dot`,
+    /// `edge_softmax`, `edge_weighted_sum`, then the same FFN. Outputs
+    /// and every parameter's first-step gradient agree within 1e-5.
+    #[test]
+    fn forward_matches_the_key_value_chain() {
+        let g = small_graph(3);
+        let ctx = ctx_for(&g);
+        let blk = TBlock::new(&ctx, 0, vec![10, 11, 12, 13], vec![100.0, 100.0, 40.0, 0.5]);
+        TSampler::new(5, SamplingStrategy::Recent).sample(&blk);
+        blk.set_dstdata("h", blk.dstfeat());
+        blk.set_srcdata("h", blk.srcfeat());
+        let l = layer(6);
+        let chain = |l: &TemporalAttnLayer| {
+            let h_dst = blk.dstdata("h");
+            let q = l.w_q.forward_parts(&[&h_dst, &l.time_encoder.encode_zeros(blk.num_dst())]);
+            let (h_src, efeat, phi) = (blk.srcdata("h"), blk.efeat(), l.time_encoder.encode(&blk.deltas()));
+            let z = [&h_src, &efeat, &phi];
+            let (k, v) = (l.w_k.forward_parts(&z), l.w_v.forward_parts(&z));
+            let scale = 1.0 / (l.head_dim as f32).sqrt();
+            let attn = op::edge_softmax(&blk, &op::edge_dot(&blk, &q, &k, l.heads, scale));
+            l.ffn.forward_parts(&[&op::edge_weighted_sum(&blk, &v, &attn), &h_dst])
+        };
+        let run = |out: Tensor| {
+            let w = Tensor::from_vec((0..out.numel()).map(|i| (i % 7) as f32 * 0.3 - 1.0).collect(), out.dims().to_vec());
+            out.mul(&w).sum_all().backward();
+            let mut all = vec![out.to_vec()];
+            for p in l.parameters() {
+                all.push(p.grad().unwrap_or_else(|| vec![0.0; p.numel()]));
+                p.zero_grad();
+            }
+            all
+        };
+        let (fused, want) = (run(l.forward(&ctx, &blk, false)), run(chain(&l)));
+        assert!(blk.num_edges() > 0 && want[0].iter().any(|&x| x != 0.0));
+        for (i, (got, want)) in fused.iter().zip(&want).enumerate() {
+            for (a, b) in got.iter().zip(want) {
+                assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "tensor {i}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -347,8 +347,8 @@ impl<'a, T> Rows<'a, T> {
 }
 
 /// The output buffers of a [`parallel_rows`] region: a [`Rows`], an
-/// `Option` of one (an absent output arrives as `None`), or a tuple of
-/// up to four of them, of any element types.
+/// `Option` of one (an absent output arrives as `None`), a `Vec` of
+/// them, or a tuple of up to four of them, of any element types.
 pub trait Outputs {
     /// What one chunk receives: its own `&mut` rows of every buffer.
     type Chunk: Send;
@@ -379,6 +379,14 @@ impl<O: Outputs> Outputs for Option<O> {
 
     fn cut(&mut self, items: Range<usize>) -> Self::Chunk {
         self.as_mut().map(|o| o.cut(items))
+    }
+}
+
+impl<O: Outputs> Outputs for Vec<O> {
+    type Chunk = Vec<O::Chunk>;
+
+    fn cut(&mut self, items: Range<usize>) -> Self::Chunk {
+        self.iter_mut().map(|o| o.cut(items.clone())).collect()
     }
 }
 

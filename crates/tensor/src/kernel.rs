@@ -728,6 +728,40 @@ unsafe fn run_avx512<K: LaneKernel>(k: K) {
     k.run::<std::arch::x86_64::__m512>()
 }
 
+/// The body of a [`map`]: one vector of output lanes from a vector of
+/// each of `N` inputs. A trait item, not a closure: a closure is
+/// compiled without the level's instruction set, so its lane operations
+/// could stay calls; an `#[inline(always)]` method inlines into the
+/// level's instance of the kernel that maps it.
+pub(crate) trait LaneMap<const N: usize> {
+    /// The output lanes of `x`.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s instruction set must be enabled.
+    unsafe fn lanes<V: Lanes>(&self, x: [V; N]) -> V;
+}
+
+/// `a + b`.
+pub(crate) struct Add;
+
+impl LaneMap<2> for Add {
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(&self, [a, b]: [V; 2]) -> V {
+        a.add(b)
+    }
+}
+
+/// `a + b / d`: the scalar loop's two roundings, the division first.
+struct AddDiv(f32);
+
+impl LaneMap<2> for AddDiv {
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(&self, [a, b]: [V; 2]) -> V {
+        a.add(b.div(V::splat(self.0)))
+    }
+}
+
 /// `out[i] = f([ins[0][i], ..])` for `i < len`, a vector at a time and
 /// the last one partial, so that every element goes through the same
 /// lane operations wherever a caller's chunk boundaries fall.
@@ -738,14 +772,22 @@ unsafe fn run_avx512<K: LaneKernel>(k: K) {
 /// `ins` must be valid for `len` floats. `out` may be one of `ins`:
 /// each vector is loaded before it is stored.
 #[inline(always)]
-pub(crate) unsafe fn map<V: Lanes, const N: usize>(out: *mut f32, ins: [*const f32; N], len: usize, f: impl Fn([V; N]) -> V) {
+pub(crate) unsafe fn map<V: Lanes, const N: usize>(out: *mut f32, ins: [*const f32; N], len: usize, f: &impl LaneMap<N>) {
     let whole = len / V::LANES * V::LANES;
     for at in (0..whole).step_by(V::LANES) {
-        f(ins.map(|p| V::load(p.add(at)))).store(out.add(at));
+        let mut x = [V::splat(0.0); N];
+        for (x, p) in x.iter_mut().zip(ins) {
+            *x = V::load(p.add(at));
+        }
+        f.lanes(x).store(out.add(at));
     }
     if whole < len {
         let part = len - whole;
-        f(ins.map(|p| V::load_part(p.add(whole), part))).store_part(out.add(whole), part);
+        let mut x = [V::splat(0.0); N];
+        for (x, p) in x.iter_mut().zip(ins) {
+            *x = V::load_part(p.add(whole), part);
+        }
+        f.lanes(x).store_part(out.add(whole), part);
     }
 }
 
@@ -758,7 +800,7 @@ pub(crate) unsafe fn map<V: Lanes, const N: usize>(out: *mut f32, ins: [*const f
 pub(crate) unsafe fn add_assign<V: Lanes>(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len());
     let y_ptr = y.as_mut_ptr();
-    map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), |[a, b]| a.add(b));
+    map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), &Add);
 }
 
 /// `y[i] += x[i] / d`, lane-wise: the scalar loop's two roundings, the
@@ -770,8 +812,8 @@ pub(crate) unsafe fn add_assign<V: Lanes>(y: &mut [f32], x: &[f32]) {
 #[inline(always)]
 pub(crate) unsafe fn add_div<V: Lanes>(y: &mut [f32], x: &[f32], d: f32) {
     assert_eq!(y.len(), x.len());
-    let (y_ptr, d) = (y.as_mut_ptr(), V::splat(d));
-    map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), |[a, b]| a.add(b.div(d)));
+    let y_ptr = y.as_mut_ptr();
+    map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), &AddDiv(d));
 }
 
 /// `dst[at(k)] += src[k]` for the `width`-wide rows `k` of `src`, `k`
@@ -911,24 +953,25 @@ pub fn exp(buf: &mut [f32]) {
     run_lanes(Exp(buf));
 }
 
-/// [`exp`] on `V`'s lanes: `map`'s loop without its closure, which
-/// would be compiled without the level's instruction set and leave
-/// `exp`'s intrinsics as calls.
+/// `exp` of every lane ([`Lanes::exp`]).
+struct Exp;
+
+impl LaneMap<1> for Exp {
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(&self, [x]: [V; 1]) -> V {
+        x.exp()
+    }
+}
+
+/// [`exp`] on `V`'s lanes.
 ///
 /// # Safety
 ///
 /// `V`'s instruction set must be enabled.
 #[inline(always)]
 pub(crate) unsafe fn exp_lanes<V: Lanes>(buf: &mut [f32]) {
-    let (p, len) = (buf.as_mut_ptr(), buf.len());
-    let whole = len / V::LANES * V::LANES;
-    for at in (0..whole).step_by(V::LANES) {
-        V::load(p.add(at)).exp().store(p.add(at));
-    }
-    if whole < len {
-        let part = len - whole;
-        V::load_part(p.add(whole), part).exp().store_part(p.add(whole), part);
-    }
+    let p = buf.as_mut_ptr();
+    map::<V, 1>(p, [p], buf.len(), &Exp);
 }
 
 // ---------------------------------------------------------------------
@@ -1180,10 +1223,15 @@ mod tests {
     #[test]
     fn mul_add_is_one_rounding_at_every_level() {
         struct MulAdd<'a>(&'a mut [f32], &'a [Vec<f32>; 3]);
+        impl LaneMap<3> for MulAdd<'_> {
+            unsafe fn lanes<V: Lanes>(&self, [c, a, b]: [V; 3]) -> V {
+                c.mul_add(a, b)
+            }
+        }
         impl LaneKernel for MulAdd<'_> {
             unsafe fn run<V: Lanes>(self) {
                 let [a, b, c] = self.1.each_ref().map(|v| v.as_ptr());
-                map::<V, 3>(self.0.as_mut_ptr(), [c, a, b], self.0.len(), |[c, a, b]| c.mul_add(a, b));
+                map::<V, 3>(self.0.as_mut_ptr(), [c, a, b], self.0.len(), &self);
             }
         }
         let _guard = serial();

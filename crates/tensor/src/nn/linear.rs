@@ -51,6 +51,11 @@ impl Linear {
         &self.weight
     }
 
+    /// The bias tensor (`[out]`).
+    pub fn bias(&self) -> &Tensor {
+        &self.bias
+    }
+
     /// Returns a copy of this layer with parameters on `device`
     /// (a one-time metered transfer; the new parameters are fresh
     /// trainable leaves).

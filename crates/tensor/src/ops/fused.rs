@@ -15,7 +15,7 @@
 use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 use crate::autograd::grad_enabled;
-use crate::kernel::{self, LaneKernel, Lanes, Trig};
+use crate::kernel::{self, LaneKernel, LaneMap, Lanes, Trig};
 use crate::ops::{for_each_chunk, rows_threshold, same_device};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -34,6 +34,46 @@ enum Pass<'a> {
     Addcmul { base: &'a [f32], a: &'a [f32], b: &'a [f32], s: f32 },
 }
 
+/// `max(a + b, 0)` ([`Pass::AddRelu`]).
+struct AddRelu;
+
+impl LaneMap<2> for AddRelu {
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(&self, [a, b]: [V; 2]) -> V {
+        a.add(b).max(V::splat(0.0))
+    }
+}
+
+/// `max(a, 0)`.
+struct Relu;
+
+impl LaneMap<1> for Relu {
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(&self, [a]: [V; 1]) -> V {
+        a.max(V::splat(0.0))
+    }
+}
+
+/// [`Pass::ReluMask`].
+struct ReluMask;
+
+impl LaneMap<2> for ReluMask {
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(&self, [go, y]: [V; 2]) -> V {
+        go.where_positive(y)
+    }
+}
+
+/// [`Pass::Addcmul`] with its `s`.
+struct Addcmul(f32);
+
+impl LaneMap<3> for Addcmul {
+    #[inline(always)]
+    unsafe fn lanes<V: Lanes>(&self, [base, a, b]: [V; 3]) -> V {
+        base.add(V::splat(self.0).mul(a).mul(b))
+    }
+}
+
 /// Runs `pass` into `out` at the active SIMD level.
 ///
 /// # Panics
@@ -45,19 +85,16 @@ fn elementwise(out: &mut [f32], pass: Pass<'_>) {
         #[inline(always)]
         unsafe fn run<V: Lanes>(self) {
             let Run(out, pass) = self;
-            let (o, n, zero) = (out.as_mut_ptr(), out.len(), V::splat(0.0));
+            let (o, n) = (out.as_mut_ptr(), out.len());
             let at = |x: &[f32]| {
                 assert_eq!(x.len(), n, "a fused operand of another length");
                 x.as_ptr()
             };
             // SAFETY (all three): every input was measured against `out`.
             match pass {
-                Pass::AddRelu(a, b) => kernel::map::<V, 2>(o, [at(a), at(b)], n, |[a, b]| a.add(b).max(zero)),
-                Pass::ReluMask { go, y } => kernel::map::<V, 2>(o, [at(go), at(y)], n, |[g, y]| g.where_positive(y)),
-                Pass::Addcmul { base, a, b, s } => {
-                    let s = V::splat(s);
-                    kernel::map::<V, 3>(o, [at(base), at(a), at(b)], n, |[base, a, b]| base.add(s.mul(a).mul(b)));
-                }
+                Pass::AddRelu(a, b) => kernel::map::<V, 2>(o, [at(a), at(b)], n, &AddRelu),
+                Pass::ReluMask { go, y } => kernel::map::<V, 2>(o, [at(go), at(y)], n, &ReluMask),
+                Pass::Addcmul { base, a, b, s } => kernel::map::<V, 3>(o, [at(base), at(a), at(b)], n, &Addcmul(s)),
             }
         }
     }
@@ -80,14 +117,13 @@ pub(crate) fn bias_act_rows(rows: &mut [f32], n: usize, bias: Option<&[f32]>, re
         #[inline(always)]
         unsafe fn run<V: Lanes>(self) {
             let BiasAct { rows, n, bias, relu } = self;
-            let zero = V::splat(0.0);
             for row in rows.chunks_exact_mut(n) {
                 let p = row.as_mut_ptr();
                 // SAFETY (all three): the row and the bias are `n` long.
                 match bias {
-                    Some(b) if relu => kernel::map::<V, 2>(p, [p, b.as_ptr()], n, |[v, b]| v.add(b).max(zero)),
-                    Some(b) => kernel::map::<V, 2>(p, [p, b.as_ptr()], n, |[v, b]| v.add(b)),
-                    None => kernel::map::<V, 1>(p, [p], n, |[v]| v.max(zero)),
+                    Some(b) if relu => kernel::map::<V, 2>(p, [p, b.as_ptr()], n, &AddRelu),
+                    Some(b) => kernel::map::<V, 2>(p, [p, b.as_ptr()], n, &kernel::Add),
+                    None => kernel::map::<V, 1>(p, [p], n, &Relu),
                 }
             }
         }

@@ -64,7 +64,7 @@ use crate::kernel::{self, LaneKernel, Lanes};
 pub(crate) type Epilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
 
 /// The epilogue of a plain product.
-const NO_EPILOGUE: &Epilogue<'static> = &|_| {};
+pub(crate) const NO_EPILOGUE: &Epilogue<'static> = &|_| {};
 
 /// Rows of A per register tile.
 pub(crate) const MR: usize = 4;
@@ -109,20 +109,29 @@ pub(crate) fn seq_rows(row_flops: usize) -> usize {
 }
 
 /// One of the matrices a left operand is made of: row-major `data`,
-/// `width` floats a row, read whole or, with `rows`, as the table rows
-/// `rows` names in that order (row `i` of the part is row `rows[i]` of
-/// `data`).
+/// `width` floats a row, rows `ld` floats apart, read whole or, with
+/// `rows`, as the table rows `rows` names in that order (row `i` of the
+/// part is row `rows[i]` of `data`).
 #[derive(Clone, Copy)]
 pub(crate) struct Mat<'a> {
     data: &'a [f32],
     width: usize,
+    ld: usize,
     rows: Option<&'a [usize]>,
 }
 
 impl<'a> Mat<'a> {
     /// `data` as it is stored.
     pub(crate) fn whole(data: &'a [f32], width: usize) -> Mat<'a> {
-        Mat { data, width, rows: None }
+        Mat::strided(data, width, width)
+    }
+
+    /// `width` columns of a matrix whose rows are `ld` floats apart,
+    /// `data` starting at the first of them: one head's block of
+    /// columns, read where it lies.
+    pub(crate) fn strided(data: &'a [f32], width: usize, ld: usize) -> Mat<'a> {
+        assert!(width <= ld, "a block of {width} columns in rows of {ld}");
+        Mat { data, width, ld, rows: None }
     }
 
     /// The rows `rows` of the table `data`, read where they lie.
@@ -133,12 +142,17 @@ impl<'a> Mat<'a> {
     pub(crate) fn rows(data: &'a [f32], width: usize, rows: &'a [usize]) -> Mat<'a> {
         let n = data.len().checked_div(width).unwrap_or(usize::MAX);
         assert!(rows.iter().all(|&r| r < n), "an indexed part names a row past its table's {n}");
-        Mat { data, width, rows: Some(rows) }
+        Mat { data, width, ld: width, rows: Some(rows) }
+    }
+
+    /// The part's column count.
+    pub(crate) fn width(&self) -> usize {
+        self.width
     }
 
     /// Row `i` of the part, from column `col` to the end of the table.
-    fn row(&self, i: usize, col: usize) -> &'a [f32] {
-        &self.data[self.rows.map_or(i, |rows| rows[i]) * self.width + col..]
+    pub(crate) fn row(&self, i: usize, col: usize) -> &'a [f32] {
+        &self.data[self.rows.map_or(i, |rows| rows[i]) * self.ld + col..]
     }
 }
 
@@ -208,10 +222,10 @@ impl<'a> Lhs<'a> {
             // Rows of `A'` are columns of the part; the reduction walks
             // its rows, through the index if it has one.
             let (part, col) = self.part_of(r);
-            let (x, width) = (part.data, part.width);
+            let (x, ld) = (part.data, part.ld);
             return runs.push(match part.rows {
-                None => Run::new(tile(ih, |q| &x[k0 * width + col + q..]), width, kc),
-                Some(rows) => Run::indexed(tile(ih, |q| &x[col + q..]), width, &rows[k0..k0 + kc]),
+                None => Run::new(tile(ih, |q| &x[k0 * ld + col + q..]), ld, kc),
+                Some(rows) => Run::indexed(tile(ih, |q| &x[col + q..]), ld, &rows[k0..k0 + kc]),
             });
         }
         // Every row passes from part to part at the same indices.
@@ -494,23 +508,15 @@ fn gemm(
 
 /// C[m,n] = A[m,k] * B[k,n]
 pub(crate) fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    mm_nn_cols(a, b, n, c, m, k, n);
+    mm_nn_cols(Mat::whole(a, k), b, n, c, m, n);
 }
 
-/// [`mm_nn`] against `n` columns of a wider `B`: row `kk` of the block
-/// starts at `b[kk * ldb]` (`dX_p = dY · W[:, part p]` on the weight as
-/// stored).
-pub(crate) fn mm_nn_cols(
-    a: &[f32],
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+/// `C[m,n] = A[m,k] · B[k,n]` for a part `a` of `k` columns, against
+/// `n` columns of a wider `B`: row `kk` of the block starts at
+/// `b[kk * ldb]` (`dX_p = dY · W[:, part p]` on the weight as stored).
+pub(crate) fn mm_nn_cols(a: Mat<'_>, b: &[f32], ldb: usize, c: &mut [f32], m: usize, n: usize) {
     let _t = tgl_obs::timer("gemm");
-    gemm(Lhs { parts: &[Mat::whole(a, k)], t: false }, b, false, ldb, c, m, k, n, NO_EPILOGUE);
+    gemm(Lhs { parts: &[a], t: false }, b, false, ldb, c, m, a.width, n, NO_EPILOGUE);
 }
 
 /// C[m,k] = A[m,n] * B[k,n]^T  (i.e. A · Bᵀ)
@@ -537,11 +543,11 @@ pub(crate) fn mm_nt_then(
 }
 
 /// `C[k,n] = [a₀ ‖ a₁ ‖ ..]ᵀ · B[m,n]` over the `m`-row parts `a` (`k`
-/// = the sum of their widths): `Aᵀ · B`.
-pub(crate) fn mm_tn(a: &[Mat<'_>], b: &[f32], c: &mut [f32], m: usize, n: usize) {
+/// = the sum of their widths), rows of `b` `ldb` floats apart: `Aᵀ · B`.
+pub(crate) fn mm_tn(a: &[Mat<'_>], b: &[f32], ldb: usize, c: &mut [f32], m: usize, n: usize) {
     let _t = tgl_obs::timer("gemm");
     let k = a.iter().map(|part| part.width).sum();
-    gemm(Lhs { parts: a, t: true }, b, false, n, c, k, m, n, NO_EPILOGUE);
+    gemm(Lhs { parts: a, t: true }, b, false, ldb, c, k, m, n, NO_EPILOGUE);
 }
 
 #[cfg(test)]
@@ -597,7 +603,7 @@ mod tests {
         match variant {
             "nn" => mm_nn(a, b, &mut c, m, k, n),
             "nt" => mm_nt(a, &transposed(b, k, n), &mut c, m, k, n),
-            "tn" => mm_tn(&[Mat::whole(&transposed(a, m, k), m)], b, &mut c, k, n),
+            "tn" => mm_tn(&[Mat::whole(&transposed(a, m, k), m)], b, n, &mut c, k, n),
             _ => unreachable!(),
         }
         c
@@ -765,8 +771,8 @@ mod tests {
                 assert_eq!(split, whole, "{at} X·Wᵀ {m}x{k}x{n} cut at {cuts:?}");
 
                 let (mut whole, mut split) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
-                mm_tn(&[Mat::whole(&x, k)], &dy, &mut whole, m, n);
-                mm_tn(&parts, &dy, &mut split, m, n);
+                mm_tn(&[Mat::whole(&x, k)], &dy, n, &mut whole, m, n);
+                mm_tn(&parts, &dy, n, &mut split, m, n);
                 assert_eq!(split, whole, "{at} Xᵀ·dY {m}x{k}x{n} cut at {cuts:?}");
 
                 // dX = dY · W, and its columns from the first cut on.
@@ -774,7 +780,7 @@ mod tests {
                 let mut dx = vec![f32::NAN; m * k];
                 mm_nn(&dy, &w, &mut dx, m, n, k);
                 let mut block = vec![f32::NAN; m * (k - cut)];
-                mm_nn_cols(&dy, &w[cut..], k, &mut block, m, n, k - cut);
+                mm_nn_cols(Mat::whole(&dy, n), &w[cut..], k, &mut block, m, k - cut);
                 let want: Vec<f32> = dx.chunks_exact(k).flat_map(|row| row[cut..].to_vec()).collect();
                 assert_eq!(block, want, "{at} dX columns {cut}.. of {m}x{n}x{k}");
             }
@@ -817,7 +823,7 @@ mod tests {
         let mut c = vec![0.0f32; 0];
         mm_nn(&[], &[], &mut c, 0, 0, 0);
         mm_nt(&[], &[], &mut c, 0, 0, 0);
-        mm_tn(&[Mat::whole(&[], 0)], &[], &mut c, 0, 0);
+        mm_tn(&[Mat::whole(&[], 0)], &[], 0, &mut c, 0, 0);
         let mut c2 = vec![5.0f32; 6];
         mm_nn(&[], &[], &mut c2, 2, 0, 3);
         assert_eq!(c2, vec![0.0; 6], "an empty reduction is a zero product");

@@ -59,7 +59,7 @@ impl Tensor {
             });
             let gb = need_b.then(|| {
                 let mut gb = pool::take_uninit(k * n, b_t.device());
-                mm_tn(&[Mat::whole(&a_t.inner.storage.read(), k)], go, &mut gb, m, n);
+                mm_tn(&[Mat::whole(&a_t.inner.storage.read(), k)], go, n, &mut gb, m, n);
                 gb
             });
             vec![ga, gb]
@@ -98,14 +98,14 @@ impl<'a> From<&'a Tensor> for Part<'a> {
 
 impl<'a> Part<'a> {
     /// The tensor the part reads.
-    fn tensor(&self) -> &'a Tensor {
+    pub(crate) fn tensor(&self) -> &'a Tensor {
         match *self {
             Part::Whole(x) | Part::Rows(x, _) => x,
         }
     }
 
     /// The table rows the part names, if it is indexed.
-    fn index(&self) -> Option<&'a [usize]> {
+    pub(crate) fn index(&self) -> Option<&'a [usize]> {
         match *self {
             Part::Whole(_) => None,
             Part::Rows(_, rows) => Some(rows),
@@ -113,14 +113,14 @@ impl<'a> Part<'a> {
     }
 
     /// The part's row count `m`.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index().map_or_else(|| self.tensor().dim(0), <[usize]>::len)
     }
 }
 
 /// Runs `f` on `xs` as the GEMM's left operand takes them: each part's
 /// data and row length, and its row index where it has one.
-fn with_parts<R>(xs: &[Tensor], index: &[Option<&[usize]>], f: impl FnOnce(&[Mat<'_>]) -> R) -> R {
+pub(crate) fn with_parts<R>(xs: &[Tensor], index: &[Option<&[usize]>], f: impl FnOnce(&[Mat<'_>]) -> R) -> R {
     let data: Vec<_> = xs.iter().map(|x| x.inner.storage.read()).collect();
     let parts: Vec<Mat<'_>> = data
         .iter()
@@ -259,7 +259,7 @@ fn linear_parts(parts: &[Part<'_>], weight: &Tensor, bias: Option<&Tensor>, relu
                 need_x[p].then(|| {
                     let mut gx = pool::take_uninit(m * widths[p], device);
                     let w = w_t.inner.storage.read();
-                    mm_nn_cols(dy, &w[cols[p]..], k, &mut gx, m, n, widths[p]);
+                    mm_nn_cols(Mat::whole(dy, n), &w[cols[p]..], k, &mut gx, m, widths[p]);
                     let Some(rows) = &index[p] else { return gx };
                     let table = scatter_add_rows(&gx, rows, widths[p], xs[p].numel(), device);
                     pool::give(gx, device);
@@ -275,7 +275,7 @@ fn linear_parts(parts: &[Part<'_>], weight: &Tensor, bias: Option<&Tensor>, relu
             // Same products, same row-ascending order per element.
             let mut gwt = pool::take_uninit(k * n, device);
             let index: Vec<Option<&[usize]>> = index.iter().map(Option::as_deref).collect();
-            with_parts(&xs, &index, |xs| mm_tn(xs, dy, &mut gwt, m, n));
+            with_parts(&xs, &index, |xs| mm_tn(xs, dy, n, &mut gwt, m, n));
             let mut gw = pool::take_uninit(n * k, device);
             transpose_into(&gwt, k, n, &mut gw);
             pool::give(gwt, device);

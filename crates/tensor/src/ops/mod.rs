@@ -21,7 +21,7 @@ pub use index::cat;
 pub use inplace::AdamStep;
 pub use matmul::{linear_cat, Part};
 pub use segment::{
-    segment_dot, segment_max, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
+    edge_attention, segment_dot, segment_max, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
 };
 
 use std::ops::Range;

@@ -13,7 +13,7 @@ use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 use tgl_tensor::kernel::{self, Simd, Trig};
 use tgl_tensor::ops::{
-    cat, gru_gates, linear_cat, segment_dot, segment_mean, segment_softmax, segment_sum,
+    cat, edge_attention, gru_gates, linear_cat, segment_dot, segment_mean, segment_softmax, segment_sum,
     segment_weighted_sum, time_encode, AdamStep, Part,
 };
 use tgl_tensor::Tensor;
@@ -1089,6 +1089,65 @@ fn attention_kernels_are_their_scalar_loops_at_every_simd_level() {
                             bits(got),
                             bits(want),
                             "{name}: H={h} D={d} E={e} shuffled={shuffled} at {level:?}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `edge_attention` has no scalar loop to match (its dot products take
+/// 16 partial sums); its contract is one set of bits whatever runs it.
+/// Output and every gradient (query, both maps, two whole parts and an
+/// indexed table) at every SIMD level and at 1 and 4 threads against
+/// the scalar level on one thread: head counts 1-4 (3 packs into no
+/// vector of rows), part widths that are and are not multiples of 16,
+/// sorted and shuffled ids with empty segments, and one TGAT-wide layer
+/// long enough to split across threads.
+#[test]
+fn edge_attention_holds_its_bits_at_every_simd_level_and_thread_count() {
+    let _g = serial();
+    let _restore = RestoreKernel;
+    let mut rng = StdRng::seed_from_u64(0xED6E);
+    let cases: [(usize, usize, [usize; 3], usize); 5] =
+        [(1, 5, [3, 2, 4], 2), (2, 16, [32, 32, 16], 3), (3, 4, [7, 16, 9], 2), (4, 8, [17, 1, 30], 2), (2, 16, [32, 32, 16], 101)];
+    for (h, d, widths, cycles) in cases {
+        for shuffled in [false, true] {
+            let (seg, s) = attention_ids(cycles, shuffled, &mut rng);
+            let (e, hd, k) = (seg.len(), h * d, widths.iter().sum::<usize>());
+            let table_rows = e / 3 + 1;
+            let rows: Vec<usize> = (0..e).map(|_| rng.gen_range(0..table_rows)).collect();
+            let inputs = vec![
+                rand2(&mut rng, [s, hd]),
+                rand2(&mut rng, [hd, k]),
+                rand2(&mut rng, [hd, k]),
+                Tensor::rand_uniform([hd], -1.0, 1.0, &mut rng),
+                rand2(&mut rng, [e, widths[0]]),
+                rand2(&mut rng, [table_rows, widths[1]]),
+                rand2(&mut rng, [e, widths[2]]),
+            ];
+            let scale = 1.0 / (d as f32).sqrt();
+            let (seg_op, rows_op) = (seg.clone(), rows.clone());
+            let attend: Op = Box::new(move |t| {
+                let z = [Part::Whole(&t[4]), Part::Rows(&t[5], &rows_op), Part::Whole(&t[6])];
+                edge_attention(&t[0], &t[1], [&t[2], &t[3]], &z, &seg_op, h, scale)
+            });
+            kernel::set_simd(Simd::Scalar);
+            set_threads(1);
+            let want = eval(&attend, &inputs);
+            assert!(want.iter().all(|v| v.iter().all(|x| x.is_finite())));
+            for level in kernel::simd_levels() {
+                kernel::set_simd(level);
+                for threads in [1, 4] {
+                    set_threads(threads);
+                    let got = eval(&attend, &inputs);
+                    let names = ["out", "dq", "dw_k", "dw_v", "db_v", "dh_src", "dtable", "dphi"];
+                    for ((name, got), want) in names.iter().zip(&got).zip(&want) {
+                        assert_eq!(
+                            bits(got),
+                            bits(want),
+                            "{name}: H={h} D={d} parts {widths:?} E={e} shuffled={shuffled} at {level:?}, {threads} threads"
                         );
                     }
                 }

@@ -350,6 +350,33 @@ fn reported_epoch(model: ModelKind, threads: usize) -> tgl_harness::RunReport {
     report
 }
 
+/// The stage table at two threads: each of its three columns adds up
+/// to the critical path's wall within 1%. The phases and the op profile
+/// split the main thread's time, and `critpath_s` is each stage's share
+/// of the critical path; a stage's serial seconds (every thread's work)
+/// would add up to more than the wall.
+#[test]
+fn stage_table_columns_add_up_to_the_wall_at_two_threads() {
+    let _g = serial();
+    let report = reported_epoch(ModelKind::Tgat, 2);
+    let cp = report.critpath.as_ref().expect("the span log kept the run");
+    let table = tgl_harness::profrep::render_stages(&report.profile, Some(cp));
+    let mut sums = [0.0f64; 3];
+    for row in table.lines().map(|l| l.split_whitespace().collect::<Vec<_>>()) {
+        let cols: Vec<f64> = row.iter().skip(1).filter_map(|c| c.parse().ok()).collect();
+        if row.len() == 6 && cols.len() == 5 {
+            (sums[0], sums[1], sums[2]) = (sums[0] + cols[0], sums[1] + cols[3], sums[2] + cols[4]);
+        }
+    }
+    for (name, sum) in ["phase_s", "ops+rest_s", "critpath_s"].iter().zip(sums) {
+        assert!(
+            (sum - cp.wall_s).abs() <= 0.01 * cp.wall_s,
+            "{name} adds up to {sum:.4}s of a {:.4}s wall:\n{table}",
+            cp.wall_s
+        );
+    }
+}
+
 /// The phase table, the op profile and the critical path are three
 /// readers of one span stream, so on one thread they must put the same
 /// seconds in the same stage: for every stage above 5% of the wall the
