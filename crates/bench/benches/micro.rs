@@ -37,9 +37,7 @@ use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::rng::{SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 use tgl_sampler::{SamplingStrategy, TemporalSampler};
-use tgl_tensor::ops::{
-    cat, edge_attention, linear_cat, segment_dot, segment_softmax, segment_weighted_sum, time_encode, Part,
-};
+use tgl_tensor::ops::{cat, edge_attention, linear_cat, segment_softmax, time_encode, Part};
 use tgl_tensor::Tensor;
 use tglite::{obs, op, TBlock, TContext, TSampler};
 
@@ -370,47 +368,29 @@ fn thread_sweep(rows: &mut Rows, counts: &[usize]) {
     }
 }
 
-/// The attention segment kernels, forward and backward, at 1 and 2
-/// threads: `segment_dot` and `segment_weighted_sum` at one TGAT
-/// batch's shape (6 000 sampled edges over 600 destinations, 2 heads of
-/// 16), then those two and `segment_softmax` at TGAT's measured
-/// per-layer shapes on Wiki (4 430 edges over 600 destinations and
-/// 11 803 over 1 600, nondecreasing ids as a block hands them over).
+/// The segment softmax, forward and backward, at 1 and 2 threads, at
+/// TGAT's measured per-layer shapes on Wiki (4 430 edges over 600
+/// destinations and 11 803 over 1 600, 2 heads, nondecreasing ids as a
+/// block hands them over); a row's name keeps the heads' width of 16.
 fn attention_kernel_sweep(rows: &mut Rows, counts: &[usize]) {
     let (h, d) = (2usize, 16usize);
     let mut rng = StdRng::seed_from_u64(11);
-    let shapes = [(6000usize, 600usize, false), (4430, 600, true), (11803, 1600, true)];
-    for (e, s, softmax) in shapes {
+    for (e, s) in [(4430usize, 600usize), (11803, 1600)] {
         let seg: Vec<usize> = (0..e).map(|i| i * s / e).collect();
-        let q = Tensor::rand_uniform([s, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
-        let k = Tensor::rand_uniform([e, h * d], -1.0, 1.0, &mut rng).requires_grad(true);
         let a = Tensor::rand_uniform([e, h], 0.0, 1.0, &mut rng).requires_grad(true);
         let backward = |lap: &mut Lap, y: Tensor| {
             let go = vec![1.0; y.numel()];
-            [&q, &k, &a].into_iter().for_each(Tensor::zero_grad);
+            a.zero_grad();
             lap.start();
             y.backward_with(go);
             y
         };
         for &t in counts.iter().filter(|&&t| t <= 2) {
             set_threads(t);
-            let scale = 1.0 / (d as f32).sqrt();
-            let mut timed = vec![
-                ("segment_dot", time_it(|_| segment_dot(&q, &k, &seg, h, scale), 0.3)),
-                ("segment_dot_bwd", time_it(|lap| backward(lap, segment_dot(&q, &k, &seg, h, scale)), 0.3)),
-                ("segment_weighted_sum", time_it(|_| segment_weighted_sum(&k, &a, &seg, s), 0.3)),
-                (
-                    "segment_weighted_sum_bwd",
-                    time_it(|lap| backward(lap, segment_weighted_sum(&k, &a, &seg, s)), 0.3),
-                ),
+            let timed = [
+                ("segment_softmax", time_it(|_| segment_softmax(&a, &seg, s), 0.3)),
+                ("segment_softmax_bwd", time_it(|lap| backward(lap, segment_softmax(&a, &seg, s)), 0.3)),
             ];
-            if softmax {
-                timed.push(("segment_softmax", time_it(|_| segment_softmax(&a, &seg, s), 0.3)));
-                timed.push((
-                    "segment_softmax_bwd",
-                    time_it(|lap| backward(lap, segment_softmax(&a, &seg, s)), 0.3),
-                ));
-            }
             for (kernel, secs) in timed {
                 rows.push(format!("{kernel}_{e}x{h}x{d}"), t, secs);
             }

@@ -59,7 +59,7 @@ OBSERVABILITY OPTIONS (train/eval):
     --critpath           log every span and print a critical-path
                          table after the run: per-stage serial vs
                          exclusive vs overlapped time, the critical
-                         path itself, overlap efficiency, and pool
+                         path itself, serial/wall, and pool
                          busy/wait attribution
     --metrics-out <PATH> write the tgl-run-report/v3 JSON: per-epoch
                          phases, counters, latency histograms, health,

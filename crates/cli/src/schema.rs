@@ -76,7 +76,7 @@ fn run_report(v: &Json) -> Result<(), String> {
         }
     }
     if let Some(cp) = section("critpath") {
-        for key in ["wall_s", "busy_s", "serial_s", "critical_s", "wait_s", "overlap_efficiency"] {
+        for key in ["wall_s", "busy_s", "serial_s", "critical_s", "wait_s"] {
             num(cp, key).map_err(|e| format!("critpath: {e}"))?;
         }
         for (i, row) in arr(cp, "stages").map_err(|e| format!("critpath: {e}"))?.iter().enumerate() {

@@ -1,8 +1,7 @@
 //! TBlock-based operators (paper Table 1).
 //!
-//! Single-block computation operators: [`edge_attention`], [`edge_dot`],
-//! [`edge_softmax`], [`edge_weighted_sum`], [`edge_reduce`], [`src_scatter`],
-//! [`coalesce`].
+//! Single-block computation operators: [`edge_attention`],
+//! [`edge_softmax`], [`edge_reduce`], [`src_scatter`], [`coalesce`].
 //! Multi-block operators: [`aggregate`] (pull-style message passing)
 //! and [`propagate`] (push-style).
 //! Optimization operators (semantic-preserving): [`dedup`], [`cache`],
@@ -24,7 +23,5 @@ pub use coalesce::{coalesce, CoalesceBy};
 pub use dedup::{dedup, node_index, NodeIndex};
 pub use preload::preload;
 pub(crate) use preload::Staged;
-pub use segment::{
-    edge_attention, edge_dot, edge_reduce, edge_softmax, edge_weighted_sum, src_scatter, ReduceOp,
-};
+pub use segment::{edge_attention, edge_reduce, edge_softmax, src_scatter, ReduceOp};
 pub use time::{precomputed_times, precomputed_zeros};

@@ -5,10 +5,7 @@
 //! matmul + masked softmax over padded neighbor tensors.
 
 use tgl_tensor::nn::Linear;
-use tgl_tensor::ops::{
-    edge_attention as attend, segment_dot, segment_max, segment_mean, segment_softmax, segment_sum,
-    segment_weighted_sum, Part,
-};
+use tgl_tensor::ops::{edge_attention as attend, segment_max, segment_mean, segment_softmax, segment_sum, Part};
 use tgl_tensor::Tensor;
 
 use crate::TBlock;
@@ -23,24 +20,6 @@ pub enum ReduceOp {
     Mean,
     /// Elementwise max per group.
     Max,
-}
-
-/// Per-head attention logits of every sampled edge: the scaled dot
-/// product of the edge's key with its destination's query,
-/// `logits[e, h] = (Σ_d q[dst(e), h, d] · k[e, h, d]) · scale`
-/// (paper Listing 2, line 33, edge-wise instead of a padded `bmm`).
-///
-/// `q` has one `[heads · dim]` row per destination and `k` one per
-/// edge; the destination's row is read in place, never gathered into
-/// a per-edge copy.
-///
-/// # Panics
-///
-/// Panics if `q.dim(0) != blk.num_dst()` or `k.dim(0) != blk.num_edges()`.
-pub fn edge_dot(blk: &TBlock, q: &Tensor, k: &Tensor, heads: usize, scale: f32) -> Tensor {
-    assert_eq!(q.dim(0), blk.num_dst(), "edge_dot expects one query row per destination");
-    assert_eq!(k.dim(0), blk.num_edges(), "edge_dot expects one key row per edge");
-    segment_dot(q, k, &blk.dst_index(), heads, scale)
 }
 
 /// Multi-head attention of every destination over its sampled edges
@@ -72,20 +51,6 @@ pub fn edge_attention(
 ) -> Tensor {
     assert_eq!(q.dim(0), blk.num_dst(), "edge_attention expects one query row per destination");
     attend(q, key.weight(), [value.weight(), value.bias()], z, &blk.dst_index(), heads, scale)
-}
-
-/// Per-head weighted sum of per-edge values into per-destination rows:
-/// `r[dst, h, :] = Σ_{e → dst} values[e, h, :] · weights[e, h]`, the
-/// attention output (`edge_reduce` of the weighted values, paper
-/// Listing 2, lines 35-36) without materializing the weighted values.
-/// Destinations with no sampled edges yield zero rows.
-///
-/// # Panics
-///
-/// Panics unless `values` and `weights` have one row per edge.
-pub fn edge_weighted_sum(blk: &TBlock, values: &Tensor, weights: &Tensor) -> Tensor {
-    assert_eq!(values.dim(0), blk.num_edges(), "edge_weighted_sum expects one row per edge");
-    segment_weighted_sum(values, weights, &blk.dst_index(), blk.num_dst())
 }
 
 /// Segmented softmax of per-edge values grouped by destination

@@ -37,8 +37,8 @@
 //!   "profile": [{"name": "linear", "phase": "attention",
 //!                "stage": "forward", "kind": "op", "calls": 96,
 //!                "self_ns": 1.2e9, "flops": 8.1e9, ...}, ...],
-//!   "critpath": {"wall_s": 2.1, "critical_s": 1.9, "wait_s": 0.2,
-//!                "overlap_efficiency": 1.4,
+//!   "critpath": {"wall_s": 2.1, "serial_s": 2.9, "critical_s": 1.9,
+//!                "wait_s": 0.2,
 //!                "stages": [{"stage": "sample", "serial_s": 0.4,
 //!                            "exclusive_s": 0.1, "overlapped_s": 0.3,
 //!                            "critical_s": 0.2, "segments": 64}, ...]},
@@ -195,7 +195,6 @@ fn critpath_json(a: &tgl_obs::critpath::Analysis) -> Json {
         ("serial_s", a.serial_s),
         ("critical_s", a.critical_s),
         ("wait_s", a.wait_s),
-        ("overlap_efficiency", a.overlap_efficiency),
         ("threads", a.threads as f64),
         ("steps", a.steps as f64),
         ("spans", a.spans as f64),

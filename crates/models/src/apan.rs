@@ -4,7 +4,7 @@ use tgl_runtime::rng::StdRng;
 use tgl_runtime::rng::SeedableRng;
 use tgl_graph::NodeId;
 use tgl_tensor::nn::{GruCell, Linear, Mlp, Module};
-use tgl_tensor::ops::{cat, segment_dot, segment_softmax, segment_weighted_sum};
+use tgl_tensor::ops::{cat, edge_attention, Part};
 use tgl_tensor::{no_grad, Tensor};
 use tglite::nn::TimeEncode;
 use tglite::plan::{self, SamplingSpec};
@@ -73,40 +73,48 @@ impl Apan {
 
     /// Attention over mailbox slots: one embedding row per destination
     /// of `head`, plus the attended mail summary used for the memory
-    /// update.
+    /// update. A destination's slots are its edges: one
+    /// [`edge_attention`] with one head, its keys and values never
+    /// built per slot (`w_k`'s bias cancels in the softmax and takes no
+    /// gradient). The phases are [`crate::TemporalAttnLayer`]'s.
     fn attention(&self, ctx: &TContext, head: &TBlock) -> (Tensor, Tensor) {
         let g = ctx.graph();
         let device = ctx.device();
         let (nodes, times) = (head.dst_nodes(), head.dst_times());
         let n = nodes.len();
+        let read = tgl_obs::span("attention");
         let (mails, mail_ts, owners) = g.mailbox().all_slots(&nodes);
         let mails = mails.to(device);
+        drop(read);
+        // Φ(Δt) of every slot's mail, then Φ(0) for the queries.
+        let use_pre = self.opts.time_precompute && !self.training;
+        let nbrs = tgl_obs::span("time_nbrs");
         let deltas: Vec<f32> = owners
             .iter()
             .zip(&mail_ts)
             .map(|(&o, &mt)| (times[o] - mt) as f32)
             .collect();
         let deltas = Tensor::from_vec(deltas, [owners.len()]).to(device);
-        let use_pre = self.opts.time_precompute && !self.training;
         let mail_t = if use_pre {
             op::precomputed_times(ctx, &self.time_encoder, &deltas)
         } else {
             self.time_encoder.encode(&deltas)
         };
+        drop(nbrs);
+        let zero = tgl_obs::span("time_zero");
         let zeros_t = if use_pre {
             op::precomputed_zeros(ctx, &self.time_encoder, n)
         } else {
             self.time_encoder.encode_zeros(n)
         };
+        drop(zero);
+        let _attend = tgl_obs::span("attention");
         let nfeat = head.dstfeat();
         let q = self.w_q.forward_parts(&[&nfeat, &zeros_t]);
-        let kv_in = [&mails, &mail_t];
-        let k = self.w_k.forward_parts(&kv_in);
-        let v = self.w_v.forward_parts(&kv_in);
         let scale = 1.0 / (q.dim(1) as f32).sqrt();
-        let logits = segment_dot(&q, &k, &owners, 1, scale); // [slots, 1]
-        let attn = segment_softmax(&logits, &owners, n);
-        let summary = segment_weighted_sum(&v, &attn, &owners, n); // [n, hd]
+        let z = [Part::Whole(&mails), Part::Whole(&mail_t)];
+        let value = [self.w_v.weight(), self.w_v.bias()];
+        let summary = edge_attention(&q, self.w_k.weight(), value, &z, &owners, 1, scale); // [n, hd]
         let emb = self.ffn.forward_parts(&[&summary, &nfeat]);
         (emb, summary)
     }
@@ -274,6 +282,64 @@ mod tests {
         let mut model = Apan::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 4);
         let (first, last) = train_steps(&mut model, &ctx, 15);
         assert!(last < first, "loss should drop: {first} -> {last}");
+    }
+
+    /// `Apan::attention` by the per-slot key / value chain: `K` and `V`
+    /// per slot (`linear_cat`), the logits by gather, product and sum,
+    /// `segment_softmax`, then `segment_sum` of the weighted values.
+    fn attention_chain(m: &Apan, ctx: &TContext, head: &TBlock) -> (Tensor, Tensor) {
+        use tgl_tensor::ops::{segment_softmax, segment_sum};
+        let (nodes, times) = (head.dst_nodes(), head.dst_times());
+        let (mails, mail_ts, owners) = ctx.graph().mailbox().all_slots(&nodes);
+        let (n, e) = (nodes.len(), owners.len());
+        let deltas = owners.iter().zip(&mail_ts).map(|(&o, &mt)| (times[o] - mt) as f32).collect();
+        let mail_t = m.time_encoder.encode(&Tensor::from_vec(deltas, [e]));
+        let nfeat = head.dstfeat();
+        let q = m.w_q.forward_parts(&[&nfeat, &m.time_encoder.encode_zeros(n)]);
+        let (k, v) = (m.w_k.forward_parts(&[&mails, &mail_t]), m.w_v.forward_parts(&[&mails, &mail_t]));
+        let hd = q.dim(1);
+        let logits = q.index_select(&owners).mul(&k).reshape([e, 1, hd]).sum_dim(2).mul_scalar(1.0 / (hd as f32).sqrt());
+        let attn = segment_softmax(&logits, &owners, n);
+        let summary = segment_sum(&v.reshape([e, 1, hd]).mul(&attn.reshape([e, 1, 1])).reshape([e, hd]), &owners, n);
+        (m.ffn.forward_parts(&[&summary, &nfeat]), summary)
+    }
+
+    /// The attention against the per-slot chain it replaced: the
+    /// embeddings, the summaries and every parameter's first-step
+    /// gradient agree within 1e-5, over mailboxes that earlier batches
+    /// filled.
+    #[test]
+    fn attention_matches_the_per_slot_key_value_chain() {
+        let g = small_graph(34);
+        let ctx = ctx_for(&g);
+        let mut model = Apan::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 5);
+        for start in [0, 30, 60] {
+            model.forward(&ctx, &batch_with_negs(&g, start..start + 30, 0));
+        }
+        let batch = batch_with_negs(&g, 90..110, 1);
+        let head = plan::build_chain(&ctx, &batch, &model.spec, false);
+        let run = |(emb, summary): (Tensor, Tensor)| {
+            let weights = |t: &Tensor, salt: usize| {
+                Tensor::from_vec((0..t.numel()).map(|i| ((i + salt) % 7) as f32 * 0.3 - 1.0).collect(), t.dims().to_vec())
+            };
+            emb.mul(&weights(&emb, 0)).sum_all().add(&summary.mul(&weights(&summary, 3)).sum_all()).backward();
+            let mut all = vec![emb.to_vec(), summary.to_vec()];
+            for p in model.parameters() {
+                all.push(p.grad().unwrap_or_else(|| vec![0.0; p.numel()]));
+                p.zero_grad();
+            }
+            all
+        };
+        let (fused, want) = (run(model.attention(&ctx, &head)), run(attention_chain(&model, &ctx, &head)));
+        let (mails, _, _) = g.mailbox().all_slots(&head.dst_nodes());
+        assert!(mails.to_vec().iter().any(|&x| x != 0.0), "no mail to attend over");
+        assert_eq!(fused.len(), want.len());
+        for (i, (got, want)) in fused.iter().zip(&want).enumerate() {
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(want) {
+                assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "tensor {i}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -199,9 +199,10 @@ mod tests {
     }
 
     /// The layer against the key / value chain it replaced, kept here
-    /// as the oracle: `K` and `V` per edge (`linear_cat`), `edge_dot`,
-    /// `edge_softmax`, `edge_weighted_sum`, then the same FFN. Outputs
-    /// and every parameter's first-step gradient agree within 1e-5.
+    /// as the oracle: `K` and `V` per edge (`linear_cat`), the logits by
+    /// gather, product and sum, `edge_softmax`, `edge_reduce` of the
+    /// weighted values, then the same FFN. Outputs and every parameter's
+    /// first-step gradient agree within 1e-5.
     #[test]
     fn forward_matches_the_key_value_chain() {
         let g = small_graph(3);
@@ -217,9 +218,11 @@ mod tests {
             let (h_src, efeat, phi) = (blk.srcdata("h"), blk.efeat(), l.time_encoder.encode(&blk.deltas()));
             let z = [&h_src, &efeat, &phi];
             let (k, v) = (l.w_k.forward_parts(&z), l.w_v.forward_parts(&z));
-            let scale = 1.0 / (l.head_dim as f32).sqrt();
-            let attn = op::edge_softmax(&blk, &op::edge_dot(&blk, &q, &k, l.heads, scale));
-            l.ffn.forward_parts(&[&op::edge_weighted_sum(&blk, &v, &attn), &h_dst])
+            let (e, h, d) = (blk.num_edges(), l.heads, l.head_dim);
+            let logits = q.index_select(&blk.dst_index()).mul(&k).reshape([e, h, d]).sum_dim(2);
+            let attn = op::edge_softmax(&blk, &logits.mul_scalar(1.0 / (d as f32).sqrt()));
+            let weighted = v.reshape([e, h, d]).mul(&attn.reshape([e, h, 1])).reshape([e, h * d]);
+            l.ffn.forward_parts(&[&op::edge_reduce(&blk, &weighted, op::ReduceOp::Sum), &h_dst])
         };
         let run = |out: Tensor| {
             let w = Tensor::from_vec((0..out.numel()).map(|i| (i % 7) as f32 * 0.3 - 1.0).collect(), out.dims().to_vec());

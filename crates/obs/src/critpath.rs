@@ -16,9 +16,11 @@
 //! - the **critical path**: a maximal chain of segments ordered by
 //!   time, preferring parent-linked and same-thread predecessors, whose
 //!   total is the best lower bound on achievable wall time;
-//! - **overlap efficiency** (`serial / wall`; 1.0 = fully sequential,
-//!   approaching the thread count = perfectly overlapped) and pool
-//!   busy/wait attribution from the runtime counters.
+//! - pool busy/wait attribution from the runtime counters.
+//!
+//! `serial / wall` is how many threads were busy on average (1.0 =
+//! sequential); the table prints it as that concurrency, not as a
+//! speedup, which only a timed one-thread run can show.
 //!
 //! This is the acceptance instrument for the pipelined trainer
 //! (ROADMAP item 2): a pipelining refactor must show transfer/sample
@@ -155,8 +157,6 @@ pub struct Analysis {
     pub critical_s: f64,
     /// Wall time not on the critical path (`wall - critical`), s.
     pub wait_s: f64,
-    /// `serial / wall`; 1.0 = sequential, N = N-way overlapped.
-    pub overlap_efficiency: f64,
     /// Distinct thread ids observed.
     pub threads: usize,
     /// Number of `step` container spans (training steps traced).
@@ -299,7 +299,6 @@ pub fn analyze(spans: &[Span]) -> Analysis {
         serial_s,
         critical_s,
         wait_s: (wall_s - critical_s).max(0.0),
-        overlap_efficiency: if wall_s > 0.0 { serial_s / wall_s } else { 0.0 },
         threads: tids.len(),
         steps,
         spans: spans.len(),
@@ -347,10 +346,11 @@ pub fn render_table(a: &Analysis) -> String {
             row.segments
         );
     }
+    let concurrency = if a.wall_s > 0.0 { a.serial_s / a.wall_s } else { 0.0 };
     let _ = writeln!(
         out,
-        "overlap efficiency {:.2}x over {} thread(s), {} step(s), busy {:.3}s",
-        a.overlap_efficiency, a.threads, a.steps, a.busy_s
+        "serial/wall {:.2} over {} thread(s), {} step(s), busy {:.3}s",
+        concurrency, a.threads, a.steps, a.busy_s
     );
     if a.pool_busy_ns > 0 || a.pool_wait_ns > 0 {
         let _ = writeln!(
@@ -407,7 +407,7 @@ mod tests {
         assert!(close(a.serial_s, 600e-9));
         assert!(close(a.critical_s, 600e-9));
         assert!(a.wait_s < 1e-15);
-        assert!((a.overlap_efficiency - 1.0).abs() < 1e-9);
+        assert!(close(a.serial_s / a.wall_s, 1.0));
         let fwd = &a.stages[stage_index(Stage::Forward)];
         assert!(close(fwd.serial_s, 300e-9));
         assert!(close(fwd.exclusive_s, 300e-9));
@@ -426,7 +426,7 @@ mod tests {
         assert!(close(a.wall_s, 500e-9));
         assert!(close(a.serial_s, 1000e-9));
         assert!(close(a.critical_s, 500e-9));
-        assert!((a.overlap_efficiency - 2.0).abs() < 1e-9);
+        assert!(close(a.serial_s / a.wall_s, 2.0));
         let fwd = &a.stages[stage_index(Stage::Forward)];
         assert_eq!(fwd.exclusive_s, 0.0);
         assert!(close(fwd.overlapped_s, 500e-9));
@@ -516,7 +516,7 @@ mod tests {
         let a = analyze(&spans);
         let table = render_table(&a);
         assert!(table.contains("critical path:"));
-        assert!(table.contains("overlap efficiency"));
+        assert!(table.contains("serial/wall 1.00 over 1 thread(s)"));
         for stage in Stage::ALL {
             assert!(table.contains(stage.label()));
         }

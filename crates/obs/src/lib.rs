@@ -42,8 +42,8 @@
 //!   instead of panicking.
 //!
 //! * [`critpath`] — critical-path analysis over the full log: per-stage
-//!   serial vs overlapped time, the critical path itself, and overlap
-//!   efficiency (the acceptance instrument for pipelined training).
+//!   serial vs overlapped time and the critical path itself (the
+//!   acceptance instrument for pipelined training).
 //!
 //! # Examples
 //!

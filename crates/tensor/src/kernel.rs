@@ -159,7 +159,7 @@ pub fn simd_label() -> &'static str {
 /// What a kernel body written once for every level needs of a vector of
 /// `f32` lanes. Every arithmetic operation is lane-wise with one IEEE
 /// rounding per lane (`mul_add` included), so a lane computes what the
-/// scalar loop computes for that element; moves (`transpose`, partial
+/// scalar loop computes for that element; moves (`rotate`, partial
 /// loads and stores, the selects of `max` and `where_positive`) do not
 /// round at all.
 ///
@@ -190,9 +190,6 @@ pub(crate) trait Lanes: Copy {
     /// `self` where `m > 0`, `+0.0` elsewhere (a NaN `m` included), per
     /// lane; the kept lanes' bits pass unchanged.
     unsafe fn where_positive(self, m: Self) -> Self;
-    /// Transposes the square block of the first `LANES` vectors of `v`:
-    /// lane `j` of `v[i]` moves to lane `i` of `v[j]`.
-    unsafe fn transpose(v: &mut [Self]);
     /// Lane `(l + k) % LANES` of `self` in lane `l`.
     unsafe fn rotate(self, k: usize) -> Self;
     /// The first `len` lanes of `self`, the others of `other`.
@@ -273,12 +270,6 @@ impl Lanes for F32x4 {
     #[inline(always)]
     unsafe fn where_positive(self, m: Self) -> Self {
         self.zip(m, |x, m| if m > 0.0 { x } else { 0.0 })
-    }
-    #[inline(always)]
-    unsafe fn transpose(v: &mut [Self]) {
-        let v: &mut [Self; 4] = (&mut v[..4]).try_into().expect("four vectors");
-        let t = *v;
-        *v = std::array::from_fn(|j| F32x4(std::array::from_fn(|i| t[i].0[j])));
     }
     #[inline(always)]
     unsafe fn rotate(self, k: usize) -> Self {
@@ -391,26 +382,6 @@ mod lanes_x86 {
         #[inline(always)]
         unsafe fn where_positive(self, m: Self) -> Self {
             _mm256_and_ps(self, _mm256_cmp_ps::<_CMP_GT_OQ>(m, _mm256_setzero_ps()))
-        }
-        #[inline(always)]
-        unsafe fn transpose(v: &mut [Self]) {
-            let v: &mut [Self; 8] = (&mut v[..8]).try_into().expect("eight vectors");
-            // Pairs of rows, then 64-bit pairs within each 128-bit half:
-            // `u[4g + c]` holds column `4k + c` of rows `4g..4g + 4` in
-            // half `k`; swapping halves between groups finishes it.
-            let t: [Self; 8] = std::array::from_fn(|i| {
-                let (a, b) = (v[i / 2 * 2], v[i / 2 * 2 + 1]);
-                if i % 2 == 0 { _mm256_unpacklo_ps(a, b) } else { _mm256_unpackhi_ps(a, b) }
-            });
-            let u: [Self; 8] = std::array::from_fn(|i| {
-                let (g, c) = (i / 4, i % 4);
-                let (a, b) = (t[4 * g + c / 2], t[4 * g + c / 2 + 2]);
-                if c % 2 == 0 { _mm256_shuffle_ps::<0x44>(a, b) } else { _mm256_shuffle_ps::<0xEE>(a, b) }
-            });
-            for c in 0..4 {
-                v[c] = _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]);
-                v[4 + c] = _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]);
-            }
         }
         #[inline(always)]
         unsafe fn rotate(self, k: usize) -> Self {
@@ -582,37 +553,6 @@ mod lanes_x86 {
         #[inline(always)]
         unsafe fn where_positive(self, m: Self) -> Self {
             _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(m, _mm512_setzero_ps()), self)
-        }
-        #[inline(always)]
-        unsafe fn transpose(v: &mut [Self]) {
-            let v: &mut [Self; 16] = (&mut v[..16]).try_into().expect("sixteen vectors");
-            // Within each 128-bit quarter as the 8-lane transpose does
-            // (`u[4g + c]` holds column `4k + c` of rows `4g..4g + 4` in
-            // quarter `k`), then a 4 x 4 transpose of the quarters in two
-            // rounds of quarter shuffles.
-            let t: [Self; 16] = std::array::from_fn(|i| {
-                let (a, b) = (v[i / 2 * 2], v[i / 2 * 2 + 1]);
-                if i % 2 == 0 { _mm512_unpacklo_ps(a, b) } else { _mm512_unpackhi_ps(a, b) }
-            });
-            let u: [Self; 16] = std::array::from_fn(|i| {
-                let (g, c) = (i / 4, i % 4);
-                let (a, b) = (_mm512_castps_pd(t[4 * g + c / 2]), _mm512_castps_pd(t[4 * g + c / 2 + 2]));
-                _mm512_castpd_ps(if c % 2 == 0 { _mm512_unpacklo_pd(a, b) } else { _mm512_unpackhi_pd(a, b) })
-            });
-            // `w[c]`: quarters (k, g) = (0, 0) (2, 0) (0, 1) (2, 1) of
-            // column group `c`, `w[4 + c]` the odd `k`, `w[8 + c]` and
-            // `w[12 + c]` the same for groups 2 and 3.
-            let w: [Self; 16] = std::array::from_fn(|i| {
-                let (half, odd, c) = (i / 8, i / 4 % 2, i % 4);
-                let (a, b) = (u[8 * half + c], u[8 * half + 4 + c]);
-                if odd == 0 { _mm512_shuffle_f32x4::<0x88>(a, b) } else { _mm512_shuffle_f32x4::<0xDD>(a, b) }
-            });
-            for c in 0..4 {
-                v[c] = _mm512_shuffle_f32x4::<0x88>(w[c], w[8 + c]);
-                v[8 + c] = _mm512_shuffle_f32x4::<0xDD>(w[c], w[8 + c]);
-                v[4 + c] = _mm512_shuffle_f32x4::<0x88>(w[4 + c], w[12 + c]);
-                v[12 + c] = _mm512_shuffle_f32x4::<0xDD>(w[4 + c], w[12 + c]);
-            }
         }
         #[inline(always)]
         unsafe fn rotate(self, k: usize) -> Self {

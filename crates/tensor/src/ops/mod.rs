@@ -20,9 +20,7 @@ pub use fused::{gru_gates, time_encode};
 pub use index::cat;
 pub use inplace::AdamStep;
 pub use matmul::{linear_cat, Part};
-pub use segment::{
-    edge_attention, segment_dot, segment_max, segment_mean, segment_softmax, segment_sum, segment_weighted_sum,
-};
+pub use segment::{edge_attention, segment_max, segment_mean, segment_softmax, segment_sum};
 
 use std::ops::Range;
 

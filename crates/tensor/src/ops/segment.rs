@@ -8,16 +8,15 @@
 //! nondecreasing (a block's destination index always is) each segment
 //! is read as one run of consecutive rows (`SegmentRows`).
 //!
-//! The attention kernels run one body at every SIMD level
-//! (`kernel::run_lanes`) with one output element per lane: per
-//! destination, the rows of a run are accumulated into registers that
-//! each hold a vector of output columns (`WeightedRows`); per edge, a
-//! block of one vector's width of edges is transposed so that each lane
-//! sums its own edge's products (`Dots`); the softmax packs whole rows
-//! of a run into a vector when they are narrower than one (`Softmax`).
-//! Either way a lane performs its element's operations in the scalar
-//! loop's order, so `exact` results do not depend on the level, the row
-//! source or the thread count.
+//! The kernels run one body at every SIMD level (`kernel::run_lanes`)
+//! with one output element per lane: the reductions add a segment's
+//! rows a vector of columns at a time (`SumRows`); the softmax packs
+//! whole rows of a run into a vector when they are narrower than one
+//! (`Softmax`). Either way a lane performs its element's operations in
+//! the scalar loop's order, so results do not depend on the level, the
+//! row source or the thread count. [`edge_attention`], the fused
+//! attention of TGAT, TGN and APAN, keeps one order of its own at every
+//! level.
 
 use std::borrow::Cow;
 use std::marker::PhantomData;
@@ -79,12 +78,7 @@ trait SegmentKernel {
 /// `starts[s]..starts[s + 1]`, found in one pass over the ids; any other
 /// order goes through the counting-sort [`SegmentIndex`]. Both hand a
 /// kernel the same rows in the same ascending order: the kernel body is
-/// one, compiled for each source. Against the same kernels over the
-/// index alone, runs take the self time of the four ops that read
-/// segments (the weighted sum, `dq`, the softmax and its backward) from
-/// 126.8 to 111.5 ms (median of 12 alternating pairs, faster in all 12;
-/// `tgl train --model tgat --scale 1 --threads 1 --epochs 3 --profile`
-/// on the host of [`SEG_SEQ_ROWS`]).
+/// one, compiled for each source; a run reads no index.
 enum SegmentRows {
     Runs(Vec<usize>),
     Index(SegmentIndex),
@@ -190,25 +184,22 @@ impl SegmentRows {
 }
 
 /// Rows (edges) below which a segment kernel runs inline on the caller:
-/// the 2-thread break-even of `segment_dot`, `segment_softmax` and the
-/// weighted sum's backward. Measured on the 2-vCPU AVX-512 host that
+/// the 2-thread break-even of `segment_softmax`'s forward and of
+/// [`edge_attention`]. Measured on the 2-vCPU AVX-512 host that
 /// recorded `BENCH_micro.json` with the split forced at every size,
-/// each thread count in its own process (median of 300 runs, twice) at
-/// 2 heads of 16 and about 7 edges per destination: at 2 threads
-/// `segment_dot` reads 1.13-1.16x at 2 000 edges, `segment_softmax`
-/// 1.21-1.26x, the weighted sum's backward 0.85-0.88x at 3 000 and
-/// 1.03-1.16x at 4 000. [`edge_attention`] (about 5x their work per
-/// edge; 7 alternating process pairs, median of 300 runs each, 80-wide
+/// each thread count in its own process, median of 300 runs: the
+/// softmax (2 heads, about 7 edges per destination) reads 1.21-1.26x at
+/// 2 000 edges; [`edge_attention`] (7 alternating process pairs, 80-wide
 /// `z` rows, about 9 edges per destination) reads 0.64-1.12x at 1 000
 /// edges, 0.62-1.60x at 2 500, 0.94-1.64x at 3 000 and 1.15-1.44x at
 /// 4 000, forward and forward + backward alike.
 const SEG_SEQ_ROWS: usize = 4096;
 
-/// [`SEG_SEQ_ROWS`] for the kernels whose passes do one multiply or
-/// multiply-add per element read (the weighted sum's forward, the
-/// `segment_dot` and softmax backwards), where a second thread takes
-/// longer to pay for itself: at 2 threads they read 0.60-0.95x up to
-/// 5 000 edges, 0.84-1.18x at 6 000 and 1.01-1.63x at 8 000.
+/// [`SEG_SEQ_ROWS`] for the softmax's backward, one multiply-add per
+/// element read, where a second thread takes longer to pay for itself:
+/// measured the same way (4 alternating process pairs), it reads
+/// 0.55-0.74x at 2 000 edges, 0.60-0.88x at 4 000, 1.00-1.35x at 6 000
+/// and 1.08-1.18x at 8 000.
 const SEG_SEQ_ROWS_LIGHT: usize = 8192;
 
 /// Elements (rows × row width) below which the forwards of the plain
@@ -245,10 +236,6 @@ fn seg_seq_threshold(size: usize, items: usize, min_size: usize) -> usize {
     }
 }
 
-/// Edges per work item of the per-edge attention kernels: a multiple of
-/// every level's lane count, so only the last item has a ragged tail.
-const EDGE_BLOCK: usize = 16;
-
 fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (usize, usize) {
     assert!(values.rank() >= 1, "segment ops need rank >= 1 values");
     let n = values.dim(0);
@@ -266,256 +253,6 @@ fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (
     (n, d)
 }
 
-// ---------------------------------------------------------------------
-// Lane kernels of the attention operators
-// ---------------------------------------------------------------------
-
-/// Row-major `[rows, width]` data read through row pointers that the
-/// hot loops do not bounds-check: each kernel checks its shapes once,
-/// and its row indices are positions below `rows` or segment ids that
-/// [`check_segments`] bounded by the row count.
-#[derive(Clone, Copy)]
-struct RowPtrs<'a> {
-    data: &'a [f32],
-    width: usize,
-}
-
-impl<'a> RowPtrs<'a> {
-    /// `data` as rows of `width`, of which there must be `rows`.
-    fn new(data: &'a [f32], width: usize, rows: usize) -> RowPtrs<'a> {
-        assert_eq!(data.len(), rows * width, "a [{rows}, {width}] operand");
-        RowPtrs { data, width }
-    }
-
-    /// Row `i`, `width` floats from the pointer on.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be below the row count given to [`RowPtrs::new`].
-    #[inline(always)]
-    unsafe fn row(self, i: usize) -> *const f32 {
-        debug_assert!((i + 1) * self.width <= self.data.len(), "row {i} of a {}-wide operand", self.width);
-        self.data.as_ptr().add(i * self.width)
-    }
-}
-
-/// One vector's share of a row of `h` heads of `d` columns: columns
-/// `col..col + len` (`len <= lanes`), all of head `head`. A head takes
-/// `ceil(d / lanes)` slots, the last one partial.
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    col: usize,
-    len: usize,
-    head: usize,
-}
-
-/// Slots a [`WeightedRows`] walk over a segment's rows keeps in
-/// registers at once.
-const GROUP: usize = 4;
-
-/// A row's slots at `lanes` floats per vector, [`GROUP`] at a time
-/// (the last group padded with empty slots), and how many of each
-/// group are real.
-fn slot_groups(h: usize, d: usize, lanes: usize) -> Vec<([Slot; GROUP], usize)> {
-    let per_head = d.div_ceil(lanes);
-    let all: Vec<Slot> = (0..h * per_head)
-        .map(|i| {
-            let (head, c) = (i / per_head, i % per_head * lanes);
-            Slot { col: head * d + c, len: lanes.min(d - c), head }
-        })
-        .collect();
-    all.chunks(GROUP)
-        .map(|g| (std::array::from_fn(|v| g.get(v).copied().unwrap_or_default()), g.len()))
-        .collect()
-}
-
-/// `out[s, c] = Σ_{e ∈ rows(s)} (w[e·h + c/d] · scale) · x[e·hd + c]`
-/// for the segments `segs` (`out` holds their rows; `x` and `w` have `n`
-/// rows): each element adds its products to zero in row order, a
-/// product rounded before it is added (`mul`, then `add`: not the
-/// fused [`Lanes::mul_add`]) — the arithmetic of an `axpy` of every row
-/// into a zeroed output row, and of the op chains the attention kernels
-/// replaced, which no fused multiply-add can match. Empty segments give
-/// zero rows.
-/// With `scale` = 1 the weights pass unchanged (`w · 1` is exact).
-struct WeightedRows<'a> {
-    out: &'a mut [f32],
-    segs: Range<usize>,
-    rows: &'a SegmentRows,
-    n: usize,
-    x: &'a [f32],
-    w: &'a [f32],
-    scale: f32,
-    h: usize,
-    d: usize,
-}
-
-impl LaneKernel for WeightedRows<'_> {
-    #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
-        let WeightedRows { out, segs, rows, n, x, w, scale, h, d } = self;
-        assert_eq!(out.len(), segs.len() * h * d);
-        let (x, w) = (RowPtrs::new(x, h * d, n), RowPtrs::new(w, h, n));
-        let groups = slot_groups(h, d, V::LANES);
-        let mut each = Accumulate::<V> { out, x, w, scale, hd: h * d, groups: &groups, lanes: PhantomData };
-        rows.each(segs, &mut each);
-    }
-}
-
-/// [`WeightedRows`] on one segment at a time, in `V`'s registers.
-struct Accumulate<'a, V> {
-    out: &'a mut [f32],
-    x: RowPtrs<'a>,
-    w: RowPtrs<'a>,
-    scale: f32,
-    hd: usize,
-    groups: &'a [([Slot; GROUP], usize)],
-    lanes: PhantomData<V>,
-}
-
-impl<V: Lanes> SegmentKernel for Accumulate<'_, V> {
-    #[inline(always)]
-    fn segment(&mut self, k: usize, rows: impl Iterator<Item = usize> + Clone) {
-        let hd = self.hd;
-        let o_row = &mut self.out[k * hd..][..hd];
-        for (slots, real) in self.groups {
-            // SAFETY: this runs inside `WeightedRows::run::<V>`, where
-            // `V`'s instruction set is enabled; rows are positions below
-            // the id count, and a slot's columns lie inside a row.
-            unsafe {
-                let mut acc = [V::splat(0.0); GROUP];
-                for e in rows.clone() {
-                    let (x_row, w_row) = (self.x.row(e), self.w.row(e));
-                    for (a, s) in acc.iter_mut().zip(slots).take(*real) {
-                        let w = V::splat(*w_row.add(s.head) * self.scale);
-                        *a = a.add(w.mul(V::load_part(x_row.add(s.col), s.len)));
-                    }
-                }
-                for (a, s) in acc.iter().zip(slots).take(*real) {
-                    a.store_part(o_row.as_mut_ptr().add(s.col), s.len);
-                }
-            }
-        }
-    }
-}
-
-/// `out[e - edges.start, c] = (w[e·h + c/d] · scale) · x[sel[e]·hd + c]`
-/// for the edges `edges`: a row of `x` (selected per edge; `sel` holds
-/// checked segment ids, `x` a row per segment) times its edge's
-/// per-head weight, one rounding per element (two with a `scale` other
-/// than 1).
-struct ScaledRows<'a> {
-    out: &'a mut [f32],
-    edges: Range<usize>,
-    x: &'a [f32],
-    sel: &'a [usize],
-    w: &'a [f32],
-    scale: f32,
-    h: usize,
-    d: usize,
-}
-
-impl LaneKernel for ScaledRows<'_> {
-    #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
-        let (h, d, hd) = (self.h, self.d, self.h * self.d);
-        assert_eq!(self.out.len(), self.edges.len() * hd);
-        let x = RowPtrs::new(self.x, hd, self.x.len() / hd);
-        for (o_row, e) in self.out.chunks_exact_mut(hd).zip(self.edges) {
-            // SAFETY: `sel` holds checked segment ids.
-            let x_row = x.row(self.sel[e]);
-            for (head, &w) in self.w[e * h..][..h].iter().enumerate() {
-                let w = V::splat(w * self.scale);
-                let mut c = head * d;
-                while c < (head + 1) * d {
-                    let len = V::LANES.min((head + 1) * d - c);
-                    // SAFETY: columns `c..c + len` lie inside both rows.
-                    w.mul(V::load_part(x_row.add(c), len)).store_part(o_row.as_mut_ptr().add(c), len);
-                    c += V::LANES;
-                }
-            }
-        }
-    }
-}
-
-/// `out[(e - edges.start)·h + hh] = (Σ_j a[sel[e]·hd + hh·d + j] ·
-/// b[e·hd + hh·d + j]) · scale`, `j` ascending from a zero sum, one
-/// rounding per product and per add, then one multiply by `scale` (1
-/// leaves the sum as it is). A block of one vector's width of edges
-/// multiplies its rows one vector of a head's columns at a time and
-/// transposes the products, so that lane `l` holds edge `l`'s products
-/// column by column and adds them in order; edges past the last whole
-/// block run the same operations one at a time. `sel` holds checked
-/// segment ids and `a` a row per segment; `b` has a row per edge.
-struct Dots<'a> {
-    out: &'a mut [f32],
-    edges: Range<usize>,
-    a: &'a [f32],
-    sel: &'a [usize],
-    b: &'a [f32],
-    scale: f32,
-    h: usize,
-    d: usize,
-}
-
-impl LaneKernel for Dots<'_> {
-    #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
-        let (h, d, hd, lanes) = (self.h, self.d, self.h * self.d, V::LANES);
-        let Range { start, end } = self.edges;
-        assert_eq!(self.out.len(), (end - start) * h);
-        let (a, b) = (RowPtrs::new(self.a, hd, self.a.len() / hd), RowPtrs::new(self.b, hd, self.sel.len()));
-        assert!(end <= self.sel.len());
-        // SAFETY (both): `sel` holds checked segment ids; `e < end`.
-        let row_a = |e: usize| a.row(self.sel[e]);
-        let row_b = |e: usize| b.row(e);
-        let mut e0 = start;
-        while e0 + lanes <= end {
-            let (mut pa, mut pb) = ([std::ptr::null(); 16], [std::ptr::null(); 16]);
-            for l in 0..lanes {
-                (pa[l], pb[l]) = (row_a(e0 + l), row_b(e0 + l));
-            }
-            let out = &mut self.out[(e0 - start) * h..][..lanes * h];
-            for head in 0..h {
-                let mut acc = V::splat(0.0);
-                let mut c = head * d;
-                while c < (head + 1) * d {
-                    let len = lanes.min((head + 1) * d - c);
-                    let mut p = [V::splat(0.0); 16];
-                    for l in 0..lanes {
-                        // SAFETY: columns `c..c + len` lie inside both rows.
-                        p[l] = V::load_part(pa[l].add(c), len).mul(V::load_part(pb[l].add(c), len));
-                    }
-                    V::transpose(&mut p);
-                    for (j, &v) in p.iter().enumerate().take(lanes) {
-                        if j < len {
-                            acc = acc.add(v);
-                        }
-                    }
-                    c += lanes;
-                }
-                let mut sums = [0.0f32; 16];
-                acc.mul(V::splat(self.scale)).store(sums.as_mut_ptr());
-                for (o, &s) in out.chunks_exact_mut(h).zip(&sums) {
-                    o[head] = s;
-                }
-            }
-            e0 += lanes;
-        }
-        for e in e0..end {
-            let (x, y) = (std::slice::from_raw_parts(row_a(e), hd), std::slice::from_raw_parts(row_b(e), hd));
-            for (hh, o) in self.out[(e - start) * h..][..h].iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (&p, &q) in x[hh * d..][..d].iter().zip(&y[hh * d..][..d]) {
-                    acc += p * q;
-                }
-                *o = acc * self.scale;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Per-segment bodies of the reductions and the softmax
 // ---------------------------------------------------------------------
 
@@ -760,7 +497,7 @@ impl<V: Lanes> SegmentKernel for NormalizeCols<V> {
 /// `g_i = (go_i - Σ_k go_k y_k) · y_i`, the dot from zero over ascending
 /// rows, one rounding per product and per add; a vector of columns at a
 /// time, the last one partial. `g` holds the rows from `base` on of the
-/// segments `segs`, as [`SoftmaxRows`] writes `y`.
+/// segments `segs`, as [`Softmax`] writes `y`.
 struct SoftmaxGrad<'a> {
     go: &'a [f32],
     y: &'a [f32],
@@ -1370,179 +1107,6 @@ fn check_heads(wide: &Tensor, heads: usize) -> (usize, usize) {
     (heads, wide.dim(1) / heads)
 }
 
-/// Runs `kernel(out_chunk, edges)` over the `n` edges in
-/// [`EDGE_BLOCK`]-aligned chunks, each writing `width` floats per edge
-/// of `out`; inline below `min_rows` edges.
-fn per_edge(out: &mut [f32], n: usize, width: usize, min_rows: usize, kernel: impl Fn(&mut [f32], Range<usize>) + Sync) {
-    let blocks = n.div_ceil(EDGE_BLOCK);
-    // The first edge of each block, and `n` after the (ragged) last.
-    let firsts: Vec<usize> = (0..=blocks).map(|b| (b * EDGE_BLOCK).min(n)).collect();
-    let chunks = Chunks::Auto(seg_seq_threshold(n, blocks, min_rows));
-    parallel_rows(blocks, chunks, Rows::offsets(out, &firsts, width), |blocks, out| {
-        kernel(out, firsts[blocks.start]..firsts[blocks.end]);
-    });
-}
-
-/// Runs `kernel(out_chunk, segs)` over the `num_segments` segments of
-/// `rows` rows in chunks, each writing its segments' `width`-float
-/// output rows; inline below `min_rows` rows.
-fn per_segment(
-    out: &mut [f32],
-    num_segments: usize,
-    width: usize,
-    rows: usize,
-    min_rows: usize,
-    kernel: impl Fn(&mut [f32], Range<usize>) + Sync,
-) {
-    let chunks = Chunks::Auto(seg_seq_threshold(rows, num_segments, min_rows));
-    parallel_rows(num_segments, chunks, Rows::width(out, width), |segs, out| kernel(out, segs));
-}
-
-/// Per-head dot product of every row of `k` with the row of `q` its
-/// segment selects, scaled:
-/// `out[e, h] = (Σ_d q[segments[e], h, d] · k[e, h, d]) · scale`
-/// for `q: [S, H·D]`, `k: [E, H·D]`, giving `[E, H]`.
-///
-/// This is the attention-logit step of an edge-wise block (`q` holds
-/// one query per destination, `k` one key per sampled edge); the query
-/// row is read through `segments` inside the kernel instead of being
-/// gathered into an `[E, H·D]` copy first. Each dot accumulates
-/// mul-then-add from zero in ascending `d`, then takes one multiply by
-/// `scale`: the roundings of
-/// `q.index_select(segments).mul(k).reshape([E, H, D]).sum_dim(2).mul_scalar(scale)`.
-/// Backward writes `dk` per row and `dq` per segment (rows ascending,
-/// each product rounded before it is added, as that chain's gather
-/// backward adds them), so both are invariant across thread counts.
-///
-/// # Panics
-///
-/// Panics on a shape mismatch or a segment id past `q`'s rows.
-pub fn segment_dot(q: &Tensor, k: &Tensor, segments: &[usize], heads: usize, scale: f32) -> Tensor {
-    let device = crate::ops::same_device(q, k);
-    let (h, d) = check_heads(k, heads);
-    let (n, hd, num_segments) = (k.dim(0), h * d, q.dim(0));
-    assert_eq!(q.dims(), &[num_segments, hd], "segment_dot query shape {}", q.shape());
-    check_segments(k, segments, num_segments);
-    let (need_q, need_k) = (q.requires_grad_flag(), k.requires_grad_flag());
-    let (wq, wk) = (need_q as usize, need_k as usize);
-    let _prof = tgl_obs::profile::op("segment_dot")
-        .flops((2 * n * hd + n * h) as u64)
-        .io(8 * (n * hd) as u64, 4 * (n * h) as u64)
-        .shape(&[q.dims(), k.dims()])
-        .backward_cost(
-            (n * h + 2 * (wq + wk) * n * hd) as u64,
-            4 * (n * h + (wq + wk) * n * hd) as u64,
-            4 * (wk * n * hd + wq * num_segments * hd) as u64,
-        );
-    let mut out = pool::take_uninit(n * h, device);
-    {
-        let (qd, kd) = (q.inner.storage.read(), k.inner.storage.read());
-        per_edge(&mut out, n, h, SEG_SEQ_ROWS, |out, edges| {
-            kernel::run_lanes(Dots { out, edges, a: &qd, sel: segments, b: &kd, scale, h, d });
-        });
-    }
-    let (q_t, k_t) = (q.clone(), k.clone());
-    let seg = segments.to_vec();
-    Tensor::make_result(out, [n, h], device, &[q.clone(), k.clone()], move |go| {
-        let qd = q_t.inner.storage.read();
-        let kd = k_t.inner.storage.read();
-        // dk[e,h,:] = (go[e,h]·scale) · q[seg[e],h,:], one row per edge.
-        let gk = need_k.then(|| {
-            let mut gk = pool::take_uninit(n * hd, device);
-            per_edge(&mut gk, n, hd, SEG_SEQ_ROWS_LIGHT, |out, edges| {
-                kernel::run_lanes(ScaledRows { out, edges, x: &qd, sel: &seg, w: go, scale, h, d });
-            });
-            gk
-        });
-        // dq[s,h,:] = Σ_{e in s, ascending} (go[e,h]·scale) · k[e,h,:],
-        // one row per segment (empty segments give zero rows).
-        let gq = need_q.then(|| {
-            let mut gq = pool::take_uninit(num_segments * hd, device);
-            let rows = SegmentRows::new(&seg, num_segments);
-            per_segment(&mut gq, num_segments, hd, n, SEG_SEQ_ROWS_LIGHT, |out, segs| {
-                let kernel = WeightedRows { out, segs, rows: &rows, n, x: &kd, w: go, scale, h, d };
-                kernel::run_lanes(kernel);
-            });
-            gq
-        });
-        vec![gq, gk]
-    })
-}
-
-/// Per-head weighted sum of the rows of `v` into segments:
-/// `out[s, h, :] = Σ_{e: segments[e]==s} v[e, h, :] · a[e, h]`
-/// for `v: [E, H·D]`, `a: [E, H]`, giving `[num_segments, H·D]`.
-///
-/// This is the attention-output step of an edge-wise block (`a` holds
-/// the normalized attention of each edge, `v` its value row). Rows are
-/// accumulated in ascending order, each product rounded before it is
-/// added (no fused multiply-add): the roundings of
-/// `segment_sum(v.reshape([E, H, D]).mul(a.reshape([E, H, 1])).reshape([E, H·D]), ..)`
-/// without the `[E, H·D]` intermediate. Empty segments yield zero
-/// rows. Segments own their output rows and backward writes one row
-/// per edge, so results are invariant across thread counts.
-///
-/// # Panics
-///
-/// Panics on a shape mismatch or a segment id out of range.
-pub fn segment_weighted_sum(
-    v: &Tensor,
-    a: &Tensor,
-    segments: &[usize],
-    num_segments: usize,
-) -> Tensor {
-    let device = crate::ops::same_device(v, a);
-    assert_eq!(a.rank(), 2, "segment_weighted_sum weights must be [E, H], got {}", a.shape());
-    let (h, d) = check_heads(v, a.dim(1));
-    let (n, hd) = (v.dim(0), h * d);
-    assert_eq!(a.dim(0), n, "segment_weighted_sum needs one weight row per value row");
-    check_segments(v, segments, num_segments);
-    let (need_v, need_a) = (v.requires_grad_flag(), a.requires_grad_flag());
-    let (wv, wa) = (need_v as usize, need_a as usize);
-    let _prof = tgl_obs::profile::op("segment_weighted_sum")
-        .flops(2 * (n * hd) as u64)
-        .io(4 * (n * hd + n * h) as u64, 4 * (num_segments * hd) as u64)
-        .shape(&[v.dims(), a.dims(), &[num_segments]])
-        .backward_cost(
-            ((wv + 2 * wa) * n * hd) as u64,
-            4 * (n * hd + wa * n * hd + wv * n * h) as u64,
-            4 * (wv * n * hd + wa * n * h) as u64,
-        );
-    let rows = SegmentRows::new(segments, num_segments);
-    // Every output row is written, empty segments included.
-    let mut out = pool::take_uninit(num_segments * hd, device);
-    {
-        let (vd, ad) = (v.inner.storage.read(), a.inner.storage.read());
-        per_segment(&mut out, num_segments, hd, n, SEG_SEQ_ROWS_LIGHT, |out, segs| {
-            let kernel = WeightedRows { out, segs, rows: &rows, n, x: &vd, w: &ad, scale: 1.0, h, d };
-            kernel::run_lanes(kernel);
-        });
-    }
-    let (v_t, a_t) = (v.clone(), a.clone());
-    let seg = segments.to_vec();
-    Tensor::make_result(out, [num_segments, hd], device, &[v.clone(), a.clone()], move |go| {
-        let vd = v_t.inner.storage.read();
-        let ad = a_t.inner.storage.read();
-        // dv[e,h,:] = go[s,h,:] · a[e,h]
-        let gv = need_v.then(|| {
-            let mut gv = pool::take_uninit(n * hd, device);
-            per_edge(&mut gv, n, hd, SEG_SEQ_ROWS, |out, edges| {
-                kernel::run_lanes(ScaledRows { out, edges, x: go, sel: &seg, w: &ad, scale: 1.0, h, d });
-            });
-            gv
-        });
-        // da[e,h] = Σ_d go[s,h,d] · v[e,h,d], d ascending.
-        let ga = need_a.then(|| {
-            let mut ga = pool::take_uninit(n * h, device);
-            per_edge(&mut ga, n, h, SEG_SEQ_ROWS, |out, edges| {
-                kernel::run_lanes(Dots { out, edges, a: go, sel: &seg, b: &vd, scale: 1.0, h, d });
-            });
-            ga
-        });
-        vec![gv, ga]
-    })
-}
-
 /// Multi-head attention of every segment over its rows, with the key
 /// and value maps applied on the segment's side:
 /// `out[s, h] = W_{v,h} · Σ_e a[e, h] z_e + b_{v,h}` where
@@ -1563,10 +1127,12 @@ pub fn segment_weighted_sum(
 /// work is two `K`-wide passes per head. A key bias would add
 /// `q_h · b_{k,h}` to every logit of a segment, which the softmax
 /// cancels: it takes no part. Segments without rows give zero rows (no
-/// bias). Equal in real arithmetic to
-/// `segment_weighted_sum(linear_cat(z, W_v, b_v), segment_softmax(
-/// segment_dot(q, linear_cat(z, W_k, b_k), ..), ..), ..)` for any
-/// `b_k`; the roundings differ. Every dot product with `z` runs
+/// bias). Equal in real arithmetic, for any `b_k`, to the chain over
+/// per-edge keys `K = linear_cat(z, W_k, b_k)` and values
+/// `V = linear_cat(z, W_v, b_v)`: the logits
+/// `q.index_select(segments).mul(K)` summed per head and scaled,
+/// [`segment_softmax`], and [`segment_sum`] of `V` times its edge's
+/// attention; the roundings differ. Every dot product with `z` runs
 /// [`dot16`]'s order, every other sum is a fused multiply-add chain in
 /// ascending row (or column) order, and segments own their rows each
 /// way, so results do not depend on the SIMD level or the thread count.
@@ -1868,51 +1434,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn segment_dot_known_values() {
-        // Two heads of width 2; edges 0 and 2 belong to destination 1.
-        let q = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 1.0, -1.0], [2, 4]);
-        let k = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 0.5, 0.5, 0.5, 0.5],
-            [3, 4],
-        );
-        let out = segment_dot(&q, &k, &[1, 0, 1], 2, 0.5);
-        assert_eq!(out.dims(), &[3, 2]);
-        // e0 -> q[1]: (2+4)/2, (3-4)/2; e1 -> q[0]: 5/2, 8/2; e2 -> q[1]: 2/2, 0/2
-        assert_eq!(out.to_vec(), vec![3.0, -0.5, 2.5, 4.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn segment_weighted_sum_known_values_and_empty_segment() {
-        let v = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0], [2, 4]);
-        let a = Tensor::from_vec(vec![0.5, 2.0, 1.0, 0.1], [2, 2]);
-        let out = segment_weighted_sum(&v, &a, &[2, 2], 3);
-        assert_eq!(out.dims(), &[3, 4]);
-        let mut want = vec![0.0; 8];
-        want.extend([0.5 + 10.0, 1.0 + 20.0, 6.0 + 3.0, 8.0 + 4.0]);
-        assert_eq!(out.to_vec(), want);
-        // No edges at all: every segment is empty.
-        let none = segment_weighted_sum(&Tensor::zeros([0, 4]), &Tensor::zeros([0, 2]), &[], 2);
-        assert_eq!(none.to_vec(), vec![0.0; 8]);
-    }
-
-    #[test]
-    fn attention_kernels_gradcheck() {
-        let seg = [1usize, 0, 1, 1];
-        let q = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.1, 0.3, 0.7, -0.4, 1.5], [2, 4]).requires_grad(true);
-        let k = Tensor::from_vec((0..16).map(|i| (i as f32 * 0.37).sin()).collect(), [4, 4]);
-        let w = Tensor::from_vec((0..8).map(|i| 0.5 - i as f32 * 0.2).collect(), [4, 2]);
-        check_gradient(&q, |t| segment_dot(t, &k, &seg, 2, 0.7).mul(&w).sum_all(), 1e-2);
-        let kg = k.requires_grad(true);
-        let q0 = q.detach();
-        check_gradient(&kg, |t| segment_dot(&q0, t, &seg, 2, 0.7).mul(&w).sum_all(), 1e-2);
-        let a = Tensor::from_vec((0..8).map(|i| 0.1 + i as f32 * 0.1).collect(), [4, 2]).requires_grad(true);
-        let wr = Tensor::from_vec((0..8).map(|i| (i as f32 * 0.9).cos()).collect(), [2, 4]);
-        check_gradient(&a, |t| segment_weighted_sum(&k, t, &seg, 2).mul(&wr).sum_all(), 1e-2);
-        let a0 = a.detach();
-        check_gradient(&kg, |t| segment_weighted_sum(t, &a0, &seg, 2).mul(&wr).sum_all(), 1e-2);
-    }
-
     /// Seeded values in `[-1, 1)` of the given shape.
     fn filled(dims: &[usize], salt: usize) -> Tensor {
         let n = dims.iter().product();
@@ -1971,12 +1492,16 @@ mod tests {
         edge_attention(&c.q, wk, [wv, bv], &c.z(), seg, 2, 0.6)
     }
 
-    /// The key / value chain the fused op replaces.
+    /// The key / value chain the fused op replaces: per-edge keys and
+    /// values, the logits by gather, product and sum, the softmax, and
+    /// the weighted values summed per segment.
     fn chain(c: &AttnCase, seg: &[usize]) -> Tensor {
         let [wk, bk, wv, bv] = &c.maps;
         let (k, v) = (crate::ops::linear_cat(&c.z(), wk, Some(bk), false), crate::ops::linear_cat(&c.z(), wv, Some(bv), false));
-        let attn = segment_softmax(&segment_dot(&c.q, &k, seg, 2, 0.6), seg, c.q.dim(0));
-        segment_weighted_sum(&v, &attn, seg, c.q.dim(0))
+        let (e, s, h, d) = (seg.len(), c.q.dim(0), 2, 3);
+        let logits = c.q.index_select(seg).mul(&k).reshape([e, h, d]).sum_dim(2).mul_scalar(0.6);
+        let attn = segment_softmax(&logits, seg, s);
+        segment_sum(&v.reshape([e, h, d]).mul(&attn.reshape([e, h, 1])).reshape([e, h * d]), seg, s)
     }
 
     #[test]
@@ -2018,8 +1543,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "do not split into")]
-    fn segment_dot_rejects_indivisible_heads() {
-        segment_dot(&Tensor::zeros([1, 5]), &Tensor::zeros([2, 5]), &[0, 0], 2, 1.0);
+    fn edge_attention_rejects_indivisible_heads() {
+        let (w, b) = (Tensor::zeros([5, 3]), Tensor::zeros([5]));
+        edge_attention(&Tensor::zeros([1, 5]), &w, [&w, &b], &[Part::Whole(&Tensor::zeros([2, 3]))], &[0, 0], 2, 1.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use tgl_models::{EdgePredictor, ModelConfig};
 use tgl_runtime::rng::{SeedableRng, StdRng};
 use tgl_sampler::{SamplingStrategy, TemporalSampler};
 use tgl_tensor::nn::{Linear, Mlp};
-use tgl_tensor::ops::{cat, segment_dot, segment_softmax, segment_weighted_sum};
+use tgl_tensor::ops::{cat, segment_softmax, segment_sum};
 use tgl_tensor::Tensor;
 use tglite::nn::TimeEncode;
 use tglite::TBatch;
@@ -96,10 +96,20 @@ impl Attn {
         let z = [h_src, &mfg.edge_feat, &self.te.forward(&mfg.deltas)];
         let k = self.w_k.forward_parts(&z);
         let v = self.w_v.forward_parts(&z);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let logits = segment_dot(&q, &k, &mfg.dst_index, self.heads, scale);
+        let (e, h, d) = (mfg.dst_index.len(), self.heads, self.head_dim);
+        let scale = 1.0 / (d as f32).sqrt();
+        let logits = q
+            .index_select(&mfg.dst_index)
+            .mul(&k)
+            .reshape([e, h, d])
+            .sum_dim(2)
+            .mul_scalar(scale);
         let attn = segment_softmax(&logits, &mfg.dst_index, n_dst);
-        let r = segment_weighted_sum(&v, &attn, &mfg.dst_index, n_dst);
+        let weighted = v
+            .reshape([e, h, d])
+            .mul(&attn.reshape([e, h, 1]))
+            .reshape([e, h * d]);
+        let r = segment_sum(&weighted, &mfg.dst_index, n_dst);
         self.ffn.forward_parts(&[&r, h_dst])
     }
 }

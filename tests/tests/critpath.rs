@@ -92,12 +92,12 @@ fn critical_path_tracks_wall_at_one_and_four_threads() {
             a.critical_s,
             a.wall_s
         );
-        // Efficiency is serial/wall: positive, and never more than
-        // the number of threads that could have been busy at once.
+        // serial/wall is the average number of busy threads: positive,
+        // and never more than the threads that could have been busy.
+        let concurrency = a.serial_s / a.wall_s;
         assert!(
-            a.overlap_efficiency > 0.0 && a.overlap_efficiency <= a.threads as f64 + 1e-9,
-            "{label}: overlap efficiency {:.3} outside (0, {}]",
-            a.overlap_efficiency,
+            concurrency > 0.0 && concurrency <= a.threads as f64 + 1e-9,
+            "{label}: serial/wall {concurrency:.3} outside (0, {}]",
             a.threads
         );
     }
@@ -144,14 +144,7 @@ fn critpath_artifact_parses_and_is_self_consistent() {
     std::fs::remove_file(&path).ok();
     assert_eq!(report.get("schema").and_then(Json::as_str), Some("tgl-run-report/v3"));
     let doc = report.get("critpath").expect("critpath section");
-    for key in [
-        "wall_s",
-        "busy_s",
-        "serial_s",
-        "critical_s",
-        "wait_s",
-        "overlap_efficiency",
-    ] {
+    for key in ["wall_s", "busy_s", "serial_s", "critical_s", "wait_s", "threads"] {
         assert!(
             doc.get(key).and_then(Json::as_num).is_some(),
             "artifact missing numeric {key:?}"
@@ -167,6 +160,14 @@ fn critpath_artifact_parses_and_is_self_consistent() {
     assert!(
         serial_s > 0.0 && (stage_sum - serial_s).abs() <= serial_s * 1e-6 + 1e-9,
         "stage serial times sum to {stage_sum:.6}, headline serial is {serial_s:.6}"
+    );
+    // The section's serial/wall is an average of busy threads.
+    let num = |key: &str| doc.get(key).and_then(Json::as_num).unwrap();
+    let concurrency = serial_s / num("wall_s");
+    assert!(
+        concurrency > 0.0 && concurrency <= num("threads") + 1e-9,
+        "serial/wall {concurrency:.3} outside (0, {}]",
+        num("threads")
     );
 }
 

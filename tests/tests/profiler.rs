@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_harness::{RunReporter, TrainConfig, Trainer};
-use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
+use tgl_models::{Apan, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::profile::{self, Row};
 use tglite::obs::{collect, phase, span, Kind};
@@ -207,7 +207,7 @@ fn training_epoch_profile_has_no_anonymous_rows() {
     let _g = serial();
     // Every autograd node is built inside a named op frame, so neither
     // the forward table nor the backward sweep may fall back to the
-    // placeholder names (`op` / `op.bwd`) on a TGAT or a TGN epoch.
+    // placeholder names (`op` / `op.bwd`) on a TGAT, TGN or APAN epoch.
     let spec = DatasetSpec::of(DatasetKind::Wiki).scaled_down(10);
     let (g, _) = generate(&spec);
     let split = Split::standard(&g);
@@ -232,6 +232,18 @@ fn training_epoch_profile_has_no_anonymous_rows() {
     // read below, and at `tiny()` widths every op costs its dispatch.
     let cfg = ModelConfig { emb_dim: 32, time_dim: 16, ..ModelConfig::default() };
     let tgn = epoch_ops(&mut Tgn::new(&ctx, cfg, OptFlags::all(), 42), &ctx);
+    let ctx = tglite::TContext::new(g.clone());
+    let apan = epoch_ops(&mut Apan::new(&ctx, cfg, OptFlags::all(), 42), &ctx);
+
+    // Every model runs its ops inside a named phase: what no phase
+    // holds (the loss) stays under 1% of op self time.
+    for (model, rows) in [("tgat", &tgat), ("tgn", &tgn), ("apan", &apan)] {
+        let op_ns: u64 = rows.iter().map(|r| r.self_ns).sum();
+        let loose: Vec<_> = rows.iter().filter(|r| r.phase == profile::NO_PHASE).collect();
+        let ns: u64 = loose.iter().map(|r| r.self_ns).sum();
+        let names: Vec<_> = loose.iter().map(|r| (r.name, r.self_ns)).collect();
+        assert!(100 * ns < op_ns, "{model}: (no-phase) rows hold {ns} of {op_ns} ns of op self time: {names:?}");
+    }
 
     // TGN's GRU gates are one kernel under the `memory` phase with an
     // analytic cost each way; what is left of the chain it replaced
@@ -259,7 +271,7 @@ fn training_epoch_profile_has_no_anonymous_rows() {
     assert!(written <= read, "tgn: index_select.bwd writes {written} bytes for {read} read");
 
     let names = |rows: &[Row]| rows.iter().map(|r| r.name).collect::<Vec<_>>();
-    for (model, rows) in [("tgat", &tgat), ("tgn", &tgn)] {
+    for (model, rows) in [("tgat", &tgat), ("tgn", &tgn), ("apan", &apan)] {
         let ops = names(rows);
         assert!(ops.contains(&"linear.bwd"), "{model}: backward sweep not profiled: {ops:?}");
         for fused in ["edge_attention", "time_encode"] {
@@ -271,7 +283,10 @@ fn training_epoch_profile_has_no_anonymous_rows() {
             let row = rows.iter().find(|r| r.name == name).expect("checked above");
             assert!(row.cost.flops > 0 && row.cost.bytes_read > 0 && row.cost.bytes_written > 0, "{model}: {name} cost");
         }
-        assert!(!ops.iter().any(|op| op.starts_with("segment_")), "{model}: {ops:?}");
+        // APAN's mails reach its neighbours through `src_scatter`'s
+        // mean; no attention runs on the `segment_*` ops.
+        let scatter = |op: &&str| model == "apan" && *op == "segment_mean";
+        assert!(!ops.iter().filter(|op| !scatter(op)).any(|op| op.starts_with("segment_")), "{model}: {ops:?}");
         assert!(ops.contains(&"bce.bwd") && ops.contains(&"reshape.bwd"), "{model}: {ops:?}");
         assert!(!ops.iter().any(|op| *op == "op" || *op == "op.bwd"), "{model}: {ops:?}");
     }
