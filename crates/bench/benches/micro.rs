@@ -14,8 +14,9 @@
 //!   2% + 5 µs (medians of interleaved rounds: single-core boxes jitter
 //!   by a few percent on sub-microsecond timings).
 //! * **kernels**: the cache-blocked GEMM over a size series, its
-//!   backward products and the fused `Linear`, then the hottest
-//!   parallel kernels swept over the pool's thread counts.
+//!   backward products and the fused `Linear`, the kernels the pool
+//!   splits swept over its thread counts, and the one-pass kernels at
+//!   one thread.
 //! * **pipeline**: trainer epoch walls at pipeline depth 0 and
 //!   [`DEPTH`] for four models, whose losses are **asserted** equal bit
 //!   for bit. Wall clock, not CPU time: the pipeline wins by overlapping
@@ -341,7 +342,8 @@ fn gemm_series(rows: &mut Rows, counts: &[usize]) {
     }
 }
 
-/// The three hottest parallel kernels over the given thread counts.
+/// The GEMM and the sampler over the given thread counts; the segment
+/// softmax, one pass on the caller's thread, at one.
 fn thread_sweep(rows: &mut Rows, counts: &[usize]) {
     let mut rng = StdRng::seed_from_u64(7);
     let a = Tensor::rand_uniform([512, 512], -1.0, 1.0, &mut rng);
@@ -359,20 +361,22 @@ fn thread_sweep(rows: &mut Rows, counts: &[usize]) {
     let nodes: Vec<u32> = (0..batch as u32).map(|i| i % g.num_nodes() as u32).collect();
     let times: Vec<f64> = vec![g.max_time(); batch];
 
+    let uniform = TemporalSampler::new(10, SamplingStrategy::Uniform);
     for &t in counts {
         set_threads(t);
-        let uniform = TemporalSampler::new(10, SamplingStrategy::Uniform);
         rows.push("matmul_512", t, time_it(|_| a.matmul(&b), 0.5));
-        rows.push("segment_softmax_32768x16", t, time_it(|_| segment_softmax(&vals, &seg, nseg), 0.5));
+        if t == 1 {
+            rows.push("segment_softmax_32768x16", t, time_it(|_| segment_softmax(&vals, &seg, nseg), 0.5));
+        }
         rows.push("sampling_uniform_1024x10", t, time_it(|_| uniform.sample(&csr, &nodes, &times), 0.5));
     }
 }
 
-/// The segment softmax, forward and backward, at 1 and 2 threads, at
-/// TGAT's measured per-layer shapes on Wiki (4 430 edges over 600
+/// The segment softmax, forward and backward, at one thread, at TGAT's
+/// measured per-layer shapes on Wiki (4 430 edges over 600
 /// destinations and 11 803 over 1 600, 2 heads, nondecreasing ids as a
 /// block hands them over); a row's name keeps the heads' width of 16.
-fn attention_kernel_sweep(rows: &mut Rows, counts: &[usize]) {
+fn attention_kernel_sweep(rows: &mut Rows) {
     let (h, d) = (2usize, 16usize);
     let mut rng = StdRng::seed_from_u64(11);
     for (e, s) in [(4430usize, 600usize), (11803, 1600)] {
@@ -385,15 +389,12 @@ fn attention_kernel_sweep(rows: &mut Rows, counts: &[usize]) {
             y.backward_with(go);
             y
         };
-        for &t in counts.iter().filter(|&&t| t <= 2) {
-            set_threads(t);
-            let timed = [
-                ("segment_softmax", time_it(|_| segment_softmax(&a, &seg, s), 0.3)),
-                ("segment_softmax_bwd", time_it(|lap| backward(lap, segment_softmax(&a, &seg, s)), 0.3)),
-            ];
-            for (kernel, secs) in timed {
-                rows.push(format!("{kernel}_{e}x{h}x{d}"), t, secs);
-            }
+        let timed = [
+            ("segment_softmax", time_it(|_| segment_softmax(&a, &seg, s), 0.3)),
+            ("segment_softmax_bwd", time_it(|lap| backward(lap, segment_softmax(&a, &seg, s)), 0.3)),
+        ];
+        for (kernel, secs) in timed {
+            rows.push(format!("{kernel}_{e}x{h}x{d}"), 1, secs);
         }
     }
 }
@@ -403,8 +404,8 @@ fn attention_kernel_sweep(rows: &mut Rows, counts: &[usize]) {
 /// forward and backward: the two `linear`s followed by the fused
 /// `gru_gates` kernel (what `GruCell::forward` runs) against the gate
 /// chain it replaced (six strided gathers, nine elementwise nodes),
-/// at 1 and 2 threads.
-fn gru_cell_sweep(rows: &mut Rows, counts: &[usize]) {
+/// at one thread.
+fn gru_cell_sweep(rows: &mut Rows) {
     let (input, hid) = (112usize, 32usize);
     let mut rng = StdRng::seed_from_u64(13);
     let mut param = |dims: &[usize]| {
@@ -440,17 +441,14 @@ fn gru_cell_sweep(rows: &mut Rows, counts: &[usize]) {
         let mut rng = StdRng::seed_from_u64(17);
         let x = Tensor::rand_uniform([n, input], -1.0, 1.0, &mut rng);
         let h = Tensor::rand_uniform([n, hid], -1.0, 1.0, &mut rng);
-        for &t in counts.iter().filter(|&&t| t <= 2) {
-            set_threads(t);
-            let timed = [
-                ("gru_cell", time_it(|_| cell(&x, &h, true), 0.3)),
-                ("gru_cell_bwd", time_it(|lap| backward(lap, cell(&x, &h, true)), 0.3)),
-                ("gru_cell_chain", time_it(|_| cell(&x, &h, false), 0.3)),
-                ("gru_cell_chain_bwd", time_it(|lap| backward(lap, cell(&x, &h, false)), 0.3)),
-            ];
-            for (kernel, secs) in timed {
-                rows.push(format!("{kernel}_{n}x{input}x{hid}"), t, secs);
-            }
+        let timed = [
+            ("gru_cell", time_it(|_| cell(&x, &h, true), 0.3)),
+            ("gru_cell_bwd", time_it(|lap| backward(lap, cell(&x, &h, true)), 0.3)),
+            ("gru_cell_chain", time_it(|_| cell(&x, &h, false), 0.3)),
+            ("gru_cell_chain_bwd", time_it(|lap| backward(lap, cell(&x, &h, false)), 0.3)),
+        ];
+        for (kernel, secs) in timed {
+            rows.push(format!("{kernel}_{n}x{input}x{hid}"), 1, secs);
         }
     }
 }
@@ -534,8 +532,9 @@ fn kernel_section(rows: &mut Rows, threads: usize) {
     defaults(threads);
     gemm_series(rows, &counts);
     thread_sweep(rows, &counts);
-    attention_kernel_sweep(rows, &counts);
-    gru_cell_sweep(rows, &counts);
+    set_threads(1);
+    attention_kernel_sweep(rows);
+    gru_cell_sweep(rows);
     non_gemm_third_sweep(rows, &counts);
 }
 

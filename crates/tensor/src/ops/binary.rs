@@ -1,8 +1,6 @@
 //! Broadcasting elementwise binary operators.
 
-use tgl_runtime::{parallel_rows, Chunks, Rows};
-
-use crate::ops::{for_each_chunk, same_device, ELEMWISE_SEQ};
+use crate::ops::same_device;
 use crate::pool;
 use crate::shape::Shape;
 use crate::Tensor;
@@ -84,7 +82,7 @@ fn binary_elementwise(
     flops_per_elem: u64,
     a: &Tensor,
     b: &Tensor,
-    fwd: impl Fn(f32, f32) -> f32 + Sync,
+    fwd: impl Fn(f32, f32) -> f32,
     bwd: impl Fn(f32, f32, f32) -> (f32, f32) + Send + Sync + 'static,
 ) -> Tensor {
     let device = same_device(a, b);
@@ -109,13 +107,10 @@ fn binary_elementwise(
     // needs no zero pass.
     let mut out = pool::take_uninit(out_shape.numel(), device);
     if a.shape() == b.shape() {
-        // Fast path: identical shapes — chunked across the pool.
-        let (a_data, b_data, fwd) = (&a_data, &b_data, &fwd);
-        for_each_chunk(&mut out, |r, o| {
-            for (k, i) in r.enumerate() {
-                o[k] = fwd(a_data[i], b_data[i]);
-            }
-        });
+        // Fast path: identical shapes.
+        for (o, (&x, &y)) in out.iter_mut().zip(a_data.iter().zip(b_data.iter())) {
+            *o = fwd(x, y);
+        }
     } else {
         let mut oi = 0;
         broadcast_apply(a.dims(), b.dims(), |ai, bi| {
@@ -142,27 +137,20 @@ fn binary_elementwise(
         };
         let (mut ga, mut gb) = (take(need_a, a_n), take(need_b, b_n));
         // An absent gradient is an empty slice below: `get_mut` then
-        // skips the store for the price of the bounds check an index
-        // would pay anyway, so the loops stay branch-for-branch what
-        // they were when both buffers always existed.
+        // skips its store.
+        let ga_s: &mut [f32] = ga.as_deref_mut().unwrap_or_default();
+        let gb_s: &mut [f32] = gb.as_deref_mut().unwrap_or_default();
         if same {
-            let (a_data, b_data, bwd) = (&a_data, &b_data, &bwd);
-            let outs = (ga.as_deref_mut().map(|g| Rows::width(g, 1)), gb.as_deref_mut().map(|g| Rows::width(g, 1)));
-            parallel_rows(a_n, Chunks::Auto(ELEMWISE_SEQ), outs, |r, (gar, gbr)| {
-                let (gar, gbr) = (gar.unwrap_or_default(), gbr.unwrap_or_default());
-                for (k, i) in r.enumerate() {
-                    let (da, db) = bwd(a_data[i], b_data[i], go[i]);
-                    if let Some(g) = gar.get_mut(k) {
-                        *g = da;
-                    }
-                    if let Some(g) = gbr.get_mut(k) {
-                        *g = db;
-                    }
+            for i in 0..a_n {
+                let (da, db) = bwd(a_data[i], b_data[i], go[i]);
+                if let Some(g) = ga_s.get_mut(i) {
+                    *g = da;
                 }
-            });
+                if let Some(g) = gb_s.get_mut(i) {
+                    *g = db;
+                }
+            }
         } else {
-            let ga_s: &mut [f32] = ga.as_deref_mut().unwrap_or_default();
-            let gb_s: &mut [f32] = gb.as_deref_mut().unwrap_or_default();
             let mut oi = 0;
             broadcast_apply(&a_dims, &b_dims, |ai, bi| {
                 let (da, db) = bwd(a_data[ai], b_data[bi], go[oi]);

@@ -7,23 +7,22 @@
 //! copies are wrapped in [`PooledBuf`] so tearing down the graph at the
 //! end of a batch recycles them too.
 //!
-//! Thread-count invariance: forward and input-gradient kernels are
-//! elementwise (each output element computed independently); the bias
-//! reduction in [`Tensor::add_relu`] parallelizes over *columns*, each
-//! summing its rows in ascending order regardless of thread count.
+//! Every kernel here is one pass on the caller's thread except
+//! [`time_encode`]'s forward, which splits its rows across the pool
+//! above [`TIME_SEQ_ROWS`]; each row is computed on its own, so the
+//! bits do not depend on the thread count.
 
 use tgl_runtime::{parallel_rows, Chunks, Rows};
 
 use crate::autograd::grad_enabled;
 use crate::kernel::{self, LaneKernel, LaneMap, Lanes, Trig};
-use crate::ops::{for_each_chunk, rows_threshold, same_device};
+use crate::ops::same_device;
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
-/// One fused elementwise pass over a chunk of an output, each written
-/// once over [`Lanes`]: every element takes the lane operations of its
-/// scalar expression below, whatever level runs and wherever the chunk
-/// starts.
+/// One fused elementwise pass over an output, each written once over
+/// [`Lanes`]: every element takes the lane operations of its scalar
+/// expression below, whatever level runs.
 enum Pass<'a> {
     /// `a + b`, then `max(.., 0)` as `maxps` selects it (a NaN sum and
     /// `-0.0` both give `+0.0`).
@@ -181,19 +180,16 @@ impl Tensor {
         {
             let a = self.inner.storage.read();
             let b = bias.inner.storage.read();
-            let (a, b) = (&a, &b);
-            for_each_chunk(&mut y, |r, out| {
-                if same {
-                    elementwise(out, Pass::AddRelu(&a[r.start..r.end], &b[r.start..r.end]));
-                } else {
-                    // Broadcast stays scalar: the `i % d` gather has no
-                    // contiguous lanes to load.
-                    for (k, i) in r.enumerate() {
-                        let sum = a[i] + b[i % d];
-                        out[k] = if sum > 0.0 { sum } else { 0.0 };
-                    }
+            if same {
+                elementwise(&mut y, Pass::AddRelu(&a, &b));
+            } else {
+                // Broadcast stays scalar: the `i % d` gather has no
+                // contiguous lanes to load.
+                for (i, o) in y.iter_mut().enumerate() {
+                    let sum = a[i] + b[i % d];
+                    *o = if sum > 0.0 { sum } else { 0.0 };
                 }
-            });
+            }
         }
 
         // The mask (y > 0) is recoverable from the output alone, so
@@ -215,10 +211,7 @@ impl Tensor {
                 // operand that needs it.
                 let masked = || {
                     let mut g = pool::take_uninit(n, device);
-                    let y = &y_copy;
-                    for_each_chunk(&mut g, |r, out| {
-                        relu_mask_bwd(out, &go[r.start..r.end], &y[r.start..r.end]);
-                    });
+                    relu_mask_bwd(&mut g, go, &y_copy);
                     g
                 };
                 let ga = need_a.then(masked);
@@ -229,21 +222,14 @@ impl Tensor {
                     }
                     // Column-wise row sum: each column is one output
                     // element, summed over rows in ascending order.
-                    let mut gb = pool::take_uninit(d, device);
-                    let rows = n / d.max(1);
-                    let y = &y_copy;
-                    parallel_rows(d, Chunks::Auto(rows_threshold(rows)), Rows::width(&mut gb, 1), |cols, out| {
-                        for (k, j) in cols.enumerate() {
-                            let mut acc = 0.0f32;
-                            for r in 0..rows {
-                                let i = r * d + j;
-                                if y[i] > 0.0 {
-                                    acc += go[i];
-                                }
+                    let mut gb = pool::take_zeroed(d, device);
+                    for (go, y) in go.chunks_exact(d.max(1)).zip(y_copy.chunks_exact(d.max(1))) {
+                        for ((acc, &g), &y) in gb.iter_mut().zip(go).zip(y) {
+                            if y > 0.0 {
+                                *acc += g;
                             }
-                            out[k] = acc;
                         }
-                    });
+                    }
                     gb
                 });
                 vec![ga, gb]
@@ -278,11 +264,7 @@ impl Tensor {
             let base = self.inner.storage.read();
             let ad = a.inner.storage.read();
             let bd = b.inner.storage.read();
-            let (base, ad, bd) = (&base, &ad, &bd);
-            for_each_chunk(&mut y, |r, out| {
-                let (base, a, b) = (&base[r.start..r.end], &ad[r.start..r.end], &bd[r.start..r.end]);
-                elementwise(out, Pass::Addcmul { base, a, b, s: scale });
-            });
+            elementwise(&mut y, Pass::Addcmul { base: &base, a: &ad, b: &bd, s: scale });
         }
         let (a_c, b_c) = (a.clone(), b.clone());
         let needs = [self, a, b].map(Tensor::requires_grad_flag);
@@ -326,17 +308,15 @@ impl Tensor {
 /// `deltas.reshape([n, 1]).mul(freq).add(phase).cos()`. When every
 /// delta has the same bits (`Φ(0)` for a block's destinations) the rows
 /// are equal: one is computed and copied, and backward reads its sines
-/// for every row. `deltas` takes no gradient. Forward owns rows;
-/// backward owns columns and walks them row-major (lanes are columns),
-/// so both are invariant across thread counts.
+/// for every row. `deltas` takes no gradient. Forward splits its rows
+/// across the pool above [`TIME_SEQ_ROWS`]; backward is one row-major
+/// walk on the caller's thread (lanes are columns).
 ///
 /// # Panics
 ///
 /// Panics unless `freq` and `phase` are rank-1 of equal length and all
 /// three tensors share a device.
 pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
-    /// Columns of the gradient sums one pass over the rows carries.
-    const STRIP: usize = 64;
     let device = same_device(deltas, freq);
     same_device(freq, phase);
     let (n, dim) = (deltas.numel(), freq.numel());
@@ -367,8 +347,8 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
     {
         let w = freq.inner.storage.read();
         let b = phase.inner.storage.read();
-        let outs = (Rows::width(&mut y, dim), rows(&mut sin, dim));
-        parallel_rows(distinct, Chunks::Auto(rows_threshold(8 * dim)), outs, |rows, (out, sin)| {
+        let outs = (Rows::width(&mut y, dim), sin.as_deref_mut().map(|s| Rows::width(s, dim)));
+        parallel_rows(distinct, Chunks::Auto(TIME_SEQ_ROWS), outs, |rows, (out, sin)| {
             kernel::run_lanes(Phases { out, sin, dt: &dt[rows], w: &w, b: &b });
         });
     }
@@ -385,16 +365,17 @@ pub fn time_encode(deltas: &Tensor, freq: &Tensor, phase: &Tensor) -> Tensor {
         let dt = dt_t.inner.storage.read();
         let mut gf = need_f.then(|| pool::take_uninit(dim, device));
         let mut gp = need_p.then(|| pool::take_uninit(dim, device));
-        // One strip of columns per chunk: a worker reads every row
-        // whatever its share of the columns, so narrower strips only
-        // re-read the same cache lines.
-        let outs = (rows(&mut gf, 1), rows(&mut gp, 1));
-        parallel_rows(dim, Chunks::Fixed(STRIP), outs, |cols, (gf, gp)| {
-            kernel::run_lanes(TimeGrads { go, sin, dt: &dt, dim, cols, gf, gp });
-        });
+        kernel::run_lanes(TimeGrads { go, sin, dt: &dt, dim, gf: gf.as_deref_mut(), gp: gp.as_deref_mut() });
         vec![None, gf, gp]
     })
 }
+
+/// [`time_encode`] runs its forward inline below this many distinct
+/// rows (16 Ki elements at 16 columns). Its `sincos` costs about 3
+/// cycles per element: run inline at every size, TGAT evaluation's
+/// `time_nbrs` phase took 12.1-12.2 ms at 2 threads against 7.8-8.9 ms
+/// split (DESIGN.md "One entry point, four sites").
+const TIME_SEQ_ROWS: usize = 128;
 
 /// [`time_encode`]'s forward over a chunk of rows: each row's arguments
 /// `t · w + b` (a `mul`, then an `add`) a vector of columns at a time,
@@ -433,18 +414,16 @@ impl LaneKernel for Phases<'_> {
     }
 }
 
-/// The column sums of [`time_encode`]'s backward over the columns
-/// `cols`: with `p = dout[i,j] · sin[i,j]` (one rounding),
-/// `dphase[j] = Σ_i -p` and `dfreq[j] = Σ_i -p · t_i`, each from zero
-/// over ascending rows, as `acc - p` and `acc - p · t` (the roundings
-/// of adding `-p` and `(-p) · t`). `sin` holds a row per delta or one
-/// row for all of them.
+/// The column sums of [`time_encode`]'s backward: with
+/// `p = dout[i,j] · sin[i,j]` (one rounding), `dphase[j] = Σ_i -p` and
+/// `dfreq[j] = Σ_i -p · t_i`, each from zero over ascending rows, as
+/// `acc - p` and `acc - p · t` (the roundings of adding `-p` and
+/// `(-p) · t`). `sin` holds a row per delta or one row for all of them.
 struct TimeGrads<'a> {
     go: &'a [f32],
     sin: &'a [f32],
     dt: &'a [f32],
     dim: usize,
-    cols: std::ops::Range<usize>,
     gf: Option<&'a mut [f32]>,
     gp: Option<&'a mut [f32]>,
 }
@@ -454,13 +433,14 @@ impl LaneKernel for TimeGrads<'_> {
     unsafe fn run<V: Lanes>(self) {
         /// Vectors of columns one walk over the rows keeps in registers.
         const GROUP: usize = 4;
-        let TimeGrads { go, sin, dt, dim, cols, mut gf, mut gp } = self;
-        assert!(go.len() == dt.len() * dim && (sin.len() == go.len() || sin.len() == dim) && cols.end <= dim);
+        let TimeGrads { go, sin, dt, dim, mut gf, mut gp } = self;
+        assert!(go.len() == dt.len() * dim && (sin.len() == go.len() || sin.len() == dim));
+        assert!(gf.as_ref().is_none_or(|g| g.len() == dim) && gp.as_ref().is_none_or(|g| g.len() == dim));
         let shared_row = sin.len() < go.len();
-        let mut c0 = cols.start;
-        while c0 < cols.end {
-            let real = (cols.end - c0).div_ceil(V::LANES).min(GROUP);
-            let lens: [usize; GROUP] = std::array::from_fn(|v| (cols.end - c0).saturating_sub(v * V::LANES).min(V::LANES));
+        let mut c0 = 0;
+        while c0 < dim {
+            let real = (dim - c0).div_ceil(V::LANES).min(GROUP);
+            let lens: [usize; GROUP] = std::array::from_fn(|v| (dim - c0).saturating_sub(v * V::LANES).min(V::LANES));
             let (mut acc_f, mut acc_p) = ([V::splat(0.0); GROUP], [V::splat(0.0); GROUP]);
             for (i, &t) in dt.iter().enumerate() {
                 let go_row = go.as_ptr().add(i * dim + c0);
@@ -474,13 +454,12 @@ impl LaneKernel for TimeGrads<'_> {
                     *f = f.sub(p.mul(t));
                 }
             }
-            let at = c0 - cols.start;
             for (v, ((f, p_sum), &len)) in acc_f.iter().zip(&acc_p).zip(&lens).take(real).enumerate() {
                 if let Some(gf) = gf.as_deref_mut() {
-                    f.store_part(gf.as_mut_ptr().add(at + v * V::LANES), len);
+                    f.store_part(gf.as_mut_ptr().add(c0 + v * V::LANES), len);
                 }
                 if let Some(gp) = gp.as_deref_mut() {
-                    p_sum.store_part(gp.as_mut_ptr().add(at + v * V::LANES), len);
+                    p_sum.store_part(gp.as_mut_ptr().add(c0 + v * V::LANES), len);
                 }
             }
             c0 += GROUP * V::LANES;
@@ -491,12 +470,6 @@ impl LaneKernel for TimeGrads<'_> {
 /// The logistic function as [`Tensor::sigmoid`] rounds it.
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
-}
-
-/// An optional `[N, width]` output, one row per item (absent when
-/// `buf` is).
-fn rows(buf: &mut Option<Vec<f32>>, width: usize) -> Option<Rows<'_, f32>> {
-    buf.as_deref_mut().map(|b| Rows::width(b, width))
 }
 
 /// The GRU gate combination over the two affine maps
@@ -514,8 +487,8 @@ fn rows(buf: &mut Option<Vec<f32>>, width: usize) -> Option<Rows<'_, f32>> {
 /// (each product and sum on its own), and so is
 /// every gradient: a gate's slice of `dgi` is what the chain's scatter
 /// into a zeroed buffer leaves there. Forward saves `r`, `z`, `n` for
-/// backward only when a node is built. Rows are independent, so
-/// results do not depend on the thread count.
+/// backward only when a node is built. Both passes run on the caller's
+/// thread.
 ///
 /// # Panics
 ///
@@ -542,30 +515,26 @@ pub fn gru_gates(gi: &Tensor, gh: &Tensor, h: &Tensor) -> Tensor {
         .io(28 * cells, 4 * cells * (1 + 3 * track as u64))
         .shape(&[gi.dims(), gh.dims(), h.dims()])
         .backward_cost(15 * cells, 24 * cells, 4 * grad_cells);
-    let row_seq = rows_threshold(16 * hid);
     let mut y = pool::take_uninit(n * hid, device);
     let mut gates = track.then(|| pool::take_uninit(3 * n * hid, device));
     {
         let gi = gi.inner.storage.read();
         let gh = gh.inner.storage.read();
         let hd = h.inner.storage.read();
-        let outs = (Rows::width(&mut y, hid), rows(&mut gates, 3 * hid));
-        parallel_rows(n, Chunks::Auto(row_seq), outs, |rows, (out, mut saved)| {
-            for (k, i) in rows.enumerate() {
-                let (gi, gh) = (&gi[3 * i * hid..][..3 * hid], &gh[3 * i * hid..][..3 * hid]);
-                let (h, out) = (&hd[i * hid..][..hid], &mut out[k * hid..][..hid]);
-                for j in 0..hid {
-                    let r = sigmoid(gi[j] + gh[j]);
-                    let z = sigmoid(gi[hid + j] + gh[hid + j]);
-                    let c = (gi[2 * hid + j] + r * gh[2 * hid + j]).tanh();
-                    out[j] = c + z * (h[j] - c);
-                    if let Some(s) = saved.as_deref_mut() {
-                        let s = &mut s[3 * k * hid..][..3 * hid];
-                        (s[j], s[hid + j], s[2 * hid + j]) = (r, z, c);
-                    }
+        for i in 0..n {
+            let (gi, gh) = (&gi[3 * i * hid..][..3 * hid], &gh[3 * i * hid..][..3 * hid]);
+            let (h, out) = (&hd[i * hid..][..hid], &mut y[i * hid..][..hid]);
+            for j in 0..hid {
+                let r = sigmoid(gi[j] + gh[j]);
+                let z = sigmoid(gi[hid + j] + gh[hid + j]);
+                let c = (gi[2 * hid + j] + r * gh[2 * hid + j]).tanh();
+                out[j] = c + z * (h[j] - c);
+                if let Some(s) = gates.as_deref_mut() {
+                    let s = &mut s[3 * i * hid..][..3 * hid];
+                    (s[j], s[hid + j], s[2 * hid + j]) = (r, z, c);
                 }
             }
-        });
+        }
     }
     let gates = gates.map(|g| PooledBuf::new(g, device));
     let (gh_t, h_t) = (gh.clone(), h.clone());
@@ -577,32 +546,29 @@ pub fn gru_gates(gi: &Tensor, gh: &Tensor, h: &Tensor) -> Tensor {
         let mut dgi = needs[0].then(|| pool::take_uninit(3 * n * hid, device));
         let mut dgh = needs[1].then(|| pool::take_uninit(3 * n * hid, device));
         let mut dh = needs[2].then(|| pool::take_uninit(n * hid, device));
-        let outs = (rows(&mut dgi, 3 * hid), rows(&mut dgh, 3 * hid), rows(&mut dh, hid));
-        parallel_rows(n, Chunks::Auto(row_seq), outs, |rows, (mut dgi, mut dgh, mut dh)| {
-            for (k, i) in rows.enumerate() {
-                let saved = &gates[3 * i * hid..][..3 * hid];
-                let (h, gh_n) = (&hd[i * hid..][..hid], &gh[(3 * i + 2) * hid..][..hid]);
-                let go = &go[i * hid..][..hid];
-                for j in 0..hid {
-                    let (r, z, c) = (saved[j], saved[hid + j], saved[2 * hid + j]);
-                    let d_h = go[j] * z;
-                    let d_z = go[j] * (h[j] - c);
-                    let d_n = (go[j] - d_h) * (1.0 - c * c);
-                    let d_ar = d_n * gh_n[j] * r * (1.0 - r);
-                    let d_az = d_z * z * (1.0 - z);
-                    let at = 3 * k * hid + j;
-                    if let Some(g) = dgi.as_deref_mut() {
-                        (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n);
-                    }
-                    if let Some(g) = dgh.as_deref_mut() {
-                        (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n * r);
-                    }
-                    if let Some(g) = dh.as_deref_mut() {
-                        g[k * hid + j] = d_h;
-                    }
+        for i in 0..n {
+            let saved = &gates[3 * i * hid..][..3 * hid];
+            let (h, gh_n) = (&hd[i * hid..][..hid], &gh[(3 * i + 2) * hid..][..hid]);
+            let go = &go[i * hid..][..hid];
+            for j in 0..hid {
+                let (r, z, c) = (saved[j], saved[hid + j], saved[2 * hid + j]);
+                let d_h = go[j] * z;
+                let d_z = go[j] * (h[j] - c);
+                let d_n = (go[j] - d_h) * (1.0 - c * c);
+                let d_ar = d_n * gh_n[j] * r * (1.0 - r);
+                let d_az = d_z * z * (1.0 - z);
+                let at = 3 * i * hid + j;
+                if let Some(g) = dgi.as_deref_mut() {
+                    (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n);
+                }
+                if let Some(g) = dgh.as_deref_mut() {
+                    (g[at], g[at + hid], g[at + 2 * hid]) = (d_ar, d_az, d_n * r);
+                }
+                if let Some(g) = dh.as_deref_mut() {
+                    g[i * hid + j] = d_h;
                 }
             }
-        });
+        }
         vec![dgi, dgh, dh]
     })
 }

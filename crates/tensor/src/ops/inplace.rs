@@ -6,11 +6,10 @@
 //! logic error (it would silently corrupt saved activations) and
 //! panics.
 //!
-//! The kernel runs single-threaded: every call site operates on
-//! parameter-sized buffers (well under [`crate::ops::ELEMWISE_SEQ`]),
-//! where pool dispatch would cost more than the arithmetic. It is one
-//! body over [`Lanes`], bitwise identical to the scalar loop at every
-//! SIMD level (see `crate::kernel`).
+//! The kernel runs on the caller's thread, like every elementwise pass
+//! (see DESIGN.md "One entry point, four sites"). It is one body over
+//! [`Lanes`], bitwise identical to the scalar loop at every SIMD level
+//! (see `crate::kernel`).
 
 use crate::kernel::{self, LaneKernel, Lanes};
 use crate::Tensor;

@@ -1,32 +1,17 @@
 //! Reduction operators (sums, full or per-dimension).
 
-use tgl_runtime::{parallel_rows, Chunks, Rows};
-
-use crate::ops::rows_threshold;
 use crate::pool;
 use crate::shape::Shape;
 use crate::Tensor;
 
-/// Fixed-chunk size for whole-buffer sums. The chunk size is a function
-/// of nothing but this constant, and partials combine in chunk order,
-/// so rounding is identical for every thread count (within 1e-5 of a
-/// straight sequential sum).
+/// Chunk size for whole-buffer sums: one partial per chunk, partials
+/// added in chunk order (within 1e-5 of a straight sequential sum).
 const SUM_CHUNK: usize = 8192;
 
-/// Sums a slice with fixed-size ordered chunks across the pool.
+/// Sums a slice by fixed-size ordered chunks (a slice of one chunk
+/// sums straight: `f32`'s sum starts at `-0.0`, which adds exactly).
 fn sum_slice(data: &[f32]) -> f32 {
-    if data.len() <= SUM_CHUNK {
-        return data.iter().sum();
-    }
-    // One partial per `SUM_CHUNK` elements, one pool chunk each.
-    let n_chunks = data.len().div_ceil(SUM_CHUNK);
-    let mut partials = vec![0.0f32; n_chunks];
-    parallel_rows(n_chunks, Chunks::Fixed(1), Rows::width(&mut partials, 1), |cs, p| {
-        for (p, data) in p.iter_mut().zip(data.chunks(SUM_CHUNK).skip(cs.start)) {
-            *p = data.iter().sum();
-        }
-    });
-    partials.iter().sum()
+    data.chunks(SUM_CHUNK).map(|c| c.iter().sum::<f32>()).sum()
 }
 
 impl Tensor {
@@ -78,37 +63,27 @@ impl Tensor {
         let out_shape = self.shape().without_dim(dim);
         let mut out = pool::take_uninit(outer * inner, device);
         out.fill(0.0);
-        // Parallel over `outer`: each outer index owns its own output
-        // rows, and the m-then-i accumulation order per element matches
-        // the sequential loops exactly.
-        {
-            let data = &data;
-            let chunks = Chunks::Auto(rows_threshold(mid * inner));
-            parallel_rows(outer, chunks, Rows::width(&mut out, inner), |os, out| {
-                for (k, o) in os.enumerate() {
-                    for m in 0..mid {
-                        for i in 0..inner {
-                            out[k * inner + i] += data[(o * mid + m) * inner + i];
-                        }
-                    }
+        // Outer, then m, then i: each output element adds its inputs in
+        // m order.
+        for o in 0..outer {
+            for m in 0..mid {
+                for i in 0..inner {
+                    out[o * inner + i] += data[(o * mid + m) * inner + i];
                 }
-            });
+            }
         }
         drop(data);
         let n = self.numel();
         Tensor::make_result(out, out_shape, self.device(), std::slice::from_ref(self), move |go| {
             // Every input slot is written.
             let mut g = pool::take_uninit(n, device);
-            let chunks = Chunks::Auto(rows_threshold(mid * inner));
-            parallel_rows(outer, chunks, Rows::width(&mut g, mid * inner), |os, g| {
-                for (k, o) in os.enumerate() {
-                    for m in 0..mid {
-                        for i in 0..inner {
-                            g[(k * mid + m) * inner + i] = go[o * inner + i];
-                        }
+            for o in 0..outer {
+                for m in 0..mid {
+                    for i in 0..inner {
+                        g[(o * mid + m) * inner + i] = go[o * inner + i];
                     }
                 }
-            });
+            }
             vec![Some(g)]
         })
     }

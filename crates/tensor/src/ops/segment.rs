@@ -13,10 +13,12 @@
 //! rows a vector of columns at a time (`SumRows`); the softmax packs
 //! whole rows of a run into a vector when they are narrower than one
 //! (`Softmax`). Either way a lane performs its element's operations in
-//! the scalar loop's order, so results do not depend on the level, the
-//! row source or the thread count. [`edge_attention`], the fused
-//! attention of TGAT, TGN and APAN, keeps one order of its own at every
-//! level.
+//! the scalar loop's order, so results do not depend on the level or
+//! the row source. They run once over all segments on the caller's
+//! thread. [`edge_attention`], the fused attention of TGAT, TGN and
+//! APAN, keeps one order of its own at every level and is the one
+//! segment kernel that splits its segments across the pool (above
+//! [`SEG_SEQ_ROWS`] rows).
 
 use std::borrow::Cow;
 use std::marker::PhantomData;
@@ -34,9 +36,8 @@ use crate::Tensor;
 
 /// Rows grouped by segment: `rows[starts[s]..starts[s + 1]]` lists the
 /// row indices of segment `s` in ascending order (counting sort, so the
-/// grouping is stable). Built sequentially in O(n); parallel kernels
-/// then own whole segments, which keeps per-segment accumulation in the
-/// same ascending-row floating-point order as the sequential loops.
+/// grouping is stable), built in O(n): per-segment accumulation keeps
+/// the ascending-row floating-point order of the scalar loops.
 struct SegmentIndex {
     starts: Vec<usize>,
     rows: Vec<usize>,
@@ -143,24 +144,14 @@ impl SegmentRows {
         }
     }
 
-    /// How [`parallel_rows`] cuts the segments: runs split, in parallel
-    /// from `min_rows` rows; unsorted ids stay one chunk.
-    fn chunks(&self, min_rows: usize) -> Chunks {
+    /// How [`edge_attention`] cuts the segments for [`parallel_rows`]:
+    /// runs split from [`SEG_SEQ_ROWS`] rows; unsorted ids stay one
+    /// chunk.
+    fn chunks(&self) -> Chunks {
         match self {
-            SegmentRows::Runs(starts) => Chunks::Auto(seg_seq_threshold(starts[self.len()], self.len(), min_rows)),
-            SegmentRows::Index(_) => Chunks::Auto(self.len()),
+            SegmentRows::Runs(starts) if starts[self.len()] >= SEG_SEQ_ROWS => Chunks::Auto(1),
+            _ => Chunks::Auto(self.len()),
         }
-    }
-
-    /// Runs `kernel(segs, out_rows, base)` over chunks of the segments,
-    /// where `out_rows` holds the `d`-wide rows of `out` that the
-    /// segments `segs` own and `base` is the first of them
-    /// ([`SegmentRows::offsets`], [`SegmentRows::chunks`]).
-    fn split_rows(&self, out: &mut [f32], d: usize, min_rows: usize, kernel: impl Fn(Range<usize>, &mut [f32], usize) + Sync) {
-        let offsets = self.offsets();
-        parallel_rows(self.len(), self.chunks(min_rows), Rows::offsets(out, &offsets, d), |segs, rows| {
-            kernel(segs.clone(), rows, offsets[segs.start]);
-        });
     }
 
     /// Runs `kernel` over the segments `segs`, in order. Inlined, so
@@ -183,58 +174,14 @@ impl SegmentRows {
     }
 }
 
-/// Rows (edges) below which a segment kernel runs inline on the caller:
-/// the 2-thread break-even of `segment_softmax`'s forward and of
-/// [`edge_attention`]. Measured on the 2-vCPU AVX-512 host that
-/// recorded `BENCH_micro.json` with the split forced at every size,
-/// each thread count in its own process, median of 300 runs: the
-/// softmax (2 heads, about 7 edges per destination) reads 1.21-1.26x at
-/// 2 000 edges; [`edge_attention`] (7 alternating process pairs, 80-wide
-/// `z` rows, about 9 edges per destination) reads 0.64-1.12x at 1 000
-/// edges, 0.62-1.60x at 2 500, 0.94-1.64x at 3 000 and 1.15-1.44x at
-/// 4 000, forward and forward + backward alike.
+/// Rows (edges) below which [`edge_attention`] runs inline on the
+/// caller, its 2-thread break-even. Measured on the 2-vCPU AVX-512
+/// host that recorded `BENCH_micro.json` with the split forced at every
+/// size, each thread count in its own process (7 alternating process
+/// pairs, 80-wide `z` rows, about 9 edges per destination): 0.64-1.12x
+/// at 1 000 edges, 0.62-1.60x at 2 500, 0.94-1.64x at 3 000 and
+/// 1.15-1.44x at 4 000, forward and forward + backward alike.
 const SEG_SEQ_ROWS: usize = 4096;
-
-/// [`SEG_SEQ_ROWS`] for the softmax's backward, one multiply-add per
-/// element read, where a second thread takes longer to pay for itself:
-/// measured the same way (4 alternating process pairs), it reads
-/// 0.55-0.74x at 2 000 edges, 0.60-0.88x at 4 000, 1.00-1.35x at 6 000
-/// and 1.08-1.18x at 8 000.
-const SEG_SEQ_ROWS_LIGHT: usize = 8192;
-
-/// Elements (rows × row width) below which the forwards of the plain
-/// reductions, `segment_sum` and `segment_mean`, run inline. Their rows
-/// run from one column (APAN's mail times) to hundreds (its mails,
-/// `2 · memory + edge features`), so the split counts elements, not
-/// rows. Measured like [`SEG_SEQ_ROWS`] at row widths 32, 96 and 232,
-/// about 7 rows per segment, ids sorted and shuffled: at 2 threads they
-/// read 0.69-1.08x at 131 072 elements, 0.67-1.29x at 262 144 and
-/// 1.08-1.84x at 524 288 (one run of 12 read 0.72x). At APAN's shapes
-/// (Wiki, default widths) its mail scatter, `[3 307, 96]` by shuffled
-/// ids, reads 1.20-1.22x and its summary sum, `[5 100, 32]`, 0.96-0.98x.
-const SEG_SEQ_ELEMS: usize = 1 << 18;
-
-/// [`SEG_SEQ_ELEMS`] for `segment_sum`'s backward, a row copy per input
-/// row: at 2 threads 0.24-0.72x at 16 384 elements of rows 32-232 wide,
-/// 0.56-1.17x at 65 536, 0.81-1.34x at 131 072 (1.10-1.34x at width
-/// 32) and 0.97-1.66x at 262 144; APAN's summary gradient, `[5 850,
-/// 32]`, 1.25-1.29x. One-column rows win from 16 384 (1.09-1.35x).
-const SEG_SEQ_GATHER: usize = 1 << 17;
-
-/// [`SEG_SEQ_ELEMS`] for `segment_mean`'s backward, a division per
-/// element: at 2 threads 0.86-1.15x at 16 384 elements of rows 1-232
-/// wide, 0.97-1.56x at 32 768 and 1.26-1.72x at 65 536.
-const SEG_SEQ_DIVIDE: usize = 1 << 15;
-
-/// `Chunks::Auto`'s threshold over `items` work items covering `size`
-/// rows or elements: all inline below `min_size`, else any split.
-fn seg_seq_threshold(size: usize, items: usize, min_size: usize) -> usize {
-    if size < min_size {
-        items
-    } else {
-        1
-    }
-}
 
 fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (usize, usize) {
     assert!(values.rank() >= 1, "segment ops need rank >= 1 values");
@@ -256,12 +203,11 @@ fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (
 // Per-segment bodies of the reductions and the softmax
 // ---------------------------------------------------------------------
 
-/// `out[k] += x[i]` (or `+= x[i] / counts[s]` given the counts) for the
-/// rows `i` of the `k`-th of the segments `segs`, ascending: the scalar
-/// loop's roundings (div then add) in its order, lane-wise.
+/// `out[s] += x[i]` (or `+= x[i] / counts[s]` given the counts) for the
+/// rows `i` of every segment `s`, ascending: the scalar loop's roundings
+/// (div then add) in its order, lane-wise.
 struct SumRows<'a> {
     out: &'a mut [f32],
-    segs: Range<usize>,
     rows: &'a SegmentRows,
     x: &'a [f32],
     d: usize,
@@ -271,9 +217,8 @@ struct SumRows<'a> {
 impl LaneKernel for SumRows<'_> {
     #[inline(always)]
     unsafe fn run<V: Lanes>(self) {
-        let SumRows { out, segs, rows, x, d, counts } = self;
-        let counts = counts.map(|c| &c[segs.clone()]);
-        rows.each(segs, &mut SumSegment::<V> { out, x, d, counts, lanes: PhantomData });
+        let SumRows { out, rows, x, d, counts } = self;
+        rows.each(0..rows.len(), &mut SumSegment::<V> { out, x, d, counts, lanes: PhantomData });
     }
 }
 
@@ -303,11 +248,10 @@ impl<V: Lanes> SegmentKernel for SumSegment<'_, V> {
     }
 }
 
-/// Softmax over the segments `segs`, per column: the column's max over
-/// the segment's rows, `exp` ([`Lanes::exp`]) of every row's difference
-/// to it, the sum of those over ascending rows from zero and one
-/// division of each by it. `y` holds the rows from `base` on of the
-/// segments ([`SegmentRows::split_rows`]).
+/// Softmax over every segment, per column: the column's max over the
+/// segment's rows, `exp` ([`Lanes::exp`]) of every row's difference to
+/// it, the sum of those over ascending rows from zero and one division
+/// of each by it, `x` into `y`.
 ///
 /// A max does not depend on the order it is taken in (a NaN is skipped
 /// either way, and which zero wins cannot show once `exp` has made it
@@ -315,22 +259,20 @@ impl<V: Lanes> SegmentKernel for SumSegment<'_, V> {
 /// path: runs of rows whose width divides the lane count are read as
 /// packed vectors ([`shift_run`], [`normalize_run`]), anything else a
 /// vector of columns at a time ([`ShiftCols`], [`NormalizeCols`]); one
-/// `exp` over the chunk sits between the two passes.
+/// `exp` over all of `y` sits between the two passes.
 struct Softmax<'a> {
     x: &'a [f32],
     y: &'a mut [f32],
-    base: usize,
     d: usize,
-    segs: Range<usize>,
     rows: &'a SegmentRows,
 }
 
 impl LaneKernel for Softmax<'_> {
     #[inline(always)]
     unsafe fn run<V: Lanes>(self) {
-        let Softmax { x, y, base, d, segs, rows } = self;
-        let span = rows.span(&segs);
-        assert!(x.len() >= span.end * d && base == span.start && y.len() == span.len() * d);
+        let Softmax { x, y, d, rows } = self;
+        let segs = 0..rows.len();
+        assert!(x.len() == y.len() && rows.span(&segs).end * d <= y.len());
         let packed = match rows {
             SegmentRows::Runs(starts) if d < V::LANES && V::LANES.is_multiple_of(d) => Some(starts),
             _ => None,
@@ -338,12 +280,12 @@ impl LaneKernel for Softmax<'_> {
         // The three passes each run over every segment before the next
         // starts: a segment's work is one chain of dependent operations,
         // and a pass over many segments overlaps them.
-        let y0 = y.as_mut_ptr().wrapping_sub(base * d);
+        let y0 = y.as_mut_ptr();
         match packed {
             Some(starts) => {
                 for s in segs.clone() {
                     let (lo, hi) = (starts[s], starts[s + 1]);
-                    let (x, y) = (&x[lo * d..hi * d], &mut y[(lo - base) * d..(hi - base) * d]);
+                    let (x, y) = (&x[lo * d..hi * d], &mut y[lo * d..hi * d]);
                     shift_run::<V>(x.as_ptr(), y.as_mut_ptr(), x.len(), d);
                 }
             }
@@ -353,7 +295,7 @@ impl LaneKernel for Softmax<'_> {
         match packed {
             Some(starts) => {
                 for s in segs {
-                    let (lo, hi) = (starts[s] - base, starts[s + 1] - base);
+                    let (lo, hi) = (starts[s], starts[s + 1]);
                     normalize_run::<V>(&mut y[lo * d..hi * d], d);
                 }
             }
@@ -430,7 +372,7 @@ unsafe fn normalize_run<V: Lanes>(y: &mut [f32], d: usize) {
 /// The first pass of [`Softmax`] over a segment's rows, a vector of
 /// columns at a time (the last one partial): the columns' max over the
 /// rows, then every row's difference to it into `y`, whose row 0 is at
-/// `y` (the chunk's rows, and only those, are inside its buffer).
+/// `y`.
 struct ShiftCols<V> {
     x: *const f32,
     y: *mut f32,
@@ -493,28 +435,25 @@ impl<V: Lanes> SegmentKernel for NormalizeCols<V> {
     }
 }
 
-/// The softmax's backward over the segments `segs`, per column:
+/// The softmax's backward over every segment, per column:
 /// `g_i = (go_i - Σ_k go_k y_k) · y_i`, the dot from zero over ascending
 /// rows, one rounding per product and per add; a vector of columns at a
-/// time, the last one partial. `g` holds the rows from `base` on of the
-/// segments `segs`, as [`Softmax`] writes `y`.
+/// time, the last one partial.
 struct SoftmaxGrad<'a> {
     go: &'a [f32],
     y: &'a [f32],
     g: &'a mut [f32],
-    base: usize,
     d: usize,
-    segs: Range<usize>,
     rows: &'a SegmentRows,
 }
 
 impl LaneKernel for SoftmaxGrad<'_> {
     #[inline(always)]
     unsafe fn run<V: Lanes>(self) {
-        let SoftmaxGrad { go, y, g, base, d, segs, rows } = self;
-        let span = rows.span(&segs);
-        assert!(go.len() == y.len() && base == span.start && g.len() == span.len() * d);
-        let g = g.as_mut_ptr().wrapping_sub(base * d);
+        let SoftmaxGrad { go, y, g, d, rows } = self;
+        let segs = 0..rows.len();
+        assert!(go.len() == y.len() && g.len() == y.len() && rows.span(&segs).end * d <= g.len());
+        let g = g.as_mut_ptr();
         rows.each(segs, &mut SoftmaxGradRows::<V> { go, y, g, d, lanes: PhantomData });
     }
 }
@@ -523,8 +462,7 @@ impl LaneKernel for SoftmaxGrad<'_> {
 struct SoftmaxGradRows<'a, V> {
     go: &'a [f32],
     y: &'a [f32],
-    /// Where row 0 of the gradient would start: the rows of the chunk's
-    /// segments, and only those, are inside its buffer.
+    /// Where row 0 of the gradient starts.
     g: *mut f32,
     d: usize,
     lanes: PhantomData<V>,
@@ -947,31 +885,22 @@ pub fn segment_sum(values: &Tensor, segments: &[usize], num_segments: usize) -> 
     Tensor::make_result(out, out_dims, device, std::slice::from_ref(values), move |go| {
         // Gather: every input row copies its segment's gradient row.
         let mut g = pool::take_uninit(n * d, device);
-        let chunks = Chunks::Auto(seg_seq_threshold(n * d, n, SEG_SEQ_GATHER));
-        parallel_rows(n, chunks, Rows::width(&mut g, d), |rows, g_rows| {
-            for (ri, i) in rows.enumerate() {
-                let s = seg[i];
-                g_rows[ri * d..(ri + 1) * d].copy_from_slice(&go[s * d..(s + 1) * d]);
-            }
-        });
+        for (g_row, &s) in g.chunks_exact_mut(d.max(1)).zip(&seg) {
+            g_row.copy_from_slice(&go[s * d..][..d]);
+        }
         vec![Some(g)]
     })
 }
 
 /// The forward of [`segment_sum`] and, given the row counts,
-/// [`segment_mean`]: segments own their output rows.
+/// [`segment_mean`].
 fn sum_rows(values: &Tensor, segments: &[usize], num_segments: usize, counts: Option<&[f32]>) -> Vec<f32> {
-    let (n, d): (usize, usize) = (values.dim(0), values.dims()[1..].iter().product());
-    let seg_rows = SegmentRows::new(segments, num_segments);
+    let d: usize = values.dims()[1..].iter().product();
+    let rows = SegmentRows::new(segments, num_segments);
     // Accumulates with `+=` (and empty segments stay zero), so the
     // recycled buffer must start zeroed.
     let mut out = pool::take_zeroed(num_segments * d, values.device());
-    let x = values.inner.storage.read();
-    let chunks = Chunks::Auto(seg_seq_threshold(n * d, num_segments, SEG_SEQ_ELEMS));
-    parallel_rows(num_segments, chunks, Rows::width(&mut out, d), |segs, out| {
-        kernel::run_lanes(SumRows { out, segs, rows: &seg_rows, x: &x, d, counts });
-    });
-    drop(x);
+    kernel::run_lanes(SumRows { out: &mut out, rows: &rows, x: &values.inner.storage.read(), d, counts });
     out
 }
 
@@ -994,15 +923,11 @@ pub fn segment_mean(values: &Tensor, segments: &[usize], num_segments: usize) ->
     let seg = segments.to_vec();
     Tensor::make_result(out, out_dims, device, std::slice::from_ref(values), move |go| {
         let mut g = pool::take_uninit(n * d, device);
-        let (seg, counts) = (&seg, &counts);
-        let chunks = Chunks::Auto(seg_seq_threshold(n * d, n, SEG_SEQ_DIVIDE));
-        parallel_rows(n, chunks, Rows::width(&mut g, d), |rows, g_rows| {
-            for (g_row, &s) in g_rows.chunks_exact_mut(d.max(1)).zip(&seg[rows]) {
-                for (g, &o) in g_row.iter_mut().zip(&go[s * d..][..d]) {
-                    *g = o / counts[s];
-                }
+        for (g_row, &s) in g.chunks_exact_mut(d.max(1)).zip(&seg) {
+            for (g, &o) in g_row.iter_mut().zip(&go[s * d..][..d]) {
+                *g = o / counts[s];
             }
-        });
+        }
         vec![Some(g)]
     })
 }
@@ -1065,15 +990,10 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
         .shape(&[values.dims(), &[num_segments]])
         .backward_cost(4 * (n * d) as u64, 8 * (n * d) as u64, 4 * (n * d) as u64);
     let device = values.device();
-    let seg_rows = SegmentRows::new(segments, num_segments);
+    let rows = SegmentRows::new(segments, num_segments);
     // Segments partition the rows, so every element is written below.
     let mut y = pool::take_uninit(n * d, device);
-    {
-        let x = values.inner.storage.read();
-        seg_rows.split_rows(&mut y, d, SEG_SEQ_ROWS, |segs, y, base| {
-            kernel::run_lanes(Softmax { x: &x, y, base, d, segs, rows: &seg_rows });
-        });
-    }
+    kernel::run_lanes(Softmax { x: &values.inner.storage.read(), y: &mut y, d, rows: &rows });
     let y_copy = {
         let mut c = pool::take_uninit(y.len(), device);
         c.copy_from_slice(&y);
@@ -1086,10 +1006,7 @@ pub fn segment_softmax(values: &Tensor, segments: &[usize], num_segments: usize)
         std::slice::from_ref(values),
         move |go| {
             let mut g = pool::take_uninit(n * d, device);
-            seg_rows.split_rows(&mut g, d, SEG_SEQ_ROWS_LIGHT, |segs, g, base| {
-                let y = &y_copy[..];
-                kernel::run_lanes(SoftmaxGrad { go, y, g, base, d, segs, rows: &seg_rows });
-            });
+            kernel::run_lanes(SoftmaxGrad { go, y: &y_copy, g: &mut g, d, rows: &rows });
             vec![Some(g)]
         },
     )
@@ -1209,7 +1126,7 @@ pub fn edge_attention(
     with_parts(&xs, &index, |parts| {
         let offsets = rows.offsets();
         let outs = (Rows::offsets(&mut a, &offsets, h), Rows::width(&mut zbar, h * k));
-        parallel_rows(s, rows.chunks(SEG_SEQ_ROWS), outs, |segs, (a, zbar)| {
+        parallel_rows(s, rows.chunks(), outs, |segs, (a, zbar)| {
             let (base, rows, qt) = (offsets[segs.start], &rows, &qt[..]);
             kernel::run_lanes(Attend { rows, segs, base, z: parts, qt, a, zbar, shape });
         });
@@ -1278,7 +1195,7 @@ pub fn edge_attention(
             let offsets = rows.offsets();
             let dz_rows: Vec<_> =
                 dz.iter_mut().zip(&widths).map(|(b, &w)| b.as_deref_mut().map(|b| Rows::offsets(b, &offsets, w))).collect();
-            parallel_rows(s, rows.chunks(SEG_SEQ_ROWS), (Rows::width(&mut dqt, h * k), dz_rows), |segs, (dqt, dz)| {
+            parallel_rows(s, rows.chunks(), (Rows::width(&mut dqt, h * k), dz_rows), |segs, (dqt, dz)| {
                 let (base, rows, qt, a, dzbar) = (offsets[segs.start], &rows, &qt[..], &a[..], &dzbar[..]);
                 kernel::run_lanes(AttendGrad { rows, segs, base, z: parts, qt, a, dzbar, dqt, dz, shape });
             });

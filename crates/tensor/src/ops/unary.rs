@@ -1,14 +1,12 @@
 //! Elementwise unary and scalar operators.
 
 use crate::kernel::{self, Trig};
-use crate::ops::for_each_chunk;
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
 /// Applies `fwd` elementwise; `bwd(x, y, go)` gives the input gradient
 /// for one element given input `x`, output `y`, and output grad `go`.
-/// Both passes chunk the element space across the pool; every element
-/// is computed independently, so output is thread-count invariant.
+/// Both passes are one loop on the caller's thread.
 ///
 /// Buffers come from the tensor pool: the output and gradient are
 /// fully overwritten (so recycled memory needs no zeroing), backward
@@ -19,7 +17,7 @@ fn unary_elementwise(
     name: &'static str,
     flops_per_elem: u64,
     input: &Tensor,
-    fwd: impl Fn(f32) -> f32 + Sync,
+    fwd: impl Fn(f32) -> f32,
     bwd: impl Fn(f32, f32, f32) -> f32 + Send + Sync + 'static,
 ) -> Tensor {
     let device = input.device();
@@ -33,12 +31,9 @@ fn unary_elementwise(
     let mut y = pool::take_uninit(n, device);
     {
         let x = input.inner.storage.read();
-        let (x, fwd) = (&x, &fwd);
-        for_each_chunk(&mut y, |r, out| {
-            for (o, &v) in out.iter_mut().zip(&x[r]) {
-                *o = fwd(v);
-            }
-        });
+        for (o, &v) in y.iter_mut().zip(x.iter()) {
+            *o = fwd(v);
+        }
     }
     let y_copy = {
         let mut c = pool::take_uninit(n, device);
@@ -54,27 +49,22 @@ fn unary_elementwise(
         move |go| {
             let x = x_t.inner.storage.read();
             let mut g = pool::take_uninit(go.len(), device);
-            let (x, y_copy, bwd) = (&x, &y_copy, &bwd);
-            for_each_chunk(&mut g, |r, out| {
-                for (k, i) in r.enumerate() {
-                    out[k] = bwd(x[i], y_copy[i], go[i]);
-                }
-            });
+            for (i, o) in g.iter_mut().enumerate() {
+                *o = bwd(x[i], y_copy[i], go[i]);
+            }
             vec![Some(g)]
         },
     )
 }
 
-/// `cos` or `sin` of every element through the in-tree kernel, whole
-/// chunks at a time. Backward evaluates the other function of the
-/// input the same way: `d cos = -g · sin x`, `d sin = g · cos x`.
+/// `cos` or `sin` of every element through the in-tree kernel in one
+/// pass. Backward evaluates the other function of the input the same
+/// way: `d cos = -g · sin x`, `d sin = g · cos x`.
 fn trig_elementwise(name: &'static str, input: &Tensor, f: Trig) -> Tensor {
-    /// `out = f(x)`, chunked across the pool.
+    /// `out = f(x)`.
     fn apply(out: &mut [f32], x: &[f32], f: Trig) {
-        for_each_chunk(out, |r, out| {
-            out.copy_from_slice(&x[r]);
-            kernel::sincos(out, f, None);
-        });
+        out.copy_from_slice(x);
+        kernel::sincos(out, f, None);
     }
     let device = input.device();
     let n = input.numel();

@@ -196,37 +196,17 @@ awk '/^stage seconds/ {on=1; next}
     || { echo "the timing views disagree"; cat "$VIEWS_LOG"; exit 1; }
 
 echo "==> the part of a TGAT step that is not a GEMM stays small (1 thread, --scale 1, 2 epochs)"
-# Shares of op self time from the run report's profile section: Φ(Δt)
-# and its backward were 23% of this epoch on libm `cos` / `sin`, 7.9-8.3%
-# with the in-tree 4-lane `sincos` and 5.8-6.1% with the 8-lane one and
-# Φ(0) computed once (limit 8%); the attention segment kernels
-# (`segment_*` and their backward) 18.1-19.2% per edge and head and
-# 15.6-16.7% lane-parallel over runs (limit 19%); `cat` + `cat.bwd` 6%
-# before the affine layers read their inputs' parts in place (0.02%
-# now). Each limit is the measured share plus about two points. The
-# GEMM's fused multiply-add took a third off `linear` + `linear.bwd`
-# and so raised every other share: `segment_*` read 19.4-20.5% and
-# `time_encode` 6.5-7.0% with the softmax on the in-tree `exp`, and
-# 15.4-18.0% and 7.0-7.7% once a pooled buffer grows in place (the
-# attention backward's first-epoch page faults) and Φ(Δt)'s argument
-# pass runs inside its `sincos` kernel, 16.8-17.3% and 7.0-7.1% once
-# `sincos` also tests a quadrant's parity once for both functions. The
-# attention without per-edge keys and values (one `edge_attention` op
-# each way, its per-destination GEMMs inside it) took `linear` +
-# `linear.bwd` from about two-thirds of op self time to a tenth: over
-# four alternating pairs the parent read 332-480 ms of op self time per
-# epoch, `time_encode` + `.bwd` 24.9-33.8 ms (7.0-7.5%) and `segment_*`
-# 58-81 ms (16.9-17.5%); the change 216-286 ms, `time_encode` 22.5-28.1
-# ms (9.8-10.4%: the same kernel, a smaller total), `edge_attention` +
-# `.bwd` 134-182 ms (61.8-63.6%) and `segment_*` none. So
-# `edge_attention` gets its own bucket (limit 66%), `time_encode`'s
-# limit goes from 8% to 13%, and `segment_*` keeps 19% (the ops under
-# `edge_softmax`, `edge_reduce` and `src_scatter`, none of which a TGAT
-# epoch runs).
-# The edge features reach the K / V projections through their staged
-# rows (an indexed part of `linear_cat`): the gather that copied them,
-# `index_select` in phase `attention`, was 3.8% of this epoch and is
-# gone, so no such row may pass 1%.
+# Shares of op self time from the run report's profile section, each
+# limit the measured share plus about two or three points. Φ(Δt) and
+# its backward (`time_encode` + `.bwd`) read 9.8-10.4% over four
+# alternating pairs once the attention lost its per-edge keys and
+# values (limit 13%). That attention, one `edge_attention` op each way
+# with its per-destination GEMMs inside, read 61.8-63.6% (limit 66%).
+# `cat` + `cat.bwd` read 0.02% since the affine layers read their
+# inputs' parts in place (limit 1.5%; it was 6%). The edge features
+# reach the attention through their staged rows: the `index_select`
+# gather in phase `attention` that copied them was 3.8% and is gone,
+# so no such row may pass 1%.
 # Prints "<name> <phase> <self_ns>" per op row of a run report.
 op_rows() {
     grep -o '{"name":"[^"]*","phase":"[^"]*","stage":"[^"]*","kind":"op"[^}]*' "$1" \
@@ -239,15 +219,13 @@ TGL_THREADS=1 ./target/release/tgl train --model tgat --scale 1 --epochs 2 --pro
 op_rows "$SHARE_REPORT" \
     | awk '{total += $3}
            $1 == "time_encode" || $1 == "time_encode.bwd" {trig += $3}
-           $1 ~ /^segment_/ {seg += $3}
            $1 == "edge_attention" || $1 == "edge_attention.bwd" {att += $3}
            $1 == "cat" || $1 == "cat.bwd" {cat += $3}
            $1 == "index_select" && $2 == "attention" && $3 > gather {gather = $3}
            END {
                if (total == 0) { print "the report has no op rows"; exit 1 }
-               printf "time_encode + .bwd %.2f%%, segment_* + .bwd %.2f%%, edge_attention + .bwd %.2f%%, cat + .bwd %.2f%% of %.3f s of op self time\n", 100 * trig / total, 100 * seg / total, 100 * att / total, 100 * cat / total, total / 1e9
+               printf "time_encode + .bwd %.2f%%, edge_attention + .bwd %.2f%%, cat + .bwd %.2f%% of %.3f s of op self time\n", 100 * trig / total, 100 * att / total, 100 * cat / total, total / 1e9
                if (trig > 0.13 * total) { print "time_encode + time_encode.bwd exceed 13% of op self time"; bad = 1 }
-               if (seg > 0.19 * total) { print "segment_* + their .bwd exceed 19% of op self time"; bad = 1 }
                if (att > 0.66 * total) { print "edge_attention + edge_attention.bwd exceed 66% of op self time"; bad = 1 }
                if (cat > 0.015 * total) { print "cat + cat.bwd exceed 1.5% of op self time"; bad = 1 }
                if (gather > 0.01 * total) { print "an index_select row in phase attention exceeds 1% of op self time"; bad = 1 }

@@ -371,11 +371,9 @@ fn backward_requests_no_buffer_for_inputs_off_the_graph() {
 fn fused_elementwise_thread_invariant_across_chunk_boundaries() {
     let _g = serial();
     let _restore = RestoreKernel;
-    // The fused elementwise kernels run once per `parallel_for` range,
-    // and range boundaries move with the thread count: a partial last
-    // vector must round like a whole one, or elements near a split
-    // change value with the thread count. Every length is past the
-    // elementwise parallel threshold (16 384) and not a lane multiple.
+    // The fused elementwise kernels run one pass on the caller's
+    // thread, so no thread count may move a bit. No length is a lane
+    // multiple: the partial last vector must round like a whole one.
     for n in [123 * 211, 2 * 16_384 + 7, 5 * 16_384 + 13] {
         let run = |threads: usize| {
             set_threads(threads);

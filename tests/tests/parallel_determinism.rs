@@ -1,9 +1,10 @@
-//! Thread-count invariance suite: every parallel kernel must produce
-//! identical results for `TGL_THREADS` = 1, 2, and 8 and across
-//! repeated runs with a fixed seed. The runtime's determinism contract
-//! (output-partitioned kernels, fixed-chunk reductions, per-destination
-//! sampler seeding) makes these comparisons exact — bitwise, not
-//! approximate — so every assertion here uses `==` on `f32` bits.
+//! Thread-count invariance suite: every kernel must produce identical
+//! results for `TGL_THREADS` = 1, 2, and 8 and across repeated runs
+//! with a fixed seed. The runtime's determinism contract
+//! (output-partitioned kernels at the four sites that fan out, one pass
+//! on the caller's thread everywhere else, per-destination sampler
+//! seeding) makes these comparisons exact — bitwise, not approximate —
+//! so every assertion here uses `==` on `f32` bits.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -60,8 +61,7 @@ fn matmul_forward_and_backward_invariant() {
 #[test]
 fn segment_kernels_invariant() {
     let _g = serial();
-    // The second size is past every fan-out threshold of these ops
-    // (33 000 rows of 8: 264 000 elements).
+    // A small and a large size (33 000 rows of 8: 264 000 elements).
     for (n, segs) in [(300, 23), (33_000, 4_700)] {
         assert_invariant("segment sum/mean/softmax fwd+bwd", || {
             let mut rng = StdRng::seed_from_u64(0x5E6);
@@ -393,4 +393,55 @@ fn sum_all_matches_sequential_within_tolerance() {
         (par - seq).abs() / denom <= 1e-5,
         "chunked sum {par} vs sequential {seq}"
     );
+}
+
+/// Parallel regions the pool ran during `f`.
+fn regions_of(f: impl FnOnce()) -> u64 {
+    let before = tglite::obs::metrics::get("pool.regions");
+    f();
+    tglite::obs::metrics::get("pool.regions") - before
+}
+
+#[test]
+fn only_the_four_kept_sites_fan_out() {
+    let _g = serial();
+    set_threads(2);
+    let mut rng = StdRng::seed_from_u64(0xFA0);
+    let mut rand = |dims: &[usize]| Tensor::rand_uniform(dims.to_vec(), -1.0, 1.0, &mut rng).requires_grad(true);
+    let inline = |what: &str, f: &dyn Fn()| assert_eq!(regions_of(f), 0, "{what} ran a pool region at 2 threads");
+    let fans_out = |what: &str, f: &dyn Fn()| assert!(regions_of(f) >= 1, "{what} ran inline at 2 threads");
+
+    // Every other kernel is one pass on the caller's thread, at any
+    // size.
+    let (a, b) = (rand(&[1 << 20]), rand(&[1 << 20]));
+    inline("a 1 Mi-element add and its backward", &|| a.add(&b).backward_with(vec![1.0; 1 << 20]));
+    inline("sum_all", &|| drop(a.sum_all()));
+    let wide = rand(&[1024, 1024]);
+    inline("sum_dim", &|| wide.sum_dim(1).sum_dim(0).backward());
+    let (rows, hid) = (4608, 100);
+    let (gi, gh, h) = (rand(&[rows, 3 * hid]), rand(&[rows, 3 * hid]), rand(&[rows, hid]));
+    inline("gru_gates", &|| tgl_tensor::ops::gru_gates(&gi, &gh, &h).sum_all().backward());
+    let n = 32_768;
+    let x = rand(&[n, 16]);
+    let seg: Vec<usize> = (0..n).map(|i| i / 7).collect();
+    let segs = n.div_ceil(7);
+    inline("segment_sum", &|| segment_sum(&x, &seg, segs).sum_all().backward());
+    inline("segment_mean", &|| segment_mean(&x, &seg, segs).sum_all().backward());
+    inline("segment_softmax", &|| segment_softmax(&x, &seg, segs).sum_all().backward());
+
+    // The four sites that split their work above their thresholds.
+    let (p, q) = (rand(&[1024, 256]), rand(&[256, 64]));
+    fans_out("the GEMM's row panels", &|| drop(p.matmul(&q)));
+    let (s, per, heads, d, k) = (1024, 8, 2, 8, 16);
+    let (qs, wk, wv, bv, z) = (rand(&[s, heads * d]), rand(&[heads * d, k]), rand(&[heads * d, k]), rand(&[heads * d]), rand(&[s * per, k]));
+    let ids: Vec<usize> = (0..s * per).map(|e| e / per).collect();
+    let attend = || tgl_tensor::ops::edge_attention(&qs, &wk, [&wv, &bv], &[(&z).into()], &ids, heads, 0.5);
+    fans_out("edge_attention forward", &|| drop(attend()));
+    let y = attend();
+    fans_out("edge_attention backward", &|| y.sum_all().backward());
+    let deltas = Tensor::from_vec((0..1024).map(|i| i as f32).collect(), [1024]);
+    let (freq, phase) = (rand(&[16]), rand(&[16]));
+    fans_out("time_encode forward", &|| drop(tgl_tensor::ops::time_encode(&deltas, &freq, &phase)));
+    fans_out("the sampler", &|| drop(sample_fixture(SamplingStrategy::Uniform)));
+    set_threads(1);
 }
