@@ -4,18 +4,18 @@ use std::sync::Arc;
 
 use tgl_runtime::sync::Mutex;
 use tgl_runtime::IntMap;
-use tgl_device::{Device, PinnedPool};
+use tgl_device::Device;
 use tgl_graph::{NodeId, TemporalGraph, Time};
 
 /// "Settings and scratch space used by the TGLite runtime, such as for
 /// caching values" (paper Table 2).
 ///
-/// Owns the target compute device, the pinned-memory pool behind
-/// `op::preload`, and the per-layer embedding cache behind `op::cache`.
+/// Owns the target compute device and the per-layer embedding cache
+/// behind `op::cache`. `op::preload` stages through the tensor pool's
+/// recycled buffers and needs no space of its own here.
 pub struct TContext {
     graph: Arc<TemporalGraph>,
     device: Device,
-    pool: PinnedPool,
     embed_cache: Arc<EmbedCache>,
 }
 
@@ -40,7 +40,6 @@ impl TContext {
         TContext {
             graph,
             device,
-            pool: PinnedPool::new(),
             embed_cache: Arc::new(EmbedCache::new(20_000)),
         }
     }
@@ -53,11 +52,6 @@ impl TContext {
     /// The compute device models should place tensors on.
     pub fn device(&self) -> Device {
         self.device
-    }
-
-    /// The pinned staging pool used by `op::preload`.
-    pub fn pinned_pool(&self) -> &PinnedPool {
-        &self.pool
     }
 
     /// The embedding cache used by `op::cache`.

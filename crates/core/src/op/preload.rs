@@ -21,9 +21,9 @@ impl StagedTable {
     /// Stages the rows `ids` name. A table that already lives on the
     /// compute device is used as it is (slot = id, the direct gather);
     /// one on another tier has its *distinct* rows gathered there and
-    /// moved in a single transfer, so a row crosses the link once per
-    /// batch however many slots read it.
-    fn new(ctx: &TContext, feats: &Tensor, ids: Vec<usize>, use_pin: bool) -> StagedTable {
+    /// moved in a single pinned transfer, so a row crosses the link once
+    /// per batch however many slots read it.
+    fn new(ctx: &TContext, feats: &Tensor, ids: Vec<usize>) -> StagedTable {
         let device = ctx.device();
         if feats.device() == device {
             return StagedTable {
@@ -45,7 +45,7 @@ impl StagedTable {
         let gathered = feats.index_select(&distinct);
         tgl_obs::counter!("preload.tensors_moved").incr();
         StagedTable {
-            rows: cross(ctx, gathered, use_pin),
+            rows: gathered.to_pinned(device),
             slots,
         }
     }
@@ -53,16 +53,6 @@ impl StagedTable {
     /// The feature rows of a run of slots, gathered on the compute device.
     fn expand(&self, slots: Range<usize>) -> Tensor {
         self.rows.index_select(&self.slots[slots])
-    }
-}
-
-/// Moves a host-built tensor to the compute device: through the
-/// context's pinned pool, or over the pageable path.
-fn cross(ctx: &TContext, t: Tensor, use_pin: bool) -> Tensor {
-    if use_pin {
-        t.to_pinned(ctx.device(), ctx.pinned_pool())
-    } else {
-        t.to(ctx.device())
     }
 }
 
@@ -127,23 +117,23 @@ impl Staged {
 /// device ahead of computation (paper §3.3: "preload() ... focuses on
 /// optimizing data movements ... one technique is to use pinned memory
 /// to minimize data transfer costs"). Each feature table that lives on
-/// another tier has the chain's *distinct* rows gathered there and
-/// moved in one transfer — through the context's pre-allocated
-/// pinned-memory pool when `use_pin` is set, over the pageable (slow)
-/// path otherwise — plus one for the sampled blocks' time deltas when
-/// the compute device is not the host that computed them. Every block
-/// then reads its `dstfeat` / `srcfeat` / `efeat` / `deltas` out of
-/// those rows with a gather on the compute device, on first use.
+/// another tier has the chain's *distinct* rows gathered there, into a
+/// recycled tensor-pool buffer that stands for the paper's pool of
+/// pre-allocated pinned memory, and moved in one pinned transfer; so
+/// are the sampled blocks' time deltas when the compute device is not
+/// the host that computed them. Every block then reads its `dstfeat` /
+/// `srcfeat` / `efeat` / `deltas` out of those rows with a gather on the
+/// compute device, on first use.
 ///
 /// In the all-on-GPU configuration (features already on the compute
-/// device) nothing is moved and the read is the plain gather — matching
-/// the paper's observation that "the preload() operator in TGLite has
-/// no effect in this scenario". Which case applies is read from each
-/// table's device.
+/// device) no feature row is moved and the read is the plain gather —
+/// matching the paper's observation that "the preload() operator in
+/// TGLite has no effect in this scenario". Which case applies is read
+/// from each table's device.
 ///
 /// Fires `preload.calls` once and `preload.tensors_moved` once per
 /// table that crossed a tier.
-pub fn preload(ctx: &TContext, head: &TBlock, use_pin: bool) {
+pub fn preload(ctx: &TContext, head: &TBlock) {
     tgl_obs::counter!("preload.calls").incr();
     let g = head.graph();
     let (mut node_ids, mut edge_ids) = (Vec::new(), Vec::new());
@@ -182,12 +172,12 @@ pub fn preload(ctx: &TContext, head: &TBlock, use_pin: bool) {
     let table = |feats: Option<Tensor>, ids| {
         feats
             .filter(|f| f.dim(1) > 0)
-            .map(|f| StagedTable::new(ctx, &f, ids, use_pin))
+            .map(|f| StagedTable::new(ctx, &f, ids))
     };
     let staged = Arc::new(Staged {
         node: table(g.node_feats(), node_ids),
         edge: table(g.edge_feats().filter(|_| sampled), edge_ids),
-        deltas: host_deltas.map(|d| cross(ctx, d, use_pin)),
+        deltas: host_deltas.map(|d| d.to_pinned(ctx.device())),
         blocks,
     });
     for (i, blk) in head.chain().enumerate() {
@@ -206,6 +196,14 @@ mod tests {
     use tgl_graph::TemporalGraph;
     use tgl_sampler::SamplingStrategy;
     use tgl_tensor::Tensor;
+
+    /// `(transfer.pinned_count, transfer.pageable_count)`.
+    fn kinds() -> (u64, u64) {
+        (
+            tgl_obs::metrics::get("transfer.pinned_count"),
+            tgl_obs::metrics::get("transfer.pageable_count"),
+        )
+    }
 
     fn setup(feat_device: Device, compute: Device) -> (Arc<TemporalGraph>, TContext) {
         let g = Arc::new(TemporalGraph::from_edges(3, vec![(0, 1, 1.0), (1, 2, 2.0)]));
@@ -232,12 +230,13 @@ mod tests {
         let (_g, ctx) = setup(Device::Host, Device::Accel);
         let head = TBlock::new(&ctx, 0, vec![2], vec![9.0]);
         TSampler::new(2, SamplingStrategy::Recent).sample(&head);
-        preload(&ctx, &head, true);
+        let before = kinds().0;
+        preload(&ctx, &head);
+        // One pinned transfer per table, one for the deltas.
+        assert_eq!(kinds().0 - before, 3);
         assert_eq!(head.dstfeat().device(), Device::Accel);
         assert_eq!(head.srcfeat().device(), Device::Accel);
         assert_eq!(head.efeat().device(), Device::Accel);
-        // One pinned staging buffer per table, one for the deltas.
-        assert_eq!(ctx.pinned_pool().stats().0, 3);
     }
 
     #[test]
@@ -245,7 +244,7 @@ mod tests {
         let _l = link();
         let (_g, ctx) = setup(Device::Host, Device::Accel);
         let head = two_block_chain(&ctx);
-        preload(&ctx, &head, true);
+        preload(&ctx, &head);
         let tail = head.tail();
         assert_eq!(tail.dstfeat().device(), Device::Accel);
         assert_eq!(tail.srcfeat().device(), Device::Accel);
@@ -253,9 +252,11 @@ mod tests {
 
     #[test]
     fn preload_noop_when_already_on_device() {
+        let _l = link();
         let (g, ctx) = setup(Device::Host, Device::Host);
         let head = two_block_chain(&ctx);
-        preload(&ctx, &head, true);
+        let before = tgl_device::stats().transfer_count;
+        preload(&ctx, &head);
         for blk in head.chain() {
             let (dst, src, edge) = (blk.dstfeat(), blk.srcfeat(), blk.efeat());
             assert_eq!(dst.device(), Device::Host);
@@ -264,8 +265,8 @@ mod tests {
             assert_eq!(edge.to_vec(), g.edge_feat_rows(&blk.eids()).to_vec());
         }
         assert_eq!(
-            ctx.pinned_pool().stats().0,
-            0,
+            tgl_device::stats().transfer_count,
+            before,
             "nothing to stage: the tables are on the compute device"
         );
     }
@@ -273,43 +274,42 @@ mod tests {
     #[test]
     fn each_distinct_row_crosses_the_link_once() {
         let _l = link();
-        for use_pin in [true, false] {
-            let (g, ctx) = setup(Device::Host, Device::Accel);
-            let head = two_block_chain(&ctx);
-            let (mut nodes, mut eids) = (BTreeSet::new(), BTreeSet::new());
-            for blk in head.chain() {
-                nodes.extend(blk.dst_nodes());
-                nodes.extend(blk.src_nodes());
-                eids.extend(blk.eids());
-            }
-            assert!(
-                head.tail().num_edges() > eids.len(),
-                "chain repeats no edge"
-            );
-            let before = tgl_device::stats();
-            preload(&ctx, &head, use_pin);
-            let after = tgl_device::stats();
-            // Plus one time delta per sampled edge, in a third transfer.
-            let n_edges: usize = head.chain().map(|b| b.num_edges()).sum();
-            let floats =
-                nodes.len() * g.node_feat_dim() + eids.len() * g.edge_feat_dim() + n_edges;
-            assert_eq!(after.h2d_bytes - before.h2d_bytes, 4 * floats as u64);
-            assert_eq!(after.transfer_count - before.transfer_count, 3);
+        let (g, ctx) = setup(Device::Host, Device::Accel);
+        let head = two_block_chain(&ctx);
+        let (mut nodes, mut eids) = (BTreeSet::new(), BTreeSet::new());
+        for blk in head.chain() {
+            nodes.extend(blk.dst_nodes());
+            nodes.extend(blk.src_nodes());
+            eids.extend(blk.eids());
+        }
+        assert!(
+            head.tail().num_edges() > eids.len(),
+            "chain repeats no edge"
+        );
+        let (before, pinned) = (tgl_device::stats(), kinds().0);
+        preload(&ctx, &head);
+        let after = tgl_device::stats();
+        // Plus one time delta per sampled edge, in a third transfer.
+        let n_edges: usize = head.chain().map(|b| b.num_edges()).sum();
+        let floats =
+            nodes.len() * g.node_feat_dim() + eids.len() * g.edge_feat_dim() + n_edges;
+        assert_eq!(after.h2d_bytes - before.h2d_bytes, 4 * floats as u64);
+        assert_eq!(after.transfer_count - before.transfer_count, 3);
+        assert_eq!(kinds().0 - pinned, 3);
 
-            // Bitwise what the lazy loads of an unstaged chain return.
-            let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
-            for (staged, lazy) in head.chain().zip(two_block_chain(&ctx).chain()) {
-                assert_eq!(staged.dstfeat().device(), Device::Accel);
-                assert_eq!(bits(staged.dstfeat()), bits(lazy.dstfeat()));
-                assert_eq!(bits(staged.srcfeat()), bits(lazy.srcfeat()));
-                assert_eq!(bits(staged.efeat()), bits(lazy.efeat()));
-                // The staged deltas too: nothing crosses on this read.
-                let crossed = tgl_device::stats().transfer_count;
-                assert_eq!(staged.deltas().device(), Device::Accel);
-                assert_eq!(tgl_device::stats().transfer_count, crossed);
-                assert_eq!(staged.deltas().to_vec(), staged.delta_times());
-                assert_eq!(bits(staged.deltas()), bits(lazy.deltas()));
-            }
+        // Bitwise what the lazy loads of an unstaged chain return.
+        let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
+        for (staged, lazy) in head.chain().zip(two_block_chain(&ctx).chain()) {
+            assert_eq!(staged.dstfeat().device(), Device::Accel);
+            assert_eq!(bits(staged.dstfeat()), bits(lazy.dstfeat()));
+            assert_eq!(bits(staged.srcfeat()), bits(lazy.srcfeat()));
+            assert_eq!(bits(staged.efeat()), bits(lazy.efeat()));
+            // The staged deltas too: nothing crosses on this read.
+            let crossed = tgl_device::stats().transfer_count;
+            assert_eq!(staged.deltas().device(), Device::Accel);
+            assert_eq!(tgl_device::stats().transfer_count, crossed);
+            assert_eq!(staged.deltas().to_vec(), staged.delta_times());
+            assert_eq!(bits(staged.deltas()), bits(lazy.deltas()));
         }
     }
 
@@ -320,7 +320,7 @@ mod tests {
         let (g, ctx) = setup(Device::Host, Device::Accel);
         let head = two_block_chain(&ctx);
         let used = tgl_device::stats().accel_used_bytes;
-        preload(&ctx, &head, true);
+        preload(&ctx, &head);
         let resident = tgl_device::stats().accel_used_bytes - used;
         // All 3 nodes and both edges are reachable from node 2 at t=9;
         // every sampled edge adds its time delta.
@@ -338,7 +338,7 @@ mod tests {
         let _l = link();
         let (_g, ctx) = setup(Device::Host, Device::Accel);
         let head = two_block_chain(&ctx);
-        preload(&ctx, &head, true);
+        preload(&ctx, &head);
         // The head is not the tail: no model reads its node rows, so
         // they are never gathered.
         assert!(matches!(head.feat_caches(), (None, None, None)));
@@ -355,26 +355,14 @@ mod tests {
     #[test]
     fn pinned_transfers_use_pinned_kind() {
         let _l = link();
-        let kinds = || {
-            (
-                tgl_obs::metrics::get("transfer.pinned_count"),
-                tgl_obs::metrics::get("transfer.pageable_count"),
-            )
-        };
-        // Two tables and the deltas.
-        for (use_pin, expect) in [(true, (3, 0)), (false, (0, 3))] {
-            let (_g, ctx) = setup(Device::Host, Device::Accel);
-            let head = TBlock::new(&ctx, 0, vec![0, 1, 2], vec![9.0, 9.0, 9.0]);
-            TSampler::new(2, SamplingStrategy::Recent).sample(&head);
-            let before = kinds();
-            preload(&ctx, &head, use_pin);
-            let after = kinds();
-            assert_eq!(
-                (after.0 - before.0, after.1 - before.1),
-                expect,
-                "use_pin={use_pin}"
-            );
-        }
+        let (_g, ctx) = setup(Device::Host, Device::Accel);
+        let head = TBlock::new(&ctx, 0, vec![0, 1, 2], vec![9.0, 9.0, 9.0]);
+        TSampler::new(2, SamplingStrategy::Recent).sample(&head);
+        let before = kinds();
+        preload(&ctx, &head);
+        let after = kinds();
+        // Two tables and the deltas, none of them pageable.
+        assert_eq!((after.0 - before.0, after.1 - before.1), (3, 0));
     }
 
     #[test]
@@ -401,7 +389,7 @@ mod tests {
         let head = TBlock::new(&ctx, 0, vec![2], vec![9.0]);
         TSampler::new(2, SamplingStrategy::Recent).sample(&head);
         let tail = head.next_block();
-        preload(&ctx, &head, true);
+        preload(&ctx, &head);
         let crossed = tgl_device::stats().transfer_count;
         assert_eq!(
             tail.dstfeat().to_vec(),

@@ -43,7 +43,7 @@ pub struct SamplingSpec {
     pub n_layers: usize,
     /// Apply `op::dedup` to each block before sampling.
     pub dedup: bool,
-    /// Stage features through the pinned pool (`op::preload`). When
+    /// Stage features as `op::preload` does (distinct rows, pinned). When
     /// false, the chain is staged the way TGL stages its message-flow
     /// graphs: every block's tensors are loaded one by one over the
     /// pageable path while the chain is built, and kept for the batch.
@@ -89,7 +89,7 @@ fn build(ctx: &TContext, batch: &TBatch, spec: &SamplingSpec, cache: bool) -> TB
     }
     if spec.preload_pinned {
         let _p = tgl_obs::span("preload").stage(tgl_obs::Stage::Transfer);
-        op::preload(ctx, &head, true);
+        op::preload(ctx, &head);
     } else {
         // An MFG's eager materialization (paper §3.2): each tensor of
         // each block crosses on its own, however many rows repeat.

@@ -18,9 +18,9 @@
 //! # Examples
 //!
 //! ```
-//! use tgl_device::{Device, TransferKind, alloc, free, transfer, stats, reset_all};
+//! use tgl_device::{Device, TransferKind, alloc, free, transfer, stats, reset_stats};
 //!
-//! reset_all();
+//! reset_stats();
 //! alloc(Device::Accel, 1024)?;
 //! transfer(4096, TransferKind::HostToAccelPinned);
 //! assert!(stats().accel_used_bytes >= 1024);
@@ -31,11 +31,9 @@
 
 #![forbid(unsafe_code)]
 
-mod pool;
 mod registry;
 mod transfer;
 
-pub use pool::PinnedPool;
 pub use registry::{alloc, capacity, free, set_capacity, DeviceError};
 pub use transfer::{set_transfer_model, transfer, TransferKind, TransferModel};
 
@@ -104,16 +102,6 @@ pub fn stats() -> Stats {
 pub fn reset_stats() {
     registry::reset_peak();
     transfer::reset_counters();
-}
-
-/// Resets transfer counters and the allocation peak (but not current
-/// usage, which reflects live tensors), removes any capacity cap, and
-/// disables the transfer cost model.
-pub fn reset_all() {
-    registry::reset_peak();
-    registry::set_capacity(Device::Accel, None);
-    transfer::reset_counters();
-    transfer::set_transfer_model(TransferModel::disabled());
 }
 
 #[cfg(test)]

@@ -29,11 +29,6 @@ pub fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// Number of distinct strings interned so far (diagnostics / tests).
-pub fn len() -> usize {
-    table().lock().unwrap_or_else(|e| e.into_inner()).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,11 +50,14 @@ mod tests {
 
     #[test]
     fn len_grows_monotonically() {
-        let before = len();
-        intern("intern-test-growth-probe");
-        assert!(len() >= before);
-        let mid = len();
-        intern("intern-test-growth-probe");
-        assert_eq!(len(), mid, "re-interning must not grow the table");
+        // Other tests intern concurrently, so the table's size is not
+        // this test's to read; the entries equal to the probe are.
+        let probe = "intern-test-growth-probe";
+        let (a, b) = (intern(probe), intern(probe));
+        assert!(std::ptr::eq(a, b), "re-interning must return the first pointer");
+        let t = table().lock().unwrap_or_else(|e| e.into_inner());
+        let entries: Vec<&str> = t.iter().copied().filter(|e| *e == probe).collect();
+        assert_eq!(entries.len(), 1, "re-interning must not grow the table");
+        assert!(std::ptr::eq(entries[0], a));
     }
 }

@@ -692,16 +692,6 @@ impl LaneMap<2> for Add {
     }
 }
 
-/// `a + b / d`: the scalar loop's two roundings, the division first.
-struct AddDiv(f32);
-
-impl LaneMap<2> for AddDiv {
-    #[inline(always)]
-    unsafe fn lanes<V: Lanes>(&self, [a, b]: [V; 2]) -> V {
-        a.add(b.div(V::splat(self.0)))
-    }
-}
-
 /// `out[i] = f([ins[0][i], ..])` for `i < len`, a vector at a time and
 /// the last one partial, so that every element goes through the same
 /// lane operations wherever a caller's chunk boundaries fall.
@@ -741,19 +731,6 @@ pub(crate) unsafe fn add_assign<V: Lanes>(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len());
     let y_ptr = y.as_mut_ptr();
     map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), &Add);
-}
-
-/// `y[i] += x[i] / d`, lane-wise: the scalar loop's two roundings, the
-/// division first.
-///
-/// # Safety
-///
-/// `V`'s instruction set must be enabled.
-#[inline(always)]
-pub(crate) unsafe fn add_div<V: Lanes>(y: &mut [f32], x: &[f32], d: f32) {
-    assert_eq!(y.len(), x.len());
-    let y_ptr = y.as_mut_ptr();
-    map::<V, 2>(y_ptr, [y_ptr, x.as_ptr()], y.len(), &AddDiv(d));
 }
 
 /// `dst[at(k)] += src[k]` for the `width`-wide rows `k` of `src`, `k`
@@ -1048,8 +1025,9 @@ fn sincos_from(at: usize, buf: &mut [f32], f: Trig, mut other: Option<&mut [f32]
     }
 }
 
-/// Serializes tests (crate-wide) that flip or depend on the global
-/// SIMD switch.
+/// Serializes tests (crate-wide) that flip or depend on process-global
+/// state: the SIMD switch, and the device tier's counters, cap and
+/// transfer model.
 #[cfg(test)]
 pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -1078,17 +1056,11 @@ mod tests {
         assert!(Simd::Scalar < Simd::Avx2 && Simd::Avx2 < Simd::Avx512);
     }
 
-    /// `add_rows`' and `add_div`'s lane bodies against their scalar
-    /// loops, bit for bit, at every level and every length from empty to
-    /// past two AVX-512F vectors.
+    /// `add_rows`' lane body against its scalar loop, bit for bit, at
+    /// every level and every length from empty to past two AVX-512F
+    /// vectors.
     #[test]
     fn exact_safe_primitives_match_scalar_bitwise() {
-        struct AddDiv<'a>(&'a mut [f32], &'a [f32]);
-        impl LaneKernel for AddDiv<'_> {
-            unsafe fn run<V: Lanes>(self) {
-                add_div::<V>(self.0, self.1, 3.0);
-            }
-        }
         let _guard = serial();
         let mk = |len: usize, salt: usize| -> Vec<f32> {
             (0..len).map(|i| ((i * 31 + salt) % 97) as f32 * 0.037 - 1.5).collect()
@@ -1106,12 +1078,8 @@ mod tests {
                         want_add[[0, 1, 0][k] * len + j] += v;
                     }
                 }
-                let mut div = mk(len, 9);
-                run_lanes(AddDiv(&mut div, &x[..len]));
-                let want_div: Vec<f32> = mk(len, 9).iter().zip(&x).map(|(a, b)| a + b / 3.0).collect();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&add), bits(&want_add), "add_rows at {level:?}, len {len}");
-                assert_eq!(bits(&div), bits(&want_div), "add_div at {level:?}, len {len}");
             }
         }
         set_simd(Simd::Avx512);

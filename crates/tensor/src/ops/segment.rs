@@ -8,13 +8,14 @@
 //! nondecreasing (a block's destination index always is) each segment
 //! is read as one run of consecutive rows (`SegmentRows`).
 //!
-//! The kernels run one body at every SIMD level (`kernel::run_lanes`)
-//! with one output element per lane: the reductions add a segment's
-//! rows a vector of columns at a time (`SumRows`); the softmax packs
+//! The sum and mean are the row scatter-add behind `index_select`'s
+//! backward (`kernel::add_rows`), which adds each segment's rows in
+//! ascending order. The softmax runs one body at every SIMD level
+//! (`kernel::run_lanes`) with one output element per lane, packing
 //! whole rows of a run into a vector when they are narrower than one
-//! (`Softmax`). Either way a lane performs its element's operations in
-//! the scalar loop's order, so results do not depend on the level or
-//! the row source. They run once over all segments on the caller's
+//! (`Softmax`). Either way an element's operations come in the scalar
+//! loop's order, so results do not depend on the level or the row
+//! source. They run once over all segments on the caller's
 //! thread. [`edge_attention`], the fused attention of TGAT, TGN and
 //! APAN, keeps one order of its own at every level and is the one
 //! segment kernel that splits its segments across the pool (above
@@ -202,51 +203,6 @@ fn check_segments(values: &Tensor, segments: &[usize], num_segments: usize) -> (
 
 // Per-segment bodies of the reductions and the softmax
 // ---------------------------------------------------------------------
-
-/// `out[s] += x[i]` (or `+= x[i] / counts[s]` given the counts) for the
-/// rows `i` of every segment `s`, ascending: the scalar loop's roundings
-/// (div then add) in its order, lane-wise.
-struct SumRows<'a> {
-    out: &'a mut [f32],
-    rows: &'a SegmentRows,
-    x: &'a [f32],
-    d: usize,
-    counts: Option<&'a [f32]>,
-}
-
-impl LaneKernel for SumRows<'_> {
-    #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
-        let SumRows { out, rows, x, d, counts } = self;
-        rows.each(0..rows.len(), &mut SumSegment::<V> { out, x, d, counts, lanes: PhantomData });
-    }
-}
-
-/// [`SumRows`] on one segment at a time, in `V`'s registers.
-struct SumSegment<'a, V> {
-    out: &'a mut [f32],
-    x: &'a [f32],
-    d: usize,
-    counts: Option<&'a [f32]>,
-    lanes: PhantomData<V>,
-}
-
-impl<V: Lanes> SegmentKernel for SumSegment<'_, V> {
-    #[inline(always)]
-    fn segment(&mut self, k: usize, rows: impl Iterator<Item = usize> + Clone) {
-        let d = self.d;
-        let o_row = &mut self.out[k * d..][..d];
-        for i in rows {
-            let x_row = &self.x[i * d..][..d];
-            // SAFETY (both): this runs inside `SumRows::run::<V>`, where
-            // `V`'s instruction set is enabled.
-            match self.counts {
-                Some(counts) => unsafe { kernel::add_div::<V>(o_row, x_row, counts[k]) },
-                None => unsafe { kernel::add_assign::<V>(o_row, x_row) },
-            }
-        }
-    }
-}
 
 /// Softmax over every segment, per column: the column's max over the
 /// segment's rows, `exp` ([`Lanes::exp`]) of every row's difference to
@@ -877,11 +833,11 @@ pub fn segment_sum(values: &Tensor, segments: &[usize], num_segments: usize) -> 
         .io(4 * (n * d) as u64, 4 * (num_segments * d) as u64)
         .shape(&[values.dims(), &[num_segments]])
         .backward_cost(0, 4 * (num_segments * d) as u64, 4 * (n * d) as u64);
-    let out = sum_rows(values, segments, num_segments, None);
+    let device = values.device();
+    let out = scatter_add_rows(&values.inner.storage.read(), segments, d, num_segments * d, device);
     let mut out_dims = values.dims().to_vec();
     out_dims[0] = num_segments;
     let seg = segments.to_vec();
-    let device = values.device();
     Tensor::make_result(out, out_dims, device, std::slice::from_ref(values), move |go| {
         // Gather: every input row copies its segment's gradient row.
         let mut g = pool::take_uninit(n * d, device);
@@ -890,18 +846,6 @@ pub fn segment_sum(values: &Tensor, segments: &[usize], num_segments: usize) -> 
         }
         vec![Some(g)]
     })
-}
-
-/// The forward of [`segment_sum`] and, given the row counts,
-/// [`segment_mean`].
-fn sum_rows(values: &Tensor, segments: &[usize], num_segments: usize, counts: Option<&[f32]>) -> Vec<f32> {
-    let d: usize = values.dims()[1..].iter().product();
-    let rows = SegmentRows::new(segments, num_segments);
-    // Accumulates with `+=` (and empty segments stay zero), so the
-    // recycled buffer must start zeroed.
-    let mut out = pool::take_zeroed(num_segments * d, values.device());
-    kernel::run_lanes(SumRows { out: &mut out, rows: &rows, x: &values.inner.storage.read(), d, counts });
-    out
 }
 
 /// Averages rows of `values` per segment. Empty segments yield zeros.
@@ -917,7 +861,18 @@ pub fn segment_mean(values: &Tensor, segments: &[usize], num_segments: usize) ->
         counts[s] += 1.0;
     }
     let device = values.device();
-    let out = sum_rows(values, segments, num_segments, Some(&counts));
+    // Each row divided by its segment's count, then the segment sum:
+    // per element the roundings of `out += x / count`, in row order.
+    let mut scaled = pool::take_uninit(n * d, device);
+    let x = values.inner.storage.read();
+    for ((y_row, x_row), &s) in scaled.chunks_exact_mut(d.max(1)).zip(x.chunks_exact(d.max(1))).zip(segments) {
+        for (y, &v) in y_row.iter_mut().zip(x_row) {
+            *y = v / counts[s];
+        }
+    }
+    drop(x);
+    let out = scatter_add_rows(&scaled, segments, d, num_segments * d, device);
+    pool::give(scaled, device);
     let mut out_dims = values.dims().to_vec();
     out_dims[0] = num_segments;
     let seg = segments.to_vec();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use tgl_runtime::sync::Mutex;
 use tgl_runtime::rng::Rng;
-use tgl_device::{Device, DeviceError, PinnedPool, TransferKind};
+use tgl_device::{Device, DeviceError, TransferKind};
 
 use crate::autograd::{grad_enabled, BackwardFn, Node};
 use crate::shape::Shape;
@@ -400,22 +400,26 @@ impl Tensor {
     /// metering the simulated transfer. Same-device moves are free
     /// handle clones. The result is detached from the autograd graph.
     pub fn to(&self, device: Device) -> Tensor {
-        self.transfer_to(device, None)
+        self.transfer_to(device, TransferKind::HostToAccelPageable)
     }
 
-    /// Moves the tensor host→accelerator through a pinned staging buffer
-    /// from `pool` (the fast path used by TGLite's `preload()`).
-    pub fn to_pinned(&self, device: Device, pool: &PinnedPool) -> Tensor {
-        self.transfer_to(device, Some(pool))
+    /// [`to`](Self::to) from pinned host memory (the fast path used by
+    /// TGLite's `preload()`): the same single copy, metered host→accelerator
+    /// as [`TransferKind::HostToAccelPinned`], so only the cost model
+    /// tells the two apart.
+    pub fn to_pinned(&self, device: Device) -> Tensor {
+        self.transfer_to(device, TransferKind::HostToAccelPinned)
     }
 
-    fn transfer_to(&self, device: Device, pool: Option<&PinnedPool>) -> Tensor {
+    /// The one copy across tiers; `h2d` is the kind a host→accelerator
+    /// move is metered as.
+    fn transfer_to(&self, device: Device, h2d: TransferKind) -> Tensor {
         if device == self.device() {
             return self.clone();
         }
         let bytes = (self.numel() * std::mem::size_of::<f32>()) as u64;
         let kind = match (self.device(), device) {
-            (Device::Host, Device::Accel) => pool.map_or(TransferKind::HostToAccelPageable, PinnedPool::transfer_kind),
+            (Device::Host, Device::Accel) => h2d,
             (Device::Accel, Device::Host) => TransferKind::AccelToHost,
             _ => unreachable!("same-device handled above"),
         };
@@ -424,31 +428,16 @@ impl Tensor {
             TransferKind::HostToAccelPageable => "transfer.h2d",
             TransferKind::AccelToHost => "transfer.d2h",
         };
-        // Pure data movement: the staging copy reads and writes every
-        // byte once; the metered device transfer itself lands on this
-        // frame via `note_transfer` from tgl-device.
+        // Pure data movement: the copy reads and writes every byte once;
+        // the metered device transfer itself lands on this frame via
+        // `note_transfer` from tgl-device.
         let _prof = tgl_obs::profile::op(op_name)
             .stage(tgl_obs::Stage::Transfer)
             .io(bytes, bytes)
             .shape(&[self.dims()]);
-        let data = if let Some(pool) = pool {
-            // Stage through a reusable pinned buffer: copy into the
-            // pinned buffer, transfer, then recycle it.
-            let mut staged = pool.acquire(self.numel());
-            staged.copy_from_slice(&self.inner.storage.read());
-            tgl_device::transfer(bytes, kind);
-            let mut out = crate::pool::take_uninit(staged.len(), device);
-            out.copy_from_slice(&staged);
-            pool.release(staged);
-            out
-        } else {
-            // Pageable path: the driver performs an extra staging copy,
-            // which we also physically perform.
-            let mut staged = crate::pool::take_uninit(self.numel(), device);
-            staged.copy_from_slice(&self.inner.storage.read());
-            tgl_device::transfer(bytes, kind);
-            staged
-        };
+        let mut data = crate::pool::take_uninit(self.numel(), device);
+        data.copy_from_slice(&self.inner.storage.read());
+        tgl_device::transfer(bytes, kind);
         Tensor::from_vec_on(data, self.inner.shape.clone(), device)
     }
 }
@@ -538,6 +527,7 @@ mod tests {
 
     #[test]
     fn to_same_device_is_free() {
+        let _serial = crate::kernel::test_serial();
         let before = tgl_device::stats().transfer_count;
         let a = Tensor::zeros([4]);
         let b = a.to(Device::Host);
@@ -547,6 +537,7 @@ mod tests {
 
     #[test]
     fn to_accel_meters_transfer() {
+        let _serial = crate::kernel::test_serial();
         let before = tgl_device::stats();
         let a = Tensor::zeros([16]);
         let b = a.to(Device::Accel);
@@ -558,18 +549,43 @@ mod tests {
 
     #[test]
     fn pinned_transfer_roundtrip() {
-        let pool = PinnedPool::new();
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        let b = a.to_pinned(Device::Accel, &pool);
-        assert_eq!(b.device(), Device::Accel);
-        assert_eq!(b.to_vec(), vec![1.0, 2.0, 3.0]);
-        let c = b.to(Device::Host);
+        // Both paths make one copy: equal bits and bytes, and only the
+        // metered kind (and its modeled cost) differs.
+        let _serial = crate::kernel::test_serial();
+        let kinds = || {
+            ["transfer.pinned_count", "transfer.pageable_count"].map(tgl_obs::metrics::get)
+        };
+        let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let a = Tensor::from_vec(vec![1.0, -0.0, f32::MIN_POSITIVE / 2.0], [3]);
+        let crossed = |pinned: bool| {
+            let (before, k0) = (tgl_device::stats(), kinds());
+            let b = if pinned { a.to_pinned(Device::Accel) } else { a.to(Device::Accel) };
+            let (after, k1) = (tgl_device::stats(), kinds());
+            let sim_ns = after.simulated_transfer_ns - before.simulated_transfer_ns;
+            (b, after.h2d_bytes - before.h2d_bytes, [k1[0] - k0[0], k1[1] - k0[1]], sim_ns)
+        };
+        let (pinned, pinned_bytes, pinned_kinds, _) = crossed(true);
+        let (pageable, pageable_bytes, pageable_kinds, _) = crossed(false);
+        assert_eq!(pinned.device(), Device::Accel);
+        assert_eq!(bits(&pinned), bits(&a));
+        assert_eq!(bits(&pinned), bits(&pageable));
+        assert_eq!((pinned_bytes, pageable_bytes), (12, 12));
+        assert_eq!((pinned_kinds, pageable_kinds), ([1, 0], [0, 1]));
+
+        tgl_device::set_transfer_model(tgl_device::TransferModel::pcie_v100());
+        let (_, _, _, pinned_ns) = crossed(true);
+        let (_, _, _, pageable_ns) = crossed(false);
+        tgl_device::set_transfer_model(tgl_device::TransferModel::disabled());
+        assert!(pinned_ns < pageable_ns, "pinned {pinned_ns} ns, pageable {pageable_ns} ns");
+
+        let c = pinned.to(Device::Host);
         assert_eq!(c.device(), Device::Host);
-        assert_eq!(c.to_vec(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(bits(&c), bits(&a));
     }
 
     #[test]
     fn oom_panic_is_catchable() {
+        let _serial = crate::kernel::test_serial();
         tgl_device::set_capacity(Device::Accel, Some(16));
         let result = std::panic::catch_unwind(|| {
             let _t = Tensor::zeros_on([1024], Device::Accel);

@@ -1,6 +1,6 @@
 //! Shared fixtures for the cross-crate integration tests.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tgl_data::{generate, DatasetKind, DatasetSpec, NegativeSampler};
 use tgl_models::{TemporalModel, Tgat};
@@ -8,6 +8,17 @@ use tgl_tensor::Tensor;
 use tglite::{TBatch, TContext, TGraph};
 
 pub mod mfg;
+
+/// The one test lock of a test binary: held by every test that reads or
+/// sets process-global state (the device tier's counters, cap and
+/// transfer model, the span log and aggregate, the counter registry,
+/// the worker pool's width, the SIMD level, `TGL_FLIGHT_DIR`). Each
+/// test binary links its own copy of this crate, so the lock serializes
+/// the tests of one binary only, which are the ones sharing a process.
+pub fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A small Wiki-shaped dataset for fast end-to-end tests.
 pub fn tiny_wiki() -> (Arc<TGraph>, DatasetSpec) {

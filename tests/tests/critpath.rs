@@ -10,25 +10,16 @@
 //! process-global, so every test holds the `serial()` lock and
 //! restores the default state on the way out.
 
-use std::sync::{Mutex, MutexGuard};
-
 use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_harness::{
     run_experiment, ExperimentConfig, Framework, ModelKind, ObsOptions, Placement, RunReport, TrainConfig, Trainer,
 };
-use tgl_integration::PanicsInForward;
+use tgl_integration::{serial, PanicsInForward};
 use tgl_models::{ModelConfig, OptFlags, TemporalModel, Tgat};
 use tglite::tensor::optim::Adam;
 use tglite::TContext;
 use tgl_runtime::set_threads;
 use tglite::obs::{critpath, log};
-
-/// Serializes tests: the span log and pool size are global, and the
-/// panic test mutates `TGL_FLIGHT_DIR`.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// One cheap TGAT epoch, big enough that the tensor kernels dispatch
 /// to pool workers and every pipeline stage leaves spans behind.

@@ -7,8 +7,7 @@
 //! loops that define it, at every thread count. These tests pin that
 //! contract against the public tensor API.
 
-use std::sync::{Mutex, MutexGuard};
-
+use tgl_integration::serial;
 use tgl_runtime::rng::{Rng, SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 use tgl_tensor::kernel::{self, Simd, Trig};
@@ -17,13 +16,6 @@ use tgl_tensor::ops::{
     Part,
 };
 use tgl_tensor::Tensor;
-
-/// Serializes tests: the SIMD gate and the thread pool are
-/// process-global.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Restores the default kernel state (the host's own SIMD level, one
 /// thread) when a test scope unwinds.

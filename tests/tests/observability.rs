@@ -10,21 +10,14 @@
 //! phase map, counter registry, thread pool), so every test holds the
 //! `serial()` lock and restores the default state on the way out.
 
-use std::sync::{Mutex, MutexGuard};
-
 use tgl_data::{DatasetKind, Json};
 use tgl_harness::{
     run_experiment, ExperimentConfig, Framework, ModelKind, Placement, RunReporter,
 };
+use tgl_integration::serial;
 use tgl_models::ModelConfig;
 use tgl_runtime::set_threads;
 use tglite::obs::{log, metrics};
-
-/// Serializes tests: span log, phase map, and pool size are global.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// One cheap TGAT epoch with the paper-default layer sizes (batches
 /// large enough that the tensor kernels dispatch to pool workers).

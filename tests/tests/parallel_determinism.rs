@@ -6,20 +6,12 @@
 //! seeding) makes these comparisons exact — bitwise, not approximate —
 //! so every assertion here uses `==` on `f32` bits.
 
-use std::sync::{Mutex, MutexGuard};
-
-use tgl_integration::tiny_wiki;
+use tgl_integration::{serial, tiny_wiki};
 use tgl_runtime::rng::{SeedableRng, StdRng};
 use tgl_runtime::set_threads;
 use tgl_sampler::{NeighborSample, SamplingStrategy, TemporalSampler};
 use tgl_tensor::ops::{segment_mean, segment_softmax, segment_sum};
 use tgl_tensor::Tensor;
-
-/// Serializes tests: `set_threads` mutates the one global pool.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 

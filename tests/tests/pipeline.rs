@@ -13,23 +13,15 @@
 //! The counters and the thread pool are process-global, so every test
 //! holds the `serial()` lock and restores a single-threaded pool.
 
-use std::sync::{Mutex, MutexGuard};
-
 use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_device::TransferModel;
 use tgl_harness::runner::{prepare_context, Placement};
 use tgl_harness::{HealthPolicy, TrainConfig, Trainer};
-use tgl_integration::PanicsInForward;
+use tgl_integration::{serial, PanicsInForward};
 use tgl_models::{Apan, Jodie, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::metrics;
 use tglite::TContext;
-
-/// Serializes tests: counters, health events, and pool size are global.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// The counters owned by the stages the pipeline moves off-thread.
 /// `tensor.pool.*` is deliberately absent: pool hit/miss depends on

@@ -9,10 +9,9 @@
 //! The aggregate, span stack, and thread pool are process-global, so
 //! every test holds the `serial()` lock and restores defaults.
 
-use std::sync::{Mutex, MutexGuard};
-
 use tgl_data::{generate, DatasetKind, DatasetSpec, Json, Split};
 use tgl_harness::{RunReporter, TrainConfig, Trainer};
+use tgl_integration::serial;
 use tgl_models::{Apan, ModelConfig, OptFlags, TemporalModel, Tgat, Tgn};
 use tgl_runtime::set_threads;
 use tglite::obs::profile::{self, Row};
@@ -23,12 +22,6 @@ use tglite::tensor::Tensor;
 /// `pool.job` depend on the pool width; ops do not).
 fn take_ops() -> Vec<Row> {
     profile::take().into_iter().filter(|r| r.kind == Kind::Op).collect()
-}
-
-/// Serializes tests: the aggregate and pool width are global.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[test]
