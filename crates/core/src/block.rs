@@ -72,6 +72,12 @@ pub(crate) enum Part {
     Delta,
 }
 
+/// One entry of a block's named data: a table and the rows of it the
+/// entry is (row `r` is the table's row `rows[r]`; `None`: the whole
+/// table). Readers that take a `tgl_tensor::ops::Part` read the rows
+/// where they lie.
+type Rows = (Tensor, Option<Vec<usize>>);
+
 struct BlockInner {
     graph: Arc<TemporalGraph>,
     device: Device,
@@ -79,8 +85,8 @@ struct BlockInner {
     dst_nodes: Vec<NodeId>,
     dst_times: Vec<Time>,
     nbrs: Option<NeighborSample>,
-    dstdata: HashMap<String, Tensor>,
-    srcdata: HashMap<String, Tensor>,
+    dstdata: HashMap<String, Rows>,
+    srcdata: HashMap<String, Rows>,
     edata: HashMap<String, Tensor>,
     hooks: Vec<BlockHook>,
     next: Option<TBlock>,
@@ -475,6 +481,35 @@ impl TBlock {
         self.cached("efeat", Part::Edge)
     }
 
+    /// `part` of the cached area as a reader can take it in place: the
+    /// table [`crate::op::preload`] staged for the chain and the row of
+    /// each of the block's slots in it. A block with nothing staged for
+    /// the part, or whose cached area already holds it (the eager
+    /// staging of the `tgl` framework), gives that tensor and no index.
+    fn feat_rows(&self, accessor: &'static str, part: Part) -> Rows {
+        let staged = {
+            let inner = self.lock(accessor);
+            let materialized = inner.cache[part as usize].is_some();
+            inner.staged.as_ref().filter(|_| !materialized).and_then(|(s, i)| s.rows(*i, part))
+        };
+        match staged {
+            Some((table, rows)) => (table, Some(rows)),
+            None => (self.cached(accessor, part), None),
+        }
+    }
+
+    /// [`TBlock::dstfeat`] as rows of the staged node table (see
+    /// [`TBlock::efeat_rows`]): no `[n_dst, d_node]` copy is made.
+    pub fn dstfeat_rows(&self) -> (Tensor, Option<Vec<usize>>) {
+        self.feat_rows("dstfeat_rows", Part::Dst)
+    }
+
+    /// [`TBlock::srcfeat`] as rows of the staged node table (see
+    /// [`TBlock::efeat_rows`]): no `[E, d_node]` copy is made.
+    pub fn srcfeat_rows(&self) -> (Tensor, Option<Vec<usize>>) {
+        self.feat_rows("srcfeat_rows", Part::Src)
+    }
+
     /// [`TBlock::efeat`] as an affine layer can read it in place
     /// (`tgl_tensor::ops::Part::Rows`): the edge table
     /// [`crate::op::preload`] staged for the chain and the row of each
@@ -483,15 +518,7 @@ impl TBlock {
     /// holds the rows (the eager staging of the `tgl` framework), gives
     /// that tensor and no index.
     pub fn efeat_rows(&self) -> (Tensor, Option<Vec<usize>>) {
-        let staged = {
-            let inner = self.lock("efeat_rows");
-            let materialized = inner.cache[Part::Edge as usize].is_some();
-            inner.staged.as_ref().filter(|_| !materialized).and_then(|(s, i)| s.edge_rows(*i))
-        };
-        match staged {
-            Some((table, rows)) => (table, Some(rows)),
-            None => (self.efeat(), None),
-        }
+        self.feat_rows("efeat_rows", Part::Edge)
     }
 
     /// Attaches the rows staged for the chain this block is the `i`-th
@@ -556,20 +583,36 @@ impl TBlock {
 
     /// Attaches a named tensor to the destination side.
     pub fn set_dstdata(&self, key: &str, t: Tensor) {
-        self.lock("set_dstdata").dstdata.insert(key.to_string(), t);
+        self.set_dstdata_rows(key, t, None);
     }
 
-    /// Retrieves named destination data.
+    /// Attaches named destination data as rows of `table` (row `r` is
+    /// `table`'s row `rows[r]`; all of `table` when `rows` is `None`),
+    /// left where they lie: [`TBlock::dstdata_rows`] hands them on as
+    /// they are, [`TBlock::dstdata`] gathers them.
+    pub fn set_dstdata_rows(&self, key: &str, table: Tensor, rows: Option<Vec<usize>>) {
+        self.lock("set_dstdata_rows").dstdata.insert(key.to_string(), (table, rows));
+    }
+
+    /// Retrieves named destination data, gathered into a tensor of its
+    /// own if it was attached as rows.
     ///
     /// # Panics
     ///
     /// Panics if the key is absent.
     pub fn dstdata(&self, key: &str) -> Tensor {
-        self.lock("dstdata")
-            .dstdata
-            .get(key)
-            .unwrap_or_else(|| panic!("no dstdata[{key:?}] on this block"))
-            .clone()
+        materialize(self.dstdata_rows(key))
+    }
+
+    /// Retrieves named destination data as its table and the rows of it
+    /// (`None`: the whole table), without copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is absent.
+    pub fn dstdata_rows(&self, key: &str) -> (Tensor, Option<Vec<usize>>) {
+        let inner = self.lock("dstdata_rows");
+        inner.dstdata.get(key).cloned().unwrap_or_else(|| panic!("no dstdata[{key:?}] on this block"))
     }
 
     /// Whether destination data exists for `key`.
@@ -579,20 +622,34 @@ impl TBlock {
 
     /// Attaches a named tensor to the source (neighbor-edge) side.
     pub fn set_srcdata(&self, key: &str, t: Tensor) {
-        self.lock("set_srcdata").srcdata.insert(key.to_string(), t);
+        self.set_srcdata_rows(key, t, None);
     }
 
-    /// Retrieves named source data.
+    /// Attaches named source data as rows of `table`, as
+    /// [`TBlock::set_dstdata_rows`] does for the destination side.
+    pub fn set_srcdata_rows(&self, key: &str, table: Tensor, rows: Option<Vec<usize>>) {
+        self.lock("set_srcdata_rows").srcdata.insert(key.to_string(), (table, rows));
+    }
+
+    /// Retrieves named source data, gathered into a tensor of its own
+    /// if it was attached as rows.
     ///
     /// # Panics
     ///
     /// Panics if the key is absent.
     pub fn srcdata(&self, key: &str) -> Tensor {
-        self.lock("srcdata")
-            .srcdata
-            .get(key)
-            .unwrap_or_else(|| panic!("no srcdata[{key:?}] on this block"))
-            .clone()
+        materialize(self.srcdata_rows(key))
+    }
+
+    /// Retrieves named source data as its table and the rows of it
+    /// (`None`: the whole table), without copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is absent.
+    pub fn srcdata_rows(&self, key: &str) -> (Tensor, Option<Vec<usize>>) {
+        let inner = self.lock("srcdata_rows");
+        inner.srcdata.get(key).cloned().unwrap_or_else(|| panic!("no srcdata[{key:?}] on this block"))
     }
 
     /// Whether source data exists for `key`.
@@ -646,6 +703,15 @@ impl TBlock {
             out = (hook.func)(out);
         }
         out
+    }
+}
+
+/// Named data as a tensor of its own: the table's rows gathered, or the
+/// table itself when the data is all of it.
+fn materialize((table, rows): Rows) -> Tensor {
+    match rows {
+        Some(rows) => table.index_select(&rows),
+        None => table,
     }
 }
 
@@ -795,6 +861,22 @@ mod tests {
         assert!(!blk.has_srcdata("h"));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| blk.srcdata("h")));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn named_rows_stay_rows_until_a_tensor_is_asked_for() {
+        let (_g, ctx) = setup();
+        let blk = TBlock::new(&ctx, 0, vec![0], vec![1.0]);
+        let table = Tensor::from_vec((0..6).map(|v| v as f32).collect(), [3, 2]);
+        blk.set_srcdata_rows("h", table.clone(), Some(vec![2, 0]));
+        let (held, rows) = blk.srcdata_rows("h");
+        assert_eq!((held.id(), rows), (table.id(), Some(vec![2, 0])));
+        assert_eq!(blk.srcdata("h").to_vec(), vec![4.0, 5.0, 0.0, 1.0]);
+        // A whole tensor is its own table, with no index.
+        blk.set_dstdata("h", table.clone());
+        let (held, rows) = blk.dstdata_rows("h");
+        assert_eq!((held.id(), rows), (table.id(), None));
+        assert_eq!(blk.dstdata("h").id(), table.id());
     }
 
     #[test]

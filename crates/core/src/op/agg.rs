@@ -22,7 +22,11 @@ use crate::TBlock;
 ///    `p.dstdata[key] = out[..p.num_dst()]` and
 ///    `p.srcdata[key] = out[p.num_dst()..]` (this works because
 ///    [`TBlock::next_block`] stacks `p`'s destinations before its
-///    sampled sources when creating `b`'s destination list).
+///    sampled sources when creating `b`'s destination list). The two
+///    sides are rows of `out` ([`TBlock::set_dstdata_rows`]), not
+///    copies: a layer that reads them as rows (`dstdata_rows` /
+///    `srcdata_rows`) reads `out` in place, and its gradient reaches
+///    `out` with no split to undo.
 ///
 /// Returns the head block's (hook-processed) output.
 ///
@@ -49,11 +53,9 @@ pub fn aggregate(head: &TBlock, key: &str, mut f: impl FnMut(&TBlock) -> Tensor)
                     "aggregate: layer output rows ({}) != predecessor dst+edges ({nd}+{ne})",
                     out.dim(0)
                 );
-                // Two row copies per layer boundary, under a phase of
-                // their own rather than in a `(no-phase)` op row.
                 let _phase = tgl_obs::span("aggregate");
-                prev.set_dstdata(key, out.narrow_rows(0, nd));
-                prev.set_srcdata(key, out.narrow_rows(nd, ne));
+                prev.set_dstdata_rows(key, out.clone(), Some((0..nd).collect()));
+                prev.set_srcdata_rows(key, out, Some((nd..nd + ne).collect()));
             }
             None => return out,
         }
@@ -126,6 +128,12 @@ mod tests {
         tail.set_srcdata("h", tail.srcfeat());
         let out = aggregate(&head, "h", sum_layer);
         assert_eq!(out.dim(0), 1);
+        // The head's inputs are the tail's output rows, not copies.
+        let (nd, ne) = (head.num_dst(), head.num_edges());
+        let (dst, dst_rows) = head.dstdata_rows("h");
+        let (src, src_rows) = head.srcdata_rows("h");
+        assert_eq!((dst.id(), dst.dim(0)), (src.id(), nd + ne));
+        assert_eq!((dst_rows, src_rows), (Some((0..nd).collect()), Some((nd..nd + ne).collect())));
         // Hand-computed 2-hop result:
         // layer-1 value of node v at time t: v + sum(earlier nbrs of v)
         // head dst = 2@9: nbrs = 1@2, 3@3, 0@5

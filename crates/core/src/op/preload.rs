@@ -85,31 +85,39 @@ pub(crate) struct Staged {
 }
 
 impl Staged {
-    /// Block `i`'s `part`, gathered out of the staged rows on the
-    /// compute device; `None` when nothing was staged for it (no such
-    /// table, or the block was not sampled yet). Fires no counters.
-    pub(crate) fn expand(&self, i: usize, part: Part) -> Option<Tensor> {
+    /// Block `i`'s feature `part` as a staged table and the run of slots
+    /// in it; `None` when nothing was staged for it (no such table, or
+    /// the block was not sampled yet).
+    fn slots(&self, i: usize, part: Part) -> Option<(&StagedTable, Range<usize>)> {
         let s = &self.blocks[i];
         let src_at = s.node_at + s.n_dst;
         let (table, slots) = match part {
             Part::Dst => (&self.node, Some(s.node_at..src_at)),
             Part::Src => (&self.node, s.n_nbrs.map(|k| src_at..src_at + k)),
             Part::Edge => (&self.edge, s.n_nbrs.map(|k| s.edge_at..s.edge_at + k)),
-            Part::Delta => {
-                let deltas = self.deltas.as_ref().zip(s.n_nbrs);
-                return deltas.map(|(d, k)| d.narrow_rows(s.edge_at, k));
-            }
+            // The deltas are one staged tensor, not rows of a table.
+            Part::Delta => return None,
         };
-        table.as_ref().zip(slots).map(|(t, slots)| t.expand(slots))
+        table.as_ref().zip(slots)
     }
 
-    /// Block `i`'s edge rows left in the staged table: the table and
-    /// the row of each of the block's edges in it. `None` as for
-    /// [`Staged::expand`].
-    pub(crate) fn edge_rows(&self, i: usize) -> Option<(Tensor, Vec<usize>)> {
-        let s = &self.blocks[i];
-        let (table, k) = self.edge.as_ref().zip(s.n_nbrs)?;
-        Some((table.rows.clone(), table.slots[s.edge_at..s.edge_at + k].to_vec()))
+    /// Block `i`'s `part`, gathered out of the staged rows on the
+    /// compute device; `None` when nothing was staged for it. Fires no
+    /// counters.
+    pub(crate) fn expand(&self, i: usize, part: Part) -> Option<Tensor> {
+        if let Part::Delta = part {
+            let s = &self.blocks[i];
+            let deltas = self.deltas.as_ref().zip(s.n_nbrs);
+            return deltas.map(|(d, k)| d.narrow_rows(s.edge_at, k));
+        }
+        self.slots(i, part).map(|(table, slots)| table.expand(slots))
+    }
+
+    /// Block `i`'s `part` (`Dst`, `Src` or `Edge`) left in the staged
+    /// table: the table and the row of each of the block's slots in it.
+    /// `None` as for [`Staged::expand`].
+    pub(crate) fn rows(&self, i: usize, part: Part) -> Option<(Tensor, Vec<usize>)> {
+        self.slots(i, part).map(|(table, slots)| (table.rows.clone(), table.slots[slots].to_vec()))
     }
 }
 
@@ -350,6 +358,41 @@ mod tests {
         assert!(src.is_none() && edge.is_none());
         let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(dst), bits(two_block_chain(&ctx).dstfeat()));
+    }
+
+    #[test]
+    fn feature_rows_name_the_staged_slots_and_copy_nothing() {
+        let _l = link();
+        let bits = |t: Tensor| -> Vec<u32> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
+        for feat_device in [Device::Host, Device::Accel] {
+            let (_g, ctx) = setup(feat_device, Device::Accel);
+            let head = two_block_chain(&ctx);
+            preload(&ctx, &head);
+            for (staged, lazy) in head.chain().zip(two_block_chain(&ctx).chain()) {
+                for (rows, want) in [
+                    (staged.dstfeat_rows(), lazy.dstfeat()),
+                    (staged.srcfeat_rows(), lazy.srcfeat()),
+                    (staged.efeat_rows(), lazy.efeat()),
+                ] {
+                    let (table, rows) = (rows.0, rows.1.expect("staged slots come with their rows"));
+                    assert_eq!(table.device(), Device::Accel);
+                    assert_eq!(bits(table.index_select(&rows)), bits(want));
+                }
+                // Naming the rows expanded nothing into the cached area.
+                assert!(matches!(staged.feat_caches(), (None, None, None)));
+            }
+        }
+        // Once a part is materialized (the `tgl` framework's eager
+        // staging), or with nothing staged, the tensor comes whole.
+        let (_g, ctx) = setup(Device::Host, Device::Accel);
+        let head = two_block_chain(&ctx);
+        preload(&ctx, &head);
+        let src = head.srcfeat();
+        assert_eq!(head.srcfeat_rows().0.id(), src.id());
+        assert!(head.srcfeat_rows().1.is_none() && head.dstfeat_rows().1.is_some());
+        let unstaged = two_block_chain(&ctx);
+        assert!(unstaged.dstfeat_rows().1.is_none());
+        assert_eq!(unstaged.dstfeat_rows().0.to_vec(), unstaged.dstfeat().to_vec());
     }
 
     #[test]

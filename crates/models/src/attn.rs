@@ -74,9 +74,12 @@ impl TemporalAttnLayer {
     }
 
     /// Computes one row of output per block destination, consuming
-    /// `blk.dstdata("h")` / `blk.srcdata("h")`.
+    /// `blk.dstdata("h")` / `blk.srcdata("h")` where they lie (rows of
+    /// the previous layer's output or of the staged feature table are
+    /// read in place, see [`TBlock::dstdata_rows`]).
     pub fn forward(&self, ctx: &TContext, blk: &TBlock, time_precompute: bool) -> Tensor {
-        let h_dst = blk.dstdata("h");
+        let (dst_table, dst_rows) = blk.dstdata_rows("h");
+        let h_dst = part(&dst_table, &dst_rows);
         let n_dst = blk.num_dst();
         let n_edges = blk.num_edges();
         let hd = self.heads * self.head_dim;
@@ -91,14 +94,14 @@ impl TemporalAttnLayer {
         drop(_t0);
         let q = {
             let _ta = tgl_obs::span("attention");
-            self.w_q.forward_parts(&[&h_dst, &tfeats])
+            self.w_q.forward_parts(&[h_dst, Part::Whole(&tfeats)])
         };
 
         if n_edges == 0 {
             // No sampled neighbors anywhere: attention output is zero.
             let _ta = tgl_obs::span("attention");
             let r = Tensor::zeros_on([n_dst, hd], blk.device());
-            return self.ffn.forward_parts(&[&r, &h_dst]);
+            return self.ffn.forward_parts(&[Part::Whole(&r), h_dst]);
         }
 
         // Φ(Δt) for sampled edges (Eq. 5).
@@ -111,12 +114,12 @@ impl TemporalAttnLayer {
         };
         drop(_tn);
         let _ta = tgl_obs::span("attention");
-        let h_src = blk.srcdata("h");
-        // The edge features are read through their slots in the staged
-        // table, not gathered into an `[E, d_edge]` copy first.
+        // The neighbour rows and the edge features are read through
+        // their rows in the tables that hold them, not gathered into
+        // `[E, d]` copies first.
+        let (src_table, src_rows) = blk.srcdata_rows("h");
         let (etable, erows) = blk.efeat_rows();
-        let efeat = erows.as_deref().map_or(Part::Whole(&etable), |rows| Part::Rows(&etable, rows));
-        let z = [Part::Whole(&h_src), efeat, Part::Whole(&nbr_t)];
+        let z = [part(&src_table, &src_rows), part(&etable, &erows), Part::Whole(&nbr_t)];
 
         // Per-edge attention logits Σ_d Q⊙K / √d_h, normalized per
         // destination (Eq. 6, edge-wise instead of padded bmm — paper
@@ -126,8 +129,14 @@ impl TemporalAttnLayer {
         let r = op::edge_attention(blk, &q, &self.w_k, &self.w_v, &z, self.heads, scale);
 
         // Output FFN over [r ‖ h_dst] (Eq. 7).
-        self.ffn.forward_parts(&[&r, &h_dst])
+        self.ffn.forward_parts(&[Part::Whole(&r), h_dst])
     }
+}
+
+/// `table`'s `rows` as an input part of an affine layer (all of it
+/// when there is no index).
+fn part<'a>(table: &'a Tensor, rows: &'a Option<Vec<usize>>) -> Part<'a> {
+    rows.as_deref().map_or(Part::Whole(table), |rows| Part::Rows(table, rows))
 }
 
 impl Module for TemporalAttnLayer {

@@ -239,7 +239,7 @@ pub(crate) mod testutil {
     use tgl_runtime::rng::StdRng;
     use tgl_runtime::rng::{Rng, SeedableRng};
     use tglite::tensor::Tensor;
-    use tglite::{TBatch, TContext, TGraph};
+    use tglite::{TBatch, TBlock, TContext, TGraph};
 
     /// A small random bipartite-ish CTDG with features, suitable for
     /// smoke-training all four models.
@@ -269,6 +269,41 @@ pub(crate) mod testutil {
         let negs = (0..b.len()).map(|_| rng.gen_range(10..20u32)).collect();
         b.set_negatives(negs);
         b
+    }
+
+    /// `op::aggregate` with every layer boundary handed on as copies
+    /// (`narrow_rows`) instead of rows of the layer's output: the oracle
+    /// of the rows the attention layers read in place.
+    pub fn aggregate_copied(head: &TBlock, key: &str, mut f: impl FnMut(&TBlock) -> Tensor) -> Tensor {
+        let chain: Vec<TBlock> = head.chain().collect();
+        for blk in chain.iter().rev() {
+            let out = blk.run_hooks(f(blk));
+            let Some(prev) = blk.prev() else { return out };
+            let nd = prev.num_dst();
+            prev.set_dstdata(key, out.narrow_rows(0, nd));
+            prev.set_srcdata(key, out.narrow_rows(nd, out.dim(0) - nd));
+        }
+        unreachable!("the head has no predecessor")
+    }
+
+    /// The bits of a step's logits and of every parameter's gradient
+    /// after one backward of the link-prediction loss over `(pos, neg)`;
+    /// the gradients are cleared again.
+    pub fn step_bits(params: &[Tensor], (pos, neg): (Tensor, Tensor)) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let logits = tglite::tensor::ops::cat(&[pos, neg], 0);
+        let n = logits.dim(0);
+        let targets = (0..n).map(|i| if i < n / 2 { 1.0 } else { 0.0 }).collect();
+        tglite::tensor::bce_with_logits(&logits, &Tensor::from_vec(targets, [n])).backward();
+        let grads = params
+            .iter()
+            .map(|p| {
+                let g = p.grad().map(bits).unwrap_or_default();
+                p.zero_grad();
+                g
+            })
+            .collect();
+        (bits(logits.to_vec()), grads)
     }
 
     /// Smoke-trains a model for a few steps and asserts the loss

@@ -64,9 +64,14 @@ impl Tgat {
     pub fn embeddings(&self, ctx: &TContext, batch: &TBatch) -> Tensor {
         let head = plan::build_chain(ctx, batch, &self.spec, self.caching());
         let tail = head.tail();
+        // The tail reads its node features as rows of the staged table
+        // (under the `tgl` framework, the tensors its eager staging
+        // already built): no `[E, d_node]` gather.
         let _f = tgl_obs::span("feature_load").stage(tgl_obs::Stage::Transfer);
-        tail.set_dstdata("h", tail.dstfeat());
-        tail.set_srcdata("h", tail.srcfeat());
+        let (table, rows) = tail.dstfeat_rows();
+        tail.set_dstdata_rows("h", table, rows);
+        let (table, rows) = tail.srcfeat_rows();
+        tail.set_srcdata_rows("h", table, rows);
         drop(_f);
         let use_pre = self.opts.time_precompute && !self.training;
         op::aggregate(&head, "h", |blk| {
@@ -106,7 +111,7 @@ impl TemporalModel for Tgat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{batch_with_negs, ctx_for, small_graph, train_steps};
+    use crate::testutil::{aggregate_copied, batch_with_negs, ctx_for, small_graph, step_bits, train_steps};
 
     #[test]
     fn forward_shapes() {
@@ -176,6 +181,37 @@ mod tests {
             assert_eq!(bits(&n1), bits(&n2), "neg logits drift (opts {opts:?})");
             let (p3, n3) = planned.forward(&ctx_b, &staged);
             assert_eq!((bits(&p2), bits(&n2)), (bits(&p3), bits(&n3)), "second forward drifts");
+        }
+    }
+
+    /// [`Tgat::embeddings`] with the tail's node features and every
+    /// layer boundary materialized (`dstfeat()` / `srcfeat()`, then
+    /// [`aggregate_copied`]): the oracle of the rows read in place.
+    fn embeddings_copied(model: &Tgat, ctx: &TContext, batch: &TBatch) -> Tensor {
+        let head = plan::build_chain(ctx, batch, &model.spec, false);
+        let tail = head.tail();
+        tail.set_dstdata("h", tail.dstfeat());
+        tail.set_srcdata("h", tail.srcfeat());
+        aggregate_copied(&head, "h", |blk| {
+            model.layers[blk.layer().min(model.cfg.n_layers - 1)].forward(ctx, blk, false)
+        })
+    }
+
+    #[test]
+    fn rows_read_in_place_give_the_materialized_chains_bits() {
+        let g = small_graph(6);
+        let dedup = OptFlags { dedup: true, ..OptFlags::preload_only() };
+        for opts in [dedup, OptFlags::none()] {
+            let ctx = ctx_for(&g);
+            let model = Tgat::new(&ctx, ModelConfig::tiny(), opts, 5);
+            let batch = batch_with_negs(&g, 40..80, 1);
+            let head = plan::build_chain(&ctx, &batch, &model.spec, false);
+            assert_eq!(head.chain().any(|b| b.num_hooks() > 0), opts.dedup, "dedup hooks ({opts:?})");
+            let step = |embs: Tensor| step_bits(&model.parameters(), score_embeddings(&model.predictor, &embs, batch.len()));
+            let rows = step(model.embeddings(&ctx, &batch));
+            let copied = step(embeddings_copied(&model, &ctx, &batch));
+            assert!(rows.1.iter().filter(|g| !g.is_empty()).count() > 20, "few parameters on the graph ({opts:?})");
+            assert_eq!(rows, copied, "logits or first-step gradients differ ({opts:?})");
         }
     }
 

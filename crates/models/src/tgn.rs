@@ -186,7 +186,7 @@ impl TemporalModel for Tgn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{batch_with_negs, ctx_for, small_graph, train_steps};
+    use crate::testutil::{aggregate_copied, batch_with_negs, ctx_for, small_graph, step_bits, train_steps};
 
     /// The step as it was before node state was evaluated per distinct
     /// node: the GRU and `feat_linear` on every row of the tail block,
@@ -219,6 +219,28 @@ mod tests {
             let counterpart = g.memory().rows(&blk.src_nodes());
             g.mailbox().store(&uniq, &cat(&[own, counterpart, blk.efeat()], 1), &times);
         }
+        score_embeddings(&model.predictor, &embs, batch.len())
+    }
+
+    /// [`Tgn::forward`] with every layer boundary handed on as copies
+    /// ([`aggregate_copied`]): the oracle of the rows the attention
+    /// layers read in place.
+    fn forward_copied(model: &mut Tgn, ctx: &TContext, batch: &TBatch) -> (Tensor, Tensor) {
+        let head = plan::build_chain(ctx, batch, &model.spec, false);
+        let tail = head.tail();
+        let mut rows = tail.dst_nodes();
+        let n_dst = rows.len();
+        rows.extend(tail.src_nodes());
+        let idx = op::node_index(ctx.graph().num_nodes(), &rows);
+        let mem = model.update_memory(ctx, &idx.nodes);
+        let feats = cat(&[tail.dstfeat(), tail.srcfeat()], 0).index_select(&idx.first);
+        let h = model.feat_linear.forward(&feats).add(&mem);
+        tail.set_dstdata("h", h.index_select(&idx.inverse[..n_dst]));
+        tail.set_srcdata("h", h.index_select(&idx.inverse[n_dst..]));
+        let embs = aggregate_copied(&head, "h", |blk| {
+            model.layers[blk.layer().min(model.cfg.n_layers - 1)].forward(ctx, blk, false)
+        });
+        model.save_state(ctx, batch, &idx, &mem);
         score_embeddings(&model.predictor, &embs, batch.len())
     }
 
@@ -285,6 +307,23 @@ mod tests {
             let err = a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max);
             assert!(err <= 1e-5 * size, "parameter {i}: gradients differ by {err} of {size}");
         }
+    }
+
+    #[test]
+    fn rows_read_in_place_give_the_copied_boundaries_bits() {
+        let run = |copied: bool| {
+            let g = small_graph(19);
+            let ctx = ctx_for(&g);
+            let mut model = Tgn::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 8);
+            // One step of state first, so the GRU sees mail and memory.
+            model.forward(&ctx, &batch_with_negs(&g, 0..40, 1));
+            let batch = batch_with_negs(&g, 40..80, 2);
+            let out = if copied { forward_copied(&mut model, &ctx, &batch) } else { model.forward(&ctx, &batch) };
+            step_bits(&model.parameters(), out)
+        };
+        let (rows, copied) = (run(false), run(true));
+        assert!(rows.1.iter().filter(|g| !g.is_empty()).count() > 20, "few parameters on the graph");
+        assert_eq!(rows, copied, "logits or first-step gradients differ");
     }
 
     #[test]

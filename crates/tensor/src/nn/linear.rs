@@ -40,9 +40,10 @@ impl Linear {
     }
 
     /// Applies the layer followed by ReLU (`relu(x·Wᵀ + b)`) to the
-    /// column-wise concatenation of `parts` as one op, the activation
-    /// folded into its epilogue.
-    pub fn forward_relu_parts(&self, parts: &[&Tensor]) -> Tensor {
+    /// column-wise concatenation of `parts` (as in
+    /// [`Linear::forward_parts`]) as one op, the activation folded into
+    /// its epilogue.
+    pub fn forward_relu_parts<'a>(&self, parts: &[impl Into<crate::ops::Part<'a>> + Copy]) -> Tensor {
         linear_cat(parts, &self.weight, Some(&self.bias), true)
     }
 

@@ -28,8 +28,9 @@ impl Mlp {
     }
 
     /// Applies the network to the column-wise concatenation of `parts`
-    /// without building it.
-    pub fn forward_parts(&self, parts: &[&Tensor]) -> Tensor {
+    /// (tensors or indexed rows of tables, see
+    /// [`Part`](crate::ops::Part)) without building it.
+    pub fn forward_parts<'a>(&self, parts: &[impl Into<crate::ops::Part<'a>> + Copy]) -> Tensor {
         self.fc2.forward(&self.fc1.forward_relu_parts(parts))
     }
 

@@ -33,7 +33,9 @@
 //! of `C` is one [`RowPanel`], which [`kernel::run_lanes`] runs on the
 //! active level's vectors. A last column panel that one vector covers
 //! runs the one-vector-wide form of the same body, so a narrow `C` (`n`
-//! up to 16) pays for no second vector of padding. A panel (`KC` rows of
+//! up to 16) pays for no second vector of padding; a `C` that one
+//! vector covers whole runs that form [`NARROW_MR`] rows tall, which
+//! keeps eight chains going again. A panel (`KC` rows of
 //! at most 32 floats = 16 KiB) stays L1-resident while the tile
 //! accumulates across it in place on C; partial tiles at the right and
 //! bottom edges run the same kernel on a zero-padded copy. The only
@@ -68,6 +70,9 @@ pub(crate) const NO_EPILOGUE: &Epilogue<'static> = &|_| {};
 
 /// Rows of A per register tile.
 pub(crate) const MR: usize = 4;
+/// Rows of A per register tile of a `C` one vector wide: `NARROW_MR × 1`
+/// = 8 accumulators, as many as the wide tile's `MR × NV`.
+const NARROW_MR: usize = 2 * MR;
 /// Vectors per tile row: `MR × NV` = 8 accumulators (see the module
 /// docs), leaving half of the 16 AVX2 registers for the A broadcast
 /// and the B panel loads.
@@ -170,20 +175,20 @@ struct Lhs<'a> {
 /// `0..len`, where `off(kk)` is `kk * ps`, or `idx[kk] * ps` through an
 /// index; all in bounds ([`Run::new`] and [`Run::indexed`] are the only
 /// constructors).
-struct Run<'a> {
-    rows: [&'a [f32]; MR],
+struct Run<'a, const R: usize> {
+    rows: [&'a [f32]; R],
     ps: usize,
     len: usize,
     idx: Option<&'a [usize]>,
 }
 
-impl<'a> Run<'a> {
-    fn new(rows: [&'a [f32]; MR], ps: usize, len: usize) -> Run<'a> {
+impl<'a, const R: usize> Run<'a, R> {
+    fn new(rows: [&'a [f32]; R], ps: usize, len: usize) -> Run<'a, R> {
         assert!(len > 0 && rows.iter().all(|row| row.len() > (len - 1) * ps));
         Run { rows, ps, len, idx: None }
     }
 
-    fn indexed(rows: [&'a [f32]; MR], ps: usize, idx: &'a [usize]) -> Run<'a> {
+    fn indexed(rows: [&'a [f32]; R], ps: usize, idx: &'a [usize]) -> Run<'a, R> {
         let last = idx.iter().max().expect("a run of no reduction index");
         assert!(rows.iter().all(|row| row.len() > last * ps));
         Run { rows, ps, len: idx.len(), idx: Some(idx) }
@@ -203,20 +208,20 @@ impl<'a> Lhs<'a> {
         unreachable!("an index past the last part of A'")
     }
 
-    /// How many rows of `A'` from `r` on one register tile may hold:
-    /// rows of the transpose are columns, and a tile stays in one part
-    /// so that its rows share a stride.
-    fn tile_rows(&self, r: usize) -> usize {
+    /// How many rows of `A'` from `r` on one register tile of `R` rows
+    /// may hold: rows of the transpose are columns, and a tile stays in
+    /// one part so that its rows share a stride.
+    fn tile_rows<const R: usize>(&self, r: usize) -> usize {
         if !self.t {
-            return MR;
+            return R;
         }
         let (part, col) = self.part_of(r);
-        MR.min(part.width - col)
+        R.min(part.width - col)
     }
 
     /// Reduction indices `k0..k0 + kc` of the `ih` rows of `A'` from
     /// `r` on into `runs`, one per part they pass through.
-    fn runs(&self, r: usize, ih: usize, k0: usize, kc: usize, runs: &mut Vec<Run<'a>>) {
+    fn runs<const R: usize>(&self, r: usize, ih: usize, k0: usize, kc: usize, runs: &mut Vec<Run<'a, R>>) {
         runs.clear();
         if self.t {
             // Rows of `A'` are columns of the part; the reduction walks
@@ -240,10 +245,10 @@ impl<'a> Lhs<'a> {
     }
 }
 
-/// The `MR` rows of a register tile that has `ih` of its own: `row(q)`
+/// The `R` rows of a register tile that has `ih` of its own: `row(q)`
 /// for those, the last of them again for the rest (lanes computed and
 /// dropped).
-fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
+fn tile<'a, const R: usize>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; R] {
     std::array::from_fn(|q| row(q.min(ih - 1)))
 }
 
@@ -251,33 +256,33 @@ fn tile<'a>(ih: usize, row: impl Fn(usize) -> &'a [f32]) -> [&'a [f32]; MR] {
 // Register-tile kernels
 // ---------------------------------------------------------------------
 
-/// The tile update, written once: `MR` rows of `W` vectors. Row `r` of
+/// The tile update, written once: `R` rows of `W` vectors. Row `r` of
 /// the tile lives at `c[r * ldc..][..W * V::LANES]` and gains `sum_kk
 /// a[r][kk] * pan[kk]`, `kk` running through the reduction indices of
 /// `runs` in order — or, with `first`, is overwritten by that sum
-/// started from zero. The `MR × W` accumulators stay in registers from
+/// started from zero. The `R × W` accumulators stay in registers from
 /// the first run to the last, and each lane performs its element's
-/// products in that order whatever `V` and `W` are.
+/// products in that order whatever `V`, `W` and `R` are.
 ///
 /// # Safety
 ///
 /// `V`'s instruction set must be enabled in the caller (this inlines
 /// into [`RowPanel`], run by [`kernel::run_lanes`]); `pan` must hold
 /// one tile row (`W` vectors) of floats per reduction index of `runs`
-/// and `c` at least `(MR - 1) * ldc` floats plus one tile row (a
+/// and `c` at least `(R - 1) * ldc` floats plus one tile row (a
 /// [`Run`] keeps its own rows in bounds).
 #[inline(always)]
-unsafe fn tile_body<V: Lanes, const W: usize>(
-    runs: &[Run<'_>],
+unsafe fn tile_body<V: Lanes, const W: usize, const R: usize>(
+    runs: &[Run<'_, R>],
     pan: &[f32],
     c: &mut [f32],
     ldc: usize,
     first: bool,
 ) {
     let nr = W * V::LANES;
-    debug_assert!(c.len() >= (MR - 1) * ldc + nr);
+    debug_assert!(c.len() >= (R - 1) * ldc + nr);
     debug_assert!(pan.len() >= runs.iter().map(|run| run.len).sum::<usize>() * nr);
-    let mut acc = [[V::splat(0.0); W]; MR];
+    let mut acc = [[V::splat(0.0); W]; R];
     if !first {
         for (r, row) in acc.iter_mut().enumerate() {
             for (w, v) in row.iter_mut().enumerate() {
@@ -290,13 +295,13 @@ unsafe fn tile_body<V: Lanes, const W: usize>(
         match run.idx {
             None => {
                 for kk in 0..run.len {
-                    tile_step::<V, W>(&mut acc, &run.rows, kk * run.ps, pan);
+                    tile_step::<V, W, R>(&mut acc, &run.rows, kk * run.ps, pan);
                     pan = pan.add(nr);
                 }
             }
             Some(idx) => {
                 for &i in idx {
-                    tile_step::<V, W>(&mut acc, &run.rows, i * run.ps, pan);
+                    tile_step::<V, W, R>(&mut acc, &run.rows, i * run.ps, pan);
                     pan = pan.add(nr);
                 }
             }
@@ -317,9 +322,9 @@ unsafe fn tile_body<V: Lanes, const W: usize>(
 /// As [`tile_body`]: `at` lies inside every row and `pan` holds `W`
 /// vectors.
 #[inline(always)]
-unsafe fn tile_step<V: Lanes, const W: usize>(
-    acc: &mut [[V; W]; MR],
-    rows: &[&[f32]; MR],
+unsafe fn tile_step<V: Lanes, const W: usize, const R: usize>(
+    acc: &mut [[V; W]; R],
+    rows: &[&[f32]; R],
     at: usize,
     pan: *const f32,
 ) {
@@ -390,6 +395,22 @@ struct RowPanel<'a, 'c> {
 impl LaneKernel for RowPanel<'_, '_> {
     #[inline(always)]
     unsafe fn run<V: Lanes>(self) {
+        if self.n <= V::LANES {
+            self.tiles::<V, NARROW_MR>()
+        } else {
+            self.tiles::<V, MR>()
+        }
+    }
+}
+
+impl RowPanel<'_, '_> {
+    /// [`RowPanel`] on register tiles of `R` rows.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s instruction set must be enabled.
+    #[inline(always)]
+    unsafe fn tiles<V: Lanes, const R: usize>(self) {
         let RowPanel { a, b, tb, ldb, k, n, r0, c } = self;
         let (lanes, nr) = (V::LANES, NV * V::LANES);
         let (rows_n, n_tiles) = (c.len() / n, n.div_ceil(nr));
@@ -420,13 +441,13 @@ impl LaneKernel for RowPanel<'_, '_> {
             while i < rows_n {
                 // Past its last row a short tile re-reads that row; those
                 // lanes are computed and dropped.
-                let ih = a.tile_rows(r0 + i).min(rows_n - i);
+                let ih = a.tile_rows::<R>(r0 + i).min(rows_n - i);
                 a.runs(r0 + i, ih, k0, kc, &mut runs);
                 for jt in 0..n_tiles {
                     let (j0, pw) = (jt * nr, panel_width(lanes, n, jt));
                     let jw = pw.min(n - j0);
                     let pan = &block[jt * kc * nr..][..kc * pw];
-                    let whole = ih == MR && jw == pw;
+                    let whole = ih == R && jw == pw;
                     let (tile, ldt) = if whole {
                         (&mut c[i * n + j0..], n)
                     } else {
@@ -439,14 +460,14 @@ impl LaneKernel for RowPanel<'_, '_> {
                         }
                         (&mut edge[..], pw)
                     };
-                    assert!(tile.len() >= (MR - 1) * ldt + pw && pan.len() >= kc * pw);
+                    assert!(tile.len() >= (R - 1) * ldt + pw && pan.len() >= kc * pw);
                     // SAFETY (both): `tile` and `pan` were measured just
                     // above against the instance's width, every `Run` when
                     // it was built.
                     if pw == lanes {
-                        tile_body::<V, 1>(&runs, pan, tile, ldt, first);
+                        tile_body::<V, 1, R>(&runs, pan, tile, ldt, first);
                     } else {
-                        tile_body::<V, NV>(&runs, pan, tile, ldt, first);
+                        tile_body::<V, NV, R>(&runs, pan, tile, ldt, first);
                     }
                     if !whole {
                         for r in 0..ih {
@@ -610,11 +631,12 @@ mod tests {
     }
 
     /// Sizes straddling every tile boundary of every level: `m` below,
-    /// at and above `MR`; `n` one below, at and one above a vector and
-    /// a whole tile row (4 / 8 floats scalar, 8 / 16 AVX2, 16 / 32
-    /// AVX-512F), so the narrow last panel, the wide one and both kinds
-    /// of edge copy all run; `k` below, at and across `KC` blocks.
-    const SIZES: [(usize, usize, usize); 17] = [
+    /// at and above `MR` (and `NARROW_MR` with `C` one vector wide); `n`
+    /// one below, at and one above a vector and a whole tile row (4 / 8
+    /// floats scalar, 8 / 16 AVX2, 16 / 32 AVX-512F), so the narrow last
+    /// panel, the wide one and both kinds of edge copy all run; `k`
+    /// below, at and across `KC` blocks.
+    const SIZES: [(usize, usize, usize); 20] = [
         (1, 1, 1),
         (3, 5, 7),
         (4, 8, 8),
@@ -632,6 +654,9 @@ mod tests {
         (6, 258, 63),
         (12, 3, 64),
         (11, 40, 65),
+        (8, 130, 4),
+        (17, 9, 8),
+        (23, 257, 16),
     ];
 
     /// Same k-ascending order and per-element roundings as the naive

@@ -1,5 +1,7 @@
 //! Row indexing, gathering, scattering, slicing, and concatenation.
 
+use std::ops::Range;
+
 use tgl_device::Device;
 
 use crate::kernel;
@@ -114,6 +116,59 @@ pub(crate) fn scatter_add_rows(go: &[f32], idx: &[usize], row_len: usize, n: usi
     let mut g = pool::take_zeroed(n, device);
     kernel::add_rows(&mut g, go, row_len, |k| idx[k]);
     g
+}
+
+/// The gradient buffer of one input part of a kernel that reads the
+/// part's `m` rows of `width` whole or through a row index into a table
+/// of `table` floats (`ops::Part`). The kernel writes the part's rows
+/// into [`PartGrad::rows`]; [`PartGrad::finish`] gives the table's
+/// gradient. A part read whole, or through consecutive table rows (a
+/// layer boundary as `aggregate` hands it on), is written in place: for
+/// the run the buffer is table-shaped and zero around it, which is what
+/// `narrow_rows`' backward makes. Any other index gets rows of its own,
+/// scatter-added into the table in ascending row order
+/// ([`scatter_add_rows`]), as `index_select`'s backward does.
+pub(crate) struct PartGrad<'a> {
+    buf: Vec<f32>,
+    at: Range<usize>,
+    scatter: Option<&'a [usize]>,
+    width: usize,
+    table: usize,
+    device: Device,
+}
+
+impl<'a> PartGrad<'a> {
+    /// The buffer for a part of `m` rows of `width` read through `rows`
+    /// (`None`: read whole) from a table of `table` floats.
+    pub(crate) fn new(rows: Option<&'a [usize]>, m: usize, width: usize, table: usize, device: Device) -> PartGrad<'a> {
+        let run = rows.and_then(|rows| {
+            let r0 = *rows.first()?;
+            rows.iter().enumerate().all(|(i, &r)| r == r0 + i).then_some(r0 * width..(r0 + m) * width)
+        });
+        let (buf, at, scatter) = match (rows, run) {
+            (Some(_), Some(at)) => {
+                let mut buf = pool::take_uninit(table, device);
+                buf[..at.start].fill(0.0);
+                buf[at.end..].fill(0.0);
+                (buf, at, None)
+            }
+            (rows, _) => (pool::take_uninit(m * width, device), 0..m * width, rows),
+        };
+        PartGrad { buf, at, scatter, width, table, device }
+    }
+
+    /// Where the kernel writes the part's rows.
+    pub(crate) fn rows(&mut self) -> &mut [f32] {
+        &mut self.buf[self.at.clone()]
+    }
+
+    /// The gradient of the part's tensor (the table, for an indexed part).
+    pub(crate) fn finish(self) -> Vec<f32> {
+        let Some(rows) = self.scatter else { return self.buf };
+        let table = scatter_add_rows(&self.buf, rows, self.width, self.table, self.device);
+        pool::give(self.buf, self.device);
+        table
+    }
 }
 
 /// Concatenates tensors along dimension `dim`.

@@ -9,7 +9,7 @@
 use crate::kernel;
 use crate::ops::fused::{bias_act_rows, relu_mask_bwd};
 use crate::ops::gemm::{mm_nn, mm_nn_cols, mm_nt, mm_nt_then, mm_tn, Mat};
-use crate::ops::index::scatter_add_rows;
+use crate::ops::index::PartGrad;
 use crate::ops::{same_device, transpose_into};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
@@ -145,7 +145,9 @@ pub(crate) fn with_parts<R>(xs: &[Tensor], index: &[Option<&[usize]>], f: impl F
 /// finished row panel. One backward node: `dX_p = dY · W[:, part p]`
 /// written into its own buffer (only for parts on the graph; an indexed
 /// part's rows then scatter-add into its table's shape in ascending
-/// row order, as `index_select`'s backward does), `dW = dYᵀ·X` with
+/// row order, as `index_select`'s backward does, and a run of
+/// consecutive table rows is written there in place, as `narrow_rows`'
+/// backward does), `dW = dYᵀ·X` with
 /// each part supplying its rows of one `[in, out]` scratch, `db` =
 /// column sums of `dY` (rows ascending), where `dY` is first masked by
 /// `y > 0` under ReLU. Every output and gradient element is computed
@@ -257,13 +259,10 @@ fn linear_parts(parts: &[Part<'_>], weight: &Tensor, bias: Option<&Tensor>, relu
         let mut grads: Vec<Option<Vec<f32>>> = (0..xs.len())
             .map(|p| {
                 need_x[p].then(|| {
-                    let mut gx = pool::take_uninit(m * widths[p], device);
+                    let mut gx = PartGrad::new(index[p].as_deref(), m, widths[p], xs[p].numel(), device);
                     let w = w_t.inner.storage.read();
-                    mm_nn_cols(Mat::whole(dy, n), &w[cols[p]..], k, &mut gx, m, widths[p]);
-                    let Some(rows) = &index[p] else { return gx };
-                    let table = scatter_add_rows(&gx, rows, widths[p], xs[p].numel(), device);
-                    pool::give(gx, device);
-                    table
+                    mm_nn_cols(Mat::whole(dy, n), &w[cols[p]..], k, gx.rows(), m, widths[p]);
+                    gx.finish()
                 })
             })
             .collect();
@@ -379,6 +378,20 @@ mod tests {
         assert_eq!(x.grad().unwrap(), vec![1.0, 1.0, 0.0, 0.0]);
         assert_eq!(w.grad().unwrap(), vec![1.0, 2.0, 0.0, 0.0]);
         assert_eq!(b.grad().unwrap(), vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn a_run_of_table_rows_takes_the_gradient_narrow_rows_gives() {
+        use crate::ops::{linear_cat, Part};
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let table = Tensor::from_vec((0..15).map(|i| (i % 4) as f32 - 1.5).collect(), [5, 3]).requires_grad(true);
+        let w = Tensor::from_vec(vec![0.5, -1.0, 0.0, 2.0, 0.25, -0.75], [2, 3]);
+        let weights = Tensor::from_vec(vec![1.0, -2.0, 0.0, 3.0, -0.5, 1.5], [3, 2]);
+        linear_cat(&[Part::Rows(&table, &[1, 2, 3])], &w, None, false).mul(&weights).sum_all().backward();
+        let run = table.grad().expect("the table takes a gradient");
+        table.zero_grad();
+        table.narrow_rows(1, 3).linear(&w, None, false).mul(&weights).sum_all().backward();
+        assert_eq!(bits(run), bits(table.grad().expect("the table takes a gradient")));
     }
 
     #[test]

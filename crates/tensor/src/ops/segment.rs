@@ -30,8 +30,8 @@ use tgl_runtime::{parallel_rows, Chunks, Rows};
 use crate::kernel::{self, LaneKernel, Lanes};
 use crate::ops::gemm::{mm_nn_cols, mm_nt_then, mm_tn, Mat, NO_EPILOGUE};
 use crate::ops::matmul::with_parts;
-use crate::ops::index::scatter_add_rows;
-use crate::ops::Part;
+use crate::ops::index::{scatter_add_rows, PartGrad};
+use crate::ops::{transpose_into, Part};
 use crate::pool::{self, PooledBuf};
 use crate::Tensor;
 
@@ -455,26 +455,43 @@ impl<V: Lanes> SegmentKernel for SoftmaxGradRows<'_, V> {
 // ---------------------------------------------------------------------
 
 /// Copies the `z` rows of a segment's rows, the parts side by side,
-/// into `zs` (`k` floats a row, in the segment's order): the block the
+/// into the first `n · k` floats of `zs` (`k` floats a row, in the
+/// segment's order) and returns the row count `n`: the block the
 /// segment's passes read, in L1, instead of the rows where they lie (an
-/// indexed part's anywhere in its table).
+/// indexed part's anywhere in its table). A vector of columns at a time;
+/// `zs` only grows, and no float of it is written twice.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be enabled.
 ///
 /// # Panics
 ///
 /// Panics if a row lies outside a part, or the parts' widths do not add
 /// up to `k`.
 #[inline(always)]
-fn gather_z(zs: &mut Vec<f32>, z: &[Mat<'_>], k: usize, rows: impl Iterator<Item = usize> + Clone) {
-    zs.clear();
-    zs.resize(rows.clone().count() * k, 0.0);
-    for (row, e) in zs.chunks_exact_mut(k.max(1)).zip(rows) {
-        let mut col = 0;
+unsafe fn gather_z<V: Lanes>(zs: &mut Vec<f32>, z: &[Mat<'_>], k: usize, rows: impl Iterator<Item = usize> + Clone) -> usize {
+    assert_eq!(z.iter().map(Mat::width).sum::<usize>(), k, "the parts' widths add up to k");
+    let n = rows.clone().count();
+    if zs.len() < n * k {
+        zs.resize(n * k, 0.0);
+    }
+    let out = zs.as_mut_ptr();
+    for (j, e) in rows.take(n).enumerate() {
+        let mut col = j * k;
         for part in z {
             let w = part.width();
-            row[col..col + w].copy_from_slice(&part.row(e, 0)[..w]);
+            let row = &part.row(e, 0)[..w];
+            for c in (0..w).step_by(V::LANES) {
+                let len = V::LANES.min(w - c);
+                // SAFETY: `row` holds `w` floats and `zs` the `n · k`
+                // floats of the block, row `j`'s parts side by side.
+                load_n::<V>(row.as_ptr().add(c), len).store_part(out.add(col + c), len);
+            }
             col += w;
         }
     }
+    n
 }
 
 /// Partial sums of a dot product in [`dot16`]: 16 floats, one vector at
@@ -663,9 +680,8 @@ impl<V: Lanes> SegmentKernel for AttendSegment<'_, V> {
         // count, which every part holds and whose rows of `a` the chunk
         // owns, and `run` measured `qt` and `zbar`.
         unsafe {
-            gather_z(&mut self.zs, self.z, k, rows.clone());
-            let (zs, l) = (&self.zs, &mut self.l);
-            let n = zs.len() / k.max(1);
+            let n = gather_z::<V>(&mut self.zs, self.z, k, rows.clone());
+            let (zs, l) = (&self.zs[..n * k], &mut self.l);
             l.clear();
             l.resize(n * h, 0.0);
             for hh in 0..h {
@@ -754,9 +770,8 @@ impl<V: Lanes> SegmentKernel for AttendGradSegment<'_, V> {
         // count, which every part and `a` hold and whose rows of each
         // `dz` the chunk owns, and `run` measured the rest.
         unsafe {
-            gather_z(&mut self.zs, self.z, k, rows.clone());
-            let (zs, g) = (&self.zs, &mut self.g);
-            let n = zs.len() / k.max(1);
+            let n = gather_z::<V>(&mut self.zs, self.z, k, rows.clone());
+            let (zs, g) = (&self.zs[..n * k], &mut self.g);
             g.clear();
             g.resize(n * h, 0.0);
             for hh in 0..h {
@@ -1011,7 +1026,8 @@ fn check_heads(wide: &Tensor, heads: usize) -> (usize, usize) {
 /// Backward saves the attention, `q̃` and the weighted `z` (nothing else
 /// per row) and recomputes the softmax's gradient segment by segment;
 /// each part that takes a gradient gets its rows, an indexed part's
-/// then added into its table's shape in ascending row order.
+/// then added into its table's shape in ascending row order (a run of
+/// consecutive table rows written there in place).
 ///
 /// # Panics
 ///
@@ -1126,13 +1142,7 @@ pub fn edge_attention(
             }
             gb
         });
-        grads[2] = need[2].then(|| {
-            let mut gw = pool::take_uninit(hd * k, device);
-            for (hh, gw) in gw.chunks_exact_mut(d * k).enumerate() {
-                mm_tn(&[Mat::strided(&go[hh * d..], d, hd)], &zbar[hh * k..], h * k, gw, s, k);
-            }
-            gw
-        });
+        grads[2] = need[2].then(|| head_weight_grad(go, &zbar, s, h, d, k, device));
         if !(need[0] || need[1] || need[4..].contains(&true)) {
             return grads;
         }
@@ -1143,13 +1153,14 @@ pub fn edge_attention(
             mm_nn_cols(Mat::strided(&go[hh * d..], d, hd), &wv[hh * d * k..], k, dzbar, s, k);
         }
         let mut dqt = pool::take_uninit(s * h * k, device);
-        let mut dz: Vec<Option<Vec<f32>>> =
-            widths.iter().zip(&need[4..]).map(|(&w, &x)| x.then(|| pool::take_uninit(n * w, device))).collect();
         let part_index: Vec<Option<&[usize]>> = index.iter().map(Option::as_deref).collect();
+        let mut dz: Vec<Option<PartGrad>> = (0..widths.len())
+            .map(|p| need[4 + p].then(|| PartGrad::new(part_index[p], n, widths[p], saved[4 + p].numel(), device)))
+            .collect();
         with_parts(&saved[4..], &part_index, |parts| {
             let offsets = rows.offsets();
             let dz_rows: Vec<_> =
-                dz.iter_mut().zip(&widths).map(|(b, &w)| b.as_deref_mut().map(|b| Rows::offsets(b, &offsets, w))).collect();
+                dz.iter_mut().zip(&widths).map(|(b, &w)| b.as_mut().map(|b| Rows::offsets(b.rows(), &offsets, w))).collect();
             parallel_rows(s, rows.chunks(), (Rows::width(&mut dqt, h * k), dz_rows), |segs, (dqt, dz)| {
                 let (base, rows, qt, a, dzbar) = (offsets[segs.start], &rows, &qt[..], &a[..], &dzbar[..]);
                 kernel::run_lanes(AttendGrad { rows, segs, base, z: parts, qt, a, dzbar, dqt, dz, shape });
@@ -1169,24 +1180,31 @@ pub fn edge_attention(
             pool::give(head, device);
             gq
         });
-        grads[1] = need[1].then(|| {
-            let mut gw = pool::take_uninit(hd * k, device);
-            for (hh, gw) in gw.chunks_exact_mut(d * k).enumerate() {
-                mm_tn(&[Mat::strided(&q[hh * d..], d, hd)], &dqt[hh * k..], h * k, gw, s, k);
-            }
-            gw
-        });
+        grads[1] = need[1].then(|| head_weight_grad(&q, &dqt, s, h, d, k, device));
         pool::give(dqt, device);
         for (p, dz) in dz.into_iter().enumerate() {
-            grads[4 + p] = dz.map(|gx| {
-                let Some(rows) = &index[p] else { return gx };
-                let table = scatter_add_rows(&gx, rows, widths[p], saved[4 + p].numel(), device);
-                pool::give(gx, device);
-                table
-            });
+            grads[4 + p] = dz.map(PartGrad::finish);
         }
         grads
     })
+}
+
+/// The per-head weight gradient `dW_h = x_hᵀ · y_h` of
+/// [`edge_attention`] for all `h` heads, stacked `[h·d, k]`: `x` is `[s,
+/// h·d]` (head `hh` its columns `hh·d..(hh+1)·d`) and `y` is `[s, h·k]`.
+/// Each head is computed as `(y_hᵀ · x_h)ᵀ`: a product with `d` output
+/// columns rather than `d` output rows, a shape the GEMM runs faster,
+/// then one transpose. Same products, same row-ascending order per
+/// element.
+fn head_weight_grad(x: &[f32], y: &[f32], s: usize, h: usize, d: usize, k: usize, device: tgl_device::Device) -> Vec<f32> {
+    let mut gw = pool::take_uninit(h * d * k, device);
+    let mut gwt = pool::take_uninit(k * d, device);
+    for (hh, gw) in gw.chunks_exact_mut(d * k).enumerate() {
+        mm_tn(&[Mat::strided(&y[hh * k..], k, h * k)], &x[hh * d..], h * d, &mut gwt, s, d);
+        transpose_into(&gwt, k, d, gw);
+    }
+    pool::give(gwt, device);
+    gw
 }
 
 #[cfg(test)]

@@ -201,12 +201,17 @@ echo "==> the part of a TGAT step that is not a GEMM stays small (1 thread, --sc
 # its backward (`time_encode` + `.bwd`) read 9.8-10.4% over four
 # alternating pairs once the attention lost its per-edge keys and
 # values (limit 13%). That attention, one `edge_attention` op each way
-# with its per-destination GEMMs inside, read 61.8-63.6% (limit 66%).
+# with its per-destination GEMMs inside, read 61.8-63.6% (limit 66%),
+# and 63.1-66.0% once the copies below left the total.
 # `cat` + `cat.bwd` read 0.02% since the affine layers read their
 # inputs' parts in place (limit 1.5%; it was 6%). The edge features
 # reach the attention through their staged rows: the `index_select`
 # gather in phase `attention` that copied them was 3.8% and is gone,
-# so no such row may pass 1%.
+# so no such row may pass 1%. The layers read their other inputs in
+# place too: the tail's node features as rows of the staged table (the
+# `index_select` gathers in phase `feature_load` were 3.6-3.9%) and each
+# layer boundary as rows of the layer's output (the `narrow_rows`
+# copies in phase `aggregate` were 0.7-0.8%), so neither may pass 0.5%.
 # Prints "<name> <phase> <self_ns>" per op row of a run report.
 op_rows() {
     grep -o '{"name":"[^"]*","phase":"[^"]*","stage":"[^"]*","kind":"op"[^}]*' "$1" \
@@ -222,6 +227,8 @@ op_rows "$SHARE_REPORT" \
            $1 == "edge_attention" || $1 == "edge_attention.bwd" {att += $3}
            $1 == "cat" || $1 == "cat.bwd" {cat += $3}
            $1 == "index_select" && $2 == "attention" && $3 > gather {gather = $3}
+           $1 == "index_select" && $2 == "feature_load" && $3 > fload {fload = $3}
+           $1 == "narrow_rows" && $2 == "aggregate" && $3 > copy {copy = $3}
            END {
                if (total == 0) { print "the report has no op rows"; exit 1 }
                printf "time_encode + .bwd %.2f%%, edge_attention + .bwd %.2f%%, cat + .bwd %.2f%% of %.3f s of op self time\n", 100 * trig / total, 100 * att / total, 100 * cat / total, total / 1e9
@@ -229,6 +236,8 @@ op_rows "$SHARE_REPORT" \
                if (att > 0.66 * total) { print "edge_attention + edge_attention.bwd exceed 66% of op self time"; bad = 1 }
                if (cat > 0.015 * total) { print "cat + cat.bwd exceed 1.5% of op self time"; bad = 1 }
                if (gather > 0.01 * total) { print "an index_select row in phase attention exceeds 1% of op self time"; bad = 1 }
+               if (fload > 0.005 * total) { print "an index_select row in phase feature_load exceeds 0.5% of op self time"; bad = 1 }
+               if (copy > 0.005 * total) { print "a narrow_rows row in phase aggregate exceeds 0.5% of op self time"; bad = 1 }
                exit bad
            }' \
     || { echo "the non-GEMM share of a TGAT epoch grew back"; exit 1; }

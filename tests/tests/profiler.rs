@@ -221,6 +221,8 @@ fn training_epoch_profile_has_no_anonymous_rows() {
     let ctx = tglite::TContext::new(g.clone());
     let tgat = epoch_ops(&mut Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::all(), 42), &ctx);
     let ctx = tglite::TContext::new(g.clone());
+    let tgat_tgl = epoch_ops(&mut Tgat::new(&ctx, ModelConfig::tiny(), OptFlags::none(), 42), &ctx);
+    let ctx = tglite::TContext::new(g.clone());
     // The benchmark's dimensions and operators: shares of op time are
     // read below, and at `tiny()` widths every op costs its dispatch.
     let cfg = ModelConfig { emb_dim: 32, time_dim: 16, ..ModelConfig::default() };
@@ -262,6 +264,17 @@ fn training_epoch_profile_has_no_anonymous_rows() {
         .filter(|r| r.name == "index_select.bwd")
         .fold((0, 0), |(r, w), row| (r + row.cost.bytes_read, w + row.cost.bytes_written));
     assert!(written <= read, "tgn: index_select.bwd writes {written} bytes for {read} read");
+
+    // The layers read their inputs where they lie: the tail's node
+    // features as rows of the staged table, every layer boundary as rows
+    // of the layer's output. Neither is gathered or copied first. The
+    // `tgl` framework (no `preload`) still stages every block's tensors
+    // eagerly, one gather each, under `feature_load`.
+    let row = |rows: &[Row], name: &str, phase: &str| rows.iter().any(|r| r.name == name && r.phase == phase);
+    assert!(!row(&tgat, "index_select", "feature_load"), "tgat: the tail's features were gathered");
+    assert!(!row(&tgat, "narrow_rows", "aggregate"), "tgat: a layer boundary was copied");
+    assert!(!row(&tgn, "narrow_rows", "aggregate"), "tgn: a layer boundary was copied");
+    assert!(row(&tgat_tgl, "index_select", "feature_load"), "tgl: no eager feature_load gather");
 
     let names = |rows: &[Row]| rows.iter().map(|r| r.name).collect::<Vec<_>>();
     for (model, rows) in [("tgat", &tgat), ("tgn", &tgn), ("apan", &apan)] {
